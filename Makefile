@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -78,6 +78,15 @@ bench:
 # I/O scheduler on/off ablation) at its tiny default scale, BENCH JSON out.
 bench-smoke:
 	$(PY) -m pytest benchmarks/bench_fig10_tpch.py -q -s
+
+# The two-clock end-to-end benchmark BENCHMARK.json declares: all four
+# workloads, untraced then traced (finds src/ itself; a few minutes).
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# Its smoke test on tiny inputs (answers checked against pinned digests).
+bench-e2e-smoke:
+	python -m pytest benchmarks/e2e -q
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

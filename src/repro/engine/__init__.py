@@ -24,6 +24,7 @@ from repro.engine.expressions import (
 )
 from repro.engine.operators import (
     AggregateSpec,
+    JoinBuild,
     aggregate,
     hash_join,
     join_match_mask,
@@ -54,6 +55,7 @@ __all__ = [
     "col",
     "lit",
     "AggregateSpec",
+    "JoinBuild",
     "aggregate",
     "hash_join",
     "join_match_mask",

@@ -42,7 +42,13 @@ import numpy as np
 from repro.common.types import SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
 from repro.engine.expressions import BinaryOp, ColumnRef, Expr, InList
-from repro.engine.operators import aggregate, hash_join, join_match_mask, sort_limit
+from repro.engine.operators import (
+    JoinBuild,
+    aggregate,
+    hash_join,
+    join_match_mask,
+    sort_limit,
+)
 from repro.engine.pipeline import PipelineCharges, chunk_rows
 from repro.engine.plan import (
     AggregateNode,
@@ -187,7 +193,7 @@ class Executor:
         self.pushdown = pushdown
         self.provider.set_pushdown(pushdown)
         self.stats = QueryStats()
-        self._broadcast_cache: Dict[int, RowSet] = {}
+        self._broadcast_cache: Dict[int, JoinBuild] = {}
         # Observability is opt-in; ``None`` keeps every hot path at a
         # single attribute check (the zero-overhead-when-disabled contract).
         self._obs = obs if (obs is not None and obs.enabled) else None
@@ -548,21 +554,12 @@ class Executor:
     def _eval_join(self, node: JoinNode, participant: str) -> RowSet:
         work = self.stats.node(participant)
         left = self._eval_fragment(node.left, participant)
-        locality = node.locality
-        if locality == "local" and not self.provider.preserves_segmentation:
-            # Container-split crunch broke co-location; replicated build
-            # sides are still safe, segmented ones must be broadcast.
-            if not (isinstance(node.right, ScanNode) and node.right.replicated):
-                locality = "broadcast"
-        if locality == "local":
-            right = self._eval_fragment(node.right, participant)
-        else:
-            right = self._broadcast(node.right, participant)
+        build, locality = self._join_build(node, participant)
         out = hash_join(
-            left, right, list(node.left_keys), list(node.right_keys), node.how
+            left, build, list(node.left_keys), list(node.right_keys), node.how
         )
         join_cpu = (
-            (left.num_rows + right.num_rows + out.num_rows) * self.cost.row_cpu_seconds
+            (left.num_rows + build.num_rows + out.num_rows) * self.cost.row_cpu_seconds
         )
         work.cpu_seconds += join_cpu
         work.rows_processed += out.num_rows
@@ -570,11 +567,28 @@ class Executor:
                       detail=f"{locality} {node.how}")
         return out
 
-    def _broadcast(self, node: PlanNode, participant: str) -> RowSet:
+    def _join_build(self, node: JoinNode, participant: str) -> Tuple[JoinBuild, str]:
+        """A join's build side on one participant, and its effective locality.
+
+        A local build is the participant's own fragment; a broadcast build
+        is gathered, shipped and factorized once and shared by every
+        participant."""
+        locality = node.locality
+        if locality == "local" and not self.provider.preserves_segmentation:
+            # Container-split crunch broke co-location; replicated build
+            # sides are still safe, segmented ones must be broadcast.
+            if not (isinstance(node.right, ScanNode) and node.right.replicated):
+                locality = "broadcast"
+        if locality == "local":
+            rows = self._fragment_rows(node.right, participant)
+            return JoinBuild(rows, node.right_keys), locality
+        return self._broadcast(node), locality
+
+    def _broadcast(self, join: JoinNode) -> JoinBuild:
         """Gather a build side once, ship it to every participant."""
-        key = id(node)
+        key = id(join.right)
         if key not in self._broadcast_cache:
-            fragments = [self._fragment_rows(node, p) for p in self._participants]
+            fragments = [self._fragment_rows(join.right, p) for p in self._participants]
             full = RowSet.concat(fragments)
             nbytes = rowset_bytes(full)
             fanout = max(len(self._participants) - 1, 1)
@@ -582,7 +596,7 @@ class Executor:
             self.stats.network_seconds += self.cost.network_seconds(
                 nbytes * fanout, messages=fanout
             )
-            self._broadcast_cache[key] = full
+            self._broadcast_cache[key] = JoinBuild(full, join.right_keys)
         return self._broadcast_cache[key]
 
     # -- batched (pipelined) fragment evaluation -----------------------------------
@@ -680,43 +694,35 @@ class Executor:
     def _stream_join(self, node: JoinNode, participant: str):
         """Build once, then stream probe batches through the join.
 
-        Inner joins probe each batch directly; the per-batch outputs
-        concatenate to exactly the materializing join's output (probe order
-        × build order).  LEFT joins split each batch by
-        :func:`join_match_mask`, join the matched rows inner per batch, and
-        hold the unmatched rows for one padded tail batch — reproducing the
-        serial all-matched-then-all-unmatched row order.
+        One :class:`JoinBuild` serves every batch (and, for a broadcast
+        join, every participant).  Inner joins probe each batch directly;
+        the per-batch outputs concatenate to exactly the materializing
+        join's output (probe order × build order).  LEFT joins split each
+        batch by :func:`join_match_mask`, join the matched rows inner per
+        batch, and hold the unmatched rows for one padded tail batch —
+        reproducing the serial all-matched-then-all-unmatched row order.
         """
         work = self.stats.node(participant)
-        locality = node.locality
-        if locality == "local" and not self.provider.preserves_segmentation:
-            # Container-split crunch broke co-location; replicated build
-            # sides are still safe, segmented ones must be broadcast.
-            if not (isinstance(node.right, ScanNode) and node.right.replicated):
-                locality = "broadcast"
-        if locality == "local":
-            right = self._fragment_rows(node.right, participant)
-        else:
-            right = self._broadcast(node.right, participant)
-        self._register_sip(node, right, participant)
+        build, locality = self._join_build(node, participant)
+        self._register_sip(node, build, participant)
         left_keys, right_keys = list(node.left_keys), list(node.right_keys)
         build_cpu_charged = False
         total_in = total_out = 0
         unmatched: List[RowSet] = []
         for batch in self._stream_fragment(node.left, participant):
             if not build_cpu_charged:
-                work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
+                work.cpu_seconds += build.num_rows * self.cost.row_cpu_seconds
                 build_cpu_charged = True
             if node.how == "left":
-                mask = join_match_mask(batch, right, left_keys, right_keys)
+                mask = join_match_mask(batch, build, left_keys, right_keys)
                 missed = batch.filter(~mask)
                 if missed.num_rows:
                     unmatched.append(missed)
                 out = hash_join(
-                    batch.filter(mask), right, left_keys, right_keys, "inner"
+                    batch.filter(mask), build, left_keys, right_keys, "inner"
                 )
             else:
-                out = hash_join(batch, right, left_keys, right_keys, node.how)
+                out = hash_join(batch, build, left_keys, right_keys, node.how)
             join_cpu = (batch.num_rows + out.num_rows) * self.cost.row_cpu_seconds
             work.cpu_seconds += join_cpu
             work.rows_processed += out.num_rows
@@ -724,10 +730,10 @@ class Executor:
             total_out += out.num_rows
             yield out
         if not build_cpu_charged:
-            work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
+            work.cpu_seconds += build.num_rows * self.cost.row_cpu_seconds
         if node.how == "left" and unmatched:
             tail = hash_join(
-                RowSet.concat(unmatched), right, left_keys, right_keys, "left"
+                RowSet.concat(unmatched), build, left_keys, right_keys, "left"
             )
             join_cpu = (tail.num_rows * 2) * self.cost.row_cpu_seconds
             work.cpu_seconds += join_cpu
@@ -736,16 +742,16 @@ class Executor:
             yield tail
         self._note_op(
             "Join", participant, total_out,
-            (total_in + right.num_rows + total_out) * self.cost.row_cpu_seconds,
+            (total_in + build.num_rows + total_out) * self.cost.row_cpu_seconds,
             detail=f"{locality} {node.how} batched",
         )
 
-    def _register_sip(self, join: JoinNode, build_rows: RowSet, participant: str) -> None:
+    def _register_sip(self, join: JoinNode, build: JoinBuild, participant: str) -> None:
         """Push an IN-list of build-side key values into the probe scan.
 
-        Skipped for float keys (NaN equality differs between dict probing
-        and array membership), for builds containing NULL keys (``None``
-        probes match ``None`` builds in :func:`hash_join`, which
+        Skipped for float keys (NaN equality differs between the join's
+        probing and array membership), for builds containing NULL keys
+        (``None`` probes match ``None`` builds in :func:`hash_join`, which
         ``InList.could_match`` pruning would not honour), and for builds
         wider than ``SIP_MAX_KEYS``.  An *empty* build is pushed: the empty
         IN-list prunes every container, matching the empty inner-join
@@ -758,11 +764,13 @@ class Executor:
         registered = self._sip_filters.setdefault((id(target), participant), {})
         if id(join) in registered:
             return
-        key_col = build_rows.column(join.right_keys[0])
-        if key_col.dtype.kind == "f":
+        if build.rows.column(join.right_keys[0]).dtype.kind == "f":
             return
-        values = set(key_col.tolist())
-        if None in values or len(values) > self.SIP_MAX_KEYS:
+        keys = build.distinct_keys()
+        if len(keys) > self.SIP_MAX_KEYS:
+            return
+        values = keys.tolist()
+        if None in values:
             return
         registered[id(join)] = InList(ColumnRef(column), tuple(sorted(values)))
         self.sip_filters_built += 1

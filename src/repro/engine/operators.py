@@ -19,7 +19,7 @@ high-cardinality distinct aggregates" (section 2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -412,44 +412,221 @@ def final_count_sum(specs: Sequence[AggregateSpec]) -> List[AggregateSpec]:
 # joins
 
 
+def _sorted_groups(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort of a numeric array into runs of equal values.
+
+    Returns ``(order, starts, uniques)``: ``values[order]`` ascends with
+    equal values in input order, run ``g`` is ``order[starts[g]:starts[g+1]]``
+    and holds ``uniques[g]``.  NaNs sort last, each a run of its own.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    return order, starts, ranked[starts]
+
+
+def _lookup(uniques: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in sorted ``uniques``; -1 where absent (NaN
+    equals nothing, so it is always absent)."""
+    if len(uniques) == 0:
+        return np.full(len(values), -1, dtype=np.int64)
+    pos = np.searchsorted(uniques, values)
+    pos[pos == len(uniques)] = 0  # any valid slot: the equality test rejects it
+    return np.where(uniques[pos] == values, pos, -1)
+
+
+def _exactly_comparable(a: np.dtype, b: np.dtype) -> bool:
+    """Whether numpy compares arrays of the two dtypes without rounding
+    (int64 against float64 would round keys above 2**53)."""
+    if a == b or a.kind == b.kind == "f":
+        return True
+    return a.kind in "biu" and b.kind in "biu" and np.result_type(a, b).kind != "f"
+
+
+class _KeyEncoder:
+    """One build key column as dense codes: equal keys share a code.
+
+    Numeric columns are factorized by one stable sort and probed with
+    ``searchsorted``.  Object columns (strings, ``None``) — and probes whose
+    dtype numpy cannot compare exactly with the build's — go through one
+    dict pass instead, which is Python's own key equality: ``None`` equals
+    ``None`` and ``1 == 1.0 == True``.  A NaN never gets a code.
+
+    ``order``/``starts`` group the build rows by code, as
+    :func:`_sorted_groups` returns them.
+    """
+
+    def __init__(self, column: np.ndarray):
+        self._index: Optional[Dict[object, int]] = None
+        if column.dtype.kind in "biuf":
+            self.order, self.starts, self.uniques = _sorted_groups(column)
+            self.size = len(self.uniques)
+            return
+        self.uniques = None
+        index: Dict[object, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(v, len(index)) if v == v else -1 for v in column.tolist()),
+            dtype=np.int64, count=len(column),
+        )
+        self._index = index
+        self.size = len(index)
+        coded = np.flatnonzero(codes >= 0)
+        order, self.starts, _ = _sorted_groups(codes[coded])
+        self.order = coded[order]
+
+    @property
+    def index(self) -> Dict[object, int]:
+        if self._index is None:
+            # NaN entries are harmless: each is a fresh object no probe equals.
+            self._index = {v: i for i, v in enumerate(self.uniques.tolist())}
+        return self._index
+
+    def encode(self, column: np.ndarray) -> np.ndarray:
+        """Code of each value of a build or probe column, -1 where the value
+        equals no build key."""
+        if self.uniques is not None and _exactly_comparable(
+            column.dtype, self.uniques.dtype
+        ):
+            return _lookup(self.uniques, column)
+        get = self.index.get
+        return np.fromiter(
+            (get(v, -1) for v in column.tolist()), dtype=np.int64, count=len(column)
+        )
+
+    def distinct(self) -> np.ndarray:
+        """The distinct build keys, sorted when numeric (a float column's
+        NaNs, which match nothing, come last, one entry each)."""
+        if self.uniques is None:
+            return np.array(list(self._index), dtype=object)
+        return self.uniques
+
+
+def _pair_codes(codes: np.ndarray, more: np.ndarray, size: int) -> np.ndarray:
+    """Combine two code columns into one; -1 wherever either is -1."""
+    return np.where((codes < 0) | (more < 0), -1, codes * size + more)
+
+
+class JoinBuild:
+    """The build side of a hash join: factorized once, probed many times.
+
+    The executor makes one per join and hands it to :func:`hash_join` /
+    :func:`join_match_mask` in place of the build ``RowSet`` — for every
+    participant of a broadcast join and every probe batch of a streamed
+    one.  The factorization happens on the first probe, so its cost sits
+    inside the join call that needs it.
+
+    Build rows are grouped by key: ``_order`` lists them group by group in
+    insertion order, group ``g`` being ``_order[_starts[g]:][:_counts[g]]``.
+    A probe maps its key columns to group ids (-1: no match) with the same
+    per-column encoders; each further key column is paired with the codes so
+    far and re-densified through a sorted table, so codes never outgrow
+    ``build rows ** 2``.
+    """
+
+    def __init__(self, rows: RowSet, keys: Sequence[str]):
+        if not keys:
+            raise ValueError("a join needs at least one key column")
+        self.rows = rows
+        self.keys = tuple(keys)
+        self.num_rows = rows.num_rows
+        self._encoders: Optional[List[_KeyEncoder]] = None
+        #: One sorted table of occupied pair codes per key column after the first.
+        self._tables: List[np.ndarray] = []
+
+    def _ensure_built(self) -> None:
+        if self._encoders is not None:
+            return
+        columns = [self.rows.column(k) for k in self.keys]
+        encoders = [_KeyEncoder(c) for c in columns]
+        # One key: the column's own grouping is the join's.
+        order, starts = encoders[0].order, encoders[0].starts
+        codes = encoders[0].encode(columns[0]) if len(columns) > 1 else None
+        for encoder, column in zip(encoders[1:], columns[1:]):
+            pairs = _pair_codes(codes, encoder.encode(column), encoder.size)
+            coded = np.flatnonzero(pairs >= 0)
+            order, starts, table = _sorted_groups(pairs[coded])
+            order = coded[order]
+            self._tables.append(table)
+            codes = _lookup(table, pairs)
+        self._order, self._starts = order, starts
+        self._counts = np.diff(starts, append=len(order))
+        self._unique = bool((self._counts == 1).all())
+        self._encoders = encoders
+
+    def _groups(self, left: RowSet, left_keys: Sequence[str]) -> np.ndarray:
+        """Build group id of each probe row, -1 where nothing matches."""
+        if len(left_keys) != len(self.keys):
+            raise ValueError("join key lists differ in length")
+        self._ensure_built()
+        columns = [left.column(k) for k in left_keys]
+        codes = self._encoders[0].encode(columns[0])
+        for encoder, column, table in zip(self._encoders[1:], columns[1:], self._tables):
+            codes = _lookup(table, _pair_codes(codes, encoder.encode(column), encoder.size))
+        return codes
+
+    def matched(self, left: RowSet, left_keys: Sequence[str]) -> np.ndarray:
+        """Mask of the probe rows whose match count is above zero (every
+        group holds at least one build row)."""
+        return self._groups(left, left_keys) >= 0
+
+    def probe(
+        self, left: RowSet, left_keys: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every match as ``(probe_idx, build_idx)`` row-index pairs in probe
+        order × build insertion order, plus the mask of matched probe rows."""
+        groups = self._groups(left, left_keys)
+        hit = groups >= 0
+        probe_idx = hit.nonzero()[0]
+        groups = groups[probe_idx]
+        first = self._starts[groups]
+        if not self._unique:
+            counts = self._counts[groups]
+            probe_idx = np.repeat(probe_idx, counts)
+            # Position of each output row within its probe row's run.
+            within = np.arange(len(probe_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+            first = np.repeat(first, counts) + within
+        return probe_idx, self._order[first], hit
+
+    def distinct_keys(self) -> np.ndarray:
+        """Distinct values of the first key column (what SIP pushes down)."""
+        self._ensure_built()
+        return self._encoders[0].distinct()
+
+
+def _as_build(right: Union[RowSet, JoinBuild], right_keys: Sequence[str]) -> JoinBuild:
+    if not isinstance(right, JoinBuild):
+        return JoinBuild(right, right_keys)
+    if right.keys != tuple(right_keys):
+        raise ValueError(f"build is keyed on {right.keys}, not {tuple(right_keys)}")
+    return right
+
+
 def hash_join(
     left: RowSet,
-    right: RowSet,
+    right: Union[RowSet, JoinBuild],
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> RowSet:
-    """Hash join; the smaller side should be ``right`` (build side).
+    """Hash join; the smaller side should be ``right`` (build side), given
+    as a ``RowSet`` or as a :class:`JoinBuild` to reuse its factorization.
 
-    Output columns: all left columns then all right non-key columns (key
-    columns are equal by definition; duplicated names get a ``_r`` suffix).
+    Output columns: all left columns then all right columns (duplicated
+    names get a ``_r`` suffix).  Rows come in probe order, each probe row's
+    matches in build insertion order; ``how="left"`` appends the unmatched
+    probe rows after all matched ones, right columns padded with NULL/zero.
     """
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")
-    if len(left_keys) != len(right_keys):
-        raise ValueError("join key lists differ in length")
-
-    build: Dict[tuple, List[int]] = {}
-    right_key_cols = [right.column(k) for k in right_keys]
-    for i in range(right.num_rows):
-        key = tuple(c[i] for c in right_key_cols)
-        build.setdefault(key, []).append(i)
-
-    left_key_cols = [left.column(k) for k in left_keys]
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    unmatched: List[int] = []
-    for i in range(left.num_rows):
-        key = tuple(c[i] for c in left_key_cols)
-        matches = build.get(key)
-        if matches:
-            left_idx.extend([i] * len(matches))
-            right_idx.extend(matches)
-        elif how == "left":
-            unmatched.append(i)
-
-    left_indices = np.asarray(left_idx + unmatched, dtype=np.int64)
-    right_indices = np.asarray(right_idx, dtype=np.int64)
+    build = _as_build(right, right_keys)
+    left_indices, right_indices, hit = build.probe(left, left_keys)
+    n_pad = 0
+    if how == "left":
+        unmatched = (~hit).nonzero()[0]
+        n_pad = len(unmatched)
+        left_indices = np.concatenate([left_indices, unmatched])
 
     out_cols: Dict[str, np.ndarray] = {}
     schema_cols: List[SchemaColumn] = []
@@ -457,21 +634,19 @@ def hash_join(
         out_cols[c.name] = left.column(c.name)[left_indices]
         schema_cols.append(c)
 
-    n_matched = len(right_idx)
-    n_out = len(left_indices)
     # Right key columns are retained: later plan stages may reference them
     # (column names are globally unique, so there is no collision; for the
     # matched rows their values equal the left keys by definition).
-    for c in right.schema.columns:
+    for c in build.rows.schema.columns:
         name = c.name if c.name not in out_cols else c.name + "_r"
-        values = right.column(c.name)[right_indices]
-        if n_out > n_matched:  # left join padding with NULL/zero
+        values = build.rows.column(c.name)[right_indices]
+        if n_pad:  # left join padding with NULL/zero
             if values.dtype.kind == "O":
-                pad = np.full(n_out - n_matched, None, dtype=object)
+                pad = np.full(n_pad, None, dtype=object)
             elif values.dtype.kind == "f":
-                pad = np.full(n_out - n_matched, np.nan)
+                pad = np.full(n_pad, np.nan)
             else:
-                pad = np.zeros(n_out - n_matched, dtype=values.dtype)
+                pad = np.zeros(n_pad, dtype=values.dtype)
             values = np.concatenate([values, pad])
         out_cols[name] = values
         schema_cols.append(SchemaColumn(name, c.ctype))
@@ -480,31 +655,20 @@ def hash_join(
 
 def join_match_mask(
     left: RowSet,
-    right: RowSet,
+    right: Union[RowSet, JoinBuild],
     left_keys: Sequence[str],
     right_keys: Sequence[str],
 ) -> np.ndarray:
     """Boolean mask over ``left``: which probe rows have a build match.
 
-    Uses the same tuple-keyed dict probing as :func:`hash_join` so its
-    equality semantics (including ``None`` keys matching ``None``) carry
-    over exactly — the batched LEFT join splits each probe batch with this
+    Probes the same :class:`JoinBuild` as :func:`hash_join`, so its key
+    equality (including ``None`` keys matching ``None``) carries over
+    exactly — the batched LEFT join splits each probe batch with this
     mask, joins the matched rows inner per batch, and defers the unmatched
     rows to one padded tail batch, reproducing the serial join's
     all-matched-then-all-unmatched row order.
     """
-    if len(left_keys) != len(right_keys):
-        raise ValueError("join key lists differ in length")
-    build: Dict[tuple, bool] = {}
-    right_key_cols = [right.column(k) for k in right_keys]
-    for i in range(right.num_rows):
-        build[tuple(c[i] for c in right_key_cols)] = True
-    left_key_cols = [left.column(k) for k in left_keys]
-    mask = np.zeros(left.num_rows, dtype=bool)
-    for i in range(left.num_rows):
-        if build.get(tuple(c[i] for c in left_key_cols)):
-            mask[i] = True
-    return mask
+    return _as_build(right, right_keys).matched(left, left_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +694,13 @@ def sort_limit(
             sorter = np.asarray(sorter, dtype=np.int64)
         elif ascending:
             sorter = np.argsort(column, kind="stable")
+        elif column.dtype.kind == "f":
+            # Stable descending: negate; NaN stays NaN and still sorts last.
+            sorter = np.argsort(-column, kind="stable")
         else:
-            # Stable descending: negate (bools promote to int first).
-            sorter = np.argsort(-column.astype(np.float64), kind="stable")
+            # ``~x`` reverses ints, dates and bools exactly; a float cast
+            # would round int64 keys above 2**53 into ties.
+            sorter = np.argsort(~column, kind="stable")
         indices = indices[sorter]
     if limit is not None:
         indices = indices[:limit]

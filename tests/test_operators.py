@@ -288,6 +288,33 @@ class TestSortLimit:
     def test_limit_larger_than_input(self, rows):
         assert sort_limit(rows, [("x", True)], limit=100).num_rows == 5
 
+    def test_descending_int_keys_above_2_to_53(self):
+        """A float cast rounds these four keys into two ties, which the
+        stable sort then leaves in input order: [3, 2, 0, 1]."""
+        schema = TableSchema.of(("k", ColumnType.INT), ("pos", ColumnType.INT))
+        base = 2 ** 53
+        rs = RowSet.from_rows(schema, [(base + i, i) for i in range(4)])
+        out = sort_limit(rs, [("k", False)])
+        assert out.column("pos").tolist() == [3, 2, 1, 0]
+
+    def test_descending_is_stable_and_handles_int64_min(self):
+        schema = TableSchema.of(("k", ColumnType.INT), ("pos", ColumnType.INT))
+        lo = np.iinfo(np.int64).min
+        rs = RowSet.from_rows(schema, [(lo, 0), (5, 1), (lo, 2), (5, 3), (7, 4)])
+        out = sort_limit(rs, [("k", False)])
+        assert out.column("pos").tolist() == [4, 1, 3, 0, 2]
+
+    def test_descending_bool_and_float_nan_last(self):
+        schema = TableSchema.of(("b", ColumnType.BOOL), ("f", ColumnType.FLOAT))
+        rs = RowSet.from_rows(
+            schema, [(False, 1.0), (True, float("nan")), (False, 3.0), (True, -0.0)]
+        )
+        assert sort_limit(rs, [("b", False)]).column("b").tolist() == [
+            True, True, False, False
+        ]
+        by_f = sort_limit(rs, [("f", False)]).column("f")
+        assert by_f[:3].tolist() == [3.0, 1.0, -0.0] and np.isnan(by_f[3])
+
 
 class TestNullSemantics:
     """NULL-handling regressions, one per aggregate kernel: ``count(col)``
@@ -443,7 +470,7 @@ class TestJoinMatchMask:
         left = RowSet.from_rows(ls, [(None, 1), ("a", 2)])
         right = RowSet.from_rows(rs, [(None, 10)])
         mask = join_match_mask(left, right, ["g"], ["h"])
-        # hash_join builds a plain dict, so a NULL key matches a NULL key;
+        # hash_join keeps dict key equality, so a NULL key matches a NULL key;
         # the mask must agree or batched LEFT joins mis-split NULL rows.
         inner = hash_join(left, right, ["g"], ["h"])
         assert mask.tolist() == [True, False]
