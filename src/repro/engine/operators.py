@@ -322,12 +322,10 @@ def _factorize_pairs(codes: np.ndarray, values: Optional[np.ndarray]) -> Tuple[n
 
 
 def _first_occurrence_mask(codes: np.ndarray) -> np.ndarray:
-    seen = np.zeros(int(codes.max()) + 1 if len(codes) else 0, dtype=bool)
+    """True at the first row carrying each code, False at its repeats."""
     keep = np.zeros(len(codes), dtype=bool)
-    for i, c in enumerate(codes):
-        if not seen[c]:
-            seen[c] = True
-            keep[i] = True
+    # ``return_index`` gives, per distinct code, where it first occurs.
+    keep[np.unique(codes, return_index=True)[1]] = True
     return keep
 
 

@@ -37,6 +37,17 @@ class ObjectNotFound(StorageError):
     """The requested object does not exist in the filesystem/object store."""
 
 
+class CorruptBlock(StorageError):
+    """An encoded column block is truncated or damaged.
+
+    Raised by :func:`repro.storage.encoding.decode_block` when the bytes it
+    is given are not a whole valid block: header too short, unknown
+    encoding or dtype code, payload ending before the header's row count
+    is reached, a dictionary code outside the dictionary, or run lengths
+    that do not add up to the row count.
+    """
+
+
 class TransientStorageError(StorageError):
     """A retryable shared-storage failure (throttling, internal error).
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.types import ColumnType
-from repro.storage.encoding import decode_block, encode_block
+from repro.storage.encoding import Buffer, decode_block, encode_block
 
 #: Default number of rows per encoded block.
 DEFAULT_BLOCK_ROWS = 4096
@@ -30,9 +29,12 @@ _MAGIC = b"RCOL"
 _TRAILER = struct.Struct("<Q4s")  # footer byte length, magic
 
 
-@dataclass(frozen=True)
-class BlockInfo:
-    """Footer entry for one block (the position index)."""
+class BlockInfo(NamedTuple):
+    """Footer entry for one block (the position index).
+
+    A tuple, not a dataclass: a reader builds one per block of every column
+    it opens, on every scan.
+    """
 
     offset: int
     length: int
@@ -54,12 +56,12 @@ class BlockInfo:
     @classmethod
     def from_json(cls, obj: dict) -> "BlockInfo":
         return cls(
-            offset=obj["offset"],
-            length=obj["length"],
-            row_start=obj["row_start"],
-            row_count=obj["row_count"],
-            min_value=obj["min"],
-            max_value=obj["max"],
+            obj["offset"],
+            obj["length"],
+            obj["row_start"],
+            obj["row_count"],
+            obj["min"],
+            obj["max"],
         )
 
 
@@ -131,14 +133,17 @@ class ColumnReader:
     how a real engine touches only the blocks a query needs.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: Buffer):
+        # A view, not a copy: ``data`` is usually a slice of a container
+        # image, and blocks are decoded straight out of that image.
+        data = memoryview(data)
         if len(data) < _TRAILER.size:
             raise ValueError("truncated column file")
         footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
         if magic != _MAGIC:
             raise ValueError("bad column file magic")
         footer_start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(data[footer_start : footer_start + footer_len])
+        footer = json.loads(str(data[footer_start : footer_start + footer_len], "utf-8"))
         self._data = data
         self.ctype = ColumnType(footer["ctype"])
         self.row_count: int = footer["row_count"]
@@ -200,22 +205,23 @@ class ColumnReader:
             return np.array(results, dtype=object)
         return np.asarray(results, dtype=self.ctype.dtype)
 
+    def block_mask(self, lo: object = None, hi: object = None) -> List[bool]:
+        """Per block: could its [min,max] range intersect [lo, hi]?
+
+        This is the block-level pruning the footer min/max metadata exists
+        for; ``None`` bounds are unbounded.  All-NULL and empty blocks
+        carry no range (``None``/``None``) and are never excluded.
+        """
+        return [
+            not (
+                (lo is not None and b.max_value is not None and b.max_value < lo)
+                or (hi is not None and b.min_value is not None and b.min_value > hi)
+            )
+            for b in self.blocks
+        ]
+
     def blocks_possibly_matching(
         self, lo: object = None, hi: object = None
     ) -> List[int]:
-        """Block indices whose [min,max] range intersects [lo, hi].
-
-        This is the block-level pruning the footer min/max metadata exists
-        for; ``None`` bounds are unbounded.
-        """
-        matches = []
-        for i, b in enumerate(self.blocks):
-            if b.min_value is None and b.max_value is None:
-                matches.append(i)  # all-NULL or empty: cannot exclude
-                continue
-            if lo is not None and b.max_value is not None and b.max_value < lo:
-                continue
-            if hi is not None and b.min_value is not None and b.min_value > hi:
-                continue
-            matches.append(i)
-        return matches
+        """Block indices whose [min,max] range intersects [lo, hi]."""
+        return [i for i, hit in enumerate(self.block_mask(lo, hi)) if hit]

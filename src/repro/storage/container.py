@@ -30,8 +30,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.oid import StorageId
-from repro.common.types import ColumnType, TableSchema
+from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.storage.column import ColumnFile, ColumnReader, DEFAULT_BLOCK_ROWS
+from repro.storage.encoding import Buffer
 
 
 class RowSet:
@@ -221,12 +222,15 @@ def write_container(rowset: RowSet, block_rows: int = DEFAULT_BLOCK_ROWS) -> byt
 class ContainerReader:
     """Lazy per-column reader over a container byte image."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: Buffer):
+        # Column files and blocks are handed down as views of this one
+        # image; bytes are copied only where a block becomes an array.
+        data = memoryview(data)
         footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
         if magic != _MAGIC:
             raise ValueError("bad container magic")
         start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(data[start : start + footer_len])
+        footer = json.loads(str(data[start : start + footer_len], "utf-8"))
         self._data = data
         self.row_count: int = footer["row_count"]
         self.column_order: List[str] = footer["order"]
@@ -257,23 +261,18 @@ class ContainerReader:
         return sum(self._directory[n]["length"] for n in names)
 
     def schema(self) -> TableSchema:
-        from repro.common.types import SchemaColumn
+        return self._schema_of(self.column_order)
 
+    def _schema_of(self, names: Sequence[str]) -> TableSchema:
+        """Schema of just the named columns: a scan reads a few columns of
+        a wide container, once per reader."""
         return TableSchema(
-            [
-                SchemaColumn(n, ColumnType(self._directory[n]["ctype"]))
-                for n in self.column_order
-            ]
+            [SchemaColumn(n, ColumnType(self._directory[n]["ctype"])) for n in names]
         )
 
     def read_rowset(self, names: Optional[Sequence[str]] = None) -> RowSet:
-        names = list(names) if names is not None else self.column_names
-        schema = TableSchema(
-            [
-                c for c in self.schema().columns if c.name in set(names)
-            ]
-        ).subset(names)
-        return RowSet(schema, self.read_columns(names))
+        names = self.column_order if names is None else list(names)
+        return RowSet(self._schema_of(names), self.read_columns(names))
 
     # -- block-level access ----------------------------------------------------
 
@@ -287,13 +286,12 @@ class ContainerReader:
     def matching_blocks(self, bounds) -> List[int]:
         """Block indices that could hold a row satisfying per-column
         [lo, hi] ``bounds`` (intersection across bounded columns)."""
-        candidates = set(range(self.block_count()))
+        keep = [True] * self.block_count()
         for column, (lo, hi) in bounds.items():
-            if column not in self._directory:
-                continue
-            reader = self.column_reader(column)
-            candidates &= set(reader.blocks_possibly_matching(lo, hi))
-        return sorted(candidates)
+            if column in self._directory:
+                mask = self.column_reader(column).block_mask(lo, hi)
+                keep = [a and b for a, b in zip(keep, mask)]
+        return [i for i, hit in enumerate(keep) if hit]
 
     def read_rowset_blocks(
         self, names: Sequence[str], block_indices: Sequence[int]
@@ -301,9 +299,7 @@ class ContainerReader:
         """Read only the given blocks of each column (positions align
         across columns because block geometry is shared)."""
         names = list(names)
-        schema = TableSchema(
-            [c for c in self.schema().columns if c.name in set(names)]
-        ).subset(names)
+        schema = self._schema_of(names)
         columns: Dict[str, np.ndarray] = {}
         for name in names:
             reader = self.column_reader(name)
@@ -317,7 +313,7 @@ class ContainerReader:
         return RowSet(schema, columns)
 
 
-def read_container(data: bytes) -> ContainerReader:
+def read_container(data: Buffer) -> ContainerReader:
     return ContainerReader(data)
 
 

@@ -15,15 +15,25 @@ a real column store would: by estimating encoded size from block statistics.
 
 Every block round-trips exactly: ``decode_block(encode_block(x)) == x``.
 NULLs are supported in string columns as ``None``.
+
+Integers travel as LEB128 varints (zig-zag for signed values).  Both
+directions work on whole arrays: :func:`read_varints` turns ``count``
+consecutive varints into one ``uint64`` array and :func:`write_varints` is
+its inverse, so no encoding loops over rows in Python.  Only string payloads
+keep a loop (their lengths interleave with their data): over rows for PLAIN
+string blocks, over dictionary entries and run values for DICT and RLE.
+The byte layout of every encoding is in DESIGN.md, "Block codec".
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.errors import CorruptBlock
 
 
 class Encoding(enum.IntEnum):
@@ -44,6 +54,8 @@ _DT_BOOL = 3
 _DT_BY_KIND = {"i": _DT_INT, "u": _DT_INT, "f": _DT_FLOAT, "O": _DT_OBJ, "b": _DT_BOOL}
 _NUMPY_BY_DT = {_DT_INT: np.int64, _DT_FLOAT: np.float64, _DT_BOOL: np.bool_}
 
+Buffer = Union[bytes, bytearray, memoryview]
+
 
 def _dtype_code(arr: np.ndarray) -> int:
     try:
@@ -53,38 +65,112 @@ def _dtype_code(arr: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# varint helpers (zig-zag for signed values)
+# varint kernels (zig-zag for signed values)
+
+#: A varint of ``k + 1`` bytes is needed from ``_VARINT_LIMITS[k - 1]`` up.
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+_MAX_VARINT_BYTES = 10  # ceil(64 / 7)
 
 
-def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63) if n < 0 else n << 1
+def _zigzag(values: np.ndarray) -> np.ndarray:
+    """int64 -> uint64 with small magnitudes first (0, -1, 1, -2, ...)."""
+    return ((values << 1) ^ (values >> 63)).view(np.uint64)
 
 
-def _unzigzag(n: int) -> int:
-    return (n >> 1) ^ -(n & 1)
+def _unzigzag(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_zigzag`; ``-(z & 1)`` wraps to all ones."""
+    return ((values >> 1) ^ -(values & 1)).view(np.int64)
+
+
+def write_varints(values: np.ndarray) -> bytes:
+    """LEB128 bytes of every ``uint64`` in ``values``, concatenated."""
+    if len(values) == 0:
+        return b""
+    if values.max() < 0x80:
+        return values.astype(np.uint8).tobytes()
+    nbytes = np.searchsorted(_VARINT_LIMITS, values, side="right") + 1
+    ends = np.cumsum(nbytes)
+    # Byte j of a value carries its bits 7j..7j+6, continuation bit set on
+    # every byte but the value's last.
+    shifts = np.arange(ends[-1])
+    shifts -= np.repeat(ends - nbytes, nbytes)
+    shifts *= 7
+    out = (np.repeat(values, nbytes) >> shifts.view(np.uint64)).astype(np.uint8)
+    out |= 0x80
+    out[ends - 1] &= 0x7F
+    return out.tobytes()
 
 
 def _write_varint(out: bytearray, n: int) -> None:
-    while True:
-        b = n & 0x7F
+    """One varint: the counts and string lengths that frame a payload."""
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
         n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+    out.append(n)
 
 
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_varints(buf: memoryview, pos: int, count: int) -> Tuple[np.ndarray, int]:
+    """``count`` consecutive varints starting at ``buf[pos]``.
+
+    Returns them as one ``uint64`` array together with the position after
+    the last one.  Raises :class:`CorruptBlock` when fewer than ``count``
+    varints terminate inside ``buf`` or one does not fit 64 bits.
+    """
+    head = buf[pos : pos + count]
+    if len(head) == count and bytes(head).isascii():
+        # Every byte is its own varint: the values are the bytes.  Small
+        # blocks and small values (run lengths, dictionary codes, deltas
+        # of dense keys) take this path and skip the kernel below.
+        return np.frombuffer(head, dtype=np.uint8).astype(np.uint64), pos + count
+    window = np.frombuffer(buf[pos : pos + _MAX_VARINT_BYTES * count], dtype=np.uint8)
+    ends = np.flatnonzero(window < 0x80)[:count]
+    if len(ends) < count:
+        raise CorruptBlock(
+            f"block payload ends after {len(ends)} of {count} varints"
+        )
+    starts = np.empty(count, dtype=np.intp)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    lengths = ends - starts
+    lengths += 1
+    longest = lengths.max()
+    if longest > _MAX_VARINT_BYTES or (
+        longest == _MAX_VARINT_BYTES
+        and (window[ends[lengths == _MAX_VARINT_BYTES]] > 1).any()
+    ):
+        raise CorruptBlock("varint does not fit 64 bits")
+    used = int(ends[-1]) + 1
+    # Byte j of a varint contributes (b & 0x7f) << 7j; the bit ranges are
+    # disjoint, so summing each varint's bytes assembles its value.
+    shifts = np.arange(used)
+    shifts -= np.repeat(starts, lengths)
+    shifts *= 7
+    parts = (window[:used] & 0x7F).astype(np.uint64)
+    parts <<= shifts.view(np.uint64)
+    return np.add.reduceat(parts, starts), pos + used
+
+
+def _read_varint(buf: Buffer, pos: int) -> Tuple[int, int]:
+    """One varint: the counts and string lengths that frame a payload."""
     result = 0
     shift = 0
-    while True:
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
+    try:
+        while True:
+            b = buf[pos]
+            pos += 1
+            result |= (b & 0x7F) << shift
+            if not b & 0x80:
+                return result, pos
+            shift += 7
+    except IndexError:
+        raise CorruptBlock("block payload ends inside a varint") from None
+
+
+def _need(buf: memoryview, pos: int, nbytes: int) -> None:
+    if len(buf) - pos < nbytes:
+        raise CorruptBlock(
+            f"block payload is {len(buf) - pos} bytes where {nbytes} are needed"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +183,58 @@ def _encode_strings(values: List[Optional[str]]) -> bytes:
     _write_varint(out, len(values))
     for v in values:
         if v is None:
-            _write_varint(out, 0)
+            out.append(0)
         else:
             raw = v.encode("utf-8")
             _write_varint(out, len(raw) + 1)
-            out.extend(raw)
+            out += raw
     return bytes(out)
 
 
-def _decode_strings(data: bytes, pos: int = 0) -> Tuple[List[Optional[str]], int]:
-    count, pos = _read_varint(data, pos)
+def _decode_strings(
+    buf: memoryview, pos: int, expect: Optional[int] = None
+) -> Tuple[List[Optional[str]], int]:
+    """The string table at ``buf[pos]``; ``expect`` is the entry count the
+    block's header or run count calls for, when there is one."""
+    count, pos = _read_varint(buf, pos)
+    if expect is not None and count != expect:
+        raise CorruptBlock(f"string table of {count} entries where {expect} belong")
+    # One copy of the payload's remainder: indexing and slicing ``bytes``
+    # is what keeps this loop cheap.  When all of it is ASCII (lengths
+    # below 128 included) it is decoded once, and entries are slices of
+    # that text: bytes and characters then count alike.
+    raw = buf[pos:].tobytes()
+    text = raw.decode("ascii") if raw.isascii() else None
+    at = 0
     values: List[Optional[str]] = []
-    for _ in range(count):
-        n, pos = _read_varint(data, pos)
-        if n == 0:
-            values.append(None)
-        else:
-            values.append(data[pos : pos + n - 1].decode("utf-8"))
-            pos += n - 1
-    return values, pos
+    append = values.append
+    try:
+        for _ in range(count):
+            n = raw[at]
+            at += 1
+            if n >= 0x80:
+                n, at = _read_varint(raw, at - 1)
+            if n == 0:
+                append(None)
+            else:
+                end = at + n - 1
+                append(text[at:end] if text is not None else raw[at:end].decode("utf-8"))
+                at = end
+    except IndexError:
+        raise CorruptBlock(f"string payload ends before its {count} entries") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptBlock(f"string payload is not UTF-8: {exc}") from None
+    # ``at`` only grows, so one check catches every slice that ran short.
+    if at > len(raw):
+        raise CorruptBlock(f"string payload ends before its {count} entries")
+    return values, pos + at
+
+
+def _decode_packed_bools(buf: memoryview, pos: int, count: int) -> np.ndarray:
+    nbytes = (count + 7) // 8
+    _need(buf, pos, nbytes)
+    packed = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=pos)
+    return np.unpackbits(packed, count=count).view(np.bool_)
 
 
 # ---------------------------------------------------------------------------
@@ -124,147 +243,152 @@ def _decode_strings(data: bytes, pos: int = 0) -> Tuple[List[Optional[str]], int
 
 def _encode_plain(arr: np.ndarray, dt: int) -> bytes:
     if dt == _DT_OBJ:
-        return _encode_strings(list(arr))
-    if dt == _DT_INT:
-        return arr.astype(np.int64).tobytes()
-    if dt == _DT_FLOAT:
-        return arr.astype(np.float64).tobytes()
-    return np.packbits(arr.astype(np.bool_)).tobytes()
-
-
-def _decode_plain(data: bytes, dt: int, count: int) -> np.ndarray:
-    if dt == _DT_OBJ:
-        values, _ = _decode_strings(data)
-        return np.array(values, dtype=object)
+        return _encode_strings(arr.tolist())
     if dt == _DT_BOOL:
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
-        return bits.astype(np.bool_)
-    return np.frombuffer(data, dtype=_NUMPY_BY_DT[dt]).copy()
+        return np.packbits(arr).tobytes()
+    return arr.astype(_NUMPY_BY_DT[dt], copy=False).tobytes()
+
+
+def _decode_plain(buf: memoryview, dt: int, count: int) -> np.ndarray:
+    if dt == _DT_OBJ:
+        values, _ = _decode_strings(buf, 0, expect=count)
+        return _object_array(values)
+    if dt == _DT_BOOL:
+        return _decode_packed_bools(buf, 0, count)
+    _need(buf, 0, 8 * count)
+    # The one copy of a PLAIN block: from the container image to the array.
+    return np.frombuffer(buf, dtype=_NUMPY_BY_DT[dt], count=count).copy()
+
+
+def _object_array(values: List[Optional[str]]) -> np.ndarray:
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _runs(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Run starts (indices) and run values of ``arr``."""
     if len(arr) == 0:
         return np.array([], dtype=np.int64), arr
-    if arr.dtype.kind == "O":
-        change = np.fromiter(
-            (i == 0 or arr[i] != arr[i - 1] for i in range(len(arr))),
-            dtype=bool,
-            count=len(arr),
-        )
-    else:
-        change = np.empty(len(arr), dtype=bool)
-        change[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=change[1:])
+    change = np.empty(len(arr), dtype=bool)
+    change[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     return starts, arr[starts]
 
 
-def _encode_rle(arr: np.ndarray, dt: int) -> bytes:
-    starts, values = _runs(arr)
-    lengths = np.diff(np.append(starts, len(arr)))
+def _encode_rle(arr: np.ndarray, dt: int, runs=None) -> bytes:
+    starts, values = runs if runs is not None else _runs(arr)
+    lengths = np.diff(starts, append=len(arr))
     out = bytearray()
     _write_varint(out, len(values))
-    for length in lengths:
-        _write_varint(out, int(length))
+    out += write_varints(lengths.astype(np.uint64))
     if dt == _DT_OBJ:
-        out.extend(_encode_strings(list(values)))
+        out += _encode_strings(values.tolist())
     elif dt == _DT_INT:
-        for v in values.astype(np.int64):
-            _write_varint(out, _zigzag(int(v)))
+        out += write_varints(_zigzag(values.astype(np.int64, copy=False)))
     elif dt == _DT_FLOAT:
-        out.extend(values.astype(np.float64).tobytes())
+        out += values.astype(np.float64, copy=False).tobytes()
     else:
-        out.extend(np.packbits(values.astype(np.bool_)).tobytes())
+        out += np.packbits(values).tobytes()
     return bytes(out)
 
 
-def _decode_rle(data: bytes, dt: int, count: int) -> np.ndarray:
-    nruns, pos = _read_varint(data, 0)
-    lengths = np.empty(nruns, dtype=np.int64)
-    for i in range(nruns):
-        lengths[i], pos = _read_varint(data, pos)
+def _decode_rle(buf: memoryview, dt: int, count: int) -> np.ndarray:
+    nruns, pos = _read_varint(buf, 0)
+    lengths, pos = read_varints(buf, pos, nruns)
     if dt == _DT_OBJ:
-        str_values, _ = _decode_strings(data, pos)
-        values = np.array(str_values, dtype=object)
+        strings, _ = _decode_strings(buf, pos, expect=nruns)
+        values = _object_array(strings)
     elif dt == _DT_INT:
-        values = np.empty(nruns, dtype=np.int64)
-        for i in range(nruns):
-            z, pos = _read_varint(data, pos)
-            values[i] = _unzigzag(z)
+        zigzagged, _ = read_varints(buf, pos, nruns)
+        values = _unzigzag(zigzagged)
     elif dt == _DT_FLOAT:
-        values = np.frombuffer(data, dtype=np.float64, count=nruns, offset=pos)
+        _need(buf, pos, 8 * nruns)
+        values = np.frombuffer(buf, dtype=np.float64, count=nruns, offset=pos)
     else:
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, offset=pos), count=nruns
-        )
-        values = bits.astype(np.bool_)
-    return np.repeat(values, lengths)
+        values = _decode_packed_bools(buf, pos, nruns)
+    # ``max`` first: a sum of damaged lengths could wrap back onto ``count``.
+    if nruns and lengths.max() > count or int(lengths.sum()) != count:
+        raise CorruptBlock(f"run lengths do not add up to the block's {count} rows")
+    return np.repeat(values, lengths.view(np.int64))
 
 
 def _encode_dict(arr: np.ndarray, dt: int) -> bytes:
     # Dictionary of distinct values + per-row codes.  None sorts first.
-    distinct = sorted({v for v in arr if v is not None}, key=lambda v: (v is None, v))
-    has_null = any(v is None for v in arr)
-    dictionary: List[Optional[str]] = ([None] if has_null else []) + list(distinct)
-    code_of = {v: i for i, v in enumerate(dictionary)}
     out = bytearray()
     if dt == _DT_OBJ:
-        out.extend(_encode_strings(dictionary))
+        values = arr.tolist()
+        distinct = set(values)
+        dictionary: List[Optional[str]] = [None] if None in distinct else []
+        distinct.discard(None)
+        dictionary += sorted(distinct)
+        code_of = {v: i for i, v in enumerate(dictionary)}
+        codes = np.fromiter(
+            map(code_of.__getitem__, values), dtype=np.uint64, count=len(values)
+        )
+        out += _encode_strings(dictionary)
     elif dt == _DT_INT:
-        _write_varint(out, len(dictionary))
-        for v in dictionary:
-            _write_varint(out, _zigzag(int(v)))
+        distinct_ints, codes = np.unique(
+            arr.astype(np.int64, copy=False), return_inverse=True
+        )
+        _write_varint(out, len(distinct_ints))
+        out += write_varints(_zigzag(distinct_ints))
+        codes = codes.astype(np.uint64)
     else:
         raise TypeError("DICT encoding supports int and varchar columns only")
-    for v in arr:
-        _write_varint(out, code_of[v])
+    out += write_varints(codes)
     return bytes(out)
 
 
-def _decode_dict(data: bytes, dt: int, count: int) -> np.ndarray:
+def _decode_dict(buf: memoryview, dt: int, count: int) -> np.ndarray:
     if dt == _DT_OBJ:
-        dictionary, pos = _decode_strings(data)
-        codes = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            codes[i], pos = _read_varint(data, pos)
-        return np.array([dictionary[c] for c in codes], dtype=object)
-    size, pos = _read_varint(data, 0)
-    dictionary_arr = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        z, pos = _read_varint(data, pos)
-        dictionary_arr[i] = _unzigzag(z)
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        codes[i], pos = _read_varint(data, pos)
-    return dictionary_arr[codes]
+        strings, pos = _decode_strings(buf, 0)
+        dictionary = _object_array(strings)
+    elif dt == _DT_INT:
+        size, pos = _read_varint(buf, 0)
+        zigzagged, pos = read_varints(buf, pos, size)
+        dictionary = _unzigzag(zigzagged)
+    else:
+        raise CorruptBlock("DICT block of a dtype DICT does not encode")
+    codes, _ = read_varints(buf, pos, count)
+    if count and codes.max() >= len(dictionary):
+        raise CorruptBlock(
+            f"dictionary code {codes.max()} in a dictionary of {len(dictionary)}"
+        )
+    return dictionary[codes.view(np.int64)]
 
 
 def _encode_delta(arr: np.ndarray, dt: int) -> bytes:
     if dt != _DT_INT:
         raise TypeError("DELTA encoding supports integer columns only")
-    v = arr.astype(np.int64)
-    out = bytearray()
+    v = arr.astype(np.int64, copy=False)
     if len(v) == 0:
-        return bytes(out)
-    _write_varint(out, _zigzag(int(v[0])))
-    deltas = np.diff(v)
-    for d in deltas:
-        _write_varint(out, _zigzag(int(d)))
+        return b""
+    # The frame of reference goes out on its own so that the deltas of a
+    # dense sorted column — one byte each — take write_varints' fast path
+    # (and read_varints' on the way back).
+    out = bytearray()
+    first = int(v[0])
+    _write_varint(out, (first << 1) ^ (first >> 63))
+    out += write_varints(_zigzag(v[1:] - v[:-1]))
     return bytes(out)
 
 
-def _decode_delta(data: bytes, dt: int, count: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.int64)
+def _decode_delta(buf: memoryview, dt: int, count: int) -> np.ndarray:
+    if dt != _DT_INT:
+        raise CorruptBlock("DELTA block of a dtype DELTA does not encode")
     if count == 0:
-        return values
-    pos = 0
-    z, pos = _read_varint(data, pos)
-    values[0] = _unzigzag(z)
-    for i in range(1, count):
-        z, pos = _read_varint(data, pos)
-        values[i] = values[i - 1] + _unzigzag(z)
-    return values
+        return np.empty(0, dtype=np.int64)
+    # The frame of reference is read on its own, as it was written.
+    first, pos = _read_varint(buf, 0)
+    if first >> 64:
+        raise CorruptBlock("varint does not fit 64 bits")
+    deltas, _ = read_varints(buf, pos, count - 1)
+    zigzagged = np.empty(count, dtype=np.uint64)
+    zigzagged[0] = first
+    zigzagged[1:] = deltas
+    # int64 cumsum wraps, as the encoder's subtraction did: exact over the
+    # whole int64 range.
+    return np.cumsum(_unzigzag(zigzagged))
 
 
 _ENCODERS = {
@@ -281,39 +405,61 @@ _DECODERS = {
 }
 
 
-def choose_encoding(arr: np.ndarray) -> Encoding:
-    """Pick the encoding expected to be smallest for this block."""
+def _choose(arr: np.ndarray, dt: int, runs) -> Encoding:
     n = len(arr)
-    if n == 0:
-        return Encoding.PLAIN
-    dt = _dtype_code(arr)
-    starts, _ = _runs(arr)
-    run_ratio = len(starts) / n
-    if run_ratio <= 0.5:
+    if len(runs[0]) / n <= 0.5:
         return Encoding.RLE
     if dt == _DT_OBJ:
-        distinct = len({v for v in arr})
-        if distinct <= max(16, n // 8):
+        if len(set(arr.tolist())) <= max(16, n // 8):
             return Encoding.DICT
         return Encoding.PLAIN
     if dt == _DT_INT:
-        v = arr.astype(np.int64)
+        v = arr.astype(np.int64, copy=False)
         if n > 1 and np.all(v[1:] >= v[:-1]):
             return Encoding.DELTA
     return Encoding.PLAIN
 
 
+def choose_encoding(arr: np.ndarray) -> Encoding:
+    """Pick the encoding expected to be smallest for this block."""
+    if len(arr) == 0:
+        return Encoding.PLAIN
+    return _choose(arr, _dtype_code(arr), _runs(arr))
+
+
 def encode_block(arr: np.ndarray, encoding: Optional[Encoding] = None) -> bytes:
     """Encode one block of column values to bytes (header included)."""
     dt = _dtype_code(arr)
+    runs = None
     if encoding is None:
-        encoding = choose_encoding(arr)
-    payload = _ENCODERS[encoding](arr, dt)
+        if len(arr) == 0:
+            encoding = Encoding.PLAIN
+        else:
+            # The run boundaries that decide for or against RLE are the
+            # ones RLE then writes: computed once per block.
+            runs = _runs(arr)
+            encoding = _choose(arr, dt, runs)
+    if encoding is Encoding.RLE:
+        payload = _encode_rle(arr, dt, runs)
+    else:
+        payload = _ENCODERS[encoding](arr, dt)
     return _HEADER.pack(int(encoding), dt, len(arr)) + payload
 
 
-def decode_block(data: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_block`."""
-    enc_id, dt, count = _HEADER.unpack_from(data, 0)
-    payload = data[_HEADER.size :]
-    return _DECODERS[Encoding(enc_id)](payload, dt, count)
+def decode_block(data: Buffer) -> np.ndarray:
+    """Inverse of :func:`encode_block`.
+
+    ``data`` may be any bytes-like object; a ``memoryview`` slice of a
+    larger image is decoded in place, without copying the block out first.
+    Raises :class:`CorruptBlock` when ``data`` is not a whole valid block.
+    """
+    buf = memoryview(data)
+    if len(buf) < _HEADER.size:
+        raise CorruptBlock(f"block of {len(buf)} bytes is shorter than its header")
+    enc_id, dt, count = _HEADER.unpack_from(buf, 0)
+    decoder = _DECODERS.get(enc_id)  # an IntEnum key answers to its int
+    if decoder is None:
+        raise CorruptBlock(f"unknown block encoding {enc_id}")
+    if dt not in (_DT_INT, _DT_FLOAT, _DT_OBJ, _DT_BOOL):
+        raise CorruptBlock(f"unknown block dtype code {dt}")
+    return decoder(buf[_HEADER.size :], dt, count)

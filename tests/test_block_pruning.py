@@ -67,6 +67,32 @@ class TestContainerBlockReads:
         reader = self._reader()
         assert reader.matching_blocks({}) == list(range(reader.block_count()))
 
+    @given(
+        st.dictionaries(
+            st.sampled_from(["k", "s", "absent"]),
+            st.tuples(
+                st.one_of(st.none(), st.integers(-10, 10_010)),
+                st.one_of(st.none(), st.integers(-10, 10_010)),
+            ),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matching_blocks_is_the_intersection_per_column(self, bounds):
+        reader = self._reader()
+        # "s" holds strings: give it string bounds.
+        bounds = {
+            c: (tuple(None if b is None else f"v{b}" for b in lohi) if c == "s" else lohi)
+            for c, lohi in bounds.items()
+        }
+        expected = set(range(reader.block_count()))
+        for column, (lo, hi) in bounds.items():
+            if column != "absent":
+                expected &= set(
+                    reader.column_reader(column).blocks_possibly_matching(lo, hi)
+                )
+        assert reader.matching_blocks(bounds) == sorted(expected)
+
     def test_read_selected_blocks_aligned(self):
         reader = self._reader()
         out = reader.read_rowset_blocks(["k", "s"], [1])

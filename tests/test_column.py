@@ -68,6 +68,19 @@ class TestColumnFile:
         reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR))
         assert reader.blocks_possibly_matching("a", "b") == [0]
 
+    def test_block_mask_lines_up_with_block_indices(self, int_reader):
+        mask = int_reader.block_mask(900, 2_100)
+        assert mask == [True, True, True] + [False] * 7
+        assert int_reader.blocks_possibly_matching(900, 2_100) == [0, 1, 2]
+
+    def test_reads_a_view_of_a_larger_image(self):
+        values = np.arange(5_000) * 7 - 3
+        data = ColumnFile.write(values, ColumnType.INT, block_rows=1_000)
+        image = b"\x80\x80" + data + b"\x80"
+        reader = ColumnReader(memoryview(image)[2 : 2 + len(data)])
+        assert reader.read_all().tolist() == values.tolist()
+        assert reader.read_block(3).tolist() == values[3_000:4_000].tolist()
+
     def test_empty_column(self):
         reader = ColumnReader(ColumnFile.write(np.array([], dtype=np.int64), ColumnType.INT))
         assert reader.row_count == 0

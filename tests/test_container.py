@@ -113,6 +113,26 @@ class TestContainerCodec:
         schema = reader.schema()
         assert schema.column("v").ctype is ColumnType.FLOAT
 
+    def test_projected_read_schema(self):
+        reader = read_container(write_container(make_rows(5)))
+        # A projected read keeps the requested order, not the stored one.
+        assert reader.read_rowset(["v", "k"]).schema.names == ["v", "k"]
+        with pytest.raises(KeyError):
+            reader.read_rowset(["k", "nope"])
+
+    def test_reads_any_bytes_like_image(self):
+        # The depot hands over bytes; a reader over a view of a larger
+        # buffer (non-zero offset) must decode the same rows in place.
+        rs = make_rows(3000)
+        image = write_container(rs, block_rows=512)
+        padded = b"\x00" * 3 + image + b"\xff" * 5
+        for data in (image, bytearray(image), memoryview(padded)[3 : 3 + len(image)]):
+            reader = read_container(data)
+            assert reader.read_rowset() == rs
+            assert reader.read_rowset_blocks(["s"], [1, 4]).column("s").tolist() == (
+                rs.column("s")[512:1024].tolist() + rs.column("s")[2048:2560].tolist()
+            )
+
     def test_bad_image_rejected(self):
         with pytest.raises(ValueError):
             read_container(b"garbage data that is long enough....")

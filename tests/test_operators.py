@@ -13,6 +13,7 @@ from repro.common.types import ColumnType, TableSchema
 from repro.engine.expressions import col
 from repro.engine.operators import (
     AggregateSpec,
+    _first_occurrence_mask,
     aggregate,
     hash_join,
     join_match_mask,
@@ -547,3 +548,31 @@ class TestBatchedLeftJoinDecomposition:
         serial = hash_join(left, right, ["k"], ["rk"], how="left")
         streamed = self._streamed_left_join(left, right, 2)
         assert streamed.to_pylist() == serial.to_pylist()
+
+
+class TestFirstOccurrenceMask:
+    """``count(distinct ...)`` keeps the first row of each (group, value)
+    pair; the mask used to be built by this per-row loop."""
+
+    @staticmethod
+    def reference_mask(codes: np.ndarray) -> np.ndarray:
+        seen = np.zeros(int(codes.max()) + 1 if len(codes) else 0, dtype=bool)
+        keep = np.zeros(len(codes), dtype=bool)
+        for i, c in enumerate(codes):
+            if not seen[c]:
+                seen[c] = True
+                keep[i] = True
+        return keep
+
+    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_same_mask_as_the_loop(self, codes):
+        codes = np.array(codes, dtype=np.int64)
+        got = _first_occurrence_mask(codes)
+        assert got.dtype == np.bool_
+        assert got.tolist() == self.reference_mask(codes).tolist()
+
+    def test_empty_and_sparse_codes(self):
+        assert _first_occurrence_mask(np.array([], dtype=np.int64)).tolist() == []
+        codes = np.array([10**9, 3, 10**9, 3, 0], dtype=np.int64)
+        assert _first_occurrence_mask(codes).tolist() == [True, True, False, False, True]
