@@ -81,8 +81,10 @@ bench-smoke:
 
 # The two-clock end-to-end benchmark BENCHMARK.json declares: all four
 # workloads, untraced then traced (finds src/ itself; a few minutes).
+# One run of one workload: `make bench-e2e WORKLOAD=iot_ingest TRACE=1 SEED=42`
+# (prints the result as one JSON line).
 bench-e2e:
-	python3 benchmarks/e2e/run.py
+	python3 benchmarks/e2e/run.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TRACE),--trace $(TRACE))
 
 # Its smoke test on tiny inputs (answers checked against pinned digests).
 bench-e2e-smoke:

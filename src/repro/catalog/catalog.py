@@ -119,15 +119,19 @@ class Catalog:
 
     # -- commit application ---------------------------------------------------------
 
-    def apply_commit(self, record: LogRecord, persist: bool = True) -> None:
-        """Apply one committed transaction to this node's catalog."""
+    def apply_commit(self, record: LogRecord, persist: bool = True) -> List[str]:
+        """Apply one committed transaction to this node's catalog.
+
+        Returns the storage names the commit removed from this node's state
+        (see :meth:`CatalogState.apply_all`).
+        """
         if record.version != self.state.version + 1:
             raise CatalogError(
                 f"commit version {record.version} does not follow "
                 f"{self.state.version}"
             )
-        new_state = self.state.copy()
-        new_state.apply_all(list(record.ops), self.subscribed_shards)
+        new_state = self.state.copy(record.ops)
+        removed = new_state.apply_all(record.ops, self.subscribed_shards, record.payloads)
         new_state.version = record.version
         self.state = new_state
         self._recent[new_state.version] = new_state
@@ -138,6 +142,7 @@ class Catalog:
             self._commits_since_checkpoint += 1
             if self._commits_since_checkpoint >= self.checkpoint_every:
                 self.write_checkpoint()
+        return removed
 
     def validate_write_set(self, write_set: WriteSet) -> None:
         write_set.validate(self.versions)
@@ -167,7 +172,7 @@ class Catalog:
                 # contiguous version (later commits were lost).
                 break
             next_state = state if replayed else state.copy()
-            next_state.apply_all(list(record.ops), self.subscribed_shards)
+            next_state.apply_all(record.ops, self.subscribed_shards)
             next_state.version = record.version
             state = next_state
             self.versions.note_commit(record.version, list(record.ops))
@@ -216,8 +221,8 @@ class Catalog:
                 raise CatalogError(
                     f"log gap at {record.version} while truncating to {version}"
                 )
-            state = state.copy()
-            state.apply_all(list(record.ops), self.subscribed_shards)
+            state = state.copy(record.ops)
+            state.apply_all(record.ops, self.subscribed_shards)
             state.version = record.version
         if state.version != version:
             raise CatalogError(
@@ -252,7 +257,8 @@ class Catalog:
         already = set(shared.log_versions())
         for version in local_versions:
             if version > self._last_uploaded and version not in already:
-                shared.append(self.log_store.read_record(version))
+                # The stored bytes as they are: no parse, no re-encode.
+                shared.fs.write(log_name(version), self.log_store.fs.read(log_name(version)))
         if local_versions:
             self._last_uploaded = max(self._last_uploaded, max(local_versions))
         if include_checkpoint or not shared.checkpoint_versions():

@@ -6,8 +6,9 @@ semantics for write operations" (section 2.4).
 
 :class:`CatalogState` is the materialised catalog at one version.  Commits
 never mutate a state in place: :meth:`CatalogState.copy` produces a
-shallow-copied successor and the transaction's operations are applied to
-the copy, so any snapshot handed to a running query stays frozen.
+successor that copies the maps the transaction's op kinds write and shares
+the rest, and the operations are applied to it, so any snapshot handed to a
+running query stays frozen.
 
 Catalog mutations are *operations*: small JSON-serialisable dicts with an
 ``op`` tag and an optional ``shard`` association.  The same op stream
@@ -18,7 +19,7 @@ for shards it subscribes to, plus all global ops).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.objects import (
     LiveAggregateProjection,
@@ -184,17 +185,18 @@ class CatalogState:
         #: (node, shard_id) -> subscription state name
         self.subscriptions: Dict[tuple, str] = {}
 
-    def copy(self) -> "CatalogState":
+    def copy(self, ops: Optional[Sequence[Op]] = None) -> "CatalogState":
+        """A successor state to apply ``ops`` to.
+
+        Only the maps those ops' kinds write are copied; the others are
+        shared with this state, which is safe because no state is mutated
+        after its commit.  With no ``ops`` every map is copied.
+        """
         new = CatalogState.__new__(CatalogState)
-        new.version = self.version
-        new.tables = dict(self.tables)
-        new.projections = dict(self.projections)
-        new.live_aggs = dict(self.live_aggs)
-        new.users = dict(self.users)
-        new.containers = dict(self.containers)
-        new.delete_vectors = dict(self.delete_vectors)
-        new.properties = dict(self.properties)
-        new.subscriptions = dict(self.subscriptions)
+        new.__dict__.update(self.__dict__)
+        written = _MAPS if ops is None else {m for op in ops for m in _entry(op)[1]}
+        for name in written:
+            setattr(new, name, dict(getattr(self, name)))
         return new
 
     # -- lookups --------------------------------------------------------------
@@ -242,27 +244,63 @@ class CatalogState:
 
     # -- application ------------------------------------------------------------
 
-    def apply(self, op: Op) -> None:
-        try:
-            handler = _HANDLERS[op["op"]]  # type: ignore[index]
-        except KeyError:
-            raise CatalogError(f"unknown catalog op: {op.get('op')!r}") from None
-        handler(self, op)
+    def apply(self, op: Op) -> List[str]:
+        return self.apply_all([op])
 
-    def apply_all(self, ops: List[Op], shard_filter: Optional[Set[int]] = None) -> None:
+    def apply_all(
+        self,
+        ops: Sequence[Op],
+        shard_filter: Optional[Set[int]] = None,
+        payloads: Optional[Dict[int, object]] = None,
+    ) -> List[str]:
         """Apply ``ops``, skipping shard-scoped ops outside ``shard_filter``.
 
         ``shard_filter=None`` applies everything (a node subscribed to all
-        shards, or log replay for a full catalog).
+        shards, or log replay for a full catalog).  Returns the storage
+        names the ops removed from this state, cascades included: the
+        reaper's candidates (one re-added later in the same transaction is
+        among them but still held, so the caller looks before it reaps).
+        ``payloads`` memoises each add op's parsed storage object by
+        position; nodes applying one record pass the record's dict, so an op
+        is parsed once and they share one immutable object.
         """
-        for op in ops:
+        removed: List[str] = []
+        if payloads is None:
+            payloads = {}
+        for i, op in enumerate(ops):
             shard = op_shard_of(op)
             if shard is not None and shard_filter is not None and shard not in shard_filter:
                 continue
-            self.apply(op)
+            handler = _entry(op)[0]
+            spec = _PAYLOADS.get(op["op"])  # type: ignore[arg-type]
+            if spec is None:
+                removed += handler(self, op) or ()
+                continue
+            if i not in payloads:
+                key, parse = spec
+                try:
+                    payloads[i] = parse(op[key])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CatalogError(f"damaged {op['op']} op: {exc!r}") from None
+            handler(self, payloads[i])
+        return removed
 
 
 # -- op handlers -------------------------------------------------------------
+#
+# A handler returns the storage names it removed from the state (or None):
+# the commit path reaps by that delta instead of diffing whole catalogs.
+
+
+def _drop_storage_of(state: CatalogState, projection: str) -> List[str]:
+    """Remove a projection's containers and delete vectors; returns their names."""
+    removed: List[str] = []
+    for objects in (state.containers, state.delete_vectors):
+        gone = [sid for sid, o in objects.items() if o.projection == projection]
+        for sid in gone:
+            del objects[sid]
+        removed += gone
+    return removed
 
 
 def _h_create_table(state: CatalogState, op: Op) -> None:
@@ -272,23 +310,20 @@ def _h_create_table(state: CatalogState, op: Op) -> None:
     state.tables[table.name] = table
 
 
-def _h_drop_table(state: CatalogState, op: Op) -> None:
+def _h_drop_table(state: CatalogState, op: Op) -> List[str]:
     name = op["name"]
     table = state.tables.pop(name, None)
     if table is None:
         raise CatalogError(f"no table named {name!r}")
+    removed: List[str] = []
     for proj in list(state.projections.values()):
         if proj.anchor_table == name:
             del state.projections[proj.name]
-            for sid, c in list(state.containers.items()):
-                if c.projection == proj.name:
-                    del state.containers[sid]
-            for sid, d in list(state.delete_vectors.items()):
-                if d.projection == proj.name:
-                    del state.delete_vectors[sid]
+            removed += _drop_storage_of(state, proj.name)
     for lap in list(state.live_aggs.values()):
         if lap.anchor_table == name:
             del state.live_aggs[lap.name]
+    return removed
 
 
 def _h_add_column(state: CatalogState, op: Op) -> None:
@@ -311,7 +346,7 @@ def _h_create_projection(state: CatalogState, op: Op) -> None:
     state.tables[table.name] = table.with_projection(proj.name)
 
 
-def _h_drop_projection(state: CatalogState, op: Op) -> None:
+def _h_drop_projection(state: CatalogState, op: Op) -> List[str]:
     name = op["name"]
     proj = state.projections.pop(name, None)
     if proj is None:
@@ -319,9 +354,7 @@ def _h_drop_projection(state: CatalogState, op: Op) -> None:
     table = state.tables.get(proj.anchor_table)
     if table is not None:
         state.tables[table.name] = table.without_projection(name)
-    for sid, c in list(state.containers.items()):
-        if c.projection == name:
-            del state.containers[sid]
+    return _drop_storage_of(state, name)
 
 
 def _h_create_live_agg(state: CatalogState, op: Op) -> None:
@@ -339,35 +372,35 @@ def _h_create_user(state: CatalogState, op: Op) -> None:
     state.users[user.name] = user
 
 
-def _h_add_container(state: CatalogState, op: Op) -> None:
-    container = container_from_json(op["container"])  # type: ignore[arg-type]
+def _h_add_container(state: CatalogState, container: ROSContainer) -> None:
     key = str(container.sid)
     if key in state.containers:
         raise CatalogError(f"container {key} already exists")
     state.containers[key] = container
 
 
-def _h_drop_container(state: CatalogState, op: Op) -> None:
+def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
     key = op["sid"]
     if state.containers.pop(key, None) is None:
         raise CatalogError(f"no container {key}")
-    for sid, d in list(state.delete_vectors.items()):
-        if str(d.target_sid) == key:
-            del state.delete_vectors[sid]
+    dvs = [sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == key]
+    for sid in dvs:
+        del state.delete_vectors[sid]
+    return [key] + dvs
 
 
-def _h_add_delete_vector(state: CatalogState, op: Op) -> None:
-    dv = dv_from_json(op["dv"])  # type: ignore[arg-type]
+def _h_add_delete_vector(state: CatalogState, dv: DeleteVector) -> None:
     key = str(dv.sid)
     if key in state.delete_vectors:
         raise CatalogError(f"delete vector {key} already exists")
     state.delete_vectors[key] = dv
 
 
-def _h_drop_delete_vector(state: CatalogState, op: Op) -> None:
+def _h_drop_delete_vector(state: CatalogState, op: Op) -> List[str]:
     key = op["sid"]
     if state.delete_vectors.pop(key, None) is None:
         raise CatalogError(f"no delete vector {key}")
+    return [key]
 
 
 def _h_set_property(state: CatalogState, op: Op) -> None:
@@ -382,19 +415,48 @@ def _h_drop_subscription(state: CatalogState, op: Op) -> None:
     state.subscriptions.pop((op["node"], op["shard_id"]), None)
 
 
-_HANDLERS: Dict[str, Callable[[CatalogState, Op], None]] = {
-    "create_table": _h_create_table,
-    "drop_table": _h_drop_table,
-    "add_column": _h_add_column,
-    "create_projection": _h_create_projection,
-    "drop_projection": _h_drop_projection,
-    "create_live_agg": _h_create_live_agg,
-    "create_user": _h_create_user,
-    "add_container": _h_add_container,
-    "drop_container": _h_drop_container,
-    "add_delete_vector": _h_add_delete_vector,
-    "drop_delete_vector": _h_drop_delete_vector,
-    "set_property": _h_set_property,
-    "set_subscription": _h_set_subscription,
-    "drop_subscription": _h_drop_subscription,
+#: The maps of a :class:`CatalogState`.
+_MAPS = (
+    "tables", "projections", "live_aggs", "users", "containers",
+    "delete_vectors", "properties", "subscriptions",
+)
+
+#: op kind -> (handler, the maps it writes).  :meth:`CatalogState.copy`
+#: shares every other map with the predecessor state, so a handler that
+#: writes a map it does not list here corrupts pinned snapshots.
+_HANDLERS: Dict[str, Tuple[Callable[..., Optional[List[str]]], Tuple[str, ...]]] = {
+    "create_table": (_h_create_table, ("tables",)),
+    "drop_table": (
+        _h_drop_table,
+        ("tables", "projections", "live_aggs", "containers", "delete_vectors"),
+    ),
+    "add_column": (_h_add_column, ("tables",)),
+    "create_projection": (_h_create_projection, ("tables", "projections")),
+    "drop_projection": (
+        _h_drop_projection, ("tables", "projections", "containers", "delete_vectors"),
+    ),
+    "create_live_agg": (_h_create_live_agg, ("live_aggs",)),
+    "create_user": (_h_create_user, ("users",)),
+    "add_container": (_h_add_container, ("containers",)),
+    "drop_container": (_h_drop_container, ("containers", "delete_vectors")),
+    "add_delete_vector": (_h_add_delete_vector, ("delete_vectors",)),
+    "drop_delete_vector": (_h_drop_delete_vector, ("delete_vectors",)),
+    "set_property": (_h_set_property, ("properties",)),
+    "set_subscription": (_h_set_subscription, ("subscriptions",)),
+    "drop_subscription": (_h_drop_subscription, ("subscriptions",)),
+}
+
+
+def _entry(op: Op) -> Tuple[Callable[..., Optional[List[str]]], Tuple[str, ...]]:
+    try:
+        return _HANDLERS[op["op"]]  # type: ignore[index]
+    except KeyError:
+        raise CatalogError(f"unknown catalog op: {op.get('op')!r}") from None
+
+
+#: Add-op kind -> (key of its storage object's JSON, parser); the handler of
+#: such a kind takes the parsed object, not the op.
+_PAYLOADS = {
+    "add_container": ("container", container_from_json),
+    "add_delete_vector": ("dv", dv_from_json),
 }

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.mvcc import CatalogState, Op, container_to_json, container_from_json, dv_to_json, dv_from_json
 from repro.catalog.objects import LiveAggregateProjection, Projection, Table, User
@@ -43,23 +44,37 @@ def version_of(name: str) -> int:
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One committed transaction: the version it produced and its ops."""
+    """One committed transaction: the version it produced and its ops.
+
+    Immutable and shared by every node that applies it, so its bytes and the
+    storage objects its add ops carry are derived once, here.
+    """
 
     version: int
     ops: Tuple[Op, ...]
     epoch: int = 0  # commit timestamp in simulated seconds, informational
+    #: parsed storage objects by op position (``CatalogState.apply_all``)
+    payloads: Dict[int, object] = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _bytes(self) -> bytes:
         return json.dumps(
             {"version": self.version, "ops": list(self.ops), "epoch": self.epoch}
         ).encode("utf-8")
 
+    def to_bytes(self) -> bytes:
+        return self._bytes
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "LogRecord":
-        obj = json.loads(data)
-        return cls(
-            version=obj["version"], ops=tuple(obj["ops"]), epoch=obj.get("epoch", 0)
-        )
+        try:
+            obj = json.loads(data)
+            version, ops = obj["version"], tuple(obj["ops"])
+            if not isinstance(version, int) or not all(isinstance(op, dict) for op in ops):
+                raise TypeError("version must be an int and ops a list of objects")
+            return cls(version=version, ops=ops, epoch=obj.get("epoch", 0))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise CatalogError(f"damaged log record: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -71,48 +86,69 @@ class Checkpoint:
 
     @classmethod
     def of_state(cls, state: CatalogState) -> "Checkpoint":
-        doc = {
-            "version": state.version,
-            "tables": [t.to_json() for t in state.tables.values()],
-            "projections": [p.to_json() for p in state.projections.values()],
-            "live_aggs": [l.to_json() for l in state.live_aggs.values()],
-            "users": [u.to_json() for u in state.users.values()],
-            "containers": [container_to_json(c) for c in state.containers.values()],
-            "delete_vectors": [dv_to_json(d) for d in state.delete_vectors.values()],
-            "properties": state.properties,
-            "subscriptions": [
-                {"node": n, "shard_id": s, "state": st}
-                for (n, s), st in state.subscriptions.items()
-            ],
-        }
-        return cls(version=state.version, payload=json.dumps(doc).encode("utf-8"))
+        """The payload is ``json.dumps`` of one document, byte for byte, but
+        joined from each catalog object's own JSON text with ``json.dumps``'s
+        default ``", "`` and ``": "`` separators.  The objects are immutable
+        and shared between states and nodes, so :func:`_json_text` encodes
+        each once; a checkpoint costs a join, not an encode."""
+        subscriptions = [
+            {"node": n, "shard_id": s, "state": st}
+            for (n, s), st in state.subscriptions.items()
+        ]
+        members = [f'"version": {json.dumps(state.version)}']
+        for key, objects, to_json in (
+            ("tables", state.tables, Table.to_json),
+            ("projections", state.projections, Projection.to_json),
+            ("live_aggs", state.live_aggs, LiveAggregateProjection.to_json),
+            ("users", state.users, User.to_json),
+            ("containers", state.containers, container_to_json),
+            ("delete_vectors", state.delete_vectors, dv_to_json),
+        ):
+            texts = ", ".join(_json_text(o, to_json) for o in objects.values())
+            members.append(f'"{key}": [{texts}]')
+        members.append(f'"properties": {json.dumps(state.properties)}')
+        members.append(f'"subscriptions": {json.dumps(subscriptions)}')
+        payload = "{" + ", ".join(members) + "}"
+        return cls(version=state.version, payload=payload.encode("utf-8"))
 
     def restore(self) -> CatalogState:
-        doc = json.loads(self.payload)
-        state = CatalogState()
-        state.version = doc["version"]
-        for t in doc["tables"]:
-            table = Table.from_json(t)
-            state.tables[table.name] = table
-        for p in doc["projections"]:
-            proj = Projection.from_json(p)
-            state.projections[proj.name] = proj
-        for l in doc["live_aggs"]:
-            lap = LiveAggregateProjection.from_json(l)
-            state.live_aggs[lap.name] = lap
-        for u in doc["users"]:
-            user = User.from_json(u)
-            state.users[user.name] = user
-        for c in doc["containers"]:
-            cont = container_from_json(c)
-            state.containers[str(cont.sid)] = cont
-        for d in doc["delete_vectors"]:
-            dv = dv_from_json(d)
-            state.delete_vectors[str(dv.sid)] = dv
-        state.properties = dict(doc.get("properties", {}))
-        for s in doc.get("subscriptions", []):
-            state.subscriptions[(s["node"], s["shard_id"])] = s["state"]
-        return state
+        try:
+            doc = json.loads(self.payload)
+            state = CatalogState()
+            state.version = doc["version"]
+            for t in doc["tables"]:
+                table = Table.from_json(t)
+                state.tables[table.name] = table
+            for p in doc["projections"]:
+                proj = Projection.from_json(p)
+                state.projections[proj.name] = proj
+            for l in doc["live_aggs"]:
+                lap = LiveAggregateProjection.from_json(l)
+                state.live_aggs[lap.name] = lap
+            for u in doc["users"]:
+                user = User.from_json(u)
+                state.users[user.name] = user
+            for c in doc["containers"]:
+                cont = container_from_json(c)
+                state.containers[str(cont.sid)] = cont
+            for d in doc["delete_vectors"]:
+                dv = dv_from_json(d)
+                state.delete_vectors[str(dv.sid)] = dv
+            state.properties = dict(doc.get("properties", {}))
+            for s in doc.get("subscriptions", []):
+                state.subscriptions[(s["node"], s["shard_id"])] = s["state"]
+            return state
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise CatalogError(f"damaged checkpoint {self.version}: {exc!r}") from None
+
+
+def _json_text(obj: object, to_json: Callable[[object], dict]) -> str:
+    """``json.dumps(to_json(obj))``, encoded once per immutable catalog object."""
+    try:
+        return obj.__dict__["_json_text"]
+    except KeyError:
+        text = obj.__dict__["_json_text"] = json.dumps(to_json(obj))
+        return text
 
 
 class LogStore:
@@ -157,7 +193,7 @@ class LogStore:
                 base_state = self.read_checkpoint(version).restore()
                 base_version = version
                 break
-            except (ValueError, KeyError, ObjectNotFound):
+            except (CatalogError, ObjectNotFound):
                 continue
         records = []
         for version in self.log_versions():

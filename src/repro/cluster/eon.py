@@ -434,36 +434,36 @@ class EonCluster:
             )
         if epoch is None:
             epoch = int(self.clock.now)
-        # Reference counting (section 6.5): a storage name referenced
-        # before the commit and by nobody after has hit refcount zero and
-        # belongs to the reaper.  Diffing the referenced set — rather than
-        # scanning the txn for explicit drop ops — also catches cascaded
-        # dereferences: dropping a container removes its delete vectors,
-        # dropping a table removes every container under it, and a
-        # same-transaction re-add (partition move) keeps the file live.
-        dropping = any(op["op"].startswith("drop_") for op in txn.ops)
-        before = self._referenced_sids() if dropping else None
         version = self.coordinator.commit(txn, epoch=epoch)
-        self._after_commit(txn, before)
+        self._after_commit(txn)
         return version
 
-    def _referenced_sids(self) -> Set[str]:
-        sids: Set[str] = set()
+    def references(self, sid: str) -> bool:
+        """True while some up node's current catalog state holds ``sid``."""
         for node in self.up_nodes():
-            sids |= node.catalog.state.storage_sids()
-        return sids
+            state = node.catalog.state
+            if sid in state.containers or sid in state.delete_vectors:
+                return True
+        return False
 
-    def _after_commit(self, txn: Transaction, before: Optional[Set[str]] = None) -> None:
-        sub_change = any(
+    def _after_commit(self, txn: Transaction) -> None:
+        # Reference counting (section 6.5): a storage name the commit
+        # removed from some node's state, and that no up node holds now,
+        # has hit refcount zero and belongs to the reaper.  The op handlers
+        # report what they removed, cascades included: dropping a container
+        # removes its delete vectors, dropping a table or projection removes
+        # everything under it.  A same-transaction re-add (partition move)
+        # is reported too but is still held, so the file stays live.
+        for sid in sorted(self.coordinator.last_removed):
+            if self.references(sid):
+                continue
+            for node in self.up_nodes():
+                node.cache.drop(sid)
+            self.reaper.note_drop(sid, self.version)
+        if any(
             op["op"] in ("set_subscription", "drop_subscription")
             for op in txn.ops
-        )
-        if before is not None:
-            for sid in sorted(before - self._referenced_sids()):
-                for node in self.up_nodes():
-                    node.cache.drop(sid)
-                self.reaper.note_drop(sid, self.version)
-        if sub_change:
+        ):
             self._refresh_shard_filters()
 
     # -- DDL ----------------------------------------------------------------------------
@@ -554,8 +554,8 @@ class EonCluster:
         superseded ``_dbd`` version atomically once replacements exist).
 
         Refuses to drop a table's last projection: a table must stay
-        readable.  Refcount-zero container files are reaped by the commit
-        path's referenced-set diff."""
+        readable.  Refcount-zero container and delete-vector files are reaped
+        from what the commit reports it removed."""
         state = self.any_up_node().catalog.state
         remaining: Dict[str, int] = {}
         for name in names:

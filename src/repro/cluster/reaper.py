@@ -70,15 +70,12 @@ class FileReaper:
         cluster = self._cluster
         min_query = self.cluster_min_query_version()
         truncation = cluster.last_truncation_version
-        # Storage can be re-referenced after a drop (partition moves,
-        # table copies); a currently-referenced file is never deleted.
-        referenced: Set[str] = set()
-        for node in cluster.up_nodes():
-            referenced |= node.catalog.state.storage_sids()
         stats = ReapStats()
         remaining: List[Tuple[str, int]] = []
         for sid, drop_version in self._pending:
-            if sid in referenced:
+            # Storage can be re-referenced after a drop (partition moves,
+            # table copies); a currently-referenced file is never deleted.
+            if cluster.references(sid):
                 continue  # re-referenced: no longer pending at all
             # Snapshots strictly older than the drop version still
             # reference the file; one at the drop version does not.

@@ -21,7 +21,7 @@ history (the stand-in for peer metadata transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.mvcc import Op, op_shard_of
 from repro.catalog.occ import WriteSet
@@ -57,6 +57,8 @@ class CommitCoordinator:
         self.base_version = base_version
         self.log_history: List[LogRecord] = []
         self.aborted_commits = 0
+        #: Storage names the last commit removed from some up node's state.
+        self.last_removed: Set[str] = set()
 
     @property
     def version(self) -> int:
@@ -101,8 +103,9 @@ class CommitCoordinator:
             version=self.version + 1, ops=tuple(txn.ops), epoch=epoch
         )
         self.log_history.append(record)
+        self.last_removed = set()
         for node in cluster.up_nodes():
-            node.catalog.apply_commit(record)
+            self.last_removed.update(node.catalog.apply_commit(record))
         return record.version
 
     def records_after(self, version: int) -> List[LogRecord]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass
@@ -50,12 +51,18 @@ class StorageId:
         if not 0 <= self.local_oid < (1 << 64):
             raise ValueError("local_oid must fit in 64 bits")
 
-    def __str__(self) -> str:
+    @cached_property
+    def _name(self) -> str:
         # 8-bit version, 120-bit instance, 64-bit local id, hex-encoded.
         packed = (
             (self.version << 184) | (self.instance_id << 64) | self.local_oid
         )
         return f"{packed:048x}"
+
+    def __str__(self) -> str:
+        # Formatted once per id: the name is every catalog map's key and is
+        # asked for per container per scan, sort and delete-vector lookup.
+        return self._name
 
     @classmethod
     def parse(cls, text: str) -> "StorageId":

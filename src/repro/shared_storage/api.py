@@ -16,6 +16,7 @@ backoff charged to the metrics object rather than wall-clock sleeps.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, TypeVar
 
@@ -49,6 +50,34 @@ class StorageMetrics:
     def reset(self) -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0.0 if "seconds" in name or name == "dollars" else 0)
+
+
+class NameIndex:
+    """The sorted names of a dict-backed store's objects, kept in step with
+    the dict, so a prefix listing is a bisect range, not a scan and a sort."""
+
+    def __init__(self) -> None:
+        self._names: List[str] = []
+
+    def add(self, name: str) -> None:
+        i = bisect_left(self._names, name)
+        if i == len(self._names) or self._names[i] != name:
+            self._names.insert(i, name)
+
+    def discard(self, name: str) -> None:
+        i = bisect_left(self._names, name)
+        if i < len(self._names) and self._names[i] == name:
+            del self._names[i]
+
+    def with_prefix(self, prefix: str) -> List[str]:
+        names = self._names
+        lo = bisect_left(names, prefix)
+        # Names with the prefix sort contiguously from ``lo``, below the
+        # prefix with its last character (that has a successor) incremented.
+        stem = prefix.rstrip("\U0010ffff")
+        if not stem:
+            return names[lo:]
+        return names[lo:bisect_left(names, stem[:-1] + chr(ord(stem[-1]) + 1), lo)]
 
 
 class Filesystem(abc.ABC):

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.common.hashing import hash_bytes
 from repro.errors import ObjectNotFound, StorageError
-from repro.shared_storage.api import Filesystem
+from repro.shared_storage.api import Filesystem, NameIndex
 
 _FANOUT = 256
 
@@ -127,9 +127,11 @@ class MemoryFilesystem(Filesystem):
     def __init__(self) -> None:
         super().__init__()
         self._objects: Dict[str, bytes] = {}
+        self._names = NameIndex()
 
     def write(self, name: str, data: bytes) -> None:
         self._objects[name] = bytes(data)
+        self._names.add(name)
         self.metrics.put_requests += 1
         self.metrics.bytes_written += len(data)
         self.metrics.sim_seconds += self.estimate_write_seconds(len(data))
@@ -146,11 +148,12 @@ class MemoryFilesystem(Filesystem):
 
     def list(self, prefix: str = "") -> List[str]:
         self.metrics.list_requests += 1
-        return sorted(n for n in self._objects if n.startswith(prefix))
+        return self._names.with_prefix(prefix)
 
     def delete(self, name: str) -> None:
         self.metrics.delete_requests += 1
         self._objects.pop(name, None)
+        self._names.discard(name)
 
     def size(self, name: str) -> int:
         try:
@@ -163,9 +166,12 @@ class MemoryFilesystem(Filesystem):
             self._objects[new] = self._objects.pop(old)
         except KeyError:
             raise ObjectNotFound(old) from None
+        self._names.discard(old)
+        self._names.add(new)
 
     def append(self, name: str, data: bytes) -> None:
         self._objects[name] = self._objects.get(name, b"") + bytes(data)
+        self._names.add(name)
         self.metrics.put_requests += 1
         self.metrics.bytes_written += len(data)
 

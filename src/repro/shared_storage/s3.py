@@ -33,7 +33,7 @@ from repro.errors import (
     StorageUnavailable,
     TransientStorageError,
 )
-from repro.shared_storage.api import Filesystem
+from repro.shared_storage.api import Filesystem, NameIndex
 
 __all__ = [
     "FaultInjector",
@@ -360,6 +360,7 @@ class SimulatedS3(Filesystem):
         self.cost = cost or S3CostModel()
         self.faults = faults or FaultInjector()
         self._objects: Dict[str, bytes] = {}
+        self._names = NameIndex()
         #: Per-request-class accounting alongside the aggregate ``metrics``.
         self.op_stats: Dict[str, S3OpStats] = {
             op: S3OpStats() for op in OP_CLASSES
@@ -391,6 +392,7 @@ class SimulatedS3(Filesystem):
                 f"refusing to overwrite immutable object {name!r}"
             )
         self._objects[name] = bytes(data)
+        self._names.add(name)
         self.metrics.put_requests += 1
         self.metrics.bytes_written += len(data)
         seconds = self.latency.write_seconds(len(data))
@@ -553,13 +555,14 @@ class SimulatedS3(Filesystem):
         stats.requests += 1
         stats.sim_seconds += self.latency.list_seconds
         stats.dollars += self.cost.list_cost()
-        return sorted(n for n in self._objects if n.startswith(prefix))
+        return self._names.with_prefix(prefix)
 
     def delete(self, name: str) -> None:
         self._maybe_fail("DELETE")
         self.metrics.delete_requests += 1
         self.op_stats["DELETE"].requests += 1
         self._objects.pop(name, None)  # idempotent, as on real S3
+        self._names.discard(name)
 
     def size(self, name: str) -> int:
         # Size comes from list metadata in real deployments; free here.
@@ -589,7 +592,7 @@ class SimulatedS3(Filesystem):
         the simulation it is checking (extra requests would consume fault
         RNG draws and change the schedule).
         """
-        return sorted(n for n in self._objects if n.startswith(prefix))
+        return self._names.with_prefix(prefix)
 
     @property
     def outage_active(self) -> bool:

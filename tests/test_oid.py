@@ -1,6 +1,7 @@
 """Storage identifiers (Figure 7): format, uniqueness, parsing."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,22 @@ class TestStorageId:
     def test_parse_roundtrip_property(self, instance, oid):
         sid = StorageId(instance_id=instance, local_oid=oid)
         assert StorageId.parse(str(sid)) == sid
+
+    @given(st.integers(0, (1 << 120) - 1), st.integers(0, (1 << 64) - 1))
+    @settings(max_examples=50)
+    def test_name_is_formatted_once_and_is_not_part_of_identity(self, instance, oid):
+        sid = StorageId(instance_id=instance, local_oid=oid)
+        fresh = StorageId(instance_id=instance, local_oid=oid)
+        name = str(sid)
+        assert name == f"{(1 << 184) | (instance << 64) | oid:048x}"
+        assert str(sid) is name  # the memo, not a second format
+        assert sid.prefix == name[:32]
+        # The memo is not a field: equality, hash, order and repr ignore it.
+        assert sid == fresh and hash(sid) == hash(fresh) and not sid < fresh
+        assert repr(sid) == repr(fresh)
+        # ... and a changed copy does not inherit it.
+        other = replace(sid, local_oid=oid ^ 1)
+        assert str(other) != name and StorageId.parse(str(other)) == other
 
 
 class TestSidFactory:

@@ -1,6 +1,8 @@
 """UDFS backends: POSIX/memory semantics, simulated S3, retries, metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObjectNotFound, StorageError, TransientStorageError
 from repro.shared_storage.api import PrefixView, retrying
@@ -180,3 +182,75 @@ class TestPrefixView:
         view = PrefixView(base, "p_")
         view.write("x", b"abc")
         assert base.metrics.put_requests == 1
+
+
+class TestPrefixListingFromTheNameIndex:
+    """``list``/``peek`` answer from a maintained sorted index; the answer
+    and the request accounting are those of the scan they replaced."""
+
+    NAMES = st.text(alphabet="ab_\U0010ffff", max_size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["write", "delete", "rename", "append"]),
+                           NAMES, NAMES), max_size=30),
+        st.lists(NAMES, min_size=1, max_size=6),
+    )
+    def test_memory_filesystem_matches_a_scan(self, steps, prefixes):
+        fs = MemoryFilesystem()
+        names = set()
+        for action, name, other in steps:
+            if action == "write":
+                fs.write(name, b"x")
+                names.add(name)
+            elif action == "append":
+                fs.append(name, b"y")
+                names.add(name)
+            elif action == "delete":
+                fs.delete(name)
+                names.discard(name)
+            elif name in names:
+                fs.rename(name, other)
+                names.discard(name)
+                names.add(other)
+            for prefix in prefixes + [""]:
+                assert fs.list(prefix) == sorted(n for n in names if n.startswith(prefix))
+        assert fs.object_count == len(names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.booleans(), NAMES), max_size=30),
+        st.lists(NAMES, min_size=1, max_size=6),
+    )
+    def test_simulated_s3_matches_a_scan_and_charges_the_same(self, steps, prefixes):
+        s3 = SimulatedS3()
+        names = set()
+        for write, name in steps:
+            if write and name not in names:
+                s3.write(name, b"x")
+                names.add(name)
+            elif not write:
+                s3.delete(name)
+                names.discard(name)
+        for prefix in prefixes + [""]:
+            expected = sorted(n for n in names if n.startswith(prefix))
+            before = (s3.metrics.list_requests, s3.metrics.sim_seconds, s3.metrics.dollars)
+            assert s3.peek(prefix) == expected
+            assert (s3.metrics.list_requests, s3.metrics.sim_seconds, s3.metrics.dollars) == before
+            assert s3.list(prefix) == expected
+            assert s3.metrics.list_requests == before[0] + 1
+            assert s3.metrics.sim_seconds == before[1] + s3.latency.list_seconds
+            assert s3.metrics.dollars == before[2] + s3.cost.list_cost()
+
+    def test_a_listing_is_a_copy(self):
+        fs = MemoryFilesystem()
+        fs.write("a", b"x")
+        listing = fs.list()
+        listing.append("zz")
+        assert fs.list() == ["a"]
+
+    def test_list_fault_draw_is_unchanged(self):
+        s3 = SimulatedS3(faults=FaultInjector(failure_rate=1.0, seed=1))
+        with pytest.raises(TransientStorageError):
+            s3.list("a")
+        assert s3.op_stats["LIST"].transient_faults == 1
