@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -89,6 +89,13 @@ bench-e2e:
 # Its smoke test on tiny inputs (answers checked against pinned digests).
 bench-e2e-smoke:
 	python -m pytest benchmarks/e2e -q
+
+# Parent-against-change table for a performance PR: PAIRS alternating runs
+# of each checkout's own benchmarks/e2e/run.py, one seed per pair from SEED0.
+# `make bench-pairs PARENT=/root/scratch/parent WORKLOAD=tpch_warm PAIRS=10 SEED0=501`
+# (no WORKLOAD = all four; TRACE=1 compares the per-layer metrics).
+bench-pairs:
+	python3 benchmarks/pairs.py --parent $(PARENT) --seed0 $(SEED0) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(TRACE),--trace $(TRACE))
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,7 +164,10 @@ def rowset_bytes(rows: RowSet) -> int:
     for name in rows.schema.names:
         column = rows.column(name)
         if column.dtype.kind == "O":
-            total += sum(4 + (len(v) if isinstance(v, str) else 0) for v in column)
+            # 4 bytes a value plus the length of each string.
+            values = column.tolist()
+            strings = compress(values, map(isinstance, values, repeat(str)))
+            total += 4 * len(values) + sum(map(len, strings))
         else:
             total += column.dtype.itemsize * len(column)
     return total

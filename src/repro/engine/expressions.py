@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import abc
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.common.dates import month_of_days, year_of_days
 from repro.errors import ExecutionError
 from repro.storage.container import RowSet
 
@@ -138,12 +137,15 @@ class Literal(Expr):
 
     def evaluate(self, rows: RowSet) -> np.ndarray:
         if isinstance(self.value, str) or self.value is None:
-            return np.full(rows.num_rows, self.value, dtype=object)
-        if isinstance(self.value, bool):
-            return np.full(rows.num_rows, self.value, dtype=np.bool_)
-        if isinstance(self.value, int):
-            return np.full(rows.num_rows, self.value, dtype=np.int64)
-        return np.full(rows.num_rows, self.value, dtype=np.float64)
+            dtype = object
+        elif isinstance(self.value, bool):
+            dtype = np.bool_
+        elif isinstance(self.value, int):
+            dtype = np.int64
+        else:
+            dtype = np.float64
+        # One value seen ``num_rows`` times: a read-only view, nothing filled.
+        return np.broadcast_to(np.array(self.value, dtype=dtype), rows.num_rows)
 
     def columns_used(self) -> Set[str]:
         return set()
@@ -152,14 +154,17 @@ class Literal(Expr):
         return f"lit({self.value!r})"
 
 
-_CMP = {"=", "<>", "<", "<=", ">", ">="}
+_CMP = {
+    "=": np.equal, "<>": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
 _ARITH = {"+", "-", "*", "/"}
 _BOOL = {"and", "or"}
 
 
 class BinaryOp(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in _CMP | _ARITH | _BOOL:
+        if op not in _CMP.keys() | _ARITH | _BOOL:
             raise ValueError(f"unknown binary operator {op!r}")
         self.op = op
         self.left = left
@@ -169,18 +174,8 @@ class BinaryOp(Expr):
         lhs = self.left.evaluate(rows)
         rhs = self.right.evaluate(rows)
         op = self.op
-        if op == "=":
-            return _null_safe_compare(lhs, rhs, "eq")
-        if op == "<>":
-            return _null_safe_compare(lhs, rhs, "ne")
-        if op == "<":
-            return _null_safe_compare(lhs, rhs, "lt")
-        if op == "<=":
-            return _null_safe_compare(lhs, rhs, "le")
-        if op == ">":
-            return _null_safe_compare(lhs, rhs, "gt")
-        if op == ">=":
-            return _null_safe_compare(lhs, rhs, "ge")
+        if op in _CMP:
+            return _null_safe_compare(lhs, rhs, op)
         if op == "+":
             return lhs + rhs
         if op == "-":
@@ -212,33 +207,42 @@ class BinaryOp(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-def _null_safe_compare(lhs: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
-    """Comparison where NULL (None in object arrays) compares False."""
-    if lhs.dtype.kind == "O" or rhs.dtype.kind == "O":
-        out = np.empty(len(lhs), dtype=bool)
-        for i in range(len(lhs)):
-            a, b = lhs[i], rhs[i]
-            if a is None or b is None:
-                out[i] = False
-                continue
-            if kind == "eq":
-                out[i] = a == b
-            elif kind == "ne":
-                out[i] = a != b
-            elif kind == "lt":
-                out[i] = a < b
-            elif kind == "le":
-                out[i] = a <= b
-            elif kind == "gt":
-                out[i] = a > b
-            else:
-                out[i] = a >= b
+def null_mask(values: np.ndarray) -> np.ndarray:
+    """True where the value is NULL: ``None`` (or a NaN object) in an object
+    array, NaN in a float array.  Int and bool arrays cannot hold NULL (no
+    sentinel) — the documented deviation.  Expressions and aggregates share
+    this one definition."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return np.isnan(values)
+    if kind != "O":
+        return np.zeros(len(values), dtype=bool)
+    if values.strides == (0,) and len(values) > 1:
+        # A literal's broadcast view: test its one value.
+        return np.broadcast_to(null_mask(values[:1])[0], len(values))
+    return np.equal(values, None) | np.not_equal(values, values)
+
+
+def _null_safe_compare(lhs: np.ndarray, rhs: np.ndarray, op: str) -> np.ndarray:
+    """Comparison where a NULL on either side compares False."""
+    compare = _CMP[op]
+    if lhs.dtype.kind != "O" and rhs.dtype.kind != "O":
+        out = compare(lhs, rhs)
+        if op == "<>":
+            # NaN, the float NULL, already fails every other comparison.
+            for side in (lhs, rhs):
+                if side.dtype.kind == "f":
+                    out &= ~np.isnan(side)
         return out
-    ufunc = {
-        "eq": np.equal, "ne": np.not_equal, "lt": np.less,
-        "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal,
-    }[kind]
-    return ufunc(lhs, rhs)
+    # numpy's object loops call Python's own operators, so a mixed-type
+    # ``<`` raises TypeError; NULLs are taken out first.
+    null = null_mask(lhs) | null_mask(rhs)
+    if not null.any():
+        return compare(lhs, rhs)
+    valid = ~null
+    out = np.zeros(len(valid), dtype=bool)
+    out[valid] = compare(lhs[valid], rhs[valid])
+    return out
 
 
 def _range_compare(op: str, left: Expr, right: Expr, bounds: Bounds) -> bool:
@@ -302,15 +306,17 @@ class InList(Expr):
     def __init__(self, operand: Expr, values: Tuple[object, ...]):
         self.operand = operand
         self.values = values
+        #: A NULL in the list equals nothing, and a NULL operand is in no list.
+        self._non_null = [v for v in values if v is not None and v == v]
 
     def evaluate(self, rows: RowSet) -> np.ndarray:
         value = self.operand.evaluate(rows)
         if value.dtype.kind == "O":
-            allowed = set(self.values)
+            allowed = set(self._non_null)
             return np.fromiter(
-                (v in allowed for v in value), dtype=bool, count=len(value)
+                map(allowed.__contains__, value.tolist()), dtype=bool, count=len(value)
             )
-        return np.isin(value, np.asarray(self.values))
+        return np.isin(value, np.asarray(self._non_null))
 
     def columns_used(self) -> Set[str]:
         return self.operand.columns_used()
@@ -339,13 +345,7 @@ class IsNull(Expr):
         self.negated = negated
 
     def evaluate(self, rows: RowSet) -> np.ndarray:
-        value = self.operand.evaluate(rows)
-        if value.dtype.kind == "O":
-            nulls = np.fromiter(
-                (v is None for v in value), dtype=bool, count=len(value)
-            )
-        else:
-            nulls = np.zeros(len(value), dtype=bool)
+        nulls = null_mask(self.operand.evaluate(rows))
         return ~nulls if self.negated else nulls
 
     def columns_used(self) -> Set[str]:
@@ -373,11 +373,9 @@ class FuncCall(Expr):
             pattern = self.args[1]
             if not isinstance(pattern, Literal):
                 raise ExecutionError("LIKE pattern must be a literal")
-            regex = re.compile(_like_to_regex(pattern.value))
-            return np.fromiter(
-                (v is not None and regex.fullmatch(v) is not None for v in values[0]),
-                dtype=bool,
-                count=len(values[0]),
+            regex = re.compile(_like_to_regex(pattern.value), re.DOTALL)
+            return _map_non_null(
+                lambda v: regex.fullmatch(v) is not None, values[0], False, bool
             )
         if self.name == "substr":
             start = int(self.args[1].value) if isinstance(self.args[1], Literal) else 1
@@ -388,33 +386,21 @@ class FuncCall(Expr):
             )
             begin = start - 1  # SQL substr is 1-based
             end = None if length is None else begin + length
-            return np.array(
-                [None if v is None else v[begin:end] for v in values[0]],
-                dtype=object,
-            )
-        if self.name == "year":
-            return np.fromiter(
-                (year_of_days(v) for v in values[0]), dtype=np.int64, count=len(values[0])
-            )
-        if self.name == "month":
-            return np.fromiter(
-                (month_of_days(v) for v in values[0]), dtype=np.int64, count=len(values[0])
-            )
+            return _map_non_null(lambda v: v[begin:end], values[0], None, object)
+        if self.name in ("year", "month"):
+            # Days since 1970-01-01 -> numpy's proleptic Gregorian calendar,
+            # the one ``datetime.date`` uses.
+            days = values[0].astype(np.int64, copy=False).astype("datetime64[D]")
+            if self.name == "year":
+                return days.astype("datetime64[Y]").astype(np.int64) + 1970
+            return days.astype("datetime64[M]").astype(np.int64) % 12 + 1
         if self.name == "abs":
             return np.abs(values[0])
         if self.name == "length":
-            return np.fromiter(
-                (0 if v is None else len(v) for v in values[0]),
-                dtype=np.int64,
-                count=len(values[0]),
-            )
+            return _map_non_null(len, values[0], 0, np.int64)
         if self.name == "lower":
-            return np.array(
-                [None if v is None else v.lower() for v in values[0]], dtype=object
-            )
-        return np.array(
-            [None if v is None else v.upper() for v in values[0]], dtype=object
-        )
+            return _map_non_null(str.lower, values[0], None, object)
+        return _map_non_null(str.upper, values[0], None, object)
 
     def columns_used(self) -> Set[str]:
         used: Set[str] = set()
@@ -495,7 +481,25 @@ def extract_column_bounds(expr: Optional["Expr"]) -> Dict[str, Tuple[object, obj
     return bounds
 
 
+def _map_non_null(
+    func: Callable[[object], object], values: np.ndarray, null: object, dtype
+) -> np.ndarray:
+    """``func`` of every non-NULL value of an object column, ``null`` where
+    the value is ``None``.  Where a strided sample says the column repeats,
+    ``func`` runs once per distinct value and each row is one dict lookup."""
+    column = values.tolist()
+    sample = column[:: len(column) // 1024 + 1]
+    if len(sample) >= 4 * len(set(sample)):
+        table = {v: null if v is None else func(v) for v in set(column)}
+        out = map(table.__getitem__, column)
+    else:
+        out = [null if v is None else func(v) for v in column]
+    return np.fromiter(out, dtype=dtype, count=len(column))
+
+
 def _like_to_regex(pattern: str) -> str:
+    """``%`` and ``_`` as ``.*`` and ``.``; compile with ``re.DOTALL`` so
+    they match a newline too."""
     out = []
     for ch in pattern:
         if ch == "%":

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.engine.expressions import ColumnRef, Expr
+from repro.engine.expressions import ColumnRef, Expr, null_mask
 from repro.errors import ExecutionError
 from repro.storage.container import RowSet
 
@@ -54,55 +54,123 @@ class AggregateSpec:
 # grouping machinery
 
 
-def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(codes, uniques): codes[i] indexes uniques; order of uniques sorted."""
+#: An integer key column is *dense* when its span (max - min + 1) is under
+#: this many times its row count; its keys are then addressed directly, as
+#: ``key - min``, where a sparse column is sorted.  A hash-segmented primary
+#: key, of which each node holds one in ``shard_count``, is the case the
+#: factor keeps inside the rule.  Position tables have at most this many
+#: slots per row.
+_DENSE_SPAN = 16
+#: Combined group codes are re-densified before a product could pass this.
+_MAX_CODE = 2 ** 62
+
+
+def _dense_range(column: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(min, span)`` of a dense bool/integer column, else ``None``.  Python
+    ints, so keys near the ends of the int64 range cannot overflow."""
+    if column.dtype.kind not in "biu" or len(column) == 0:
+        return None
+    lo, hi = int(column.min()), int(column.max())
+    span = hi - lo + 1
+    return (lo, span) if span < _DENSE_SPAN * len(column) else None
+
+
+def _offsets(column: np.ndarray, lo: int) -> np.ndarray:
+    """``column - lo`` modulo 2**64, as uint64: below ``span`` exactly for
+    the values inside ``[lo, lo + span)``, whatever the integer dtype."""
+    return column.astype(np.uint64) - np.uint64(lo % 2 ** 64)
+
+
+def _run_codes(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Run number of each row, from :func:`_sorted_groups`' runs."""
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.repeat(
+        np.arange(len(starts)), np.diff(starts, append=len(order))
+    )
+    return codes
+
+
+def _group_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """Stable argsort of codes drawn from ``range(size)``; numpy sorts
+    16-bit keys by radix, in linear time."""
+    if size <= 1 << 16:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
+
+
+def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(codes, size)``: equal values share a code in ``range(size)`` and
+    codes ascend with the values (``None`` last; NaNs last, as one value).
+    A dense integer column is coded ``value - min`` with no sort, so not
+    every code need occur."""
     if arr.dtype.kind == "O":
+        column = arr.tolist()
+        distinct = list(dict.fromkeys(column))
         try:
-            uniques_list = sorted({v for v in arr}, key=lambda v: (v is None, v))
+            distinct = sorted(distinct, key=lambda v: (v is None, v))
         except TypeError:
             # Mixed-type object columns (e.g. a VARCHAR column fed ints by
-            # an expression) are not mutually comparable; fall back to a
-            # stable first-occurrence factorization.
-            uniques_list = list(dict.fromkeys(arr.tolist()))
-        index = {v: i for i, v in enumerate(uniques_list)}
-        codes = np.fromiter((index[v] for v in arr), dtype=np.int64, count=len(arr))
-        return codes, np.array(uniques_list, dtype=object)
-    uniques, codes = np.unique(arr, return_inverse=True)
-    return codes.astype(np.int64), uniques
+            # an expression) are not mutually comparable: keep the order of
+            # first occurrence.
+            pass
+        index = {v: i for i, v in enumerate(distinct)}
+        codes = np.fromiter(
+            map(index.__getitem__, column), dtype=np.int64, count=len(column)
+        )
+        return codes, len(distinct)
+    dense = _dense_range(arr)
+    if dense is not None:
+        return _offsets(arr, dense[0]).view(np.int64), dense[1]
+    order, starts, _ = _sorted_groups(arr)
+    if arr.dtype.kind == "f":
+        # Each NaN sorted into a run of its own; as a group key they are one.
+        starts = starts[: len(starts) - max(np.count_nonzero(np.isnan(arr)) - 1, 0)]
+    return _run_codes(order, starts), len(starts)
 
 
-def _group_codes(rows: RowSet, group_names: Sequence[str]) -> Tuple[np.ndarray, List[np.ndarray], int]:
-    """Combined group code per row plus per-column unique arrays."""
+def _combine(
+    codes: np.ndarray, space: int, more: np.ndarray, size: int
+) -> Tuple[np.ndarray, int]:
+    """Mixed-radix pair of two code columns and its code space; the first
+    is re-densified (to at most one code per row) if the product would
+    leave int64."""
+    if space * size > _MAX_CODE:
+        codes, _, space = _densify(codes, space)
+    return codes * size + more, space * size
+
+
+def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Number the occupied codes of ``range(space)`` 0, 1, ... in order:
+    ``(dense codes, first row of each group, group count)``."""
+    n = len(codes)
+    if space < _DENSE_SPAN * n:
+        first = np.full(space, n, dtype=np.int64)
+        np.minimum.at(first, codes, np.arange(n))
+        occupied = np.flatnonzero(first < n)
+        dense = np.empty(space, dtype=np.int64)
+        dense[occupied] = np.arange(len(occupied))
+        return dense[codes], first[occupied], len(occupied)
+    order, starts, _ = _sorted_groups(codes)
+    return _run_codes(order, starts), order[starts], len(starts)
+
+
+def _group_codes(
+    rows: RowSet, group_names: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Dense group code per row, groups numbered in key order (column by
+    column, as :func:`_factorize` orders each), the first row of each group,
+    and the group count."""
+    none = np.zeros(0, dtype=np.int64)
     if not group_names:
         # Global aggregation always has exactly one group, even over an
         # empty input (SQL semantics: one output row).
-        return np.zeros(rows.num_rows, dtype=np.int64), [], 1
+        return np.zeros(rows.num_rows, dtype=np.int64), none, 1
     if rows.num_rows == 0:
-        return np.zeros(0, dtype=np.int64), [], 0
-    codes = np.zeros(rows.num_rows, dtype=np.int64)
-    uniques: List[np.ndarray] = []
-    for name in group_names:
-        c, u = _factorize(rows.column(name))
-        codes = codes * len(u) + c
-        uniques.append(u)
-    # Re-factorize the combined codes so they are dense.
-    dense_uniques, dense = np.unique(codes, return_inverse=True)
-    return dense.astype(np.int64), uniques, len(dense_uniques)
-
-
-def _group_key_columns(
-    rows: RowSet, group_names: Sequence[str], codes: np.ndarray, n_groups: int
-) -> Dict[str, np.ndarray]:
-    """Representative group-key values, one row per group."""
-    if not group_names:
-        return {}
-    if len(codes) == 0:
-        return {name: rows.column(name)[:0] for name in group_names}
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    is_first = np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
-    first_rows = order[is_first]  # one row per group, ordered by group code
-    return {name: rows.column(name)[first_rows] for name in group_names}
+        return none, none, 0
+    codes, space = _factorize(rows.column(group_names[0]))
+    for name in group_names[1:]:
+        codes, space = _combine(codes, space, *_factorize(rows.column(name)))
+    return _densify(codes, space)
 
 
 def _output_type(func: str, arg: Optional[np.ndarray]) -> ColumnType:
@@ -122,15 +190,30 @@ def _output_type(func: str, arg: Optional[np.ndarray]) -> ColumnType:
     return ColumnType.INT
 
 
+def _drop_nulls(codes: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, values)`` without the rows whose value is NULL; the arrays
+    themselves when there is none."""
+    null = null_mask(values)
+    if not null.any():
+        return codes, values
+    valid = ~null
+    return codes[valid], values[valid]
+
+
 def _agg_array(
-    func: str, values: Optional[np.ndarray], codes: np.ndarray, n: int
+    func: str,
+    values: Optional[np.ndarray],
+    codes: np.ndarray,
+    n: int,
+    order: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One aggregate over dense group ``codes``, NULL-aware.
 
     NULL is ``None`` in object columns and ``NaN`` in float columns; int
     and bool columns cannot hold NULL (no sentinel).  NULLs are masked
     before the kernels run, so they never contribute to ``count(col)``,
-    ``sum``, ``min``, or ``max``.
+    ``sum``, ``min``, or ``max``.  ``order`` is the stable argsort of
+    ``codes`` that ``min``/``max`` reduce over, for callers that have it.
     """
     if len(codes) == 0:
         # Only the global-aggregate case reaches here with n == 1; grouped
@@ -151,28 +234,28 @@ def _agg_array(
     if func == "count":
         # count(*) (values is None) counts rows; count(col) skips NULLs.
         if values is not None:
-            codes = codes[_valid_mask(values)]
+            codes, _ = _drop_nulls(codes, values)
         return np.bincount(codes, minlength=n).astype(np.int64)
     if func == "sum":
         if values.dtype.kind == "f":
             # NaN is the float NULL sentinel: mask it before bincount so a
             # single NULL does not poison its group.  An all-NULL group
             # sums to 0.0 rather than SQL's NULL — documented deviation.
-            valid = _valid_mask(values)
-            return np.bincount(codes[valid], weights=values[valid], minlength=n)
+            codes, values = _drop_nulls(codes, values)
+            return np.bincount(codes, weights=values, minlength=n)
         return np.bincount(codes, weights=values.astype(np.float64), minlength=n).astype(np.int64)
     if func in ("min", "max"):
+        if order is None:
+            order = _group_order(codes, n)
+        sorted_values = values[order]
         if values.dtype.kind == "f":
             # Mask NULLs up front; a group whose values are all NULL then
-            # vanishes from ``codes`` and stays NaN in the scatter below.
-            valid = _valid_mask(values)
-            codes = codes[valid]
-            values = values[valid]
-            if len(codes) == 0:
+            # vanishes from the order and stays NaN in the scatter below.
+            valid = ~np.isnan(sorted_values)
+            order, sorted_values = order[valid], sorted_values[valid]
+            if len(order) == 0:
                 return np.full(n, np.nan)
-        order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
-        sorted_values = values[order]
         starts = np.concatenate(([0], np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1))
         if values.dtype.kind == "O":
             out = np.full(n, None, dtype=object)
@@ -257,10 +340,16 @@ def _aggregate_complete(
         # zero-row placeholder, then emptied.
         placeholder = _aggregate_complete(rows, group_names, specs)
         return placeholder.slice(0, 0)
-    codes, _, n_groups = _group_codes(rows, group_names)
-    key_cols = _group_key_columns(rows, group_names, codes, n_groups)
-
-    out_cols: Dict[str, np.ndarray] = dict(key_cols)
+    codes, first_rows, n_groups = _group_codes(rows, group_names)
+    # Each group is represented by the key values of its first row.
+    out_cols: Dict[str, np.ndarray] = {
+        name: rows.column(name)[first_rows] for name in group_names
+    }
+    # One stable sort by group, shared by every min/max of this call.
+    order = (
+        _group_order(codes, n_groups)
+        if any(spec.func in ("min", "max") for spec in specs) else None
+    )
     out_schema_cols: List[SchemaColumn] = [rows.schema.column(g) for g in group_names]
 
     # count-distinct in partial mode ships dedup'd (group, value) pairs
@@ -273,8 +362,7 @@ def _aggregate_complete(
             )
         spec = specs[0]
         values = spec.argument.evaluate(rows)
-        pair_codes, _ = _factorize_pairs(codes, values)
-        keep = _first_occurrence_mask(pair_codes)
+        keep = _first_occurrence_mask(_factorize_pairs(codes, values))
         dedup = rows.filter(keep)
         out = {name: dedup.column(name) for name in group_names}
         out[spec.output] = spec.argument.evaluate(dedup)
@@ -293,51 +381,34 @@ def _aggregate_complete(
             values = spec.argument.evaluate(rows)
         if spec.distinct:
             if values is not None:
-                keep_valid = _valid_mask(values)
-                codes_d = codes[keep_valid]
-                values_d = values[keep_valid]
+                codes_d, values_d = _drop_nulls(codes, values)
             else:
                 codes_d, values_d = codes, None
-            pair_codes, _ = _factorize_pairs(codes_d, values_d)
-            keep = _first_occurrence_mask(pair_codes)
+            keep = _first_occurrence_mask(_factorize_pairs(codes_d, values_d))
             out_cols[spec.output] = _agg_array(
                 "count", None, codes_d[keep], n_groups
             )
         else:
-            out_cols[spec.output] = _agg_array(spec.func, values, codes, n_groups)
+            out_cols[spec.output] = _agg_array(
+                spec.func, values, codes, n_groups, order
+            )
         out_schema_cols.append(SchemaColumn(spec.output, _output_type(spec.func, values)))
 
     return RowSet(TableSchema(out_schema_cols), out_cols)
 
 
-def _factorize_pairs(codes: np.ndarray, values: Optional[np.ndarray]) -> Tuple[np.ndarray, int]:
-    if len(codes) == 0:
-        return codes, 0
-    if values is None:
-        return codes, int(codes.max()) + 1
-    vcodes, vuniq = _factorize(values)
-    combined = codes * max(len(vuniq), 1) + vcodes
-    dense_uniq, dense = np.unique(combined, return_inverse=True)
-    return dense.astype(np.int64), len(dense_uniq)
+def _factorize_pairs(codes: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+    """One code per distinct (group code, value) pair; not dense."""
+    if values is None or len(codes) == 0:
+        return codes
+    return _combine(codes, int(codes.max()) + 1, *_factorize(values))[0]
 
 
 def _first_occurrence_mask(codes: np.ndarray) -> np.ndarray:
     """True at the first row carrying each code, False at its repeats."""
     keep = np.zeros(len(codes), dtype=bool)
-    # ``return_index`` gives, per distinct code, where it first occurs.
-    keep[np.unique(codes, return_index=True)[1]] = True
+    keep[_densify(codes, int(codes.max(initial=-1)) + 1)[1]] = True
     return keep
-
-
-def _valid_mask(values: np.ndarray) -> np.ndarray:
-    """True where the value is non-NULL (``None`` objects, float ``NaN``)."""
-    if values.dtype.kind == "O":
-        return np.fromiter(
-            (v is not None and v == v for v in values), dtype=bool, count=len(values)
-        )
-    if values.dtype.kind == "f":
-        return ~np.isnan(values)
-    return np.ones(len(values), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +517,10 @@ def _exactly_comparable(a: np.dtype, b: np.dtype) -> bool:
 class _KeyEncoder:
     """One build key column as dense codes: equal keys share a code.
 
-    Numeric columns are factorized by one stable sort and probed with
+    A dense integer column (:func:`_dense_range`) keeps a position table,
+    ``key - min`` -> code, and a probe is one subtraction and one gather; if
+    its keys are also unique (every primary-key side) nothing is sorted.
+    Other numeric columns are factorized by one stable sort and probed with
     ``searchsorted``.  Object columns (strings, ``None``) — and probes whose
     dtype numpy cannot compare exactly with the build's — go through one
     dict pass instead, which is Python's own key equality: ``None`` equals
@@ -458,6 +532,28 @@ class _KeyEncoder:
 
     def __init__(self, column: np.ndarray):
         self._index: Optional[Dict[object, int]] = None
+        self._table: Optional[np.ndarray] = None
+        dense = _dense_range(column)
+        if dense is not None:
+            self._lo, span = dense
+            offsets = _offsets(column, self._lo).view(np.int64)
+            counts = np.bincount(offsets, minlength=span)
+            occupied = np.flatnonzero(counts)
+            self.size = len(occupied)
+            # The extra last slot is where every probe outside [min, max] lands.
+            self._table = np.full(span + 1, -1, dtype=np.int64)
+            self._table[occupied] = np.arange(self.size)
+            codes = self._table[offsets]
+            if self.size == len(column):
+                # Unique keys: group g is the one row whose code is g.
+                self.starts = np.arange(self.size)
+                self.order = np.empty(self.size, dtype=np.int64)
+                self.order[codes] = self.starts
+            else:
+                self.order = _group_order(codes, self.size)
+                self.starts = np.cumsum(counts[occupied]) - counts[occupied]
+            self.uniques = column[self.order[self.starts]]
+            return
         if column.dtype.kind in "biuf":
             self.order, self.starts, self.uniques = _sorted_groups(column)
             self.size = len(self.uniques)
@@ -487,7 +583,10 @@ class _KeyEncoder:
         if self.uniques is not None and _exactly_comparable(
             column.dtype, self.uniques.dtype
         ):
-            return _lookup(self.uniques, column)
+            if self._table is None:
+                return _lookup(self.uniques, column)
+            slots = np.minimum(_offsets(column, self._lo), len(self._table) - 1)
+            return self._table[slots.view(np.int64)]
         get = self.index.get
         return np.fromiter(
             (get(v, -1) for v in column.tolist()), dtype=np.int64, count=len(column)

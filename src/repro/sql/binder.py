@@ -206,10 +206,12 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     equi_pairs: List[Tuple[str, str]] = []  # (colA, colB) across tables
     residual: List[Expr] = []
 
-    def classify(conjunct: Expr) -> None:
+    def classify(conjunct: Expr, from_where: bool) -> None:
         check_resolved(conjunct)
         owner = table_of(conjunct)
-        if owner is not None:
+        # A WHERE conjunct on the NULL-supplying side of a LEFT join sees
+        # the padded rows (``... where b.f is null``): it runs after the join.
+        if owner is not None and not (from_where and join_how.get(owner) == "left"):
             table_filters[owner].append(conjunct)
             return
         if (
@@ -224,10 +226,10 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
         residual.append(conjunct)
 
     for conjunct in conjuncts:
-        classify(conjunct)
+        classify(conjunct, from_where=True)
     for join_conjuncts in explicit_join_for.values():
         for conjunct in join_conjuncts:
-            classify(conjunct)
+            classify(conjunct, from_where=False)
 
     # 3. Build join order: FROM order, each new table connected by an edge.
     joined: List[str] = [tables[0]]

@@ -65,15 +65,19 @@ class BlockInfo(NamedTuple):
         )
 
 
-def _block_minmax(arr: np.ndarray) -> Tuple[object, object]:
-    """JSON-serialisable (min, max) of a block, ignoring NULLs."""
-    if len(arr) == 0:
-        return None, None
+def minmax(arr: np.ndarray) -> Tuple[object, object]:
+    """JSON-serialisable (min, max) of a block or a column, ignoring NULLs
+    (``None``; NaN in a float column, which would otherwise be both bounds
+    and prune every row stored beside it)."""
     if arr.dtype.kind == "O":
         non_null = [v for v in arr if v is not None]
         if not non_null:
             return None, None
         return min(non_null), max(non_null)
+    if arr.dtype.kind == "f" and len(arr) and np.isnan(arr.min()):
+        arr = arr[~np.isnan(arr)]
+    if len(arr) == 0:
+        return None, None
     lo, hi = arr.min(), arr.max()
     if arr.dtype.kind == "f":
         return float(lo), float(hi)
@@ -101,7 +105,7 @@ class ColumnFile:
         while row < n or (n == 0 and not blocks):
             chunk = values[row : row + block_rows]
             encoded = encode_block(chunk)
-            lo, hi = _block_minmax(chunk)
+            lo, hi = minmax(chunk)
             blocks.append(
                 BlockInfo(
                     offset=len(body),

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.oid import StorageId
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.storage.column import ColumnFile, ColumnReader, DEFAULT_BLOCK_ROWS
+from repro.storage.column import ColumnFile, ColumnReader, DEFAULT_BLOCK_ROWS, minmax
 from repro.storage.encoding import Buffer
 
 
@@ -278,20 +278,24 @@ class ContainerReader:
 
     def block_count(self) -> int:
         """Blocks per column (identical across columns: every column of a
-        container is written with the same block_rows and row count)."""
+        container is written with the same block_rows and row count),
+        counted from a column reader that is already open when there is one."""
         if not self.column_order:
             return 0
-        return len(self.column_reader(self.column_order[0]).blocks)
+        reader = next(iter(self._readers.values()), None)
+        return len((reader or self.column_reader(self.column_order[0])).blocks)
 
     def matching_blocks(self, bounds) -> List[int]:
         """Block indices that could hold a row satisfying per-column
         [lo, hi] ``bounds`` (intersection across bounded columns)."""
-        keep = [True] * self.block_count()
-        for column, (lo, hi) in bounds.items():
-            if column in self._directory:
-                mask = self.column_reader(column).block_mask(lo, hi)
-                keep = [a and b for a, b in zip(keep, mask)]
-        return [i for i, hit in enumerate(keep) if hit]
+        masks = [
+            self.column_reader(column).block_mask(lo, hi)
+            for column, (lo, hi) in bounds.items()
+            if column in self._directory
+        ]
+        # Counted after the bounded columns' readers are open: a pruned scan
+        # parses no footer of a column it does not read.
+        return [i for i in range(self.block_count()) if all(m[i] for m in masks)]
 
     def read_rowset_blocks(
         self, names: Sequence[str], block_indices: Sequence[int]
@@ -319,20 +323,8 @@ def read_container(data: Buffer) -> ContainerReader:
 
 def container_stats(rowset: RowSet) -> Tuple[Tuple[Tuple[str, object], ...], Tuple[Tuple[str, object], ...]]:
     """Per-column (min, max) pairs for container metadata, NULLs ignored."""
-    mins, maxs = [], []
-    for col in rowset.schema.columns:
-        arr = rowset.column(col.name)
-        if len(arr) == 0:
-            mins.append((col.name, None))
-            maxs.append((col.name, None))
-            continue
-        if arr.dtype.kind == "O":
-            non_null = [v for v in arr if v is not None]
-            mins.append((col.name, min(non_null) if non_null else None))
-            maxs.append((col.name, max(non_null) if non_null else None))
-        else:
-            lo, hi = arr.min(), arr.max()
-            cast = float if arr.dtype.kind == "f" else (bool if arr.dtype.kind == "b" else int)
-            mins.append((col.name, cast(lo)))
-            maxs.append((col.name, cast(hi)))
-    return tuple(mins), tuple(maxs)
+    bounds = [(col.name, minmax(rowset.column(col.name))) for col in rowset.schema.columns]
+    return (
+        tuple((name, lo) for name, (lo, _) in bounds),
+        tuple((name, hi) for name, (_, hi) in bounds),
+    )

@@ -1,0 +1,169 @@
+"""An oracle we did not write: the same table and query in stdlib ``sqlite3``.
+
+First slice of ROADMAP item 1, limited to what PR 17 rewrote: WHERE
+expressions and single-table GROUP BY.  :class:`SqliteOracle` mirrors one
+table into an in-memory SQLite database; :func:`to_sqlite` renders a SELECT
+of our subset as SQLite SQL; :func:`multiset` brings both engines' rows to
+one comparable form.  Joins, the TPC-H translation and the grammar fuzz stay
+with item 1.
+
+Our SQL text is parsed by our own parser (a parser defect is therefore
+shared); everything after the parse — bind, plan, scan, expression and
+aggregation kernels, both phases of a distributed aggregate — is checked
+against an engine that shares no code with it.
+
+The rendering makes this engine's documented deviations explicit instead of
+hiding them in the comparison:
+
+* **Two-valued NULL logic.**  A comparison, IN or LIKE with a NULL operand
+  is False here, not UNKNOWN, so ``NOT (s = 'a')`` keeps a NULL ``s``.  Each
+  such leaf is rendered ``coalesce(<leaf>, 0)``; AND/OR/NOT above it then
+  agree.
+* **Dates are days.**  ``year(d)``/``month(d)`` become ``strftime`` over
+  ``d * 86400`` seconds since the epoch.
+* **``/`` is float division**; ``length(NULL)`` is 0; ``sum`` over no
+  non-NULL value is 0, not NULL.
+* LIKE is case-sensitive (``PRAGMA case_sensitive_like=ON``).
+"""
+
+from __future__ import annotations
+
+import sqlite3
+from collections import Counter
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.common.types import ColumnType
+from repro.engine.expressions import (
+    BinaryOp,
+    CaseWhen,
+    ColumnRef,
+    Expr,
+    FuncCall,
+    InList,
+    IsNull,
+    Literal,
+    UnaryOp,
+)
+from repro.sql.ast import AggregateCall, Select
+from repro.sql.parser import parse
+
+_SQLITE_TYPES = {
+    ColumnType.INT: "integer", ColumnType.DATE: "integer", ColumnType.BOOL: "integer",
+    ColumnType.FLOAT: "real", ColumnType.VARCHAR: "text",
+}
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def _literal(value: object) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+def render(expr: Expr) -> str:
+    """One expression of our subset as SQLite SQL."""
+    if isinstance(expr, ColumnRef):
+        return expr.name
+    if isinstance(expr, Literal):
+        return _literal(expr.value)
+    if isinstance(expr, BinaryOp):
+        left, right = render(expr.left), render(expr.right)
+        if expr.op in _COMPARISONS:
+            return f"coalesce(({left} {expr.op} {right}), 0)"
+        if expr.op == "/":
+            return f"({left} * 1.0 / {right})"
+        return f"({left} {expr.op} {right})"
+    if isinstance(expr, UnaryOp):
+        return f"({expr.op} {render(expr.operand)})"
+    if isinstance(expr, InList):
+        listed = ", ".join(_literal(v) for v in expr.values)
+        return f"coalesce(({render(expr.operand)} in ({listed})), 0)"
+    if isinstance(expr, IsNull):
+        return f"({render(expr.operand)} is {'not ' if expr.negated else ''}null)"
+    if isinstance(expr, CaseWhen):
+        branches = " ".join(
+            f"when {render(cond)} then {render(value)}" for cond, value in expr.branches
+        )
+        return f"(case {branches} else {render(expr.default)} end)"
+    if isinstance(expr, AggregateCall):
+        if expr.argument is None:
+            return "count(*)"
+        inner = ("distinct " if expr.distinct else "") + render(expr.argument)
+        if expr.func == "sum":
+            return f"coalesce(sum({inner}), 0)"
+        return f"{expr.func}({inner})"
+    if isinstance(expr, FuncCall):
+        args = [render(a) for a in expr.args]
+        if expr.name == "like":
+            return f"coalesce(({args[0]} like {args[1]}), 0)"
+        if expr.name in ("year", "month"):
+            field = "%Y" if expr.name == "year" else "%m"
+            return f"cast(strftime('{field}', {args[0]} * 86400, 'unixepoch') as integer)"
+        if expr.name == "length":
+            return f"coalesce(length({args[0]}), 0)"
+        return f"{expr.name}({', '.join(args)})"  # substr, abs, lower, upper
+    raise NotImplementedError(f"no SQLite rendering for {expr!r}")
+
+
+def to_sqlite(sql: str) -> str:
+    """A single-table SELECT of our subset as SQLite SQL."""
+    (select,) = parse(sql)
+    if not isinstance(select, Select) or select.joins or len(select.tables) != 1:
+        raise NotImplementedError("the oracle's first slice is single-table SELECT")
+    if select.having is not None or select.order_by or select.limit is not None:
+        raise NotImplementedError("HAVING/ORDER BY/LIMIT stay with ROADMAP item 1")
+    out = "select " + ", ".join(render(expr) for expr, _ in select.items)
+    out += f" from {select.tables[0].name}"
+    if select.where is not None:
+        out += f" where {render(select.where)}"
+    if select.group_by:
+        out += " group by " + ", ".join(render(expr) for expr in select.group_by)
+    return out
+
+
+def multiset(rows: Iterable[Sequence[object]]) -> Counter:
+    """Rows of either engine as a multiset: NaN (our float NULL) is NULL,
+    floats rounded to 9 places (sums add in another order), bools are ints."""
+
+    def cell(value: object) -> object:
+        if isinstance(value, float):
+            return None if value != value else round(value, 9)
+        return int(value) if isinstance(value, bool) else value
+
+    return Counter(tuple(cell(v) for v in row) for row in rows)
+
+
+class SqliteOracle:
+    """One table of a cluster, mirrored into an in-memory SQLite database."""
+
+    def __init__(
+        self, table: str, columns: Sequence[Tuple[str, ColumnType]],
+        rows: Sequence[Sequence[object]],
+    ):
+        self.db = sqlite3.connect(":memory:")
+        self.db.execute("PRAGMA case_sensitive_like=ON")
+        declared = ", ".join(f"{name} {_SQLITE_TYPES[ctype]}" for name, ctype in columns)
+        self.db.execute(f"create table {table} ({declared})")
+        slots = ", ".join("?" for _ in columns)
+        self.db.executemany(f"insert into {table} values ({slots})", [tuple(r) for r in rows])
+
+    def query(self, sql: str) -> List[tuple]:
+        """Rows SQLite returns for ``sql``, which is in *our* dialect."""
+        return self.db.execute(to_sqlite(sql)).fetchall()
+
+    def check(self, cluster, sql: str) -> Optional[str]:
+        """None when ``cluster.query(sql)`` returns SQLite's multiset of
+        rows, else a description of the difference."""
+        ours = multiset(cluster.query(sql).rows.to_pylist())
+        theirs = multiset(self.query(sql))
+        if ours == theirs:
+            return None
+        return (
+            f"{sql}\n  as SQLite: {to_sqlite(sql)}\n"
+            f"  only ours:   {sorted((ours - theirs).items(), key=repr)[:5]}\n"
+            f"  only SQLite: {sorted((theirs - ours).items(), key=repr)[:5]}"
+        )
