@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -11,7 +11,7 @@ test:
 
 # Inner-loop subset: everything except the sim campaigns and slow sweeps.
 test-fast:
-	$(PY) -m pytest -x -q -m "not sim and not slow and not chaos and not wm and not engine and not autoscale and not pushdown and not doctor and not designer"
+	$(PY) -m pytest -x -q -m "not sim and not slow and not chaos and not wm and not autoscale and not pushdown and not doctor and not designer"
 
 # Lint with ruff when available; fall back to a syntax sweep (compileall)
 # so `make lint` is meaningful in offline environments without ruff.
@@ -42,11 +42,6 @@ wm-smoke:
 # digest round-trip, and the scaled-down diurnal trace.
 autoscale-smoke:
 	$(PY) -m pytest tests/test_autoscale_campaign.py -m autoscale -q
-
-# Batched-engine confidence check: the full differential + property wall
-# proving pipelined execution bit-identical to the materializing engine.
-engine-smoke:
-	$(PY) -m pytest tests/test_engine_differential.py tests/test_engine_property.py -m engine -q
 
 # Pushdown confidence check: the scan-strategy differential + property wall
 # (pushdown on/off bit-identical digests and depot demand) plus the

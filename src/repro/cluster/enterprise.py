@@ -30,7 +30,13 @@ from repro.cluster.node import Node, NodeState
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
-from repro.engine.executor import Executor, QueryResult, ScanResult, StorageProvider
+from repro.engine.executor import (
+    Executor,
+    QueryResult,
+    ScanResult,
+    StorageProvider,
+    check_query_options,
+)
 from repro.engine.pipeline import EngineStats
 from repro.engine.expressions import Expr
 from repro.engine.planner import plan_query
@@ -85,8 +91,6 @@ class EnterpriseCluster:
         seed: int = 0,
         clock: Optional[SimClock] = None,
         cost_model: Optional[CostModel] = None,
-        batched: bool = False,
-        batch_size: int = 1024,
     ):
         if len(node_names) < 1:
             raise ValueError("cluster needs at least one node")
@@ -119,11 +123,6 @@ class EnterpriseCluster:
         #: every node lands in the shared ``general`` pool — and every
         #: query takes a slot on every node, the paper's scaling penalty.
         self.admission = AdmissionController(self)
-        #: Default execution mode; per-query kwargs override it.  The
-        #: Enterprise provider has no I/O scheduler, so batched mode here
-        #: exercises streaming/SIP without pooled lane charging.
-        self.batched = batched
-        self.batch_size = batch_size
         self.engine_stats = EngineStats()
 
     # -- membership -------------------------------------------------------------
@@ -450,15 +449,14 @@ class EnterpriseCluster:
         seed: Optional[int] = None,
         session: Optional[EnterpriseSession] = None,
         ticket=None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        sip: bool = True,
         pushdown: str = "off",
+        **unknown_options,
     ) -> QueryResult:
         from collections import Counter
 
         from repro.sql.ast import Select
 
+        check_query_options(unknown_options, ("seed", "session", "ticket", "pushdown"))
         statements = parse(sql)
         if len(statements) != 1 or not isinstance(statements[0], Select):
             raise CatalogError("query() accepts a single SELECT")
@@ -480,9 +478,6 @@ class EnterpriseCluster:
                 executor = Executor(
                     provider,
                     self.cost_model,
-                    batched=self.batched if batched is None else batched,
-                    batch_size=self.batch_size if batch_size is None else batch_size,
-                    sip=sip,
                     # Local-disk provider: ``set_pushdown`` is the ABC no-op,
                     # so the option is accepted for API parity but inert.
                     pushdown=pushdown,

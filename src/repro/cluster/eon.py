@@ -54,7 +54,7 @@ from repro.cluster.transactions import CommitCoordinator, Transaction
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
-from repro.engine.executor import Executor, QueryResult
+from repro.engine.executor import Executor, QueryResult, check_query_options
 from repro.engine.pipeline import EngineStats
 from repro.engine.planner import plan_query, plan_slot_demand
 from repro.errors import (
@@ -79,6 +79,14 @@ from repro.sql.binder import bind_select
 from repro.sql.parser import parse
 from repro.storage.container import RowSet
 from repro.wm.admission import AdmissionController, eon_share_counts
+
+
+#: What ``query``/``query_statement`` accept per query: the session layout
+#: (``create_session``'s parameters) and the one engine option.
+QUERY_OPTIONS = (
+    "initiator", "subcluster", "crunch", "nodes_per_shard", "use_cache", "seed",
+    "prefer_initiator_rack", "pushdown",
+)
 
 
 def _describe_select(statement) -> str:
@@ -107,8 +115,6 @@ class EonCluster:
         observability: Optional[Observability] = None,
         parallel_io: bool = True,
         io_config: Optional[IOSchedulerConfig] = None,
-        batched: bool = False,
-        batch_size: int = 1024,
         pushdown: str = "auto",
         _bootstrap: bool = True,
     ):
@@ -140,10 +146,6 @@ class EonCluster:
         self.io_scheduler = (
             IOScheduler(self, io_config) if parallel_io else None
         )
-        #: Default execution mode for queries; per-query ``batched=`` /
-        #: ``batch_size=`` / ``sip=`` session options override it.
-        self.batched = batched
-        self.batch_size = batch_size
         #: Default scan-strategy policy (``auto`` | ``on`` | ``off``);
         #: the per-query ``pushdown=`` session option overrides it.
         self.pushdown = pushdown
@@ -856,14 +858,10 @@ class EonCluster:
         ticket=None,
         **session_options,
     ) -> QueryResult:
-        # Engine options are executor-level, not session-level: pop them
+        check_query_options(session_options, QUERY_OPTIONS)
+        # The engine option is executor-level, not session-level: pop it
         # before anything (crunch probe, create_session) sees the kwargs.
-        engine_options = {
-            "batched": session_options.pop("batched", self.batched),
-            "batch_size": session_options.pop("batch_size", self.batch_size),
-            "sip": session_options.pop("sip", True),
-            "pushdown": session_options.pop("pushdown", self.pushdown),
-        }
+        pushdown = session_options.pop("pushdown", self.pushdown)
         if session is None and session_options.get("crunch") == "auto":
             session_options["crunch"] = self._choose_crunch_mode(
                 statement, **{k: v for k, v in session_options.items() if k != "crunch"}
@@ -888,8 +886,7 @@ class EonCluster:
                 # driver's) spans the whole query including failover
                 # retries; without one, each attempt admits itself.
                 return self._execute_statement(
-                    statement, current, request_text, penalty, ticket,
-                    engine_options,
+                    statement, current, request_text, pushdown, penalty, ticket
                 )
             except (NodeDown, TransientStorageError) as exc:
                 attempt += 1
@@ -930,9 +927,9 @@ class EonCluster:
         statement,
         session,
         request_text: Optional[str],
+        pushdown: str,
         penalty: float = 0.0,
         ticket=None,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> QueryResult:
         """One execution attempt against an already-selected session."""
         snapshot = session.snapshots[session.initiator]
@@ -971,7 +968,7 @@ class EonCluster:
             record = self.obs.enabled and not system_names
             executor = Executor(
                 provider, self.cost_model, obs=self.obs if record else None,
-                **(engine_options or {}),
+                pushdown=pushdown,
             )
             if not record:
                 result = executor.execute(plan)

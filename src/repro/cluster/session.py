@@ -28,6 +28,7 @@ from repro.engine.cost import (
 )
 from repro.engine.executor import ScanResult, StorageProvider
 from repro.engine.expressions import Expr, extract_column_bounds
+from repro.engine.pipeline import PipelineCharges
 from repro.engine.pruning import prune_containers
 from repro.errors import ExecutionError, QueryCancelled
 from repro.io.scheduler import FetchRequest
@@ -96,14 +97,24 @@ class EonSession:
 class EonStorageProvider(StorageProvider):
     """Executor-facing scan interface over an Eon session."""
 
+    #: Pool every scan's fetch makespan per node and charge it once per
+    #: query (``settle_io``).  False charges scan by scan: the reference the
+    #: differential wall compares demand and seconds against.
+    pool_fetch_charges = True
+
     def __init__(self, session: EonSession):
         self.session = session
         self.cluster = session.cluster
         cost = getattr(self.cluster.shared, "cost", None)
         #: Dollars per GET on the shared backend (0 for cost-free backends).
         self._get_dollars = cost.get_cost() if cost is not None else 0.0
-        #: Set by the batched executor; scans defer lane charging into it.
-        self._pipeline = None
+        scheduler = getattr(self.cluster, "io_scheduler", None)
+        #: The query's deferred lane charges; None without a scheduler.
+        self._pool = (
+            PipelineCharges(self.cluster.clock, scheduler.config.lanes)
+            if scheduler is not None and self.pool_fetch_charges
+            else None
+        )
         #: Pushdown mode (off | auto | on), set by the executor from the
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"
@@ -121,16 +132,8 @@ class EonStorageProvider(StorageProvider):
     def initiator(self) -> str:
         return self.session.initiator
 
-    def make_pipeline_charges(self):
-        scheduler = getattr(self.cluster, "io_scheduler", None)
-        if scheduler is None:
-            return None
-        from repro.engine.pipeline import PipelineCharges
-
-        return PipelineCharges(self.cluster.clock, scheduler.config.lanes)
-
-    def attach_pipeline(self, charges) -> None:
-        self._pipeline = charges
+    def settle_io(self) -> Dict[str, float]:
+        return self._pool.settle() if self._pool is not None else {}
 
     @property
     def preserves_segmentation(self) -> bool:
@@ -225,7 +228,7 @@ class EonStorageProvider(StorageProvider):
             batch = scheduler.fetch_batch(
                 node, fetch_requests, session.use_cache, result,
                 cancelled=lambda: session.cancelled,
-                pool=self._pipeline,
+                pool=self._pool,
                 background_keys=pushdown_keys or None,
             )
         # Selects run after the batch so the GET request (and fault-draw)
@@ -235,7 +238,7 @@ class EonStorageProvider(StorageProvider):
             selects = scheduler.pushdown_batch(
                 node, pushdown_items, result,
                 cancelled=lambda: session.cancelled,
-                pool=self._pipeline,
+                pool=self._pool,
             )
 
         # Pass 2: scan the containers (bytes come out of the batch; any

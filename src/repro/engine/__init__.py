@@ -27,10 +27,9 @@ from repro.engine.operators import (
     JoinBuild,
     aggregate,
     hash_join,
-    join_match_mask,
     sort_limit,
 )
-from repro.engine.pipeline import EngineStats, PipelineCharges, chunk_rows
+from repro.engine.pipeline import EngineStats, PipelineCharges
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -58,11 +57,9 @@ __all__ = [
     "JoinBuild",
     "aggregate",
     "hash_join",
-    "join_match_mask",
     "sort_limit",
     "EngineStats",
     "PipelineCharges",
-    "chunk_rows",
     "PlanNode",
     "ScanNode",
     "FilterNode",

@@ -592,13 +592,6 @@ class _KeyEncoder:
             (get(v, -1) for v in column.tolist()), dtype=np.int64, count=len(column)
         )
 
-    def distinct(self) -> np.ndarray:
-        """The distinct build keys, sorted when numeric (a float column's
-        NaNs, which match nothing, come last, one entry each)."""
-        if self.uniques is None:
-            return np.array(list(self._index), dtype=object)
-        return self.uniques
-
 
 def _pair_codes(codes: np.ndarray, more: np.ndarray, size: int) -> np.ndarray:
     """Combine two code columns into one; -1 wherever either is -1."""
@@ -608,11 +601,10 @@ def _pair_codes(codes: np.ndarray, more: np.ndarray, size: int) -> np.ndarray:
 class JoinBuild:
     """The build side of a hash join: factorized once, probed many times.
 
-    The executor makes one per join and hands it to :func:`hash_join` /
-    :func:`join_match_mask` in place of the build ``RowSet`` — for every
-    participant of a broadcast join and every probe batch of a streamed
-    one.  The factorization happens on the first probe, so its cost sits
-    inside the join call that needs it.
+    The executor makes one per join and hands it to :func:`hash_join` in
+    place of the build ``RowSet`` — once for a local join, for every
+    participant of a broadcast one.  The factorization happens on the first
+    probe, so its cost sits inside the join call that needs it.
 
     Build rows are grouped by key: ``_order`` lists them group by group in
     insertion order, group ``g`` being ``_order[_starts[g]:][:_counts[g]]``.
@@ -663,11 +655,6 @@ class JoinBuild:
             codes = _lookup(table, _pair_codes(codes, encoder.encode(column), encoder.size))
         return codes
 
-    def matched(self, left: RowSet, left_keys: Sequence[str]) -> np.ndarray:
-        """Mask of the probe rows whose match count is above zero (every
-        group holds at least one build row)."""
-        return self._groups(left, left_keys) >= 0
-
     def probe(
         self, left: RowSet, left_keys: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -686,11 +673,6 @@ class JoinBuild:
             first = np.repeat(first, counts) + within
         return probe_idx, self._order[first], hit
 
-    def distinct_keys(self) -> np.ndarray:
-        """Distinct values of the first key column (what SIP pushes down)."""
-        self._ensure_built()
-        return self._encoders[0].distinct()
-
 
 def _as_build(right: Union[RowSet, JoinBuild], right_keys: Sequence[str]) -> JoinBuild:
     if not isinstance(right, JoinBuild):
@@ -706,6 +688,7 @@ def hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
+    left_mask: Optional[np.ndarray] = None,
 ) -> RowSet:
     """Hash join; the smaller side should be ``right`` (build side), given
     as a ``RowSet`` or as a :class:`JoinBuild` to reuse its factorization.
@@ -714,11 +697,17 @@ def hash_join(
     names get a ``_r`` suffix).  Rows come in probe order, each probe row's
     matches in build insertion order; ``how="left"`` appends the unmatched
     probe rows after all matched ones, right columns padded with NULL/zero.
+    A probe row where ``left_mask`` is False matches nothing (an ON
+    conjunct over the probe side alone).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")
     build = _as_build(right, right_keys)
     left_indices, right_indices, hit = build.probe(left, left_keys)
+    if left_mask is not None:
+        keep = left_mask[left_indices]
+        left_indices, right_indices = left_indices[keep], right_indices[keep]
+        hit = hit & left_mask
     n_pad = 0
     if how == "left":
         unmatched = (~hit).nonzero()[0]
@@ -748,24 +737,6 @@ def hash_join(
         out_cols[name] = values
         schema_cols.append(SchemaColumn(name, c.ctype))
     return RowSet(TableSchema(schema_cols), out_cols)
-
-
-def join_match_mask(
-    left: RowSet,
-    right: Union[RowSet, JoinBuild],
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> np.ndarray:
-    """Boolean mask over ``left``: which probe rows have a build match.
-
-    Probes the same :class:`JoinBuild` as :func:`hash_join`, so its key
-    equality (including ``None`` keys matching ``None``) carries over
-    exactly — the batched LEFT join splits each probe batch with this
-    mask, joins the matched rows inner per batch, and defers the unmatched
-    rows to one padded tail batch, reproducing the serial join's
-    all-matched-then-all-unmatched row order.
-    """
-    return _as_build(right, right_keys).matched(left, left_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,120 +1,75 @@
-"""Pipelined batch execution support: chunking, pooled I/O charges, stats.
+"""Query-wide pooled fetch charging, and the engine's lifetime counters.
 
-The materializing executor evaluates each operator over a whole
-intermediate before the next operator starts, so a fragment's scans run
-strictly one after another and every ``fetch_batch`` charges its own lane
-makespan.  The batched executor instead streams fixed-size row batches
-through fused operator chains, and — the part that actually moves the
-cold-depot wall-clock — treats the whole query's fetch stream as one
-prefetch pipeline: each scan's fetch-unit durations are *pooled* per node
-(:class:`PipelineCharges`) instead of being charged per scan, and the pool
-is settled once per query with :meth:`SimClock.charge_parallel`.  That
-models a pipeline driver that issues the next scan's fetches while the
-current scan's batches are still being decoded: lanes never drain at scan
-boundaries, so a fragment with six single-file scans pays ``ceil(6 /
-lanes)`` request rounds instead of six.
+Charged scan by scan, a fragment's scans pay one lane makespan each: a
+fragment with six single-file scans pays six request rounds although the
+scheduler has four lanes.  A provider with lane-scheduled I/O instead
+*pools* every scan's fetch-unit durations per node (:class:`PipelineCharges`)
+and the executor settles the pool once per query with
+:meth:`SimClock.charge_parallel` — a driver that issues the next scan's
+fetches while the current scan is still being decoded, so lanes never drain
+at scan boundaries and the six scans pay ``ceil(6 / lanes)`` rounds.
 
 Demand accounting is untouched by pooling: the scheduler performs exactly
 the same ``cache.get`` calls, misses, puts, coalesced groups, and S3
 requests in the same order — only *when the lane makespan is charged*
 changes.  That is what lets the differential suite require depot demand
-stats to be bit-identical between the batched and materializing paths.
+stats to be bit-identical between pooled and per-scan charging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
-
-from repro.storage.container import RowSet
-
-
-def chunk_rows(rows: RowSet, batch_size: int) -> Iterator[RowSet]:
-    """Slice ``rows`` into consecutive batches of ``batch_size`` rows.
-
-    Always yields at least one batch: an empty input yields itself, so a
-    downstream operator chain sees the (correctly-schema'd) empty batch
-    rather than an empty stream.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if rows.num_rows == 0:
-        yield rows
-        return
-    for start in range(0, rows.num_rows, batch_size):
-        yield rows.slice(start, start + batch_size)
+from typing import Dict, List
 
 
 class PipelineCharges:
     """Per-node pooled fetch durations, settled once per query.
 
     ``add`` is called by the I/O scheduler in place of charging a batch's
-    lane makespan; ``settle`` re-schedules every pooled duration onto the
-    same number of lanes and returns the per-node makespans the executor
-    folds into :class:`NodeWork.io_seconds`.  ``serial_seconds`` records
-    what the per-scan charging would have cost, so observability can show
-    the overlap won by pipelining.
+    lane makespan; ``settle`` schedules every pooled duration onto the same
+    number of lanes, returns the per-node makespans the executor folds into
+    :class:`NodeWork.io_seconds`, and leaves the pool empty.
     """
 
     def __init__(self, clock, lanes: int):
         self.clock = clock
         self.lanes = max(1, int(lanes))
         self.per_node: Dict[str, List[float]] = {}
-        #: Sum of the per-batch makespans the serial path would have charged.
-        self.serial_seconds = 0.0
-        #: Sum of the settled per-node makespans (filled by ``settle``).
-        self.pipelined_seconds = 0.0
 
-    def add(self, node_name: str, durations: List[float], serial_makespan: float) -> None:
+    def add(self, node_name: str, durations: List[float]) -> None:
         if durations:
             self.per_node.setdefault(node_name, []).extend(durations)
-        self.serial_seconds += serial_makespan
 
     def settle(self) -> Dict[str, float]:
-        settled: Dict[str, float] = {}
-        for name in sorted(self.per_node):
-            makespan, _ = self.clock.charge_parallel(self.per_node[name], self.lanes)
-            settled[name] = makespan
-        self.pipelined_seconds = sum(settled.values())
-        return settled
+        pooled, self.per_node = self.per_node, {}
+        return {
+            name: self.clock.charge_parallel(pooled[name], self.lanes)[0]
+            for name in sorted(pooled)
+        }
 
 
 @dataclass
 class EngineStats:
-    """Cluster-lifetime accounting for the batched engine (the ``engine``
-    section of :func:`repro.obs.metrics.cluster_metrics`)."""
+    """Cluster-lifetime accounting for the engine (the ``engine`` section
+    of :func:`repro.obs.metrics.cluster_metrics`)."""
 
-    batched_queries: int = 0
-    materializing_queries: int = 0
-    batches: int = 0
-    sip_filters: int = 0
-    last_batch_size: int = 0
+    queries: int = 0
     #: What per-scan charging would have cost vs what pooling charged —
-    #: their gap is the I/O overlap the pipeline driver won.
+    #: their gap is the I/O overlap the pooled settlement won.
     io_serial_seconds: float = 0.0
     io_pipelined_seconds: float = 0.0
     #: Server-side pushdown: containers answered by select_scan and the
-    #: stored bytes those selects touched, across both execution modes.
+    #: stored bytes those selects touched.
     pushdown_scans: int = 0
     bytes_scanned: int = 0
 
     def note(self, executor) -> None:
         """Fold one finished executor's counters in."""
-        stats = getattr(executor, "stats", None)
-        if stats is not None:
-            self.pushdown_scans += stats.total_pushdown_scans
-            self.bytes_scanned += stats.total_bytes_scanned
-        if not getattr(executor, "batched", False):
-            self.materializing_queries += 1
-            return
-        self.batched_queries += 1
-        self.batches += executor.batches_emitted
-        self.sip_filters += executor.sip_filters_built
-        self.last_batch_size = executor.batch_size
-        pipeline = executor.pipeline
-        if pipeline is not None:
-            self.io_serial_seconds += pipeline.serial_seconds
-            self.io_pipelined_seconds += pipeline.pipelined_seconds
+        self.queries += 1
+        self.io_serial_seconds += executor.io_serial_seconds
+        self.io_pipelined_seconds += executor.io_pipelined_seconds
+        self.pushdown_scans += executor.stats.total_pushdown_scans
+        self.bytes_scanned += executor.stats.total_bytes_scanned
 
     @property
     def io_overlap_seconds(self) -> float:
@@ -122,11 +77,7 @@ class EngineStats:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "batched_queries": self.batched_queries,
-            "materializing_queries": self.materializing_queries,
-            "batches": self.batches,
-            "sip_filters": self.sip_filters,
-            "last_batch_size": self.last_batch_size,
+            "queries": self.queries,
             "io_serial_seconds": self.io_serial_seconds,
             "io_pipelined_seconds": self.io_pipelined_seconds,
             "io_overlap_seconds": self.io_overlap_seconds,

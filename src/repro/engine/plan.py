@@ -49,8 +49,8 @@ class ScanNode(PlanNode):
     #: True when the projection is replicated — only one participant scans.
     replicated: bool = False
     #: Set by the planner when this scan is a candidate for server-side
-    #: pushdown (selective bounded predicate, or a SIP filter will arrive);
-    #: the per-container strategy decision still rests with the cost model.
+    #: pushdown (a bounded predicate); the per-container strategy decision
+    #: still rests with the cost model.
     pushdown_eligible: bool = False
 
     def _label(self) -> str:
@@ -95,22 +95,17 @@ class JoinNode(PlanNode):
     right_keys: Tuple[str, ...]
     how: str = "inner"
     locality: str = "local"  # "local" | "broadcast"
-    #: SIP (sideways information passing) target, resolved at plan time:
-    #: the probe-spine ScanNode producing the probe key (and the key's name
-    #: at that scan), when the key traces to a base column.  The batched
-    #: executor pushes an IN-list built from the join's build side into
-    #: that scan's predicate.
-    sip_scan: Optional[ScanNode] = None
-    sip_column: Optional[str] = None
+    #: LEFT join only: a probe row failing it matches nothing and is padded.
+    left_condition: Optional[Expr] = None
 
     def children(self) -> List[PlanNode]:
         return [self.left, self.right]
 
     def _label(self) -> str:
-        sip = f" sip={self.sip_column}" if self.sip_scan is not None else ""
+        extra = f" and {self.left_condition!r}" if self.left_condition is not None else ""
         return (
-            f"Join {self.how} on {list(self.left_keys)}={list(self.right_keys)} "
-            f"[{self.locality}]{sip}"
+            f"Join {self.how} on {list(self.left_keys)}={list(self.right_keys)}{extra} "
+            f"[{self.locality}]"
         )
 
 
@@ -162,43 +157,3 @@ def walk(plan: PlanNode):
     yield plan
     for child in plan.children():
         yield from walk(child)
-
-
-def has_node(plan: PlanNode, node_type: type) -> bool:
-    return any(isinstance(n, node_type) for n in walk(plan))
-
-
-def probe_spine_scan(
-    node: PlanNode, key: str
-) -> Tuple[Optional[ScanNode], Optional[str]]:
-    """Trace a probe-side join key down the left (probe) spine to the
-    ScanNode whose base column produces it.
-
-    Filters pass the name through; projections are followed only when the
-    output is a bare column reference (renames are rewritten); intermediate
-    joins descend their own probe side.  Returns ``(None, None)`` when the
-    key is computed, comes from a build side, or is not a scanned column —
-    those joins simply get no SIP filter.
-    """
-    from repro.engine.expressions import ColumnRef
-
-    current, name = node, key
-    while True:
-        if isinstance(current, ScanNode):
-            if name in current.columns:
-                return current, name
-            return None, None
-        if isinstance(current, FilterNode):
-            current = current.child
-            continue
-        if isinstance(current, ProjectNode):
-            expr = dict(current.outputs).get(name)
-            if isinstance(expr, ColumnRef):
-                name = expr.name
-                current = current.child
-                continue
-            return None, None
-        if isinstance(current, JoinNode):
-            current = current.left
-            continue
-        return None, None

@@ -270,10 +270,11 @@ class IOScheduler:
 
         ``pool`` (a :class:`~repro.engine.pipeline.PipelineCharges`) defers
         this batch's lane makespan to a per-query settlement instead of
-        charging it here — the pipelined executor's driver-issued prefetch,
-        which keeps lanes busy across scan boundaries.  Every demand-side
-        effect (cache.get calls, misses, puts, S3 requests, retries) is
-        identical with or without a pool; only the timing charge moves.
+        charging it here (``result.io_pooled_seconds`` keeps the figure) —
+        a driver-issued prefetch that keeps lanes busy across scan
+        boundaries.  Every demand-side effect (cache.get calls, misses,
+        puts, S3 requests, retries) is identical with or without a pool;
+        only the timing charge moves.
 
         ``background_keys`` marks keys whose containers a pushdown scan
         will cover: the scan does not *wait* for them, so units made up
@@ -469,7 +470,8 @@ class IOScheduler:
         # latency, matching the serial fetch path's accounting.
         backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
         if pool is not None:
-            pool.add(node.name, durations, makespan)
+            pool.add(node.name, durations)
+            result.io_pooled_seconds += makespan
             result.io_seconds += hit_seconds + backoff_seconds
         else:
             result.io_seconds += makespan + hit_seconds + backoff_seconds
@@ -552,7 +554,8 @@ class IOScheduler:
         makespan, _ = clock.charge_parallel(durations, self.config.lanes)
         backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
         if pool is not None:
-            pool.add(node.name, durations, makespan)
+            pool.add(node.name, durations)
+            result.io_pooled_seconds += makespan
             result.io_seconds += backoff_seconds
         else:
             result.io_seconds += makespan + backoff_seconds

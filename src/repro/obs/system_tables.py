@@ -602,11 +602,8 @@ class SystemTableProvider(StorageProvider):
     def preserves_segmentation(self) -> bool:
         return self._base.preserves_segmentation
 
-    def make_pipeline_charges(self):
-        return self._base.make_pipeline_charges()
-
-    def attach_pipeline(self, charges) -> None:
-        self._base.attach_pipeline(charges)
+    def settle_io(self) -> Dict[str, float]:
+        return self._base.settle_io()
 
     def set_pushdown(self, mode: str) -> None:
         self._base.set_pushdown(mode)

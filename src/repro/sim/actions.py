@@ -88,25 +88,18 @@ class CopyBatch:
 
 @dataclass(frozen=True)
 class Query:
-    """Run a SELECT on the chaos cluster and diff it against the oracle.
-
-    ``batch_size`` switches the query onto the pipelined batch engine; the
-    result is additionally logged to ``world.batch_checks`` against the
-    serial oracle digest so the ``batch-digest-parity`` invariant audits
-    every batched query the campaign ran."""
+    """Run a SELECT on the chaos cluster and diff it against the oracle."""
 
     sql: str
     crunch: Optional[str] = None  # None | "hash" | "container"
     nodes_per_shard: int = 1
-    batch_size: Optional[int] = None
 
     name = "query"
 
     def detail(self) -> str:
-        suffix = f" [batch={self.batch_size}]" if self.batch_size else ""
         if self.crunch:
-            return f"{self.sql} [crunch={self.crunch}x{self.nodes_per_shard}]{suffix}"
-        return f"{self.sql}{suffix}"
+            return f"{self.sql} [crunch={self.crunch}x{self.nodes_per_shard}]"
+        return self.sql
 
     def apply(self, world) -> str:
         if world.cluster.shut_down:
@@ -114,9 +107,6 @@ class Query:
         options = {}
         if self.crunch:
             options = {"crunch": self.crunch, "nodes_per_shard": self.nodes_per_shard}
-        if self.batch_size:
-            options["batched"] = True
-            options["batch_size"] = self.batch_size
         try:
             actual = rows_key(world.cluster.query(self.sql, **options))
         except StorageUnavailable:
@@ -133,8 +123,6 @@ class Query:
                 f"query {self.sql!r} read a missing object: {exc}",
             )
         expected = world.oracle.query_rows(self.sql)
-        if self.batch_size:
-            world.note_batch_check(self.sql, self.batch_size, actual, expected)
         if actual != expected:
             raise InvariantViolation(
                 "oracle-equivalence",
@@ -216,13 +204,11 @@ class PushdownRace:
     accrue."""
 
     sql: str
-    batch_size: Optional[int] = None
 
     name = "pushdown_race"
 
     def detail(self) -> str:
-        suffix = f" [batch={self.batch_size}]" if self.batch_size else ""
-        return f"{self.sql}{suffix}"
+        return self.sql
 
     def apply(self, world) -> str:
         cluster = world.cluster
@@ -237,16 +223,11 @@ class PushdownRace:
             return "refused"
         for name in up:
             cluster.nodes[name].cache.clear()
-        options = {}
-        if self.batch_size:
-            options = {"batched": True, "batch_size": self.batch_size}
         expected = world.oracle.query_rows(self.sql)
         results = {}
         for mode in ("on", "off"):
             try:
-                results[mode] = rows_key(
-                    cluster.query(self.sql, pushdown=mode, **options)
-                )
+                results[mode] = rows_key(cluster.query(self.sql, pushdown=mode))
             except StorageUnavailable:
                 return "storage_unavailable"
             except TransientStorageError:
@@ -879,15 +860,11 @@ class KillMidQuery:
     """
 
     sql: str
-    #: When set, the doomed query runs on the batched engine — failover
-    #: must replay the pipeline from scratch and still match the oracle.
-    batch_size: Optional[int] = None
 
     name = "kill_mid_query"
 
     def detail(self) -> str:
-        suffix = f" [batch={self.batch_size}]" if self.batch_size else ""
-        return f"{self.sql}{suffix}"
+        return self.sql
 
     def _survivable_victims(self, world, participants) -> List[str]:
         return _survivable_victims(world, participants)
@@ -920,15 +897,10 @@ class KillMidQuery:
             except (QuorumLost, ShardCoverageLost):
                 return "shutdown"
             statement = parse(self.sql)[0]
-            options = (
-                {"batched": True, "batch_size": self.batch_size}
-                if self.batch_size
-                else {}
-            )
             try:
                 actual = rows_key(
                     cluster.query_statement(
-                        statement, session=session, failover=True, **options
+                        statement, session=session, failover=True
                     )
                 )
             except NodeDown as exc:
@@ -952,8 +924,6 @@ class KillMidQuery:
                     world.step,
                     f"failover query {self.sql!r} read a missing object: {exc}",
                 )
-            if self.batch_size:
-                world.note_batch_check(self.sql, self.batch_size, actual, expected)
             if actual != expected:
                 raise InvariantViolation(
                     "oracle-equivalence",

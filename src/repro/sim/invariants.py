@@ -225,22 +225,6 @@ def wm_slot_accounting(world) -> Optional[str]:
     return None
 
 
-def batch_digest_parity(world) -> Optional[str]:
-    """Every query the generator ran through the batched engine produced
-    exactly the oracle's rows: the per-step parity log written by
-    ``Query``/``KillMidQuery`` actions contains no mismatched digests."""
-    checks = getattr(world, "batch_checks", None)
-    if not checks:
-        return None
-    for step, sql, batch_size, match in checks:
-        if not match:
-            return (
-                f"batched run (batch_size={batch_size}) diverged from the "
-                f"oracle at step {step}: {sql!r}"
-            )
-    return None
-
-
 def pushdown_digest_parity(world) -> Optional[str]:
     """Racing a server-side pushdown scan against the depot fetch it
     replaces changes nothing observable: (a) every ``pushdown_race`` the
@@ -357,7 +341,6 @@ DEFAULT_INVARIANTS: Tuple[Tuple[str, Invariant], ...] = (
     ("catalog-version-sync", catalog_versions_in_step),
     ("degraded-pairing", degraded_pairing),
     ("wm-slot-accounting", wm_slot_accounting),
-    ("batch-digest-parity", batch_digest_parity),
     ("autoscale-safety", autoscale_safety),
     ("pushdown-digest-parity", pushdown_digest_parity),
     ("designer-digest-parity", designer_digest_parity),

@@ -43,6 +43,9 @@ class JoinEdge:
     left_keys: List[str]  # columns from the already-joined side
     right_keys: List[str]  # columns from `table`
     how: str = "inner"
+    #: LEFT join only: ON conjuncts over the preserved side.  A preserved
+    #: row failing it matches nothing and is padded, never dropped.
+    left_condition: Optional[Expr] = None
 
 
 @dataclass
@@ -205,13 +208,28 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     table_filters: Dict[str, List[Expr]] = {name: [] for name in tables}
     equi_pairs: List[Tuple[str, str]] = []  # (colA, colB) across tables
     residual: List[Expr] = []
+    #: LEFT-joined table -> its ON conjuncts over the preserved side.
+    left_conditions: Dict[str, List[Expr]] = {}
 
-    def classify(conjunct: Expr, from_where: bool) -> None:
+    def classify(conjunct: Expr, on_table: Optional[str] = None) -> None:
+        """``on_table``: the joined table whose ON clause holds the
+        conjunct; None for a WHERE conjunct."""
         check_resolved(conjunct)
         owner = table_of(conjunct)
+        if (
+            owner is not None
+            and join_how.get(on_table) == "left"
+            and tables.index(owner) < tables.index(on_table)
+        ):
+            # It decides which preserved rows find a match; pushed into the
+            # preserved side's scan it would drop the rows it should pad.
+            left_conditions.setdefault(on_table, []).append(conjunct)
+            return
         # A WHERE conjunct on the NULL-supplying side of a LEFT join sees
         # the padded rows (``... where b.f is null``): it runs after the join.
-        if owner is not None and not (from_where and join_how.get(owner) == "left"):
+        if owner is not None and not (
+            on_table is None and join_how.get(owner) == "left"
+        ):
             table_filters[owner].append(conjunct)
             return
         if (
@@ -226,10 +244,10 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
         residual.append(conjunct)
 
     for conjunct in conjuncts:
-        classify(conjunct, from_where=True)
-    for join_conjuncts in explicit_join_for.values():
+        classify(conjunct)
+    for on_table, join_conjuncts in explicit_join_for.items():
         for conjunct in join_conjuncts:
-            classify(conjunct, from_where=False)
+            classify(conjunct, on_table)
 
     # 3. Build join order: FROM order, each new table connected by an edge.
     joined: List[str] = [tables[0]]
@@ -270,6 +288,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
                         left_keys,
                         right_keys,
                         join_how.get(candidate, "inner"),
+                        _and_all(left_conditions.get(candidate, [])),
                     )
                 )
                 joined.append(candidate)
@@ -396,6 +415,8 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     for edge in edges:
         for c in edge.left_keys + edge.right_keys:
             needed[column_table[c]].add(c)
+        if edge.left_condition is not None:
+            note(edge.left_condition)
     for _, e in group_exprs:
         note(e)
     for name in group_names:

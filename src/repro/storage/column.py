@@ -20,6 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.types import ColumnType
+from repro.errors import CorruptBlock
 from repro.storage.encoding import Buffer, decode_block, encode_block
 
 #: Default number of rows per encoded block.
@@ -27,6 +28,37 @@ DEFAULT_BLOCK_ROWS = 4096
 
 _MAGIC = b"RCOL"
 _TRAILER = struct.Struct("<Q4s")  # footer byte length, magic
+
+#: What a block's min/max may be in the footer (or ``null``), per column
+#: type; an object column's bounds are whatever scalars it held.
+_STAT_TYPES = {
+    ColumnType.INT: int, ColumnType.DATE: int, ColumnType.BOOL: int,
+    ColumnType.FLOAT: (int, float), ColumnType.VARCHAR: (str, int, float),
+}
+
+
+def read_footer(data: memoryview, magic: bytes, what: str) -> dict:
+    """The JSON footer a column file or container image ends with.
+
+    :class:`CorruptBlock` when the image is cut short or its trailer or
+    footer is damaged — like a damaged block, never a ``ValueError``.
+    """
+    start = len(data) - _TRAILER.size
+    if start < 0:
+        raise CorruptBlock(f"truncated {what}")
+    footer_len, found = _TRAILER.unpack_from(data, start)
+    if found != magic:
+        raise CorruptBlock(f"bad {what} magic")
+    if footer_len > start:
+        raise CorruptBlock(f"truncated {what}: footer longer than the file")
+    try:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
+        footer = json.loads(str(data[start - footer_len : start], "utf-8"))
+    except ValueError as exc:
+        raise CorruptBlock(f"damaged {what} footer: {exc}") from None
+    if not isinstance(footer, dict):
+        raise CorruptBlock(f"damaged {what} footer: not an object")
+    return footer
 
 
 class BlockInfo(NamedTuple):
@@ -141,19 +173,33 @@ class ColumnReader:
         # A view, not a copy: ``data`` is usually a slice of a container
         # image, and blocks are decoded straight out of that image.
         data = memoryview(data)
-        if len(data) < _TRAILER.size:
-            raise ValueError("truncated column file")
-        footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
-        if magic != _MAGIC:
-            raise ValueError("bad column file magic")
-        footer_start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(str(data[footer_start : footer_start + footer_len], "utf-8"))
+        footer = read_footer(data, _MAGIC, "column file")
         self._data = data
-        self.ctype = ColumnType(footer["ctype"])
-        self.row_count: int = footer["row_count"]
-        self.blocks: List[BlockInfo] = [
-            BlockInfo.from_json(b) for b in footer["blocks"]
-        ]
+        try:
+            self.ctype = ColumnType(footer["ctype"])
+            self.row_count: int = footer["row_count"]
+            self.blocks: List[BlockInfo] = [
+                BlockInfo.from_json(b) for b in footer["blocks"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptBlock(f"damaged column file footer: {exc!r}") from None
+        # Every later use — slicing, the position search, pruning's
+        # comparisons — relies on integer extents, blocks that tile
+        # [0, row_count) and bounds of the column's own type.
+        stat = _STAT_TYPES[self.ctype]
+        row = 0
+        for offset, length, row_start, row_count, lo, hi in self.blocks:
+            if not (
+                isinstance(offset, int) and isinstance(length, int)
+                and isinstance(row_count, int) and row_count >= 0
+                and isinstance(row_start, int) and row_start == row
+                and (lo is None or isinstance(lo, stat))
+                and (hi is None or isinstance(hi, stat))
+            ):
+                raise CorruptBlock(f"damaged column file footer: block at row {row}")
+            row += row_count
+        if not isinstance(self.row_count, int) or row != self.row_count:
+            raise CorruptBlock("damaged column file footer: blocks do not add up")
 
     # -- statistics ----------------------------------------------------------
 
@@ -171,7 +217,12 @@ class ColumnReader:
 
     def read_block(self, index: int) -> np.ndarray:
         info = self.blocks[index]
-        return decode_block(self._data[info.offset : info.offset + info.length])
+        values = decode_block(self._data[info.offset : info.offset + info.length])
+        if len(values) != info.row_count:
+            raise CorruptBlock(
+                f"block {index} holds {len(values)} rows, its footer says {info.row_count}"
+            )
+        return values
 
     def read_all(self) -> np.ndarray:
         if not self.blocks:

@@ -31,7 +31,14 @@ import numpy as np
 
 from repro.common.oid import StorageId
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.storage.column import ColumnFile, ColumnReader, DEFAULT_BLOCK_ROWS, minmax
+from repro.errors import CorruptBlock
+from repro.storage.column import (
+    DEFAULT_BLOCK_ROWS,
+    ColumnFile,
+    ColumnReader,
+    minmax,
+    read_footer,
+)
 from repro.storage.encoding import Buffer
 
 
@@ -226,16 +233,29 @@ class ContainerReader:
         # Column files and blocks are handed down as views of this one
         # image; bytes are copied only where a block becomes an array.
         data = memoryview(data)
-        footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
-        if magic != _MAGIC:
-            raise ValueError("bad container magic")
-        start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(str(data[start : start + footer_len], "utf-8"))
+        footer = read_footer(data, _MAGIC, "container")
         self._data = data
-        self.row_count: int = footer["row_count"]
-        self.column_order: List[str] = footer["order"]
-        self._directory: Dict[str, dict] = footer["columns"]
+        try:
+            self.row_count: int = footer["row_count"]
+            self.column_order: List[str] = footer["order"]
+            self._directory: Dict[str, dict] = footer["columns"]
+            if not (
+                isinstance(self._directory, dict)
+                and all(map(self._directory.__contains__, self.column_order))
+            ):
+                raise KeyError("a listed column has no entry")
+        except (KeyError, TypeError) as exc:
+            raise CorruptBlock(f"damaged container footer: {exc!r}") from None
         self._readers: Dict[str, ColumnReader] = {}
+
+    def _ctype(self, name: str) -> ColumnType:
+        entry = self._directory[name]  # KeyError: not a column of this container
+        try:
+            return ColumnType(entry["ctype"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise CorruptBlock(
+                f"damaged container footer: ctype of {name!r}: {exc!r}"
+            ) from None
 
     @property
     def column_names(self) -> List[str]:
@@ -243,8 +263,13 @@ class ContainerReader:
 
     def column_reader(self, name: str) -> ColumnReader:
         if name not in self._readers:
-            entry = self._directory[name]
-            chunk = self._data[entry["offset"] : entry["offset"] + entry["length"]]
+            entry = self._directory[name]  # KeyError: not a column of this container
+            try:
+                chunk = self._data[entry["offset"] : entry["offset"] + entry["length"]]
+            except (KeyError, TypeError, IndexError) as exc:
+                raise CorruptBlock(
+                    f"damaged container footer: extent of {name!r}: {exc!r}"
+                ) from None
             self._readers[name] = ColumnReader(chunk)
         return self._readers[name]
 
@@ -258,7 +283,11 @@ class ContainerReader:
         pricing base of :meth:`SimulatedS3.select_scan` — and is exactly
         recomputable by a client holding the raw container image.
         """
-        return sum(self._directory[n]["length"] for n in names)
+        entries = [self._directory[n] for n in names]
+        try:
+            return sum(entry["length"] for entry in entries)
+        except (KeyError, TypeError, IndexError) as exc:
+            raise CorruptBlock(f"damaged container footer: a length: {exc!r}") from None
 
     def schema(self) -> TableSchema:
         return self._schema_of(self.column_order)
@@ -266,9 +295,7 @@ class ContainerReader:
     def _schema_of(self, names: Sequence[str]) -> TableSchema:
         """Schema of just the named columns: a scan reads a few columns of
         a wide container, once per reader."""
-        return TableSchema(
-            [SchemaColumn(n, ColumnType(self._directory[n]["ctype"])) for n in names]
-        )
+        return TableSchema([SchemaColumn(n, self._ctype(n)) for n in names])
 
     def read_rowset(self, names: Optional[Sequence[str]] = None) -> RowSet:
         names = self.column_order if names is None else list(names)

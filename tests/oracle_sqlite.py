@@ -1,11 +1,11 @@
 """An oracle we did not write: the same table and query in stdlib ``sqlite3``.
 
-First slice of ROADMAP item 1, limited to what PR 17 rewrote: WHERE
-expressions and single-table GROUP BY.  :class:`SqliteOracle` mirrors one
-table into an in-memory SQLite database; :func:`to_sqlite` renders a SELECT
-of our subset as SQLite SQL; :func:`multiset` brings both engines' rows to
-one comparable form.  Joins, the TPC-H translation and the grammar fuzz stay
-with item 1.
+First slices of ROADMAP item 1: single-table WHERE, GROUP BY, DISTINCT and
+ORDER BY ... LIMIT/OFFSET.  :class:`SqliteOracle` mirrors one table into an
+in-memory SQLite database; :func:`to_sqlite` renders a SELECT of our subset
+as SQLite SQL; :func:`normalise`/:func:`multiset` bring both engines' rows
+to one comparable form.  Joins, HAVING, the TPC-H translation and the
+grammar fuzz stay with item 1.
 
 Our SQL text is parsed by our own parser (a parser defect is therefore
 shared); everything after the parse — bind, plan, scan, expression and
@@ -24,6 +24,9 @@ hiding them in the comparison:
 * **``/`` is float division**; ``length(NULL)`` is 0; ``sum`` over no
   non-NULL value is 0, not NULL.
 * LIKE is case-sensitive (``PRAGMA case_sensitive_like=ON``).
+* **ORDER BY puts NULL last** when ascending (SQLite puts it first):
+  ``ORDER BY g`` is rendered ``ORDER BY g IS NULL, g``.  Descending, our
+  placement depends on the column's type; that stays unrendered.
 """
 
 from __future__ import annotations
@@ -114,27 +117,48 @@ def to_sqlite(sql: str) -> str:
     (select,) = parse(sql)
     if not isinstance(select, Select) or select.joins or len(select.tables) != 1:
         raise NotImplementedError("the oracle's first slice is single-table SELECT")
-    if select.having is not None or select.order_by or select.limit is not None:
-        raise NotImplementedError("HAVING/ORDER BY/LIMIT stay with ROADMAP item 1")
-    out = "select " + ", ".join(render(expr) for expr, _ in select.items)
+    if select.having is not None:
+        raise NotImplementedError("HAVING stays with ROADMAP item 1")
+    items = [
+        render(expr) + (f" as {alias}" if alias else "") for expr, alias in select.items
+    ]
+    out = "select " + ("distinct " if select.distinct else "") + ", ".join(items)
     out += f" from {select.tables[0].name}"
     if select.where is not None:
         out += f" where {render(select.where)}"
     if select.group_by:
         out += " group by " + ", ".join(render(expr) for expr in select.group_by)
+    keys = []
+    for item in select.order_by:
+        if not item.ascending:
+            raise NotImplementedError("ORDER BY ... DESC stays with ROADMAP item 1")
+        key = item.expr
+        if isinstance(key, Literal) and isinstance(key.value, int):
+            key = select.items[key.value - 1][0]  # a position names an output
+        keys.append(f"{render(key)} is null, {render(key)}")
+    if keys:
+        out += " order by " + ", ".join(keys)
+    if select.limit is not None or select.offset:
+        limit = -1 if select.limit is None else select.limit
+        out += f" limit {limit} offset {select.offset}"
     return out
 
 
-def multiset(rows: Iterable[Sequence[object]]) -> Counter:
-    """Rows of either engine as a multiset: NaN (our float NULL) is NULL,
-    floats rounded to 9 places (sums add in another order), bools are ints."""
+def normalise(rows: Iterable[Sequence[object]]) -> List[tuple]:
+    """Rows of either engine in one form, order kept: NaN (our float NULL) is
+    NULL, floats rounded to 9 places (sums add in another order), bools are
+    ints."""
 
     def cell(value: object) -> object:
         if isinstance(value, float):
             return None if value != value else round(value, 9)
         return int(value) if isinstance(value, bool) else value
 
-    return Counter(tuple(cell(v) for v in row) for row in rows)
+    return [tuple(cell(v) for v in row) for row in rows]
+
+
+def multiset(rows: Iterable[Sequence[object]]) -> Counter:
+    return Counter(normalise(rows))
 
 
 class SqliteOracle:
@@ -155,15 +179,18 @@ class SqliteOracle:
         """Rows SQLite returns for ``sql``, which is in *our* dialect."""
         return self.db.execute(to_sqlite(sql)).fetchall()
 
-    def check(self, cluster, sql: str) -> Optional[str]:
+    def check(self, cluster, sql: str, ordered: bool = False) -> Optional[str]:
         """None when ``cluster.query(sql)`` returns SQLite's multiset of
-        rows, else a description of the difference."""
-        ours = multiset(cluster.query(sql).rows.to_pylist())
-        theirs = multiset(self.query(sql))
-        if ours == theirs:
+        rows — the same rows in the same order with ``ordered``, for a query
+        whose ORDER BY is total — else a description of the difference."""
+        ours = normalise(cluster.query(sql).rows.to_pylist())
+        theirs = normalise(self.query(sql))
+        if ours == theirs or (not ordered and Counter(ours) == Counter(theirs)):
             return None
+        only_ours, only_theirs = Counter(ours) - Counter(theirs), Counter(theirs) - Counter(ours)
         return (
             f"{sql}\n  as SQLite: {to_sqlite(sql)}\n"
-            f"  only ours:   {sorted((ours - theirs).items(), key=repr)[:5]}\n"
-            f"  only SQLite: {sorted((theirs - ours).items(), key=repr)[:5]}"
+            f"  only ours:   {sorted(only_ours.items(), key=repr)[:5]}\n"
+            f"  only SQLite: {sorted(only_theirs.items(), key=repr)[:5]}\n"
+            f"  first rows, ours / SQLite: {ours[:3]} / {theirs[:3]}"
         )

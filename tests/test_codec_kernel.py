@@ -23,7 +23,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.types import ColumnType, TableSchema
 from repro.errors import CorruptBlock, ReproError, StorageError
+from repro.storage.column import ColumnFile, ColumnReader
+from repro.storage.container import RowSet, read_container, write_container
 from repro.storage.encoding import (
     Encoding,
     choose_encoding,
@@ -703,3 +706,142 @@ class TestCorruptBlock:
         block[-1] = 0xFF
         with pytest.raises(CorruptBlock, match="UTF-8"):
             decode_block(bytes(block))
+
+
+# ---------------------------------------------------------------------------
+# the footers around the blocks: same two outcomes
+
+
+def _objects(values) -> np.ndarray:
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = values
+    return arr
+
+
+FOOTER_COLUMNS = [
+    ("int", ColumnType.INT, np.arange(-40, 200, dtype=np.int64) * 7),
+    ("float", ColumnType.FLOAT, np.array([1.5, np.nan, -2.0, 0.0] * 30)),
+    ("str", ColumnType.VARCHAR, _objects([None, "a", "é\n", "name-7"] * 25)),
+    ("bool", ColumnType.BOOL, np.arange(90) % 3 == 0),
+    ("empty", ColumnType.DATE, np.array([], dtype=np.int64)),
+]
+COLUMN_FILES = [
+    (label, ctype, arr, ColumnFile.write(arr, ctype, block_rows=64))
+    for label, ctype, arr in FOOTER_COLUMNS
+]
+CONTAINER_ROWS = RowSet(
+    TableSchema.of(*((label, ctype) for label, ctype, _ in FOOTER_COLUMNS[:3])),
+    {label: arr[:100] for label, _, arr in FOOTER_COLUMNS[:3]},
+)
+CONTAINER_IMAGE = write_container(CONTAINER_ROWS, block_rows=32)
+
+
+def footer_start(image: bytes) -> int:
+    """Where the JSON footer begins: the trailer's last 12 bytes say."""
+    (footer_len,) = struct.unpack_from("<Q", image, len(image) - 12)
+    return len(image) - 12 - footer_len
+
+
+def read_column_or_is_corrupt(image: bytes) -> Optional[np.ndarray]:
+    """Everything a scan asks of a column file; None for CorruptBlock, any
+    other exception escapes and fails the test."""
+    try:
+        reader = ColumnReader(image)
+        values = reader.read_all()
+        reader.min_value, reader.max_value
+        lo = {"O": "b", "f": 0.5}.get(values.dtype.kind, 3)
+        reader.block_mask(lo, lo)
+        if reader.row_count:
+            reader.read_rows([reader.row_count - 1, 0])
+        return values
+    except CorruptBlock:
+        return None
+
+
+def read_container_or_is_corrupt(image: bytes) -> Optional[RowSet]:
+    try:
+        reader = read_container(image)
+        names = reader.column_names
+        rows = reader.read_rowset()
+        reader.stored_bytes(names)
+        blocks = reader.matching_blocks({"int": (0, 50), "str": ("a", "b")})
+        reader.read_rowset_blocks(names, blocks)
+        return rows
+    except CorruptBlock:
+        return None
+
+
+def assert_container_rows(got: RowSet) -> None:
+    assert got.schema == CONTAINER_ROWS.schema
+    for name in got.schema.names:
+        assert_same_array(got.column(name), CONTAINER_ROWS.column(name))
+
+
+class TestCorruptFooter:
+    @pytest.mark.parametrize("label,ctype,arr,image", COLUMN_FILES,
+                             ids=[c[0] for c in COLUMN_FILES])
+    def test_every_prefix_of_a_column_file_reads_or_raises(self, label, ctype, arr, image):
+        assert_same_array(read_column_or_is_corrupt(image), arr)
+        for cut in range(len(image)):
+            got = read_column_or_is_corrupt(image[:cut])
+            if got is not None:
+                assert_same_array(got, arr)
+
+    def test_every_prefix_of_a_container_reads_or_raises(self):
+        assert_container_rows(read_container_or_is_corrupt(CONTAINER_IMAGE))
+        for cut in range(len(CONTAINER_IMAGE)):
+            got = read_container_or_is_corrupt(CONTAINER_IMAGE[:cut])
+            if got is not None:
+                assert_container_rows(got)
+
+    @pytest.mark.parametrize("label,ctype,arr,image", COLUMN_FILES,
+                             ids=[c[0] for c in COLUMN_FILES])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_column_footer_never_escapes_as_another_error(
+            self, label, ctype, arr, image, data):
+        damaged = bytearray(image)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(footer_start(image), len(image) - 1))
+            damaged[at] = data.draw(st.integers(0, 255))
+        got = read_column_or_is_corrupt(bytes(damaged))
+        assert got is None or isinstance(got, np.ndarray)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_damaged_container_footer_never_escapes_as_another_error(self, data):
+        """The container's own footer, or the footer of a column file inside."""
+        image = CONTAINER_IMAGE
+        directory = read_container(image)._directory
+        footers = [(footer_start(image), len(image))] + [
+            (e["offset"] + footer_start(image[e["offset"]:e["offset"] + e["length"]]),
+             e["offset"] + e["length"])
+            for e in directory.values()
+        ]
+        damaged = bytearray(image)
+        start, end = data.draw(st.sampled_from(footers))
+        for _ in range(data.draw(st.integers(1, 3))):
+            damaged[data.draw(st.integers(start, end - 1))] = data.draw(st.integers(0, 255))
+        got = read_container_or_is_corrupt(bytes(damaged))
+        assert got is None or isinstance(got, RowSet)
+
+    def test_the_named_footer_failures(self):
+        image = COLUMN_FILES[0][3]
+        with pytest.raises(CorruptBlock, match="truncated column file"):
+            ColumnReader(b"xx")
+        with pytest.raises(CorruptBlock, match="bad column file magic"):
+            ColumnReader(image[:-4] + b"RROS")
+        with pytest.raises(CorruptBlock, match="bad container magic"):
+            read_container(CONTAINER_IMAGE[:-4] + b"RCOL")
+        with pytest.raises(CorruptBlock, match="footer"):
+            read_container(CONTAINER_IMAGE[:-13] + b"\xff" + CONTAINER_IMAGE[-12:])
+        start = footer_start(image)
+        for missing in (b'"ctype"', b'"row_count"', b'"blocks"', b'"offset"', b'"max"'):
+            at = image.index(missing, start)
+            renamed = image[:at + 1] + b"X" + image[at + 2:]
+            with pytest.raises(CorruptBlock, match="footer"):
+                ColumnReader(renamed)
+        # A position index that disagrees with the block it points at.
+        assert image.index(b'"row_count": 64', start)
+        with pytest.raises(CorruptBlock):
+            ColumnReader(image.replace(b'"row_count": 64', b'"row_count": 63', 1)).read_all()

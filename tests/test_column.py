@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.types import ColumnType
+from repro.errors import CorruptBlock
 from repro.storage.column import ColumnFile, ColumnReader
 
 
@@ -87,11 +88,11 @@ class TestColumnFile:
         assert len(reader.read_all()) == 0
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptBlock):
             ColumnReader(b"not a column file at all....")
 
     def test_truncated_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptBlock):
             ColumnReader(b"xx")
 
     def test_block_rows_validated(self):

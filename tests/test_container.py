@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import ColumnType, TableSchema
+from repro.errors import CorruptBlock
 from repro.storage.container import (
     RowSet,
     container_stats,
@@ -134,7 +135,7 @@ class TestContainerCodec:
             )
 
     def test_bad_image_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptBlock):
             read_container(b"garbage data that is long enough....")
 
     def test_stats(self):

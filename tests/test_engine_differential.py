@@ -1,20 +1,18 @@
-"""Batched-vs-materializing differential wall (PR 6 tentpole proof).
+"""Pooled-vs-per-scan fetch charging differential wall.
 
-The pipelined batch engine must be *bit-identical* to the materializing
-volcano engine it replaced as the default oracle: same rows (digest) and
-— with SIP off — the same depot demand statistics, cold and warm, across
-the full TPC-H suite, a dashboard/IoT workload mix, every batch size in
-{1, 3, 64, 4096}, and under cancellation and mid-query failover.
+The engine pools every scan's fetch makespan per node and settles the pool
+once per query.  Pooling may move only *when* a makespan is charged: the
+same query with every scan charged on its own (the scheduler's ``pool=None``
+arm, selected here by flipping ``EonStorageProvider.pool_fetch_charges``)
+must return the same rows (digest) and demand exactly the same of the
+storage hierarchy, cold and warm, across the full TPC-H suite and a
+dashboard/IoT workload mix — and must never report *more* I/O seconds on any
+node.  Cancellation and mid-query failover leave the contract intact.
 
-Demand-stat parity requires two pins:
-
-* ``sip=False``: sideways IN-list pushdown is a deliberate demand
-  *reduction* (it prunes probe-side containers), so it is excluded from
-  the parity contract and asserted separately (fewer GETs, same rows).
-* ``seed=<query number>`` on every session: participant (shard
-  subscriber) selection is a per-session RNG draw, and warm-run demand
-  depends on *which* node's depot holds the data.  Pinning the seed makes
-  serial and batched runs pick identical participants.
+``seed=<query number>`` on every session: participant (shard subscriber)
+selection is a per-session RNG draw, and warm-run demand depends on *which*
+node's depot holds the data.  Pinning the seed makes both runs pick
+identical participants.
 """
 
 import hashlib
@@ -24,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro import EonCluster
+from repro.cluster.session import EonStorageProvider
+from repro.engine.plan import ScanNode, walk
 from repro.errors import QueryCancelled
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
@@ -34,10 +34,6 @@ from repro.workloads.dashboard import (
 )
 from repro.workloads.iot import iot_batch, setup_iot_schema
 from repro.workloads.tpch import TPCH_QUERIES, TpchData, load_tpch, setup_tpch_schema
-
-pytestmark = pytest.mark.engine
-
-BATCH_SIZES = (1, 3, 64, 4096)
 
 
 def canon(rows: List[tuple]) -> List[tuple]:
@@ -107,95 +103,71 @@ def tpch_cluster(tpch_data):
     return cluster
 
 
-class TestTpchBatchedDifferential:
-    """Full-suite parity: the acceptance wall for the batch engine."""
+def cold_and_warm(cluster, sql, seed):
+    """One query from cleared depots, then again from what that left:
+    (digest, demand, per-node io seconds, scans in the plan) of each run."""
+    clear_depots(cluster)
+    runs = []
+    for _ in ("cold", "warm"):
+        before = s3_snapshot(cluster)
+        result = cluster.query(sql, seed=seed)
+        runs.append((
+            row_digest(result.rows.to_pylist()),
+            demand_sig(cluster, result, before),
+            {name: w.io_seconds for name, w in result.stats.per_node.items()},
+            sum(isinstance(n, ScanNode) for n in walk(result.plan.root)),
+        ))
+    return runs
 
-    def _run(self, cluster, query, **options):
-        return cluster.query(query.sql, seed=query.number, **options)
 
-    def test_full_suite_cold_and_warm_parity(self, tpch_cluster):
-        """Every TPC-H query, cold and warm depots: batched (sip off)
-        produces bit-identical row digests AND demand statistics."""
-        cluster = tpch_cluster
+def pooled_and_per_scan(cluster, sql, seed, monkeypatch):
+    pooled = cold_and_warm(cluster, sql, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(EonStorageProvider, "pool_fetch_charges", False)
+        per_scan = cold_and_warm(cluster, sql, seed)
+    return pooled, per_scan
+
+
+def charging_differences(label, pooled, per_scan):
+    """What differs between the two charging modes that must not; and how
+    many I/O seconds pooling saved over all nodes."""
+    problems, saved = [], 0.0
+    for temperature, a, b in zip(("cold", "warm"), pooled, per_scan):
+        if a[0] != b[0]:
+            problems.append(f"{label}: {temperature} digest diverged")
+        if a[1] != b[1]:
+            problems.append(f"{label}: {temperature} demand diverged")
+        for node, seconds in a[2].items():
+            if seconds > b[2][node] + 1e-12:
+                problems.append(f"{label}: {temperature} pooled io on {node} is higher")
+            saved += b[2][node] - seconds
+    return problems, saved
+
+
+class TestTpchPooledCharging:
+    """Full-suite parity: the acceptance wall for pooled fetch charging."""
+
+    def test_full_suite_cold_and_warm_parity(self, tpch_cluster, monkeypatch):
+        """Every TPC-H query, cold and warm depots: bit-identical row
+        digests AND demand statistics, never more I/O seconds on a node,
+        and strictly fewer on at least one query with several scans."""
         failures = []
+        savings = {}
         for query in TPCH_QUERIES:
-            runs = {}
-            for label, options in (
-                ("serial", {"batched": False}),
-                ("batched", {"batched": True, "batch_size": 64, "sip": False}),
-            ):
-                clear_depots(cluster)
-                before = s3_snapshot(cluster)
-                cold = self._run(cluster, query, **options)
-                cold_sig = demand_sig(cluster, cold, before)
-                before = s3_snapshot(cluster)
-                warm = self._run(cluster, query, **options)
-                warm_sig = demand_sig(cluster, warm, before)
-                runs[label] = (
-                    row_digest(cold.rows.to_pylist()), cold_sig,
-                    row_digest(warm.rows.to_pylist()), warm_sig,
-                )
-            for i, what in enumerate(
-                ("cold digest", "cold demand", "warm digest", "warm demand")
-            ):
-                if runs["serial"][i] != runs["batched"][i]:
-                    failures.append(f"Q{query.number}: {what} diverged")
+            pooled, per_scan = pooled_and_per_scan(
+                tpch_cluster, query.sql, query.number, monkeypatch
+            )
+            problems, saved = charging_differences(f"Q{query.number}", pooled, per_scan)
+            failures += problems
+            if pooled[0][3] > 1:
+                savings[query.number] = saved
         assert not failures, "; ".join(failures)
-
-    def test_full_suite_every_batch_size(self, tpch_cluster):
-        """Row digests are invariant across batch sizes 1, 3, 64, 4096 —
-        including degenerate single-row batches and batches larger than
-        every container — for the whole suite."""
-        cluster = tpch_cluster
-        failures = []
-        for query in TPCH_QUERIES:
-            clear_depots(cluster)
-            expected = row_digest(
-                self._run(cluster, query, batched=False).rows.to_pylist()
-            )
-            for batch_size in BATCH_SIZES:
-                clear_depots(cluster)
-                got = row_digest(
-                    self._run(
-                        cluster, query,
-                        batched=True, batch_size=batch_size, sip=False,
-                    ).rows.to_pylist()
-                )
-                if got != expected:
-                    failures.append(f"Q{query.number} @ batch={batch_size}")
-        assert not failures, f"digest diverged: {', '.join(failures)}"
-
-    def test_sip_prunes_probe_side_without_changing_rows(self, tpch_cluster):
-        """With SIP *on* (the default), join-heavy queries still return
-        identical rows but demand no more cold GETs than the serial run —
-        and the engine reports that filters were actually built."""
-        cluster = tpch_cluster
-        join_queries = [q for q in TPCH_QUERIES if q.number in (3, 5, 10, 18)]
-        assert join_queries, "TPC-H subset lost its join queries?"
-        sip_total = 0
-        for query in join_queries:
-            clear_depots(cluster)
-            before = cluster.shared.metrics.get_requests
-            serial = self._run(cluster, query, batched=False)
-            serial_gets = cluster.shared.metrics.get_requests - before
-            clear_depots(cluster)
-            before = cluster.shared.metrics.get_requests
-            batched = self._run(cluster, query, batched=True, batch_size=64)
-            batched_gets = cluster.shared.metrics.get_requests - before
-            assert row_digest(batched.rows.to_pylist()) == row_digest(
-                serial.rows.to_pylist()
-            ), f"Q{query.number}: SIP changed rows"
-            assert batched_gets <= serial_gets, (
-                f"Q{query.number}: SIP run used {batched_gets} GETs "
-                f"vs serial {serial_gets}"
-            )
-            sip_total += cluster.engine_stats.sip_filters
-        assert sip_total > 0, "no SIP filter was ever built"
+        assert any(saved > 1e-6 for saved in savings.values()), savings
 
 
 class TestWorkloadMixParity:
     """The dashboard short query and IoT metrics tables — the Figure-11
-    workloads — through the batch engine."""
+    workloads."""
 
     @pytest.fixture(scope="class")
     def mix_cluster(self):
@@ -218,34 +190,18 @@ class TestWorkloadMixParity:
         "select count(distinct m_flags) from metrics_0",
     )
 
-    def test_mix_parity_cold_and_warm(self, mix_cluster):
-        cluster = mix_cluster
+    def test_mix_parity_cold_and_warm(self, mix_cluster, monkeypatch):
         for i, sql in enumerate(self.MIX_QUERIES):
-            runs = {}
-            for label, options in (
-                ("serial", {"batched": False}),
-                ("batched", {"batched": True, "batch_size": 64, "sip": False}),
-            ):
-                clear_depots(cluster)
-                before = s3_snapshot(cluster)
-                cold = cluster.query(sql, seed=100 + i, **options)
-                cold_sig = demand_sig(cluster, cold, before)
-                before = s3_snapshot(cluster)
-                warm = cluster.query(sql, seed=100 + i, **options)
-                warm_sig = demand_sig(cluster, warm, before)
-                runs[label] = (
-                    row_digest(cold.rows.to_pylist()), cold_sig,
-                    row_digest(warm.rows.to_pylist()), warm_sig,
-                )
-            assert runs["serial"] == runs["batched"], (
-                f"workload-mix query {i} diverged"
-            )
+            pooled, per_scan = pooled_and_per_scan(mix_cluster, sql, 100 + i, monkeypatch)
+            problems, _ = charging_differences(f"mix query {i}", pooled, per_scan)
+            assert not problems, "; ".join(problems)
 
 
 class TestBatchBoundaryInterrupts:
-    """Cancellation and failover landing *between* batches must leave the
-    parity contract intact: the interrupted query aborts cleanly, and a
-    subsequent batched run still matches the serial digest."""
+    """Cancellation and failover landing *between* scans — at the boundary
+    of a fetch batch, or between its fetch units: the interrupted query
+    aborts cleanly, nothing it pooled is charged to anyone, and the next run
+    still matches the digest."""
 
     SQL = "select g, sum(v) s, count(*) c from t group by g"
 
@@ -263,9 +219,9 @@ class TestBatchBoundaryInterrupts:
         from repro.shared_storage.s3 import SimulatedS3
 
         cluster = self._loaded()
-        expected = row_digest(
-            cluster.query(self.SQL, batched=False).rows.to_pylist()
-        )
+        clear_depots(cluster)
+        reference = cluster.query(self.SQL, seed=1)
+        expected = row_digest(reference.rows.to_pylist())
         clear_depots(cluster)
         session = cluster.create_session(seed=1)
         calls = {"n": 0}
@@ -275,7 +231,7 @@ class TestBatchBoundaryInterrupts:
         def note_call():
             calls["n"] += 1
             if calls["n"] == 2:
-                session.cancel()  # arrives between fetch units mid-stream
+                session.cancel()  # arrives after the first participant's fetch
 
         def cancelling_read(fs, name):
             note_call()
@@ -288,23 +244,18 @@ class TestBatchBoundaryInterrupts:
         monkeypatch.setattr(SimulatedS3, "read", cancelling_read)
         monkeypatch.setattr(SimulatedS3, "read_coalesced", cancelling_coalesced)
         with pytest.raises(QueryCancelled):
-            cluster.query_statement(
-                parse(self.SQL)[0], session=session,
-                batched=True, batch_size=16,
-            )
+            cluster.query_statement(parse(self.SQL)[0], session=session)
         session.release()
         monkeypatch.undo()
         clear_depots(cluster)
-        got = cluster.query(
-            self.SQL, batched=True, batch_size=16
-        ).rows.to_pylist()
-        assert row_digest(got) == expected
+        rerun = cluster.query(self.SQL, seed=1)
+        assert row_digest(rerun.rows.to_pylist()) == expected
+        # The cancelled query's pooled fetches were not left for this one.
+        assert rerun.stats.latency_seconds == reference.stats.latency_seconds
 
     def test_failover_mid_batch_digest_identity(self):
         cluster = self._loaded()
-        expected = row_digest(
-            cluster.query(self.SQL, batched=False).rows.to_pylist()
-        )
+        expected = row_digest(cluster.query(self.SQL).rows.to_pylist())
         stmt = parse(self.SQL)[0]
         session = cluster.create_session()
         with session:
@@ -312,7 +263,6 @@ class TestBatchBoundaryInterrupts:
             cluster.kill_node(victim)
             result = cluster.query_statement(
                 stmt, session=session, failover=True,
-                batched=True, batch_size=16,
             )
         assert row_digest(result.rows.to_pylist()) == expected
         assert cluster.failovers >= 1
@@ -334,21 +284,12 @@ class TestBatchBoundaryInterrupts:
 
 
 class TestEngineObservability:
-    def test_cluster_metrics_expose_engine_section(self):
-        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=3)
-        cluster.execute("create table t (a int, v int)")
-        cluster.load("t", [(i, i * 2) for i in range(300)])
-        cluster.query("select sum(v) from t", batched=True, batch_size=32)
-        engine = cluster_metrics(cluster)["engine"]
-        assert engine["batched_queries"] == 1
-        assert engine["batches"] > 1
-        assert engine["last_batch_size"] == 32
-        assert engine["io_serial_seconds"] >= engine["io_pipelined_seconds"]
-        cluster.query("select sum(v) from t")
-        engine = cluster_metrics(cluster)["engine"]
-        assert engine["materializing_queries"] == 1
+    ENGINE_KEYS = {
+        "queries", "io_serial_seconds", "io_pipelined_seconds",
+        "io_overlap_seconds", "pushdown_scans", "bytes_scanned",
+    }
 
-    def test_pipeline_span_and_counters_recorded(self):
+    def _traced(self):
         from repro import Observability, SimClock
 
         clock = SimClock()
@@ -357,11 +298,53 @@ class TestEngineObservability:
             observability=Observability(clock=clock),
         )
         cluster.execute("create table t (a int, v int)")
+        cluster.execute("create table u (b int, w int)")
         cluster.load("t", [(i, i * 2) for i in range(300)])
+        cluster.load("u", [(i, i % 7) for i in range(300)])
+        return cluster
+
+    def test_cluster_metrics_expose_engine_section(self):
+        cluster = self._traced()
         clear_depots(cluster)
-        cluster.query("select sum(v) from t where a < 200",
-                      batched=True, batch_size=32)
-        assert cluster.obs.metrics.counter("engine.batches").value > 0
-        spans = [s for s in cluster.obs.tracer.spans if s.name == "pipeline"]
-        assert spans, "no pipeline span recorded"
-        assert spans[-1].attrs["batches"] > 0
+        cluster.query("select sum(v), sum(w) from t join u on a = b", seed=1)
+        engine = cluster_metrics(cluster)["engine"]
+        assert set(engine) == self.ENGINE_KEYS
+        assert engine["queries"] == 1
+        assert engine["io_serial_seconds"] > engine["io_pipelined_seconds"] > 0
+        assert engine["io_overlap_seconds"] == pytest.approx(
+            engine["io_serial_seconds"] - engine["io_pipelined_seconds"]
+        )
+        cluster.query("select sum(v) from t", seed=1)  # warm: nothing to pool
+        after = cluster_metrics(cluster)["engine"]
+        assert after["queries"] == 2
+        assert after["io_serial_seconds"] == engine["io_serial_seconds"]
+
+    def test_pipeline_span_and_counters_recorded(self):
+        """A Scan row keeps its own fetch seconds; the pooled saving shows
+        once, on the ``pipeline`` span; fragments reconcile with the stats."""
+        cluster = self._traced()
+        clear_depots(cluster)
+        mark = cluster.obs.tracer.mark()
+        result = cluster.query("select sum(v), sum(w) from t join u on a = b", seed=1)
+        spans = cluster.obs.tracer.spans_since(mark)
+        [pipeline] = [s for s in spans if s.name == "pipeline"]
+        serial = pipeline.attrs["io_serial_seconds"]
+        assert serial > pipeline.duration > 0
+        scans = [p for p in cluster.obs.profiles[-1].operators if p.operator == "Scan"]
+        assert len(scans) == 4  # two tables on two nodes
+        assert all(p.sim_seconds > 0 for p in scans)
+        fetch_batches = [s for s in spans if s.name == "fetch_batch"]
+        assert sum(s.duration for s in fetch_batches) == pytest.approx(serial)
+        assert sum(p.sim_seconds for p in scans) > serial  # fetch + decode + predicate
+        io_charged = sum(w.io_seconds for w in result.stats.per_node.values())
+        assert io_charged < serial  # hits and backoff are zero here: all of it is the pool
+        assert io_charged == pytest.approx(pipeline.duration)
+        for fragment in (s for s in spans if s.name == "fragment"):
+            busy = result.stats.node(fragment.attrs["node"]).busy_seconds
+            assert 0 < fragment.duration <= busy + 1e-12
+        counters = cluster.obs.metrics.snapshot().counters
+        assert not [n for n in counters if n.startswith(("engine.batches", "engine.sip"))]
+        # Warm, nothing was pooled: no pipeline span.
+        mark = cluster.obs.tracer.mark()
+        cluster.query("select sum(v) from t", seed=1)
+        assert not [s for s in cluster.obs.tracer.spans_since(mark) if s.name == "pipeline"]

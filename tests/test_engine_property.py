@@ -1,26 +1,24 @@
-"""Property tests for batch-boundary semantics (PR 6 satellite).
+"""Property tests for the engine's operator corners, against SQLite.
 
-Hypothesis drives the batched engine across the operator corners that
-only exist when rows arrive in chunks: NULL runs straddling a batch
-boundary, group keys split across batches, DISTINCT / LIMIT / OFFSET
-windows landing mid-batch, empty batches, and batch sizes larger than
-the whole table.  The materializing engine is the oracle; results must
-be *exactly* equal (no canonicalization — same engine, same float
-summation order is part of the contract).
+Hypothesis drives aggregates, GROUP BY, COUNT(DISTINCT), SELECT DISTINCT and
+ORDER BY ... LIMIT/OFFSET windows over a table built to be awkward: runs of
+NULL group keys, group keys interleaved across containers and nodes, and a
+float column whose partial sums are order-sensitive.  The oracle is an
+engine that shares no code with ours (``tests/oracle_sqlite.py``); every
+query here is totally ordered or a single row, so rows are compared in
+order.
 """
-
-from typing import List, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import EonCluster
+from repro import ColumnType, EonCluster
+from tests.oracle_sqlite import SqliteOracle
 
-pytestmark = pytest.mark.engine
+COLUMNS = [("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.FLOAT)]
 
-#: 90 rows, 3-row NULL runs in ``g`` (so runs straddle any small batch
-#: boundary), group keys interleaved, and a float column whose partial
-#: sums are order-sensitive.
+#: 90 rows, 3-row NULL runs in ``g``, group keys interleaved, and a float
+#: column whose partial sums are order-sensitive.
 ROWS = [
     (
         i,
@@ -32,15 +30,11 @@ ROWS = [
 
 
 @pytest.fixture(scope="module")
-def cluster():
-    c = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=29)
-    c.execute("create table t (k int, g varchar, v float)")
-    c.load("t", ROWS)
-    c.execute("create table empty_t (k int, g varchar, v float)")
-    return c
-
-
-batch_sizes = st.sampled_from([1, 2, 3, 5, 7, 64, 89, 90, 91, 4096])
+def sides():
+    cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=29)
+    cluster.create_table("t", COLUMNS)
+    cluster.load("t", ROWS)
+    return cluster, SqliteOracle("t", COLUMNS, ROWS)
 
 
 @st.composite
@@ -76,51 +70,13 @@ def queries(draw) -> str:
     )
 
 
-class TestBatchBoundaryProperties:
-    @given(sql=queries(), batch_size=batch_sizes)
+class TestOperatorCorners:
+    @given(sql=queries())
     @settings(
-        max_examples=60,
+        max_examples=120,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_batched_equals_materializing(self, cluster, sql, batch_size):
-        expected = cluster.query(sql, batched=False).rows.to_pylist()
-        got = cluster.query(
-            sql, batched=True, batch_size=batch_size, sip=False
-        ).rows.to_pylist()
-        assert got == expected, f"{sql!r} @ batch_size={batch_size}"
-
-    @given(batch_size=batch_sizes)
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_empty_table_yields_one_empty_batch(self, cluster, batch_size):
-        for sql in (
-            "select count(*), sum(v) from empty_t",
-            "select g, count(*) c from empty_t group by g order by g",
-            "select k from empty_t order by k limit 3",
-        ):
-            expected = cluster.query(sql, batched=False).rows.to_pylist()
-            got = cluster.query(
-                sql, batched=True, batch_size=batch_size
-            ).rows.to_pylist()
-            assert got == expected, sql
-
-    def test_batch_size_larger_than_table_is_single_batch(self, cluster):
-        result = cluster.query(
-            "select sum(v) from t", batched=True, batch_size=100_000
-        )
-        assert result.rows.to_pylist() == cluster.query(
-            "select sum(v) from t", batched=False
-        ).rows.to_pylist()
-        # One batch per participating fragment, never zero, never split.
-        engine = cluster.engine_stats
-        assert engine.last_batch_size == 100_000
-
-    def test_invalid_batch_size_rejected(self, cluster):
-        from repro.errors import ExecutionError
-
-        with pytest.raises(ExecutionError):
-            cluster.query("select count(*) from t", batched=True, batch_size=0)
+    def test_engine_equals_sqlite(self, sides, sql):
+        cluster, oracle = sides
+        assert oracle.check(cluster, sql, ordered=True) is None

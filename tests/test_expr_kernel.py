@@ -64,11 +64,11 @@ from repro.engine.operators import (
     _group_codes,
     aggregate,
     hash_join,
-    join_match_mask,
 )
 from repro.storage.container import RowSet
 from tests.test_join_kernel import (
     assert_same_rowset,
+    match_mask,
     reference_hash_join,
     reference_match_mask,
 )
@@ -672,7 +672,7 @@ class TestDirectAddressProbe:
             hash_join(left, right, ["lk"], ["rk"], how),
             reference_hash_join(left, right, ["lk"], ["rk"], how),
         )
-        assert join_match_mask(left, right, ["lk"], ["rk"]).tolist() == \
+        assert match_mask(left, right, ["lk"], ["rk"]).tolist() == \
             reference_match_mask(left, right, ["lk"], ["rk"]).tolist()
 
     @settings(max_examples=400, deadline=None)
@@ -768,6 +768,10 @@ def cluster(request):
     load("t", [(k, (None, "a", "c\nxd")[k % 3], (None, 5.0, 7.0)[k % 3], k % 2)
                for k in range(30)])
     load("u", [(k, k + 0.5) for k in range(0, 30, 2)])
+    db.create_table("t3", [("k", ColumnType.INT), ("x", ColumnType.INT)])
+    db.create_table("u3", [("uk", ColumnType.INT), ("y", ColumnType.INT)])
+    load("t3", [(1, 1), (2, 9), (3, 7)])
+    load("u3", [(1, 10), (2, 20)])
     return db
 
 
@@ -798,6 +802,24 @@ class TestNullAtSqlLevel:
         assert _keys(cluster, "left join u on k = uk where uf is null") == list(range(1, 30, 2))
         assert _keys(cluster, "left join u on k = uk where uf is not null") == list(range(0, 30, 2))
         assert _keys(cluster, "left join u on k = uk where uf > 20") == list(range(20, 30, 2))
+
+    def test_on_conjunct_over_the_preserved_side_pads_and_never_drops(self, cluster):
+        """``x > 5`` decides which rows of ``t3`` find a match; pushed into
+        ``t3``'s scan it dropped k=1.  (An int pad is 0, see below.)"""
+        assert cluster.query(
+            "select k, x, y from t3 left join u3 on k = uk and x > 5 order by k"
+        ).rows.to_pylist() == [(1, 1, 0), (2, 9, 20), (3, 7, 0)]
+        # The same conjunct in WHERE filters the preserved side, as it did;
+        # one over the NULL-supplying side still only narrows the matches.
+        assert cluster.query(
+            "select k, x, y from t3 left join u3 on k = uk where x > 5 order by k"
+        ).rows.to_pylist() == [(2, 9, 20), (3, 7, 0)]
+        assert cluster.query(
+            "select k, x, y from t3 left join u3 on k = uk and y > 15 order by k"
+        ).rows.to_pylist() == [(1, 1, 0), (2, 9, 20), (3, 7, 0)]
+        matched = _keys(cluster, "left join u on k = uk and f > 5 where uf is not null")
+        assert matched == [k for k in range(0, 30, 2) if k % 3 == 2]
+        assert _keys(cluster, "left join u on k = uk and f > 5") == list(range(30))
 
     def test_null_is_in_no_list(self, cluster):
         assert _keys(cluster, "where s in ('a', null)") == list(range(1, 30, 3))

@@ -21,8 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.engine.operators import JoinBuild, hash_join, join_match_mask
-from repro.engine.pipeline import chunk_rows
+from repro.engine.operators import JoinBuild, hash_join
 from repro.storage.container import RowSet
 
 
@@ -94,6 +93,11 @@ def reference_match_mask(left, right, left_keys, right_keys) -> np.ndarray:
         if build.get(tuple(c[i] for c in left_key_cols)):
             mask[i] = True
     return mask
+
+
+def match_mask(left, right, left_keys, right_keys) -> np.ndarray:
+    """Which probe rows the kernel matches — what a LEFT join pads from."""
+    return JoinBuild(right, right_keys).probe(left, left_keys)[2]
 
 
 def assert_same_rowset(got: RowSet, want: RowSet) -> None:
@@ -188,32 +192,29 @@ class TestKernelAgainstReference:
     @given(join_sides())
     def test_match_mask(self, sides):
         left, right, lk, rk = sides
-        got = join_match_mask(left, right, lk, rk)
+        got = match_mask(left, right, lk, rk)
         assert got.dtype == np.bool_
         assert got.tolist() == reference_match_mask(left, right, lk, rk).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(join_sides(max_rows=40), HOW)
     def test_one_build_probed_in_batches(self, sides, how):
-        """Probing one ``JoinBuild`` batch by batch — the way
-        ``Executor._stream_join`` does, LEFT joins deferring their unmatched
-        rows to one padded tail — equals probing it once, and equals the
-        reference."""
+        """One ``JoinBuild`` probed slice by slice — the way a broadcast
+        build serves every participant's share of the probe side — gives
+        each slice the join it would get from a build of its own."""
         left, right, lk, rk = sides
-        want = reference_hash_join(left, right, lk, rk, how)
         for batch_size in (1, 3, 64):
             build = JoinBuild(right, rk)
-            parts, unmatched = [], []
-            for batch in chunk_rows(left, batch_size):
-                if how == "left":
-                    mask = join_match_mask(batch, build, lk, rk)
-                    unmatched.append(batch.filter(~mask))
-                    batch = batch.filter(mask)
-                parts.append(hash_join(batch, build, lk, rk, "inner"))
-            if how == "left":
-                parts.append(hash_join(RowSet.concat(unmatched), build, lk, rk, "left"))
-            assert_same_rowset(RowSet.concat(parts), want)
-            assert_same_rowset(hash_join(left, build, lk, rk, how), want)
+            for start in range(0, max(left.num_rows, 1), batch_size):
+                batch = left.slice(start, start + batch_size)
+                assert_same_rowset(
+                    hash_join(batch, build, lk, rk, how),
+                    reference_hash_join(batch, right, lk, rk, how),
+                )
+            assert_same_rowset(
+                hash_join(left, build, lk, rk, how),
+                reference_hash_join(left, right, lk, rk, how),
+            )
 
 
 class TestKeyEquality:
@@ -303,17 +304,9 @@ class TestJoinBuild:
         with pytest.raises(ValueError):
             hash_join(left, build, ["a"], ["d"])
         with pytest.raises(ValueError):
-            join_match_mask(left, build, ["a", "b"], ["c", "d"])
+            hash_join(left, build, ["a", "b"], ["c"])
         with pytest.raises(ValueError):
             JoinBuild(right, [])
-
-    def test_distinct_keys_feed_sip(self):
-        _, right = self._sides()
-        assert JoinBuild(right, ["c"]).distinct_keys().tolist() == [1, 3]
-        assert JoinBuild(right, ["c", "d"]).distinct_keys().tolist() == [1, 3]
-        assert sorted(JoinBuild(right, ["d"]).distinct_keys().tolist()) == ["q", "x", "y"]
-        with_null = RowSet.from_rows(self.SCHEMA_R, [(1, None), (2, "x")])
-        assert None in JoinBuild(with_null, ["d"]).distinct_keys().tolist()
 
     def test_three_keys_with_large_cardinalities_do_not_overflow(self):
         """Each key column has ~n distinct values, so a plain mixed-radix

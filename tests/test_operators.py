@@ -16,11 +16,10 @@ from repro.engine.operators import (
     _first_occurrence_mask,
     aggregate,
     hash_join,
-    join_match_mask,
     sort_limit,
 )
-from repro.engine.pipeline import chunk_rows
 from repro.storage.container import RowSet
+from tests.test_join_kernel import match_mask
 
 SCHEMA = TableSchema.of(
     ("g", ColumnType.VARCHAR),
@@ -425,36 +424,9 @@ class TestNullSemantics:
         assert groups == {1: 4, "a": 2, None: 4}
 
 
-class TestChunkRows:
-    """Batch slicing for the pipelined engine: concatenating the chunks
-    must reconstruct the input exactly, for any batch size."""
-
-    def test_round_trip_various_sizes(self, rows):
-        for batch_size in (1, 2, 3, 5, 100):
-            chunks = list(chunk_rows(rows, batch_size))
-            assert all(c.num_rows <= batch_size for c in chunks)
-            assert sum(c.num_rows for c in chunks) == rows.num_rows
-            assert RowSet.concat(chunks).to_pylist() == rows.to_pylist()
-
-    def test_exact_multiple_has_no_trailing_empty(self, rows):
-        assert [c.num_rows for c in chunk_rows(rows, 5)] == [5]
-        assert [c.num_rows for c in chunk_rows(rows, 1)] == [1] * 5
-
-    def test_empty_input_yields_single_empty_batch(self):
-        empty = RowSet.empty(SCHEMA)
-        chunks = list(chunk_rows(empty, 4))
-        assert len(chunks) == 1
-        assert chunks[0].num_rows == 0
-        assert chunks[0].schema.names == empty.schema.names
-
-    def test_invalid_batch_size_rejected(self, rows):
-        with pytest.raises(ValueError):
-            list(chunk_rows(rows, 0))
-
-
 class TestJoinMatchMask:
-    """The probe-side membership mask the streaming LEFT join uses to
-    split each batch must agree exactly with ``hash_join`` semantics."""
+    """The probe's membership mask — the rows a LEFT join does not pad —
+    must agree exactly with ``hash_join`` semantics."""
 
     LEFT = TableSchema.of(("k", ColumnType.INT), ("lv", ColumnType.VARCHAR))
     RIGHT = TableSchema.of(("rk", ColumnType.INT), ("rv", ColumnType.VARCHAR))
@@ -464,7 +436,7 @@ class TestJoinMatchMask:
             self.LEFT, [(1, "a"), (2, "b"), (3, "c"), (2, "b2"), (7, "d")]
         )
         right = RowSet.from_rows(self.RIGHT, [(2, "X"), (3, "Y"), (9, "Z")])
-        mask = join_match_mask(left, right, ["k"], ["rk"])
+        mask = match_mask(left, right, ["k"], ["rk"])
         assert mask.tolist() == [False, True, True, True, False]
 
     def test_none_key_matches_none(self):
@@ -472,9 +444,9 @@ class TestJoinMatchMask:
         rs = TableSchema.of(("h", ColumnType.VARCHAR), ("y", ColumnType.INT))
         left = RowSet.from_rows(ls, [(None, 1), ("a", 2)])
         right = RowSet.from_rows(rs, [(None, 10)])
-        mask = join_match_mask(left, right, ["g"], ["h"])
+        mask = match_mask(left, right, ["g"], ["h"])
         # hash_join keeps dict key equality, so a NULL key matches a NULL key;
-        # the mask must agree or batched LEFT joins mis-split NULL rows.
+        # the mask must agree or a LEFT join would pad a row it also matched.
         inner = hash_join(left, right, ["g"], ["h"])
         assert mask.tolist() == [True, False]
         assert int(mask.sum()) == inner.num_rows
@@ -484,72 +456,17 @@ class TestJoinMatchMask:
         rs = TableSchema.of(("c", ColumnType.INT), ("d", ColumnType.VARCHAR))
         left = RowSet.from_rows(ls, [(1, "x"), (1, "y"), (2, "x")])
         right = RowSet.from_rows(rs, [(1, "x"), (2, "x")])
-        mask = join_match_mask(left, right, ["a", "b"], ["c", "d"])
+        mask = match_mask(left, right, ["a", "b"], ["c", "d"])
         assert mask.tolist() == [True, False, True]
 
     def test_empty_sides(self):
         left = RowSet.from_rows(self.LEFT, [(1, "a")])
         right = RowSet.from_rows(self.RIGHT, [(1, "X")])
         empty_right = RowSet.empty(self.RIGHT)
-        assert join_match_mask(left, empty_right, ["k"], ["rk"]).tolist() == [False]
-        assert join_match_mask(
+        assert match_mask(left, empty_right, ["k"], ["rk"]).tolist() == [False]
+        assert match_mask(
             RowSet.empty(self.LEFT), right, ["k"], ["rk"]
         ).tolist() == []
-
-
-class TestBatchedLeftJoinDecomposition:
-    """Regression for the cross-batch LEFT join bug class: streaming the
-    probe side in batches, inner-joining the matched slice of each batch,
-    and emitting all buffered unmatched rows as one left-join *tail* must
-    reproduce the serial left join's row multiset AND its order contract
-    (all matched rows first, then all unmatched)."""
-
-    LEFT = TableSchema.of(("k", ColumnType.INT), ("lv", ColumnType.VARCHAR))
-    RIGHT = TableSchema.of(("rk", ColumnType.INT), ("rv", ColumnType.VARCHAR))
-
-    def _streamed_left_join(self, left, right, batch_size):
-        matched_parts, unmatched_parts = [], []
-        for batch in chunk_rows(left, batch_size):
-            if batch.num_rows == 0:
-                continue
-            mask = join_match_mask(batch, right, ["k"], ["rk"])
-            matched = batch.take(np.nonzero(mask)[0])
-            if matched.num_rows:
-                matched_parts.append(hash_join(matched, right, ["k"], ["rk"]))
-            unmatched = batch.take(np.nonzero(~mask)[0])
-            if unmatched.num_rows:
-                unmatched_parts.append(unmatched)
-        parts = list(matched_parts)
-        if unmatched_parts:
-            parts.append(hash_join(
-                RowSet.concat(unmatched_parts), right, ["k"], ["rk"],
-                how="left",
-            ))
-        return RowSet.concat(parts) if parts else RowSet.empty(left.schema)
-
-    def test_decomposition_equals_serial_left_join(self):
-        left = RowSet.from_rows(
-            self.LEFT,
-            [(i % 6, f"l{i}") for i in range(17)],  # unmatched: k in {4, 5, 0}
-        )
-        right = RowSet.from_rows(self.RIGHT, [(1, "X"), (2, "Y"), (3, "Z")])
-        serial = hash_join(left, right, ["k"], ["rk"], how="left")
-        for batch_size in (1, 2, 3, 5, 17, 100):
-            streamed = self._streamed_left_join(left, right, batch_size)
-            assert streamed.to_pylist() == serial.to_pylist(), (
-                f"batch_size={batch_size}"
-            )
-
-    def test_unmatched_only_and_matched_only_batches(self):
-        # Batches of 2 over [1, 1, 9, 9]: one all-matched batch then one
-        # all-unmatched batch — both degenerate splits must survive.
-        left = RowSet.from_rows(
-            self.LEFT, [(1, "a"), (1, "b"), (9, "c"), (9, "d")]
-        )
-        right = RowSet.from_rows(self.RIGHT, [(1, "X")])
-        serial = hash_join(left, right, ["k"], ["rk"], how="left")
-        streamed = self._streamed_left_join(left, right, 2)
-        assert streamed.to_pylist() == serial.to_pylist()
 
 
 class TestFirstOccurrenceMask:

@@ -1,4 +1,5 @@
-"""WHERE expressions and single-table GROUP BY against SQLite.
+"""WHERE expressions and single-table GROUP BY against SQLite (DISTINCT and
+ORDER BY ... LIMIT/OFFSET windows: ``tests/test_engine_property.py``).
 
 The differential walls elsewhere compare this system with another
 configuration of itself; this one compares it with an engine that shares
@@ -189,8 +190,16 @@ class TestTheOracleItself:
             "(k * 1.0 / 2) from t")
         assert to_sqlite("select g, sum(f) from t group by g") == (
             "select g, coalesce(sum(f), 0) from t group by g")
-        with pytest.raises(NotImplementedError):
-            to_sqlite("select k from t join u on k = uk")
+        assert to_sqlite("select distinct g from t order by g limit 3 offset 2") == (
+            "select distinct g from t order by g is null, g limit 3 offset 2")
+        assert to_sqlite("select g, count(*) c from t group by g order by 2, g offset 1") == (
+            "select g, count(*) as c from t group by g "
+            "order by count(*) is null, count(*), g is null, g limit -1 offset 1")
+        for unsupported in ("select k from t join u on k = uk",
+                            "select k from t order by k desc",
+                            "select g from t group by g having count(*) > 1"):
+            with pytest.raises(NotImplementedError):
+                to_sqlite(unsupported)
 
     def test_multiset_normalises_null_and_rounding(self):
         nan = float("nan")

@@ -11,10 +11,6 @@ hydration* (the depot ledger never learns which strategy answered the
 rows), and the select reports parity counters computed with the client's
 own block-pruning logic.
 
-Runs use the materializing engine (``batched=False``): batched LIMIT
-early-exit can legitimately stop the stream at different batch
-boundaries when pushdown pre-filters rows, which is a latency artifact,
-not a demand one — digests stay covered by the strategy tests below.
 ``seed=<query number>`` pins participant selection exactly as in
 ``test_engine_differential``.
 """
@@ -87,7 +83,7 @@ def clear_depots(cluster) -> None:
 @pytest.fixture(scope="module")
 def tpch_cluster(tpch_data):
     """One Eon TPC-H cluster loaded in slices (multiple containers per
-    shard) — the same shape the batched-engine wall uses."""
+    shard) — the same shape the pooled-charging wall uses."""
     cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11)
     setup_tpch_schema(cluster)
     load_tpch(cluster, tpch_data)
@@ -103,9 +99,7 @@ class TestTpchPushdownDifferential:
     """Full-suite parity: the acceptance wall for scan-strategy selection."""
 
     def _run(self, cluster, query, **options):
-        return cluster.query(
-            query.sql, seed=query.number, batched=False, **options
-        )
+        return cluster.query(query.sql, seed=query.number, **options)
 
     @pytest.mark.parametrize("mode", ["on", "auto"])
     def test_full_suite_cold_and_warm_parity(self, tpch_cluster, mode):
@@ -158,7 +152,7 @@ class TestTpchPushdownDifferential:
         result = cluster.query(
             "select count(*), sum(l_extendedprice) from lineitem"
             " where l_quantity < 2",
-            seed=77, batched=False, pushdown="auto",
+            seed=77, pushdown="auto",
         )
         assert result.stats.total_pushdown_scans > 0
         assert result.stats.total_bytes_scanned > 0
@@ -178,11 +172,11 @@ class TestTpchPushdownDifferential:
             # re-run on the same session (same participants, same depots).
             cluster.query_statement(
                 __import__("repro.sql.parser", fromlist=["parse"]).parse(sql)[0],
-                session=session, batched=False, pushdown="off",
+                session=session, pushdown="off",
             )
             warm = cluster.query_statement(
                 __import__("repro.sql.parser", fromlist=["parse"]).parse(sql)[0],
-                session=session, batched=False, pushdown="auto",
+                session=session, pushdown="auto",
             )
         assert warm.stats.total_pushdown_scans == 0
         assert warm.stats.total_bytes_from_cache > 0
@@ -209,7 +203,7 @@ class TestStrategyObservability:
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        cluster.query("select sum(v) from t where a < 100", batched=False)
+        cluster.query("select sum(v) from t where a < 100")
         rows = cluster.query(
             "select operator, scan_strategy from v_monitor.query_profiles"
         ).rows.to_pylist()
@@ -231,7 +225,7 @@ class TestStrategyObservability:
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        cluster.query("select sum(v) from t where a < 100", batched=False)
+        cluster.query("select sum(v) from t where a < 100")
         metrics = cluster_metrics(cluster)
         assert metrics["engine"]["pushdown_scans"] > 0
         assert metrics["engine"]["bytes_scanned"] > 0

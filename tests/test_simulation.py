@@ -89,62 +89,6 @@ class TestCampaigns:
         assert expected <= seen, f"missing actions: {expected - seen}"
 
 
-@pytest.mark.sim
-class TestBatchDigestParity:
-    """The 10th global invariant: every batched query a campaign runs must
-    match the fault-free oracle bit-for-bit, audited after every step."""
-
-    def test_chaos_campaigns_stay_clean_with_batched_queries(self):
-        from repro.sim import ChaosScenarioGenerator
-
-        for seed in range(5):
-            result = run_campaign(
-                seed=seed, generator=ChaosScenarioGenerator(seed)
-            )
-            assert result.ok, result.report()
-            slot = result.registry.counters["batch-digest-parity"]
-            assert slot["checks"] == len(result.trace)
-            assert slot["violations"] == 0
-
-    def test_generator_actually_runs_batched_queries(self):
-        # Half the generated queries carry a batch_size; the action detail
-        # records it, so the trace proves the batched path was exercised.
-        batched_details = [
-            event.detail
-            for seed in range(5)
-            for event in run_campaign(seed=seed).trace.events
-            if "[batch=" in event.detail
-        ]
-        assert batched_details, "no campaign query ever ran batched"
-
-    def test_parity_log_records_matches(self):
-        from repro.sim.generator import ScenarioGenerator
-        from repro.sim.harness import SimWorld, _execute_step
-        from repro.sim.trace import Trace
-
-        world = SimWorld(7, CampaignConfig())
-        generator = ScenarioGenerator(7)
-        registry = InvariantRegistry(halt=True)
-        trace = Trace()
-        for step in range(40):
-            action = generator.next_action(world)
-            violation = _execute_step(world, registry, trace, step, action)
-            assert violation is None, str(violation)
-        assert world.batch_checks, "no batched query was parity-checked"
-        assert all(match for _, _, _, match in world.batch_checks)
-
-    def test_invariant_reports_a_planted_mismatch(self):
-        from repro.sim.invariants import batch_digest_parity
-
-        class FakeWorld:
-            batch_checks = [(3, "select 1", 7, True), (4, "select 2", 64, False)]
-
-        message = batch_digest_parity(FakeWorld())
-        assert message is not None and "batch_size=64" in message
-        FakeWorld.batch_checks = [(1, "select 1", 7, True)]
-        assert batch_digest_parity(FakeWorld()) is None
-
-
 class TestInvariantRegistry:
     def test_halt_false_records_and_continues(self):
         config = CampaignConfig(steps=20, halt=False)
