@@ -111,6 +111,9 @@ class FileCache:
         self._index = LruIndex()
         self._info: Dict[str, ObjectInfo] = {}
         self._pinned: Set[str] = set()
+        #: Per cached file, what its reader learnt by opening it (see
+        #: :meth:`keep_layout`); never outlives the entry.
+        self._layouts: Dict[str, object] = {}
         self.stats = CacheStats()
         #: Optional ``sink(event, name, size)`` called on depot events the
         #: Data Collector records (currently evictions).  Must be free of
@@ -205,6 +208,23 @@ class FileCache:
     def contains(self, name: str) -> bool:
         return name in self._index
 
+    def keep_layout(self, name: str, layout: object) -> None:
+        """Keep what a reader parsed out of the cached file ``name`` for the
+        next reader of it; ignored when the file is not cached.
+
+        Files are immutable and an entry's bytes never change under its
+        name, so there is nothing to invalidate: the layout goes when the
+        entry does — evicted, dropped, overwritten by ``put``, self-healed
+        or cleared — and the depot's capacity is its only bound.
+        """
+        if name in self._index:
+            self._layouts[name] = layout
+
+    def layout_of(self, name: str) -> Optional[object]:
+        """The layout kept for ``name``, or None.  Out of band like
+        :meth:`peek`: no stats, no recency."""
+        return self._layouts.get(name)
+
     def drop(self, name: str) -> None:
         """Remove a file (e.g. its storage was dropped and dereferenced)."""
         if name in self._index:
@@ -219,6 +239,7 @@ class FileCache:
         self._index = LruIndex()
         self._info.clear()
         self._pinned.clear()
+        self._layouts.clear()
 
     # -- warming support ----------------------------------------------------------
 
@@ -245,6 +266,7 @@ class FileCache:
         self._index.remove(name)
         self._info.pop(name, None)
         self._pinned.discard(name)
+        self._layouts.pop(name, None)
 
     def _evict_for(self, incoming: int) -> None:
         if incoming <= 0:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cache.disk_cache import ObjectInfo
 from repro.catalog.catalog import CatalogSnapshot
+from repro.common.hashing import hash_columns
 from repro.engine.cost import (
     choose_scan_strategy,
     estimate_pushdown_bytes,
@@ -32,7 +33,7 @@ from repro.engine.pipeline import PipelineCharges
 from repro.engine.pruning import prune_containers
 from repro.errors import ExecutionError, QueryCancelled
 from repro.io.scheduler import FetchRequest
-from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
+from repro.sharding.shard import REPLICA_SHARD_ID
 from repro.storage.container import ROSContainer, RowSet, read_container
 from repro.storage.delete_vector import (
     combine_positions,
@@ -156,10 +157,12 @@ class EonStorageProvider(StorageProvider):
         state = snapshot.state
         node = self.cluster.nodes[node_name]
         node.ensure_up()
-        shard_map: ShardMap = self.cluster.shard_map
 
-        result = ScanResult(rows=RowSet.empty(_projection_schema(state, projection, columns)))
-        parts: List[RowSet] = []
+        schema = _projection_schema(state, projection, columns)
+        # Every contributing container appends its decoded blocks here; one
+        # concatenate per column at the end makes ``result.rows``.
+        out: Dict[str, List[np.ndarray]] = {name: [] for name in schema.names}
+        result = ScanResult(rows=None)
         predicate_bounds = extract_column_bounds(predicate)
 
         if replicated:
@@ -196,12 +199,14 @@ class EonStorageProvider(StorageProvider):
                 # columns even when the query does not read them.
                 seg_cols = self._segmentation_columns(state, projection)
                 read_columns += [c for c in seg_cols if c not in read_columns]
-            scan_units.append(
-                (kept, hash_crunch, read_columns, seg_cols, share_count, sub_index)
-            )
+            # The hash-crunch share this node keeps of each container.
+            share = (seg_cols, share_count, sub_index) if hash_crunch else None
+            unit: List[tuple] = []
+            scan_units.append((unit, read_columns, share))
             for container in kept:
                 info = self._object_info(state, container)
                 dvs = state.delete_vectors_for(str(container.sid))
+                unit.append((container, info, dvs))
                 strategy = self._container_strategy(
                     node, state, projection, container, read_columns,
                     predicate, predicate_bounds, bool(dvs), scheduler,
@@ -247,8 +252,8 @@ class EonStorageProvider(StorageProvider):
         # already filtered and projected server-side; the executor's
         # post-scan predicate re-application is a no-op on them — but
         # still consume their hydration bytes for prefetch-credit parity.
-        for kept, hash_crunch, read_columns, seg_cols, share_count, sub_index in scan_units:
-            for container in kept:
+        for unit, read_columns, share in scan_units:
+            for container, info, dvs in unit:
                 if session.cancelled:
                     raise QueryCancelled(
                         f"session cancelled while scanning {projection!r}"
@@ -263,23 +268,16 @@ class EonStorageProvider(StorageProvider):
                     result.pushdown_rows_filtered += (
                         select.rows_examined - rows.num_rows
                     )
+                    if rows.num_rows:
+                        for name, parts in out.items():
+                            parts.append(rows.column(name))
                 else:
-                    rows = self._read_container(
-                        node, state, container, read_columns, result,
-                        predicate_bounds, batch,
+                    self._read_container(
+                        node, container, info, dvs, read_columns, share, out,
+                        result, predicate_bounds, batch,
                     )
-                if hash_crunch and rows.num_rows:
-                    hashes = shard_map.hash_rowset(rows, seg_cols)
-                    rows = rows.filter(
-                        hashes % np.uint64(share_count) == np.uint64(sub_index)
-                    )
-                if hash_crunch:
-                    rows = rows.select(list(columns))
-                if rows.num_rows:
-                    parts.append(rows)
                 result.containers_scanned += 1
-        if parts:
-            result.rows = RowSet.concat(parts)
+        result.rows = RowSet.from_blocks(schema, out)
         if not session.use_cache:
             result.scan_strategy = "get"
         elif selects:
@@ -429,33 +427,50 @@ class EonStorageProvider(StorageProvider):
     def _read_container(
         self,
         node,
-        state,
         container: ROSContainer,
+        info: ObjectInfo,
+        dvs: list,
         columns: Sequence[str],
+        share: Optional[tuple],
+        out: Dict[str, List[np.ndarray]],
         result: ScanResult,
         predicate_bounds: Optional[dict] = None,
         batch=None,
-    ) -> RowSet:
-        info = self._object_info(state, container)
+    ) -> None:
+        """Append one container's live rows, column by column, to ``out``
+        (the scan's columns; ``columns`` adds what a hash-crunch ``share``
+        needs beside them)."""
         data = self._fetch_through_depot(
             node, container.location, info, result, batch
         )
-        reader = read_container(data)
-        dvs = state.delete_vectors_for(str(container.sid))
+        # A session that reads through the depot reads a container's footers
+        # once per residency: the depot keeps what the first reader parsed.
+        depot = node.cache if self.session.use_cache else None
+        layout = depot.layout_of(container.location) if depot is not None else None
+        reader = read_container(data, layout)
+        if depot is not None and layout is None:
+            depot.keep_layout(container.location, reader.layout)
 
         # Block-level pruning: decode only blocks whose footer min/max
         # could satisfy the predicate (section 2.3's position index).
         # Delete-vector positions are container-absolute, so pruning is
         # only applied to containers without tombstones.
+        block_indices = None
         if predicate_bounds and not dvs:
-            block_indices = reader.matching_blocks(predicate_bounds)
+            matching = reader.matching_blocks(predicate_bounds)
             total_blocks = reader.block_count()
-            if len(block_indices) < total_blocks:
-                result.blocks_pruned += total_blocks - len(block_indices)
-                return reader.read_rowset_blocks(list(columns), block_indices)
-        rows = reader.read_rowset(list(columns))
+            if len(matching) < total_blocks:
+                result.blocks_pruned += total_blocks - len(matching)
+                block_indices = matching
+        if not dvs and share is None:
+            reader.append_blocks(out, block_indices)
+            return
 
-        # Apply delete vectors, if any target this container.
+        # A container that drops rows filters its own slice before the
+        # scan's concatenate: every column indexed by a mask, so fresh arrays.
+        own: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
+        reader.append_blocks(own, block_indices)
+        live = None
         if dvs:
             position_sets = []
             for dv in dvs:
@@ -463,11 +478,25 @@ class EonStorageProvider(StorageProvider):
                     node, dv.location, info, result, batch
                 )
                 position_sets.append(read_delete_vector(dv_data))
-            mask = mask_from_positions(
+            live = mask_from_positions(
                 combine_positions(position_sets), container.row_count
             )
-            rows = rows.filter(mask)
-        return rows
+        if not all(own.values()):
+            return  # an empty container, or no block survived pruning
+        arrays = {
+            name: parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for name, parts in own.items()
+        }
+        if live is not None:
+            arrays = {name: values[live] for name, values in arrays.items()}
+        if share is not None:
+            seg_cols, share_count, sub_index = share
+            hashes = hash_columns([arrays[c] for c in seg_cols])
+            mine = hashes % np.uint64(share_count) == np.uint64(sub_index)
+            arrays = {name: values[mine] for name, values in arrays.items()}
+        for name, parts in out.items():
+            if len(arrays[name]):
+                parts.append(arrays[name])
 
 
 def _projection_schema(state, projection_name: str, columns: Sequence[str]):

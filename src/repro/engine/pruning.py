@@ -5,7 +5,7 @@ columns in each storage and using expression analysis to determine if a
 predicate could ever be true for the given minimum and maximum"
 (section 2.1).  Storage providers call :func:`prune_containers` before
 fetching container bytes; scans additionally prune blocks inside a
-container through :meth:`ColumnReader.blocks_possibly_matching`.
+container through :meth:`ColumnReader.block_mask`.
 """
 
 from __future__ import annotations

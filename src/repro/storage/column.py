@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +64,8 @@ def read_footer(data: memoryview, magic: bytes, what: str) -> dict:
 class BlockInfo(NamedTuple):
     """Footer entry for one block (the position index).
 
-    A tuple, not a dataclass: a reader builds one per block of every column
-    it opens, on every scan.
+    A tuple, not a dataclass: a layout holds one per block of every column
+    a node has opened, for as long as its depot holds the file.
     """
 
     offset: int
@@ -162,33 +162,30 @@ class ColumnFile:
         return bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
 
 
-class ColumnReader:
-    """Random-access reader over a column file byte image.
+class ColumnLayout(NamedTuple):
+    """A column file's footer, parsed, typed and validated: all a reader
+    needs beside the bytes.  It holds none of them, and because files are
+    immutable it stays true of the file it was parsed from."""
 
-    Decodes the footer eagerly (it is small) and blocks lazily, mirroring
-    how a real engine touches only the blocks a query needs.
-    """
+    ctype: ColumnType
+    row_count: int
+    blocks: Tuple[BlockInfo, ...]
 
-    def __init__(self, data: Buffer):
-        # A view, not a copy: ``data`` is usually a slice of a container
-        # image, and blocks are decoded straight out of that image.
-        data = memoryview(data)
+    @classmethod
+    def parse(cls, data: memoryview) -> "ColumnLayout":
         footer = read_footer(data, _MAGIC, "column file")
-        self._data = data
         try:
-            self.ctype = ColumnType(footer["ctype"])
-            self.row_count: int = footer["row_count"]
-            self.blocks: List[BlockInfo] = [
-                BlockInfo.from_json(b) for b in footer["blocks"]
-            ]
+            ctype = ColumnType(footer["ctype"])
+            total = footer["row_count"]
+            blocks = tuple(BlockInfo.from_json(b) for b in footer["blocks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptBlock(f"damaged column file footer: {exc!r}") from None
         # Every later use — slicing, the position search, pruning's
         # comparisons — relies on integer extents, blocks that tile
         # [0, row_count) and bounds of the column's own type.
-        stat = _STAT_TYPES[self.ctype]
+        stat = _STAT_TYPES[ctype]
         row = 0
-        for offset, length, row_start, row_count, lo, hi in self.blocks:
+        for offset, length, row_start, row_count, lo, hi in blocks:
             if not (
                 isinstance(offset, int) and isinstance(length, int)
                 and isinstance(row_count, int) and row_count >= 0
@@ -198,8 +195,35 @@ class ColumnReader:
             ):
                 raise CorruptBlock(f"damaged column file footer: block at row {row}")
             row += row_count
-        if not isinstance(self.row_count, int) or row != self.row_count:
+        if not isinstance(total, int) or row != total:
             raise CorruptBlock("damaged column file footer: blocks do not add up")
+        return cls(ctype, total, blocks)
+
+
+def concat_blocks(parts: List[np.ndarray], ctype: ColumnType) -> np.ndarray:
+    """One writable array owning its data from a column's decoded blocks:
+    the one copy between a block decoded as a view and what a read returns."""
+    if not parts:
+        return ctype.coerce([])
+    if len(parts) == 1 and parts[0].flags.owndata:
+        return parts[0]
+    return np.concatenate(parts)
+
+
+class ColumnReader:
+    """Random-access reader over a column file byte image.
+
+    Runs on the file's :class:`ColumnLayout` — the caller's, or parsed here
+    (the footer is small) — and decodes blocks lazily, mirroring how a real
+    engine touches only the blocks a query needs.
+    """
+
+    def __init__(self, data: Buffer, layout: Optional[ColumnLayout] = None):
+        # A view, not a copy: ``data`` is usually a slice of a container
+        # image, and blocks are decoded straight out of that image.
+        self._data = memoryview(data)
+        self.layout = layout or ColumnLayout.parse(self._data)
+        self.ctype, self.row_count, self.blocks = self.layout
 
     # -- statistics ----------------------------------------------------------
 
@@ -215,9 +239,10 @@ class ColumnReader:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_block(self, index: int) -> np.ndarray:
+    def read_block(self, index: int, view: bool = False) -> np.ndarray:
+        """Block ``index`` decoded; ``view`` as in :func:`decode_block`."""
         info = self.blocks[index]
-        values = decode_block(self._data[info.offset : info.offset + info.length])
+        values = decode_block(self._data[info.offset : info.offset + info.length], view)
         if len(values) != info.row_count:
             raise CorruptBlock(
                 f"block {index} holds {len(values)} rows, its footer says {info.row_count}"
@@ -225,40 +250,8 @@ class ColumnReader:
         return values
 
     def read_all(self) -> np.ndarray:
-        if not self.blocks:
-            return self.ctype.coerce([])
-        parts = [self.read_block(i) for i in range(len(self.blocks))]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
-
-    def read_rows(self, positions: Sequence[int]) -> np.ndarray:
-        """Fetch specific row positions (used for late materialisation)."""
-        positions = np.asarray(positions, dtype=np.int64)
-        out: Optional[np.ndarray] = None
-        order = np.argsort(positions, kind="stable")
-        sorted_pos = positions[order]
-        results = [None] * len(positions)
-        block_idx = 0
-        current: Optional[np.ndarray] = None
-        current_info: Optional[BlockInfo] = None
-        for rank, pos in zip(order, sorted_pos):
-            if pos < 0 or pos >= self.row_count:
-                raise IndexError(f"row {pos} out of range 0..{self.row_count - 1}")
-            while not (
-                self.blocks[block_idx].row_start
-                <= pos
-                < self.blocks[block_idx].row_start + self.blocks[block_idx].row_count
-            ):
-                block_idx += 1
-                current = None
-            if current is None:
-                current = self.read_block(block_idx)
-                current_info = self.blocks[block_idx]
-            results[rank] = current[pos - current_info.row_start]
-        if self.ctype is ColumnType.VARCHAR:
-            return np.array(results, dtype=object)
-        return np.asarray(results, dtype=self.ctype.dtype)
+        parts = [self.read_block(i, view=True) for i in range(len(self.blocks))]
+        return concat_blocks(parts, self.ctype)
 
     def block_mask(self, lo: object = None, hi: object = None) -> List[bool]:
         """Per block: could its [min,max] range intersect [lo, hi]?
@@ -274,9 +267,3 @@ class ColumnReader:
             )
             for b in self.blocks
         ]
-
-    def blocks_possibly_matching(
-        self, lo: object = None, hi: object = None
-    ) -> List[int]:
-        """Block indices whose [min,max] range intersects [lo, hi]."""
-        return [i for i, hit in enumerate(self.block_mask(lo, hi)) if hit]

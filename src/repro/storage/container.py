@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,7 +36,9 @@ from repro.errors import CorruptBlock
 from repro.storage.column import (
     DEFAULT_BLOCK_ROWS,
     ColumnFile,
+    ColumnLayout,
     ColumnReader,
+    concat_blocks,
     minmax,
     read_footer,
 )
@@ -70,6 +73,15 @@ class RowSet:
     @classmethod
     def empty(cls, schema: TableSchema) -> "RowSet":
         return cls(schema, {c.name: c.ctype.coerce([]) for c in schema.columns})
+
+    @classmethod
+    def from_blocks(cls, schema: TableSchema, blocks: Dict[str, List[np.ndarray]]) -> "RowSet":
+        """Each column the one concatenation of its decoded blocks (see
+        :meth:`ContainerReader.append_blocks`)."""
+        return cls(
+            schema,
+            {c.name: concat_blocks(blocks[c.name], c.ctype) for c in schema.columns},
+        )
 
     @classmethod
     def concat(cls, parts: Sequence["RowSet"]) -> "RowSet":
@@ -226,36 +238,59 @@ def write_container(rowset: RowSet, block_rows: int = DEFAULT_BLOCK_ROWS) -> byt
     return bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
 
 
+class ContainerLayout:
+    """What opening a container image teaches, kept apart from the bytes:
+    the parsed and checked footer, plus each column file's
+    :class:`ColumnLayout` from the first time a reader opens that column.
+
+    Containers are immutable and named by SID, so a layout stays true of its
+    image for as long as anyone holds that image under that name — a node's
+    depot keeps the two together (:meth:`FileCache.keep_layout`), and a
+    reader given one parses nothing.  A depot of small files holds
+    thousands: tuples, with one string per table column and not per
+    container, keep it at a fraction of the bytes it describes.
+    """
+
+    __slots__ = ("row_count", "column_order", "extents", "columns")
+
+    def __init__(self, data: memoryview):
+        footer = read_footer(data, _MAGIC, "container")
+        try:
+            self.row_count: int = footer["row_count"]
+            self.column_order: Tuple[str, ...] = tuple(map(sys.intern, footer["order"]))
+            #: Per column: byte offset and length of its file, and its ctype.
+            self.extents: Dict[str, Tuple[int, int, str]] = {
+                sys.intern(name): (
+                    entry["offset"], entry["length"], sys.intern(entry["ctype"])
+                )
+                for name, entry in footer["columns"].items()
+            }
+            if not all(map(self.extents.__contains__, self.column_order)):
+                raise KeyError("a listed column has no entry")
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise CorruptBlock(f"damaged container footer: {exc!r}") from None
+        self.columns: Dict[str, ColumnLayout] = {}
+
+
 class ContainerReader:
     """Lazy per-column reader over a container byte image."""
 
-    def __init__(self, data: Buffer):
+    def __init__(self, data: Buffer, layout: Optional[ContainerLayout] = None):
         # Column files and blocks are handed down as views of this one
-        # image; bytes are copied only where a block becomes an array.
-        data = memoryview(data)
-        footer = read_footer(data, _MAGIC, "container")
-        self._data = data
-        try:
-            self.row_count: int = footer["row_count"]
-            self.column_order: List[str] = footer["order"]
-            self._directory: Dict[str, dict] = footer["columns"]
-            if not (
-                isinstance(self._directory, dict)
-                and all(map(self._directory.__contains__, self.column_order))
-            ):
-                raise KeyError("a listed column has no entry")
-        except (KeyError, TypeError) as exc:
-            raise CorruptBlock(f"damaged container footer: {exc!r}") from None
+        # image; bytes are copied only where blocks become a column.
+        self._data = memoryview(data)
+        self.layout = layout or ContainerLayout(self._data)
+        self.row_count = self.layout.row_count
+        self.column_order = self.layout.column_order
         self._readers: Dict[str, ColumnReader] = {}
 
-    def _ctype(self, name: str) -> ColumnType:
-        entry = self._directory[name]  # KeyError: not a column of this container
-        try:
-            return ColumnType(entry["ctype"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CorruptBlock(
-                f"damaged container footer: ctype of {name!r}: {exc!r}"
-            ) from None
+    @property
+    def _directory(self) -> Dict[str, dict]:
+        """The footer's column directory, as :func:`write_container` wrote it."""
+        return {
+            name: {"offset": offset, "length": length, "ctype": ctype}
+            for name, (offset, length, ctype) in self.layout.extents.items()
+        }
 
     @property
     def column_names(self) -> List[str]:
@@ -263,18 +298,18 @@ class ContainerReader:
 
     def column_reader(self, name: str) -> ColumnReader:
         if name not in self._readers:
-            entry = self._directory[name]  # KeyError: not a column of this container
+            # KeyError: not a column of this container
+            offset, length, _ = self.layout.extents[name]
             try:
-                chunk = self._data[entry["offset"] : entry["offset"] + entry["length"]]
-            except (KeyError, TypeError, IndexError) as exc:
+                chunk = self._data[offset : offset + length]
+            except TypeError as exc:
                 raise CorruptBlock(
                     f"damaged container footer: extent of {name!r}: {exc!r}"
                 ) from None
-            self._readers[name] = ColumnReader(chunk)
+            known = self.layout.columns
+            reader = self._readers[name] = ColumnReader(chunk, known.get(name))
+            known[name] = reader.layout
         return self._readers[name]
-
-    def read_columns(self, names: Sequence[str]) -> Dict[str, np.ndarray]:
-        return {n: self.column_reader(n).read_all() for n in names}
 
     def stored_bytes(self, names: Sequence[str]) -> int:
         """Stored (on-object) size of the named column files.
@@ -283,23 +318,26 @@ class ContainerReader:
         pricing base of :meth:`SimulatedS3.select_scan` — and is exactly
         recomputable by a client holding the raw container image.
         """
-        entries = [self._directory[n] for n in names]
+        lengths = [self.layout.extents[n][1] for n in names]
         try:
-            return sum(entry["length"] for entry in entries)
-        except (KeyError, TypeError, IndexError) as exc:
+            return sum(lengths)
+        except TypeError as exc:
             raise CorruptBlock(f"damaged container footer: a length: {exc!r}") from None
 
     def schema(self) -> TableSchema:
         return self._schema_of(self.column_order)
 
     def _schema_of(self, names: Sequence[str]) -> TableSchema:
-        """Schema of just the named columns: a scan reads a few columns of
-        a wide container, once per reader."""
-        return TableSchema([SchemaColumn(n, self._ctype(n)) for n in names])
-
-    def read_rowset(self, names: Optional[Sequence[str]] = None) -> RowSet:
-        names = self.column_order if names is None else list(names)
-        return RowSet(self._schema_of(names), self.read_columns(names))
+        """Schema of just the named columns: a read takes a few columns of
+        a wide container."""
+        try:
+            # KeyError: not a column of this container
+            columns = [
+                SchemaColumn(n, ColumnType(self.layout.extents[n][2])) for n in names
+            ]
+        except ValueError as exc:
+            raise CorruptBlock(f"damaged container footer: a ctype: {exc}") from None
+        return TableSchema(columns)
 
     # -- block-level access ----------------------------------------------------
 
@@ -318,34 +356,50 @@ class ContainerReader:
         masks = [
             self.column_reader(column).block_mask(lo, hi)
             for column, (lo, hi) in bounds.items()
-            if column in self._directory
+            if column in self.layout.extents
         ]
         # Counted after the bounded columns' readers are open: a pruned scan
         # parses no footer of a column it does not read.
         return [i for i in range(self.block_count()) if all(m[i] for m in masks)]
 
-    def read_rowset_blocks(
-        self, names: Sequence[str], block_indices: Sequence[int]
-    ) -> RowSet:
-        """Read only the given blocks of each column (positions align
-        across columns because block geometry is shared)."""
-        names = list(names)
-        schema = self._schema_of(names)
-        columns: Dict[str, np.ndarray] = {}
-        for name in names:
+    def append_blocks(
+        self,
+        out: Dict[str, List[np.ndarray]],
+        block_indices: Optional[Sequence[int]] = None,
+    ) -> None:
+        """The one read: decode every block (or only ``block_indices`` —
+        positions align across columns because block geometry is shared) of
+        each column ``out`` names and append it to that column's list.
+
+        PLAIN numeric blocks are appended as views of the image, so the
+        lists are for :meth:`RowSet.from_blocks` (:func:`concat_blocks`
+        owns what it returns), not for keeping; a block of no rows is decoded and appends nothing.
+        """
+        for name, parts in out.items():
             reader = self.column_reader(name)
-            parts = [reader.read_block(i) for i in block_indices]
-            if not parts:
-                columns[name] = schema.column(name).ctype.coerce([])
-            elif len(parts) == 1:
-                columns[name] = parts[0]
-            else:
-                columns[name] = np.concatenate(parts)
-        return RowSet(schema, columns)
+            indices = range(len(reader.blocks)) if block_indices is None else block_indices
+            for index in indices:
+                values = reader.read_block(index, view=True)
+                if len(values):
+                    parts.append(values)
+
+    def read_rowset_blocks(
+        self, names: Sequence[str], block_indices: Optional[Sequence[int]]
+    ) -> RowSet:
+        """Read only the given blocks (all for ``None``) of each column."""
+        schema = self._schema_of(names)
+        out: Dict[str, List[np.ndarray]] = {name: [] for name in schema.names}
+        self.append_blocks(out, block_indices)
+        return RowSet.from_blocks(schema, out)
+
+    def read_rowset(self, names: Optional[Sequence[str]] = None) -> RowSet:
+        return self.read_rowset_blocks(self.column_order if names is None else names, None)
 
 
-def read_container(data: Buffer) -> ContainerReader:
-    return ContainerReader(data)
+def read_container(data: Buffer, layout: Optional[ContainerLayout] = None) -> ContainerReader:
+    """A reader over ``data``; ``layout`` is what an earlier reader of the
+    same image learnt (``reader.layout``), and saves parsing it again."""
+    return ContainerReader(data, layout)
 
 
 def container_stats(rowset: RowSet) -> Tuple[Tuple[Tuple[str, object], ...], Tuple[Tuple[str, object], ...]]:

@@ -249,15 +249,17 @@ def _encode_plain(arr: np.ndarray, dt: int) -> bytes:
     return arr.astype(_NUMPY_BY_DT[dt], copy=False).tobytes()
 
 
-def _decode_plain(buf: memoryview, dt: int, count: int) -> np.ndarray:
+def _decode_plain(buf: memoryview, dt: int, count: int, view: bool = False) -> np.ndarray:
     if dt == _DT_OBJ:
         values, _ = _decode_strings(buf, 0, expect=count)
         return _object_array(values)
     if dt == _DT_BOOL:
         return _decode_packed_bools(buf, 0, count)
     _need(buf, 0, 8 * count)
-    # The one copy of a PLAIN block: from the container image to the array.
-    return np.frombuffer(buf, dtype=_NUMPY_BY_DT[dt], count=count).copy()
+    values = np.frombuffer(buf, dtype=_NUMPY_BY_DT[dt], count=count)
+    # The one copy of a PLAIN block, from the container image to an array:
+    # made here, or by the caller who asked for a view and concatenates it.
+    return values if view else values.copy()
 
 
 def _object_array(values: List[Optional[str]]) -> np.ndarray:
@@ -270,7 +272,10 @@ def _runs(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return np.array([], dtype=np.int64), arr
     change = np.empty(len(arr), dtype=bool)
     change[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=change[1:])
+    # Floats run on the bits RLE writes: ``-0.0 == 0.0`` would drop a sign,
+    # and NaNs of one payload share a run though ``nan != nan``.
+    keys = arr.astype(np.float64, copy=False).view(np.uint64) if arr.dtype.kind == "f" else arr
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     return starts, arr[starts]
 
@@ -446,11 +451,14 @@ def encode_block(arr: np.ndarray, encoding: Optional[Encoding] = None) -> bytes:
     return _HEADER.pack(int(encoding), dt, len(arr)) + payload
 
 
-def decode_block(data: Buffer) -> np.ndarray:
+def decode_block(data: Buffer, view: bool = False) -> np.ndarray:
     """Inverse of :func:`encode_block`.
 
     ``data`` may be any bytes-like object; a ``memoryview`` slice of a
     larger image is decoded in place, without copying the block out first.
+    With ``view`` a PLAIN numeric block comes back as an array over ``data``
+    itself (read-only when ``data`` is) for a caller that copies it on:
+    every other block is a fresh array either way.
     Raises :class:`CorruptBlock` when ``data`` is not a whole valid block.
     """
     buf = memoryview(data)
@@ -462,4 +470,6 @@ def decode_block(data: Buffer) -> np.ndarray:
         raise CorruptBlock(f"unknown block encoding {enc_id}")
     if dt not in (_DT_INT, _DT_FLOAT, _DT_OBJ, _DT_BOOL):
         raise CorruptBlock(f"unknown block dtype code {dt}")
+    if view and decoder is _decode_plain:
+        return _decode_plain(buf[_HEADER.size :], dt, count, view)
     return decoder(buf[_HEADER.size :], dt, count)

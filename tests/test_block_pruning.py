@@ -88,9 +88,8 @@ class TestContainerBlockReads:
         expected = set(range(reader.block_count()))
         for column, (lo, hi) in bounds.items():
             if column != "absent":
-                expected &= set(
-                    reader.column_reader(column).blocks_possibly_matching(lo, hi)
-                )
+                mask = reader.column_reader(column).block_mask(lo, hi)
+                expected &= {i for i, hit in enumerate(mask) if hit}
         assert reader.matching_blocks(bounds) == sorted(expected)
 
     def test_read_selected_blocks_aligned(self):

@@ -159,9 +159,13 @@ def _runs(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             count=len(arr),
         )
     else:
+        # The oracle's one departure from the old loop (PR 19): float runs
+        # compare on their bits.  ``!=`` put -0.0 into a 0.0 run and lost
+        # its sign, and gave every NaN a run of its own.
+        keys = arr.astype(np.float64).view(np.uint64) if arr.dtype.kind == "f" else arr
         change = np.empty(len(arr), dtype=bool)
         change[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=change[1:])
+        np.not_equal(keys[1:], keys[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     return starts, arr[starts]
 
@@ -366,8 +370,15 @@ def check_against_reference(arr: np.ndarray, encoding: Optional[Encoding]) -> No
         got = encode_block(arr, encoding)
         assert got == want
         expected = reference_decode_quiet(want)
+        if arr.dtype.kind == "f":
+            # Not only what the oracle reads back: the floats that went in,
+            # bit for bit (the sign of zero and NaN payloads included).
+            assert_same_array(expected, arr.astype(np.float64))
         for buffer in buffers_of(got):
             assert_same_array(decode_block(buffer), expected)
+            # A view of a PLAIN block is the same values; anything else is
+            # the same fresh array either way.
+            assert_same_array(decode_block(buffer, view=True), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +587,41 @@ class TestGoldenBytes:
         assert_same_array(decode_block(bytes.fromhex(expected)), arr)
 
 
+class TestFloatRunsCompareBits:
+    """RLE used to compare floats with ``!=``: ``-0.0`` joined a ``0.0`` run
+    and came back ``+0.0``.  Runs are cut where the bits change."""
+
+    FLOAT_ENCODINGS = KINDS["float"][2]
+
+    @pytest.mark.parametrize("encoding", FLOAT_ENCODINGS)
+    def test_the_sign_of_zero_survives(self, encoding):
+        arr = np.array([0.0, -0.0, -0.0, 0.0])
+        got = decode_block(encode_block(arr, encoding))
+        assert np.signbit(got).tolist() == [False, True, True, False]
+        assert_same_array(got, arr)
+
+    @pytest.mark.parametrize("encoding", FLOAT_ENCODINGS)
+    @given(arr=columns("float"))
+    @settings(max_examples=150, deadline=None)
+    def test_signbit_round_trips(self, encoding, arr):
+        got = decode_block(encode_block(arr, encoding))
+        assert np.signbit(got).tolist() == np.signbit(arr).tolist()
+        assert_same_array(got, arr)
+
+    def test_nans_of_one_payload_share_a_run(self):
+        nan = float("nan")
+        arr = np.array([nan, nan, nan, NAN_WITH_PAYLOAD, NAN_WITH_PAYLOAD, 1.0])
+        assert choose_encoding(arr) is Encoding.RLE
+        block = encode_block(arr, Encoding.RLE)
+        assert block[_HEADER.size] == 3  # runs: nan x3, payload nan x2, 1.0
+        assert_same_array(decode_block(block), arr)
+
+    def test_narrow_floats_run_on_the_bits_written(self):
+        arr = np.array([0.0, -0.0, 1.5, 1.5], dtype=np.float32)
+        got = decode_block(encode_block(arr, Encoding.RLE))
+        assert_same_array(got, arr.astype(np.float64))
+
+
 class TestWideRangeDelta:
     """DELTA over the whole int64 range: the deltas wrap when written and
     wrap back when summed.  The scalar decoder got there with a
@@ -752,7 +798,7 @@ def read_column_or_is_corrupt(image: bytes) -> Optional[np.ndarray]:
         lo = {"O": "b", "f": 0.5}.get(values.dtype.kind, 3)
         reader.block_mask(lo, lo)
         if reader.row_count:
-            reader.read_rows([reader.row_count - 1, 0])
+            reader.read_block(len(reader.blocks) - 1), reader.read_block(0, view=True)
         return values
     except CorruptBlock:
         return None

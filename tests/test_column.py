@@ -1,11 +1,18 @@
 """Column files: footer position index, block pruning, random access."""
 
+import bisect
+
 import numpy as np
 import pytest
 
 from repro.common.types import ColumnType
 from repro.errors import CorruptBlock
 from repro.storage.column import ColumnFile, ColumnReader
+
+
+def matching(mask) -> list:
+    """Indices of the blocks a ``block_mask`` keeps."""
+    return [i for i, hit in enumerate(mask) if hit]
 
 
 @pytest.fixture
@@ -33,28 +40,32 @@ class TestColumnFile:
         assert list(int_reader.read_block(2)) == list(range(2_000, 3_000))
 
     def test_read_rows_random_access(self, int_reader):
-        positions = [9_999, 0, 5_000, 5_001, 123]
-        assert list(int_reader.read_rows(positions)) == positions
+        """Any row is one block away: the position index says which."""
+        starts = [b.row_start for b in int_reader.blocks]
+        for position in [9_999, 0, 5_000, 5_001, 123]:
+            index = bisect.bisect_right(starts, position) - 1
+            block = int_reader.read_block(index)
+            assert block[position - starts[index]] == position
 
     def test_read_rows_out_of_range(self, int_reader):
         with pytest.raises(IndexError):
-            int_reader.read_rows([10_000])
+            int_reader.read_block(10)
         with pytest.raises(IndexError):
-            int_reader.read_rows([-1])
+            int_reader.read_block(-11)
 
     def test_blocks_possibly_matching_point(self, int_reader):
-        assert int_reader.blocks_possibly_matching(4_500, 4_500) == [4]
+        assert matching(int_reader.block_mask(4_500, 4_500)) == [4]
 
     def test_blocks_possibly_matching_range(self, int_reader):
-        assert int_reader.blocks_possibly_matching(900, 2_100) == [0, 1, 2]
+        assert matching(int_reader.block_mask(900, 2_100)) == [0, 1, 2]
 
     def test_blocks_possibly_matching_unbounded(self, int_reader):
-        assert int_reader.blocks_possibly_matching(None, 999) == [0]
-        assert int_reader.blocks_possibly_matching(9_000, None) == [9]
-        assert len(int_reader.blocks_possibly_matching()) == 10
+        assert matching(int_reader.block_mask(None, 999)) == [0]
+        assert matching(int_reader.block_mask(9_000, None)) == [9]
+        assert int_reader.block_mask() == [True] * 10
 
     def test_blocks_possibly_matching_misses(self, int_reader):
-        assert int_reader.blocks_possibly_matching(20_000, 30_000) == []
+        assert matching(int_reader.block_mask(20_000, 30_000)) == []
 
     def test_string_column(self):
         values = np.array(["b", "a", None, "zz"], dtype=object)
@@ -67,12 +78,12 @@ class TestColumnFile:
     def test_all_null_block_cannot_be_pruned(self):
         values = np.array([None, None], dtype=object)
         reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR))
-        assert reader.blocks_possibly_matching("a", "b") == [0]
+        assert reader.block_mask("a", "b") == [True]
 
     def test_block_mask_lines_up_with_block_indices(self, int_reader):
         mask = int_reader.block_mask(900, 2_100)
         assert mask == [True, True, True] + [False] * 7
-        assert int_reader.blocks_possibly_matching(900, 2_100) == [0, 1, 2]
+        assert len(mask) == len(int_reader.blocks)
 
     def test_reads_a_view_of_a_larger_image(self):
         values = np.arange(5_000) * 7 - 3

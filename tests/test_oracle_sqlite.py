@@ -1,5 +1,7 @@
 """WHERE expressions and single-table GROUP BY against SQLite (DISTINCT and
-ORDER BY ... LIMIT/OFFSET windows: ``tests/test_engine_property.py``).
+ORDER BY ... LIMIT/OFFSET windows: ``tests/test_engine_property.py``), and the
+scan path under them: a second, larger table whose containers hold several
+blocks and some delete vectors, asked range/point/IN questions that prune.
 
 The differential walls elsewhere compare this system with another
 configuration of itself; this one compares it with an engine that shares
@@ -178,6 +180,120 @@ class TestAgainstSqlite:
     ])
     def test_named_cases(self, sides, sql):
         cluster, oracle = sides
+        assert oracle.check(cluster, sql) is None
+
+
+# -- the scan path: containers of several blocks, delete vectors, pruning -----------
+
+BIG_COLUMNS = [("k", ColumnType.INT), ("v", ColumnType.INT), ("s", ColumnType.VARCHAR),
+               ("f", ColumnType.FLOAT)]
+BIG_ROWS = 54_000
+#: Hits the first and the last COPY slice and leaves the middle one alone.
+BIG_DELETE = "k between 5000 and 5999 or (k >= 40000 and v < 20)"
+
+
+@pytest.fixture(scope="module")
+def big_sides():
+    """A table sorted (and segmented) on ``k``, loaded as three COPY slices of
+    disjoint key ranges — container and block min/max of ``k`` both prune —
+    into containers of three blocks each, then a DELETE that leaves delete
+    vectors on some containers only."""
+    draw = random.Random(23)
+    rows = [(k, draw.randrange(200), draw.choice(STRINGS), draw.choice(FLOATS))
+            for k in range(BIG_ROWS)]
+    cluster = EonCluster(["a", "b"], shard_count=2, seed=31)
+    cluster.create_table("big", BIG_COLUMNS)
+    for start in range(0, BIG_ROWS, BIG_ROWS // 3):
+        cluster.load("big", rows[start:start + BIG_ROWS // 3])
+    oracle = SqliteOracle("big", BIG_COLUMNS, rows)
+    cluster.execute(f"delete from big where {BIG_DELETE}")
+    oracle.db.execute(f"delete from big where {BIG_DELETE}")
+    oracle.db.commit()
+    return cluster, oracle
+
+
+_key = st.one_of(st.integers(-5, BIG_ROWS + 5),
+                 st.sampled_from([0, 4095, 4096, 5000, 5999, 6000, 17_999, 18_000, 40_000,
+                                  BIG_ROWS - 1]))
+_width = st.sampled_from([0, 1, 40, 700, 5_000])
+_second = st.integers(-1, 200)
+
+
+@st.composite
+def big_leaves(draw) -> str:
+    kind = draw(st.sampled_from(["range", "range", "point", "in", "open", "v_point",
+                                 "v_range", "v_in"]))
+    if kind == "range":
+        low = draw(_key)
+        return f"k between {low} and {low + draw(_width)}"
+    if kind == "point":
+        return f"k = {draw(_key)}"
+    if kind == "in":
+        return f"k in {_in_list([str(draw(_key)) for _ in range(draw(st.integers(1, 4)))])}"
+    if kind == "open":
+        # Near an end of the key range, so the answer stays small.
+        return draw(st.sampled_from([f"k < {draw(st.integers(-5, 3_000))}",
+                                     f"k >= {BIG_ROWS - draw(st.integers(-5, 3_000))}"]))
+    if kind == "v_point":
+        return f"v = {draw(_second)}"
+    if kind == "v_range":
+        low = draw(_second)
+        return f"v between {low} and {low + draw(st.integers(0, 3))}"
+    return f"v in {_in_list([str(draw(_second)) for _ in range(draw(st.integers(1, 3)))])}"
+
+
+big_predicates = st.one_of(
+    big_leaves(),
+    st.tuples(big_leaves(), big_leaves()).map(lambda p: f"{p[0]} and {p[1]}"),
+    st.tuples(big_leaves(), big_leaves()).map(lambda p: f"({p[0]}) or ({p[1]})"),
+)
+
+
+class TestTheScanPathAgainstSqlite:
+    """Every query runs twice: the second run reads on the layouts the depot
+    kept from the first (``tests/test_scan_path.py`` walls that they are)."""
+
+    def test_the_table_is_what_the_docstring_says(self, big_sides):
+        cluster, _ = big_sides
+        state = cluster.any_up_node().catalog.state
+        containers = state.containers_of("big_super")
+        assert len(containers) == 6 and min(c.row_count for c in containers) > 2 * 4096
+        tombstoned = {str(d.target_sid) for d in state.delete_vectors.values()}
+        assert 0 < len(tombstoned) < len(containers)
+        point = cluster.query("select v from big where k = 20000")
+        work = point.stats.per_node.values()
+        assert sum(w.containers_pruned for w in work) == 4
+        assert sum(w.blocks_pruned for w in work) == 4  # two of three blocks, per shard
+
+    @settings(max_examples=120, **_SETTINGS)
+    @given(big_predicates)
+    def test_where_on_the_sort_column_and_a_second_column(self, big_sides, predicate):
+        cluster, oracle = big_sides
+        sql = f"select k, v, s, f from big where {predicate}"
+        assert oracle.check(cluster, sql) is None
+        assert oracle.check(cluster, sql) is None
+
+    @settings(max_examples=40, **_SETTINGS)
+    @given(big_predicates)
+    def test_aggregates_over_the_pruned_scan(self, big_sides, predicate):
+        cluster, oracle = big_sides
+        sql = f"select count(*), sum(v), min(k), max(k), count(s) from big where {predicate}"
+        if oracle.query(f"select count(*) from big where {predicate}") == [(0,)]:
+            sql = f"select count(*), sum(v), count(s) from big where {predicate}"
+        assert oracle.check(cluster, sql) is None
+        assert oracle.check(cluster, sql) is None
+
+    @pytest.mark.parametrize("sql", [
+        "select count(*), sum(k), count(s), count(f) from big",
+        "select k from big where k between 4990 and 6010",          # across the deleted range
+        "select k, v from big where k >= 39990 and k < 40100",      # half-deleted by v
+        "select count(*) from big where k between 17000 and 19000",  # across two slices
+        "select v, count(*) from big where k between 4000 and 4200 group by v",
+        "select k, s from big where k in (0, 4095, 4096, 8191, 8192, 53999)",
+    ])
+    def test_named_cases(self, big_sides, sql):
+        cluster, oracle = big_sides
+        assert oracle.check(cluster, sql) is None
         assert oracle.check(cluster, sql) is None
 
 
