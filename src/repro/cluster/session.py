@@ -40,6 +40,7 @@ from repro.storage.delete_vector import (
     mask_from_positions,
     read_delete_vector,
 )
+from repro.storage.encoding import CodedStrings, join_blocks
 
 
 @dataclass
@@ -270,7 +271,7 @@ class EonStorageProvider(StorageProvider):
                     )
                     if rows.num_rows:
                         for name, parts in out.items():
-                            parts.append(rows.column(name))
+                            parts.append(rows.held(name))
                 else:
                     self._read_container(
                         node, container, info, dvs, read_columns, share, out,
@@ -483,15 +484,17 @@ class EonStorageProvider(StorageProvider):
             )
         if not all(own.values()):
             return  # an empty container, or no block survived pruning
-        arrays = {
-            name: parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for name, parts in own.items()
-        }
+        # Joined as the scan joins them, so string blocks stay codes under
+        # the masks; only a segmentation column that is hashed becomes text.
+        arrays = {name: join_blocks(parts) for name, parts in own.items()}
         if live is not None:
             arrays = {name: values[live] for name, values in arrays.items()}
         if share is not None:
             seg_cols, share_count, sub_index = share
-            hashes = hash_columns([arrays[c] for c in seg_cols])
+            hashes = hash_columns([
+                values.text() if isinstance(values, CodedStrings) else values
+                for values in map(arrays.__getitem__, seg_cols)
+            ])
             mine = hashes % np.uint64(share_count) == np.uint64(sub_index)
             arrays = {name: values[mine] for name, values in arrays.items()}
         for name, parts in out.items():

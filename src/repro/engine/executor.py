@@ -50,6 +50,7 @@ from repro.engine.plan import (
 from repro.engine.planner import PhysicalPlan
 from repro.errors import ExecutionError
 from repro.storage.container import RowSet
+from repro.storage.encoding import CodedStrings, Held
 
 
 @dataclass
@@ -157,8 +158,12 @@ def rowset_bytes(rows: RowSet) -> int:
     """Approximate wire size of a batch."""
     total = 0
     for name in rows.schema.names:
-        column = rows.column(name)
-        if column.dtype.kind == "O":
+        column = rows.held(name)
+        if isinstance(column, CodedStrings):
+            # The same sum, each entry's length taken once and gathered.
+            lengths = [len(v) if v is not None else 0 for v in column.dictionary.tolist()]
+            total += 4 * len(column) + int(np.asarray(lengths, dtype=np.int64)[column.codes].sum())
+        elif column.dtype.kind == "O":
             # 4 bytes a value plus the length of each string.
             values = column.tolist()
             strings = compress(values, map(isinstance, values, repeat(str)))
@@ -488,12 +493,9 @@ class Executor:
         work = self.stats.node(participant)
         left = self._eval_fragment(node.left, participant)
         build, locality = self._join_build(node, participant)
-        left_mask = None
-        if node.left_condition is not None:
-            left_mask = node.left_condition.evaluate(left).astype(bool)
         out = hash_join(
             left, build, list(node.left_keys), list(node.right_keys), node.how,
-            left_mask,
+            node.condition,
         )
         join_cpu = (
             (left.num_rows + build.num_rows + out.num_rows) * self.cost.row_cpu_seconds
@@ -538,16 +540,16 @@ class Executor:
 
 
 def _project(rows: RowSet, outputs: Tuple[Tuple[str, Expr], ...]) -> RowSet:
-    columns: Dict[str, np.ndarray] = {}
+    columns: Dict[str, Held] = {}
     schema_cols: List[SchemaColumn] = []
     for name, expr in outputs:
-        values = expr.evaluate(rows)
+        values = expr.held(rows)
         columns[name] = values
         schema_cols.append(SchemaColumn(name, _ctype_of(values)))
     return RowSet(TableSchema(schema_cols), columns)
 
 
-def _ctype_of(values: np.ndarray):
+def _ctype_of(values: Held):
     from repro.common.types import ColumnType
 
     kind = values.dtype.kind

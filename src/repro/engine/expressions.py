@@ -18,8 +18,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.common.types import TableSchema
 from repro.errors import ExecutionError
 from repro.storage.container import RowSet
+from repro.storage.encoding import CodedStrings, Held
 
 #: Per-column bounds used by range analysis: name -> (min, max).
 Bounds = Dict[str, Tuple[object, object]]
@@ -28,9 +30,38 @@ Bounds = Dict[str, Tuple[object, object]]
 class Expr(abc.ABC):
     """Base class of all expression nodes."""
 
-    @abc.abstractmethod
     def evaluate(self, rows: RowSet) -> np.ndarray:
-        """Vectorised evaluation; returns an array of len ``rows.num_rows``."""
+        """Vectorised evaluation; returns an array of len ``rows.num_rows``.
+
+        The dictionary rule, for every node above the leaves: an expression
+        that reads exactly one column, held as codes over a dictionary
+        smaller than the batch, is computed once per entry the batch
+        references and gathered by code.  The same ``_evaluate`` sees the
+        same values, so NULLs and errors are those of the row-wise answer;
+        an entry no row references is never looked at.
+        """
+        found = _sole_coded_column(self, rows) if rows.has_codes else None
+        if found is None:
+            return self._evaluate(rows)
+        name, strings = found
+        size = len(strings.dictionary)
+        present = np.flatnonzero(np.bincount(strings.codes, minlength=size))
+        entries = RowSet(
+            TableSchema([rows.schema.column(name)]), {name: strings.dictionary[present]}
+        )
+        per_entry = self._evaluate(entries)
+        out = np.empty(size, dtype=per_entry.dtype)
+        out[present] = per_entry
+        return out[strings.codes]
+
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
+        """The node's own arithmetic; its operands go through ``evaluate``."""
+        raise NotImplementedError
+
+    def held(self, rows: RowSet) -> Held:
+        """``evaluate`` for a kernel that takes codes, or to hand the values
+        on: a bare column reference gives the column as the batch holds it."""
+        return self.evaluate(rows)
 
     @abc.abstractmethod
     def columns_used(self) -> Set[str]:
@@ -102,6 +133,22 @@ class Expr(abc.ABC):
         return IsNull(self)
 
 
+def _sole_coded_column(expr: Expr, rows: RowSet) -> Optional[Tuple[str, CodedStrings]]:
+    """The one column ``expr`` reads, when ``rows`` holds it as codes over a
+    dictionary smaller than the batch (else a test per row is no dearer)."""
+    used = expr.columns_used()
+    if len(used) != 1:
+        return None
+    (name,) = used
+    try:
+        strings = rows.held(name)
+    except KeyError:
+        return None  # not in the batch: the column reference says so
+    if isinstance(strings, CodedStrings) and len(strings.dictionary) < rows.num_rows:
+        return name, strings
+    return None
+
+
 def _wrap(value) -> "Expr":
     return value if isinstance(value, Expr) else Literal(value)
 
@@ -121,6 +168,12 @@ class ColumnRef(Expr):
     def evaluate(self, rows: RowSet) -> np.ndarray:
         try:
             return rows.column(self.name)
+        except KeyError:
+            raise ExecutionError(f"column {self.name!r} not in batch") from None
+
+    def held(self, rows: RowSet) -> Held:
+        try:
+            return rows.held(self.name)
         except KeyError:
             raise ExecutionError(f"column {self.name!r} not in batch") from None
 
@@ -170,7 +223,7 @@ class BinaryOp(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         lhs = self.left.evaluate(rows)
         rhs = self.right.evaluate(rows)
         op = self.op
@@ -207,16 +260,18 @@ class BinaryOp(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-def null_mask(values: np.ndarray) -> np.ndarray:
+def null_mask(values: Held) -> np.ndarray:
     """True where the value is NULL: ``None`` (or a NaN object) in an object
-    array, NaN in a float array.  Int and bool arrays cannot hold NULL (no
-    sentinel) — the documented deviation.  Expressions and aggregates share
-    this one definition."""
+    array, NaN in a float array, the code of ``None`` among codes.  Int and
+    bool arrays cannot hold NULL (no sentinel) — the documented deviation.
+    Expressions and aggregates share this one definition."""
     kind = values.dtype.kind
     if kind == "f":
         return np.isnan(values)
     if kind != "O":
         return np.zeros(len(values), dtype=bool)
+    if isinstance(values, CodedStrings):
+        return values.codes == values.null_code
     if values.strides == (0,) and len(values) > 1:
         # A literal's broadcast view: test its one value.
         return np.broadcast_to(null_mask(values[:1])[0], len(values))
@@ -284,7 +339,7 @@ class UnaryOp(Expr):
         self.op = op
         self.operand = operand
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         value = self.operand.evaluate(rows)
         if self.op == "not":
             return np.logical_not(value.astype(bool))
@@ -309,7 +364,7 @@ class InList(Expr):
         #: A NULL in the list equals nothing, and a NULL operand is in no list.
         self._non_null = [v for v in values if v is not None and v == v]
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         value = self.operand.evaluate(rows)
         if value.dtype.kind == "O":
             allowed = set(self._non_null)
@@ -344,7 +399,7 @@ class IsNull(Expr):
         self.operand = operand
         self.negated = negated
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         nulls = null_mask(self.operand.evaluate(rows))
         return ~nulls if self.negated else nulls
 
@@ -367,7 +422,7 @@ class FuncCall(Expr):
         self.name = name
         self.args = args
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         values = [a.evaluate(rows) for a in self.args]
         if self.name == "like":
             pattern = self.args[1]
@@ -485,15 +540,10 @@ def _map_non_null(
     func: Callable[[object], object], values: np.ndarray, null: object, dtype
 ) -> np.ndarray:
     """``func`` of every non-NULL value of an object column, ``null`` where
-    the value is ``None``.  Where a strided sample says the column repeats,
-    ``func`` runs once per distinct value and each row is one dict lookup."""
+    the value is ``None``.  A column that repeats arrives as codes and is
+    mapped per dictionary entry (:meth:`Expr.evaluate`), not here."""
     column = values.tolist()
-    sample = column[:: len(column) // 1024 + 1]
-    if len(sample) >= 4 * len(set(sample)):
-        table = {v: null if v is None else func(v) for v in set(column)}
-        out = map(table.__getitem__, column)
-    else:
-        out = [null if v is None else func(v) for v in column]
+    out = [null if v is None else func(v) for v in column]
     return np.fromiter(out, dtype=dtype, count=len(column))
 
 
@@ -529,7 +579,7 @@ class CaseWhen(Expr):
         self.branches = branches
         self.default = default if default is not None else Literal(None)
 
-    def evaluate(self, rows: RowSet) -> np.ndarray:
+    def _evaluate(self, rows: RowSet) -> np.ndarray:
         result = self.default.evaluate(rows)
         decided = np.zeros(rows.num_rows, dtype=bool)
         # First matching branch wins; evaluate in order.

@@ -26,7 +26,8 @@ import numpy as np
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.expressions import ColumnRef, Expr, null_mask
 from repro.errors import ExecutionError
-from repro.storage.container import RowSet
+from repro.storage.container import RowSet, sort_order
+from repro.storage.encoding import CodedStrings, Held, dictionary_of
 
 _AGG_FUNCS = ("sum", "count", "avg", "min", "max")
 
@@ -98,26 +99,25 @@ def _group_order(codes: np.ndarray, size: int) -> np.ndarray:
     return np.argsort(codes, kind="stable")
 
 
-def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+def _factorize(arr: Held) -> Tuple[np.ndarray, int]:
     """``(codes, size)``: equal values share a code in ``range(size)`` and
     codes ascend with the values (``None`` last; NaNs last, as one value).
-    A dense integer column is coded ``value - min`` with no sort, so not
-    every code need occur."""
+    Strings held as codes are factorized already, and a dense integer column
+    is coded ``value - min`` with no sort: not every code need occur."""
+    if isinstance(arr, CodedStrings):
+        return arr.codes, len(arr.dictionary)
     if arr.dtype.kind == "O":
         column = arr.tolist()
-        distinct = list(dict.fromkeys(column))
         try:
-            distinct = sorted(distinct, key=lambda v: (v is None, v))
+            dictionary, codes = dictionary_of(column)
+            return codes, len(dictionary)
         except TypeError:
             # Mixed-type object columns (e.g. a VARCHAR column fed ints by
             # an expression) are not mutually comparable: keep the order of
             # first occurrence.
-            pass
-        index = {v: i for i, v in enumerate(distinct)}
-        codes = np.fromiter(
-            map(index.__getitem__, column), dtype=np.int64, count=len(column)
-        )
-        return codes, len(distinct)
+            index = {v: i for i, v in enumerate(dict.fromkeys(column))}
+            codes = map(index.__getitem__, column)
+            return np.fromiter(codes, dtype=np.int64, count=len(column)), len(index)
     dense = _dense_range(arr)
     if dense is not None:
         return _offsets(arr, dense[0]).view(np.int64), dense[1]
@@ -167,13 +167,13 @@ def _group_codes(
         return np.zeros(rows.num_rows, dtype=np.int64), none, 1
     if rows.num_rows == 0:
         return none, none, 0
-    codes, space = _factorize(rows.column(group_names[0]))
+    codes, space = _factorize(rows.held(group_names[0]))
     for name in group_names[1:]:
-        codes, space = _combine(codes, space, *_factorize(rows.column(name)))
+        codes, space = _combine(codes, space, *_factorize(rows.held(name)))
     return _densify(codes, space)
 
 
-def _output_type(func: str, arg: Optional[np.ndarray]) -> ColumnType:
+def _output_type(func: str, arg: Optional[Held]) -> ColumnType:
     if func == "count":
         return ColumnType.INT
     if func == "avg":
@@ -190,7 +190,7 @@ def _output_type(func: str, arg: Optional[np.ndarray]) -> ColumnType:
     return ColumnType.INT
 
 
-def _drop_nulls(codes: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _drop_nulls(codes: np.ndarray, values: Held) -> Tuple[np.ndarray, Held]:
     """``(codes, values)`` without the rows whose value is NULL; the arrays
     themselves when there is none."""
     null = null_mask(values)
@@ -202,7 +202,7 @@ def _drop_nulls(codes: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.n
 
 def _agg_array(
     func: str,
-    values: Optional[np.ndarray],
+    values: Optional[Held],
     codes: np.ndarray,
     n: int,
     order: Optional[np.ndarray] = None,
@@ -214,6 +214,7 @@ def _agg_array(
     before the kernels run, so they never contribute to ``count(col)``,
     ``sum``, ``min``, or ``max``.  ``order`` is the stable argsort of
     ``codes`` that ``min``/``max`` reduce over, for callers that have it.
+    Strings held as codes are reduced as the integers they are.
     """
     if len(codes) == 0:
         # Only the global-aggregate case reaches here with n == 1; grouped
@@ -247,6 +248,16 @@ def _agg_array(
     if func in ("min", "max"):
         if order is None:
             order = _group_order(codes, n)
+        entries = None
+        if isinstance(values, CodedStrings):
+            # Codes ascend with their strings and NULL is the largest: it
+            # loses every ``min`` as it is, and every ``max`` as -1 — and an
+            # all-NULL group's answer, either way, indexes ``None``.
+            entries = np.append(values.dictionary, None)
+            values = (
+                np.where(null_mask(values), -1, values.codes) if func == "max"
+                else values.codes
+            )
         sorted_values = values[order]
         if values.dtype.kind == "f":
             # Mask NULLs up front; a group whose values are all NULL then
@@ -269,7 +280,8 @@ def _agg_array(
             out = np.full(n, np.nan)
             out[sorted_codes[starts]] = reducer.reduceat(sorted_values, starts)
             return out
-        return reducer.reduceat(sorted_values, starts)
+        out = reducer.reduceat(sorted_values, starts)
+        return out if entries is None else entries[out]
     raise ExecutionError(f"unsupported aggregate {func!r}")
 
 
@@ -305,7 +317,7 @@ def _aggregate_complete_with_avg(
         else:
             decomposed.append(spec)
     out = _aggregate_complete(rows, group_names, decomposed)
-    cols = dict(out.columns)
+    cols = {name: out.held(name) for name in out.schema.names}
     schema_cols = list(out.schema.columns)
     order = [c.name for c in schema_cols]
     for output in avg_outputs:
@@ -342,8 +354,8 @@ def _aggregate_complete(
         return placeholder.slice(0, 0)
     codes, first_rows, n_groups = _group_codes(rows, group_names)
     # Each group is represented by the key values of its first row.
-    out_cols: Dict[str, np.ndarray] = {
-        name: rows.column(name)[first_rows] for name in group_names
+    out_cols: Dict[str, Held] = {
+        name: rows.held(name)[first_rows] for name in group_names
     }
     # One stable sort by group, shared by every min/max of this call.
     order = (
@@ -361,11 +373,11 @@ def _aggregate_complete(
                 "aggregates in one operator; plan them separately"
             )
         spec = specs[0]
-        values = spec.argument.evaluate(rows)
+        values = spec.argument.held(rows)
         keep = _first_occurrence_mask(_factorize_pairs(codes, values))
         dedup = rows.filter(keep)
-        out = {name: dedup.column(name) for name in group_names}
-        out[spec.output] = spec.argument.evaluate(dedup)
+        out = {name: dedup.held(name) for name in group_names}
+        out[spec.output] = spec.argument.held(dedup)
         schema = TableSchema(
             [dedup.schema.column(g) for g in group_names]
             + [SchemaColumn(spec.output, _output_type("min", out[spec.output]))]
@@ -378,7 +390,7 @@ def _aggregate_complete(
         if spec.argument is None:
             values = None
         else:
-            values = spec.argument.evaluate(rows)
+            values = spec.argument.held(rows)
         if spec.distinct:
             if values is not None:
                 codes_d, values_d = _drop_nulls(codes, values)
@@ -397,7 +409,7 @@ def _aggregate_complete(
     return RowSet(TableSchema(out_schema_cols), out_cols)
 
 
-def _factorize_pairs(codes: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+def _factorize_pairs(codes: np.ndarray, values: Optional[Held]) -> np.ndarray:
     """One code per distinct (group code, value) pair; not dense."""
     if values is None or len(codes) == 0:
         return codes
@@ -457,7 +469,7 @@ def _aggregate_final(
     merged = _aggregate_complete(rows, group_names, merge_specs)
     if not avg_fixups:
         return merged
-    cols = dict(merged.columns)
+    cols = {name: merged.held(name) for name in merged.schema.names}
     schema_cols = list(merged.schema.columns)
     for output in avg_fixups:
         psum = cols.pop(output + "__psum")
@@ -598,6 +610,36 @@ def _pair_codes(codes: np.ndarray, more: np.ndarray, size: int) -> np.ndarray:
     return np.where((codes < 0) | (more < 0), -1, codes * size + more)
 
 
+#: A pair-code space of at most this many slots is probed through a position
+#: table (4 MiB of int32, whatever the build's size); a larger one is searched.
+_PAIR_SLOTS = 1 << 20
+
+
+class _PairEncoder:
+    """The occupied pair codes of a build's first key columns, numbered in
+    ascending order: a further key column's :class:`_KeyEncoder`.  The
+    pair-code space is known — the codes so far times the column's — so
+    where it is small enough a probe is one gather from a position table, as
+    for dense integer keys, and ``searchsorted`` otherwise: the same numbers
+    either way.  ``order``/``starts`` group the build rows."""
+
+    def __init__(self, pairs: np.ndarray, space: int):
+        coded = np.flatnonzero(pairs >= 0)
+        order, self.starts, self._sorted = _sorted_groups(pairs[coded])
+        self.order = coded[order]
+        self.size = len(self._sorted)
+        self._slots: Optional[np.ndarray] = None
+        if space <= _PAIR_SLOTS:
+            # The extra last slot is where -1, a row with no code, lands.
+            self._slots = np.full(space + 1, -1, dtype=np.int32)
+            self._slots[self._sorted] = np.arange(self.size)
+
+    def encode(self, pairs: np.ndarray) -> np.ndarray:
+        if self._slots is None:
+            return _lookup(self._sorted, pairs)
+        return self._slots[pairs].astype(np.int64)
+
+
 class JoinBuild:
     """The build side of a hash join: factorized once, probed many times.
 
@@ -610,7 +652,7 @@ class JoinBuild:
     insertion order, group ``g`` being ``_order[_starts[g]:][:_counts[g]]``.
     A probe maps its key columns to group ids (-1: no match) with the same
     per-column encoders; each further key column is paired with the codes so
-    far and re-densified through a sorted table, so codes never outgrow
+    far and re-densified (:class:`_PairEncoder`), so codes never outgrow
     ``build rows ** 2``.
     """
 
@@ -621,8 +663,8 @@ class JoinBuild:
         self.keys = tuple(keys)
         self.num_rows = rows.num_rows
         self._encoders: Optional[List[_KeyEncoder]] = None
-        #: One sorted table of occupied pair codes per key column after the first.
-        self._tables: List[np.ndarray] = []
+        #: One per key column after the first.
+        self._pairings: List[_PairEncoder] = []
 
     def _ensure_built(self) -> None:
         if self._encoders is not None:
@@ -630,16 +672,14 @@ class JoinBuild:
         columns = [self.rows.column(k) for k in self.keys]
         encoders = [_KeyEncoder(c) for c in columns]
         # One key: the column's own grouping is the join's.
-        order, starts = encoders[0].order, encoders[0].starts
+        grouping = encoders[0]
         codes = encoders[0].encode(columns[0]) if len(columns) > 1 else None
         for encoder, column in zip(encoders[1:], columns[1:]):
             pairs = _pair_codes(codes, encoder.encode(column), encoder.size)
-            coded = np.flatnonzero(pairs >= 0)
-            order, starts, table = _sorted_groups(pairs[coded])
-            order = coded[order]
-            self._tables.append(table)
-            codes = _lookup(table, pairs)
-        self._order, self._starts = order, starts
+            grouping = _PairEncoder(pairs, grouping.size * encoder.size)
+            self._pairings.append(grouping)
+            codes = grouping.encode(pairs)
+        order, starts = self._order, self._starts = grouping.order, grouping.starts
         self._counts = np.diff(starts, append=len(order))
         self._unique = bool((self._counts == 1).all())
         self._encoders = encoders
@@ -651,8 +691,8 @@ class JoinBuild:
         self._ensure_built()
         columns = [left.column(k) for k in left_keys]
         codes = self._encoders[0].encode(columns[0])
-        for encoder, column, table in zip(self._encoders[1:], columns[1:], self._tables):
-            codes = _lookup(table, _pair_codes(codes, encoder.encode(column), encoder.size))
+        for encoder, column, pairing in zip(self._encoders[1:], columns[1:], self._pairings):
+            codes = pairing.encode(_pair_codes(codes, encoder.encode(column), encoder.size))
         return codes
 
     def probe(
@@ -688,7 +728,7 @@ def hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
-    left_mask: Optional[np.ndarray] = None,
+    condition: Optional[Expr] = None,
 ) -> RowSet:
     """Hash join; the smaller side should be ``right`` (build side), given
     as a ``RowSet`` or as a :class:`JoinBuild` to reuse its factorization.
@@ -697,27 +737,38 @@ def hash_join(
     names get a ``_r`` suffix).  Rows come in probe order, each probe row's
     matches in build insertion order; ``how="left"`` appends the unmatched
     probe rows after all matched ones, right columns padded with NULL/zero.
-    A probe row where ``left_mask`` is False matches nothing (an ON
-    conjunct over the probe side alone).
+    ``condition`` is what an ON clause holds beside the key equalities: a
+    matched pair where it is False is no match (and leaves its probe row to
+    the padding if it was the row's last).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")
     build = _as_build(right, right_keys)
     left_indices, right_indices, hit = build.probe(left, left_keys)
-    if left_mask is not None:
-        keep = left_mask[left_indices]
+    if condition is not None:
+        # Evaluated over the matched pairs, on just the columns it reads.
+        pairs: Dict[str, Held] = {}
+        pair_schema: List[SchemaColumn] = []
+        for name in sorted(condition.columns_used()):
+            side, idx = (
+                (left, left_indices) if name in left.schema else (build.rows, right_indices)
+            )
+            pairs[name] = side.held(name)[idx]
+            pair_schema.append(side.schema.column(name))
+        keep = condition.evaluate(RowSet(TableSchema(pair_schema), pairs)).astype(bool)
         left_indices, right_indices = left_indices[keep], right_indices[keep]
-        hit = hit & left_mask
+        hit = np.zeros(left.num_rows, dtype=bool)
+        hit[left_indices] = True
     n_pad = 0
     if how == "left":
         unmatched = (~hit).nonzero()[0]
         n_pad = len(unmatched)
         left_indices = np.concatenate([left_indices, unmatched])
 
-    out_cols: Dict[str, np.ndarray] = {}
+    out_cols: Dict[str, Held] = {}
     schema_cols: List[SchemaColumn] = []
     for c in left.schema.columns:
-        out_cols[c.name] = left.column(c.name)[left_indices]
+        out_cols[c.name] = left.held(c.name)[left_indices]
         schema_cols.append(c)
 
     # Right key columns are retained: later plan stages may reference them
@@ -725,15 +776,18 @@ def hash_join(
     # matched rows their values equal the left keys by definition).
     for c in build.rows.schema.columns:
         name = c.name if c.name not in out_cols else c.name + "_r"
-        values = build.rows.column(c.name)[right_indices]
+        values = build.rows.held(c.name)[right_indices]
         if n_pad:  # left join padding with NULL/zero
-            if values.dtype.kind == "O":
-                pad = np.full(n_pad, None, dtype=object)
-            elif values.dtype.kind == "f":
-                pad = np.full(n_pad, np.nan)
+            if isinstance(values, CodedStrings):
+                values = values.with_nulls(n_pad)
             else:
-                pad = np.zeros(n_pad, dtype=values.dtype)
-            values = np.concatenate([values, pad])
+                if values.dtype.kind == "O":
+                    pad = np.full(n_pad, None, dtype=object)
+                elif values.dtype.kind == "f":
+                    pad = np.full(n_pad, np.nan)
+                else:
+                    pad = np.zeros(n_pad, dtype=values.dtype)
+                values = np.concatenate([values, pad])
         out_cols[name] = values
         schema_cols.append(SchemaColumn(name, c.ctype))
     return RowSet(TableSchema(schema_cols), out_cols)
@@ -751,25 +805,7 @@ def sort_limit(
     """ORDER BY (name, ascending) pairs, then optional LIMIT."""
     indices = np.arange(rows.num_rows)
     for name, ascending in reversed(list(order)):
-        column = rows.column(name)[indices]
-        if column.dtype.kind == "O":
-            # Python's sort is stable in both directions.
-            sorter = sorted(
-                range(len(column)),
-                key=lambda i: (column[i] is None, column[i] if column[i] is not None else ""),
-                reverse=not ascending,
-            )
-            sorter = np.asarray(sorter, dtype=np.int64)
-        elif ascending:
-            sorter = np.argsort(column, kind="stable")
-        elif column.dtype.kind == "f":
-            # Stable descending: negate; NaN stays NaN and still sorts last.
-            sorter = np.argsort(-column, kind="stable")
-        else:
-            # ``~x`` reverses ints, dates and bools exactly; a float cast
-            # would round int64 keys above 2**53 into ties.
-            sorter = np.argsort(~column, kind="stable")
-        indices = indices[sorter]
+        indices = indices[sort_order(rows.held(name)[indices], ascending)]
     if limit is not None:
         indices = indices[:limit]
     return rows.take(indices)

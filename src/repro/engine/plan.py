@@ -95,14 +95,15 @@ class JoinNode(PlanNode):
     right_keys: Tuple[str, ...]
     how: str = "inner"
     locality: str = "local"  # "local" | "broadcast"
-    #: LEFT join only: a probe row failing it matches nothing and is padded.
-    left_condition: Optional[Expr] = None
+    #: LEFT join only: a matched pair failing it is no match (a probe row
+    #: left without one is padded).
+    condition: Optional[Expr] = None
 
     def children(self) -> List[PlanNode]:
         return [self.left, self.right]
 
     def _label(self) -> str:
-        extra = f" and {self.left_condition!r}" if self.left_condition is not None else ""
+        extra = f" and {self.condition!r}" if self.condition is not None else ""
         return (
             f"Join {self.how} on {list(self.left_keys)}={list(self.right_keys)}{extra} "
             f"[{self.locality}]"

@@ -118,7 +118,7 @@ def plan_query(bound: BoundQuery, catalog: CatalogState) -> PhysicalPlan:
             right_keys=tuple(edge.right_keys),
             how=edge.how,
             locality=locality,
-            left_condition=edge.left_condition,
+            condition=edge.condition,
         )
         alignment = new_alignment
 

@@ -43,9 +43,10 @@ class JoinEdge:
     left_keys: List[str]  # columns from the already-joined side
     right_keys: List[str]  # columns from `table`
     how: str = "inner"
-    #: LEFT join only: ON conjuncts over the preserved side.  A preserved
-    #: row failing it matches nothing and is padded, never dropped.
-    left_condition: Optional[Expr] = None
+    #: LEFT join only: the ON conjuncts that are neither key equalities nor
+    #: over ``table`` alone.  A matched pair failing it is no match, and a
+    #: preserved row left without one is padded, never dropped.
+    condition: Optional[Expr] = None
 
 
 @dataclass
@@ -208,8 +209,8 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     table_filters: Dict[str, List[Expr]] = {name: [] for name in tables}
     equi_pairs: List[Tuple[str, str]] = []  # (colA, colB) across tables
     residual: List[Expr] = []
-    #: LEFT-joined table -> its ON conjuncts over the preserved side.
-    left_conditions: Dict[str, List[Expr]] = {}
+    #: LEFT-joined table -> its ON conjuncts that decide which pairs match.
+    pair_conditions: Dict[str, List[Expr]] = {}
 
     def classify(conjunct: Expr, on_table: Optional[str] = None) -> None:
         """``on_table``: the joined table whose ON clause holds the
@@ -223,7 +224,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
         ):
             # It decides which preserved rows find a match; pushed into the
             # preserved side's scan it would drop the rows it should pad.
-            left_conditions.setdefault(on_table, []).append(conjunct)
+            pair_conditions.setdefault(on_table, []).append(conjunct)
             return
         # A WHERE conjunct on the NULL-supplying side of a LEFT join sees
         # the padded rows (``... where b.f is null``): it runs after the join.
@@ -240,6 +241,11 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
             and column_table[conjunct.left.name] != column_table[conjunct.right.name]
         ):
             equi_pairs.append((conjunct.left.name, conjunct.right.name))
+            return
+        if join_how.get(on_table) == "left":
+            # ``on k = uk and x > y``: a pair failing it un-matches; as a
+            # filter after the join it would drop the row it should pad.
+            pair_conditions.setdefault(on_table, []).append(conjunct)
             return
         residual.append(conjunct)
 
@@ -288,7 +294,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
                         left_keys,
                         right_keys,
                         join_how.get(candidate, "inner"),
-                        _and_all(left_conditions.get(candidate, [])),
+                        _and_all(pair_conditions.get(candidate, [])),
                     )
                 )
                 joined.append(candidate)
@@ -415,8 +421,8 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     for edge in edges:
         for c in edge.left_keys + edge.right_keys:
             needed[column_table[c]].add(c)
-        if edge.left_condition is not None:
-            note(edge.left_condition)
+        if edge.condition is not None:
+            note(edge.condition)
     for _, e in group_exprs:
         note(e)
     for name in group_names:

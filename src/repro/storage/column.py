@@ -21,7 +21,14 @@ import numpy as np
 
 from repro.common.types import ColumnType
 from repro.errors import CorruptBlock
-from repro.storage.encoding import Buffer, decode_block, encode_block
+from repro.storage.encoding import (
+    Buffer,
+    CodedStrings,
+    Held,
+    decode_block,
+    encode_block,
+    join_blocks,
+)
 
 #: Default number of rows per encoded block.
 DEFAULT_BLOCK_ROWS = 4096
@@ -200,14 +207,16 @@ class ColumnLayout(NamedTuple):
         return cls(ctype, total, blocks)
 
 
-def concat_blocks(parts: List[np.ndarray], ctype: ColumnType) -> np.ndarray:
-    """One writable array owning its data from a column's decoded blocks:
-    the one copy between a block decoded as a view and what a read returns."""
+def concat_blocks(parts: List[Held], ctype: ColumnType) -> Held:
+    """A column from its decoded blocks.  An array among them is writable
+    and owns its data: the one copy between a block decoded as a view and
+    what a read returns."""
     if not parts:
         return ctype.coerce([])
-    if len(parts) == 1 and parts[0].flags.owndata:
-        return parts[0]
-    return np.concatenate(parts)
+    values = join_blocks(parts)
+    if len(parts) == 1 and isinstance(values, np.ndarray) and not values.flags.owndata:
+        values = values.copy()  # a lone PLAIN block, decoded as a view
+    return values
 
 
 class ColumnReader:
@@ -239,7 +248,7 @@ class ColumnReader:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_block(self, index: int, view: bool = False) -> np.ndarray:
+    def read_block(self, index: int, view: bool = False) -> Held:
         """Block ``index`` decoded; ``view`` as in :func:`decode_block`."""
         info = self.blocks[index]
         values = decode_block(self._data[info.offset : info.offset + info.length], view)
@@ -251,7 +260,8 @@ class ColumnReader:
 
     def read_all(self) -> np.ndarray:
         parts = [self.read_block(i, view=True) for i in range(len(self.blocks))]
-        return concat_blocks(parts, self.ctype)
+        values = concat_blocks(parts, self.ctype)
+        return values.text() if isinstance(values, CodedStrings) else values
 
     def block_mask(self, lo: object = None, hi: object = None) -> List[bool]:
         """Per block: could its [min,max] range intersect [lo, hi]?

@@ -10,7 +10,8 @@ contains rows whose hash values map to a single shard's hash range"
 This module provides:
 
 * :class:`RowSet` — the engine's working currency: a schema plus one numpy
-  array per column.
+  array per column (a string column may be held as
+  :class:`~repro.storage.encoding.CodedStrings`; ``column()`` is its text).
 * :class:`ROSContainer` — catalog-visible container metadata (SID, shard,
   row count, per-column min/max for pruning, byte size, location).
 * :func:`write_container` / :func:`read_container` — the immutable
@@ -42,13 +43,18 @@ from repro.storage.column import (
     minmax,
     read_footer,
 )
-from repro.storage.encoding import Buffer
+from repro.storage.encoding import Buffer, CodedStrings, Held, dictionary_of, join_blocks
 
 
 class RowSet:
-    """Immutable-by-convention columnar batch of rows."""
+    """Immutable-by-convention columnar batch of rows.
 
-    def __init__(self, schema: TableSchema, columns: Dict[str, np.ndarray]):
+    The one place that knows a string column may arrive as dictionary codes:
+    :meth:`column` is always the array, :meth:`held` the codes where there
+    are codes, and every transformation carries them along.
+    """
+
+    def __init__(self, schema: TableSchema, columns: Dict[str, Held]):
         if set(columns) != set(schema.names):
             raise ValueError(
                 f"columns {sorted(columns)} do not match schema {schema.names}"
@@ -57,8 +63,10 @@ class RowSet:
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {lengths}")
         self.schema = schema
-        self.columns = columns
+        self._held = columns
         self.num_rows = lengths.pop() if lengths else 0
+        #: Whether any column is held as codes.
+        self.has_codes = CodedStrings in map(type, columns.values())
 
     # -- constructors ----------------------------------------------------
 
@@ -75,7 +83,7 @@ class RowSet:
         return cls(schema, {c.name: c.ctype.coerce([]) for c in schema.columns})
 
     @classmethod
-    def from_blocks(cls, schema: TableSchema, blocks: Dict[str, List[np.ndarray]]) -> "RowSet":
+    def from_blocks(cls, schema: TableSchema, blocks: Dict[str, List[Held]]) -> "RowSet":
         """Each column the one concatenation of its decoded blocks (see
         :meth:`ContainerReader.append_blocks`)."""
         return cls(
@@ -90,17 +98,27 @@ class RowSet:
         schema = parts[0].schema
         columns = {}
         for name in schema.names:
-            arrays = [p.column(name) for p in parts]
-            columns[name] = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            columns[name] = join_blocks([p._held[name] for p in parts])
         return cls(schema, columns)
 
     # -- accessors ---------------------------------------------------------
 
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        return {name: self.column(name) for name in self._held}
+
     def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
+        values = self._held[name]
+        return values.text() if isinstance(values, CodedStrings) else values
+
+    def held(self, name: str) -> Held:
+        """The column as the batch holds it — :class:`CodedStrings` where
+        strings arrived as codes — for a kernel that works on codes, or to
+        hand on to another batch."""
+        return self._held[name]
 
     def to_rows(self) -> List[tuple]:
-        arrays = [self.columns[n] for n in self.schema.names]
+        arrays = [self.column(n) for n in self.schema.names]
         return [tuple(a[i] for a in arrays) for i in range(self.num_rows)]
 
     def to_pylist(self) -> List[tuple]:
@@ -113,7 +131,7 @@ class RowSet:
     # -- transformations -----------------------------------------------------
 
     def select(self, names: Sequence[str]) -> "RowSet":
-        return RowSet(self.schema.subset(names), {n: self.columns[n] for n in names})
+        return RowSet(self.schema.subset(names), {n: self._held[n] for n in names})
 
     def rename(self, mapping: Dict[str, str]) -> "RowSet":
         new_schema = TableSchema(
@@ -122,20 +140,20 @@ class RowSet:
                 for c in self.schema.columns
             ]
         )
-        new_cols = {mapping.get(n, n): v for n, v in self.columns.items()}
+        new_cols = {mapping.get(n, n): v for n, v in self._held.items()}
         return RowSet(new_schema, new_cols)
 
     def take(self, indices: np.ndarray) -> "RowSet":
         return RowSet(
-            self.schema, {n: v[indices] for n, v in self.columns.items()}
+            self.schema, {n: v[indices] for n, v in self._held.items()}
         )
 
     def filter(self, mask: np.ndarray) -> "RowSet":
-        return RowSet(self.schema, {n: v[mask] for n, v in self.columns.items()})
+        return RowSet(self.schema, {n: v[mask] for n, v in self._held.items()})
 
     def slice(self, start: int, stop: Optional[int] = None) -> "RowSet":
         return RowSet(
-            self.schema, {n: v[start:stop] for n, v in self.columns.items()}
+            self.schema, {n: v[start:stop] for n, v in self._held.items()}
         )
 
     def sort_by(self, order: Sequence[str], ascending: bool = True) -> "RowSet":
@@ -144,14 +162,7 @@ class RowSet:
             return self
         indices = np.arange(self.num_rows)
         for name in reversed(list(order)):
-            col = self.columns[name][indices]
-            if col.dtype.kind == "O":
-                keys = np.array([(v is None, v if v is not None else "") for v in col], dtype=object)
-                sorter = sorted(range(len(col)), key=lambda i: (col[i] is None, col[i] if col[i] is not None else ""))
-                sorter = np.asarray(sorter, dtype=np.int64)
-            else:
-                sorter = np.argsort(col, kind="stable")
-            indices = indices[sorter]
+            indices = indices[sort_order(self._held[name][indices])]
         if not ascending:
             indices = indices[::-1]
         return self.take(indices)
@@ -162,7 +173,7 @@ class RowSet:
         if self.schema.names != other.schema.names or self.num_rows != other.num_rows:
             return False
         for name in self.schema.names:
-            a, b = self.columns[name], other.columns[name]
+            a, b = self.column(name), other.column(name)
             if a.dtype.kind == "O" or b.dtype.kind == "O":
                 if list(a) != list(b):
                     return False
@@ -172,6 +183,21 @@ class RowSet:
 
     def __repr__(self) -> str:
         return f"RowSet({self.schema.names}, {self.num_rows} rows)"
+
+
+def sort_order(values: Held, ascending: bool = True) -> np.ndarray:
+    """Stable argsort of one column, NULL strings last ascending (first
+    descending): strings sort as their codes over a sorted dictionary."""
+    if isinstance(values, CodedStrings):
+        values = values.codes
+    elif values.dtype.kind == "O":
+        values = dictionary_of(values.tolist())[1]
+    if ascending:
+        return np.argsort(values, kind="stable")
+    # Stable descending.  Floats: negate — NaN stays NaN and still sorts
+    # last.  ``~x`` reverses ints, dates and bools exactly; a float cast
+    # would round int64 keys above 2**53 into ties.
+    return np.argsort(-values if values.dtype.kind == "f" else ~values, kind="stable")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ directions work on whole arrays: :func:`read_varints` turns ``count``
 consecutive varints into one ``uint64`` array and :func:`write_varints` is
 its inverse, so no encoding loops over rows in Python.  Only string payloads
 keep a loop (their lengths interleave with their data): over rows for PLAIN
-string blocks, over dictionary entries and run values for DICT and RLE.
+string blocks, over dictionary entries and run values for DICT and RLE —
+and a long table of entries of one width is split as a matrix instead.
+DICT and RLE string blocks decode to :class:`CodedStrings`, the codes storage
+holds over a sorted dictionary; the text is made from that on demand.
 The byte layout of every encoding is in DESIGN.md, "Block codec".
 """
 
@@ -230,6 +233,152 @@ def _decode_strings(
     return values, pos + at
 
 
+class CodedStrings:
+    """A string column as storage holds it: one integer code per row over a
+    dictionary (an object array) of its values.
+
+    Three invariants, made by the decoder and kept by every operation: the
+    dictionary ascends with ``None`` last — the order a group-by or a sort
+    wants, so codes stand in for values —, holds no value twice, and every
+    code indexes it (not every entry need be referenced: a filter keeps the
+    dictionary).  Indexing by mask, indices or slice gives codes over the
+    same dictionary; :meth:`text` is the object array, made on first use.
+    """
+
+    __slots__ = ("codes", "dictionary", "_text")
+    dtype = np.dtype(object)
+
+    def __init__(self, codes: np.ndarray, dictionary: np.ndarray):
+        self.codes = codes
+        self.dictionary = dictionary
+        self._text: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index) -> "CodedStrings":
+        return CodedStrings(self.codes[index], self.dictionary)
+
+    def text(self) -> np.ndarray:
+        if self._text is None:
+            self._text = self.dictionary[self.codes]
+        return self._text
+
+    @property
+    def null_code(self) -> int:
+        """The code of ``None``; the dictionary's length when it holds none."""
+        size = len(self.dictionary)
+        return size - 1 if size and self.dictionary[-1] is None else size
+
+    def with_nulls(self, count: int) -> "CodedStrings":
+        """``count`` NULL rows appended (a LEFT join's padding)."""
+        null, dictionary = self.null_code, self.dictionary
+        if null == len(dictionary):
+            dictionary = np.append(dictionary, None)
+        return CodedStrings(np.append(self.codes, np.full(count, null)), dictionary)
+
+
+#: What a batch holds for a column: an array, or a string column's codes.
+Held = Union[np.ndarray, CodedStrings]
+
+
+def dictionary_of(entries: List[Optional[str]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a list of strings and ``None`` — of any values
+    that sort, ``TypeError`` if they do not — as a :class:`CodedStrings`
+    dictionary, and the code of each of the list."""
+    distinct = set(entries)
+    has_null = None in distinct
+    distinct.discard(None)
+    dictionary: List[Optional[str]] = sorted(distinct)
+    if has_null:
+        dictionary.append(None)
+    code_of = {v: i for i, v in enumerate(dictionary)}
+    codes = np.fromiter(map(code_of.__getitem__, entries), dtype=np.int64, count=len(entries))
+    return _object_array(dictionary), codes
+
+
+def join_blocks(parts: List[Held]) -> Held:
+    """One or more decoded pieces of a column as one; a lone piece as it is.
+
+    String pieces that all came as codes stay codes, merged onto one sorted
+    dictionary (pieces whose dictionaries are equal share it as it is); one
+    piece of plain text among them and the whole column is text.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    if CodedStrings not in map(type, parts):
+        return np.concatenate(parts)
+    filled = [p for p in parts if len(p)] or parts[:1]
+    if not all(isinstance(p, CodedStrings) for p in filled):
+        return np.concatenate(
+            [p.text() if isinstance(p, CodedStrings) else p for p in parts]
+        )
+    dictionary = filled[0].dictionary
+    codes = [p.codes for p in filled]
+    tables = {id(p.dictionary): tuple(p.dictionary.tolist()) for p in filled}
+    distinct = list(dict.fromkeys(tables.values()))
+    if len(distinct) > 1:
+        dictionary, merged = dictionary_of([v for table in distinct for v in table])
+        ends = np.cumsum([len(table) for table in distinct])
+        code_of = dict(zip(distinct, np.split(merged, ends[:-1])))
+        codes = [code_of[tables[id(p.dictionary)]][p.codes] for p in filled]
+    return CodedStrings(np.concatenate(codes), dictionary)
+
+
+#: A string table of at least this many entries is tried as a matrix of
+#: equal-width rows first; a shorter one costs less in the per-entry loop
+#: than one ``np.unique`` call does.
+_MATRIX_ENTRIES = 32
+
+
+def _same_width_table(
+    raw: bytes, count: int
+) -> Optional[Tuple[List[Optional[str]], np.ndarray, int]]:
+    """A table whose entries are all as wide as its first, without a Python
+    step per entry: its distinct entries, which of them each entry is, and
+    the bytes it takes.  ``None`` when the widths differ or the table runs
+    short — the per-entry loop then decodes it, or says what is wrong."""
+    head = raw[0] if raw else 0x80
+    width = max(head, 1)  # the length byte, then ``head - 1`` bytes of text
+    if head >= 0x80 or count * width > len(raw):
+        return None
+    table = np.frombuffer(raw, dtype=np.uint8, count=count * width).reshape(count, width)
+    # Each entry's length byte sits where the one before it ends, so all of
+    # them reading ``head`` is every entry being this wide.
+    if (table[:, 0] != head).any():
+        return None
+    # numpy takes trailing NULs of a bytes value for padding, which cannot
+    # make two entries of one width equal; the text is cut from ``raw``.
+    _, first, which = np.unique(
+        table.view(f"S{width}").ravel(), return_index=True, return_inverse=True
+    )
+    entries = [
+        raw[i * width + 1 : (i + 1) * width].decode("utf-8") if head else None
+        for i in first.tolist()
+    ]
+    return entries, which, count * width
+
+
+def _decode_table(
+    buf: memoryview, pos: int, expect: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The string table at ``buf[pos]`` as a :class:`CodedStrings`
+    dictionary: ``(dictionary, code of each entry, position after)``.  Every
+    check :func:`_decode_strings` makes is made: duplicates of an entry are
+    its bytes again, so decoding each distinct entry once checks them all."""
+    count, start = _read_varint(buf, pos)
+    if count >= _MATRIX_ENTRIES and (expect is None or count == expect):
+        try:
+            found = _same_width_table(buf[start:].tobytes(), count)
+        except UnicodeDecodeError as exc:
+            raise CorruptBlock(f"string payload is not UTF-8: {exc}") from None
+        if found is not None:
+            dictionary, codes = dictionary_of(found[0])
+            return dictionary, codes[found[1]], start + found[2]
+    entries, end = _decode_strings(buf, pos, expect)
+    return (*dictionary_of(entries), end)
+
+
 def _decode_packed_bools(buf: memoryview, pos: int, count: int) -> np.ndarray:
     nbytes = (count + 7) // 8
     _need(buf, pos, nbytes)
@@ -297,12 +446,12 @@ def _encode_rle(arr: np.ndarray, dt: int, runs=None) -> bytes:
     return bytes(out)
 
 
-def _decode_rle(buf: memoryview, dt: int, count: int) -> np.ndarray:
+def _decode_rle(buf: memoryview, dt: int, count: int):
     nruns, pos = _read_varint(buf, 0)
     lengths, pos = read_varints(buf, pos, nruns)
     if dt == _DT_OBJ:
-        strings, _ = _decode_strings(buf, pos, expect=nruns)
-        values = _object_array(strings)
+        # Run values that are strings are their codes over a sorted dictionary.
+        dictionary, values, _ = _decode_table(buf, pos, expect=nruns)
     elif dt == _DT_INT:
         zigzagged, _ = read_varints(buf, pos, nruns)
         values = _unzigzag(zigzagged)
@@ -314,7 +463,8 @@ def _decode_rle(buf: memoryview, dt: int, count: int) -> np.ndarray:
     # ``max`` first: a sum of damaged lengths could wrap back onto ``count``.
     if nruns and lengths.max() > count or int(lengths.sum()) != count:
         raise CorruptBlock(f"run lengths do not add up to the block's {count} rows")
-    return np.repeat(values, lengths.view(np.int64))
+    values = np.repeat(values, lengths.view(np.int64))
+    return values if dt != _DT_OBJ else CodedStrings(values, dictionary)
 
 
 def _encode_dict(arr: np.ndarray, dt: int) -> bytes:
@@ -344,22 +494,23 @@ def _encode_dict(arr: np.ndarray, dt: int) -> bytes:
     return bytes(out)
 
 
-def _decode_dict(buf: memoryview, dt: int, count: int) -> np.ndarray:
+def _decode_dict(buf: memoryview, dt: int, count: int):
     if dt == _DT_OBJ:
-        strings, pos = _decode_strings(buf, 0)
-        dictionary = _object_array(strings)
+        # A string table's entries are their codes over its sorted dictionary.
+        dictionary, table, pos = _decode_table(buf, 0)
     elif dt == _DT_INT:
         size, pos = _read_varint(buf, 0)
         zigzagged, pos = read_varints(buf, pos, size)
-        dictionary = _unzigzag(zigzagged)
+        table = _unzigzag(zigzagged)
     else:
         raise CorruptBlock("DICT block of a dtype DICT does not encode")
     codes, _ = read_varints(buf, pos, count)
-    if count and codes.max() >= len(dictionary):
+    if count and codes.max() >= len(table):
         raise CorruptBlock(
-            f"dictionary code {codes.max()} in a dictionary of {len(dictionary)}"
+            f"dictionary code {codes.max()} in a dictionary of {len(table)}"
         )
-    return dictionary[codes.view(np.int64)]
+    values = table[codes.view(np.int64)]
+    return values if dt != _DT_OBJ else CodedStrings(values, dictionary)
 
 
 def _encode_delta(arr: np.ndarray, dt: int) -> bytes:
@@ -451,14 +602,16 @@ def encode_block(arr: np.ndarray, encoding: Optional[Encoding] = None) -> bytes:
     return _HEADER.pack(int(encoding), dt, len(arr)) + payload
 
 
-def decode_block(data: Buffer, view: bool = False) -> np.ndarray:
+def decode_block(data: Buffer, view: bool = False) -> Held:
     """Inverse of :func:`encode_block`.
 
     ``data`` may be any bytes-like object; a ``memoryview`` slice of a
     larger image is decoded in place, without copying the block out first.
-    With ``view`` a PLAIN numeric block comes back as an array over ``data``
-    itself (read-only when ``data`` is) for a caller that copies it on:
-    every other block is a fresh array either way.
+    ``view`` is for a caller that joins blocks into a column
+    (:func:`repro.storage.column.concat_blocks`): a PLAIN numeric block
+    comes back as an array over ``data`` itself (read-only when ``data``
+    is), a DICT or RLE string block as :class:`CodedStrings`; every other
+    block is a fresh array either way, and ``len()`` is the row count always.
     Raises :class:`CorruptBlock` when ``data`` is not a whole valid block.
     """
     buf = memoryview(data)
@@ -472,4 +625,5 @@ def decode_block(data: Buffer, view: bool = False) -> np.ndarray:
         raise CorruptBlock(f"unknown block dtype code {dt}")
     if view and decoder is _decode_plain:
         return _decode_plain(buf[_HEADER.size :], dt, count, view)
-    return decoder(buf[_HEADER.size :], dt, count)
+    values = decoder(buf[_HEADER.size :], dt, count)
+    return values.text() if isinstance(values, CodedStrings) and not view else values

@@ -1,11 +1,12 @@
 """An oracle we did not write: the same table and query in stdlib ``sqlite3``.
 
 First slices of ROADMAP item 1: single-table WHERE, GROUP BY, DISTINCT and
-ORDER BY ... LIMIT/OFFSET.  :class:`SqliteOracle` mirrors one table into an
-in-memory SQLite database; :func:`to_sqlite` renders a SELECT of our subset
-as SQLite SQL; :func:`normalise`/:func:`multiset` bring both engines' rows
-to one comparable form.  Joins, HAVING, the TPC-H translation and the
-grammar fuzz stay with item 1.
+ORDER BY ... LIMIT/OFFSET, and one join shape — ``t LEFT JOIN u ON ...``.
+:class:`SqliteOracle` mirrors tables into an in-memory SQLite database;
+:func:`to_sqlite` renders a SELECT of our subset as SQLite SQL;
+:func:`normalise`/:func:`multiset` bring both engines' rows to one comparable
+form.  Other joins, HAVING, the TPC-H translation and the grammar fuzz stay
+with item 1.
 
 Our SQL text is parsed by our own parser (a parser defect is therefore
 shared); everything after the parse — bind, plan, scan, expression and
@@ -27,13 +28,16 @@ hiding them in the comparison:
 * **ORDER BY puts NULL last** when ascending (SQLite puts it first):
   ``ORDER BY g`` is rendered ``ORDER BY g IS NULL, g``.  Descending, our
   placement depends on the column's type; that stays unrendered.
+* **A LEFT join pads int, date and bool columns with 0** (they have no
+  NULL): a SELECT item that is such a column of the joined table is rendered
+  ``coalesce(col, 0)``.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from collections import Counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.types import ColumnType
 from repro.engine.expressions import (
@@ -112,18 +116,30 @@ def render(expr: Expr) -> str:
     raise NotImplementedError(f"no SQLite rendering for {expr!r}")
 
 
-def to_sqlite(sql: str) -> str:
-    """A single-table SELECT of our subset as SQLite SQL."""
+def to_sqlite(sql: str, int_columns: Optional[Mapping[str, Collection[str]]] = None) -> str:
+    """A single-table SELECT of our subset, or one over ``t LEFT JOIN u ON
+    ...``, as SQLite SQL.  ``int_columns`` names each table's columns that
+    have no NULL here, for the padding of a LEFT join."""
     (select,) = parse(sql)
-    if not isinstance(select, Select) or select.joins or len(select.tables) != 1:
-        raise NotImplementedError("the oracle's first slice is single-table SELECT")
+    if (
+        not isinstance(select, Select) or len(select.tables) != 1
+        or len(select.joins) > 1 or any(join.how != "left" for join in select.joins)
+    ):
+        raise NotImplementedError("the oracle renders one table, or one LEFT JOIN")
     if select.having is not None:
         raise NotImplementedError("HAVING stays with ROADMAP item 1")
+    padded = {
+        c for join in select.joins for c in (int_columns or {}).get(join.table.name, ())
+    }
     items = [
-        render(expr) + (f" as {alias}" if alias else "") for expr, alias in select.items
+        (f"coalesce({expr.name}, 0)" if isinstance(expr, ColumnRef) and expr.name in padded
+         else render(expr)) + (f" as {alias}" if alias else "")
+        for expr, alias in select.items
     ]
     out = "select " + ("distinct " if select.distinct else "") + ", ".join(items)
     out += f" from {select.tables[0].name}"
+    for join in select.joins:
+        out += f" left join {join.table.name} on {render(join.condition)}"
     if select.where is not None:
         out += f" where {render(select.where)}"
     if select.group_by:
@@ -162,7 +178,7 @@ def multiset(rows: Iterable[Sequence[object]]) -> Counter:
 
 
 class SqliteOracle:
-    """One table of a cluster, mirrored into an in-memory SQLite database."""
+    """Tables of a cluster, mirrored into an in-memory SQLite database."""
 
     def __init__(
         self, table: str, columns: Sequence[Tuple[str, ColumnType]],
@@ -170,6 +186,17 @@ class SqliteOracle:
     ):
         self.db = sqlite3.connect(":memory:")
         self.db.execute("PRAGMA case_sensitive_like=ON")
+        #: table -> its columns that cannot hold NULL in our engine.
+        self.int_columns: dict = {}
+        self.add_table(table, columns, rows)
+
+    def add_table(
+        self, table: str, columns: Sequence[Tuple[str, ColumnType]],
+        rows: Sequence[Sequence[object]],
+    ) -> None:
+        self.int_columns[table] = {
+            name for name, ctype in columns if _SQLITE_TYPES[ctype] == "integer"
+        }
         declared = ", ".join(f"{name} {_SQLITE_TYPES[ctype]}" for name, ctype in columns)
         self.db.execute(f"create table {table} ({declared})")
         slots = ", ".join("?" for _ in columns)
@@ -177,7 +204,7 @@ class SqliteOracle:
 
     def query(self, sql: str) -> List[tuple]:
         """Rows SQLite returns for ``sql``, which is in *our* dialect."""
-        return self.db.execute(to_sqlite(sql)).fetchall()
+        return self.db.execute(to_sqlite(sql, self.int_columns)).fetchall()
 
     def check(self, cluster, sql: str, ordered: bool = False) -> Optional[str]:
         """None when ``cluster.query(sql)`` returns SQLite's multiset of
@@ -189,7 +216,7 @@ class SqliteOracle:
             return None
         only_ours, only_theirs = Counter(ours) - Counter(theirs), Counter(theirs) - Counter(ours)
         return (
-            f"{sql}\n  as SQLite: {to_sqlite(sql)}\n"
+            f"{sql}\n  as SQLite: {to_sqlite(sql, self.int_columns)}\n"
             f"  only ours:   {sorted(only_ours.items(), key=repr)[:5]}\n"
             f"  only SQLite: {sorted(only_theirs.items(), key=repr)[:5]}\n"
             f"  first rows, ours / SQLite: {ours[:3]} / {theirs[:3]}"

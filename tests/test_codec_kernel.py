@@ -28,6 +28,7 @@ from repro.errors import CorruptBlock, ReproError, StorageError
 from repro.storage.column import ColumnFile, ColumnReader
 from repro.storage.container import RowSet, read_container, write_container
 from repro.storage.encoding import (
+    CodedStrings,
     Encoding,
     choose_encoding,
     decode_block,
@@ -350,6 +351,25 @@ def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
         assert got.tolist() == want.tolist()
 
 
+def text_of(got, rows: int) -> np.ndarray:
+    """What ``decode_block(view=True)`` returned, as text.  Codes are checked
+    on the way: ``len()`` is the row count, the dictionary ascends, holds no
+    value twice and ``None`` only last, and every code indexes it."""
+    if not isinstance(got, CodedStrings):
+        return got
+    assert len(got) == rows == len(got.codes)
+    entries = got.dictionary.tolist()
+    strings = entries[:-1] if entries and entries[-1] is None else entries
+    assert None not in strings
+    assert strings == sorted(set(strings))
+    assert got.dictionary.dtype == object and got.codes.dtype == np.int64
+    assert rows == 0 or 0 <= got.codes.min() <= got.codes.max() < len(entries)
+    assert got.dtype == object
+    text = got.text()
+    assert text is got.text()  # made once
+    return text
+
+
 def buffers_of(block: bytes):
     """The shapes a caller may hand to ``decode_block``: the bytes, a view
     of them, a writable copy, and a slice of a larger image that starts at
@@ -374,11 +394,15 @@ def check_against_reference(arr: np.ndarray, encoding: Optional[Encoding]) -> No
             # Not only what the oracle reads back: the floats that went in,
             # bit for bit (the sign of zero and NaN payloads included).
             assert_same_array(expected, arr.astype(np.float64))
+        coded = arr.dtype == object and got[0] in (Encoding.RLE, Encoding.DICT)
         for buffer in buffers_of(got):
             assert_same_array(decode_block(buffer), expected)
-            # A view of a PLAIN block is the same values; anything else is
-            # the same fresh array either way.
-            assert_same_array(decode_block(buffer, view=True), expected)
+            # A view of a PLAIN block is the same values, the codes of a DICT
+            # or RLE string block are the same text; anything else is the
+            # same fresh array either way.
+            viewed = decode_block(buffer, view=True)
+            assert isinstance(viewed, CodedStrings if coded else np.ndarray)
+            assert_same_array(text_of(viewed, len(arr)), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +428,20 @@ FLOATS = st.one_of(
 )
 STRINGS = st.one_of(
     st.none(),
-    st.sampled_from(["", "a", "b", "ab", "日本語", "\x00", "naïve", "z" * 130]),
+    st.sampled_from(["", "a", "b", "ab", "日本語", "\x00", "a\x00", "naïve", "z" * 130]),
     st.text(max_size=8),
     # A pool wide enough for dictionaries of more than 127 entries.
     st.integers(0, 299).map("v{}".format),
 )
+#: Tables whose entries share a byte width (2, 6, 0, 1, 130 and NULL only),
+#: and two of mixed widths: 126 bytes is the longest one-byte length.
+STRING_POOLS = [
+    ["ab", "cd", "a\x00", "\x00a", "\x00\x00", "é"] + [f"{i:02d}" for i in range(60)],
+    ["日本", "abcdef", "ééé", "a\x00\x00\x00\x00\x00"],
+    [""], ["x", "y", "\x00"], ["z" * 130, "y" * 130], [None],
+    [None, "", "a", "ab", "日本語", "z" * 130, "y" * 126, "x" * 127],
+    [None, ""], ["", "a"], [None, "ab", "cd"],
+]
 #: Mostly single rows, sometimes a run, sometimes one a varint byte cannot count.
 RUN_LENGTHS = st.sampled_from([1, 1, 1, 1, 2, 3, 7, 130, 300])
 
@@ -462,6 +495,22 @@ class TestSameBytesAsTheScalarCodec:
             arr[:] = rows
             for encoding in encodings:
                 check_against_reference(arr, encoding)
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_string_tables_of_one_width_and_of_many(self, data):
+        """DICT and RLE string tables long enough for the decoder's matrix
+        path (32 entries or more) and short ones, of one byte width — where a
+        trailing NUL, a multi-byte character and the empty string must come
+        through it whole — and of mixed widths, with a two-byte length."""
+        pool = data.draw(st.sampled_from(STRING_POOLS))
+        runs = data.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from([1, 1, 1, 2, 5, 130])),
+            max_size=90))
+        arr = np.empty(sum(length for _, length in runs), dtype=object)
+        arr[:] = [value for value, length in runs for _ in range(length)]
+        for encoding in KINDS["str"][2]:
+            check_against_reference(arr, encoding)
 
     def test_narrow_and_unsigned_integer_columns(self):
         for dtype in (np.int8, np.int32, np.uint16, np.uint32):
@@ -658,7 +707,14 @@ def sample_blocks() -> List[Tuple[str, np.ndarray, bytes]]:
     wide = np.sort(rng.integers(-(10**12), 10**12, 40))
     names = np.empty(60, dtype=object)
     names[:] = [f"name-{i % 9}-é" for i in range(60)]
+    # Tables of 40 entries of one width, which the decoder splits as a matrix.
+    flags = np.empty(80, dtype=object)
+    flags[:] = [("é", "ab", "a\x00")[i % 3] for i in range(40) for _ in range(2)]
+    codes = np.empty(120, dtype=object)
+    codes[:] = [f"c{i % 40:02d}" for i in range(120)]
     for label, arr, encoding in (
+        ("RLE-one-width", flags, Encoding.RLE),
+        ("DICT-one-width", codes, Encoding.DICT),
         ("DELTA-wide", wide, Encoding.DELTA),
         ("RLE-wide", np.repeat(wide, 3), Encoding.RLE),
         ("DICT-wide", wide[rng.integers(0, 40, 200)], Encoding.DICT),
@@ -674,13 +730,22 @@ SAMPLES = sample_blocks()
 
 
 def decodes_or_is_corrupt(data: bytes):
-    """The only two acceptable outcomes for arbitrary bytes."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return decode_block(data)
-    except CorruptBlock:
-        return None
+    """The only two acceptable outcomes for arbitrary bytes — and the same
+    one whether the caller asked for an array or for a view or codes."""
+    outcomes = []
+    for view in (False, True):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = decode_block(data, view=view)
+            outcomes.append(text_of(got, len(got)))
+        except CorruptBlock:
+            outcomes.append(None)
+    plain, viewed = outcomes
+    assert (plain is None) == (viewed is None)
+    if plain is not None:
+        assert_same_array(viewed, plain)
+    return plain
 
 
 class TestCorruptBlock:
@@ -739,6 +804,21 @@ class TestCorruptBlock:
             header = struct.pack("<BBI", Encoding.RLE, 0, count)
             with pytest.raises(CorruptBlock, match="run lengths"):
                 decode_block(header + block[6:])
+
+    def test_string_table_must_hold_an_entry_per_run(self):
+        """Short tables go through the per-entry loop, long ones of one
+        width through the matrix: both count their entries first."""
+        for runs in (3, 40):
+            arr = np.empty(2 * runs, dtype=object)
+            arr[:] = [("ab", "cd")[i % 2] for i in range(runs) for _ in range(2)]
+            block = bytearray(encode_block(arr, Encoding.RLE))
+            at = 6 + 1 + runs  # header, varint(runs), one length byte per run
+            assert block[at] == runs
+            for wrong in (runs - 1, runs + 1):
+                block[at] = wrong
+                for view in (False, True):
+                    with pytest.raises(CorruptBlock, match="entries"):
+                        decode_block(bytes(block), view=view)
 
     def test_row_count_larger_than_payload(self):
         for _label, _arr, block in SAMPLES:

@@ -34,8 +34,15 @@ the ``% 2**64``, ``np.minimum.at`` replaced by ``np.maximum.at`` or by a
 plain fancy assignment in ``_densify`` (the first-row pick), the
 ``_combine`` re-densify dropped, NaN runs left unmerged in ``_factorize``,
 object keys left unsorted, the radix bound of ``_group_order`` one bit too
-wide, and the NULL filter, ``re.DOTALL`` or the per-distinct table's NULL
-entry dropped from the expression kernels.
+wide, and the NULL filter or ``re.DOTALL`` dropped from the expression
+kernels.
+
+Since PR 20 a string column may reach every one of these kernels as
+dictionary codes (``CodedStrings``).  ``TestEncodedEqualsDecoded`` runs each
+kernel on a coded batch and on its materialised twin — generated
+single-column expressions (errors included), group-by, ``sort_limit``,
+``hash_join``'s payload gather and ON condition, ``rowset_bytes``, the
+``RowSet`` transformations — and wants the same values, dtypes and row order.
 """
 
 import re
@@ -44,13 +51,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.common.dates import make_date, month_of_days, year_of_days
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.engine import operators
+from repro.engine import expressions, operators
+from repro.engine.executor import rowset_bytes
 from repro.engine.expressions import (
     BinaryOp,
+    CaseWhen,
     FuncCall,
     InList,
     IsNull,
@@ -60,12 +69,16 @@ from repro.engine.expressions import (
 )
 from repro.engine.operators import (
     AggregateSpec,
+    JoinBuild,
     _KeyEncoder,
     _group_codes,
     aggregate,
     hash_join,
+    sort_limit,
 )
 from repro.storage.container import RowSet
+from repro.storage.encoding import CodedStrings, dictionary_of, join_blocks
+from tests.test_codec_kernel import text_of
 from tests.test_join_kernel import (
     assert_same_rowset,
     match_mask,
@@ -389,8 +402,10 @@ class TestStringKernels:
 
     @pytest.mark.parametrize("repeats", [1, 300])
     def test_string_functions_on_distinct_and_on_repeating_columns(self, repeats):
-        """Both sides of ``_map_non_null``'s choice (per row / per distinct
-        value) against the per-row comprehension they replaced."""
+        """A column of distinct values and one that repeats 300 times, as
+        text (``_map_non_null`` runs per row on both; a repeating column that
+        arrives as codes is mapped per entry, ``TestEncodedEqualsDecoded``)
+        against the per-row comprehension it replaced."""
         base = [None, "", "Ab", "é", "日本x", "a\nB"] + [f"v{i}" for i in range(40)]
         values = _column("str", (base * repeats)[: max(len(base), 1500 * (repeats > 1))])
         rows = _rowset({"s": ("str", values)})
@@ -743,6 +758,401 @@ class TestDirectAddressProbe:
         assert encoder.order.tolist() == want_order.tolist() == [1, 4, 3, 0, 2, 5]
         assert encoder.starts.tolist() == want_starts.tolist()
         assert encoder.uniques.tolist() == want_uniques.tolist()
+
+
+# ---------------------------------------------------------------------------
+# coded strings: every kernel gives on dictionary codes what it gives on text
+
+_STRINGS = [None, "", "a", "b", "ab", "Ab", "é", "日本", "a\nb", "a\x00", "zz"]
+
+
+def _coded(values: Sequence[object], unreferenced: Sequence[str] = ()) -> CodedStrings:
+    """``values`` as codes; ``unreferenced`` are entries no row carries."""
+    dictionary, codes = dictionary_of(list(values) + list(unreferenced))
+    return CodedStrings(codes[: len(values)], dictionary)
+
+
+@st.composite
+def string_columns(draw, name="s", min_rows=0, max_rows=30):
+    """A string column held in one of the shapes a scan can hand over: one
+    dictionary (entries no row references included), the concatenation of
+    pieces with different dictionaries, or that with a PLAIN piece in it
+    (which makes the whole column text).  All-NULL and zero-row columns and
+    dictionaries as large as the batch fall out of the draws."""
+    pool = draw(st.sampled_from([_STRINGS, _STRINGS[:3], [None], ["a", "b"]]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = draw(st.lists(st.sampled_from(pool), max_size=max_rows // 3))
+        extras = draw(st.lists(st.sampled_from(["", "b", "m", "zzz"]), max_size=2))
+        pieces.append(_coded(values, extras))
+    while sum(map(len, pieces)) < min_rows:
+        pieces.append(_coded([pool[0]] * min_rows))
+    if draw(st.integers(0, 5)) == 0:
+        pieces[0] = pieces[0].text()
+    return join_blocks(pieces)
+
+
+def _string_rows(draw, n_strings=1, min_rows=0) -> RowSet:
+    columns = {"s": draw(string_columns(min_rows=min_rows))}
+    n = len(columns["s"])
+    for name in ("t", "u")[: n_strings - 1]:
+        values = draw(st.lists(st.sampled_from(_STRINGS[:5]), min_size=n, max_size=n))
+        columns[name] = _coded(values, ["q"])
+    columns["v"] = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                            dtype=np.int64)
+    columns["f"] = np.array(draw(st.lists(st.sampled_from([NAN, 0.5, -1.0, 2.0]),
+                                          min_size=n, max_size=n)), dtype=np.float64)
+    types = {"v": ColumnType.INT, "f": ColumnType.FLOAT}
+    schema = TableSchema([SchemaColumn(c, types.get(c, ColumnType.VARCHAR)) for c in columns])
+    rows = RowSet(schema, columns)
+    if n and draw(st.booleans()):
+        # A filter keeps the dictionary: entries lose their last reference.
+        rows = rows.filter(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    return rows
+
+
+def twin(rows: RowSet) -> RowSet:
+    """The same batch with every column as the array ``column()`` gives."""
+    out = RowSet(rows.schema, {n: rows.column(n).copy() for n in rows.schema.names})
+    assert not out.has_codes
+    return out
+
+
+def assert_held_well(rows: RowSet) -> None:
+    """Whatever an operator hands on as codes keeps the three invariants."""
+    for name in rows.schema.names:
+        assert text_of(rows.held(name), rows.num_rows) is rows.column(name)
+
+
+def _leaf(draw, column: str):
+    s = col(column)
+    text = st.sampled_from(["", "a", "ab", "b", "é", "m", "zz"])
+    kind = draw(st.integers(0, 11))
+    if kind == 0:
+        return BinaryOp(draw(OPS), s, Literal(draw(text)))
+    if kind == 1:
+        return BinaryOp(draw(OPS), Literal(draw(text)), s)
+    if kind == 2:
+        return InList(s, tuple(draw(st.lists(st.one_of(st.none(), text), max_size=3))))
+    if kind == 3:
+        return s.like(draw(st.sampled_from(["%", "a%", "%b", "_", "a_", "%a%", ""])))
+    if kind == 4:
+        args = (s, Literal(draw(st.integers(1, 3)))) + draw(
+            st.sampled_from([(), (Literal(1),), (Literal(2),)]))
+        return BinaryOp(draw(OPS), FuncCall("substr", args), Literal(draw(text)))
+    if kind == 5:
+        return BinaryOp(draw(OPS), FuncCall("length", (s,)), Literal(draw(st.integers(0, 2))))
+    if kind == 6:
+        func = draw(st.sampled_from(["lower", "upper"]))
+        return BinaryOp("=", FuncCall(func, (s,)), Literal(draw(text)))
+    if kind == 7:
+        return IsNull(s, negated=draw(st.booleans()))
+    if kind == 8:
+        return BinaryOp("=", s, s)  # one column, read twice
+    if kind == 9:
+        return BinaryOp("<", s, Literal(5))  # TypeError wherever a string is left
+    if kind == 10:
+        return BinaryOp("=", s + Literal("x"), Literal("ax"))  # None + 'x' raises
+    return BinaryOp("=", s, Literal(None))
+
+
+@st.composite
+def string_expressions(draw, column="s", depth=2):
+    """Boolean and valued expressions over one string column."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return _leaf(draw, column)
+    shape = draw(st.integers(0, 4))
+    a = draw(string_expressions(column, depth - 1))
+    b = draw(string_expressions(column, depth - 1))
+    if shape == 0:
+        return ~a
+    if shape == 1:
+        return a & b
+    if shape == 2:
+        return a | b
+    s = col(column)
+    values = [Literal("x"), s, FuncCall("lower", (s,)), Literal(None),
+              FuncCall("substr", (s, Literal(1), Literal(1)))]
+    if shape == 3:
+        default = draw(st.sampled_from(values + [None]))
+        return CaseWhen([(a, draw(st.sampled_from(values))), (b, draw(st.sampled_from(values)))],
+                        default)
+    return draw(st.sampled_from([
+        FuncCall("length", (s,)), FuncCall("upper", (s,)), values[4],
+        CaseWhen([(a, Literal(1))], Literal(0)),
+    ]))
+
+
+def _outcome(thunk):
+    """(result, None) or (None, the exception's type)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return thunk(), None
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return None, type(exc)
+
+
+class TestEncodedEqualsDecoded:
+    @settings(max_examples=700, deadline=None)
+    @given(st.data())
+    def test_single_column_expressions(self, data):
+        rows = _string_rows(data.draw)
+        expr = data.draw(string_expressions())
+        want, want_error = _outcome(lambda: expr.evaluate(twin(rows)))
+        got, error = _outcome(lambda: expr.evaluate(rows))
+        assert error is want_error, expr
+        if error is None:
+            assert same_bits(got, want), expr
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_expressions_over_two_columns_of_which_one_is_coded(self, data):
+        rows = _string_rows(data.draw, n_strings=2)
+        expr = data.draw(st.sampled_from([
+            BinaryOp("=", col("s"), col("t")),
+            (col("s") == "a") & (col("v") > 0),
+            (col("s").like("a%")) | (col("t") == "b") | (col("f") > 0.0),
+            CaseWhen([(col("v") > 0, col("s"))], col("t")),
+        ]))
+        got, want = expr.evaluate(rows), expr.evaluate(twin(rows))
+        assert same_bits(got, want), expr
+
+    def test_one_test_per_referenced_entry(self, monkeypatch):
+        """1 000 rows over three strings and NULL cost four calls, and an
+        entry whose last row a filter took costs none — so it cannot raise."""
+        seen = []
+        real = expressions._map_non_null
+
+        def spy(func, values, null, dtype):
+            seen.append(values.tolist())
+            return real(func, values, null, dtype)
+
+        monkeypatch.setattr(expressions, "_map_non_null", spy)
+        values = ["a", "bb", None, "ccc"] * 250
+        rows = RowSet(TableSchema.of(("s", ColumnType.VARCHAR)), {"s": _coded(values, ["zz"])})
+        expr = FuncCall("length", (col("s"),)) > 1
+        assert expr.evaluate(rows).tolist() == [False, True, False, True] * 250
+        assert seen == [["a", "bb", "ccc", None]]  # not "zz", which no row carries
+        del seen[:]
+        kept = rows.filter(np.array([v != "ccc" for v in values]))
+        assert expr.evaluate(kept).tolist() == [False, True, False] * 250
+        assert seen == [["a", "bb", None]]
+        # ``s < 5`` raises for any string: here only NULLs are left to see.
+        nulls = rows.filter(np.array([v is None for v in values]))
+        assert not BinaryOp("<", col("s"), Literal(5)).evaluate(nulls).any()
+        with pytest.raises(TypeError):
+            BinaryOp("<", col("s"), Literal(5)).evaluate(kept)
+
+    def test_the_rule_needs_a_dictionary_smaller_than_the_batch(self, monkeypatch):
+        seen = []
+        real = expressions._map_non_null
+        monkeypatch.setattr(expressions, "_map_non_null",
+                            lambda f, v, n, d: seen.append(len(v)) or real(f, v, n, d))
+        rows = RowSet(TableSchema.of(("s", ColumnType.VARCHAR)),
+                      {"s": _coded(["a", "b", "a"], ["c"])})
+        assert FuncCall("upper", (col("s"),)).evaluate(rows).tolist() == ["A", "B", "A"]
+        assert seen == [3]  # three entries, three rows: row by row
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_group_by_one_and_two_string_keys(self, data):
+        rows = _string_rows(data.draw, n_strings=3)
+        keys = data.draw(st.sampled_from([["s"], ["s", "t"], ["t", "s"], ["s", "v"], []]))
+        specs = [
+            AggregateSpec("count", None, "n"),
+            AggregateSpec("count", col("u"), "n_u"),
+            AggregateSpec("sum", col("v"), "sum_v"),
+            AggregateSpec("sum", col("f"), "sum_f"),
+            AggregateSpec("min", col("u"), "min_u"),
+            AggregateSpec("max", col("u"), "max_u"),
+            AggregateSpec("max", FuncCall("lower", (col("u"),)), "max_lower"),
+        ]
+        if data.draw(st.booleans()):
+            specs.append(AggregateSpec("avg", col("f"), "avg_f"))
+        plain = twin(rows)
+        got = aggregate(rows, keys, specs)
+        assert_held_well(got)
+        assert_same_rowset(got, aggregate(plain, keys, specs))
+        # ... and through the two distributed phases, the partial states of
+        # two "nodes" concatenated (their dictionaries differ).
+        cut = rows.num_rows // 2
+        halves = [(rows.slice(0, cut), plain.slice(0, cut)),
+                  (rows.slice(cut), plain.slice(cut))]
+        partial = RowSet.concat([aggregate(r, keys, specs, "partial") for r, _ in halves])
+        assert_held_well(partial)
+        want = RowSet.concat([aggregate(p, keys, specs, "partial") for _, p in halves])
+        assert_same_rowset(partial, want)
+        assert_same_rowset(aggregate(partial, keys, specs, "final"),
+                           aggregate(want, keys, specs, "final"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_count_distinct_of_a_string(self, data):
+        rows = _string_rows(data.draw, n_strings=2)
+        keys = data.draw(st.sampled_from([["s"], ["v"], ["s", "v"], []]))
+        specs = [AggregateSpec("count", col("t"), "d", distinct=True)]
+        plain = twin(rows)
+        assert_same_rowset(aggregate(rows, keys, specs), aggregate(plain, keys, specs))
+        got = aggregate(rows, keys, specs, "partial")
+        assert_held_well(got)
+        assert_same_rowset(got, aggregate(plain, keys, specs, "partial"))
+        assert_same_rowset(aggregate(got, keys, specs, "final"),
+                           aggregate(twin(got), keys, specs, "final"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_sort_limit(self, data):
+        rows = _string_rows(data.draw, n_strings=2)
+        order = data.draw(st.lists(
+            st.tuples(st.sampled_from(["s", "t", "v", "f"]), st.booleans()),
+            min_size=1, max_size=3))
+        limit = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+        got = sort_limit(rows, order, limit)
+        assert_held_well(got)
+        assert_same_rowset(got, sort_limit(twin(rows), order, limit))
+        names = [name for name, _ in order]
+        for ascending in (True, False):
+            assert_same_rowset(rows.sort_by(names, ascending),
+                               twin(rows).sort_by(names, ascending))
+
+    def test_sorted_strings_put_null_last_ascending_and_first_descending(self):
+        rows = RowSet(TableSchema.of(("s", ColumnType.VARCHAR), ("v", ColumnType.INT)),
+                      {"s": _coded(["b", None, "a", "b", None], ["c"]),
+                       "v": np.arange(5, dtype=np.int64)})
+        for batch in (rows, twin(rows)):
+            assert sort_limit(batch, [("s", True)]).to_pylist() == [
+                ("a", 2), ("b", 0), ("b", 3), (None, 1), (None, 4)]
+            assert sort_limit(batch, [("s", False)]).to_pylist() == [
+                (None, 1), (None, 4), ("b", 0), ("b", 3), ("a", 2)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.sampled_from(["inner", "left"]))
+    def test_hash_join_gathers_payload_strings_as_codes(self, data, how):
+        left = _string_rows(data.draw, n_strings=2)
+        n = data.draw(st.integers(0, 8))
+        build = RowSet(
+            TableSchema.of(("bk", ColumnType.INT), ("bs", ColumnType.VARCHAR),
+                           ("bf", ColumnType.FLOAT)),
+            {"bk": np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                            dtype=np.int64),
+             "bs": _coded(data.draw(st.lists(st.sampled_from(_STRINGS[1:5] if data.draw(
+                 st.booleans()) else _STRINGS[:5]), min_size=n, max_size=n)), ["k"]),
+             "bf": np.arange(n, dtype=np.float64)})
+        condition = data.draw(st.sampled_from(
+            [None, col("v") > 0, BinaryOp("<", col("s"), col("bs")), col("bs") == "a"]))
+        got = hash_join(left, build, ["v"], ["bk"], how, condition)
+        assert_held_well(got)
+        if how == "inner" or condition is None:
+            assert isinstance(got.held("bs"), CodedStrings)  # never made text
+        assert_same_rowset(got, hash_join(twin(left), twin(build), ["v"], ["bk"], how, condition))
+
+    def test_a_left_join_condition_unmatches_pairs_and_pads_what_is_left(self):
+        left = RowSet(TableSchema.of(("k", ColumnType.INT), ("x", ColumnType.INT)),
+                      {"k": np.array([1, 2, 3, 2]), "x": np.array([5, 5, 5, 10])})
+        build = RowSet(TableSchema.of(("uk", ColumnType.INT), ("y", ColumnType.INT)),
+                       {"uk": np.array([1, 2, 2]), "y": np.array([1, 9, 7])})
+        out = hash_join(left, build, ["k"], ["uk"], "left", col("x") > col("y"))
+        assert out.to_pylist() == [
+            (1, 5, 1, 1), (2, 10, 2, 9), (2, 10, 2, 7), (2, 5, 0, 0), (3, 5, 0, 0)]
+        inner = hash_join(left, build, ["k"], ["uk"], "inner", col("x") > col("y"))
+        assert inner.to_pylist() == out.to_pylist()[:3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rowset_bytes_counts_the_same_bytes(self, data):
+        rows = _string_rows(data.draw, n_strings=2)
+        assert rowset_bytes(rows) == rowset_bytes(twin(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rowset_transformations_carry_the_codes(self, data):
+        rows = _string_rows(data.draw, n_strings=2, min_rows=1)
+        n = rows.num_rows
+        assume(n > 0)  # the draw's own filter may have taken every row
+        plain = twin(rows)
+        indices = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=6)), dtype=np.int64)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for got, want in (
+            (rows.take(indices), plain.take(indices)),
+            (rows.filter(mask), plain.filter(mask)),
+            (rows.slice(1, 4), plain.slice(1, 4)),
+            (rows.select(["t", "s"]), plain.select(["t", "s"])),
+            (rows.rename({"s": "z"}), plain.rename({"s": "z"})),
+            (RowSet.concat([rows, rows.slice(0, 1), plain]), RowSet.concat([plain] * 2 + [
+                plain.slice(0, 1)]).take(np.r_[0:n, 2 * n, n:2 * n])),
+        ):
+            assert_held_well(got)
+            assert_same_rowset(got, want)
+            assert repr(got.to_rows()) == repr(want.to_rows())
+            exact = [name for name in got.schema.names if name != "f"]  # NaN != NaN
+            assert got.select(exact) == want.select(exact)
+        assert sorted(rows.columns) == sorted(plain.columns)
+        assert all(isinstance(values, np.ndarray) for values in rows.columns.values())
+        if isinstance(rows.held("t"), CodedStrings):
+            assert isinstance(rows.filter(mask).held("t"), CodedStrings)
+            assert rows.filter(mask).held("t").dictionary is rows.held("t").dictionary
+
+    def test_pieces_with_equal_dictionaries_share_one_and_text_wins(self):
+        a, b, c = _coded(["x", "y"]), _coded(["y", "x", "x"]), _coded(["z", None])
+        shared = join_blocks([a, b])
+        assert shared.dictionary is a.dictionary
+        assert shared.text().tolist() == ["x", "y", "y", "x", "x"]
+        merged = join_blocks([a, c, b])
+        assert merged.dictionary.tolist() == ["x", "y", "z", None]
+        assert merged.text().tolist() == ["x", "y", "z", None, "y", "x", "x"]
+        # A piece of no rows decides nothing, whatever it is.
+        empty = np.empty(0, dtype=object)
+        assert isinstance(join_blocks([empty, a, b]), CodedStrings)
+        text = join_blocks([a, _column("str", ["p"]), c])
+        assert isinstance(text, np.ndarray) and text.tolist() == ["x", "y", "p", "z", None]
+
+
+# ---------------------------------------------------------------------------
+# composite join keys: the pair table on both sides of its bound
+
+
+class TestPairCodesByDirectAddress:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["inner", "left"]), st.sampled_from([-1, 1 << 20]))
+    def test_same_matches_in_the_same_order_addressed_or_searched(self, data, how, slots):
+        def side(prefix, n):
+            draw = lambda: np.array(data.draw(  # noqa: E731
+                st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.int64)
+            names = [f"{prefix}{c}" for c in "abc"] + [f"{prefix}pos"]
+            columns = dict(zip(names, [draw(), draw(), draw() * 10 ** 9, np.arange(n)]))
+            return RowSet(TableSchema([SchemaColumn(c, ColumnType.INT) for c in names]), columns)
+
+        left, right = side("l", data.draw(st.integers(0, 20))), side("r", data.draw(st.integers(0, 20)))
+        old = operators._PAIR_SLOTS
+        operators._PAIR_SLOTS = slots
+        try:
+            got = hash_join(left, right, ["la", "lb", "lc"], ["ra", "rb", "rc"], how)
+            build = JoinBuild(right, ["ra", "rb", "rc"])
+            build._ensure_built()
+            assert all((p._slots is None) == (slots < 0) for p in build._pairings)
+        finally:
+            operators._PAIR_SLOTS = old
+        assert_same_rowset(
+            got, reference_hash_join(left, right, ["la", "lb", "lc"], ["ra", "rb", "rc"], how))
+
+    def test_the_table_is_bounded_by_bytes_not_by_the_build(self):
+        """4 000 x 200 pair codes (q09's ``partsupp``) are addressed; a space
+        past 2**20 slots is searched, whatever the build's size."""
+        rng = np.random.default_rng(9)
+        for span, addressed in ((200, True), (2000, False)):
+            n = 16_000
+            rows = RowSet(TableSchema.of(("a", ColumnType.INT), ("b", ColumnType.INT)),
+                          {"a": rng.integers(0, 4000, n), "b": rng.integers(0, span, n)})
+            build = JoinBuild(rows, ["a", "b"])
+            build._ensure_built()
+            (pairing,) = build._pairings
+            assert (pairing._slots is not None) == addressed
+            if addressed:
+                assert pairing._slots.dtype == np.int32 and pairing._slots.nbytes <= 4 << 20
+            probe = rows.take(rng.integers(0, n, 500))
+            got = hash_join(probe, build, ["a", "b"], ["a", "b"])
+            assert got.num_rows >= 500
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ the depot's bytes — and concatenates once per column.  Walled here:
 * what a scan returns is writable, owns its data and aliases no depot byte;
 * rows, row order and dtypes equal to the scan as it was before — one
   ``read_rowset`` per container, filtered, then ``RowSet.concat`` — spelled
-  out below as :func:`reference_scan`.
+  out below as :func:`reference_scan`;
+* DICT and RLE string blocks reach the scan's result as dictionary codes —
+  no per-row Python object is built before an operator asks for the text —
+  and a pass of the TPC-H queries makes text of a tenth of its string cells
+  at most (counted at ``CodedStrings.text``).
 """
 
 import dataclasses
@@ -41,7 +45,13 @@ from repro.storage.delete_vector import (
     mask_from_positions,
     read_delete_vector,
 )
-from repro.storage.encoding import Encoding, choose_encoding, decode_block, encode_block
+from repro.storage.encoding import (
+    CodedStrings,
+    Encoding,
+    choose_encoding,
+    decode_block,
+    encode_block,
+)
 
 COLUMNS = [
     ("k", ColumnType.INT), ("g", ColumnType.INT), ("x", ColumnType.INT),
@@ -585,3 +595,77 @@ class TestTheOneRead:
         again.read_rowset(["f"])  # a column the layout has not seen yet
         assert len(parses) == 1
         assert set(first.layout.columns) == {"k", "s", "f"}
+
+
+# ---------------------------------------------------------------------------
+# (vi) strings stay dictionary codes until an operator asks for the text
+
+
+@pytest.fixture
+def texts(monkeypatch) -> list:
+    """Row counts of every ``CodedStrings`` turned into Python objects."""
+    made = []
+    real = CodedStrings.text
+
+    def counting(self):
+        if self._text is None:
+            made.append(len(self))
+        return real(self)
+
+    monkeypatch.setattr(CodedStrings, "text", counting)
+    return made
+
+
+class TestStringsStayCodes:
+    @pytest.mark.parametrize("options", [
+        {}, {"use_cache": False}, {"crunch": "hash", "nodes_per_shard": 2},
+        {"crunch": "container", "nodes_per_shard": 2},
+    ])
+    def test_a_scan_builds_no_text_delete_vectors_and_crunch_included(
+            self, cluster, texts, options):
+        cluster.execute("delete from t where k between 4100 and 4199")
+        results = scan(cluster, ["s", "g"], "g < 5", **options)
+        assert texts == []
+        held = [r.rows.held("s") for r in results.values() if r.rows.num_rows]
+        assert held and all(isinstance(values, CodedStrings) for values in held)
+        # The text is made when asked for, once, and is an ordinary array.
+        rows = next(r.rows for r in results.values() if r.rows.num_rows)
+        assert rows.column("s") is rows.column("s") and texts == [rows.num_rows]
+        assert rows.column("s").dtype == object and rows.column("s").flags.owndata
+
+    def test_one_plain_block_in_a_column_and_the_column_is_text(self, texts):
+        """All-distinct strings are stored PLAIN; beside DICT blocks of the
+        same column they make the scan's column text, as before."""
+        schema = TableSchema.of(("k", ColumnType.INT), ("s", ColumnType.VARCHAR))
+        rows = [(k, f"unique-{k}" if k < 500 else "ab"[k % 2]) for k in range(1_000)]
+        reader = read_container(write_container(RowSet.from_rows(schema, rows), block_rows=500))
+        column = reader.column_reader("s")
+        assert isinstance(column.read_block(0, view=True), np.ndarray)
+        assert isinstance(column.read_block(1, view=True), CodedStrings)
+        assert isinstance(reader.read_rowset_blocks(["s"], [1]).held("s"), CodedStrings)
+        got = reader.read_rowset(["s"])
+        assert isinstance(got.held("s"), np.ndarray)
+        assert got.column("s").tolist() == [s for _, s in rows]
+
+    def test_the_twenty_queries_make_text_of_a_tenth_of_their_string_cells_at_most(
+            self, tpch_eon, texts, monkeypatch):
+        """ROADMAP item 3's property, counted: what a pass of the TPC-H
+        queries scans as DICT or RLE strings reaches group-by, predicates,
+        joins and sorts as codes; text is made of what PLAIN blocks hold and
+        of the few rows that leave an operator as a result."""
+        from repro.workloads.tpch import TPCH_QUERIES
+
+        cells = {"string": 0, "plain": 0}
+
+        def counting(data, view=False):
+            values = decode_block(data, view)
+            if values.dtype == object:
+                cells["string"] += len(values)
+                cells["plain"] += len(values) * isinstance(values, np.ndarray)
+            return values
+
+        monkeypatch.setattr(column_module, "decode_block", counting)
+        for seed, query in enumerate(TPCH_QUERIES):
+            tpch_eon.query(query.sql, seed=seed, pushdown="off").rows.to_pylist()
+        assert cells["string"] > 50_000
+        assert cells["plain"] + sum(texts) <= cells["string"] // 10
