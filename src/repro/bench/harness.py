@@ -111,7 +111,10 @@ def enterprise_query_picker(cluster) -> Picker:
 
     def pick(seed: int) -> Dict[str, int]:
         session = cluster.create_session(seed=seed)
-        return dict(Counter(session.region_server.values()))
+        try:
+            return dict(Counter(session.region_server.values()))
+        finally:
+            session.release()
 
     return pick
 

@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.mvcc import op_add_container, op_create_projection, op_create_table, op_drop_container
 from repro.catalog.objects import Projection, Segmentation, Table
 from repro.catalog.transaction_log import LogRecord
+from repro.cluster import query_path
 from repro.cluster.node import Node, NodeState
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
 from repro.engine.executor import (
-    Executor,
     QueryResult,
     ScanResult,
     StorageProvider,
@@ -39,19 +40,17 @@ from repro.engine.executor import (
 )
 from repro.engine.pipeline import EngineStats
 from repro.engine.expressions import Expr
-from repro.engine.planner import plan_query
 from repro.engine.pruning import prune_containers
 from repro.errors import (
     CatalogError,
     ClusterError,
-    NodeDown,
     QuorumLost,
     ShardCoverageLost,
 )
+from repro.obs import Observability
+from repro.recovery import FailoverPolicy
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
-from repro.sql.binder import bind_select
-from repro.sql.parser import parse
 from repro.storage.container import (
     ROSContainer,
     RowSet,
@@ -68,15 +67,41 @@ EBS_READ_BANDWIDTH = 130e6
 EBS_WRITE_BANDWIDTH = 110e6
 
 
+#: What ``query``/``query_statement`` accept per query: the session layout
+#: (``create_session``'s parameters) and the one engine option.
+QUERY_OPTIONS = ("seed", "pushdown")
+
+
 @dataclass
 class EnterpriseSession:
-    """Region-to-node serving map for one query."""
+    """Region-to-node serving map for one query over one pinned state of
+    the global catalog; ``state``..``release`` are ``query_path``'s seam."""
 
+    cluster: "EnterpriseCluster"
     region_server: Dict[int, str]  # region -> node serving it
     initiator: str
+    snapshot: CatalogSnapshot
 
     def regions_of(self, node: str) -> List[int]:
         return [r for r, n in self.region_server.items() if n == node]
+
+    @property
+    def state(self):
+        return self.snapshot.state
+
+    def provider(self) -> "EnterpriseStorageProvider":
+        return EnterpriseStorageProvider(self)
+
+    def slot_demand(self, plan) -> Dict[str, int]:
+        """One slot per region served, on every up node, whatever the plan:
+        every node takes part in every query, which is exactly why
+        Enterprise concurrency does not scale out (the paper's penalty)."""
+        demand = dict(Counter(self.region_server.values()))
+        demand.setdefault(self.initiator, 1)
+        return demand
+
+    def release(self) -> None:
+        self.snapshot.release()
 
 
 class EnterpriseCluster:
@@ -124,6 +149,22 @@ class EnterpriseCluster:
         #: query takes a slot on every node, the paper's scaling penalty.
         self.admission = AdmissionController(self)
         self.engine_stats = EngineStats()
+        self.obs = Observability(clock=self.clock, enabled=False)
+        #: Session-level query failover: a buddy takes over a region whose
+        #: node died after the session was laid out.
+        self.failover_policy = FailoverPolicy()
+        self.failovers = 0
+
+    #: The engine's one per-query option.  Scans read node-local disks, so
+    #: the provider's ``set_pushdown`` is the ABC no-op: accepted, inert.
+    pushdown = "off"
+
+    def enable_observability(
+        self, max_requests: int = 512, max_spans: int = 20000
+    ) -> Observability:
+        """Switch on metrics, tracing, and query profiling (idempotent)."""
+        self.obs = self.obs.switched_on(max_requests, max_spans)
+        return self.obs
 
     # -- membership -------------------------------------------------------------
 
@@ -138,19 +179,26 @@ class EnterpriseCluster:
         next node (section 2.2)."""
         return self.node_order[(region + 1) % len(self.node_order)]
 
+    def uncovered_shards(self) -> List[int]:
+        """Regions whose node and buddy are both down (K-safety lost)."""
+        return [
+            region
+            for region, base in enumerate(self.node_order)
+            if not self.nodes[base].is_up
+            and not self.nodes[self.buddy_node_of_region(region)].is_up
+        ]
+
     def check_viability(self) -> None:
         up = len(self.up_nodes())
         if up * 2 <= len(self.nodes):
             self.shut_down = True
             raise QuorumLost(f"only {up} of {len(self.nodes)} nodes up")
-        for region in range(len(self.node_order)):
-            base = self.nodes[self.node_order[region]]
-            buddy = self.nodes[self.buddy_node_of_region(region)]
-            if not base.is_up and not buddy.is_up:
-                self.shut_down = True
-                raise ShardCoverageLost(
-                    f"region {region}: node and buddy both down (K-safety lost)"
-                )
+        uncovered = self.uncovered_shards()
+        if uncovered:
+            self.shut_down = True
+            raise ShardCoverageLost(
+                f"region {uncovered[0]}: node and buddy both down (K-safety lost)"
+            )
 
     # -- commits (single global catalog) -------------------------------------------
 
@@ -426,70 +474,40 @@ class EnterpriseCluster:
             raise ClusterError("cluster is shut down")
         if seed is None:
             seed = next(self._session_counter)
-        region_server: Dict[int, str] = {}
-        for region in range(len(self.node_order)):
-            base = self.node_order[region]
-            if self.nodes[base].is_up:
-                region_server[region] = base
-            else:
-                buddy = self.buddy_node_of_region(region)
-                if not self.nodes[buddy].is_up:
-                    raise ShardCoverageLost(
-                        f"region {region}: node and buddy both down"
-                    )
-                region_server[region] = buddy
-        up = sorted(n.name for n in self.up_nodes())
-        if not up:
-            raise NodeDown("no nodes up")
-        return EnterpriseSession(region_server, initiator=up[seed % len(up)])
+        uncovered = self.uncovered_shards()
+        if uncovered:
+            raise ShardCoverageLost(
+                f"region {uncovered[0]}: node and buddy both down"
+            )
+        region_server = {
+            region: base if self.nodes[base].is_up
+            else self.buddy_node_of_region(region)
+            for region, base in enumerate(self.node_order)
+        }
+        up = sorted(n.name for n in self.up_nodes())  # not empty: all covered
+        return EnterpriseSession(
+            self, region_server, up[seed % len(up)], self.catalog.snapshot()
+        )
 
-    def query(
+    def query(self, sql: str, **options) -> QueryResult:
+        return self.query_statement(
+            query_path.parse_select(sql), request_text=sql.strip(), **options
+        )
+
+    def query_statement(
         self,
-        sql: str,
-        seed: Optional[int] = None,
+        statement,
         session: Optional[EnterpriseSession] = None,
+        request_text: Optional[str] = None,
+        failover: Optional[bool] = None,
         ticket=None,
-        pushdown: str = "off",
-        **unknown_options,
+        **options,
     ) -> QueryResult:
-        from collections import Counter
-
-        from repro.sql.ast import Select
-
-        check_query_options(unknown_options, ("seed", "session", "ticket", "pushdown"))
-        statements = parse(sql)
-        if len(statements) != 1 or not isinstance(statements[0], Select):
-            raise CatalogError("query() accepts a single SELECT")
-        if session is None:
-            session = self.create_session(seed=seed)
-        own_ticket = None
-        if ticket is None and self.admission is not None:
-            # Enterprise demand: one slot per region served — every up
-            # node, which is exactly why concurrency does not scale out.
-            demand = dict(Counter(session.region_server.values()))
-            demand.setdefault(session.initiator, 1)
-            own_ticket = self.admission.admit(demand, session.initiator)
-            ticket = own_ticket
-        try:
-            with self.catalog.snapshot() as snapshot:
-                bound = bind_select(statements[0], snapshot.state)
-                plan = plan_query(bound, snapshot.state)
-                provider = EnterpriseStorageProvider(self, session, snapshot.state)
-                executor = Executor(
-                    provider,
-                    self.cost_model,
-                    # Local-disk provider: ``set_pushdown`` is the ABC no-op,
-                    # so the option is accepted for API parity but inert.
-                    pushdown=pushdown,
-                )
-                result = executor.execute(plan)
-                self.engine_stats.note(executor)
-                if ticket is not None and ticket.queue_wait_seconds:
-                    result.stats.dispatch_seconds += ticket.queue_wait_seconds
-                return result
-        finally:
-            if own_ticket is not None:
-                self.admission.release(own_ticket)
+        """One SELECT through the shared query path (``query_path.run``)."""
+        check_query_options(options, QUERY_OPTIONS)
+        return query_path.run(
+            self, statement, session, request_text, failover, ticket, options
+        )
 
     # -- elasticity: full redistribution (the paper's anti-pattern) -----------------
 
@@ -676,10 +694,10 @@ class EnterpriseCluster:
 class EnterpriseStorageProvider(StorageProvider):
     """Scans node-local containers; a buddy serves a down node's region."""
 
-    def __init__(self, cluster: EnterpriseCluster, session: EnterpriseSession, state):
-        self.cluster = cluster
+    def __init__(self, session: EnterpriseSession):
         self.session = session
-        self.state = state
+        self.cluster = session.cluster
+        self.state = session.state
 
     def participants(self) -> List[str]:
         return sorted({n for n in self.session.region_server.values()})
@@ -712,7 +730,7 @@ class EnterpriseStorageProvider(StorageProvider):
             self._scan_containers(node, containers, columns, predicate, parts, result)
             wos_rows = node.wos.read(projection)
             if wos_rows is not None:
-                parts.append(self._filter(wos_rows.select(list(columns)), predicate))
+                parts.append(wos_rows.select(list(columns)))
         else:
             proj_obj = state.projections.get(projection)
             buddy_name = projection + "_b1"
@@ -729,8 +747,7 @@ class EnterpriseStorageProvider(StorageProvider):
                 if wos_rows is not None:
                     seg_cols = list(proj_obj.segmentation.columns)
                     mask = cluster.shard_map.shards_of_rowset(wos_rows, seg_cols) == region
-                    slice_rows = wos_rows.filter(mask).select(list(columns))
-                    parts.append(self._filter(slice_rows, predicate))
+                    parts.append(wos_rows.filter(mask).select(list(columns)))
         if parts:
             result.rows = RowSet.concat([p for p in parts if p.num_rows] or parts[:1])
         return result
@@ -747,14 +764,6 @@ class EnterpriseStorageProvider(StorageProvider):
             rows = read_container(data).read_rowset(list(columns))
             parts.append(rows)
             result.containers_scanned += 1
-
-    @staticmethod
-    def _filter(rows: RowSet, predicate: Optional[Expr]) -> RowSet:
-        # WOS rows are filtered here; container predicates are applied by
-        # the executor after the scan returns (it re-applies the scan
-        # predicate), so returning unfiltered rows is also correct — we
-        # filter to keep row counts comparable.
-        return rows
 
     def _schema(self, projection_name: str, columns: Sequence[str]):
         projection = self.state.projections.get(projection_name)

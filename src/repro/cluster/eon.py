@@ -48,15 +48,15 @@ from repro.catalog.objects import (
 from repro.catalog.transaction_log import LogStore
 from repro.cache.warming import WarmingReport, warm_from_peer
 from repro.cluster.node import Node, NodeState
+from repro.cluster import query_path
 from repro.cluster.reaper import FileReaper
-from repro.cluster.session import EonSession, EonStorageProvider
+from repro.cluster.session import EonSession
 from repro.cluster.transactions import CommitCoordinator, Transaction
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
-from repro.engine.executor import Executor, QueryResult, check_query_options
+from repro.engine.executor import QueryResult, check_query_options
 from repro.engine.pipeline import EngineStats
-from repro.engine.planner import plan_query, plan_slot_demand
 from repro.errors import (
     CatalogError,
     ClusterError,
@@ -64,21 +64,18 @@ from repro.errors import (
     QuorumLost,
     ShardCoverageLost,
     StorageUnavailable,
-    TransientStorageError,
 )
 from repro.io.scheduler import IOScheduler, IOSchedulerConfig
-from repro.obs import Observability, QueryProfile, RequestRecord
-from repro.obs.system_tables import bind_system_tables, system_tables_referenced
+from repro.obs import Observability
 from repro.recovery import FailoverPolicy, RebalanceReport, SubscriptionRebalancer
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.sharding.subscription import SubscriptionState, validate_transition
 from repro.shared_storage.api import Filesystem, PrefixView, RetryingFilesystem, retrying
 from repro.shared_storage.s3 import SimulatedS3
-from repro.sql.binder import bind_select
 from repro.sql.parser import parse
 from repro.storage.container import RowSet
-from repro.wm.admission import AdmissionController, eon_share_counts
+from repro.wm.admission import AdmissionController
 
 
 #: What ``query``/``query_statement`` accept per query: the session layout
@@ -87,14 +84,6 @@ QUERY_OPTIONS = (
     "initiator", "subcluster", "crunch", "nodes_per_shard", "use_cache", "seed",
     "prefer_initiator_rack", "pushdown",
 )
-
-
-def _describe_select(statement) -> str:
-    """Fallback request text when the raw SQL is unavailable (the AST does
-    not retain source text — e.g. queries issued via ``query_statement``)."""
-    names = [t.name for t in statement.tables]
-    names += [j.table.name for j in statement.joins]
-    return "SELECT FROM " + ", ".join(names) if names else "SELECT"
 
 
 class EonCluster:
@@ -200,13 +189,7 @@ class EonCluster:
         self, max_requests: int = 512, max_spans: int = 20000
     ) -> Observability:
         """Switch on metrics, tracing, and query profiling (idempotent)."""
-        if not self.obs.enabled:
-            self.obs = Observability(
-                clock=self.clock,
-                enabled=True,
-                max_requests=max_requests,
-                max_spans=max_spans,
-            )
+        self.obs = self.obs.switched_on(max_requests, max_spans)
         return self.obs
 
     # -- Data Collector feeds --------------------------------------------------
@@ -840,13 +823,8 @@ class EonCluster:
         )
 
     def query(self, sql: str, **session_options) -> QueryResult:
-        from repro.sql.ast import Select
-
-        statements = parse(sql)
-        if len(statements) != 1 or not isinstance(statements[0], Select):
-            raise CatalogError("query() accepts a single SELECT")
         return self.query_statement(
-            statements[0], request_text=sql.strip(), **session_options
+            query_path.parse_select(sql), request_text=sql.strip(), **session_options
         )
 
     def query_statement(
@@ -858,231 +836,15 @@ class EonCluster:
         ticket=None,
         **session_options,
     ) -> QueryResult:
+        """One SELECT through the shared query path (``query_path.run``)."""
         check_query_options(session_options, QUERY_OPTIONS)
-        # The engine option is executor-level, not session-level: pop it
-        # before anything (crunch probe, create_session) sees the kwargs.
-        pushdown = session_options.pop("pushdown", self.pushdown)
         if session is None and session_options.get("crunch") == "auto":
             session_options["crunch"] = self._choose_crunch_mode(
-                statement, **{k: v for k, v in session_options.items() if k != "crunch"}
+                statement, **session_options
             )
-        # Failover defaults on for cluster-owned sessions (the caller never
-        # saw the participant list, so re-selecting it is transparent).  An
-        # explicitly passed session opts in with ``failover=True``; retries
-        # then run on fresh sessions while the caller's stays theirs to
-        # release.
-        if failover is None:
-            failover = session is None
-        policy = self.failover_policy
-        attempt = 0
-        penalty = 0.0
-        current = session
-        while True:
-            own_session = current is None
-            if own_session:
-                current = self.create_session(**session_options)
-            try:
-                # A caller-supplied admission ticket (the concurrent
-                # driver's) spans the whole query including failover
-                # retries; without one, each attempt admits itself.
-                return self._execute_statement(
-                    statement, current, request_text, pushdown, penalty, ticket
-                )
-            except (NodeDown, TransientStorageError) as exc:
-                attempt += 1
-                if (
-                    not failover
-                    or self.shut_down
-                    or attempt >= policy.max_attempts
-                    or (isinstance(exc, NodeDown) and self.uncovered_shards())
-                ):
-                    raise
-                # Session-level failover: a participant died mid-query (or a
-                # shard's reads exhausted their retries) but the surviving up
-                # ACTIVE subscribers still cover every shard, so re-select
-                # participating subscriptions and re-execute.  The backoff is
-                # charged to the query's cost-model latency, not wall-clock.
-                penalty += policy.backoff_for(attempt)
-                self.failovers += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter("recovery.failovers").inc()
-                    self.obs.tracer.record(
-                        "query.failover",
-                        attempt=attempt,
-                        error=type(exc).__name__,
-                        initiator=current.initiator,
-                    )
-                    self.obs.dc.record(
-                        "dc_query_events",
-                        current.initiator,
-                        (0, "failover", type(exc).__name__, float(attempt)),
-                    )
-            finally:
-                if own_session:
-                    current.release()
-            current = None
-
-    def _execute_statement(
-        self,
-        statement,
-        session,
-        request_text: Optional[str],
-        pushdown: str,
-        penalty: float = 0.0,
-        ticket=None,
-    ) -> QueryResult:
-        """One execution attempt against an already-selected session."""
-        snapshot = session.snapshots[session.initiator]
-        state = snapshot.state
-        provider: object = EonStorageProvider(session)
-        # ``v_monitor.*`` references get virtual tables injected into a
-        # copy of the snapshot state; binding/planning then proceed as
-        # for any other table.  Rows materialize here — before admission —
-        # so a monitor query observes steady-state slot usage, not its own.
-        system_names = system_tables_referenced(statement)
-        if system_names:
-            # The statement rides along so partitioned dc_* producers can
-            # prune on its time/node bounds before materializing.
-            state, provider = bind_system_tables(
-                self, state, provider, system_names, statement=statement
-            )
-        bound = bind_select(statement, state)
-        plan = plan_query(bound, state)
-        own_ticket = None
-        # Pure monitor reads bypass admission: observability must stay
-        # usable on a saturated cluster (the moment you most need it).
-        if ticket is None and self.admission is not None and not system_names:
-            demand = plan_slot_demand(
-                plan, eon_share_counts(session), session.initiator
-            )
-            own_ticket = self.admission.admit(demand, session.initiator)
-            ticket = own_ticket
-        # Queue wait joins the failover backoff in dispatch time, so the
-        # recorded latency/profile/span covers the whole admission story.
-        queue_wait = ticket.queue_wait_seconds if ticket is not None else 0.0
-        extra = penalty + queue_wait
-        try:
-            # Monitor queries are not themselves recorded: profiling the
-            # profiler would recurse (this query would appear in the very
-            # tables it reads, mid-materialization).
-            record = self.obs.enabled and not system_names
-            executor = Executor(
-                provider, self.cost_model, obs=self.obs if record else None,
-                pushdown=pushdown,
-            )
-            if not record:
-                result = executor.execute(plan)
-                if extra:
-                    result.stats.dispatch_seconds += extra
-            else:
-                result = self._record_query(
-                    statement, session, executor, plan, request_text,
-                    penalty=penalty, queue_wait=queue_wait,
-                    had_ticket=ticket is not None,
-                )
-            self.engine_stats.note(executor)
-            return result
-        finally:
-            if own_ticket is not None:
-                self.admission.release(own_ticket)
-
-    def _record_query(
-        self,
-        statement,
-        session,
-        executor,
-        plan,
-        request_text: Optional[str],
-        penalty: float = 0.0,
-        queue_wait: float = 0.0,
-        had_ticket: bool = False,
-    ) -> QueryResult:
-        """Execute under a ``query`` span and log request/profile records."""
-        obs = self.obs
-        shared_metrics = self.shared.metrics
-        gets_before = shared_metrics.get_requests
-        dollars_before = shared_metrics.dollars
-        retries_before = shared_metrics.transient_failures
-        backoff_before = shared_metrics.retry_backoff_seconds
-        io_before = shared_metrics.sim_seconds
-        hits_before = sum(n.cache.stats.hits for n in self.nodes.values())
-        misses_before = sum(n.cache.stats.misses for n in self.nodes.values())
-        request_id = obs.next_request_id()
-        text = request_text or _describe_select(statement)
-        start = self.clock.now
-        extra = penalty + queue_wait
-        with obs.tracer.span(
-            "query", request_id=request_id, initiator=session.initiator
-        ) as span:
-            result = executor.execute(plan)
-            # Failover backoff from earlier attempts and admission queue
-            # wait land in dispatch time, so the recorded latency covers
-            # the whole retry + admission story.
-            if extra:
-                result.stats.dispatch_seconds += extra
-            # Queries don't advance the sim clock; the cost model's latency
-            # is the query's duration.
-            span.duration = result.stats.latency_seconds
-            span.annotate(rows=result.rows.num_rows)
-        latency = result.stats.latency_seconds
-        obs.requests.append(
-            RequestRecord(
-                request_id=request_id,
-                node_name=session.initiator,
-                request=text,
-                start_seconds=start,
-                duration_seconds=latency,
-                rows_produced=result.rows.num_rows,
-                depot_hits=sum(n.cache.stats.hits for n in self.nodes.values())
-                - hits_before,
-                depot_misses=sum(n.cache.stats.misses for n in self.nodes.values())
-                - misses_before,
-                s3_requests=shared_metrics.get_requests - gets_before,
-                s3_dollars=shared_metrics.dollars - dollars_before,
-                queue_wait_seconds=queue_wait,
-                failover_backoff_seconds=penalty,
-                retry_backoff_seconds=shared_metrics.retry_backoff_seconds
-                - backoff_before,
-                retries=shared_metrics.transient_failures - retries_before,
-                storage_io_seconds=shared_metrics.sim_seconds - io_before,
-            )
+        return query_path.run(
+            self, statement, session, request_text, failover, ticket, session_options
         )
-        initiator = session.initiator
-        if had_ticket:
-            obs.dc.record(
-                "dc_query_events", initiator,
-                (request_id, "admit", "", queue_wait),
-            )
-        if queue_wait > 0:
-            obs.dc.record(
-                "dc_query_events", initiator,
-                (request_id, "queue", "", queue_wait),
-            )
-        if penalty > 0:
-            obs.dc.record(
-                "dc_query_events", initiator,
-                (request_id, "failover", "backoff", penalty),
-            )
-        obs.dc.record(
-            "dc_query_events", initiator,
-            (request_id, "execute", text[:80], latency),
-        )
-        obs.profiles.append(
-            QueryProfile(
-                request_id=request_id,
-                request=text,
-                initiator=session.initiator,
-                start_seconds=start,
-                latency_seconds=latency,
-                operators=tuple(executor.op_profiles),
-            )
-        )
-        obs.metrics.counter("query.count", node=session.initiator).inc()
-        obs.metrics.counter("query.rows_produced", node=session.initiator).inc(
-            result.rows.num_rows
-        )
-        obs.metrics.histogram("query.latency_seconds").observe(latency)
-        return result
 
     def _choose_crunch_mode(self, statement, **session_options) -> str:
         """Cost-based crunch mode choice (section 4.4: "a likely candidate
@@ -1096,11 +858,13 @@ class EonCluster:
         """
         from repro.engine.plan import AggregateNode, JoinNode, ScanNode, walk
 
-        session_options.pop("nodes_per_shard", None)
+        # The probe session is laid out without the options being decided.
+        for name in ("crunch", "nodes_per_shard", "pushdown"):
+            session_options.pop(name, None)
         with self.create_session(**session_options) as probe:
-            snapshot = probe.snapshots[probe.initiator]
-            bound = bind_select(statement, snapshot.state)
-            plan = plan_query(bound, snapshot.state)
+            plan = query_path.prepare(statement, probe).plan
+        if plan is None:
+            return "container"  # a monitor read: one node, nothing to split
         for node in walk(plan.root):
             if isinstance(node, JoinNode) and node.locality == "local":
                 if not (isinstance(node.right, ScanNode) and node.right.replicated):

@@ -45,7 +45,8 @@ from repro.storage.encoding import CodedStrings, join_blocks
 
 @dataclass
 class EonSession:
-    """One client session's layout over the cluster."""
+    """One client session's layout over the cluster; ``state``..``release``
+    are what ``cluster/query_path.py`` asks of a session."""
 
     cluster: object
     initiator: str
@@ -84,6 +85,30 @@ class EonSession:
                 if name == node:
                     out.append((shard, index, len(nodes)))
         return out
+
+    @property
+    def state(self):
+        """The initiator's pinned catalog state: what a statement binds to."""
+        return self.snapshots[self.initiator].state
+
+    def provider(self) -> "EonStorageProvider":
+        return EonStorageProvider(self)
+
+    def slot_demand(self, plan) -> Dict[str, int]:
+        """A query holds exactly ``S`` of the cluster's ``N * E`` slots (the
+        throughput model of section 4.2): one per shard share a node serves,
+        so crunch sharing demands more.  On distributed plans the initiator's
+        merge stage rides on coordination, not a slot — Figure 11a's elastic
+        scaling depends on the footprint staying ``S`` as nodes are added; a
+        single-node plan (a constant query) takes one slot on the initiator.
+        """
+        if plan.single_node or not self.sharing:
+            return {self.initiator: 1}
+        shares: Dict[str, int] = {}
+        for nodes in self.sharing.values():
+            for node_name in nodes:
+                shares[node_name] = shares.get(node_name, 0) + 1
+        return dict(sorted(shares.items()))
 
     def release(self) -> None:
         for snapshot in self.snapshots.values():

@@ -59,28 +59,6 @@ class PhysicalPlan:
         return f"-- {mode} --\n{self.root.describe()}"
 
 
-def plan_slot_demand(
-    plan: PhysicalPlan, share_counts: Dict[str, int], initiator: str
-) -> Dict[str, int]:
-    """Per-node execution-slot demand for one query.
-
-    The paper's section 4.2 throughput model gives a query exactly ``S``
-    of the cluster's ``N * E`` slots — one per shard it scans, no more.
-    ``share_counts`` maps each participating node to the number of shards
-    (shares) it serves in this session, so crunch sharing naturally
-    demands more slots.  A single-node plan (pure system-table read,
-    constant query) needs one slot on the initiator; on distributed plans
-    the initiator's merge stage rides on coordination, not a slot — the
-    elastic scaling of Figure 11a depends on the footprint staying ``S``
-    as nodes are added.
-    """
-    if plan.single_node or not share_counts:
-        return {initiator: 1}
-    return {
-        node: max(1, int(count)) for node, count in sorted(share_counts.items())
-    }
-
-
 def plan_query(bound: BoundQuery, catalog: CatalogState) -> PhysicalPlan:
     """Produce the physical plan for a bound query."""
     lap_plan = _try_live_aggregate(bound, catalog)

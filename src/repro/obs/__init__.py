@@ -95,5 +95,12 @@ class Observability:
     def disabled(cls, clock=None) -> "Observability":
         return cls(clock=clock, enabled=False)
 
+    def switched_on(self, max_requests: int = 512, max_spans: int = 20000) -> "Observability":
+        """This bundle when it already collects, else a collecting one on the
+        same clock — what a cluster's ``enable_observability`` installs."""
+        if self.enabled:
+            return self
+        return Observability(self.clock, True, max_requests, max_spans)
+
     def next_request_id(self) -> int:
         return next(self._request_ids)

@@ -151,8 +151,8 @@ def diagnose(cluster, request_id: Optional[int] = None) -> Diagnosis:
     been recorded yet, or ``request_id`` is unknown (the request ring is
     bounded, so old ids age out).
     """
-    obs = getattr(cluster, "obs", None)
-    if obs is None or not obs.enabled:
+    obs = cluster.obs
+    if not obs.enabled:
         raise ReproError(
             "doctor needs observability: call cluster.enable_observability() "
             "(or shell \\profile) and re-run the workload"

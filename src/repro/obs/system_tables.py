@@ -144,11 +144,14 @@ def _query_profiles(cluster) -> List[tuple]:
 
 
 def _storage_containers(cluster) -> List[tuple]:
-    # Catalogs are shard-filtered per node; the union over up nodes is the
-    # cluster-wide container inventory.
+    # Eon catalogs are shard-filtered per node, so the union over up nodes
+    # is the cluster-wide container inventory; an Enterprise cluster keeps
+    # one global catalog.
+    catalog = getattr(cluster, "catalog", None)
+    catalogs = [catalog] if catalog else [n.catalog for n in cluster.up_nodes()]
     seen: Dict[str, object] = {}
-    for node in cluster.up_nodes():
-        for sid, container in node.catalog.state.containers.items():
+    for catalog in catalogs:
+        for sid, container in catalog.state.containers.items():
             seen[str(sid)] = container
     rows = []
     for sid in sorted(seen):
@@ -167,7 +170,7 @@ def _storage_containers(cluster) -> List[tuple]:
 
 
 def _resource_usage(cluster) -> List[tuple]:
-    admission = getattr(cluster, "admission", None)
+    admission = cluster.admission
     rows = []
     for name in sorted(cluster.nodes):
         node = cluster.nodes[name]
@@ -178,7 +181,7 @@ def _resource_usage(cluster) -> List[tuple]:
                 node.state.value,
                 len(shards),
                 node.execution_slots,
-                admission.slots_in_use(name) if admission is not None else 0,
+                admission.slots_in_use(name),
                 node.cache.used_bytes,
                 node.cache.capacity_bytes,
                 node.cache_reads,
@@ -189,9 +192,7 @@ def _resource_usage(cluster) -> List[tuple]:
 
 
 def _resource_pools(cluster) -> List[tuple]:
-    admission = getattr(cluster, "admission", None)
-    if admission is None:
-        return []
+    admission = cluster.admission
     rows = []
     for name in sorted(admission.pools):
         pool = admission.pools[name]
@@ -210,9 +211,7 @@ def _resource_pools(cluster) -> List[tuple]:
 
 
 def _resource_queues(cluster) -> List[tuple]:
-    admission = getattr(cluster, "admission", None)
-    if admission is None:
-        return []
+    admission = cluster.admission
     rows = []
     for name in sorted(admission.pools):
         pool = admission.pools[name]
@@ -235,7 +234,9 @@ def _resource_queues(cluster) -> List[tuple]:
 
 
 def _dc_storage_operations(cluster) -> List[tuple]:
-    shared = cluster.shared
+    shared = getattr(cluster, "shared", None)
+    if shared is None:
+        return []  # no shared storage (Enterprise): absent is empty
     op_stats = getattr(shared, "op_stats", None)
     rows = []
     if op_stats:
@@ -360,10 +361,8 @@ def _dc_event_producer(table: str):
     """
 
     def produce(cluster, bounds=None) -> List[tuple]:
-        dc = getattr(getattr(cluster, "obs", None), "dc", None)
-        if dc is None or not dc.enabled:
-            return []
-        return dc.rows(table, bounds)
+        dc = cluster.obs.dc
+        return dc.rows(table, bounds) if dc.enabled else []
 
     return produce
 

@@ -10,7 +10,6 @@ from repro.wm.admission import (
     AdmissionController,
     AdmissionTicket,
     PendingAdmission,
-    eon_share_counts,
 )
 from repro.wm.pool import GENERAL_POOL, PoolConfig, ResourcePool
 
@@ -18,7 +17,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionTicket",
     "PendingAdmission",
-    "eon_share_counts",
     "GENERAL_POOL",
     "PoolConfig",
     "ResourcePool",

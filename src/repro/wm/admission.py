@@ -40,19 +40,6 @@ from repro.errors import AdmissionRejected
 from repro.wm.pool import GENERAL_POOL, PoolConfig, ResourcePool
 
 
-def eon_share_counts(session) -> Dict[str, int]:
-    """Per-node count of shards (shares) a session's sharing serves.
-
-    This is the paper's ``S`` broken down by node: with crunch sharing a
-    shard appears on several nodes, so crunch queries demand more slots.
-    """
-    counts: Dict[str, int] = {}
-    for shard_id in sorted(session.sharing):
-        for node_name in session.sharing[shard_id]:
-            counts[node_name] = counts.get(node_name, 0) + 1
-    return counts
-
-
 class AdmissionTicket:
     """Proof of admission: the slots one running query holds."""
 
@@ -431,10 +418,8 @@ class AdmissionController:
     # -- metrics plumbing --------------------------------------------------------
 
     def _obs(self):
-        obs = getattr(self.cluster, "obs", None)
-        if obs is not None and getattr(obs, "enabled", False):
-            return obs
-        return None
+        obs = self.cluster.obs
+        return obs if obs.enabled else None
 
     def _count(self, name: str, **labels) -> None:
         obs = self._obs()

@@ -26,18 +26,13 @@ stats (the PR 3 serial-parity discipline).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.cluster.query_path import parse_select, prepare, run
 from repro.common.clock import SimClock, Timeout
-from repro.engine.planner import plan_query, plan_slot_demand
 from repro.errors import AdmissionRejected, ReproError
-from repro.obs.system_tables import system_tables_referenced
-from repro.sql.ast import Select
-from repro.sql.binder import bind_select
-from repro.sql.parser import parse
-from repro.wm.admission import AdmissionTicket, eon_share_counts
+from repro.wm.admission import AdmissionTicket
 
 #: Floor on slot-holding time so a zero-cost query still advances time.
 _MIN_HOLD_SECONDS = 1e-6
@@ -54,8 +49,8 @@ class ClosedLoopWorkload:
     duration_seconds: Optional[float] = None
     seed: int = 0
     failover: bool = True
-    #: Extra ``create_session`` options (Eon only), as sorted pairs so
-    #: the workload stays hashable/frozen.
+    #: Extra ``create_session`` options of the cluster's flavor, as sorted
+    #: pairs so the workload stays hashable/frozen.
     session_options: Tuple[Tuple[str, object], ...] = ()
     #: Adds ``k * (inflight - 1)`` seconds of slot-holding time per query
     #: — contention among queries actually executing together.
@@ -133,33 +128,6 @@ class WorkloadResult:
         )
 
 
-def _parse_statements(workload: ClosedLoopWorkload) -> List[Tuple[str, Select]]:
-    parsed: List[Tuple[str, Select]] = []
-    for sql in workload.statements:
-        statements = parse(sql)
-        if len(statements) != 1 or not isinstance(statements[0], Select):
-            raise ValueError(f"workload statements must be single SELECTs: {sql!r}")
-        parsed.append((sql.strip(), statements[0]))
-    return parsed
-
-
-def _eon_demand(session, statement) -> Dict[str, int]:
-    """Slot demand for one Eon query, planned against the session snapshot."""
-    if system_tables_referenced(statement):
-        # Pure monitor reads plan single-node on the initiator; skip the
-        # bind here (rows would be materialized twice).
-        return {session.initiator: 1}
-    state = session.snapshots[session.initiator].state
-    plan = plan_query(bind_select(statement, state), state)
-    return plan_slot_demand(plan, eon_share_counts(session), session.initiator)
-
-
-def _enterprise_demand(session) -> Dict[str, int]:
-    demand = dict(Counter(session.region_server.values()))
-    demand.setdefault(session.initiator, 1)
-    return demand
-
-
 def _hold_seconds(
     clock: SimClock,
     result,
@@ -202,8 +170,7 @@ def run_closed_loop(
     """
     admission = cluster.admission
     clock: SimClock = cluster.clock
-    parsed = _parse_statements(workload)
-    is_eon = hasattr(cluster, "shared_data")
+    parsed = [(sql.strip(), parse_select(sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     start = clock.now
     result = WorkloadResult()
@@ -231,30 +198,24 @@ def run_closed_loop(
             )
 
         try:
-            if is_eon:
-                session = cluster.create_session(seed=seed, **session_options)
-                demand = _eon_demand(session, statement)
-            else:
-                session = cluster.create_session(seed=seed)
-                demand = _enterprise_demand(session)
-            pending = admission.enqueue(demand, session.initiator)
+            session = cluster.create_session(seed=seed, **session_options)
+            # Bound and planned once: the demand queues for slots, the plan
+            # runs under the ticket they grant.
+            prepared = prepare(statement, session)
+            pending = admission.enqueue(prepared.demand, session.initiator)
             yield pending.effect
             settled, pending = pending, None
             ticket = settled.granted()
             inflight[0] += 1
             try:
-                if is_eon:
-                    query_result = cluster.query_statement(
-                        statement,
-                        session=session,
-                        request_text=sql,
-                        failover=workload.failover,
-                        ticket=ticket,
-                    )
-                else:
-                    query_result = cluster.query(
-                        sql, session=session, ticket=ticket
-                    )
+                query_result = run(
+                    cluster,
+                    statement,
+                    request_text=sql,
+                    failover=workload.failover,
+                    ticket=ticket,
+                    prepared=prepared,
+                )
                 hold = _hold_seconds(
                     clock, query_result, ticket, workload, inflight[0]
                 )
@@ -283,7 +244,7 @@ def run_closed_loop(
                 pending.cancel()
             if ticket is not None:
                 admission.release(ticket)
-            if session is not None and hasattr(session, "release"):
+            if session is not None:
                 session.release()
 
     def client(cid: int):
@@ -321,8 +282,7 @@ def run_serial_reference(
     """
     if workload.requests_per_client is None:
         raise ValueError("serial reference needs requests_per_client")
-    parsed = _parse_statements(workload)
-    is_eon = hasattr(cluster, "shared_data")
+    parsed = [(sql.strip(), parse_select(sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     clock: SimClock = cluster.clock
     start = clock.now
@@ -332,19 +292,16 @@ def run_serial_reference(
             sql, statement = parsed[workload.statement_index(cid, req)]
             seed = workload.request_seed(cid, req)
             try:
-                if is_eon:
-                    session = cluster.create_session(seed=seed, **session_options)
-                    try:
-                        query_result = cluster.query_statement(
-                            statement,
-                            session=session,
-                            request_text=sql,
-                            failover=workload.failover,
-                        )
-                    finally:
-                        session.release()
-                else:
-                    query_result = cluster.query(sql, seed=seed)
+                session = cluster.create_session(seed=seed, **session_options)
+                try:
+                    query_result = cluster.query_statement(
+                        statement,
+                        session=session,
+                        request_text=sql,
+                        failover=workload.failover,
+                    )
+                finally:
+                    session.release()
             except AdmissionRejected as exc:
                 result.rejected += 1
                 result.records.append(

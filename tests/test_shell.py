@@ -264,6 +264,52 @@ class TestEnterpriseShell:
         assert "latency=" in text(output)
 
 
+class TestObservabilityOnBothFlavors:
+    """``\\profile``, ``\\doctor`` and ``v_monitor`` go through the one query
+    path, so the baseline flavor has them too (``\\profile`` used to die there
+    with an AttributeError)."""
+
+    @pytest.fixture(params=["eon", "enterprise"])
+    def loaded_shell_io(self, request):
+        from repro import ColumnType, EnterpriseCluster
+
+        if request.param == "eon":
+            cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=25)
+        else:
+            cluster = EnterpriseCluster(["n1", "n2", "n3"], seed=19)
+        cluster.create_table("t", [("a", ColumnType.INT)])
+        cluster.load("t", [(i,) for i in range(30)])
+        output = []
+        return Shell(cluster, output.append), output
+
+    def test_profile_prints_operator_table(self, loaded_shell_io):
+        shell, output = loaded_shell_io
+        shell.run(["\\profile select count(*) from t;"])
+        assert "profile (request 1," in text(output)
+        assert "Scan" in text(output) and "Aggregate" in text(output)
+        assert "ERROR" not in text(output)
+
+    def test_doctor_explains_the_profiled_query(self, loaded_shell_io):
+        shell, output = loaded_shell_io
+        shell.run(["\\doctor"])
+        assert "ERROR" in output[-1]  # nothing recorded yet
+        shell.run(["\\profile select count(*) from t;", "\\doctor"])
+        assert "-- doctor: request 1 --" in text(output)
+        assert "dominant cause: execution" in text(output)
+
+    def test_resource_pools_through_sql(self, loaded_shell_io):
+        shell, output = loaded_shell_io
+        shell.run([
+            "select count(*) from t;",
+            "select pool_name, node_count, slots_in_use, admitted "
+            "from v_monitor.resource_pools;",
+        ])
+        assert "ERROR" not in text(output)
+        assert "general" in text(output)
+        row = next(line for line in text(output).splitlines() if "general" in line)
+        assert row.split() == ["general", "3", "0", "1"]
+
+
 class TestStatsSelectTotals:
     def test_stats_reports_pushdown_scan_totals(self):
         cluster = EonCluster(

@@ -164,10 +164,10 @@ class TestQueuedPath:
             session = eon.create_session(seed=5)
             try:
                 statement = parse(SQL)[0]
-                from repro.wm.driver import _eon_demand
+                from repro.cluster.query_path import prepare
 
                 pending = admission.enqueue(
-                    _eon_demand(session, statement), session.initiator
+                    prepare(statement, session).demand, session.initiator
                 )
                 yield pending.effect
                 ticket = pending.granted()
