@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -91,6 +91,12 @@ bench-e2e-smoke:
 # (no WORKLOAD = all four; TRACE=1 compares the per-layer metrics).
 bench-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --seed0 $(SEED0) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(TRACE),--trace $(TRACE))
+
+# Attribute before optimizing: cProfile over one measured pass of a benchmark
+# workload's own schedule, top functions by self and by cumulative time.
+# `make profile WORKLOAD=dash_short TOP=40`
+profile:
+	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP))
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -19,6 +19,7 @@ for shards it subscribes to, plus all global ops).
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.objects import (
@@ -184,20 +185,41 @@ class CatalogState:
         self.properties: Dict[str, object] = {}
         #: (node, shard_id) -> subscription state name
         self.subscriptions: Dict[tuple, str] = {}
+        #: map names -> (those maps, what :meth:`derived` made from them).
+        self._derived: Dict[Tuple[str, ...], Tuple[list, dict]] = {}
 
     def copy(self, ops: Optional[Sequence[Op]] = None) -> "CatalogState":
         """A successor state to apply ``ops`` to.
 
         Only the maps those ops' kinds write are copied; the others are
         shared with this state, which is safe because no state is mutated
-        after its commit.  With no ``ops`` every map is copied.
+        after its commit.  With no ``ops`` every map is copied.  What was
+        derived from the shared maps is carried over, the rest dropped.
         """
         new = CatalogState.__new__(CatalogState)
         new.__dict__.update(self.__dict__)
         written = _MAPS if ops is None else {m for op in ops for m in _entry(op)[1]}
         for name in written:
             setattr(new, name, dict(getattr(self, name)))
+        new._derived = _underived(self._derived, written)
         return new
+
+    def derived(self, maps: Tuple[str, ...], key: object, build: Callable[[], object]):
+        """``build()``, made at most once for what the maps named hold.
+
+        Tied to the identity of those maps, not to ``version`` (numbers
+        repeat after truncation and revive): a successor sharing them shares
+        the value, one that copied them derives its own, and nothing has to
+        be invalidated.  The value must depend on those maps alone.
+        """
+        held = vars(self).__getitem__
+        entry = self._derived.get(maps)
+        if entry is None or not all(map(is_, entry[0], map(held, maps))):
+            entry = self._derived[maps] = (list(map(held, maps)), {})
+        memo = entry[1]
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- lookups --------------------------------------------------------------
 
@@ -222,19 +244,34 @@ class CatalogState:
     def containers_of(
         self, projection: str, shard_id: Optional[int] = None
     ) -> List[ROSContainer]:
-        return [
-            c
-            for c in self.containers.values()
-            if c.projection == projection
-            and (shard_id is None or c.shard_id == shard_id)
-        ]
+        """The projection's containers (one shard's, or with ``None`` all),
+        in catalog order: one walk of ``containers`` per projection."""
+
+        def by_shard() -> Dict[Optional[int], List[ROSContainer]]:
+            own = [c for c in self.containers.values() if c.projection == projection]
+            groups: Dict[Optional[int], List[ROSContainer]] = {}
+            for c in own:
+                groups.setdefault(c.shard_id, []).append(c)
+            groups[None] = own
+            return groups
+
+        groups = self.derived(("containers",), projection, by_shard)
+        return list(groups.get(shard_id, ()))
+
+    def delete_vectors_by_target(self) -> Dict[str, List[DeleteVector]]:
+        """Container name -> its delete vectors, in catalog order (shared
+        lists: not to be changed): one walk of ``delete_vectors``."""
+
+        def by_target() -> Dict[str, List[DeleteVector]]:
+            groups: Dict[str, List[DeleteVector]] = {}
+            for d in self.delete_vectors.values():
+                groups.setdefault(str(d.target_sid), []).append(d)
+            return groups
+
+        return self.derived(("delete_vectors",), None, by_target)
 
     def delete_vectors_for(self, target_sid: str) -> List[DeleteVector]:
-        return [
-            d
-            for d in self.delete_vectors.values()
-            if str(d.target_sid) == target_sid
-        ]
+        return list(self.delete_vectors_by_target().get(target_sid, ()))
 
     def storage_sids(self) -> Set[str]:
         """Names of every storage object this state references."""
@@ -271,7 +308,10 @@ class CatalogState:
             shard = op_shard_of(op)
             if shard is not None and shard_filter is not None and shard not in shard_filter:
                 continue
-            handler = _entry(op)[0]
+            handler, written = _entry(op)
+            if self._derived:
+                # This state's own maps change in place from here on.
+                self._derived = _underived(self._derived, written)
             spec = _PAYLOADS.get(op["op"])  # type: ignore[arg-type]
             if spec is None:
                 removed += handler(self, op) or ()
@@ -284,6 +324,12 @@ class CatalogState:
                     raise CatalogError(f"damaged {op['op']} op: {exc!r}") from None
             handler(self, payloads[i])
         return removed
+
+
+def _underived(derived: dict, written) -> dict:
+    """``derived`` without what was made from any of the maps ``written``."""
+    written = set(written)
+    return {maps: entry for maps, entry in derived.items() if written.isdisjoint(maps)}
 
 
 # -- op handlers -------------------------------------------------------------

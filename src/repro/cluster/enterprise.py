@@ -149,6 +149,7 @@ class EnterpriseCluster:
         #: query takes a slot on every node, the paper's scaling penalty.
         self.admission = AdmissionController(self)
         self.engine_stats = EngineStats()
+        self.plan_cache = query_path.PlanCache()
         self.obs = Observability(clock=self.clock, enabled=False)
         #: Session-level query failover: a buddy takes over a region whose
         #: node died after the session was laid out.
@@ -491,7 +492,7 @@ class EnterpriseCluster:
 
     def query(self, sql: str, **options) -> QueryResult:
         return self.query_statement(
-            query_path.parse_select(sql), request_text=sql.strip(), **options
+            query_path.parse_select(self, sql), request_text=sql.strip(), **options
         )
 
     def query_statement(

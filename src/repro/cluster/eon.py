@@ -139,6 +139,7 @@ class EonCluster:
         #: the per-query ``pushdown=`` session option overrides it.
         self.pushdown = pushdown
         self.engine_stats = EngineStats()
+        self.plan_cache = query_path.PlanCache()
         self.coordinator = CommitCoordinator(self)
         self.reaper = FileReaper(self)
         self.subclusters: Dict[str, Set[str]] = {}
@@ -824,7 +825,7 @@ class EonCluster:
 
     def query(self, sql: str, **session_options) -> QueryResult:
         return self.query_statement(
-            query_path.parse_select(sql), request_text=sql.strip(), **session_options
+            query_path.parse_select(self, sql), request_text=sql.strip(), **session_options
         )
 
     def query_statement(

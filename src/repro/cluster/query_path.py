@@ -18,7 +18,7 @@ here asks which flavor it is serving; DESIGN.md, "One query path".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.executor import Executor, QueryResult
 from repro.engine.planner import PhysicalPlan, plan_query
@@ -30,11 +30,61 @@ from repro.sql.binder import bind_select
 from repro.sql.parser import parse
 
 
-def parse_select(sql: str) -> Select:
-    statements = parse(sql)
-    if len(statements) != 1 or not isinstance(statements[0], Select):
-        raise CatalogError("query() accepts a single SELECT")
-    return statements[0]
+#: Statement texts, and plans, a cluster keeps at most; the oldest goes first.
+PLAN_CACHE_ENTRIES = 512
+
+
+def _plan(statement: Select, state) -> PhysicalPlan:
+    return plan_query(bind_select(statement, state), state)
+
+
+class PlanCache:
+    """What a repeated statement does not derive again; one per cluster.
+
+    SQL text -> parsed ``Select``, and (``Select``, the catalog maps binding
+    and planning read) -> plan.  The maps are told apart by identity:
+    ``CatalogState.copy`` shares every map a commit does not write, so DDL
+    changes the key, COPY/DELETE/mergeout commits keep it, and nothing is
+    ever invalidated.  An entry holds its statement and maps (their ids stay
+    theirs while it lives) but no ``CatalogState``.  A statement that fails
+    is not kept: it raises the same typed error every time.  DESIGN.md, "What
+    a catalog version fixes".
+    """
+
+    def __init__(self) -> None:
+        self._statements: Dict[str, Select] = {}
+        self._plans: Dict[tuple, tuple] = {}
+
+    @staticmethod
+    def _keep(entries: dict, key, value) -> None:
+        if len(entries) >= PLAN_CACHE_ENTRIES:
+            del entries[next(iter(entries))]
+        entries[key] = value
+
+    def select(self, sql: str) -> Select:
+        statement = self._statements.get(sql)
+        if statement is None:
+            statements = parse(sql)
+            if len(statements) != 1 or not isinstance(statements[0], Select):
+                raise CatalogError("query() accepts a single SELECT")
+            statement = statements[0]
+            self._keep(self._statements, sql, statement)
+        return statement
+
+    def plan(self, statement: Select, state) -> Tuple[PhysicalPlan, bool]:
+        """``statement``'s plan on ``state``, and whether it was reused."""
+        read = (state.tables, state.projections, state.live_aggs)
+        key = (id(statement), *map(id, read))
+        entry = self._plans.get(key)
+        if entry is not None:
+            return entry[0], True
+        plan = _plan(statement, state)
+        self._keep(self._plans, key, (plan, statement, read))
+        return plan, False
+
+
+def parse_select(cluster, sql: str) -> Select:
+    return cluster.plan_cache.select(sql)
 
 
 @dataclass
@@ -62,8 +112,13 @@ def prepare(statement: Select, session) -> Prepared:
     system_names = system_tables_referenced(statement)
     if system_names:
         return Prepared(statement, session, system_names, None, {session.initiator: 1})
-    state = session.state
-    plan = plan_query(bind_select(statement, state), state)
+    cluster = session.cluster
+    plan, reused = cluster.plan_cache.plan(statement, session.state)
+    stats = cluster.engine_stats
+    if reused:
+        stats.plans_reused += 1
+    else:
+        stats.statements_prepared += 1
     return Prepared(statement, session, (), plan, session.slot_demand(plan))
 
 
@@ -162,7 +217,7 @@ def _attempt(
             cluster, session.state, provider, prepared.system_names,
             statement=prepared.statement,
         )
-        plan = plan_query(bind_select(prepared.statement, state), state)
+        plan = _plan(prepared.statement, state)
     own_ticket = None
     # Monitor reads bypass admission: observability must stay usable on a
     # saturated cluster (the moment you most need it).

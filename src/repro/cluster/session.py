@@ -146,6 +146,9 @@ class EonStorageProvider(StorageProvider):
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"
         self._scan_eligible = False
+        #: id(predicate) -> its column bounds: a plan's predicate is scanned
+        #: once per participant.
+        self._bounds: Dict[int, dict] = {}
 
     def set_pushdown(self, mode: str) -> None:
         self._pushdown = mode
@@ -184,12 +187,17 @@ class EonStorageProvider(StorageProvider):
         node = self.cluster.nodes[node_name]
         node.ensure_up()
 
-        schema = _projection_schema(state, projection, columns)
+        schema, anchor, delete_vectors, in_name_order = state.derived(
+            ("tables", "projections", "live_aggs", "containers", "delete_vectors"),
+            (projection, *columns), lambda: _scan_start(state, projection, columns),
+        )
         # Every contributing container appends its decoded blocks here; one
         # concatenate per column at the end makes ``result.rows``.
-        out: Dict[str, List[np.ndarray]] = {name: [] for name in schema.names}
+        out: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
         result = ScanResult(rows=None)
-        predicate_bounds = extract_column_bounds(predicate)
+        predicate_bounds = self._bounds.get(id(predicate))
+        if predicate_bounds is None:
+            predicate_bounds = self._bounds[id(predicate)] = extract_column_bounds(predicate)
 
         if replicated:
             assignments: List[Tuple[Optional[int], int, int]] = [(REPLICA_SHARD_ID, 0, 1)]
@@ -211,8 +219,11 @@ class EonStorageProvider(StorageProvider):
         pushdown_items: List[tuple] = []
         ordinal = 0
         for shard_id, sub_index, share_count in assignments:
-            containers = state.containers_of(projection, shard_id)
-            containers.sort(key=lambda c: str(c.sid))
+            containers = in_name_order.get(shard_id)
+            if containers is None:
+                containers = in_name_order[shard_id] = sorted(
+                    state.containers_of(projection, shard_id), key=lambda c: str(c.sid)
+                )
             kept, pruned = prune_containers(containers, predicate)
             result.containers_pruned += pruned
             if session.crunch == "container" and share_count > 1:
@@ -230,8 +241,12 @@ class EonStorageProvider(StorageProvider):
             unit: List[tuple] = []
             scan_units.append((unit, read_columns, share))
             for container in kept:
-                info = self._object_info(state, container)
-                dvs = state.delete_vectors_for(str(container.sid))
+                info = ObjectInfo(
+                    table=anchor, projection=projection,
+                    partition_key=container.partition_key, shard_id=container.shard_id,
+                )
+                location = container.location
+                dvs = delete_vectors.get(location, ())
                 unit.append((container, info, dvs))
                 strategy = self._container_strategy(
                     node, state, projection, container, read_columns,
@@ -239,14 +254,10 @@ class EonStorageProvider(StorageProvider):
                     hash_crunch,
                 )
                 if strategy == "pushdown":
-                    pushdown_keys.add(container.location)
-                    pushdown_items.append(
-                        (container.location, list(read_columns), predicate)
-                    )
+                    pushdown_keys.add(location)
+                    pushdown_items.append((location, list(read_columns), predicate))
                 fetch_requests.append(
-                    FetchRequest(
-                        container.location, container.size_bytes, ordinal, info
-                    )
+                    FetchRequest(location, container.size_bytes, ordinal, info)
                 )
                 for dv in dvs:
                     fetch_requests.append(
@@ -392,21 +403,6 @@ class EonStorageProvider(StorageProvider):
             return tuple(lap.segmentation.columns)
         raise ExecutionError(f"unknown projection {projection_name!r}")
 
-    def _object_info(self, state, container: ROSContainer) -> ObjectInfo:
-        projection = state.projections.get(container.projection)
-        lap = state.live_aggs.get(container.projection)
-        anchor = (
-            projection.anchor_table
-            if projection is not None
-            else (lap.anchor_table if lap is not None else None)
-        )
-        return ObjectInfo(
-            table=anchor,
-            projection=container.projection,
-            partition_key=container.partition_key,
-            shard_id=container.shard_id,
-        )
-
     def _fetch_through_depot(
         self, node, location: str, info, result: ScanResult, batch=None
     ) -> bytes:
@@ -527,9 +523,20 @@ class EonStorageProvider(StorageProvider):
                 parts.append(arrays[name])
 
 
-def _projection_schema(state, projection_name: str, columns: Sequence[str]):
-    from repro.common.types import TableSchema
+def _scan_start(state, projection: str, columns: Sequence[str]) -> tuple:
+    """What every scan of these columns of a projection starts from on one
+    catalog state: the sub-schema, the anchor table (for the depot's
+    ``ObjectInfo``), delete vectors by container and — filled shard by shard
+    as scans ask — each shard's containers in storage-name order, the order
+    files are fetched and the depot's LRU touched in."""
+    owner = state.projections.get(projection) or state.live_aggs.get(projection)
+    return (
+        _projection_schema(state, projection, columns),
+        owner.anchor_table, state.delete_vectors_by_target(), {},
+    )
 
+
+def _projection_schema(state, projection_name: str, columns: Sequence[str]):
     projection = state.projections.get(projection_name)
     if projection is not None:
         table = state.table(projection.anchor_table)

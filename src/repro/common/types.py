@@ -95,7 +95,7 @@ class TableSchema:
     columns: List[SchemaColumn] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
+        names = self._names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in schema: {names}")
 
@@ -105,7 +105,7 @@ class TableSchema:
 
     @property
     def names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self._names)  # no caller changes ``columns`` once made
 
     def column(self, name: str) -> SchemaColumn:
         for c in self.columns:

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.types import SchemaColumn, TableSchema
+from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
 from repro.engine.expressions import Expr
 from repro.engine.operators import JoinBuild, aggregate, hash_join, sort_limit
@@ -46,9 +46,11 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
+    walk,
 )
 from repro.engine.planner import PhysicalPlan
 from repro.errors import ExecutionError
+from repro.obs.profile import OperatorProfile
 from repro.storage.container import RowSet
 from repro.storage.encoding import CodedStrings, Held
 
@@ -288,8 +290,6 @@ class Executor:
     def _is_fragment_safe(node: PlanNode) -> bool:
         """True when the whole subtree can run per-participant and be
         gathered (no aggregation/sort/limit anywhere inside)."""
-        from repro.engine.plan import walk
-
         return not any(
             isinstance(n, (AggregateNode, SortNode, LimitNode)) for n in walk(node)
         )
@@ -381,8 +381,6 @@ class Executor:
                  detail: str = "", scan_strategy: str = "") -> None:
         if self._obs is None:
             return
-        from repro.obs.profile import OperatorProfile
-
         self.op_profiles.append(
             OperatorProfile(
                 path_id=len(self.op_profiles),
@@ -550,8 +548,6 @@ def _project(rows: RowSet, outputs: Tuple[Tuple[str, Expr], ...]) -> RowSet:
 
 
 def _ctype_of(values: Held):
-    from repro.common.types import ColumnType
-
     kind = values.dtype.kind
     if kind == "O":
         return ColumnType.VARCHAR

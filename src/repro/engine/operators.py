@@ -19,6 +19,7 @@ high-cardinality distinct aggregates" (section 2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,6 +50,28 @@ class AggregateSpec:
         if self.distinct and self.func not in ("count",):
             # sum/min/max distinct are rare; count distinct is the headline.
             raise ValueError("DISTINCT supported for count only")
+
+    # Rewritten once per spec, which lives as long as its (kept) plan.
+
+    @cached_property
+    def avg_parts(self) -> Tuple["AggregateSpec", ...]:
+        """The mergeable sum and count an avg is computed from, else ()."""
+        if self.func != "avg":
+            return ()
+        return (
+            AggregateSpec("sum", self.argument, self.output + "__psum"),
+            AggregateSpec("count", self.argument, self.output + "__pcount"),
+        )
+
+    @cached_property
+    def merge(self) -> Tuple["AggregateSpec", ...]:
+        """What the final phase runs over this aggregate's partial columns."""
+        if self.distinct:
+            return (AggregateSpec("count", ColumnRef(self.output), self.output, distinct=True),)
+        return tuple(
+            AggregateSpec("sum" if p.func == "count" else p.func, ColumnRef(p.output), p.output)
+            for p in self.avg_parts or (self,)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +169,7 @@ def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarray, int
     if space < _DENSE_SPAN * n:
         first = np.full(space, n, dtype=np.int64)
         np.minimum.at(first, codes, np.arange(n))
-        occupied = np.flatnonzero(first < n)
+        occupied = (first < n).nonzero()[0]
         dense = np.empty(space, dtype=np.int64)
         dense[occupied] = np.arange(len(occupied))
         return dense[codes], first[occupied], len(occupied)
@@ -307,16 +330,8 @@ def _aggregate_complete_with_avg(
     rows: RowSet, group_names: Sequence[str], specs: Sequence[AggregateSpec]
 ) -> RowSet:
     """One-shot aggregation with avg decomposed into sum/count locally."""
-    decomposed: List[AggregateSpec] = []
-    avg_outputs: List[str] = []
-    for spec in specs:
-        if spec.func == "avg":
-            decomposed.append(replace(spec, func="sum", output=spec.output + "__psum"))
-            decomposed.append(replace(spec, func="count", output=spec.output + "__pcount"))
-            avg_outputs.append(spec.output)
-        else:
-            decomposed.append(spec)
-    out = _aggregate_complete(rows, group_names, decomposed)
+    avg_outputs = [spec.output for spec in specs if spec.func == "avg"]
+    out = _aggregate_complete(rows, group_names, partial_specs(specs))
     cols = {name: out.held(name) for name in out.schema.names}
     schema_cols = list(out.schema.columns)
     order = [c.name for c in schema_cols]
@@ -429,43 +444,15 @@ def _first_occurrence_mask(codes: np.ndarray) -> np.ndarray:
 
 def partial_specs(specs: Sequence[AggregateSpec]) -> List[AggregateSpec]:
     """Decompose aggregates into mergeable partial state columns."""
-    out: List[AggregateSpec] = []
-    for spec in specs:
-        if spec.distinct:
-            out.append(spec)
-        elif spec.func == "avg":
-            out.append(replace(spec, func="sum", output=spec.output + "__psum"))
-            out.append(replace(spec, func="count", output=spec.output + "__pcount"))
-        elif spec.func == "count":
-            out.append(replace(spec, output=spec.output))
-        else:
-            out.append(spec)
-    return out
+    return [part for spec in specs for part in spec.avg_parts or (spec,)]
 
 
 def _aggregate_final(
     rows: RowSet, group_names: Sequence[str], specs: Sequence[AggregateSpec]
 ) -> RowSet:
     """Merge partial-state rows (concatenated from all nodes)."""
-    merge_specs: List[AggregateSpec] = []
-    avg_fixups: List[str] = []
-    for spec in specs:
-        if spec.distinct:
-            merge_specs.append(
-                AggregateSpec("count", ColumnRef(spec.output), spec.output, distinct=True)
-            )
-        elif spec.func == "avg":
-            merge_specs.append(
-                AggregateSpec("sum", ColumnRef(spec.output + "__psum"), spec.output + "__psum")
-            )
-            merge_specs.append(
-                AggregateSpec("sum", ColumnRef(spec.output + "__pcount"), spec.output + "__pcount")
-            )
-            avg_fixups.append(spec.output)
-        elif spec.func == "count":
-            merge_specs.append(AggregateSpec("sum", ColumnRef(spec.output), spec.output))
-        else:
-            merge_specs.append(AggregateSpec(spec.func, ColumnRef(spec.output), spec.output))
+    merge_specs = [merge for spec in specs for merge in spec.merge]
+    avg_fixups = [spec.output for spec in specs if spec.func == "avg"]
     merged = _aggregate_complete(rows, group_names, merge_specs)
     if not avg_fixups:
         return merged
@@ -535,8 +522,8 @@ class _KeyEncoder:
     Other numeric columns are factorized by one stable sort and probed with
     ``searchsorted``.  Object columns (strings, ``None``) — and probes whose
     dtype numpy cannot compare exactly with the build's — go through one
-    dict pass instead, which is Python's own key equality: ``None`` equals
-    ``None`` and ``1 == 1.0 == True``.  A NaN never gets a code.
+    dict pass instead, which is Python's own key equality: ``1 == 1.0 ==
+    True``.  A NULL — ``None`` or NaN — never gets a code: it equals nothing.
 
     ``order``/``starts`` group the build rows by code, as
     :func:`_sorted_groups` returns them.
@@ -550,7 +537,7 @@ class _KeyEncoder:
             self._lo, span = dense
             offsets = _offsets(column, self._lo).view(np.int64)
             counts = np.bincount(offsets, minlength=span)
-            occupied = np.flatnonzero(counts)
+            occupied = counts.nonzero()[0]
             self.size = len(occupied)
             # The extra last slot is where every probe outside [min, max] lands.
             self._table = np.full(span + 1, -1, dtype=np.int64)
@@ -573,7 +560,10 @@ class _KeyEncoder:
         self.uniques = None
         index: Dict[object, int] = {}
         codes = np.fromiter(
-            (index.setdefault(v, len(index)) if v == v else -1 for v in column.tolist()),
+            (
+                index.setdefault(v, len(index)) if v is not None and v == v else -1
+                for v in column.tolist()
+            ),
             dtype=np.int64, count=len(column),
         )
         self._index = index
@@ -680,8 +670,10 @@ class JoinBuild:
             self._pairings.append(grouping)
             codes = grouping.encode(pairs)
         order, starts = self._order, self._starts = grouping.order, grouping.starts
-        self._counts = np.diff(starts, append=len(order))
-        self._unique = bool((self._counts == 1).all())
+        # As many groups as keyed rows: every key occurs once (the primary-key
+        # side of a join), and a probe never asks how long a group is.
+        self._unique = len(starts) == len(order)
+        self._counts = None if self._unique else np.diff(starts, append=len(order))
         self._encoders = encoders
 
     def _groups(self, left: RowSet, left_keys: Sequence[str]) -> np.ndarray:
@@ -789,7 +781,7 @@ def hash_join(
                     pad = np.zeros(n_pad, dtype=values.dtype)
                 values = np.concatenate([values, pad])
         out_cols[name] = values
-        schema_cols.append(SchemaColumn(name, c.ctype))
+        schema_cols.append(c if name == c.name else SchemaColumn(name, c.ctype))
     return RowSet(TableSchema(schema_cols), out_cols)
 
 

@@ -62,6 +62,10 @@ class EngineStats:
     #: stored bytes those selects touched.
     pushdown_scans: int = 0
     bytes_scanned: int = 0
+    #: SELECTs bound and planned, and those that found their plan kept
+    #: (``cluster/query_path.py``'s ``PlanCache``).
+    statements_prepared: int = 0
+    plans_reused: int = 0
 
     def note(self, executor) -> None:
         """Fold one finished executor's counters in."""
@@ -83,4 +87,6 @@ class EngineStats:
             "io_overlap_seconds": self.io_overlap_seconds,
             "pushdown_scans": self.pushdown_scans,
             "bytes_scanned": self.bytes_scanned,
+            "statements_prepared": self.statements_prepared,
+            "plans_reused": self.plans_reused,
         }

@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.expressions import Bounds, Expr
+from repro.engine.expressions import Expr
 from repro.storage.container import ROSContainer
-
-
-def container_bounds(container: ROSContainer) -> Bounds:
-    mins = dict(container.min_values)
-    maxs = dict(container.max_values)
-    return {name: (mins.get(name), maxs.get(name)) for name in mins}
 
 
 def prune_containers(
@@ -29,9 +23,7 @@ def prune_containers(
     kept: List[ROSContainer] = []
     pruned = 0
     for container in containers:
-        if predicate is not None and not predicate.could_match(
-            container_bounds(container)
-        ):
+        if predicate is not None and not predicate.could_match(container.bounds):
             pruned += 1
             continue
         kept.append(container)

@@ -165,6 +165,13 @@ class FetchBatch:
     prefetched: Set[str] = field(default_factory=set)
 
 
+#: What :meth:`IOScheduler._fetch_missing` returns, for a batch with nothing
+#: to fetch: lane durations, their makespan, per-lane totals, retry backoff,
+#: then the ``fetch_batch`` span's counts — files fetched, their bytes, fetch
+#: units, peer units, background units and the background makespan.
+_NOTHING_FETCHED = ((), 0.0, (0.0,), 0.0, 0, 0, 0, 0, 0, 0.0)
+
+
 def plan_fetch(
     requests: Sequence[FetchRequest],
     resident: Set[str],
@@ -286,11 +293,8 @@ class IOScheduler:
         may group them) stays foreground, conservatively.
         """
         config = self.config
-        clock = self.cluster.clock
-        shared = self.cluster.shared_data
-        cost = getattr(self.cluster.shared, "cost", None)
-        get_dollars = cost.get_cost() if cost is not None else 0.0
         obs = self.cluster.obs
+        cache = node.cache
 
         self.stats.batches += 1
         self.stats.requests += len(requests)
@@ -300,52 +304,86 @@ class IOScheduler:
             first = min(r.container_index for r in requests)
             requests = [r for r in requests if r.container_index == first]
 
-        resident_keys = {r.key for r in requests if node.cache.contains(r.key)}
-        bypass = self._bypass_keys(node, requests)
-        plan = plan_fetch(
-            requests,
-            resident_keys if use_cache else set(),
-            bypass,
-            config,
-            supports_coalesced=shared.supports_coalesced_get,
-        )
-        self.stats.deduplicated += plan.duplicates
-
         batch = FetchBatch()
         hit_seconds = 0.0
-
-        # Demand hits: same accounting as the serial path's cache.get.
-        overflow: List[FetchRequest] = []
-        for request in plan.resident:
-            data = node.cache.get(request.key, use_cache=use_cache)
+        # One ``cache.get`` per distinct file, the serial path's accounting:
+        # a hit is booked here; a miss (absent, a session that bypasses the
+        # depot, a file the local disk lost) is what there is to fetch.
+        missing: List[FetchRequest] = []
+        seen: Set[str] = set()
+        for request in requests:
+            if request.key in seen:
+                self.stats.deduplicated += 1
+                continue
+            seen.add(request.key)
+            data = cache.get(request.key, use_cache=use_cache)
             if data is None:
-                # Local disk lost the file between planning and now
-                # (self-healed to a miss); fetch it like any other.
-                overflow.append(request)
+                missing.append(request)
                 continue
             node.cache_reads += 1
             hit_seconds += node.local_fs.estimate_read_seconds(len(data))
             result.bytes_from_cache += len(data)
             result.depot_hits += 1
             batch.data[request.key] = data
-        for request in overflow:
-            plan.groups.append([request])
 
-        # Every fetched file was classified a miss by the depot, exactly
-        # once — the serial path's cache.get(miss) counterpart.  Overflow
-        # requests already booked their miss in the resident loop above.
-        overflow_keys = {r.key for r in overflow}
-        to_fetch = [r for group in plan.groups for r in group]
-        for request in to_fetch:
-            if request.key not in overflow_keys:
-                node.cache.get(request.key, use_cache=False)
-        first_fetch_index = min(
-            (r.container_index for r in to_fetch), default=0
-        )
+        # A scan with nothing to fetch is done once its hits are booked: no
+        # plan, no units, no lanes, a makespan of zero.
+        charged = _NOTHING_FETCHED
+        if missing:
+            charged = self._fetch_missing(
+                node, missing, use_cache, result, batch, cancelled,
+                background_keys or set(),
+            )
+        (durations, makespan, lane_totals, backoff_seconds, fetched, nbytes,
+         units, peer_units, background_units, background_makespan) = charged
+        if pool is not None:
+            pool.add(node.name, durations)
+            result.io_pooled_seconds += makespan
+            result.io_seconds += hit_seconds + backoff_seconds
+        else:
+            result.io_seconds += makespan + hit_seconds + backoff_seconds
+        if obs.enabled:
+            obs.metrics.gauge("io.lane_occupancy", node=node.name).set(
+                sum(lane_totals) / makespan if makespan > 0 else 0.0
+            )
+            obs.tracer.record(
+                "fetch_batch",
+                duration=makespan,
+                node=node.name,
+                files=len(batch.data),
+                fetched=fetched,
+                units=units,
+                peer_fetches=peer_units,
+                prefetched=len(batch.prefetched),
+                nbytes=nbytes,
+                background_units=background_units,
+                background_makespan=background_makespan,
+            )
+        return batch
+
+    def _fetch_missing(
+        self, node, missing, use_cache, result, batch, cancelled, background
+    ) -> tuple:
+        """Plan and fetch the files the depot did not have — from a peer's
+        depot where one holds them, else from shared storage — into ``batch``
+        and the depot; returns what :data:`_NOTHING_FETCHED` lists."""
+        config = self.config
+        clock = self.cluster.clock
+        shared = self.cluster.shared_data
+        cost = getattr(self.cluster.shared, "cost", None)
+        get_dollars = cost.get_cost() if cost is not None else 0.0
+        obs = self.cluster.obs
+
+        bypass = self._bypass_keys(node, missing)
+        groups = plan_fetch(
+            missing, set(), bypass, config,
+            supports_coalesced=shared.supports_coalesced_get,
+        ).groups
+        first_fetch_index = min(r.container_index for r in missing)
 
         # Peel peer-resident files out of their groups into network units.
         units: List[Tuple[str, object, List[FetchRequest]]] = []
-        for group in plan.groups:
+        for group in groups:
             remainder: List[FetchRequest] = []
             for request in group:
                 peer = None
@@ -362,7 +400,6 @@ class IOScheduler:
         # the lane charge.  Background units keep their position in the
         # execution order (identical request/fault-draw sequence either
         # way) but their durations are pooled separately.
-        background = background_keys or set()
         durations: List[float] = []
         background_durations: List[float] = []
         fetched_keys: Set[str] = set()
@@ -468,33 +505,15 @@ class IOScheduler:
         # fold it into the batch's I/O seconds (serially: backoff stalls
         # the retry loop, not a lane) so throttled scans report higher
         # latency, matching the serial fetch path's accounting.
-        backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
-        if pool is not None:
-            pool.add(node.name, durations)
-            result.io_pooled_seconds += makespan
-            result.io_seconds += hit_seconds + backoff_seconds
-        else:
-            result.io_seconds += makespan + hit_seconds + backoff_seconds
         self.stats.fetched_files += len(fetched_keys)
         self.stats.fetched_bytes += total_fetched_bytes
-        if obs.enabled:
-            obs.metrics.gauge("io.lane_occupancy", node=node.name).set(
-                sum(lane_totals) / makespan if makespan > 0 else 0.0
-            )
-            obs.tracer.record(
-                "fetch_batch",
-                duration=makespan,
-                node=node.name,
-                files=len(batch.data),
-                fetched=len(fetched_keys),
-                units=len(units),
-                peer_fetches=sum(1 for k, _, _ in units if k == "peer"),
-                prefetched=len(batch.prefetched),
-                nbytes=total_fetched_bytes,
-                background_units=len(background_durations),
-                background_makespan=background_makespan,
-            )
-        return batch
+        return (
+            durations, makespan, lane_totals,
+            shared.metrics.retry_backoff_seconds - backoff_before,
+            len(fetched_keys), total_fetched_bytes, len(units),
+            sum(1 for k, _, _ in units if k == "peer"),
+            len(background_durations), background_makespan,
+        )
 
     def pushdown_batch(
         self, node, items, result, cancelled=None, pool=None

@@ -275,6 +275,12 @@ class Shell:
                         f"bytes_scanned={totals['bytes_scanned']}B"
                     )
                 self.write(line)
+            engine = summary.get("engine")
+            if engine:
+                self.write(
+                    f"plans: prepared={engine['statements_prepared']} "
+                    f"reused={engine['plans_reused']}"
+                )
         elif name == "\\profile":
             self._profile(" ".join(args))
         elif name == "\\doctor":

@@ -27,6 +27,7 @@ import json
 import struct
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +60,7 @@ class RowSet:
             raise ValueError(
                 f"columns {sorted(columns)} do not match schema {schema.names}"
             )
-        lengths = {len(v) for v in columns.values()}
+        lengths = set(map(len, columns.values()))
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {lengths}")
         self.schema = schema
@@ -227,6 +228,13 @@ class ROSContainer:
     @property
     def location(self) -> str:
         return str(self.sid)
+
+    @cached_property
+    def bounds(self) -> Dict[str, Tuple[object, object]]:
+        """``{column: (min, max)}``, made once: a container's statistics never
+        change, and every scan of every catalog state holding it prunes by them."""
+        maxs = dict(self.max_values)
+        return {name: (low, maxs.get(name)) for name, low in self.min_values}
 
     def min_of(self, column: str) -> object:
         return dict(self.min_values).get(column)

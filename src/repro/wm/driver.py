@@ -170,7 +170,7 @@ def run_closed_loop(
     """
     admission = cluster.admission
     clock: SimClock = cluster.clock
-    parsed = [(sql.strip(), parse_select(sql)) for sql in workload.statements]
+    parsed = [(sql.strip(), parse_select(cluster, sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     start = clock.now
     result = WorkloadResult()
@@ -282,7 +282,7 @@ def run_serial_reference(
     """
     if workload.requests_per_client is None:
         raise ValueError("serial reference needs requests_per_client")
-    parsed = [(sql.strip(), parse_select(sql)) for sql in workload.statements]
+    parsed = [(sql.strip(), parse_select(cluster, sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     clock: SimClock = cluster.clock
     start = clock.now

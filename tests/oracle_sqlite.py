@@ -188,6 +188,8 @@ class SqliteOracle:
         self.db.execute("PRAGMA case_sensitive_like=ON")
         #: table -> its columns that cannot hold NULL in our engine.
         self.int_columns: dict = {}
+        #: Queries checked so far; each takes the next session seed.
+        self._asked = 0
         self.add_table(table, columns, rows)
 
     def add_table(
@@ -210,7 +212,15 @@ class SqliteOracle:
         """None when ``cluster.query(sql)`` returns SQLite's multiset of
         rows — the same rows in the same order with ``ordered``, for a query
         whose ORDER BY is total — else a description of the difference."""
-        ours = normalise(cluster.query(sql).rows.to_pylist())
+        # Asked twice on one session layout: the first derives the statement's
+        # plan, the second finds it kept, and nothing else may differ.
+        self._asked += 1
+        first, again = (cluster.query(sql, seed=self._asked) for _ in range(2))
+        ours = normalise(first.rows.to_pylist())
+        if (normalise(again.rows.to_pylist()), again.stats.latency_seconds) != (
+            ours, first.stats.latency_seconds
+        ):
+            return f"{sql}\n  answered differently when its plan was reused"
         theirs = normalise(self.query(sql))
         if ours == theirs or (not ordered and Counter(ours) == Counter(theirs)):
             return None

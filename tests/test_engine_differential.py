@@ -287,6 +287,7 @@ class TestEngineObservability:
     ENGINE_KEYS = {
         "queries", "io_serial_seconds", "io_pipelined_seconds",
         "io_overlap_seconds", "pushdown_scans", "bytes_scanned",
+        "statements_prepared", "plans_reused",
     }
 
     def _traced(self):
@@ -309,7 +310,7 @@ class TestEngineObservability:
         cluster.query("select sum(v), sum(w) from t join u on a = b", seed=1)
         engine = cluster_metrics(cluster)["engine"]
         assert set(engine) == self.ENGINE_KEYS
-        assert engine["queries"] == 1
+        assert engine["queries"] == engine["statements_prepared"] == 1
         assert engine["io_serial_seconds"] > engine["io_pipelined_seconds"] > 0
         assert engine["io_overlap_seconds"] == pytest.approx(
             engine["io_serial_seconds"] - engine["io_pipelined_seconds"]

@@ -2,7 +2,9 @@
 
 ``reference_hash_join`` / ``reference_match_mask`` are the per-row
 tuple-dict loops that ``repro.engine.operators`` used before the array
-kernel replaced them, kept here verbatim as the oracle.  Every property
+kernel replaced them, kept here as the oracle (with SQL's rule added that a
+key holding NULL equals nothing, itself included: the loops used to match
+``None`` with ``None``).  Every property
 asserts identical rows **in identical order** (and identical schema and
 dtypes), not merely the same multiset: float sums downstream and every
 pinned row digest depend on the order.
@@ -40,7 +42,8 @@ def reference_hash_join(
     right_key_cols = [right.column(k) for k in right_keys]
     for i in range(right.num_rows):
         key = tuple(c[i] for c in right_key_cols)
-        build.setdefault(key, []).append(i)
+        if None not in key:
+            build.setdefault(key, []).append(i)
 
     left_key_cols = [left.column(k) for k in left_keys]
     left_idx: List[int] = []
@@ -86,7 +89,9 @@ def reference_match_mask(left, right, left_keys, right_keys) -> np.ndarray:
     build: Dict[tuple, bool] = {}
     right_key_cols = [right.column(k) for k in right_keys]
     for i in range(right.num_rows):
-        build[tuple(c[i] for c in right_key_cols)] = True
+        key = tuple(c[i] for c in right_key_cols)
+        if None not in key:
+            build[key] = True
     left_key_cols = [left.column(k) for k in left_keys]
     mask = np.zeros(left.num_rows, dtype=bool)
     for i in range(left.num_rows):
@@ -238,10 +243,15 @@ class TestKeyEquality:
         assert_same_rowset(out, reference_hash_join(left, right, ["lk"], ["rk"], how))
         return list(zip(out.column("lpos").tolist(), out.column("rpos").tolist()))
 
-    def test_none_matches_none(self):
-        assert self._join([None, "a"], "str", ["a", None, None], "str") == [
-            (0, 1), (0, 2), (1, 0)
+    def test_none_matches_nothing(self):
+        """A NULL string key equals no key, NULL included (SQL): not matched
+        by an inner join, padded by a LEFT one, from either side."""
+        assert self._join([None, "a"], "str", ["a", None, None], "str") == [(1, 0)]
+        assert self._join([None, "a"], "str", ["a", None], "str", how="left") == [
+            (1, 0), (0, 0)  # the NULL probe row last, padded (rpos 0)
         ]
+        assert self._join(["a", "b"], "str", [None, None], "str") == []
+        assert self._join([None], "str", ["a"], "str") == []
 
     def test_nan_matches_nothing(self):
         nan = float("nan")

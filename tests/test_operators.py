@@ -439,17 +439,20 @@ class TestJoinMatchMask:
         mask = match_mask(left, right, ["k"], ["rk"])
         assert mask.tolist() == [False, True, True, True, False]
 
-    def test_none_key_matches_none(self):
+    def test_none_key_matches_nothing(self):
         ls = TableSchema.of(("g", ColumnType.VARCHAR), ("x", ColumnType.INT))
         rs = TableSchema.of(("h", ColumnType.VARCHAR), ("y", ColumnType.INT))
         left = RowSet.from_rows(ls, [(None, 1), ("a", 2)])
-        right = RowSet.from_rows(rs, [(None, 10)])
+        right = RowSet.from_rows(rs, [(None, 10), ("a", 20)])
         mask = match_mask(left, right, ["g"], ["h"])
-        # hash_join keeps dict key equality, so a NULL key matches a NULL key;
-        # the mask must agree or a LEFT join would pad a row it also matched.
+        # A NULL key equals no key, NULL included (SQL); the mask must agree
+        # with the join or a LEFT join would pad a row it also matched.
         inner = hash_join(left, right, ["g"], ["h"])
-        assert mask.tolist() == [True, False]
-        assert int(mask.sum()) == inner.num_rows
+        assert mask.tolist() == [False, True]
+        assert int(mask.sum()) == inner.num_rows == 1
+        padded = hash_join(left, right, ["g"], ["h"], "left")
+        assert padded.column("x").tolist() == [2, 1]
+        assert padded.column("y").tolist() == [20, 0]
 
     def test_multi_key_mask(self):
         ls = TableSchema.of(("a", ColumnType.INT), ("b", ColumnType.VARCHAR))

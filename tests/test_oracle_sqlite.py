@@ -455,10 +455,8 @@ def join_sides(request):
     return cluster, oracle
 
 
-#: Not ``ts = us``: an equality between the sides becomes a join key, and
-#: NULL string keys match each other here (ROADMAP item 1, still open).
 _on_extra = st.sampled_from([
-    "x > y", "x <= y", "x + y = 9", "ts < us", "ts >= us", "x > y and ts <> us",
+    "x > y", "x <= y", "x + y = 9", "ts < us", "ts >= us", "x > y and ts <> us", "ts = us",
     "x > 4", "y > 4", "us like 'a%'", "x > y or us is null", "uf > 0", "x > 4 and y < 5",
 ])
 

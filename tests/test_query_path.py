@@ -14,6 +14,7 @@ import pytest
 from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.cluster import query_path
 from repro.errors import (
+    CatalogError,
     ExecutionError,
     NodeDown,
     QueryCancelled,
@@ -146,36 +147,273 @@ class TestObservabilityMovesNothing:
         assert observed.obs.requests[-1].duration_seconds == plain.stats.latency_seconds
 
 
+class TestPlanReuseMovesNothing:
+    """A plan found in the cache answers as the plan just derived did: the
+    same rows, simulated seconds and request record, on the 20 TPC-H queries."""
+
+    @pytest.fixture(scope="class", params=["eon", "enterprise"])
+    def observed(self, request, tpch_data):
+        from repro.workloads.tpch import load_tpch
+
+        if request.param == "eon":
+            cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
+            setup_tpch_schema(cluster)
+            load_tpch(cluster, tpch_data)
+        else:
+            cluster = EnterpriseCluster(["e1", "e2", "e3", "e4"], seed=1)
+            setup_tpch_schema(cluster)
+            for name, rows in tpch_data.tables.items():
+                cluster.load(name, rows, direct=True)
+        cluster.enable_observability()
+        return cluster
+
+    @pytest.mark.parametrize(
+        "query", TPCH_QUERIES, ids=[f"q{q.number:02d}" for q in TPCH_QUERIES]
+    )
+    def test_cold_then_warm(self, query, observed):
+        from dataclasses import asdict
+
+        def ask():
+            result = observed.query(query.sql, seed=query.number)
+            record = asdict(observed.obs.requests[-1])
+            del record["request_id"]
+            return result.rows.to_pylist(), result.stats.latency_seconds, record, result.plan
+
+        ask()  # the depot holds what the query reads
+        observed.plan_cache = query_path.PlanCache()
+        prepared = observed.engine_stats.statements_prepared
+        cold = ask()
+        statement = observed.plan_cache.select(query.sql)
+        shared = (repr(statement), cold[3].describe(), repr(cold[3]))
+        warm = ask()
+        assert observed.engine_stats.statements_prepared == prepared + 1
+        assert warm[3] is cold[3]
+        assert repr(warm[:3]) == repr(cold[:3])  # repr: NaN cells equal themselves
+        # Executing wrote nothing into the tree or the plan the next run shares.
+        assert (repr(statement), warm[3].describe(), repr(warm[3])) == shared
+
+
 @pytest.fixture
 def binds(monkeypatch):
     """Calls of ``bind_select`` — made from one module, so counted there."""
+    return _counted(monkeypatch, "bind_select")
+
+
+def _counted(monkeypatch, name: str) -> list:
     calls = []
-    original = query_path.bind_select
+    original = getattr(query_path, name)
 
-    def counting(statement, state):
-        calls.append(statement)
-        return original(statement, state)
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
 
-    monkeypatch.setattr(query_path, "bind_select", counting)
+    monkeypatch.setattr(query_path, name, counting)
     return calls
 
 
-class TestBoundOnce:
-    def test_one_bind_per_closed_loop_request(self, cluster, binds):
-        workload = ClosedLoopWorkload(
-            statements=SELECTS, clients=4, requests_per_client=3, seed=5,
-            service_scale=3.0,
-        )
-        result = run_closed_loop(cluster, workload, result_key=rows_key)
-        assert result.completed == 12 and result.errors == result.rejected == 0
-        assert len(binds) == 12
-        assert cluster.admission.total_in_use() == 0
+@pytest.fixture
+def derived(monkeypatch):
+    """Calls of everything a statement's plan is derived by, by name."""
+    return {
+        name: _counted(monkeypatch, name)
+        for name in ("parse", "bind_select", "plan_query")
+    }
 
-    def test_one_bind_per_synchronous_query(self, cluster, binds):
-        cluster.query(SQL)
-        cluster.query_statement(parse(SQL)[0])
+
+def dashboard(make):
+    """The end-to-end benchmark's dashboard schedule at a fifth of its data:
+    240 serial requests, 3 ``dash_recent`` : 1 ``dim_lookup``, session seeds
+    rotating, then the four statements of its closed loop."""
+    import random
+
+    from repro.workloads.dashboard import (
+        dashboard_query, load_dashboard_data, setup_dashboard_schema,
+    )
+
+    cluster = make()
+    setup_dashboard_schema(cluster)
+    load_dashboard_data(cluster, n_events=4000, n_sites=10, seed=42)
+    draw = random.Random(42)
+    windows = [3960 - 10 * k for k in range(5)]
+    schedule = [
+        f"select site_name from sites where site_id = {draw.randrange(10)}"
+        if i % 4 == 3 else dashboard_query(draw.choice(windows))
+        for i in range(240)
+    ]
+    return cluster, schedule, tuple(dict.fromkeys(schedule))[:4]
+
+
+def catalogs_asked(cluster, schedule) -> int:
+    """Distinct (statement, initiator's catalog) pairs of a serial schedule."""
+    pairs = set()
+    for seed, sql in enumerate(schedule):
+        session = cluster.create_session(seed=seed)
+        pairs.add((sql, id(session.state.tables)))
+        session.release()
+    return len(pairs)
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize(
+        "make", [lambda: EonCluster(NODES[:4], shard_count=4, seed=42),
+                 lambda: EnterpriseCluster(NODES[:4], seed=42)],
+        ids=["eon", "enterprise"],
+    )
+    def test_a_repeat_of_the_dashboard_schedule_derives_nothing(self, make, derived):
+        cluster, schedule, concurrent = dashboard(make)
+        stats = cluster.engine_stats
+
+        def one_pass() -> list:
+            rows = [
+                cluster.query(sql, seed=seed).rows.to_pylist()
+                for seed, sql in enumerate(schedule)
+            ]
+            loop = run_closed_loop(cluster, ClosedLoopWorkload(
+                statements=concurrent, clients=8, requests_per_client=3, seed=1,
+            ), result_key=rows_key)
+            assert loop.completed == 24 and loop.errors == loop.rejected == 0
+            return rows + loop.ok_digests()
+
+        first = one_pass()
+        # Once per statement text; once per statement per initiator's catalog
+        # (Eon's nodes each keep one, Enterprise has one).
+        assert len(derived["parse"]) == len(set(schedule)) == 15
+        assert len(derived["bind_select"]) == len(derived["plan_query"])
+        assert len(derived["bind_select"]) == stats.statements_prepared
+        assert catalogs_asked(cluster, schedule) <= stats.statements_prepared <= 15 * 4
+        assert stats.statements_prepared + stats.plans_reused == 240 + 24
+        for calls in derived.values():
+            del calls[:]
+        prepared = stats.statements_prepared
+        assert one_pass() == first
+        assert derived == {"parse": [], "bind_select": [], "plan_query": []}
+        assert stats.statements_prepared == prepared
+        assert stats.plans_reused == 2 * (240 + 24) - prepared
+
+    def test_a_parsed_statement_is_keyed_by_the_tree_it_is(self, cluster, binds):
+        statement = parse(SQL)[0]
+        for _ in range(2):
+            cluster.query_statement(statement, seed=1)
+            cluster.query(SQL, seed=1)
+        cluster.query_statement(parse(SQL)[0], seed=1)  # an equal tree, another object
+        assert len(binds) == 3
+
+    def test_a_new_projection_replans(self, binds):
+        from repro.catalog.objects import Segmentation
+
+        for make in (make_eon, make_enterprise):
+            del binds[:]
+            cluster = make()
+            sql = "select count(*), sum(v) from u where k < 9"
+            cluster.create_table("u", [("k", ColumnType.INT), ("v", ColumnType.INT)])
+            assert cluster.query(sql, seed=1).rows.to_pylist() == [(0, 0)]
+            cluster.create_projection("u_by_v", "u", ["k", "v"], ["v"], Segmentation.by_hash("v"))
+            cluster.load("u", [(k, k * k) for k in range(20)])
+            second = cluster.query(sql, seed=1)
+            assert second.rows.to_pylist() == [(9, 204)]
+            assert len(binds) == 2
+            assert cluster.query(sql, seed=1).plan is second.plan
+
+    def test_a_table_recreated_with_another_schema_replans(self, binds):
+        cluster = make_eon()
+        sql = "select count(*), max(v) from t"
+        assert cluster.query(sql, seed=1).rows.to_pylist() == [(400, 100)]
+        cluster.execute("drop table t")
+        with pytest.raises(CatalogError):
+            cluster.query(sql, seed=1)
+        cluster.create_table("t", [("v", ColumnType.FLOAT), ("extra", ColumnType.INT)])
+        cluster.load("t", [(0.5, 1), (2.5, 2)])
+        assert cluster.query(sql, seed=1).rows.to_pylist() == [(2, 2.5)]
+        assert len(binds) == 3
+
+    def test_a_live_aggregate_replans(self, binds):
+        cluster = EonCluster(NODES, shard_count=5, seed=11)
+        cluster.create_table("t", [("g", ColumnType.VARCHAR), ("v", ColumnType.INT)])
+        sql = "select g, sum(v) s from t group by g"
+        assert cluster.query(sql, seed=1).plan.used_live_aggregate is None
+        cluster.create_live_aggregate("t_by_g", "t", ["g"], [("sum", "v", "s")])
+        cluster.load("t", [("a", 1), ("b", 2), ("a", 3)])
+        result = cluster.query(sql, seed=1)
+        assert result.plan.used_live_aggregate == "t_by_g"
+        assert sorted(result.rows.to_pylist()) == [("a", 4), ("b", 2)]
         assert len(binds) == 2
 
+    def test_copy_delete_and_mergeout_keep_the_plan(self, binds):
+        from repro.tuple_mover import MergeoutCoordinatorService
+
+        cluster = make_eon()
+        sql = "select count(*), sum(v) from t"
+        plan = cluster.query(sql, seed=1).plan
+        for k in range(400, 406):
+            cluster.load("t", [(k, "new", 1)])
+        assert cluster.query(sql, seed=1).rows.to_pylist()[0][0] == 406
+        cluster.execute("delete from t where k >= 403")
+        assert cluster.query(sql, seed=1).rows.to_pylist()[0][0] == 403
+        report = MergeoutCoordinatorService(cluster, strata_width=2, base_bytes=64).run_all()
+        assert report.jobs_run > 0
+        after = cluster.query(sql, seed=1)
+        assert after.rows.to_pylist()[0][0] == 403 and after.plan is plan
+        assert len(binds) == 1
+        enterprise = make_enterprise()
+        plan = enterprise.query(sql, seed=1).plan
+        enterprise.load("t", [(400, "new", 1)], direct=True)
+        again = enterprise.query(sql, seed=1)
+        assert again.rows.to_pylist()[0][0] == 401 and again.plan is plan
+
+    def test_two_clusters_share_nothing(self, binds):
+        for make in (make_eon, make_enterprise):
+            del binds[:]
+            one, other = make(), make()
+            results = [c.query(SQL, seed=1) for c in (one, other, one, other)]
+            assert len(binds) == 2
+            assert results[0].plan is results[2].plan is not results[1].plan
+            assert one.plan_cache is not other.plan_cache
+            assert (one.engine_stats.plans_reused, other.engine_stats.plans_reused) == (1, 1)
+
+    def test_monitor_reads_and_failing_statements_are_never_kept(self, cluster, derived):
+        from repro.errors import ReproError
+
+        for _ in range(2):
+            assert cluster.query(SLOTS_IN_USE).rows.to_pylist() == [(0,)]
+        assert len(derived["bind_select"]) == len(derived["plan_query"]) == 2
+        failing = ("select nothing from nowhere", "select from", "select k from t group by g")
+        for sql in failing:
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ReproError) as err:
+                    cluster.query(sql)
+                errors.append((type(err.value), str(err.value)))
+            assert errors[0] == errors[1]
+        assert len(derived["parse"]) == 1 + 2 + 1 + 1  # only a text that parses is kept
+        assert len(derived["bind_select"]) == 2 + 2 + 2
+        stats = cluster.engine_stats
+        assert stats.statements_prepared == stats.plans_reused == 0
+
+    def test_a_failover_retry_on_a_fresh_session_reuses_the_plan(self, cluster, binds):
+        statement = parse(SQL)[0]
+        for seed in range(len(NODES)):  # every initiator's catalog has planned it
+            expected = cluster.query_statement(statement, seed=seed).rows.to_pylist()
+        planned = len(binds)
+        session = cluster.create_session(seed=2)
+        try:
+            cluster.kill_node(served_by(session)[0])
+            result = cluster.query_statement(statement, session=session, failover=True)
+        finally:
+            session.release()
+        assert result.rows.to_pylist() == expected and cluster.failovers == 1
+        assert len(binds) == planned
+
+    def test_the_cache_is_bounded(self, cluster, monkeypatch):
+        monkeypatch.setattr(query_path, "PLAN_CACHE_ENTRIES", 3)
+        for k in range(6):
+            cluster.query(f"select count(*) from t where k < {k}", seed=1)
+        cache = cluster.plan_cache
+        assert len(cache._statements) == len(cache._plans) == 3
+        assert "select count(*) from t where k < 5" in cache._statements
+        assert "select count(*) from t where k < 2" not in cache._statements
+
+
+class TestBoundOnce:
     def test_concurrent_and_serial_agree(self):
         workload = ClosedLoopWorkload(
             statements=SELECTS, clients=4, requests_per_client=3, seed=5,
