@@ -1,17 +1,18 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
+.PHONY: default test test-fast lint sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
 
-# Tier-1: the full test suite (includes the marked `sim` campaigns).
+# Tier-1: the full test suite (includes the marked campaigns).
 test:
 	$(PY) -m pytest -x -q
 
-# Inner-loop subset: everything except the sim campaigns and slow sweeps.
+# Inner-loop subset: everything except the campaigns, the differential
+# walls and the slow sweeps.
 test-fast:
-	$(PY) -m pytest -x -q -m "not sim and not slow and not chaos and not wm and not autoscale and not pushdown and not doctor and not designer"
+	$(PY) -m pytest -x -q -m "not campaign and not differential and not slow"
 
 # Lint with ruff when available; fall back to a syntax sweep (compileall)
 # so `make lint` is meaningful in offline environments without ruff.
@@ -23,44 +24,19 @@ lint:
 		$(PY) -m compileall -q src tests benchmarks examples; \
 	fi
 
-# Quick simulation confidence check: the seeded multi-seed campaigns only.
+# Campaign confidence check: every `run_campaign` wall (the `campaign`
+# marker) — the 25-seed base corpus plus the boosted generator profiles.
+# One wall alone: `make sim-smoke K=chaos` (or wm, autoscale, pushdown,
+# doctor, designer; K=simulation for the base corpus, ~7 s) passes `-k`.
 sim-smoke:
-	$(PY) -m pytest tests/test_simulation.py -m sim -q
+	$(PY) -m pytest -m campaign -q $(if $(K),-k $(K))
 
-# Recovery-path confidence check: the chaos-boosted campaigns
-# (mid-query failover, S3 outage windows, rebalancer) only.
-chaos-smoke:
-	$(PY) -m pytest tests/test_chaos.py -m chaos -q
-
-# Workload-manager confidence check: query-storm-boosted campaigns with
-# the wm-slot-accounting invariant (slots == running queries, zero leaks).
-wm-smoke:
-	$(PY) -m pytest tests/test_wm_campaign.py -m wm -q
-
-# Autoscaler confidence check: autoscale-boosted chaos campaigns (the
-# autoscale-safety invariant after every step), the hibernate/revive
-# digest round-trip, and the scaled-down diurnal trace.
-autoscale-smoke:
-	$(PY) -m pytest tests/test_autoscale_campaign.py -m autoscale -q
-
-# Pushdown confidence check: the scan-strategy differential + property wall
-# (pushdown on/off bit-identical digests and depot demand) plus the
-# pushdown-race simulation campaigns.
-pushdown-smoke:
-	$(PY) -m pytest tests/test_pushdown_differential.py tests/test_pushdown_property.py tests/test_pushdown_campaign.py -m pushdown -q
-
-# Doctor confidence check: the four overload scenario campaigns (every
-# logged probe must diagnose to its injected cause) and the 5-seed
-# recording bit-identity wall.
-doctor-smoke:
-	$(PY) -m pytest tests/test_doctor.py -m doctor -q
-
-# Designer confidence check: the cost-based designer's property wall
-# (emitted DDL parses, binds, and stays inside the schema), the TPC-H
-# apply differential (bit-identical digests across re-designs), and the
-# redesign-boosted campaigns with the designer-digest-parity invariant.
-designer-smoke:
-	$(PY) -m pytest tests/test_designer_property.py tests/test_designer_differential.py tests/test_designer_campaign.py -m designer -q
+# Differential confidence check (the `differential` marker): the pushdown
+# scan-strategy wall (on/off bit-identical digests and depot demand) and the
+# designer wall (emitted DDL parses and binds; digests survive re-designs).
+# `make differential-smoke K=pushdown` (or designer) runs one of them.
+differential-smoke:
+	$(PY) -m pytest -m differential -q $(if $(K),-k $(K))
 
 # Longer chaos run straight from the CLI (prints per-seed digests).
 sim-campaign:

@@ -121,6 +121,11 @@ class TopologyActuator:
         self.hibernated = False
         self.hibernating = False
         for _ in range(max(0, count)):
+            # An actuator started on a cluster that already has ``burst<n>``
+            # nodes (a revive brings a previous scaler's back as ordinary
+            # nodes) must not take — and then "repair" — one of those names.
+            while f"{self.node_prefix}{self._next_node}" in self.cluster.nodes:
+                self._next_node += 1
             name = f"{self.node_prefix}{self._next_node}"
             self._next_node += 1
             try:

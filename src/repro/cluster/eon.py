@@ -929,7 +929,11 @@ class EonCluster:
         """Rebuild a node's whole catalog from peers (instance loss or a
         history gap): global objects from any peer, then each subscribed
         shard's storage metadata from that shard's subscribers."""
-        peer = self.any_up_node()
+        # ``recover_node`` has already restarted ``node`` (state UP), so
+        # "any up node" could be the very node whose catalog is empty.
+        peer = next((n for n in self.up_nodes() if n is not node), None)
+        if peer is None:
+            raise QuorumLost(f"no up peer to rebuild {node.name}'s catalog from")
         rebuilt = peer.catalog.state.copy()
         shards = node.catalog.subscribed_shards or set()
         for sid, container in list(rebuilt.containers.items()):

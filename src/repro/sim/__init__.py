@@ -16,13 +16,7 @@ from repro.sim.harness import (
     replay_schedule,
     run_campaign,
 )
-from repro.sim.generator import (
-    AutoscaleScenarioGenerator,
-    ChaosScenarioGenerator,
-    PushdownScenarioGenerator,
-    ScenarioGenerator,
-    WorkloadScenarioGenerator,
-)
+from repro.sim.generator import PROFILES, ScenarioGenerator
 from repro.sim.invariants import (
     DEFAULT_INVARIANTS,
     InvariantRegistry,
@@ -33,21 +27,18 @@ from repro.sim.shrink import ShrinkResult, shrink_schedule
 from repro.sim.trace import Trace, TraceEvent
 
 __all__ = [
-    "AutoscaleScenarioGenerator",
     "CampaignConfig",
     "CampaignResult",
-    "ChaosScenarioGenerator",
     "DEFAULT_INVARIANTS",
     "InvariantRegistry",
     "InvariantViolation",
-    "PushdownScenarioGenerator",
+    "PROFILES",
     "ScenarioGenerator",
     "ShrinkResult",
     "SimOracle",
     "SimWorld",
     "Trace",
     "TraceEvent",
-    "WorkloadScenarioGenerator",
     "replay_schedule",
     "rows_key",
     "run_campaign",

@@ -12,20 +12,22 @@ shrinking can drop steps without changing what the remaining steps do.
   a shrunk schedule: the step that set the precondition was removed);
 * ``"refused"`` — the cluster legitimately declined (shut down, or the
   action would destroy quorum/shard coverage);
-* ``"gave_up_transient"`` — an injected S3 fault outlived the retry loop;
-* ``"storage_unavailable"`` — the request landed in a declared S3 outage
-  window and failed fast (degraded read-only mode);
+* a storage outcome from :data:`STORAGE_OUTCOMES` — the statement failed
+  whole on shared storage (see :func:`storage_outcomes`);
 * ``"paused_outage"`` — a maintenance action deferred itself because the
   cluster is degraded (services pause during outages);
 * ``"shutdown"`` — the action triggered the cluster's self-shutdown.
 
-An action raises :class:`InvariantViolation` only for genuine bugs: a
-query answer diverging from the oracle, a pinned snapshot reading a
-deleted file, or a revive failing after a clean shutdown.
+An action raises :class:`InvariantViolation` only for genuine bugs.  Every
+SELECT goes through :meth:`SimWorld.checked_read`, the one place a wrong
+answer, a read of a missing file or a failover that should have worked
+becomes a violation; a revive failing after a clean shutdown is the
+other.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -41,9 +43,79 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.sharding.shard import REPLICA_SHARD_ID
-from repro.sim.invariants import InvariantViolation
 from repro.sim.oracle import rows_key
-from repro.sql.parser import parse
+
+#: The one storage-error table, for reads and writes alike.  Both mean the
+#: statement failed *whole* — nothing committed, so the oracle must not
+#: apply it either, and any files uploaded before the failure are
+#: protected from the leak sweep by the writer's live instance-id prefix.
+STORAGE_OUTCOMES = (
+    # The request landed in a declared S3 outage window and failed fast:
+    # degraded read-only mode rejects writes, and serves only the reads
+    # the depots can answer.
+    (StorageUnavailable, "storage_unavailable"),
+    # An injected S3 fault outlived the retry loop.
+    (TransientStorageError, "gave_up_transient"),
+)
+
+
+def storage_outcomes(*errors):
+    """Decorator for ``apply``: a storage error escaping the action becomes
+    its :data:`STORAGE_OUTCOMES` outcome.  ``errors`` narrows the table to
+    the classes the action is *allowed* to meet; the other one keeps
+    crashing the campaign, because the action's own gate (e.g. deferring
+    to ``paused_outage``) is supposed to make it impossible."""
+    table = [row for row in STORAGE_OUTCOMES if not errors or row[0] in errors]
+    caught = tuple(error for error, _ in table)
+
+    def decorate(apply):
+        @functools.wraps(apply)
+        def guarded(self, world) -> str:
+            try:
+                return apply(self, world)
+            except caught as exc:
+                return next(o for error, o in table if isinstance(exc, error))
+
+        return guarded
+
+    return decorate
+
+
+def cold_depots(world) -> bool:
+    """The cold-depot step: clear every up node's depot.  False (the
+    caller reports ``refused``) when the cluster is shut down, has no up
+    node, or is degraded — an outage-time cluster can only serve
+    depot-resident data, so clearing it would just manufacture failures."""
+    cluster = world.cluster
+    if cluster.shut_down or cluster.refresh_degraded():
+        return False
+    up = cluster.up_nodes()
+    for node in up:
+        node.cache.clear()
+    return bool(up)
+
+
+def covered_without(cluster, name: str, shards) -> bool:
+    """Each of ``shards`` keeps an up ACTIVE subscriber other than ``name``."""
+    return all(
+        any(n != name for n in cluster.active_up_subscribers(shard_id))
+        for shard_id in shards
+    )
+
+
+def survivable_losses(cluster, names) -> List[str]:
+    """The one survivability rule: which of ``names`` the cluster can lose
+    — the node is up, quorum holds without it, and every shard stays
+    covered.  The generator's kill gate, ``kill`` and the mid-query
+    victims all ask here."""
+    if (len(cluster.up_nodes()) - 1) * 2 <= len(cluster.nodes):
+        return []
+    shards = cluster.shard_map.all_shard_ids()
+    return [
+        name
+        for name in names
+        if cluster.nodes[name].is_up and covered_without(cluster, name, shards)
+    ]
 
 
 @dataclass(frozen=True)
@@ -64,22 +136,13 @@ class CopyBatch:
     def detail(self) -> str:
         return f"base={self.key_base} n={self.n}"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         if world.cluster.shut_down:
             return "refused"
         rows = self.rows()
         try:
             world.cluster.load(world.table, rows)
-        except StorageUnavailable:
-            # Degraded read-only mode: writes fail fast during a declared
-            # outage, whole-statement, so the oracle must not apply either.
-            return "storage_unavailable"
-        except TransientStorageError:
-            # Retries exhausted before the commit point: the statement
-            # failed whole, so the oracle must not apply it either.  Any
-            # files uploaded before the failure are protected from the
-            # leak sweep by the writer's live instance-id prefix.
-            return "gave_up_transient"
         except ClusterError:
             return "refused"
         world.oracle.load(world.table, rows)
@@ -101,35 +164,16 @@ class Query:
             return f"{self.sql} [crunch={self.crunch}x{self.nodes_per_shard}]"
         return self.sql
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         if world.cluster.shut_down:
             return "refused"
         options = {}
         if self.crunch:
             options = {"crunch": self.crunch, "nodes_per_shard": self.nodes_per_shard}
-        try:
-            actual = rows_key(world.cluster.query(self.sql, **options))
-        except StorageUnavailable:
-            # Outage + depot miss: the degraded cluster can only serve
-            # depot-resident data, and this query needed more.
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
-        except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "catalog-storage",
-                world.seed,
-                world.step,
-                f"query {self.sql!r} read a missing object: {exc}",
-            )
-        expected = world.oracle.query_rows(self.sql)
-        if actual != expected:
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"{self.sql!r}: cluster={actual[:4]} oracle={expected[:4]}",
-            )
+        # During an outage only depot-resident data can be served; a query
+        # that needed more fails fast (the storage outcome).
+        world.checked_read(self.sql, **options)
         return "ok"
 
 
@@ -151,42 +195,13 @@ class FetchStorm:
     def detail(self) -> str:
         return f"{self.sql} x{self.rounds}"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
-        cluster = world.cluster
-        if cluster.shut_down:
+        if not cold_depots(world):
             return "refused"
-        if cluster.refresh_degraded():
-            # A cold-depot storm during an outage would only clear the
-            # depot-resident data the degraded cluster can still serve.
-            return "refused"
-        up = sorted(n.name for n in cluster.up_nodes())
-        if not up:
-            return "refused"
-        for name in up:
-            cluster.nodes[name].cache.clear()
         expected = world.oracle.query_rows(self.sql)
         for _ in range(self.rounds):
-            try:
-                actual = rows_key(cluster.query(self.sql))
-            except StorageUnavailable:
-                return "storage_unavailable"
-            except TransientStorageError:
-                return "gave_up_transient"
-            except ObjectNotFound as exc:
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"fetch storm {self.sql!r} read a missing object: {exc}",
-                )
-            if actual != expected:
-                raise InvariantViolation(
-                    "oracle-equivalence",
-                    world.seed,
-                    world.step,
-                    f"storm {self.sql!r}: cluster={actual[:4]} "
-                    f"oracle={expected[:4]}",
-                )
+            world.checked_read(self.sql, expected=expected)
         return "ok"
 
 
@@ -196,12 +211,12 @@ class PushdownRace:
     replaces.  Clear every up node's depot, run the statement with
     pushdown forced *on* (selects answer the scan while background
     hydration fills the depot), then immediately re-run with pushdown
-    *off* (served by the just-hydrated depot).  Both answers are diffed
-    against the oracle here; the on-vs-off comparison is additionally
-    logged to ``world.pushdown_checks`` so the ``pushdown-digest-parity``
-    invariant audits every race the campaign ran — and, via the SELECT
-    dollar watermark it keeps, that bytes-scanned charges only ever
-    accrue."""
+    *off* (served by the just-hydrated depot).  The pushdown answer is
+    held to the oracle's and the depot answer to the pushdown one; that
+    on-vs-off comparison is also logged to ``world.pushdown_checks`` so
+    the ``pushdown-digest-parity`` invariant audits every race the
+    campaign ran — and, via the SELECT dollar watermark it keeps, that
+    bytes-scanned charges only ever accrue."""
 
     sql: str
 
@@ -210,45 +225,16 @@ class PushdownRace:
     def detail(self) -> str:
         return self.sql
 
+    @storage_outcomes()
     def apply(self, world) -> str:
-        cluster = world.cluster
-        if cluster.shut_down:
+        # The race needs S3 reachable twice over: the cold pushdown leg
+        # issues SELECTs and the hydration GETs behind them.
+        if not cold_depots(world):
             return "refused"
-        if cluster.refresh_degraded():
-            # The race needs S3 reachable twice over: the cold pushdown leg
-            # issues SELECTs and the hydration GETs behind them.
-            return "refused"
-        up = sorted(n.name for n in cluster.up_nodes())
-        if not up:
-            return "refused"
-        for name in up:
-            cluster.nodes[name].cache.clear()
-        expected = world.oracle.query_rows(self.sql)
-        results = {}
-        for mode in ("on", "off"):
-            try:
-                results[mode] = rows_key(cluster.query(self.sql, pushdown=mode))
-            except StorageUnavailable:
-                return "storage_unavailable"
-            except TransientStorageError:
-                return "gave_up_transient"
-            except ObjectNotFound as exc:
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"pushdown race {self.sql!r} read a missing object: {exc}",
-                )
-        world.note_pushdown_check(self.sql, results["on"], results["off"])
-        for mode in ("on", "off"):
-            if results[mode] != expected:
-                raise InvariantViolation(
-                    "oracle-equivalence",
-                    world.seed,
-                    world.step,
-                    f"pushdown={mode} {self.sql!r}: "
-                    f"cluster={results[mode][:4]} oracle={expected[:4]}",
-                )
+        pushed = world.checked_read(self.sql, pushdown="on")
+        world.checked_read(
+            self.sql, expected=pushed, parity_log=world.pushdown_checks, pushdown="off"
+        )
         return "ok"
 
 
@@ -263,26 +249,20 @@ class DmlStatement:
     def detail(self) -> str:
         return self.sql
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         if world.cluster.shut_down:
             return "refused"
         try:
             affected = world.cluster.execute(self.sql)
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
         except ClusterError:
             return "refused"
         expected = world.oracle.execute(self.sql)
-        if _affected_rows(affected) != _affected_rows(expected):
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"{self.sql!r} affected {_affected_rows(affected)} rows, "
-                f"oracle {_affected_rows(expected)}",
-            )
+        world.expect_equal(
+            f"rows affected by {self.sql!r}",
+            _affected_rows(affected),
+            _affected_rows(expected),
+        )
         return "ok"
 
 
@@ -298,7 +278,7 @@ class Redesign:
     create the winning ``_dbd_v<n>`` projections, and atomically drop the
     versions they supersede.  The probes then re-run against the redesigned
     physical layout and are diffed against the oracle — each comparison is
-    logged via ``world.note_redesign_check`` so the
+    logged to ``world.redesign_checks`` so the
     ``designer-digest-parity`` invariant audits every redesign the
     campaign ran.  A redesign must never change query answers, only the
     layouts that serve them.
@@ -323,6 +303,7 @@ class Redesign:
     def detail(self) -> str:
         return ""
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         from repro.engine.designer import DatabaseDesigner
 
@@ -338,47 +319,17 @@ class Redesign:
         designer.ingest_recorded(cluster)
         designer.add_workload(probes)
         try:
+            # A refresh load giving up mid-apply leaves the catalog
+            # unchanged: the projection's txn never committed.
             run = designer.apply(cluster)
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            # A refresh load gave up mid-apply: the projection's txn never
-            # committed, so the catalog is unchanged and any uploaded files
-            # are protected by the writer's live instance-id prefix.
-            return "gave_up_transient"
         except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "catalog-storage",
-                world.seed,
-                world.step,
-                f"redesign read a missing object: {exc}",
+            raise world.violation(
+                "catalog-storage", f"redesign read a missing object: {exc}"
             )
         except (CatalogError, ClusterError):
             return "refused"
         for sql in probes:
-            try:
-                actual = rows_key(cluster.query(sql))
-            except StorageUnavailable:
-                return "storage_unavailable"
-            except TransientStorageError:
-                return "gave_up_transient"
-            except ObjectNotFound as exc:
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"post-redesign probe {sql!r} read a missing object: {exc}",
-                )
-            expected = world.oracle.query_rows(sql)
-            world.note_redesign_check(sql, actual, expected)
-            if actual != expected:
-                raise InvariantViolation(
-                    "oracle-equivalence",
-                    world.seed,
-                    world.step,
-                    f"post-redesign {sql!r}: cluster={actual[:4]} "
-                    f"oracle={expected[:4]}",
-                )
+            world.checked_read(sql, parity_log=world.redesign_checks)
         return "ok" if run.created or run.dropped else "kept"
 
 
@@ -401,18 +352,10 @@ class KillNode:
         target = cluster.nodes.get(self.node)
         if target is None or not target.is_up:
             return "skipped"
-        # Only kill if the cluster survives: quorum holds and every shard
-        # keeps an up ACTIVE subscriber.  (The generator respects this too;
-        # re-checking keeps shrunk-schedule replays viability-safe.)
-        up_after = len(cluster.up_nodes()) - 1
-        if up_after * 2 <= len(cluster.nodes):
+        # The generator respects the survivability rule too; re-checking
+        # keeps shrunk-schedule replays viability-safe.
+        if not survivable_losses(cluster, [self.node]):
             return "refused"
-        for shard_id in cluster.shard_map.all_shard_ids():
-            others = [
-                n for n in cluster.active_up_subscribers(shard_id) if n != self.node
-            ]
-            if not others:
-                return "refused"
         world.release_pins_touching(self.node)
         # A dead node's instance prefix no longer protects its in-flight
         # uploads; they are leaks until the next sweep runs.
@@ -435,6 +378,11 @@ class RecoverNode:
     def detail(self) -> str:
         return self.node
 
+    # Cache warming can give up mid-recovery: the node is then up but some
+    # subscriptions may be stuck short of ACTIVE; coverage still holds
+    # through the peers that let us kill this node at all.  An outage
+    # cannot be met here — the gate below defers to ``paused_outage``.
+    @storage_outcomes(TransientStorageError)
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -450,13 +398,7 @@ class RecoverNode:
         # Restart regenerates the node's instance id: objects under the old
         # prefix lose their in-flight protection until the next sweep.
         world.cleanup_completed = False
-        try:
-            cluster.recover_node(self.node)
-        except TransientStorageError:
-            # Cache warming gave up mid-recovery; the node is up but some
-            # subscriptions may be stuck short of ACTIVE.  Coverage still
-            # holds through the peers that let us kill this node at all.
-            return "gave_up_transient"
+        cluster.recover_node(self.node)
         return "ok"
 
 
@@ -489,6 +431,7 @@ class Subscribe:
     def detail(self) -> str:
         return f"{self.node}<-shard{self.shard_id}"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -498,12 +441,8 @@ class Subscribe:
             return "skipped"
         try:
             cluster.subscribe(self.node, self.shard_id)
-        except StorageUnavailable:
-            return "storage_unavailable"
         except CatalogError:
             return "skipped"  # already subscribed / invalid transition
-        except TransientStorageError:
-            return "gave_up_transient"
         return "ok"
 
 
@@ -519,6 +458,7 @@ class Unsubscribe:
     def detail(self) -> str:
         return f"{self.node}-/->shard{self.shard_id}"
 
+    @storage_outcomes(StorageUnavailable)
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -531,17 +471,10 @@ class Unsubscribe:
         state = cluster.any_up_node().catalog.state
         if (self.node, self.shard_id) not in state.subscriptions:
             return "skipped"
-        others = [
-            n
-            for n in cluster.active_up_subscribers(self.shard_id)
-            if n != self.node
-        ]
-        if not others:
+        if not covered_without(cluster, self.node, [self.shard_id]):
             return "refused"
         try:
             cluster.unsubscribe(self.node, self.shard_id)
-        except StorageUnavailable:
-            return "storage_unavailable"
         except ShardCoverageLost:
             return "refused"
         except CatalogError:
@@ -560,18 +493,14 @@ class AddNode:
     def detail(self) -> str:
         return self.node
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
             return "refused"
         if self.node in cluster.nodes:
             return "skipped"
-        try:
-            cluster.add_node(self.node)
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
+        cluster.add_node(self.node)
         return "ok"
 
 
@@ -586,6 +515,7 @@ class RemoveNode:
     def detail(self) -> str:
         return self.node
 
+    @storage_outcomes(StorageUnavailable)
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -595,20 +525,12 @@ class RemoveNode:
             return "skipped"
         state = cluster.any_up_node().catalog.state
         shards = [s for (n, s), _ in state.subscriptions.items() if n == self.node]
-        for shard_id in shards:
-            others = [
-                n
-                for n in cluster.active_up_subscribers(shard_id)
-                if n != self.node
-            ]
-            if not others:
-                return "refused"
+        if not covered_without(cluster, self.node, shards):
+            return "refused"
         world.release_pins_touching(self.node)
         world.cleanup_completed = False
         try:
             cluster.remove_node(self.node)
-        except StorageUnavailable:
-            return "storage_unavailable"
         except ShardCoverageLost:
             return "refused"
         return "ok"
@@ -661,6 +583,7 @@ class QueryPinned:
     def detail(self) -> str:
         return self.tag
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         pin = world.pins.get(self.tag)
         if pin is None:
@@ -672,30 +595,9 @@ class QueryPinned:
         ):
             world.release_pin(self.tag)
             return "stale_released"
-        statement = parse(pin.sql)[0]
-        try:
-            actual = rows_key(
-                cluster.query_statement(statement, session=pin.session)
-            )
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "pinned-read",
-                world.seed,
-                world.step,
-                f"pinned snapshot v{pin.session.snapshots[pin.session.initiator].version} "
-                f"read a deleted object: {exc}",
-            )
-        except TransientStorageError:
-            return "gave_up_transient"
-        if actual != pin.expected:
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"pinned {pin.sql!r} drifted: {actual[:4]} != {pin.expected[:4]}",
-            )
+        world.checked_read(
+            pin.sql, expected=pin.expected, missing="pinned-read", session=pin.session
+        )
         return "ok"
 
 
@@ -730,6 +632,7 @@ class MaintenanceTick:
     def detail(self) -> str:
         return "checkpoint" if self.checkpoint else "sync"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -738,15 +641,10 @@ class MaintenanceTick:
             # Maintenance pauses during an outage (every upload/delete
             # would be rejected) instead of burning error outcomes.
             return "paused_outage"
-        try:
-            cluster.sync_catalogs(include_checkpoint=self.checkpoint)
-            cluster.write_cluster_info()
-            cluster.reaper.poll()
-            cluster.reaper.cleanup_leaked_files()
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
+        cluster.sync_catalogs(include_checkpoint=self.checkpoint)
+        cluster.write_cluster_info()
+        cluster.reaper.poll()
+        cluster.reaper.cleanup_leaked_files()
         world.cleanup_completed = True
         return "ok"
 
@@ -762,6 +660,7 @@ class Mergeout:
     def detail(self) -> str:
         return f"max_jobs={self.max_jobs_per_shard}"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         from repro.tuple_mover.mergeout import MergeoutCoordinatorService
 
@@ -770,14 +669,9 @@ class Mergeout:
             return "refused"
         if cluster.refresh_degraded():
             return "paused_outage"
-        try:
-            MergeoutCoordinatorService(cluster).run_all(
-                max_jobs_per_shard=self.max_jobs_per_shard
-            )
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
+        MergeoutCoordinatorService(cluster).run_all(
+            max_jobs_per_shard=self.max_jobs_per_shard
+        )
         return "ok"
 
 
@@ -813,6 +707,9 @@ class ReviveCluster:
     def detail(self) -> str:
         return f"seed={self.revive_seed}"
 
+    # Both refusals below rule an outage out, so only the retry loop
+    # giving up (during the final sync, or the revive's downloads) is met.
+    @storage_outcomes(TransientStorageError)
     def apply(self, world) -> str:
         from repro.cluster.revive import revive
 
@@ -826,21 +723,27 @@ class ReviveCluster:
         if any(not n.is_up for n in cluster.nodes.values()):
             return "refused"  # revive from a clean, fully-up shutdown
         world.release_all_pins()
+        cluster.graceful_shutdown()
         try:
-            cluster.graceful_shutdown()
-        except TransientStorageError:
-            return "gave_up_transient"
-        try:
+            # The campaign's one recorder moves to the new incarnation:
+            # request ids keep counting, so a pre-revive doctor probe stays
+            # diagnosable and cannot alias a later request, and a violation
+            # after the revive still carries its step's spans.
             new_cluster = revive(
-                cluster.shared, clock=world.clock, seed=self.revive_seed
+                cluster.shared,
+                clock=world.clock,
+                seed=self.revive_seed,
+                observability=cluster.obs,
             )
-        except TransientStorageError:
-            return "gave_up_transient"
         except ReviveError as exc:
             # After a graceful shutdown (complete sync, expired lease) a
             # revive failure means durable state is broken — a real bug.
-            raise InvariantViolation("revive", world.seed, world.step, str(exc))
+            raise world.violation("revive", str(exc))
         world.cluster = new_cluster
+        # The autoscaler is a service of the cluster it was attached to;
+        # like every other service it does not outlive the incarnation.
+        # The next tick attaches a fresh one to the live cluster.
+        world.autoscaler = None
         world.cleanup_completed = False
         return "ok"
 
@@ -866,97 +769,49 @@ class KillMidQuery:
     def detail(self) -> str:
         return self.sql
 
-    def _survivable_victims(self, world, participants) -> List[str]:
-        return _survivable_victims(world, participants)
-
+    @storage_outcomes()
     def apply(self, world) -> str:
-        cluster = world.cluster
-        if cluster.shut_down:
-            return "refused"
-        if cluster.refresh_degraded():
-            return "refused"  # outage failures would mask the failover path
-        try:
-            session = cluster.create_session()
-        except ClusterError:
-            return "refused"
-        try:
-            participants = sorted(session.participants())
-            # Prefer killing a non-initiator participant (the paper's
-            # "participating node dies" case); fall back to the initiator.
-            victims = self._survivable_victims(
-                world, [p for p in participants if p != session.initiator]
-            ) or self._survivable_victims(world, participants)
-            if not victims:
-                return "refused"
-            victim = victims[0]
-            expected = world.oracle.query_rows(self.sql)
-            world.release_pins_touching(victim)
-            world.cleanup_completed = False
-            try:
-                cluster.kill_node(victim)
-            except (QuorumLost, ShardCoverageLost):
-                return "shutdown"
-            statement = parse(self.sql)[0]
-            try:
-                actual = rows_key(
-                    cluster.query_statement(
-                        statement, session=session, failover=True
-                    )
-                )
-            except NodeDown as exc:
-                if not cluster.uncovered_shards():
-                    raise InvariantViolation(
-                        "query-failover",
-                        world.seed,
-                        world.step,
-                        f"{self.sql!r} failed with NodeDown ({exc}) although "
-                        "surviving up ACTIVE subscribers cover every shard",
-                    )
-                return "shutdown"
-            except StorageUnavailable:
-                return "storage_unavailable"
-            except TransientStorageError:
-                return "gave_up_transient"
-            except ObjectNotFound as exc:
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"failover query {self.sql!r} read a missing object: {exc}",
-                )
-            if actual != expected:
-                raise InvariantViolation(
-                    "oracle-equivalence",
-                    world.seed,
-                    world.step,
-                    f"failover {self.sql!r}: cluster={actual[:4]} "
-                    f"oracle={expected[:4]}",
-                )
-            return "ok"
-        finally:
-            session.release()
+        return kill_then_failover(world, self.sql)
 
 
-def _survivable_victims(world, participants) -> List[str]:
-    """Participants the cluster can lose: quorum holds and every shard
-    keeps another up ACTIVE subscriber."""
+def kill_then_failover(world, sql: str, request_text: Optional[str] = None) -> str:
+    """The body of :class:`KillMidQuery` (and of the straggler probe, which
+    labels the request with ``request_text`` so the doctor can find it)."""
     cluster = world.cluster
-    if (len(cluster.up_nodes()) - 1) * 2 <= len(cluster.nodes):
-        return []
-    out = []
-    for name in participants:
-        if not cluster.nodes[name].is_up:
-            continue
-        survivable = all(
-            any(
-                n != name
-                for n in cluster.active_up_subscribers(shard_id)
+    if cluster.shut_down:
+        return "refused"
+    if cluster.refresh_degraded():
+        return "refused"  # outage failures would mask the failover path
+    try:
+        session = cluster.create_session()
+    except ClusterError:
+        return "refused"
+    try:
+        participants = sorted(session.participants())
+        # Prefer killing a non-initiator participant (the paper's
+        # "participating node dies" case); fall back to the initiator.
+        victims = survivable_losses(
+            cluster, [p for p in participants if p != session.initiator]
+        ) or survivable_losses(cluster, participants)
+        if not victims:
+            return "refused"
+        world.release_pins_touching(victims[0])
+        world.cleanup_completed = False
+        try:
+            cluster.kill_node(victims[0])
+        except (QuorumLost, ShardCoverageLost):
+            return "shutdown"
+        try:
+            world.checked_read(
+                sql, session=session, failover=True, request_text=request_text
             )
-            for shard_id in cluster.shard_map.all_shard_ids()
-        )
-        if survivable:
-            out.append(name)
-    return out
+        except NodeDown:
+            # Let through only when the kill really cost the cluster its
+            # shard coverage; otherwise it is the ``query-failover`` bug.
+            return "shutdown"
+        return "ok"
+    finally:
+        session.release()
 
 
 @dataclass(frozen=True)
@@ -1032,31 +887,21 @@ class QueryStorm:
         )
         result = run_closed_loop(cluster, workload, result_key=rows_key)
         for record in result.records:
+            what = f"storm {record.sql!r} (client {record.client})"
             if record.outcome == "ok":
-                want = expected[record.sql]
-                if record.digest != want:
-                    raise InvariantViolation(
-                        "oracle-equivalence",
-                        world.seed,
-                        world.step,
-                        f"storm {record.sql!r} (client {record.client}): "
-                        f"cluster={record.digest[:4]} oracle={want[:4]}",
-                    )
+                world.expect_equal(what, record.digest, expected[record.sql])
             elif record.outcome == "error:ObjectNotFound":
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"storm {record.sql!r} (client {record.client}) read a "
-                    f"missing object",
+                raise world.violation(
+                    "catalog-storage", f"{what} read a missing object"
                 )
         if result.completed:
             return "ok"
+        # The closed loop records its clients' errors by class name; the
+        # step reports the first storage outcome any client met.
         outcomes = {r.outcome for r in result.records}
-        if "error:StorageUnavailable" in outcomes:
-            return "storage_unavailable"
-        if "error:TransientStorageError" in outcomes:
-            return "gave_up_transient"
+        for error, outcome in STORAGE_OUTCOMES:
+            if f"error:{error.__name__}" in outcomes:
+                return outcome
         return "refused"
 
 
@@ -1083,6 +928,7 @@ class AutoscaleTick:
     def detail(self) -> str:
         return ""
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         cluster = world.cluster
         if cluster.shut_down:
@@ -1091,7 +937,7 @@ class AutoscaleTick:
             # The real service pauses during outages (skipped_outage);
             # mirror that here rather than burning actuator errors.
             return "paused_outage"
-        scaler = getattr(world, "autoscaler", None)
+        scaler = world.autoscaler
         if scaler is None:
             from repro.autoscale import Autoscaler, PolicyConfig
 
@@ -1112,12 +958,7 @@ class AutoscaleTick:
             )
             world.autoscaler = scaler
         before = set(cluster.nodes)
-        try:
-            decision = scaler.run()
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
+        decision = scaler.run()
         removed = [n for n in sorted(before) if n not in cluster.nodes]
         for name in removed:
             world.release_pins_touching(name)
@@ -1145,17 +986,37 @@ class AutoscaleTick:
 
 def _request_mark(world) -> int:
     """High-water request id before a probe runs (0 when none recorded)."""
-    obs = world.cluster.obs
-    if not obs.enabled or not obs.requests:
-        return 0
-    return obs.requests[-1].request_id
+    requests = world.cluster.obs.requests
+    return requests[-1].request_id if requests else 0
 
 
-def _requests_since(world, mark: int) -> List:
-    obs = world.cluster.obs
-    if not obs.enabled:
-        return []
-    return [r for r in obs.requests if r.request_id > mark]
+#: The latency components a probe can inject, as ``RequestRecord`` fields.
+_COMPONENTS = (
+    "queue_wait_seconds",
+    "storage_io_seconds",
+    "retry_backoff_seconds",
+    "failover_backoff_seconds",
+)
+
+
+def _dominated(world, mark: int, seconds: str, count: Optional[str] = None) -> List:
+    """Did the injected component dominate?  The requests recorded since
+    ``mark`` whose ``seconds`` field exceeded half their recorded latency
+    *and* every other component — fetch lanes run in parallel, so their
+    summed I/O and their summed retry backoff can each exceed half of one
+    latency — and whose ``count`` field, when named, shows the component
+    was met at all; oldest first."""
+    hits = []
+    for record in world.cluster.obs.requests:
+        share = getattr(record, seconds)
+        if (
+            record.request_id > mark
+            and share > record.duration_seconds / 2
+            and all(share > getattr(record, c) for c in _COMPONENTS if c != seconds)
+            and (count is None or getattr(record, count) > 0)
+        ):
+            hits.append(record)
+    return hits
 
 
 @dataclass(frozen=True)
@@ -1170,11 +1031,7 @@ class NoisyNeighborProbe(QueryStorm):
     def apply(self, world) -> str:
         mark = _request_mark(world)
         outcome = QueryStorm.apply(self, world)
-        queued = [
-            r
-            for r in _requests_since(world, mark)
-            if r.queue_wait_seconds > r.duration_seconds / 2
-        ]
+        queued = _dominated(world, mark, "queue_wait_seconds")
         if queued:
             worst = max(
                 queued, key=lambda r: (r.queue_wait_seconds, r.request_id)
@@ -1197,49 +1054,15 @@ class DepotStampedeProbe:
     def detail(self) -> str:
         return self.sql
 
+    @storage_outcomes()
     def apply(self, world) -> str:
-        cluster = world.cluster
-        if cluster.shut_down:
+        if not cold_depots(world):
             return "refused"
-        if cluster.refresh_degraded():
-            # A degraded cluster can only serve depot-resident data;
-            # clearing the depots would just manufacture failures.
-            return "refused"
-        up = sorted(n.name for n in cluster.up_nodes())
-        if not up:
-            return "refused"
-        for name in up:
-            cluster.nodes[name].cache.clear()
         mark = _request_mark(world)
-        try:
-            actual = rows_key(cluster.query(self.sql))
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
-        except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "catalog-storage",
-                world.seed,
-                world.step,
-                f"stampede {self.sql!r} read a missing object: {exc}",
-            )
-        expected = world.oracle.query_rows(self.sql)
-        if actual != expected:
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"stampede {self.sql!r}: cluster={actual[:4]} "
-                f"oracle={expected[:4]}",
-            )
-        for record in _requests_since(world, mark):
-            if (
-                record.depot_misses > 0
-                and record.storage_io_seconds > record.duration_seconds / 2
-            ):
-                world.note_doctor_probe(record.request_id, "depot misses")
-                break
+        world.checked_read(self.sql)
+        hits = _dominated(world, mark, "storage_io_seconds", "depot_misses")
+        if hits:
+            world.note_doctor_probe(hits[0].request_id, "depot misses")
         return "ok"
 
 
@@ -1260,48 +1083,16 @@ class HotShardThrottleProbe:
     def detail(self) -> str:
         return f"{self.sql} [rate={self.rate} ops={self.ops}]"
 
+    @storage_outcomes()
     def apply(self, world) -> str:
-        cluster = world.cluster
-        if cluster.shut_down:
+        if not cold_depots(world):
             return "refused"
-        if cluster.refresh_degraded():
-            return "refused"
-        up = sorted(n.name for n in cluster.up_nodes())
-        if not up:
-            return "refused"
-        for name in up:
-            cluster.nodes[name].cache.clear()
-        expected = world.oracle.query_rows(self.sql)
-        cluster.shared.faults.begin_burst(self.rate, self.ops)
+        world.cluster.shared.faults.begin_burst(self.rate, self.ops)
         mark = _request_mark(world)
-        try:
-            actual = rows_key(cluster.query(self.sql))
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
-        except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "catalog-storage",
-                world.seed,
-                world.step,
-                f"throttle probe {self.sql!r} read a missing object: {exc}",
-            )
-        if actual != expected:
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"throttle probe {self.sql!r}: cluster={actual[:4]} "
-                f"oracle={expected[:4]}",
-            )
-        for record in _requests_since(world, mark):
-            if (
-                record.retries > 0
-                and record.retry_backoff_seconds > record.duration_seconds / 2
-            ):
-                world.note_doctor_probe(record.request_id, "throttling")
-                break
+        world.checked_read(self.sql)
+        hits = _dominated(world, mark, "retry_backoff_seconds", "retries")
+        if hits:
+            world.note_doctor_probe(hits[0].request_id, "throttling")
         return "ok"
 
 
@@ -1321,101 +1112,15 @@ class StragglerFailoverProbe:
     def detail(self) -> str:
         return self.sql
 
+    @storage_outcomes()
     def apply(self, world) -> str:
         cluster = world.cluster
-        if cluster.shut_down:
+        if cluster.shut_down or cluster.refresh_degraded():
             return "refused"
-        if cluster.refresh_degraded():
-            return "refused"
-        expected = world.oracle.query_rows(self.sql)
-        try:
-            warm = rows_key(cluster.query(self.sql))
-        except StorageUnavailable:
-            return "storage_unavailable"
-        except TransientStorageError:
-            return "gave_up_transient"
-        except ObjectNotFound as exc:
-            raise InvariantViolation(
-                "catalog-storage",
-                world.seed,
-                world.step,
-                f"straggler warmup {self.sql!r} read a missing object: {exc}",
-            )
-        if warm != expected:
-            raise InvariantViolation(
-                "oracle-equivalence",
-                world.seed,
-                world.step,
-                f"straggler warmup {self.sql!r}: cluster={warm[:4]} "
-                f"oracle={expected[:4]}",
-            )
-        try:
-            session = cluster.create_session()
-        except ClusterError:
-            return "refused"
-        try:
-            participants = sorted(session.participants())
-            victims = _survivable_victims(
-                world, [p for p in participants if p != session.initiator]
-            ) or _survivable_victims(world, participants)
-            if not victims:
-                return "refused"
-            victim = victims[0]
-            world.release_pins_touching(victim)
-            world.cleanup_completed = False
-            try:
-                cluster.kill_node(victim)
-            except (QuorumLost, ShardCoverageLost):
-                return "shutdown"
-            mark = _request_mark(world)
-            statement = parse(self.sql)[0]
-            try:
-                actual = rows_key(
-                    cluster.query_statement(
-                        statement,
-                        session=session,
-                        request_text=self.sql,
-                        failover=True,
-                    )
-                )
-            except NodeDown as exc:
-                if not cluster.uncovered_shards():
-                    raise InvariantViolation(
-                        "query-failover",
-                        world.seed,
-                        world.step,
-                        f"{self.sql!r} failed with NodeDown ({exc}) although "
-                        "surviving up ACTIVE subscribers cover every shard",
-                    )
-                return "shutdown"
-            except StorageUnavailable:
-                return "storage_unavailable"
-            except TransientStorageError:
-                return "gave_up_transient"
-            except ObjectNotFound as exc:
-                raise InvariantViolation(
-                    "catalog-storage",
-                    world.seed,
-                    world.step,
-                    f"straggler query {self.sql!r} read a missing object: {exc}",
-                )
-            if actual != expected:
-                raise InvariantViolation(
-                    "oracle-equivalence",
-                    world.seed,
-                    world.step,
-                    f"straggler {self.sql!r}: cluster={actual[:4]} "
-                    f"oracle={expected[:4]}",
-                )
-            for record in _requests_since(world, mark):
-                if (
-                    record.failover_backoff_seconds
-                    > record.duration_seconds / 2
-                ):
-                    world.note_doctor_probe(
-                        record.request_id, "failover backoff"
-                    )
-                    break
-            return "ok"
-        finally:
-            session.release()
+        world.checked_read(self.sql)  # the warm-up run
+        mark = _request_mark(world)
+        outcome = kill_then_failover(world, self.sql, request_text=self.sql)
+        hits = _dominated(world, mark, "failover_backoff_seconds")
+        if outcome == "ok" and hits:
+            world.note_doctor_probe(hits[0].request_id, "failover backoff")
+        return outcome

@@ -9,6 +9,10 @@ cluster is whole.  Because every draw is from the seeded stream and the
 menu is derived deterministically from world state, the same seed always
 generates the same schedule against the same world.
 
+There is one generator.  A named *profile* (:data:`PROFILES`) boosts the
+actions one test wall cares about by appending rows to the base menu —
+never by editing it, so the base corpus's schedules stay where they are.
+
 Shrinking note: generated actions carry concrete parameters, so the
 harness's recorded schedule — not the generator — is the replay artifact.
 """
@@ -16,9 +20,36 @@ harness's recorded schedule — not the generator — is the replay artifact.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from types import MethodType
+from typing import Callable, Dict, List, Tuple
 
 from repro.sim import actions as act
+
+
+# -- menu rows and their gates ----------------------------------------------------
+#
+# Gates: when a row is on the menu (``ScenarioGenerator._gates``).  A
+# shut-down cluster offers nothing but ``advance_clock`` — the base menu
+# returns before it reaches any gate.
+
+ALWAYS = "always"
+#: S3 is reachable: the action needs its reads or commits to land.
+NO_OUTAGE = "no outage"
+#: Some node can die without costing quorum or shard coverage.
+KILLABLE = "killable"
+#: ...and no outage would mask the failover path with storage failures.
+KILLABLE_NO_OUTAGE = "killable, no outage"
+
+
+@dataclass(frozen=True)
+class MenuRow:
+    """One addition to the base menu: draw ``factory`` with ``weight``
+    whenever ``gate`` holds."""
+
+    weight: float
+    factory: Callable
+    gate: str = ALWAYS
 
 
 class ScenarioGenerator:
@@ -41,8 +72,9 @@ class ScenarioGenerator:
         "select g, count(*) c from {table} group by g",
     )
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, profile: str = "base"):
         self.rng = random.Random(seed ^ 0x9E3779B9)
+        self.additions = PROFILES[profile]
         self._next_key = 1000
         self._next_pin = 0
         self._next_extra_node = 0
@@ -77,11 +109,12 @@ class ScenarioGenerator:
             # Nothing sensible left but letting time pass; the harness
             # still checks invariants on the carcass every step.
             return [(1.0, self._advance_clock)]
-        if self._killable_nodes(world):
+        gates = self._gates(world)
+        if gates[KILLABLE]:
             menu.append((7.0, self._kill))
-            if not cluster.shared.outage_active:
-                menu.append((4.0, self._kill_mid_query))
-        if not cluster.shared.faults.outage_active:
+        if gates[KILLABLE_NO_OUTAGE]:
+            menu.append((4.0, self._kill_mid_query))
+        if gates[NO_OUTAGE]:
             menu.append((3.0, self._s3_outage))
         if any(not n.is_up for n in cluster.nodes.values()):
             menu.append((12.0, self._recover))
@@ -97,7 +130,24 @@ class ScenarioGenerator:
             menu.append((3.0, self._remove_node))
         if all(n.is_up for n in cluster.nodes.values()) and not cluster.shared.faults.burst_active:
             menu.append((2.0, self._revive))
+        # The profile's rows come last, in table order: a prefix of every
+        # profile's menu is the base menu.
+        for row in self.additions:
+            if gates[row.gate]:
+                menu.append((row.weight, MethodType(row.factory, self)))
         return menu
+
+    def _gates(self, world) -> Dict[str, bool]:
+        """The preconditions menu rows share, computed once per step."""
+        # The store's flag *is* the fault injector's declared window.
+        no_outage = not world.cluster.shared.outage_active
+        killable = bool(self._killable_nodes(world))
+        return {
+            ALWAYS: True,
+            NO_OUTAGE: no_outage,
+            KILLABLE: killable,
+            KILLABLE_NO_OUTAGE: killable and no_outage,
+        }
 
     # -- factories (each consumes generator-RNG draws only) --------------------
 
@@ -110,9 +160,23 @@ class ScenarioGenerator:
     def _cut(self) -> int:
         return 1000 + self.rng.randrange(0, 400)
 
-    def _query(self, world) -> act.Query:
+    def _pool_sql(self, world) -> str:
+        """Any pool statement: the template is drawn first, then its cut."""
         template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
-        return act.Query(template.format(table=world.table, cut=self._cut()))
+        return template.format(table=world.table, cut=self._cut())
+
+    def _full_scan_sql(self, world) -> str:
+        """A pool statement over every container of the table (the first
+        four templates have no WHERE) — what a cold-depot action wants."""
+        template = self.QUERY_POOL[self.rng.randrange(4)]
+        return template.format(table=world.table, cut=0)
+
+    def _storm_sqls(self, world) -> Tuple[str, ...]:
+        """The two or three statements a closed-loop storm's clients share."""
+        return tuple(self._pool_sql(world) for _ in range(2 + self.rng.randrange(2)))
+
+    def _query(self, world) -> act.Query:
+        return act.Query(self._pool_sql(world))
 
     def _crunch_query(self, world) -> act.Query:
         template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
@@ -124,25 +188,14 @@ class ScenarioGenerator:
         )
 
     def _fetch_storm(self, world) -> act.FetchStorm:
-        # Full-scan templates only (the first four have no WHERE): the
-        # point is a cold-depot batch over every container of the table.
-        template = self.QUERY_POOL[self.rng.randrange(4)]
-        rounds = max(2, len(world.cluster.up_nodes()))
-        return act.FetchStorm(
-            template.format(table=world.table, cut=0), rounds=rounds
-        )
+        sql = self._full_scan_sql(world)
+        return act.FetchStorm(sql, rounds=max(2, len(world.cluster.up_nodes())))
 
     def _query_storm(self, world) -> act.QueryStorm:
         # A small concurrent burst: a few statements shared by several
         # closed-loop clients, all interleaved on the sim clock through
         # the admission controller.
-        count = 2 + self.rng.randrange(2)
-        sqls = tuple(
-            self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))].format(
-                table=world.table, cut=self._cut()
-            )
-            for _ in range(count)
-        )
+        sqls = self._storm_sqls(world)
         clients = 3 + self.rng.randrange(6)
         requests = 1 + self.rng.randrange(2)
         return act.QueryStorm(
@@ -157,21 +210,7 @@ class ScenarioGenerator:
 
     def _killable_nodes(self, world) -> List[str]:
         cluster = world.cluster
-        up = cluster.up_nodes()
-        if (len(up) - 1) * 2 <= len(cluster.nodes):
-            return []
-        out = []
-        for node in up:
-            survivable = all(
-                any(
-                    n != node.name
-                    for n in cluster.active_up_subscribers(shard_id)
-                )
-                for shard_id in cluster.shard_map.all_shard_ids()
-            )
-            if survivable:
-                out.append(node.name)
-        return out
+        return act.survivable_losses(cluster, [n.name for n in cluster.up_nodes()])
 
     def _kill(self, world):
         candidates = self._killable_nodes(world)
@@ -194,8 +233,7 @@ class ScenarioGenerator:
         return act.S3Burst(rate=rate, ops=ops)
 
     def _kill_mid_query(self, world) -> act.KillMidQuery:
-        template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
-        return act.KillMidQuery(template.format(table=world.table, cut=self._cut()))
+        return act.KillMidQuery(self._pool_sql(world))
 
     def _s3_outage(self, world) -> act.S3Outage:
         # Windows of 20..200 sim-seconds: long enough to span several
@@ -264,60 +302,10 @@ class ScenarioGenerator:
     def _revive(self, world) -> act.ReviveCluster:
         return act.ReviveCluster(revive_seed=self.rng.randrange(1, 1 << 30))
 
-
-class WorkloadScenarioGenerator(ScenarioGenerator):
-    """The ``make wm-smoke`` configuration: concurrent ``query_storm``
-    bursts boosted so short campaigns reliably interleave many sessions
-    through the admission controller (and the ``wm-slot-accounting``
-    invariant sees real contention).  Same determinism contract as the
-    base generator."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        if world.cluster.shut_down:
-            return menu
-        menu.append((14.0, self._query_storm))
-        return menu
-
-
-class AutoscaleScenarioGenerator(WorkloadScenarioGenerator):
-    """The ``make autoscale-smoke`` configuration: the workload menu
-    (query storms make queue telemetry move) plus a boosted
-    ``autoscale_tick`` so short campaigns exercise scale-out, scale-in,
-    hibernate and revive under chaos.  The tick action carries no
-    parameters and draws nothing from the RNG streams, so the base
-    corpus's schedules are unaffected — only campaigns run with *this*
-    generator see autoscale actions."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        if world.cluster.shut_down:
-            return menu
-        menu.append((12.0, self._autoscale_tick))
-        return menu
+    # -- factories only profiles offer -----------------------------------------
 
     def _autoscale_tick(self, world) -> act.AutoscaleTick:
         return act.AutoscaleTick()
-
-
-class PushdownScenarioGenerator(ScenarioGenerator):
-    """The ``make pushdown-smoke`` configuration: the base chaos menu plus
-    a boosted ``pushdown_race`` — cold-depot races of the server-side
-    pushdown scan against the depot fetch, feeding the
-    ``pushdown-digest-parity`` invariant.  Races use the WHERE'd pool
-    entries (selective predicates are what the pushdown path is for) and
-    draw only from the same generator streams the base menu uses; the
-    base generator's menu is untouched, so the base corpus's schedules
-    are unshifted — only campaigns run with *this* generator see races."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if not cluster.shared.outage_active:
-            menu.append((12.0, self._pushdown_race))
-        return menu
 
     def _pushdown_race(self, world) -> act.PushdownRace:
         # The last two pool templates carry {cut} predicates; the race is
@@ -325,52 +313,11 @@ class PushdownScenarioGenerator(ScenarioGenerator):
         template = self.QUERY_POOL[4 + self.rng.randrange(2)]
         return act.PushdownRace(template.format(table=world.table, cut=self._cut()))
 
-
-class DesignerScenarioGenerator(ScenarioGenerator):
-    """The ``make designer-smoke`` configuration: the base chaos menu plus
-    a boosted ``redesign`` action — mid-campaign cost-based re-design,
-    applying versioned projections online and probing the redesigned
-    layouts against the oracle, feeding the ``designer-digest-parity``
-    invariant.  The action is parameter-free and consumes no
-    generator-RNG draws, so the base corpus's schedules are unshifted —
-    only campaigns run with *this* generator see redesigns.  Gated on no
-    active outage (redesign commits would all be rejected)."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if not cluster.shared.outage_active:
-            menu.append((10.0, self._redesign))
-        return menu
-
     def _redesign(self, world) -> act.Redesign:
         return act.Redesign()
 
-
-class NoisyNeighborScenarioGenerator(ScenarioGenerator):
-    """Doctor scenario pack, tenant-contention flavor: boosted
-    ``noisy_neighbor`` probes — closed-loop storms sized to saturate the
-    execution-slot pools, logging ``queue wait`` doctor probes whenever a
-    storm request spent most of its latency in the admission queue.  The
-    base menu is untouched, so the base corpus's schedules are unshifted."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        if world.cluster.shut_down:
-            return menu
-        menu.append((20.0, self._noisy_neighbor))
-        return menu
-
     def _noisy_neighbor(self, world) -> act.NoisyNeighborProbe:
-        count = 2 + self.rng.randrange(2)
-        sqls = tuple(
-            self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))].format(
-                table=world.table, cut=self._cut()
-            )
-            for _ in range(count)
-        )
+        sqls = self._storm_sqls(world)
         # More clients than the storm action's usual draw: queue wait only
         # dominates when arrivals outnumber the pools' execution slots.
         clients = 6 + self.rng.randrange(5)
@@ -378,94 +325,64 @@ class NoisyNeighborScenarioGenerator(ScenarioGenerator):
             sqls=sqls, clients=clients, requests_per_client=2
         )
 
-
-class DepotStampedeScenarioGenerator(ScenarioGenerator):
-    """Doctor scenario pack, thundering-herd flavor: boosted
-    ``depot_stampede`` probes — mass depot loss followed by a cold full
-    scan, logging ``depot misses`` doctor probes when shared-storage time
-    dominated.  Base-menu schedules are unshifted."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if not cluster.shared.outage_active:
-            menu.append((25.0, self._depot_stampede))
-        return menu
-
     def _depot_stampede(self, world) -> act.DepotStampedeProbe:
-        # Full-scan templates only (no WHERE): the stampede should touch
-        # every container of the table, all cold.
-        template = self.QUERY_POOL[self.rng.randrange(4)]
-        return act.DepotStampedeProbe(
-            template.format(table=world.table, cut=0)
-        )
-
-
-class HotShardScenarioGenerator(ScenarioGenerator):
-    """Doctor scenario pack, skewed-shard-hotspot flavor: boosted
-    ``hot_shard_throttle`` probes — a cold scan driven into a throttling
-    burst, logging ``throttling`` doctor probes when the retry loop's
-    backoff dominated.  Base-menu schedules are unshifted."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if not cluster.shared.outage_active:
-            menu.append((25.0, self._hot_shard))
-        return menu
+        return act.DepotStampedeProbe(self._full_scan_sql(world))
 
     def _hot_shard(self, world) -> act.HotShardThrottleProbe:
-        template = self.QUERY_POOL[self.rng.randrange(4)]
+        sql = self._full_scan_sql(world)
         # Rates around 0.5: high enough that most requests retry (backoff
         # 0.05*2^k quickly dwarfs the ~ms-scale GET service time), low
         # enough that giving up after 5 attempts stays the exception.
         rate = round(0.45 + self.rng.random() * 0.2, 3)
         ops = self.rng.randrange(12, 30)
-        return act.HotShardThrottleProbe(
-            template.format(table=world.table, cut=0), rate=rate, ops=ops
-        )
-
-
-class StragglerScenarioGenerator(ScenarioGenerator):
-    """Doctor scenario pack, slow-node-straggler flavor: boosted
-    ``straggler_failover`` probes — warm the depot, kill a participant
-    mid-query, and require failover, logging ``failover backoff`` doctor
-    probes when the retry penalty dominated.  Gated on a killable node
-    and no active outage; base-menu schedules are unshifted."""
-
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if self._killable_nodes(world) and not cluster.shared.outage_active:
-            menu.append((20.0, self._straggler))
-        return menu
+        return act.HotShardThrottleProbe(sql, rate=rate, ops=ops)
 
     def _straggler(self, world) -> act.StragglerFailoverProbe:
-        template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
-        return act.StragglerFailoverProbe(
-            template.format(table=world.table, cut=self._cut())
-        )
+        return act.StragglerFailoverProbe(self._pool_sql(world))
 
 
-class ChaosScenarioGenerator(ScenarioGenerator):
-    """The ``make chaos-smoke`` configuration: the recovery-path actions
-    (``kill_mid_query``, ``s3_outage``) pinned on with boosted weights, so
-    short campaigns reliably exercise mid-query failover and degraded-mode
-    entry/exit.  Same determinism contract as the base generator."""
+# -- profiles ----------------------------------------------------------------------
 
-    def _menu(self, world):
-        menu = super()._menu(world)
-        cluster = world.cluster
-        if cluster.shut_down:
-            return menu
-        if self._killable_nodes(world) and not cluster.shared.outage_active:
-            menu.append((12.0, self._kill_mid_query))
-        if not cluster.shared.faults.outage_active:
-            menu.append((6.0, self._s3_outage))
-        return menu
+_G = ScenarioGenerator
+
+# Storms boosted so a short campaign interleaves many sessions through the
+# admission controller and ``wm-slot-accounting`` sees real contention.
+_WM = MenuRow(14.0, _G._query_storm)
+
+#: profile -> the rows appended to the base menu, in order.  Every factory
+#: draws only from the generator's own stream, after the menu pick — so a
+#: profile shifts no schedule but its own.
+PROFILES: Dict[str, Tuple[MenuRow, ...]] = {
+    "base": (),
+    "wm": (_WM,),
+    # The wm row (query storms make queue telemetry move) plus a boosted
+    # tick, so short campaigns reach scale-out, scale-in, hibernate and
+    # revive under chaos.  The tick is parameter-free and draws nothing.
+    "autoscale": (_WM, MenuRow(12.0, _G._autoscale_tick)),
+    # Cold-depot races of the server-side scan against the depot fetch it
+    # replaces, feeding ``pushdown-digest-parity``; both legs need S3.
+    "pushdown": (MenuRow(12.0, _G._pushdown_race, NO_OUTAGE),),
+    # Mid-campaign cost-based redesign, feeding ``designer-digest-parity``;
+    # its commits would all be rejected during an outage.  Parameter-free.
+    "designer": (MenuRow(10.0, _G._redesign, NO_OUTAGE),),
+    # The doctor's scenario pack, one overload signature per profile.
+    # Tenant contention: storms sized to saturate the slot pools, logging
+    # ``queue wait`` probes.
+    "noisy_neighbor": (MenuRow(20.0, _G._noisy_neighbor),),
+    # Thundering herd: mass depot loss, then a cold full scan, logging
+    # ``depot misses`` probes; an outage-time depot must not be cleared.
+    "depot_stampede": (MenuRow(25.0, _G._depot_stampede, NO_OUTAGE),),
+    # Skewed-shard hotspot: a cold scan driven into a throttling burst,
+    # logging ``throttling`` probes.
+    "hot_shard": (MenuRow(25.0, _G._hot_shard, NO_OUTAGE),),
+    # Slow-node straggler: warm the depot, kill a participant mid-query,
+    # require failover, logging ``failover backoff`` probes.
+    "straggler": (MenuRow(20.0, _G._straggler, KILLABLE_NO_OUTAGE),),
+    # The recovery path pinned on: the base menu's own ``kill_mid_query``
+    # and ``s3_outage`` a second time with boosted weights, so short
+    # campaigns reliably see mid-query failover and degraded entry/exit.
+    "chaos": (
+        MenuRow(12.0, _G._kill_mid_query, KILLABLE_NO_OUTAGE),
+        MenuRow(6.0, _G._s3_outage, NO_OUTAGE),
+    ),
+}

@@ -18,19 +18,20 @@ function of its seed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.eon import EonCluster
 from repro.common.clock import SimClock
+from repro.errors import NodeDown, ObjectNotFound
 from repro.obs import Observability
 from repro.obs.metrics import cluster_metrics
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.sim.generator import ScenarioGenerator
 from repro.sim.invariants import InvariantRegistry, InvariantViolation
-from repro.sim.oracle import SimOracle
+from repro.sim.oracle import SimOracle, rows_key
 from repro.sim.trace import Trace
+from repro.sql.parser import parse
 
 DATA_PREFIX = "data_"
 
@@ -154,24 +155,88 @@ class SimWorld:
         for tag in sorted(self.pins):
             self.release_pin(tag)
 
-    def note_pushdown_check(self, sql: str, pushdown_rows, depot_rows) -> None:
-        """Record one pushdown-vs-depot digest comparison (bounded log)."""
-        pushdown_digest = hashlib.sha256(repr(pushdown_rows).encode()).hexdigest()
-        depot_digest = hashlib.sha256(repr(depot_rows).encode()).hexdigest()
-        self.pushdown_checks.append(
-            (self.step, sql, pushdown_digest == depot_digest)
-        )
-        del self.pushdown_checks[:-256]
+    # -- the checked read ------------------------------------------------------
 
-    def note_redesign_check(self, sql: str, actual, expected) -> None:
-        """Record one post-redesign probe-vs-oracle digest comparison
-        (bounded log)."""
-        digest = hashlib.sha256(repr(actual).encode()).hexdigest()
-        oracle_digest = hashlib.sha256(repr(expected).encode()).hexdigest()
-        self.redesign_checks.append(
-            (self.step, sql, digest == oracle_digest)
-        )
-        del self.redesign_checks[:-256]
+    def violation(self, invariant: str, detail: str) -> InvariantViolation:
+        """A violation carrying this step's ``(seed, step)`` repro handle."""
+        return InvariantViolation(invariant, self.seed, self.step, detail)
+
+    def expect_equal(self, what: str, actual, expected) -> None:
+        """The oracle check: ``actual`` (the chaos cluster's rows, or its
+        affected-row count) must equal ``expected``, else
+        ``oracle-equivalence``."""
+        if actual != expected:
+
+            def brief(value):
+                return value[:4] if isinstance(value, list) else value
+
+            raise self.violation(
+                "oracle-equivalence",
+                f"{what}: cluster={brief(actual)} oracle={brief(expected)}",
+            )
+
+    def checked_read(
+        self,
+        sql: str,
+        *,
+        expected: Optional[List[Tuple]] = None,
+        parity_log: Optional[List[tuple]] = None,
+        missing: str = "catalog-storage",
+        session=None,
+        failover: Optional[bool] = None,
+        request_text: Optional[str] = None,
+        **options,
+    ) -> List[Tuple]:
+        """Run one SELECT on the chaos cluster and hold it to its answer.
+
+        By SQL plus per-query ``options``, or — with ``session`` — as a
+        freshly parsed statement through that session (a pin's snapshot,
+        or a doomed session with ``failover``; ``request_text`` labels the
+        recorded request).  This is the only place a read becomes a
+        violation:
+
+        * its rows differ from ``expected`` (default: the oracle's rows for
+          the same SQL; a pin passes its frozen answer, a pushdown race the
+          other leg's rows) — ``oracle-equivalence``; the comparison is
+          first appended to ``parity_log`` (``pushdown_checks`` or
+          ``redesign_checks``, bounded), for the parity invariants;
+        * it read a missing object — ``missing``: ``catalog-storage``, or
+          ``pinned-read`` when a pinned snapshot's file was deleted;
+        * it failed with :class:`NodeDown` although up ACTIVE subscribers
+          still cover every shard — ``query-failover``.  Without coverage
+          the ``NodeDown`` propagates: the cluster is entitled to give up.
+
+        Storage errors propagate to the action's ``storage_outcomes``.
+        Returns the rows in :func:`rows_key` form."""
+        cluster = self.cluster
+        try:
+            if session is None:
+                result = cluster.query(sql, **options)
+            else:
+                result = cluster.query_statement(
+                    parse(sql)[0],
+                    session=session,
+                    request_text=request_text,
+                    failover=failover,
+                )
+        except ObjectNotFound as exc:
+            raise self.violation(missing, f"{sql!r} read a missing object: {exc}")
+        except NodeDown as exc:
+            if cluster.uncovered_shards():
+                raise
+            raise self.violation(
+                "query-failover",
+                f"{sql!r} failed with NodeDown ({exc}) although surviving up "
+                "ACTIVE subscribers cover every shard",
+            )
+        actual = rows_key(result)
+        if expected is None:
+            expected = self.oracle.query_rows(sql)
+        if parity_log is not None:
+            parity_log.append((self.step, sql, actual == expected))
+            del parity_log[:-256]
+        self.expect_equal(repr(sql), actual, expected)
+        return actual
 
     def note_doctor_probe(self, request_id: int, expected_cause: str) -> None:
         """Record one overload probe whose injected condition landed
@@ -262,27 +327,22 @@ def _execute_step(
     return violation if registry.halt else None
 
 
-def run_campaign(
+def _drive(
     seed: int,
-    config: Optional[CampaignConfig] = None,
-    registry: Optional[InvariantRegistry] = None,
-    generator: Optional[ScenarioGenerator] = None,
+    config: Optional[CampaignConfig],
+    registry: Optional[InvariantRegistry],
+    actions: Callable,
 ) -> CampaignResult:
-    """Generate and run one seeded scenario, invariant-checked per step.
-
-    ``generator`` substitutes a different scenario generator (e.g. the
-    chaos-boosted one) built from the same seed; the default is the
-    standard menu.
-    """
+    """Build a world from ``seed`` and run the steps ``actions(world,
+    config)`` yields — lazily, so a generator sees the world each previous
+    step left — stopping at the first halting violation."""
     config = config or CampaignConfig()
     registry = registry or InvariantRegistry(halt=config.halt)
     world = SimWorld(seed, config)
-    generator = generator or ScenarioGenerator(seed)
     trace = Trace()
     schedule: List = []
     violation: Optional[InvariantViolation] = None
-    for step in range(config.steps):
-        action = generator.next_action(world)
+    for step, action in enumerate(actions(world, config)):
         schedule.append(action)
         violation = _execute_step(world, registry, trace, step, action)
         if violation is not None:
@@ -294,6 +354,29 @@ def run_campaign(
     )
 
 
+def run_campaign(
+    seed: int,
+    config: Optional[CampaignConfig] = None,
+    registry: Optional[InvariantRegistry] = None,
+    generator: Optional[ScenarioGenerator] = None,
+) -> CampaignResult:
+    """Generate and run one seeded scenario, invariant-checked per step.
+
+    ``generator`` substitutes a different scenario generator (e.g. a
+    boosted profile, ``ScenarioGenerator(seed, profile="chaos")``) built
+    from the same seed; the default is the base menu.
+    """
+    generator = generator or ScenarioGenerator(seed)
+    return _drive(
+        seed,
+        config,
+        registry,
+        lambda world, config: (
+            generator.next_action(world) for _ in range(config.steps)
+        ),
+    )
+
+
 def replay_schedule(
     seed: int,
     schedule: List,
@@ -302,17 +385,4 @@ def replay_schedule(
     """Re-run a recorded schedule against a fresh world built from the
     same seed.  Actions re-check their preconditions, so subsets of a
     schedule (shrinking) replay without crashing."""
-    config = config or CampaignConfig()
-    registry = InvariantRegistry(halt=config.halt)
-    world = SimWorld(seed, config)
-    trace = Trace()
-    violation: Optional[InvariantViolation] = None
-    for step, action in enumerate(schedule):
-        violation = _execute_step(world, registry, trace, step, action)
-        if violation is not None:
-            break
-    world.release_all_pins()
-    return CampaignResult(
-        seed, trace, registry, list(schedule), violation,
-        metrics=cluster_metrics(world.cluster), world=world,
-    )
+    return _drive(seed, config, None, lambda world, config: schedule)

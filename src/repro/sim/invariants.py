@@ -120,10 +120,7 @@ def io_batch_sanity(world) -> Optional[str]:
     batch, so a violation that a later eviction would mask still counts —
     this is the "capacity holds *during* parallel fetches" check, stronger
     than the post-step :func:`cache_capacity` scan."""
-    scheduler = getattr(world.cluster, "io_scheduler", None)
-    if scheduler is None:
-        return None
-    stats = scheduler.stats
+    stats = world.cluster.io_scheduler.stats
     if stats.double_fetches:
         return f"{stats.double_fetches} object(s) fetched twice within a batch"
     if stats.capacity_violations:
@@ -173,17 +170,14 @@ def degraded_pairing(world) -> Optional[str]:
     Reads counters and flags only — no requests, no RNG draws.
     """
     cluster = world.cluster
-    entries = getattr(cluster, "degraded_entries", 0)
-    exits = getattr(cluster, "degraded_exits", 0)
-    degraded = bool(getattr(cluster, "degraded", False))
-    open_windows = 1 if degraded else 0
-    if entries - exits != open_windows:
+    entries, exits = cluster.degraded_entries, cluster.degraded_exits
+    degraded = bool(cluster.degraded)
+    if entries - exits != int(degraded):
         return (
             f"degraded entries={entries} exits={exits} but degraded={degraded}: "
             "entry/exit not paired"
         )
-    faults = getattr(cluster.shared, "faults", None)
-    if degraded and faults is not None and faults.outages_begun == 0:
+    if degraded and cluster.shared.faults.outages_begun == 0:
         return "cluster is degraded but no outage was ever declared"
     return None
 
@@ -193,9 +187,7 @@ def wm_slot_accounting(world) -> Optional[str]:
     tickets, and between steps — when no query is running — both are
     zero: no leaked slots, no phantom queue entries, on any exit path
     (success, error, cancel, failover, degraded rejection)."""
-    admission = getattr(world.cluster, "admission", None)
-    if admission is None:
-        return None
+    admission = world.cluster.admission
     in_use = admission.total_in_use()
     claimed = admission.active_demand()
     if in_use != claimed:
@@ -232,17 +224,15 @@ def pushdown_digest_parity(world) -> Optional[str]:
     depot runs; (b) the SELECT dollar ledger (request + bytes-scanned +
     bytes-returned fees) is monotone — charges accrue, never regress —
     tracked against a high-water mark kept on the world."""
-    checks = getattr(world, "pushdown_checks", None)
-    if checks:
-        for step, sql, match in checks:
-            if not match:
-                return (
-                    f"pushdown run diverged from the depot run at "
-                    f"step {step}: {sql!r}"
-                )
+    for step, sql, match in world.pushdown_checks:
+        if not match:
+            return (
+                f"pushdown run diverged from the depot run at "
+                f"step {step}: {sql!r}"
+            )
     select = world.cluster.shared.op_stats.get("SELECT")
     if select is not None:
-        floor = getattr(world, "select_dollars_floor", 0.0)
+        floor = world.select_dollars_floor
         if select.dollars < floor - 1e-12:
             return (
                 f"SELECT dollars regressed: {select.dollars:.9f} < "
@@ -256,10 +246,7 @@ def designer_digest_parity(world) -> Optional[str]:
     """Applying the designer mid-campaign changes physical layouts only,
     never answers: every post-redesign probe the campaign logged matched
     the oracle's rows (bounded log written by the ``redesign`` action)."""
-    checks = getattr(world, "redesign_checks", None)
-    if not checks:
-        return None
-    for step, sql, match in checks:
+    for step, sql, match in world.redesign_checks:
         if not match:
             return (
                 f"post-redesign probe diverged from the oracle at "
@@ -282,7 +269,7 @@ def autoscale_safety(world) -> Optional[str]:
     removal or hibernate is in flight, and a completed hibernate has
     zero members and a manifest on shared storage (read out-of-band via
     ``peek``, no request, no fault draw)."""
-    scaler = getattr(world, "autoscaler", None)
+    scaler = world.autoscaler
     if scaler is None:
         return None
     cluster = world.cluster

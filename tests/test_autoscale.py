@@ -394,6 +394,18 @@ class TestActuator:
         assert actuator.members() == []
         assert actuator.scale_out(1) == ["burst2"]
 
+    def test_a_restarted_actuator_skips_names_the_cluster_already_has(self):
+        # A revive brings a previous scaler's burst nodes back as ordinary
+        # nodes; the fresh actuator must neither reuse such a name nor
+        # queue the healthy node for "repair" (which would force-remove it).
+        cluster = make_cluster()
+        assert TopologyActuator(cluster).scale_out(1) == ["burst0"]
+        restarted = TopologyActuator(cluster)
+        assert restarted.scale_out(1) == ["burst1"]
+        assert restarted.incomplete == []
+        restarted.repair()
+        assert {"burst0", "burst1"} <= set(cluster.nodes)
+
     def test_scale_out_warms_from_peers_not_s3(self):
         # Satellite 3: depot warming on scale-out rides the peer-depot
         # peek path; the new node's depot fills without S3 GETs.

@@ -1,9 +1,9 @@
-"""Autoscale campaigns and the diurnal trace (the ``autoscale`` marker,
-run alone via ``make autoscale-smoke``).
+"""Autoscale campaigns and the diurnal trace (``campaign``-marked; run
+alone via ``make sim-smoke K=autoscale``).
 
 Three walls:
 
-* 5-seed chaos campaigns with :class:`AutoscaleScenarioGenerator` — the
+* 5-seed chaos campaigns with the ``autoscale`` generator profile — the
   autoscaler scaling live topology while nodes die and S3 flaps, with
   the ``autoscale-safety`` invariant checked after every step;
 * the hibernate -> revive digest round-trip against a static-topology
@@ -27,7 +27,7 @@ from repro.autoscale import (
 from repro.cluster.eon import EonCluster
 from repro.common.clock import SimClock
 from repro.shared_storage.s3 import SimulatedS3
-from repro.sim import AutoscaleScenarioGenerator, CampaignConfig, run_campaign
+from repro.sim import CampaignConfig, ScenarioGenerator, run_campaign
 from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
 from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
@@ -86,7 +86,7 @@ def trace_policy():
     )
 
 
-@pytest.mark.autoscale
+@pytest.mark.campaign
 class TestAutoscaleCampaigns:
     def test_five_seed_campaign_clean(self):
         total_ticks = 0
@@ -95,7 +95,7 @@ class TestAutoscaleCampaigns:
             result = run_campaign(
                 seed,
                 CampaignConfig(steps=50),
-                generator=AutoscaleScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="autoscale"),
             )
             assert result.ok, result.report()
             slot = result.registry.counters["autoscale-safety"]
@@ -115,18 +115,18 @@ class TestAutoscaleCampaigns:
             first = run_campaign(
                 seed,
                 CampaignConfig(steps=40),
-                generator=AutoscaleScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="autoscale"),
             )
             second = run_campaign(
                 seed,
                 CampaignConfig(steps=40),
-                generator=AutoscaleScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="autoscale"),
             )
             assert first.ok and second.ok
             assert first.digest() == second.digest()
 
 
-@pytest.mark.autoscale
+@pytest.mark.campaign
 class TestHibernateReviveRoundTrip:
     def test_digests_match_static_serial_reference(self):
         # Elastic run: storm -> hibernate -> revive -> storm, with the
@@ -191,12 +191,12 @@ class TestHibernateReviveRoundTrip:
             result = run_campaign(
                 seed,
                 CampaignConfig(steps=60),
-                generator=AutoscaleScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="autoscale"),
             )
             assert result.ok, result.report()
 
 
-@pytest.mark.autoscale
+@pytest.mark.campaign
 class TestDiurnalTrace:
     """Scaled-down version of benchmarks/bench_autoscale_trace.py: one
     simulated day (plus the next morning, so revive is exercised) at one

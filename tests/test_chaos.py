@@ -16,7 +16,7 @@ from repro.errors import NodeDown, ReproError, StorageUnavailable
 from repro.recovery import FailoverPolicy
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.sharding.subscription import SubscriptionState
-from repro.sim import CampaignConfig, ChaosScenarioGenerator, run_campaign
+from repro.sim import CampaignConfig, ScenarioGenerator, run_campaign
 from repro.sim.oracle import rows_key
 from repro.sql.parser import parse
 from repro.workloads.tpch import load_tpch, setup_tpch_schema
@@ -355,7 +355,7 @@ class TestServiceErrorVisibility:
 CHAOS_SEEDS = (3, 11, 17, 29, 41)
 
 
-@pytest.mark.chaos
+@pytest.mark.campaign
 class TestChaosCampaigns:
     """Acceptance: seeded campaigns with kill_mid_query and s3_outage in
     the schedule complete with zero invariant violations."""
@@ -364,7 +364,7 @@ class TestChaosCampaigns:
     def test_chaos_campaign_clean(self, seed):
         result = run_campaign(
             seed, CampaignConfig(steps=40),
-            generator=ChaosScenarioGenerator(seed),
+            generator=ScenarioGenerator(seed, profile="chaos"),
         )
         assert result.ok, result.report()
         for name, slot in result.registry.counters.items():
@@ -377,7 +377,7 @@ class TestChaosCampaigns:
         for seed in CHAOS_SEEDS:
             result = run_campaign(
                 seed, CampaignConfig(steps=40),
-                generator=ChaosScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="chaos"),
             )
             assert result.ok, result.report()
             for event in result.trace.events:
@@ -390,9 +390,9 @@ class TestChaosCampaigns:
 
     def test_chaos_generator_deterministic(self):
         a = run_campaign(
-            9, CampaignConfig(steps=30), generator=ChaosScenarioGenerator(9)
+            9, CampaignConfig(steps=30), generator=ScenarioGenerator(9, profile="chaos")
         )
         b = run_campaign(
-            9, CampaignConfig(steps=30), generator=ChaosScenarioGenerator(9)
+            9, CampaignConfig(steps=30), generator=ScenarioGenerator(9, profile="chaos")
         )
         assert a.digest() == b.digest()

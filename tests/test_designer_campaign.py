@@ -1,6 +1,6 @@
 """Designer campaigns: mid-campaign cost-based re-design under the full
 simulation chaos menu, with the ``designer-digest-parity`` invariant
-checked after every step (part of ``make designer-smoke``).
+checked after every step (``make sim-smoke K=designer``).
 
 The ``redesign`` action ingests the campaign's recorded workload plus a
 fixed probe set, applies the winning versioned projections online
@@ -17,9 +17,9 @@ import pytest
 from repro.engine.designer import DatabaseDesigner
 from repro.errors import ReproError
 from repro.sim import CampaignConfig, run_campaign
-from repro.sim.generator import DesignerScenarioGenerator, ScenarioGenerator
+from repro.sim.generator import ScenarioGenerator
 
-pytestmark = pytest.mark.designer
+pytestmark = pytest.mark.campaign
 
 SEEDS = (3, 7, 13, 23, 37)
 
@@ -35,7 +35,7 @@ class TestDesignerCampaigns:
         result = run_campaign(
             seed,
             CampaignConfig(steps=40),
-            generator=DesignerScenarioGenerator(seed),
+            generator=ScenarioGenerator(seed, profile="designer"),
         )
         assert result.violation is None, result.report()
         assert result.ok
@@ -54,7 +54,7 @@ class TestDesignerCampaigns:
             result = run_campaign(
                 seed,
                 CampaignConfig(steps=40),
-                generator=DesignerScenarioGenerator(seed),
+                generator=ScenarioGenerator(seed, profile="designer"),
             )
             assert result.ok, result.report()
             applied = [
@@ -74,7 +74,7 @@ class TestDesignerCampaigns:
             return run_campaign(
                 5,
                 CampaignConfig(steps=25),
-                generator=DesignerScenarioGenerator(5),
+                generator=ScenarioGenerator(5, profile="designer"),
             )
 
         first, second = run(), run()
@@ -127,7 +127,7 @@ class TestRecordingLeavesDigestUnchanged:
 
 
 class TestBaseCorpusUnshifted:
-    """The redesign rides only in :class:`DesignerScenarioGenerator`: the
+    """The redesign rides only in the ``designer`` profile: the
     base menu is untouched, so existing seed corpora replay the schedules
     they always did, and the new invariant is a no-op audit for them."""
 

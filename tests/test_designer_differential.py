@@ -25,7 +25,7 @@ from repro.workloads.tpch import (
     setup_tpch_schema,
 )
 
-pytestmark = pytest.mark.designer
+pytestmark = pytest.mark.differential
 
 
 def canon(rows: List[tuple]) -> List[tuple]:

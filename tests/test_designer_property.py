@@ -28,7 +28,7 @@ from repro.engine.designer import DatabaseDesigner, dbd_version
 from repro.sql.ast import CreateProjection
 from repro.sql.parser import parse
 
-pytestmark = pytest.mark.designer
+pytestmark = pytest.mark.differential
 
 #: Column-name pool deliberately shared across tables so generated
 #: schemas collide on bare names (the v1 misattribution shape).

@@ -5,8 +5,8 @@ queueing, a cold-depot stampede, an S3 throttling burst, a mid-query
 straggler — and assert the doctor names the right dominant cause, parsed
 from the same rendered report the shell prints.
 
-The ``doctor``-marked campaigns (``make doctor-smoke``) run the boosted
-scenario generators under the full chaos menu: every probe the pack logs
+The ``campaign``-marked wall (``make sim-smoke K=doctor``) runs the four
+overload generator profiles under the full chaos menu: every probe the pack logs
 is replayed through :func:`diagnose` and must yield the probe's expected
 verdict, and a 5-seed bit-identity check shows Data Collector recording
 does not perturb the campaign digest or its end-state metrics.
@@ -22,13 +22,7 @@ from repro.obs.datacollector import NULL_DATA_COLLECTOR
 from repro.obs.doctor import COMPONENTS, diagnose
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.sim import CampaignConfig, run_campaign
-from repro.sim.generator import (
-    DepotStampedeScenarioGenerator,
-    HotShardScenarioGenerator,
-    NoisyNeighborScenarioGenerator,
-    ScenarioGenerator,
-    StragglerScenarioGenerator,
-)
+from repro.sim.generator import ScenarioGenerator
 from repro.sim.harness import SimWorld, _execute_step
 from repro.sim.invariants import InvariantRegistry
 from repro.sim.trace import Trace
@@ -201,26 +195,26 @@ class TestDiagnoseApi:
 DOCTOR_SEEDS = (3, 11, 19, 29, 41)
 
 SCENARIO_GENERATORS = (
-    (NoisyNeighborScenarioGenerator, "noisy_neighbor", "queue wait"),
-    (DepotStampedeScenarioGenerator, "depot_stampede", "depot misses"),
-    (HotShardScenarioGenerator, "hot_shard_throttle", "throttling"),
-    (StragglerScenarioGenerator, "straggler_failover", "failover backoff"),
+    ("noisy_neighbor", "noisy_neighbor", "queue wait"),
+    ("depot_stampede", "depot_stampede", "depot misses"),
+    ("hot_shard", "hot_shard_throttle", "throttling"),
+    ("straggler", "straggler_failover", "failover backoff"),
 )
 
 
-@pytest.mark.doctor
+@pytest.mark.campaign
 class TestDoctorCampaigns:
     """Acceptance: chaos campaigns with the overload pack stay clean, and
     every probe whose request survived to campaign end diagnoses to the
     probe's expected cause."""
 
     @pytest.mark.parametrize(
-        "generator_cls,action_name,expected_cause",
+        "profile,action_name,expected_cause",
         SCENARIO_GENERATORS,
         ids=[g[1] for g in SCENARIO_GENERATORS],
     )
     def test_scenario_campaigns_clean_and_probes_attribute(
-        self, generator_cls, action_name, expected_cause
+        self, profile, action_name, expected_cause
     ):
         probes_checked = 0
         scheduled = 0
@@ -228,7 +222,7 @@ class TestDoctorCampaigns:
             result = run_campaign(
                 seed,
                 CampaignConfig(steps=40),
-                generator=generator_cls(seed),
+                generator=ScenarioGenerator(seed, profile=profile),
             )
             assert result.violation is None, result.report()
             scheduled += sum(
@@ -240,8 +234,9 @@ class TestDoctorCampaigns:
                 try:
                     diagnosis = diagnose(world.cluster, request_id)
                 except ReproError:
-                    # The request aged out of the bounded ring, or a
-                    # revive reset the recorder mid-campaign.
+                    # The request aged out of the bounded ring (the one
+                    # recorder lives through revives, so nothing else
+                    # loses it).
                     continue
                 assert diagnosis.dominant == expected_cause
                 probes_checked += 1

@@ -110,6 +110,30 @@ class TestRecovery:
         assert transferred > 0  # cold cache had to be rebuilt
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(600,)]
 
+    def test_first_node_rebuilds_from_a_peer_not_from_itself(self, cluster):
+        """After a revive the retained history no longer reaches a
+        disk-less node's version 0, so recovery takes the full-rebuild
+        path — and by then the recovering node is itself up, first in
+        ``cluster.nodes``, with an empty catalog to copy."""
+        from repro.cluster.revive import revive
+
+        cluster.graceful_shutdown()
+        revived = revive(cluster.shared, clock=cluster.clock, seed=7)
+        revived.kill_node("n1", lose_local_disk=True)
+        revived.load("t", [(i, "late") for i in range(600, 650)])
+        revived.recover_node("n1")
+        n1 = revived.nodes["n1"]
+        assert n1.catalog.state.version == revived.version
+        mine = {
+            shard: state
+            for (node, shard), state in n1.catalog.state.subscriptions.items()
+            if node == "n1"
+        }
+        assert mine and set(mine.values()) == {SubscriptionState.ACTIVE.value}
+        assert not revived.uncovered_shards()
+        answer = revived.query("select count(*) from t", initiator="n1")
+        assert answer.rows.to_pylist() == [(650,)]
+
     def test_recovered_node_serves_queries_again(self, cluster):
         cluster.kill_node("n2")
         cluster.recover_node("n2")

@@ -1,7 +1,7 @@
 """Pushdown-race campaigns: cold-depot races of the server-side pushdown
 scan against the depot fetch it replaces, under the full simulation chaos
 menu, with the ``pushdown-digest-parity`` invariant checked after every
-step (part of ``make pushdown-smoke``).
+step (``make sim-smoke K=pushdown``).
 
 The race action (``pushdown_race``) clears every up depot, runs a
 selective query with ``pushdown=on`` — SELECTs answer the scan while
@@ -16,9 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import CampaignConfig, run_campaign
-from repro.sim.generator import PushdownScenarioGenerator, ScenarioGenerator
+from repro.sim.generator import ScenarioGenerator
 
-pytestmark = pytest.mark.pushdown
+pytestmark = pytest.mark.campaign
 
 SEEDS = (3, 7, 13, 23, 37)
 
@@ -33,7 +33,7 @@ class TestPushdownCampaigns:
         result = run_campaign(
             seed,
             CampaignConfig(steps=40),
-            generator=PushdownScenarioGenerator(seed),
+            generator=ScenarioGenerator(seed, profile="pushdown"),
         )
         assert result.violation is None, result.report()
         assert result.ok
@@ -53,7 +53,7 @@ class TestPushdownCampaigns:
         result = run_campaign(
             7,
             CampaignConfig(steps=40),
-            generator=PushdownScenarioGenerator(7),
+            generator=ScenarioGenerator(7, profile="pushdown"),
         )
         assert result.ok
         totals = result.metrics["s3"]["totals"]
@@ -65,7 +65,7 @@ class TestPushdownCampaigns:
             return run_campaign(
                 5,
                 CampaignConfig(steps=25),
-                generator=PushdownScenarioGenerator(5),
+                generator=ScenarioGenerator(5, profile="pushdown"),
             )
 
         first, second = run(), run()
@@ -77,7 +77,7 @@ class TestPushdownCampaigns:
 
 
 class TestBaseCorpusUnshifted:
-    """The race rides only in :class:`PushdownScenarioGenerator`: the base
+    """The race rides only in the ``pushdown`` profile: the base
     menu is untouched, so existing seed corpora replay the schedules they
     always did, and the new invariant is a no-op audit for them."""
 

@@ -24,7 +24,7 @@ import pytest
 from repro import EonCluster
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch, setup_tpch_schema
 
-pytestmark = pytest.mark.pushdown
+pytestmark = pytest.mark.differential
 
 
 def canon(rows: List[tuple]) -> List[tuple]:

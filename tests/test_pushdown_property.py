@@ -42,7 +42,7 @@ from repro.shared_storage.s3 import (
 )
 from repro.storage.container import read_container, write_container
 
-pytestmark = pytest.mark.pushdown
+pytestmark = pytest.mark.differential
 
 SCHEMA = TableSchema.of(
     ("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.FLOAT)

@@ -1,18 +1,18 @@
 """Workload-manager campaigns: ``query_storm`` bursts under the full
 simulation chaos menu, with the ``wm-slot-accounting`` invariant checked
-after every step (``make wm-smoke``)."""
+after every step (``make sim-smoke K=wm``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim import CampaignConfig, run_campaign
-from repro.sim.generator import WorkloadScenarioGenerator
+from repro.sim.generator import ScenarioGenerator
 
 WM_SEEDS = (3, 7, 13, 23, 37)
 
 
-@pytest.mark.wm
+@pytest.mark.campaign
 class TestWorkloadCampaigns:
     """Acceptance: seeded campaigns with concurrent query storms in the
     schedule complete with zero invariant violations — slots-in-use
@@ -23,7 +23,7 @@ class TestWorkloadCampaigns:
         result = run_campaign(
             seed,
             CampaignConfig(steps=40),
-            generator=WorkloadScenarioGenerator(seed),
+            generator=ScenarioGenerator(seed, profile="wm"),
         )
         assert result.violation is None
         storms = [
@@ -40,7 +40,7 @@ class TestWorkloadCampaigns:
             return run_campaign(
                 5,
                 CampaignConfig(steps=25),
-                generator=WorkloadScenarioGenerator(5),
+                generator=ScenarioGenerator(5, profile="wm"),
             )
 
         first, second = run(), run()
