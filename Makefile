@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
+.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -23,6 +23,13 @@ lint:
 		echo "ruff not installed; falling back to python -m compileall"; \
 		$(PY) -m compileall -q src tests benchmarks examples; \
 	fi
+
+# ROADMAP's size targets, read not recomputed: `src/` total against <= 22k
+# lines and every file over the ~600-line rule.
+loc:
+	@find src -name '*.py' | xargs wc -l | sort -rn | awk '\
+		$$2 == "total" { printf "src/ total: %d lines (target <= 22000)\n", $$1; next } \
+		$$1 > 600 { printf "  over 600: %5d %s\n", $$1, $$2 }'
 
 # Campaign confidence check: every `run_campaign` wall (the `campaign`
 # marker) — the 25-seed base corpus plus the boosted generator profiles.

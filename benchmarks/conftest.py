@@ -48,10 +48,10 @@ def eon_tpch_pair(tpch_data):
     and off, for the cold-depot ablation."""
     pair = []
     for parallel_io in (True, False):
-        cluster = EonCluster(
-            ["n1", "n2", "n3", "n4"], shard_count=4, seed=1,
-            parallel_io=parallel_io,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            # The scheduler-off arm is a class attribute, read at construction.
+            patch.setattr(EonCluster, "parallel_io", parallel_io)
+            cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
         setup_tpch_schema(cluster)
         load_tpch_chunked(cluster, tpch_data)
         pair.append(cluster)

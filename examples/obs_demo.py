@@ -72,6 +72,11 @@ def main() -> int:
         "select request_id, request, duration_seconds, s3_requests, s3_dollars "
         "from v_monitor.dc_requests_issued",
         "select operation, requests, dollars from v_monitor.dc_storage_operations",
+        # "Why was request N slow": the latency components \\doctor blames from.
+        "select request_id, duration_seconds, queue_wait_seconds, "
+        "failover_backoff_seconds, retry_backoff_seconds, retries, "
+        "storage_io_seconds from v_monitor.dc_requests_issued "
+        "order by duration_seconds desc limit 3",
     ):
         result = cluster.query(sql)
         print()

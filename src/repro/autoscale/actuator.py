@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.catalog.mvcc import op_drop_subscription
 from repro.errors import ReproError, ShardCoverageLost
+from repro.obs.metrics import Ledger
 from repro.sharding.subscription import SubscriptionState
 from repro.shared_storage.api import retrying
 
@@ -43,7 +44,7 @@ HIBERNATE_PREFIX = "autoscale_hibernate_"
 
 
 @dataclass(frozen=True)
-class AutoscaleEvent:
+class AutoscaleEvent(Ledger):
     """One actuation step, for ``v_monitor.autoscale_events``."""
 
     event_id: int

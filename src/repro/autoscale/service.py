@@ -90,7 +90,6 @@ class Autoscaler:
         self.decisions[decision.action] = (
             self.decisions.get(decision.action, 0) + 1
         )
-        self._publish(sample, decision)
         return decision
 
     def _act(self, decision: Decision) -> None:
@@ -102,17 +101,3 @@ class Autoscaler:
             self.actuator.hibernate()
         elif decision.action == REVIVE:
             self.actuator.revive(decision.count)
-
-    def _publish(self, sample: TelemetrySample, decision: Decision) -> None:
-        obs = getattr(self.cluster, "obs", None)
-        if obs is None or not getattr(obs, "enabled", False):
-            return
-        obs.metrics.counter("autoscale.ticks").inc()
-        obs.metrics.counter("autoscale.decisions", action=decision.action).inc()
-        obs.metrics.gauge("autoscale.managed_nodes").set(self.actuator.size())
-        obs.metrics.gauge("autoscale.pending_removals").set(
-            len(self.actuator.pending_removals)
-        )
-        obs.metrics.gauge("autoscale.pressure").set(sample.pressure)
-        obs.metrics.gauge("autoscale.queue_depth").set(sample.queue_depth)
-        obs.metrics.gauge("autoscale.depot_hit_rate").set(sample.depot_hit_rate)

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional, Set
 
 from repro.cache.lru import LruIndex
 from repro.errors import ObjectNotFound
+from repro.obs.metrics import Ledger
 from repro.shared_storage.api import Filesystem
 
 
@@ -58,7 +59,12 @@ class ShapingPolicy:
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Ledger):
+    """One depot's ledger (``v_monitor.depot_activity``; summed over the
+    nodes, the ``depot`` section of ``cluster_metrics``)."""
+
+    derived = ("hit_rate", "byte_hit_rate")
+
     hits: int = 0
     misses: int = 0
     insertions: int = 0

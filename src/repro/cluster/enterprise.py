@@ -160,11 +160,9 @@ class EnterpriseCluster:
     #: the provider's ``set_pushdown`` is the ABC no-op: accepted, inert.
     pushdown = "off"
 
-    def enable_observability(
-        self, max_requests: int = 512, max_spans: int = 20000
-    ) -> Observability:
+    def enable_observability(self) -> Observability:
         """Switch on metrics, tracing, and query profiling (idempotent)."""
-        self.obs = self.obs.switched_on(max_requests, max_spans)
+        self.obs = self.obs.switched_on()
         return self.obs
 
     # -- membership -------------------------------------------------------------

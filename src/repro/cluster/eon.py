@@ -65,7 +65,7 @@ from repro.errors import (
     ShardCoverageLost,
     StorageUnavailable,
 )
-from repro.io.scheduler import IOScheduler, IOSchedulerConfig
+from repro.io.scheduler import IOScheduler
 from repro.obs import Observability
 from repro.recovery import FailoverPolicy, RebalanceReport, SubscriptionRebalancer
 from repro.sharding.assignment import select_participating_subscriptions
@@ -89,6 +89,11 @@ QUERY_OPTIONS = (
 class EonCluster:
     """An Eon-mode database over shared storage."""
 
+    #: False builds the cluster without the I/O scheduler — the strictly
+    #: serial miss path, the reference arm a differential flips on the class
+    #: (as with ``EonStorageProvider.pool_fetch_charges``); never an option.
+    parallel_io = True
+
     def __init__(
         self,
         node_names: Sequence[str],
@@ -102,9 +107,6 @@ class EonCluster:
         cost_model: Optional[CostModel] = None,
         racks: Optional[Dict[str, str]] = None,
         observability: Optional[Observability] = None,
-        parallel_io: bool = True,
-        io_config: Optional[IOSchedulerConfig] = None,
-        pushdown: str = "auto",
         _bootstrap: bool = True,
     ):
         if not node_names:
@@ -130,14 +132,12 @@ class EonCluster:
                 rack=racks.get(name),
                 rng=random.Random(self.rng.getrandbits(64)),
             )
-        #: Parallel depot I/O scheduler for scans; None restores the
-        #: strictly serial miss path (the pre-scheduler behaviour).
-        self.io_scheduler = (
-            IOScheduler(self, io_config) if parallel_io else None
-        )
+        #: Parallel depot I/O scheduler for scans; None is the strictly
+        #: serial miss path (the pre-scheduler behaviour).
+        self.io_scheduler = IOScheduler(self) if self.parallel_io else None
         #: Default scan-strategy policy (``auto`` | ``on`` | ``off``);
         #: the per-query ``pushdown=`` session option overrides it.
-        self.pushdown = pushdown
+        self.pushdown = "auto"
         self.engine_stats = EngineStats()
         self.plan_cache = query_path.PlanCache()
         self.coordinator = CommitCoordinator(self)
@@ -186,11 +186,9 @@ class EonCluster:
         if _bootstrap:
             self._bootstrap()
 
-    def enable_observability(
-        self, max_requests: int = 512, max_spans: int = 20000
-    ) -> Observability:
+    def enable_observability(self) -> Observability:
         """Switch on metrics, tracing, and query profiling (idempotent)."""
-        self.obs = self.obs.switched_on(max_requests, max_spans)
+        self.obs = self.obs.switched_on()
         return self.obs
 
     # -- Data Collector feeds --------------------------------------------------
@@ -387,13 +385,11 @@ class EonCluster:
             self.degraded = True
             self.degraded_entries += 1
             if self.obs.enabled:
-                self.obs.metrics.counter("recovery.degraded_entries").inc()
                 self.obs.tracer.record("degraded.enter", t=self.clock.now)
         elif not outage and self.degraded:
             self.degraded = False
             self.degraded_exits += 1
             if self.obs.enabled:
-                self.obs.metrics.counter("recovery.degraded_exits").inc()
                 self.obs.tracer.record("degraded.exit", t=self.clock.now)
         return self.degraded
 

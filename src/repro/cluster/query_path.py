@@ -186,7 +186,6 @@ def run(
             obs = cluster.obs
             if obs.enabled:
                 error = type(exc).__name__
-                obs.metrics.counter("recovery.failovers").inc()
                 obs.tracer.record(
                     "query.failover", attempt=attempt, error=error,
                     initiator=current.initiator,
@@ -240,7 +239,11 @@ def _attempt(
                 cluster, prepared.statement, session.initiator, executor, plan,
                 request_text, penalty, queue_wait, ticket is not None,
             )
-        cluster.engine_stats.note(executor)
+        engine = cluster.engine_stats
+        engine.queries += 1
+        engine.add(result.stats)
+        for work in result.stats.per_node.values():
+            engine.add(work)
         return result
     finally:
         if own_ticket is not None:
@@ -320,7 +323,5 @@ def _execute_recorded(
             request_id, text, initiator, start, latency, tuple(executor.op_profiles)
         )
     )
-    obs.metrics.counter("query.count", node=initiator).inc()
-    obs.metrics.counter("query.rows_produced", node=initiator).inc(rows)
     obs.metrics.histogram("query.latency_seconds").observe(latency)
     return result

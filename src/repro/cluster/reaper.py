@@ -100,9 +100,6 @@ class FileReaper:
                 retained_for_durability=stats.retained_for_durability,
                 pending=len(remaining),
             )
-            obs.metrics.counter("reaper.sweeps").inc()
-            obs.metrics.counter("reaper.files_deleted").inc(stats.deleted)
-            obs.metrics.gauge("reaper.pending_files").set(len(remaining))
         return stats
 
     def cleanup_leaked_files(self) -> int:

@@ -143,7 +143,6 @@ def revive(
             nodes=len(node_names),
             read_only=read_only,
         )
-        cluster.obs.metrics.counter("revive.count").inc()
 
     if read_only:
         # A sharing cluster never writes to the primary's metadata or

@@ -115,10 +115,6 @@ class ServiceScheduler:
         if refresh is None or not refresh():
             return False
         self.stats.skipped_outage += 1
-        if getattr(self.cluster, "obs", None) is not None and self.cluster.obs.enabled:
-            self.cluster.obs.metrics.counter(
-                "services.skipped_outage", service=service
-            ).inc()
         self._dc_record(service, "skipped_outage")
         return True
 
@@ -132,9 +128,6 @@ class ServiceScheduler:
         self.stats.errors += 1
         self.error_counts[service] = self.error_counts.get(service, 0) + 1
         self.last_errors[service] = f"{type(error).__name__}: {error}"
-        obs = getattr(self.cluster, "obs", None)
-        if obs is not None and obs.enabled:
-            obs.metrics.counter("services.errors", service=service).inc()
         self._dc_record(service, "error", f"{type(error).__name__}: {error}")
 
     def _note_run(self, service: str) -> None:

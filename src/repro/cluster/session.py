@@ -32,7 +32,7 @@ from repro.engine.expressions import Expr, extract_column_bounds
 from repro.engine.pipeline import PipelineCharges
 from repro.engine.pruning import prune_containers
 from repro.errors import ExecutionError, QueryCancelled
-from repro.io.scheduler import FetchRequest
+from repro.io.scheduler import LANES, FetchRequest
 from repro.sharding.shard import REPLICA_SHARD_ID
 from repro.storage.container import ROSContainer, RowSet, read_container
 from repro.storage.delete_vector import (
@@ -138,7 +138,7 @@ class EonStorageProvider(StorageProvider):
         scheduler = getattr(self.cluster, "io_scheduler", None)
         #: The query's deferred lane charges; None without a scheduler.
         self._pool = (
-            PipelineCharges(self.cluster.clock, scheduler.config.lanes)
+            PipelineCharges(self.cluster.clock, LANES)
             if scheduler is not None and self.pool_fetch_charges
             else None
         )

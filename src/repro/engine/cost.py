@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.metrics import Ledger
+
 
 @dataclass
 class CostModel:
@@ -33,8 +35,9 @@ class CostModel:
 
 
 @dataclass
-class NodeWork:
-    """Per-node accounting for one query."""
+class NodeWork(Ledger):
+    """Per-node accounting for one query: each of the node's scans'
+    ``ScanResult`` folded in by ``add``, plus the CPU the executor charges."""
 
     io_seconds: float = 0.0
     cpu_seconds: float = 0.0
@@ -60,7 +63,7 @@ class NodeWork:
 
 
 @dataclass
-class QueryStats:
+class QueryStats(Ledger):
     """Aggregated execution statistics for one query."""
 
     per_node: Dict[str, NodeWork] = field(default_factory=dict)
@@ -68,6 +71,10 @@ class QueryStats:
     network_seconds: float = 0.0
     initiator_cpu_seconds: float = 0.0
     dispatch_seconds: float = 0.0
+    #: The query's deferred fetch makespans: what charging each scan on its
+    #: own would have cost, and what the settled pool charged.
+    io_serial_seconds: float = 0.0
+    io_pipelined_seconds: float = 0.0
 
     def node(self, name: str) -> NodeWork:
         if name not in self.per_node:
@@ -90,37 +97,12 @@ class QueryStats:
             + self.initiator_cpu_seconds
         )
 
-    @property
-    def total_bytes_from_shared(self) -> int:
-        return sum(w.bytes_from_shared for w in self.per_node.values())
-
-    @property
-    def total_bytes_from_cache(self) -> int:
-        return sum(w.bytes_from_cache for w in self.per_node.values())
-
-    @property
-    def total_rows_scanned(self) -> int:
-        return sum(w.rows_scanned for w in self.per_node.values())
-
-    @property
-    def total_prefetch_hits(self) -> int:
-        return sum(w.prefetch_hits for w in self.per_node.values())
-
-    @property
-    def total_peer_fetches(self) -> int:
-        return sum(w.peer_fetches for w in self.per_node.values())
-
-    @property
-    def total_coalesced_gets(self) -> int:
-        return sum(w.coalesced_gets for w in self.per_node.values())
-
-    @property
-    def total_pushdown_scans(self) -> int:
-        return sum(w.pushdown_scans for w in self.per_node.values())
-
-    @property
-    def total_bytes_scanned(self) -> int:
-        return sum(w.bytes_scanned for w in self.per_node.values())
+    def __getattr__(self, name: str):
+        """``total_<field>``: that :class:`NodeWork` field summed over the
+        nodes (``total_rows_scanned``, ``total_bytes_from_shared``, ...)."""
+        if not name.startswith("total_"):
+            raise AttributeError(name)
+        return sum(getattr(work, name[6:]) for work in self.per_node.values())
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from repro.engine.cost import (
 )
 from repro.engine.expressions import extract_column_bounds
 from repro.errors import CatalogError, PlanningError, SqlError
+from repro.obs.metrics import Ledger
 from repro.sql.ast import Select
 from repro.sql.binder import bind_select
 from repro.sql.parser import parse
@@ -161,7 +162,7 @@ class ProjectionProposal:
 
 
 @dataclass
-class DesignerRun:
+class DesignerRun(Ledger):
     """Record of one ``apply()``: what the search saw, what it decided,
     and what changed on the cluster.  Surfaced as
     ``v_monitor.designer_runs``."""

@@ -50,14 +50,17 @@ from repro.engine.plan import (
 )
 from repro.engine.planner import PhysicalPlan
 from repro.errors import ExecutionError
+from repro.obs.metrics import Ledger
 from repro.obs.profile import OperatorProfile
 from repro.storage.container import RowSet
 from repro.storage.encoding import CodedStrings, Held
 
 
 @dataclass
-class ScanResult:
-    """What a storage provider returns for one fragment scan."""
+class ScanResult(Ledger):
+    """What a storage provider returns for one fragment scan: the rows and
+    the scan's ledger, which the executor folds (``add``) into the node's
+    ``NodeWork`` and the Scan's ``OperatorProfile`` by field name."""
 
     rows: RowSet
     io_seconds: float = 0.0
@@ -197,10 +200,6 @@ class Executor:
         # single attribute check (the zero-overhead-when-disabled contract).
         self._obs = obs if (obs is not None and obs.enabled) else None
         self.op_profiles: List = []
-        #: The last query's deferred fetch makespans: what charging each scan
-        #: on its own would have cost, and what the settled pool charged.
-        self.io_serial_seconds = 0.0
-        self.io_pipelined_seconds = 0.0
         self._fragment_spans: Dict[str, object] = {}
 
     # -- public ------------------------------------------------------------------
@@ -210,7 +209,6 @@ class Executor:
         self.stats.dispatch_seconds = self.cost.dispatch_seconds
         self._broadcast_cache = {}
         self.op_profiles = []
-        self.io_serial_seconds = self.io_pipelined_seconds = 0.0
         self._fragment_spans = {}
         if plan.single_node:
             self._participants = [self.provider.initiator()]
@@ -223,13 +221,6 @@ class Executor:
         finally:
             # Also on failure: nothing stays pooled for the provider's next query.
             self._settle_io()
-        if self._obs is not None and self.stats.total_pushdown_scans:
-            self._obs.metrics.counter("engine.pushdown_scans").inc(
-                self.stats.total_pushdown_scans
-            )
-            self._obs.metrics.counter("s3.bytes_scanned").inc(
-                self.stats.total_bytes_scanned
-            )
         return QueryResult(rows=rows, stats=self.stats, plan=plan)
 
     def _settle_io(self) -> None:
@@ -244,12 +235,12 @@ class Executor:
             span = self._fragment_spans.get(node_name)
             if span is not None:
                 span.duration += makespan
-        self.io_pipelined_seconds = sum(settled.values())
+        self.stats.io_pipelined_seconds = sum(settled.values())
         if self._obs is not None and settled:
             self._obs.tracer.record(
                 "pipeline",
-                duration=self.io_pipelined_seconds,
-                io_serial_seconds=self.io_serial_seconds,
+                duration=self.stats.io_pipelined_seconds,
+                io_serial_seconds=self.stats.io_serial_seconds,
             )
 
     # -- initiator-side evaluation ----------------------------------------------
@@ -375,29 +366,16 @@ class Executor:
             note(node.pushdown_eligible)
 
     def _note_op(self, operator: str, node_name: str, rows: int, seconds: float,
-                 *, bytes_from_cache: int = 0, bytes_from_shared: int = 0,
-                 depot_hits: int = 0, depot_misses: int = 0,
-                 s3_requests: int = 0, s3_dollars: float = 0.0,
-                 detail: str = "", scan_strategy: str = "") -> None:
+                 *, detail: str = "", scan: Optional[ScanResult] = None) -> None:
         if self._obs is None:
             return
-        self.op_profiles.append(
-            OperatorProfile(
-                path_id=len(self.op_profiles),
-                operator=operator,
-                node=node_name,
-                rows=rows,
-                sim_seconds=seconds,
-                bytes_from_cache=bytes_from_cache,
-                bytes_from_shared=bytes_from_shared,
-                depot_hits=depot_hits,
-                depot_misses=depot_misses,
-                s3_requests=s3_requests,
-                s3_dollars=s3_dollars,
-                detail=detail,
-                scan_strategy=scan_strategy,
-            )
+        profile = OperatorProfile(
+            node_name, operator, len(self.op_profiles), rows, seconds, detail=detail
         )
+        if scan is not None:
+            profile.scan_strategy = scan.scan_strategy
+            profile.add(scan)
+        self.op_profiles.append(profile)
 
     # -- fragment (per-participant) evaluation -------------------------------------
 
@@ -430,19 +408,9 @@ class Executor:
                 node.predicate,
                 node.replicated,
             )
-            work.io_seconds += result.io_seconds
-            self.io_serial_seconds += result.io_pooled_seconds
-            work.bytes_from_cache += result.bytes_from_cache
-            work.bytes_from_shared += result.bytes_from_shared
+            work.add(result)
+            self.stats.io_serial_seconds += result.io_pooled_seconds
             work.rows_scanned += result.rows.num_rows + result.pushdown_rows_filtered
-            work.containers_scanned += result.containers_scanned
-            work.containers_pruned += result.containers_pruned
-            work.blocks_pruned += result.blocks_pruned
-            work.prefetch_hits += result.prefetch_hits
-            work.peer_fetches += result.peer_fetches
-            work.coalesced_gets += result.coalesced_gets
-            work.pushdown_scans += result.pushdown_scans
-            work.bytes_scanned += result.bytes_scanned
             decode_cpu = (
                 result.rows.num_rows * len(node.columns) * self.cost.cell_cpu_seconds
             )
@@ -458,14 +426,7 @@ class Executor:
                 work.rows_processed += rows.num_rows
             self._note_op(
                 "Scan", participant, rows.num_rows, op_seconds,
-                bytes_from_cache=result.bytes_from_cache,
-                bytes_from_shared=result.bytes_from_shared,
-                depot_hits=result.depot_hits,
-                depot_misses=result.depot_misses,
-                s3_requests=result.s3_requests,
-                s3_dollars=result.s3_dollars,
-                detail=node.projection,
-                scan_strategy=result.scan_strategy,
+                detail=node.projection, scan=result,
             )
             return rows
         if isinstance(node, FilterNode):

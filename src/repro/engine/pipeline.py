@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.obs.metrics import Ledger
+
 
 class PipelineCharges:
     """Per-node pooled fetch durations, settled once per query.
@@ -49,9 +51,12 @@ class PipelineCharges:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Ledger):
     """Cluster-lifetime accounting for the engine (the ``engine`` section
-    of :func:`repro.obs.metrics.cluster_metrics`)."""
+    of :func:`repro.obs.metrics.cluster_metrics`): every finished query's
+    ``QueryStats`` and ``NodeWork`` folded in by ``add``."""
+
+    derived = ("io_overlap_seconds",)
 
     queries: int = 0
     #: What per-scan charging would have cost vs what pooling charged —
@@ -67,26 +72,6 @@ class EngineStats:
     statements_prepared: int = 0
     plans_reused: int = 0
 
-    def note(self, executor) -> None:
-        """Fold one finished executor's counters in."""
-        self.queries += 1
-        self.io_serial_seconds += executor.io_serial_seconds
-        self.io_pipelined_seconds += executor.io_pipelined_seconds
-        self.pushdown_scans += executor.stats.total_pushdown_scans
-        self.bytes_scanned += executor.stats.total_bytes_scanned
-
     @property
     def io_overlap_seconds(self) -> float:
         return max(0.0, self.io_serial_seconds - self.io_pipelined_seconds)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "queries": self.queries,
-            "io_serial_seconds": self.io_serial_seconds,
-            "io_pipelined_seconds": self.io_pipelined_seconds,
-            "io_overlap_seconds": self.io_overlap_seconds,
-            "pushdown_scans": self.pushdown_scans,
-            "bytes_scanned": self.bytes_scanned,
-            "statements_prepared": self.statements_prepared,
-            "plans_reused": self.plans_reused,
-        }

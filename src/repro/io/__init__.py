@@ -5,7 +5,6 @@ from repro.io.scheduler import (
     FetchPlan,
     FetchRequest,
     IOScheduler,
-    IOSchedulerConfig,
     IOStats,
     plan_fetch,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "FetchPlan",
     "FetchRequest",
     "IOScheduler",
-    "IOSchedulerConfig",
     "IOStats",
     "plan_fetch",
 ]

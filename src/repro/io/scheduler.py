@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.disk_cache import ObjectInfo
 from repro.errors import QueryCancelled
+from repro.obs.metrics import Ledger
 from repro.shared_storage.api import retrying
 
 
@@ -69,29 +70,21 @@ class FetchRequest:
     info: ObjectInfo = ObjectInfo()
 
 
-@dataclass
-class IOSchedulerConfig:
-    """Tuning knobs; defaults follow the S3 latency model's sweet spot
-    (30 ms per request vs ~11 ms/MB of bandwidth: concurrency and request
-    amortisation dominate until files reach a few MB)."""
+# Tuning follows the S3 latency model's sweet spot (30 ms per request vs
+# ~11 ms/MB of bandwidth: concurrency and request amortisation dominate until
+# files reach a few MB).
 
-    #: Concurrent fetch connections per scan batch.
-    lanes: int = 4
-    #: A coalesced group's total payload cap.
-    coalesce_max_bytes: int = 4 << 20
-    #: Max member files per coalesced group.
-    coalesce_max_files: int = 8
-    #: Only files at or below this size are coalescing candidates; larger
-    #: files already amortise the per-request latency on their own.
-    coalesce_file_limit: int = 256 << 10
-    #: Max container-ordinal distance between adjacent group members.
-    coalesce_max_gap: int = 1
-    #: Probe peer depots before falling back to shared storage.
-    peer_fetch: bool = True
-    #: Fetch the whole batch up front (containers after the first arrive
-    #: before the scan needs them).  Off: only the first container's files
-    #: are batched; the rest take the serial path.
-    prefetch: bool = True
+#: Concurrent fetch connections per scan batch.
+LANES = 4
+#: A coalesced group's total payload cap.
+COALESCE_MAX_BYTES = 4 << 20
+#: Max member files per coalesced group.
+COALESCE_MAX_FILES = 8
+#: Only files at or below this size are coalescing candidates; larger
+#: files already amortise the per-request latency on their own.
+COALESCE_FILE_LIMIT = 256 << 10
+#: Max container-ordinal distance between adjacent group members.
+COALESCE_MAX_GAP = 1
 
 
 @dataclass
@@ -109,7 +102,7 @@ class FetchPlan:
 
 
 @dataclass
-class IOStats:
+class IOStats(Ledger):
     """Out-of-band scheduler accounting (invariant checkers and BENCH
     JSON read this; nothing here feeds back into the simulation)."""
 
@@ -136,25 +129,6 @@ class IOStats:
     #: latency off the scan's critical path).
     background_fetches: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "batches": self.batches,
-            "requests": self.requests,
-            "deduplicated": self.deduplicated,
-            "fetched_files": self.fetched_files,
-            "fetched_bytes": self.fetched_bytes,
-            "s3_gets": self.s3_gets,
-            "coalesced_gets": self.coalesced_gets,
-            "peer_fetches": self.peer_fetches,
-            "prefetched_files": self.prefetched_files,
-            "double_fetches": self.double_fetches,
-            "capacity_violations": self.capacity_violations,
-            "pushdown_batches": self.pushdown_batches,
-            "pushdown_selects": self.pushdown_selects,
-            "pushdown_bytes_scanned": self.pushdown_bytes_scanned,
-            "background_fetches": self.background_fetches,
-        }
-
 
 @dataclass
 class FetchBatch:
@@ -176,7 +150,6 @@ def plan_fetch(
     requests: Sequence[FetchRequest],
     resident: Set[str],
     bypass: Set[str],
-    config: IOSchedulerConfig,
     supports_coalesced: bool = True,
 ) -> FetchPlan:
     """Pure fetch planning: dedup, split resident/fetch, coalesce.
@@ -213,17 +186,17 @@ def plan_fetch(
         coalescable = (
             supports_coalesced
             and request.key not in bypass
-            and request.size <= config.coalesce_file_limit
+            and request.size <= COALESCE_FILE_LIMIT
         )
         if not coalescable:
             flush()
             plan.groups.append([request])
             continue
         if group and (
-            group_bytes + request.size > config.coalesce_max_bytes
-            or len(group) >= config.coalesce_max_files
+            group_bytes + request.size > COALESCE_MAX_BYTES
+            or len(group) >= COALESCE_MAX_FILES
             or request.container_index - group[-1].container_index
-            > config.coalesce_max_gap
+            > COALESCE_MAX_GAP
         ):
             flush()
         group.append(request)
@@ -235,9 +208,15 @@ def plan_fetch(
 class IOScheduler:
     """Executes fetch plans against a cluster; one per :class:`EonCluster`."""
 
-    def __init__(self, cluster, config: Optional[IOSchedulerConfig] = None):
+    #: Reference arms a differential flips on the class, never options:
+    #: probe peer depots before falling back to shared storage; fetch the
+    #: whole batch up front (off: only the first container's files are
+    #: batched, the rest take the serial path).
+    peer_fetch = True
+    prefetch = True
+
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.config = config or IOSchedulerConfig()
         self.stats = IOStats()
 
     # -- planning helpers ------------------------------------------------------
@@ -292,13 +271,12 @@ class IOScheduler:
         path.  A unit mixing background and foreground keys (coalescing
         may group them) stays foreground, conservatively.
         """
-        config = self.config
         obs = self.cluster.obs
         cache = node.cache
 
         self.stats.batches += 1
         self.stats.requests += len(requests)
-        if not config.prefetch and requests:
+        if not self.prefetch and requests:
             # Only the first container's files are batched; later
             # containers fall back to the serial path at consume time.
             first = min(r.container_index for r in requests)
@@ -367,7 +345,6 @@ class IOScheduler:
         """Plan and fetch the files the depot did not have — from a peer's
         depot where one holds them, else from shared storage — into ``batch``
         and the depot; returns what :data:`_NOTHING_FETCHED` lists."""
-        config = self.config
         clock = self.cluster.clock
         shared = self.cluster.shared_data
         cost = getattr(self.cluster.shared, "cost", None)
@@ -376,7 +353,7 @@ class IOScheduler:
 
         bypass = self._bypass_keys(node, missing)
         groups = plan_fetch(
-            missing, set(), bypass, config,
+            missing, set(), bypass,
             supports_coalesced=shared.supports_coalesced_get,
         ).groups
         first_fetch_index = min(r.container_index for r in missing)
@@ -387,7 +364,7 @@ class IOScheduler:
             remainder: List[FetchRequest] = []
             for request in group:
                 peer = None
-                if config.peer_fetch and use_cache and request.key not in bypass:
+                if self.peer_fetch and use_cache and request.key not in bypass:
                     peer = self._peer_with(node, request.key)
                 if peer is not None:
                     units.append(("peer", peer, [request]))
@@ -441,8 +418,6 @@ class IOScheduler:
                 seconds = self.cluster.cost_model.network_seconds(unit_bytes)
                 self.stats.peer_fetches += 1
                 result.peer_fetches += 1
-                if obs.enabled:
-                    obs.metrics.counter("io.peer_fetches", node=node.name).inc()
             else:
                 seconds = shared.estimate_read_seconds(unit_bytes)
                 self.stats.s3_gets += 1
@@ -451,10 +426,6 @@ class IOScheduler:
                 if len(names) > 1:
                     self.stats.coalesced_gets += 1
                     result.coalesced_gets += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "io.coalesced_gets", node=node.name
-                        ).inc()
             if background and all(r.key in background for r in members):
                 background_durations.append(seconds)
                 self.stats.background_fetches += 1
@@ -493,13 +464,13 @@ class IOScheduler:
                     evictions=node.cache.stats.evictions - evictions_before,
                 )
 
-        makespan, lane_totals = clock.charge_parallel(durations, config.lanes)
+        makespan, lane_totals = clock.charge_parallel(durations, LANES)
         # Background hydration occupies lanes "for free": its makespan is
         # computed for observability but never folded into the scan's
         # io_seconds or the pipeline pool — the pushdown scan it races
         # already carries the critical-path charge.
         background_makespan, _ = clock.charge_parallel(
-            background_durations, config.lanes
+            background_durations, LANES
         )
         # Retry backoff accumulated by this batch's units is query time —
         # fold it into the batch's I/O seconds (serially: backoff stalls
@@ -570,7 +541,7 @@ class IOScheduler:
                     returned=select.bytes_returned,
                     rows=select.rows.num_rows,
                 )
-        makespan, _ = clock.charge_parallel(durations, self.config.lanes)
+        makespan, _ = clock.charge_parallel(durations, LANES)
         backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
         if pool is not None:
             pool.add(node.name, durations)
@@ -595,7 +566,4 @@ class IOScheduler:
             batch.prefetched.discard(key)  # credit once
             node.cache.note_prefetch_hit(key, len(data))
             result.prefetch_hits += 1
-            obs = self.cluster.obs
-            if obs.enabled:
-                obs.metrics.counter("io.prefetch_hits", node=node.name).inc()
         return data

@@ -2,8 +2,9 @@
 
 Three pillars, all stamped by the simulated clock:
 
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with
-  snapshot/delta/merge;
+* :mod:`repro.obs.metrics` — the ``Ledger`` helper every always-on stats
+  dataclass shares, ``cluster_metrics()``, and the registry of
+  counters/gauges/histograms for what no ledger carries;
 * :mod:`repro.obs.tracing` — parent/child spans across query execution,
   S3 requests, mergeout, reaping, and revive, exportable as JSON;
 * :mod:`repro.obs.profile` + :mod:`repro.obs.system_tables` — per-operator
@@ -79,7 +80,7 @@ class Observability:
         self.enabled = enabled
         if enabled:
             self.metrics = MetricsRegistry(clock)
-            self.tracer = Tracer(clock, max_spans=max_spans, registry=self.metrics)
+            self.tracer = Tracer(clock, max_spans=max_spans)
             self.dc = DataCollector(clock)
         else:
             self.metrics = NULL_REGISTRY
@@ -95,12 +96,10 @@ class Observability:
     def disabled(cls, clock=None) -> "Observability":
         return cls(clock=clock, enabled=False)
 
-    def switched_on(self, max_requests: int = 512, max_spans: int = 20000) -> "Observability":
+    def switched_on(self) -> "Observability":
         """This bundle when it already collects, else a collecting one on the
         same clock — what a cluster's ``enable_observability`` installs."""
-        if self.enabled:
-            return self
-        return Observability(self.clock, True, max_requests, max_spans)
+        return self if self.enabled else Observability(self.clock)
 
     def next_request_id(self) -> int:
         return next(self._request_ids)

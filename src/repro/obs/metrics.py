@@ -1,24 +1,19 @@
-"""Metrics registry: counters, gauges, and histograms on the sim clock.
+"""The stats spine: ledgers, and the registry for what no ledger carries.
 
-Modeled on Vertica's Data Collector counters (and the Prometheus data
-model): an instrument is identified by a name plus a sorted label set, and
-every update stamps ``last_updated`` from the simulated clock — wall-clock
-time means nothing in a discrete-event simulation.
+A *ledger* is an always-on stats dataclass owned by the component whose
+events it counts (``CacheStats``, ``IOStats``, ``OpStats``, ``EngineStats``,
+``PoolStats``, ``RequestRecord``, ...).  :class:`Ledger` is the one helper
+they share: its annotated fields are the only declaration of a counter, and
+``as_dict()`` / ``columns()`` / ``row()`` / ``add()`` generate every view of
+it — the shell's ``\\stats``, :func:`cluster_metrics` (BENCH JSON) and the
+``v_monitor`` tables.  An event is booked in its ledger and nowhere else
+(DESIGN.md, "One ledger").
 
-The registry supports the three operations the benchmarks and system
-tables need:
-
-* :meth:`MetricsRegistry.snapshot` — an immutable, JSON-able copy;
-* :meth:`MetricsSnapshot.delta` — what happened between two snapshots
-  (counters/histograms subtract over the union of keys; gauges keep the
-  later value);
-* :meth:`MetricsSnapshot.merge` — combine per-node snapshots into a
-  cluster-wide view (counters/histograms add; gauges get per-key
-  semantics: occupancy-style gauges like cached bytes sum, ratio-style
-  gauges — names ending in ``_rate``/``_ratio``/``_fraction``/
-  ``_utilization``/``_pct`` — keep the latest value, since a cluster-wide
-  "hit rate" of 2.4 is nonsense).
-
+The :class:`MetricsRegistry` (counters, gauges, histograms stamped by the sim
+clock, Prometheus-style names plus sorted labels) holds only distributions
+and readings no ledger field can carry — ``query.latency_seconds``,
+``wm.queue_wait_seconds``, ``io.lane_occupancy``, ``depot.warming_bytes``;
+``tests/test_public_surface.py`` pins the names written.
 :data:`NULL_REGISTRY` is the zero-overhead-when-disabled implementation:
 every instrument lookup returns one shared no-op object, so instrumented
 code paths cost an attribute check and a method call that does nothing.
@@ -26,7 +21,9 @@ code paths cost an attribute check and a method call that does nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields
+from functools import lru_cache
+from typing import ClassVar, Dict, List, Tuple
 
 #: Default histogram bucket upper bounds (seconds-oriented, exponential).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -35,16 +32,60 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
-#: Gauge-name suffixes that mark a ratio-style gauge: merging across nodes
-#: keeps the latest value instead of summing (summing hit rates is wrong).
-_LATEST_GAUGE_SUFFIXES: Tuple[str, ...] = (
-    "_rate", "_ratio", "_fraction", "_utilization", "_pct",
-)
+#: Annotation (as written under ``from __future__ import annotations``) ->
+#: the Python type of the column; anything else renders as text.
+_NUMERIC = {"int": int, "bool": int, "float": float}
 
 
-def _gauge_merges_latest(key: str) -> bool:
-    name = key.split("{", 1)[0]
-    return name.endswith(_LATEST_GAUGE_SUFFIXES)
+@lru_cache(maxsize=None)
+def _adder(into: type, other: type):
+    """``add(a, b)`` over the numeric fields the two dataclasses share by
+    name, written out as ``a.x += b.x`` statements (as ``dataclasses`` writes
+    ``__init__``): a scan folds its result twice, and a loop of
+    ``getattr``/``setattr`` costs five times the statements."""
+    theirs = {f.name for f in fields(other) if f.type in _NUMERIC}
+    names = [f.name for f in fields(into) if f.type in _NUMERIC and f.name in theirs]
+    scope: Dict[str, object] = {}
+    body = "".join(f"    a.{n} += b.{n}\n" for n in names) or "    pass\n"
+    exec("def add(a, b):\n" + body, scope)
+    return scope["add"]
+
+
+class Ledger:
+    """Mixin for a stats dataclass: views generated from its declaration.
+
+    ``derived`` names the properties reported after the fields (rates); a
+    field's ``metadata["column"]`` is its ``v_monitor`` column name where
+    that differs from the attribute.
+    """
+
+    derived: ClassVar[Tuple[str, ...]] = ()
+
+    def as_dict(self) -> Dict[str, object]:
+        names = [f.name for f in fields(self)] + list(self.derived)
+        return {name: getattr(self, name) for name in names}
+
+    @classmethod
+    def columns(cls) -> List[Tuple[str, type]]:
+        """``(column name, int | float | str)`` in :meth:`row` order."""
+        typed = [
+            (f.metadata.get("column", f.name), _NUMERIC.get(f.type, str))
+            for f in fields(cls)
+        ]
+        return typed + [(name, float) for name in cls.derived]
+
+    def row(self) -> tuple:
+        """One table row: bools as 0/1, tuples comma-joined."""
+        return tuple(
+            ",".join(v) if isinstance(v, tuple) else int(v) if isinstance(v, bool) else v
+            for v in self.as_dict().values()
+        )
+
+    def add(self, other) -> None:
+        """Fold ``other`` in: every numeric field the two ledgers share by
+        name (a ``ScanResult`` into its ``NodeWork``, a node's ``CacheStats``
+        into the cluster total)."""
+        _adder(type(self), type(other))(self, other)
 
 
 def _label_key(name: str, labels: Dict[str, object]) -> Tuple[str, LabelItems]:
@@ -170,76 +211,6 @@ class MetricsSnapshot:
             },
         }
 
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What happened between ``earlier`` and this snapshot.
-
-        Keys are totaled over the *union* of the two snapshots — a counter
-        that appears only in ``earlier`` (an instrument retired between the
-        snapshots) still shows up, as ``0 - earlier`` value, instead of
-        silently vanishing from the report.
-        """
-        counters = {
-            key: self.counters.get(key, 0.0) - earlier.counters.get(key, 0.0)
-            for key in set(self.counters) | set(earlier.counters)
-        }
-        histograms = {}
-        empty = lambda h: {
-            "count": 0, "sum": 0.0, "buckets": [0] * len(h["buckets"])
-        }
-        for key in set(self.histograms) | set(earlier.histograms):
-            h = self.histograms.get(key) or empty(earlier.histograms[key])
-            prev = earlier.histograms.get(key) or empty(h)
-            histograms[key] = {
-                "count": h["count"] - prev["count"],
-                "sum": h["sum"] - prev["sum"],
-                "buckets": [
-                    a - b for a, b in zip(h["buckets"], prev["buckets"])
-                ],
-            }
-        return MetricsSnapshot(self.at, counters, dict(self.gauges), histograms)
-
-    @staticmethod
-    def merge(snapshots: List["MetricsSnapshot"]) -> "MetricsSnapshot":
-        """Combine snapshots (e.g. one per node) into a cluster-wide view.
-
-        Counters and histograms add.  Gauges merge per key: occupancy
-        gauges (cached bytes, queue depth) sum, ratio gauges (names ending
-        in a :data:`_LATEST_GAUGE_SUFFIXES` suffix) keep the value from
-        the newest snapshot carrying the key — later list position wins
-        ties, so merging per-node with a fresher cluster snapshot behaves
-        like "latest".
-        """
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        gauge_at: Dict[str, float] = {}
-        histograms: Dict[str, dict] = {}
-        at = 0.0
-        for snap in snapshots:
-            at = max(at, snap.at)
-            for key, value in snap.counters.items():
-                counters[key] = counters.get(key, 0.0) + value
-            for key, value in snap.gauges.items():
-                if _gauge_merges_latest(key):
-                    if key not in gauge_at or snap.at >= gauge_at[key]:
-                        gauges[key] = value
-                        gauge_at[key] = snap.at
-                else:
-                    gauges[key] = gauges.get(key, 0.0) + value
-            for key, h in snap.histograms.items():
-                if key not in histograms:
-                    histograms[key] = {
-                        "count": 0,
-                        "sum": 0.0,
-                        "buckets": [0] * len(h["buckets"]),
-                    }
-                agg = histograms[key]
-                agg["count"] += h["count"]
-                agg["sum"] += h["sum"]
-                agg["buckets"] = [
-                    a + b for a, b in zip(agg["buckets"], h["buckets"])
-                ]
-        return MetricsSnapshot(at, counters, gauges, histograms)
-
 
 class MetricsRegistry:
     """Instrument factory and holder; one per :class:`Observability`."""
@@ -356,70 +327,36 @@ NULL_REGISTRY = NullRegistry()
 
 
 def cluster_metrics(cluster) -> dict:
-    """Cluster-wide depot and S3 summary, JSON-able.
+    """Cluster-wide summary of every always-on ledger, JSON-able.
 
-    Pulls from the live stats structs (:class:`CacheStats` per node, the
-    shared backend's :class:`StorageMetrics` and per-operation-class
-    stats), so it works whether or not the observability subsystem is
-    enabled.  This is what BENCH JSON ``metrics`` sections and the shell's
-    ``\\stats`` report.
+    Each section is its owner's ledger rendered by :meth:`Ledger.as_dict`
+    (plus the live readings named here), so it works whether or not the
+    observability subsystem is enabled and a new ledger field appears with
+    no edit to this function.  This is what BENCH JSON ``metrics`` sections
+    and the shell's ``\\stats`` report.
     """
-    depot = {
-        "hits": 0,
-        "misses": 0,
-        "insertions": 0,
-        "evictions": 0,
-        "bytes_read": 0,
-        "bytes_written": 0,
-        "bytes_evicted": 0,
-        "bytes_missed": 0,
-        "prefetch_hits": 0,
-        "prefetch_bytes_read": 0,
-    }
+    from repro.cache.disk_cache import CacheStats  # it imports Ledger from here
+
+    total = CacheStats()
     for name in sorted(getattr(cluster, "nodes", {})):
         cache = getattr(cluster.nodes[name], "cache", None)
-        if cache is None:
-            continue
-        stats = cache.stats
-        depot["hits"] += stats.hits
-        depot["misses"] += stats.misses
-        depot["insertions"] += stats.insertions
-        depot["evictions"] += stats.evictions
-        depot["bytes_read"] += stats.bytes_read
-        depot["bytes_written"] += stats.bytes_written
-        depot["bytes_evicted"] += stats.bytes_evicted
-        depot["bytes_missed"] += stats.bytes_missed
-        depot["prefetch_hits"] += stats.prefetch_hits
-        depot["prefetch_bytes_read"] += stats.prefetch_bytes_read
-    events = depot["hits"] + depot["misses"]
-    depot["hit_rate"] = depot["hits"] / events if events else 0.0
-    # Prefetch consumption is deliberately outside both terms: prefetched
-    # bytes were already charged as misses at fetch time, so folding their
-    # consumption into bytes_read would double-count (see CacheStats).
-    read = depot["bytes_read"] + depot["bytes_missed"]
-    depot["byte_hit_rate"] = depot["bytes_read"] / read if read else 0.0
+        if cache is not None:
+            total.add(cache.stats)
+    # The rates are those of the summed ledger.  Prefetch consumption is
+    # outside both (see CacheStats): those bytes were misses at fetch time.
+    depot = total.as_dict()
 
-    io: Dict[str, object] = {}
     scheduler = getattr(cluster, "io_scheduler", None)
-    if scheduler is not None:
-        io = scheduler.stats.as_dict()
+    io = scheduler.stats.as_dict() if scheduler is not None else {}
 
     s3: Dict[str, object] = {}
     shared = getattr(cluster, "shared", None)
     if shared is not None:
-        op_stats = getattr(shared, "op_stats", None)
-        if op_stats:
-            for op in sorted(op_stats):
-                stats = op_stats[op]
-                s3[op] = {
-                    "requests": stats.requests,
-                    "bytes": stats.bytes,
-                    "dollars": stats.dollars,
-                    "sim_seconds": stats.sim_seconds,
-                    "transient_faults": stats.transient_faults,
-                    "throttled": stats.throttled,
-                }
-        m = shared.metrics
+        ops, m = shared.op_stats, shared.metrics
+        s3 = {op: ops[op].as_dict() for op in sorted(ops)}
+        # Server-side compute (S3 Select analogue): SELECT-class bytes are
+        # *scanned* stored bytes, kept out of the GET ledger and of
+        # ``requests``.
         s3["totals"] = {
             "requests": m.total_requests,
             "get_requests": m.get_requests,
@@ -427,52 +364,38 @@ def cluster_metrics(cluster) -> dict:
             "dollars": m.dollars,
             "retries": m.transient_failures,
             "retry_backoff_seconds": m.retry_backoff_seconds,
+            "select_requests": ops["SELECT"].requests,
+            "bytes_scanned": ops["SELECT"].bytes,
         }
-        # Server-side compute (S3 Select analogue): SELECT op-class bytes
-        # are *scanned* stored bytes, kept out of the GET ledger above.
-        select = op_stats.get("SELECT") if op_stats else None
-        if select is not None:
-            s3["totals"]["select_requests"] = select.requests
-            s3["totals"]["bytes_scanned"] = select.bytes
 
     recovery: Dict[str, object] = {
-        "failovers": getattr(cluster, "failovers", 0),
-        "degraded": bool(getattr(cluster, "degraded", False)),
-        "degraded_entries": getattr(cluster, "degraded_entries", 0),
-        "degraded_exits": getattr(cluster, "degraded_exits", 0),
+        name: getattr(cluster, name, 0)
+        for name in ("failovers", "degraded_entries", "degraded_exits")
     }
-    faults = getattr(shared, "faults", None) if shared is not None else None
+    recovery["degraded"] = bool(getattr(cluster, "degraded", False))
+    faults = getattr(shared, "faults", None)
     if faults is not None:
-        recovery["outages_begun"] = getattr(faults, "outages_begun", 0)
-        recovery["outage_rejections"] = getattr(faults, "outage_rejections", 0)
+        recovery["outages_begun"] = faults.outages_begun
+        recovery["outage_rejections"] = faults.outage_rejections
 
     wm: Dict[str, object] = {}
     admission = getattr(cluster, "admission", None)
     if admission is not None:
-        wm["slots_in_use"] = admission.total_in_use()
-        wm["active_queries"] = len(admission.active)
-        wm["pending_admissions"] = admission.pending
-        pools: Dict[str, object] = {}
-        for name in sorted(admission.pools):
-            pool = admission.pools[name]
-            pools[name] = {
-                "capacity": admission.pool_capacity(pool),
-                "slots_in_use": admission.pool_in_use(pool),
-                "queued": pool.queued,
-                "peak_queue_depth": pool.peak_queue_depth,
-                "admitted": pool.admitted,
-                "queued_admissions": pool.queued_admissions,
-                "queue_wait_seconds": pool.queue_wait_seconds,
-                "timeouts": pool.timeouts,
-                "rejected_queue_full": pool.rejected_queue_full,
-                "rejected_busy": pool.rejected_busy,
-                "rejected_draining": pool.rejected_draining,
-                "sheds": pool.sheds,
-                "breaker_trips": pool.breaker_trips,
-                "draining": pool.draining,
-            }
-        wm["pools"] = pools
-        wm["sheds"] = sum(p.sheds for p in admission.pools.values())
+        pools = [admission.pools[name] for name in sorted(admission.pools)]
+        wm = {
+            "slots_in_use": admission.total_in_use(),
+            "active_queries": len(admission.active),
+            "pending_admissions": admission.pending,
+            "pools": {
+                pool.name: {
+                    "capacity": admission.pool_capacity(pool),
+                    "slots_in_use": admission.pool_in_use(pool),
+                    **pool.as_dict(),
+                }
+                for pool in pools
+            },
+            "sheds": sum(pool.sheds for pool in pools),
+        }
 
     autoscale: Dict[str, object] = {}
     scaler = getattr(cluster, "autoscaler", None)
@@ -487,10 +410,8 @@ def cluster_metrics(cluster) -> dict:
             "events": len(scaler.events),
         }
 
-    engine: Dict[str, object] = {}
     engine_stats = getattr(cluster, "engine_stats", None)
-    if engine_stats is not None:
-        engine = engine_stats.as_dict()
+    engine = engine_stats.as_dict() if engine_stats is not None else {}
     return {
         "depot": depot, "io": io, "s3": s3, "recovery": recovery, "wm": wm,
         "autoscale": autoscale, "engine": engine,

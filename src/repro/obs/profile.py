@@ -18,15 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.obs.metrics import Ledger
+
 
 @dataclass
-class OperatorProfile:
-    """One operator instance's share of a query's work."""
+class OperatorProfile(Ledger):
+    """One operator instance's share of a query's work: a row of
+    ``v_monitor.query_profiles`` after its request id.  A Scan's depot and
+    S3 fields are its ``ScanResult`` folded in by ``add``."""
 
-    path_id: int
+    node: str = field(metadata={"column": "node_name"})
     operator: str
-    node: str
-    rows: int = 0
+    path_id: int
+    rows: int = field(default=0, metadata={"column": "rows_produced"})
     sim_seconds: float = 0.0
     bytes_from_cache: int = 0
     bytes_from_shared: int = 0
@@ -65,7 +69,7 @@ class QueryProfile:
 
 
 @dataclass
-class RequestRecord:
+class RequestRecord(Ledger):
     """Request-level accounting: one row of ``dc_requests_issued``."""
 
     request_id: int
@@ -78,8 +82,7 @@ class RequestRecord:
     depot_misses: int = 0
     s3_requests: int = 0
     s3_dollars: float = 0.0
-    #: Latency components the doctor attributes blame from.  All default
-    #: to zero so pre-existing constructors keep working.
+    #: Latency components the doctor attributes blame from.
     queue_wait_seconds: float = 0.0
     failover_backoff_seconds: float = 0.0
     retry_backoff_seconds: float = 0.0

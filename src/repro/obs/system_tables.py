@@ -29,14 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.autoscale.actuator import AutoscaleEvent
+from repro.cache.disk_cache import CacheStats
 from repro.catalog.objects import Projection, Segmentation, Table
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
+from repro.engine.designer import DesignerRun
 from repro.engine.executor import ScanResult, StorageProvider
 from repro.engine.expressions import Expr, extract_column_bounds
 from repro.errors import CatalogError
 from repro.obs.datacollector import DC_TABLES
-from repro.shared_storage.s3 import OP_CLASSES
+from repro.obs.profile import OperatorProfile, RequestRecord
+from repro.shared_storage.api import OpStats
 from repro.storage.container import RowSet
+from repro.wm.pool import PoolStats
 
 SCHEMA_PREFIX = "v_monitor."
 
@@ -69,78 +74,41 @@ class SystemTableDef:
 
 
 # -- producers (rows must be deterministically ordered) --------------------------
+#
+# A table over a ledger (``repro.obs.metrics.Ledger``) takes its columns from
+# the dataclass's fields and its rows from ``row()``: what is named here is
+# only what the ledger does not hold (whose row it is, live readings).
+
+_COLUMN_TYPES = {int: _I, float: _F, str: _S}
+
+
+def _ledger_schema(ledger, before=(), after=()) -> TableSchema:
+    typed = [(name, _COLUMN_TYPES[kind]) for name, kind in ledger.columns()]
+    return _schema(*before, *typed, *after)
 
 
 def _depot_activity(cluster) -> List[tuple]:
-    rows = []
-    for name in sorted(cluster.nodes):
-        node = cluster.nodes[name]
-        stats = node.cache.stats
-        rows.append(
-            (
-                name,
-                stats.hits,
-                stats.misses,
-                stats.insertions,
-                stats.evictions,
-                stats.rejected_by_policy,
-                stats.bytes_read,
-                stats.bytes_written,
-                stats.bytes_evicted,
-                stats.bytes_missed,
-                stats.prefetch_hits,
-                stats.prefetch_bytes_read,
-                float(stats.hit_rate),
-                float(stats.byte_hit_rate),
-                node.cache.used_bytes,
-                node.cache.capacity_bytes,
-                node.cache.file_count,
-            )
+    return [
+        (
+            name, *node.cache.stats.row(), node.cache.used_bytes,
+            node.cache.capacity_bytes, node.cache.file_count,
         )
-    return rows
+        for name, node in sorted(cluster.nodes.items())
+    ]
 
 
 def _dc_requests_issued(cluster) -> List[tuple]:
     return [
-        (
-            r.request_id,
-            r.node_name,
-            r.request,
-            r.start_seconds,
-            r.duration_seconds,
-            r.rows_produced,
-            r.depot_hits,
-            r.depot_misses,
-            r.s3_requests,
-            r.s3_dollars,
-        )
-        for r in sorted(cluster.obs.requests, key=lambda r: r.request_id)
+        r.row() for r in sorted(cluster.obs.requests, key=lambda r: r.request_id)
     ]
 
 
 def _query_profiles(cluster) -> List[tuple]:
-    rows = []
-    for profile in sorted(cluster.obs.profiles, key=lambda p: p.request_id):
-        for op in profile.operators:
-            rows.append(
-                (
-                    profile.request_id,
-                    op.node,
-                    op.operator,
-                    op.path_id,
-                    op.rows,
-                    op.sim_seconds,
-                    op.bytes_from_cache,
-                    op.bytes_from_shared,
-                    op.depot_hits,
-                    op.depot_misses,
-                    op.s3_requests,
-                    op.s3_dollars,
-                    op.detail,
-                    op.scan_strategy,
-                )
-            )
-    return rows
+    return [
+        (profile.request_id, *op.row())
+        for profile in sorted(cluster.obs.profiles, key=lambda p: p.request_id)
+        for op in profile.operators
+    ]
 
 
 def _storage_containers(cluster) -> List[tuple]:
@@ -211,79 +179,15 @@ def _resource_pools(cluster) -> List[tuple]:
 
 
 def _resource_queues(cluster) -> List[tuple]:
-    admission = cluster.admission
-    rows = []
-    for name in sorted(admission.pools):
-        pool = admission.pools[name]
-        rows.append(
-            (
-                name,
-                pool.queued,
-                pool.peak_queue_depth,
-                pool.queued_admissions,
-                pool.queue_wait_seconds,
-                pool.timeouts,
-                pool.rejected_queue_full,
-                pool.rejected_busy,
-                pool.sheds,
-                pool.rejected_draining,
-                1 if pool.draining else 0,
-            )
-        )
-    return rows
+    pools = cluster.admission.pools
+    return [(name, *pools[name].row()) for name in sorted(pools)]
 
 
 def _dc_storage_operations(cluster) -> List[tuple]:
     shared = getattr(cluster, "shared", None)
     if shared is None:
         return []  # no shared storage (Enterprise): absent is empty
-    op_stats = getattr(shared, "op_stats", None)
-    rows = []
-    if op_stats:
-        for op in sorted(op_stats):
-            stats = op_stats[op]
-            rows.append(
-                (
-                    op,
-                    stats.requests,
-                    stats.bytes,
-                    stats.sim_seconds,
-                    stats.dollars,
-                    stats.transient_faults,
-                    stats.throttled,
-                )
-            )
-    else:
-        # Generic backend: per-class detail unavailable, report from the
-        # aggregate StorageMetrics.  The row set is derived from the same
-        # OP_CLASSES the simulated backend uses, so both code paths report
-        # identical op classes; metrics fields a generic backend doesn't
-        # track (select_requests/bytes_scanned) read as zero.
-        m = shared.metrics
-        rows = [
-            (
-                op,
-                getattr(m, requests_field, 0),
-                getattr(m, bytes_field, 0) if bytes_field else 0,
-                0.0, 0.0, 0, 0,
-            )
-            for op, (requests_field, bytes_field) in sorted(
-                _FALLBACK_OP_FIELDS.items()
-            )
-        ]
-    return rows
-
-
-#: StorageMetrics fields backing each op class in the generic-backend
-#: fallback of :func:`_dc_storage_operations`; must cover ``OP_CLASSES``.
-_FALLBACK_OP_FIELDS: Dict[str, Tuple[str, Optional[str]]] = {
-    "DELETE": ("delete_requests", None),
-    "GET": ("get_requests", "bytes_read"),
-    "LIST": ("list_requests", None),
-    "PUT": ("put_requests", "bytes_written"),
-    "SELECT": ("select_requests", "bytes_scanned"),
-}
-assert set(_FALLBACK_OP_FIELDS) == set(OP_CLASSES)
+    return [(op, *stats.row()) for op, stats in sorted(shared.op_stats.items())]
 
 
 def _services(cluster) -> List[tuple]:
@@ -309,47 +213,12 @@ def _autoscale_events(cluster) -> List[tuple]:
     # Served from the autoscaler the cluster registered (if any); same
     # absent-is-empty discipline as v_monitor.services.
     scaler = getattr(cluster, "autoscaler", None)
-    if scaler is None:
-        return []
-    return [
-        (
-            e.event_id,
-            e.at_seconds,
-            e.action,
-            e.subcluster,
-            e.node,
-            e.outcome,
-            e.detail,
-        )
-        for e in scaler.events
-    ]
+    return [e.row() for e in scaler.events] if scaler is not None else []
 
 
 def _designer_runs(cluster) -> List[tuple]:
-    # Served from DesignerRun records appended by DatabaseDesigner.apply()
-    # (if any); same absent-is-empty discipline as v_monitor.services.
-    runs = getattr(cluster, "designer_runs", None)
-    if not runs:
-        return []
-    return [
-        (
-            r.run_id,
-            r.at_seconds,
-            r.queries_used,
-            r.queries_skipped,
-            r.candidates_scored,
-            r.search_mode,
-            r.regret_bound,
-            r.estimated_seconds,
-            r.baseline_seconds,
-            r.estimated_s3_gets,
-            r.baseline_s3_gets,
-            ",".join(r.created),
-            ",".join(r.dropped),
-            ",".join(r.kept),
-        )
-        for r in runs
-    ]
+    # DesignerRun records appended by DatabaseDesigner.apply() (if any).
+    return [r.row() for r in getattr(cluster, "designer_runs", None) or ()]
 
 
 def _dc_event_producer(table: str):
@@ -391,40 +260,21 @@ SYSTEM_TABLES: Dict[str, SystemTableDef] = {
     for d in _DC_EVENT_DEFS + (
         SystemTableDef(
             "depot_activity",
-            _schema(
-                ("node_name", _S), ("hits", _I), ("misses", _I),
-                ("insertions", _I), ("evictions", _I),
-                ("rejected_by_policy", _I), ("bytes_read", _I),
-                ("bytes_written", _I), ("bytes_evicted", _I),
-                ("bytes_missed", _I), ("prefetch_hits", _I),
-                ("prefetch_bytes_read", _I), ("hit_rate", _F),
-                ("byte_hit_rate", _F), ("used_bytes", _I),
-                ("capacity_bytes", _I), ("file_count", _I),
+            _ledger_schema(
+                CacheStats,
+                [("node_name", _S)],
+                [("used_bytes", _I), ("capacity_bytes", _I), ("file_count", _I)],
             ),
             _depot_activity,
         ),
         SystemTableDef(
             "dc_requests_issued",
-            _schema(
-                ("request_id", _I), ("node_name", _S), ("request", _S),
-                ("start_seconds", _F), ("duration_seconds", _F),
-                ("rows_produced", _I), ("depot_hits", _I),
-                ("depot_misses", _I), ("s3_requests", _I),
-                ("s3_dollars", _F),
-            ),
+            _ledger_schema(RequestRecord),
             _dc_requests_issued,
         ),
         SystemTableDef(
             "query_profiles",
-            _schema(
-                ("request_id", _I), ("node_name", _S), ("operator", _S),
-                ("path_id", _I), ("rows_produced", _I),
-                ("sim_seconds", _F), ("bytes_from_cache", _I),
-                ("bytes_from_shared", _I), ("depot_hits", _I),
-                ("depot_misses", _I), ("s3_requests", _I),
-                ("s3_dollars", _F), ("detail", _S),
-                ("scan_strategy", _S),
-            ),
+            _ledger_schema(OperatorProfile, [("request_id", _I)]),
             _query_profiles,
         ),
         SystemTableDef(
@@ -456,13 +306,7 @@ SYSTEM_TABLES: Dict[str, SystemTableDef] = {
         ),
         SystemTableDef(
             "resource_queues",
-            _schema(
-                ("pool_name", _S), ("queue_depth", _I),
-                ("peak_queue_depth", _I), ("queued_admissions", _I),
-                ("queue_wait_seconds", _F), ("timeouts", _I),
-                ("rejected_queue_full", _I), ("rejected_busy", _I),
-                ("sheds", _I), ("rejected_draining", _I), ("draining", _I),
-            ),
+            _ledger_schema(PoolStats, [("pool_name", _S)]),
             _resource_queues,
         ),
         SystemTableDef(
@@ -475,32 +319,17 @@ SYSTEM_TABLES: Dict[str, SystemTableDef] = {
         ),
         SystemTableDef(
             "autoscale_events",
-            _schema(
-                ("event_id", _I), ("at_seconds", _F), ("action", _S),
-                ("subcluster", _S), ("node", _S), ("outcome", _S),
-                ("detail", _S),
-            ),
+            _ledger_schema(AutoscaleEvent),
             _autoscale_events,
         ),
         SystemTableDef(
             "designer_runs",
-            _schema(
-                ("run_id", _I), ("at_seconds", _F), ("queries_used", _I),
-                ("queries_skipped", _I), ("candidates_scored", _I),
-                ("search_mode", _S), ("regret_bound", _F),
-                ("estimated_seconds", _F), ("baseline_seconds", _F),
-                ("estimated_s3_gets", _F), ("baseline_s3_gets", _F),
-                ("created", _S), ("dropped", _S), ("kept", _S),
-            ),
+            _ledger_schema(DesignerRun),
             _designer_runs,
         ),
         SystemTableDef(
             "dc_storage_operations",
-            _schema(
-                ("operation", _S), ("requests", _I), ("bytes", _I),
-                ("sim_seconds", _F), ("dollars", _F),
-                ("transient_faults", _I), ("throttled", _I),
-            ),
+            _ledger_schema(OpStats, [("operation", _S)]),
             _dc_storage_operations,
         ),
     )

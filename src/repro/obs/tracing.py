@@ -94,12 +94,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock=None, max_spans: int = 20000, registry=None):
+    def __init__(self, clock=None, max_spans: int = 20000):
         self._clock = clock
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
         self._spans: "deque[Span]" = deque(maxlen=max_spans)
-        self._registry = registry
         #: Spans evicted from the bounded deque since construction.
         self.dropped = 0
         #: Highest span_id evicted so far (0 = nothing evicted yet).
@@ -114,8 +113,6 @@ class Tracer:
         if self._spans.maxlen is not None and len(self._spans) == self._spans.maxlen:
             self._evicted_through = self._spans[0].span_id
             self.dropped += 1
-            if self._registry is not None:
-                self._registry.counter("obs.spans_dropped").inc()
         self._spans.append(span)
 
     def span(self, name: str, **attrs) -> Span:

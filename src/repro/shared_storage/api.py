@@ -18,38 +18,74 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, TypeVar
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 from repro.errors import StorageError, TransientStorageError
+from repro.obs.metrics import Ledger
+
+
+#: The request classes every backend accounts for.  SELECT is server-side
+#: compute (S3-Select-style); backends without it leave the class at zero.
+OP_CLASSES: Tuple[str, ...] = ("DELETE", "GET", "LIST", "PUT", "SELECT")
+
+
+@dataclass
+class OpStats(Ledger):
+    """The ledger of one request class of one backend.
+
+    ``bytes`` is payload read (GET), written (PUT) or scanned server-side
+    (SELECT).  ``transient_faults`` counts injected failures observed by
+    this class; ``throttled`` is the subset raised while a fault burst was
+    active — the distinction the paper's throttling discussion turns on.
+    """
+
+    requests: int = 0
+    bytes: int = 0
+    sim_seconds: float = 0.0
+    dollars: float = 0.0
+    transient_faults: int = 0
+    throttled: int = 0
+
+
+def _of_class(op: str, name: str) -> property:
+    return property(lambda self: getattr(self.ops[op], name))
 
 
 @dataclass
 class StorageMetrics:
-    """Request/byte/latency/cost accounting for one backend instance."""
+    """One backend's request totals: a read-only view over its per-class
+    ledgers (``ops``), beside the two things no class holds.
 
-    get_requests: int = 0
-    put_requests: int = 0
-    list_requests: int = 0
-    delete_requests: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
+    ``sim_seconds`` and ``dollars`` are the order-of-arrival sums the sim
+    clock is read from; float addition does not regroup, so the per-class
+    sums cannot reproduce them to the last digit and
+    :meth:`Filesystem._charge` — the one place a request is booked — adds
+    each request's seconds and dollars to its class and to these.
+    ``transient_failures`` / ``retry_backoff_seconds`` belong to the retry
+    loop (:func:`retrying`), not to a request class.
+    """
+
+    ops: Dict[str, OpStats] = field(
+        default_factory=lambda: {op: OpStats() for op in OP_CLASSES}
+    )
     sim_seconds: float = 0.0
     dollars: float = 0.0
     transient_failures: int = 0
     retry_backoff_seconds: float = 0.0
 
+    get_requests = _of_class("GET", "requests")
+    put_requests = _of_class("PUT", "requests")
+    list_requests = _of_class("LIST", "requests")
+    delete_requests = _of_class("DELETE", "requests")
+    bytes_read = _of_class("GET", "bytes")
+    bytes_written = _of_class("PUT", "bytes")
+
     @property
     def total_requests(self) -> int:
-        return (
-            self.get_requests
-            + self.put_requests
-            + self.list_requests
-            + self.delete_requests
+        """Requests of the four object classes; SELECT rides on top."""
+        return sum(
+            self.ops[op].requests for op in OP_CLASSES if op != "SELECT"
         )
-
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0.0 if "seconds" in name or name == "dollars" else 0)
 
 
 class NameIndex:
@@ -85,6 +121,26 @@ class Filesystem(abc.ABC):
 
     def __init__(self) -> None:
         self.metrics = StorageMetrics()
+
+    @property
+    def op_stats(self) -> Dict[str, OpStats]:
+        """Per-request-class ledgers (shared with whatever shares
+        ``metrics``: a :class:`PrefixView`, a :class:`RetryingFilesystem`)."""
+        return self.metrics.ops
+
+    def _charge(
+        self, op: str, nbytes: int = 0, seconds: float = 0.0, dollars: float = 0.0
+    ) -> None:
+        """Book one served request of class ``op`` — the only writer of the
+        request ledger."""
+        metrics = self.metrics
+        stats = metrics.ops[op]
+        stats.requests += 1
+        stats.bytes += nbytes
+        stats.sim_seconds += seconds
+        stats.dollars += dollars
+        metrics.sim_seconds += seconds
+        metrics.dollars += dollars
 
     # -- required operations --------------------------------------------------
 

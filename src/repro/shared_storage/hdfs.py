@@ -47,27 +47,22 @@ class SimulatedHDFS(Filesystem):
 
     def write(self, name: str, data: bytes) -> None:
         self._objects[name] = bytes(data)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
-        self.metrics.sim_seconds += self.latency.write_seconds(len(data))
+        self._charge("PUT", len(data), self.latency.write_seconds(len(data)))
 
     def read(self, name: str) -> bytes:
         try:
             data = self._objects[name]
         except KeyError:
             raise ObjectNotFound(name) from None
-        self.metrics.get_requests += 1
-        self.metrics.bytes_read += len(data)
-        self.metrics.sim_seconds += self.latency.read_seconds(len(data))
+        self._charge("GET", len(data), self.latency.read_seconds(len(data)))
         return data
 
     def list(self, prefix: str = "") -> List[str]:
-        self.metrics.list_requests += 1
-        self.metrics.sim_seconds += self.latency.namenode_seconds
+        self._charge("LIST", 0, self.latency.namenode_seconds)
         return sorted(n for n in self._objects if n.startswith(prefix))
 
     def delete(self, name: str) -> None:
-        self.metrics.delete_requests += 1
+        self._charge("DELETE")
         self._objects.pop(name, None)
 
     def size(self, name: str) -> int:
@@ -81,13 +76,13 @@ class SimulatedHDFS(Filesystem):
             self._objects[new] = self._objects.pop(old)
         except KeyError:
             raise ObjectNotFound(old) from None
+        # A NameNode round trip that is no request of any class: only the
+        # clock total moves.
         self.metrics.sim_seconds += self.latency.namenode_seconds
 
     def append(self, name: str, data: bytes) -> None:
         self._objects[name] = self._objects.get(name, b"") + bytes(data)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
-        self.metrics.sim_seconds += self.latency.write_seconds(len(data))
+        self._charge("PUT", len(data), self.latency.write_seconds(len(data)))
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self.latency.read_seconds(nbytes)

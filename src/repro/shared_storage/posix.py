@@ -49,9 +49,7 @@ class LocalFilesystem(Filesystem):
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
-        self.metrics.sim_seconds += self.estimate_write_seconds(len(data))
+        self._charge("PUT", len(data), self.estimate_write_seconds(len(data)))
 
     def read(self, name: str) -> bytes:
         path = self._path(name)
@@ -60,13 +58,11 @@ class LocalFilesystem(Filesystem):
                 data = f.read()
         except FileNotFoundError:
             raise ObjectNotFound(name) from None
-        self.metrics.get_requests += 1
-        self.metrics.bytes_read += len(data)
-        self.metrics.sim_seconds += self.estimate_read_seconds(len(data))
+        self._charge("GET", len(data), self.estimate_read_seconds(len(data)))
         return data
 
     def list(self, prefix: str = "") -> List[str]:
-        self.metrics.list_requests += 1
+        self._charge("LIST")
         names: List[str] = []
         if not os.path.isdir(self.root):
             return names
@@ -82,7 +78,7 @@ class LocalFilesystem(Filesystem):
         return sorted(names)
 
     def delete(self, name: str) -> None:
-        self.metrics.delete_requests += 1
+        self._charge("DELETE")
         try:
             os.remove(self._path(name))
         except FileNotFoundError:
@@ -107,8 +103,7 @@ class LocalFilesystem(Filesystem):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "ab") as f:
             f.write(data)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
+        self._charge("PUT", len(data))
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self.seek_seconds + nbytes / self.read_bandwidth
@@ -132,26 +127,22 @@ class MemoryFilesystem(Filesystem):
     def write(self, name: str, data: bytes) -> None:
         self._objects[name] = bytes(data)
         self._names.add(name)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
-        self.metrics.sim_seconds += self.estimate_write_seconds(len(data))
+        self._charge("PUT", len(data), self.estimate_write_seconds(len(data)))
 
     def read(self, name: str) -> bytes:
         try:
             data = self._objects[name]
         except KeyError:
             raise ObjectNotFound(name) from None
-        self.metrics.get_requests += 1
-        self.metrics.bytes_read += len(data)
-        self.metrics.sim_seconds += self.estimate_read_seconds(len(data))
+        self._charge("GET", len(data), self.estimate_read_seconds(len(data)))
         return data
 
     def list(self, prefix: str = "") -> List[str]:
-        self.metrics.list_requests += 1
+        self._charge("LIST")
         return self._names.with_prefix(prefix)
 
     def delete(self, name: str) -> None:
-        self.metrics.delete_requests += 1
+        self._charge("DELETE")
         self._objects.pop(name, None)
         self._names.discard(name)
 
@@ -172,8 +163,7 @@ class MemoryFilesystem(Filesystem):
     def append(self, name: str, data: bytes) -> None:
         self._objects[name] = self._objects.get(name, b"") + bytes(data)
         self._names.add(name)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
+        self._charge("PUT", len(data))
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self.seek_seconds + nbytes / self.read_bandwidth

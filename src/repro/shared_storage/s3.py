@@ -37,19 +37,12 @@ from repro.shared_storage.api import Filesystem, NameIndex
 
 __all__ = [
     "FaultInjector",
-    "OP_CLASSES",
     "S3CostModel",
     "S3LatencyModel",
-    "S3OpStats",
     "SelectScanResult",
     "SimulatedS3",
     "wire_bytes",
 ]
-
-#: The request classes this backend accounts per-class.  Single source of
-#: truth — ``v_monitor.dc_storage_operations`` derives its generic-backend
-#: fallback rows from this tuple so both code paths report the same ops.
-OP_CLASSES: Tuple[str, ...] = ("DELETE", "GET", "LIST", "PUT", "SELECT")
 
 
 @dataclass
@@ -256,33 +249,6 @@ class FaultInjector:
         return self._digest.hexdigest()
 
 
-@dataclass
-class S3OpStats:
-    """Accounting for one request class (GET/PUT/LIST/DELETE).
-
-    ``transient_faults`` counts injected failures observed by this class;
-    ``throttled`` is the subset raised while a fault burst was active —
-    the distinction the paper's throttling discussion turns on.
-    """
-
-    requests: int = 0
-    bytes: int = 0
-    sim_seconds: float = 0.0
-    dollars: float = 0.0
-    transient_faults: int = 0
-    throttled: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "bytes": self.bytes,
-            "sim_seconds": self.sim_seconds,
-            "dollars": self.dollars,
-            "transient_faults": self.transient_faults,
-            "throttled": self.throttled,
-        }
-
-
 def wire_bytes(rows) -> int:
     """Approximate wire size of a :class:`~repro.storage.container.RowSet`.
 
@@ -361,10 +327,6 @@ class SimulatedS3(Filesystem):
         self.faults = faults or FaultInjector()
         self._objects: Dict[str, bytes] = {}
         self._names = NameIndex()
-        #: Per-request-class accounting alongside the aggregate ``metrics``.
-        self.op_stats: Dict[str, S3OpStats] = {
-            op: S3OpStats() for op in OP_CLASSES
-        }
 
     # -- core operations -------------------------------------------------------
 
@@ -393,16 +355,10 @@ class SimulatedS3(Filesystem):
             )
         self._objects[name] = bytes(data)
         self._names.add(name)
-        self.metrics.put_requests += 1
-        self.metrics.bytes_written += len(data)
-        seconds = self.latency.write_seconds(len(data))
-        self.metrics.sim_seconds += seconds
-        self.metrics.dollars += self.cost.put_cost()
-        stats = self.op_stats["PUT"]
-        stats.requests += 1
-        stats.bytes += len(data)
-        stats.sim_seconds += seconds
-        stats.dollars += self.cost.put_cost()
+        self._charge(
+            "PUT", len(data), self.latency.write_seconds(len(data)),
+            self.cost.put_cost(),
+        )
 
     def read(self, name: str) -> bytes:
         self._maybe_fail("GET")
@@ -410,16 +366,10 @@ class SimulatedS3(Filesystem):
             data = self._objects[name]
         except KeyError:
             raise ObjectNotFound(name) from None
-        self.metrics.get_requests += 1
-        self.metrics.bytes_read += len(data)
-        seconds = self.latency.read_seconds(len(data))
-        self.metrics.sim_seconds += seconds
-        self.metrics.dollars += self.cost.get_cost()
-        stats = self.op_stats["GET"]
-        stats.requests += 1
-        stats.bytes += len(data)
-        stats.sim_seconds += seconds
-        stats.dollars += self.cost.get_cost()
+        self._charge(
+            "GET", len(data), self.latency.read_seconds(len(data)),
+            self.cost.get_cost(),
+        )
         return data
 
     #: Coalesced GETs are backend-amortised here: the group pays one
@@ -439,16 +389,9 @@ class SimulatedS3(Filesystem):
             except KeyError:
                 raise ObjectNotFound(name) from None
         total = sum(len(v) for v in out.values())
-        self.metrics.get_requests += 1
-        self.metrics.bytes_read += total
-        seconds = self.latency.read_seconds(total)
-        self.metrics.sim_seconds += seconds
-        self.metrics.dollars += self.cost.get_cost()
-        stats = self.op_stats["GET"]
-        stats.requests += 1
-        stats.bytes += total
-        stats.sim_seconds += seconds
-        stats.dollars += self.cost.get_cost()
+        self._charge(
+            "GET", total, self.latency.read_seconds(total), self.cost.get_cost()
+        )
         return out
 
     #: Server-side compute (S3-Select-style filter/project/partial-aggregate)
@@ -528,13 +471,7 @@ class SimulatedS3(Filesystem):
         returned = wire_bytes(out_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
         seconds = self.latency.select_seconds(scanned, returned)
         dollars = self.cost.select_cost(scanned, returned)
-        self.metrics.sim_seconds += seconds
-        self.metrics.dollars += dollars
-        stats = self.op_stats["SELECT"]
-        stats.requests += 1
-        stats.bytes += scanned
-        stats.sim_seconds += seconds
-        stats.dollars += dollars
+        self._charge("SELECT", scanned, seconds, dollars)
         return SelectScanResult(
             rows=out_rows,
             aggregates=aggs,
@@ -548,19 +485,12 @@ class SimulatedS3(Filesystem):
 
     def list(self, prefix: str = "") -> List[str]:
         self._maybe_fail("LIST")
-        self.metrics.list_requests += 1
-        self.metrics.sim_seconds += self.latency.list_seconds
-        self.metrics.dollars += self.cost.list_cost()
-        stats = self.op_stats["LIST"]
-        stats.requests += 1
-        stats.sim_seconds += self.latency.list_seconds
-        stats.dollars += self.cost.list_cost()
+        self._charge("LIST", 0, self.latency.list_seconds, self.cost.list_cost())
         return self._names.with_prefix(prefix)
 
     def delete(self, name: str) -> None:
         self._maybe_fail("DELETE")
-        self.metrics.delete_requests += 1
-        self.op_stats["DELETE"].requests += 1
+        self._charge("DELETE")
         self._objects.pop(name, None)  # idempotent, as on real S3
         self._names.discard(name)
 

@@ -21,6 +21,14 @@ System tables are available through plain SQL, e.g.::
 
     select * from v_monitor.depot_activity;
     select request, s3_dollars from v_monitor.dc_requests_issued;
+
+and "why was request N slow" is one of them (the components ``\\doctor``
+blames from)::
+
+    select request_id, duration_seconds, queue_wait_seconds,
+           failover_backoff_seconds, retry_backoff_seconds, retries,
+           storage_io_seconds
+    from v_monitor.dc_requests_issued order by duration_seconds desc limit 5;
 """
 
 from __future__ import annotations
@@ -260,7 +268,8 @@ class Shell:
                 self.write(
                     f"depot: hit_rate={depot['hit_rate']:.1%} "
                     f"byte_hit_rate={depot['byte_hit_rate']:.1%} "
-                    f"evictions={depot['evictions']}"
+                    f"evictions={depot['evictions']} "
+                    f"rejected_by_policy={depot['rejected_by_policy']}"
                 )
             totals = summary.get("s3", {}).get("totals")
             if totals:

@@ -287,6 +287,3 @@ class MergeoutCoordinatorService:
                 bytes_written=len(data),
                 rows_purged=purged,
             )
-            obs.metrics.counter("mergeout.jobs", node=node.name).inc()
-            obs.metrics.counter("mergeout.bytes_written", node=node.name).inc(len(data))
-            obs.metrics.counter("mergeout.rows_purged", node=node.name).inc(purged)

@@ -101,8 +101,6 @@ class PendingAdmission:
         if wait > pool.config.queue_timeout_seconds:
             self.effect.release()
             pool.timeouts += 1
-            controller._count("wm.timeouts", pool=pool.name)
-            controller._count("wm.rejected", pool=pool.name, reason="timeout")
             controller._dc_record(
                 self.initiator, pool, "reject", "timeout",
                 sum(self.demand.values()), wait,
@@ -138,7 +136,6 @@ class PendingAdmission:
         pool.queued -= 1
         controller.pending -= 1
         controller._waiting.remove(self)
-        controller._gauge_queue_depth(pool)
 
 
 class AdmissionController:
@@ -246,7 +243,6 @@ class AdmissionController:
         ]
         if busy:
             pool.rejected_busy += 1
-            self._count("wm.rejected", pool=pool.name, reason="busy")
             self._dc_record(
                 initiator, pool, "reject", "busy", sum(demand.values()), 0.0
             )
@@ -271,8 +267,6 @@ class AdmissionController:
             # without stranding its blocked process — so shedding is an
             # arrival-side guarantee only.
             pool.sheds += 1
-            self._count("wm.sheds", pool=pool.name)
-            self._count("wm.rejected", pool=pool.name, reason="shed")
             self._dc_record(
                 initiator, pool, "reject", "shed", sum(demand.values()), 0.0
             )
@@ -289,8 +283,6 @@ class AdmissionController:
                     self.clock.now + pool.config.shed_cooldown_seconds
                 )
                 pool.breaker_trips += 1
-                self._count("wm.breaker_trips", pool=pool.name)
-            self._count("wm.rejected", pool=pool.name, reason="queue_full")
             self._dc_record(
                 initiator, pool, "reject", "queue_full",
                 sum(demand.values()), 0.0,
@@ -312,8 +304,6 @@ class AdmissionController:
         pool.peak_queue_depth = max(pool.peak_queue_depth, pool.queued)
         self.pending += 1
         self._waiting.append(pending)
-        self._count("wm.queued", pool=pool.name)
-        self._gauge_queue_depth(pool)
         self._dc_record(
             initiator, pool, "queue", "", sum(demand.values()), 0.0
         )
@@ -323,7 +313,6 @@ class AdmissionController:
         if not pool.draining:
             return
         pool.rejected_draining += 1
-        self._count("wm.rejected", pool=pool.name, reason="draining")
         self._dc_record(initiator, pool, "reject", "draining", 0, 0.0)
         raise AdmissionRejected(
             f"pool {pool.name!r}: draining (no new admissions)",
@@ -384,7 +373,6 @@ class AdmissionController:
             pool.queue_wait_seconds += wait
         obs = self._obs()
         if obs is not None:
-            obs.metrics.counter("wm.admitted", pool=pool.name).inc()
             obs.metrics.histogram("wm.queue_wait_seconds").observe(wait)
         self._dc_record(
             initiator, pool, "admit", "", sum(demand.values()), wait
@@ -420,16 +408,6 @@ class AdmissionController:
     def _obs(self):
         obs = self.cluster.obs
         return obs if obs.enabled else None
-
-    def _count(self, name: str, **labels) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.metrics.counter(name, **labels).inc()
-
-    def _gauge_queue_depth(self, pool: ResourcePool) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.metrics.gauge("wm.queue_depth", pool=pool.name).set(pool.queued)
 
     def _dc_record(
         self,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.cluster.query_path import parse_select, prepare, run
+from repro.cluster import query_path
 from repro.common.clock import SimClock, Timeout
 from repro.errors import AdmissionRejected, ReproError
 from repro.wm.admission import AdmissionTicket
@@ -170,7 +170,7 @@ def run_closed_loop(
     """
     admission = cluster.admission
     clock: SimClock = cluster.clock
-    parsed = [(sql.strip(), parse_select(cluster, sql)) for sql in workload.statements]
+    parsed = [(sql.strip(), query_path.parse_select(cluster, sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     start = clock.now
     result = WorkloadResult()
@@ -201,14 +201,14 @@ def run_closed_loop(
             session = cluster.create_session(seed=seed, **session_options)
             # Bound and planned once: the demand queues for slots, the plan
             # runs under the ticket they grant.
-            prepared = prepare(statement, session)
+            prepared = query_path.prepare(statement, session)
             pending = admission.enqueue(prepared.demand, session.initiator)
             yield pending.effect
             settled, pending = pending, None
             ticket = settled.granted()
             inflight[0] += 1
             try:
-                query_result = run(
+                query_result = query_path.run(
                     cluster,
                     statement,
                     request_text=sql,
@@ -282,7 +282,7 @@ def run_serial_reference(
     """
     if workload.requests_per_client is None:
         raise ValueError("serial reference needs requests_per_client")
-    parsed = [(sql.strip(), parse_select(cluster, sql)) for sql in workload.statements]
+    parsed = [(sql.strip(), query_path.parse_select(cluster, sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     clock: SimClock = cluster.clock
     start = clock.now

@@ -120,7 +120,7 @@ class TestMidQueryFailover:
         with session:
             cluster.kill_node(killable_participant(cluster, session))
             cluster.query_statement(stmt, session=session, failover=True)
-        assert cluster.obs.metrics.counter("recovery.failovers").value >= 1
+        assert cluster.failovers >= 1
         assert any(s.name == "query.failover" for s in cluster.obs.tracer.spans)
 
     def test_attempts_are_bounded(self):
@@ -167,8 +167,6 @@ class TestOutageWindows:
         clock.advance(until)
         assert not cluster.refresh_degraded()
         assert cluster.degraded_entries == 1 and cluster.degraded_exits == 1
-        assert cluster.obs.metrics.counter("recovery.degraded_entries").value == 1
-        assert cluster.obs.metrics.counter("recovery.degraded_exits").value == 1
         # Recovered: writes work again.
         cluster.load("t", [(9000, "x", 1)])
 
@@ -328,9 +326,7 @@ class TestServiceErrorVisibility:
         assert scheduler.error_counts["rebalance"] == 1
         assert "rebalance exploded" in scheduler.last_errors["rebalance"]
         assert "catalog_sync" not in scheduler.last_errors
-        assert cluster.obs.metrics.counter(
-            "services.errors", service="rebalance"
-        ).value == 1
+        assert scheduler.stats.errors == 1
         rows = cluster.query(
             "select service, runs, errors, last_error from v_monitor.services"
         ).rows.to_pylist()

@@ -173,10 +173,10 @@ def tpch_pair():
     data = TpchData.generate(scale=0.002, seed=42)
     pair = []
     for parallel_io in (True, False):
-        cluster = EonCluster(
-            ["n1", "n2", "n3"], shard_count=3, seed=11,
-            parallel_io=parallel_io,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            # The scheduler-off arm is a class attribute, read at construction.
+            patch.setattr(EonCluster, "parallel_io", parallel_io)
+            cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11)
         setup_tpch_schema(cluster)
         load_tpch(cluster, data)
         rows = data.tables["lineitem"].to_pylist()

@@ -6,7 +6,8 @@ import pytest
 
 from repro import EonCluster
 from repro.engine.executor import ScanResult
-from repro.io.scheduler import FetchRequest, IOSchedulerConfig, plan_fetch
+from repro.io import scheduler as io_scheduler
+from repro.io.scheduler import FetchRequest, IOScheduler, plan_fetch
 from repro.obs.metrics import cluster_metrics
 from repro.storage.container import RowSet
 
@@ -46,39 +47,37 @@ def container_requests(cluster):
 
 
 class TestPlanFetch:
-    CONFIG = IOSchedulerConfig()
-
     def test_dedup_counts_duplicates(self):
         requests = [
             FetchRequest("a", 10, 0),
             FetchRequest("a", 10, 0),
             FetchRequest("b", 10, 1),
         ]
-        plan = plan_fetch(requests, set(), set(), self.CONFIG)
+        plan = plan_fetch(requests, set(), set())
         keys = [r.key for g in plan.groups for r in g]
         assert sorted(keys) == ["a", "b"]
         assert plan.duplicates == 1
 
     def test_resident_split(self):
         requests = [FetchRequest("a", 10, 0), FetchRequest("b", 10, 0)]
-        plan = plan_fetch(requests, {"a"}, set(), self.CONFIG)
+        plan = plan_fetch(requests, {"a"}, set())
         assert [r.key for r in plan.resident] == ["a"]
         assert [[r.key for r in g] for g in plan.groups] == [["b"]]
 
     def test_small_adjacent_files_coalesce(self):
         requests = [FetchRequest(f"k{i}", 1000, i) for i in range(4)]
-        plan = plan_fetch(requests, set(), set(), self.CONFIG)
+        plan = plan_fetch(requests, set(), set())
         assert len(plan.groups) == 1
         assert len(plan.groups[0]) == 4
 
     def test_large_file_is_singleton(self):
-        big = self.CONFIG.coalesce_file_limit + 1
+        big = io_scheduler.COALESCE_FILE_LIMIT + 1
         requests = [
             FetchRequest("a", 100, 0),
             FetchRequest("big", big, 0),
             FetchRequest("b", 100, 0),
         ]
-        plan = plan_fetch(requests, set(), set(), self.CONFIG)
+        plan = plan_fetch(requests, set(), set())
         assert [[r.key for r in g] for g in plan.groups] == [
             ["a"], ["big"], ["b"]
         ]
@@ -89,7 +88,7 @@ class TestPlanFetch:
             FetchRequest("deny", 100, 0),
             FetchRequest("b", 100, 0),
         ]
-        plan = plan_fetch(requests, set(), {"deny"}, self.CONFIG)
+        plan = plan_fetch(requests, set(), {"deny"})
         assert [[r.key for r in g] for g in plan.groups] == [
             ["a"], ["deny"], ["b"]
         ]
@@ -100,14 +99,12 @@ class TestPlanFetch:
             FetchRequest("b", 100, 1),
             FetchRequest("c", 100, 5),
         ]
-        plan = plan_fetch(requests, set(), set(), self.CONFIG)
+        plan = plan_fetch(requests, set(), set())
         assert [[r.key for r in g] for g in plan.groups] == [["a", "b"], ["c"]]
 
     def test_no_coalesced_backend_means_singletons(self):
         requests = [FetchRequest(f"k{i}", 100, i) for i in range(3)]
-        plan = plan_fetch(
-            requests, set(), set(), self.CONFIG, supports_coalesced=False
-        )
+        plan = plan_fetch(requests, set(), set(), supports_coalesced=False)
         assert all(len(g) == 1 for g in plan.groups)
 
 
@@ -161,8 +158,9 @@ class TestBatchFetch:
         assert result.depot_misses == len(requests)
         assert result.bytes_from_shared == sum(r.size for r in requests)
 
-    def test_peer_fetch_disabled_goes_to_s3(self):
-        cluster = make_cluster(io_config=IOSchedulerConfig(peer_fetch=False))
+    def test_peer_fetch_disabled_goes_to_s3(self, monkeypatch):
+        monkeypatch.setattr(IOScheduler, "peer_fetch", False)
+        cluster = make_cluster()
         cluster.query("select count(*) from t")
         node = cluster.nodes["n1"]
         node.cache.clear()
@@ -220,8 +218,14 @@ class TestBatchFetch:
 class TestSchedulerAblation:
     """Scheduler on vs off: same answers, same demand depot accounting."""
 
+    @pytest.fixture(autouse=True)
+    def _patching(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
     def _run(self, parallel_io):
-        cluster = make_cluster(parallel_io=parallel_io)
+        # The scheduler-off arm is a class attribute, read at construction.
+        self.monkeypatch.setattr(EonCluster, "parallel_io", parallel_io)
+        cluster = make_cluster()
         clear_depots(cluster)
         out = []
         for sql in (
@@ -356,12 +360,14 @@ class TestObsCounters:
             use_cache=True,
             result=result,
         )
+        # Events are counted once, in their ledgers; the registry keeps the
+        # lane-occupancy reading no ledger holds.
+        stats = cluster.io_scheduler.stats
+        assert stats.coalesced_gets > 0 and stats.peer_fetches > 0
+        assert sum(n.cache.stats.prefetch_hits for n in cluster.nodes.values()) > 0
         snap = cluster.obs.metrics.snapshot()
-        counters = snap.counters
-        assert any(k.startswith("io.coalesced_gets") for k in counters)
-        assert any(k.startswith("io.prefetch_hits") for k in counters)
-        assert any(k.startswith("io.peer_fetches") for k in counters)
         assert any(k.startswith("io.lane_occupancy") for k in snap.gauges)
+        assert not any(k.startswith("io.") for k in snap.counters)
         spans = [s for s in cluster.obs.tracer.spans if s.name == "fetch_batch"]
         assert spans
         assert all(s.attrs["files"] >= s.attrs["fetched"] >= 0 for s in spans)

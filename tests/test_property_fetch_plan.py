@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro import EonCluster
 from repro.cache.disk_cache import FileCache
 from repro.engine.executor import ScanResult
-from repro.io.scheduler import FetchRequest, IOSchedulerConfig, plan_fetch
+from repro.io import scheduler as CONFIG
+from repro.io.scheduler import FetchRequest, plan_fetch
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.storage.container import RowSet
 
@@ -45,16 +46,13 @@ def _subset(requests, salt):
     return {k for k in keys if rng.random() < 0.3}
 
 
-CONFIG = IOSchedulerConfig()
-
-
 class TestPlanProperties:
     @given(requests=_request_lists(), salt=st.integers(0, 1 << 16))
     @settings(max_examples=120, deadline=None)
     def test_exact_coverage_no_duplicates(self, requests, salt):
         resident = _subset(requests, salt)
         bypass = _subset(requests, salt ^ 0xBEEF)
-        plan = plan_fetch(requests, resident, bypass, CONFIG)
+        plan = plan_fetch(requests, resident, bypass)
         planned = [r.key for r in plan.resident]
         planned += [r.key for g in plan.groups for r in g]
         unique = {r.key for r in requests}
@@ -66,18 +64,18 @@ class TestPlanProperties:
     @settings(max_examples=120, deadline=None)
     def test_groups_respect_thresholds(self, requests, salt):
         bypass = _subset(requests, salt)
-        plan = plan_fetch(requests, set(), bypass, CONFIG)
+        plan = plan_fetch(requests, set(), bypass)
         for group in plan.groups:
             if len(group) == 1:
                 continue
-            assert len(group) <= CONFIG.coalesce_max_files
-            assert sum(r.size for r in group) <= CONFIG.coalesce_max_bytes
+            assert len(group) <= CONFIG.COALESCE_MAX_FILES
+            assert sum(r.size for r in group) <= CONFIG.COALESCE_MAX_BYTES
             for member in group:
-                assert member.size <= CONFIG.coalesce_file_limit
+                assert member.size <= CONFIG.COALESCE_FILE_LIMIT
                 assert member.key not in bypass
             for left, right in zip(group, group[1:]):
                 gap = right.container_index - left.container_index
-                assert gap <= CONFIG.coalesce_max_gap
+                assert gap <= CONFIG.COALESCE_MAX_GAP
 
     @given(requests=_request_lists(), salt=st.integers(0, 1 << 16))
     @settings(max_examples=120, deadline=None)
@@ -85,7 +83,7 @@ class TestPlanProperties:
         # A serial path fetches each unique non-resident key once; the
         # plan's fetch units must account for exactly the same bytes.
         resident = _subset(requests, salt)
-        plan = plan_fetch(requests, resident, set(), CONFIG)
+        plan = plan_fetch(requests, resident, set())
         # First occurrence wins under dedup (a real key has one size).
         sizes = {}
         for r in requests:
@@ -101,16 +99,14 @@ class TestPlanProperties:
     def test_planning_is_deterministic(self, requests, salt):
         resident = _subset(requests, salt)
         bypass = _subset(requests, salt ^ 0xBEEF)
-        first = plan_fetch(requests, resident, bypass, CONFIG)
-        second = plan_fetch(requests, resident, bypass, CONFIG)
+        first = plan_fetch(requests, resident, bypass)
+        second = plan_fetch(requests, resident, bypass)
         assert first == second
 
     @given(requests=_request_lists())
     @settings(max_examples=60, deadline=None)
     def test_serial_backend_never_coalesces(self, requests):
-        plan = plan_fetch(
-            requests, set(), set(), CONFIG, supports_coalesced=False
-        )
+        plan = plan_fetch(requests, set(), set(), supports_coalesced=False)
         assert all(len(g) == 1 for g in plan.groups)
 
 

@@ -1,7 +1,8 @@
 """The knobs, pinned by name: a new constructor argument or per-query option
 is a visible diff here, and an option that does not exist — or that would be
-ignored — fails typed.  Two structural guards ride along: DESIGN.md's module
-map names files that exist, and one module owns the query path."""
+ignored — fails typed.  Three structural guards ride along: DESIGN.md's module
+map names files that exist, one module owns the query path, and the registry
+instruments written anywhere are listed by name."""
 
 import ast
 import inspect
@@ -27,7 +28,7 @@ class TestConstructorArguments:
         assert parameters(EonCluster.__init__) == [
             "node_names", "shard_count", "shared_storage", "subscribers_per_shard",
             "cache_bytes", "execution_slots", "seed", "clock", "cost_model", "racks",
-            "observability", "parallel_io", "io_config", "pushdown", "_bootstrap",
+            "observability", "_bootstrap",
         ]
 
     def test_enterprise_cluster(self):
@@ -138,3 +139,26 @@ class TestStructure:
                     if name in wired:
                         owners.add(str(path.relative_to(SRC)))
         assert owners == {"cluster/query_path.py"}
+
+    def test_the_registry_instruments_written_are_these(self):
+        """The registry holds what no ledger field can (DESIGN.md, "One
+        ledger"); a new instrument — a new mirror — is a visible diff here.
+        A name must be a literal, so that this list is the whole of it."""
+        written = set()
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                owner = ast.unparse(node.func.value)
+                if node.func.attr in ("counter", "gauge", "histogram") and (
+                    owner.endswith("metrics") or owner.endswith("registry")
+                ):
+                    name = node.args[0]
+                    assert isinstance(name, ast.Constant), (path, node.lineno)
+                    written.add((node.func.attr, name.value, str(path.relative_to(SRC))))
+        assert sorted(written) == [
+            ("counter", "depot.warming_bytes", "cluster/eon.py"),
+            ("gauge", "io.lane_occupancy", "io/scheduler.py"),
+            ("histogram", "query.latency_seconds", "cluster/query_path.py"),
+            ("histogram", "wm.queue_wait_seconds", "wm/admission.py"),
+        ]

@@ -197,8 +197,9 @@ class TestStrategyObservability:
         clock = SimClock()
         cluster = EonCluster(
             ["n1", "n2"], shard_count=2, seed=3, clock=clock,
-            observability=Observability(clock=clock), pushdown="on",
+            observability=Observability(clock=clock),
         )
+        cluster.pushdown = "on"
         cluster.execute("create table t (a int, v int)")
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():
@@ -211,8 +212,8 @@ class TestStrategyObservability:
         assert "pushdown" in strategies
         # Non-scan operators carry no strategy label.
         assert all(s == "" for op, s in rows if op != "Scan")
-        assert cluster.obs.metrics.counter("engine.pushdown_scans").value > 0
-        assert cluster.obs.metrics.counter("s3.bytes_scanned").value > 0
+        assert cluster.engine_stats.pushdown_scans > 0
+        assert cluster.engine_stats.bytes_scanned > 0
         spans = [s for s in cluster.obs.tracer.spans if s.name == "pushdown"]
         assert spans, "no pushdown span recorded"
         assert spans[-1].attrs["scanned"] > 0
@@ -220,7 +221,8 @@ class TestStrategyObservability:
     def test_engine_and_s3_metrics_sections(self):
         from repro.obs.metrics import cluster_metrics
 
-        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=3, pushdown="on")
+        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=3)
+        cluster.pushdown = "on"
         cluster.execute("create table t (a int, v int)")
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():

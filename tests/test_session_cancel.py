@@ -61,9 +61,8 @@ class TestCancellation:
 
     def test_cancel_mid_scan_serial_path(self, monkeypatch):
         """The pre-scheduler per-file path stays cancellable too."""
-        cluster = EonCluster(
-            ["n1", "n2", "n3"], shard_count=3, seed=17, parallel_io=False
-        )
+        monkeypatch.setattr(EonCluster, "parallel_io", False)
+        cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=17)
         cluster.execute("create table t (a int, b varchar)")
         for batch in range(4):
             cluster.load("t", [(batch * 100 + i, "x") for i in range(100)])

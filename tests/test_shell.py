@@ -312,9 +312,8 @@ class TestObservabilityOnBothFlavors:
 
 class TestStatsSelectTotals:
     def test_stats_reports_pushdown_scan_totals(self):
-        cluster = EonCluster(
-            ["n1", "n2"], shard_count=2, seed=31, pushdown="on"
-        )
+        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=31)
+        cluster.pushdown = "on"
         output = []
         shell = Shell(cluster, output.append)
         shell.run(["create table t (a int, b int);"])

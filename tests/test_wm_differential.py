@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro import EonCluster
-from repro.io.scheduler import IOSchedulerConfig
 from repro.sim.oracle import rows_key
 from repro.wm.driver import (
     ClosedLoopWorkload,
@@ -38,12 +37,9 @@ TPCH_STATEMENTS = (
 
 
 def build_tpch_cluster(tpch_data) -> EonCluster:
-    cluster = EonCluster(
-        ["n1", "n2", "n3", "n4"],
-        shard_count=4,
-        seed=11,
-        io_config=IOSchedulerConfig(peer_fetch=False, prefetch=False),
-    )
+    cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=11)
+    # The order-invariant reference arm: no peer probes, no fetch-ahead.
+    cluster.io_scheduler.peer_fetch = cluster.io_scheduler.prefetch = False
     setup_tpch_schema(cluster)
     load_tpch(cluster, tpch_data)
     return cluster
