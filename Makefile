@@ -77,9 +77,11 @@ bench-pairs:
 
 # Attribute before optimizing: cProfile over one measured pass of a benchmark
 # workload's own schedule, top functions by self and by cumulative time.
-# `make profile WORKLOAD=dash_short TOP=40`
+# `make profile WORKLOAD=dash_short TOP=40`; CALLERS= / CALLEES= (a regular
+# expression over `file:line(function)`) add that function's call edges:
+# `make profile WORKLOAD=tpch_cold CALLEES=select_scan`.
 profile:
-	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP))
+	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

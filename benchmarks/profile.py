@@ -1,11 +1,16 @@
 """cProfile over one measured pass of an end-to-end benchmark workload.
 
     python3 benchmarks/profile.py --workload dash_short --top 30
+    python3 benchmarks/profile.py --workload tpch_cold --callees select_scan
 
 "Attribute first": builds the workload exactly as ``benchmarks/e2e/run.py``
 does (its own ``build``, one warm-up pass, ``gc.freeze``), then runs one more
 pass of its own schedule under ``cProfile`` and prints the top functions by
-self time and by cumulative time.  The profiler taxes every Python call and no
+self time and by cumulative time.  ``--callers PATTERN`` / ``--callees
+PATTERN`` then print the call edges into / out of every function whose
+``file:line(name)`` matches the regular expression: which caller a hot
+function's time comes from, and where a function's cumulative time goes.
+The profiler taxes every Python call and no
 native one, so the proportions lean towards call-heavy code: use this to find
 candidates, and ``make bench-pairs`` (profiling off) to measure them.
 
@@ -65,10 +70,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     parser.add_argument("--quick", action="store_true", help="tiny inputs")
+    parser.add_argument("--callers", metavar="PATTERN",
+                        help="print the callers of functions matching PATTERN")
+    parser.add_argument("--callees", metavar="PATTERN",
+                        help="print the callees of functions matching PATTERN")
     args = parser.parse_args()
     stats = profile_pass(args.workload, args.seed, args.quick).strip_dirs()
     for order in ("tottime", "cumulative"):
         stats.sort_stats(order).print_stats(args.top)
+    if args.callers:
+        stats.print_callers(args.callers)
+    if args.callees:
+        stats.print_callees(args.callees)
     return 0
 
 

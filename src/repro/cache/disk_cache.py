@@ -18,6 +18,7 @@ by the caller on ``put`` so policies can match on it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
@@ -25,6 +26,10 @@ from repro.cache.lru import LruIndex
 from repro.errors import ObjectNotFound
 from repro.obs.metrics import Ledger
 from repro.shared_storage.api import Filesystem
+
+#: Layouts of evicted files a depot keeps for their next reader, least
+#: recently evicted dropped first (see :meth:`FileCache.keep_layout`).
+EVICTED_LAYOUTS = 256
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,9 @@ class FileCache:
         self._info: Dict[str, ObjectInfo] = {}
         self._pinned: Set[str] = set()
         #: Per cached file, what its reader learnt by opening it (see
-        #: :meth:`keep_layout`); never outlives the entry.
+        #: :meth:`keep_layout`); per evicted file the same, in eviction order.
         self._layouts: Dict[str, object] = {}
+        self._evicted_layouts: "OrderedDict[str, object]" = OrderedDict()
         self.stats = CacheStats()
         #: Optional ``sink(event, name, size)`` called on depot events the
         #: Data Collector records (currently evictions).  Must be free of
@@ -157,6 +163,9 @@ class FileCache:
         self._fs.write(self._key(name), data)
         self._index.add(name, len(data))
         self._info[name] = info
+        layout = self._evicted_layouts.pop(name, None)
+        if layout is not None:
+            self._layouts[name] = layout
         if self.policy.pins(info):
             self._pinned.add(name)
         self.stats.insertions += 1
@@ -218,10 +227,12 @@ class FileCache:
         """Keep what a reader parsed out of the cached file ``name`` for the
         next reader of it; ignored when the file is not cached.
 
-        Files are immutable and an entry's bytes never change under its
-        name, so there is nothing to invalidate: the layout goes when the
-        entry does — evicted, dropped, overwritten by ``put``, self-healed
-        or cleared — and the depot's capacity is its only bound.
+        Files are immutable and a SID is never reused, so bytes fetched
+        again under a name are the bytes the layout was parsed from: an
+        evicted entry leaves its layout behind (at most
+        :data:`EVICTED_LAYOUTS` of them) for the refetch to find.  It goes
+        only when the name is dropped, overwritten by ``put`` while
+        resident, self-healed or cleared.
         """
         if name in self._index:
             self._layouts[name] = layout
@@ -229,10 +240,12 @@ class FileCache:
     def layout_of(self, name: str) -> Optional[object]:
         """The layout kept for ``name``, or None.  Out of band like
         :meth:`peek`: no stats, no recency."""
-        return self._layouts.get(name)
+        layout = self._layouts.get(name)
+        return layout if layout is not None else self._evicted_layouts.get(name)
 
     def drop(self, name: str) -> None:
         """Remove a file (e.g. its storage was dropped and dereferenced)."""
+        self._evicted_layouts.pop(name, None)
         if name in self._index:
             self._fs.delete(self._key(name))
             self._forget(name)
@@ -246,6 +259,7 @@ class FileCache:
         self._info.clear()
         self._pinned.clear()
         self._layouts.clear()
+        self._evicted_layouts.clear()
 
     # -- warming support ----------------------------------------------------------
 
@@ -268,11 +282,12 @@ class FileCache:
     def _key(self, name: str) -> str:
         return self._prefix + name
 
-    def _forget(self, name: str) -> None:
+    def _forget(self, name: str) -> Optional[object]:
+        """Forget the entry; its layout, if one was kept, is returned."""
         self._index.remove(name)
         self._info.pop(name, None)
         self._pinned.discard(name)
-        self._layouts.pop(name, None)
+        return self._layouts.pop(name, None)
 
     def _evict_for(self, incoming: int) -> None:
         if incoming <= 0:
@@ -286,7 +301,11 @@ class FileCache:
             if name in self._pinned:
                 continue
             self._fs.delete(self._key(name))
-            self._forget(name)
+            layout = self._forget(name)
+            if layout is not None:
+                self._evicted_layouts[name] = layout
+                if len(self._evicted_layouts) > EVICTED_LAYOUTS:
+                    self._evicted_layouts.popitem(last=False)
             self.stats.evictions += 1
             self.stats.bytes_evicted += size
             if self.event_sink is not None:

@@ -122,7 +122,7 @@ def estimate_selectivity(bounds: Dict[str, tuple], container) -> float:
     """
     selectivity = 1.0
     for column, (lo, hi) in bounds.items():
-        cmin, cmax = container.min_of(column), container.max_of(column)
+        cmin, cmax = container.bounds.get(column, (None, None))
         if not isinstance(cmin, (int, float)) or not isinstance(cmax, (int, float)):
             continue
         if isinstance(cmin, bool) or isinstance(cmax, bool):

@@ -501,7 +501,7 @@ class DatabaseDesigner:
                         continue
                     seen.add(str(container.sid))
                     for column in projection.columns:
-                        lo, hi = container.min_of(column), container.max_of(column)
+                        lo, hi = container.bounds.get(column, (None, None))
                         if not isinstance(lo, (int, float)) or not isinstance(
                             hi, (int, float)
                         ) or isinstance(lo, bool) or isinstance(hi, bool):

@@ -28,10 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
@@ -52,8 +49,8 @@ from repro.engine.planner import PhysicalPlan
 from repro.errors import ExecutionError
 from repro.obs.metrics import Ledger
 from repro.obs.profile import OperatorProfile
-from repro.storage.container import RowSet
-from repro.storage.encoding import CodedStrings, Held
+from repro.storage.container import RowSet, rowset_bytes
+from repro.storage.encoding import Held
 
 
 @dataclass
@@ -157,25 +154,6 @@ def check_query_options(given: Iterable[str], accepted: Sequence[str]) -> None:
             f"unknown query option(s): {', '.join(unknown)} "
             f"(accepted: {', '.join(accepted)})"
         )
-
-
-def rowset_bytes(rows: RowSet) -> int:
-    """Approximate wire size of a batch."""
-    total = 0
-    for name in rows.schema.names:
-        column = rows.held(name)
-        if isinstance(column, CodedStrings):
-            # The same sum, each entry's length taken once and gathered.
-            lengths = [len(v) if v is not None else 0 for v in column.dictionary.tolist()]
-            total += 4 * len(column) + int(np.asarray(lengths, dtype=np.int64)[column.codes].sum())
-        elif column.dtype.kind == "O":
-            # 4 bytes a value plus the length of each string.
-            values = column.tolist()
-            strings = compress(values, map(isinstance, values, repeat(str)))
-            total += 4 * len(values) + sum(map(len, strings))
-        else:
-            total += column.dtype.itemsize * len(column)
-    return total
 
 
 class Executor:

@@ -34,6 +34,7 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.shared_storage.api import Filesystem, NameIndex
+from repro.storage.container import ContainerLayout, read_container, rowset_bytes
 
 __all__ = [
     "FaultInjector",
@@ -41,7 +42,6 @@ __all__ = [
     "S3LatencyModel",
     "SelectScanResult",
     "SimulatedS3",
-    "wire_bytes",
 ]
 
 
@@ -249,26 +249,6 @@ class FaultInjector:
         return self._digest.hexdigest()
 
 
-def wire_bytes(rows) -> int:
-    """Approximate wire size of a :class:`~repro.storage.container.RowSet`.
-
-    Mirrors the engine's ``rowset_bytes`` network accounting (4 bytes of
-    framing per variable-width value plus its string payload; fixed-width
-    values at their dtype's itemsize) so the bytes a select *returns* are
-    priced with the same yardstick as bytes the engine ships between nodes.
-    Kept here rather than imported so shared_storage stays below the engine
-    in the layer graph.
-    """
-    total = 0
-    for name in rows.schema.names:
-        column = rows.column(name)
-        if column.dtype.kind == "O":
-            total += sum(4 + (len(v) if isinstance(v, str) else 0) for v in column)
-        else:
-            total += column.dtype.itemsize * len(column)
-    return total
-
-
 #: Wire framing charged per partial-aggregate value in a select response.
 AGGREGATE_WIRE_BYTES = 16
 
@@ -327,6 +307,9 @@ class SimulatedS3(Filesystem):
         self.faults = faults or FaultInjector()
         self._objects: Dict[str, bytes] = {}
         self._names = NameIndex()
+        #: Per object a select has read, its parsed footers: an object is
+        #: never overwritten, so the layout lives until ``delete``.
+        self._layouts: Dict[str, ContainerLayout] = {}
 
     # -- core operations -------------------------------------------------------
 
@@ -425,20 +408,19 @@ class SimulatedS3(Filesystem):
         block pruning below only shapes the parity counters.
         """
         from repro.engine.expressions import extract_column_bounds
-        from repro.storage.container import read_container
 
         self._maybe_fail("SELECT")
         try:
             data = self._objects[name]
         except KeyError:
             raise ObjectNotFound(name) from None
-        reader = read_container(data)
+        reader = read_container(data, self._layouts.get(name))
         projection = list(columns) if columns is not None else list(reader.column_order)
         agg_specs = [(func, col) for func, col in (aggregates or [])]
         touched = list(
             dict.fromkeys(projection + [c for _, c in agg_specs if c is not None])
         )
-        missing = [c for c in touched if c not in reader._directory]
+        missing = [c for c in touched if c not in reader.layout.extents]
         if missing:
             raise StorageError(
                 f"select_scan on {name!r}: no such columns {missing}"
@@ -468,7 +450,9 @@ class SimulatedS3(Filesystem):
             for func, col in agg_specs
         }
         out_rows = rows.select(projection)
-        returned = wire_bytes(out_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
+        # Kept only once every footer the scan touched has parsed cleanly.
+        self._layouts[name] = reader.layout
+        returned = rowset_bytes(out_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
         seconds = self.latency.select_seconds(scanned, returned)
         dollars = self.cost.select_cost(scanned, returned)
         self._charge("SELECT", scanned, seconds, dollars)
@@ -493,6 +477,7 @@ class SimulatedS3(Filesystem):
         self._charge("DELETE")
         self._objects.pop(name, None)  # idempotent, as on real S3
         self._names.discard(name)
+        self._layouts.pop(name, None)
 
     def size(self, name: str) -> int:
         # Size comes from list metadata in real deployments; free here.

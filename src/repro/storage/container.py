@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,6 +202,27 @@ def sort_order(values: Held, ascending: bool = True) -> np.ndarray:
     return np.argsort(-values if values.dtype.kind == "f" else ~values, kind="stable")
 
 
+def rowset_bytes(rows: RowSet) -> int:
+    """Approximate wire size of a batch: fixed-width values at their dtype's
+    itemsize, a string as 4 bytes of framing plus its length in characters
+    (NULL adds nothing).  The one yardstick for bytes shipped between nodes
+    and bytes a server-side select returns."""
+    total = 0
+    for name in rows.schema.names:
+        column = rows.held(name)
+        if isinstance(column, CodedStrings):
+            # The same sum, each entry's length taken once and gathered.
+            lengths = [len(v) if v is not None else 0 for v in column.dictionary.tolist()]
+            total += 4 * len(column) + int(np.asarray(lengths, dtype=np.int64)[column.codes].sum())
+        elif column.dtype.kind == "O":
+            values = column.tolist()
+            strings = compress(values, map(isinstance, values, repeat(str)))
+            total += 4 * len(values) + sum(map(len, strings))
+        else:
+            total += column.dtype.itemsize * len(column)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # container metadata
 
@@ -235,12 +257,6 @@ class ROSContainer:
         change, and every scan of every catalog state holding it prunes by them."""
         maxs = dict(self.max_values)
         return {name: (low, maxs.get(name)) for name, low in self.min_values}
-
-    def min_of(self, column: str) -> object:
-        return dict(self.min_values).get(column)
-
-    def max_of(self, column: str) -> object:
-        return dict(self.max_values).get(column)
 
     def with_version(self, version: int) -> "ROSContainer":
         return replace(self, creation_version=version)
@@ -277,10 +293,11 @@ class ContainerLayout:
     the parsed and checked footer, plus each column file's
     :class:`ColumnLayout` from the first time a reader opens that column.
 
-    Containers are immutable and named by SID, so a layout stays true of its
-    image for as long as anyone holds that image under that name — a node's
-    depot keeps the two together (:meth:`FileCache.keep_layout`), and a
-    reader given one parses nothing.  A depot of small files holds
+    Containers are immutable and named by SID, and a SID is never reused, so
+    a layout stays true of every copy of the image under that name — a
+    node's depot keeps it past the entry's eviction
+    (:meth:`FileCache.keep_layout`), the storage server keeps one per stored
+    object, and a reader given one parses nothing.  A depot of small files holds
     thousands: tuples, with one string per table column and not per
     container, keep it at a fraction of the bytes it describes.
     """
@@ -317,14 +334,6 @@ class ContainerReader:
         self.row_count = self.layout.row_count
         self.column_order = self.layout.column_order
         self._readers: Dict[str, ColumnReader] = {}
-
-    @property
-    def _directory(self) -> Dict[str, dict]:
-        """The footer's column directory, as :func:`write_container` wrote it."""
-        return {
-            name: {"offset": offset, "length": length, "ctype": ctype}
-            for name, (offset, length, ctype) in self.layout.extents.items()
-        }
 
     @property
     def column_names(self) -> List[str]:

@@ -938,11 +938,10 @@ class TestCorruptFooter:
     def test_damaged_container_footer_never_escapes_as_another_error(self, data):
         """The container's own footer, or the footer of a column file inside."""
         image = CONTAINER_IMAGE
-        directory = read_container(image)._directory
+        extents = read_container(image).layout.extents
         footers = [(footer_start(image), len(image))] + [
-            (e["offset"] + footer_start(image[e["offset"]:e["offset"] + e["length"]]),
-             e["offset"] + e["length"])
-            for e in directory.values()
+            (offset + footer_start(image[offset:offset + length]), offset + length)
+            for offset, length, _ in extents.values()
         ]
         damaged = bytearray(image)
         start, end = data.draw(st.sampled_from(footers))

@@ -112,13 +112,7 @@ class TestSelectPricing:
 
 class _FakeContainer:
     def __init__(self, stats):
-        self._stats = stats
-
-    def min_of(self, column):
-        return self._stats.get(column, (None, None))[0]
-
-    def max_of(self, column):
-        return self._stats.get(column, (None, None))[1]
+        self.bounds = stats
 
 
 class TestEstimateSelectivity:

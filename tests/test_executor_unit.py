@@ -10,12 +10,12 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from repro.common.types import ColumnType, TableSchema
-from repro.engine.executor import Executor, ScanResult, StorageProvider, rowset_bytes
+from repro.engine.executor import Executor, ScanResult, StorageProvider
 from repro.engine.expressions import ColumnRef, Expr, col
 from repro.engine.operators import AggregateSpec
 from repro.engine.plan import AggregateNode, JoinNode, ProjectNode, ScanNode
 from repro.engine.planner import PhysicalPlan
-from repro.storage.container import RowSet
+from repro.storage.container import RowSet, rowset_bytes
 
 FACT = TableSchema.of(("k", ColumnType.INT), ("v", ColumnType.FLOAT))
 DIM = TableSchema.of(("k2", ColumnType.INT), ("lbl", ColumnType.VARCHAR))

@@ -56,7 +56,6 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.common.dates import make_date, month_of_days, year_of_days
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine import expressions, operators
-from repro.engine.executor import rowset_bytes
 from repro.engine.expressions import (
     BinaryOp,
     CaseWhen,
@@ -76,7 +75,7 @@ from repro.engine.operators import (
     hash_join,
     sort_limit,
 )
-from repro.storage.container import RowSet
+from repro.storage.container import RowSet, rowset_bytes
 from repro.storage.encoding import CodedStrings, dictionary_of, join_blocks
 from tests.test_codec_kernel import text_of
 from tests.test_join_kernel import (
@@ -818,6 +817,19 @@ def twin(rows: RowSet) -> RowSet:
     return out
 
 
+def cell_by_cell_bytes(rows: RowSet) -> int:
+    """Wire size written out over the text, one cell at a time: 4 bytes a
+    string value plus its characters, fixed-width values at their itemsize."""
+    total = 0
+    for name in rows.schema.names:
+        column = rows.column(name)
+        if column.dtype.kind == "O":
+            total += sum(4 + (len(v) if isinstance(v, str) else 0) for v in column)
+        else:
+            total += column.dtype.itemsize * len(column)
+    return total
+
+
 def assert_held_well(rows: RowSet) -> None:
     """Whatever an operator hands on as codes keeps the three invariants."""
     for name in rows.schema.names:
@@ -1062,7 +1074,15 @@ class TestEncodedEqualsDecoded:
     @given(st.data())
     def test_rowset_bytes_counts_the_same_bytes(self, data):
         rows = _string_rows(data.draw, n_strings=2)
-        assert rowset_bytes(rows) == rowset_bytes(twin(rows))
+        assert rowset_bytes(rows) == rowset_bytes(twin(rows)) == cell_by_cell_bytes(rows)
+
+    def test_rowset_bytes_counts_characters_of_null_empty_and_non_ascii_strings(self):
+        """4 bytes a value plus its length in characters, not UTF-8 bytes
+        (the sim clock prices select replies by this number)."""
+        values = [None, "", "é", "日本", "a\x00", None]
+        for held in (_coded(values, ["zzz"]), _coded(values).text()):
+            rows = RowSet(TableSchema.of(("s", ColumnType.VARCHAR)), {"s": held})
+            assert rowset_bytes(rows) == cell_by_cell_bytes(rows) == 4 * 6 + 1 + 2 + 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -10,7 +10,7 @@ recomputation, and its accounting must be exact to the byte:
 
 * ``bytes_scanned`` == ``ContainerReader.stored_bytes`` over the touched
   columns (projection ∪ aggregate inputs), never the full container;
-* ``bytes_returned`` == ``wire_bytes(rows)`` plus the fixed per-aggregate
+* ``bytes_returned`` == ``rowset_bytes(rows)`` plus the fixed per-aggregate
   framing;
 * ``sim_seconds`` / ``dollars`` == the latency/cost model applied to
   exactly those two numbers;
@@ -35,12 +35,8 @@ from repro.engine.expressions import (
     lit,
 )
 from repro.errors import StorageError
-from repro.shared_storage.s3 import (
-    AGGREGATE_WIRE_BYTES,
-    SimulatedS3,
-    wire_bytes,
-)
-from repro.storage.container import read_container, write_container
+from repro.shared_storage.s3 import AGGREGATE_WIRE_BYTES, SimulatedS3
+from repro.storage.container import read_container, rowset_bytes, write_container
 
 pytestmark = pytest.mark.differential
 
@@ -215,7 +211,7 @@ class TestSelectScanProperties:
         reader = read_container(data)
         assert select.bytes_scanned == reader.stored_bytes(touched)
         assert select.bytes_returned == (
-            wire_bytes(expected_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
+            rowset_bytes(expected_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
         )
         assert select.sim_seconds == pytest.approx(
             s3.latency.select_seconds(select.bytes_scanned, select.bytes_returned)

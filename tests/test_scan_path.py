@@ -1,16 +1,20 @@
-"""The scan-path wall: a footer is parsed once per depot residency, a value
-is copied once, and nothing but the real clock can tell.
+"""The scan-path wall: a footer is parsed once per node and per stored object,
+a value is copied once, and nothing but the real clock can tell.
 
-ROS files are immutable and named by SID, so a node's depot keeps what the
-first reader of a file parsed (a ``ContainerLayout``) beside the entry and
-forgets it on every road the entry leaves by.  The scan decodes blocks
-straight into per-column lists — PLAIN numeric blocks as read-only views of
-the depot's bytes — and concatenates once per column.  Walled here:
+ROS files are immutable and named by SID, and a SID is never reused, so a
+node's depot keeps what the first reader of a file parsed (a
+``ContainerLayout``) beside the entry, keeps it past the entry's eviction (a
+bounded number of them) for the refetch, and forgets it when the name is
+dropped, overwritten while resident, self-healed or cleared; the storage
+server keeps one per object a select has read until the object is deleted.
+The scan decodes blocks straight into per-column lists — PLAIN numeric blocks
+as read-only views of the depot's bytes — and concatenates once per column.
+Walled here:
 
 * the lifecycle of a layout (parses are counted as ``json.loads`` calls made
   from ``repro.storage.column``, where both footers are read);
-* depot statistics, LRU order and every ``ScanResult`` counter, identical with
-  and without kept layouts, evictions included;
+* depot statistics, LRU order, GETs and every ``ScanResult`` counter,
+  identical with and without kept layouts, evictions included;
 * a damaged image under a SID whose layout was kept is still found out;
 * what a scan returns is writable, owns its data and aliases no depot byte;
 * rows, row order and dtypes equal to the scan as it was before — one
@@ -31,12 +35,15 @@ import numpy as np
 import pytest
 
 from repro import ColumnType, EonCluster
+from repro.cache import disk_cache
 from repro.cache.disk_cache import FileCache, ShapingPolicy
 from repro.cluster.session import EonStorageProvider
 from repro.common.types import TableSchema
 from repro.engine.expressions import extract_column_bounds
 from repro.engine.pruning import prune_containers
 from repro.errors import CorruptBlock
+from repro.shared_storage.posix import MemoryFilesystem
+from repro.shared_storage.s3 import SimulatedS3
 from repro.sql.parser import parse_expression
 from repro.storage import column as column_module
 from repro.storage.container import RowSet, read_container, write_container
@@ -52,6 +59,7 @@ from repro.storage.encoding import (
     decode_block,
     encode_block,
 )
+from tests.test_codec_kernel import footer_start
 
 COLUMNS = [
     ("k", ColumnType.INT), ("g", ColumnType.INT), ("x", ColumnType.INT),
@@ -192,19 +200,49 @@ class TestLayoutLifecycle:
         scan(cluster)
         assert parses == []
 
-    def test_eviction_forgets_the_layout(self, cluster, parses):
+    def test_eviction_keeps_the_layout_and_a_refetch_parses_nothing(self, cluster, parses):
         node, _ = self._warm(cluster, parses)
         cache = node.cache
-        held = [name for name in locations(cluster) if cache.layout_of(name) is not None]
+        held = {name: cache.layout_of(name) for name in locations(cluster)
+                if cache.layout_of(name) is not None}
         # Room for the filler alone: everything else is evicted.
         roomy, cache.capacity_bytes = cache.capacity_bytes, 64
         assert cache.put("filler", b"\0" * 64)
         cache.capacity_bytes = roomy
         assert cache.stats.evictions >= len(held) and cache.file_count == 1
-        assert not any(cache.layout_of(name) for name in held)
+        assert {name: cache.layout_of(name) for name in held} == held
+        misses = cache.stats.misses
         scan(cluster)
-        assert len(parses) == len(held) * (1 + len(NAMES))
-        assert all(cache.layout_of(name) for name in held)
+        assert parses == []
+        assert cache.stats.misses == misses + len(held)  # fetched again, not parsed
+        assert all(cache.contains(name) and cache.layout_of(name) is layout
+                   for name, layout in held.items())
+
+    def test_past_the_bound_the_least_recently_evicted_layout_goes(self, monkeypatch):
+        monkeypatch.setattr(disk_cache, "EVICTED_LAYOUTS", 2)
+        cache = FileCache(MemoryFilesystem(), capacity_bytes=10)
+        layouts = {name: object() for name in "abcd"}
+        for name in "abcde":  # room for one: each put evicts the one before
+            cache.put(name, b"x" * 10)
+            if name in layouts:
+                cache.keep_layout(name, layouts[name])
+        assert cache.stats.evictions == 4
+        assert [cache.layout_of(name) for name in "abcd"] == [None, None, layouts["c"], layouts["d"]]
+        # Fetched again, ``c`` is resident with its layout; evicted again,
+        # it is the most recently evicted and outlives ``d``.
+        cache.put("c", b"x" * 10)
+        assert cache.contains("c") and cache.layout_of("c") is layouts["c"]
+        cache.put("f", b"x" * 10)
+        cache.put("g", b"x" * 10)
+        assert cache.layout_of("c") is layouts["c"] and cache.layout_of("d") is layouts["d"]
+        cache.keep_layout("g", object())
+        cache.put("h", b"x" * 10)  # evicts ``g``: ``d`` goes, ``c`` stays
+        assert cache.layout_of("d") is None and cache.layout_of("c") is layouts["c"]
+        # ``drop`` and ``clear`` forget evicted layouts as well.
+        cache.drop("c")
+        assert cache.layout_of("c") is None and cache.layout_of("g") is not None
+        cache.clear()
+        assert cache.layout_of("g") is None
 
     def test_drop_forgets_the_layout(self, cluster, parses):
         node, name = self._warm(cluster, parses)
@@ -266,8 +304,6 @@ class TestLayoutLifecycle:
         assert all(node.cache.file_count == 0 for node in cluster.nodes.values())
 
     def test_a_layout_is_kept_only_for_a_resident_file(self):
-        from repro.shared_storage.posix import MemoryFilesystem
-
         cache = FileCache(MemoryFilesystem(), capacity_bytes=100)
         cache.keep_layout("absent", object())
         assert cache.layout_of("absent") is None
@@ -280,7 +316,8 @@ class TestLayoutLifecycle:
 
 
 class TestNothingButTheClockCanTell:
-    """Depot statistics, LRU order and scan counters with kept layouts and
+    """Depot statistics, LRU order, GETs and scan counters with kept layouts,
+    with layouts that go with their evicted entry (``EVICTED_LAYOUTS`` 0), and
     without (``keep_layout`` disabled: every read parses), through a depot
     too small for the table, so that entries come and go."""
 
@@ -294,10 +331,12 @@ class TestNothingButTheClockCanTell:
         (NAMES, "g < 5"),
     ]
 
-    def _run(self, keep: bool, monkeypatch, parses) -> list:
+    def _run(self, keep: str, monkeypatch, parses) -> list:
         with monkeypatch.context() as patch:
-            if not keep:
+            if keep == "nothing":
                 patch.setattr(FileCache, "keep_layout", lambda self, name, layout: None)
+            elif keep == "resident":
+                patch.setattr(disk_cache, "EVICTED_LAYOUTS", 0)
             cluster = build(cache_bytes=300_000)  # one big container, not two
             del parses[:]
             trail = []
@@ -317,10 +356,11 @@ class TestNothingButTheClockCanTell:
             return trail
 
     def test_identical_with_and_without_kept_layouts(self, monkeypatch, parses):
-        *cold, cold_parses = self._run(False, monkeypatch, parses)
-        *warm, warm_parses = self._run(True, monkeypatch, parses)
-        assert warm == cold
-        assert warm_parses < cold_parses
+        *cold, cold_parses = self._run("nothing", monkeypatch, parses)
+        *resident, resident_parses = self._run("resident", monkeypatch, parses)
+        *warm, warm_parses = self._run("evicted too", monkeypatch, parses)
+        assert warm == resident == cold
+        assert warm_parses < resident_parses < cold_parses
 
     def test_a_cold_and_a_warm_layout_scan_of_one_query(self, cluster, parses):
         def observe():
@@ -376,6 +416,63 @@ class TestDamageIsStillFound:
                     node.local_fs.write(node.cache._key(name), b"\x09" + data[1:])
         with pytest.raises(CorruptBlock):
             scan(cluster)
+
+
+class TestTheStorageServerParsesOnce:
+    """``SimulatedS3.select_scan`` keeps one layout per object it has read."""
+
+    SCHEMA = TableSchema.of(*COLUMNS)
+
+    def _store(self) -> SimulatedS3:
+        s3 = SimulatedS3()
+        rows = RowSet.from_rows(self.SCHEMA, table_rows(0, 1_200))
+        s3.write("obj", write_container(rows, block_rows=500))
+        return s3
+
+    def test_a_second_select_of_one_object_parses_no_footer(self, parses):
+        s3 = self._store()
+        predicate = parse_expression("k between 100 and 700")
+        request = dict(columns=["k", "s"], predicate=predicate, aggregates=[("count", None)])
+        first = s3.select_scan("obj", **request)
+        assert len(parses) == 3
+        del parses[:]
+        again = s3.select_scan("obj", **request)
+        assert parses == []
+        assert counters(again) == counters(first) and again.rows == first.rows
+        assert first.blocks_pruned == 1 and first.aggregates[("count", None)] == 601
+        s3.select_scan("obj", ["f"])  # a column the layout has not seen yet
+        assert len(parses) == 1
+
+    def test_delete_forgets_the_layout(self, parses):
+        s3 = self._store()
+        s3.select_scan("obj", ["k", "s"])
+        s3.delete("obj")
+        rows = table_rows(5_000, 5_050)
+        s3.write("obj", write_container(RowSet.from_rows(self.SCHEMA, rows)))
+        del parses[:]
+        got = s3.select_scan("obj", ["k", "s"])
+        assert len(parses) == 3
+        assert got.rows.column("k").tolist() == [r[0] for r in rows]
+
+    def test_a_damaged_object_raises_and_keeps_nothing(self, parses):
+        image = write_container(RowSet.from_rows(self.SCHEMA, table_rows(0, 1_200)),
+                                block_rows=500)
+        offset, length, _ = read_container(image).layout.extents["s"]
+        start = offset + footer_start(image[offset:offset + length])
+        s3 = SimulatedS3()
+        s3.write("obj", image[:start] + b"x" + image[start + 1:])  # ``s``'s footer
+        del parses[:]
+        for _ in range(2):
+            with pytest.raises(CorruptBlock):
+                s3.select_scan("obj", ["k", "s"])
+        # Each attempt parsed the container footer afresh: nothing was kept.
+        assert len(parses) == 2 * 3
+        s3.select_scan("obj", ["k"])
+        del parses[:]
+        s3.select_scan("obj", ["k"])
+        assert parses == []
+        with pytest.raises(CorruptBlock):
+            s3.select_scan("obj", ["s"])
 
 
 # ---------------------------------------------------------------------------

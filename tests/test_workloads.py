@@ -84,7 +84,7 @@ class TestIot:
 
     def test_row_bytes_estimate_sane(self):
         _, rows = iot_batch(0, 0, rows=1_000)
-        from repro.engine.executor import rowset_bytes
+        from repro.storage.container import rowset_bytes
 
         actual = rowset_bytes(rows) / rows.num_rows
         assert 0.5 * ROW_BYTES <= actual <= 2 * ROW_BYTES
