@@ -145,6 +145,12 @@ class LiveAggregateProjection:
         if not self.aggregates:
             raise ValueError("live aggregate projection needs aggregates")
 
+    @property
+    def sort_order(self) -> Tuple[str, ...]:
+        """Its containers are sorted by the group-by, as a projection's are
+        by its sort order: to the write path a LAP is one more stream."""
+        return self.group_by
+
     def output_schema(self, table_schema: TableSchema) -> TableSchema:
         cols: List[SchemaColumn] = [table_schema.column(g) for g in self.group_by]
         for agg in self.aggregates:

@@ -21,14 +21,15 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog, CatalogSnapshot
-from repro.catalog.mvcc import op_add_container, op_create_projection, op_create_table, op_drop_container
+from repro.catalog.mvcc import op_create_projection, op_create_table, op_drop_container, op_drop_projection
 from repro.catalog.objects import Projection, Segmentation, Table
 from repro.catalog.transaction_log import LogRecord
 from repro.cluster import query_path
 from repro.cluster.node import Node, NodeState
+from repro.cluster.transactions import Transaction
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
@@ -47,18 +48,16 @@ from repro.errors import (
     QuorumLost,
     ShardCoverageLost,
 )
+from repro.load.copy import (
+    LocalDiskSink, checked_input, split, streams, write_partitions, write_stream,
+)
 from repro.obs import Observability
 from repro.recovery import FailoverPolicy
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
-from repro.storage.container import (
-    ROSContainer,
-    RowSet,
-    container_stats,
-    read_container,
-    write_container,
-)
+from repro.storage.container import ROSContainer, RowSet, read_container
 from repro.storage.wos import WOS
+from repro.tuple_mover.mergeout import merge_job, select_mergeout_candidates
 from repro.wm.admission import AdmissionController
 
 #: EBS-class volume throughput (bytes/simulated second) for Enterprise
@@ -124,19 +123,10 @@ class EnterpriseCluster:
         self.cost_model = cost_model or CostModel()
         #: In Enterprise the "shard map" is the fixed node-region layout.
         self.shard_map = ShardMap(len(node_names))
-        self.node_order = list(node_names)
+        self.node_order: List[str] = []
         self.nodes: Dict[str, Node] = {}
         for name in node_names:
-            node = Node(
-                name,
-                cache_bytes=0,
-                execution_slots=execution_slots,
-                rng=random.Random(self.rng.getrandbits(64)),
-            )
-            node.local_fs.read_bandwidth = EBS_READ_BANDWIDTH
-            node.local_fs.write_bandwidth = EBS_WRITE_BANDWIDTH
-            node.wos = WOS(wos_capacity_rows)
-            self.nodes[name] = node
+            self._join(name, execution_slots, wos_capacity_rows)
         self.catalog = Catalog(MemoryFilesystem())
         self.direct_load_threshold = direct_load_threshold
         #: sid -> owning node (each file owned by exactly one node).
@@ -166,6 +156,21 @@ class EnterpriseCluster:
         return self.obs
 
     # -- membership -------------------------------------------------------------
+
+    def _join(self, name: str, execution_slots: int, wos_capacity_rows: int) -> Node:
+        """A node with an EBS-class disk and a WOS, last on the ring."""
+        node = Node(
+            name,
+            cache_bytes=0,
+            execution_slots=execution_slots,
+            rng=random.Random(self.rng.getrandbits(64)),
+        )
+        node.local_fs.read_bandwidth = EBS_READ_BANDWIDTH
+        node.local_fs.write_bandwidth = EBS_WRITE_BANDWIDTH
+        node.wos = WOS(wos_capacity_rows)
+        self.nodes[name] = node
+        self.node_order.append(name)
+        return node
 
     def up_nodes(self) -> List[Node]:
         return [n for n in self.nodes.values() if n.is_up]
@@ -278,105 +283,68 @@ class EnterpriseCluster:
             for buddy in state.projections_of(table):
                 if buddy.is_buddy and buddy.buddy_of == name:
                     to_drop.append(buddy.name)
-        from repro.catalog.mvcc import op_drop_projection
-
         return self._commit([op_drop_projection(n) for n in to_drop])
 
     def drop_projection(self, name: str) -> int:
         return self.drop_projections([name])
 
-    # -- load ------------------------------------------------------------------------
+    # -- load: the shared write path, Enterprise's placement ------------------------
 
     def load(self, table_name: str, rows, direct: Optional[bool] = None):
         """COPY: small batches buffer in the WOS, large ones go DIRECT to
-        the ROS (section 2.3)."""
+        the ROS (section 2.3).  Returns (io seconds, catalog version)."""
         state = self.catalog.state
         table = state.table(table_name)
         if not isinstance(rows, RowSet):
             rows = RowSet.from_rows(table.schema, rows)
-        rows = rows.select(table.schema.names)
+        rows = checked_input(self, table, rows)
         if direct is None:
             direct = rows.num_rows >= self.direct_load_threshold
-        io_seconds = 0.0
-        ops: List[dict] = []
-        for projection in state.projections_of(table_name):
-            if projection.is_buddy:
-                continue
-            io_seconds += self._load_projection(projection, rows, direct, ops)
-        version = self._commit(ops) if ops else self.catalog.state.version
+        sink, txn = LocalDiskSink(self), Transaction()
+        for projection, region, part in streams(self.shard_map, state, table, rows):
+            self._place(table, projection, region, part, direct, sink, txn)
+        version = self._commit(txn.ops) if txn.ops else state.version
         # Run moveout opportunistically when the WOS fills up.
         for node in self.up_nodes():
             if node.wos.over_capacity:
                 self.moveout(node.name)
-        return io_seconds, version
+        return sink.io_seconds, version
 
-    def _load_projection(
-        self, projection: Projection, rows: RowSet, direct: bool, ops: List[dict]
-    ) -> float:
-        proj_rows = rows.select(list(projection.columns))
-        io_seconds = 0.0
-        if projection.segmentation.is_replicated:
-            targets = {r: proj_rows for r in range(len(self.node_order))}
-            replicated = True
-        else:
-            targets = self.shard_map.split_rowset(
-                proj_rows, list(projection.segmentation.columns)
-            )
-            replicated = False
-        for region, part in sorted(targets.items()):
-            base_node = self.nodes[self.node_order[region]]
-            base_node.ensure_up()
-            if direct or replicated:
-                io_seconds += self._write_ros(
-                    base_node, projection, region if not replicated else REPLICA_SHARD_ID, part, ops
-                )
-                if not replicated:
-                    buddy_node = self.nodes[self.buddy_node_of_region(region)]
-                    buddy_node.ensure_up()
-                    io_seconds += self._write_ros(
-                        buddy_node,
-                        self.catalog.state.projection(projection.name + "_b1"),
-                        region,
-                        part,
-                        ops,
-                    )
-            else:
-                base_node.wos.insert(projection.name, part)
-                if not replicated:
-                    buddy_node = self.nodes[self.buddy_node_of_region(region)]
-                    buddy_node.wos.insert(projection.name + "_b1", part)
-        return io_seconds
+    def _place(self, table: Table, projection: Projection, region: int, rows: RowSet,
+               direct: bool, sink: LocalDiskSink, txn: Transaction) -> None:
+        """Where Enterprise puts one stream: a replicated projection's on
+        every node's ROS; a region's on its node and then on its buddy's
+        (the next node on the ring), as ROS containers or into their WOS."""
+        if region == REPLICA_SHARD_ID:
+            for name in self.node_order:
+                self.nodes[name].ensure_up()
+                write_partitions(table, projection, region, rows, self.nodes[name], sink, txn)
+            return
+        base = self.nodes[self.node_order[region]]
+        buddy = self.nodes[self.buddy_node_of_region(region)]
+        buddy_name = projection.name + "_b1"
+        base.ensure_up()
+        if not direct:
+            base.wos.insert(projection.name, rows)
+            buddy.wos.insert(buddy_name, rows)
+            return
+        write_partitions(table, projection, region, rows, base, sink, txn)
+        buddy.ensure_up()
+        buddy_projection = self.catalog.state.projection(buddy_name)
+        write_partitions(table, buddy_projection, region, rows, buddy, sink, txn)
 
-    def _write_ros(
-        self,
-        node: Node,
-        projection: Projection,
-        region: int,
-        part: RowSet,
-        ops: List[dict],
-    ) -> float:
-        if part.num_rows == 0:
-            return 0.0
-        sorted_rows = part.sort_by(list(projection.sort_order))
-        data = write_container(sorted_rows)
-        sid = node.sid_factory.next_sid()
-        node.local_fs.write(str(sid), data)
-        self.container_owner[str(sid)] = node.name
-        mins, maxs = container_stats(sorted_rows)
-        ops.append(
-            op_add_container(
-                ROSContainer(
-                    sid=sid,
-                    projection=projection.name,
-                    shard_id=region,
-                    row_count=sorted_rows.num_rows,
-                    size_bytes=len(data),
-                    min_values=mins,
-                    max_values=maxs,
-                )
-            )
-        )
-        return node.local_fs.estimate_write_seconds(len(data))
+    def _held_by(self, state, node_name: str) -> Dict[Tuple[str, int, object], List[ROSContainer]]:
+        """The node's containers by (projection, region, partition key), in
+        catalog order: what it merges, or loses when it goes down."""
+        held: Dict[Tuple[str, int, object], List[ROSContainer]] = {}
+        for c in state.containers.values():
+            if self.container_owner.get(str(c.sid)) == node_name:
+                held.setdefault((c.projection, c.shard_id, c.partition_key), []).append(c)
+        return held
+
+    def _rows_of(self, container: ROSContainer) -> RowSet:
+        owner = self.nodes[self.container_owner[str(container.sid)]]
+        return read_container(owner.local_fs.read(container.location)).read_rowset()
 
     # -- tuple mover: moveout ------------------------------------------------------------
 
@@ -384,29 +352,20 @@ class EnterpriseCluster:
         """Convert this node's WOS contents into sorted ROS containers."""
         node = self.nodes[node_name]
         node.ensure_up()
+        state = self.catalog.state
         moved = 0
-        ops: List[dict] = []
+        sink, txn = LocalDiskSink(self), Transaction()
         for projection_name in list(node.wos.projections()):
             rows = node.wos.drain(projection_name)
             if rows is None or rows.num_rows == 0:
                 continue
-            projection = self.catalog.state.projection(projection_name)
-            if projection.segmentation.is_replicated:
-                self._write_ros(node, projection, REPLICA_SHARD_ID, rows, ops)
-            else:
-                seg_source = (
-                    self.catalog.state.projection(projection.buddy_of)
-                    if projection.is_buddy
-                    else projection
-                )
-                by_region = self.shard_map.split_rowset(
-                    rows, list(seg_source.segmentation.columns)
-                )
-                for region, part in sorted(by_region.items()):
-                    self._write_ros(node, projection, region, part, ops)
+            projection = state.projection(projection_name)
+            table = state.table(projection.anchor_table)
+            for region, part in split(self.shard_map, projection, rows):
+                write_partitions(table, projection, region, part, node, sink, txn)
             moved += rows.num_rows
-        if ops:
-            self._commit(ops)
+        if txn.ops:
+            self._commit(txn.ops)
         return moved
 
     # -- tuple mover: mergeout (per node, independently — section 6.2) ------------------
@@ -417,53 +376,31 @@ class EnterpriseCluster:
 
         "In Enterprise mode, each node runs mergeout independently and
         replicated data will be redundantly merged by multiple nodes" —
-        no coordinator, and base/buddy copies are merged separately.
-        Returns the number of merge jobs run.
+        no coordinator, and base/buddy copies are merged separately.  One
+        commit for all of the node's jobs.  Returns the number of jobs run.
         """
-        from repro.storage.container import container_stats as _stats
-        from repro.tuple_mover.mergeout import select_mergeout_candidates
-
         node = self.nodes[node_name]
         node.ensure_up()
         state = self.catalog.state
-        mine: Dict[Tuple[str, int, object], List[ROSContainer]] = {}
-        for c in state.containers.values():
-            if self.container_owner.get(str(c.sid)) == node_name:
-                mine.setdefault((c.projection, c.shard_id, c.partition_key), []).append(c)
         jobs_run = 0
-        ops: List[dict] = []
-        for (projection_name, region, partition_key), containers in sorted(
-            mine.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
+        sink, txn = LocalDiskSink(self), Transaction()
+        for (projection_name, region, _key), containers in sorted(
+            self._held_by(state, node_name).items(),
+            key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2])),
         ):
-            projection = state.projections.get(projection_name)
-            if projection is None:
-                continue
+            projection = state.projection(projection_name)
             for job in select_mergeout_candidates(
                 containers, strata_width=strata_width, base_bytes=base_bytes
             ):
-                parts = []
+                merged = merge_job(state, projection, region, job, node, sink)
+                for op in merged.ops:
+                    txn.add_op(op)
                 for container in job:
-                    data = node.local_fs.read(container.location)
-                    parts.append(read_container(data).read_rowset())
-                merged = RowSet.concat(parts).sort_by(list(projection.sort_order))
-                image = write_container(merged)
-                sid = node.sid_factory.next_sid()
-                node.local_fs.write(str(sid), image)
-                self.container_owner[str(sid)] = node_name
-                mins, maxs = _stats(merged)
-                ops.append(op_add_container(ROSContainer(
-                    sid=sid, projection=projection_name, shard_id=region,
-                    row_count=merged.num_rows, size_bytes=len(image),
-                    min_values=mins, max_values=maxs,
-                    partition_key=partition_key,
-                )))
-                for container in job:
-                    ops.append(op_drop_container(str(container.sid), region))
-                    node.local_fs.delete(container.location)
-                    self.container_owner.pop(str(container.sid), None)
+                    self._drop_local(container)
+                merged.record(self.obs, node.local_fs)
                 jobs_run += 1
-        if ops:
-            self._commit(ops)
+        if txn.ops:
+            self._commit(txn.ops)
         return jobs_run
 
     # -- queries ----------------------------------------------------------------------------
@@ -518,82 +455,54 @@ class EnterpriseCluster:
         reshuffling of all the stored data" (section 9; also section 8:
         "Enterprise must redistribute the entire data set").  Every
         segmented projection's rows are re-hashed over the new N+1-region
-        map and rewritten, base and buddy.  Returns bytes rewritten.
+        map and rewritten, base and buddy; the new node gets a copy of every
+        replicated projection.  Refused while a node is down: its region's
+        base rows could not be read.  Returns bytes rewritten.
         """
         if name in self.nodes:
             raise ClusterError(f"node {name} already exists")
+        down = [n for n in self.node_order if not self.nodes[n].is_up]
+        if down:
+            raise ClusterError(f"cannot redistribute onto {name} while {down[0]} is down")
         # WOS rows are segmented under the old map; flush them first.
-        for existing in list(self.nodes):
-            if self.nodes[existing].is_up and self.nodes[existing].wos.total_rows:
+        for existing in self.node_order:
+            if self.nodes[existing].wos.total_rows:
                 self.moveout(existing)
         state = self.catalog.state
         # Snapshot every segmented projection's full contents first.
-        contents: Dict[str, RowSet] = {}
+        contents: Dict[Projection, RowSet] = {}
         for projection in state.projections.values():
             if projection.is_buddy or projection.segmentation.is_replicated:
                 continue
-            parts = []
-            for container in state.containers_of(projection.name):
-                owner = self.container_owner.get(str(container.sid))
-                if owner is None or not self.nodes[owner].is_up:
-                    continue
-                data = self.nodes[owner].local_fs.read(container.location)
-                parts.append(read_container(data).read_rowset())
+            parts = [self._rows_of(c) for c in state.containers_of(projection.name)]
             if parts:
-                contents[projection.name] = RowSet.concat(parts)
+                contents[projection] = RowSet.concat(parts)
 
-        node = Node(
-            name,
-            cache_bytes=0,
-            execution_slots=next(iter(self.nodes.values())).execution_slots,
-            rng=random.Random(self.rng.getrandbits(64)),
-        )
-        node.local_fs.read_bandwidth = EBS_READ_BANDWIDTH
-        node.local_fs.write_bandwidth = EBS_WRITE_BANDWIDTH
-        node.wos = WOS(self.nodes[self.node_order[0]].wos.capacity_rows)
-        self.nodes[name] = node
-        self.node_order.append(name)
+        first = self.nodes[self.node_order[0]]
+        node = self._join(name, first.execution_slots, first.wos.capacity_rows)
         self.shard_map = ShardMap(len(self.node_order))
 
         # Drop all old segmented containers and rewrite under the new map.
-        ops: List[dict] = []
-        for projection_name, rows in contents.items():
-            projection = state.projection(projection_name)
-            for container in state.containers_of(projection_name):
+        sink, txn = LocalDiskSink(self), Transaction()
+        for projection, rows in contents.items():
+            for container in (state.containers_of(projection.name)
+                              + state.containers_of(projection.name + "_b1")):
                 self._drop_local(container)
-                ops.append(op_drop_container(str(container.sid), container.shard_id))
-            buddy_name = projection_name + "_b1"
-            for container in state.containers_of(buddy_name):
-                self._drop_local(container)
-                ops.append(op_drop_container(str(container.sid), container.shard_id))
-            by_region = self.shard_map.split_rowset(
-                rows, list(projection.segmentation.columns)
-            )
-            buddy = state.projection(buddy_name)
-            for region, part in sorted(by_region.items()):
-                base_node = self.nodes[self.node_order[region]]
-                self._write_ros(base_node, projection, region, part, ops)
-                buddy_node = self.nodes[self.buddy_node_of_region(region)]
-                self._write_ros(buddy_node, buddy, region, part, ops)
-        # Replicated projections additionally need a copy on the new node.
+                txn.add_op(op_drop_container(str(container.sid), container.shard_id))
+            table = state.table(projection.anchor_table)
+            for region, part in split(self.shard_map, projection, rows):
+                self._place(table, projection, region, part, True, sink, txn)
+        # Replicated projections: the new node copies one holder's containers.
         for projection in list(state.projections.values()):
-            if not projection.segmentation.is_replicated:
-                continue
-            for container in state.containers_of(projection.name):
-                owner = self.container_owner.get(str(container.sid))
-                if owner is None or not self.nodes[owner].is_up:
-                    continue
-                data = self.nodes[owner].local_fs.read(container.location)
-                rows = read_container(data).read_rowset()
-                self._write_ros(node, projection, REPLICA_SHARD_ID, rows, ops)
-                break  # one source copy is enough
-        if ops:
-            self._commit(ops)
-        return sum(
-            op["container"]["size_bytes"]
-            for op in ops
-            if op["op"] == "add_container"
-        )
+            if projection.segmentation.is_replicated:
+                for container in self._one_copy(state, projection.name, REPLICA_SHARD_ID):
+                    txn.add_op(write_stream(
+                        self._rows_of(container), projection, REPLICA_SHARD_ID,
+                        container.partition_key, node, sink,
+                    ))
+        if txn.ops:
+            self._commit(txn.ops)
+        return sink.bytes_written
 
     def _drop_local(self, container: ROSContainer) -> None:
         owner = self.container_owner.pop(str(container.sid), None)
@@ -609,85 +518,55 @@ class EnterpriseCluster:
     def recover_node(self, name: str) -> int:
         """Repair-style recovery: rebuild all the node's containers from
         buddies — a logical transfer proportional to the node's entire
-        data set (section 6.1).  Returns bytes transferred."""
+        data set (section 6.1).  Each (projection, region, partition) the
+        node held is rewritten from every container of the surviving copy:
+        after per-node mergeout, base and buddy containers no longer pair
+        up one to one.  Every group's sources are found before anything
+        changes, so a lost copy leaves the node down and the cluster as it
+        was.  Returns bytes transferred."""
         node = self.nodes[name]
         if node.is_up:
             raise ClusterError(f"node {name} already up")
-        node.state = NodeState.UP
-        region = self.region_of_node(name)
-        bytes_transferred = 0
         state = self.catalog.state
-        ops: List[dict] = []
-        for container in list(state.containers.values()):
-            if self.container_owner.get(str(container.sid)) != name:
-                continue
-            projection = (
-                state.projections.get(container.projection)
-            )
-            if projection is None:
-                continue
-            # Fetch the same rows from the surviving copy.
-            source = self._surviving_copy(container, state)
-            if source is None:
-                raise ShardCoverageLost(
-                    f"no surviving copy for container {container.sid}"
-                )
-            src_node, src_container = source
-            data = self.nodes[src_node].local_fs.read(str(src_container.sid))
-            rows = read_container(data).read_rowset()
-            rebuilt = write_container(rows.sort_by(list(projection.sort_order)))
-            new_sid = node.sid_factory.next_sid()
-            node.local_fs.write(str(new_sid), rebuilt)
-            self.container_owner[str(new_sid)] = name
-            del self.container_owner[str(container.sid)]
-            bytes_transferred += len(rebuilt)
-            mins, maxs = container_stats(rows)
-            ops.append(op_drop_container(str(container.sid), container.shard_id))
-            ops.append(
-                op_add_container(
-                    ROSContainer(
-                        sid=new_sid,
-                        projection=container.projection,
-                        shard_id=container.shard_id,
-                        row_count=container.row_count,
-                        size_bytes=len(rebuilt),
-                        min_values=mins,
-                        max_values=maxs,
-                        partition_key=container.partition_key,
-                    )
-                )
-            )
-        if ops:
-            self._commit(ops)
-        return bytes_transferred
+        held = self._held_by(state, name)
+        sources = {group: self._surviving_copy(state, group, name) for group in held}
+        node.state = NodeState.UP
+        sink, txn = LocalDiskSink(self), Transaction()
+        for (projection_name, region, key), containers in held.items():
+            projection = state.projection(projection_name)
+            for container in containers:
+                txn.add_op(op_drop_container(str(container.sid), region))
+                del self.container_owner[str(container.sid)]
+            for source in sources[projection_name, region, key]:
+                rows = self._rows_of(source)
+                txn.add_op(write_stream(rows, projection, region, key, node, sink))
+        if txn.ops:
+            self._commit(txn.ops)
+        return sink.bytes_written
 
-    def _surviving_copy(
-        self, container: ROSContainer, state
-    ) -> Optional[Tuple[str, ROSContainer]]:
-        """Find an up node holding the same region's data for this
-        projection family (base <-> buddy)."""
-        projection = state.projections.get(container.projection)
-        if projection is None:
-            return None
-        if projection.is_buddy:
-            family = [projection.buddy_of]
-        else:
-            family = [p.name for p in state.projections_of(projection.anchor_table)
-                      if p.buddy_of == projection.name]
-            if projection.segmentation.is_replicated:
-                family = [projection.name]
-        for name in family:
-            for candidate in state.containers_of(name, container.shard_id):
-                owner = self.container_owner.get(str(candidate.sid))
-                if owner and self.nodes[owner].is_up:
-                    return owner, candidate
-        # Replicated projections: any up node's copy of the same projection.
-        if projection.segmentation.is_replicated:
-            for candidate in state.containers_of(projection.name, container.shard_id):
-                owner = self.container_owner.get(str(candidate.sid))
-                if owner and self.nodes[owner].is_up and str(candidate.sid) != str(container.sid):
-                    return owner, candidate
-        return None
+    def _surviving_copy(self, state, group: tuple, name: str) -> List[ROSContainer]:
+        """Every container of one (projection, region, partition key) group
+        in the copy an up node other than ``name`` holds: the buddy's for a
+        segmented projection, another node's for a replicated one."""
+        projection_name, region, key = group
+        projection = state.projection(projection_name)
+        partner = projection_name
+        if not projection.segmentation.is_replicated:
+            partner = projection.buddy_of if projection.is_buddy else projection_name + "_b1"
+        sources = [c for c in self._one_copy(state, partner, region, exclude=name)
+                   if c.partition_key == key]
+        if not sources:
+            raise ShardCoverageLost(f"no surviving copy of {projection_name} region {region}")
+        return sources
+
+    def _one_copy(self, state, projection: str, region: int,
+                  exclude: Optional[str] = None) -> List[ROSContainer]:
+        """The containers of ``projection`` in ``region`` that one up node
+        (the first holder in catalog order, not ``exclude``) owns."""
+        containers = state.containers_of(projection, region)
+        owners = [self.container_owner[str(c.sid)] for c in containers]
+        up = [o for o in owners if o != exclude and self.nodes[o].is_up]
+        return [c for c, owner in zip(containers, owners) if up and owner == up[0]]
 
 
 class EnterpriseStorageProvider(StorageProvider):

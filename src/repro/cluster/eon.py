@@ -513,14 +513,10 @@ class EonCluster:
         txn = self.begin()
         txn.add_op(op_create_projection(projection))
         if refresh_rows is not None:
-            from repro.load.copy import CopyReport, _load_projection
+            from repro.load.copy import write_rows
 
-            state = self.any_up_node().catalog.state
-            report = CopyReport()
-            _load_projection(
-                self, state.table(table), projection, refresh_rows,
-                txn, report, True,
-            )
+            table_obj = self.any_up_node().catalog.state.table(table)
+            write_rows(self, table_obj, refresh_rows, txn, targets=[projection])
         return self.commit(txn)
 
     def _table_snapshot_rows(self, table_name: str, columns: Sequence[str]) -> RowSet:

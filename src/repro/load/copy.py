@@ -1,4 +1,5 @@
-"""Bulk load: the data load workflow of Figure 8 (section 4.5).
+"""Bulk load and the one write path: the data load workflow of Figure 8
+(section 4.5).
 
 1. Ingest data on the participating writer nodes.
 2. Split by shard ("an executor which is responsible for multiple shards
@@ -18,23 +19,30 @@ single key, enabling partition pruning (section 2.1).
 
 Live aggregate projections are maintained at load time: each batch's
 partial aggregates are computed, segmented, and written as LAP containers.
+
+Every ROS container of either cluster flavor — COPY, DML re-inserts,
+projection refresh, mergeout, and Enterprise's moveout, repair and
+redistribution — is made by :func:`write_stream`.  The flavors differ only
+in the *sink* the bytes go to: Eon's :class:`DepotSink` (depot, shared
+storage, the shard's peers) or Enterprise's :class:`LocalDiskSink` (the
+node's own disk).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.disk_cache import ObjectInfo
-from repro.catalog.mvcc import op_add_container
-from repro.catalog.objects import LiveAggregateProjection, Projection, Table
+from repro.catalog.mvcc import Op, op_add_container
+from repro.catalog.objects import LiveAggregateProjection, Table
 from repro.cluster.transactions import Transaction
 from repro.engine.expressions import ColumnRef
-from repro.engine.operators import AggregateSpec, aggregate, partial_specs
+from repro.engine.operators import AggregateSpec, aggregate
 from repro.errors import CatalogError
-from repro.sharding.shard import REPLICA_SHARD_ID
+from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.storage.container import (
     ROSContainer,
     RowSet,
@@ -55,6 +63,70 @@ class CopyReport:
     peer_pushes: int = 0
 
 
+class DepotSink:
+    """Eon's sink: the writer's depot (write-through) and shared storage —
+    :meth:`Node.write_storage` — then the depots of the shard's other up
+    subscribers, so a node taking over is warm.  Counts what it wrote in
+    ``report``.  With ``defer_push`` the peers wait for
+    :meth:`push_deferred` (mergeout pushes after its commit has dropped the
+    inputs from the depots)."""
+
+    def __init__(self, cluster, use_cache: bool = True, defer_push: bool = False):
+        self.cluster = cluster
+        self.use_cache = use_cache
+        self.report = CopyReport()
+        self.deferred: Optional[list] = [] if defer_push else None
+
+    def __call__(self, node, name: str, data: bytes, info: ObjectInfo) -> None:
+        report = self.report
+        report.io_seconds += node.write_storage(
+            name, data, self.cluster.shared_data, info=info, use_cache=self.use_cache
+        )
+        report.bytes_written += len(data)
+        report.containers_written += 1
+        if self.deferred is None:
+            self._push(node.name, name, data, info)
+        else:
+            self.deferred.append((node.name, name, data, info))
+
+    def push_deferred(self) -> None:
+        for args in self.deferred:
+            self._push(*args)
+        self.deferred.clear()
+
+    def _push(self, writer: str, name: str, data: bytes, info: ObjectInfo) -> None:
+        if not self.use_cache:
+            return
+        cluster = self.cluster
+        for peer in cluster.active_up_subscribers(info.shard_id):
+            if peer != writer and cluster.nodes[peer].cache.put(name, data, info=info):
+                self.report.peer_pushes += 1
+
+    def read(self, node, name: str) -> bytes:
+        """A file back through the reader's depot (mergeout's inputs)."""
+        return node.fetch_storage(name, self.cluster.shared_data)[0]
+
+
+class LocalDiskSink:
+    """Enterprise's sink: the writing node's own disk, which then owns the
+    file (``cluster.container_owner``).  Sums the bytes and simulated write
+    time of what it wrote."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.bytes_written = 0
+        self.io_seconds = 0.0
+
+    def __call__(self, node, name: str, data: bytes, info: ObjectInfo) -> None:
+        node.local_fs.write(name, data)
+        self.cluster.container_owner[name] = node.name
+        self.bytes_written += len(data)
+        self.io_seconds += node.local_fs.estimate_write_seconds(len(data))
+
+    def read(self, node, name: str) -> bytes:
+        return node.local_fs.read(name)
+
+
 def copy_into(
     cluster,
     table_name: str,
@@ -64,8 +136,19 @@ def copy_into(
 ) -> CopyReport:
     """Load ``rows`` into every projection of ``table_name`` and commit."""
     coordinator_node = cluster.any_up_node()
-    state = coordinator_node.catalog.state
-    table = state.table(table_name)
+    table = coordinator_node.catalog.state.table(table_name)
+    rows = checked_input(cluster, table, rows)
+    txn = Transaction()
+    txn.write_set.record(("table", table_name), coordinator_node.catalog.versions.version_of(("table", table_name)))
+    report = write_rows(cluster, table, rows, txn, use_cache)
+    report.rows_loaded = rows.num_rows
+    report.version = cluster.commit(txn, epoch=epoch)
+    return report
+
+
+def checked_input(cluster, table: Table, rows: RowSet) -> RowSet:
+    """COPY's input in table column order; a flattened table's base
+    columns get their derived ones.  Any other column set is refused."""
     provided = set(rows.schema.names)
     if table.flattened and provided == set(table.base_columns):
         # Flattened table: derive the denormalised columns by joining
@@ -78,174 +161,107 @@ def copy_into(
             f"COPY input columns {rows.schema.names} do not match table "
             f"schema {table.schema.names}"
         )
-    rows = rows.select(table.schema.names)
-
-    report = CopyReport(rows_loaded=rows.num_rows)
-    txn = Transaction()
-    txn.write_set.record(("table", table_name), coordinator_node.catalog.versions.version_of(("table", table_name)))
-
-    for projection in state.projections_of(table_name):
-        if projection.is_buddy:
-            continue  # Eon mode has no buddy projections
-        _load_projection(cluster, table, projection, rows, txn, report, use_cache)
-
-    for lap in state.live_aggs_of(table_name):
-        _load_live_aggregate(cluster, table, lap, rows, txn, report, use_cache)
-
-    report.version = cluster.commit(txn, epoch=epoch)
-    return report
+    return rows.select(table.schema.names)
 
 
-# ---------------------------------------------------------------------------
-
-
-def _load_projection(
+def write_rows(
     cluster,
     table: Table,
-    projection: Projection,
     rows: RowSet,
     txn: Transaction,
-    report: CopyReport,
-    use_cache: bool,
-) -> None:
-    proj_rows = rows.select(list(projection.columns))
-    if projection.segmentation.is_replicated:
+    use_cache: bool = True,
+    targets: Optional[Sequence] = None,
+) -> CopyReport:
+    """Eon's write of ``rows`` into ``table``: each shard stream by one of
+    the shard's writers, through a :class:`DepotSink`, into ``txn``."""
+    sink = DepotSink(cluster, use_cache)
+    state = cluster.any_up_node().catalog.state
+    for projection, shard_id, part in streams(cluster.shard_map, state, table, rows, targets):
         # "Replicated projections use just a single participating node as
         # the writer."
-        writer = cluster.writer_for_shard(REPLICA_SHARD_ID)
-        _write_shard_containers(
-            cluster,
-            table,
-            projection.name,
-            REPLICA_SHARD_ID,
-            writer,
-            proj_rows,
-            tuple(projection.sort_order),
-            txn,
-            report,
-            use_cache,
-        )
-        return
-    by_shard = cluster.shard_map.split_rowset(
-        proj_rows, list(projection.segmentation.columns)
-    )
-    for shard_id, shard_rows in sorted(by_shard.items()):
         writer = cluster.writer_for_shard(shard_id)
-        txn.expect_subscription(shard_id, writer)
-        _write_shard_containers(
-            cluster,
-            table,
-            projection.name,
-            shard_id,
-            writer,
-            shard_rows,
-            tuple(projection.sort_order),
-            txn,
-            report,
-            use_cache,
-        )
+        if shard_id != REPLICA_SHARD_ID:
+            txn.expect_subscription(shard_id, writer)
+        write_partitions(table, projection, shard_id, part, cluster.nodes[writer], sink, txn)
+    return sink.report
 
 
-def _load_live_aggregate(
-    cluster,
-    table: Table,
-    lap: LiveAggregateProjection,
-    rows: RowSet,
-    txn: Transaction,
-    report: CopyReport,
-    use_cache: bool,
+def streams(
+    shard_map: ShardMap, state, table: Table, rows: RowSet,
+    targets: Optional[Sequence] = None,
+) -> Iterator[Tuple[object, int, RowSet]]:
+    """``(projection, shard, rows)`` for every stream a write of ``rows``
+    makes: one per shard of each non-buddy projection and live aggregate of
+    ``table`` (or of ``targets`` only).  A LAP's stream is the batch's
+    partial aggregates — sum/count/min/max are their own partial state."""
+    if targets is None:
+        targets = [p for p in state.projections_of(table.name) if not p.is_buddy]
+        targets += state.live_aggs_of(table.name)
+    for target in targets:
+        if isinstance(target, LiveAggregateProjection):
+            specs = [
+                AggregateSpec(a.func, ColumnRef(a.argument) if a.argument else None, a.output_name)
+                for a in target.aggregates
+            ]
+            stream = aggregate(rows, list(target.group_by), specs, mode="complete")
+        else:
+            stream = rows.select(list(target.columns))
+        for shard_id, part in split(shard_map, target, stream):
+            yield target, shard_id, part
+
+
+def split(shard_map: ShardMap, projection, rows: RowSet) -> List[Tuple[int, RowSet]]:
+    """Figure 8's split: one stream per shard the rows hash to, in shard
+    order; a replicated projection's one stream is on the replica shard."""
+    if projection.segmentation.is_replicated:
+        return [(REPLICA_SHARD_ID, rows)]
+    by_shard = shard_map.split_rowset(rows, list(projection.segmentation.columns))
+    return sorted(by_shard.items())
+
+
+def write_partitions(
+    table: Table, projection, shard_id: int, rows: RowSet, node, sink, txn: Transaction
 ) -> None:
-    """Compute this batch's partial aggregates and store them as LAP data."""
-    specs = [
-        AggregateSpec(a.func, ColumnRef(a.argument) if a.argument else None, a.output_name)
-        for a in lap.aggregates
-    ]
-    # Partial state: avg would decompose, but LAP definitions use
-    # sum/count/min/max directly, which are their own partial state.
-    partial = aggregate(rows, list(lap.group_by), specs, mode="complete")
-    if lap.segmentation.is_replicated:
-        writer = cluster.writer_for_shard(REPLICA_SHARD_ID)
-        _write_shard_containers(
-            cluster, table, lap.name, REPLICA_SHARD_ID, writer, partial,
-            tuple(lap.group_by), txn, report, use_cache,
-        )
-        return
-    by_shard = cluster.shard_map.split_rowset(
-        partial, list(lap.segmentation.columns)
-    )
-    for shard_id, shard_rows in sorted(by_shard.items()):
-        writer = cluster.writer_for_shard(shard_id)
-        txn.expect_subscription(shard_id, writer)
-        _write_shard_containers(
-            cluster, table, lap.name, shard_id, writer, shard_rows,
-            tuple(lap.group_by), txn, report, use_cache,
-        )
+    """One shard stream, one container per partition key, into ``txn``."""
+    for partition_key, part in _partitions(table, rows):
+        txn.add_op(write_stream(part, projection, shard_id, partition_key, node, sink))
 
 
-def _write_shard_containers(
-    cluster,
-    table: Table,
-    projection_name: str,
-    shard_id: int,
-    writer_name: str,
-    shard_rows: RowSet,
-    sort_order: Tuple[str, ...],
-    txn: Transaction,
-    report: CopyReport,
-    use_cache: bool,
-) -> None:
-    """Sort, partition, serialise, cache, upload, peer-push one stream."""
-    if shard_rows.num_rows == 0:
-        return
-    writer = cluster.nodes[writer_name]
-    partitions: List[Tuple[Optional[object], RowSet]]
-    if table.partition_by is not None and table.partition_by in shard_rows.schema:
-        partitions = _split_by_partition(shard_rows, table.partition_by)
-    else:
-        partitions = [(None, shard_rows)]
-
-    for partition_key, part in partitions:
-        sorted_rows = part.sort_by(list(sort_order)) if sort_order else part
-        data = write_container(sorted_rows)
-        sid = writer.sid_factory.next_sid()
-        info = ObjectInfo(
-            table=table.name,
-            projection=projection_name,
-            partition_key=partition_key,
-            shard_id=shard_id,
-        )
-        report.io_seconds += writer.write_storage(
-            str(sid), data, cluster.shared_data, info=info, use_cache=use_cache
-        )
-        report.bytes_written += len(data)
-        report.containers_written += 1
-        # Push to the other subscribers' caches so a takeover node is warm.
-        for peer_name in cluster.active_up_subscribers(shard_id):
-            if peer_name == writer_name:
-                continue
-            peer = cluster.nodes[peer_name]
-            if use_cache and peer.cache.put(str(sid), data, info=info):
-                report.peer_pushes += 1
-        mins, maxs = container_stats(sorted_rows)
-        txn.add_op(
-            op_add_container(
-                ROSContainer(
-                    sid=sid,
-                    projection=projection_name,
-                    shard_id=shard_id,
-                    row_count=sorted_rows.num_rows,
-                    size_bytes=len(data),
-                    min_values=mins,
-                    max_values=maxs,
-                    partition_key=partition_key,
-                    creation_version=0,
-                )
-            )
-        )
+def write_stream(rows: RowSet, projection, shard_id: int, partition_key, node, sink) -> Op:
+    """Make one ROS container: sort ``rows`` by the projection's order,
+    write the image, mint its SID on the writing ``node`` and hand the
+    bytes to ``sink(node, name, data, info)``.  Returns the catalog op that
+    adds the container."""
+    rows = rows.sort_by(list(projection.sort_order))
+    data = write_container(rows)
+    sid = node.sid_factory.next_sid()
+    sink(node, str(sid), data, ObjectInfo(
+        table=projection.anchor_table,
+        projection=projection.name,
+        partition_key=partition_key,
+        shard_id=shard_id,
+    ))
+    mins, maxs = container_stats(rows)
+    return op_add_container(ROSContainer(
+        sid=sid,
+        projection=projection.name,
+        shard_id=shard_id,
+        row_count=rows.num_rows,
+        size_bytes=len(data),
+        min_values=mins,
+        max_values=maxs,
+        partition_key=partition_key,
+    ))
 
 
-def _split_by_partition(rows: RowSet, partition_by: str) -> List[Tuple[object, RowSet]]:
-    column = rows.column(partition_by)
+def _partitions(table: Table, rows: RowSet) -> List[Tuple[object, RowSet]]:
+    """``rows`` by partition key (one ``None`` piece if the table, or this
+    projection's columns, has none); nothing for no rows."""
+    if rows.num_rows == 0:
+        return []
+    if table.partition_by is None or table.partition_by not in rows.schema:
+        return [(None, rows)]
+    column = rows.column(table.partition_by)
     out: List[Tuple[object, RowSet]] = []
     if column.dtype.kind == "O":
         for key in sorted({v for v in column}, key=lambda v: (v is None, v)):

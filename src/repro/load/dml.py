@@ -13,13 +13,14 @@ Vertica's requirement that all projections stay consistent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.disk_cache import ObjectInfo
 from repro.catalog.mvcc import op_add_delete_vector
 from repro.cluster.transactions import Transaction
+from repro.load.copy import DepotSink, write_rows
 from repro.engine.expressions import Expr
 from repro.errors import CatalogError, ExecutionError
 from repro.sharding.shard import REPLICA_SHARD_ID
@@ -53,6 +54,7 @@ def delete_from(
 
     deleted_count = 0
     collected = False
+    sink = DepotSink(cluster)
     for projection in state.projections_of(table_name):
         if projection.is_buddy:
             continue
@@ -116,10 +118,7 @@ def delete_from(
                 info = ObjectInfo(
                     table=table.name, projection=projection.name, shard_id=shard_id
                 )
-                writer.write_storage(str(sid), dv_data, cluster.shared_data, info=info)
-                for peer_name in cluster.active_up_subscribers(shard_id):
-                    if peer_name != writer_name:
-                        cluster.nodes[peer_name].cache.put(str(sid), dv_data, info=info)
+                sink(writer, str(sid), dv_data, info)
                 txn.add_op(
                     op_add_delete_vector(
                         DeleteVector(
@@ -149,8 +148,6 @@ def update_table(
     epoch: int = 0,
 ) -> int:
     """UPDATE = DELETE + INSERT of modified tuples, one transaction."""
-    from repro.load.copy import _load_live_aggregate, _load_projection  # cycle-free
-
     node = cluster.any_up_node()
     state = node.catalog.state
     table = state.table(table_name)
@@ -170,14 +167,6 @@ def update_table(
     for column, expr in assignments:
         new_columns[column] = expr.evaluate(old_rows)
     new_rows = RowSet(old_rows.schema, new_columns)
-
-    from repro.load.copy import CopyReport
-
-    report = CopyReport()
-    for projection in state.projections_of(table_name):
-        if not projection.is_buddy:
-            _load_projection(cluster, table, projection, new_rows, txn, report, True)
-    for lap in state.live_aggs_of(table_name):
-        _load_live_aggregate(cluster, table, lap, new_rows, txn, report, True)
+    write_rows(cluster, table, new_rows, txn)
     cluster.commit(txn, epoch=epoch)
     return count

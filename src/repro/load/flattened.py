@@ -40,7 +40,7 @@ def refresh_flattened(cluster, table_name: str, epoch: int = 0) -> int:
     containers with refreshed values are written, in one transaction.
     Returns the number of rows refreshed.
     """
-    from repro.load.copy import CopyReport, _load_live_aggregate, _load_projection
+    from repro.load.copy import write_rows
     from repro.load.dml import delete_from
 
     node = cluster.any_up_node()
@@ -59,13 +59,7 @@ def refresh_flattened(cluster, table_name: str, epoch: int = 0) -> int:
     old_rows = RowSet.concat(deleted).select(table.schema.names)
     base = old_rows.select(table.base_columns)
     refreshed = apply_flattening(cluster, table, base)
-
-    report = CopyReport()
-    for projection in state.projections_of(table_name):
-        if not projection.is_buddy:
-            _load_projection(cluster, table, projection, refreshed, txn, report, True)
-    for lap in state.live_aggs_of(table_name):
-        _load_live_aggregate(cluster, table, lap, refreshed, txn, report, True)
+    write_rows(cluster, table, refreshed, txn)
     cluster.commit(txn, epoch=epoch)
     return count
 

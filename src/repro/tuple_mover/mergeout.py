@@ -19,23 +19,15 @@ load balanced across subscribers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.cache.disk_cache import ObjectInfo
-from repro.catalog.mvcc import op_add_container, op_drop_container, op_set_property
+from repro.catalog.mvcc import Op, op_drop_container, op_set_property
 from repro.cluster.transactions import Transaction
 from repro.errors import ClusterError
+from repro.load.copy import DepotSink, write_stream
 from repro.sharding.shard import REPLICA_SHARD_ID
-from repro.storage.container import (
-    ROSContainer,
-    RowSet,
-    container_stats,
-    read_container,
-    write_container,
-)
+from repro.storage.container import ROSContainer, RowSet, read_container
 from repro.storage.delete_vector import (
     combine_positions,
     mask_from_positions,
@@ -203,87 +195,84 @@ class MergeoutCoordinatorService:
         report: MergeoutReport,
     ) -> None:
         cluster = self.cluster
-        sort_order: Tuple[str, ...] = ()
-        projection = state.projections.get(projection_name)
-        if projection is not None:
-            sort_order = tuple(projection.sort_order)
-        else:
-            lap = state.live_aggs.get(projection_name)
-            if lap is not None:
-                sort_order = tuple(lap.group_by)
-
-        parts: List[RowSet] = []
-        purged = 0
-        bytes_before = report.bytes_read
-        for container in job:
-            data, _, _ = node.fetch_storage(container.location, cluster.shared_data)
-            report.bytes_read += len(data)
-            rows = read_container(data).read_rowset()
-            dvs = state.delete_vectors_for(str(container.sid))
-            if dvs:
-                positions = combine_positions(
-                    [
-                        read_delete_vector(
-                            node.fetch_storage(dv.location, cluster.shared_data)[0]
-                        )
-                        for dv in dvs
-                    ]
-                )
-                purged += len(positions)
-                rows = rows.filter(mask_from_positions(positions, container.row_count))
-            parts.append(rows)
-        bytes_in = report.bytes_read - bytes_before
-        merged = RowSet.concat(parts).sort_by(list(sort_order))
-        data = write_container(merged)
-        sid = node.sid_factory.next_sid()
-        info = ObjectInfo(projection=projection_name, shard_id=shard_id)
+        projection = state.projections.get(projection_name) or state.live_aggs[projection_name]
         # "The file compaction mechanism (mergeout) puts its output files
         # into the cache and also uploads them to the shared storage."
-        node.write_storage(str(sid), data, cluster.shared_data, info=info)
-        mins, maxs = container_stats(merged)
+        sink = DepotSink(cluster, defer_push=True)
+        merged = merge_job(state, projection, shard_id, job, node, sink)
         txn = Transaction()
         if shard_id != REPLICA_SHARD_ID:
             txn.expect_subscription(shard_id, node.name)
-        txn.add_op(
-            op_add_container(
-                ROSContainer(
-                    sid=sid,
-                    projection=projection_name,
-                    shard_id=shard_id,
-                    row_count=merged.num_rows,
-                    size_bytes=len(data),
-                    min_values=mins,
-                    max_values=maxs,
-                    partition_key=job[0].partition_key,
-                )
-            )
-        )
-        for container in job:
-            txn.add_op(op_drop_container(str(container.sid), shard_id))
+        for op in merged.ops:
+            txn.add_op(op)
         # "The input containers are dropped at the end of the mergeout
-        # transaction" — the commit informs the other subscribers.
+        # transaction" — the commit informs the other subscribers, and
+        # only then do the peer depots get the merged file.
         cluster.commit(txn)
+        sink.push_deferred()
         report.jobs_run += 1
         report.containers_merged += len(job)
         report.containers_written += 1
-        report.rows_purged += purged
-        report.bytes_written += len(data)
-        # Peer caches get the merged file too.
-        for peer_name in cluster.active_up_subscribers(shard_id):
-            if peer_name != node.name:
-                cluster.nodes[peer_name].cache.put(str(sid), data, info=info)
-        obs = getattr(cluster, "obs", None)  # enterprise clusters have none
-        if obs is not None and obs.enabled:
-            shared = cluster.shared_data
+        report.rows_purged += merged.rows_purged
+        report.bytes_read += merged.bytes_read
+        report.bytes_written += merged.bytes_written
+        merged.record(cluster.obs, cluster.shared_data)
+
+
+@dataclass
+class MergedJob:
+    """One mergeout job's output: the catalog ops (add the merged container,
+    drop the inputs) and what the job read, wrote and purged."""
+
+    node: str
+    projection: str
+    shard_id: int
+    containers_in: int
+    ops: List[Op]
+    bytes_written: int
+    bytes_read: int
+    rows_purged: int
+
+    def record(self, obs, storage) -> None:
+        """The ``mergeout_job`` span, its I/O priced by ``storage``."""
+        if obs.enabled:
             obs.tracer.record(
                 "mergeout_job",
-                duration=shared.estimate_read_seconds(bytes_in)
-                + shared.estimate_write_seconds(len(data)),
-                node=node.name,
-                projection=projection_name,
-                shard=shard_id,
-                containers_in=len(job),
-                bytes_read=bytes_in,
-                bytes_written=len(data),
-                rows_purged=purged,
+                duration=storage.estimate_read_seconds(self.bytes_read)
+                + storage.estimate_write_seconds(self.bytes_written),
+                node=self.node,
+                projection=self.projection,
+                shard=self.shard_id,
+                containers_in=self.containers_in,
+                bytes_read=self.bytes_read,
+                bytes_written=self.bytes_written,
+                rows_purged=self.rows_purged,
             )
+
+
+def merge_job(state, projection, shard_id: int, job: List[ROSContainer], node, sink) -> MergedJob:
+    """Read ``job``'s containers through ``sink``, purge their deleted rows
+    and write the merge as one container of the job's partition on
+    ``node`` — the job body both flavors run."""
+    parts: List[RowSet] = []
+    purged = bytes_read = 0
+    for container in job:
+        data = sink.read(node, container.location)
+        bytes_read += len(data)
+        rows = read_container(data).read_rowset()
+        dvs = state.delete_vectors_for(str(container.sid))
+        if dvs:
+            positions = combine_positions(
+                [read_delete_vector(sink.read(node, dv.location)) for dv in dvs]
+            )
+            purged += len(positions)
+            rows = rows.filter(mask_from_positions(positions, container.row_count))
+        parts.append(rows)
+    op = write_stream(
+        RowSet.concat(parts), projection, shard_id, job[0].partition_key, node, sink
+    )
+    drops = [op_drop_container(str(c.sid), shard_id) for c in job]
+    return MergedJob(
+        node.name, projection.name, shard_id, len(job), [op] + drops,
+        op["container"]["size_bytes"], bytes_read, purged,
+    )

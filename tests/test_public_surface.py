@@ -1,12 +1,14 @@
 """The knobs, pinned by name: a new constructor argument or per-query option
 is a visible diff here, and an option that does not exist — or that would be
-ignored — fails typed.  Three structural guards ride along: DESIGN.md's module
-map names files that exist, one module owns the query path, and the registry
-instruments written anywhere are listed by name."""
+ignored — fails typed.  Four structural guards ride along: DESIGN.md's module
+map names files that exist, one module owns the query path, one function
+writes every ROS container, and the registry instruments written anywhere
+are listed by name."""
 
 import ast
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,22 @@ class TestStructure:
                     if name in wired:
                         owners.add(str(path.relative_to(SRC)))
         assert owners == {"cluster/query_path.py"}
+
+    def test_one_function_writes_every_ros_container(self):
+        """Both flavors' COPY, moveout, mergeout, repair and redistribution
+        write through ``load/copy.py``: one shard split, one container image,
+        one catalog entry.  A second hand-rolled writer is a failing test."""
+        made = {"ROSContainer", "write_container", "split_rowset"}
+        calls = Counter()
+        for layer in ("load", "tuple_mover", "cluster"):
+            for path in sorted((SRC / layer).glob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                        if name in made:
+                            calls[name, str(path.relative_to(SRC))] += 1
+        assert calls == {(name, "load/copy.py"): 1 for name in made}
 
     def test_the_registry_instruments_written_are_these(self):
         """The registry holds what no ledger field can (DESIGN.md, "One
