@@ -79,9 +79,11 @@ bench-pairs:
 # workload's own schedule, top functions by self and by cumulative time.
 # `make profile WORKLOAD=dash_short TOP=40`; CALLERS= / CALLEES= (a regular
 # expression over `file:line(function)`) add that function's call edges:
-# `make profile WORKLOAD=tpch_cold CALLEES=select_scan`.
+# `make profile WORKLOAD=tpch_cold CALLEES=select_scan`.  QUERY= profiles
+# only the ops whose class matches, on tpch_warm unless WORKLOAD= says
+# otherwise: `make profile QUERY=q18`.
 profile:
-	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
+	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -2,14 +2,18 @@
 
     python3 benchmarks/profile.py --workload dash_short --top 30
     python3 benchmarks/profile.py --workload tpch_cold --callees select_scan
+    python3 benchmarks/profile.py --query q18
 
 "Attribute first": builds the workload exactly as ``benchmarks/e2e/run.py``
 does (its own ``build``, one warm-up pass, ``gc.freeze``), then runs one more
 pass of its own schedule under ``cProfile`` and prints the top functions by
-self time and by cumulative time.  ``--callers PATTERN`` / ``--callees
-PATTERN`` then print the call edges into / out of every function whose
-``file:line(name)`` matches the regular expression: which caller a hot
-function's time comes from, and where a function's cumulative time goes.
+self time and by cumulative time.  ``--query PATTERN`` profiles only the ops whose class (``q18``,
+``dash_recent``, ``copy``, ...) the regular expression matches, by wrapping
+the workload instance's ``run_op``; its workload defaults to ``tpch_warm``.
+``--callers PATTERN`` / ``--callees PATTERN`` then print the call edges into
+/ out of every function whose ``file:line(name)`` matches the regular
+expression: which caller a hot function's time comes from, and where a
+function's cumulative time goes.
 The profiler taxes every Python call and no
 native one, so the proportions lean towards call-heavy code: use this to find
 candidates, and ``make bench-pairs`` (profiling off) to measure them.
@@ -33,12 +37,17 @@ import cProfile  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import pstats  # noqa: E402
+import re  # noqa: E402
+from typing import Optional  # noqa: E402
 
 DEFAULT_SEED = 42
 
 
-def profile_pass(name: str, seed: int, quick: bool) -> pstats.Stats:
-    """Build ``name``, warm it up, and profile its next pass."""
+def profile_pass(
+    name: str, seed: int, quick: bool, query: Optional[str] = None
+) -> pstats.Stats:
+    """Build ``name``, warm it up, and profile its next pass, or only the
+    ops of it whose class matches ``query``."""
     sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
     from harness import Pass
     from workloads import WORKLOADS
@@ -49,15 +58,38 @@ def profile_pass(name: str, seed: int, quick: bool) -> pstats.Stats:
     gc.collect()
     gc.freeze()
     profiler = cProfile.Profile()
+    if query is not None:
+        wanted, run_op = re.compile(query), workload.run_op
+
+        def profiled(call):
+            profiler.enable()
+            try:
+                return call()
+            finally:
+                profiler.disable()
+
+        def run_matching_op(p, cls, call, judge):
+            if wanted.search(cls):
+                return run_op(p, cls, lambda: profiled(call), judge)
+            return run_op(p, cls, call, judge)
+
+        workload.run_op = run_matching_op
     measured = Pass()
-    profiler.enable()
+    if query is None:
+        profiler.enable()
     try:
         workload.run_pass(measured, 1)
     finally:
         profiler.disable()
     if measured.failed:
         sys.exit(f"{name}: {measured.failed} of {measured.requests} requests failed")
-    print(f"{name}, seed {seed}: one pass, {measured.requests} requests profiled")
+    if query is None:
+        print(f"{name}, seed {seed}: one pass, {measured.requests} requests profiled")
+        return pstats.Stats(profiler)
+    ops = sum(bool(wanted.search(op.cls)) for op in measured.ops)
+    if not ops:
+        sys.exit(f"{name} has no op class matching {query!r}")
+    print(f"{name}, seed {seed}: one pass, {ops} ops matching {query!r} profiled")
     return pstats.Stats(profiler)
 
 
@@ -65,17 +97,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     parser.add_argument(
-        "--workload", default="dash_short", choices=[w["name"] for w in declared]
+        "--workload", choices=[w["name"] for w in declared],
+        help="default: dash_short, or tpch_warm with --query",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     parser.add_argument("--quick", action="store_true", help="tiny inputs")
+    parser.add_argument("--query", metavar="PATTERN",
+                        help="profile only the ops whose class matches PATTERN")
     parser.add_argument("--callers", metavar="PATTERN",
                         help="print the callers of functions matching PATTERN")
     parser.add_argument("--callees", metavar="PATTERN",
                         help="print the callees of functions matching PATTERN")
     args = parser.parse_args()
-    stats = profile_pass(args.workload, args.seed, args.quick).strip_dirs()
+    workload = args.workload or ("tpch_warm" if args.query else "dash_short")
+    stats = profile_pass(workload, args.seed, args.quick, args.query)
+    stats.strip_dirs()
     for order in ("tottime", "cumulative"):
         stats.sort_stats(order).print_stats(args.top)
     if args.callers:

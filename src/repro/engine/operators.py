@@ -18,7 +18,7 @@ high-cardinality distinct aggregates" (section 2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,6 +52,14 @@ class AggregateSpec:
             raise ValueError("DISTINCT supported for count only")
 
     # Rewritten once per spec, which lives as long as its (kept) plan.
+
+    @cached_property
+    def state(self) -> Tuple[str, str]:
+        """``(argument, column)`` as text: specs of one call that share the
+        first evaluate their argument once, and those that share the second
+        (``sum(x)`` beside avg's sum of ``x``) compute their column once."""
+        argument = "*" if self.argument is None else repr(self.argument)
+        return argument, f"{self.func}{' distinct' if self.distinct else ''}({argument})"
 
     @cached_property
     def avg_parts(self) -> Tuple["AggregateSpec", ...]:
@@ -115,20 +123,37 @@ def _run_codes(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _group_order(codes: np.ndarray, size: int) -> np.ndarray:
-    """Stable argsort of codes drawn from ``range(size)``; numpy sorts
-    16-bit keys by radix, in linear time."""
+    """Stable argsort of codes drawn from ``range(size)``, ``size`` at most
+    one per row.  numpy sorts 16-bit keys by radix, in linear time; wider
+    codes sort ``code * n + row`` — unique keys, so any sort is stable."""
     if size <= 1 << 16:
-        codes = codes.astype(np.uint16)
-    return np.argsort(codes, kind="stable")
+        return np.argsort(codes.astype(np.uint16), kind="stable")
+    n = len(codes)
+    keys = codes * n + np.arange(n)
+    keys.sort()
+    return keys % n
+
+
+def _direct_codes(arr: Held) -> Optional[Tuple[np.ndarray, int]]:
+    """:func:`_factorize`'s answer where it needs no sort, else ``None``:
+    strings held as codes are factorized already, and a dense integer
+    column is coded ``value - min`` (not every code need occur)."""
+    if isinstance(arr, CodedStrings):
+        return arr.codes, len(arr.dictionary)
+    dense = _dense_range(arr)
+    if dense is not None:
+        return _offsets(arr, dense[0]).view(np.int64), dense[1]
+    return None
 
 
 def _factorize(arr: Held) -> Tuple[np.ndarray, int]:
     """``(codes, size)``: equal values share a code in ``range(size)`` and
-    codes ascend with the values (``None`` last; NaNs last, as one value).
-    Strings held as codes are factorized already, and a dense integer column
-    is coded ``value - min`` with no sort: not every code need occur."""
-    if isinstance(arr, CodedStrings):
-        return arr.codes, len(arr.dictionary)
+    codes ascend with the values (``None`` last; NaNs last, as one value)."""
+    return _direct_codes(arr) or _sorted_codes(arr)
+
+
+def _sorted_codes(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+    """:func:`_factorize` of a column it must sort."""
     if arr.dtype.kind == "O":
         column = arr.tolist()
         try:
@@ -141,10 +166,8 @@ def _factorize(arr: Held) -> Tuple[np.ndarray, int]:
             index = {v: i for i, v in enumerate(dict.fromkeys(column))}
             codes = map(index.__getitem__, column)
             return np.fromiter(codes, dtype=np.int64, count=len(column)), len(index)
-    dense = _dense_range(arr)
-    if dense is not None:
-        return _offsets(arr, dense[0]).view(np.int64), dense[1]
-    order, starts, _ = _sorted_groups(arr)
+    # A code names a run, whatever the order inside it: any sort will do.
+    order, starts, _ = _sorted_groups(arr, kind=None)
     if arr.dtype.kind == "f":
         # Each NaN sorted into a run of its own; as a group key they are one.
         starts = starts[: len(starts) - max(np.count_nonzero(np.isnan(arr)) - 1, 0)]
@@ -173,8 +196,9 @@ def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarray, int
         dense = np.empty(space, dtype=np.int64)
         dense[occupied] = np.arange(len(occupied))
         return dense[codes], first[occupied], len(occupied)
-    order, starts, _ = _sorted_groups(codes)
-    return _run_codes(order, starts), order[starts], len(starts)
+    order, starts, _ = _sorted_groups(codes, kind=None)
+    # The sort is unstable: a group's first row is the least of its run.
+    return _run_codes(order, starts), np.minimum.reduceat(order, starts), len(starts)
 
 
 def _group_codes(
@@ -182,18 +206,53 @@ def _group_codes(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Dense group code per row, groups numbered in key order (column by
     column, as :func:`_factorize` orders each), the first row of each group,
-    and the group count."""
+    and the group count.
+
+    A later key column that the groups so far already determine is skipped
+    where coding it would sort (it is sorted, or its codes would push the
+    code space past the dense bound): the groups, their order and their
+    first rows are those of the keys before it."""
     none = np.zeros(0, dtype=np.int64)
     if not group_names:
         # Global aggregation always has exactly one group, even over an
         # empty input (SQL semantics: one output row).
         return np.zeros(rows.num_rows, dtype=np.int64), none, 1
-    if rows.num_rows == 0:
+    n = rows.num_rows
+    if n == 0:
         return none, none, 0
     codes, space = _factorize(rows.held(group_names[0]))
+    bound = _DENSE_SPAN * n  # a larger code space is numbered by a sort
+    members = None  # one row of each row's group, for the codes so far
     for name in group_names[1:]:
-        codes, space = _combine(codes, space, *_factorize(rows.held(name)))
+        column = rows.held(name)
+        coded = _direct_codes(column)
+        if space < bound and (coded is None or space * coded[1] >= bound):
+            if members is None:
+                members = _members(codes, space)
+            if _determined(column, members):
+                continue
+        codes, space = _combine(codes, space, *(coded or _sorted_codes(column)))
+        members = None
     return _densify(codes, space)
+
+
+def _members(codes: np.ndarray, space: int) -> np.ndarray:
+    """For each row, some row with the same code (which one is immaterial)."""
+    member = np.empty(space, dtype=np.int64)
+    member[codes] = np.arange(len(codes))
+    return member[codes]
+
+
+def _determined(column: Held, members: np.ndarray) -> bool:
+    """Whether every row's value equals its group member's, in
+    :func:`_factorize`'s equality: one NaN equals another."""
+    if isinstance(column, CodedStrings):
+        column = column.codes
+    other = column[members]
+    same = other == column
+    if column.dtype.kind == "f":
+        same |= np.isnan(other) & np.isnan(column)
+    return bool(same.all())
 
 
 def _output_type(func: str, arg: Optional[Held]) -> ColumnType:
@@ -267,7 +326,14 @@ def _agg_array(
             # sums to 0.0 rather than SQL's NULL — documented deviation.
             codes, values = _drop_nulls(codes, values)
             return np.bincount(codes, weights=values, minlength=n)
-        return np.bincount(codes, weights=values.astype(np.float64), minlength=n).astype(np.int64)
+        if values.dtype.kind == "O":
+            # An object column (a CASE whose int and float branches promote
+            # to object) keeps its float64 round trip and truncation.
+            return np.bincount(codes, weights=values.astype(np.float64), minlength=n).astype(np.int64)
+        # Integers and bools add exactly in int64 (wrapping past 2**63).
+        out = np.zeros(n, dtype=np.int64)
+        np.add.at(out, codes, values.astype(np.int64, copy=False))
+        return out
     if func in ("min", "max"):
         if order is None:
             order = _group_order(codes, n)
@@ -314,69 +380,55 @@ def aggregate(
     specs: Sequence[AggregateSpec],
     mode: str = "complete",
 ) -> RowSet:
-    """Group-by aggregation in one of the three distributed modes."""
+    """Group-by aggregation in one of the three distributed modes.
+
+    ``complete`` and ``partial`` compute each spec's partial states (an
+    avg's sum and count, any other spec itself), ``final`` merges them;
+    ``complete`` and ``final`` then divide each avg's sum by its count."""
     if mode not in ("complete", "partial", "final"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    if mode == "complete":
-        if any(s.func == "avg" for s in specs):
-            return _aggregate_complete_with_avg(rows, group_names, specs)
-        return _aggregate_complete(rows, group_names, specs)
-    if mode == "partial":
-        return _aggregate_complete(rows, group_names, partial_specs(specs), partial=True, original=specs)
-    return _aggregate_final(rows, group_names, specs)
+    if mode == "final":
+        states = [merge for spec in specs for merge in spec.merge]
+    else:
+        states = [part for spec in specs for part in spec.avg_parts or (spec,)]
+    columns, schema = _aggregate_states(rows, group_names, states, mode == "partial")
+    if mode != "partial" and any(spec.func == "avg" for spec in specs):
+        typed = {c.name: c for c in schema}
+        held, columns = columns, {name: columns[name] for name in group_names}
+        schema = schema[: len(group_names)]
+        for spec in specs:
+            if spec.func != "avg":
+                columns[spec.output] = held[spec.output]
+                schema.append(typed[spec.output])
+                continue
+            psum, pcount = (held[part.output] for part in spec.avg_parts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                columns[spec.output] = np.where(pcount > 0, psum / np.maximum(pcount, 1), np.nan)
+            schema.append(SchemaColumn(spec.output, ColumnType.FLOAT))
+    return RowSet(TableSchema(schema), columns)
 
 
-def _aggregate_complete_with_avg(
-    rows: RowSet, group_names: Sequence[str], specs: Sequence[AggregateSpec]
-) -> RowSet:
-    """One-shot aggregation with avg decomposed into sum/count locally."""
-    avg_outputs = [spec.output for spec in specs if spec.func == "avg"]
-    out = _aggregate_complete(rows, group_names, partial_specs(specs))
-    cols = {name: out.held(name) for name in out.schema.names}
-    schema_cols = list(out.schema.columns)
-    order = [c.name for c in schema_cols]
-    for output in avg_outputs:
-        psum = cols.pop(output + "__psum")
-        pcount = cols.pop(output + "__pcount")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cols[output] = np.where(
-                pcount > 0, psum / np.maximum(pcount, 1), np.nan
-            )
-        # Place the avg where its sum component sat, preserving spec order.
-        index = order.index(output + "__psum")
-        order[index] = output
-        order.remove(output + "__pcount")
-        schema_cols = [c for c in schema_cols
-                       if c.name not in (output + "__psum", output + "__pcount")]
-        schema_cols.insert(index, SchemaColumn(output, ColumnType.FLOAT))
-    schema_cols.sort(key=lambda c: order.index(c.name))
-    return RowSet(TableSchema(schema_cols), cols)
-
-
-def _aggregate_complete(
+def _aggregate_states(
     rows: RowSet,
     group_names: Sequence[str],
     specs: Sequence[AggregateSpec],
     partial: bool = False,
-    original: Optional[Sequence[AggregateSpec]] = None,
-) -> RowSet:
+) -> Tuple[Dict[str, Held], List[SchemaColumn]]:
+    """The group keys and one column per spec (no avg), with their schema.
+    Specs that share :attr:`AggregateSpec.state` share the argument or the
+    column."""
     if partial and rows.num_rows == 0 and not group_names:
         # A node with no matching rows contributes NO partial state:
         # emitting the zero-placeholder row would poison min/max merging
         # (min(0, real_min) is wrong).  The schema is derived from the
         # zero-row placeholder, then emptied.
-        placeholder = _aggregate_complete(rows, group_names, specs)
-        return placeholder.slice(0, 0)
+        columns, schema = _aggregate_states(rows, group_names, specs)
+        return {name: values[:0] for name, values in columns.items()}, schema
     codes, first_rows, n_groups = _group_codes(rows, group_names)
     # Each group is represented by the key values of its first row.
     out_cols: Dict[str, Held] = {
         name: rows.held(name)[first_rows] for name in group_names
     }
-    # One stable sort by group, shared by every min/max of this call.
-    order = (
-        _group_order(codes, n_groups)
-        if any(spec.func in ("min", "max") for spec in specs) else None
-    )
     out_schema_cols: List[SchemaColumn] = [rows.schema.column(g) for g in group_names]
 
     # count-distinct in partial mode ships dedup'd (group, value) pairs
@@ -393,35 +445,36 @@ def _aggregate_complete(
         dedup = rows.filter(keep)
         out = {name: dedup.held(name) for name in group_names}
         out[spec.output] = spec.argument.held(dedup)
-        schema = TableSchema(
-            [dedup.schema.column(g) for g in group_names]
-            + [SchemaColumn(spec.output, _output_type("min", out[spec.output]))]
-        )
-        return RowSet(schema, out)
+        return out, out_schema_cols + [
+            SchemaColumn(spec.output, _output_type("min", out[spec.output]))
+        ]
 
+    # One stable sort by group, shared by every min/max of this call.
+    order = None
+    arguments: Dict[str, Optional[Held]] = {}
+    states: Dict[str, Tuple[np.ndarray, ColumnType]] = {}
     for spec in specs:
-        if spec.func == "avg":
-            raise ExecutionError("avg must be decomposed before aggregation")
-        if spec.argument is None:
-            values = None
-        else:
-            values = spec.argument.held(rows)
-        if spec.distinct:
-            if values is not None:
-                codes_d, values_d = _drop_nulls(codes, values)
+        argument, state = spec.state
+        done = states.get(state)
+        if done is None:
+            if argument not in arguments:
+                arguments[argument] = (
+                    None if spec.argument is None else spec.argument.held(rows))
+            values = arguments[argument]
+            if spec.distinct:
+                codes_d, values_d = codes, values
+                if values is not None:
+                    codes_d, values_d = _drop_nulls(codes, values)
+                keep = _first_occurrence_mask(_factorize_pairs(codes_d, values_d))
+                column = _agg_array("count", None, codes_d[keep], n_groups)
             else:
-                codes_d, values_d = codes, None
-            keep = _first_occurrence_mask(_factorize_pairs(codes_d, values_d))
-            out_cols[spec.output] = _agg_array(
-                "count", None, codes_d[keep], n_groups
-            )
-        else:
-            out_cols[spec.output] = _agg_array(
-                spec.func, values, codes, n_groups, order
-            )
-        out_schema_cols.append(SchemaColumn(spec.output, _output_type(spec.func, values)))
-
-    return RowSet(TableSchema(out_schema_cols), out_cols)
+                if order is None and spec.func in ("min", "max"):
+                    order = _group_order(codes, n_groups)
+                column = _agg_array(spec.func, values, codes, n_groups, order)
+            done = states[state] = column, _output_type(spec.func, values)
+        out_cols[spec.output] = done[0]
+        out_schema_cols.append(SchemaColumn(spec.output, done[1]))
+    return out_cols, out_schema_cols
 
 
 def _factorize_pairs(codes: np.ndarray, values: Optional[Held]) -> np.ndarray:
@@ -439,55 +492,20 @@ def _first_occurrence_mask(codes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# partial / final decomposition
-
-
-def partial_specs(specs: Sequence[AggregateSpec]) -> List[AggregateSpec]:
-    """Decompose aggregates into mergeable partial state columns."""
-    return [part for spec in specs for part in spec.avg_parts or (spec,)]
-
-
-def _aggregate_final(
-    rows: RowSet, group_names: Sequence[str], specs: Sequence[AggregateSpec]
-) -> RowSet:
-    """Merge partial-state rows (concatenated from all nodes)."""
-    merge_specs = [merge for spec in specs for merge in spec.merge]
-    avg_fixups = [spec.output for spec in specs if spec.func == "avg"]
-    merged = _aggregate_complete(rows, group_names, merge_specs)
-    if not avg_fixups:
-        return merged
-    cols = {name: merged.held(name) for name in merged.schema.names}
-    schema_cols = list(merged.schema.columns)
-    for output in avg_fixups:
-        psum = cols.pop(output + "__psum")
-        pcount = cols.pop(output + "__pcount")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cols[output] = np.where(pcount > 0, psum / np.maximum(pcount, 1), np.nan)
-        schema_cols = [c for c in schema_cols if c.name not in (output + "__psum", output + "__pcount")]
-        schema_cols.append(SchemaColumn(output, ColumnType.FLOAT))
-    return RowSet(TableSchema(schema_cols), cols)
-
-
-def final_count_sum(specs: Sequence[AggregateSpec]) -> List[AggregateSpec]:
-    """Final-phase spec rewrite (exposed for the planner's tests)."""
-    return [
-        replace(s, func="sum") if s.func == "count" and not s.distinct else s
-        for s in specs
-    ]
-
-
-# ---------------------------------------------------------------------------
 # joins
 
 
-def _sorted_groups(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable sort of a numeric array into runs of equal values.
+def _sorted_groups(
+    values: np.ndarray, kind: Optional[str] = "stable"
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort of a numeric array into runs of equal values.
 
-    Returns ``(order, starts, uniques)``: ``values[order]`` ascends with
-    equal values in input order, run ``g`` is ``order[starts[g]:starts[g+1]]``
-    and holds ``uniques[g]``.  NaNs sort last, each a run of its own.
+    Returns ``(order, starts, uniques)``: ``values[order]`` ascends (with
+    equal values in input order unless ``kind`` names an unstable sort), run
+    ``g`` is ``order[starts[g]:starts[g+1]]`` and holds ``uniques[g]``.  NaNs
+    sort last, each a run of its own.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values, kind=kind)
     ranked = values[order]
     first = np.ones(len(values), dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]

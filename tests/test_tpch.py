@@ -49,6 +49,20 @@ class TestGenerator:
         customers = tpch_data.tables["customer"].num_rows
         assert orders.column("o_custkey").max() <= customers
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "l_suppkey = (partkey + linenumber) % S + 1 is not one of the part's four "
+        "partsupp suppliers (p + i*(S//4 + 1)) % S + 1 unless S//4 + 1 <= 7: "
+        "845 of 11 920 lines at scale 0.002, none at 0.004 or 0.02, so q09 "
+        "joins nothing at the benchmark's scales; fixing it re-pins q09"))
+    @pytest.mark.parametrize("scale", [0.002, 0.004])
+    def test_every_lineitem_part_supplier_is_a_partsupp_pair(self, scale):
+        """TPC-H's rule: a lineitem's (partkey, suppkey) is a partsupp row."""
+        data = TpchData.generate(scale=scale, seed=42)
+        li, ps = data.tables["lineitem"], data.tables["partsupp"]
+        offered = set(zip(ps.column("ps_partkey").tolist(), ps.column("ps_suppkey").tolist()))
+        sold = set(zip(li.column("l_partkey").tolist(), li.column("l_suppkey").tolist()))
+        assert sold <= offered
+
     def test_dates_in_tpch_range(self, tpch_data):
         shipdates = tpch_data.tables["lineitem"].column("l_shipdate")
         assert days_to_date(int(shipdates.min())) >= "1992-01-01"
