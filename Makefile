@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile obs-demo
+.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -84,6 +84,14 @@ bench-pairs:
 # otherwise: `make profile QUERY=q18`.
 profile:
 	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
+
+# Deterministic work counts of one pass (max-flow solves, blocks decoded,
+# join key encoders, Python calls) per op class of dash_short and tpch_warm
+# at quick scale; tests/test_work_budget.py pins the totals.  WORKLOAD= one
+# workload, FULL=1 the full inputs, TREE= another checkout (a parent clone):
+# `make work TREE=../parent FULL=1`.
+work:
+	python3 benchmarks/work.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(FULL),--full) $(if $(TREE),--tree $(TREE))
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

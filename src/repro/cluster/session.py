@@ -149,6 +149,13 @@ class EonStorageProvider(StorageProvider):
         #: id(predicate) -> its column bounds: a plan's predicate is scanned
         #: once per participant.
         self._bounds: Dict[int, dict] = {}
+        #: (id(image), columns, block indices) -> (image, its decoded blocks
+        #: per column) for replica-shard containers: every node holds the
+        #: same image, and the first node to read it decodes it for all.
+        #: The image is kept so that its id stays its own for the query.
+        self._decoded: Dict[tuple, tuple] = {}
+        #: node -> what its last replicated scan read (``replica_reads``).
+        self._replica_reads: Dict[str, Optional[tuple]] = {}
 
     def set_pushdown(self, mode: str) -> None:
         self._pushdown = mode
@@ -164,6 +171,9 @@ class EonStorageProvider(StorageProvider):
 
     def settle_io(self) -> Dict[str, float]:
         return self._pool.settle() if self._pool is not None else {}
+
+    def replica_reads(self, node_name: str) -> Optional[tuple]:
+        return self._replica_reads.get(node_name)
 
     @property
     def preserves_segmentation(self) -> bool:
@@ -213,6 +223,16 @@ class EonStorageProvider(StorageProvider):
         # the depot's demand ledger — misses, puts, LRU order, GET
         # requests, fault draws — is bit-identical to a pushdown-off run.
         scheduler = getattr(self.cluster, "io_scheduler", None)
+        # Whether any container of this scan could be pushed down; if not,
+        # every one is read through the depot and none is asked.
+        may_push = (
+            self._pushdown != "off"
+            and self._scan_eligible
+            and predicate is not None
+            and scheduler is not None
+            and session.use_cache
+            and bool(getattr(self.cluster.shared_data, "supports_select", False))
+        )
         scan_units: List[tuple] = []
         fetch_requests: List[FetchRequest] = []
         pushdown_keys: Set[str] = set()
@@ -248,12 +268,10 @@ class EonStorageProvider(StorageProvider):
                 location = container.location
                 dvs = delete_vectors.get(location, ())
                 unit.append((container, info, dvs))
-                strategy = self._container_strategy(
+                if may_push and self._container_strategy(
                     node, state, projection, container, read_columns,
-                    predicate, predicate_bounds, bool(dvs), scheduler,
-                    hash_crunch,
-                )
-                if strategy == "pushdown":
+                    predicate_bounds, bool(dvs), hash_crunch,
+                ) == "pushdown":
                     pushdown_keys.add(location)
                     pushdown_items.append((location, list(read_columns), predicate))
                 fetch_requests.append(
@@ -289,6 +307,8 @@ class EonStorageProvider(StorageProvider):
         # already filtered and projected server-side; the executor's
         # post-scan predicate re-application is a no-op on them — but
         # still consume their hydration bytes for prefetch-credit parity.
+        # A replicated scan also notes what it read, for ``replica_reads``.
+        reads: Optional[list] = [tuple(schema.columns)] if replicated else None
         for unit, read_columns, share in scan_units:
             for container, info, dvs in unit:
                 if session.cancelled:
@@ -297,6 +317,7 @@ class EonStorageProvider(StorageProvider):
                     )
                 select = selects.get(container.location)
                 if select is not None:
+                    reads = None
                     scheduler.consume(batch, node, container.location, result)
                     rows = select.rows
                     # Parity counters: what the depot path would have booked
@@ -309,11 +330,15 @@ class EonStorageProvider(StorageProvider):
                         for name, parts in out.items():
                             parts.append(rows.held(name))
                 else:
-                    self._read_container(
+                    read = self._read_container(
                         node, container, info, dvs, read_columns, share, out,
                         result, predicate_bounds, batch,
                     )
+                    if reads is not None:
+                        reads = None if read is None else reads + [read]
                 result.containers_scanned += 1
+        if replicated:
+            self._replica_reads[node_name] = None if reads is None else tuple(reads)
         result.rows = RowSet.from_blocks(schema, out)
         if not session.use_cache:
             result.scan_strategy = "get"
@@ -330,40 +355,30 @@ class EonStorageProvider(StorageProvider):
         projection: str,
         container: ROSContainer,
         read_columns: Sequence[str],
-        predicate: Optional[Expr],
         predicate_bounds: Optional[dict],
         has_delete_vectors: bool,
-        scheduler,
-        hash_crunch: bool = False,
+        hash_crunch: bool,
     ) -> str:
-        """Pick depot / get / pushdown for one container (see
-        :func:`repro.engine.cost.choose_scan_strategy` for the table).
+        """Pick depot or pushdown for one container of a scan that may push
+        down (``may_push`` in :meth:`scan`: the mode is not off, the plan
+        marked the scan eligible, it has a predicate and a scheduler, the
+        backend selects and the session reads through the depot) — see
+        :func:`repro.engine.cost.choose_scan_strategy` for the table.
 
         Estimates are only computed on the ``auto`` break-even path:
         scanned bytes from the touched-column fraction of the container,
         returned bytes from interval-overlap selectivity against the
-        container's min/max stats.  Serial scans (no I/O scheduler) never
-        push down — pushdown rides the scheduler's own lane — and neither
-        do hash-crunch shares (the secondary hash split would hide the
-        raw row count the parity accounting needs).
+        container's min/max stats.  Hash-crunch shares never push down (the
+        secondary hash split would hide the raw row count the parity
+        accounting needs).
         """
-        session = self.session
         shared = self.cluster.shared_data
-        supports = bool(getattr(shared, "supports_select", False))
-        eligible = (
-            self._scan_eligible
-            and predicate is not None
-            and scheduler is not None
-            and not hash_crunch
-        )
-        resident = session.use_cache and node.cache.contains(container.location)
+        resident = node.cache.contains(container.location)
         fetch_seconds = pushdown_seconds = 0.0
         if (
             self._pushdown == "auto"
-            and eligible
-            and supports
+            and not hash_crunch
             and not resident
-            and session.use_cache
             and not has_delete_vectors
         ):
             proj = state.projections.get(projection)
@@ -384,10 +399,10 @@ class EonStorageProvider(StorageProvider):
         return choose_scan_strategy(
             self._pushdown,
             resident=resident,
-            use_cache=session.use_cache,
+            use_cache=True,
             has_delete_vectors=has_delete_vectors,
-            eligible=eligible,
-            supports_select=supports,
+            eligible=not hash_crunch,
+            supports_select=True,
             fetch_seconds=fetch_seconds,
             pushdown_seconds=pushdown_seconds,
         )
@@ -458,10 +473,12 @@ class EonStorageProvider(StorageProvider):
         result: ScanResult,
         predicate_bounds: Optional[dict] = None,
         batch=None,
-    ) -> None:
+    ) -> Optional[tuple]:
         """Append one container's live rows, column by column, to ``out``
         (the scan's columns; ``columns`` adds what a hash-crunch ``share``
-        needs beside them)."""
+        needs beside them).  Returns the key of the decoded blocks a
+        replica-shard container without delete vectors shares with the
+        query's other nodes, None for any other container."""
         data = self._fetch_through_depot(
             node, container.location, info, result, batch
         )
@@ -485,8 +502,10 @@ class EonStorageProvider(StorageProvider):
                 result.blocks_pruned += total_blocks - len(matching)
                 block_indices = matching
         if not dvs and share is None:
+            if container.shard_id == REPLICA_SHARD_ID:
+                return self._append_replica(reader, data, block_indices, out)
             reader.append_blocks(out, block_indices)
-            return
+            return None
 
         # A container that drops rows filters its own slice before the
         # scan's concatenate: every column indexed by a mask, so fresh arrays.
@@ -504,7 +523,7 @@ class EonStorageProvider(StorageProvider):
                 combine_positions(position_sets), container.row_count
             )
         if not all(own.values()):
-            return  # an empty container, or no block survived pruning
+            return None  # an empty container, or no block survived pruning
         # Joined as the scan joins them, so string blocks stay codes under
         # the masks; only a segmentation column that is hashed becomes text.
         arrays = {name: join_blocks(parts) for name, parts in own.items()}
@@ -521,6 +540,38 @@ class EonStorageProvider(StorageProvider):
         for name, parts in out.items():
             if len(arrays[name]):
                 parts.append(arrays[name])
+        return None
+
+    def _append_replica(
+        self, reader, data: bytes, block_indices: Optional[List[int]],
+        out: Dict[str, List[np.ndarray]],
+    ) -> tuple:
+        """``reader.append_blocks(out, block_indices)`` for a replica-shard
+        container, decoding once per query what every node holds: the depot
+        copies of one container written to every node are one bytes object,
+        so a node reading the same object, columns and blocks takes what the
+        first decoded.  A copy that is another object — a damaged one
+        included — is decoded on its own.  What the scan takes is never the
+        kept block itself (:func:`_handed`)."""
+        key = (id(data), tuple(out), None if block_indices is None else tuple(block_indices))
+        kept = self._decoded.get(key)
+        if kept is None:
+            decoded: Dict[str, List[np.ndarray]] = {name: [] for name in out}
+            reader.append_blocks(decoded, block_indices)
+            kept = self._decoded[key] = (data, decoded)
+        for name, parts in out.items():
+            parts.extend(map(_handed, kept[1][name]))
+        return key
+
+
+def _handed(block):
+    """A kept decoded block as one node's scan takes it: an array as a view,
+    which :func:`~repro.storage.column.concat_blocks` copies where it is a
+    column's only block (several are concatenated anyway), and codes copied
+    over the shared dictionary — no node's rows alias another's."""
+    if isinstance(block, CodedStrings):
+        return CodedStrings(block.codes.copy(), block.dictionary)
+    return block.view()
 
 
 def _scan_start(state, projection: str, columns: Sequence[str]) -> tuple:

@@ -127,6 +127,14 @@ class StorageProvider(abc.ABC):
         """
         return None
 
+    def replica_reads(self, node: str) -> Optional[tuple]:
+        """What the last replicated scan on ``node`` read, as a key that two
+        nodes' scans share only when their rows are the same; None when the
+        provider cannot tell (the default), and each node keeps its own
+        join build.
+        """
+        return None
+
     def settle_io(self) -> Dict[str, float]:
         """Seconds to add to each node's ``io_seconds`` for the fetch
         makespans this query's scans deferred (``ScanResult.
@@ -174,6 +182,7 @@ class Executor:
         self.provider.set_pushdown(pushdown)
         self.stats = QueryStats()
         self._broadcast_cache: Dict[int, JoinBuild] = {}
+        self._replica_builds: Dict[tuple, JoinBuild] = {}
         # Observability is opt-in; ``None`` keeps every hot path at a
         # single attribute check (the zero-overhead-when-disabled contract).
         self._obs = obs if (obs is not None and obs.enabled) else None
@@ -186,6 +195,7 @@ class Executor:
         self.stats = QueryStats()
         self.stats.dispatch_seconds = self.cost.dispatch_seconds
         self._broadcast_cache = {}
+        self._replica_builds = {}
         self.op_profiles = []
         self._fragment_spans = {}
         if plan.single_node:
@@ -448,17 +458,27 @@ class Executor:
 
         A local build is the participant's own fragment; a broadcast build
         is gathered, shipped and factorized once and shared by every
-        participant."""
+        participant.  A local build that is a replicated scan is scanned
+        and charged on every participant, and factorized once for all whose
+        scans read the same (:meth:`StorageProvider.replica_reads`)."""
+        replicated = isinstance(node.right, ScanNode) and node.right.replicated
         locality = node.locality
         if locality == "local" and not self.provider.preserves_segmentation:
             # Container-split crunch broke co-location; replicated build
             # sides are still safe, segmented ones must be broadcast.
-            if not (isinstance(node.right, ScanNode) and node.right.replicated):
+            if not replicated:
                 locality = "broadcast"
-        if locality == "local":
-            rows = self._eval_fragment(node.right, participant)
+        if locality != "local":
+            return self._broadcast(node), locality
+        rows = self._eval_fragment(node.right, participant)
+        reads = self.provider.replica_reads(participant) if replicated else None
+        if reads is None:
             return JoinBuild(rows, node.right_keys), locality
-        return self._broadcast(node), locality
+        key = (id(node), reads)
+        build = self._replica_builds.get(key)
+        if build is None:
+            build = self._replica_builds[key] = JoinBuild(rows, node.right_keys)
+        return build, locality
 
     def _broadcast(self, join: JoinNode) -> JoinBuild:
         """Gather a build side once, ship it to every participant."""

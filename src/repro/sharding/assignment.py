@@ -24,18 +24,31 @@ Three refinements from the paper:
   client's subcluster first, or same-rack nodes first); lower tiers join
   only if higher tiers cannot cover every shard.  This is the mechanism
   behind subcluster workload isolation (section 4.3).
+
+A session's layout is a function of the topology and of the shuffle its
+seed draws, and a topology has few shuffles (two subscribers on each of four
+shards: 16), so solved layouts are kept in a bounded memo keyed by all the
+solver reads; a session whose shuffle was solved before costs the draw and
+one lookup.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from collections import OrderedDict
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ShardCoverageLost
 from repro.sharding.maxflow import FlowNetwork
 
 _SOURCE = ("source",)
 _SINK = ("sink",)
+
+#: Solved layouts kept, least recently used out first.  One memo per
+#: process: a layout is a function of its key alone, the same for every
+#: cluster that asks.
+_LAYOUTS_KEPT = 256
+_layouts: "OrderedDict[tuple, Dict[int, str]]" = OrderedDict()
 
 
 class AssignmentError(ShardCoverageLost):
@@ -73,27 +86,59 @@ def select_participating_subscriptions(
 
     Returns
     -------
-    dict mapping each shard id to its selected node.
+    dict mapping each shard id to its selected node (the caller's to keep;
+    a layout solved before — same shard ids, subscriber lists, shuffle and
+    tiers — is copied out of the memo, not solved again).
 
     Raises
     ------
     AssignmentError
         if some shard has no subscriber in any tier.
     """
-    shard_ids = list(shard_ids)
+    shard_ids = tuple(shard_ids)
     if not shard_ids:
         return {}
     rng = random.Random(seed)
+    given = tuple(tuple(subscribers.get(shard_id, ())) for shard_id in shard_ids)
+    # Edge-order variation: shuffle the subscriber order per shard.  A
+    # shuffle's draws depend on the list's length alone, so shuffling
+    # positions draws the permutation shuffling the names would.
+    orders = []
+    for nodes in given:
+        order = list(range(len(nodes)))
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    key = (
+        shard_ids, given, tuple(orders),
+        tuple(map(frozenset, priority_tiers)) if priority_tiers else None,
+    )
+    assignment = _layouts.get(key)
+    if assignment is None:
+        # Raises AssignmentError before anything is kept.
+        assignment = _layouts[key] = _solve(shard_ids, given, orders, priority_tiers)
+        if len(_layouts) > _LAYOUTS_KEPT:
+            _layouts.popitem(last=False)
+    else:
+        _layouts.move_to_end(key)
+    return dict(assignment)
+
+
+def _solve(
+    shard_ids: Sequence[int],
+    given: Sequence[Tuple[str, ...]],
+    orders: Sequence[Tuple[int, ...]],
+    priority_tiers: Optional[Sequence[Set[str]]],
+) -> Dict[int, str]:
+    """Max flow over the shards' subscriber lists (``given``), each shard's
+    edges added in its shuffled ``orders``; balance rounds and tiers as in
+    the module docstring."""
     network = FlowNetwork()
     all_nodes: List[str] = []
     seen_nodes: Set[str] = set()
 
-    for shard_id in shard_ids:
+    for shard_id, nodes, order in zip(shard_ids, given, orders):
         network.add_edge(_SOURCE, _shard_vertex(shard_id), 1)
-        # Edge-order variation: shuffle the subscriber order per shard.
-        nodes = list(subscribers.get(shard_id, ()))
-        rng.shuffle(nodes)
-        for node in nodes:
+        for node in map(nodes.__getitem__, order):
             network.add_edge(_shard_vertex(shard_id), _node_vertex(node), 1)
             if node not in seen_nodes:
                 seen_nodes.add(node)
@@ -143,9 +188,9 @@ def select_participating_subscriptions(
         )
 
     assignment: Dict[int, str] = {}
-    for shard_id in shard_ids:
+    for shard_id, nodes in zip(shard_ids, given):
         shard_v = _shard_vertex(shard_id)
-        for node in subscribers.get(shard_id, ()):
+        for node in nodes:
             node_v = _node_vertex(node)
             if network.has_edge(shard_v, node_v) and network.flow(shard_v, node_v) > 0:
                 assignment[shard_id] = node

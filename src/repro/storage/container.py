@@ -247,8 +247,9 @@ class ROSContainer:
     partition_key: Optional[object] = None
     creation_version: int = 0
 
-    @property
+    @cached_property
     def location(self) -> str:
+        """Made once, like :attr:`bounds`: every scan of the container reads it."""
         return str(self.sid)
 
     @cached_property
