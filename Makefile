@@ -81,17 +81,20 @@ bench-pairs:
 # expression over `file:line(function)`) add that function's call edges:
 # `make profile WORKLOAD=tpch_cold CALLEES=select_scan`.  QUERY= profiles
 # only the ops whose class matches, on tpch_warm unless WORKLOAD= says
-# otherwise: `make profile QUERY=q18`.
+# otherwise: `make profile QUERY=q18`.  PASS=N profiles the N-th pass after
+# the warm-up (a cost that grows with the catalog shows late):
+# `make profile WORKLOAD=iot_ingest PASS=8 QUERY=service_tick`.
 profile:
-	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
+	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(PASS),--pass $(PASS)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
 
-# Deterministic work counts of one pass (max-flow solves, blocks decoded,
+# Deterministic work counts of one pass (ops, max-flow solves, blocks decoded,
 # join key encoders, Python calls) per op class of dash_short and tpch_warm
 # at quick scale; tests/test_work_budget.py pins the totals.  WORKLOAD= one
-# workload, FULL=1 the full inputs, TREE= another checkout (a parent clone):
-# `make work TREE=../parent FULL=1`.
+# workload, FULL=1 the full inputs, TREE= another checkout (a parent clone),
+# PASS=N the N-th pass after the warm-up instead of the first:
+# `make work TREE=../parent FULL=1`, `make work WORKLOAD=iot_ingest PASS=8`.
 work:
-	python3 benchmarks/work.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(FULL),--full) $(if $(TREE),--tree $(TREE))
+	python3 benchmarks/work.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(FULL),--full) $(if $(TREE),--tree $(TREE)) $(if $(PASS),--pass $(PASS))
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -3,11 +3,14 @@
     python3 benchmarks/profile.py --workload dash_short --top 30
     python3 benchmarks/profile.py --workload tpch_cold --callees select_scan
     python3 benchmarks/profile.py --query q18
+    python3 benchmarks/profile.py --workload iot_ingest --pass 8 --query service_tick
 
 "Attribute first": builds the workload exactly as ``benchmarks/e2e/run.py``
 does (its own ``build``, one warm-up pass, ``gc.freeze``), then runs one more
 pass of its own schedule under ``cProfile`` and prints the top functions by
-self time and by cumulative time.  ``--query PATTERN`` profiles only the ops whose class (``q18``,
+self time and by cumulative time.  ``--pass N`` profiles the N-th pass after
+the warm-up instead, the N - 1 before it run unprofiled (a cost that grows
+with the catalog shows late).  ``--query PATTERN`` profiles only the ops whose class (``q18``,
 ``dash_recent``, ``copy``, ...) the regular expression matches, by wrapping
 the workload instance's ``run_op``; its workload defaults to ``tpch_warm``.
 ``--callers PATTERN`` / ``--callees PATTERN`` then print the call edges into
@@ -44,17 +47,19 @@ DEFAULT_SEED = 42
 
 
 def profile_pass(
-    name: str, seed: int, quick: bool, query: Optional[str] = None
+    name: str, seed: int, quick: bool, query: Optional[str] = None, number: int = 1
 ) -> pstats.Stats:
-    """Build ``name``, warm it up, and profile its next pass, or only the
-    ops of it whose class matches ``query``."""
+    """Build ``name``, warm it up, run ``number - 1`` passes unprofiled, and
+    profile the next one, or only the ops of it whose class matches
+    ``query``."""
     sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
     from harness import Pass
     from workloads import WORKLOADS
 
     workload = WORKLOADS[name](seed, quick)
     workload.build()
-    workload.run_pass(Pass(), 0)
+    for index in range(number):
+        workload.run_pass(Pass(), index)
     gc.collect()
     gc.freeze()
     profiler = cProfile.Profile()
@@ -78,18 +83,18 @@ def profile_pass(
     if query is None:
         profiler.enable()
     try:
-        workload.run_pass(measured, 1)
+        workload.run_pass(measured, number)
     finally:
         profiler.disable()
     if measured.failed:
         sys.exit(f"{name}: {measured.failed} of {measured.requests} requests failed")
     if query is None:
-        print(f"{name}, seed {seed}: one pass, {measured.requests} requests profiled")
+        print(f"{name}, seed {seed}: pass {number}, {measured.requests} requests profiled")
         return pstats.Stats(profiler)
     ops = sum(bool(wanted.search(op.cls)) for op in measured.ops)
     if not ops:
         sys.exit(f"{name} has no op class matching {query!r}")
-    print(f"{name}, seed {seed}: one pass, {ops} ops matching {query!r} profiled")
+    print(f"{name}, seed {seed}: pass {number}, {ops} ops matching {query!r} profiled")
     return pstats.Stats(profiler)
 
 
@@ -103,6 +108,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     parser.add_argument("--quick", action="store_true", help="tiny inputs")
+    parser.add_argument("--pass", dest="number", type=int, default=1, metavar="N",
+                        help="profile the N-th pass after the warm-up (default 1)")
     parser.add_argument("--query", metavar="PATTERN",
                         help="profile only the ops whose class matches PATTERN")
     parser.add_argument("--callers", metavar="PATTERN",
@@ -111,7 +118,7 @@ def main() -> int:
                         help="print the callees of functions matching PATTERN")
     args = parser.parse_args()
     workload = args.workload or ("tpch_warm" if args.query else "dash_short")
-    stats = profile_pass(workload, args.seed, args.quick, args.query)
+    stats = profile_pass(workload, args.seed, args.quick, args.query, args.number)
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):
         stats.sort_stats(order).print_stats(args.top)

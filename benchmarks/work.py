@@ -3,13 +3,18 @@
     python3 benchmarks/work.py                       # dash_short, tpch_warm; quick
     python3 benchmarks/work.py --workload dash_short --full
     python3 benchmarks/work.py --tree ../parent      # another checkout's code
+    python3 benchmarks/work.py --workload iot_ingest --full --pass 8
 
 A clock moves by several per cent between identical runs and more between
 sessions; a count does not.  Each workload is built as
 ``benchmarks/e2e/run.py`` builds it (its own ``build``, then one warm-up
 pass), and its next pass runs under ``sys.setprofile``, whose hook sees every
-Python call.  Per op class it counts:
+Python call.  ``--pass N`` counts the N-th pass after the warm-up instead,
+the N - 1 before it run uncounted: where a cost grows with what earlier
+passes left behind (``iot_ingest``'s catalog), a late pass shows it.  Per op
+class it counts:
 
+* ``ops`` — ops run (``Workload.run_op`` calls);
 * ``maxflow`` — session layouts solved (``FlowNetwork`` objects built);
 * ``decode`` — blocks decoded (``decode_block`` calls);
 * ``key_encoders`` — join build key columns factorized (``_KeyEncoder``
@@ -50,7 +55,7 @@ WATCHED = {
     "decode": ("repro.storage.encoding", "decode_block"),
     "key_encoders": ("repro.engine.operators", "_KeyEncoder.__init__"),
 }
-COUNTS = (*WATCHED, "py_calls")
+COUNTS = ("ops", *WATCHED, "py_calls")
 
 
 def _pin_hash_seed() -> None:
@@ -68,8 +73,11 @@ def _code(module: str, qualname: str):
     return target.__code__
 
 
-def count_pass(tree: Path, name: str, quick: bool) -> Dict[str, Dict[str, int]]:
-    """Build ``name`` from ``tree`` at seed :data:`SEED`, warm it up, and count its next pass:
+def count_pass(
+    tree: Path, name: str, quick: bool, number: int = 1
+) -> Dict[str, Dict[str, int]]:
+    """Build ``name`` from ``tree`` at seed :data:`SEED`, warm it up, run
+    ``number - 1`` passes uncounted and count the next one:
     ``{op class: {count: value}}``."""
     sys.path[:0] = [str(tree / "benchmarks" / "e2e"), str(tree / "src")]
     from harness import Pass, SpeedMeter
@@ -79,7 +87,8 @@ def count_pass(tree: Path, name: str, quick: bool) -> Dict[str, Dict[str, int]]:
 
     workload = WORKLOADS[name](SEED, quick)
     workload.build()
-    workload.run_pass(Pass(), 0)
+    for index in range(number):
+        workload.run_pass(Pass(), index)
     gc.collect()
 
     watched = {_code(module, qualname): key for key, (module, qualname) in WATCHED.items()}
@@ -106,6 +115,8 @@ def count_pass(tree: Path, name: str, quick: bool) -> Dict[str, Dict[str, int]]:
             if row is None:
                 row = counts[classes[-1]] = dict.fromkeys(COUNTS, 0)
             row["py_calls"] += 1
+            if code is run_op:
+                row["ops"] += 1
             key = watched.get(code)
             if key is not None:
                 row[key] += 1
@@ -115,7 +126,7 @@ def count_pass(tree: Path, name: str, quick: bool) -> Dict[str, Dict[str, int]]:
     measured = Pass()
     sys.setprofile(hook)
     try:
-        workload.run_pass(measured, 1)
+        workload.run_pass(measured, number)
     finally:
         sys.setprofile(None)
     if measured.failed:
@@ -145,6 +156,8 @@ def main() -> int:
                         help="the benchmark's full inputs (default: its quick ones)")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout whose src/ and workloads are counted")
+    parser.add_argument("--pass", dest="number", type=int, default=1, metavar="N",
+                        help="count the N-th pass after the warm-up (default 1)")
     parser.add_argument("--json", action="store_true",
                         help="end with one JSON line: {workload: {op class: counts}}")
     args = parser.parse_args()
@@ -155,16 +168,16 @@ def main() -> int:
         results = {}
         for name in names:
             command = [sys.executable, __file__, "--workload", name, "--tree", str(args.tree),
-                       "--json"] + ["--full"] * args.full
+                       "--pass", str(args.number), "--json"] + ["--full"] * args.full
             done = subprocess.run(command, capture_output=True, text=True)
             if done.returncode:
                 sys.exit(f"{name} failed:\n{done.stderr}")
             results[name] = json.loads(done.stdout.strip().splitlines()[-1])[name]
     else:
-        results = {names[0]: count_pass(args.tree.resolve(), names[0], not args.full)}
+        results = {names[0]: count_pass(args.tree.resolve(), names[0], not args.full, args.number)}
     scale = "full" if args.full else "quick"
     for name, counts in results.items():
-        print_table(f"{name}, seed {SEED}, {scale} scale: one pass after a warm-up "
+        print_table(f"{name}, seed {SEED}, {scale} scale: pass {args.number} after a warm-up "
                     f"({args.tree.resolve()})", counts)
     if args.json:
         print(json.dumps(results))

@@ -11,6 +11,7 @@ version computation of section 3.5.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.mvcc import CatalogState, Op
@@ -19,7 +20,9 @@ from repro.catalog.transaction_log import (
     Checkpoint,
     LogRecord,
     LogStore,
+    checkpoint_name,
     log_name,
+    version_of,
 )
 from repro.errors import CatalogError
 from repro.shared_storage.api import Filesystem
@@ -233,8 +236,6 @@ class Catalog:
         for v in self.log_store.log_versions():
             if v > version:
                 self.log_store.fs.delete(log_name(v))
-        from repro.catalog.transaction_log import checkpoint_name
-
         for v in self.log_store.checkpoint_versions():
             if v > version:
                 self.log_store.fs.delete(checkpoint_name(v))
@@ -253,17 +254,21 @@ class Catalog:
         independently uploads them to shared storage on a regular,
         configurable interval." (section 3.5)
         """
-        local_versions = self.log_store.log_versions()
-        already = set(shared.log_versions())
-        for version in local_versions:
-            if version > self._last_uploaded and version not in already:
+        local = self.log_store.log_names()
+        uploaded = shared.log_names()
+        # Names are fixed-width, so a sorted listing is searched by name.
+        for name in local[bisect_right(local, log_name(self._last_uploaded)):]:
+            at = bisect_left(uploaded, name)
+            if at == len(uploaded) or uploaded[at] != name:
                 # The stored bytes as they are: no parse, no re-encode.
-                shared.fs.write(log_name(version), self.log_store.fs.read(log_name(version)))
-        if local_versions:
-            self._last_uploaded = max(self._last_uploaded, max(local_versions))
-        if include_checkpoint or not shared.checkpoint_versions():
-            existing = shared.checkpoint_versions()
-            if self.state.version not in existing:
+                shared.fs.write(name, self.log_store.fs.read(name))
+        if local:
+            self._last_uploaded = max(self._last_uploaded, version_of(local[-1]))
+        if include_checkpoint or not shared.checkpoint_names():
+            existing = shared.checkpoint_names()
+            name = checkpoint_name(self.state.version)
+            at = bisect_left(existing, name)
+            if at == len(existing) or existing[at] != name:
                 shared.write_checkpoint(Checkpoint.of_state(self.state))
         return revivable_interval(shared)
 
@@ -274,15 +279,17 @@ def revivable_interval(store: LogStore) -> Tuple[int, int]:
     Lower bound: oldest uploaded checkpoint.  Upper bound: newest version V
     such that some checkpoint cv <= V exists and logs (cv, V] are all
     present.  Deleting stale checkpoints raises the lower bound; uploading
-    transactions raises the upper bound (section 3.5).
+    transactions raises the upper bound (section 3.5).  The logs are walked
+    forward from the newest checkpoint's place in their listing.
     """
-    checkpoints = store.checkpoint_versions()
+    checkpoints = store.checkpoint_names()
     if not checkpoints:
         return (0, 0)
-    low = checkpoints[0]
-    newest = checkpoints[-1]
-    logs = set(store.log_versions())
-    high = newest
-    while high + 1 in logs:
+    low = version_of(checkpoints[0])
+    high = version_of(checkpoints[-1])
+    logs = store.log_names()
+    at = bisect_right(logs, log_name(high))
+    while at < len(logs) and logs[at] == log_name(high + 1):
         high += 1
+        at += 1
     return (low, high)

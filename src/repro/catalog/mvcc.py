@@ -187,6 +187,13 @@ class CatalogState:
         self.subscriptions: Dict[tuple, str] = {}
         #: map names -> (those maps, what :meth:`derived` made from them).
         self._derived: Dict[Tuple[str, ...], Tuple[list, dict]] = {}
+        #: (projection, shard id) -> {name: container} in catalog order, for
+        #: the ``containers`` map ``_grouped`` (see :meth:`containers_of`);
+        #: ``_owned`` holds the keys of the groups this state may change in
+        #: place (None: the dict of groups itself is shared too).
+        self._groups: Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]] = {}
+        self._grouped: Optional[Dict[str, ROSContainer]] = None
+        self._owned: Optional[Set[Tuple[str, Optional[int]]]] = None
 
     def copy(self, ops: Optional[Sequence[Op]] = None) -> "CatalogState":
         """A successor state to apply ``ops`` to.
@@ -195,13 +202,24 @@ class CatalogState:
         shared with this state, which is safe because no state is mutated
         after its commit.  With no ``ops`` every map is copied.  What was
         derived from the shared maps is carried over, the rest dropped.
+
+        The container groups are shared whole: the ops' handlers copy a
+        group before they change it (:func:`_group`), so a commit copies the
+        groups it touches and no others.  With no ``ops`` the caller may
+        edit ``containers`` directly, so the successor keeps no groups.
         """
         new = CatalogState.__new__(CatalogState)
         new.__dict__.update(self.__dict__)
         written = _MAPS if ops is None else {m for op in ops for m in _entry(op)[1]}
         for name in written:
-            setattr(new, name, dict(getattr(self, name)))
+            setattr(new, name, getattr(self, name).copy())
         new._derived = _underived(self._derived, written)
+        if ops is not None and self._grouped is self.containers:
+            new._grouped = new.containers
+            # Shared from here on: whichever state writes a group copies it.
+            self._owned = new._owned = None
+        else:
+            new._grouped = None
         return new
 
     def derived(self, maps: Tuple[str, ...], key: object, build: Callable[[], object]):
@@ -245,18 +263,22 @@ class CatalogState:
         self, projection: str, shard_id: Optional[int] = None
     ) -> List[ROSContainer]:
         """The projection's containers (one shard's, or with ``None`` all),
-        in catalog order: one walk of ``containers`` per projection."""
+        in catalog order.
 
-        def by_shard() -> Dict[Optional[int], List[ROSContainer]]:
-            own = [c for c in self.containers.values() if c.projection == projection]
-            groups: Dict[Optional[int], List[ROSContainer]] = {}
-            for c in own:
-                groups.setdefault(c.shard_id, []).append(c)
-            groups[None] = own
-            return groups
-
-        groups = self.derived(("containers",), projection, by_shard)
-        return list(groups.get(shard_id, ()))
+        One shard's is one group, kept by the op handlers and carried from
+        state to state by commits; a state that has none (a fresh one, or
+        one whose ``containers`` was edited directly) groups its map on the
+        first ask.  All shards' is one walk per state and projection.
+        """
+        if shard_id is None:
+            return list(self.derived(("containers",), projection, lambda: [
+                c for c in self.containers.values() if c.projection == projection
+            ]))
+        if self._grouped is not self.containers:
+            self._groups = _groups_of(self.containers)
+            self._grouped = self.containers
+            self._owned = set(self._groups)
+        return list(self._groups.get((projection, shard_id), {}).values())
 
     def delete_vectors_by_target(self) -> Dict[str, List[DeleteVector]]:
         """Container name -> its delete vectors, in catalog order (shared
@@ -338,6 +360,38 @@ def _underived(derived: dict, written) -> dict:
 # the commit path reaps by that delta instead of diffing whole catalogs.
 
 
+def _groups_of(
+    containers: Dict[str, ROSContainer]
+) -> Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]]:
+    """``containers`` grouped by (projection, shard id), in catalog order."""
+    groups: Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]] = {}
+    for sid, c in containers.items():
+        key = (c.projection, c.shard_id)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {}
+        group[sid] = c
+    return groups
+
+
+def _group(state: CatalogState, key: Tuple[str, Optional[int]]) -> Optional[dict]:
+    """Group ``key`` of the state to change in place, or None if the state
+    keeps no groups.  What a state before shares is copied first: the dict
+    of groups, then the group."""
+    if state._grouped is not state.containers:
+        return None
+    owned = state._owned
+    if owned is None:
+        state._groups = state._groups.copy()
+        owned = state._owned = set()
+    group = state._groups.get(key)
+    if key not in owned:
+        # ``dict.copy``, not ``dict()``: it clones the table even after deletes.
+        group = state._groups[key] = {} if group is None else group.copy()
+        owned.add(key)
+    return group
+
+
 def _drop_storage_of(state: CatalogState, projection: str) -> List[str]:
     """Remove a projection's containers and delete vectors; returns their names."""
     removed: List[str] = []
@@ -346,6 +400,9 @@ def _drop_storage_of(state: CatalogState, projection: str) -> List[str]:
         for sid in gone:
             del objects[sid]
         removed += gone
+    if state._grouped is state.containers:
+        for key in [key for key in state._groups if key[0] == projection]:
+            _group(state, key).clear()  # type: ignore[union-attr]
     return removed
 
 
@@ -423,12 +480,19 @@ def _h_add_container(state: CatalogState, container: ROSContainer) -> None:
     if key in state.containers:
         raise CatalogError(f"container {key} already exists")
     state.containers[key] = container
+    group = _group(state, (container.projection, container.shard_id))
+    if group is not None:
+        group[key] = container
 
 
 def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
     key = op["sid"]
-    if state.containers.pop(key, None) is None:
+    container = state.containers.pop(key, None)
+    if container is None:
         raise CatalogError(f"no container {key}")
+    group = _group(state, (container.projection, container.shard_id))
+    if group is not None:
+        del group[key]
     dvs = [sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == key]
     for sid in dvs:
         del state.delete_vectors[sid]
@@ -469,7 +533,8 @@ _MAPS = (
 
 #: op kind -> (handler, the maps it writes).  :meth:`CatalogState.copy`
 #: shares every other map with the predecessor state, so a handler that
-#: writes a map it does not list here corrupts pinned snapshots.
+#: writes a map it does not list here corrupts pinned snapshots.  A handler
+#: that writes ``containers`` writes its groups too, through :func:`_group`.
 _HANDLERS: Dict[str, Tuple[Callable[..., Optional[List[str]]], Tuple[str, ...]]] = {
     "create_table": (_h_create_table, ("tables",)),
     "drop_table": (

@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import is_, methodcaller
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.catalog.mvcc import CatalogState, Op, container_to_json, container_from_json, dv_to_json, dv_from_json
 from repro.catalog.objects import LiveAggregateProjection, Projection, Table, User
@@ -89,7 +91,7 @@ class Checkpoint:
         """The payload is ``json.dumps`` of one document, byte for byte, but
         joined from each catalog object's own JSON text with ``json.dumps``'s
         default ``", "`` and ``": "`` separators.  The objects are immutable
-        and shared between states and nodes, so :func:`_json_text` encodes
+        and shared between states and nodes, so :func:`_json_texts` encodes
         each once; a checkpoint costs a join, not an encode."""
         subscriptions = [
             {"node": n, "shard_id": s, "state": st}
@@ -104,7 +106,7 @@ class Checkpoint:
             ("containers", state.containers, container_to_json),
             ("delete_vectors", state.delete_vectors, dv_to_json),
         ):
-            texts = ", ".join(_json_text(o, to_json) for o in objects.values())
+            texts = ", ".join(_json_texts(objects.values(), to_json))
             members.append(f'"{key}": [{texts}]')
         members.append(f'"properties": {json.dumps(state.properties)}')
         members.append(f'"subscriptions": {json.dumps(subscriptions)}')
@@ -142,13 +144,15 @@ class Checkpoint:
             raise CatalogError(f"damaged checkpoint {self.version}: {exc!r}") from None
 
 
-def _json_text(obj: object, to_json: Callable[[object], dict]) -> str:
-    """``json.dumps(to_json(obj))``, encoded once per immutable catalog object."""
-    try:
-        return obj.__dict__["_json_text"]
-    except KeyError:
-        text = obj.__dict__["_json_text"] = json.dumps(to_json(obj))
-        return text
+def _json_texts(objects: Iterable[object], to_json: Callable[[object], dict]) -> List[str]:
+    """``json.dumps(to_json(o))`` of each object, encoded once per immutable
+    catalog object and kept in its ``__dict__``; gathered with no Python
+    call per object."""
+    objects = list(objects)
+    texts = list(map(methodcaller("get", "_json_text"), map(vars, objects)))
+    for i in compress(range(len(texts)), map(is_, texts, repeat(None))):
+        texts[i] = vars(objects[i])["_json_text"] = json.dumps(to_json(objects[i]))
+    return texts
 
 
 class LogStore:
@@ -167,11 +171,20 @@ class LogStore:
 
     # -- reads -----------------------------------------------------------------
 
+    def checkpoint_names(self) -> List[str]:
+        """One LIST: the checkpoints' names, oldest first (a listing is
+        sorted and names are fixed-width, so name order is version order)."""
+        return self.fs.list(CHECKPOINT_PREFIX)
+
+    def log_names(self) -> List[str]:
+        """One LIST: the log records' names, oldest first (as above)."""
+        return self.fs.list(LOG_PREFIX)
+
     def checkpoint_versions(self) -> List[int]:
-        return sorted(version_of(n) for n in self.fs.list(CHECKPOINT_PREFIX))
+        return sorted(map(version_of, self.checkpoint_names()))
 
     def log_versions(self) -> List[int]:
-        return sorted(version_of(n) for n in self.fs.list(LOG_PREFIX))
+        return sorted(map(version_of, self.log_names()))
 
     def read_record(self, version: int) -> LogRecord:
         return LogRecord.from_bytes(self.fs.read(log_name(version)))

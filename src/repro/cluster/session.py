@@ -15,6 +15,7 @@ from min/max statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -242,7 +243,7 @@ class EonStorageProvider(StorageProvider):
             containers = in_name_order.get(shard_id)
             if containers is None:
                 containers = in_name_order[shard_id] = sorted(
-                    state.containers_of(projection, shard_id), key=lambda c: str(c.sid)
+                    state.containers_of(projection, shard_id), key=attrgetter("location")
                 )
             kept, pruned = prune_containers(containers, predicate)
             result.containers_pruned += pruned

@@ -167,12 +167,16 @@ def _solve(
                 network.add_edge(vertex, _SINK, base)
         flow = network.max_flow(_SOURCE, _SINK)
         # Balance rounds: grow sink capacities one unit at a time so flow
-        # spreads evenly before any node takes a second/third shard.
+        # spreads evenly before any node takes a second/third shard.  A node
+        # an earlier tier gave more flow keeps capacity for it.
         capacity = base
         while flow < target and capacity < target:
             capacity += 1
             for node in attached:
-                network.set_capacity(_node_vertex(node), _SINK, capacity)
+                vertex = _node_vertex(node)
+                network.set_capacity(
+                    vertex, _SINK, max(capacity, network.flow(vertex, _SINK))
+                )
             flow = network.max_flow(_SOURCE, _SINK)
         if flow == target:
             break

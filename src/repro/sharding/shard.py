@@ -95,13 +95,19 @@ class ShardMap:
 
         Only shards that receive at least one row appear in the result, so
         "storage containers contain data for exactly one shard" (section
-        4.5) and no empty containers are created.
+        4.5) and no empty containers are created.  The rows are put in shard
+        order once (a stable sort keeps each shard's rows in their order)
+        and each shard's are a slice of that.
         """
         shards = self.shards_of_rowset(rowset, seg_columns)
-        result: Dict[int, RowSet] = {}
-        for shard_id in np.unique(shards):
-            result[int(shard_id)] = rowset.filter(shards == shard_id)
-        return result
+        order = shards.argsort(kind="stable")
+        ids, starts = np.unique(shards[order], return_index=True)
+        ordered = rowset.take(order)
+        stops = [*starts[1:].tolist(), len(order)]
+        return {
+            shard_id: ordered.slice(start, stop)
+            for shard_id, start, stop in zip(ids.tolist(), starts.tolist(), stops)
+        }
 
     def hash_region_mask(
         self, rowset: RowSet, seg_columns: Sequence[str], shard_id: int

@@ -19,7 +19,10 @@ load balanced across subscribers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.mvcc import Op, op_drop_container, op_set_property
@@ -39,13 +42,13 @@ STRATA_BASE_BYTES = 4096
 STRATA_WIDTH = 4
 
 
-def _stratum_of(size_bytes: int, base: int = STRATA_BASE_BYTES, width: int = STRATA_WIDTH) -> int:
-    stratum = 0
-    bound = base
-    while size_bytes > bound:
-        stratum += 1
-        bound *= width
-    return stratum
+def _stratum_bounds(base: int, width: int) -> Tuple[int, ...]:
+    """The strata's upper bounds: stratum k holds sizes in (bound k-1, bound k],
+    so a size's stratum is its ``bisect_left`` in them."""
+    bounds = [base]
+    while bounds[-1] < 2**63:
+        bounds.append(bounds[-1] * width)
+    return tuple(bounds)
 
 
 def select_mergeout_candidates(
@@ -61,20 +64,26 @@ def select_mergeout_candidates(
     Containers with many deleted rows get a stratum discount so they merge
     sooner and their tombstones are purged.
     """
-    deleted_counts = deleted_counts or {}
-    strata: Dict[int, List[ROSContainer]] = {}
-    for container in containers:
-        stratum = _stratum_of(container.size_bytes, base_bytes, strata_width)
-        deleted = deleted_counts.get(str(container.sid), 0)
-        if container.row_count and deleted / container.row_count >= 0.2:
-            stratum = max(0, stratum - 1)  # favour purging heavy deleters
-        strata.setdefault(stratum, []).append(container)
+    sizes = list(map(attrgetter("size_bytes"), containers))
+    names = list(map(attrgetter("location"), containers))
+    strata = list(map(bisect_left, repeat(_stratum_bounds(base_bytes, strata_width)), sizes))
+    if deleted_counts:
+        position = dict(zip(names, range(len(names))))
+        for name in deleted_counts.keys() & position.keys():
+            i = position[name]
+            rows = containers[i].row_count
+            if rows and deleted_counts[name] / rows >= 0.2:
+                strata[i] = max(0, strata[i] - 1)  # favour purging heavy deleters
+    # Members by stratum, then size, then name.
+    order = sorted(range(len(sizes)), key=list(zip(strata, sizes, names)).__getitem__)
+    ordered = list(map(containers.__getitem__, order))
+    ordered_strata = list(map(strata.__getitem__, order))
     jobs: List[List[ROSContainer]] = []
-    for stratum in sorted(strata):
-        members = sorted(strata[stratum], key=lambda c: (c.size_bytes, str(c.sid)))
-        while len(members) >= strata_width:
-            jobs.append(members[:strata_width])
-            members = members[strata_width:]
+    for stratum in sorted(set(strata)):
+        start = bisect_left(ordered_strata, stratum)
+        full = bisect_right(ordered_strata, stratum) - start
+        for i in range(start, start + full - full % strata_width, strata_width):
+            jobs.append(ordered[i:i + strata_width])
     return jobs
 
 
@@ -145,32 +154,28 @@ class MergeoutCoordinatorService:
         state = node.catalog.state
         report = MergeoutReport()
 
-        # Group per (projection, partition): Vertica never merges across
-        # partitions, so partition pruning keeps working after mergeout.
-        by_projection: Dict[Tuple[str, object], List[ROSContainer]] = {}
-        for container in state.containers.values():
-            if container.shard_id == shard_id:
-                key = (container.projection, container.partition_key)
-                by_projection.setdefault(key, []).append(container)
-
+        # The newest delete vector of a container gives its count.
         deleted_counts = {
-            str(dv.target_sid): dv.deleted_count
-            for dv in state.delete_vectors.values()
+            target: dvs[-1].deleted_count
+            for target, dvs in state.delete_vectors_by_target().items()
         }
-
-        for projection_name, partition_key in sorted(
-            by_projection, key=lambda k: (k[0], str(k[1]))
-        ):
-            jobs = select_mergeout_candidates(
-                by_projection[(projection_name, partition_key)],
-                deleted_counts,
-                self.strata_width,
-                self.base_bytes,
-            )
-            if max_jobs is not None:
-                jobs = jobs[: max(0, max_jobs - report.jobs_run)]
-            for job in jobs:
-                self._run_job(node, state, projection_name, shard_id, job, report)
+        for projection_name in sorted(state.projections.keys() | state.live_aggs.keys()):
+            # Group per partition: Vertica never merges across partitions, so
+            # partition pruning keeps working after mergeout.
+            by_partition: Dict[object, List[ROSContainer]] = {}
+            for container in state.containers_of(projection_name, shard_id):
+                by_partition.setdefault(container.partition_key, []).append(container)
+            for partition_key in sorted(by_partition, key=str):
+                jobs = select_mergeout_candidates(
+                    by_partition[partition_key],
+                    deleted_counts,
+                    self.strata_width,
+                    self.base_bytes,
+                )
+                if max_jobs is not None:
+                    jobs = jobs[: max(0, max_jobs - report.jobs_run)]
+                for job in jobs:
+                    self._run_job(node, state, projection_name, shard_id, job, report)
         return report
 
     def run_all(self, max_jobs_per_shard: Optional[int] = None) -> MergeoutReport:

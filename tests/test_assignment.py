@@ -133,6 +133,23 @@ class TestPriorityTiers:
         # t1 alone can serve both shards (balance rounds raise capacity).
         assert set(assignment.values()) == {"t1"}
 
+    # n0 alone serves shards 0-3, so the first tier gives it a flow of 4; the
+    # second tier's balance rounds start at capacity 3 and must not set n0's
+    # sink capacity below that flow (they raised ``ValueError`` before).
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_later_tier_keeps_the_flow_an_earlier_tier_gave(self, seed):
+        subs = {0: ["n0"], 1: ["n0"], 2: ["n0"], 3: ["n0", "n1"], 4: []}
+        with pytest.raises(AssignmentError, match=r"\[4\]"):
+            select_participating_subscriptions(
+                range(5), subs, priority_tiers=[{"n0"}], seed=seed
+            )
+        subs = {0: ["n0"], 1: ["n0"], 2: ["n0"], 3: ["n0", "n2"],
+                4: ["n1"], 5: ["n1"], 6: ["n1"]}
+        assignment = select_participating_subscriptions(
+            range(7), subs, priority_tiers=[{"n0"}], seed=seed
+        )
+        assert assignment == {0: "n0", 1: "n0", 2: "n0", 3: "n0", 4: "n1", 5: "n1", 6: "n1"}
+
 
 class TestPropertyBased:
     @given(

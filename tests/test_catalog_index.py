@@ -1,13 +1,20 @@
-"""What a catalog version fixes, derived once: the per-state container and
-delete-vector indexes (``CatalogState.derived``) and their lifetime.
+"""What a catalog version fixes: the per-state container groups and
+delete-vector index, and their lifetime.
 
-An index is tied to the identity of the map it was built from.  Every test
-here builds it on one version, changes the catalog, and asks both versions
-again: the answers must be what a walk of each version's own map gives.
+One shard's containers of a projection are a group the op handlers keep and
+commits carry from state to state, copying only the groups they touch; the
+rest (all shards' containers, delete vectors by target) is derived once per
+state (``CatalogState.derived``).  Both are tied to the identity of the map
+they describe.  Every test here asks one version, changes the catalog, and
+asks both versions again: the answers must be what a walk of each version's
+own map gives.
 """
 
 import random
 from collections import Counter
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import ColumnType, EonCluster
 from repro.catalog.catalog import Catalog
@@ -18,11 +25,13 @@ from repro.catalog.mvcc import (
     op_create_projection,
     op_create_table,
     op_drop_container,
+    op_drop_delete_vector,
+    op_drop_projection,
     op_drop_table,
     op_set_property,
 )
 from repro.catalog.objects import Projection, Segmentation, Table
-from repro.catalog.transaction_log import LogRecord
+from repro.catalog.transaction_log import Checkpoint, LogRecord
 from repro.cluster.revive import revive
 from repro.common.oid import SidFactory
 from repro.common.types import TableSchema
@@ -46,6 +55,10 @@ def delete_vector(sids: SidFactory, target: ROSContainer) -> DeleteVector:
         sid=sids.next_sid(), target_sid=target.sid, projection=target.projection,
         shard_id=target.shard_id, deleted_count=1, size_bytes=8,
     )
+
+
+def projection(table: str) -> Projection:
+    return Projection(table + "_p", table, ("a", "b"), ("a",), Segmentation.by_hash("a"))
 
 
 def walked(state: CatalogState) -> dict:
@@ -84,9 +97,7 @@ class Versions:
         self.seen = []  # (state, what its indexes must answer, for good)
         self.commit(op_create_table(Table("t", SCHEMA)), op_create_table(Table("u", SCHEMA)))
         for table in ("t", "u"):
-            self.commit(op_create_projection(Projection(
-                table + "_p", table, ("a", "b"), ("a",), Segmentation.by_hash("a"),
-            )))
+            self.commit(op_create_projection(projection(table)))
         self.containers = [
             container(self.sids, projection, shard)
             for projection in ("t_p", "u_p") for shard in (0, 1, 0)
@@ -195,7 +206,6 @@ class TestIndexLifetime:
         assert restarted.recover() == 2  # replayed in place onto the checkpoint
         assert restarted.state.version == v.catalog.state.version
         # Objects are parsed afresh, so compare names.
-        names = lambda answers: {k: [str(o.sid) for o in objs] for k, objs in answers.items()}
         assert names(indexed(restarted.state)) == names(walked(v.catalog.state))
 
     def test_revive(self):
@@ -228,7 +238,8 @@ def walked_names(state: CatalogState) -> Counter:
 
 
 class WalkCounting(dict):
-    """A ``containers`` map that counts how often it is walked."""
+    """A ``containers`` map that counts how often it is walked; a commit's
+    copy of it counts too."""
 
     walks = 0
 
@@ -244,6 +255,9 @@ class WalkCounting(dict):
         self.walks += 1
         return super().__iter__()
 
+    def copy(self):
+        return WalkCounting(self)
+
 
 class TestOneWalkPerStateAndProjection:
     def test_a_scan_beside_2000_containers_of_another_projection(self):
@@ -258,18 +272,203 @@ class TestOneWalkPerStateAndProjection:
         for i in range(2000):
             txn.add_op(op_add_container(container(sids, other, i % 2)))
         cluster.commit(txn)
-        maps = []
+        replaced = []
         for node in cluster.nodes.values():
             state = node.catalog.state
             state.containers = WalkCounting(state.containers)
             assert len(state.containers) > 2000
-            maps.append(state.containers)
+            replaced.append(state.containers)
+        # A map put in place by hand has no groups: one walk makes them.
+        assert cluster.query("select count(*), sum(v) from mine").rows.to_pylist() == [(30, 135)]
+        assert [m.walks for m in replaced] == [1, 1]
+        # A state built by commits carries its predecessor's groups: its
+        # shard scans walk nothing, however many containers it holds.
+        cluster.load("mine", [(30 + i, i) for i in range(10)])
+        txn = cluster.begin()
+        for i in range(10):
+            txn.add_op(op_add_container(container(sids, other, i % 2)))
+        cluster.commit(txn)
+        states = [node.catalog.state for node in cluster.nodes.values()]
+        assert all(type(s.containers) is WalkCounting and s.containers.walks == 0 for s in states)
         for seed in range(4):
             result = cluster.query("select count(*), sum(v) from mine where k >= 0", seed=seed)
-            assert result.rows.to_pylist() == [(30, 135)]
-        assert [m.walks for m in maps] == [1, 1]
-        # The other projection is one more walk, whatever the shard asked for.
+            assert result.rows.to_pylist() == [(40, 180)]
         state = cluster.nodes["n1"].catalog.state
-        assert len(state.containers_of(other, 0)) + len(state.containers_of(other, 1)) == 2000
-        assert len(state.containers_of(other)) == 2000
-        assert state.containers.walks == 2
+        assert len(state.containers_of(other, 0)) + len(state.containers_of(other, 1)) == 2010
+        assert [s.containers.walks for s in states] == [0, 0]
+        # All shards' containers are one walk per state and projection.
+        assert len(state.containers_of(other)) == len(state.containers_of(other)) == 2010
+        assert state.containers.walks == 1
+
+
+# ---------------------------------------------------------------------------
+# the groups against a walk, over generated histories
+
+
+class GroupsEqualAWalk(RuleBasedStateMachine):
+    """Commits (single- and multi-op), pins, replay, checkpoint restore,
+    truncation and the direct edits of ``containers`` that subscription,
+    recovery and revive make (a full ``copy()``, then the map edited in
+    place).  After every step every state seen so far answers as a walk of
+    its own maps, and as it did when first seen."""
+
+    def __init__(self):
+        super().__init__()
+        self.sids = SidFactory(random.Random(11))
+        self.catalog = Catalog(MemoryFilesystem(), checkpoint_every=6)
+        self.seen = []  # (state, what it must answer, for good)
+        self.pins = []
+        self.commit(op_create_table(Table("t", SCHEMA)), op_create_table(Table("u", SCHEMA)))
+        self.commit(op_create_projection(projection("t")), op_create_projection(projection("u")))
+
+    @property
+    def state(self) -> CatalogState:
+        return self.catalog.state
+
+    def commit(self, *ops) -> None:
+        self.catalog.apply_commit(LogRecord(self.state.version + 1, tuple(ops)))
+
+    def new_containers(self, data, most: int) -> list:
+        live = sorted(self.state.projections)
+        if not live:
+            return []
+        places = st.tuples(st.sampled_from(live), st.sampled_from((0, 1)))
+        chosen = data.draw(st.lists(places, min_size=1, max_size=most))
+        return [container(self.sids, p, shard) for p, shard in chosen]
+
+    def pick(self, data, objects: dict):
+        return objects[data.draw(st.sampled_from(sorted(objects)))]
+
+    def edit_directly(self, edit) -> None:
+        """What ``_drop_subscription``, ``_backfill_shard_metadata``,
+        ``_full_metadata_rebuild`` and revive's trim do."""
+        edited = self.state.copy()
+        edit(edited)
+        self.catalog.state = edited
+        self.catalog._recent[edited.version] = edited
+        self.catalog.write_checkpoint()
+
+    # -- commits ------------------------------------------------------------------
+
+    @rule(data=st.data())
+    def add_containers(self, data):
+        added = self.new_containers(data, 3)
+        if added:
+            self.commit(*map(op_add_container, added))
+
+    @precondition(lambda self: self.state.containers)
+    @rule(data=st.data())
+    def drop_container(self, data):
+        gone = self.pick(data, self.state.containers)
+        self.commit(op_drop_container(gone.location, gone.shard_id))
+
+    @precondition(lambda self: self.state.containers)
+    @rule(data=st.data())
+    def add_delete_vector(self, data):
+        self.commit(op_add_delete_vector(delete_vector(self.sids, self.pick(data, self.state.containers))))
+
+    @precondition(lambda self: self.state.delete_vectors)
+    @rule(data=st.data())
+    def drop_delete_vector(self, data):
+        gone = self.pick(data, self.state.delete_vectors)
+        self.commit(op_drop_delete_vector(str(gone.sid), gone.shard_id))
+
+    @precondition(lambda self: self.state.containers)
+    @rule(data=st.data())
+    def multi_op_record(self, data):
+        """Add, drop and mark in one record: later ops see earlier ones."""
+        added = self.new_containers(data, 2)
+        gone = self.pick(data, self.state.containers)
+        ops = [*map(op_add_container, added), op_drop_container(gone.location, gone.shard_id)]
+        ops += [op_add_delete_vector(delete_vector(self.sids, c)) for c in added[:1]]
+        self.commit(*ops, op_set_property("k", len(ops)))
+
+    @precondition(lambda self: self.state.projections)
+    @rule(data=st.data(), whole_table=st.booleans())
+    def drop_projection_or_table(self, data, whole_table):
+        dropped = self.pick(data, self.state.projections)
+        if whole_table:
+            self.commit(op_drop_table(dropped.anchor_table))
+        else:
+            self.commit(op_drop_projection(dropped.name))
+
+    @precondition(lambda self: len(self.state.projections) < 2)
+    @rule()
+    def recreate(self):
+        ops = []
+        for table in ("t", "u"):
+            if table not in self.state.tables:
+                ops.append(op_create_table(Table(table, SCHEMA)))
+            if table + "_p" not in self.state.projections:
+                ops.append(op_create_projection(projection(table)))
+        self.commit(*ops)
+
+    # -- pins, replay, restore, truncation -------------------------------------------
+
+    @rule()
+    def pin(self):
+        self.pins.append(self.catalog.snapshot())
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def unpin(self, data):
+        self.pins.pop(data.draw(st.integers(0, len(self.pins) - 1))).release()
+
+    @rule()
+    def replay_in_place(self):
+        """A restart: the newest checkpoint, then the logs applied in place."""
+        restarted = Catalog(self.catalog.log_store.fs, checkpoint_every=6)
+        restarted.recover()
+        assert names(walked(restarted.state)) == names(walked(self.state))
+        self.catalog, self.pins = restarted, []
+
+    @rule()
+    def restore_checkpoint(self):
+        restored = Checkpoint.of_state(self.state).restore()
+        self.catalog.state = restored
+        self.catalog._recent[restored.version] = restored
+
+    @rule(data=st.data())
+    def truncate(self, data):
+        oldest = self.catalog.log_store.checkpoint_versions()[:1] or [0]
+        self.catalog.truncate_to(data.draw(st.integers(oldest[0], self.state.version)))
+        self.pins = []
+
+    # -- direct edits -------------------------------------------------------------------
+
+    @rule(shard=st.sampled_from((0, 1)))
+    def trim_a_shard(self, shard):
+        def trim(state):
+            for objects in (state.containers, state.delete_vectors):
+                for sid in [sid for sid, o in objects.items() if o.shard_id == shard]:
+                    del objects[sid]
+        self.edit_directly(trim)
+
+    @rule(data=st.data())
+    def backfill(self, data):
+        added = self.new_containers(data, 3)
+
+        def backfill(state):
+            for c in added:
+                state.containers[c.location] = c
+        self.edit_directly(backfill)
+
+    # -- the check --------------------------------------------------------------------
+
+    @invariant()
+    def every_state_answers_as_a_walk(self):
+        self.seen.append((self.state, walked(self.state)))
+        for pinned in self.catalog.pinned_states():
+            self.seen.append((pinned, walked(pinned)))
+        for state, expected in self.seen:
+            assert indexed(state) == expected == walked(state)
+
+
+def names(answers: dict) -> dict:
+    return {k: [str(o.sid) for o in objs] for k, objs in answers.items()}
+
+
+GroupsEqualAWalk.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+TestGroupsEqualAWalk = GroupsEqualAWalk.TestCase

@@ -1,12 +1,15 @@
 """Tuple mover: strata selection, mergeout coordination, purging (§6.2)."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EonCluster
 from repro.common.oid import SidFactory
 from repro.storage.container import ROSContainer
 from repro.tuple_mover import MergeoutCoordinatorService, select_mergeout_candidates
-from repro.tuple_mover.mergeout import _stratum_of
+from repro.tuple_mover.mergeout import _stratum_bounds
 
 
 def fake_container(sids, size, projection="p", deleted=0, shard=0):
@@ -23,11 +26,10 @@ def fake_container(sids, size, projection="p", deleted=0, shard=0):
 
 class TestStrataSelection:
     def test_stratum_boundaries_exponential(self):
-        assert _stratum_of(1, base=100, width=4) == 0
-        assert _stratum_of(100, base=100, width=4) == 0
-        assert _stratum_of(101, base=100, width=4) == 1
-        assert _stratum_of(400, base=100, width=4) == 1
-        assert _stratum_of(401, base=100, width=4) == 2
+        bounds = _stratum_bounds(100, 4)
+        assert bounds[:3] == (100, 400, 1600)
+        strata = [bisect_left(bounds, size) for size in (1, 100, 101, 400, 401)]
+        assert strata == [0, 0, 1, 1, 2]
 
     def test_merges_only_within_stratum(self):
         sids = SidFactory()
@@ -77,6 +79,46 @@ class TestStrataSelection:
                 survivors.append(fake_container(sids, total))
             containers = survivors
         assert merges_per_tuple <= 4  # log_4(64) = 3 plus slack
+
+
+def reference_candidates(containers, deleted_counts, strata_width, base_bytes):
+    """``select_mergeout_candidates`` as it was: a loop per container."""
+    strata = {}
+    for container in containers:
+        stratum, bound = 0, base_bytes
+        while container.size_bytes > bound:
+            stratum += 1
+            bound *= strata_width
+        deleted = deleted_counts.get(str(container.sid), 0)
+        if container.row_count and deleted / container.row_count >= 0.2:
+            stratum = max(0, stratum - 1)
+        strata.setdefault(stratum, []).append(container)
+    jobs = []
+    for stratum in sorted(strata):
+        members = sorted(strata[stratum], key=lambda c: (c.size_bytes, str(c.sid)))
+        while len(members) >= strata_width:
+            jobs.append(members[:strata_width])
+            members = members[strata_width:]
+    return jobs
+
+
+class TestSelectionAgainstTheLoop:
+    @given(st.lists(st.tuples(st.integers(0, 3_000_000), st.integers(0, 100),
+                              st.integers(0, 60)), max_size=60),
+           st.integers(2, 5), st.sampled_from([1, 100, 4096]), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_the_same_jobs_in_the_same_order(self, specs, width, base, rnd):
+        sids = SidFactory(rnd)
+        containers, deleted = [], {}
+        for size, rows, dead in specs:
+            c = ROSContainer(sid=sids.next_sid(), projection="p", shard_id=0, row_count=rows,
+                             size_bytes=size, min_values=(), max_values=())
+            containers.append(c)
+            if dead:
+                deleted[str(c.sid)] = dead
+        got = select_mergeout_candidates(containers, deleted, strata_width=width, base_bytes=base)
+        want = reference_candidates(containers, deleted, width, base)
+        assert [list(map(id, job)) for job in got] == [list(map(id, job)) for job in want]
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from repro.common.hashing import HASH_SPACE, hash_row
 from repro.common.types import ColumnType, TableSchema
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.storage.container import RowSet
+from repro.storage.encoding import CodedStrings
 
 SCHEMA = TableSchema.of(("k", ColumnType.INT), ("name", ColumnType.VARCHAR))
 
@@ -117,3 +118,65 @@ class TestRowSplitting:
         assert REPLICA_SHARD_ID in sm.all_shard_ids()
         with pytest.raises(ValueError):
             sm.region_of(REPLICA_SHARD_ID)
+
+
+# ---------------------------------------------------------------------------
+# the split against its reference: one full filter per shard
+
+
+def split_by_filters(sm: ShardMap, rowset: RowSet, seg_columns) -> dict:
+    """``ShardMap.split_rowset`` as it was: every column masked once per
+    shard that receives rows."""
+    shards = sm.shards_of_rowset(rowset, seg_columns)
+    return {int(s): rowset.filter(shards == s) for s in np.unique(shards)}
+
+
+WIDE = TableSchema.of(
+    ("k", ColumnType.INT), ("s", ColumnType.VARCHAR),
+    ("t", ColumnType.VARCHAR), ("x", ColumnType.FLOAT),
+)
+WORDS = ["ant", "bee", "cat", "dog", "eel", None]
+
+
+@st.composite
+def wide_rows(draw):
+    """``WIDE`` rows: few distinct keys (so some shards get no rows), ``s``
+    held as dictionary codes and ``t`` as text, NULLs in both and NaN in
+    ``x``."""
+    n = draw(st.integers(0, 60))
+    keys = draw(st.lists(st.integers(0, draw(st.integers(0, 12))), min_size=n, max_size=n))
+    words = st.lists(st.sampled_from(WORDS), min_size=n, max_size=n)
+    s, t = draw(words), draw(words)
+    x = draw(st.lists(st.sampled_from([0.5, -1.0, float("nan")]), min_size=n, max_size=n))
+    dictionary = np.array(
+        sorted({w for w in s if w is not None}) + [None] * (None in s), dtype=object
+    )
+    codes = np.array([list(dictionary).index(w) for w in s], dtype=np.int64)
+    return RowSet(WIDE, {
+        "k": ColumnType.INT.coerce(keys), "s": CodedStrings(codes, dictionary),
+        "t": ColumnType.VARCHAR.coerce(t), "x": ColumnType.FLOAT.coerce(x),
+    })
+
+
+class TestSplitAgainstFilters:
+    @given(wide_rows(), st.integers(1, 8),
+           st.sampled_from([["k"], ["t"], ["s", "k"]]))
+    @settings(max_examples=200, deadline=None)
+    def test_each_shard_gets_the_rows_the_filters_gave_in_their_order(
+        self, rows, count, seg_columns
+    ):
+        sm = ShardMap(count)
+        got, want = sm.split_rowset(rows, seg_columns), split_by_filters(sm, rows, seg_columns)
+        assert list(got) == list(want) and all(type(s) is int for s in got)
+        for shard, part in got.items():
+            expected = want[shard]
+            assert part.num_rows == expected.num_rows > 0
+            for name in WIDE.names:
+                held, wanted = part.held(name), expected.held(name)
+                assert type(held) is type(wanted)
+                if isinstance(held, CodedStrings):
+                    assert held.dictionary is wanted.dictionary
+                    np.testing.assert_array_equal(held.codes, wanted.codes)
+                else:
+                    assert held.dtype == wanted.dtype
+                    np.testing.assert_array_equal(held, wanted)  # NaN == NaN here
