@@ -19,9 +19,13 @@ class it counts:
 * ``decode`` — blocks decoded (``decode_block`` calls);
 * ``key_encoders`` — join build key columns factorized (``_KeyEncoder``
   objects built);
+* ``footers`` — column-file footers parsed (``ColumnLayout.parse`` calls);
+* ``tested`` — containers a scan tested against its predicate (the
+  ``could_match`` calls ``prune_containers`` makes itself, one per
+  container it is handed);
 * ``py_calls`` — Python function calls, the program's and the workload's own.
 
-The first three are the same on any machine; ``py_calls`` depends on the
+All but the last are the same on any machine; ``py_calls`` depends on the
 CPython version as well.  Nothing is patched: the counts are read off the
 code objects the hook sees, so the program runs its own call graph.  An op's
 class is the ``cls`` of the innermost ``Workload.run_op`` (``q03``,
@@ -54,8 +58,11 @@ WATCHED = {
     "maxflow": ("repro.sharding.maxflow", "FlowNetwork.__init__"),
     "decode": ("repro.storage.encoding", "decode_block"),
     "key_encoders": ("repro.engine.operators", "_KeyEncoder.__init__"),
+    "footers": ("repro.storage.column", "ColumnLayout.parse"),
 }
-COUNTS = ("ops", *WATCHED, "py_calls")
+#: Whose ``could_match`` calls are ``tested``.
+TESTER = ("repro.engine.pruning", "prune_containers")
+COUNTS = ("ops", *WATCHED, "tested", "py_calls")
 
 
 def _pin_hash_seed() -> None:
@@ -71,6 +78,19 @@ def _code(module: str, qualname: str):
     for part in qualname.split("."):
         target = getattr(target, part)
     return target.__code__
+
+
+def _could_match_codes() -> set:
+    """The code of every ``Expr`` class's own ``could_match``."""
+    from repro.engine.expressions import Expr
+
+    codes, classes = set(), [Expr]
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if "could_match" in vars(cls):
+            codes.add(vars(cls)["could_match"].__code__)
+    return codes
 
 
 def count_pass(
@@ -92,6 +112,8 @@ def count_pass(
     gc.collect()
 
     watched = {_code(module, qualname): key for key, (module, qualname) in WATCHED.items()}
+    tester = _code(*TESTER)
+    watched.update(dict.fromkeys(_could_match_codes(), "tested"))
     run_op, closed_loop = Workload.run_op.__code__, driver.run_closed_loop.__code__
     # The speed meter samples when the clock says: a sample and what it
     # calls are not counted (``None`` on the stack).
@@ -118,7 +140,7 @@ def count_pass(
             if code is run_op:
                 row["ops"] += 1
             key = watched.get(code)
-            if key is not None:
+            if key is not None and (key != "tested" or frame.f_back.f_code is tester):
                 row[key] += 1
         elif event == "return" and (code is run_op or code is closed_loop or code is sample):
             classes.pop()

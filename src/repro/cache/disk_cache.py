@@ -140,12 +140,15 @@ class FileCache:
         data: bytes,
         info: Optional[ObjectInfo] = None,
         use_cache: bool = True,
+        layout: Optional[object] = None,
     ) -> bool:
         """Insert a file; returns True if cached.
 
         Respects the shaping policy and the per-call ``use_cache`` escape
         hatch ("while loading archive data, write-through the cache can be
-        turned off").  Oversized files are not cached.
+        turned off").  Oversized files are not cached.  ``layout`` is the
+        file's layout from its writer, kept as :meth:`keep_layout` keeps a
+        reader's; without one, a layout kept from before an eviction returns.
         """
         info = info or ObjectInfo()
         if not use_cache or not self.policy.allows(info):
@@ -163,7 +166,9 @@ class FileCache:
         self._fs.write(self._key(name), data)
         self._index.add(name, len(data))
         self._info[name] = info
-        layout = self._evicted_layouts.pop(name, None)
+        kept = self._evicted_layouts.pop(name, None)
+        if layout is None:
+            layout = kept
         if layout is not None:
             self._layouts[name] = layout
         if self.policy.pins(info):

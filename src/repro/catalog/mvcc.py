@@ -28,6 +28,7 @@ from repro.catalog.objects import (
     Table,
     User,
 )
+from repro.catalog.sort_key import SortKeyIndex
 from repro.common.oid import StorageId
 from repro.common.types import ColumnType, SchemaColumn
 from repro.errors import CatalogError
@@ -194,6 +195,9 @@ class CatalogState:
         self._groups: Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]] = {}
         self._grouped: Optional[Dict[str, ROSContainer]] = None
         self._owned: Optional[Set[Tuple[str, Optional[int]]]] = None
+        #: (projection, shard id) -> that group's sort-key index (see
+        #: :meth:`sort_key_index`), copied and shared with the groups.
+        self._indexes: Dict[Tuple[str, Optional[int]], SortKeyIndex] = {}
 
     def copy(self, ops: Optional[Sequence[Op]] = None) -> "CatalogState":
         """A successor state to apply ``ops`` to.
@@ -205,8 +209,9 @@ class CatalogState:
 
         The container groups are shared whole: the ops' handlers copy a
         group before they change it (:func:`_group`), so a commit copies the
-        groups it touches and no others.  With no ``ops`` the caller may
-        edit ``containers`` directly, so the successor keeps no groups.
+        groups it touches and no others; a group's sort-key index goes with
+        it.  With no ``ops`` the caller may edit ``containers`` directly, so
+        the successor keeps no groups and no indexes.
         """
         new = CatalogState.__new__(CatalogState)
         new.__dict__.update(self.__dict__)
@@ -220,6 +225,7 @@ class CatalogState:
             self._owned = new._owned = None
         else:
             new._grouped = None
+            new._indexes = {}
         return new
 
     def derived(self, maps: Tuple[str, ...], key: object, build: Callable[[], object]):
@@ -274,11 +280,40 @@ class CatalogState:
             return list(self.derived(("containers",), projection, lambda: [
                 c for c in self.containers.values() if c.projection == projection
             ]))
+        groups = self._groups if self._grouped is self.containers else self._groups_now()
+        return list(groups.get((projection, shard_id), {}).values())
+
+    def sort_key_index(
+        self, projection: str, shard_id: Optional[int], column: str
+    ) -> Optional[SortKeyIndex]:
+        """Group (projection, shard id)'s containers by their bounds on
+        ``column``, or None for a group with no containers.
+
+        Built on the first ask and tied to the group object, the way
+        :meth:`derived` is tied to map identity: the add- and
+        drop-container handlers keep it, a commit copies it only with its
+        group, and a group made anew (a direct edit of ``containers``, a
+        dropped projection) gets a new one.
+        """
+        key = (projection, shard_id)
+        groups = self._groups if self._grouped is self.containers else self._groups_now()
+        group = groups.get(key)
+        if group is None:
+            return None
+        index = self._indexes.get(key)
+        if index is None or index.group is not group or index.column != column:
+            index = self._indexes[key] = SortKeyIndex.of(group, column)
+        return index
+
+    def _groups_now(self) -> Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]]:
+        """The groups of ``containers``, made here when the state has none
+        (a fresh state, or one whose ``containers`` was edited directly)."""
         if self._grouped is not self.containers:
             self._groups = _groups_of(self.containers)
             self._grouped = self.containers
             self._owned = set(self._groups)
-        return list(self._groups.get((projection, shard_id), {}).values())
+            self._indexes = {}
+        return self._groups
 
     def delete_vectors_by_target(self) -> Dict[str, List[DeleteVector]]:
         """Container name -> its delete vectors, in catalog order (shared
@@ -376,18 +411,26 @@ def _groups_of(
 
 def _group(state: CatalogState, key: Tuple[str, Optional[int]]) -> Optional[dict]:
     """Group ``key`` of the state to change in place, or None if the state
-    keeps no groups.  What a state before shares is copied first: the dict
-    of groups, then the group."""
+    keeps no groups.  What a state before shares is copied first: the dicts
+    of groups and of indexes, then the group and its index."""
     if state._grouped is not state.containers:
         return None
     owned = state._owned
     if owned is None:
         state._groups = state._groups.copy()
+        state._indexes = state._indexes.copy()
         owned = state._owned = set()
     group = state._groups.get(key)
     if key not in owned:
         # ``dict.copy``, not ``dict()``: it clones the table even after deletes.
-        group = state._groups[key] = {} if group is None else group.copy()
+        copied = state._groups[key] = {} if group is None else group.copy()
+        index = state._indexes.get(key)
+        if index is not None:
+            if index.group is group:
+                state._indexes[key] = index.copy(copied)
+            else:
+                del state._indexes[key]
+        group = copied
         owned.add(key)
     return group
 
@@ -403,6 +446,7 @@ def _drop_storage_of(state: CatalogState, projection: str) -> List[str]:
     if state._grouped is state.containers:
         for key in [key for key in state._groups if key[0] == projection]:
             _group(state, key).clear()  # type: ignore[union-attr]
+            state._indexes.pop(key, None)
     return removed
 
 
@@ -480,9 +524,13 @@ def _h_add_container(state: CatalogState, container: ROSContainer) -> None:
     if key in state.containers:
         raise CatalogError(f"container {key} already exists")
     state.containers[key] = container
-    group = _group(state, (container.projection, container.shard_id))
+    where = (container.projection, container.shard_id)
+    group = _group(state, where)
     if group is not None:
         group[key] = container
+        index = state._indexes.get(where)
+        if index is not None:
+            index.add(container)
 
 
 def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
@@ -490,9 +538,13 @@ def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
     container = state.containers.pop(key, None)
     if container is None:
         raise CatalogError(f"no container {key}")
-    group = _group(state, (container.projection, container.shard_id))
+    where = (container.projection, container.shard_id)
+    group = _group(state, where)
     if group is not None:
         del group[key]
+        index = state._indexes.get(where)
+        if index is not None:
+            index.discard(container)
     dvs = [sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == key]
     for sid in dvs:
         del state.delete_vectors[sid]

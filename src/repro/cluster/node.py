@@ -139,12 +139,14 @@ class Node:
         shared: Filesystem,
         info: Optional[ObjectInfo] = None,
         use_cache: bool = True,
+        layout: Optional[object] = None,
     ) -> float:
-        """Write a new storage file: cache write-through, then upload to
-        shared storage *before commit* (Figure 8).  Returns io seconds."""
+        """Write a new storage file: cache write-through (with the writer's
+        ``layout`` of it), then upload to shared storage *before commit*
+        (Figure 8).  Returns io seconds."""
         self.ensure_up()
         if use_cache:
-            self.cache.put(name, data, info=info)
+            self.cache.put(name, data, info=info, layout=layout)
         backoff_before = shared.metrics.retry_backoff_seconds
         retrying(lambda: shared.write(name, data), shared.metrics)
         # As in fetch_storage: throttled uploads cost simulated time.

@@ -15,7 +15,6 @@ from min/max statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -31,11 +30,11 @@ from repro.engine.cost import (
 from repro.engine.executor import ScanResult, StorageProvider
 from repro.engine.expressions import Expr, extract_column_bounds
 from repro.engine.pipeline import PipelineCharges
-from repro.engine.pruning import prune_containers
+from repro.engine.pruning import prune_group
 from repro.errors import ExecutionError, QueryCancelled
 from repro.io.scheduler import LANES, FetchRequest
 from repro.sharding.shard import REPLICA_SHARD_ID
-from repro.storage.container import ROSContainer, RowSet, read_container
+from repro.storage.container import ROSContainer, RowSet, read_container, read_through
 from repro.storage.delete_vector import (
     combine_positions,
     mask_from_positions,
@@ -198,7 +197,7 @@ class EonStorageProvider(StorageProvider):
         node = self.cluster.nodes[node_name]
         node.ensure_up()
 
-        schema, anchor, delete_vectors, in_name_order = state.derived(
+        schema, anchor, delete_vectors, in_name_order, infos = state.derived(
             ("tables", "projections", "live_aggs", "containers", "delete_vectors"),
             (projection, *columns), lambda: _scan_start(state, projection, columns),
         )
@@ -240,12 +239,9 @@ class EonStorageProvider(StorageProvider):
         pushdown_items: List[tuple] = []
         ordinal = 0
         for shard_id, sub_index, share_count in assignments:
-            containers = in_name_order.get(shard_id)
-            if containers is None:
-                containers = in_name_order[shard_id] = sorted(
-                    state.containers_of(projection, shard_id), key=attrgetter("location")
-                )
-            kept, pruned = prune_containers(containers, predicate)
+            kept, pruned = prune_group(
+                state, projection, shard_id, predicate, predicate_bounds, in_name_order
+            )
             result.containers_pruned += pruned
             if session.crunch == "container" and share_count > 1:
                 kept = [c for i, c in enumerate(kept) if i % share_count == sub_index]
@@ -262,11 +258,13 @@ class EonStorageProvider(StorageProvider):
             unit: List[tuple] = []
             scan_units.append((unit, read_columns, share))
             for container in kept:
-                info = ObjectInfo(
-                    table=anchor, projection=projection,
-                    partition_key=container.partition_key, shard_id=container.shard_id,
-                )
                 location = container.location
+                info = infos.get(location)
+                if info is None:
+                    info = infos[location] = ObjectInfo(
+                        table=anchor, projection=projection,
+                        partition_key=container.partition_key, shard_id=container.shard_id,
+                    )
                 dvs = delete_vectors.get(location, ())
                 unit.append((container, info, dvs))
                 if may_push and self._container_strategy(
@@ -483,13 +481,12 @@ class EonStorageProvider(StorageProvider):
         data = self._fetch_through_depot(
             node, container.location, info, result, batch
         )
-        # A session that reads through the depot reads a container's footers
-        # once per residency: the depot keeps what the first reader parsed.
-        depot = node.cache if self.session.use_cache else None
-        layout = depot.layout_of(container.location) if depot is not None else None
-        reader = read_container(data, layout)
-        if depot is not None and layout is None:
-            depot.keep_layout(container.location, reader.layout)
+        # A session that reads through the depot parses no footer the depot
+        # has a layout for: the writer's, or what the first reader parsed.
+        if self.session.use_cache:
+            reader = read_through(node.cache, container.location, data)
+        else:
+            reader = read_container(data)
 
         # Block-level pruning: decode only blocks whose footer min/max
         # could satisfy the predicate (section 2.3's position index).
@@ -578,13 +575,15 @@ def _handed(block):
 def _scan_start(state, projection: str, columns: Sequence[str]) -> tuple:
     """What every scan of these columns of a projection starts from on one
     catalog state: the sub-schema, the anchor table (for the depot's
-    ``ObjectInfo``), delete vectors by container and — filled shard by shard
-    as scans ask — each shard's containers in storage-name order, the order
-    files are fetched and the depot's LRU touched in."""
+    ``ObjectInfo``), delete vectors by container, and two maps filled as
+    scans ask: each shard's containers in storage-name order (the order
+    files are fetched and the depot's LRU touched in) for the scans that
+    test a whole group (:func:`prune_group`), and each container's
+    ``ObjectInfo`` by name."""
     owner = state.projections.get(projection) or state.live_aggs.get(projection)
     return (
         _projection_schema(state, projection, columns),
-        owner.anchor_table, state.delete_vectors_by_target(), {},
+        owner.anchor_table, state.delete_vectors_by_target(), {}, {},
     )
 
 

@@ -44,9 +44,13 @@ from repro.engine.operators import AggregateSpec, aggregate
 from repro.errors import CatalogError
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.storage.container import (
+    ContainerLayout,
+    ContainerReader,
     ROSContainer,
     RowSet,
     container_stats,
+    read_container,
+    read_through,
     write_container,
 )
 
@@ -66,7 +70,9 @@ class CopyReport:
 class DepotSink:
     """Eon's sink: the writer's depot (write-through) and shared storage —
     :meth:`Node.write_storage` — then the depots of the shard's other up
-    subscribers, so a node taking over is warm.  Counts what it wrote in
+    subscribers, so a node taking over is warm.  Every depot the file goes
+    to also keeps the container's layout the writer hands over, so no
+    reader of it there parses a footer.  Counts what it wrote in
     ``report``.  With ``defer_push`` the peers wait for
     :meth:`push_deferred` (mergeout pushes after its commit has dropped the
     inputs from the depots)."""
@@ -77,34 +83,48 @@ class DepotSink:
         self.report = CopyReport()
         self.deferred: Optional[list] = [] if defer_push else None
 
-    def __call__(self, node, name: str, data: bytes, info: ObjectInfo) -> None:
+    def __call__(
+        self, node, name: str, data: bytes, info: ObjectInfo,
+        layout: Optional[ContainerLayout] = None,
+    ) -> None:
         report = self.report
         report.io_seconds += node.write_storage(
-            name, data, self.cluster.shared_data, info=info, use_cache=self.use_cache
+            name, data, self.cluster.shared_data, info=info, use_cache=self.use_cache,
+            layout=layout,
         )
         report.bytes_written += len(data)
         report.containers_written += 1
         if self.deferred is None:
-            self._push(node.name, name, data, info)
+            self._push(node.name, name, data, info, layout)
         else:
-            self.deferred.append((node.name, name, data, info))
+            self.deferred.append((node.name, name, data, info, layout))
 
     def push_deferred(self) -> None:
         for args in self.deferred:
             self._push(*args)
         self.deferred.clear()
 
-    def _push(self, writer: str, name: str, data: bytes, info: ObjectInfo) -> None:
+    def _push(
+        self, writer: str, name: str, data: bytes, info: ObjectInfo,
+        layout: Optional[ContainerLayout],
+    ) -> None:
         if not self.use_cache:
             return
         cluster = self.cluster
         for peer in cluster.active_up_subscribers(info.shard_id):
-            if peer != writer and cluster.nodes[peer].cache.put(name, data, info=info):
+            if peer != writer and cluster.nodes[peer].cache.put(
+                name, data, info=info, layout=layout
+            ):
                 self.report.peer_pushes += 1
 
     def read(self, node, name: str) -> bytes:
         """A file back through the reader's depot (mergeout's inputs)."""
         return node.fetch_storage(name, self.cluster.shared_data)[0]
+
+    def open(self, node, name: str, data: bytes) -> ContainerReader:
+        """A reader over container ``name`` as :meth:`read` gave it, on the
+        layout the reader's depot keeps for it (keeping what this parses)."""
+        return read_through(node.cache, name, data) if self.use_cache else read_container(data)
 
 
 class LocalDiskSink:
@@ -117,7 +137,10 @@ class LocalDiskSink:
         self.bytes_written = 0
         self.io_seconds = 0.0
 
-    def __call__(self, node, name: str, data: bytes, info: ObjectInfo) -> None:
+    def __call__(
+        self, node, name: str, data: bytes, info: ObjectInfo,
+        layout: Optional[ContainerLayout] = None,
+    ) -> None:
         node.local_fs.write(name, data)
         self.cluster.container_owner[name] = node.name
         self.bytes_written += len(data)
@@ -125,6 +148,9 @@ class LocalDiskSink:
 
     def read(self, node, name: str) -> bytes:
         return node.local_fs.read(name)
+
+    def open(self, node, name: str, data: bytes) -> ContainerReader:
+        return read_container(data)
 
 
 def copy_into(
@@ -230,17 +256,17 @@ def write_partitions(
 def write_stream(rows: RowSet, projection, shard_id: int, partition_key, node, sink) -> Op:
     """Make one ROS container: sort ``rows`` by the projection's order,
     write the image, mint its SID on the writing ``node`` and hand the
-    bytes to ``sink(node, name, data, info)``.  Returns the catalog op that
-    adds the container."""
+    bytes and their layout to ``sink(node, name, data, info, layout)``.
+    Returns the catalog op that adds the container."""
     rows = rows.sort_by(list(projection.sort_order))
-    data = write_container(rows)
+    data, layout = write_container(rows)
     sid = node.sid_factory.next_sid()
     sink(node, str(sid), data, ObjectInfo(
         table=projection.anchor_table,
         projection=projection.name,
         partition_key=partition_key,
         shard_id=shard_id,
-    ))
+    ), layout)
     mins, maxs = container_stats(rows)
     return op_add_container(ROSContainer(
         sid=sid,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.mvcc import CatalogState
+from repro.common.types import ColumnType
 from repro.engine.expressions import (
     BinaryOp,
     CaseWhen,
@@ -87,6 +88,48 @@ def _and_all(conjuncts: List[Expr]) -> Optional[Expr]:
     return expr
 
 
+def _check_literals(expr: Expr, column_type: Dict[str, ColumnType]) -> None:
+    """Every ``column OP literal`` (BETWEEN included) and ``column IN (...)``
+    in ``expr`` compares the column with literals of its kind: numbers for
+    numeric, date and bool columns, strings for VARCHAR, NULL for any.
+    Anything else is a :class:`SqlError` here, not a ``TypeError`` — or a
+    wrong answer — in a scan.  One walk, no call per node: every statement
+    bound pays it."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinaryOp:
+            stack += (node.left, node.right)
+            if node.op not in _COMPARISONS:
+                continue
+            pairs = [(node.left, (node.right.value,))] if type(node.right) is Literal else []
+            if type(node.left) is Literal:
+                pairs.append((node.right, (node.left.value,)))
+        elif kind is InList:
+            stack.append(node.operand)
+            pairs = [(node.operand, node.values)]
+        elif kind is ColumnRef or kind is Literal:
+            continue
+        else:
+            stack += _children(node)
+            continue
+        for column, values in pairs:
+            ctype = column_type.get(column.name) if type(column) is ColumnRef else None
+            if ctype is None:
+                continue
+            wanted = str if ctype is ColumnType.VARCHAR else (int, float)
+            for value in values:
+                if value is not None and not isinstance(value, wanted):
+                    raise SqlError(
+                        f"cannot compare {ctype.value} column {column.name!r} "
+                        f"with {value!r}"
+                    )
+
+
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+
 def _contains_aggregate(expr: Expr) -> bool:
     if isinstance(expr, AggregateCall):
         return True
@@ -97,20 +140,22 @@ def _contains_aggregate(expr: Expr) -> bool:
 
 
 def _children(expr: Expr) -> List[Expr]:
-    if isinstance(expr, BinaryOp):
+    # By exact type (no node class is subclassed): ``isinstance`` against an
+    # ``Expr`` class goes through ``ABCMeta``, a Python call each, and every
+    # bind walks every node.
+    kind = type(expr)
+    if kind is BinaryOp:
         return [expr.left, expr.right]
-    if isinstance(expr, UnaryOp):
+    if kind is UnaryOp or kind is InList or kind is IsNull:
         return [expr.operand]
-    if isinstance(expr, (InList, IsNull)):
-        return [expr.operand]
-    if isinstance(expr, FuncCall):
+    if kind is FuncCall:
         return list(expr.args)
-    if isinstance(expr, CaseWhen):
+    if kind is CaseWhen:
         out: List[Expr] = [expr.default]
         for cond, value in expr.branches:
             out.extend([cond, value])
         return out
-    if isinstance(expr, AggregateCall) and expr.argument is not None:
+    if kind is AggregateCall and expr.argument is not None:
         return [expr.argument]
     return []
 
@@ -170,6 +215,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
     # this subset to disambiguate with).
     tables = [t.name for t in query.tables] + [j.table.name for j in query.joins]
     column_table: Dict[str, str] = {}
+    column_type: Dict[str, ColumnType] = {}
     ambiguous: Dict[str, Tuple[str, str]] = {}
     for name in tables:
         table = catalog.table(name)  # raises CatalogError if missing
@@ -179,6 +225,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
                 ambiguous.setdefault(column.name, (owner, name))
                 continue
             column_table[column.name] = name
+            column_type[column.name] = column.ctype
 
     def table_of(expr: Expr) -> Optional[str]:
         owners = {column_table.get(c) for c in expr.columns_used()}
@@ -197,6 +244,7 @@ def bind_select(query: Select, catalog: CatalogState) -> BoundQuery:
                 )
             if c not in column_table:
                 raise SqlError(f"unknown column {c!r}")
+        _check_literals(expr, column_type)
 
     # 2. Gather conjuncts from WHERE and JOIN ON clauses.
     conjuncts = _split_conjuncts(query.where)

@@ -82,16 +82,6 @@ class BlockInfo(NamedTuple):
     min_value: object
     max_value: object
 
-    def to_json(self) -> dict:
-        return {
-            "offset": self.offset,
-            "length": self.length,
-            "row_start": self.row_start,
-            "row_count": self.row_count,
-            "min": self.min_value,
-            "max": self.max_value,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "BlockInfo":
         return cls(
@@ -125,6 +115,11 @@ def minmax(arr: np.ndarray) -> Tuple[object, object]:
     return int(lo), int(hi)
 
 
+#: ``json.dumps`` with its defaults, one call shorter: every footer written
+#: goes through it.
+encode_json = json.JSONEncoder().encode
+
+
 class ColumnFile:
     """Writer producing the immutable byte image of one column."""
 
@@ -133,11 +128,14 @@ class ColumnFile:
         values: np.ndarray,
         ctype: ColumnType,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-    ) -> bytes:
-        """Serialise ``values`` into the block+footer format."""
+    ) -> Tuple[bytes, "ColumnLayout"]:
+        """Serialise ``values`` into the block+footer format; returns the
+        image and its :class:`ColumnLayout` — what parsing the image's
+        footer would give, made from what the writer already holds."""
         if block_rows < 1:
             raise ValueError("block_rows must be >= 1")
         blocks: List[BlockInfo] = []
+        entries: List[dict] = []
         body = bytearray()
         row = 0
         n = len(values)
@@ -145,28 +143,21 @@ class ColumnFile:
             chunk = values[row : row + block_rows]
             encoded = encode_block(chunk)
             lo, hi = minmax(chunk)
-            blocks.append(
-                BlockInfo(
-                    offset=len(body),
-                    length=len(encoded),
-                    row_start=row,
-                    row_count=len(chunk),
-                    min_value=lo,
-                    max_value=hi,
-                )
-            )
+            blocks.append(BlockInfo(len(body), len(encoded), row, len(chunk), lo, hi))
+            # What :meth:`BlockInfo.from_json` reads back.
+            entries.append({
+                "offset": len(body), "length": len(encoded), "row_start": row,
+                "row_count": len(chunk), "min": lo, "max": hi,
+            })
             body.extend(encoded)
             row += len(chunk)
             if n == 0:
                 break
-        footer = json.dumps(
-            {
-                "ctype": ctype.value,
-                "row_count": n,
-                "blocks": [b.to_json() for b in blocks],
-            }
+        footer = encode_json(
+            {"ctype": ctype.value, "row_count": n, "blocks": entries}
         ).encode("utf-8")
-        return bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
+        image = bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
+        return image, ColumnLayout(ctype, n, tuple(blocks))
 
 
 class ColumnLayout(NamedTuple):

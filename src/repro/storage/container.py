@@ -23,7 +23,6 @@ This module provides:
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -42,6 +41,7 @@ from repro.storage.column import (
     ColumnLayout,
     ColumnReader,
     concat_blocks,
+    encode_json,
     minmax,
     read_footer,
 )
@@ -120,15 +120,23 @@ class RowSet:
         return self._held[name]
 
     def to_rows(self) -> List[tuple]:
-        arrays = [self.column(n) for n in self.schema.names]
-        return [tuple(a[i] for a in arrays) for i in range(self.num_rows)]
+        if not self.schema.names:
+            return [()] * self.num_rows
+        return list(zip(*(self.column(n) for n in self.schema.names)))
 
     def to_pylist(self) -> List[tuple]:
-        """Rows as plain-Python tuples (numpy scalars unwrapped)."""
-        out = []
-        for row in self.to_rows():
-            out.append(tuple(v.item() if isinstance(v, np.generic) else v for v in row))
-        return out
+        """Rows as plain-Python tuples (numpy scalars unwrapped), built
+        column by column: a value array's ``tolist`` is its items."""
+        if not self.schema.names:
+            return [()] * self.num_rows
+        columns = []
+        for name in self.schema.names:
+            column = self.column(name)
+            values = column.tolist()
+            if column.dtype.kind == "O":
+                values = [v.item() if isinstance(v, np.generic) else v for v in values]
+            columns.append(values)
+        return list(zip(*columns))
 
     # -- transformations -----------------------------------------------------
 
@@ -270,29 +278,39 @@ _MAGIC = b"RROS"
 _TRAILER = struct.Struct("<Q4s")
 
 
-def write_container(rowset: RowSet, block_rows: int = DEFAULT_BLOCK_ROWS) -> bytes:
-    """Serialise every column of ``rowset`` into one container image."""
+def write_container(
+    rowset: RowSet, block_rows: int = DEFAULT_BLOCK_ROWS
+) -> Tuple[bytes, "ContainerLayout"]:
+    """Serialise every column of ``rowset`` into one container image;
+    returns the image and its :class:`ContainerLayout`, every column's
+    layout in it — what a reader opening each column would parse."""
     body = bytearray()
     directory = {}
+    extents = {}
+    columns = {}
     for col in rowset.schema.columns:
-        data = ColumnFile.write(rowset.column(col.name), col.ctype, block_rows)
-        directory[col.name] = {
-            "offset": len(body),
-            "length": len(data),
-            "ctype": col.ctype.value,
-        }
+        data, columns[col.name] = ColumnFile.write(
+            rowset.column(col.name), col.ctype, block_rows
+        )
+        ctype = col.ctype.value
+        directory[col.name] = {"offset": len(body), "length": len(data), "ctype": ctype}
+        extents[sys.intern(col.name)] = (len(body), len(data), sys.intern(ctype))
         body.extend(data)
-    footer = json.dumps(
-        {"row_count": rowset.num_rows, "columns": directory,
-         "order": rowset.schema.names}
+    order = rowset.schema.names
+    footer = encode_json(
+        {"row_count": rowset.num_rows, "columns": directory, "order": order}
     ).encode("utf-8")
-    return bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
+    image = bytes(body) + footer + _TRAILER.pack(len(footer), _MAGIC)
+    return image, ContainerLayout(
+        rowset.num_rows, tuple(map(sys.intern, order)), extents, columns
+    )
 
 
 class ContainerLayout:
     """What opening a container image teaches, kept apart from the bytes:
     the parsed and checked footer, plus each column file's
-    :class:`ColumnLayout` from the first time a reader opens that column.
+    :class:`ColumnLayout` — from the writer, which knows them all, or from
+    the first time a reader opens that column.
 
     Containers are immutable and named by SID, and a SID is never reused, so
     a layout stays true of every copy of the image under that name — a
@@ -305,23 +323,37 @@ class ContainerLayout:
 
     __slots__ = ("row_count", "column_order", "extents", "columns")
 
-    def __init__(self, data: memoryview):
+    def __init__(
+        self,
+        row_count: int,
+        column_order: Tuple[str, ...],
+        extents: Dict[str, Tuple[int, int, str]],
+        columns: Dict[str, ColumnLayout],
+    ):
+        self.row_count = row_count
+        self.column_order = column_order
+        #: Per column: byte offset and length of its file, and its ctype.
+        self.extents = extents
+        self.columns = columns
+
+    @classmethod
+    def parse(cls, data: memoryview) -> "ContainerLayout":
+        """The layout of the image ``data``, its footer checked; no column
+        is opened."""
         footer = read_footer(data, _MAGIC, "container")
         try:
-            self.row_count: int = footer["row_count"]
-            self.column_order: Tuple[str, ...] = tuple(map(sys.intern, footer["order"]))
-            #: Per column: byte offset and length of its file, and its ctype.
-            self.extents: Dict[str, Tuple[int, int, str]] = {
+            order = tuple(map(sys.intern, footer["order"]))
+            extents = {
                 sys.intern(name): (
                     entry["offset"], entry["length"], sys.intern(entry["ctype"])
                 )
                 for name, entry in footer["columns"].items()
             }
-            if not all(map(self.extents.__contains__, self.column_order)):
+            if not all(map(extents.__contains__, order)):
                 raise KeyError("a listed column has no entry")
+            return cls(footer["row_count"], order, extents, {})
         except (AttributeError, KeyError, TypeError) as exc:
             raise CorruptBlock(f"damaged container footer: {exc!r}") from None
-        self.columns: Dict[str, ColumnLayout] = {}
 
 
 class ContainerReader:
@@ -331,7 +363,7 @@ class ContainerReader:
         # Column files and blocks are handed down as views of this one
         # image; bytes are copied only where blocks become a column.
         self._data = memoryview(data)
-        self.layout = layout or ContainerLayout(self._data)
+        self.layout = layout or ContainerLayout.parse(self._data)
         self.row_count = self.layout.row_count
         self.column_order = self.layout.column_order
         self._readers: Dict[str, ColumnReader] = {}
@@ -444,6 +476,18 @@ def read_container(data: Buffer, layout: Optional[ContainerLayout] = None) -> Co
     """A reader over ``data``; ``layout`` is what an earlier reader of the
     same image learnt (``reader.layout``), and saves parsing it again."""
     return ContainerReader(data, layout)
+
+
+def read_through(depot, name: str, data: Buffer) -> ContainerReader:
+    """A reader over ``data``, container file ``name`` as read through
+    ``depot`` (a :class:`~repro.cache.disk_cache.FileCache`): on the layout
+    the depot keeps for it — its writer's, or an earlier reader's — else on
+    the one parsed here, which the depot then keeps for the next reader."""
+    layout = depot.layout_of(name)
+    reader = read_container(data, layout)
+    if layout is None:
+        depot.keep_layout(name, reader.layout)
+    return reader
 
 
 def container_stats(rowset: RowSet) -> Tuple[Tuple[Tuple[str, object], ...], Tuple[Tuple[str, object], ...]]:

@@ -43,7 +43,7 @@ class DeleteVector:
 def write_delete_vector(positions: Sequence[int]) -> bytes:
     """Serialise deleted positions (sorted, deduplicated) as a column file."""
     arr = np.unique(np.asarray(list(positions), dtype=np.int64))
-    return ColumnFile.write(arr, ColumnType.INT)
+    return ColumnFile.write(arr, ColumnType.INT)[0]
 
 
 def read_delete_vector(data: bytes) -> np.ndarray:

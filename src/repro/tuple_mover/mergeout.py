@@ -30,7 +30,7 @@ from repro.cluster.transactions import Transaction
 from repro.errors import ClusterError
 from repro.load.copy import DepotSink, write_stream
 from repro.sharding.shard import REPLICA_SHARD_ID
-from repro.storage.container import ROSContainer, RowSet, read_container
+from repro.storage.container import ROSContainer, RowSet
 from repro.storage.delete_vector import (
     combine_positions,
     mask_from_positions,
@@ -256,15 +256,16 @@ class MergedJob:
 
 
 def merge_job(state, projection, shard_id: int, job: List[ROSContainer], node, sink) -> MergedJob:
-    """Read ``job``'s containers through ``sink``, purge their deleted rows
-    and write the merge as one container of the job's partition on
-    ``node`` — the job body both flavors run."""
+    """Read ``job``'s containers through ``sink`` (opened on the layouts
+    the reading depot keeps), purge their deleted rows and write the merge
+    as one container of the job's partition on ``node`` — the job body both
+    flavors run."""
     parts: List[RowSet] = []
     purged = bytes_read = 0
     for container in job:
         data = sink.read(node, container.location)
         bytes_read += len(data)
-        rows = read_container(data).read_rowset()
+        rows = sink.open(node, container.location, data).read_rowset()
         dvs = state.delete_vectors_for(str(container.sid))
         if dvs:
             positions = combine_positions(

@@ -56,7 +56,7 @@ class TestContainerBlockReads:
 
     def _reader(self, n=10_000):
         rows = RowSet.from_rows(self.SCHEMA, [(i, f"v{i}") for i in range(n)])
-        return read_container(write_container(rows))
+        return read_container(write_container(rows)[0])
 
     def test_matching_blocks_narrow(self):
         reader = self._reader()

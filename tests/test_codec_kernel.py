@@ -852,14 +852,14 @@ FOOTER_COLUMNS = [
     ("empty", ColumnType.DATE, np.array([], dtype=np.int64)),
 ]
 COLUMN_FILES = [
-    (label, ctype, arr, ColumnFile.write(arr, ctype, block_rows=64))
+    (label, ctype, arr, ColumnFile.write(arr, ctype, block_rows=64)[0])
     for label, ctype, arr in FOOTER_COLUMNS
 ]
 CONTAINER_ROWS = RowSet(
     TableSchema.of(*((label, ctype) for label, ctype, _ in FOOTER_COLUMNS[:3])),
     {label: arr[:100] for label, _, arr in FOOTER_COLUMNS[:3]},
 )
-CONTAINER_IMAGE = write_container(CONTAINER_ROWS, block_rows=32)
+CONTAINER_IMAGE = write_container(CONTAINER_ROWS, block_rows=32)[0]
 
 
 def footer_start(image: bytes) -> int:

@@ -17,7 +17,7 @@ def matching(mask) -> list:
 
 @pytest.fixture
 def int_reader() -> ColumnReader:
-    data = ColumnFile.write(np.arange(10_000), ColumnType.INT, block_rows=1_000)
+    data = ColumnFile.write(np.arange(10_000), ColumnType.INT, block_rows=1_000)[0]
     return ColumnReader(data)
 
 
@@ -69,7 +69,7 @@ class TestColumnFile:
 
     def test_string_column(self):
         values = np.array(["b", "a", None, "zz"], dtype=object)
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR))
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR)[0])
         assert list(reader.read_all()) == list(values)
         # NULLs are excluded from min/max.
         assert reader.blocks[0].min_value == "a"
@@ -77,7 +77,7 @@ class TestColumnFile:
 
     def test_all_null_block_cannot_be_pruned(self):
         values = np.array([None, None], dtype=object)
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR))
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR)[0])
         assert reader.block_mask("a", "b") == [True]
 
     def test_block_mask_lines_up_with_block_indices(self, int_reader):
@@ -87,14 +87,14 @@ class TestColumnFile:
 
     def test_reads_a_view_of_a_larger_image(self):
         values = np.arange(5_000) * 7 - 3
-        data = ColumnFile.write(values, ColumnType.INT, block_rows=1_000)
+        data = ColumnFile.write(values, ColumnType.INT, block_rows=1_000)[0]
         image = b"\x80\x80" + data + b"\x80"
         reader = ColumnReader(memoryview(image)[2 : 2 + len(data)])
         assert reader.read_all().tolist() == values.tolist()
         assert reader.read_block(3).tolist() == values[3_000:4_000].tolist()
 
     def test_empty_column(self):
-        reader = ColumnReader(ColumnFile.write(np.array([], dtype=np.int64), ColumnType.INT))
+        reader = ColumnReader(ColumnFile.write(np.array([], dtype=np.int64), ColumnType.INT)[0])
         assert reader.row_count == 0
         assert len(reader.read_all()) == 0
 
@@ -108,10 +108,10 @@ class TestColumnFile:
 
     def test_block_rows_validated(self):
         with pytest.raises(ValueError):
-            ColumnFile.write(np.arange(5), ColumnType.INT, block_rows=0)
+            ColumnFile.write(np.arange(5), ColumnType.INT, block_rows=0)[0]
 
     def test_float_column_minmax_json_safe(self):
         values = np.array([1.5, -2.5, 0.0])
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.FLOAT))
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.FLOAT)[0])
         assert reader.min_value == -2.5
         assert reader.max_value == 1.5

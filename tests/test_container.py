@@ -91,31 +91,31 @@ class TestRowSet:
 class TestContainerCodec:
     def test_roundtrip_all_columns(self):
         rs = make_rows(100)
-        back = read_container(write_container(rs)).read_rowset()
+        back = read_container(write_container(rs)[0]).read_rowset()
         assert back == rs
 
     def test_partial_column_read(self):
         rs = make_rows(50)
-        reader = read_container(write_container(rs))
+        reader = read_container(write_container(rs)[0])
         partial = reader.read_rowset(["v"])
         assert partial.schema.names == ["v"]
         assert list(partial.column("v")) == list(rs.column("v"))
 
     def test_column_order_preserved(self):
-        reader = read_container(write_container(make_rows(5)))
+        reader = read_container(write_container(make_rows(5))[0])
         assert reader.column_names == ["k", "s", "v"]
 
     def test_row_count_in_footer(self):
-        reader = read_container(write_container(make_rows(7)))
+        reader = read_container(write_container(make_rows(7))[0])
         assert reader.row_count == 7
 
     def test_schema_reconstruction(self):
-        reader = read_container(write_container(make_rows(2)))
+        reader = read_container(write_container(make_rows(2))[0])
         schema = reader.schema()
         assert schema.column("v").ctype is ColumnType.FLOAT
 
     def test_projected_read_schema(self):
-        reader = read_container(write_container(make_rows(5)))
+        reader = read_container(write_container(make_rows(5))[0])
         # A projected read keeps the requested order, not the stored one.
         assert reader.read_rowset(["v", "k"]).schema.names == ["v", "k"]
         with pytest.raises(KeyError):
@@ -125,7 +125,7 @@ class TestContainerCodec:
         # The depot hands over bytes; a reader over a view of a larger
         # buffer (non-zero offset) must decode the same rows in place.
         rs = make_rows(3000)
-        image = write_container(rs, block_rows=512)
+        image = write_container(rs, block_rows=512)[0]
         padded = b"\x00" * 3 + image + b"\xff" * 5
         for data in (image, bytearray(image), memoryview(padded)[3 : 3 + len(image)]):
             reader = read_container(data)
@@ -161,5 +161,5 @@ class TestContainerCodec:
     @settings(max_examples=40)
     def test_property_roundtrip(self, rows):
         rs = RowSet.from_rows(SCHEMA, rows)
-        back = read_container(write_container(rs)).read_rowset()
+        back = read_container(write_container(rs)[0]).read_rowset()
         assert back == rs

@@ -176,7 +176,7 @@ class TestSelectScanProperties:
     ):
         data = write_container(
             RowSet.from_rows(SCHEMA, rows), block_rows=block_rows
-        )
+        )[0]
         # The select contract mirrors the engine's: predicate columns are
         # always listed in ``columns`` (ScanNode.columns includes them).
         if projection is not None and predicate is not None:
@@ -238,7 +238,7 @@ class TestSelectScanProperties:
     @given(rows=tables())
     @settings(max_examples=20, deadline=None)
     def test_projection_defaults_to_container_order(self, rows):
-        data = write_container(RowSet.from_rows(SCHEMA, rows))
+        data = write_container(RowSet.from_rows(SCHEMA, rows))[0]
         s3 = SimulatedS3()
         s3.write("obj", data)
         select = s3.select_scan("obj")
@@ -248,7 +248,7 @@ class TestSelectScanProperties:
         )
 
     def test_errors(self):
-        data = write_container(RowSet.from_rows(SCHEMA, [(1, "a", 2.0)]))
+        data = write_container(RowSet.from_rows(SCHEMA, [(1, "a", 2.0)]))[0]
         s3 = SimulatedS3()
         s3.write("obj", data)
         from repro.errors import ObjectNotFound

@@ -1,18 +1,22 @@
-"""The scan-path wall: a footer is parsed once per node and per stored object,
-a value is copied once, and nothing but the real clock can tell.
+"""The scan-path wall: a footer is parsed at most once per node and per stored
+object, a value is copied once, and nothing but the real clock can tell.
 
 ROS files are immutable and named by SID, and a SID is never reused, so a
-node's depot keeps what the first reader of a file parsed (a
-``ContainerLayout``) beside the entry, keeps it past the entry's eviction (a
-bounded number of them) for the refetch, and forgets it when the name is
-dropped, overwritten while resident, self-healed or cleared; the storage
-server keeps one per object a select has read until the object is deleted.
+node's depot keeps a file's ``ContainerLayout`` beside the entry — the one
+its writer handed over with the bytes, or else what the first reader of the
+file parsed — keeps it past the entry's eviction (a bounded number of them)
+for the refetch, and forgets it when the name is dropped, overwritten while
+resident, self-healed or cleared; the storage server keeps one per object a
+select has read until the object is deleted.
 The scan decodes blocks straight into per-column lists — PLAIN numeric blocks
 as read-only views of the depot's bytes — and concatenates once per column.
 Walled here:
 
 * the lifecycle of a layout (parses are counted as ``json.loads`` calls made
-  from ``repro.storage.column``, where both footers are read);
+  from ``repro.storage.column``, where both footers are read); a test that
+  needs a parse on read starts from depots their writers did not fill;
+* a container written into a depot is scanned and merged there without a
+  parse;
 * depot statistics, LRU order, GETs and every ``ScanResult`` counter,
   identical with and without kept layouts, evictions included;
 * a damaged image under a SID whose layout was kept is still found out;
@@ -59,6 +63,7 @@ from repro.storage.encoding import (
     decode_block,
     encode_block,
 )
+from repro.tuple_mover import MergeoutCoordinatorService
 from tests.test_codec_kernel import footer_start
 
 COLUMNS = [
@@ -157,12 +162,41 @@ def kept_layouts(cluster) -> int:
     )
 
 
+def clear_depots(cluster) -> EonCluster:
+    """Every depot emptied, writers' layouts with their files: the next
+    read of a file fetches it and parses its footers."""
+    for node in cluster.nodes.values():
+        node.cache.clear()
+    return cluster
+
+
+def refill_without_layouts(cluster) -> EonCluster:
+    """Every depot holding the same files in the same LRU order, put back
+    without a layout, as a reader's fetch puts them: resident, yet a first
+    read parses."""
+    for node in cluster.nodes.values():
+        cache = node.cache
+        held = [(name, cache.peek(name), cache.info_of(name))
+                for name in reversed(cache.warm_list(1 << 60))]
+        cache.clear()
+        for name, data, info in held:
+            assert cache.put(name, data, info)
+    return cluster
+
+
+@pytest.fixture
+def cold(cluster) -> EonCluster:
+    """The cluster with empty depots."""
+    return clear_depots(cluster)
+
+
 # ---------------------------------------------------------------------------
 # (i) the lifecycle of a layout
 
 
 class TestLayoutLifecycle:
-    def test_the_second_read_of_a_resident_container_parses_nothing(self, cluster, parses):
+    def test_the_second_read_of_a_resident_container_parses_nothing(self, cold, parses):
+        cluster = cold
         first = scan(cluster)
         scanned = sum(r.containers_scanned for r in first.values())
         assert scanned == 6
@@ -173,7 +207,8 @@ class TestLayoutLifecycle:
         assert parses == []
         assert content(second) == content(first)
 
-    def test_layouts_fill_lazily_per_column(self, cluster, parses):
+    def test_layouts_fill_lazily_per_column(self, cold, parses):
+        cluster = cold
         scan(cluster, columns=["k", "x"])
         assert len(parses) == 6 * 3
         del parses[:]
@@ -184,7 +219,9 @@ class TestLayoutLifecycle:
         assert parses == []
 
     def _warm(self, cluster, parses):
-        """Scan until nothing parses; (a node holding a layout, the file)."""
+        """From cleared depots, scan until nothing parses; (a node holding a
+        layout, the file) — a file the node's scans read."""
+        clear_depots(cluster)
         scan(cluster), scan(cluster)
         del parses[:]
         for node in cluster.nodes.values():
@@ -259,6 +296,7 @@ class TestLayoutLifecycle:
     def test_clear_forgets_every_layout(self, cluster, parses):
         node, _ = self._warm(cluster, parses)
         held = sum(node.cache.layout_of(name) is not None for name in locations(cluster))
+        assert held
         node.cache.clear()
         assert not any(node.cache.layout_of(name) for name in locations(cluster))
         scan(cluster)
@@ -278,7 +316,8 @@ class TestLayoutLifecycle:
         assert node.cache.peek(name) is None
         assert node.cache.layout_of(name) is None
 
-    def test_a_session_that_bypasses_the_depot_attaches_nothing(self, cluster, parses):
+    def test_a_session_that_bypasses_the_depot_attaches_nothing(self, cold, parses):
+        cluster = cold
         first = scan(cluster, use_cache=False)
         again = len(parses)
         assert again == 6 * (1 + len(NAMES))
@@ -315,11 +354,52 @@ class TestLayoutLifecycle:
         assert cache.stats == before  # out of band: no hit, no miss
 
 
+class TestTheWriterHandsOverItsLayout:
+    """Every depot a written container goes to — the writer's, its peers',
+    a mergeout's deferred pushes — keeps the layout the writer made, so no
+    reader there parses; a write that bypasses the depots leaves none."""
+
+    def test_every_depot_holding_a_written_file_keeps_its_layout(self, cluster):
+        held = [(node, name) for node in cluster.nodes.values()
+                for name in locations(cluster) if node.cache.contains(name)]
+        assert len(held) > len(locations(cluster))  # the writer's and its peers'
+        assert all(node.cache.layout_of(name) is not None for node, name in held)
+
+    def test_a_first_scan_parses_nothing(self, cluster, parses):
+        first = scan(cluster, where="k between 100 and 20000")
+        assert parses == []
+        assert content(scan(clear_depots(cluster), where="k between 100 and 20000")) == (
+            content(first)
+        )
+        assert parses  # read from depots their writers did not fill
+
+    def test_a_first_mergeout_read_parses_nothing(self, cluster, parses):
+        service = MergeoutCoordinatorService(cluster, strata_width=2, base_bytes=1 << 10)
+        before = locations(cluster)
+        assert service.run_all().jobs_run
+        assert parses == []
+        # The merged containers reached every subscriber with their layout.
+        assert locations(cluster) != before
+        scan(cluster)
+        assert parses == []
+
+    def test_a_mergeout_read_from_a_depot_its_writer_did_not_fill_parses(self, cold, parses):
+        service = MergeoutCoordinatorService(cold, strata_width=2, base_bytes=1 << 10)
+        assert service.run_all().jobs_run
+        assert parses
+
+    def test_a_write_that_bypasses_the_depots_keeps_nothing(self, cold, parses):
+        cold.load("t", table_rows(30_000, 31_000), use_cache=False)
+        assert kept_layouts(cold) == 0
+        assert all(node.cache.file_count == 0 for node in cold.nodes.values())
+
+
 class TestNothingButTheClockCanTell:
     """Depot statistics, LRU order, GETs and scan counters with kept layouts,
     with layouts that go with their evicted entry (``EVICTED_LAYOUTS`` 0), and
-    without (``keep_layout`` disabled: every read parses), through a depot
-    too small for the table, so that entries come and go."""
+    without (no writer's layout and ``keep_layout`` disabled: every read
+    parses), through a depot too small for the table, so that entries come
+    and go."""
 
     QUERIES = [
         (NAMES, None),
@@ -335,6 +415,9 @@ class TestNothingButTheClockCanTell:
         with monkeypatch.context() as patch:
             if keep == "nothing":
                 patch.setattr(FileCache, "keep_layout", lambda self, name, layout: None)
+                put = FileCache.put
+                patch.setattr(FileCache, "put", lambda self, *args, layout=None, **options:
+                              put(self, *args, **options))
             elif keep == "resident":
                 patch.setattr(disk_cache, "EVICTED_LAYOUTS", 0)
             cluster = build(cache_bytes=300_000)  # one big container, not two
@@ -363,6 +446,8 @@ class TestNothingButTheClockCanTell:
         assert warm_parses < resident_parses < cold_parses
 
     def test_a_cold_and_a_warm_layout_scan_of_one_query(self, cluster, parses):
+        refill_without_layouts(cluster)
+
         def observe():
             before = {n: dataclasses.replace(node.cache.stats)
                       for n, node in cluster.nodes.items()}
@@ -426,7 +511,7 @@ class TestTheStorageServerParsesOnce:
     def _store(self) -> SimulatedS3:
         s3 = SimulatedS3()
         rows = RowSet.from_rows(self.SCHEMA, table_rows(0, 1_200))
-        s3.write("obj", write_container(rows, block_rows=500))
+        s3.write("obj", write_container(rows, block_rows=500)[0])
         return s3
 
     def test_a_second_select_of_one_object_parses_no_footer(self, parses):
@@ -448,7 +533,7 @@ class TestTheStorageServerParsesOnce:
         s3.select_scan("obj", ["k", "s"])
         s3.delete("obj")
         rows = table_rows(5_000, 5_050)
-        s3.write("obj", write_container(RowSet.from_rows(self.SCHEMA, rows)))
+        s3.write("obj", write_container(RowSet.from_rows(self.SCHEMA, rows))[0])
         del parses[:]
         got = s3.select_scan("obj", ["k", "s"])
         assert len(parses) == 3
@@ -456,7 +541,7 @@ class TestTheStorageServerParsesOnce:
 
     def test_a_damaged_object_raises_and_keeps_nothing(self, parses):
         image = write_container(RowSet.from_rows(self.SCHEMA, table_rows(0, 1_200)),
-                                block_rows=500)
+                                block_rows=500)[0]
         offset, length, _ = read_container(image).layout.extents["s"]
         start = offset + footer_start(image[offset:offset + length])
         s3 = SimulatedS3()
@@ -651,7 +736,7 @@ class TestTheOneRead:
     SCHEMA = TableSchema.of(*COLUMNS)
 
     def _image(self, rows) -> bytes:
-        return write_container(RowSet.from_rows(self.SCHEMA, rows), block_rows=500)
+        return write_container(RowSet.from_rows(self.SCHEMA, rows), block_rows=500)[0]
 
     def test_read_rowset_is_the_blocks_in_order(self):
         rows = table_rows(0, 1_700)
@@ -735,7 +820,7 @@ class TestStringsStayCodes:
         same column they make the scan's column text, as before."""
         schema = TableSchema.of(("k", ColumnType.INT), ("s", ColumnType.VARCHAR))
         rows = [(k, f"unique-{k}" if k < 500 else "ab"[k % 2]) for k in range(1_000)]
-        reader = read_container(write_container(RowSet.from_rows(schema, rows), block_rows=500))
+        reader = read_container(write_container(RowSet.from_rows(schema, rows), block_rows=500)[0])
         column = reader.column_reader("s")
         assert isinstance(column.read_block(0, view=True), np.ndarray)
         assert isinstance(column.read_block(1, view=True), CodedStrings)

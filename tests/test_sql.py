@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import EonCluster
 from repro.catalog.mvcc import CatalogState, op_create_projection, op_create_table
 from repro.catalog.objects import Projection, Segmentation, Table
 from repro.common.dates import date_to_days
@@ -246,3 +247,64 @@ class TestBinder:
         )
         assert bound.having is not None
         assert len(bound.agg_specs) == 1  # count(*) pulled from HAVING
+
+
+class TestLiteralsOfTheColumnsType:
+    """A column compared with a literal it cannot compare with is refused by
+    the binder, every column type against every literal kind and form."""
+
+    NUMBER = "numeric"
+    LITERALS = {"1": NUMBER, "2.5": NUMBER, "-3": NUMBER, "date '1998-01-01'": NUMBER,
+                "'x'": "string", "'é'": "string", "null": "null"}
+    FORMS = ["c = {lit}", "c <> {lit}", "c < {lit}", "{lit} >= c",
+             "c between {lit} and {lit}", "c in (1, {lit})", "c in ('a', {lit})",
+             "c + 0 > 1 and c = {lit}", "not c <= {lit}"]
+
+    @staticmethod
+    def catalog(ctype: ColumnType) -> CatalogState:
+        state = CatalogState()
+        schema = TableSchema.of(("c", ctype), ("n", ColumnType.INT), ("s", ColumnType.VARCHAR))
+        state.apply(op_create_table(Table("t", schema)))
+        return state
+
+    @staticmethod
+    def takes(ctype: ColumnType, kind: str) -> bool:
+        if kind == "null":
+            return True
+        return (kind == "string") == (ctype is ColumnType.VARCHAR)
+
+    @pytest.mark.parametrize("ctype", list(ColumnType))
+    @pytest.mark.parametrize("literal", sorted(LITERALS))
+    def test_every_type_and_literal_kind(self, ctype, literal):
+        state = self.catalog(ctype)
+        for form in self.FORMS:
+            where = form.format(lit=literal)
+            # The other literals of a form are of the column's own kind.
+            if ctype is ColumnType.VARCHAR:
+                where = where.replace("in (1,", "in ('z',").replace("c + 0 > 1 and ", "")
+            else:
+                where = where.replace("in ('a',", "in (7,")
+            query = parse_one(f"select count(*) from t where {where}")
+            if self.takes(ctype, self.LITERALS[literal]):
+                bind_select(query, state)
+            else:
+                with pytest.raises(SqlError, match="cannot compare"):
+                    bind_select(query, state)
+
+    def test_other_columns_and_clauses_are_checked_too(self):
+        state = self.catalog(ColumnType.INT)
+        for sql in ["select s from t where s > 4", "select count(*) from t having n = 'x'",
+                    "select case when s = 1 then 1 else 0 end from t",
+                    "select count(*) from t where n in (1, 'a')"]:
+            with pytest.raises(SqlError, match="cannot compare"):
+                bind_select(parse_one(sql), state)
+        bind_select(parse_one("select count(*) from t where s like 'a%' and n >= 2.5"), state)
+
+    def test_on_a_cluster_a_raw_type_error_and_a_wrong_answer_are_gone(self):
+        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=1)
+        cluster.execute("create table t (k int, s varchar)")
+        cluster.load("t", [(k, f"v{k}") for k in range(10)])
+        for where in ["k >= 'x'", "s = 3", "k in (1, 'a')"]:
+            with pytest.raises(SqlError):
+                cluster.query(f"select count(*) from t where {where}")
+        assert cluster.query("select count(*) from t where k in (1, 2.0)").rows.to_pylist() == [(2,)]

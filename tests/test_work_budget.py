@@ -2,13 +2,18 @@
 
 ``benchmarks/work.py`` builds ``dash_short`` and ``tpch_warm`` at their quick
 scale, runs a warm-up pass, and counts the next pass (its docstring says
-how): max-flow solves, ``decode_block`` calls, ``_KeyEncoder`` builds and
-Python function calls.  Each count must stay at or under its pin.  A change
+how): max-flow solves, ``decode_block`` calls, ``_KeyEncoder`` builds,
+footers parsed, containers tested against a predicate and Python function
+calls.  Each count must stay at or under its pin.  A change
 may lower a pin freely; raising one is a regression that has to say why.
 
 ``iot_ingest`` is counted at its eighth pass after the warm-up (``--pass
 8``): its catalog grows pass by pass, so a cost that grows with the catalog
-shows there.  Its pins are Python calls per op of each class.
+shows there.  Its pins are Python calls per op of each class, and for
+``recent_query`` footers parsed and containers tested per op: a recent-window
+read tests what its window holds whatever the catalog holds, so its count is
+the same at pass 1 as at pass 8, and it parses no footer (the writer handed
+every depot the layouts).
 
 The counts are exact on any machine, so unlike a clock they hold across
 sessions; Python calls also depend on the interpreter, so the test runs only
@@ -29,17 +34,24 @@ PINNED_ON = (3, 11)
 
 #: At the commit before replicated work was done once per query the same pass
 #: read (maxflow / decode / key_encoders / py_calls): dash_short
-#: 56 / 1 372 / 336 / 148 425, tpch_warm 20 / 2 653 / 89 / 113 537.
+#: 56 / 1 372 / 336 / 148 425, tpch_warm 20 / 2 653 / 89 / 113 537.  Before
+#: result rows were built column by column, py_calls read 127 391 and 95 256.
 PINS = {
-    "dash_short": {"maxflow": 2, "decode": 1_120, "key_encoders": 210, "py_calls": 127_391},
-    "tpch_warm": {"maxflow": 3, "decode": 2_413, "key_encoders": 59, "py_calls": 95_256},
+    "dash_short": {"maxflow": 2, "decode": 1_120, "key_encoders": 210, "py_calls": 117_976},
+    "tpch_warm": {"maxflow": 3, "decode": 2_413, "key_encoders": 59, "py_calls": 90_746},
 }
 
 #: ``iot_ingest``, quick scale, pass 8: Python calls per op.  Before container
 #: groups were carried across commits and log listings searched by name it
-#: read copy 1 608, recent_query 6 298, service_tick 57 942.
+#: read copy 1 608, recent_query 6 298, service_tick 57 942; before the
+#: sort-key index and the writers' layouts, copy 1 516, recent_query 5 303,
+#: service_tick 29 073.
 IOT_PASS = 8
-IOT_CALLS_PER_OP = {"copy": 1_516, "recent_query": 5_303, "service_tick": 29_073}
+IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 25_417}
+#: ``recent_query`` per op: containers tested and footers parsed.  Before the
+#: sort-key index and the writers' layouts pass 8 read 492 and 30.
+RECENT_TESTED_PER_OP = 40
+RECENT_FOOTERS_PER_OP = 0
 
 skip_elsewhere = pytest.mark.skipif(
     sys.version_info[:2] != PINNED_ON,
@@ -70,10 +82,29 @@ def test_a_pass_stays_within_its_budget(counted, workload):
     assert not over, f"{workload}: (count, pin) over budget: {over}"
 
 
+@pytest.fixture(scope="module")
+def late_ingest_pass() -> dict:
+    return count("--workload", "iot_ingest", "--pass", str(IOT_PASS))["iot_ingest"]
+
+
 @skip_elsewhere
-def test_a_late_ingest_pass_stays_within_its_budget():
-    rows = count("--workload", "iot_ingest", "--pass", str(IOT_PASS))["iot_ingest"]
+def test_a_late_ingest_pass_stays_within_its_budget(late_ingest_pass):
+    rows = late_ingest_pass
     per_op = {cls: rows[cls]["py_calls"] / rows[cls]["ops"] for cls in IOT_CALLS_PER_OP}
     over = {cls: (round(per_op[cls]), pin)
             for cls, pin in IOT_CALLS_PER_OP.items() if per_op[cls] > pin}
     assert not over, f"iot_ingest pass {IOT_PASS}: (calls per op, pin) over budget: {over}"
+
+
+def recent_query_per_op(rows: dict) -> dict:
+    row = rows["recent_query"]
+    return {key: row[key] / row["ops"] for key in ("tested", "footers")}
+
+
+def test_a_recent_window_read_costs_what_its_window_holds(late_ingest_pass):
+    """Exact on any interpreter: containers tested and footers parsed."""
+    late = recent_query_per_op(late_ingest_pass)
+    assert late["tested"] <= RECENT_TESTED_PER_OP
+    assert late["footers"] <= RECENT_FOOTERS_PER_OP
+    first = recent_query_per_op(count("--workload", "iot_ingest", "--pass", "1")["iot_ingest"])
+    assert first == late
