@@ -147,6 +147,22 @@ class Catalog:
                 self.write_checkpoint()
         return removed
 
+    def reshard(
+        self, sources: Optional[Dict[int, CatalogState]] = None, base: Optional["Catalog"] = None
+    ) -> None:
+        """Hold the storage metadata of the shards ``subscribed_shards`` names
+        and no others (section 3.3): every other shard's objects go, and each
+        shard in ``sources`` takes what its source state holds and this
+        catalog lacks (:meth:`CatalogState.holding`).  With ``base``, start
+        over from that peer catalog's state and object versions.  The result
+        is installed at the same version; no log record says so, so the
+        caller checkpoints."""
+        if base is not None:
+            self.versions = base.versions.copy()
+            self._recent = {}
+        state = (base or self).state.holding(self.subscribed_shards, sources or {})
+        self.state = self._recent[state.version] = state
+
     def validate_write_set(self, write_set: WriteSet) -> None:
         write_set.validate(self.versions)
 

@@ -188,30 +188,24 @@ class CatalogState:
         self.subscriptions: Dict[tuple, str] = {}
         #: map names -> (those maps, what :meth:`derived` made from them).
         self._derived: Dict[Tuple[str, ...], Tuple[list, dict]] = {}
-        #: (projection, shard id) -> {name: container} in catalog order, for
-        #: the ``containers`` map ``_grouped`` (see :meth:`containers_of`);
+        #: (projection, shard id) -> {name: container} in catalog order;
         #: ``_owned`` holds the keys of the groups this state may change in
         #: place (None: the dict of groups itself is shared too).
         self._groups: Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]] = {}
-        self._grouped: Optional[Dict[str, ROSContainer]] = None
-        self._owned: Optional[Set[Tuple[str, Optional[int]]]] = None
-        #: (projection, shard id) -> that group's sort-key index (see
-        #: :meth:`sort_key_index`), copied and shared with the groups.
+        self._owned: Optional[Set[Tuple[str, Optional[int]]]] = set()
+        #: (projection, shard id) -> that group's sort-key index, copied and
+        #: shared with the groups.
         self._indexes: Dict[Tuple[str, Optional[int]], SortKeyIndex] = {}
 
     def copy(self, ops: Optional[Sequence[Op]] = None) -> "CatalogState":
         """A successor state to apply ``ops`` to.
 
-        Only the maps those ops' kinds write are copied; the others are
-        shared with this state, which is safe because no state is mutated
-        after its commit.  With no ``ops`` every map is copied.  What was
-        derived from the shared maps is carried over, the rest dropped.
-
-        The container groups are shared whole: the ops' handlers copy a
-        group before they change it (:func:`_group`), so a commit copies the
-        groups it touches and no others; a group's sort-key index goes with
-        it.  With no ``ops`` the caller may edit ``containers`` directly, so
-        the successor keeps no groups and no indexes.
+        Only the maps those ops' kinds write are copied (with no ``ops``,
+        every map); the others are shared with this state, which is safe
+        because no state is mutated after its commit.  What was derived from
+        the shared maps is carried over, the rest dropped.  The container
+        groups and their sort-key indexes are shared whole: a handler copies
+        a group before it changes it (:func:`_group`).
         """
         new = CatalogState.__new__(CatalogState)
         new.__dict__.update(self.__dict__)
@@ -219,13 +213,36 @@ class CatalogState:
         for name in written:
             setattr(new, name, getattr(self, name).copy())
         new._derived = _underived(self._derived, written)
-        if ops is not None and self._grouped is self.containers:
-            new._grouped = new.containers
-            # Shared from here on: whichever state writes a group copies it.
-            self._owned = new._owned = None
-        else:
-            new._grouped = None
-            new._indexes = {}
+        # Shared from here on: whichever state writes a group copies it.
+        self._owned = new._owned = None
+        return new
+
+    def holding(self, shards: Set[int], sources: Dict[int, "CatalogState"]) -> "CatalogState":
+        """A successor that holds the storage objects of ``shards`` only and,
+        for each shard in ``sources``, what that source holds of it and this
+        state lacks, added in the source's order through the add handlers.
+        A shard goes by its whole groups, with no walk of ``containers``.
+        With nothing to change, this state itself."""
+        gone = [key for key in self._groups if key[1] not in shards]
+        dvs = [sid for sid, d in self.delete_vectors.items() if d.shard_id not in shards]
+        containers = [
+            c for shard, source in sources.items() for sid, c in source.containers.items()
+            if c.shard_id == shard and sid not in self.containers
+        ]
+        vectors = [
+            d for shard, source in sources.items() for sid, d in source.delete_vectors.items()
+            if d.shard_id == shard and sid not in self.delete_vectors
+        ]
+        if not (gone or dvs or containers or vectors):
+            return self
+        new = self.copy()
+        _drop_groups(new, gone)
+        for sid in dvs:
+            del new.delete_vectors[sid]
+        for c in containers:
+            _h_add_container(new, c)
+        for d in vectors:
+            _h_add_delete_vector(new, d)
         return new
 
     def derived(self, maps: Tuple[str, ...], key: object, build: Callable[[], object]):
@@ -271,17 +288,20 @@ class CatalogState:
         """The projection's containers (one shard's, or with ``None`` all),
         in catalog order.
 
-        One shard's is one group, kept by the op handlers and carried from
-        state to state by commits; a state that has none (a fresh one, or
-        one whose ``containers`` was edited directly) groups its map on the
-        first ask.  All shards' is one walk per state and projection.
+        One shard's is one group, kept by the handlers and carried from
+        state to state by its successors.  All shards' is one walk per state
+        and projection.
         """
         if shard_id is None:
             return list(self.derived(("containers",), projection, lambda: [
                 c for c in self.containers.values() if c.projection == projection
             ]))
-        groups = self._groups if self._grouped is self.containers else self._groups_now()
-        return list(groups.get((projection, shard_id), {}).values())
+        return list(self._groups.get((projection, shard_id), {}).values())
+
+    def shard_containers(self, shard_id: int) -> List[ROSContainer]:
+        """One shard's containers, group by group."""
+        return [c for key, group in self._groups.items() if key[1] == shard_id
+                for c in group.values()]
 
     def sort_key_index(
         self, projection: str, shard_id: Optional[int], column: str
@@ -289,31 +309,18 @@ class CatalogState:
         """Group (projection, shard id)'s containers by their bounds on
         ``column``, or None for a group with no containers.
 
-        Built on the first ask and tied to the group object, the way
-        :meth:`derived` is tied to map identity: the add- and
-        drop-container handlers keep it, a commit copies it only with its
-        group, and a group made anew (a direct edit of ``containers``, a
-        dropped projection) gets a new one.
+        Built on the first ask and kept with its group: the add- and
+        drop-container handlers keep it, a successor copies it only with its
+        group, and a dropped group takes it along.
         """
         key = (projection, shard_id)
-        groups = self._groups if self._grouped is self.containers else self._groups_now()
-        group = groups.get(key)
+        group = self._groups.get(key)
         if group is None:
             return None
         index = self._indexes.get(key)
-        if index is None or index.group is not group or index.column != column:
+        if index is None or index.column != column:
             index = self._indexes[key] = SortKeyIndex.of(group, column)
         return index
-
-    def _groups_now(self) -> Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]]:
-        """The groups of ``containers``, made here when the state has none
-        (a fresh state, or one whose ``containers`` was edited directly)."""
-        if self._grouped is not self.containers:
-            self._groups = _groups_of(self.containers)
-            self._grouped = self.containers
-            self._owned = set(self._groups)
-            self._indexes = {}
-        return self._groups
 
     def delete_vectors_by_target(self) -> Dict[str, List[DeleteVector]]:
         """Container name -> its delete vectors, in catalog order (shared
@@ -395,59 +402,50 @@ def _underived(derived: dict, written) -> dict:
 # the commit path reaps by that delta instead of diffing whole catalogs.
 
 
-def _groups_of(
-    containers: Dict[str, ROSContainer]
-) -> Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]]:
-    """``containers`` grouped by (projection, shard id), in catalog order."""
-    groups: Dict[Tuple[str, Optional[int]], Dict[str, ROSContainer]] = {}
-    for sid, c in containers.items():
-        key = (c.projection, c.shard_id)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = {}
-        group[sid] = c
-    return groups
-
-
-def _group(state: CatalogState, key: Tuple[str, Optional[int]]) -> Optional[dict]:
-    """Group ``key`` of the state to change in place, or None if the state
-    keeps no groups.  What a state before shares is copied first: the dicts
-    of groups and of indexes, then the group and its index."""
-    if state._grouped is not state.containers:
-        return None
+def _group(state: CatalogState, key: Tuple[str, Optional[int]]) -> dict:
+    """Group ``key`` of the state to change in place.  What a state before
+    shares is copied first: the dicts of groups and of indexes, then the
+    group and its index."""
     owned = state._owned
     if owned is None:
-        state._groups = state._groups.copy()
-        state._indexes = state._indexes.copy()
+        state._groups, state._indexes = state._groups.copy(), state._indexes.copy()
         owned = state._owned = set()
-    group = state._groups.get(key)
-    if key not in owned:
-        # ``dict.copy``, not ``dict()``: it clones the table even after deletes.
-        copied = state._groups[key] = {} if group is None else group.copy()
-        index = state._indexes.get(key)
-        if index is not None:
-            if index.group is group:
-                state._indexes[key] = index.copy(copied)
-            else:
-                del state._indexes[key]
-        group = copied
-        owned.add(key)
+    if key in owned:
+        return state._groups[key]
+    # ``dict.copy``, not ``dict()``: it clones the table even after deletes.
+    group = state._groups[key] = state._groups.get(key, {}).copy()
+    index = state._indexes.get(key)
+    if index is not None:
+        state._indexes[key] = index.copy(group)
+    owned.add(key)
     return group
+
+
+def _drop_groups(state: CatalogState, keys: Sequence[Tuple[str, Optional[int]]]) -> List[str]:
+    """Remove the groups ``keys`` whole, with their indexes and their
+    containers; returns the containers' names.  A group a state before
+    shares is left to it as it is."""
+    if state._owned is None:
+        state._groups, state._indexes = state._groups.copy(), state._indexes.copy()
+        state._owned = set()
+    removed: List[str] = []
+    for key in keys:
+        group = state._groups.pop(key)
+        state._indexes.pop(key, None)
+        state._owned.discard(key)
+        for sid in group:
+            del state.containers[sid]
+        removed += group
+    return removed
 
 
 def _drop_storage_of(state: CatalogState, projection: str) -> List[str]:
     """Remove a projection's containers and delete vectors; returns their names."""
-    removed: List[str] = []
-    for objects in (state.containers, state.delete_vectors):
-        gone = [sid for sid, o in objects.items() if o.projection == projection]
-        for sid in gone:
-            del objects[sid]
-        removed += gone
-    if state._grouped is state.containers:
-        for key in [key for key in state._groups if key[0] == projection]:
-            _group(state, key).clear()  # type: ignore[union-attr]
-            state._indexes.pop(key, None)
-    return removed
+    removed = _drop_groups(state, [key for key in state._groups if key[0] == projection])
+    gone = [sid for sid, d in state.delete_vectors.items() if d.projection == projection]
+    for sid in gone:
+        del state.delete_vectors[sid]
+    return removed + gone
 
 
 def _h_create_table(state: CatalogState, op: Op) -> None:
@@ -525,12 +523,10 @@ def _h_add_container(state: CatalogState, container: ROSContainer) -> None:
         raise CatalogError(f"container {key} already exists")
     state.containers[key] = container
     where = (container.projection, container.shard_id)
-    group = _group(state, where)
-    if group is not None:
-        group[key] = container
-        index = state._indexes.get(where)
-        if index is not None:
-            index.add(container)
+    _group(state, where)[key] = container
+    index = state._indexes.get(where)
+    if index is not None:
+        index.add(container)
 
 
 def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
@@ -539,12 +535,10 @@ def _h_drop_container(state: CatalogState, op: Op) -> List[str]:
     if container is None:
         raise CatalogError(f"no container {key}")
     where = (container.projection, container.shard_id)
-    group = _group(state, where)
-    if group is not None:
-        del group[key]
-        index = state._indexes.get(where)
-        if index is not None:
-            index.discard(container)
+    del _group(state, where)[key]
+    index = state._indexes.get(where)
+    if index is not None:
+        index.discard(container)
     dvs = [sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == key]
     for sid in dvs:
         del state.delete_vectors[sid]

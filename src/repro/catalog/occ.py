@@ -71,6 +71,11 @@ class ObjectVersions:
     def version_of(self, key: ObjectKey) -> int:
         return self._versions.get(key, 0)
 
+    def copy(self) -> "ObjectVersions":
+        new = ObjectVersions()
+        new._versions = dict(self._versions)
+        return new
+
     def note_commit(self, version: int, ops: List[Op]) -> None:
         for op in ops:
             for key in keys_touched(op):

@@ -23,7 +23,8 @@ from itertools import compress, repeat
 from operator import is_, methodcaller
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.catalog.mvcc import CatalogState, Op, container_to_json, container_from_json, dv_to_json, dv_from_json
+from repro.catalog.mvcc import CatalogState, Op, _h_add_container, _h_add_delete_vector
+from repro.catalog.mvcc import container_from_json, container_to_json, dv_from_json, dv_to_json
 from repro.catalog.objects import LiveAggregateProjection, Projection, Table, User
 from repro.errors import CatalogError, ObjectNotFound
 from repro.shared_storage.api import Filesystem
@@ -131,11 +132,9 @@ class Checkpoint:
                 user = User.from_json(u)
                 state.users[user.name] = user
             for c in doc["containers"]:
-                cont = container_from_json(c)
-                state.containers[str(cont.sid)] = cont
+                _h_add_container(state, container_from_json(c))
             for d in doc["delete_vectors"]:
-                dv = dv_from_json(d)
-                state.delete_vectors[str(dv.sid)] = dv
+                _h_add_delete_vector(state, dv_from_json(d))
             state.properties = dict(doc.get("properties", {}))
             for s in doc.get("subscriptions", []):
                 state.subscriptions[(s["node"], s["shard_id"])] = s["state"]

@@ -114,13 +114,12 @@ class EnterpriseCluster:
         direct_load_threshold: int = 10_000,
         seed: int = 0,
         clock: Optional[SimClock] = None,
-        cost_model: Optional[CostModel] = None,
     ):
         if len(node_names) < 1:
             raise ValueError("cluster needs at least one node")
         self.rng = random.Random(seed)
         self.clock = clock or SimClock()
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         #: In Enterprise the "shard map" is the fixed node-region layout.
         self.shard_map = ShardMap(len(node_names))
         self.node_order: List[str] = []

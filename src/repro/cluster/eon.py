@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.mvcc import (
     op_add_column,
@@ -104,7 +104,6 @@ class EonCluster:
         execution_slots: int = 4,
         seed: int = 0,
         clock: Optional[SimClock] = None,
-        cost_model: Optional[CostModel] = None,
         racks: Optional[Dict[str, str]] = None,
         observability: Optional[Observability] = None,
         _bootstrap: bool = True,
@@ -113,7 +112,7 @@ class EonCluster:
             raise ValueError("cluster needs at least one node")
         self.rng = random.Random(seed)
         self.clock = clock or SimClock()
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         #: Observability is off by default — instrumented paths then cost a
         #: single attribute check (the no-op registry/tracer).
         self.obs = observability or Observability(clock=self.clock, enabled=False)
@@ -901,10 +900,7 @@ class EonCluster:
         node = self.nodes[node_name]
         node.ensure_up()
         self._commit_sub_state(node_name, shard_id, SubscriptionState.PENDING)
-        # Metadata transfer: in-process nodes share the commit stream, so a
-        # node's catalog already holds global objects; shard-filtered ops it
-        # skipped must be backfilled from a peer's catalog.
-        self._backfill_shard_metadata(node, shard_id)
+        self._backfill_shard_metadata(node, [shard_id])
         self._commit_sub_state(node_name, shard_id, SubscriptionState.PASSIVE)
         report = None
         if warm_cache:
@@ -926,48 +922,22 @@ class EonCluster:
         peer = next((n for n in self.up_nodes() if n is not node), None)
         if peer is None:
             raise QuorumLost(f"no up peer to rebuild {node.name}'s catalog from")
-        rebuilt = peer.catalog.state.copy()
-        shards = node.catalog.subscribed_shards or set()
-        for sid, container in list(rebuilt.containers.items()):
-            if container.shard_id not in shards:
-                del rebuilt.containers[sid]
-        for sid, dv in list(rebuilt.delete_vectors.items()):
-            if dv.shard_id not in shards:
-                del rebuilt.delete_vectors[sid]
-        node.catalog.state = rebuilt
-        node.catalog._recent = {rebuilt.version: rebuilt}
-        from repro.catalog.occ import ObjectVersions
-
-        versions = ObjectVersions()
-        versions._versions = dict(peer.catalog.versions._versions)
-        node.catalog.versions = versions
-        for shard_id in shards:
-            self._backfill_shard_metadata(node, shard_id)
+        node.catalog.reshard(base=peer.catalog)
+        # Each shard's source is read from the subscriptions just taken over.
+        self._backfill_shard_metadata(node, node.catalog.subscribed_shards)
         node.catalog.write_checkpoint()
 
-    def _backfill_shard_metadata(self, node: Node, shard_id: int) -> None:
-        """Copy a shard's storage metadata from an existing subscriber."""
-        peers = [
-            self.nodes[n]
-            for n in self.up_subscribers(shard_id)
-            if n != node.name and self.nodes[n].is_up
-        ]
-        if not peers:
-            return
-        source = peers[0].catalog.state
-        target_state = node.catalog.state.copy()
-        changed = False
-        for sid, container in source.containers.items():
-            if container.shard_id == shard_id and sid not in target_state.containers:
-                target_state.containers[sid] = container
-                changed = True
-        for sid, dv in source.delete_vectors.items():
-            if dv.shard_id == shard_id and sid not in target_state.delete_vectors:
-                target_state.delete_vectors[sid] = dv
-                changed = True
-        if changed:
-            node.catalog.state = target_state
-            node.catalog._recent[target_state.version] = target_state
+    def _backfill_shard_metadata(self, node: Node, shard_ids: Iterable[int]) -> None:
+        """Figure 4's metadata transfer: in-process nodes share the commit
+        stream, so a node's catalog already holds global objects; each
+        shard's storage objects it skipped come from an up peer subscriber's
+        catalog.  Takes nothing when nothing is missing."""
+        sources = {}
+        for shard_id in shard_ids:
+            peer = next((n for n in self.up_subscribers(shard_id) if n != node.name), None)
+            if peer is not None:
+                sources[shard_id] = self.nodes[peer].catalog.state
+        node.catalog.reshard(sources)
 
     def _warm_cache_from_peer(self, node: Node, shard_id: int) -> Optional[WarmingReport]:
         """Pick a warming peer (same subcluster first — section 5.2)."""
@@ -1023,26 +993,16 @@ class EonCluster:
         (its REMOVING subscription is finished here, since REMOVING ->
         PENDING is not a legal Figure-4 transition)."""
         node = self.nodes[node_name]
-        state = node.catalog.state
-        for sid, container in list(state.containers.items()):
-            if container.shard_id == shard_id:
-                node.cache.drop(sid)
+        for container in node.catalog.state.shard_containers(shard_id):
+            node.cache.drop(container.location)
         txn = self.begin()
         txn.add_op(op_drop_subscription(node_name, shard_id))
         self.commit(txn)
         # Shard filter refresh in _after_commit trims future metadata; the
         # node also forgets the shard's existing storage objects.
-        trimmed = node.catalog.state.copy()
-        for sid, container in list(trimmed.containers.items()):
-            if container.shard_id == shard_id:
-                del trimmed.containers[sid]
-        for sid, dv in list(trimmed.delete_vectors.items()):
-            if dv.shard_id == shard_id:
-                del trimmed.delete_vectors[sid]
-        node.catalog.state = trimmed
-        node.catalog._recent[trimmed.version] = trimmed
-        # As in subscribe(): the trim is surgery the log never saw, so a
-        # later restart must recover from a post-trim checkpoint.
+        node.catalog.reshard()
+        # As in subscribe(): the log never saw the trim, so a later restart
+        # must recover from a post-trim checkpoint.
         node.catalog.write_checkpoint()
 
     # -- failure & recovery -------------------------------------------------------------------------
@@ -1096,12 +1056,12 @@ class EonCluster:
                     continue
                 self._commit_sub_state(name, shard_id, SubscriptionState.ACTIVE)
                 current = SubscriptionState.ACTIVE
-            if current is SubscriptionState.PENDING:
-                # Crashed mid-subscribe: the metadata transfer may never
-                # have happened, so backfill before going PASSIVE.
-                self._backfill_shard_metadata(node, shard_id)
-            else:
+            if current is not SubscriptionState.PENDING:
                 self._commit_sub_state(name, shard_id, SubscriptionState.PENDING)
+            # Every PENDING step takes the transfer: what the restart
+            # recovered may predate it (a crash mid-subscribe, or a backfill
+            # of a subscribe whose warming failed and never checkpointed).
+            self._backfill_shard_metadata(node, [shard_id])
             self._commit_sub_state(name, shard_id, SubscriptionState.PASSIVE)
             reports[shard_id] = (
                 self._warm_cache_from_peer(node, shard_id) if warm_cache else None

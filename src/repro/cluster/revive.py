@@ -118,9 +118,12 @@ def revive(
         node.catalog.subscribed_shards = None  # learn subscriptions first
         node.catalog.recover()
         node.catalog.truncate_to(truncation)
-        _trim_to_subscriptions(node)
-        # The trim is not represented in the log; checkpoint so a later
-        # restart recovers from the post-trim state.
+        # Trim to the node's own subscriptions.  The trim is not represented
+        # in the log; checkpoint so a later restart recovers from it.
+        node.catalog.subscribed_shards = {
+            shard for n, shard in node.catalog.state.subscriptions if n == name
+        }
+        node.catalog.reshard()
         node.catalog.write_checkpoint()
 
     # Cluster-formation invariants: every shard must be covered by a
@@ -228,24 +231,3 @@ def form_cluster(cluster) -> int:
     cluster._refresh_shard_filters()
     return best
 
-
-def _trim_to_subscriptions(node) -> None:
-    """Drop storage metadata for shards the node does not subscribe to."""
-    state = node.catalog.state
-    shards = {
-        shard for (n, shard), _ in state.subscriptions.items() if n == node.name
-    }
-    node.catalog.subscribed_shards = shards
-    trimmed = state.copy()
-    changed = False
-    for sid, container in list(trimmed.containers.items()):
-        if container.shard_id not in shards:
-            del trimmed.containers[sid]
-            changed = True
-    for sid, dv in list(trimmed.delete_vectors.items()):
-        if dv.shard_id not in shards:
-            del trimmed.delete_vectors[sid]
-            changed = True
-    if changed:
-        node.catalog.state = trimmed
-        node.catalog._recent[trimmed.version] = trimmed

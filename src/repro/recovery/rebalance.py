@@ -89,7 +89,7 @@ class SubscriptionRebalancer:
         if current is SubscriptionState.PENDING:
             # PENDING -> ACTIVE is not legal; finish the subscription
             # process instead (metadata transfer, then PASSIVE).
-            cluster._backfill_shard_metadata(cluster.nodes[node], shard_id)
+            cluster._backfill_shard_metadata(cluster.nodes[node], [shard_id])
             cluster._commit_sub_state(node, shard_id, SubscriptionState.PASSIVE)
             current = SubscriptionState.PASSIVE
         if current is SubscriptionState.PASSIVE and self.warm_cache:

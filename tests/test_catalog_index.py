@@ -1,17 +1,18 @@
-"""What a catalog version fixes: the per-state container groups and
-delete-vector index, and their lifetime.
+"""What a catalog version fixes: the per-state container groups, their
+sort-key indexes and the delete-vector index, and their lifetime.
 
 One shard's containers of a projection are a group the op handlers keep and
-commits carry from state to state, copying only the groups they touch; the
-rest (all shards' containers, delete vectors by target) is derived once per
-state (``CatalogState.derived``).  Both are tied to the identity of the map
-they describe.  Every test here asks one version, changes the catalog, and
-asks both versions again: the answers must be what a walk of each version's
-own map gives.
+successor states carry, copying only the groups they touch; a group's
+sort-key index goes with it.  The rest (all shards' containers, delete
+vectors by target) is derived once per state (``CatalogState.derived``),
+tied to the identity of the map it describes.  Every test here asks one
+version, changes the catalog, and asks both versions again: the answers must
+be what a walk of each version's own map gives.
 """
 
 import random
 from collections import Counter
+from operator import attrgetter
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -70,6 +71,10 @@ def walked(state: CatalogState) -> dict:
                 c for c in state.containers.values()
                 if c.projection == projection and (shard is None or c.shard_id == shard)
             ]
+        for shard in SHARDS[:2]:
+            answers["a", projection, shard] = sorted(
+                answers[projection, shard], key=attrgetter("location")
+            )
     for sid in state.containers:
         answers[sid] = [
             d for d in state.delete_vectors.values() if str(d.target_sid) == sid
@@ -82,6 +87,11 @@ def indexed(state: CatalogState) -> dict:
         (projection, shard): state.containers_of(projection, shard)
         for projection in ("t_p", "u_p") for shard in SHARDS
     }
+    for projection in ("t_p", "u_p"):
+        for shard in SHARDS[:2]:
+            index = state.sort_key_index(projection, shard, "a")
+            found = index.overlapping(None, None) if index is not None else []
+            answers["a", projection, shard] = sorted(found, key=attrgetter("location"))
     for sid in state.containers:
         answers[sid] = state.delete_vectors_for(sid)
     return answers
@@ -181,6 +191,30 @@ class TestIndexLifetime:
         assert len(state.delete_vectors_for(str(first.sid))) == 1
         assert state.containers_of("t_p") == [first]
 
+    def test_a_metadata_transfer_copies_the_groups_it_adds_to(self):
+        """A subscription's commits land from its PENDING step on, so its
+        metadata transfer adds to groups the state before it shares."""
+        v = Versions()
+        node = Catalog(MemoryFilesystem(), subscribed_shards={0})
+        node.reshard(base=v.catalog)  # a rebuild from a peer: shard 0 only
+        assert node.state.containers_of("t_p", 1) == []
+        node.subscribed_shards = {0, 1}
+        record = LogRecord(v.catalog.state.version + 1, (
+            op_add_container(container(v.sids, "t_p", 1)),
+        ))
+        v.catalog.apply_commit(record)
+        node.apply_commit(record)
+        before = node.state
+        v.seen.append((before, walked(before)))
+        assert len(before.containers_of("t_p", 1)) == 1
+        node.reshard({1: v.catalog.state})
+        assert len(node.state.containers_of("t_p", 1)) == 2
+        assert set(node.state.containers) == set(v.catalog.state.containers)
+        node.reshard({1: v.catalog.state})  # nothing missing: nothing changes
+        v.seen.append((node.state, walked(node.state)))
+        v.check()
+        assert len(before.containers_of("t_p", 1)) == 1
+
     def test_truncate_to_repeats_version_numbers_with_other_contents(self):
         v = Versions()
         version = v.catalog.state.version
@@ -259,6 +293,16 @@ class WalkCounting(dict):
         return WalkCounting(self)
 
 
+def walks_of_shard_scans(cluster, sql: str, expected: list) -> list:
+    """Each node's walks of ``containers`` while queries laid out from
+    every seed scan their shards (each map replaced by a counting copy)."""
+    for node in cluster.nodes.values():
+        node.catalog.state.containers = WalkCounting(node.catalog.state.containers)
+    for seed in range(6):
+        assert cluster.query(sql, seed=seed).rows.to_pylist() == expected
+    return [node.catalog.state.containers.walks for node in cluster.nodes.values()]
+
+
 class TestOneWalkPerStateAndProjection:
     def test_a_scan_beside_2000_containers_of_another_projection(self):
         cluster = EonCluster(["n1", "n2"], shard_count=2, seed=5)
@@ -272,15 +316,10 @@ class TestOneWalkPerStateAndProjection:
         for i in range(2000):
             txn.add_op(op_add_container(container(sids, other, i % 2)))
         cluster.commit(txn)
-        replaced = []
         for node in cluster.nodes.values():
             state = node.catalog.state
             state.containers = WalkCounting(state.containers)
             assert len(state.containers) > 2000
-            replaced.append(state.containers)
-        # A map put in place by hand has no groups: one walk makes them.
-        assert cluster.query("select count(*), sum(v) from mine").rows.to_pylist() == [(30, 135)]
-        assert [m.walks for m in replaced] == [1, 1]
         # A state built by commits carries its predecessor's groups: its
         # shard scans walk nothing, however many containers it holds.
         cluster.load("mine", [(30 + i, i) for i in range(10)])
@@ -300,6 +339,24 @@ class TestOneWalkPerStateAndProjection:
         assert len(state.containers_of(other)) == len(state.containers_of(other)) == 2010
         assert state.containers.walks == 1
 
+    def test_after_a_revive_and_an_unsubscribe_shard_scans_walk_nothing(self):
+        """A revived node's catalog (restored, truncated, trimmed to its
+        subscriptions) and an unsubscribed one's keep their groups."""
+        cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=3)
+        cluster.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
+        for batch in range(3):
+            cluster.load("t", [(batch * 100 + i, i) for i in range(100)])
+        cluster.graceful_shutdown()
+        revived = revive(cluster.shared, clock=cluster.clock)
+        sql, expected = "select count(*), sum(v) from t", [(300, 14850)]
+        assert walks_of_shard_scans(revived, sql, expected) == [0, 0, 0]
+        shard = next(s for (n, s) in revived.nodes["n1"].catalog.state.subscriptions
+                     if n == "n1" and s >= 0)
+        assert revived.nodes["n1"].catalog.state.shard_containers(shard)
+        revived.unsubscribe("n1", shard)
+        assert revived.nodes["n1"].catalog.state.shard_containers(shard) == []
+        assert walks_of_shard_scans(revived, sql, expected) == [0, 0, 0]
+
 
 # ---------------------------------------------------------------------------
 # the groups against a walk, over generated histories
@@ -307,15 +364,19 @@ class TestOneWalkPerStateAndProjection:
 
 class GroupsEqualAWalk(RuleBasedStateMachine):
     """Commits (single- and multi-op), pins, replay, checkpoint restore,
-    truncation and the direct edits of ``containers`` that subscription,
-    recovery and revive make (a full ``copy()``, then the map edited in
-    place).  After every step every state seen so far answers as a walk of
-    its own maps, and as it did when first seen."""
+    truncation and ``Catalog.reshard``: the trim of an unsubscription or a
+    revive, a subscription's metadata transfer from a peer catalog that
+    holds every shard, and a rebuild from that peer.  After every step every
+    state seen so far, the peer's included, answers as a walk of its own
+    maps and as it did when first seen, and every sort-key index is its
+    group's."""
 
     def __init__(self):
         super().__init__()
         self.sids = SidFactory(random.Random(11))
-        self.catalog = Catalog(MemoryFilesystem(), checkpoint_every=6)
+        self.catalog = Catalog(MemoryFilesystem(), subscribed_shards={0, 1}, checkpoint_every=6)
+        self.peer = Catalog(MemoryFilesystem())
+        self.peer_states = {0: self.peer.state}  # version -> the peer's state
         self.seen = []  # (state, what it must answer, for good)
         self.pins = []
         self.commit(op_create_table(Table("t", SCHEMA)), op_create_table(Table("u", SCHEMA)))
@@ -326,7 +387,10 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
         return self.catalog.state
 
     def commit(self, *ops) -> None:
-        self.catalog.apply_commit(LogRecord(self.state.version + 1, tuple(ops)))
+        record = LogRecord(self.state.version + 1, tuple(ops))
+        self.catalog.apply_commit(record)
+        self.peer.apply_commit(record, persist=False)
+        self.peer_states[record.version] = self.peer.state
 
     def new_containers(self, data, most: int) -> list:
         live = sorted(self.state.projections)
@@ -339,13 +403,19 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
     def pick(self, data, objects: dict):
         return objects[data.draw(st.sampled_from(sorted(objects)))]
 
-    def edit_directly(self, edit) -> None:
-        """What ``_drop_subscription``, ``_backfill_shard_metadata``,
-        ``_full_metadata_rebuild`` and revive's trim do."""
-        edited = self.state.copy()
-        edit(edited)
-        self.catalog.state = edited
-        self.catalog._recent[edited.version] = edited
+    def held(self, kind: str) -> dict:
+        """The storage objects of ``kind`` both the node and the peer hold:
+        what a commit may name.  A node misses what a subscription without
+        a transfer did not bring, and keeps what a truncation restored of a
+        shard it no longer subscribes to, whose drops it filters out."""
+        peer = getattr(self.peer.state, kind)
+        return {sid: o for sid, o in getattr(self.state, kind).items() if sid in peer}
+
+    def reshard(self, shards, sources=None, base=None) -> None:
+        """As subscription, recovery and revive do: the node's shards
+        change, the catalog takes them, and a checkpoint pins the result."""
+        self.catalog.subscribed_shards = shards
+        self.catalog.reshard(sources, base)
         self.catalog.write_checkpoint()
 
     # -- commits ------------------------------------------------------------------
@@ -356,29 +426,30 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
         if added:
             self.commit(*map(op_add_container, added))
 
-    @precondition(lambda self: self.state.containers)
+    @precondition(lambda self: self.held("containers"))
     @rule(data=st.data())
     def drop_container(self, data):
-        gone = self.pick(data, self.state.containers)
+        gone = self.pick(data, self.held("containers"))
         self.commit(op_drop_container(gone.location, gone.shard_id))
 
-    @precondition(lambda self: self.state.containers)
+    @precondition(lambda self: self.held("containers"))
     @rule(data=st.data())
     def add_delete_vector(self, data):
-        self.commit(op_add_delete_vector(delete_vector(self.sids, self.pick(data, self.state.containers))))
+        target = self.pick(data, self.held("containers"))
+        self.commit(op_add_delete_vector(delete_vector(self.sids, target)))
 
-    @precondition(lambda self: self.state.delete_vectors)
+    @precondition(lambda self: self.held("delete_vectors"))
     @rule(data=st.data())
     def drop_delete_vector(self, data):
-        gone = self.pick(data, self.state.delete_vectors)
+        gone = self.pick(data, self.held("delete_vectors"))
         self.commit(op_drop_delete_vector(str(gone.sid), gone.shard_id))
 
-    @precondition(lambda self: self.state.containers)
+    @precondition(lambda self: self.held("containers"))
     @rule(data=st.data())
     def multi_op_record(self, data):
         """Add, drop and mark in one record: later ops see earlier ones."""
         added = self.new_containers(data, 2)
-        gone = self.pick(data, self.state.containers)
+        gone = self.pick(data, self.held("containers"))
         ops = [*map(op_add_container, added), op_drop_container(gone.location, gone.shard_id)]
         ops += [op_add_delete_vector(delete_vector(self.sids, c)) for c in added[:1]]
         self.commit(*ops, op_set_property("k", len(ops)))
@@ -417,7 +488,9 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
     @rule()
     def replay_in_place(self):
         """A restart: the newest checkpoint, then the logs applied in place."""
-        restarted = Catalog(self.catalog.log_store.fs, checkpoint_every=6)
+        restarted = Catalog(
+            self.catalog.log_store.fs, self.catalog.subscribed_shards, checkpoint_every=6
+        )
         restarted.recover()
         assert names(walked(restarted.state)) == names(walked(self.state))
         self.catalog, self.pins = restarted, []
@@ -431,37 +504,40 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
     @rule(data=st.data())
     def truncate(self, data):
         oldest = self.catalog.log_store.checkpoint_versions()[:1] or [0]
-        self.catalog.truncate_to(data.draw(st.integers(oldest[0], self.state.version)))
+        version = data.draw(st.integers(oldest[0], self.state.version))
+        self.catalog.truncate_to(version)
+        self.peer.state = self.peer_states[version]
         self.pins = []
 
-    # -- direct edits -------------------------------------------------------------------
+    # -- what subscription, recovery and revive do -------------------------------------
 
     @rule(shard=st.sampled_from((0, 1)))
-    def trim_a_shard(self, shard):
-        def trim(state):
-            for objects in (state.containers, state.delete_vectors):
-                for sid in [sid for sid, o in objects.items() if o.shard_id == shard]:
-                    del objects[sid]
-        self.edit_directly(trim)
+    def unsubscribe(self, shard):
+        self.reshard(self.catalog.subscribed_shards - {shard})
+
+    @rule(shard=st.sampled_from((0, 1)), transfer=st.booleans())
+    def subscribe(self, shard, transfer):
+        """A subscription's PENDING step, with or without its metadata
+        transfer: the shard's commits land from here on, and a transfer
+        later adds what they did not bring to the groups they made."""
+        sources = {shard: self.peer.state} if transfer else None
+        self.reshard(self.catalog.subscribed_shards | {shard}, sources)
 
     @rule(data=st.data())
-    def backfill(self, data):
-        added = self.new_containers(data, 3)
-
-        def backfill(state):
-            for c in added:
-                state.containers[c.location] = c
-        self.edit_directly(backfill)
+    def rebuild_from_the_peer(self, data):
+        shards = data.draw(st.sets(st.sampled_from((0, 1))))
+        self.reshard(shards, base=self.peer)
 
     # -- the check --------------------------------------------------------------------
 
     @invariant()
     def every_state_answers_as_a_walk(self):
-        self.seen.append((self.state, walked(self.state)))
-        for pinned in self.catalog.pinned_states():
-            self.seen.append((pinned, walked(pinned)))
+        for state in (self.state, self.peer.state, *self.catalog.pinned_states()):
+            self.seen.append((state, walked(state)))
         for state, expected in self.seen:
             assert indexed(state) == expected == walked(state)
+            assert all(index.group is state._groups.get(key)
+                       for key, index in state._indexes.items())
 
 
 def names(answers: dict) -> dict:

@@ -9,6 +9,7 @@ from repro.errors import (
     OCCConflict,
     QuorumLost,
     ShardCoverageLost,
+    StorageUnavailable,
     TransactionAborted,
 )
 from repro.sharding.subscription import SubscriptionState
@@ -133,6 +134,42 @@ class TestRecovery:
         assert not revived.uncovered_shards()
         answer = revived.query("select count(*) from t", initiator="n1")
         assert answer.rows.to_pylist() == [(650,)]
+
+    def test_a_passive_shard_takes_its_metadata_on_recovery(self, monkeypatch):
+        """A subscribe whose warming fails leaves the node PASSIVE with its
+        metadata transfer in memory only: the newest checkpoint predates
+        it.  Recovery replays that checkpoint and runs PASSIVE -> PENDING ->
+        PASSIVE -> ACTIVE; its PENDING step must transfer the shard's
+        metadata again, or the node serves the shard holding none of it."""
+        cluster = EonCluster(["a", "b", "c", "d"], shard_count=4, seed=1)
+        cluster.execute("create table t (k int, v int)")
+        cluster.load("t", [(i, i) for i in range(400)])
+        for i in range(140):
+            cluster.create_user(f"u{i}")
+        a = cluster.nodes["a"]
+        assert a.catalog.log_store.checkpoint_versions() == [64, 128]
+        assert 2 not in a.catalog.subscribed_shards
+
+        def unavailable(node, shard_id):
+            raise StorageUnavailable("shared storage is out")
+
+        monkeypatch.setattr(cluster, "_warm_cache_from_peer", unavailable)
+        with pytest.raises(StorageUnavailable):
+            cluster.subscribe("a", 2)
+        monkeypatch.undo()
+        state = cluster.nodes["b"].catalog.state
+        assert state.subscriptions[("a", 2)] == SubscriptionState.PASSIVE.value
+        cluster.kill_node("a")
+        cluster.recover_node("a")
+        def shard_2(node):
+            return [c.location for c in node.catalog.state.containers.values() if c.shard_id == 2]
+
+        assert shard_2(a) and shard_2(a) == shard_2(cluster.nodes["b"])
+        answers = {
+            cluster.query("select count(*) from t", seed=seed).rows.to_pylist()[0]
+            for seed in range(16)
+        }
+        assert answers == {(400,)}
 
     def test_recovered_node_serves_queries_again(self, cluster):
         cluster.kill_node("n2")

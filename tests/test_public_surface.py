@@ -1,9 +1,9 @@
 """The knobs, pinned by name: a new constructor argument or per-query option
 is a visible diff here, and an option that does not exist — or that would be
-ignored — fails typed.  Four structural guards ride along: DESIGN.md's module
+ignored — fails typed.  Five structural guards ride along: DESIGN.md's module
 map names files that exist, one module owns the query path, one function
-writes every ROS container, and the registry instruments written anywhere
-are listed by name."""
+writes every ROS container, the registry instruments written anywhere are
+listed by name, and only ``catalog/`` writes catalog state."""
 
 import ast
 import inspect
@@ -29,14 +29,14 @@ class TestConstructorArguments:
     def test_eon_cluster(self):
         assert parameters(EonCluster.__init__) == [
             "node_names", "shard_count", "shared_storage", "subscribers_per_shard",
-            "cache_bytes", "execution_slots", "seed", "clock", "cost_model", "racks",
+            "cache_bytes", "execution_slots", "seed", "clock", "racks",
             "observability", "_bootstrap",
         ]
 
     def test_enterprise_cluster(self):
         assert parameters(EnterpriseCluster.__init__) == [
             "node_names", "execution_slots", "wos_capacity_rows",
-            "direct_load_threshold", "seed", "clock", "cost_model",
+            "direct_load_threshold", "seed", "clock",
         ]
 
     def test_executor(self):
@@ -180,3 +180,35 @@ class TestStructure:
             ("histogram", "query.latency_seconds", "cluster/query_path.py"),
             ("histogram", "wm.queue_wait_seconds", "wm/admission.py"),
         ]
+
+    def test_only_the_catalog_writes_catalog_state(self):
+        """A node's shard metadata changes through ``Catalog.reshard`` and
+        commits, never by hand: outside ``catalog/`` no storage map is
+        written by key, no catalog's state or object versions are replaced,
+        and no catalog internal is touched (on another object than ``self``)."""
+        internals = {"_recent", "_versions", "_groups", "_indexes"}
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "catalog":
+                continue
+            where = str(path.relative_to(SRC))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    targets = []
+                for target in targets:
+                    by_key = (
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Attribute)
+                        and target.value.attr in ("containers", "delete_vectors")
+                    )
+                    replaced = ast.unparse(target).endswith((".catalog.state", ".catalog.versions"))
+                    if by_key or replaced:
+                        found.append((where, node.lineno, ast.unparse(target)))
+                if (isinstance(node, ast.Attribute) and node.attr in internals
+                        and ast.unparse(node.value) != "self"):
+                    found.append((where, node.lineno, ast.unparse(node)))
+        assert found == []

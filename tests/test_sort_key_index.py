@@ -8,8 +8,7 @@ prunes must be ``prune_containers`` over the group sorted by location, in
 every state a catalog retains, however the group got there: commits of adds
 and drops (mergeout's many-drops-one-add records included), dropped
 projections and tables, pins, replay, checkpoint restore, truncation, and
-the direct edits of ``containers`` that subscription, recovery and revive
-make.
+the ``Catalog.reshard`` calls that subscription, recovery and revive make.
 """
 
 import random
@@ -110,12 +109,13 @@ class IndexPrunesAsAFullTest(GroupsEqualAWalk):
         chosen = data.draw(st.lists(places, min_size=1, max_size=most))
         return [bounded_container(self.sids, p, shard, b) for p, shard, b in chosen]
 
-    @precondition(lambda self: self.state.containers)
+    @precondition(lambda self: self.held("containers"))
     @rule(data=st.data(), bounds=BOUNDS)
     def mergeout_record(self, data, bounds):
         """A group's containers dropped and their merge added, in one record."""
-        first = self.pick(data, self.state.containers)
-        group = [c for c in self.state.containers.values()
+        held = self.held("containers")
+        first = self.pick(data, held)
+        group = [c for c in held.values()
                  if (c.projection, c.shard_id) == (first.projection, first.shard_id)]
         merged = data.draw(st.lists(st.sampled_from(group), min_size=1, unique=True))
         self.commit(
