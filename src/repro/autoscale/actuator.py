@@ -13,10 +13,10 @@ subscribing).  The actuator's safety argument rests on three rules:
    ``wm-slot-accounting`` invariant guarantees happens at rest.  A
    removal therefore never yanks slots from under a running query.
 3. **Repair first.** Every control-loop tick starts by finishing what a
-   previous tick left half-done: partially added nodes are rolled back
-   along Figure-4-legal transitions (PENDING/PASSIVE drop by commit,
-   REMOVING completes, ACTIVE unsubscribes behind the coverage check),
-   and drained victims whose slots have emptied are removed.  Chaos can
+   previous tick left half-done: partially added nodes are removed along
+   the one Figure-4 walk to no subscription (``subscriptions.retire``:
+   ACTIVE goes REMOVING behind the coverage check, every state then
+   drops), and drained victims whose slots have emptied are removed.  Chaos can
    interrupt any step; it can only ever leave work for the next tick.
 
 Hibernation persists a manifest to shared storage *before* draining, so
@@ -30,10 +30,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.catalog.mvcc import op_drop_subscription
-from repro.errors import ReproError, ShardCoverageLost
+from repro.cluster import subscriptions
+from repro.errors import ReproError
 from repro.obs.metrics import Ledger
-from repro.sharding.subscription import SubscriptionState
 from repro.shared_storage.api import retrying
 
 #: Default name of the managed subcluster (and its node-name prefix).
@@ -188,15 +187,7 @@ class TopologyActuator:
         total_after = len(cluster.nodes) - len(gone)
         if total_after <= 0 or up_after * 2 <= total_after:
             return False
-        for shard_id in cluster.shard_map.all_shard_ids():
-            survivors = [
-                n
-                for n in cluster.active_up_subscribers(shard_id)
-                if n not in gone
-            ]
-            if not survivors:
-                return False
-        return True
+        return not subscriptions.uncovered_without(cluster, gone)
 
     def complete_removals(self) -> List[str]:
         """Remove drained victims whose slots have emptied; reopen the
@@ -235,42 +226,10 @@ class TopologyActuator:
         return removed
 
     def _force_remove(self, name: str) -> None:
-        """Remove a node whatever state its subscriptions are in, using
-        only Figure-4-legal transitions (see module docstring, rule 3)."""
-        cluster = self.cluster
-        state = cluster.any_up_node().catalog.state
-        subs = {
-            shard: SubscriptionState(st)
-            for (n, shard), st in state.subscriptions.items()
-            if n == name
-        }
-        for shard_id in sorted(subs):
-            current = subs[shard_id]
-            if current is SubscriptionState.ACTIVE:
-                others = [
-                    n
-                    for n in cluster.active_up_subscribers(shard_id)
-                    if n != name
-                ]
-                if not others:
-                    raise ShardCoverageLost(
-                        f"cannot remove {name}: sole ACTIVE subscriber of "
-                        f"shard {shard_id}"
-                    )
-                cluster.unsubscribe(name, shard_id)
-            elif current is SubscriptionState.REMOVING:
-                cluster._drop_subscription(name, shard_id)
-            else:
-                # PENDING / PASSIVE: both may legally drop to None with a
-                # plain drop commit (no REMOVING detour, which Figure 4
-                # forbids from PENDING).
-                txn = cluster.begin()
-                txn.add_op(op_drop_subscription(name, shard_id))
-                cluster.commit(txn)
-        cluster.nodes.pop(name, None)
-        for members in cluster.subclusters.values():
-            members.discard(name)
-        cluster.admission.refresh()
+        """Remove a node whatever state its subscriptions are in, along
+        Figure-4-legal walks (see module docstring, rule 3)."""
+        self.cluster.remove_node(name)
+        self.cluster.admission.refresh()
 
     # -- repair ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.mvcc import (
     op_add_column,
@@ -32,9 +32,7 @@ from repro.catalog.mvcc import (
     op_create_table,
     op_create_user,
     op_drop_projection,
-    op_drop_subscription,
     op_drop_table,
-    op_set_property,
     op_set_subscription,
 )
 from repro.catalog.objects import (
@@ -46,9 +44,9 @@ from repro.catalog.objects import (
     User,
 )
 from repro.catalog.transaction_log import LogStore
-from repro.cache.warming import WarmingReport, warm_from_peer
+from repro.cache.warming import WarmingReport
 from repro.cluster.node import Node, NodeState
-from repro.cluster import query_path
+from repro.cluster import query_path, subscriptions
 from repro.cluster.reaper import FileReaper
 from repro.cluster.session import EonSession
 from repro.cluster.transactions import CommitCoordinator, Transaction
@@ -67,10 +65,10 @@ from repro.errors import (
 )
 from repro.io.scheduler import IOScheduler
 from repro.obs import Observability
-from repro.recovery import FailoverPolicy, RebalanceReport, SubscriptionRebalancer
+from repro.recovery.failover import FailoverPolicy
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
-from repro.sharding.subscription import SubscriptionState, validate_transition
+from repro.sharding.subscription import SubscriptionState, holders, shards_of, uncovered
 from repro.shared_storage.api import Filesystem, PrefixView, RetryingFilesystem, retrying
 from repro.shared_storage.s3 import SimulatedS3
 from repro.sql.parser import parse
@@ -250,15 +248,7 @@ class EonCluster:
                 )
             )
         self.commit(txn)
-        self._refresh_shard_filters()
-
-    def _refresh_shard_filters(self) -> None:
-        state = self.any_up_node().catalog.state
-        for name, node in self.nodes.items():
-            shards = {
-                shard for (n, shard), _ in state.subscriptions.items() if n == name
-            }
-            node.catalog.subscribed_shards = shards or set()
+        subscriptions.refresh_shard_filters(self)
 
     # -- membership ---------------------------------------------------------------
 
@@ -275,32 +265,9 @@ class EonCluster:
     def version(self) -> int:
         return self.coordinator.version
 
-    def subscribers(self, shard_id: int) -> List[str]:
-        """Nodes subscribed to a shard (any state), up or down."""
-        state = self.any_up_node().catalog.state
-        return sorted(
-            n for (n, s), _ in state.subscriptions.items() if s == shard_id
-        )
-
-    def active_subscribers(self, shard_id: int) -> List[str]:
-        state = self.any_up_node().catalog.state
-        return sorted(
-            n
-            for (n, s), st in state.subscriptions.items()
-            if s == shard_id and st == SubscriptionState.ACTIVE.value
-        )
-
-    def up_subscribers(self, shard_id: int) -> List[str]:
-        return [
-            n
-            for n in self.subscribers(shard_id)
-            if n in self.nodes and self.nodes[n].is_up
-        ]
-
     def active_up_subscribers(self, shard_id: int) -> List[str]:
-        return [
-            n for n in self.active_subscribers(shard_id) if self.nodes[n].is_up
-        ]
+        active = holders(subscriptions.current(self), shard_id, [SubscriptionState.ACTIVE])
+        return [n for n in active if self.nodes[n].is_up]
 
     # -- invariant accessors (simulation-test hook points) -------------------------
 
@@ -311,13 +278,7 @@ class EonCluster:
         whenever the cluster is accepting work; a non-empty list is only
         legitimate once the cluster has shut itself down.
         """
-        if not any(n.is_up for n in self.nodes.values()):
-            return list(self.shard_map.all_shard_ids())
-        return [
-            shard_id
-            for shard_id in self.shard_map.all_shard_ids()
-            if not self.active_up_subscribers(shard_id)
-        ]
+        return subscriptions.uncovered_without(self)
 
     def all_catalog_sids(self, include_pinned: bool = True) -> Set[str]:
         """Every storage name referenced by any up node's catalog.
@@ -357,12 +318,10 @@ class EonCluster:
             raise QuorumLost(
                 f"only {up} of {len(self.nodes)} nodes up; quorum lost"
             )
-        for shard_id in self.shard_map.all_shard_ids():
-            if not self.active_up_subscribers(shard_id):
-                self.shut_down = True
-                raise ShardCoverageLost(
-                    f"shard {shard_id} has no up ACTIVE subscriber"
-                )
+        lost = self.uncovered_shards()
+        if lost:
+            self.shut_down = True
+            raise ShardCoverageLost(f"shard {lost[0]} has no up ACTIVE subscriber")
 
     # -- degraded mode (sustained shared-storage outage) ---------------------------
 
@@ -445,7 +404,7 @@ class EonCluster:
             op["op"] in ("set_subscription", "drop_subscription")
             for op in txn.ops
         ):
-            self._refresh_shard_filters()
+            subscriptions.refresh_shard_filters(self)
 
     # -- DDL ----------------------------------------------------------------------------
 
@@ -880,38 +839,11 @@ class EonCluster:
         counter = self._writer_counters.setdefault(shard_id, itertools.count())
         return candidates[next(counter) % len(candidates)]
 
-    # -- subscription management -------------------------------------------------------------------
+    # -- subscriptions: the Figure-4 walks live in cluster/subscriptions.py ---------------------
 
-    def _current_sub_state(self, node: str, shard_id: int) -> Optional[SubscriptionState]:
-        state = self.any_up_node().catalog.state
-        value = state.subscriptions.get((node, shard_id))
-        return SubscriptionState(value) if value is not None else None
-
-    def _commit_sub_state(self, node: str, shard_id: int, target: SubscriptionState) -> None:
-        validate_transition(self._current_sub_state(node, shard_id), target)
-        txn = self.begin()
-        txn.add_op(op_set_subscription(node, shard_id, target.value))
-        self.commit(txn)
-
-    def subscribe(
-        self, node_name: str, shard_id: int, warm_cache: bool = True
-    ) -> Optional[WarmingReport]:
-        """The subscription process of section 3.3 / Figure 4."""
-        node = self.nodes[node_name]
-        node.ensure_up()
-        self._commit_sub_state(node_name, shard_id, SubscriptionState.PENDING)
-        self._backfill_shard_metadata(node, [shard_id])
-        self._commit_sub_state(node_name, shard_id, SubscriptionState.PASSIVE)
-        report = None
-        if warm_cache:
-            report = self._warm_cache_from_peer(node, shard_id)
-        self._commit_sub_state(node_name, shard_id, SubscriptionState.ACTIVE)
-        # The backfill edited catalog state without log records, so a
-        # restart's log replay cannot reproduce it.  Checkpointing now pins
-        # the post-backfill state as the recovery base, keeping replay's
-        # shard filter consistent with the log span it covers.
-        node.catalog.write_checkpoint()
-        return report
+    subscribe = subscriptions.subscribe
+    unsubscribe = subscriptions.retire
+    rebalance_subscriptions = subscriptions.rebalance_subscriptions
 
     def _full_metadata_rebuild(self, node: Node) -> None:
         """Rebuild a node's whole catalog from peers (instance loss or a
@@ -924,85 +856,7 @@ class EonCluster:
             raise QuorumLost(f"no up peer to rebuild {node.name}'s catalog from")
         node.catalog.reshard(base=peer.catalog)
         # Each shard's source is read from the subscriptions just taken over.
-        self._backfill_shard_metadata(node, node.catalog.subscribed_shards)
-        node.catalog.write_checkpoint()
-
-    def _backfill_shard_metadata(self, node: Node, shard_ids: Iterable[int]) -> None:
-        """Figure 4's metadata transfer: in-process nodes share the commit
-        stream, so a node's catalog already holds global objects; each
-        shard's storage objects it skipped come from an up peer subscriber's
-        catalog.  Takes nothing when nothing is missing."""
-        sources = {}
-        for shard_id in shard_ids:
-            peer = next((n for n in self.up_subscribers(shard_id) if n != node.name), None)
-            if peer is not None:
-                sources[shard_id] = self.nodes[peer].catalog.state
-        node.catalog.reshard(sources)
-
-    def _warm_cache_from_peer(self, node: Node, shard_id: int) -> Optional[WarmingReport]:
-        """Pick a warming peer (same subcluster first — section 5.2)."""
-        peers = [
-            n
-            for n in self.active_up_subscribers(shard_id)
-            if n != node.name
-        ]
-        if not peers:
-            return None
-        same_subcluster = [
-            p for p in peers if self.nodes[p].subcluster == node.subcluster
-        ]
-        peer = self.nodes[(same_subcluster or peers)[0]]
-        report = warm_from_peer(
-            node.cache, peer.cache, self.shared_data, shard_id=shard_id
-        )
-        if self.obs.enabled and report is not None:
-            self.obs.tracer.record(
-                "depot_warming",
-                node=node.name,
-                peer=peer.name,
-                shard=shard_id,
-                copied_from_peer=report.copied_from_peer,
-                fetched_from_shared=report.fetched_from_shared,
-                bytes_transferred=report.bytes_transferred,
-            )
-            self.obs.metrics.counter("depot.warming_bytes", node=node.name).inc(
-                report.bytes_transferred
-            )
-        return report
-
-    def unsubscribe(self, node_name: str, shard_id: int) -> None:
-        """The unsubscription process of section 3.3: REMOVING, wait for
-        coverage, drop metadata + cache, drop the subscription."""
-        self._commit_sub_state(node_name, shard_id, SubscriptionState.REMOVING)
-        others = [
-            n for n in self.active_up_subscribers(shard_id) if n != node_name
-        ]
-        if not others:
-            # Cannot drop: the shard would lose fault tolerance.  Back out.
-            self._commit_sub_state(node_name, shard_id, SubscriptionState.ACTIVE)
-            raise ShardCoverageLost(
-                f"cannot unsubscribe {node_name} from shard {shard_id}: "
-                "no other ACTIVE subscriber"
-            )
-        self._drop_subscription(node_name, shard_id)
-
-    def _drop_subscription(self, node_name: str, shard_id: int) -> None:
-        """Complete a removal: drop cached files, commit the drop, trim the
-        node's copy of the shard's metadata, checkpoint.  Shared by
-        ``unsubscribe`` and by recovery of a node that died mid-unsubscribe
-        (its REMOVING subscription is finished here, since REMOVING ->
-        PENDING is not a legal Figure-4 transition)."""
-        node = self.nodes[node_name]
-        for container in node.catalog.state.shard_containers(shard_id):
-            node.cache.drop(container.location)
-        txn = self.begin()
-        txn.add_op(op_drop_subscription(node_name, shard_id))
-        self.commit(txn)
-        # Shard filter refresh in _after_commit trims future metadata; the
-        # node also forgets the shard's existing storage objects.
-        node.catalog.reshard()
-        # As in subscribe(): the log never saw the trim, so a later restart
-        # must recover from a post-trim checkpoint.
+        subscriptions.transfer_metadata(self, node, node.catalog.subscribed_shards)
         node.catalog.write_checkpoint()
 
     # -- failure & recovery -------------------------------------------------------------------------
@@ -1031,50 +885,7 @@ class EonCluster:
             for record in missed:
                 node.catalog.apply_commit(record)
         node.state = NodeState.UP
-        # Forced re-subscription: ACTIVE -> PENDING -> PASSIVE -> (warm) -> ACTIVE.
-        state = self.any_up_node().catalog.state
-        sub_states = {
-            shard: SubscriptionState(st)
-            for (n, shard), st in state.subscriptions.items()
-            if n == name
-        }
-        reports: Dict[int, Optional[WarmingReport]] = {}
-        for shard_id in sorted(sub_states):
-            current = sub_states[shard_id]
-            if current is SubscriptionState.REMOVING:
-                # The node died mid-unsubscribe.  REMOVING -> PENDING is
-                # not a legal Figure-4 transition: when the shard is
-                # covered without this node, finish what the unsubscribe
-                # started; otherwise abandon the removal (REMOVING ->
-                # ACTIVE) and re-subscribe normally.
-                if [
-                    n
-                    for n in self.active_up_subscribers(shard_id)
-                    if n != name
-                ]:
-                    self._drop_subscription(name, shard_id)
-                    continue
-                self._commit_sub_state(name, shard_id, SubscriptionState.ACTIVE)
-                current = SubscriptionState.ACTIVE
-            if current is not SubscriptionState.PENDING:
-                self._commit_sub_state(name, shard_id, SubscriptionState.PENDING)
-            # Every PENDING step takes the transfer: what the restart
-            # recovered may predate it (a crash mid-subscribe, or a backfill
-            # of a subscribe whose warming failed and never checkpointed).
-            self._backfill_shard_metadata(node, [shard_id])
-            self._commit_sub_state(name, shard_id, SubscriptionState.PASSIVE)
-            reports[shard_id] = (
-                self._warm_cache_from_peer(node, shard_id) if warm_cache else None
-            )
-            self._commit_sub_state(name, shard_id, SubscriptionState.ACTIVE)
-        return reports
-
-    def rebalance_subscriptions(self, warm_cache: bool = True) -> RebalanceReport:
-        """One pass of the subscription rebalancer (section 6.4): promote
-        or subscribe spare nodes until every shard has its configured
-        number of up ACTIVE subscribers.  Also run periodically by
-        :class:`~repro.cluster.services.ServiceScheduler`."""
-        return SubscriptionRebalancer(self, warm_cache=warm_cache).run()
+        return subscriptions.resubscribe(self, name, warm_cache)
 
     # -- elasticity -----------------------------------------------------------------------------------
 
@@ -1136,12 +947,9 @@ class EonCluster:
         return sorted(counts, key=lambda s: (counts[s], s))[:target]
 
     def remove_node(self, name: str) -> None:
-        """Gracefully remove a node: unsubscribe everywhere, then drop it."""
-        state = self.any_up_node().catalog.state
-        shards = sorted(
-            shard for (n, shard), _ in state.subscriptions.items() if n == name
-        )
-        for shard_id in shards:
+        """Gracefully remove a node: retire every subscription it holds,
+        whatever its state, then drop it."""
+        for shard_id in shards_of(subscriptions.current(self), name):
             self.unsubscribe(name, shard_id)
         self.nodes.pop(name)
         for members in self.subclusters.values():
@@ -1159,16 +967,14 @@ class EonCluster:
         self.subclusters[name] = members
         for node_name in members:
             self.nodes[node_name].subcluster = name
-        for shard_id in self.shard_map.shard_ids():
-            inside = set(self.active_up_subscribers(shard_id)) & members
-            if inside:
-                continue
+        up_members = {m for m in members if self.nodes[m].is_up}
+        lacking = uncovered(
+            subscriptions.current(self), self.shard_map.shard_ids(), up_members
+        )
+        for shard_id in lacking:
             # Subscribe the member with the fewest subscriptions.
-            state = self.any_up_node().catalog.state
-            load = {
-                m: sum(1 for (n, _s), _ in state.subscriptions.items() if n == m)
-                for m in members
-            }
+            subs = subscriptions.current(self)
+            load = {m: len(shards_of(subs, m)) for m in members}
             chosen = min(sorted(members), key=lambda m: load[m])
             self.subscribe(chosen, shard_id)
 
@@ -1198,27 +1004,14 @@ class EonCluster:
         subscriber's uploaded metadata."""
         from repro.catalog.catalog import revivable_interval
 
-        state = self.any_up_node().catalog.state
+        subs = subscriptions.current(self)
         intervals: Dict[str, Tuple[int, int]] = {}
         for name in self.nodes:
             intervals[name] = revivable_interval(self.shared_meta_store(name))
         candidates = sorted({high for (_low, high) in intervals.values()}, reverse=True)
-        shard_subscribers: Dict[int, List[str]] = {}
-        for (node, shard), st in state.subscriptions.items():
-            if st == SubscriptionState.ACTIVE.value:
-                shard_subscribers.setdefault(shard, []).append(node)
         for candidate in candidates:
-            ok = True
-            for shard_id in self.shard_map.all_shard_ids():
-                subs = shard_subscribers.get(shard_id, [])
-                if not any(
-                    intervals[n][0] <= candidate <= intervals[n][1]
-                    for n in subs
-                    if n in intervals
-                ):
-                    ok = False
-                    break
-            if ok:
+            holding = {n for n, (low, high) in intervals.items() if low <= candidate <= high}
+            if not uncovered(subs, self.shard_map.all_shard_ids(), holding):
                 self.last_truncation_version = candidate
                 # Protect the reconstruction material from log pruning.
                 for node in self.nodes.values():
@@ -1275,7 +1068,7 @@ class EonCluster:
         self.coordinator.base_version = max(
             node.catalog.state.version for node in self.nodes.values()
         )
-        self._refresh_shard_filters()
+        subscriptions.refresh_shard_filters(self)
         return applied
 
     def graceful_shutdown(self) -> None:

@@ -26,10 +26,12 @@ import json
 from typing import Dict, List, Optional
 
 from repro.catalog.mvcc import CatalogState
+from repro.cluster import subscriptions
 from repro.cluster.eon import EonCluster
 from repro.cluster.transactions import CommitCoordinator
 from repro.common.clock import SimClock
 from repro.errors import ReviveError
+from repro.sharding.subscription import shards_of, uncovered
 from repro.shared_storage.api import Filesystem
 
 CLUSTER_INFO_PREFIX = "cluster_info_"
@@ -120,15 +122,15 @@ def revive(
         node.catalog.truncate_to(truncation)
         # Trim to the node's own subscriptions.  The trim is not represented
         # in the log; checkpoint so a later restart recovers from it.
-        node.catalog.subscribed_shards = {
-            shard for n, shard in node.catalog.state.subscriptions if n == name
-        }
+        node.catalog.subscribed_shards = set(
+            shards_of(node.catalog.state.subscriptions, name)
+        )
         node.catalog.reshard()
         node.catalog.write_checkpoint()
 
     # Cluster-formation invariants: every shard must be covered by a
     # subscription that was ACTIVE when the nodes went down (section 3.4).
-    cluster._refresh_shard_filters()
+    subscriptions.refresh_shard_filters(cluster)
     state = cluster.any_up_node().catalog.state
     if state.version != truncation:
         raise ReviveError(
@@ -184,17 +186,9 @@ def form_cluster(cluster) -> int:
         reference = next(
             n for n in up if n.catalog.state.version >= candidate
         ).catalog.state
-        covered = True
-        for shard_id in cluster.shard_map.all_shard_ids():
-            subscribers = {
-                node
-                for (node, shard), state in reference.subscriptions.items()
-                if shard == shard_id and state == "ACTIVE"
-            }
-            if not subscribers & participants:
-                covered = False
-                break
-        if covered:
+        if not uncovered(
+            reference.subscriptions, cluster.shard_map.all_shard_ids(), participants
+        ):
             best = candidate
             break
     if best is None:
@@ -228,6 +222,6 @@ def form_cluster(cluster) -> int:
     # New incarnation: post-formation commits reuse version numbers the
     # discarded tail held, so their metadata must land in a new namespace.
     cluster.incarnation = f"{cluster.rng.getrandbits(128):032x}"
-    cluster._refresh_shard_filters()
+    subscriptions.refresh_shard_filters(cluster)
     return best
 

@@ -27,7 +27,10 @@ from repro.catalog.mvcc import Op, op_shard_of
 from repro.catalog.occ import WriteSet
 from repro.catalog.transaction_log import LogRecord
 from repro.errors import TransactionAborted
-from repro.sharding.subscription import SubscriptionState
+from repro.sharding.subscription import SubscriptionState, holders
+
+#: The states that receive shard metadata at commit (section 3.2).
+COMMITTING = [state for state in SubscriptionState if state.participates_in_commit]
 
 
 @dataclass
@@ -80,8 +83,7 @@ class CommitCoordinator:
         # Subscription invariant: writers must still be subscribed.
         state = coordinator.catalog.state
         for shard_id, node in txn.expected_subscriptions:
-            sub_state = state.subscriptions.get((node, shard_id))
-            if sub_state is None or not SubscriptionState(sub_state).participates_in_commit:
+            if node not in holders(state.subscriptions, shard_id, COMMITTING):
                 self.aborted_commits += 1
                 raise TransactionAborted(
                     f"node {node} is no longer subscribed to shard {shard_id}; "
@@ -92,8 +94,9 @@ class CommitCoordinator:
         touched_shards = {
             op_shard_of(op) for op in txn.ops if op_shard_of(op) is not None
         }
+        up = {node.name for node in cluster.up_nodes()}
         for shard_id in touched_shards:
-            if not cluster.up_subscribers(shard_id):
+            if up.isdisjoint(holders(state.subscriptions, shard_id)):
                 self.aborted_commits += 1
                 raise TransactionAborted(
                     f"no up subscriber for shard {shard_id}; rolling back"

@@ -72,6 +72,7 @@ from repro.engine.cost import (
 from repro.engine.expressions import extract_column_bounds
 from repro.errors import CatalogError, PlanningError, SqlError
 from repro.obs.metrics import Ledger
+from repro.sharding.subscription import holders
 from repro.sql.ast import Select
 from repro.sql.binder import bind_select
 from repro.sql.parser import parse
@@ -711,8 +712,7 @@ class DatabaseDesigner:
         return rivals
 
     def _node_count(self) -> int:
-        nodes = {node for (node, _shard) in self.catalog.subscriptions}
-        return max(1, len(nodes) or len(self._states))
+        return max(1, len(holders(self.catalog.subscriptions)) or len(self._states))
 
     def _baseline_layouts(self, tables: Sequence[str],
                           stats: Dict[str, _TableStats]

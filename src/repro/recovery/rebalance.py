@@ -22,9 +22,10 @@ both states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.sharding.subscription import SubscriptionState, can_transition
+from repro.cluster import subscriptions
+from repro.sharding.subscription import holders, shards_of
 
 
 @dataclass
@@ -50,24 +51,6 @@ class SubscriptionRebalancer:
         self.cluster = cluster
         self.warm_cache = warm_cache
 
-    # -- state inspection ------------------------------------------------------
-
-    def _sub_states(self, shard_id: int) -> Dict[str, SubscriptionState]:
-        state = self.cluster.any_up_node().catalog.state
-        return {
-            n: SubscriptionState(st)
-            for (n, s), st in state.subscriptions.items()
-            if s == shard_id
-        }
-
-    def _subscription_load(self) -> Dict[str, int]:
-        state = self.cluster.any_up_node().catalog.state
-        load: Dict[str, int] = {name: 0 for name in self.cluster.nodes}
-        for (n, _shard), _st in state.subscriptions.items():
-            if n in load:
-                load[n] += 1
-        return load
-
     def desired_subscribers(self) -> int:
         up = sum(1 for n in self.cluster.nodes.values() if n.is_up)
         return min(self.cluster.subscribers_per_shard, up)
@@ -82,54 +65,32 @@ class SubscriptionRebalancer:
                 out[shard_id] = want - have
         return out
 
-    # -- repair actions --------------------------------------------------------
+    # -- repair candidates ------------------------------------------------------
 
-    def _promote(self, node: str, shard_id: int, current: SubscriptionState) -> None:
-        cluster = self.cluster
-        if current is SubscriptionState.PENDING:
-            # PENDING -> ACTIVE is not legal; finish the subscription
-            # process instead (metadata transfer, then PASSIVE).
-            cluster._backfill_shard_metadata(cluster.nodes[node], [shard_id])
-            cluster._commit_sub_state(node, shard_id, SubscriptionState.PASSIVE)
-            current = SubscriptionState.PASSIVE
-        if current is SubscriptionState.PASSIVE and self.warm_cache:
-            cluster._warm_cache_from_peer(cluster.nodes[node], shard_id)
-        cluster._commit_sub_state(node, shard_id, SubscriptionState.ACTIVE)
-
-    def _promotable(self, shard_id: int) -> List[Tuple[str, SubscriptionState]]:
-        """Up nodes holding a non-ACTIVE subscription that can legally
-        reach ACTIVE, most-ready first (REMOVING already serves queries,
-        PASSIVE has metadata, PENDING has neither)."""
-        rank = {
-            SubscriptionState.REMOVING: 0,
-            SubscriptionState.PASSIVE: 1,
-            SubscriptionState.PENDING: 2,
-        }
+    def _promotable(self, shard_id: int) -> List[str]:
+        """Up nodes holding a non-ACTIVE subscription, most-ready first
+        (REMOVING already serves queries, PASSIVE has metadata, PENDING has
+        neither); each can walk to ACTIVE."""
+        subs = subscriptions.current(self.cluster)
         nodes = self.cluster.nodes
-        out = [
-            (n, st)
-            for n, st in sorted(self._sub_states(shard_id).items())
-            if st is not SubscriptionState.ACTIVE
-            and n in nodes
-            and nodes[n].is_up
-            and (
-                can_transition(st, SubscriptionState.ACTIVE)
-                or st is SubscriptionState.PENDING
-            )
+        return [
+            n
+            for state in (subscriptions.REMOVING, subscriptions.PASSIVE, subscriptions.PENDING)
+            for n in holders(subs, shard_id, [state])
+            if n in nodes and nodes[n].is_up
         ]
-        out.sort(key=lambda pair: (rank[pair[1]], pair[0]))
-        return out
 
     def _spares(self, shard_id: int) -> List[str]:
         """Up nodes with no subscription to the shard, least-loaded first."""
-        held = set(self._sub_states(shard_id))
-        load = self._subscription_load()
+        subs = subscriptions.current(self.cluster)
+        held = set(holders(subs, shard_id))
         spares = [
             n
             for n, node in self.cluster.nodes.items()
             if node.is_up and n not in held
         ]
-        spares.sort(key=lambda n: (load.get(n, 0), n))
+        load = {n: len(shards_of(subs, n)) for n in spares}
+        spares.sort(key=lambda n: (load[n], n))
         return spares
 
     # -- the service entry point -----------------------------------------------
@@ -141,10 +102,10 @@ class SubscriptionRebalancer:
             report.skipped = True
             return report
         for shard_id, missing in sorted(self.deficits().items()):
-            for node, st in self._promotable(shard_id):
+            for node in self._promotable(shard_id):
                 if missing <= 0:
                     break
-                self._promote(node, shard_id, st)
+                subscriptions.activate(cluster, node, shard_id, self.warm_cache)
                 report.promoted.append((node, shard_id))
                 missing -= 1
             for node in self._spares(shard_id):

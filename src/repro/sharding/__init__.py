@@ -2,8 +2,9 @@
 
 * :class:`ShardMap` — fixed division of the 32-bit hash space into segment
   shards, plus the replica shard for replicated projections.
-* :class:`SubscriptionState` / :class:`Subscription` — the node-to-shard
-  subscription state machine of Figure 4.
+* :class:`SubscriptionState` — the node-to-shard subscription state machine
+  of Figure 4, and the one reader of a subscription map (``shards_of``,
+  ``holders``, ``uncovered``: the coverage rule).
 * :func:`select_participating_subscriptions` — the max-flow session layout
   algorithm of Figure 6, with balance rounds, priority tiers, and
   edge-order variation.
@@ -15,12 +16,11 @@ from repro.sharding.assignment import (
 )
 from repro.sharding.maxflow import FlowNetwork
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
-from repro.sharding.subscription import Subscription, SubscriptionState
+from repro.sharding.subscription import SubscriptionState
 
 __all__ = [
     "ShardMap",
     "REPLICA_SHARD_ID",
-    "Subscription",
     "SubscriptionState",
     "FlowNetwork",
     "select_participating_subscriptions",

@@ -11,13 +11,22 @@ then drops metadata and cache contents.
 Node recovery demotes the node's ACTIVE subscriptions back to PENDING,
 "effectively forcing a re-subscription" with incremental metadata and
 cache transfer.
+
+A catalog keeps the map (node, shard) -> state string; outside the catalog it
+is read only through :func:`shards_of`, :func:`holders` and :func:`uncovered`
+(the one coverage rule).  The walks along Figure 4 live in
+``repro.cluster.subscriptions``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Optional
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+from repro.errors import CatalogError
+
+#: A catalog's subscription map: (node, shard) -> stored state string.
+Subscriptions = Mapping[Tuple[str, int], str]
 
 
 class SubscriptionState(enum.Enum):
@@ -66,40 +75,48 @@ _TRANSITIONS: Dict[Optional[SubscriptionState], FrozenSet[Optional[SubscriptionS
 }
 
 
-def can_transition(
-    current: Optional[SubscriptionState], target: Optional[SubscriptionState]
-) -> bool:
-    """True when ``current -> target`` is a legal Figure-4 transition.
-
-    Recovery and rebalancing code branches on this instead of trying a
-    transition and catching ``ValueError`` — e.g. a node that died
-    mid-unsubscribe holds a REMOVING subscription, for which the recovery
-    path ``-> PENDING`` is illegal and the removal must instead be
-    completed or abandoned (``-> ACTIVE``).
-    """
-    return target in _TRANSITIONS[current]
-
-
 def validate_transition(
     current: Optional[SubscriptionState], target: Optional[SubscriptionState]
 ) -> None:
-    """Raise ``ValueError`` on an illegal Figure-4 transition."""
+    """Raise :class:`CatalogError` on an illegal Figure-4 transition."""
     allowed = _TRANSITIONS[current]
     if target not in allowed:
-        raise ValueError(
+        raise CatalogError(
             f"illegal subscription transition {current} -> {target}; "
             f"allowed: {sorted(str(s) for s in allowed)}"
         )
 
 
-@dataclass(frozen=True)
-class Subscription:
-    """One (node, shard) subscription edge."""
+# -- the one reader of the subscription map -----------------------------------
+#
+# Every question the cluster asks of the map is one of these three.  They
+# compare the stored strings: sessions, writers, COPY and mergeout ask per op.
 
-    node: str
-    shard_id: int
-    state: SubscriptionState
+_ACTIVE = SubscriptionState.ACTIVE.value
 
-    def transitioned(self, target: SubscriptionState) -> "Subscription":
-        validate_transition(self.state, target)
-        return replace(self, state=target)
+
+def shards_of(subs: Subscriptions, node: str) -> Dict[int, str]:
+    """``node``'s subscriptions: shard -> state, in shard order."""
+    return dict(sorted([(s, st) for (n, s), st in subs.items() if n == node]))
+
+
+def holders(
+    subs: Subscriptions,
+    shard_id: Optional[int] = None,
+    states: Optional[Collection[SubscriptionState]] = None,
+) -> List[str]:
+    """Sorted names of the nodes subscribed to ``shard_id`` (to any shard
+    when None), in one of ``states`` (in any state when None)."""
+    wanted = None if states is None else {state.value for state in states}
+    return sorted({
+        n
+        for (n, s), st in subs.items()
+        if (shard_id is None or s == shard_id) and (wanted is None or st in wanted)
+    })
+
+
+def uncovered(subs: Subscriptions, shard_ids, among) -> List[int]:
+    """The coverage rule (section 3.4): the shards of ``shard_ids`` with no
+    ACTIVE subscriber among the node names ``among``."""
+    covered = {s for (n, s), st in subs.items() if st == _ACTIVE and n in among}
+    return [s for s in shard_ids if s not in covered]

@@ -42,7 +42,9 @@ from repro.errors import (
     StorageUnavailable,
     TransientStorageError,
 )
+from repro.cluster import subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID
+from repro.sharding.subscription import shards_of
 from repro.sim.oracle import rows_key
 
 #: The one storage-error table, for reads and writes alike.  Both mean the
@@ -95,14 +97,6 @@ def cold_depots(world) -> bool:
     return bool(up)
 
 
-def covered_without(cluster, name: str, shards) -> bool:
-    """Each of ``shards`` keeps an up ACTIVE subscriber other than ``name``."""
-    return all(
-        any(n != name for n in cluster.active_up_subscribers(shard_id))
-        for shard_id in shards
-    )
-
-
 def survivable_losses(cluster, names) -> List[str]:
     """The one survivability rule: which of ``names`` the cluster can lose
     — the node is up, quorum holds without it, and every shard stays
@@ -110,11 +104,11 @@ def survivable_losses(cluster, names) -> List[str]:
     victims all ask here."""
     if (len(cluster.up_nodes()) - 1) * 2 <= len(cluster.nodes):
         return []
-    shards = cluster.shard_map.all_shard_ids()
     return [
         name
         for name in names
-        if cluster.nodes[name].is_up and covered_without(cluster, name, shards)
+        if cluster.nodes[name].is_up
+        and not subscriptions.uncovered_without(cluster, [name])
     ]
 
 
@@ -468,10 +462,9 @@ class Unsubscribe:
         target = cluster.nodes.get(self.node)
         if target is None or not target.is_up:
             return "skipped"
-        state = cluster.any_up_node().catalog.state
-        if (self.node, self.shard_id) not in state.subscriptions:
+        if self.shard_id not in shards_of(subscriptions.current(cluster), self.node):
             return "skipped"
-        if not covered_without(cluster, self.node, [self.shard_id]):
+        if subscriptions.uncovered_without(cluster, [self.node], [self.shard_id]):
             return "refused"
         try:
             cluster.unsubscribe(self.node, self.shard_id)
@@ -523,9 +516,8 @@ class RemoveNode:
         target = cluster.nodes.get(self.node)
         if target is None or not target.is_up:
             return "skipped"
-        state = cluster.any_up_node().catalog.state
-        shards = [s for (n, s), _ in state.subscriptions.items() if n == self.node]
-        if not covered_without(cluster, self.node, shards):
+        shards = shards_of(subscriptions.current(cluster), self.node)
+        if subscriptions.uncovered_without(cluster, [self.node], shards):
             return "refused"
         world.release_pins_touching(self.node)
         world.cleanup_completed = False

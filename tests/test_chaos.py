@@ -11,6 +11,7 @@ surviving ``lose_local_disk``, and services swallowing errors invisibly.
 import pytest
 
 from repro import EonCluster, Observability, SimClock
+from repro.cluster import subscriptions
 from repro.cluster.services import ServiceIntervals, ServiceScheduler
 from repro.errors import NodeDown, ReproError, StorageUnavailable
 from repro.recovery import FailoverPolicy
@@ -241,9 +242,9 @@ class TestRecoverNodeRegression:
         transition.  Recovery now drops or completes the removal."""
         cluster = loaded_cluster()
         shard = self._active_shard_of(cluster, "n2")
-        cluster._commit_sub_state("n2", shard, SubscriptionState.REMOVING)
+        subscriptions._commit_sub_state(cluster, "n2", shard, SubscriptionState.REMOVING)
         cluster.kill_node("n2")
-        cluster.recover_node("n2")  # must not raise ValueError
+        cluster.recover_node("n2")  # must not raise CatalogError
         state = cluster.any_up_node().catalog.state
         st = state.subscriptions.get(("n2", shard))
         assert st is None or SubscriptionState(st) is SubscriptionState.ACTIVE
@@ -258,7 +259,7 @@ class TestRecoverNodeRegression:
             s for s in cluster.shard_map.all_shard_ids()
             if ("n2", s) not in state.subscriptions
         )
-        cluster._commit_sub_state("n2", shard, SubscriptionState.PENDING)
+        subscriptions._commit_sub_state(cluster, "n2", shard, SubscriptionState.PENDING)
         cluster.kill_node("n2")
         cluster.recover_node("n2")
         state = cluster.any_up_node().catalog.state

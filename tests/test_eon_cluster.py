@@ -11,7 +11,7 @@ from repro.sharding.subscription import SubscriptionState
 class TestBootstrap:
     def test_every_shard_covered(self, eon4):
         for shard in eon4.shard_map.shard_ids():
-            assert len(eon4.active_subscribers(shard)) >= 2
+            assert len(eon4.active_up_subscribers(shard)) >= 2
 
     def test_every_node_subscribes_to_a_segment(self):
         cluster = EonCluster([f"n{i}" for i in range(9)], shard_count=3, seed=1)
@@ -24,7 +24,7 @@ class TestBootstrap:
             assert segments, f"{name} subscribes to no segment shard"
 
     def test_replica_shard_on_every_node(self, eon4):
-        assert set(eon4.active_subscribers(REPLICA_SHARD_ID)) == set(eon4.nodes)
+        assert set(eon4.active_up_subscribers(REPLICA_SHARD_ID)) == set(eon4.nodes)
 
     def test_shard_filters_match_subscriptions(self, eon4):
         state = eon4.any_up_node().catalog.state

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ColumnType, EonCluster
+from repro.cluster import subscriptions
 from repro.catalog.mvcc import op_add_column
 from repro.common.types import SchemaColumn
 from repro.errors import (
@@ -150,10 +151,10 @@ class TestRecovery:
         assert a.catalog.log_store.checkpoint_versions() == [64, 128]
         assert 2 not in a.catalog.subscribed_shards
 
-        def unavailable(node, shard_id):
+        def unavailable(cluster, node, shard_id):
             raise StorageUnavailable("shared storage is out")
 
-        monkeypatch.setattr(cluster, "_warm_cache_from_peer", unavailable)
+        monkeypatch.setattr(subscriptions, "_warm_cache_from_peer", unavailable)
         with pytest.raises(StorageUnavailable):
             cluster.subscribe("a", 2)
         monkeypatch.undo()

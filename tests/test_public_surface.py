@@ -1,9 +1,11 @@
 """The knobs, pinned by name: a new constructor argument or per-query option
 is a visible diff here, and an option that does not exist — or that would be
-ignored — fails typed.  Five structural guards ride along: DESIGN.md's module
-map names files that exist, one module owns the query path, one function
-writes every ROS container, the registry instruments written anywhere are
-listed by name, and only ``catalog/`` writes catalog state."""
+ignored — fails typed.  ``EonCluster``'s public methods are pinned by name
+too.  Six structural guards ride along: DESIGN.md's module map names files
+that exist, one module owns the query path, one function writes every ROS
+container, the registry instruments written anywhere are listed by name, only
+``catalog/`` writes catalog state, and only the subscription modules read a
+subscription map."""
 
 import ast
 import inspect
@@ -43,6 +45,32 @@ class TestConstructorArguments:
         assert parameters(Executor.__init__) == [
             "provider", "cost_model", "obs", "pushdown",
         ]
+
+    def test_eon_cluster_public_methods(self):
+        assert sorted(name for name in vars(EonCluster) if not name.startswith("_")) == [
+            "active_up_subscribers", "add_column", "add_node", "all_catalog_sids",
+            "any_up_node", "begin", "check_viability", "commit",
+            "compute_truncation_version", "create_live_aggregate",
+            "create_projection", "create_session", "create_table", "create_user",
+            "define_subcluster", "drop_partition", "drop_projection",
+            "drop_projections", "enable_observability", "execute",
+            "graceful_shutdown", "kill_node", "load", "move_partition",
+            "parallel_io", "query", "query_statement", "rebalance_subscriptions",
+            "recover_node", "references", "refresh_degraded", "refresh_flattened",
+            "refresh_from_shared", "remove_node", "running_instance_prefixes",
+            "shared_meta_store", "subscribe", "sync_catalogs", "uncovered_shards",
+            "unsubscribe", "up_nodes", "version", "write_cluster_info",
+            "writer_for_shard",
+        ]
+        bound = {
+            name: list(inspect.signature(getattr(EonCluster, name)).parameters)[1:]
+            for name in ("subscribe", "unsubscribe", "rebalance_subscriptions")
+        }
+        assert bound == {
+            "subscribe": ["node_name", "shard_id", "warm_cache"],
+            "unsubscribe": ["node_name", "shard_id"],
+            "rebalance_subscriptions": ["warm_cache"],
+        }
 
     def test_storage_provider_has_one_io_hook(self):
         hooks = [name for name in vars(StorageProvider)
@@ -175,7 +203,7 @@ class TestStructure:
                     assert isinstance(name, ast.Constant), (path, node.lineno)
                     written.add((node.func.attr, name.value, str(path.relative_to(SRC))))
         assert sorted(written) == [
-            ("counter", "depot.warming_bytes", "cluster/eon.py"),
+            ("counter", "depot.warming_bytes", "cluster/subscriptions.py"),
             ("gauge", "io.lane_occupancy", "io/scheduler.py"),
             ("histogram", "query.latency_seconds", "cluster/query_path.py"),
             ("histogram", "wm.queue_wait_seconds", "wm/admission.py"),
@@ -210,5 +238,41 @@ class TestStructure:
                         found.append((where, node.lineno, ast.unparse(target)))
                 if (isinstance(node, ast.Attribute) and node.attr in internals
                         and ast.unparse(node.value) != "self"):
+                    found.append((where, node.lineno, ast.unparse(node)))
+        assert found == []
+
+    def test_only_the_subscription_modules_read_a_subscription_map(self):
+        """Figure 4 in one place: outside ``catalog/`` and the two
+        subscription modules a ``.subscriptions`` map is only ever handed to
+        ``shards_of``, ``holders`` or ``uncovered`` — never iterated,
+        indexed, ``.get``-ed or tested for membership — and nothing calls a
+        subscription step as a cluster method."""
+        readers = {"shards_of", "holders", "uncovered"}
+        steps = {
+            "_commit_sub_state", "_drop_subscription", "_backfill_shard_metadata",
+            "_warm_cache_from_peer", "_current_sub_state", "_refresh_shard_filters",
+        }
+        owners = {"sharding/subscription.py", "cluster/subscriptions.py"}
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            where = str(path.relative_to(SRC))
+            tree = ast.parse(path.read_text())
+            handed = {
+                id(arg)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", "")) in readers
+                for arg in node.args
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                read = (
+                    node.attr == "subscriptions"
+                    and id(node) not in handed
+                    and path.parent.name != "catalog"
+                    and where not in owners
+                )
+                if read or node.attr in steps:
                     found.append((where, node.lineno, ast.unparse(node)))
         assert found == []
