@@ -21,7 +21,6 @@ This class wires every mechanism in the paper together:
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,10 +42,9 @@ from repro.catalog.objects import (
     Table,
     User,
 )
-from repro.catalog.transaction_log import LogStore
 from repro.cache.warming import WarmingReport
 from repro.cluster.node import Node, NodeState
-from repro.cluster import query_path, subscriptions
+from repro.cluster import durability, query_path, subscriptions
 from repro.cluster.reaper import FileReaper
 from repro.cluster.session import EonSession
 from repro.cluster.transactions import CommitCoordinator, Transaction
@@ -69,7 +67,7 @@ from repro.recovery.failover import FailoverPolicy
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.sharding.subscription import SubscriptionState, holders, shards_of, uncovered
-from repro.shared_storage.api import Filesystem, PrefixView, RetryingFilesystem, retrying
+from repro.shared_storage.api import Filesystem, PrefixView
 from repro.shared_storage.s3 import SimulatedS3
 from repro.sql.parser import parse
 from repro.storage.container import RowSet
@@ -978,104 +976,11 @@ class EonCluster:
             chosen = min(sorted(members), key=lambda m: load[m])
             self.subscribe(chosen, shard_id)
 
-    # -- catalog sync / truncation / cluster_info (revive support) ----------------------------------------
+    # -- catalog durability: cluster/durability.py ---------------------------------------------
 
-    def shared_meta_store(self, node_name: str, incarnation: Optional[str] = None) -> LogStore:
-        incarnation = incarnation or self.incarnation
-        return LogStore(
-            RetryingFilesystem(
-                PrefixView(self.shared, f"meta_{incarnation}_{node_name}_")
-            )
-        )
-
-    def sync_catalogs(self, include_checkpoint: bool = True) -> Dict[str, Tuple[int, int]]:
-        """Upload each up node's logs/checkpoints; returns sync intervals."""
-        intervals = {}
-        for node in self.up_nodes():
-            store = self.shared_meta_store(node.name)
-            intervals[node.name] = node.catalog.sync_to(
-                store, include_checkpoint=include_checkpoint
-            )
-        return intervals
-
-    def compute_truncation_version(self) -> int:
-        """Consensus truncation version (section 3.5, Figure 5): the
-        highest version every shard can be revived to from some
-        subscriber's uploaded metadata."""
-        from repro.catalog.catalog import revivable_interval
-
-        subs = subscriptions.current(self)
-        intervals: Dict[str, Tuple[int, int]] = {}
-        for name in self.nodes:
-            intervals[name] = revivable_interval(self.shared_meta_store(name))
-        candidates = sorted({high for (_low, high) in intervals.values()}, reverse=True)
-        for candidate in candidates:
-            holding = {n for n, (low, high) in intervals.items() if low <= candidate <= high}
-            if not uncovered(subs, self.shard_map.all_shard_ids(), holding):
-                self.last_truncation_version = candidate
-                # Protect the reconstruction material from log pruning.
-                for node in self.nodes.values():
-                    node.catalog.truncation_floor = candidate
-                return candidate
-        return 0
-
-    def write_cluster_info(self, lease_seconds: float = 300.0) -> str:
-        """Persist cluster_info.json (sequenced names; S3 objects are
-        immutable in this simulation, so each write gets a fresh name and
-        readers take the newest — the commit-point semantics of section
-        3.5 are preserved because the *latest* file wins)."""
-        truncation = self.compute_truncation_version()
-        doc = {
-            "truncation_version": truncation,
-            "incarnation": self.incarnation,
-            "timestamp": self.clock.now,
-            "lease_expiry": self.clock.now + lease_seconds,
-            "nodes": sorted(self.nodes),
-            "shard_count": self.shard_map.count,
-            "subscribers_per_shard": self.subscribers_per_shard,
-        }
-        existing = retrying(
-            lambda: self.shared.list("cluster_info_"), self.shared.metrics
-        )
-        next_seq = 1
-        if existing:
-            last = existing[-1][len("cluster_info_"):].split(".")[0]
-            next_seq = int(last) + 1
-        name = f"cluster_info_{next_seq:012d}.json"
-        retrying(
-            lambda: self.shared.write(name, json.dumps(doc).encode("utf-8")),
-            self.shared.metrics,
-        )
-        return name
-
-    def refresh_from_shared(self) -> int:
-        """Sharing-cluster catch-up: apply the primary's newly uploaded
-        commits from shared storage.  Returns commits applied.
-
-        The sharing cluster lags the primary by at most the primary's
-        catalog-sync interval — the same freshness bound a revive gets.
-        """
-        if not self.read_only or self._source_incarnation is None:
-            raise ClusterError("refresh_from_shared is for read-only sharing clusters")
-        applied = 0
-        for name, node in self.nodes.items():
-            store = self.shared_meta_store(name, incarnation=self._source_incarnation)
-            for version in store.log_versions():
-                if version == node.catalog.state.version + 1:
-                    node.catalog.apply_commit(store.read_record(version), persist=False)
-                    applied += 1
-        # Keep the coordinator's version in step for session bookkeeping.
-        self.coordinator.base_version = max(
-            node.catalog.state.version for node in self.nodes.values()
-        )
-        subscriptions.refresh_shard_filters(self)
-        return applied
-
-    def graceful_shutdown(self) -> None:
-        """Upload any remaining logs so shared storage has a complete
-        record, then stop (section 3.5)."""
-        self.sync_catalogs(include_checkpoint=True)
-        self.write_cluster_info(lease_seconds=0.0)
-        for node in self.up_nodes():
-            node.state = NodeState.DOWN
-        self.shut_down = True
+    shared_meta_store = durability.shared_meta_store
+    sync_catalogs = durability.sync_catalogs
+    compute_truncation_version = durability.compute_truncation_version
+    write_cluster_info = durability.write_cluster_info
+    refresh_from_shared = durability.refresh_from_shared
+    graceful_shutdown = durability.graceful_shutdown
