@@ -23,6 +23,9 @@ class it counts:
 * ``tested`` — containers a scan tested against its predicate (the
   ``could_match`` calls ``prune_containers`` makes itself, one per
   container it is handed);
+* ``puts``, ``gets``, ``lists``, ``deletes`` — shared-storage requests
+  (``SimulatedS3`` ``write``; ``read`` and ``read_coalesced``; ``list``;
+  ``delete`` calls, a retry counting again);
 * ``py_calls`` — Python function calls, the program's and the workload's own.
 
 All but the last are the same on any machine; ``py_calls`` depends on the
@@ -53,12 +56,17 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The benchmark's default seed, the one its answers are pinned for.
 SEED = 42
 DEFAULT_WORKLOADS = ("dash_short", "tpch_warm")
-#: count -> (module, qualified name) of the function whose calls it counts.
+S3 = "repro.shared_storage.s3"
+#: count -> (module, qualified name) of each function whose calls it counts.
 WATCHED = {
-    "maxflow": ("repro.sharding.maxflow", "FlowNetwork.__init__"),
-    "decode": ("repro.storage.encoding", "decode_block"),
-    "key_encoders": ("repro.engine.operators", "_KeyEncoder.__init__"),
-    "footers": ("repro.storage.column", "ColumnLayout.parse"),
+    "maxflow": [("repro.sharding.maxflow", "FlowNetwork.__init__")],
+    "decode": [("repro.storage.encoding", "decode_block")],
+    "key_encoders": [("repro.engine.operators", "_KeyEncoder.__init__")],
+    "footers": [("repro.storage.column", "ColumnLayout.parse")],
+    "puts": [(S3, "SimulatedS3.write")],
+    "gets": [(S3, "SimulatedS3.read"), (S3, "SimulatedS3.read_coalesced")],
+    "lists": [(S3, "SimulatedS3.list")],
+    "deletes": [(S3, "SimulatedS3.delete")],
 }
 #: Whose ``could_match`` calls are ``tested``.
 TESTER = ("repro.engine.pruning", "prune_containers")
@@ -93,12 +101,11 @@ def _could_match_codes() -> set:
     return codes
 
 
-def count_pass(
-    tree: Path, name: str, quick: bool, number: int = 1
-) -> Dict[str, Dict[str, int]]:
+def count_pass(tree: Path, name: str, quick: bool, number: int = 1) -> dict:
     """Build ``name`` from ``tree`` at seed :data:`SEED`, warm it up, run
-    ``number - 1`` passes uncounted and count the next one:
-    ``{op class: {count: value}}``."""
+    ``number - 1`` passes uncounted and count the next one: ``{"counts": {op
+    class: {count: value}}, "store": {census of the shared store after
+    it}}``."""
     sys.path[:0] = [str(tree / "benchmarks" / "e2e"), str(tree / "src")]
     from harness import Pass, SpeedMeter
     from workloads import WORKLOADS, Workload
@@ -111,7 +118,10 @@ def count_pass(
         workload.run_pass(Pass(), index)
     gc.collect()
 
-    watched = {_code(module, qualname): key for key, (module, qualname) in WATCHED.items()}
+    watched = {
+        _code(module, qualname): key
+        for key, targets in WATCHED.items() for module, qualname in targets
+    }
     tester = _code(*TESTER)
     watched.update(dict.fromkeys(_could_match_codes(), "tested"))
     run_op, closed_loop = Workload.run_op.__code__, driver.run_closed_loop.__code__
@@ -153,20 +163,30 @@ def count_pass(
         sys.setprofile(None)
     if measured.failed:
         sys.exit(f"{name}: {measured.failed} of {measured.requests} requests failed")
-    return counts
+    shared = workload.cluster.shared
+    meta = shared.peek("meta_")
+    store = {
+        "objects": shared.object_count,
+        "meta_objects": len(meta),
+        "meta_bytes": sum(shared.size(object_name) for object_name in meta),
+    }
+    return {"counts": counts, "store": store}
 
 
 def totals(counts: Dict[str, Dict[str, int]]) -> Dict[str, int]:
     return {key: sum(row[key] for row in counts.values()) for key in COUNTS}
 
 
-def print_table(title: str, counts: Dict[str, Dict[str, int]]) -> None:
+def print_table(title: str, counted: dict) -> None:
+    counts = counted["counts"]
     print(f"\n{title}")
     print(f"{'op class':16s}" + "".join(f"{key:>14s}" for key in COUNTS))
     for cls in sorted(counts):
         print(f"{cls:16s}" + "".join(f"{counts[cls][key]:14d}" for key in COUNTS))
     total = totals(counts)
     print(f"{'total':16s}" + "".join(f"{total[key]:14d}" for key in COUNTS))
+    print("shared store after the pass: " + ", ".join(
+        f"{key} {value}" for key, value in counted["store"].items()))
 
 
 def main() -> int:
@@ -181,7 +201,8 @@ def main() -> int:
     parser.add_argument("--pass", dest="number", type=int, default=1, metavar="N",
                         help="count the N-th pass after the warm-up (default 1)")
     parser.add_argument("--json", action="store_true",
-                        help="end with one JSON line: {workload: {op class: counts}}")
+                        help='end with one JSON line: {workload: {"counts": {op class: '
+                        'counts}, "store": {census}}}')
     args = parser.parse_args()
     names = args.workload or list(DEFAULT_WORKLOADS)
     if len(names) > 1:

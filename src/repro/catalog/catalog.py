@@ -4,25 +4,24 @@ Every node runs one :class:`Catalog`.  It holds the current materialised
 :class:`CatalogState`, hands out pinned snapshots to running queries,
 applies committed transactions (filtered to the node's subscribed shards),
 appends each commit to the node-local redo log, checkpoints when the log
-grows, and uploads logs/checkpoints to shared storage asynchronously —
-yielding the node's *sync interval* used by the consensus truncation
-version computation of section 3.5.
+grows, and uploads the log as segments, and its checkpoints, to shared
+storage asynchronously — yielding the node's *sync interval* used by the
+consensus truncation version computation of section 3.5.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.mvcc import CatalogState, Op
 from repro.catalog.occ import ObjectVersions, WriteSet
 from repro.catalog.transaction_log import (
     Checkpoint,
+    Listing,
     LogRecord,
     LogStore,
     checkpoint_name,
-    log_name,
-    version_of,
+    segment_name,
 )
 from repro.errors import CatalogError
 from repro.shared_storage.api import Filesystem
@@ -207,35 +206,22 @@ class Catalog:
 
         Used by revive (section 3.5): "Each node reads its catalog,
         truncates all commits subsequent to the truncation version, and
-        writes a new checkpoint."
+        writes a new checkpoint."  The upload mark comes down with it: the
+        version numbers above ``version`` will be reused by new commits.
         """
         if version > self.state.version:
             raise CatalogError(
                 f"cannot truncate forward (at {self.state.version}, "
                 f"requested {version})"
             )
+        self._last_uploaded = min(self._last_uploaded, version)
         if version == self.state.version:
             self.write_checkpoint()
             return
-        # Rebuild from scratch up to `version`.
-        base, records = self.log_store.load_latest()
-        state = base if base is not None else CatalogState()
-        if state.version > version:
-            # The newest checkpoint is beyond the truncation point; rebuild
-            # from older material if available, else replay everything.
-            state = CatalogState()
-            for ckpt_version in reversed(self.log_store.checkpoint_versions()):
-                if ckpt_version <= version:
-                    state = self.log_store.read_checkpoint(ckpt_version).restore()
-                    break
-            records = [
-                self.log_store.read_record(v)
-                for v in self.log_store.log_versions()
-                if state.version < v <= version
-            ]
+        # Rebuild from the newest checkpoint at or below `version`.
+        state, records = self.log_store.load_latest(upto=version)
+        state = state if state is not None else CatalogState()
         for record in records:
-            if record.version > version:
-                break
             if record.version != state.version + 1:
                 raise CatalogError(
                     f"log gap at {record.version} while truncating to {version}"
@@ -247,14 +233,8 @@ class Catalog:
             raise CatalogError(
                 f"could not reconstruct version {version} (reached {state.version})"
             )
-        # Remove newer log records and checkpoints — they are discarded
-        # transactions now.
-        for v in self.log_store.log_versions():
-            if v > version:
-                self.log_store.fs.delete(log_name(v))
-        for v in self.log_store.checkpoint_versions():
-            if v > version:
-                self.log_store.fs.delete(checkpoint_name(v))
+        # Newer log records and checkpoints are discarded transactions now.
+        self.log_store.discard_after(version)
         self.state = state
         self._recent = {state.version: state}
         self._pins.clear()
@@ -263,49 +243,39 @@ class Catalog:
     # -- shared-storage sync --------------------------------------------------------------
 
     def sync_to(self, shared: LogStore, include_checkpoint: bool = False) -> Tuple[int, int]:
-        """Upload new log records (and optionally a checkpoint) to shared
-        storage; returns the resulting revivable sync interval.
+        """Upload the log records after the upload mark as one segment, and
+        the newest local checkpoint if it is newer than any the store holds;
+        prune the store; returns the resulting revivable sync interval.
 
         "Each node writes transaction logs to local storage, then
         independently uploads them to shared storage on a regular,
-        configurable interval." (section 3.5)
+        configurable interval." (section 3.5)  The store is listed once and
+        pruned from that listing by the rule the local store follows
+        (:meth:`Listing.prunable`).  A checkpoint is encoded only when the
+        store holds none, or when the caller asks for one at the current
+        version; otherwise a checkpoint goes up as it was stored.
         """
-        local = self.log_store.log_names()
-        uploaded = shared.log_names()
-        # Names are fixed-width, so a sorted listing is searched by name.
-        for name in local[bisect_right(local, log_name(self._last_uploaded)):]:
-            at = bisect_left(uploaded, name)
-            if at == len(uploaded) or uploaded[at] != name:
-                # The stored bytes as they are: no parse, no re-encode.
-                shared.fs.write(name, self.log_store.fs.read(name))
-        if local:
-            self._last_uploaded = max(self._last_uploaded, version_of(local[-1]))
-        if include_checkpoint or not shared.checkpoint_names():
-            existing = shared.checkpoint_names()
-            name = checkpoint_name(self.state.version)
-            at = bisect_left(existing, name)
-            if at == len(existing) or existing[at] != name:
+        local = self.log_store.listing()
+        listing = shared.listing()
+        written = []
+        # Versions the store already holds are never sent twice (a node that
+        # lost its disk starts over with no mark).
+        mark = max(self._last_uploaded, listing.segments[-1][1] if listing.segments else 0)
+        for run in local.runs(mark):
+            first, last = max(run[0][0], mark + 1), run[-1][1]
+            data = self.log_store.segment_bytes(run, after=mark)
+            shared.fs.write(segment_name(first, last), data)
+            written.append(segment_name(first, last))
+            self._last_uploaded = last
+        newest = listing.checkpoints[-1] if listing.checkpoints else None
+        if include_checkpoint or newest is None:
+            if newest != self.state.version:
                 shared.write_checkpoint(Checkpoint.of_state(self.state))
-        return revivable_interval(shared)
+                written.append(checkpoint_name(self.state.version))
+        elif local.checkpoints and local.checkpoints[-1] > newest:
+            name = checkpoint_name(local.checkpoints[-1])
+            shared.fs.write(name, self.log_store.fs.read(name))
+            written.append(name)
+        listing = Listing(listing.names + written)
+        return shared.prune(floor_version=self.truncation_floor, listing=listing).interval()
 
-
-def revivable_interval(store: LogStore) -> Tuple[int, int]:
-    """The range of versions a node could revive to from ``store``.
-
-    Lower bound: oldest uploaded checkpoint.  Upper bound: newest version V
-    such that some checkpoint cv <= V exists and logs (cv, V] are all
-    present.  Deleting stale checkpoints raises the lower bound; uploading
-    transactions raises the upper bound (section 3.5).  The logs are walked
-    forward from the newest checkpoint's place in their listing.
-    """
-    checkpoints = store.checkpoint_names()
-    if not checkpoints:
-        return (0, 0)
-    low = version_of(checkpoints[0])
-    high = version_of(checkpoints[-1])
-    logs = store.log_names()
-    at = bisect_right(logs, log_name(high))
-    while at < len(logs) and logs[at] == log_name(high + 1):
-        high += 1
-        at += 1
-    return (low, high)

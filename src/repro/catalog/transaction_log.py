@@ -11,12 +11,15 @@ transaction logs."
 
 Records and checkpoints serialise to JSON and are stored through the UDFS
 API, so the same code persists to node-local disk and uploads to shared
-storage (where names gain an incarnation qualifier — section 3.5).
+storage (where names gain an incarnation qualifier — section 3.5).  The log
+is stored as segments: ``txn_<first>_<last>`` holds the records of versions
+``first..last``, one JSON document per line.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -33,16 +36,14 @@ LOG_PREFIX = "txn_"
 CHECKPOINT_PREFIX = "ckpt_"
 
 
-def log_name(version: int) -> str:
-    return f"{LOG_PREFIX}{version:012d}"
+def segment_name(first: int, last: int) -> str:
+    """A log segment holds the records of versions ``first..last``, one per
+    line; a local commit writes the one-record segment ``txn_<v>_<v>``."""
+    return f"{LOG_PREFIX}{first:012d}_{last:012d}"
 
 
 def checkpoint_name(version: int) -> str:
     return f"{CHECKPOINT_PREFIX}{version:012d}"
-
-
-def version_of(name: str) -> int:
-    return int(name.rsplit("_", 1)[1])
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,139 @@ def _json_texts(objects: Iterable[object], to_json: Callable[[object], dict]) ->
     return texts
 
 
+def _with_prefix(names: List[str], prefix: str) -> List[str]:
+    """The names of a sorted listing that start with ``prefix``."""
+    lo = bisect_left(names, prefix)
+    return names[lo:bisect_left(names, prefix[:-1] + chr(ord(prefix[-1]) + 1), lo)]
+
+
+class Listing:
+    """What one LIST of a log store holds: checkpoint versions and log
+    segments as ``(first, last)``, oldest first.  Segments never overlap: two
+    that do raise :class:`CatalogError`, so no reader picks one silently."""
+
+    def __init__(self, names: Iterable[str]):
+        names = sorted(names)
+        checkpoints = _with_prefix(names, CHECKPOINT_PREFIX)
+        segments = _with_prefix(names, LOG_PREFIX)
+        self.names = checkpoints + segments
+        self.checkpoints = [int(name[len(CHECKPOINT_PREFIX):]) for name in checkpoints]
+        spans = [name[len(LOG_PREFIX):].split("_") for name in segments]
+        self.segments = [(int(first), int(last)) for first, last in spans]
+        for (a, b), (c, d) in zip(self.segments, self.segments[1:]):
+            if c <= b:
+                raise CatalogError(
+                    f"log segments {segment_name(a, b)} and {segment_name(c, d)} overlap"
+                )
+
+    def base_for(self, version: int) -> Optional[int]:
+        """The newest checkpoint at or below ``version``."""
+        at = bisect_right(self.checkpoints, version)
+        return self.checkpoints[at - 1] if at else None
+
+    def covering(self, after: int, upto: Optional[int] = None) -> List[Tuple[int, int]]:
+        """The segments holding a version in ``(after, upto]``."""
+        at = bisect_right(self.segments, (after, after))
+        if at and self.segments[at - 1][1] > after:
+            at -= 1
+        spans = self.segments[at:]
+        if upto is not None:
+            spans = spans[:bisect_right(spans, (upto, float("inf")))]
+        return spans
+
+    def reach(self, base: int) -> int:
+        """The newest version the segments carry without a gap from ``base``."""
+        high = base
+        for first, last in self.covering(base):
+            if first > high + 1:
+                break
+            high = last
+        return high
+
+    def holds(self, version: int) -> bool:
+        """A revive to ``version`` could start here: a checkpoint at or below
+        it and segments that reach it."""
+        base = self.base_for(version)
+        return base is not None and self.reach(base) >= version
+
+    def revive_set(self, version: int) -> List[str]:
+        """What a revive to ``version`` reads (when :meth:`holds`): the newest
+        checkpoint at or below it and the segments after that, up to it."""
+        base = self.base_for(version)
+        spans = self.covering(base, version)
+        return [checkpoint_name(base)] + [segment_name(*span) for span in spans]
+
+    def runs(self, after: int) -> List[List[Tuple[int, int]]]:
+        """The segments holding versions above ``after``, in runs without a gap."""
+        runs: List[List[Tuple[int, int]]] = []
+        for span in self.covering(after):
+            if runs and span[0] == runs[-1][-1][1] + 1:
+                runs[-1].append(span)
+            else:
+                runs.append([span])
+        return runs
+
+    def interval(self) -> Tuple[int, int]:
+        """The versions a revive could reach: from the oldest checkpoint to
+        the end of the unbroken run of segments after the newest one."""
+        if not self.checkpoints:
+            return (0, 0)
+        return (self.checkpoints[0], self.reach(self.checkpoints[-1]))
+
+    def prunable(self, keep_checkpoints: int = 2, floor_version: Optional[int] = None) -> List[str]:
+        """Superseded checkpoints and the segments they cover.
+
+        Retains the newest ``keep_checkpoints`` checkpoints and every segment
+        not wholly at or below the oldest retained one.  ``floor_version``
+        (the truncation version of section 3.5) blocks deletion of anything
+        at or after it: "deleting checkpoints and transaction logs after the
+        truncation version is not allowed"; revive must be able to rebuild
+        the floor, so the newest checkpoint at or below it is kept too."""
+        checkpoints = self.checkpoints
+        if len(checkpoints) <= keep_checkpoints:
+            return []
+        retained = set(checkpoints[-keep_checkpoints:])
+        if floor_version is not None and self.base_for(floor_version) is not None:
+            retained.add(self.base_for(floor_version))
+        oldest = min(retained)
+        floor = float("inf") if floor_version is None else floor_version
+        victims = [
+            checkpoint_name(v) for v in checkpoints if v not in retained and v < floor
+        ]
+        victims += [
+            segment_name(first, last)
+            for first, last in self.segments
+            if last <= oldest and last < floor
+        ]
+        return victims
+
+
+def parse_segment(first: int, last: int, data: bytes) -> List[LogRecord]:
+    """The records of one segment; a segment cut short, or whose lines are
+    not the versions ``first..last`` in order, is a :class:`CatalogError`."""
+    lines = data.split(b"\n")
+    if len(lines) != last - first + 1:
+        raise CatalogError(
+            f"damaged log segment {segment_name(first, last)}: "
+            f"{len(lines)} line(s) for {last - first + 1} version(s)"
+        )
+    records = [LogRecord.from_bytes(line) for line in lines]
+    for version, record in enumerate(records, first):
+        if record.version != version:
+            raise CatalogError(
+                f"damaged log segment {segment_name(first, last)}: "
+                f"line for version {version} holds {record.version}"
+            )
+    return records
+
+
 class LogStore:
-    """Persistence of the redo log and checkpoints through a UDFS backend."""
+    """Persistence of the redo log and checkpoints through a UDFS backend.
+
+    Both stores use one format: the node-local store receives one-record
+    segments, one per commit, and the shared store receives one segment
+    per sync holding every record since the last one (``Catalog.sync_to``);
+    every reader goes through :class:`Listing` and :meth:`records`."""
 
     def __init__(self, fs: Filesystem):
         self.fs = fs
@@ -163,96 +295,94 @@ class LogStore:
     # -- writes ----------------------------------------------------------------
 
     def append(self, record: LogRecord) -> None:
-        self.fs.write(log_name(record.version), record.to_bytes())
+        self.fs.write(segment_name(record.version, record.version), record.to_bytes())
 
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         self.fs.write(checkpoint_name(checkpoint.version), checkpoint.payload)
 
     # -- reads -----------------------------------------------------------------
 
-    def checkpoint_names(self) -> List[str]:
-        """One LIST: the checkpoints' names, oldest first (a listing is
-        sorted and names are fixed-width, so name order is version order)."""
-        return self.fs.list(CHECKPOINT_PREFIX)
-
-    def log_names(self) -> List[str]:
-        """One LIST: the log records' names, oldest first (as above)."""
-        return self.fs.list(LOG_PREFIX)
-
-    def checkpoint_versions(self) -> List[int]:
-        return sorted(map(version_of, self.checkpoint_names()))
-
-    def log_versions(self) -> List[int]:
-        return sorted(map(version_of, self.log_names()))
-
-    def read_record(self, version: int) -> LogRecord:
-        return LogRecord.from_bytes(self.fs.read(log_name(version)))
+    def listing(self) -> Listing:
+        """One LIST."""
+        return Listing(self.fs.list())
 
     def read_checkpoint(self, version: int) -> Checkpoint:
         return Checkpoint(version, self.fs.read(checkpoint_name(version)))
 
-    def load_latest(self) -> Tuple[Optional[CatalogState], List[LogRecord]]:
+    def segment_bytes(
+        self, run: List[Tuple[int, int]], after: int = 0, upto: Optional[int] = None
+    ) -> bytes:
+        """One segment's bytes: the stored lines of the segments ``run`` (an
+        unbroken run) for the versions in ``(after, upto]``, as they are: no
+        parse, no re-encode."""
+        parts = []
+        for first, last in run:
+            data = self.fs.read(segment_name(first, last))
+            high = last if upto is None else min(upto, last)
+            if after >= first or high < last:
+                data = b"\n".join(data.split(b"\n")[max(after - first + 1, 0):high - first + 1])
+            parts.append(data)
+        return b"\n".join(parts)
+
+    def records(self, listing: Listing, after: int, upto: Optional[int] = None) -> List[LogRecord]:
+        """The records of versions in ``(after, upto]`` the segments hold,
+        oldest first (a gap is the caller's to find)."""
+        records = []
+        for first, last in listing.covering(after, upto):
+            for record in parse_segment(first, last, self.fs.read(segment_name(first, last))):
+                if after < record.version and (upto is None or record.version <= upto):
+                    records.append(record)
+        return records
+
+    def load_latest(
+        self, upto: Optional[int] = None
+    ) -> Tuple[Optional[CatalogState], List[LogRecord]]:
         """Startup recovery: newest valid checkpoint + subsequent records.
 
         Returns ``(state_or_None, records_after_state)``.  A checkpoint
         that fails to parse is treated as invalid and the next older one is
-        tried, matching "reads the most recent valid checkpoint".
+        tried, matching "reads the most recent valid checkpoint".  With
+        ``upto``, nothing newer than that version is read.
         """
+        listing = self.listing()
         base_state: Optional[CatalogState] = None
-        base_version = 0
-        for version in reversed(self.checkpoint_versions()):
+        for version in reversed(listing.checkpoints):
+            if upto is not None and version > upto:
+                continue
             try:
                 base_state = self.read_checkpoint(version).restore()
-                base_version = version
                 break
             except (CatalogError, ObjectNotFound):
                 continue
-        records = []
-        for version in self.log_versions():
-            if version > base_version:
-                try:
-                    records.append(self.read_record(version))
-                except ObjectNotFound:  # concurrent cleanup
-                    continue
-        return base_state, records
+        after = base_state.version if base_state is not None else 0
+        return base_state, self.records(listing, after, upto)
 
     # -- retention ----------------------------------------------------------------
 
-    def prune(self, keep_checkpoints: int = 2, floor_version: Optional[int] = None) -> int:
-        """Delete superseded checkpoints and the logs they cover.
+    def discard_after(self, version: int) -> None:
+        """Delete the records and checkpoints above ``version``; a segment
+        holding versions on both sides keeps its lines up to it."""
+        listing = self.listing()
+        for first, last in listing.covering(version):
+            if first <= version:
+                self.fs.write(
+                    segment_name(first, version), self.segment_bytes([(first, last)], upto=version)
+                )
+            self.fs.delete(segment_name(first, last))
+        for checkpoint in listing.checkpoints:
+            if checkpoint > version:
+                self.fs.delete(checkpoint_name(checkpoint))
 
-        Retains the newest ``keep_checkpoints`` checkpoints and every log
-        record newer than the oldest retained checkpoint.  ``floor_version``
-        (the truncation version of section 3.5) blocks deletion of anything
-        at or after it: "deleting checkpoints and transaction logs after the
-        truncation version is not allowed".  Returns objects deleted.
-        """
-        checkpoints = self.checkpoint_versions()
-        if len(checkpoints) <= keep_checkpoints:
-            return 0
-        retained = set(checkpoints[-keep_checkpoints:])
-        if floor_version is not None:
-            # Revive must be able to reconstruct the truncation version, so
-            # also keep the newest checkpoint at or below the floor.
-            base = [v for v in checkpoints if v <= floor_version]
-            if base:
-                retained.add(max(base))
-        min_retained = min(retained)
-        deleted = 0
-        for version in checkpoints:
-            if version in retained:
-                continue
-            if floor_version is not None and version >= floor_version:
-                continue
-            self.fs.delete(checkpoint_name(version))
-            deleted += 1
-        for version in self.log_versions():
-            # Logs newer than the oldest retained checkpoint are needed to
-            # roll forward from it; older ones are covered by it.
-            if version > min_retained:
-                continue
-            if floor_version is not None and version >= floor_version:
-                continue
-            self.fs.delete(log_name(version))
-            deleted += 1
-        return deleted
+    def prune(
+        self,
+        keep_checkpoints: int = 2,
+        floor_version: Optional[int] = None,
+        listing: Optional[Listing] = None,
+    ) -> Listing:
+        """Delete what :meth:`Listing.prunable` names, from ``listing`` (a
+        fresh LIST when None), checkpoints first; returns what remains."""
+        listing = listing or self.listing()
+        victims = listing.prunable(keep_checkpoints, floor_version)
+        for name in victims:
+            self.fs.delete(name)
+        return Listing(set(listing.names).difference(victims)) if victims else listing

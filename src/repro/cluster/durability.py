@@ -1,12 +1,14 @@
 """Catalog durability on shared storage (sections 3.4, 3.5 and 6.3).
 
-Each node uploads its transaction logs and checkpoints to its own metadata
-area; the consensus truncation version is the highest version every shard
-can be revived to from some subscriber's uploads; ``cluster_info`` records
-it with the incarnation and a lease.  A sharing cluster catches up from the
-primary's uploads, and a graceful shutdown leaves a complete record.  The
-functions hold an ``EonCluster`` by reference, as ``query_path`` does, and
-``EonCluster`` binds them under the same names.
+Each node uploads its transaction log, as one segment per sync, and its
+checkpoints to its own metadata area, and prunes what a revive to the
+advertised truncation version no longer needs.  The consensus truncation
+version is the highest version every shard can be revived to from some
+subscriber's uploads; ``cluster_info`` records it with the incarnation and
+a lease.  A sharing cluster catches up from the primary's uploads, and a
+graceful shutdown leaves a complete record.  The functions hold an
+``EonCluster`` by reference, as ``query_path`` does, and ``EonCluster``
+binds them under the same names.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Tuple
 
-from repro.catalog.catalog import revivable_interval
 from repro.catalog.transaction_log import LogStore
 from repro.cluster import subscriptions
 from repro.cluster.node import NodeState
@@ -46,19 +47,14 @@ def sync_catalogs(cluster, include_checkpoint: bool = True) -> Dict[str, Tuple[i
 def compute_truncation_version(cluster) -> int:
     """Consensus truncation version (section 3.5, Figure 5): the highest
     version every shard can be revived to from some subscriber's uploaded
-    metadata."""
+    metadata (one LIST per node)."""
     subs = subscriptions.current(cluster)
-    intervals: Dict[str, Tuple[int, int]] = {}
-    for name in cluster.nodes:
-        intervals[name] = revivable_interval(cluster.shared_meta_store(name))
-    candidates = sorted({high for (_low, high) in intervals.values()}, reverse=True)
+    listings = {name: cluster.shared_meta_store(name).listing() for name in cluster.nodes}
+    candidates = sorted({listing.interval()[1] for listing in listings.values()}, reverse=True)
     for candidate in candidates:
-        holding = {n for n, (low, high) in intervals.items() if low <= candidate <= high}
+        holding = {name for name, listing in listings.items() if listing.holds(candidate)}
         if not uncovered(subs, cluster.shard_map.all_shard_ids(), holding):
             cluster.last_truncation_version = candidate
-            # Protect the reconstruction material from log pruning.
-            for node in cluster.nodes.values():
-                node.catalog.truncation_floor = candidate
             return candidate
     return 0
 
@@ -89,6 +85,11 @@ def write_cluster_info(cluster, lease_seconds: float = 300.0) -> str:
         lambda: shared.write(name, json.dumps(doc).encode("utf-8")),
         shared.metrics,
     )
+    # Protect what a revive to the advertised version reads from pruning
+    # (only once it is advertised: an older advertised version stays whole
+    # if this write fails).
+    for node in cluster.nodes.values():
+        node.catalog.truncation_floor = truncation
     return name
 
 
@@ -104,10 +105,19 @@ def refresh_from_shared(cluster) -> int:
     applied = 0
     for name, node in cluster.nodes.items():
         store = cluster.shared_meta_store(name, incarnation=cluster._source_incarnation)
-        for version in store.log_versions():
-            if version == node.catalog.state.version + 1:
-                node.catalog.apply_commit(store.read_record(version), persist=False)
-                applied += 1
+        version = node.catalog.state.version
+        records = store.records(store.listing(), version)
+        if records and records[0].version != version + 1:
+            raise ClusterError(
+                f"node {name} is at version {version} but the primary's uploads "
+                f"start at {records[0].version}: pruned past this reader, "
+                "attach it again"
+            )
+        for record in records:
+            if record.version != node.catalog.state.version + 1:
+                break  # a gap in the uploads: wait for it to be filled
+            node.catalog.apply_commit(record, persist=False)
+            applied += 1
     # Keep the coordinator's version in step for session bookkeeping.
     cluster.coordinator.base_version = max(
         node.catalog.state.version for node in cluster.nodes.values()

@@ -76,9 +76,13 @@ class Node:
         self.state = NodeState.DOWN
         if lose_local_disk:
             self.local_fs = MemoryFilesystem()
+            floor = self.catalog.truncation_floor
             self.catalog = Catalog(
                 self.local_fs, subscribed_shards=self.catalog.subscribed_shards
             )
+            # The advertised truncation version is the cluster's, not the
+            # lost disk's: its uploads stay protected from pruning.
+            self.catalog.truncation_floor = floor
             # A fresh policy *instance*, not the dead incarnation's object:
             # any per-entry state the policy carries (recency, frequency,
             # pin counts) describes files that no longer exist on the

@@ -6,8 +6,9 @@ version, the incarnation id, and a lease.  Revive:
 
 1. reads the latest cluster_info; aborts if the lease has not expired
    (another cluster is probably still running against this storage);
-2. commissions nodes with empty local storage and has each download its
-   catalog from the old incarnation's metadata area;
+2. commissions nodes with empty local storage and has each download, from
+   the old incarnation's metadata area, the newest checkpoint at or below
+   the truncation version and the log segments after it;
 3. truncates every catalog to the truncation version and writes a fresh
    checkpoint;
 4. adopts a *new* incarnation id, so post-revive metadata uploads land in
@@ -23,9 +24,8 @@ because the newest file wins.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.catalog.mvcc import CatalogState
 from repro.cluster import subscriptions
 from repro.cluster.eon import EonCluster
 from repro.cluster.transactions import CommitCoordinator
@@ -99,23 +99,30 @@ def revive(
         node = cluster.nodes[name]
         remote = cluster.shared_meta_store(name, incarnation=old_incarnation)
         # "All nodes individually download their catalog from shared
-        # storage": copy the uploaded checkpoints and logs to local disk,
-        # then run normal startup recovery and truncate.
-        uploaded = remote.fs.list()
-        if not uploaded:
+        # storage": the newest checkpoint at or below the truncation version
+        # and the segments after it, then normal startup recovery and
+        # truncation.
+        listing = remote.listing()
+        if not listing.names:
             raise ReviveError(
                 f"node {name} has no uploaded metadata under incarnation "
                 f"{old_incarnation}; cannot revive"
             )
-        if not remote.checkpoint_versions():
+        base = listing.base_for(truncation)
+        if base is None:
             # Logs alone cannot seed recovery: replay starts from a
             # checkpoint, so a missing/deleted checkpoint object is fatal
             # for this node's reconstruction.
             raise ReviveError(
-                f"node {name} has transaction logs but no checkpoint "
-                "object on shared storage; cannot revive"
+                f"node {name} has no checkpoint at or below version "
+                f"{truncation} on shared storage; cannot revive"
             )
-        for obj in uploaded:
+        if listing.reach(base) < truncation:
+            raise ReviveError(
+                f"node {name}'s uploaded log reaches version "
+                f"{listing.reach(base)}, not {truncation}; cannot revive"
+            )
+        for obj in listing.revive_set(truncation):
             node.local_fs.write(obj, remote.fs.read(obj))
         node.catalog.subscribed_shards = None  # learn subscriptions first
         node.catalog.recover()

@@ -139,8 +139,10 @@ class ServiceScheduler:
             return
         self._note_run("catalog_sync")
         try:
+            # The checkpoints uploaded are the ones the catalogs wrote every
+            # ``checkpoint_every`` commits (section 2.4); none is made here.
             with self._tracer().span("service.catalog_sync"):
-                self.cluster.sync_catalogs(include_checkpoint=True)
+                self.cluster.sync_catalogs(include_checkpoint=False)
             self.stats.sync_runs += 1
         except ReproError as exc:
             self._note_error("catalog_sync", exc)

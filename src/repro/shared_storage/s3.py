@@ -509,6 +509,10 @@ class SimulatedS3(Filesystem):
         """
         return self._names.with_prefix(prefix)
 
+    def peek_object(self, name: str) -> bytes:
+        """Out-of-band read of one object, on the same terms as :meth:`peek`."""
+        return self._objects[name]
+
     @property
     def outage_active(self) -> bool:
         return self.faults.outage_active

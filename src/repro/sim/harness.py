@@ -93,6 +93,10 @@ class SimWorld:
         #: keeps this high-water mark for the SELECT dollar ledger.
         self.pushdown_checks: List[tuple] = []
         self.select_dollars_floor = 0.0
+        #: The newest advertised truncation version the
+        #: ``truncation-revivable`` invariant has seen, and the nodes whose
+        #: uploads held it then: ``(incarnation, cluster_info name, nodes)``.
+        self.revivable_from: Optional[tuple] = None
         #: Doctor-attribution log: (step, request_id, expected_cause)
         #: entries written by the overload probe actions when their
         #: injected condition actually bit; tests replay these through

@@ -15,9 +15,13 @@ perturbs the simulation being checked.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.catalog.transaction_log import Listing
+from repro.cluster.revive import CLUSTER_INFO_PREFIX
 from repro.errors import ReproError
+from repro.sharding.subscription import uncovered
 
 
 class InvariantViolation(ReproError):
@@ -154,6 +158,56 @@ def catalog_versions_in_step(world) -> Optional[str]:
     ]
     if behind:
         return f"nodes out of step with version {cluster.version}: {behind}"
+    return None
+
+
+def truncation_revivable(world) -> Optional[str]:
+    """The truncation version T the live incarnation advertises stays
+    revivable (section 3.5).  When a ``cluster_info`` first appears, every
+    shard with an ACTIVE subscriber has one whose uploads hold a checkpoint
+    at or below T and log segments that reach T from it; from then on, until
+    a newer one appears, each node whose uploads held T still does, so
+    pruning never deletes what a revive would download.  (Subscriptions move
+    after T is written; the uploads that held it must not.)
+
+    Decided from object names through ``peek``, the ``cluster_info`` read
+    out-of-band too: no request, no fault draw."""
+    cluster = world.cluster
+    shared = cluster.shared
+    for name in reversed(shared.peek(CLUSTER_INFO_PREFIX)):
+        info = json.loads(shared.peek_object(name))
+        if info["incarnation"] == cluster.incarnation:
+            break
+    else:
+        return None
+    truncation = info["truncation_version"]
+    if not truncation:
+        return None  # nothing was revivable when it was written
+
+    def holds(node: str) -> bool:
+        prefix = f"meta_{cluster.incarnation}_{node}_"
+        return Listing(n[len(prefix):] for n in shared.peek(prefix)).holds(truncation)
+
+    seen = (cluster.incarnation, name)
+    if world.revivable_from is not None and world.revivable_from[:2] == seen:
+        lost = sorted(node for node in world.revivable_from[2] if not holds(node))
+        if lost:
+            return (
+                f"uploads of {lost} no longer reach truncation version "
+                f"{truncation} ({name})"
+            )
+        return None
+    holding = {node for node in cluster.nodes if holds(node)}
+    catalog = (cluster.up_nodes() or list(cluster.nodes.values()))[0].catalog
+    shard_ids = cluster.shard_map.all_shard_ids()
+    lacking = set(uncovered(catalog.state.subscriptions, shard_ids, holding))
+    lacking -= set(uncovered(catalog.state.subscriptions, shard_ids, cluster.nodes))
+    if lacking:
+        return (
+            f"truncation version {truncation} ({name}) is not revivable for "
+            f"shards {sorted(lacking)}: no subscriber's uploads reach it"
+        )
+    world.revivable_from = seen + (frozenset(holding),)
     return None
 
 
@@ -326,6 +380,7 @@ DEFAULT_INVARIANTS: Tuple[Tuple[str, Invariant], ...] = (
     ("io-batch-sanity", io_batch_sanity),
     ("clock-monotone", clock_monotone),
     ("catalog-version-sync", catalog_versions_in_step),
+    ("truncation-revivable", truncation_revivable),
     ("degraded-pairing", degraded_pairing),
     ("wm-slot-accounting", wm_slot_accounting),
     ("autoscale-safety", autoscale_safety),

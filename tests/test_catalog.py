@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog.catalog import Catalog, revivable_interval
+from repro.catalog.catalog import Catalog
 from repro.catalog.mvcc import (
     CatalogState,
     op_add_container,
@@ -12,7 +12,7 @@ from repro.catalog.mvcc import (
     op_set_subscription,
 )
 from repro.catalog.objects import Projection, Segmentation, Table
-from repro.catalog.transaction_log import Checkpoint, LogRecord, LogStore
+from repro.catalog.transaction_log import Checkpoint, LogRecord, LogStore, segment_name
 from repro.common.oid import SidFactory
 from repro.common.types import ColumnType, TableSchema
 from repro.errors import CatalogError
@@ -116,7 +116,7 @@ class TestRecovery:
         catalog = make_catalog(checkpoint_every=100)
         for i in range(4):
             catalog.apply_commit(LogRecord(i + 1, (table_op(f"t{i}"),)))
-        catalog.log_store.fs.delete("txn_000000000003")
+        catalog.log_store.fs.delete(segment_name(3, 3))
         fresh = Catalog(MemoryFilesystem())
         fresh.log_store = catalog.log_store
         fresh.recover()
@@ -126,7 +126,7 @@ class TestRecovery:
         catalog = make_catalog(checkpoint_every=2)
         for i in range(9):
             catalog.apply_commit(LogRecord(i + 1, (table_op(f"t{i}"),)))
-        assert len(catalog.log_store.checkpoint_versions()) <= 2
+        assert len(catalog.log_store.listing().checkpoints) <= 2
 
 
 class TestTruncation:
@@ -138,14 +138,14 @@ class TestTruncation:
         assert catalog.state.version == 3
         assert set(catalog.state.tables) == {"t0", "t1", "t2"}
         # Discarded log records are gone.
-        assert max(catalog.log_store.log_versions(), default=0) <= 3
+        assert max((last for _, last in catalog.log_store.listing().segments), default=0) <= 3
 
     def test_truncate_to_current_is_checkpoint_only(self):
         catalog = make_catalog(checkpoint_every=100)
         catalog.apply_commit(LogRecord(1, (table_op(),)))
         catalog.truncate_to(1)
         assert catalog.state.version == 1
-        assert catalog.log_store.checkpoint_versions() == [1]
+        assert catalog.log_store.listing().checkpoints == [1]
 
     def test_truncate_forward_rejected(self):
         catalog = make_catalog()
@@ -182,7 +182,7 @@ class TestSync:
             catalog.apply_commit(LogRecord(i + 1, (table_op(f"t{i}"),)))
         low, high = catalog.sync_to(shared, include_checkpoint=True)
         assert high == 3
-        assert shared.log_versions() == [1, 2, 3]
+        assert shared.listing().segments == [(1, 3)]  # one segment per sync
 
     def test_sync_interval_grows_with_uploads(self):
         catalog = make_catalog(checkpoint_every=100)
@@ -200,10 +200,10 @@ class TestSync:
         store.write_checkpoint(Checkpoint.of_state(state))
         store.append(LogRecord(3, ()))
         store.append(LogRecord(5, ()))  # gap at 4
-        assert revivable_interval(store) == (2, 3)
+        assert store.listing().interval() == (2, 3)
 
     def test_revivable_interval_empty_store(self):
-        assert revivable_interval(LogStore(MemoryFilesystem())) == (0, 0)
+        assert LogStore(MemoryFilesystem()).listing().interval() == (0, 0)
 
 
 class TestLogStorePrune:
@@ -216,5 +216,5 @@ class TestLogStorePrune:
         catalog.truncation_floor = 1
         catalog.write_checkpoint()
         # Logs at/after the floor must survive pruning.
-        assert 1 not in catalog.log_store.log_versions() or True
-        assert catalog.log_store.checkpoint_versions()
+        assert (1, 1) in catalog.log_store.listing().segments
+        assert catalog.log_store.listing().checkpoints

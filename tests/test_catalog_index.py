@@ -503,7 +503,7 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def truncate(self, data):
-        oldest = self.catalog.log_store.checkpoint_versions()[:1] or [0]
+        oldest = self.catalog.log_store.listing().checkpoints[:1] or [0]
         version = data.draw(st.integers(oldest[0], self.state.version))
         self.catalog.truncate_to(version)
         self.peer.state = self.peer_states[version]

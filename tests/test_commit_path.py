@@ -60,7 +60,7 @@ from repro.catalog.objects import (
     Table,
     User,
 )
-from repro.catalog.transaction_log import Checkpoint, LogRecord, LogStore, log_name
+from repro.catalog.transaction_log import Checkpoint, LogRecord, LogStore
 from repro.common.oid import SidFactory, StorageId
 from repro.common.types import SchemaColumn, TableSchema
 from repro.errors import CatalogError, ReproError
@@ -550,11 +550,13 @@ class TestSerialiseOnce:
         for node in cluster.up_nodes():
             local = node.catalog.log_store
             shared = cluster.shared_meta_store(node.name)
-            versions = local.log_versions()
-            assert versions and shared.log_versions() == versions
-            for version in versions:
-                data = local.fs.read(log_name(version))
-                assert shared.fs.read(log_name(version)) == data
+            spans = local.listing().segments
+            assert spans and all(first == last for first, last in spans)
+            lines = [local.segment_bytes([span]) for span in spans]
+            # One sync uploads one segment: the local lines, joined.
+            assert shared.listing().segments == [(spans[0][0], spans[-1][1])]
+            assert shared.segment_bytes([(spans[0][0], spans[-1][1])]) == b"\n".join(lines)
+            for (version, _), data in zip(spans, lines):
                 # What parse and re-encode would have uploaded.
                 assert LogRecord.from_bytes(data).to_bytes() == data
                 by_version.setdefault(version, set()).add(data)

@@ -148,7 +148,7 @@ class TestRecovery:
         for i in range(140):
             cluster.create_user(f"u{i}")
         a = cluster.nodes["a"]
-        assert a.catalog.log_store.checkpoint_versions() == [64, 128]
+        assert a.catalog.log_store.listing().checkpoints == [64, 128]
         assert 2 not in a.catalog.subscribed_shards
 
         def unavailable(cluster, node, shard_id):

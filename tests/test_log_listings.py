@@ -1,68 +1,40 @@
-"""Catalog sync and the truncation version search sorted listings by name.
+"""Catalog sync uploads the log as segments: the records oracle.
 
-``reference_sync_to`` and ``reference_revivable_interval`` are
-``Catalog.sync_to`` and ``revivable_interval`` as they were before — every
-name of a listing parsed to a version, and the shared logs made a set — kept
-here as the oracle.  One scenario runs twice, once on each, and must upload
-the same objects, report the same intervals and truncation versions, and
-book the same shared-storage ledger: requests per class, bytes, simulated
-seconds and dollars.  It covers a log lost from shared storage, a node whose
-local logs were pruned before it synced (its uploaded checkpoint is newer
-than logs it never uploaded), a node down, syncs with and without a
-checkpoint, revive (which truncates every node) and the second incarnation
-that follows.
+After every sync, the records a node's shared area holds — read through the
+one segment reader — are its local log's records, byte for byte, above the
+newest uploaded checkpoint (the base a revive starts from), and every one of
+them is the record the commit coordinator committed.  Each sync lists a
+node's area once and writes at most a segment and a checkpoint, however many
+commits came before it.  The scenario covers a segment lost from shared
+storage, a node whose local logs were pruned before it synced, a node down,
+syncs with and without a checkpoint, revive (which truncates every node) and
+the second incarnation that follows.
 """
 
-from typing import Tuple
+from typing import Dict
 
 import pytest
 
 from repro import EonCluster
-from repro.catalog import catalog as catalog_module
-from repro.catalog.catalog import Catalog
-from repro.catalog.transaction_log import Checkpoint, LogStore, log_name
+from repro.catalog.transaction_log import LogStore, parse_segment, segment_name
 from repro.cluster.revive import revive
 
-# ---------------------------------------------------------------------------
-# the oracle
+
+def lines(store: LogStore) -> Dict[int, bytes]:
+    """Every record line the store's segments hold, by version."""
+    held = {}
+    for first, last in store.listing().segments:
+        data = store.segment_bytes([(first, last)])
+        parse_segment(first, last, data)  # the reader accepts the segment
+        held.update(zip(range(first, last + 1), data.split(b"\n")))
+    return held
 
 
-def reference_sync_to(self, shared: LogStore, include_checkpoint: bool = False) -> Tuple[int, int]:
-    local_versions = self.log_store.log_versions()
-    already = set(shared.log_versions())
-    for version in local_versions:
-        if version > self._last_uploaded and version not in already:
-            shared.fs.write(log_name(version), self.log_store.fs.read(log_name(version)))
-    if local_versions:
-        self._last_uploaded = max(self._last_uploaded, max(local_versions))
-    if include_checkpoint or not shared.checkpoint_versions():
-        existing = shared.checkpoint_versions()
-        if self.state.version not in existing:
-            shared.write_checkpoint(Checkpoint.of_state(self.state))
-    return catalog_module.revivable_interval(shared)
-
-
-def reference_revivable_interval(store: LogStore) -> Tuple[int, int]:
-    checkpoints = store.checkpoint_versions()
-    if not checkpoints:
-        return (0, 0)
-    low = checkpoints[0]
-    newest = checkpoints[-1]
-    logs = set(store.log_versions())
-    high = newest
-    while high + 1 in logs:
-        high += 1
-    return (low, high)
-
-
-# ---------------------------------------------------------------------------
-# the scenario
-
-
-def scenario(seed: int) -> dict:
-    """Everything the listings decide, and the ledger they leave."""
+def scenario(seed: int) -> list:
     cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=seed)
     shared = cluster.shared
+    committed: Dict[int, bytes] = {}
+    lost: Dict[str, set] = {}
     seen = []
     batches = iter(range(100))
 
@@ -70,14 +42,31 @@ def scenario(seed: int) -> dict:
         for batch in (next(batches) for _ in range(count)):
             cluster.load("t", [(batch * 100 + i, f"g{i % 5}") for i in range(40)])
 
-    def sync(include_checkpoint: bool) -> None:
-        seen.append(("sync", cluster.sync_catalogs(include_checkpoint)))
-        seen.append(("truncation", cluster.compute_truncation_version()))
+    def requests(op: str) -> int:
+        return shared.op_stats[op].requests
 
-    def uploaded(node: str, kind: str) -> list:
-        """Versions on shared storage, looked up without a request."""
-        prefix = f"meta_{cluster.incarnation}_{node}_{kind}"
-        return [int(name[len(prefix):]) for name in shared.peek(prefix)]
+    def sync(include_checkpoint: bool) -> None:
+        before = requests("LIST"), requests("PUT")
+        intervals = cluster.sync_catalogs(include_checkpoint)
+        up = cluster.up_nodes()
+        assert requests("LIST") - before[0] == len(up)
+        assert requests("PUT") - before[1] <= 2 * len(up)
+        committed.update((r.version, r.to_bytes()) for r in cluster.coordinator.log_history)
+        for node in up:
+            store = cluster.shared_meta_store(node.name)
+            listing = store.listing()
+            base = listing.checkpoints[-1]
+            uploaded, local = lines(store), lines(node.catalog.log_store)
+            missing = lost.get(node.name, set())
+            assert {v: b for v, b in uploaded.items() if v > base} == {
+                v: b for v, b in local.items() if v > base and v not in missing
+            }
+            assert all(committed[v] == b for v, b in uploaded.items())
+            assert intervals[node.name] == listing.interval()
+            if not any(v > base for v in missing):
+                assert intervals[node.name][1] == node.catalog.state.version
+        seen.append(("sync", intervals))
+        seen.append(("truncation", cluster.compute_truncation_version()))
 
     # n2 checkpoints, and prunes its local logs, every three commits, so its
     # first upload lacks the logs its oldest kept checkpoint covers.
@@ -85,12 +74,14 @@ def scenario(seed: int) -> dict:
     cluster.execute("create table t (a int, b varchar)")
     load(9)
     sync(False)  # no checkpoint uploaded yet: each node writes its first
-    seen.append(("n2", uploaded("n2", "txn_"), uploaded("n2", "ckpt_")))
+    seen.append(("n2", cluster.shared_meta_store("n2").listing()))
     load(3)
     sync(False)
-    # A log lost from shared storage: n1's interval stops below it.
-    lost = cluster.shared_meta_store("n1")
-    lost.fs.delete(log_name(lost.log_versions()[-2]))
+    # A segment lost from shared storage: n1's interval stops below it.
+    store = cluster.shared_meta_store("n1")
+    first, last = store.listing().segments[-1]
+    store.fs.delete(segment_name(first, last))
+    lost["n1"] = set(range(first, last + 1))
     load(1)
     sync(False)
     cluster.kill_node("n2")
@@ -104,40 +95,27 @@ def scenario(seed: int) -> dict:
     # Revive truncates every node to the consensus version and moves to a
     # new incarnation, whose listings start empty.
     cluster = revive(shared, clock=cluster.clock)
+    lost.clear()
     load(3)
     sync(False)
     sync(True)
-    sync(True)  # nothing new: no log, and no checkpoint twice
+    puts = requests("PUT")
+    sync(True)  # nothing new: no segment, and no checkpoint twice
+    assert requests("PUT") == puts
     seen.append(("rows", cluster.query("select count(*) from t").rows.to_pylist()))
-    objects = {name: bytes(shared._objects[name]) for name in shared.peek()}
-    ledger = {
-        op: (s.requests, s.bytes, s.sim_seconds, s.dollars)
-        for op, s in shared.metrics.ops.items()
-    }
-    return {
-        "seen": seen, "objects": objects, "ledger": ledger,
-        "sim_seconds": shared.metrics.sim_seconds, "dollars": shared.metrics.dollars,
-    }
+    return seen
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_listings_agree_with_the_parse_and_so_does_the_ledger(monkeypatch, seed):
-    searched = scenario(seed)
-    with monkeypatch.context() as patched:
-        patched.setattr(Catalog, "sync_to", reference_sync_to)
-        patched.setattr(catalog_module, "revivable_interval", reference_revivable_interval)
-        parsed = scenario(seed)
-    assert searched["seen"] == parsed["seen"]
-    assert searched["objects"] == parsed["objects"]
-    assert searched["ledger"] == parsed["ledger"]
-    assert (searched["sim_seconds"], searched["dollars"]) == (
-        parsed["sim_seconds"], parsed["dollars"])
-    # The scenario reaches what it is for.
-    seen = searched["seen"]
+def test_uploaded_records_are_the_local_log(seed):
+    seen = scenario(seed)
     syncs = [entry[1] for entry in seen if entry[0] == "sync"]
-    [(_, logs, checkpoints)] = [entry for entry in seen if entry[0] == "n2"]
-    assert 1 < logs[0] < checkpoints[0] == logs[-1]  # pruned before its first upload
-    assert syncs[2]["n1"][1] < syncs[2]["n3"][1]  # the lost log
+    [(_, n2)] = [entry for entry in seen if entry[0] == "n2"]
+    # Pruned before its first upload: one segment, from past version 1 up
+    # to the checkpoint that store's first sync encoded.
+    assert len(n2.segments) == 1 and 1 < n2.segments[0][0]
+    assert n2.checkpoints == [n2.segments[0][1]]
+    assert syncs[2]["n1"][1] < syncs[2]["n3"][1]  # the lost segment
     assert "n2" not in syncs[3]  # down
     revived_at = seen[seen.index(("cluster_info", "cluster_info_000000000001.json")) - 1]
     assert {low for low, _ in syncs[5].values()} == {revived_at[1]}  # a new incarnation

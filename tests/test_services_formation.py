@@ -4,7 +4,7 @@ import pytest
 
 from repro import EonCluster, SimClock
 from repro.catalog.transaction_log import LogRecord
-from repro.cluster.revive import form_cluster
+from repro.cluster.revive import form_cluster, revive
 from repro.cluster.services import ServiceIntervals, ServiceScheduler
 from repro.errors import ReviveError
 
@@ -119,3 +119,21 @@ class TestClusterFormation:
         best = form_cluster(cluster)
         assert best == version
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(300,)]
+
+    def test_revive_after_formation_reaches_the_reused_versions(self, cluster):
+        """A node that uploaded the discarded version must upload the
+        versions formation reuses into the new incarnation: truncation
+        lowers its upload mark.  Without that its revivable interval stays
+        at the formation version and revive cannot reach the truncation
+        version."""
+        self._diverge(cluster, ["n1"])
+        cluster.sync_catalogs()
+        form_cluster(cluster)
+        for batch in range(3):
+            cluster.sync_catalogs(include_checkpoint=False)
+            cluster.load("t", [(1000 + batch * 10 + i, "f") for i in range(10)])
+        cluster.sync_catalogs(include_checkpoint=False)
+        cluster.write_cluster_info(lease_seconds=0)
+        revived = revive(cluster.shared, force=True)
+        sql = "select count(*) from t"
+        assert revived.query(sql).rows.to_pylist() == cluster.query(sql).rows.to_pylist()

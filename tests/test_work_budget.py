@@ -13,7 +13,12 @@ shows there.  Its pins are Python calls per op of each class, and for
 ``recent_query`` footers parsed and containers tested per op: a recent-window
 read tests what its window holds whatever the catalog holds, so its count is
 the same at pass 1 as at pass 8, and it parses no footer (the writer handed
-every depot the layouts).
+every depot the layouts).  A ``service_tick`` uploads one log segment per
+node, and a checkpoint only when a node wrote one, so its PUTs per op are
+the same at pass 1 as at pass 8 however many commits and catalog objects
+came before; and the metadata objects on the shared store (``meta_``) do
+not grow from pass 1 to pass 8, because each sync prunes what the
+truncation version no longer needs.
 
 The counts are exact on any machine, so unlike a clock they hold across
 sessions; Python calls also depend on the interpreter, so the test runs only
@@ -45,13 +50,20 @@ PINS = {
 #: groups were carried across commits and log listings searched by name it
 #: read copy 1 608, recent_query 6 298, service_tick 57 942; before the
 #: sort-key index and the writers' layouts, copy 1 516, recent_query 5 303,
-#: service_tick 29 073.
+#: service_tick 29 073; before the log went up as segments, service_tick
+#: 25 340.
 IOT_PASS = 8
-IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 25_417}
+IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 21_145}
 #: ``recent_query`` per op: containers tested and footers parsed.  Before the
 #: sort-key index and the writers' layouts pass 8 read 492 and 30.
 RECENT_TESTED_PER_OP = 40
 RECENT_FOOTERS_PER_OP = 0
+#: ``service_tick`` shared-storage PUTs per op, and ``meta_`` objects on the
+#: store after the pass.  Before the log went up as one segment per sync
+#: (one object per commit, a checkpoint encoded per node per tick) pass 8
+#: read 245 PUTs per tick and 2 940 objects (432 after pass 1).
+TICK_PUTS_PER_OP = 25
+META_OBJECTS = 16
 
 skip_elsewhere = pytest.mark.skipif(
     sys.version_info[:2] != PINNED_ON,
@@ -70,7 +82,7 @@ def count(*options: str) -> dict:
 
 @pytest.fixture(scope="module")
 def counted() -> dict:
-    return count()
+    return {name: result["counts"] for name, result in count().items()}
 
 
 @skip_elsewhere
@@ -82,9 +94,23 @@ def test_a_pass_stays_within_its_budget(counted, workload):
     assert not over, f"{workload}: (count, pin) over budget: {over}"
 
 
+def ingest_pass(number: int) -> dict:
+    return count("--workload", "iot_ingest", "--pass", str(number))["iot_ingest"]
+
+
 @pytest.fixture(scope="module")
-def late_ingest_pass() -> dict:
-    return count("--workload", "iot_ingest", "--pass", str(IOT_PASS))["iot_ingest"]
+def first_ingest() -> dict:
+    return ingest_pass(1)
+
+
+@pytest.fixture(scope="module")
+def late_ingest() -> dict:
+    return ingest_pass(IOT_PASS)
+
+
+@pytest.fixture(scope="module")
+def late_ingest_pass(late_ingest) -> dict:
+    return late_ingest["counts"]
 
 
 @skip_elsewhere
@@ -101,10 +127,26 @@ def recent_query_per_op(rows: dict) -> dict:
     return {key: row[key] / row["ops"] for key in ("tested", "footers")}
 
 
-def test_a_recent_window_read_costs_what_its_window_holds(late_ingest_pass):
+def test_a_recent_window_read_costs_what_its_window_holds(first_ingest, late_ingest_pass):
     """Exact on any interpreter: containers tested and footers parsed."""
     late = recent_query_per_op(late_ingest_pass)
     assert late["tested"] <= RECENT_TESTED_PER_OP
     assert late["footers"] <= RECENT_FOOTERS_PER_OP
-    first = recent_query_per_op(count("--workload", "iot_ingest", "--pass", "1")["iot_ingest"])
+    first = recent_query_per_op(first_ingest["counts"])
     assert first == late
+
+
+def tick_puts_per_op(counts: dict) -> float:
+    return counts["service_tick"]["puts"] / counts["service_tick"]["ops"]
+
+
+def test_a_tick_uploads_what_it_did_not_before(first_ingest, late_ingest):
+    """Exact on any interpreter: a tick's uploads grow neither with the
+    catalog nor with the commits since the last sync, and the uploaded
+    metadata does not pile up."""
+    late = tick_puts_per_op(late_ingest["counts"])
+    assert late <= TICK_PUTS_PER_OP
+    assert tick_puts_per_op(first_ingest["counts"]) == late
+    meta = late_ingest["store"]["meta_objects"]
+    assert meta <= META_OBJECTS
+    assert first_ingest["store"]["meta_objects"] >= meta
