@@ -262,11 +262,10 @@ class Catalog:
         # lost its disk starts over with no mark).
         mark = max(self._last_uploaded, listing.segments[-1][1] if listing.segments else 0)
         for run in local.runs(mark):
-            first, last = max(run[0][0], mark + 1), run[-1][1]
-            data = self.log_store.segment_bytes(run, after=mark)
-            shared.fs.write(segment_name(first, last), data)
-            written.append(segment_name(first, last))
-            self._last_uploaded = last
+            name = segment_name(max(run[0][0], mark + 1), run[-1][1])
+            shared.fs.write(name, self.log_store.segment_bytes(run, after=mark))
+            written.append(name)
+            self._last_uploaded = run[-1][1]
         newest = listing.checkpoints[-1] if listing.checkpoints else None
         if include_checkpoint or newest is None:
             if newest != self.state.version:

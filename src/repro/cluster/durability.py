@@ -88,8 +88,9 @@ def write_cluster_info(cluster, lease_seconds: float = 300.0) -> str:
     # Protect what a revive to the advertised version reads from pruning
     # (only once it is advertised: an older advertised version stays whole
     # if this write fails).
-    for node in cluster.nodes.values():
-        node.catalog.truncation_floor = truncation
+    if truncation:
+        for node in cluster.nodes.values():
+            node.catalog.truncation_floor = truncation
     return name
 
 

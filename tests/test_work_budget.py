@@ -53,7 +53,7 @@ PINS = {
 #: service_tick 29 073; before the log went up as segments, service_tick
 #: 25 340.
 IOT_PASS = 8
-IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 21_145}
+IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 21_141}
 #: ``recent_query`` per op: containers tested and footers parsed.  Before the
 #: sort-key index and the writers' layouts pass 8 read 492 and 30.
 RECENT_TESTED_PER_OP = 40
