@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster import subscriptions
+from repro.cluster.node import has_quorum
 from repro.errors import ReproError
 from repro.obs.metrics import Ledger
 from repro.shared_storage.api import retrying
@@ -185,9 +186,9 @@ class TopologyActuator:
             1 for n in cluster.nodes.values() if n.is_up and n.name not in gone
         )
         total_after = len(cluster.nodes) - len(gone)
-        if total_after <= 0 or up_after * 2 <= total_after:
-            return False
-        return not subscriptions.uncovered_without(cluster, gone)
+        return has_quorum(up_after, total_after) and not subscriptions.uncovered_without(
+            cluster, gone
+        )
 
     def complete_removals(self) -> List[str]:
         """Remove drained victims whose slots have emptied; reopen the

@@ -27,11 +27,11 @@ from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.mvcc import op_create_projection, op_create_table, op_drop_container, op_drop_projection
 from repro.catalog.objects import Projection, Segmentation, Table
 from repro.catalog.transaction_log import LogRecord
-from repro.cluster import query_path
-from repro.cluster.node import Node, NodeState
+from repro.cluster import ddl, query_path
+from repro.cluster.node import Node, NodeState, has_quorum, member
 from repro.cluster.transactions import Transaction
 from repro.common.clock import SimClock
-from repro.common.types import ColumnType, SchemaColumn, TableSchema
+from repro.common.types import ColumnType
 from repro.engine.cost import CostModel
 from repro.engine.executor import (
     QueryResult,
@@ -193,7 +193,7 @@ class EnterpriseCluster:
 
     def check_viability(self) -> None:
         up = len(self.up_nodes())
-        if up * 2 <= len(self.nodes):
+        if not has_quorum(up, len(self.nodes)):
             self.shut_down = True
             raise QuorumLost(f"only {up} of {len(self.nodes)} nodes up")
         uncovered = self.uncovered_shards()
@@ -219,16 +219,10 @@ class EnterpriseCluster:
         partition_by: Optional[str] = None,
         create_super: bool = True,
     ) -> int:
-        schema = TableSchema([SchemaColumn(n, t) for n, t in columns])
-        ops = [op_create_table(Table(name=name, schema=schema, partition_by=partition_by))]
+        table = ddl.new_table(name, columns, partition_by)
+        ops = [op_create_table(table)]
         if create_super:
-            super_proj = Projection(
-                name=f"{name}_super",
-                anchor_table=name,
-                columns=tuple(schema.names),
-                sort_order=(schema.names[0],),
-                segmentation=Segmentation.by_hash(schema.names[0]),
-            )
+            super_proj = ddl.super_projection(table)
             ops.append(op_create_projection(super_proj))
             ops.append(op_create_projection(super_proj.make_buddy()))
         return self._commit(ops)
@@ -241,19 +235,9 @@ class EnterpriseCluster:
         sort_order: Sequence[str],
         segmentation: Segmentation,
     ) -> int:
-        state = self.catalog.state
-        for existing in state.projections_of(table):
-            if state.containers_of(existing.name):
-                raise CatalogError(
-                    f"cannot add projection to non-empty table {table!r}"
-                )
-        projection = Projection(
-            name=name,
-            anchor_table=table,
-            columns=tuple(columns),
-            sort_order=tuple(sort_order),
-            segmentation=segmentation,
-        )
+        if ddl.has_data([self.catalog.state], table):
+            raise CatalogError(f"cannot add projection to non-empty table {table!r}")
+        projection = ddl.new_projection(name, table, columns, sort_order, segmentation)
         ops = [op_create_projection(projection)]
         if not segmentation.is_replicated:
             ops.append(op_create_projection(projection.make_buddy()))
@@ -263,23 +247,11 @@ class EnterpriseCluster:
         """Drop projections (and their buddies) in one commit; refuses to
         drop a table's last non-buddy projection."""
         state = self.catalog.state
-        remaining: Dict[str, int] = {}
+        ddl.check_not_last(state, names)
         to_drop: List[str] = []
         for name in names:
-            projection = state.projection(name)
-            table = projection.anchor_table
-            if table not in remaining:
-                remaining[table] = len(
-                    [p for p in state.projections_of(table) if not p.is_buddy]
-                )
-            remaining[table] -= 1
-            if remaining[table] < 1:
-                raise CatalogError(
-                    f"cannot drop {name!r}: it is the last projection of "
-                    f"table {table!r}"
-                )
             to_drop.append(name)
-            for buddy in state.projections_of(table):
+            for buddy in state.projections_of(state.projection(name).anchor_table):
                 if buddy.is_buddy and buddy.buddy_of == name:
                     to_drop.append(buddy.name)
         return self._commit([op_drop_projection(n) for n in to_drop])
@@ -511,7 +483,7 @@ class EnterpriseCluster:
     # -- failure & recovery -------------------------------------------------------------------
 
     def kill_node(self, name: str) -> None:
-        self.nodes[name].go_down()
+        member(self.nodes, name).go_down()
         self.check_viability()
 
     def recover_node(self, name: str) -> int:
@@ -523,7 +495,7 @@ class EnterpriseCluster:
         up one to one.  Every group's sources are found before anything
         changes, so a lost copy leaves the node down and the cluster as it
         was.  Returns bytes transferred."""
-        node = self.nodes[name]
+        node = member(self.nodes, name)
         if node.is_up:
             raise ClusterError(f"node {name} already up")
         state = self.catalog.state

@@ -1,60 +1,39 @@
 """The Eon-mode cluster: sharded metadata on shared storage.
 
-This class wires every mechanism in the paper together:
+This class wires every mechanism in the paper together, and keeps the
+bootstrap layout (section 3.1), viability and degraded mode (section 3.4),
+the commit (sections 3.2, 6.5), session layout with max-flow selection,
+subclusters, racks and crunch scaling (section 4), and COPY.  The rest is
+bound from the modules that hold the cluster by reference:
 
-* bootstrap with a fixed segment-shard count and k-subscriber layout
-  (section 3.1);
-* DDL/DML/COPY through distributed transactions with OCC and subscription
-  invariants (sections 3.2, 4.5, 6.3);
-* query sessions with max-flow participating-subscription selection,
-  subcluster priorities, elastic throughput scaling and crunch scaling
-  (section 4);
-* node failure and recovery via re-subscription and peer cache warming
-  (sections 3.3, 6.1);
-* elasticity — adding/removing nodes without data redistribution
-  (section 6.4);
-* catalog sync to shared storage, consensus truncation version,
-  cluster_info and revive support (section 3.5);
-* file reaping (section 6.5) and mergeout coordination (section 6.2).
+* ``cluster/ddl.py`` — DDL and the SQL front door (sections 2.1, 6.3);
+* ``cluster/lifecycle.py`` — node failure, recovery, adding and removing
+  nodes, subclusters (sections 4.3, 6.1, 6.4);
+* ``cluster/subscriptions.py`` — the Figure-4 walks (section 3.3);
+* ``cluster/durability.py`` — catalog sync, truncation version,
+  cluster_info (section 3.5); ``cluster/revive.py`` revives from it;
+* ``cluster/query_path.py`` — every SELECT (section 4);
+* ``load/flattened.py``, ``load/partitions.py`` — flattened-table refresh
+  and metadata-only partition operations (sections 2.1, 4.5).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.catalog.mvcc import (
-    op_add_column,
-    op_create_live_agg,
-    op_create_projection,
-    op_create_table,
-    op_create_user,
-    op_drop_projection,
-    op_drop_table,
-    op_set_subscription,
-)
-from repro.catalog.objects import (
-    AggregateSpec as LapAggregateSpec,
-    LiveAggregateProjection,
-    Projection,
-    Segmentation,
-    Table,
-    User,
-)
-from repro.cache.warming import WarmingReport
-from repro.cluster.node import Node, NodeState
-from repro.cluster import durability, query_path, subscriptions
+from repro.catalog.mvcc import op_set_subscription
+from repro.cluster import ddl, durability, lifecycle, query_path, subscriptions
+from repro.cluster.node import Node, has_quorum
 from repro.cluster.reaper import FileReaper
 from repro.cluster.session import EonSession
 from repro.cluster.transactions import CommitCoordinator, Transaction
 from repro.common.clock import SimClock
-from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel
 from repro.engine.executor import QueryResult, check_query_options
 from repro.engine.pipeline import EngineStats
 from repro.errors import (
-    CatalogError,
     ClusterError,
     NodeDown,
     QuorumLost,
@@ -62,14 +41,15 @@ from repro.errors import (
     StorageUnavailable,
 )
 from repro.io.scheduler import IOScheduler
+from repro.load import flattened, partitions
+from repro.load.copy import copy_into
 from repro.obs import Observability
 from repro.recovery.failover import FailoverPolicy
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
-from repro.sharding.subscription import SubscriptionState, holders, shards_of, uncovered
+from repro.sharding.subscription import SubscriptionState, holders
 from repro.shared_storage.api import Filesystem, PrefixView
 from repro.shared_storage.s3 import SimulatedS3
-from repro.sql.parser import parse
 from repro.storage.container import RowSet
 from repro.wm.admission import AdmissionController
 
@@ -117,16 +97,11 @@ class EonCluster:
         self.shared_data = PrefixView(self.shared, "data_")
         self.incarnation = f"{self.rng.getrandbits(128):032x}"
         self.subscribers_per_shard = min(subscribers_per_shard, len(node_names))
-        self.nodes: Dict[str, Node] = {}
         racks = racks or {}
-        for name in node_names:
-            self.nodes[name] = Node(
-                name,
-                cache_bytes=cache_bytes,
-                execution_slots=execution_slots,
-                rack=racks.get(name),
-                rng=random.Random(self.rng.getrandbits(64)),
-            )
+        self.nodes: Dict[str, Node] = {
+            name: self._new_node(name, cache_bytes, execution_slots, rack=racks.get(name))
+            for name in node_names
+        }
         #: Parallel depot I/O scheduler for scans; None is the strictly
         #: serial miss path (the pre-scheduler behaviour).
         self.io_scheduler = IOScheduler(self) if self.parallel_io else None
@@ -141,7 +116,6 @@ class EonCluster:
         self.last_truncation_version = 0
         self._session_counter = itertools.count()
         self._writer_counters: Dict[int, "itertools.count[int]"] = {}
-        self._cluster_info_counter = itertools.count(1)
         self.shut_down = False
         #: True for a sharing cluster attached read-only to another
         #: database's shared storage (section 10).
@@ -176,8 +150,6 @@ class EonCluster:
             faults.bind_clock(self.clock)
         if faults is not None and hasattr(faults, "bind_recorder"):
             faults.bind_recorder(self._record_fault_event)
-        for node in self.nodes.values():
-            self._attach_depot_sink(node)
         if _bootstrap:
             self._bootstrap()
 
@@ -193,23 +165,27 @@ class EonCluster:
         injection decision, so it cannot perturb RNG state; it draws no RNG
         and charges no requests itself, keeping digests bit-identical."""
         if self.obs.enabled:
-            self.obs.dc.record(
-                "dc_fault_injections", "", (operation, kind, "")
-            )
+            self.obs.dc.record("dc_fault_injections", "", (operation, kind, ""))
 
-    def _attach_depot_sink(self, node: Node) -> None:
-        """Wire a node's depot to ``dc_depot_events``.  The sink closes
-        over the node *name* and reads ``self.obs`` lazily, so it survives
-        ``enable_observability`` swaps and cache rebuilds alike."""
-        name = node.name
+    def _new_node(
+        self, name: str, cache_bytes: int, execution_slots: int,
+        rack: Optional[str] = None, subcluster: Optional[str] = None,
+    ) -> Node:
+        """A node seeded by one draw from the cluster's RNG, its depot wired
+        to ``dc_depot_events``.  The sink closes over the node *name* and
+        reads ``self.obs`` lazily, so it survives ``enable_observability``
+        swaps and cache rebuilds alike."""
+        node = Node(
+            name, cache_bytes=cache_bytes, execution_slots=execution_slots,
+            subcluster=subcluster, rack=rack, rng=random.Random(self.rng.getrandbits(64)),
+        )
 
         def sink(event: str, obj: str, size: int) -> None:
             if self.obs.enabled:
-                self.obs.dc.record(
-                    "dc_depot_events", name, (event, obj, int(size))
-                )
+                self.obs.dc.record("dc_depot_events", name, (event, obj, int(size)))
 
         node.cache.event_sink = sink
+        return node
 
     # -- bootstrap -----------------------------------------------------------------
 
@@ -234,17 +210,9 @@ class EonCluster:
                 key = (node, (i + j) % shard_count)
                 if key not in seen:
                     seen.add(key)
-                    txn.add_op(
-                        op_set_subscription(
-                            key[0], key[1], SubscriptionState.ACTIVE.value
-                        )
-                    )
+                    txn.add_op(op_set_subscription(*key, SubscriptionState.ACTIVE.value))
         for node in names:
-            txn.add_op(
-                op_set_subscription(
-                    node, REPLICA_SHARD_ID, SubscriptionState.ACTIVE.value
-                )
-            )
+            txn.add_op(op_set_subscription(node, REPLICA_SHARD_ID, SubscriptionState.ACTIVE.value))
         self.commit(txn)
         subscriptions.refresh_shard_filters(self)
 
@@ -300,10 +268,7 @@ class EonCluster:
         in-flight upload (written, not yet committed), so the reaper's
         leaked-file sweep must not touch it (section 6.5).
         """
-        return [
-            node.sid_factory.next_sid(local_oid=0).prefix
-            for node in self.up_nodes()
-        ]
+        return [node.sid_factory.next_sid(local_oid=0).prefix for node in self.up_nodes()]
 
     def check_viability(self) -> None:
         """Cluster invariants (section 3.4): quorum plus shard coverage.
@@ -311,11 +276,9 @@ class EonCluster:
         On violation the cluster shuts down "to avoid divergence or wrong
         answers"."""
         up = len(self.up_nodes())
-        if up * 2 <= len(self.nodes):
+        if not has_quorum(up, len(self.nodes)):
             self.shut_down = True
-            raise QuorumLost(
-                f"only {up} of {len(self.nodes)} nodes up; quorum lost"
-            )
+            raise QuorumLost(f"only {up} of {len(self.nodes)} nodes up; quorum lost")
         lost = self.uncovered_shards()
         if lost:
             self.shut_down = True
@@ -398,284 +361,34 @@ class EonCluster:
             for node in self.up_nodes():
                 node.cache.drop(sid)
             self.reaper.note_drop(sid, self.version)
-        if any(
-            op["op"] in ("set_subscription", "drop_subscription")
-            for op in txn.ops
-        ):
+        if any(op["op"] in ("set_subscription", "drop_subscription") for op in txn.ops):
             subscriptions.refresh_shard_filters(self)
 
-    # -- DDL ----------------------------------------------------------------------------
+    # -- DDL and the SQL front door: cluster/ddl.py ----------------------------------------
 
-    def create_table(
-        self,
-        name: str,
-        columns: Sequence[Tuple[str, ColumnType]],
-        partition_by: Optional[str] = None,
-        create_super: bool = True,
-        flattened: Sequence = (),
-    ) -> int:
-        schema = TableSchema([SchemaColumn(n, t) for n, t in columns])
-        table = Table(
-            name=name, schema=schema, partition_by=partition_by,
-            flattened=tuple(flattened),
-        )
-        txn = self.begin()
-        txn.add_op(op_create_table(table))
-        if create_super:
-            super_proj = Projection(
-                name=f"{name}_super",
-                anchor_table=name,
-                columns=tuple(schema.names),
-                sort_order=(schema.names[0],),
-                segmentation=Segmentation.by_hash(schema.names[0]),
-            )
-            txn.add_op(op_create_projection(super_proj))
-        return self.commit(txn)
-
-    def create_projection(
-        self,
-        name: str,
-        table: str,
-        columns: Sequence[str],
-        sort_order: Sequence[str],
-        segmentation: Segmentation,
-        refresh: bool = True,
-    ) -> int:
-        """Create a projection; if the table already has data and
-        ``refresh`` is set, populate the new projection from an existing
-        one (Vertica's projection refresh)."""
-        needs_refresh = self._table_has_data(table)
-        if needs_refresh and not refresh:
-            raise CatalogError(
-                f"cannot add projection to non-empty table {table!r} "
-                "without refresh"
-            )
-        projection = Projection(
-            name=name,
-            anchor_table=table,
-            columns=tuple(columns),
-            sort_order=tuple(sort_order),
-            segmentation=segmentation,
-        )
-        # Snapshot the table contents *before* the new (empty) projection
-        # exists, so the refresh scan reads through an existing projection.
-        refresh_rows = self._table_snapshot_rows(table, columns) if needs_refresh else None
-        # One transaction for create + refresh: the projection and its
-        # containers become visible together, so no catalog version ever
-        # shows an *empty* projection of a non-empty table (which the
-        # planner could pick and silently return no rows from).  Container
-        # files upload before the commit under this instance's prefix, so
-        # a failed commit leaks only reaper-recoverable files.
-        txn = self.begin()
-        txn.add_op(op_create_projection(projection))
-        if refresh_rows is not None:
-            from repro.load.copy import write_rows
-
-            table_obj = self.any_up_node().catalog.state.table(table)
-            write_rows(self, table_obj, refresh_rows, txn, targets=[projection])
-        return self.commit(txn)
-
-    def _table_snapshot_rows(self, table_name: str, columns: Sequence[str]) -> RowSet:
-        column_list = ", ".join(columns)
-        result = self.query(f"select {column_list} from {table_name}")
-        table = self.any_up_node().catalog.state.table(table_name)
-        # Re-type to the table schema (query output schema is inferred).
-        schema = table.schema.subset(list(columns))
-        return RowSet(schema, dict(result.rows.columns))
-
-    def drop_projections(self, names: Sequence[str]) -> int:
-        """Drop projections in one transaction (the designer drops every
-        superseded ``_dbd`` version atomically once replacements exist).
-
-        Refuses to drop a table's last projection: a table must stay
-        readable.  Refcount-zero container and delete-vector files are reaped
-        from what the commit reports it removed."""
-        state = self.any_up_node().catalog.state
-        remaining: Dict[str, int] = {}
-        for name in names:
-            projection = state.projection(name)  # raises CatalogError if missing
-            table = projection.anchor_table
-            if table not in remaining:
-                remaining[table] = len(
-                    [p for p in state.projections_of(table) if not p.is_buddy]
-                )
-            remaining[table] -= 1
-            if remaining[table] < 1:
-                raise CatalogError(
-                    f"cannot drop {name!r}: it is the last projection of "
-                    f"table {table!r}"
-                )
-        txn = self.begin()
-        for name in names:
-            txn.add_op(op_drop_projection(name))
-        return self.commit(txn)
-
-    def drop_projection(self, name: str) -> int:
-        return self.drop_projections([name])
-
-    def _table_has_data(self, table: str) -> bool:
-        # Storage metadata is sharded: a single node's catalog only covers
-        # its subscribed shards, so consult every up node.
-        for node in self.up_nodes():
-            state = node.catalog.state
-            for projection in state.projections_of(table):
-                if state.containers_of(projection.name):
-                    return True
-        return False
-
-    def create_live_aggregate(
-        self,
-        name: str,
-        table: str,
-        group_by: Sequence[str],
-        aggregates: Sequence[Tuple[str, Optional[str], str]],  # (func, arg, out)
-        segmentation: Optional[Segmentation] = None,
-    ) -> int:
-        if self._table_has_data(table):
-            raise CatalogError(
-                f"cannot add live aggregate to non-empty table {table!r}"
-            )
-        lap = LiveAggregateProjection(
-            name=name,
-            anchor_table=table,
-            group_by=tuple(group_by),
-            aggregates=tuple(
-                LapAggregateSpec(func, arg, out) for func, arg, out in aggregates
-            ),
-            segmentation=segmentation or Segmentation.by_hash(group_by[0]),
-        )
-        txn = self.begin()
-        txn.add_op(op_create_live_agg(lap))
-        return self.commit(txn)
-
-    def create_user(self, name: str, is_superuser: bool = False) -> int:
-        txn = self.begin()
-        txn.add_op(op_create_user(User(name, is_superuser)))
-        return self.commit(txn)
-
-    def add_column(
-        self, table: str, column: str, ctype: ColumnType, txn: Optional[Transaction] = None
-    ) -> int:
-        """ADD COLUMN under OCC (section 6.3): pass an explicit ``txn``
-        begun earlier to model offline metadata preparation; commit-time
-        validation aborts if the table changed in between."""
-        own = txn is None
-        if txn is None:
-            txn = self.begin()
-        txn.add_op(op_add_column(table, SchemaColumn(column, ctype)))
-        if own:
-            return self.commit(txn)
-        return -1
-
-    # -- SQL front door ------------------------------------------------------------------
-
-    def execute(self, sql: str, **session_options):
-        """Run one or more SQL statements; returns the last result."""
-        from repro.engine.expressions import Expr
-        from repro.sql.ast import (
-            AddColumn,
-            CreateProjection,
-            CreateTable,
-            Delete,
-            DropTable,
-            Insert,
-            Select,
-            Update,
-        )
-        from repro.load.copy import copy_into
-        from repro.load.dml import delete_from, update_table
-
-        result = None
-        for statement in parse(sql):
-            if isinstance(statement, Select):
-                result = self.query_statement(statement, **session_options)
-            elif isinstance(statement, CreateTable):
-                result = self.create_table(
-                    statement.name,
-                    [
-                        (c.name, ColumnType.from_sql(c.type_name))
-                        for c in statement.columns
-                    ],
-                    partition_by=statement.partition_by,
-                )
-            elif isinstance(statement, CreateProjection):
-                seg = (
-                    Segmentation.by_hash(*statement.segmented_by)
-                    if statement.segmented_by
-                    else Segmentation.replicated()
-                )
-                state = self.any_up_node().catalog.state
-                columns = statement.columns or list(
-                    state.table(statement.table).schema.names
-                )
-                result = self.create_projection(
-                    statement.name,
-                    statement.table,
-                    columns,
-                    statement.order_by or [columns[0]],
-                    seg,
-                )
-            elif isinstance(statement, Insert):
-                state = self.any_up_node().catalog.state
-                schema = state.table(statement.table).schema
-                rows = RowSet.from_rows(schema, statement.rows)
-                result = copy_into(self, statement.table, rows)
-            elif isinstance(statement, Delete):
-                result = delete_from(self, statement.table, statement.where)
-            elif isinstance(statement, Update):
-                result = update_table(
-                    self, statement.table, statement.assignments, statement.where
-                )
-            elif isinstance(statement, AddColumn):
-                result = self.add_column(
-                    statement.table,
-                    statement.column.name,
-                    ColumnType.from_sql(statement.column.type_name),
-                )
-            elif isinstance(statement, DropTable):
-                txn = self.begin()
-                txn.add_op(op_drop_table(statement.name))
-                result = self.commit(txn)
-            else:
-                raise CatalogError(f"unsupported statement {statement!r}")
-        return result
+    create_table = ddl.create_table
+    create_projection = ddl.create_projection
+    drop_projections = ddl.drop_projections
+    drop_projection = ddl.drop_projection
+    create_live_aggregate = ddl.create_live_aggregate
+    create_user = ddl.create_user
+    add_column = ddl.add_column
+    execute = ddl.execute
 
     def load(self, table: str, rows, use_cache: bool = True):
         """Programmatic COPY: ``rows`` is a RowSet or list of tuples."""
-        from repro.load.copy import copy_into
-
         if not isinstance(rows, RowSet):
             table_obj = self.any_up_node().catalog.state.table(table)
             schema = table_obj.schema
             rows = list(rows)
-            if (
-                table_obj.flattened
-                and rows
-                and len(rows[0]) == len(table_obj.base_columns)
-            ):
+            if table_obj.flattened and rows and len(rows[0]) == len(table_obj.base_columns):
                 schema = schema.subset(table_obj.base_columns)
             rows = RowSet.from_rows(schema, rows)
         return copy_into(self, table, rows, use_cache=use_cache)
 
-    def refresh_flattened(self, table: str) -> int:
-        """Re-derive a flattened table's denormalised columns from the
-        current dimension contents (section 2.1's refresh mechanism)."""
-        from repro.load.flattened import refresh_flattened
-
-        return refresh_flattened(self, table, epoch=int(self.clock.now))
-
-    def drop_partition(self, table: str, partition_key: object) -> int:
-        """Metadata-only partition drop (section 4.5); returns rows dropped."""
-        from repro.load.partitions import drop_partition
-
-        return drop_partition(self, table, partition_key)
-
-    def move_partition(self, source: str, target: str, partition_key: object) -> int:
-        """Metadata-only partition move between structurally matching
-        tables; the data files are shared, never copied (section 5.1)."""
-        from repro.load.partitions import move_partition
-
-        return move_partition(self, source, target, partition_key)
+    refresh_flattened = flattened.refresh_flattened
+    drop_partition = partitions.drop_partition
+    move_partition = partitions.move_partition
 
     # -- sessions & queries ------------------------------------------------------------------
 
@@ -727,9 +440,7 @@ class EonCluster:
             initiator = candidates[seed % len(candidates)]
         priority_tiers = None
         if subcluster is not None:
-            members = {
-                n for n in self.subclusters.get(subcluster, set()) if self.nodes[n].is_up
-            }
+            members = {n for n in self.subclusters.get(subcluster, set()) if self.nodes[n].is_up}
             if members:
                 priority_tiers = [members]
         elif prefer_initiator_rack and self.nodes[initiator].rack is not None:
@@ -739,9 +450,7 @@ class EonCluster:
             # bandwidth-constrained links."  Lower tiers join only if the
             # rack cannot cover every shard.
             rack = self.nodes[initiator].rack
-            same_rack = {
-                n.name for n in self.up_nodes() if n.rack == rack
-            }
+            same_rack = {n.name for n in self.up_nodes() if n.rack == rack}
             if same_rack:
                 priority_tiers = [same_rack]
         assignment = select_participating_subscriptions(
@@ -750,25 +459,15 @@ class EonCluster:
         sharing: Dict[int, List[str]] = {}
         if crunch is not None and nodes_per_shard > 1:
             for shard, primary in assignment.items():
-                extras = [
-                    n for n in up_active[shard] if n != primary
-                ][: nodes_per_shard - 1]
+                extras = [n for n in up_active[shard] if n != primary][: nodes_per_shard - 1]
                 sharing[shard] = [primary] + extras
         else:
             sharing = {shard: [node] for shard, node in assignment.items()}
-        snapshots = {}
         needed = {n for nodes in sharing.values() for n in nodes} | {initiator}
-        for name in needed:
-            snapshots[name] = self.nodes[name].catalog.snapshot()
+        snapshots = {name: self.nodes[name].catalog.snapshot() for name in needed}
         return EonSession(
-            cluster=self,
-            initiator=initiator,
-            assignment=assignment,
-            sharing=sharing,
-            crunch=crunch,
-            snapshots=snapshots,
-            use_cache=use_cache,
-            seed=seed,
+            cluster=self, initiator=initiator, assignment=assignment, sharing=sharing,
+            crunch=crunch, snapshots=snapshots, use_cache=use_cache, seed=seed,
         )
 
     def query(self, sql: str, **session_options) -> QueryResult:
@@ -843,138 +542,13 @@ class EonCluster:
     unsubscribe = subscriptions.retire
     rebalance_subscriptions = subscriptions.rebalance_subscriptions
 
-    def _full_metadata_rebuild(self, node: Node) -> None:
-        """Rebuild a node's whole catalog from peers (instance loss or a
-        history gap): global objects from any peer, then each subscribed
-        shard's storage metadata from that shard's subscribers."""
-        # ``recover_node`` has already restarted ``node`` (state UP), so
-        # "any up node" could be the very node whose catalog is empty.
-        peer = next((n for n in self.up_nodes() if n is not node), None)
-        if peer is None:
-            raise QuorumLost(f"no up peer to rebuild {node.name}'s catalog from")
-        node.catalog.reshard(base=peer.catalog)
-        # Each shard's source is read from the subscriptions just taken over.
-        subscriptions.transfer_metadata(self, node, node.catalog.subscribed_shards)
-        node.catalog.write_checkpoint()
+    # -- node lifecycle: cluster/lifecycle.py --------------------------------------------------
 
-    # -- failure & recovery -------------------------------------------------------------------------
-
-    def kill_node(self, name: str, lose_local_disk: bool = False) -> None:
-        self.nodes[name].go_down(lose_local_disk=lose_local_disk)
-        self.check_viability()
-
-    def recover_node(self, name: str, warm_cache: bool = True) -> Dict[int, Optional[WarmingReport]]:
-        """Node recovery (section 6.1): restart, catch up metadata, force
-        re-subscription, incremental cache warm, serve again."""
-        node = self.nodes[name]
-        if node.is_up:
-            raise ClusterError(f"node {name} is already up")
-        node.restart()
-        # Metadata catch-up: replay the commits this node missed (the
-        # incremental shard diff of section 6.1).  If the history no longer
-        # reaches back far enough (e.g. the cluster revived into a new
-        # incarnation while the node was down), rebuild from a peer.
-        missed = self.coordinator.records_after(node.catalog.state.version)
-        if missed and missed[0].version != node.catalog.state.version + 1:
-            self._full_metadata_rebuild(node)
-        elif not missed and node.catalog.state.version != self.version:
-            self._full_metadata_rebuild(node)
-        else:
-            for record in missed:
-                node.catalog.apply_commit(record)
-        node.state = NodeState.UP
-        return subscriptions.resubscribe(self, name, warm_cache)
-
-    # -- elasticity -----------------------------------------------------------------------------------
-
-    def add_node(
-        self,
-        name: str,
-        shards: Optional[Sequence[int]] = None,
-        warm_cache: bool = True,
-        cache_bytes: Optional[int] = None,
-        subcluster: Optional[str] = None,
-    ) -> Node:
-        """Add a node and subscribe it to ``shards`` (default: balanced).
-
-        "Nodes can easily be added to the system by adjusting the mapping
-        ... no expensive redistribution mechanism over all records is
-        required" (section 6.4)."""
-        if name in self.nodes:
-            raise ClusterError(f"node {name} already exists")
-        node = Node(
-            name,
-            cache_bytes=cache_bytes or next(iter(self.nodes.values())).cache_bytes,
-            execution_slots=next(iter(self.nodes.values())).execution_slots,
-            subcluster=subcluster,
-            rng=random.Random(self.rng.getrandbits(64)),
-        )
-        # Catch the new node up on the commit stream; it subscribes to
-        # nothing yet, so shard-scoped metadata is filtered out.  After a
-        # revive or truncation the retained history no longer reaches back
-        # to version 1, so replaying from an empty catalog is impossible —
-        # seed the catalog from a peer instead (same path recovery uses
-        # when a node's gap outlives the history).
-        node.catalog.subscribed_shards = set()
-        history = self.coordinator.log_history
-        if history and history[0].version == 1:
-            for record in history:
-                node.catalog.apply_commit(record, persist=False)
-        elif self.version:
-            # Empty-but-truncated history (fresh revive) lands here too:
-            # the cluster is at base_version with nothing to replay.
-            self._full_metadata_rebuild(node)
-        self.nodes[name] = node
-        self._attach_depot_sink(node)
-        if subcluster:
-            self.subclusters.setdefault(subcluster, set()).add(name)
-        if shards is None:
-            shards = self._balanced_shards_for_new_node()
-        for shard_id in shards:
-            self.subscribe(name, shard_id, warm_cache=warm_cache)
-        self.subscribe(name, REPLICA_SHARD_ID, warm_cache=False)
-        return node
-
-    def _balanced_shards_for_new_node(self) -> List[int]:
-        """Give the new node the shards with the fewest subscribers."""
-        counts = {
-            shard: len(self.active_up_subscribers(shard))
-            for shard in self.shard_map.shard_ids()
-        }
-        target = max(1, self.shard_map.count * self.subscribers_per_shard // (len(self.nodes)))
-        return sorted(counts, key=lambda s: (counts[s], s))[:target]
-
-    def remove_node(self, name: str) -> None:
-        """Gracefully remove a node: retire every subscription it holds,
-        whatever its state, then drop it."""
-        for shard_id in shards_of(subscriptions.current(self), name):
-            self.unsubscribe(name, shard_id)
-        self.nodes.pop(name)
-        for members in self.subclusters.values():
-            members.discard(name)
-
-    # -- subclusters ------------------------------------------------------------------------------------
-
-    def define_subcluster(self, name: str, node_names: Sequence[str]) -> None:
-        """Designate a subcluster and rebalance subscriptions so every
-        shard has a subscriber inside it (section 4.3)."""
-        members = set(node_names)
-        unknown = members - set(self.nodes)
-        if unknown:
-            raise ClusterError(f"unknown nodes {sorted(unknown)}")
-        self.subclusters[name] = members
-        for node_name in members:
-            self.nodes[node_name].subcluster = name
-        up_members = {m for m in members if self.nodes[m].is_up}
-        lacking = uncovered(
-            subscriptions.current(self), self.shard_map.shard_ids(), up_members
-        )
-        for shard_id in lacking:
-            # Subscribe the member with the fewest subscriptions.
-            subs = subscriptions.current(self)
-            load = {m: len(shards_of(subs, m)) for m in members}
-            chosen = min(sorted(members), key=lambda m: load[m])
-            self.subscribe(chosen, shard_id)
+    kill_node = lifecycle.kill_node
+    recover_node = lifecycle.recover_node
+    add_node = lifecycle.add_node
+    remove_node = lifecycle.remove_node
+    define_subcluster = lifecycle.define_subcluster
 
     # -- catalog durability: cluster/durability.py ---------------------------------------------
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cache.disk_cache import FileCache, ObjectInfo, ShapingPolicy
 from repro.catalog.catalog import Catalog
 from repro.common.oid import SidFactory
-from repro.errors import NodeDown, ObjectNotFound
+from repro.errors import ClusterError, NodeDown, ObjectNotFound
 from repro.shared_storage.api import Filesystem, retrying
 from repro.shared_storage.posix import MemoryFilesystem
 
@@ -29,6 +29,20 @@ from repro.shared_storage.posix import MemoryFilesystem
 class NodeState(enum.Enum):
     UP = "UP"
     DOWN = "DOWN"
+
+
+def has_quorum(up: int, total: int) -> bool:
+    """The quorum rule (section 3.4): more than half of ``total`` nodes are
+    up.  A kill asks with one fewer up, a removal with the removed gone
+    from both counts."""
+    return total > 0 and up * 2 > total
+
+
+def member(nodes: Dict[str, "Node"], name: str) -> "Node":
+    """The node called ``name``; an unknown name is a :class:`ClusterError`."""
+    if name not in nodes:
+        raise ClusterError(f"no node {name!r} in the cluster")
+    return nodes[name]
 
 
 class Node:

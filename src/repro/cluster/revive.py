@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from repro.cluster import subscriptions
+from repro.cluster import lifecycle, subscriptions
 from repro.cluster.eon import EonCluster
+from repro.cluster.node import has_quorum
 from repro.cluster.transactions import CommitCoordinator
 from repro.common.clock import SimClock
 from repro.errors import ReviveError
@@ -178,11 +179,12 @@ def form_cluster(cluster) -> int:
     to the best catalog version.  The cluster follows the same mechanism
     as revive, moving to a new incarnation id." (section 3.5)
 
-    Returns the agreed version.  Nodes ahead of it truncate; nodes behind
-    are repaired through the normal recovery path afterwards.
+    Returns the agreed version, which the commit history then ends at.
+    Nodes ahead of it truncate; nodes behind it catch up by
+    ``lifecycle.catch_up``, as recovery and a new node do.
     """
     up = [n for n in cluster.nodes.values() if n.is_up]
-    if len(up) * 2 <= len(cluster.nodes):
+    if not has_quorum(len(up), len(cluster.nodes)):
         raise ReviveError("cannot form a cluster without quorum")
     versions = sorted({n.catalog.state.version for n in up}, reverse=True)
     best: Optional[int] = None
@@ -206,26 +208,20 @@ def form_cluster(cluster) -> int:
     for node in up:
         if node.catalog.state.version > best:
             node.catalog.truncate_to(best)
-    base = cluster.coordinator.base_version
-    cluster.coordinator.log_history = [
-        record
-        for record in cluster.coordinator.log_history
-        if record.version <= best
-    ]
-    cluster.coordinator.base_version = min(base, best)
-    # Nodes behind the agreed version catch up from the retained history
-    # so the next commit finds everyone at the same version.
+    coordinator = cluster.coordinator
+    if best > coordinator.version:
+        # The agreed tail never reached the commit history (the crash came
+        # before the coordinator logged it): as after a revive, the
+        # history starts at the agreed version and holds nothing.
+        coordinator.base_version, coordinator.log_history = best, []
+    else:
+        coordinator.log_history = [r for r in coordinator.log_history if r.version <= best]
+        coordinator.base_version = min(coordinator.base_version, best)
+    # Nodes behind the agreed version catch up (replay, or rebuild when the
+    # retained history no longer reaches them) so the next commit finds
+    # everyone at the same version.
     for node in up:
-        while node.catalog.state.version < best:
-            missing = [
-                record
-                for record in cluster.coordinator.log_history
-                if record.version == node.catalog.state.version + 1
-            ]
-            if not missing:
-                cluster._full_metadata_rebuild(node)
-                break
-            node.catalog.apply_commit(missing[0])
+        lifecycle.catch_up(cluster, node)
     # New incarnation: post-formation commits reuse version numbers the
     # discarded tail held, so their metadata must land in a new namespace.
     cluster.incarnation = f"{cluster.rng.getrandbits(128):032x}"

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.cache.warming import WarmingReport, warm_from_peer
 from repro.catalog.mvcc import op_drop_subscription, op_set_subscription
-from repro.errors import ShardCoverageLost
+from repro.errors import CatalogError, ShardCoverageLost
 from repro.recovery import rebalance
 from repro.sharding.subscription import (
     SubscriptionState,
@@ -52,6 +52,13 @@ def uncovered_without(cluster, gone: Iterable[str] = (), shard_ids=None) -> List
     return uncovered(current(cluster), shard_ids, up) if up else list(shard_ids)
 
 
+def check_shards(cluster, shard_ids: Iterable[int]) -> None:
+    """Refuse shard ids the cluster's shard map does not hold."""
+    unknown = sorted(set(shard_ids).difference(cluster.shard_map.all_shard_ids()))
+    if unknown:
+        raise CatalogError(f"no shard {unknown[0]} in a {cluster.shard_map.count}-shard cluster")
+
+
 def refresh_shard_filters(cluster) -> None:
     """Point each node's catalog filter at the shards it subscribes to."""
     subs = current(cluster)
@@ -68,6 +75,7 @@ def subscribe(
     """The subscription process of section 3.3 / Figure 4: commit PENDING (a
     PASSIVE or ACTIVE subscription restarts there, as in recovery), then
     :func:`activate`."""
+    check_shards(cluster, [shard_id])
     node = cluster.nodes[node_name]
     node.ensure_up()
     _commit_sub_state(cluster, node_name, shard_id, PENDING)

@@ -33,33 +33,33 @@ def apply_flattening(cluster, table: Table, rows: RowSet) -> RowSet:
     return RowSet(table.schema, {c.name: columns[c.name] for c in table.schema.columns})
 
 
-def refresh_flattened(cluster, table_name: str, epoch: int = 0) -> int:
-    """Re-derive every flattened column from the current dimension data.
+def refresh_flattened(cluster, table: str) -> int:
+    """Re-derive a flattened table's denormalised columns from the current
+    dimension contents (section 2.1's refresh mechanism).
 
-    Modelled like an UPDATE: the old containers are tombstoned and new
-    containers with refreshed values are written, in one transaction.
-    Returns the number of rows refreshed.
+    Modelled like an UPDATE at the clock's epoch: the old containers are
+    tombstoned and new containers with refreshed values are written, in one
+    transaction.  Returns the number of rows refreshed.
     """
     from repro.load.copy import write_rows
     from repro.load.dml import delete_from
 
-    node = cluster.any_up_node()
-    state = node.catalog.state
-    table = state.table(table_name)
-    if not table.flattened:
-        raise CatalogError(f"table {table_name!r} has no flattened columns")
+    epoch = int(cluster.clock.now)
+    table_obj = cluster.any_up_node().catalog.state.table(table)
+    if not table_obj.flattened:
+        raise CatalogError(f"table {table!r} has no flattened columns")
 
     txn = Transaction()
     deleted: List[RowSet] = []
     count = delete_from(
-        cluster, table_name, None, epoch, _txn=txn, _collect_deleted=deleted
+        cluster, table, None, epoch, _txn=txn, _collect_deleted=deleted
     )
     if count == 0:
         return 0
-    old_rows = RowSet.concat(deleted).select(table.schema.names)
-    base = old_rows.select(table.base_columns)
-    refreshed = apply_flattening(cluster, table, base)
-    write_rows(cluster, table, refreshed, txn)
+    old_rows = RowSet.concat(deleted).select(table_obj.schema.names)
+    base = old_rows.select(table_obj.base_columns)
+    refreshed = apply_flattening(cluster, table_obj, base)
+    write_rows(cluster, table_obj, refreshed, txn)
     cluster.commit(txn, epoch=epoch)
     return count
 

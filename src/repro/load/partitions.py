@@ -59,13 +59,13 @@ def _partition_containers(cluster, table_name: str, partition_key: object):
     return table, found
 
 
-def drop_partition(cluster, table_name: str, partition_key: object) -> int:
+def drop_partition(cluster, table: str, partition_key: object) -> int:
     """Drop every container of one partition; returns rows dropped.
 
     Metadata-only: "partitioning the data allows for quick file pruning"
     and equally quick retirement — no delete vectors, no rewrites.
     """
-    _table, containers = _partition_containers(cluster, table_name, partition_key)
+    _table, containers = _partition_containers(cluster, table, partition_key)
     if not containers:
         return 0
     txn = Transaction()
@@ -77,15 +77,13 @@ def drop_partition(cluster, table_name: str, partition_key: object) -> int:
     cluster.commit(txn)
     # Rows counted once per logical copy: divide by projection count.
     projections = [
-        p for p in cluster.any_up_node().catalog.state.projections_of(table_name)
+        p for p in cluster.any_up_node().catalog.state.projections_of(table)
         if not p.is_buddy
     ]
     return rows // max(len(projections), 1)
 
 
-def move_partition(
-    cluster, source_table: str, target_table: str, partition_key: object
-) -> int:
+def move_partition(cluster, source: str, target: str, partition_key: object) -> int:
     """Re-attach a partition's containers to another table's projections.
 
     The two tables must have structurally matching non-buddy projections
@@ -96,14 +94,11 @@ def move_partition(
     """
     coordinator = cluster.any_up_node()
     state = coordinator.catalog.state
-    target = state.table(target_table)
-    if target.partition_by is None:
-        raise CatalogError(f"table {target_table!r} is not partitioned")
-    mapping = _match_projections(cluster, source_table, target_table)
+    if state.table(target).partition_by is None:
+        raise CatalogError(f"table {target!r} is not partitioned")
+    mapping = _match_projections(cluster, source, target)
 
-    _src_table, containers = _partition_containers(
-        cluster, source_table, partition_key
-    )
+    _src_table, containers = _partition_containers(cluster, source, partition_key)
     if not containers:
         return 0
     # Refuse if the target already holds this partition (swap ambiguity).
@@ -113,7 +108,7 @@ def move_partition(
             for container in holder.catalog.state.containers_of(projection_name, shard_id):
                 if container.partition_key == partition_key:
                     raise CatalogError(
-                        f"target {target_table!r} already holds partition "
+                        f"target {target!r} already holds partition "
                         f"{partition_key!r}"
                     )
 

@@ -43,6 +43,7 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.cluster import subscriptions
+from repro.cluster.node import has_quorum
 from repro.sharding.shard import REPLICA_SHARD_ID
 from repro.sharding.subscription import shards_of
 from repro.sim.oracle import rows_key
@@ -102,7 +103,7 @@ def survivable_losses(cluster, names) -> List[str]:
     — the node is up, quorum holds without it, and every shard stays
     covered.  The generator's kill gate, ``kill`` and the mid-query
     victims all ask here."""
-    if (len(cluster.up_nodes()) - 1) * 2 <= len(cluster.nodes):
+    if not has_quorum(len(cluster.up_nodes()) - 1, len(cluster.nodes)):
         return []
     return [
         name
