@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
+.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -48,6 +48,12 @@ differential-smoke:
 # Longer chaos run straight from the CLI (prints per-seed digests).
 sim-campaign:
 	$(PY) -m repro.sim --seeds 25
+
+# The 300-campaign equality check: every generator profile at seeds 0-29,
+# one line per campaign (clean or not, trace digest, final-state hash).  Two
+# trees that behave the same print the same bytes: `cmp` their outputs.
+campaigns:
+	python3 benchmarks/campaigns.py
 
 bench:
 	$(PY) -m pytest benchmarks -q

@@ -84,10 +84,6 @@ class ThroughputResult:
             return 0.0
         return self.completed * 60.0 / self.duration_seconds
 
-    @property
-    def per_second(self) -> float:
-        return self.per_minute / 60.0
-
 
 #: Picks the nodes a request runs on: returns (node -> share count).
 Picker = Callable[[int], Dict[str, int]]

@@ -85,10 +85,6 @@ class Catalog:
             self._pins[version] = count
         self._gc_states()
 
-    def pinned_versions(self) -> List[int]:
-        """Versions running queries hold pins on (invariant accessor)."""
-        return sorted(self._pins)
-
     def pinned_states(self) -> List[CatalogState]:
         """The retained catalog states behind each pinned version.
 

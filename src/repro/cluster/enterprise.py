@@ -52,7 +52,7 @@ from repro.load.copy import (
     LocalDiskSink, checked_input, split, streams, write_partitions, write_stream,
 )
 from repro.obs import Observability
-from repro.recovery import FailoverPolicy
+from repro.recovery import FailoverPolicy, RecoveryStats
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.storage.container import ROSContainer, RowSet, read_container
@@ -143,7 +143,7 @@ class EnterpriseCluster:
         #: Session-level query failover: a buddy takes over a region whose
         #: node died after the session was laid out.
         self.failover_policy = FailoverPolicy()
-        self.failovers = 0
+        self.recovery_stats = RecoveryStats()
 
     #: The engine's one per-query option.  Scans read node-local disks, so
     #: the provider's ``set_pushdown`` is the ABC no-op: accepted, inert.

@@ -44,7 +44,7 @@ from repro.io.scheduler import IOScheduler
 from repro.load import flattened, partitions
 from repro.load.copy import copy_into
 from repro.obs import Observability
-from repro.recovery.failover import FailoverPolicy
+from repro.recovery.failover import FailoverPolicy, RecoveryStats
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.sharding.subscription import SubscriptionState, holders
@@ -123,17 +123,16 @@ class EonCluster:
         self._source_incarnation: Optional[str] = None
         #: Session-level query failover bounds (repro.recovery).
         self.failover_policy = FailoverPolicy()
-        self.failovers = 0
+        #: Failovers and degraded-mode entries/exits (the pairing
+        #: invariant's observables).
+        self.recovery_stats = RecoveryStats()
         #: Workload manager: per-node execution-slot admission control
         #: (repro.wm).  Every SELECT holds its slot demand for the length
         #: of its execution; concurrent drivers queue on the clock.
         self.admission = AdmissionController(self)
         #: Degraded read-only mode: entered while shared storage is in a
-        #: sustained outage window, exited when the window lapses.  The
-        #: entry/exit counters are the pairing invariant's observables.
+        #: sustained outage window, exited when the window lapses.
         self.degraded = False
-        self.degraded_entries = 0
-        self.degraded_exits = 0
         #: Set by ServiceScheduler.__init__ so v_monitor can reach service
         #: stats without the cluster owning a scheduler.
         self.service_scheduler = None
@@ -292,8 +291,9 @@ class EonCluster:
         Entry and exit are deterministic — purely a function of the sim
         clock against the declared outage window, never of RNG state or
         poll ordering — and always paired: the flag cannot flip the same
-        way twice in a row, so ``degraded_entries`` and ``degraded_exits``
-        differ by at most one (the pairing invariant the sim checks).
+        way twice in a row, so ``recovery_stats.degraded_entries`` and
+        ``degraded_exits`` differ by at most one (the pairing invariant the
+        sim checks).
 
         While degraded the cluster is read-only over depot-resident data:
         commits and loads fail fast with :class:`StorageUnavailable`, and
@@ -302,12 +302,12 @@ class EonCluster:
         outage = bool(getattr(self.shared, "outage_active", False))
         if outage and not self.degraded:
             self.degraded = True
-            self.degraded_entries += 1
+            self.recovery_stats.degraded_entries += 1
             if self.obs.enabled:
                 self.obs.tracer.record("degraded.enter", t=self.clock.now)
         elif not outage and self.degraded:
             self.degraded = False
-            self.degraded_exits += 1
+            self.recovery_stats.degraded_exits += 1
             if self.obs.enabled:
                 self.obs.tracer.record("degraded.exit", t=self.clock.now)
         return self.degraded

@@ -182,7 +182,7 @@ def run(
             # out a new session and re-execute.  The backoff is charged to
             # the query's cost-model latency, not to the sim clock.
             penalty += policy.backoff_for(attempt)
-            cluster.failovers += 1
+            cluster.recovery_stats.failovers += 1
             obs = cluster.obs
             if obs.enabled:
                 error = type(exc).__name__
@@ -250,29 +250,15 @@ def _attempt(
             cluster.admission.release(own_ticket)
 
 
-#: ``RequestRecord`` field <- the shared backend's ``StorageMetrics`` counter
-#: it is the before/after difference of.
-_SHARED_LEDGER = {
-    "s3_requests": "get_requests",
-    "s3_dollars": "dollars",
-    "retries": "transient_failures",
-    "retry_backoff_seconds": "retry_backoff_seconds",
-    "storage_io_seconds": "sim_seconds",
-}
-
-
-def _ledger(cluster) -> Dict[str, float]:
-    """The cluster-wide counters a request is charged the movement of.  A
-    source the flavor lacks reads zero (Enterprise has no shared storage and
-    its depots never serve): ``obs/system_tables.py``'s absent-is-empty."""
-    depots = [node.cache.stats for node in cluster.nodes.values()]
+def _ledger(cluster) -> Tuple[int, float, float]:
+    """The shared backend's retry and clock counters a request is charged
+    the movement of: ``retries``, ``retry_backoff_seconds`` and
+    ``storage_io_seconds``.  Enterprise has no shared storage and reads zero
+    (``obs/system_tables.py``'s absent-is-empty)."""
     metrics = getattr(getattr(cluster, "shared", None), "metrics", None)
-    ledger = {
-        field: getattr(metrics, counter, 0) for field, counter in _SHARED_LEDGER.items()
-    }
-    ledger["depot_hits"] = sum(stats.hits for stats in depots)
-    ledger["depot_misses"] = sum(stats.misses for stats in depots)
-    return ledger
+    if metrics is None:
+        return 0, 0.0, 0.0
+    return metrics.transient_failures, metrics.retry_backoff_seconds, metrics.sim_seconds
 
 
 def _execute_recorded(
@@ -301,13 +287,28 @@ def _execute_recorded(
     latency = result.stats.latency_seconds
     rows = result.rows.num_rows
     after = _ledger(cluster)
+    # The depot and S3 totals are the query's own operators' (a Scan's are
+    # its ScanResult's), summed in plan order: the request's dollars are the
+    # sum of its query_profiles rows.
+    operators = tuple(executor.op_profiles)
+    hits = misses = requests = 0
+    dollars = 0.0
+    for op in operators:
+        hits += op.depot_hits
+        misses += op.depot_misses
+        requests += op.s3_requests
+        dollars += op.s3_dollars
     obs.requests.append(
         RequestRecord(
             request_id, initiator, text, start, latency, rows_produced=rows,
-            queue_wait_seconds=queue_wait, failover_backoff_seconds=penalty,
-            **{field: after[field] - before[field] for field in before},
+            depot_hits=hits, depot_misses=misses, s3_requests=requests,
+            s3_dollars=dollars, queue_wait_seconds=queue_wait,
+            failover_backoff_seconds=penalty, retries=after[0] - before[0],
+            retry_backoff_seconds=after[1] - before[1],
+            storage_io_seconds=after[2] - before[2],
         )
     )
+
     def event(name: str, detail: str, value: float) -> None:
         obs.dc.record("dc_query_events", initiator, (request_id, name, detail, value))
 
@@ -319,9 +320,7 @@ def _execute_recorded(
         event("failover", "backoff", penalty)
     event("execute", text[:80], latency)
     obs.profiles.append(
-        QueryProfile(
-            request_id, text, initiator, start, latency, tuple(executor.op_profiles)
-        )
+        QueryProfile(request_id, text, initiator, start, latency, operators)
     )
     obs.metrics.histogram("query.latency_seconds").observe(latency)
     return result

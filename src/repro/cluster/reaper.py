@@ -22,12 +22,18 @@ running node's instance-id prefix, delete the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
+
+from repro.obs.metrics import Ledger
 
 
 @dataclass
-class ReapStats:
+class ReapStats(Ledger):
+    """What the reaper did: one poll's, or (``FileReaper.stats``) every
+    poll's folded in.  Summed over polls, the two ``retained_*`` fields
+    count retain decisions: a file held back for three polls counts three."""
+
     deleted: int = 0
     retained_for_queries: int = 0
     retained_for_durability: int = 0
@@ -90,7 +96,7 @@ class FileReaper:
             cluster.shared_data.delete(sid)
             stats.deleted += 1
         self._pending = remaining
-        self.stats.deleted += stats.deleted
+        self.stats.add(stats)
         obs = getattr(cluster, "obs", None)
         if obs is not None and obs.enabled:
             obs.tracer.record(

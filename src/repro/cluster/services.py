@@ -10,24 +10,28 @@ nodes automatically.
 
 :class:`ServiceScheduler` drives them from the simulated clock, so long
 DES runs (like the Figure-12 timeline) execute maintenance at realistic
-cadence, and tests can single-step with :meth:`tick`.
+cadence, and tests can single-step with :meth:`~ServiceScheduler.tick`.
+The services are named once, as the fields of :class:`ServiceIntervals`
+(:data:`SERVICES`), and every run of every service goes through
+:meth:`~ServiceScheduler.run`.
 
 Failure handling: a failing service must not kill its loop, but it must
-not be invisible either.  Every swallowed :class:`ReproError` is recorded
-per service (``error_counts`` / ``last_errors``), emitted as a
-``services.errors{service=...}`` counter, and surfaced through the
-``v_monitor.services`` system table.  During a shared-storage outage the
-services *pause* (``skipped_outage``) instead of burning error counters —
-a declared outage is a cluster state, not a service failure.
+not be invisible either.  Every swallowed :class:`ReproError` is counted in
+the service's :class:`ServiceRuns` ledger (``errors``, ``last_error``) and
+recorded as a ``dc_service_runs`` row; ``v_monitor.services`` is one
+ledger row per service.  During a shared-storage outage the services
+*pause* (``skipped_outage``) instead of burning error counters — a
+declared outage is a cluster state, not a service failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, Optional
 
 from repro.common.clock import Timeout
 from repro.errors import ReproError
+from repro.obs.metrics import Ledger
 from repro.obs.tracing import NULL_TRACER
 from repro.recovery import SubscriptionRebalancer
 from repro.tuple_mover import MergeoutCoordinatorService
@@ -35,7 +39,8 @@ from repro.tuple_mover import MergeoutCoordinatorService
 
 @dataclass
 class ServiceIntervals:
-    """Seconds between runs of each service (None disables it)."""
+    """Seconds between runs of each service (None disables it); the fields
+    are the services, in the order a tick runs them."""
 
     catalog_sync: Optional[float] = 60.0
     cluster_info: Optional[float] = 300.0
@@ -48,8 +53,26 @@ class ServiceIntervals:
     autoscale: Optional[float] = None
 
 
+#: Every service, in tick order.
+SERVICES = tuple(f.name for f in fields(ServiceIntervals))
+
+
 @dataclass
-class ServiceStats:
+class ServiceRuns(Ledger):
+    """One service's runs: its row of ``v_monitor.services`` after its name."""
+
+    runs: int = 0
+    errors: int = 0
+    last_error: str = ""
+    skipped_outage: int = 0
+
+
+@dataclass
+class ServiceStats(Ledger):
+    """What the services did over the scheduler's life: each service's
+    domain counts, and (``services``) each service's :class:`ServiceRuns`,
+    which the scheduler-wide ``errors`` and ``skipped_outage`` sum."""
+
     sync_runs: int = 0
     cluster_info_writes: int = 0
     mergeout_jobs: int = 0
@@ -59,9 +82,22 @@ class ServiceStats:
     rebalance_subscriptions: int = 0
     autoscale_ticks: int = 0
     autoscale_actions: int = 0
-    errors: int = 0
-    #: Service runs skipped because the cluster was degraded (S3 outage).
-    skipped_outage: int = 0
+
+    derived = ("errors", "skipped_outage")
+
+    def __post_init__(self) -> None:
+        #: Service name -> its ledger, from the service's first run or pause.
+        self.services: Dict[str, ServiceRuns] = {}
+
+    @property
+    def errors(self) -> int:
+        """Errors swallowed, every service's."""
+        return sum(runs.errors for runs in self.services.values())
+
+    @property
+    def skipped_outage(self) -> int:
+        """Runs skipped because the cluster was degraded (S3 outage)."""
+        return sum(runs.skipped_outage for runs in self.services.values())
 
 
 class ServiceScheduler:
@@ -75,151 +111,104 @@ class ServiceScheduler:
         #: Attached via :meth:`attach_autoscaler`; None means disabled.
         self.autoscaler = None
         self.stats = ServiceStats()
-        #: Per-service visibility for permanently failing services: total
-        #: runs, swallowed-error counts, and the text of the last error.
-        self.run_counts: Dict[str, int] = {}
-        self.error_counts: Dict[str, int] = {}
-        self.last_errors: Dict[str, str] = {}
         self._running = False
-        # Registered so v_monitor.services can find the stats.
+        # Registered so v_monitor.services can find the ledgers.
         cluster.service_scheduler = self
 
     # -- single-step (tests and synchronous callers) -----------------------------
 
     def tick(self) -> ServiceStats:
         """Run every enabled service once, immediately."""
-        self.run_catalog_sync()
-        self.run_cluster_info()
-        self.run_mergeout()
-        self.run_reaper()
-        self.run_rebalancer()
-        self.run_autoscale()
+        for service in SERVICES:
+            self.run(service)
         return self.stats
 
     def attach_autoscaler(self, autoscaler, interval: Optional[float] = None) -> None:
         """Register an :class:`repro.autoscale.Autoscaler` as the sixth
         service.  ``interval`` (seconds) enables its clock loop; omit it
-        to drive the scaler only via :meth:`tick` / :meth:`run_autoscale`."""
+        to drive the scaler only via :meth:`tick` / ``run("autoscale")``."""
         self.autoscaler = autoscaler
         if interval is not None:
             self.intervals.autoscale = interval
 
-    def _tracer(self):
-        obs = getattr(self.cluster, "obs", None)
-        return obs.tracer if obs is not None else NULL_TRACER
+    def run(self, service: str) -> None:
+        """One run of ``service`` (a name in :data:`SERVICES`).
 
-    def _paused(self, service: str) -> bool:
-        """True while the cluster is degraded: services pause rather than
-        fail (their S3 requests would all be rejected anyway)."""
-        refresh = getattr(self.cluster, "refresh_degraded", None)
-        if refresh is None or not refresh():
-            return False
-        self.stats.skipped_outage += 1
-        self._dc_record(service, "skipped_outage")
-        return True
-
-    def _dc_record(self, service: str, outcome: str, detail: str = "") -> None:
-        """One row into ``dc_service_runs`` (no-op when obs is disabled)."""
-        obs = getattr(self.cluster, "obs", None)
-        if obs is not None and obs.enabled:
-            obs.dc.record("dc_service_runs", "", (service, outcome, detail))
-
-    def _note_error(self, service: str, error: ReproError) -> None:
-        self.stats.errors += 1
-        self.error_counts[service] = self.error_counts.get(service, 0) + 1
-        self.last_errors[service] = f"{type(error).__name__}: {error}"
-        self._dc_record(service, "error", f"{type(error).__name__}: {error}")
-
-    def _note_run(self, service: str) -> None:
-        self.run_counts[service] = self.run_counts.get(service, 0) + 1
-        self._dc_record(service, "run")
-
-    def run_catalog_sync(self) -> None:
-        if self._paused("catalog_sync"):
+        While the cluster is degraded the service pauses rather than fails
+        (its S3 requests would all be rejected anyway).  Otherwise the run is
+        counted, then its work runs under a ``service.<name>`` span; a
+        :class:`ReproError` it raises is counted against it and swallowed.
+        The autoscale service is a no-op until an autoscaler is attached.
+        """
+        if service == "autoscale" and self.autoscaler is None:
             return
-        self._note_run("catalog_sync")
-        try:
-            # The checkpoints uploaded are the ones the catalogs wrote every
-            # ``checkpoint_every`` commits (section 2.4); none is made here.
-            with self._tracer().span("service.catalog_sync"):
-                self.cluster.sync_catalogs(include_checkpoint=False)
-            self.stats.sync_runs += 1
-        except ReproError as exc:
-            self._note_error("catalog_sync", exc)
-
-    def run_cluster_info(self) -> None:
-        if self._paused("cluster_info"):
+        cluster = self.cluster
+        ledger = self.stats.services.get(service)
+        if ledger is None:
+            ledger = self.stats.services[service] = ServiceRuns()
+        obs = getattr(cluster, "obs", None)
+        dc = obs.dc if obs is not None and obs.enabled else None
+        refresh = getattr(cluster, "refresh_degraded", None)
+        if refresh is not None and refresh():
+            ledger.skipped_outage += 1
+            if dc is not None:
+                dc.record("dc_service_runs", "", (service, "skipped_outage", ""))
             return
-        self._note_run("cluster_info")
+        ledger.runs += 1
+        if dc is not None:
+            dc.record("dc_service_runs", "", (service, "run", ""))
+        tracer = obs.tracer if obs is not None else NULL_TRACER
         try:
-            with self._tracer().span("service.cluster_info"):
-                self.cluster.write_cluster_info()
-            self.stats.cluster_info_writes += 1
+            with tracer.span("service." + service) as span:
+                getattr(self, "_" + service)(span)
         except ReproError as exc:
-            self._note_error("cluster_info", exc)
+            error = f"{type(exc).__name__}: {exc}"
+            ledger.errors += 1
+            ledger.last_error = error
+            if dc is not None:
+                dc.record("dc_service_runs", "", (service, "error", error))
 
-    def run_mergeout(self) -> None:
-        if self._paused("mergeout"):
-            return
-        self._note_run("mergeout")
-        try:
-            with self._tracer().span("service.mergeout") as span:
-                report = self.mergeout_service.run_all(max_jobs_per_shard=4)
-                span.annotate(jobs=report.jobs_run)
-            self.stats.mergeout_jobs += report.jobs_run
-        except ReproError as exc:
-            self._note_error("mergeout", exc)
+    # -- each service's work and its counts (run under its span) ----------------
 
-    def run_reaper(self) -> None:
-        if self._paused("reaper"):
-            return
-        self._note_run("reaper")
-        try:
-            with self._tracer().span("service.reaper") as span:
-                reaped = self.cluster.reaper.poll()
-                span.annotate(deleted=reaped.deleted)
-            self.stats.files_reaped += reaped.deleted
-        except ReproError as exc:
-            self._note_error("reaper", exc)
+    def _catalog_sync(self, span) -> None:
+        # The checkpoints uploaded are the ones the catalogs wrote every
+        # ``checkpoint_every`` commits (section 2.4); none is made here.
+        self.cluster.sync_catalogs(include_checkpoint=False)
+        self.stats.sync_runs += 1
 
-    def run_rebalancer(self) -> None:
+    def _cluster_info(self, span) -> None:
+        self.cluster.write_cluster_info()
+        self.stats.cluster_info_writes += 1
+
+    def _mergeout(self, span) -> None:
+        jobs = self.mergeout_service.run_all(max_jobs_per_shard=4).jobs_run
+        span.annotate(jobs=jobs)
+        self.stats.mergeout_jobs += jobs
+
+    def _reaper(self, span) -> None:
+        deleted = self.cluster.reaper.poll().deleted
+        span.annotate(deleted=deleted)
+        self.stats.files_reaped += deleted
+
+    def _rebalance(self, span) -> None:
         """The rebalance process (§6.4) as a periodic service: restore
         shard coverage and fault tolerance after node failures without
         waiting for an operator."""
-        if self._paused("rebalance"):
-            return
-        self._note_run("rebalance")
-        try:
-            with self._tracer().span("service.rebalance") as span:
-                report = self.rebalancer.run()
-                span.annotate(
-                    promoted=len(report.promoted),
-                    subscribed=len(report.subscribed),
-                )
-            self.stats.rebalance_runs += 1
-            self.stats.rebalance_promotions += len(report.promoted)
-            self.stats.rebalance_subscriptions += len(report.subscribed)
-        except ReproError as exc:
-            self._note_error("rebalance", exc)
+        report = self.rebalancer.run()
+        promoted, subscribed = len(report.promoted), len(report.subscribed)
+        span.annotate(promoted=promoted, subscribed=subscribed)
+        self.stats.rebalance_runs += 1
+        self.stats.rebalance_promotions += promoted
+        self.stats.rebalance_subscriptions += subscribed
 
-    def run_autoscale(self) -> None:
+    def _autoscale(self, span) -> None:
         """One autoscaler control-loop pass: repair interrupted
-        transitions, sample telemetry, decide, actuate.  A no-op until an
-        autoscaler is attached."""
-        if self.autoscaler is None:
-            return
-        if self._paused("autoscale"):
-            return
-        self._note_run("autoscale")
-        try:
-            with self._tracer().span("service.autoscale") as span:
-                decision = self.autoscaler.run()
-                span.annotate(action=decision.action, reason=decision.reason)
-            self.stats.autoscale_ticks += 1
-            if decision.action != "hold":
-                self.stats.autoscale_actions += 1
-        except ReproError as exc:
-            self._note_error("autoscale", exc)
+        transitions, sample telemetry, decide, actuate."""
+        decision = self.autoscaler.run()
+        span.annotate(action=decision.action, reason=decision.reason)
+        self.stats.autoscale_ticks += 1
+        if decision.action != "hold":
+            self.stats.autoscale_actions += 1
 
     # -- clock-driven operation --------------------------------------------------
 
@@ -234,27 +223,20 @@ class ServiceScheduler:
         clock = self.cluster.clock
         self._running = True
 
-        def loop(interval: float, action) -> object:
+        def loop(interval: float, service: str) -> object:
             while self._running:
                 yield Timeout(interval)
                 if duration is not None and clock.now > duration:
                     return None
                 if not self._running:
                     return None
-                action()
+                self.run(service)
             return None
 
-        pairs = [
-            (self.intervals.catalog_sync, self.run_catalog_sync),
-            (self.intervals.cluster_info, self.run_cluster_info),
-            (self.intervals.mergeout, self.run_mergeout),
-            (self.intervals.reaper, self.run_reaper),
-            (self.intervals.rebalance, self.run_rebalancer),
-            (self.intervals.autoscale, self.run_autoscale),
-        ]
-        for interval, action in pairs:
+        for service in SERVICES:
+            interval = getattr(self.intervals, service)
             if interval is not None:
-                clock.spawn(loop(interval, action))
+                clock.spawn(loop(interval, service))
 
     def stop(self) -> None:
         self._running = False

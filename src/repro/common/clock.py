@@ -100,10 +100,6 @@ class SimClock:
             self.now = until
             self.max_now = max(self.max_now, self.now)
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
     # -- process framework ---------------------------------------------------
 
     def spawn(self, generator: Generator) -> "Process":
@@ -282,10 +278,6 @@ class Resource:
     @property
     def available(self) -> int:
         return max(0, self.capacity - self.in_use)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
 
     def _enqueue(self, request: _AcquireRequest, process: Process) -> None:
         self._queue.append((request, process))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional
 
 from repro.obs.datacollector import (
     DataCollector,
@@ -66,21 +65,21 @@ __all__ = [
 ]
 
 
-class Observability:
-    """Per-cluster observability state: registry, tracer, recent requests."""
+#: Recent request records and query profiles kept (the oldest goes first).
+MAX_REQUESTS = 512
 
-    def __init__(
-        self,
-        clock=None,
-        enabled: bool = True,
-        max_requests: int = 512,
-        max_spans: int = 20000,
-    ):
+
+class Observability:
+    """Per-cluster observability state: registry, tracer, recent requests.
+    ``Observability(clock=..., enabled=False)`` is the disabled bundle every
+    cluster starts with."""
+
+    def __init__(self, clock=None, enabled: bool = True):
         self.clock = clock
         self.enabled = enabled
         if enabled:
             self.metrics = MetricsRegistry(clock)
-            self.tracer = Tracer(clock, max_spans=max_spans)
+            self.tracer = Tracer(clock)
             self.dc = DataCollector(clock)
         else:
             self.metrics = NULL_REGISTRY
@@ -88,13 +87,9 @@ class Observability:
             self.dc = NULL_DATA_COLLECTOR
         #: Recent RequestRecord / QueryProfile entries (bounded, like the
         #: Data Collector's ring buffers).
-        self.requests: "deque[RequestRecord]" = deque(maxlen=max_requests)
-        self.profiles: "deque[QueryProfile]" = deque(maxlen=max_requests)
+        self.requests: "deque[RequestRecord]" = deque(maxlen=MAX_REQUESTS)
+        self.profiles: "deque[QueryProfile]" = deque(maxlen=MAX_REQUESTS)
         self._request_ids = itertools.count(1)
-
-    @classmethod
-    def disabled(cls, clock=None) -> "Observability":
-        return cls(clock=clock, enabled=False)
 
     def switched_on(self) -> "Observability":
         """This bundle when it already collects, else a collecting one on the

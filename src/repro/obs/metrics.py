@@ -368,10 +368,7 @@ def cluster_metrics(cluster) -> dict:
             "bytes_scanned": ops["SELECT"].bytes,
         }
 
-    recovery: Dict[str, object] = {
-        name: getattr(cluster, name, 0)
-        for name in ("failovers", "degraded_entries", "degraded_exits")
-    }
+    recovery = cluster.recovery_stats.as_dict()
     recovery["degraded"] = bool(getattr(cluster, "degraded", False))
     faults = getattr(shared, "faults", None)
     if faults is not None:

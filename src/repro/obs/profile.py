@@ -55,22 +55,11 @@ class QueryProfile:
     latency_seconds: float
     operators: Tuple[OperatorProfile, ...] = ()
 
-    @property
-    def total_s3_requests(self) -> int:
-        return sum(op.s3_requests for op in self.operators)
-
-    @property
-    def total_s3_dollars(self) -> float:
-        return sum(op.s3_dollars for op in self.operators)
-
-    @property
-    def total_depot_hits(self) -> int:
-        return sum(op.depot_hits for op in self.operators)
-
 
 @dataclass
 class RequestRecord(Ledger):
-    """Request-level accounting: one row of ``dc_requests_issued``."""
+    """Request-level accounting: one row of ``dc_requests_issued``.  Its
+    depot and S3 fields are the sums of its operators' (``query_path``)."""
 
     request_id: int
     node_name: str

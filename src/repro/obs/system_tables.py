@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.autoscale.actuator import AutoscaleEvent
 from repro.cache.disk_cache import CacheStats
 from repro.catalog.objects import Projection, Segmentation, Table
+from repro.cluster.services import ServiceRuns
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.designer import DesignerRun
 from repro.engine.executor import ScanResult, StorageProvider
@@ -197,16 +198,7 @@ def _services(cluster) -> List[tuple]:
     scheduler = getattr(cluster, "service_scheduler", None)
     if scheduler is None:
         return []
-    names = set(scheduler.run_counts) | set(scheduler.error_counts)
-    return [
-        (
-            name,
-            scheduler.run_counts.get(name, 0),
-            scheduler.error_counts.get(name, 0),
-            scheduler.last_errors.get(name, ""),
-        )
-        for name in sorted(names)
-    ]
+    return [(name, *runs.row()) for name, runs in sorted(scheduler.stats.services.items())]
 
 
 def _autoscale_events(cluster) -> List[tuple]:
@@ -311,10 +303,7 @@ SYSTEM_TABLES: Dict[str, SystemTableDef] = {
         ),
         SystemTableDef(
             "services",
-            _schema(
-                ("service", _S), ("runs", _I), ("errors", _I),
-                ("last_error", _S),
-            ),
+            _ledger_schema(ServiceRuns, [("service", _S)]),
             _services,
         ),
         SystemTableDef(

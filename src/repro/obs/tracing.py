@@ -89,12 +89,16 @@ class Span:
         return f"Span({self.name!r}, id={self.span_id}, dur={self.duration})"
 
 
+#: Spans a tracer keeps unless told otherwise (the oldest goes first).
+MAX_SPANS = 20000
+
+
 class Tracer:
     """Records a bounded tree of spans stamped by the sim clock."""
 
     enabled = True
 
-    def __init__(self, clock=None, max_spans: int = 20000):
+    def __init__(self, clock=None, max_spans: int = MAX_SPANS):
         self._clock = clock
         self._ids = itertools.count(1)
         self._stack: List[Span] = []

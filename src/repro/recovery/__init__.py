@@ -16,11 +16,12 @@ mid-flight:
   fixes it by hand".
 """
 
-from repro.recovery.failover import FailoverPolicy
+from repro.recovery.failover import FailoverPolicy, RecoveryStats
 from repro.recovery.rebalance import RebalanceReport, SubscriptionRebalancer
 
 __all__ = [
     "FailoverPolicy",
     "RebalanceReport",
+    "RecoveryStats",
     "SubscriptionRebalancer",
 ]

@@ -1,8 +1,11 @@
-"""Bounds and backoff for session-level query failover."""
+"""Bounds and backoff for session-level query failover, and the ledger
+that counts failovers and degraded-mode flips."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.obs.metrics import Ledger
 
 
 @dataclass(frozen=True)
@@ -28,3 +31,15 @@ class FailoverPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Simulated seconds charged before retry number ``attempt`` (1-based)."""
         return self.backoff_seconds * (2 ** (attempt - 1))
+
+
+@dataclass
+class RecoveryStats(Ledger):
+    """A cluster's availability events: queries failed over, and entries
+    into and exits from degraded mode (section 3.4), whose pairing the sim
+    checks.  ``cluster_metrics()["recovery"]`` is this ledger plus the live
+    ``degraded`` flag and the fault injector's outage counts."""
+
+    failovers: int = 0
+    degraded_entries: int = 0
+    degraded_exits: int = 0

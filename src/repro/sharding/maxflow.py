@@ -134,9 +134,3 @@ class FlowNetwork:
                     return path
                 queue.append(other)
         return None
-
-    # -- introspection (used to read the selected mapping) --------------------
-
-    def saturated_pairs(self) -> List[Tuple[NodeId, NodeId]]:
-        """Edges carrying positive flow, in insertion order."""
-        return [(e.src, e.dst) for e in self._edges if e.flow > 0]

@@ -188,10 +188,6 @@ class FaultInjector:
             return False
         return True
 
-    @property
-    def outage_until(self) -> Optional[float]:
-        return self._outage_until if self.outage_active else None
-
     def check_outage(self, operation: str) -> None:
         """Fail fast during an outage window — *before* any RNG draw, so an
         outage never consumes fault draws and cannot shift later burst

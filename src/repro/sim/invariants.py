@@ -224,7 +224,8 @@ def degraded_pairing(world) -> Optional[str]:
     Reads counters and flags only — no requests, no RNG draws.
     """
     cluster = world.cluster
-    entries, exits = cluster.degraded_entries, cluster.degraded_exits
+    stats = cluster.recovery_stats
+    entries, exits = stats.degraded_entries, stats.degraded_exits
     degraded = bool(cluster.degraded)
     if entries - exits != int(degraded):
         return (
@@ -408,10 +409,6 @@ class InvariantRegistry:
             name: {"checks": 0, "violations": 0} for name, _ in self.invariants
         }
         self.violations: List[InvariantViolation] = []
-
-    def register(self, name: str, invariant: Invariant) -> None:
-        self.invariants.append((name, invariant))
-        self.counters[name] = {"checks": 0, "violations": 0}
 
     def note_external(self, violation: InvariantViolation) -> None:
         """Count a violation raised inside an action (e.g. an oracle

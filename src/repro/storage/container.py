@@ -267,9 +267,6 @@ class ROSContainer:
         maxs = dict(self.max_values)
         return {name: (low, maxs.get(name)) for name, low in self.min_values}
 
-    def with_version(self, version: int) -> "ROSContainer":
-        return replace(self, creation_version=version)
-
 
 # ---------------------------------------------------------------------------
 # container byte-image codec

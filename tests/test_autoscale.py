@@ -602,7 +602,7 @@ class TestAutoscalerService:
         cluster.shared.faults.begin_outage(30.0)
         cluster.refresh_degraded()
         skipped_before = scheduler.stats.skipped_outage
-        scheduler.run_autoscale()
+        scheduler.run("autoscale")
         assert scheduler.stats.skipped_outage == skipped_before + 1
         assert scaler.ticks == 1
 

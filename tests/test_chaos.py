@@ -12,7 +12,7 @@ import pytest
 
 from repro import EonCluster, Observability, SimClock
 from repro.cluster import subscriptions
-from repro.cluster.services import ServiceIntervals, ServiceScheduler
+from repro.cluster.services import SERVICES, ServiceIntervals, ServiceScheduler
 from repro.errors import NodeDown, ReproError, StorageUnavailable
 from repro.recovery import FailoverPolicy
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
@@ -70,7 +70,7 @@ class TestMidQueryFailover:
             cluster.kill_node(victim)
             result = cluster.query_statement(stmt, session=session, failover=True)
         assert rows_key(result) == expected
-        assert cluster.failovers >= 1
+        assert cluster.recovery_stats.failovers >= 1
 
     def test_tpch_digest_identity_across_failover(self, tpch_data):
         """Acceptance: a TPC-H query whose participant dies mid-flight
@@ -93,7 +93,7 @@ class TestMidQueryFailover:
             disturbed.kill_node(killable_participant(disturbed, session))
             result = disturbed.query_statement(stmt, session=session, failover=True)
         assert rows_key(result) == expected
-        assert disturbed.failovers >= 1
+        assert disturbed.recovery_stats.failovers >= 1
 
     def test_failover_off_propagates_node_down(self):
         cluster = loaded_cluster()
@@ -121,7 +121,7 @@ class TestMidQueryFailover:
         with session:
             cluster.kill_node(killable_participant(cluster, session))
             cluster.query_statement(stmt, session=session, failover=True)
-        assert cluster.failovers >= 1
+        assert cluster.recovery_stats.failovers >= 1
         assert any(s.name == "query.failover" for s in cluster.obs.tracer.spans)
 
     def test_attempts_are_bounded(self):
@@ -158,16 +158,17 @@ class TestOutageWindows:
         clock = SimClock()
         cluster = loaded_cluster(clock=clock, obs=True)
         until = cluster.shared.faults.begin_outage(60.0)
+        stats = cluster.recovery_stats
         assert cluster.refresh_degraded()
-        assert cluster.degraded_entries == 1 and cluster.degraded_exits == 0
+        assert stats.degraded_entries == 1 and stats.degraded_exits == 0
         # Still inside the window: no spurious exit.
         clock.advance(30.0)
         assert cluster.refresh_degraded()
-        assert cluster.degraded_entries == 1
+        assert stats.degraded_entries == 1
         # Past the declared end the next poll exits deterministically.
         clock.advance(until)
         assert not cluster.refresh_degraded()
-        assert cluster.degraded_entries == 1 and cluster.degraded_exits == 1
+        assert stats.degraded_entries == 1 and stats.degraded_exits == 1
         # Recovered: writes work again.
         cluster.load("t", [(9000, "x", 1)])
 
@@ -313,8 +314,8 @@ class TestFreshCacheOnDiskLoss:
 
 class TestServiceErrorVisibility:
     def test_errors_recorded_and_surfaced(self, monkeypatch):
-        """Regression: run_* swallowed ReproError with no trace.  Now the
-        error is counted per service, metered, and visible in v_monitor."""
+        """Regression: a service run swallowed ReproError with no trace.
+        Now the error is counted per service and visible in v_monitor."""
         cluster = loaded_cluster(obs=True)
         scheduler = ServiceScheduler(cluster)
 
@@ -322,11 +323,11 @@ class TestServiceErrorVisibility:
             raise ReproError("rebalance exploded")
 
         monkeypatch.setattr(scheduler.rebalancer, "run", broken)
-        scheduler.run_rebalancer()
-        scheduler.run_catalog_sync()  # healthy service: no error entry
-        assert scheduler.error_counts["rebalance"] == 1
-        assert "rebalance exploded" in scheduler.last_errors["rebalance"]
-        assert "catalog_sync" not in scheduler.last_errors
+        scheduler.run("rebalance")
+        scheduler.run("catalog_sync")  # healthy service: no error entry
+        assert scheduler.stats.services["rebalance"].errors == 1
+        assert "rebalance exploded" in scheduler.stats.services["rebalance"].last_error
+        assert scheduler.stats.services["catalog_sync"].last_error == ""
         assert scheduler.stats.errors == 1
         rows = cluster.query(
             "select service, runs, errors, last_error from v_monitor.services"
@@ -347,6 +348,26 @@ class TestServiceErrorVisibility:
         assert scheduler.stats.skipped_outage == 5  # all five services paused
         assert scheduler.stats.errors == errors_before  # paused, not failed
         assert scheduler.stats.sync_runs == 0
+
+    def test_a_service_only_ever_paused_has_its_row(self):
+        """Regression: a pause was booked only in the scheduler-wide total,
+        so a service paused by every outage it met had ``dc_service_runs``
+        rows but no ``v_monitor.services`` row."""
+        clock = SimClock()
+        cluster = loaded_cluster(clock=clock, obs=True)
+        scheduler = ServiceScheduler(cluster)
+        cluster.shared.faults.begin_outage(100.0)
+        scheduler.tick()
+        scheduler.tick()
+        rows = cluster.query(
+            "select service, runs, errors, skipped_outage from v_monitor.services"
+        ).rows.to_pylist()
+        paused = sorted(s for s in SERVICES if s != "autoscale")  # none attached
+        assert rows == [(service, 0, 0, 2) for service in paused]
+        logged = cluster.query(
+            "select service from v_monitor.dc_service_runs"
+        ).rows.to_pylist()
+        assert sorted({r[0] for r in logged}) == paused
 
 
 CHAOS_SEEDS = (3, 11, 17, 29, 41)

@@ -265,7 +265,7 @@ class TestBatchBoundaryInterrupts:
                 stmt, session=session, failover=True,
             )
         assert row_digest(result.rows.to_pylist()) == expected
-        assert cluster.failovers >= 1
+        assert cluster.recovery_stats.failovers >= 1
 
     @staticmethod
     def _killable(cluster, session):

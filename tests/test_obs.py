@@ -264,7 +264,7 @@ class TestObservabilityObject:
         assert small_cluster.enable_observability() is first
 
     def test_disabled_constructor(self):
-        obs = Observability.disabled()
+        obs = Observability(enabled=False)
         assert not obs.enabled
         assert obs.metrics is NULL_REGISTRY
         assert obs.tracer is NULL_TRACER

@@ -400,7 +400,8 @@ class TestPlanCache:
             result = cluster.query_statement(statement, session=session, failover=True)
         finally:
             session.release()
-        assert result.rows.to_pylist() == expected and cluster.failovers == 1
+        assert result.rows.to_pylist() == expected
+        assert cluster.recovery_stats.failovers == 1
         assert len(binds) == planned
 
     def test_the_cache_is_bounded(self, cluster, monkeypatch):
@@ -469,12 +470,12 @@ class TestFailover:
             cluster.kill_node(served_by(session)[0])
             with pytest.raises(NodeDown):
                 cluster.query_statement(parse(SQL)[0], session=session)
-            assert cluster.failovers == 0
+            assert cluster.recovery_stats.failovers == 0
             result = cluster.query_statement(parse(SQL)[0], session=session, failover=True)
         finally:
             session.release()
         assert result.rows.to_pylist() == expected
-        assert cluster.failovers == 1
+        assert cluster.recovery_stats.failovers == 1
         record = cluster.obs.requests[-1]
         assert record.failover_backoff_seconds > 0
         assert result.stats.dispatch_seconds >= record.failover_backoff_seconds
@@ -509,7 +510,7 @@ class TestFailover:
                 cluster.check_viability()
         finally:
             session.release()
-        assert cluster.failovers == 0 and cluster.shut_down
+        assert cluster.recovery_stats.failovers == 0 and cluster.shut_down
         assert cluster.admission.total_in_use() == 0
 
 

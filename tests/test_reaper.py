@@ -60,6 +60,25 @@ class TestDeferredDeletion:
         stats2 = cluster.reaper.poll()
         assert stats2.deleted > 0
 
+    def test_the_lifetime_stats_fold_every_poll(self, cluster):
+        """Regression: only ``deleted`` reached ``reaper.stats``, so its two
+        ``retained_*`` counts stayed 0 whatever the polls held back."""
+        session = cluster.create_session(seed=1)  # pins current version
+        drop_some_containers(cluster)
+        polls = [cluster.reaper.poll()]  # pinned
+        session.release()
+        polls.append(cluster.reaper.poll())  # not yet durable
+        cluster.sync_catalogs()
+        cluster.compute_truncation_version()
+        polls.append(cluster.reaper.poll())  # deletable
+        assert polls[0].retained_for_queries > 0
+        assert polls[1].retained_for_durability > 0
+        assert polls[2].deleted > 0
+        assert cluster.reaper.stats.as_dict() == {
+            name: sum(getattr(poll, name) for poll in polls)
+            for name in cluster.reaper.stats.as_dict()
+        }
+
     def test_deleted_files_gone_from_shared_storage(self, cluster):
         drop_some_containers(cluster)
         pending_sids = [sid for sid, _ in cluster.reaper._pending]

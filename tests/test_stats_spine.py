@@ -23,13 +23,15 @@ from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.autoscale.actuator import AutoscaleEvent
 from repro.cache import disk_cache
 from repro.cache.disk_cache import CacheStats
-from repro.cluster.services import ServiceScheduler
+from repro.cluster import eon as eon_module
+from repro.cluster.services import ServiceRuns, ServiceScheduler
 from repro.engine.designer import DesignerRun
 from repro.engine.pipeline import EngineStats
 from repro.io.scheduler import IOStats
 from repro.obs import system_tables
 from repro.obs.metrics import cluster_metrics
 from repro.obs.profile import OperatorProfile, RequestRecord
+from repro.recovery.failover import RecoveryStats
 from repro.shared_storage.api import OP_CLASSES, Filesystem, OpStats
 from repro.shared_storage.hdfs import SimulatedHDFS
 from repro.shared_storage.posix import MemoryFilesystem
@@ -112,6 +114,7 @@ LEDGER_TABLES = [
     (OpStats, "dc_storage_operations", ["operation"], []),
     (AutoscaleEvent, "autoscale_events", [], []),
     (DesignerRun, "designer_runs", [], []),
+    (ServiceRuns, "services", ["service"], []),
 ]
 
 
@@ -190,6 +193,9 @@ class TestDeclaredOnce:
     def test_metrics_sections_are_the_ledger_fields(self, eon):
         metrics = cluster_metrics(eon)
         assert list(metrics["depot"]) == declared(CacheStats)
+        assert list(metrics["recovery"]) == declared(RecoveryStats) + [
+            "degraded", "outages_begun", "outage_rejections",
+        ]
         assert list(metrics["io"]) == declared(IOStats)
         assert list(metrics["engine"]) == declared(EngineStats)
         for op in OP_CLASSES:
@@ -203,10 +209,19 @@ class TestDeclaredOnce:
         class WiderCacheStats(CacheStats):
             spills: int = 0
 
+        @dataclass
+        class WiderRecoveryStats(RecoveryStats):
+            drills: int = 0
+
         monkeypatch.setattr(disk_cache, "CacheStats", WiderCacheStats)
+        monkeypatch.setattr(eon_module, "RecoveryStats", WiderRecoveryStats)
         importlib.reload(system_tables)  # its schemas are built at import
         try:
             cluster = EonCluster(["a", "b"], shard_count=2, seed=1)
+            cluster.recovery_stats.drills = 2
+            recovery = cluster_metrics(cluster)["recovery"]
+            assert list(recovery)[:4] == declared(RecoveryStats) + ["drills"]
+            assert recovery["drills"] == 2
             cluster.execute("create table t (k int)")
             cluster.load("t", [(i,) for i in range(10)])
             cluster.nodes["a"].cache.stats.spills = 3
@@ -223,6 +238,27 @@ class TestDeclaredOnce:
 
 
 class TestCountedOnce:
+    @pytest.mark.parametrize("flavor", ["eon", "enterprise"])
+    def test_a_request_is_the_sum_of_its_operators(self, flavor, request):
+        """A request's depot and S3 columns are its ``query_profiles`` rows
+        summed, dollars included and exactly: they are its operators' own
+        counts, not the movement of a cluster-wide running total."""
+        cluster = request.getfixturevalue(flavor)
+        columns = "request_id, depot_hits, depot_misses, s3_requests, s3_dollars"
+        records = cluster.query(
+            f"select {columns} from v_monitor.dc_requests_issued"
+        ).rows.to_pylist()
+        sums: dict = {}
+        for request_id, *values in cluster.query(
+            f"select {columns} from v_monitor.query_profiles"
+        ).rows.to_pylist():
+            total = sums.setdefault(request_id, [0, 0, 0, 0.0])
+            for i, value in enumerate(values):
+                total[i] += value
+        assert {r[0]: list(r[1:]) for r in records} == sums
+        if flavor == "eon":
+            assert sum(r[4] for r in records) > 0
+
     def test_charge_is_the_only_writer_of_the_request_ledger(self):
         """No backend method adds to ``metrics`` or a class's stats itself;
         what is left is not a request: an HDFS rename's NameNode round trip

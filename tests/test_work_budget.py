@@ -40,9 +40,10 @@ PINNED_ON = (3, 11)
 #: At the commit before replicated work was done once per query the same pass
 #: read (maxflow / decode / key_encoders / py_calls): dash_short
 #: 56 / 1 372 / 336 / 148 425, tpch_warm 20 / 2 653 / 89 / 113 537.  Before
-#: result rows were built column by column, py_calls read 127 391 and 95 256.
+#: result rows were built column by column, py_calls read 127 391 and 95 256;
+#: before a request record summed its own operators, dash_short 117 584.
 PINS = {
-    "dash_short": {"maxflow": 2, "decode": 1_120, "key_encoders": 210, "py_calls": 117_976},
+    "dash_short": {"maxflow": 2, "decode": 1_120, "key_encoders": 210, "py_calls": 116_072},
     "tpch_warm": {"maxflow": 3, "decode": 2_413, "key_encoders": 59, "py_calls": 90_746},
 }
 
@@ -51,9 +52,9 @@ PINS = {
 #: read copy 1 608, recent_query 6 298, service_tick 57 942; before the
 #: sort-key index and the writers' layouts, copy 1 516, recent_query 5 303,
 #: service_tick 29 073; before the log went up as segments, service_tick
-#: 25 340.
+#: 25 340; before the services ran through one skeleton, 21 141.
 IOT_PASS = 8
-IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 21_141}
+IOT_CALLS_PER_OP = {"copy": 1_493, "recent_query": 3_912, "service_tick": 21_135}
 #: ``recent_query`` per op: containers tested and footers parsed.  Before the
 #: sort-key index and the writers' layouts pass 8 read 492 and 30.
 RECENT_TESTED_PER_OP = 40
