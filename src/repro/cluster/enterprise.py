@@ -507,7 +507,7 @@ class EnterpriseCluster:
             projection = state.projection(projection_name)
             for container in containers:
                 txn.add_op(op_drop_container(str(container.sid), region))
-                del self.container_owner[str(container.sid)]
+                self._drop_local(container)
             for source in sources[projection_name, region, key]:
                 rows = self._rows_of(source)
                 txn.add_op(write_stream(rows, projection, region, key, node, sink))

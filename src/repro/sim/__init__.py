@@ -4,9 +4,10 @@ FoundationDB-style simulation testing (see also the Jepsen lineage): a
 seeded scenario generator drives a full :class:`EonCluster` — node kills
 and restarts, S3 throttling bursts, subscription rebalances, crunch
 queries, revive-from-shared-storage — interleaved with a COPY/query/DML
-workload whose answers are diffed against a fault-free single-node
-oracle.  After every step a registry of global invariants is checked;
-failures reproduce from ``(seed, step)`` and shrink to minimal schedules.
+workload whose answers are diffed against the same writes mirrored into
+stdlib SQLite (:class:`SqliteOracle`).  After every step a registry of
+global invariants is checked; failures reproduce from ``(seed, step)`` and
+shrink to minimal schedules.
 """
 
 from repro.sim.harness import (
@@ -22,7 +23,7 @@ from repro.sim.invariants import (
     InvariantRegistry,
     InvariantViolation,
 )
-from repro.sim.oracle import SimOracle, rows_key
+from repro.sim.oracle import SqliteOracle, rows_key
 from repro.sim.shrink import ShrinkResult, shrink_schedule
 from repro.sim.trace import Trace, TraceEvent
 
@@ -35,8 +36,8 @@ __all__ = [
     "PROFILES",
     "ScenarioGenerator",
     "ShrinkResult",
-    "SimOracle",
     "SimWorld",
+    "SqliteOracle",
     "Trace",
     "TraceEvent",
     "replay_schedule",

@@ -253,16 +253,8 @@ class DmlStatement:
         except ClusterError:
             return "refused"
         expected = world.oracle.execute(self.sql)
-        world.expect_equal(
-            f"rows affected by {self.sql!r}",
-            _affected_rows(affected),
-            _affected_rows(expected),
-        )
+        world.expect_equal(f"rows affected by {self.sql!r}", affected, expected)
         return "ok"
-
-
-def _affected_rows(result) -> object:
-    return getattr(result, "rows_affected", result)
 
 
 @dataclass(frozen=True)

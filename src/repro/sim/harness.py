@@ -23,17 +23,22 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.eon import EonCluster
 from repro.common.clock import SimClock
+from repro.common.types import ColumnType
 from repro.errors import NodeDown, ObjectNotFound
 from repro.obs import Observability
 from repro.obs.metrics import cluster_metrics
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.sim.generator import ScenarioGenerator
 from repro.sim.invariants import InvariantRegistry, InvariantViolation
-from repro.sim.oracle import SimOracle, rows_key
+from repro.sim.oracle import SqliteOracle, rows_key
 from repro.sim.trace import Trace
 from repro.sql.parser import parse
 
 DATA_PREFIX = "data_"
+
+#: The workload table's schema: all-int / varchar on purpose, so aggregate
+#: results are exact however rows were partitioned across shards.
+COLUMNS = (("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.INT))
 
 
 @dataclass
@@ -54,7 +59,8 @@ class CampaignConfig:
 
 class SimWorld:
     """Everything one campaign runs against: the chaos cluster, its fault
-    injector, the simulated clock, the oracle, and open pinned queries."""
+    injector, the simulated clock, the SQLite oracle, and open pinned
+    queries."""
 
     def __init__(self, seed: int, config: Optional[CampaignConfig] = None):
         self.config = config or CampaignConfig()
@@ -79,7 +85,6 @@ class SimWorld:
             clock=self.clock,
             observability=Observability(clock=self.clock),
         )
-        self.oracle = SimOracle(seed)
         self.table = self.config.table
         self.pins = {}  # tag -> PinnedQuery
         #: Armed by a completed leaked-file sweep; disarmed by anything
@@ -109,19 +114,16 @@ class SimWorld:
         #: Attached lazily by the first ``autoscale_tick`` action; the
         #: ``autoscale-safety`` invariant audits it every later step.
         self.autoscaler = None
-        self._setup_schema()
+        self.oracle = self._setup_schema()
 
-    def _setup_schema(self) -> None:
-        ddl = f"create table {self.table} (k int, g varchar, v int)"
-        self.cluster.execute(ddl)
-        self.oracle.execute(ddl)
-        if self.config.initial_rows:
-            rows = [
-                (k, f"g{k % 5}", (k * 7) % 101)
-                for k in range(self.config.initial_rows)
-            ]
+    def _setup_schema(self) -> SqliteOracle:
+        """Create and fill the workload table; the oracle mirroring it."""
+        declared = ", ".join(f"{name} {ctype.value}" for name, ctype in COLUMNS)
+        self.cluster.execute(f"create table {self.table} ({declared})")
+        rows = [(k, f"g{k % 5}", (k * 7) % 101) for k in range(self.config.initial_rows)]
+        if rows:
             self.cluster.load(self.table, rows)
-            self.oracle.load(self.table, rows)
+        return SqliteOracle(self.table, COLUMNS, rows)
 
     # -- accessors used by invariants and actions ------------------------------
 

@@ -4,7 +4,7 @@ Hypothesis drives aggregates, GROUP BY, COUNT(DISTINCT), SELECT DISTINCT and
 ORDER BY ... LIMIT/OFFSET windows over a table built to be awkward: runs of
 NULL group keys, group keys interleaved across containers and nodes, and a
 float column whose partial sums are order-sensitive.  The oracle is an
-engine that shares no code with ours (``tests/oracle_sqlite.py``); every
+engine that shares no code with ours (``repro.sim.oracle``); every
 query here is totally ordered or a single row, so rows are compared in
 order.
 """
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ColumnType, EonCluster
-from tests.oracle_sqlite import SqliteOracle
+from repro.sim.oracle import SqliteOracle
 
 COLUMNS = [("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.FLOAT)]
 

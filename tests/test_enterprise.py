@@ -119,6 +119,14 @@ class TestFailureAndRepair:
         assert transferred > 0
         assert cluster.query("select count(*), sum(a) from t").rows.to_pylist() == expect
 
+    def test_repair_leaves_no_orphaned_files(self, cluster):
+        cluster.load("t", [(i, f"g{i % 3}") for i in range(600)], direct=True)
+        cluster.kill_node("e2")
+        cluster.recover_node("e2")
+        locations = {c.location for c in cluster.catalog.state.containers.values()}
+        for name, node in cluster.nodes.items():
+            assert set(node.local_fs.list()) <= locations, name
+
     def test_recovered_node_serves_data_again(self, cluster):
         cluster.load("t", [(i, "x") for i in range(300)], direct=True)
         cluster.kill_node("e3")

@@ -9,7 +9,7 @@ whose ON clause holds more than the key equality.
 
 The differential walls elsewhere compare this system with another
 configuration of itself; this one compares it with an engine that shares
-none of its code (``tests/oracle_sqlite.py``).  One generated table — NULLs in
+none of its code (``repro.sim.oracle``).  One generated table — NULLs in
 the string and float columns, dense and sparse integer keys, dates on both
 sides of the epoch — is loaded into an ``EonCluster`` and mirrored into
 SQLite; Hypothesis writes the queries.  Row multisets must be equal.
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.common.dates import date_to_days, days_to_date
-from tests.oracle_sqlite import SqliteOracle, multiset, to_sqlite
+from repro.sim.oracle import SqliteOracle, multiset, to_sqlite
 
 COLUMNS = [
     ("k", ColumnType.INT), ("g", ColumnType.INT), ("h", ColumnType.INT),

@@ -2,7 +2,8 @@
 
 A seeded generator drives a full cluster through kills, restarts, S3
 storms, rebalances, crunch scaling, and revives, interleaved with a
-COPY/query/DML workload diffed against a fault-free one-node oracle.
+COPY/query/DML workload diffed against the same writes mirrored into
+stdlib SQLite.
 Global invariants are checked after every step; a failure reproduces from
 ``(seed, step)`` and shrinks to a minimal schedule.
 
@@ -16,8 +17,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.engine.expressions
 from repro.cluster.reaper import FileReaper, ReapStats
 from repro.sim import (
     PROFILES,
@@ -165,6 +168,22 @@ class TestMutationCatching:
         assert final.violation is not None
         assert final.violation.invariant == violation.invariant
 
+    def test_an_engine_bug_is_not_shared_by_the_oracle(self, monkeypatch):
+        # ``<`` evaluated as ``<=`` in the cluster's expression kernel: an
+        # oracle built on the same engine would agree with the wrong count.
+        monkeypatch.setitem(repro.engine.expressions._CMP, "<", np.less_equal)
+        caught = run_campaign(6)
+        assert caught.violation is not None, "mutation survived seed 6"
+        assert caught.violation.invariant == "oracle-equivalence"
+
+    def test_the_oracle_shares_only_the_parser_and_ast(self):
+        nodes = list(ast.walk(ast.parse((SIM_SRC / "oracle.py").read_text())))
+        imported = [n.module for n in nodes if isinstance(n, ast.ImportFrom)]
+        imported += [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+        engine = ("repro.cluster", "repro.storage", "repro.engine.executor",
+                  "repro.engine.operators", "repro.engine.planner")
+        assert not [m for m in imported if m.startswith(engine)], imported
+
     def test_healthy_reaper_passes_same_seeds(self):
         # Control arm: without the mutation the same campaign seed the
         # mutation fails on is clean (so the catch is the mutation's fault).
@@ -203,7 +222,7 @@ class TestTheCampaignLayerSaysEachThingOnce:
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", "")) == "rows_key"
         ]
-        assert calls == ["harness.py", "oracle.py"]  # checked_read, the oracle's own
+        assert calls == ["harness.py"]  # checked_read
 
     def test_one_table_names_the_storage_outcomes(self):
         assert _functions_naming("storage_unavailable") == ["actions.py:<module>"]
