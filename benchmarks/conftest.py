@@ -6,6 +6,7 @@ import pytest
 
 from repro import EnterpriseCluster, EonCluster
 from repro.workloads.tpch import TpchData, load_tpch, setup_tpch_schema
+from tests.test_io_scheduler import SerialFetch
 
 TPCH_SCALE = 0.004
 ENTERPRISE_TABLES = (
@@ -44,14 +45,14 @@ def load_tpch_chunked(cluster, data: TpchData, slices: int = 4) -> None:
 
 @pytest.fixture(scope="session")
 def eon_tpch_pair(tpch_data):
-    """Two identically-seeded Eon clusters, chunk-loaded: I/O scheduler on
-    and off, for the cold-depot ablation."""
+    """Two identically-seeded Eon clusters, chunk-loaded: the I/O scheduler,
+    and the :class:`SerialFetch` reference arm (one ``fetch_storage`` per
+    file), for the cold-depot ablation."""
     pair = []
-    for parallel_io in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            # The scheduler-off arm is a class attribute, read at construction.
-            patch.setattr(EonCluster, "parallel_io", parallel_io)
-            cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
+    for scheduled in (True, False):
+        cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
+        if not scheduled:
+            cluster.io_scheduler = SerialFetch(cluster)
         setup_tpch_schema(cluster)
         load_tpch_chunked(cluster, tpch_data)
         pair.append(cluster)

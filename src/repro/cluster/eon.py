@@ -65,11 +65,6 @@ QUERY_OPTIONS = (
 class EonCluster:
     """An Eon-mode database over shared storage."""
 
-    #: False builds the cluster without the I/O scheduler — the strictly
-    #: serial miss path, the reference arm a differential flips on the class
-    #: (as with ``EonStorageProvider.pool_fetch_charges``); never an option.
-    parallel_io = True
-
     def __init__(
         self,
         node_names: Sequence[str],
@@ -102,9 +97,8 @@ class EonCluster:
             name: self._new_node(name, cache_bytes, execution_slots, rack=racks.get(name))
             for name in node_names
         }
-        #: Parallel depot I/O scheduler for scans; None is the strictly
-        #: serial miss path (the pre-scheduler behaviour).
-        self.io_scheduler = IOScheduler(self) if self.parallel_io else None
+        #: The depot I/O scheduler every scan fetches its files through.
+        self.io_scheduler = IOScheduler(self)
         #: Default scan-strategy policy (``auto`` | ``on`` | ``off``);
         #: the per-query ``pushdown=`` session option overrides it.
         self.pushdown = "auto"

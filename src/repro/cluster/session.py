@@ -9,12 +9,14 @@ subcluster priority (section 4.3) when workload isolation applies.
 :class:`EonStorageProvider` adapts a session to the executor's
 :class:`StorageProvider` interface: scans fetch this node's shards'
 containers through its cache, apply delete vectors, and prune containers
-from min/max statistics.
+from min/max statistics.  Every scan reads its files one way: the whole
+post-pruning file set goes to the cluster's :class:`~repro.io.scheduler.
+IOScheduler` as one batch, and the scan takes each file's bytes out of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -32,7 +34,7 @@ from repro.engine.expressions import Expr, extract_column_bounds
 from repro.engine.pipeline import PipelineCharges
 from repro.engine.pruning import prune_group
 from repro.errors import ExecutionError, QueryCancelled
-from repro.io.scheduler import LANES, FetchRequest
+from repro.io.scheduler import FetchBatch, FetchRequest
 from repro.sharding.shard import REPLICA_SHARD_ID
 from repro.storage.container import ROSContainer, RowSet, read_container, read_through
 from repro.storage.delete_vector import (
@@ -124,24 +126,12 @@ class EonSession:
 class EonStorageProvider(StorageProvider):
     """Executor-facing scan interface over an Eon session."""
 
-    #: Pool every scan's fetch makespan per node and charge it once per
-    #: query (``settle_io``).  False charges scan by scan: the reference the
-    #: differential wall compares demand and seconds against.
-    pool_fetch_charges = True
-
     def __init__(self, session: EonSession):
         self.session = session
         self.cluster = session.cluster
-        cost = getattr(self.cluster.shared, "cost", None)
-        #: Dollars per GET on the shared backend (0 for cost-free backends).
-        self._get_dollars = cost.get_cost() if cost is not None else 0.0
-        scheduler = getattr(self.cluster, "io_scheduler", None)
-        #: The query's deferred lane charges; None without a scheduler.
-        self._pool = (
-            PipelineCharges(self.cluster.clock, LANES)
-            if scheduler is not None and self.pool_fetch_charges
-            else None
-        )
+        #: The query's deferred lane charges: every scan's fetch makespan,
+        #: pooled per node and charged once per query (``settle_io``).
+        self._pool = PipelineCharges(self.cluster.clock)
         #: Pushdown mode (off | auto | on), set by the executor from the
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"
@@ -170,7 +160,7 @@ class EonStorageProvider(StorageProvider):
         return self.session.initiator
 
     def settle_io(self) -> Dict[str, float]:
-        return self._pool.settle() if self._pool is not None else {}
+        return self._pool.settle()
 
     def replica_reads(self, node_name: str) -> Optional[tuple]:
         return self._replica_reads.get(node_name)
@@ -222,14 +212,13 @@ class EonStorageProvider(StorageProvider):
         # containers STAY in the fetch batch (as background hydration) so
         # the depot's demand ledger — misses, puts, LRU order, GET
         # requests, fault draws — is bit-identical to a pushdown-off run.
-        scheduler = getattr(self.cluster, "io_scheduler", None)
+        scheduler = self.cluster.io_scheduler
         # Whether any container of this scan could be pushed down; if not,
         # every one is read through the depot and none is asked.
         may_push = (
             self._pushdown != "off"
             and self._scan_eligible
             and predicate is not None
-            and scheduler is not None
             and session.use_cache
             and bool(getattr(self.cluster.shared_data, "supports_select", False))
         )
@@ -266,7 +255,7 @@ class EonStorageProvider(StorageProvider):
                         partition_key=container.partition_key, shard_id=container.shard_id,
                     )
                 dvs = delete_vectors.get(location, ())
-                unit.append((container, info, dvs))
+                unit.append((container, dvs))
                 if may_push and self._container_strategy(
                     node, state, projection, container, read_columns,
                     predicate_bounds, bool(dvs), hash_crunch,
@@ -282,26 +271,23 @@ class EonStorageProvider(StorageProvider):
                     )
                 ordinal += 1
 
-        batch = None
-        if scheduler is not None and fetch_requests:
+        batch = FetchBatch()
+        if fetch_requests:
             batch = scheduler.fetch_batch(
-                node, fetch_requests, session.use_cache, result,
+                node, fetch_requests, session.use_cache, result, self._pool,
                 cancelled=lambda: session.cancelled,
-                pool=self._pool,
                 background_keys=pushdown_keys or None,
             )
         # Selects run after the batch so the GET request (and fault-draw)
         # sequence is the off-run's sequence, with SELECTs appended.
         selects: Dict[str, object] = {}
-        if scheduler is not None and pushdown_items:
+        if pushdown_items:
             selects = scheduler.pushdown_batch(
-                node, pushdown_items, result,
+                node, pushdown_items, result, self._pool,
                 cancelled=lambda: session.cancelled,
-                pool=self._pool,
             )
 
-        # Pass 2: scan the containers (bytes come out of the batch; any
-        # file the batch does not cover takes the serial fetch path).
+        # Pass 2: scan the containers, their bytes out of the batch.
         # Pushdown containers take their rows from the select results —
         # already filtered and projected server-side; the executor's
         # post-scan predicate re-application is a no-op on them — but
@@ -309,7 +295,7 @@ class EonStorageProvider(StorageProvider):
         # A replicated scan also notes what it read, for ``replica_reads``.
         reads: Optional[list] = [tuple(schema.columns)] if replicated else None
         for unit, read_columns, share in scan_units:
-            for container, info, dvs in unit:
+            for container, dvs in unit:
                 if session.cancelled:
                     raise QueryCancelled(
                         f"session cancelled while scanning {projection!r}"
@@ -330,7 +316,7 @@ class EonStorageProvider(StorageProvider):
                             parts.append(rows.held(name))
                 else:
                     read = self._read_container(
-                        node, container, info, dvs, read_columns, share, out,
+                        node, container, dvs, read_columns, share, out,
                         result, predicate_bounds, batch,
                     )
                     if reads is not None:
@@ -360,8 +346,8 @@ class EonStorageProvider(StorageProvider):
     ) -> str:
         """Pick depot or pushdown for one container of a scan that may push
         down (``may_push`` in :meth:`scan`: the mode is not off, the plan
-        marked the scan eligible, it has a predicate and a scheduler, the
-        backend selects and the session reads through the depot) — see
+        marked the scan eligible, it has a predicate, the backend selects
+        and the session reads through the depot) — see
         :func:`repro.engine.cost.choose_scan_strategy` for the table.
 
         Estimates are only computed on the ``auto`` break-even path:
@@ -417,70 +403,26 @@ class EonStorageProvider(StorageProvider):
             return tuple(lap.segmentation.columns)
         raise ExecutionError(f"unknown projection {projection_name!r}")
 
-    def _fetch_through_depot(
-        self, node, location: str, info, result: ScanResult, batch=None
-    ) -> bytes:
-        """One file fetch: depot hit/miss and S3 accounting, plus an
-        ``s3_get`` span (duration = that request's IO seconds) when the
-        cluster's observability is enabled.
-
-        When the scan pre-fetched a batch (``batch`` is set), bytes come
-        straight out of it — the scheduler already did all hit/miss/S3
-        accounting at fetch time; consuming only books prefetch credit.
-        """
-        if batch is not None:
-            data = self.cluster.io_scheduler.consume(batch, node, location, result)
-            if data is not None:
-                return data
-        obs = self.cluster.obs
-        evictions_before = node.cache.stats.evictions if obs.enabled else 0
-        data, from_cache, io_seconds = node.fetch_storage(
-            location,
-            self.cluster.shared_data,
-            info=info,
-            use_cache=self.session.use_cache,
-        )
-        result.io_seconds += io_seconds
-        if from_cache:
-            result.bytes_from_cache += len(data)
-            result.depot_hits += 1
-        else:
-            result.bytes_from_shared += len(data)
-            result.depot_misses += 1
-            result.s3_requests += 1
-            result.s3_dollars += self._get_dollars
-            if obs.enabled:
-                obs.tracer.record(
-                    "s3_get",
-                    duration=io_seconds,
-                    node=node.name,
-                    object=location,
-                    nbytes=len(data),
-                    evictions=node.cache.stats.evictions - evictions_before,
-                )
-        return data
-
     def _read_container(
         self,
         node,
         container: ROSContainer,
-        info: ObjectInfo,
         dvs: list,
         columns: Sequence[str],
         share: Optional[tuple],
         out: Dict[str, List[np.ndarray]],
         result: ScanResult,
-        predicate_bounds: Optional[dict] = None,
-        batch=None,
+        predicate_bounds: Optional[dict],
+        batch: FetchBatch,
     ) -> Optional[tuple]:
         """Append one container's live rows, column by column, to ``out``
         (the scan's columns; ``columns`` adds what a hash-crunch ``share``
-        needs beside them).  Returns the key of the decoded blocks a
+        needs beside them); its bytes and its delete vectors' come out of
+        ``batch``.  Returns the key of the decoded blocks a
         replica-shard container without delete vectors shares with the
         query's other nodes, None for any other container."""
-        data = self._fetch_through_depot(
-            node, container.location, info, result, batch
-        )
+        consume = self.cluster.io_scheduler.consume
+        data = consume(batch, node, container.location, result)
         # A session that reads through the depot parses no footer the depot
         # has a layout for: the writer's, or what the first reader parsed.
         if self.session.use_cache:
@@ -513,10 +455,9 @@ class EonStorageProvider(StorageProvider):
         if dvs:
             position_sets = []
             for dv in dvs:
-                dv_data = self._fetch_through_depot(
-                    node, dv.location, info, result, batch
+                position_sets.append(
+                    read_delete_vector(consume(batch, node, dv.location, result))
                 )
-                position_sets.append(read_delete_vector(dv_data))
             live = mask_from_positions(
                 combine_positions(position_sets), container.row_count
             )

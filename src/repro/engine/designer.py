@@ -1124,62 +1124,6 @@ class DatabaseDesigner:
         return run
 
 
-class FrequencyDesigner(DatabaseDesigner):
-    """The v1 heuristic, kept as a benchmark rival: pick the most common
-    join-key set and sort by raw filter frequency (``Counter.most_common``
-    instead of cost-based search).  Shares v2's qualified ingestion and
-    idempotent apply, so benchmarks compare *search quality* alone."""
-
-    def _search(self, shapes: List[QueryShape],
-                candidates: Dict[str, List[_Candidate]]) -> _SearchResult:
-        node_count = self._node_count()
-        assignment: Dict[str, _Candidate] = {}
-        for table in sorted(candidates):
-            stats = self._stats_cache[table]
-            schema = self.catalog.table(table).schema
-            used = tuple(c for c in schema.names if stats.columns.get(c))
-            if not used:
-                used = (schema.names[0],)
-            declared = self.row_counts.get(table)
-            if declared is not None and declared <= REPLICATION_ROW_THRESHOLD:
-                seg: Tuple[str, ...] = ()
-            elif stats.join_sets:
-                key_set, _hits = stats.join_sets.most_common(1)[0]
-                seg = tuple(c for c in schema.names if c in key_set)
-            else:
-                seg = (used[0],)
-            sort: List[str] = []
-            for column, _hits in stats.filters.most_common():
-                if column in used and column not in sort:
-                    sort.append(column)
-            for column, _hits in stats.groups.most_common():
-                if column in used and column not in sort:
-                    sort.append(column)
-            if not sort:
-                sort = [used[0]]
-            layout = TableLayout(
-                table=table, columns=used, sort_order=tuple(sort),
-                segmentation_columns=seg,
-                row_count=self._estimate_rows(table),
-                bytes_per_cell=self._bytes_per_cell(table),
-            )
-            assignment[table] = _Candidate(
-                layout=layout,
-                encodings=self._encodings_for(table, used, tuple(sort)),
-            )
-        layouts = {t: c.layout for t, c in assignment.items()}
-        estimated = estimate_workload_cost(
-            shapes, layouts, node_count
-        ) or DesignCost(seconds=math.inf)
-        baseline = estimate_workload_cost(
-            shapes,
-            self._baseline_layouts(sorted(layouts), self._stats_cache),
-            node_count,
-        ) or DesignCost(seconds=math.inf)
-        return _SearchResult(assignment, estimated, baseline, "frequency",
-                             math.inf, len(assignment))
-
-
 def _cluster_states(cluster) -> List[CatalogState]:
     """Catalog states of every up node (Eon) or the single shared
     catalog (Enterprise), primary first."""

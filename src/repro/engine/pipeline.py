@@ -1,19 +1,20 @@
 """Query-wide pooled fetch charging, and the engine's lifetime counters.
 
-Charged scan by scan, a fragment's scans pay one lane makespan each: a
-fragment with six single-file scans pays six request rounds although the
-scheduler has four lanes.  A provider with lane-scheduled I/O instead
-*pools* every scan's fetch-unit durations per node (:class:`PipelineCharges`)
-and the executor settles the pool once per query with
-:meth:`SimClock.charge_parallel` — a driver that issues the next scan's
-fetches while the current scan is still being decoded, so lanes never drain
-at scan boundaries and the six scans pay ``ceil(6 / lanes)`` rounds.
+Charged scan by scan, a fragment's scans would pay one lane makespan each: a
+fragment with six single-file scans would pay six request rounds although
+the scheduler has four lanes.  The Eon provider instead *pools* every scan's
+fetch-unit durations per node (:class:`PipelineCharges`) and the executor
+settles the pool once per query with :meth:`SimClock.charge_parallel` — a
+driver that issues the next scan's fetches while the current scan is still
+being decoded, so lanes never drain at scan boundaries and the six scans
+pay ``ceil(6 / LANES)`` rounds.
 
 Demand accounting is untouched by pooling: the scheduler performs exactly
 the same ``cache.get`` calls, misses, puts, coalesced groups, and S3
 requests in the same order — only *when the lane makespan is charged*
 changes.  That is what lets the differential suite require depot demand
-stats to be bit-identical between pooled and per-scan charging.
+stats to be bit-identical against a per-scan charging reference (kept in
+the tests).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.io.scheduler import LANES
 from repro.obs.metrics import Ledger
 
 
@@ -28,14 +30,14 @@ class PipelineCharges:
     """Per-node pooled fetch durations, settled once per query.
 
     ``add`` is called by the I/O scheduler in place of charging a batch's
-    lane makespan; ``settle`` schedules every pooled duration onto the same
-    number of lanes, returns the per-node makespans the executor folds into
-    :class:`NodeWork.io_seconds`, and leaves the pool empty.
+    lane makespan; ``settle`` schedules every pooled duration onto the
+    scheduler's :data:`~repro.io.scheduler.LANES`, returns the per-node
+    makespans the executor folds into :class:`NodeWork.io_seconds`, and
+    leaves the pool empty.
     """
 
-    def __init__(self, clock, lanes: int):
+    def __init__(self, clock):
         self.clock = clock
-        self.lanes = max(1, int(lanes))
         self.per_node: Dict[str, List[float]] = {}
 
     def add(self, node_name: str, durations: List[float]) -> None:
@@ -45,7 +47,7 @@ class PipelineCharges:
     def settle(self) -> Dict[str, float]:
         pooled, self.per_node = self.per_node, {}
         return {
-            name: self.clock.charge_parallel(pooled[name], self.lanes)[0]
+            name: self.clock.charge_parallel(pooled[name], LANES)[0]
             for name in sorted(pooled)
         }
 

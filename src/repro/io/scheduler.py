@@ -1,13 +1,13 @@
 """Deterministic parallel fetch scheduler for the depot↔shared-storage path.
 
 The paper's cold-vs-warm depot gap (Fig 10, section 3.3) is dominated by
-shared-storage round-trips, and real Eon hides them by overlapping fetches.
-The serial miss path in this reproduction charges the sim clock the *sum*
-of per-file latencies; this module replaces it for scans with a batch
-scheduler that models what a production I/O layer does:
+shared-storage round-trips, and real Eon hides them by overlapping fetches
+in large requests that stay cancellable (sections 5.2-5.3).  Every Eon scan
+reads its files through this module, which models what a production I/O
+layer does:
 
 * **lanes** — a scan hands its whole post-pruning file set over at once;
-  fetch units are issued in plan order onto ``lanes`` concurrent
+  fetch units are issued in plan order onto :data:`LANES` concurrent
   connections and the batch costs max-over-lanes
   (:meth:`SimClock.charge_parallel`), not the serial sum;
 * **dedup** — a key requested twice in a batch (e.g. a delete vector
@@ -34,18 +34,18 @@ node-name order, fetch units execute in plan order, and the only RNG
 touched is the shared backend's fault injector (one draw per *request*,
 so a coalesced group draws once — same contract as any other request).
 
-Demand hit/miss accounting is kept bit-identical to the serial path: every
-deduplicated request goes through ``cache.get`` exactly once (hit or miss)
-and every fetched file goes through ``note_miss_bytes`` + ``put`` exactly
-as :meth:`Node.fetch_storage` would, so depot stats, shaping-policy
-rejections, and LRU membership agree with a scheduler-off run file-for-file
-within a single scan.
+Demand hit/miss accounting is a file-by-file read's: every deduplicated
+request goes through ``cache.get`` exactly once (hit or miss) and every
+fetched file goes through ``note_miss_bytes`` + ``put`` exactly as
+:meth:`Node.fetch_storage` would, so depot stats, shaping-policy rejections,
+and LRU membership agree file-for-file with one ``fetch_storage`` per file
+within a single scan (the serial reference the tests keep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.cache.disk_cache import ObjectInfo
 from repro.errors import QueryCancelled
@@ -208,13 +208,6 @@ def plan_fetch(
 class IOScheduler:
     """Executes fetch plans against a cluster; one per :class:`EonCluster`."""
 
-    #: Reference arms a differential flips on the class, never options:
-    #: probe peer depots before falling back to shared storage; fetch the
-    #: whole batch up front (off: only the first container's files are
-    #: batched, the rest take the serial path).
-    peer_fetch = True
-    prefetch = True
-
     def __init__(self, cluster):
         self.cluster = cluster
         self.stats = IOStats()
@@ -242,7 +235,7 @@ class IOScheduler:
     # -- the batch fetch -------------------------------------------------------
 
     def fetch_batch(
-        self, node, requests, use_cache, result, cancelled=None, pool=None,
+        self, node, requests, use_cache, result, pool, cancelled=None,
         background_keys=None,
     ) -> FetchBatch:
         """Fetch a scan's file set; returns the bytes keyed by storage name.
@@ -254,13 +247,12 @@ class IOScheduler:
         cancellable at file boundaries even mid-batch ("Vertica cannot
         hang waiting for S3 to respond", section 5.3).
 
-        ``pool`` (a :class:`~repro.engine.pipeline.PipelineCharges`) defers
-        this batch's lane makespan to a per-query settlement instead of
-        charging it here (``result.io_pooled_seconds`` keeps the figure) —
-        a driver-issued prefetch that keeps lanes busy across scan
-        boundaries.  Every demand-side effect (cache.get calls, misses,
-        puts, S3 requests, retries) is identical with or without a pool;
-        only the timing charge moves.
+        ``pool`` (the query's :class:`~repro.engine.pipeline.
+        PipelineCharges`) takes this batch's lane durations: the makespan is
+        charged once per query at settlement, not here
+        (``result.io_pooled_seconds`` keeps the batch's own figure) — a
+        driver-issued prefetch that keeps lanes busy across scan
+        boundaries.  Hits and retry backoff stay in ``result.io_seconds``.
 
         ``background_keys`` marks keys whose containers a pushdown scan
         will cover: the scan does not *wait* for them, so units made up
@@ -276,15 +268,10 @@ class IOScheduler:
 
         self.stats.batches += 1
         self.stats.requests += len(requests)
-        if not self.prefetch and requests:
-            # Only the first container's files are batched; later
-            # containers fall back to the serial path at consume time.
-            first = min(r.container_index for r in requests)
-            requests = [r for r in requests if r.container_index == first]
 
         batch = FetchBatch()
         hit_seconds = 0.0
-        # One ``cache.get`` per distinct file, the serial path's accounting:
+        # One ``cache.get`` per distinct file, as ``fetch_storage`` makes:
         # a hit is booked here; a miss (absent, a session that bypasses the
         # depot, a file the local disk lost) is what there is to fetch.
         missing: List[FetchRequest] = []
@@ -314,12 +301,9 @@ class IOScheduler:
             )
         (durations, makespan, lane_totals, backoff_seconds, fetched, nbytes,
          units, peer_units, background_units, background_makespan) = charged
-        if pool is not None:
-            pool.add(node.name, durations)
-            result.io_pooled_seconds += makespan
-            result.io_seconds += hit_seconds + backoff_seconds
-        else:
-            result.io_seconds += makespan + hit_seconds + backoff_seconds
+        pool.add(node.name, durations)
+        result.io_pooled_seconds += makespan
+        result.io_seconds += hit_seconds + backoff_seconds
         if obs.enabled:
             obs.metrics.gauge("io.lane_occupancy", node=node.name).set(
                 sum(lane_totals) / makespan if makespan > 0 else 0.0
@@ -364,7 +348,7 @@ class IOScheduler:
             remainder: List[FetchRequest] = []
             for request in group:
                 peer = None
-                if self.peer_fetch and use_cache and request.key not in bypass:
+                if use_cache and request.key not in bypass:
                     peer = self._peer_with(node, request.key)
                 if peer is not None:
                     units.append(("peer", peer, [request]))
@@ -442,8 +426,8 @@ class IOScheduler:
                 cached = False
                 if use_cache:
                     # Bypass keys are rejected inside ``put`` (oversized /
-                    # policy-denied), with the same bookkeeping the serial
-                    # path's write-through attempt performs.
+                    # policy-denied), with the same bookkeeping
+                    # ``fetch_storage``'s write-through attempt performs.
                     cached = node.cache.put(
                         request.key, data, info=request.info
                     )
@@ -475,7 +459,7 @@ class IOScheduler:
         # Retry backoff accumulated by this batch's units is query time —
         # fold it into the batch's I/O seconds (serially: backoff stalls
         # the retry loop, not a lane) so throttled scans report higher
-        # latency, matching the serial fetch path's accounting.
+        # latency, as ``fetch_storage`` does.
         self.stats.fetched_files += len(fetched_keys)
         self.stats.fetched_bytes += total_fetched_bytes
         return (
@@ -487,7 +471,7 @@ class IOScheduler:
         )
 
     def pushdown_batch(
-        self, node, items, result, cancelled=None, pool=None
+        self, node, items, result, pool, cancelled=None
     ) -> Dict[str, object]:
         """Run server-side selects for a scan's pushdown containers.
 
@@ -502,7 +486,8 @@ class IOScheduler:
         (the per-query money ledger) but **not** ``result.s3_requests``,
         which stays a GET counter so differential runs can compare GET
         ledgers bit-for-bit; scanned bytes land on
-        ``result.bytes_scanned`` and the scheduler's pushdown stats.
+        ``result.bytes_scanned`` and the scheduler's pushdown stats.  The
+        selects' lane durations go into ``pool``, as in :meth:`fetch_batch`.
         """
         clock = self.cluster.clock
         shared = self.cluster.shared_data
@@ -542,26 +527,14 @@ class IOScheduler:
                     rows=select.rows.num_rows,
                 )
         makespan, _ = clock.charge_parallel(durations, LANES)
-        backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
-        if pool is not None:
-            pool.add(node.name, durations)
-            result.io_pooled_seconds += makespan
-            result.io_seconds += backoff_seconds
-        else:
-            result.io_seconds += makespan + backoff_seconds
+        pool.add(node.name, durations)
+        result.io_pooled_seconds += makespan
+        result.io_seconds += shared.metrics.retry_backoff_seconds - backoff_before
         return selects
 
-    def consume(self, batch: Optional[FetchBatch], node, key: str, result):
-        """Take ``key``'s bytes out of a batch, booking prefetch credit.
-
-        Returns None when the batch does not cover the key (the scan falls
-        back to the serial fetch path).
-        """
-        if batch is None:
-            return None
-        data = batch.data.get(key)
-        if data is None:
-            return None
+    def consume(self, batch: FetchBatch, node, key: str, result) -> bytes:
+        """Take ``key``'s bytes out of a batch, booking prefetch credit."""
+        data = batch.data[key]
         if key in batch.prefetched:
             batch.prefetched.discard(key)  # credit once
             node.cache.note_prefetch_hit(key, len(data))

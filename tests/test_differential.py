@@ -164,19 +164,20 @@ def row_digest(rows: List[tuple]) -> str:
 
 @pytest.fixture(scope="module")
 def tpch_pair():
-    """Two identically-seeded Eon TPC-H clusters: scheduler on and off.
+    """Two identically-seeded Eon TPC-H clusters: the scheduler, and the
+    :class:`SerialFetch` reference arm.
 
     Tables are loaded in slices so each shard holds several containers —
     the shape that exercises dedup, coalescing, and prefetch."""
     from repro.workloads.tpch import TpchData, load_tpch, setup_tpch_schema
+    from tests.test_io_scheduler import SerialFetch
 
     data = TpchData.generate(scale=0.002, seed=42)
     pair = []
-    for parallel_io in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            # The scheduler-off arm is a class attribute, read at construction.
-            patch.setattr(EonCluster, "parallel_io", parallel_io)
-            cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11)
+    for scheduled in (True, False):
+        cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11)
+        if not scheduled:
+            cluster.io_scheduler = SerialFetch(cluster)
         setup_tpch_schema(cluster)
         load_tpch(cluster, data)
         rows = data.tables["lineitem"].to_pylist()

@@ -2,9 +2,8 @@
 
 The engine pools every scan's fetch makespan per node and settles the pool
 once per query.  Pooling may move only *when* a makespan is charged: the
-same query with every scan charged on its own (the scheduler's ``pool=None``
-arm, selected here by flipping ``EonStorageProvider.pool_fetch_charges``)
-must return the same rows (digest) and demand exactly the same of the
+same query with every scan charged on its own (the ``PerScanCharging``
+reference arm, installed as the cluster's ``io_scheduler``) must return the same rows (digest) and demand exactly the same of the
 storage hierarchy, cold and warm, across the full TPC-H suite and a
 dashboard/IoT workload mix — and must never report *more* I/O seconds on any
 node.  Cancellation and mid-query failover leave the contract intact.
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro import EonCluster
-from repro.cluster.session import EonStorageProvider
 from repro.engine.plan import ScanNode, walk
 from repro.errors import QueryCancelled
 from repro.obs.metrics import cluster_metrics
@@ -34,6 +32,7 @@ from repro.workloads.dashboard import (
 )
 from repro.workloads.iot import iot_batch, setup_iot_schema
 from repro.workloads.tpch import TPCH_QUERIES, TpchData, load_tpch, setup_tpch_schema
+from tests.test_io_scheduler import PerScanCharging
 
 
 def canon(rows: List[tuple]) -> List[tuple]:
@@ -123,7 +122,7 @@ def cold_and_warm(cluster, sql, seed):
 def pooled_and_per_scan(cluster, sql, seed, monkeypatch):
     pooled = cold_and_warm(cluster, sql, seed)
     with monkeypatch.context() as patch:
-        patch.setattr(EonStorageProvider, "pool_fetch_charges", False)
+        patch.setattr(cluster, "io_scheduler", PerScanCharging(cluster))
         per_scan = cold_and_warm(cluster, sql, seed)
     return pooled, per_scan
 

@@ -1,15 +1,78 @@
 """The parallel fetch scheduler: lanes, dedup, coalescing, peer fetch,
 prefetch accounting, shaping bypass — and the depot-stats reconciliation
-contract (prefetch consumption must never inflate demand hit counts)."""
+contract (prefetch consumption must never inflate demand hit counts).
+
+Its two reference arms live here, installed on a cluster through the
+``cluster.io_scheduler`` seam: :class:`SerialFetch` (the file-by-file miss
+path the scheduler replaced) and :class:`PerScanCharging` (each scan pays
+its own lane makespan instead of the query's pooled settlement)."""
+
+from contextlib import contextmanager
 
 import pytest
 
 from repro import EonCluster
 from repro.engine.executor import ScanResult
+from repro.engine.pipeline import PipelineCharges
 from repro.io import scheduler as io_scheduler
-from repro.io.scheduler import FetchRequest, IOScheduler, plan_fetch
+from repro.io.scheduler import FetchBatch, FetchRequest, IOScheduler, plan_fetch
 from repro.obs.metrics import cluster_metrics
 from repro.storage.container import RowSet
+
+
+class SerialFetch(IOScheduler):
+    """Reference arm: one ``node.fetch_storage`` per requested file, in
+    request order and without dedupe (a delete vector two containers share
+    is read twice), each file's seconds charged serially in the scan's
+    ``io_seconds``.  No lanes, no coalescing, no peers, no prefetch, and no
+    pushdown: the scan reads every container through the depot (and polls
+    cancellation between containers, as it always does)."""
+
+    def fetch_batch(self, node, requests, use_cache, result, pool, **_) -> FetchBatch:
+        cost = getattr(self.cluster.shared, "cost", None)
+        get_dollars = cost.get_cost() if cost is not None else 0.0
+        batch = FetchBatch()
+        for request in requests:
+            data, from_cache, seconds = node.fetch_storage(
+                request.key, self.cluster.shared_data,
+                info=request.info, use_cache=use_cache,
+            )
+            result.io_seconds += seconds
+            if from_cache:
+                result.bytes_from_cache += len(data)
+                result.depot_hits += 1
+            else:
+                result.bytes_from_shared += len(data)
+                result.depot_misses += 1
+                result.s3_requests += 1
+                result.s3_dollars += get_dollars
+            batch.data[request.key] = data
+        return batch
+
+    def pushdown_batch(self, node, items, result, pool, **_):
+        return {}
+
+
+class PerScanCharging(IOScheduler):
+    """Reference arm: every demand effect of the scheduler, but each scan's
+    lane makespan charged in its own ``io_seconds`` rather than deferred to
+    the query's pool (``charge_parallel`` is pure, so settling a private
+    pool at once gives the batch's own makespan)."""
+
+    def fetch_batch(self, node, requests, use_cache, result, pool, **kwargs):
+        with self._per_scan(node, result) as own:
+            return super().fetch_batch(node, requests, use_cache, result, own, **kwargs)
+
+    def pushdown_batch(self, node, items, result, pool, **kwargs):
+        with self._per_scan(node, result) as own:
+            return super().pushdown_batch(node, items, result, own, **kwargs)
+
+    @contextmanager
+    def _per_scan(self, node, result):
+        own, pooled = PipelineCharges(self.cluster.clock), result.io_pooled_seconds
+        yield own
+        result.io_pooled_seconds = pooled
+        result.io_seconds += own.settle().get(node.name, 0.0)
 
 
 def make_cluster(**kwargs):
@@ -146,7 +209,8 @@ class TestBatchFetch:
         before = cluster.shared.metrics.get_requests
         result = scan_result()
         batch = cluster.io_scheduler.fetch_batch(
-            node, requests, use_cache=True, result=result
+            node, requests, use_cache=True, result=result,
+            pool=PipelineCharges(cluster.clock),
         )
         # subscribers_per_shard=2: every container n1 lacks is depot-resident
         # on some peer, so the whole batch moves at network latency.
@@ -158,27 +222,14 @@ class TestBatchFetch:
         assert result.depot_misses == len(requests)
         assert result.bytes_from_shared == sum(r.size for r in requests)
 
-    def test_peer_fetch_disabled_goes_to_s3(self, monkeypatch):
-        monkeypatch.setattr(IOScheduler, "peer_fetch", False)
-        cluster = make_cluster()
-        cluster.query("select count(*) from t")
-        node = cluster.nodes["n1"]
-        node.cache.clear()
-        before = cluster.shared.metrics.get_requests
-        result = scan_result()
-        cluster.io_scheduler.fetch_batch(
-            node, container_requests(cluster), use_cache=True, result=result
-        )
-        assert result.peer_fetches == 0
-        assert cluster.shared.metrics.get_requests > before
-
     def test_prefetch_marks_later_containers(self):
         cluster = make_cluster()
         clear_depots(cluster)
         node = cluster.nodes["n1"]
         result = scan_result()
         batch = cluster.io_scheduler.fetch_batch(
-            node, container_requests(cluster), use_cache=True, result=result
+            node, container_requests(cluster), use_cache=True, result=result,
+            pool=PipelineCharges(cluster.clock),
         )
         # Everything past the first fetched container arrived early.
         assert batch.prefetched
@@ -209,23 +260,21 @@ class TestBatchFetch:
         insertions_before = node.cache.stats.insertions
         result = scan_result()
         cluster.io_scheduler.fetch_batch(
-            node, container_requests(cluster), use_cache=False, result=result
+            node, container_requests(cluster), use_cache=False, result=result,
+            pool=PipelineCharges(cluster.clock),
         )
         assert node.cache.stats.insertions == insertions_before
         assert node.cache.file_count == 0
 
 
 class TestSchedulerAblation:
-    """Scheduler on vs off: same answers, same demand depot accounting."""
+    """Scheduler vs :class:`SerialFetch`: same answers, same demand depot
+    accounting."""
 
-    @pytest.fixture(autouse=True)
-    def _patching(self, monkeypatch):
-        self.monkeypatch = monkeypatch
-
-    def _run(self, parallel_io):
-        # The scheduler-off arm is a class attribute, read at construction.
-        self.monkeypatch.setattr(EonCluster, "parallel_io", parallel_io)
+    def _run(self, scheduled):
         cluster = make_cluster()
+        if not scheduled:
+            cluster.io_scheduler = SerialFetch(cluster)
         clear_depots(cluster)
         out = []
         for sql in (
@@ -359,6 +408,7 @@ class TestObsCounters:
             container_requests(cluster),
             use_cache=True,
             result=result,
+            pool=PipelineCharges(cluster.clock),
         )
         # Events are counted once, in their ledgers; the registry keeps the
         # lane-occupancy reading no ledger holds.

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import EonCluster
 from repro.cache.disk_cache import FileCache
 from repro.engine.executor import ScanResult
+from repro.engine.pipeline import PipelineCharges
 from repro.io import scheduler as CONFIG
 from repro.io.scheduler import FetchRequest, plan_fetch
 from repro.shared_storage.posix import MemoryFilesystem
@@ -139,7 +140,8 @@ class TestBatchSerialParity:
             )
         )
         batch = cluster.io_scheduler.fetch_batch(
-            node, requests, use_cache=True, result=result
+            node, requests, use_cache=True, result=result,
+            pool=PipelineCharges(cluster.clock),
         )
         assert batch.data == expected
         assert result.bytes_from_shared == sum(sizes)

@@ -59,30 +59,6 @@ class TestCancellation:
             )
         session.release()
 
-    def test_cancel_mid_scan_serial_path(self, monkeypatch):
-        """The pre-scheduler per-file path stays cancellable too."""
-        monkeypatch.setattr(EonCluster, "parallel_io", False)
-        cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=17)
-        cluster.execute("create table t (a int, b varchar)")
-        for batch in range(4):
-            cluster.load("t", [(batch * 100 + i, "x") for i in range(100)])
-        session = cluster.create_session(seed=1)
-        calls = {"n": 0}
-        original = type(cluster.nodes["n1"]).fetch_storage
-
-        def cancelling_fetch(node, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                session.cancel()  # cancellation arrives between file reads
-            return original(node, *args, **kwargs)
-
-        monkeypatch.setattr(type(cluster.nodes["n1"]), "fetch_storage", cancelling_fetch)
-        with pytest.raises(QueryCancelled):
-            cluster.query_statement(
-                parse("select count(*) from t")[0], session=session
-            )
-        session.release()
-
     def test_cluster_usable_after_cancellation(self, cluster):
         session = cluster.create_session(seed=1)
         session.cancel()

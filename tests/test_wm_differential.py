@@ -5,9 +5,10 @@ Two fresh, identically-seeded TPC-H clusters run the identical (client,
 request, seed) grid — one through the closed-loop driver with 16
 interleaved sessions, one strictly serially.  Concurrency must be
 invisible in the results: bit-identical row digests and identical
-per-node depot demand stats (hits/misses/insertions/bytes — the PR 3
-order-invariance discipline; prefetch and peer fetch are disabled
-because their counters legitimately depend on arrival order).
+per-node depot demand stats (hits/misses/insertions/bytes — the
+order-invariance discipline), on the production fetch path: peer fetch
+and prefetch stay on, and only their own counters, which legitimately
+depend on arrival order, are left out of the comparison.
 
 The second half is slot hygiene under mid-flight chaos: a node kill and
 an S3 outage window land while 16 clients are in flight, and every pool
@@ -38,8 +39,6 @@ TPCH_STATEMENTS = (
 
 def build_tpch_cluster(tpch_data) -> EonCluster:
     cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=11)
-    # The order-invariant reference arm: no peer probes, no fetch-ahead.
-    cluster.io_scheduler.peer_fetch = cluster.io_scheduler.prefetch = False
     setup_tpch_schema(cluster)
     load_tpch(cluster, tpch_data)
     return cluster
