@@ -222,6 +222,25 @@ class TestBatchFetch:
         assert result.depot_misses == len(requests)
         assert result.bytes_from_shared == sum(r.size for r in requests)
 
+    def test_peer_fetch_disabled_goes_to_s3(self):
+        """Peers that are down serve no files even with warm depots: the
+        batch falls back to shared storage."""
+        cluster = make_cluster()
+        cluster.query("select count(*) from t")  # depots warm everywhere
+        node = cluster.nodes["n1"]
+        node.cache.clear()
+        for name in ("n2", "n3"):
+            cluster.nodes[name].go_down()  # depot survives, peer is down
+        before = cluster.shared.metrics.get_requests
+        result = scan_result()
+        cluster.io_scheduler.fetch_batch(
+            node, container_requests(cluster), use_cache=True, result=result,
+            pool=PipelineCharges(cluster.clock),
+        )
+        assert result.peer_fetches == 0
+        assert cluster.shared.metrics.get_requests > before
+        assert result.s3_requests > 0
+
     def test_prefetch_marks_later_containers(self):
         cluster = make_cluster()
         clear_depots(cluster)

@@ -59,6 +59,30 @@ class TestCancellation:
             )
         session.release()
 
+    def test_cancel_mid_scan_serial_path(self, cluster, monkeypatch):
+        """Under the file-by-file reference scheduler the scan stays
+        cancellable: it polls between containers."""
+        from tests.test_io_scheduler import SerialFetch
+
+        cluster.io_scheduler = SerialFetch(cluster)
+        session = cluster.create_session(seed=1)
+        calls = {"n": 0}
+        original = type(cluster.nodes["n1"]).fetch_storage
+
+        def cancelling_fetch(node, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                session.cancel()  # cancellation arrives between file reads
+            return original(node, *args, **kwargs)
+
+        monkeypatch.setattr(type(cluster.nodes["n1"]), "fetch_storage", cancelling_fetch)
+        with pytest.raises(QueryCancelled):
+            cluster.query_statement(
+                parse("select count(*) from t")[0], session=session
+            )
+        assert calls["n"] >= 2
+        session.release()
+
     def test_cluster_usable_after_cancellation(self, cluster):
         session = cluster.create_session(seed=1)
         session.cancel()
