@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
+.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -30,6 +30,12 @@ loc:
 	@find src -name '*.py' | xargs wc -l | sort -rn | awk '\
 		$$2 == "total" { printf "src/ total: %d lines (target <= 22000)\n", $$1; next } \
 		$$1 > 600 { printf "  over 600: %5d %s\n", $$1, $$2 }'
+
+# The option census `tests/test_public_surface.py` pins: every defaulted
+# parameter of a `src/` function that no call in src/, benchmarks/ or
+# examples/ passes, one `file function parameter` per line.
+knobs:
+	@$(PY) tests/test_public_surface.py
 
 # Campaign confidence check: every `run_campaign` wall (the `campaign`
 # marker) — the 25-seed base corpus plus the boosted generator profiles.

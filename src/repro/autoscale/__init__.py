@@ -24,7 +24,6 @@ from repro.autoscale.driver import (
 from repro.autoscale.policy import (
     Decision,
     PolicyConfig,
-    PolicyEngine,
     ScalerStatus,
     ThresholdPolicy,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "EpochStats",
     "NODE_DOLLARS_PER_HOUR",
     "PolicyConfig",
-    "PolicyEngine",
     "ScalerStatus",
     "TelemetryCollector",
     "TelemetrySample",

@@ -36,8 +36,11 @@ from repro.errors import ReproError
 from repro.obs.metrics import Ledger
 from repro.shared_storage.api import retrying
 
-#: Default name of the managed subcluster (and its node-name prefix).
+#: The managed subcluster's name, and its nodes' name prefix.
 BURST_SUBCLUSTER = "burst"
+
+#: Actuation events kept for ``v_monitor.autoscale_events`` (oldest dropped).
+MAX_EVENTS = 512
 
 #: Shared-storage prefix for hibernation manifests.
 HIBERNATE_PREFIX = "autoscale_hibernate_"
@@ -60,17 +63,8 @@ class TopologyActuator:
     """Sequences scale-out / scale-in / hibernate / revive against one
     managed subcluster, tolerating interruption at every step."""
 
-    def __init__(
-        self,
-        cluster,
-        subcluster: str = BURST_SUBCLUSTER,
-        node_prefix: Optional[str] = None,
-        max_events: int = 512,
-    ):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.subcluster = subcluster
-        self.node_prefix = node_prefix or subcluster
-        self.max_events = max_events
         #: Never-reused suffix for managed node names (safety rule 1).
         self._next_node = 0
         #: Drained victims awaiting an idle slot count (safety rule 2).
@@ -89,7 +83,7 @@ class TopologyActuator:
     # -- introspection -----------------------------------------------------------
 
     def members(self) -> List[str]:
-        return sorted(self.cluster.subclusters.get(self.subcluster, set()))
+        return sorted(self.cluster.subclusters.get(BURST_SUBCLUSTER, set()))
 
     def size(self) -> int:
         """Members not already condemned to removal."""
@@ -104,13 +98,13 @@ class TopologyActuator:
                 event_id=self._event_ids,
                 at_seconds=self.cluster.clock.now,
                 action=action,
-                subcluster=self.subcluster,
+                subcluster=BURST_SUBCLUSTER,
                 node=node,
                 outcome=outcome,
                 detail=detail,
             )
         )
-        del self.events[: -self.max_events]
+        del self.events[:-MAX_EVENTS]
 
     # -- scale out ---------------------------------------------------------------
 
@@ -125,13 +119,13 @@ class TopologyActuator:
             # An actuator started on a cluster that already has ``burst<n>``
             # nodes (a revive brings a previous scaler's back as ordinary
             # nodes) must not take — and then "repair" — one of those names.
-            while f"{self.node_prefix}{self._next_node}" in self.cluster.nodes:
+            while f"{BURST_SUBCLUSTER}{self._next_node}" in self.cluster.nodes:
                 self._next_node += 1
-            name = f"{self.node_prefix}{self._next_node}"
+            name = f"{BURST_SUBCLUSTER}{self._next_node}"
             self._next_node += 1
             try:
                 self.cluster.add_node(
-                    name, warm_cache=True, subcluster=self.subcluster
+                    name, warm_cache=True, subcluster=BURST_SUBCLUSTER
                 )
                 added.append(name)
                 self._event("scale_out", node=name)
@@ -171,7 +165,7 @@ class TopologyActuator:
             self._event("scale_in", outcome="refused",
                         detail="no safely removable member")
             return []
-        cluster.admission.set_draining(self.subcluster, True)
+        cluster.admission.set_draining(BURST_SUBCLUSTER, True)
         for name in victims:
             self.pending_removals.append(name)
             self._event("scale_in", node=name, outcome="draining")
@@ -222,7 +216,7 @@ class TopologyActuator:
                 self.hibernating = False
                 self._event("hibernate", outcome="ok", detail="subcluster empty")
             if not self.hibernating:
-                cluster.admission.set_draining(self.subcluster, False)
+                cluster.admission.set_draining(BURST_SUBCLUSTER, False)
         self.last_removed = removed
         return removed
 
@@ -260,7 +254,7 @@ class TopologyActuator:
     # -- hibernate / revive ------------------------------------------------------
 
     def _manifest_name(self) -> str:
-        prefix = f"{HIBERNATE_PREFIX}{self.subcluster}_"
+        prefix = f"{HIBERNATE_PREFIX}{BURST_SUBCLUSTER}_"
         existing = retrying(
             lambda: self.cluster.shared.list(prefix), self.cluster.shared.metrics
         )
@@ -280,7 +274,7 @@ class TopologyActuator:
         if not members:
             return False
         doc = {
-            "subcluster": self.subcluster,
+            "subcluster": BURST_SUBCLUSTER,
             "node_count": len(members),
             "at_seconds": self.cluster.clock.now,
         }
@@ -294,7 +288,7 @@ class TopologyActuator:
         self._event("hibernate", outcome="draining",
                     detail=f"manifest {name}, {len(members)} nodes")
         self.hibernating = True
-        self.cluster.admission.set_draining(self.subcluster, True)
+        self.cluster.admission.set_draining(BURST_SUBCLUSTER, True)
         condemned = set(self.pending_removals)
         for member in reversed(members):
             if member not in condemned:
@@ -306,7 +300,7 @@ class TopologyActuator:
         """Newest hibernation manifest, or None.  The *listing* is an
         out-of-band peek (crash-recovery metadata, like revive's
         discovery scan); the read is a charged request."""
-        prefix = f"{HIBERNATE_PREFIX}{self.subcluster}_"
+        prefix = f"{HIBERNATE_PREFIX}{BURST_SUBCLUSTER}_"
         names = self.cluster.shared.peek(prefix)
         if not names:
             return None
@@ -326,7 +320,7 @@ class TopologyActuator:
             aborted = list(self.pending_removals)
             self.pending_removals.clear()
             self.hibernating = False
-            self.cluster.admission.set_draining(self.subcluster, False)
+            self.cluster.admission.set_draining(BURST_SUBCLUSTER, False)
             self._event("revive", outcome="ok",
                         detail=f"aborted in-flight hibernate of {aborted}")
             return []
@@ -339,7 +333,7 @@ class TopologyActuator:
             count = int(manifest.get("node_count", default_count))
         self.hibernated = False
         self.hibernating = False
-        self.cluster.admission.set_draining(self.subcluster, False)
+        self.cluster.admission.set_draining(BURST_SUBCLUSTER, False)
         want = max(0, count - self.size())
         self._event("revive", detail=f"target {count} nodes")
         return self.scale_out(want)

@@ -19,9 +19,7 @@ whose every move is explainable after the fact.  The default
 
 Any breach in the opposite direction resets a streak, and every
 actuation starts a cooldown window during which the policy holds — the
-classic guard against relay oscillation.  The engine is pluggable:
-anything with ``decide(sample, status) -> Decision`` can drive the
-actuator.
+classic guard against relay oscillation.
 """
 
 from __future__ import annotations
@@ -87,14 +85,7 @@ class ScalerStatus:
     pending_removals: int = 0
 
 
-class PolicyEngine:
-    """Interface: map (telemetry, scaler status) to a :class:`Decision`."""
-
-    def decide(self, sample: TelemetrySample, status: ScalerStatus) -> Decision:
-        raise NotImplementedError
-
-
-class ThresholdPolicy(PolicyEngine):
+class ThresholdPolicy:
     """Threshold + consecutive-vote hysteresis + cooldown (see module
     docstring for the state machine)."""
 

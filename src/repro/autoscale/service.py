@@ -27,7 +27,6 @@ from repro.autoscale.policy import (
     SCALE_OUT,
     Decision,
     PolicyConfig,
-    PolicyEngine,
     ScalerStatus,
     ThresholdPolicy,
 )
@@ -37,20 +36,11 @@ from repro.autoscale.telemetry import TelemetryCollector, TelemetrySample
 class Autoscaler:
     """Closed-loop elastic autoscaler over one managed subcluster."""
 
-    def __init__(
-        self,
-        cluster,
-        policy: Optional[PolicyEngine] = None,
-        actuator: Optional[TopologyActuator] = None,
-        config: Optional[PolicyConfig] = None,
-        subcluster: str = BURST_SUBCLUSTER,
-    ):
+    def __init__(self, cluster, config: Optional[PolicyConfig] = None):
         self.cluster = cluster
-        self.actuator = actuator or TopologyActuator(cluster, subcluster=subcluster)
-        self.policy = policy or ThresholdPolicy(config or PolicyConfig())
-        self.telemetry = TelemetryCollector(
-            cluster, subcluster=self.actuator.subcluster
-        )
+        self.actuator = TopologyActuator(cluster)
+        self.policy = ThresholdPolicy(config or PolicyConfig())
+        self.telemetry = TelemetryCollector(cluster, subcluster=BURST_SUBCLUSTER)
         self.ticks = 0
         self.decisions = {
             SCALE_OUT: 0,

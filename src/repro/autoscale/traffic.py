@@ -84,6 +84,6 @@ class TrafficGenerator:
             self.bursts += 1
         return clients
 
-    def day(self, epochs_per_day: int = 96) -> List[int]:
-        """Convenience: the whole day's client counts at once."""
-        return [self.clients_for_epoch(i) for i in range(epochs_per_day)]
+    def day(self) -> List[int]:
+        """Convenience: a day's client counts at once, 96 epochs."""
+        return [self.clients_for_epoch(i) for i in range(96)]

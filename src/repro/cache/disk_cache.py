@@ -31,6 +31,9 @@ from repro.shared_storage.api import Filesystem
 #: recently evicted dropped first (see :meth:`FileCache.keep_layout`).
 EVICTED_LAYOUTS = 256
 
+#: Prefix of a cached file's name on the node's local disk.
+FILE_PREFIX = "cache_"
+
 
 @dataclass(frozen=True)
 class ObjectInfo:
@@ -111,14 +114,12 @@ class FileCache:
         local_fs: Filesystem,
         capacity_bytes: int,
         policy: Optional[ShapingPolicy] = None,
-        name_prefix: str = "cache_",
     ):
         if capacity_bytes < 0:
             raise ValueError("capacity must be >= 0")
         self._fs = local_fs
         self.capacity_bytes = capacity_bytes
         self.policy = policy or ShapingPolicy()
-        self._prefix = name_prefix
         self._index = LruIndex()
         self._info: Dict[str, ObjectInfo] = {}
         self._pinned: Set[str] = set()
@@ -285,7 +286,7 @@ class FileCache:
     # -- internals -------------------------------------------------------------------
 
     def _key(self, name: str) -> str:
-        return self._prefix + name
+        return FILE_PREFIX + name
 
     def _forget(self, name: str) -> Optional[object]:
         """Forget the entry; its layout, if one was kept, is returned."""

@@ -82,7 +82,9 @@ def warm_from_peer(
             except ObjectNotFound:
                 report.missing += 1
                 continue
-        if subscriber.put(name, data, info=peer.info_of(name)):
+        # The file's layout travels with its bytes, as a writer's does: the
+        # subscriber's first read of a warmed file parses no footer.
+        if subscriber.put(name, data, info=peer.info_of(name), layout=peer.layout_of(name)):
             report.bytes_transferred += len(data)
             report.files.append(name)
     return report

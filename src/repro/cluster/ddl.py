@@ -31,7 +31,6 @@ from repro.catalog.objects import (
     Table,
     User,
 )
-from repro.cluster.transactions import Transaction
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.errors import CatalogError
 from repro.load.copy import copy_into, write_rows
@@ -208,19 +207,11 @@ def create_user(cluster, name: str, is_superuser: bool = False) -> int:
     return cluster.commit(txn)
 
 
-def add_column(
-    cluster, table: str, column: str, ctype: ColumnType, txn: Optional[Transaction] = None
-) -> int:
-    """ADD COLUMN under OCC (section 6.3): pass an explicit ``txn`` begun
-    earlier to model offline metadata preparation; commit-time validation
-    aborts if the table changed in between."""
-    own = txn is None
-    if txn is None:
-        txn = cluster.begin()
+def add_column(cluster, table: str, column: str, ctype: ColumnType) -> int:
+    """ADD COLUMN under OCC (section 6.3): one commit."""
+    txn = cluster.begin()
     txn.add_op(op_add_column(table, SchemaColumn(column, ctype)))
-    if own:
-        return cluster.commit(txn)
-    return -1
+    return cluster.commit(txn)
 
 
 # -- the SQL front door ----------------------------------------------------------

@@ -65,6 +65,12 @@ from repro.wm.admission import AdmissionController
 EBS_READ_BANDWIDTH = 130e6
 EBS_WRITE_BANDWIDTH = 110e6
 
+#: Rows a node's WOS buffers before a load triggers its moveout.
+WOS_CAPACITY_ROWS = 100_000
+#: A COPY of at least this many rows goes DIRECT to the ROS unless the
+#: caller says (``load(direct=)``); a smaller one buffers in the WOS.
+DIRECT_LOAD_ROWS = 10_000
+
 
 #: What ``query``/``query_statement`` accept per query: the session layout
 #: (``create_session``'s parameters) and the one engine option.
@@ -110,8 +116,6 @@ class EnterpriseCluster:
         self,
         node_names: Sequence[str],
         execution_slots: int = 4,
-        wos_capacity_rows: int = 100_000,
-        direct_load_threshold: int = 10_000,
         seed: int = 0,
         clock: Optional[SimClock] = None,
     ):
@@ -125,9 +129,8 @@ class EnterpriseCluster:
         self.node_order: List[str] = []
         self.nodes: Dict[str, Node] = {}
         for name in node_names:
-            self._join(name, execution_slots, wos_capacity_rows)
+            self._join(name, execution_slots)
         self.catalog = Catalog(MemoryFilesystem())
-        self.direct_load_threshold = direct_load_threshold
         #: sid -> owning node (each file owned by exactly one node).
         self.container_owner: Dict[str, str] = {}
         self._version = itertools.count(1)
@@ -145,10 +148,6 @@ class EnterpriseCluster:
         self.failover_policy = FailoverPolicy()
         self.recovery_stats = RecoveryStats()
 
-    #: The engine's one per-query option.  Scans read node-local disks, so
-    #: the provider's ``set_pushdown`` is the ABC no-op: accepted, inert.
-    pushdown = "off"
-
     def enable_observability(self) -> Observability:
         """Switch on metrics, tracing, and query profiling (idempotent)."""
         self.obs = self.obs.switched_on()
@@ -156,7 +155,7 @@ class EnterpriseCluster:
 
     # -- membership -------------------------------------------------------------
 
-    def _join(self, name: str, execution_slots: int, wos_capacity_rows: int) -> Node:
+    def _join(self, name: str, execution_slots: int) -> Node:
         """A node with an EBS-class disk and a WOS, last on the ring."""
         node = Node(
             name,
@@ -166,7 +165,7 @@ class EnterpriseCluster:
         )
         node.local_fs.read_bandwidth = EBS_READ_BANDWIDTH
         node.local_fs.write_bandwidth = EBS_WRITE_BANDWIDTH
-        node.wos = WOS(wos_capacity_rows)
+        node.wos = WOS(WOS_CAPACITY_ROWS)
         self.nodes[name] = node
         self.node_order.append(name)
         return node
@@ -270,7 +269,7 @@ class EnterpriseCluster:
             rows = RowSet.from_rows(table.schema, rows)
         rows = checked_input(self, table, rows)
         if direct is None:
-            direct = rows.num_rows >= self.direct_load_threshold
+            direct = rows.num_rows >= DIRECT_LOAD_ROWS
         sink, txn = LocalDiskSink(self), Transaction()
         for projection, region, part in streams(self.shard_map, state, table, rows):
             self._place(table, projection, region, part, direct, sink, txn)
@@ -450,7 +449,7 @@ class EnterpriseCluster:
                 contents[projection] = RowSet.concat(parts)
 
         first = self.nodes[self.node_order[0]]
-        node = self._join(name, first.execution_slots, first.wos.capacity_rows)
+        node = self._join(name, first.execution_slots)
         self.shard_map = ShardMap(len(self.node_order))
 
         # Drop all old segmented containers and rewrite under the new map.

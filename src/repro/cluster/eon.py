@@ -58,7 +58,7 @@ from repro.wm.admission import AdmissionController
 #: (``create_session``'s parameters) and the one engine option.
 QUERY_OPTIONS = (
     "initiator", "subcluster", "crunch", "nodes_per_shard", "use_cache", "seed",
-    "prefer_initiator_rack", "pushdown",
+    "pushdown",
 )
 
 
@@ -99,9 +99,6 @@ class EonCluster:
         }
         #: The depot I/O scheduler every scan fetches its files through.
         self.io_scheduler = IOScheduler(self)
-        #: Default scan-strategy policy (``auto`` | ``on`` | ``off``);
-        #: the per-query ``pushdown=`` session option overrides it.
-        self.pushdown = "auto"
         self.engine_stats = EngineStats()
         self.plan_cache = query_path.PlanCache()
         self.coordinator = CommitCoordinator(self)
@@ -239,19 +236,15 @@ class EonCluster:
         """
         return subscriptions.uncovered_without(self)
 
-    def all_catalog_sids(self, include_pinned: bool = True) -> Set[str]:
-        """Every storage name referenced by any up node's catalog.
-
-        With ``include_pinned``, states still pinned by running queries
-        count too — a file is only dereferenced once *no* reachable
-        catalog state mentions it.
-        """
+    def all_catalog_sids(self) -> Set[str]:
+        """Every storage name referenced by any up node's catalog, states
+        still pinned by running queries included — a file is only
+        dereferenced once *no* reachable catalog state mentions it."""
         sids: Set[str] = set()
         for node in self.up_nodes():
             sids |= node.catalog.state.storage_sids()
-            if include_pinned:
-                for state in node.catalog.pinned_states():
-                    sids |= state.storage_sids()
+            for state in node.catalog.pinned_states():
+                sids |= state.storage_sids()
         return sids
 
     def running_instance_prefixes(self) -> List[str]:
@@ -394,7 +387,6 @@ class EonCluster:
         nodes_per_shard: int = 1,
         use_cache: bool = True,
         seed: Optional[int] = None,
-        prefer_initiator_rack: bool = True,
     ) -> EonSession:
         """Select participating subscriptions for a new session.
 
@@ -437,7 +429,7 @@ class EonCluster:
             members = {n for n in self.subclusters.get(subcluster, set()) if self.nodes[n].is_up}
             if members:
                 priority_tiers = [members]
-        elif prefer_initiator_rack and self.nodes[initiator].rack is not None:
+        elif self.nodes[initiator].rack is not None:
             # Rack-aware layout (section 4.1): "the starting graph includes
             # only nodes on the same physical rack, encouraging an
             # assignment that avoids sending network data across

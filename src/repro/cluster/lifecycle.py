@@ -82,7 +82,6 @@ def add_node(
     name: str,
     shards: Optional[Sequence[int]] = None,
     warm_cache: bool = True,
-    cache_bytes: Optional[int] = None,
     subcluster: Optional[str] = None,
 ) -> Node:
     """Add a node and subscribe it to ``shards`` (default: balanced).
@@ -96,7 +95,7 @@ def add_node(
         subscriptions.check_shards(cluster, shards)
     first = next(iter(cluster.nodes.values()))
     node = cluster._new_node(
-        name, cache_bytes or first.cache_bytes, first.execution_slots, subcluster=subcluster
+        name, first.cache_bytes, first.execution_slots, subcluster=subcluster
     )
     # The new node subscribes to nothing yet, so shard-scoped metadata is
     # filtered out of its catch-up.

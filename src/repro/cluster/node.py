@@ -1,8 +1,7 @@
 """A database node: local disk, catalog, cache, and storage access.
 
 Nodes are in-process objects; their "local disk" is a
-:class:`MemoryFilesystem` by default (a :class:`LocalFilesystem` for tests
-that want real files).  Each node carries:
+:class:`MemoryFilesystem`.  Each node carries:
 
 * a :class:`Catalog` filtered to its subscribed shards,
 * a :class:`FileCache` (Eon) over its local disk,
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.disk_cache import FileCache, ObjectInfo, ShapingPolicy
 from repro.catalog.catalog import Catalog
@@ -51,20 +50,18 @@ class Node:
     def __init__(
         self,
         name: str,
+        rng: random.Random,
         cache_bytes: int = 256 << 20,
         execution_slots: int = 4,
         subcluster: Optional[str] = None,
         rack: Optional[str] = None,
-        local_fs: Optional[Filesystem] = None,
-        rng: Optional[random.Random] = None,
-        subscribed_shards: Optional[Set[int]] = None,
     ):
         self.name = name
-        self.local_fs = local_fs or MemoryFilesystem()
-        self.catalog = Catalog(self.local_fs, subscribed_shards=subscribed_shards)
+        self.local_fs = MemoryFilesystem()
+        self.catalog = Catalog(self.local_fs)
         self.cache = FileCache(self.local_fs, cache_bytes)
         self.cache_bytes = cache_bytes
-        self._rng = rng or random.Random()
+        self._rng = rng
         self.sid_factory = SidFactory(self._rng)
         self.state = NodeState.UP
         self.execution_slots = execution_slots

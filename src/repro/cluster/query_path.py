@@ -11,7 +11,7 @@ what a *session* knows, and that is the whole seam: ``initiator``; ``state``
 Enterprise: one per region served, on every up node); ``release()``.  From
 the cluster the path takes ``create_session`` and ``uncovered_shards`` (the
 failover rule) and the state either flavor carries (``admission``, ``obs``,
-``cost_model``, ``engine_stats``, ``failover_policy``, ``pushdown``).  Nothing
+``cost_model``, ``engine_stats``, ``failover_policy``).  Nothing
 here asks which flavor it is serving; DESIGN.md, "One query path".
 """
 
@@ -141,7 +141,7 @@ def run(
     which spans every retry — without one, each attempt admits itself.
     """
     options = dict(options or {})
-    pushdown = options.pop("pushdown", cluster.pushdown)
+    pushdown = options.pop("pushdown", "auto")
     if prepared is not None:
         session = prepared.session
     # Failover defaults on for cluster-owned sessions (the caller never saw

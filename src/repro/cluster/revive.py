@@ -52,7 +52,6 @@ def revive(
     clock: Optional[SimClock] = None,
     force: bool = False,
     seed: int = 1,
-    cache_bytes: int = 256 << 20,
     read_only: bool = False,
     observability=None,
 ) -> EonCluster:
@@ -84,7 +83,6 @@ def revive(
         info["shard_count"],
         shared_storage=shared_storage,
         subscribers_per_shard=info.get("subscribers_per_shard", 2),
-        cache_bytes=cache_bytes,
         seed=seed,
         clock=clock,
         observability=observability,

@@ -33,7 +33,6 @@ from repro.common.clock import Timeout
 from repro.errors import ReproError
 from repro.obs.metrics import Ledger
 from repro.obs.tracing import NULL_TRACER
-from repro.recovery import SubscriptionRebalancer
 from repro.tuple_mover import MergeoutCoordinatorService
 
 
@@ -107,7 +106,6 @@ class ServiceScheduler:
         self.cluster = cluster
         self.intervals = intervals or ServiceIntervals()
         self.mergeout_service = MergeoutCoordinatorService(cluster)
-        self.rebalancer = SubscriptionRebalancer(cluster)
         #: Attached via :meth:`attach_autoscaler`; None means disabled.
         self.autoscaler = None
         self.stats = ServiceStats()
@@ -194,7 +192,7 @@ class ServiceScheduler:
         """The rebalance process (§6.4) as a periodic service: restore
         shard coverage and fault tolerance after node failures without
         waiting for an operator."""
-        report = self.rebalancer.run()
+        report = self.cluster.rebalance_subscriptions()
         promoted, subscribed = len(report.promoted), len(report.subscribed)
         span.annotate(promoted=promoted, subscribed=subscribed)
         self.stats.rebalance_runs += 1

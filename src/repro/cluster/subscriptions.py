@@ -8,18 +8,19 @@ transfer and the trim are ``Catalog.reshard`` calls.  :func:`activate` is the
 one walk to ACTIVE (``subscribe``, node recovery, the rebalancer) and
 :func:`retire` the one walk to no subscription (``unsubscribe``,
 ``remove_node``, the autoscale actuator, recovery of a node that died
-mid-removal).  ``EonCluster`` binds ``subscribe``, ``unsubscribe`` and
-``rebalance_subscriptions`` from here.
+mid-removal).  The rebalance process (section 6.4) is
+:func:`rebalance_subscriptions`.  ``EonCluster`` binds ``subscribe``,
+``unsubscribe`` and ``rebalance_subscriptions`` from here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.warming import WarmingReport, warm_from_peer
 from repro.catalog.mvcc import op_drop_subscription, op_set_subscription
 from repro.errors import CatalogError, ShardCoverageLost
-from repro.recovery import rebalance
 from repro.sharding.subscription import (
     SubscriptionState,
     Subscriptions,
@@ -155,12 +156,57 @@ def retire(cluster, node_name: str, shard_id: int) -> None:
     node.catalog.write_checkpoint()
 
 
-def rebalance_subscriptions(cluster, warm_cache: bool = True) -> "rebalance.RebalanceReport":
-    """One pass of the subscription rebalancer (section 6.4): promote or
-    subscribe spare nodes until every shard has its configured number of up
-    ACTIVE subscribers.  Also run periodically by
-    :class:`~repro.cluster.services.ServiceScheduler`."""
-    return rebalance.SubscriptionRebalancer(cluster, warm_cache=warm_cache).run()
+@dataclass
+class RebalanceReport:
+    """What one rebalance pass changed."""
+
+    #: (node, shard) subscriptions promoted to ACTIVE through legal transitions.
+    promoted: List[Tuple[str, int]] = field(default_factory=list)
+    #: (node, shard) fresh subscriptions created on spare nodes.
+    subscribed: List[Tuple[str, int]] = field(default_factory=list)
+    #: True when the pass was skipped (cluster shut down or degraded).
+    skipped: bool = False
+
+    @property
+    def changes(self) -> int:
+        return len(self.promoted) + len(self.subscribed)
+
+
+def rebalance_subscriptions(cluster) -> RebalanceReport:
+    """One pass of the rebalance process (section 6.4), run on demand and
+    periodically by :class:`~repro.cluster.services.ServiceScheduler`.
+
+    A shard with fewer up ACTIVE subscribers than ``subscribers_per_shard``
+    (capped by the number of up nodes) — none at all is an uncovered shard —
+    first has its up non-ACTIVE subscriptions walked to ACTIVE, most ready
+    first (REMOVING already serves queries, PASSIVE has metadata, PENDING
+    has neither), then the least-loaded up nodes that hold none subscribed.
+    A shut-down or degraded (storage-outage) cluster is skipped: every
+    change is a commit, and commits are rejected in both states."""
+    report = RebalanceReport()
+    if cluster.shut_down or getattr(cluster, "degraded", False):
+        report.skipped = True
+        return report
+    want = min(cluster.subscribers_per_shard, len(cluster.up_nodes()))
+    have = {
+        shard_id: len(cluster.active_up_subscribers(shard_id))
+        for shard_id in cluster.shard_map.all_shard_ids()
+    }
+    for shard_id in sorted(shard for shard, n in have.items() if n < want):
+        short = want - have[shard_id]
+        for node in _promotable(cluster, shard_id):
+            if short <= 0:
+                break
+            activate(cluster, node, shard_id)
+            report.promoted.append((node, shard_id))
+            short -= 1
+        for node in _spares(cluster, shard_id):
+            if short <= 0:
+                break
+            cluster.subscribe(node, shard_id)
+            report.subscribed.append((node, shard_id))
+            short -= 1
+    return report
 
 
 # -- the steps -----------------------------------------------------------------
@@ -179,6 +225,28 @@ def transfer_metadata(cluster, node, shard_ids: Iterable[int]) -> None:
         if held:
             sources[shard_id] = cluster.nodes[held[0]].catalog.state
     node.catalog.reshard(sources)
+
+
+def _promotable(cluster, shard_id: int) -> List[str]:
+    """Up nodes holding a non-ACTIVE subscription to the shard, most ready
+    first; each can walk to ACTIVE."""
+    subs, nodes = current(cluster), cluster.nodes
+    return [
+        n
+        for state in (REMOVING, PASSIVE, PENDING)
+        for n in holders(subs, shard_id, [state])
+        if n in nodes and nodes[n].is_up
+    ]
+
+
+def _spares(cluster, shard_id: int) -> List[str]:
+    """Up nodes with no subscription to the shard, least loaded first."""
+    subs = current(cluster)
+    held = set(holders(subs, shard_id))
+    spares = [n for n, node in cluster.nodes.items() if node.is_up and n not in held]
+    load = {n: len(shards_of(subs, n)) for n in spares}
+    spares.sort(key=lambda n: (load[n], n))
+    return spares
 
 
 def _state_of(cluster, node_name: str, shard_id: int) -> Optional[SubscriptionState]:

@@ -318,8 +318,6 @@ def estimate_scan_cost(
     layout: TableLayout,
     node_count: int,
     model: Optional[CostModel] = None,
-    s3_latency=None,
-    s3_cost=None,
 ) -> Optional[DesignCost]:
     """Cost of scanning one table of ``shape`` through ``layout``.
 
@@ -331,8 +329,7 @@ def estimate_scan_cost(
     from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
 
     model = model or CostModel()
-    s3_latency = s3_latency or S3LatencyModel()
-    s3_cost = s3_cost or S3CostModel()
+    s3_latency, s3_cost = S3LatencyModel(), S3CostModel()
     scan_columns = shape.columns.get(table, ())
     if not set(scan_columns) <= set(layout.columns):
         return None
@@ -372,17 +369,14 @@ def estimate_scan_cost(
     )
 
 
-def estimate_maintenance_cost(
-    layout: TableLayout, s3_latency=None, s3_cost=None
-) -> DesignCost:
+def estimate_maintenance_cost(layout: TableLayout) -> DesignCost:
     """One-time cost of materialising a layout: uploading its containers.
 
     Charged once per layout per workload window so "add every projection
     you can imagine" does not come out free."""
     from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
 
-    s3_latency = s3_latency or S3LatencyModel()
-    s3_cost = s3_cost or S3CostModel()
+    s3_latency, s3_cost = S3LatencyModel(), S3CostModel()
     nbytes = layout.total_bytes()
     containers = max(1.0, nbytes / DESIGN_CONTAINER_BYTES)
     return DesignCost(
@@ -404,8 +398,6 @@ def estimate_query_cost(
     layouts: Mapping[str, TableLayout],
     node_count: int,
     model: Optional[CostModel] = None,
-    s3_latency=None,
-    s3_cost=None,
 ) -> Optional[DesignCost]:
     """Work-proportional cost of one query under a full layout assignment:
     per-table scan terms (separable) plus join locality, aggregation
@@ -416,9 +408,7 @@ def estimate_query_cost(
         layout = layouts.get(table)
         if layout is None:
             return None
-        scan = estimate_scan_cost(
-            shape, table, layout, node_count, model, s3_latency, s3_cost
-        )
+        scan = estimate_scan_cost(shape, table, layout, node_count, model)
         if scan is None:
             return None
         cost.add(scan)
@@ -481,20 +471,16 @@ def estimate_workload_cost(
     layouts: Mapping[str, TableLayout],
     node_count: int,
     model: Optional[CostModel] = None,
-    s3_latency=None,
-    s3_cost=None,
 ) -> Optional[DesignCost]:
     """Workload-wide score of a layout assignment: the weighted sum of
     per-query costs plus each layout's one-time maintenance charge.
     ``None`` when any layout cannot serve a query it anchors."""
     total = DesignCost()
     for shape in shapes:
-        query = estimate_query_cost(
-            shape, layouts, node_count, model, s3_latency, s3_cost
-        )
+        query = estimate_query_cost(shape, layouts, node_count, model)
         if query is None:
             return None
         total.add(query, weight=shape.weight)
     for table in sorted(layouts):
-        total.add(estimate_maintenance_cost(layouts[table], s3_latency, s3_cost))
+        total.add(estimate_maintenance_cost(layouts[table]))
     return total

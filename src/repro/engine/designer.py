@@ -311,8 +311,7 @@ class DatabaseDesigner:
         self._last_report = report
         return report
 
-    def ingest_recorded(self, cluster, limit: Optional[int] = None
-                        ) -> WorkloadReport:
+    def ingest_recorded(self, cluster) -> WorkloadReport:
         """Pull the workload from the cluster's request history (the
         stream behind ``v_monitor.query_requests`` /
         ``v_monitor.query_profiles``): repeated queries gain weight,
@@ -321,8 +320,6 @@ class DatabaseDesigner:
         report = WorkloadReport()
         obs = getattr(cluster, "obs", None)
         records = list(getattr(obs, "requests", ()) or ())
-        if limit is not None:
-            records = records[-limit:]
         profiles = {}
         for profile in getattr(obs, "profiles", ()) or ():
             profiles[profile.request_id] = profile
@@ -668,17 +665,9 @@ class DatabaseDesigner:
             if projection.is_buddy:
                 continue
             if set(used) <= set(projection.columns):
-                seg = (
-                    ()
-                    if projection.segmentation.is_replicated
-                    else tuple(projection.segmentation.columns)
-                )
-                add(
-                    tuple(projection.columns),
-                    tuple(projection.sort_order),
-                    seg,
-                    source=projection.name,
-                )
+                layout = self._layout_of(table, projection)
+                add(layout.columns, layout.sort_order, layout.segmentation_columns,
+                    source=projection.name)
         return list(seen.values())
 
     # -- stage 2: search -------------------------------------------------------
@@ -688,28 +677,24 @@ class DatabaseDesigner:
         be scanned at all: every non-buddy projection that survives an
         apply.  The table's own ``_dbd`` versions are excluded — a new
         version supersedes and drops them."""
-        cells = self._bytes_per_cell(table)
-        rows = self._estimate_rows(table)
-        rivals = []
-        for projection in sorted(
-            self.catalog.projections_of(table), key=lambda p: p.name
-        ):
-            if projection.is_buddy:
-                continue
-            if dbd_version(table, projection.name) is not None:
-                continue
-            seg = (
-                ()
-                if projection.segmentation.is_replicated
+        return [
+            (projection.name, self._layout_of(table, projection))
+            for projection in sorted(self.catalog.projections_of(table), key=lambda p: p.name)
+            if not projection.is_buddy and dbd_version(table, projection.name) is None
+        ]
+
+    def _layout_of(self, table: str, projection: Projection) -> TableLayout:
+        """The estimator's view of an existing projection of ``table``."""
+        return TableLayout(
+            table=table, columns=tuple(projection.columns),
+            sort_order=tuple(projection.sort_order),
+            segmentation_columns=(
+                () if projection.segmentation.is_replicated
                 else tuple(projection.segmentation.columns)
-            )
-            rivals.append((projection.name, TableLayout(
-                table=table, columns=tuple(projection.columns),
-                sort_order=tuple(projection.sort_order),
-                segmentation_columns=seg, row_count=rows,
-                bytes_per_cell=cells,
-            )))
-        return rivals
+            ),
+            row_count=self._estimate_rows(table),
+            bytes_per_cell=self._bytes_per_cell(table),
+        )
 
     def _node_count(self) -> int:
         return max(1, len(holders(self.catalog.subscriptions)) or len(self._states))
@@ -733,18 +718,7 @@ class DatabaseDesigner:
                 if best is None or len(projection.columns) < len(best.columns):
                     best = projection
             if best is not None:
-                seg = (
-                    ()
-                    if best.segmentation.is_replicated
-                    else tuple(best.segmentation.columns)
-                )
-                layouts[table] = TableLayout(
-                    table=table, columns=tuple(best.columns),
-                    sort_order=tuple(best.sort_order),
-                    segmentation_columns=seg,
-                    row_count=self._estimate_rows(table),
-                    bytes_per_cell=self._bytes_per_cell(table),
-                )
+                layouts[table] = self._layout_of(table, best)
             else:
                 layouts[table] = TableLayout(
                     table=table, columns=tuple(schema.names),
@@ -1040,15 +1014,9 @@ class DatabaseDesigner:
         ):
             if projection.is_buddy:
                 continue
-            seg = (
-                ()
-                if projection.segmentation.is_replicated
-                else tuple(projection.segmentation.columns)
-            )
-            if (
-                tuple(projection.columns) == layout.columns
-                and tuple(projection.sort_order) == layout.sort_order
-                and seg == layout.segmentation_columns
+            mine = self._layout_of(table, projection)
+            if (mine.columns, mine.sort_order, mine.segmentation_columns) == (
+                layout.columns, layout.sort_order, layout.segmentation_columns
             ):
                 return projection
         return None

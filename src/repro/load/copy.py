@@ -158,7 +158,6 @@ def copy_into(
     table_name: str,
     rows: RowSet,
     use_cache: bool = True,
-    epoch: int = 0,
 ) -> CopyReport:
     """Load ``rows`` into every projection of ``table_name`` and commit."""
     coordinator_node = cluster.any_up_node()
@@ -168,7 +167,7 @@ def copy_into(
     txn.write_set.record(("table", table_name), coordinator_node.catalog.versions.version_of(("table", table_name)))
     report = write_rows(cluster, table, rows, txn, use_cache)
     report.rows_loaded = rows.num_rows
-    report.version = cluster.commit(txn, epoch=epoch)
+    report.version = cluster.commit(txn, epoch=0)
     return report
 
 

@@ -24,7 +24,7 @@ from repro.load.copy import DepotSink, write_rows
 from repro.engine.expressions import Expr
 from repro.errors import CatalogError, ExecutionError
 from repro.sharding.shard import REPLICA_SHARD_ID
-from repro.storage.container import RowSet, read_container
+from repro.storage.container import RowSet, read_through
 from repro.storage.delete_vector import (
     DeleteVector,
     combine_positions,
@@ -91,7 +91,7 @@ def delete_from(
                 data, _, _ = writer.fetch_storage(
                     container.location, cluster.shared_data
                 )
-                reader = read_container(data)
+                reader = read_through(writer.cache, container.location, data)
                 rows = reader.read_rowset(list(projection.columns))
                 existing = [
                     read_delete_vector(
@@ -145,7 +145,6 @@ def update_table(
     table_name: str,
     assignments: List[Tuple[str, Expr]],
     predicate: Optional[Expr],
-    epoch: int = 0,
 ) -> int:
     """UPDATE = DELETE + INSERT of modified tuples, one transaction."""
     node = cluster.any_up_node()
@@ -158,7 +157,7 @@ def update_table(
     txn = Transaction()
     deleted: List[RowSet] = []
     count = delete_from(
-        cluster, table_name, predicate, epoch, _txn=txn, _collect_deleted=deleted
+        cluster, table_name, predicate, 0, _txn=txn, _collect_deleted=deleted
     )
     if count == 0:
         return 0
@@ -168,5 +167,5 @@ def update_table(
         new_columns[column] = expr.evaluate(old_rows)
     new_rows = RowSet(old_rows.schema, new_columns)
     write_rows(cluster, table, new_rows, txn)
-    cluster.commit(txn, epoch=epoch)
+    cluster.commit(txn, epoch=0)
     return count

@@ -45,6 +45,9 @@ DC_TABLES: Dict[str, Tuple[str, ...]] = {
     "dc_depot_events": ("time", "node", "event", "object", "bytes"),
 }
 
+#: Entries each ring keeps (per table, per node); the oldest goes first.
+CAPACITY = 2048
+
 #: Tables keeping one ring per node (prunable on ``node`` predicates).
 DC_NODE_PARTITIONED = frozenset(
     ("dc_query_events", "dc_admission_decisions", "dc_depot_events")
@@ -130,9 +133,8 @@ class DataCollector:
 
     enabled = True
 
-    def __init__(self, clock=None, capacity: int = 2048):
+    def __init__(self, clock=None):
         self._clock = clock
-        self.capacity = capacity
         self._rings: Dict[str, Dict[str, RingBuffer]] = {
             table: {} for table in DC_TABLES
         }
@@ -156,7 +158,7 @@ class DataCollector:
         rings = self._rings[table]
         ring = rings.get(node)
         if ring is None:
-            ring = rings[node] = RingBuffer(self.capacity)
+            ring = rings[node] = RingBuffer(CAPACITY)
         ring.append((next(self._seq), self._now()) + tuple(values))
 
     def dropped(self, table: Optional[str] = None) -> int:
@@ -220,7 +222,6 @@ class NullDataCollector:
     """Disabled collector: records nothing, reads empty."""
 
     enabled = False
-    capacity = 0
     rows_examined = 0
 
     def record(self, table: str, node: str, values: tuple) -> None:

@@ -397,10 +397,12 @@ def cluster_metrics(cluster) -> dict:
     autoscale: Dict[str, object] = {}
     scaler = getattr(cluster, "autoscaler", None)
     if scaler is not None:
+        from repro.autoscale.actuator import BURST_SUBCLUSTER
+
         autoscale = {
             "ticks": scaler.ticks,
             "decisions": dict(scaler.decisions),
-            "managed_subcluster": scaler.actuator.subcluster,
+            "managed_subcluster": BURST_SUBCLUSTER,
             "managed_nodes": scaler.actuator.size(),
             "pending_removals": len(scaler.actuator.pending_removals),
             "hibernated": scaler.actuator.hibernated,

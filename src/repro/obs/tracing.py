@@ -13,7 +13,7 @@ answer (fragment busy-seconds, per-request IO seconds).  Spans around
 clock-driven work (services, campaigns) default to the clock delta between
 enter and exit.
 
-The trace is bounded (``max_spans``, oldest dropped) and exportable as
+The trace is bounded (``MAX_SPANS``, oldest dropped) and exportable as
 JSON; :meth:`Tracer.mark`/:meth:`Tracer.spans_since` let the simulation
 harness attach exactly the spans of a failing step to the violation.
 Drops are never silent: each evicted span bumps :attr:`Tracer.dropped`
@@ -89,7 +89,7 @@ class Span:
         return f"Span({self.name!r}, id={self.span_id}, dur={self.duration})"
 
 
-#: Spans a tracer keeps unless told otherwise (the oldest goes first).
+#: Spans a tracer keeps (the oldest goes first).
 MAX_SPANS = 20000
 
 
@@ -98,11 +98,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock=None, max_spans: int = MAX_SPANS):
+    def __init__(self, clock=None):
         self._clock = clock
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
-        self._spans: "deque[Span]" = deque(maxlen=max_spans)
+        self._spans: "deque[Span]" = deque(maxlen=MAX_SPANS)
         #: Spans evicted from the bounded deque since construction.
         self.dropped = 0
         #: Highest span_id evicted so far (0 = nothing evicted yet).
@@ -164,11 +164,6 @@ class Tracer:
     def to_json(self, spans: Optional[List[Span]] = None) -> str:
         spans = self.spans if spans is None else spans
         return json.dumps([s.to_dict() for s in spans], indent=2, sort_keys=True)
-
-    def render_tree(self, spans: Optional[List[Span]] = None) -> str:
-        """Pretty-print the span tree (indentation by parentage)."""
-        spans = self.spans if spans is None else spans
-        return render_span_tree(spans)
 
 
 def render_span_tree(spans: List[Span]) -> str:
@@ -250,9 +245,6 @@ class NullTracer:
 
     def to_json(self, spans=None) -> str:
         return "[]"
-
-    def render_tree(self, spans=None) -> str:
-        return ""
 
 
 NULL_TRACER = NullTracer()

@@ -232,17 +232,12 @@ class Filesystem(abc.ABC):
 
 T = TypeVar("T")
 
-#: Default retry schedule: attempts and the base backoff (simulated seconds).
-DEFAULT_MAX_ATTEMPTS = 5
-DEFAULT_BACKOFF = 0.05
+#: The retry schedule: attempts and the base backoff (simulated seconds).
+MAX_ATTEMPTS = 5
+BASE_BACKOFF = 0.05
 
 
-def retrying(
-    operation: Callable[[], T],
-    metrics: StorageMetrics | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    base_backoff: float = DEFAULT_BACKOFF,
-) -> T:
+def retrying(operation: Callable[[], T], metrics: StorageMetrics | None = None) -> T:
     """Run ``operation`` with exponential backoff on transient failures.
 
     Non-transient :class:`StorageError` propagates immediately (queries must
@@ -256,10 +251,10 @@ def retrying(
             attempt += 1
             if metrics is not None:
                 metrics.transient_failures += 1
-            if attempt >= max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 raise
             if metrics is not None:
-                metrics.retry_backoff_seconds += base_backoff * (2 ** (attempt - 1))
+                metrics.retry_backoff_seconds += BASE_BACKOFF * (2 ** (attempt - 1))
 
 
 class RetryingFilesystem(Filesystem):
@@ -270,14 +265,13 @@ class RetryingFilesystem(Filesystem):
     pipeline (section 5.3's "properly balanced retry loop").
     """
 
-    def __init__(self, base: Filesystem, max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+    def __init__(self, base: Filesystem):
         super().__init__()
         self._base = base
-        self._max_attempts = max_attempts
         self.metrics = base.metrics
 
     def _retry(self, operation):
-        return retrying(operation, self.metrics, max_attempts=self._max_attempts)
+        return retrying(operation, self.metrics)
 
     def write(self, name: str, data: bytes) -> None:
         self._retry(lambda: self._base.write(name, data))

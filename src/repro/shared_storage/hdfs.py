@@ -40,9 +40,9 @@ class HdfsLatencyModel:
 class SimulatedHDFS(Filesystem):
     """In-process HDFS stand-in: POSIX-ish semantics, cluster-ish costs."""
 
-    def __init__(self, latency: HdfsLatencyModel | None = None):
+    def __init__(self):
         super().__init__()
-        self.latency = latency or HdfsLatencyModel()
+        self.latency = HdfsLatencyModel()
         self._objects: Dict[str, bytes] = {}
 
     def write(self, name: str, data: bytes) -> None:

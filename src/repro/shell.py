@@ -315,12 +315,12 @@ class Shell:
         return True
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description="repro Eon-mode SQL shell")
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--shards", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    options = parser.parse_args(argv)
+    options = parser.parse_args()
     cluster = EonCluster(
         [f"node{i}" for i in range(options.nodes)],
         shard_count=options.shards,

@@ -19,7 +19,7 @@ from repro.sim.harness import CampaignConfig, run_campaign
 from repro.sim.shrink import shrink_schedule
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim",
         description="Deterministic simulation campaigns for Eon clusters.",
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         "--shrink", action="store_true",
         help="on violation, greedily minimize the failing schedule",
     )
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     config = CampaignConfig(
         steps=args.steps, base_failure_rate=args.failure_rate

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.autoscale.actuator import BURST_SUBCLUSTER, HIBERNATE_PREFIX
 from repro.catalog.transaction_log import Listing
 from repro.cluster.revive import CLUSTER_INFO_PREFIX
 from repro.errors import ReproError
@@ -75,7 +76,7 @@ def catalog_storage_consistency(world) -> Optional[str]:
     if not any(n.is_up for n in cluster.nodes.values()):
         return None
     objects = set(world.data_object_names())
-    missing = cluster.all_catalog_sids(include_pinned=True) - objects
+    missing = cluster.all_catalog_sids() - objects
     if missing:
         return (
             f"{len(missing)} catalog SID(s) have no shared-storage object: "
@@ -93,7 +94,7 @@ def no_leaked_objects(world) -> Optional[str]:
     cluster = world.cluster
     if cluster.shut_down:
         return None
-    accounted = cluster.all_catalog_sids(include_pinned=True)
+    accounted = cluster.all_catalog_sids()
     accounted |= cluster.reaper.pending_sids()
     prefixes = cluster.running_instance_prefixes()
     leaked = [
@@ -354,7 +355,7 @@ def autoscale_safety(world) -> Optional[str]:
     for pool_name in sorted(admission.pools):
         pool = admission.pools[pool_name]
         if pool.draining and not (
-            pool_name == actuator.subcluster and (in_flight or actuator.hibernated)
+            pool_name == BURST_SUBCLUSTER and (in_flight or actuator.hibernated)
         ):
             return (
                 f"pool {pool_name!r} is draining with no removal or "
@@ -365,7 +366,7 @@ def autoscale_safety(world) -> Optional[str]:
             return (
                 f"hibernated subcluster still has members: {actuator.members()}"
             )
-        prefix = f"autoscale_hibernate_{actuator.subcluster}_"
+        prefix = f"{HIBERNATE_PREFIX}{BURST_SUBCLUSTER}_"
         if not cluster.shared.peek(prefix):
             return "hibernated subcluster has no manifest on shared storage"
     return None
@@ -398,15 +399,10 @@ class InvariantRegistry:
     going, so a run yields a full per-invariant trajectory.
     """
 
-    def __init__(
-        self,
-        invariants: Optional[List[Tuple[str, Invariant]]] = None,
-        halt: bool = True,
-    ):
-        self.invariants = list(invariants or DEFAULT_INVARIANTS)
+    def __init__(self, halt: bool = True):
         self.halt = halt
         self.counters: Dict[str, Dict[str, int]] = {
-            name: {"checks": 0, "violations": 0} for name, _ in self.invariants
+            name: {"checks": 0, "violations": 0} for name, _ in DEFAULT_INVARIANTS
         }
         self.violations: List[InvariantViolation] = []
 
@@ -420,7 +416,7 @@ class InvariantRegistry:
         self.violations.append(violation)
 
     def check_all(self, world, seed: int, step: int) -> None:
-        for name, invariant in self.invariants:
+        for name, invariant in DEFAULT_INVARIANTS:
             self.counters[name]["checks"] += 1
             detail = invariant(world)
             if detail is None:

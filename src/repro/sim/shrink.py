@@ -16,6 +16,9 @@ from typing import List, Optional
 from repro.sim.harness import CampaignConfig, CampaignResult, replay_schedule
 from repro.sim.invariants import InvariantViolation
 
+#: Replays a shrink may spend before it returns what it has.
+MAX_REPLAYS = 200
+
 
 @dataclass
 class ShrinkResult:
@@ -48,7 +51,6 @@ def shrink_schedule(
     schedule: List,
     violation: InvariantViolation,
     config: Optional[CampaignConfig] = None,
-    max_replays: int = 200,
 ) -> ShrinkResult:
     """Minimize ``schedule`` while preserving ``violation.invariant``."""
     current = list(schedule)
@@ -58,7 +60,7 @@ def shrink_schedule(
     while chunk >= 1:
         index = 0
         while index < len(current):
-            if replays >= max_replays:
+            if replays >= MAX_REPLAYS:
                 return ShrinkResult(current, best, replays, len(schedule))
             candidate = current[:index] + current[index + chunk:]
             replays += 1

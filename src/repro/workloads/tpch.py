@@ -389,7 +389,7 @@ def _gen_orders_lineitem(rng, n_orders, n_customer, n_part, n_supplier):
 # physical design
 
 
-def setup_tpch_schema(cluster, buddy_note: str = "") -> None:
+def setup_tpch_schema(cluster) -> None:
     """Create the 8 tables with the projection design the queries expect.
 
     lineitem and orders are co-segmented on the order key (local joins);

@@ -19,6 +19,7 @@ from repro.autoscale import (
     TrafficGenerator,
     TrafficProfile,
 )
+from repro.autoscale import actuator as actuator_module
 from repro.autoscale.policy import HIBERNATE, HOLD, REVIVE, SCALE_IN, SCALE_OUT
 from repro.autoscale.telemetry import TelemetrySample
 from repro.cluster.eon import EonCluster
@@ -512,9 +513,10 @@ class TestActuator:
         assert not adm.pools["burst"].draining
         adm.release(ticket)
 
-    def test_event_log_is_bounded(self):
+    def test_event_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(actuator_module, "MAX_EVENTS", 8)
         cluster = make_cluster(nodes=2, shards=2)
-        actuator = TopologyActuator(cluster, max_events=8)
+        actuator = TopologyActuator(cluster)
         for _ in range(6):
             actuator.scale_out(1)
             actuator.scale_in(1)

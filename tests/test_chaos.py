@@ -322,7 +322,7 @@ class TestServiceErrorVisibility:
         def broken():
             raise ReproError("rebalance exploded")
 
-        monkeypatch.setattr(scheduler.rebalancer, "run", broken)
+        monkeypatch.setattr(cluster, "rebalance_subscriptions", broken)
         scheduler.run("rebalance")
         scheduler.run("catalog_sync")  # healthy service: no error entry
         assert scheduler.stats.services["rebalance"].errors == 1

@@ -7,9 +7,12 @@ scan plus predicate would, while materializing only the pruned range
 (observable through ``rows_examined``).
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro import EonCluster, SimClock
+from repro.obs import datacollector
 from repro.obs.datacollector import (
     DC_NODE_PARTITIONED,
     DC_TABLES,
@@ -144,10 +147,11 @@ class TestDataCollector:
         self, events, time_lo, time_hi, node_bound, capacity
     ):
         clock = SimClock()
-        dc = DataCollector(clock, capacity=capacity)
-        for i, (node, dt) in enumerate(events):
-            clock.advance(float(dt))
-            dc.record("dc_query_events", node, (i, "execute", "", 0.0))
+        dc = DataCollector(clock)
+        with mock.patch.object(datacollector, "CAPACITY", capacity):
+            for i, (node, dt) in enumerate(events):
+                clock.advance(float(dt))
+                dc.record("dc_query_events", node, (i, "execute", "", 0.0))
         bounds = {}
         if time_lo is not None or time_hi is not None:
             bounds["time"] = (time_lo, time_hi)
@@ -163,8 +167,9 @@ class TestDataCollector:
         ]
         assert dc.rows("dc_query_events", bounds) == expected
 
-    def test_per_table_drop_accounting(self):
-        dc = DataCollector(capacity=2)
+    def test_per_table_drop_accounting(self, monkeypatch):
+        monkeypatch.setattr(datacollector, "CAPACITY", 2)
+        dc = DataCollector()
         for i in range(5):
             dc.record("dc_service_runs", "", (f"s{i}", "run", ""))
         dc.record("dc_fault_injections", "", ("GET", "transient", ""))

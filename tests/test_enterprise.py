@@ -3,12 +3,14 @@
 import pytest
 
 from repro import ColumnType, EnterpriseCluster, Segmentation
+from repro.cluster import enterprise
 from repro.errors import QuorumLost, ShardCoverageLost
 
 
 @pytest.fixture
-def cluster():
-    c = EnterpriseCluster(["e1", "e2", "e3"], seed=7, direct_load_threshold=100)
+def cluster(monkeypatch):
+    monkeypatch.setattr(enterprise, "DIRECT_LOAD_ROWS", 100)
+    c = EnterpriseCluster(["e1", "e2", "e3"], seed=7)
     c.create_table("t", [("a", ColumnType.INT), ("b", ColumnType.VARCHAR)])
     return c
 
@@ -56,9 +58,9 @@ class TestWosAndMoveout:
         assert all(n.wos.total_rows == 0 for n in cluster.nodes.values())
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(50,)]
 
-    def test_wos_overflow_triggers_moveout(self):
-        c = EnterpriseCluster(["e1", "e2"], wos_capacity_rows=10,
-                              direct_load_threshold=10_000, seed=1)
+    def test_wos_overflow_triggers_moveout(self, monkeypatch):
+        monkeypatch.setattr(enterprise, "WOS_CAPACITY_ROWS", 10)
+        c = EnterpriseCluster(["e1", "e2"], seed=1)
         c.create_table("t", [("a", ColumnType.INT)])
         for i in range(5):
             c.load("t", [(i * 10 + j,) for j in range(10)])

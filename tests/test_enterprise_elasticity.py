@@ -11,7 +11,7 @@ ROWS = [(i, f"g{i % 3}") for i in range(900)]
 
 @pytest.fixture
 def cluster():
-    c = EnterpriseCluster(["a", "b", "c"], seed=3, direct_load_threshold=100)
+    c = EnterpriseCluster(["a", "b", "c"], seed=3)
     c.create_table("t", COLUMNS)
     c.load("t", ROWS, direct=True)
     return c

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import EonCluster, Observability, SimClock
+from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, cluster_metrics
 from repro.obs.tracing import NULL_TRACER, Tracer, render_span_tree
 
@@ -111,8 +112,9 @@ class TestTracer:
         tracer = Tracer(clock)
         assert tracer.spans_since(tracer.mark()) == []
 
-    def test_bounded_span_buffer(self, clock):
-        tracer = Tracer(clock, max_spans=5)
+    def test_bounded_span_buffer(self, clock, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 5)
+        tracer = Tracer(clock)
         for i in range(10):
             tracer.record(f"s{i}")
         assert [s.name for s in tracer.spans] == [f"s{i}" for i in range(5, 10)]
@@ -278,15 +280,17 @@ class TestTracerDropAccounting:
     """Regressions for silent span loss: evictions are counted (on the
     tracer, ``dropped``) and flagged per read window."""
 
-    def test_eviction_counts_drops(self, clock):
-        tracer = Tracer(clock, max_spans=3)
+    def test_eviction_counts_drops(self, clock, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        tracer = Tracer(clock)
         for i in range(5):
             tracer.record(f"s{i}")
         assert tracer.dropped == 2
         assert [s.name for s in tracer.spans] == ["s2", "s3", "s4"]
 
-    def test_truncated_since_flags_eaten_windows(self, clock):
-        tracer = Tracer(clock, max_spans=3)
+    def test_truncated_since_flags_eaten_windows(self, clock, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        tracer = Tracer(clock)
         tracer.record("a")
         early_mark = tracer.mark()
         assert not tracer.truncated_since(early_mark)

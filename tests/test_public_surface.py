@@ -6,13 +6,16 @@ exist, one module owns the query path, one function writes every ROS
 container, the registry instruments written anywhere are listed by name, only
 ``catalog/`` writes catalog state, only the subscription modules read a
 subscription map, no module grows past ~600 lines, four callers apply a commit
-to a catalog, a node's catalog catches up in one place, and no class in
-``src/`` keeps a reference-arm switch."""
+to a catalog, a node's catalog catches up in one place, no class in ``src/``
+keeps a reference-arm switch, and every option has a caller.
+
+``python tests/test_public_surface.py`` (``make knobs``) prints the option
+census: the defaulted parameters nothing outside the tests passes."""
 
 import ast
 import inspect
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -39,8 +42,7 @@ class TestConstructorArguments:
 
     def test_enterprise_cluster(self):
         assert parameters(EnterpriseCluster.__init__) == [
-            "node_names", "execution_slots", "wos_capacity_rows",
-            "direct_load_threshold", "seed", "clock",
+            "node_names", "execution_slots", "seed", "clock",
         ]
 
     def test_executor(self):
@@ -71,7 +73,7 @@ class TestConstructorArguments:
         assert bound == {
             "subscribe": ["node_name", "shard_id", "warm_cache"],
             "unsubscribe": ["node_name", "shard_id"],
-            "rebalance_subscriptions": ["warm_cache"],
+            "rebalance_subscriptions": [],
         }
 
     def test_storage_provider_has_one_io_hook(self):
@@ -152,8 +154,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: The ``src/`` modules over the ~600-line rule, at their size when pinned.
 #: A module may shrink or leave this list; none may grow or join it.
 OVER_600 = {
-    "engine/designer.py": 1139, "sim/actions.py": 1111, "engine/operators.py": 821,
-    "workloads/tpch.py": 647, "storage/encoding.py": 629, "cluster/enterprise.py": 620,
+    "engine/designer.py": 1107, "sim/actions.py": 1111, "engine/operators.py": 821,
+    "workloads/tpch.py": 647, "storage/encoding.py": 629, "cluster/enterprise.py": 619,
     "catalog/mvcc.py": 619, "engine/expressions.py": 607,
 }
 
@@ -175,6 +177,174 @@ def call_sites(names, paths) -> set:
                     if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) in names:
                         sites.add((str(path.relative_to(SRC)), qualname))
     return sites
+
+
+#: Where a call that sets an option may stand: the program, its benchmarks
+#: and its examples.  A test's call does not count.
+CALLERS = ("src", "benchmarks", "examples")
+
+
+def _functions(tree):
+    """``(qualname, name it is called by, def)`` of every module-level
+    function and method.  ``__init__`` is called by its class's name; the
+    other dunders are called by syntax, not by name, and are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and (
+                    method.name == "__init__" or not method.name.startswith("__")
+                ):
+                    called = node.name if method.name == "__init__" else method.name
+                    yield f"{node.name}.{method.name}", called, method
+
+
+def option_census() -> list:
+    """``(file, function, parameter)`` of every defaulted parameter of a
+    ``src/`` function that no call in ``CALLERS`` passes, by keyword or by
+    position.  Calls are resolved by name alone: ``x.f(...)`` and ``f(...)``
+    count for every function called ``f``; ``C(...)``, and ``cls(...)``
+    inside ``C``, call ``C.__init__`` (the first base's when ``C`` has
+    none); ``super().__init__(...)`` calls the first base's.  A module
+    function bound in a class body (``add_node = lifecycle.add_node``) takes
+    the receiver of an ``x.f(...)`` call as its first argument.  A ``*`` or
+    ``**`` argument passes everything."""
+    root = SRC.parents[1]
+    trees = {
+        path: ast.parse(path.read_text())
+        for top in CALLERS for path in sorted((root / top).rglob("*.py"))
+    }
+    classes = {
+        node.name: node for tree in trees.values()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+
+    def first_base(name):
+        bases = classes[name].bases
+        return getattr(bases[0], "id", getattr(bases[0], "attr", name)) if bases else name
+
+    def init_owner(name, seen=()):
+        if name not in classes or name in seen or any(
+            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body
+        ):
+            return name
+        return init_owner(first_base(name), seen + (name,))
+
+    bound = {
+        target.id for cls in classes.values() for node in cls.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id == node.value.attr
+    }
+    keywords, positions, splat = defaultdict(set), defaultdict(int), set()
+    for tree in trees.values():
+        scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for owner, scope in scopes:
+            for call in ast.walk(scope):
+                if not isinstance(call, ast.Call):
+                    continue
+                func, receiver = call.func, 0
+                if isinstance(func, ast.Name):
+                    name = owner if func.id == "cls" and owner else func.id
+                elif isinstance(func, ast.Attribute):
+                    name = func.attr
+                    if name == "__init__" and owner and ast.unparse(func.value) == "super()":
+                        name = first_base(owner)
+                    elif name in bound:
+                        receiver = 1
+                else:
+                    continue
+                name = init_owner(name)
+                plain = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+                positions[name] = max(positions[name], receiver + len(plain))
+                if len(plain) < len(call.args) or any(k.arg is None for k in call.keywords):
+                    splat.add(name)
+                keywords[name] |= {k.arg for k in call.keywords}
+    found = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for qualname, name, func in _functions(tree):
+            args = func.args
+            ordered = args.posonlyargs + args.args
+            skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
+            defaulted = [
+                (arg.arg, index - skip) for index, arg in enumerate(ordered)
+                if index >= len(ordered) - len(args.defaults)
+            ] + [
+                (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for param, index in defaulted:
+                passed = (
+                    param in keywords[name] or name in splat
+                    or (index is not None and index < positions[name])
+                )
+                if not passed:
+                    found.append((str(path.relative_to(SRC)), qualname, param))
+    return sorted(found)
+
+
+_BENCH = "src/repro/bench/ goes with the legacy benches (ROADMAP item 10)"
+_WARMING = "§5.2: depot warming's byte budget and its choice of peer or shared storage"
+_SERVICES = "§3.5: a service's interval, the operator's ServiceIntervals"
+_S3 = "PAPER.md's substitution table: the simulated S3's latency and cost models"
+_SERIAL = "Node.fetch_storage as the SerialFetch reference arm calls it (tests/test_io_scheduler.py)"
+_ENTERPRISE = "the Enterprise baseline is built like EonCluster: execution slots (§4.2) and a clock"
+_STRATA = "mergeout's strata, as MergeoutCoordinatorService takes them (bench_ablation_mergeout)"
+_DDL = "a DDL clause the SQL front door has no syntax for: the Python call is how it is said"
+_LIFECYCLE = "an operator's choice in node recovery and growth (§6.1, §6.4)"
+_OPERAND = "an operand of the call, not a setting: each caller says what it asks for"
+
+#: What the census leaves, each with why it stays settable.  The paper's
+#: settings are options; every other size is a module constant a test
+#: monkeypatches.  An option that only a test sets, or nothing does, is a
+#: visible diff here.
+SETTABLE = {
+    ("bench/harness.py", "run_copy_throughput", "batch_bytes"): _BENCH,
+    ("bench/harness.py", "run_copy_throughput", "seed"): _BENCH,
+    ("bench/harness.py", "run_query_throughput", "seed"): _BENCH,
+    ("bench/harness.py", "run_throughput_sim", "clock"): _BENCH,
+    ("bench/reporting.py", "write_bench_json", "directory"): _BENCH,
+    ("cache/disk_cache.py", "FileCache.put", "use_cache"): "§5.2: a load may write around the depot",
+    ("cache/warming.py", "warm_from_peer", "budget_bytes"): _WARMING,
+    ("cache/warming.py", "warm_from_peer", "prefer_peer"): _WARMING,
+    ("catalog/catalog.py", "Catalog.__init__", "checkpoint_every"):
+        "§3.5's checkpoint cadence, until ROADMAP item 13 settles it",
+    ("cluster/ddl.py", "create_live_aggregate", "segmentation"): _DDL,
+    ("cluster/ddl.py", "create_projection", "refresh"): _DDL,
+    ("cluster/ddl.py", "create_table", "flattened"): _DDL,
+    ("cluster/ddl.py", "create_user", "is_superuser"): _DDL,
+    ("cluster/enterprise.py", "EnterpriseCluster.__init__", "clock"): _ENTERPRISE,
+    ("cluster/enterprise.py", "EnterpriseCluster.__init__", "execution_slots"): _ENTERPRISE,
+    ("cluster/enterprise.py", "EnterpriseCluster.mergeout", "base_bytes"): _STRATA,
+    ("cluster/enterprise.py", "EnterpriseCluster.mergeout", "strata_width"): _STRATA,
+    ("cluster/lifecycle.py", "add_node", "shards"): _LIFECYCLE,
+    ("cluster/lifecycle.py", "recover_node", "warm_cache"): _LIFECYCLE,
+    ("cluster/node.py", "Node.fetch_storage", "info"): _SERIAL,
+    ("cluster/node.py", "Node.fetch_storage", "use_cache"): _SERIAL,
+    ("cluster/services.py", "ServiceScheduler.__init__", "intervals"): _SERVICES,
+    ("cluster/services.py", "ServiceScheduler.attach_autoscaler", "interval"): _SERVICES,
+    ("cluster/services.py", "ServiceScheduler.start", "duration"): _OPERAND,
+    ("common/clock.py", "Resource.acquire", "amount"): _OPERAND,
+    ("engine/designer.py", "DatabaseDesigner.add_query", "weight"): _OPERAND,
+    ("engine/operators.py", "sort_limit", "limit"): _OPERAND,
+    ("obs/datacollector.py", "DataCollector.dropped", "table"): _OPERAND,
+    ("obs/datacollector.py", "NullDataCollector.dropped", "table"): _OPERAND,
+    ("obs/metrics.py", "Gauge.dec", "amount"): _OPERAND,
+    ("obs/metrics.py", "MetricsRegistry.histogram", "buckets"): _OPERAND,
+    ("obs/metrics.py", "NullRegistry.histogram", "buckets"): _OPERAND,
+    ("obs/metrics.py", "_NullInstrument.dec", "amount"): _OPERAND,
+    ("shared_storage/s3.py", "SimulatedS3.__init__", "cost"): _S3,
+    ("shared_storage/s3.py", "SimulatedS3.__init__", "latency"): _S3,
+    ("sim/oracle.py", "SqliteOracle.check", "ordered"): _OPERAND,
+    ("storage/container.py", "RowSet.sort_by", "ascending"): _OPERAND,
+    ("storage/container.py", "write_container", "block_rows"): _OPERAND,
+    ("storage/encoding.py", "encode_block", "encoding"): _OPERAND,
+    ("wm/driver.py", "run_serial_reference", "result_key"): _OPERAND,
+    ("workloads/dashboard.py", "load_dashboard_data", "n_devices"): _OPERAND,
+}
 
 
 class TestStructure:
@@ -374,3 +544,14 @@ class TestStructure:
         assert call_sites({"records_after", "_rebuild_from_peer"}, sorted(SRC.rglob("*.py"))) == {
             ("cluster/lifecycle.py", "catch_up"),
         }
+
+    def test_every_option_has_a_caller(self):
+        """A defaulted parameter that nothing outside the tests passes is an
+        option no operator has: it goes, or becomes a module constant the
+        tests monkeypatch, or is listed in ``SETTABLE`` with its reason."""
+        assert option_census() == sorted(SETTABLE)
+
+
+if __name__ == "__main__":
+    for row in option_census():
+        print(*row)

@@ -199,12 +199,11 @@ class TestStrategyObservability:
             ["n1", "n2"], shard_count=2, seed=3, clock=clock,
             observability=Observability(clock=clock),
         )
-        cluster.pushdown = "on"
         cluster.execute("create table t (a int, v int)")
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        cluster.query("select sum(v) from t where a < 100")
+        cluster.query("select sum(v) from t where a < 100", pushdown="on")
         rows = cluster.query(
             "select operator, scan_strategy from v_monitor.query_profiles"
         ).rows.to_pylist()
@@ -222,12 +221,11 @@ class TestStrategyObservability:
         from repro.obs.metrics import cluster_metrics
 
         cluster = EonCluster(["n1", "n2"], shard_count=2, seed=3)
-        cluster.pushdown = "on"
         cluster.execute("create table t (a int, v int)")
         cluster.load("t", [(i, i * 2) for i in range(400)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        cluster.query("select sum(v) from t where a < 100")
+        cluster.query("select sum(v) from t where a < 100", pushdown="on")
         metrics = cluster_metrics(cluster)
         assert metrics["engine"]["pushdown_scans"] > 0
         assert metrics["engine"]["bytes_scanned"] > 0

@@ -50,19 +50,6 @@ class TestRackAwareness:
         # n0 still serves whatever it can.
         assert "n0" in assignment.values()
 
-    def test_rack_preference_can_be_disabled(self, racked_cluster):
-        seen_racks = set()
-        for seed in range(20):
-            session = racked_cluster.create_session(
-                initiator="n0", seed=seed, prefer_initiator_rack=False
-            )
-            with session:
-                seen_racks |= {
-                    racked_cluster.nodes[n].rack
-                    for n in session.assignment.values()
-                }
-        assert seen_racks == {"rack-a", "rack-b"}
-
     def test_rackless_cluster_unaffected(self):
         c = EonCluster(["x", "y"], shard_count=2, seed=3)
         c.execute("create table t (a int)")

@@ -394,6 +394,43 @@ class TestTheWriterHandsOverItsLayout:
         assert all(node.cache.file_count == 0 for node in cold.nodes.values())
 
 
+class TestTheDepotsLayoutReachesDmlAndWarming:
+    """A DELETE opens each container on the layout its writer's depot keeps,
+    as a scan does; depot warming hands the peer's layout over with each
+    file it copies, as a writer does."""
+
+    def test_a_second_delete_on_a_warm_depot_parses_no_footer(self, cluster, parses):
+        refill_without_layouts(cluster)
+        # A shard's writer rotates over its subscribers: one DELETE each, and
+        # every writer has read every container of the shard once.  No row
+        # matches, so no delete vector (a column file of its own) is written.
+        writers = len(cluster.active_up_subscribers(0))
+        deletes = [f"delete from t where k = {-1 - i}" for i in range(2 * writers)]
+        assert [cluster.execute(sql) for sql in deletes[:writers]] == [0] * writers
+        assert parses  # the first read of a resident file parses
+        del parses[:]
+        assert [cluster.execute(sql) for sql in deletes[writers:]] == [0] * writers
+        assert parses == []
+
+    def test_a_node_added_with_warming_scans_its_warmed_files_without_a_parse(
+        self, cluster, parses
+    ):
+        node = cluster.add_node("e", warm_cache=True)
+        warmed = [name for name in locations(cluster) if node.cache.contains(name)]
+        assert warmed
+        session = next(
+            session for seed in range(100)
+            for session in [cluster.create_session(seed=seed)]
+            if session.shards_of("e") or session.release()
+        )
+        with session:
+            provider = EonStorageProvider(session)
+            result = provider.scan("e", PROJECTION, NAMES, None, False)
+            provider.settle_io()
+        assert result.rows.num_rows > 0
+        assert parses == []
+
+
 class TestNothingButTheClockCanTell:
     """Depot statistics, LRU order, GETs and scan counters with kept layouts,
     with layouts that go with their evicted entry (``EVICTED_LAYOUTS`` 0), and

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObjectNotFound, StorageError, TransientStorageError
+from repro.shared_storage import api
 from repro.shared_storage.api import PrefixView, retrying
 from repro.shared_storage.posix import LocalFilesystem, MemoryFilesystem
 from repro.shared_storage.s3 import FaultInjector, S3CostModel, SimulatedS3
@@ -147,12 +148,17 @@ class TestRetrying:
         assert len(attempts) == 3
         assert s3.metrics.retry_backoff_seconds > 0
 
-    def test_gives_up_after_max_attempts(self):
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        attempts = []
+
         def op():
+            attempts.append(1)
             raise TransientStorageError("always")
 
+        monkeypatch.setattr(api, "MAX_ATTEMPTS", 3)
         with pytest.raises(TransientStorageError):
-            retrying(op, max_attempts=3)
+            retrying(op)
+        assert len(attempts) == 3
 
     def test_non_transient_not_retried(self):
         attempts = []

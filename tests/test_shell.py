@@ -313,17 +313,14 @@ class TestObservabilityOnBothFlavors:
 class TestStatsSelectTotals:
     def test_stats_reports_pushdown_scan_totals(self):
         cluster = EonCluster(["n1", "n2"], shard_count=2, seed=31)
-        cluster.pushdown = "on"
         output = []
         shell = Shell(cluster, output.append)
         shell.run(["create table t (a int, b int);"])
         cluster.load("t", [(i, i * 3) for i in range(200)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        shell.run([
-            "select sum(b) from t where a < 10;",
-            "\\stats",
-        ])
+        cluster.query("select sum(b) from t where a < 10", pushdown="on")
+        shell.run(["\\stats"])
         assert cluster.shared.op_stats["SELECT"].requests > 0
         assert "selects=" in text(output)
         assert "bytes_scanned=" in text(output)

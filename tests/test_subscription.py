@@ -6,7 +6,6 @@ import pytest
 from repro import EonCluster
 from repro.cluster import subscriptions
 from repro.errors import CatalogError, ReproError, StorageUnavailable
-from repro.recovery import SubscriptionRebalancer
 from repro.sharding.subscription import (
     SubscriptionState,
     holders,
@@ -154,7 +153,7 @@ def promote(cluster):
     # With b down shard 2 is one ACTIVE subscriber short: the rebalancer
     # promotes a's subscription, or subscribes a (least loaded) to it.
     cluster.kill_node("b")
-    SubscriptionRebalancer(cluster).run()
+    cluster.rebalance_subscriptions()
 
 
 def recover_node(cluster):

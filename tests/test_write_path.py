@@ -71,7 +71,7 @@ def enterprise_fingerprint() -> dict:
     Recovery runs while each projection holds one container per region and
     the replicated table one per node: the states in which the writers this
     fingerprint was taken from gave the right answer."""
-    cluster = EnterpriseCluster(["e1", "e2", "e3"], seed=11, direct_load_threshold=200)
+    cluster = EnterpriseCluster(["e1", "e2", "e3"], seed=11)
     cluster.create_table(
         "t", [("a", ColumnType.INT), ("b", ColumnType.VARCHAR), ("c", ColumnType.FLOAT)]
     )
@@ -80,7 +80,7 @@ def enterprise_fingerprint() -> dict:
     cluster.create_projection("r_p", "r", ["x", "y"], ["x"], Segmentation.replicated())
     stages, returns = {}, {}
     returns["direct"] = [
-        cluster.load("t", _t_rows(0, 240)),
+        cluster.load("t", _t_rows(0, 240), direct=True),
         cluster.load("r", [(i, f"y{i % 4}") for i in range(50)]),
     ]
     stages["direct"] = snapshot(cluster)
@@ -88,7 +88,7 @@ def enterprise_fingerprint() -> dict:
     stages["killed"] = snapshot(cluster)
     returns["recover"] = cluster.recover_node("e2")
     stages["recovered"] = snapshot(cluster)
-    returns["direct"] += [cluster.load("t", _t_rows(b, 240)) for b in range(1, 6)]
+    returns["direct"] += [cluster.load("t", _t_rows(b, 240), direct=True) for b in range(1, 6)]
     returns["wos"] = [cluster.load("t", _t_rows(b, 45)) for b in range(6, 9)]
     returns["moveout"] = [cluster.moveout(name) for name in cluster.node_order]
     stages["moveout"] = snapshot(cluster)
