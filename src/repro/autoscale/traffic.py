@@ -85,5 +85,6 @@ class TrafficGenerator:
         return clients
 
     def day(self) -> List[int]:
-        """Convenience: a day's client counts at once, 96 epochs."""
-        return [self.clients_for_epoch(i) for i in range(96)]
+        """Convenience: a day's client counts at once, one per epoch."""
+        epochs = round(86400 / self.profile.epoch_seconds)
+        return [self.clients_for_epoch(i) for i in range(epochs)]

@@ -140,19 +140,19 @@ class FileCache:
         name: str,
         data: bytes,
         info: Optional[ObjectInfo] = None,
-        use_cache: bool = True,
         layout: Optional[object] = None,
     ) -> bool:
         """Insert a file; returns True if cached.
 
-        Respects the shaping policy and the per-call ``use_cache`` escape
-        hatch ("while loading archive data, write-through the cache can be
-        turned off").  Oversized files are not cached.  ``layout`` is the
+        Respects the shaping policy; the per-call escape hatch ("while
+        loading archive data, write-through the cache can be turned off") is
+        the caller's ``use_cache``, which skips ``put`` altogether.  Oversized
+        files are not cached.  ``layout`` is the
         file's layout from its writer, kept as :meth:`keep_layout` keeps a
         reader's; without one, a layout kept from before an eviction returns.
         """
         info = info or ObjectInfo()
-        if not use_cache or not self.policy.allows(info):
+        if not self.policy.allows(info):
             self.stats.rejected_by_policy += 1
             return False
         if len(data) > self.capacity_bytes:

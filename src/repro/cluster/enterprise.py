@@ -57,7 +57,8 @@ from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.storage.container import ROSContainer, RowSet, read_container
 from repro.storage.wos import WOS
-from repro.tuple_mover.mergeout import merge_job, select_mergeout_candidates
+from repro.tuple_mover.mergeout import STRATA_BASE_BYTES, STRATA_WIDTH, merge_job
+from repro.tuple_mover.mergeout import select_mergeout_candidates
 from repro.wm.admission import AdmissionController
 
 #: EBS-class volume throughput (bytes/simulated second) for Enterprise
@@ -340,9 +341,8 @@ class EnterpriseCluster:
 
     # -- tuple mover: mergeout (per node, independently — section 6.2) ------------------
 
-    def mergeout(self, node_name: str, strata_width: int = 4,
-                 base_bytes: int = 4096) -> int:
-        """Compact this node's containers.
+    def mergeout(self, node_name: str) -> int:
+        """Compact this node's containers in the strata of Eon's mergeout.
 
         "In Enterprise mode, each node runs mergeout independently and
         replicated data will be redundantly merged by multiple nodes" —
@@ -360,7 +360,7 @@ class EnterpriseCluster:
         ):
             projection = state.projection(projection_name)
             for job in select_mergeout_candidates(
-                containers, strata_width=strata_width, base_bytes=base_bytes
+                containers, strata_width=STRATA_WIDTH, base_bytes=STRATA_BASE_BYTES
             ):
                 merged = merge_job(state, projection, region, job, node, sink)
                 for op in merged.ops:

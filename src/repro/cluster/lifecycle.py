@@ -63,7 +63,7 @@ def kill_node(cluster, name: str, lose_local_disk: bool = False) -> None:
     cluster.check_viability()
 
 
-def recover_node(cluster, name: str, warm_cache: bool = True) -> Dict[int, Optional[WarmingReport]]:
+def recover_node(cluster, name: str) -> Dict[int, Optional[WarmingReport]]:
     """Node recovery (section 6.1): restart, catch up metadata, force
     re-subscription, incremental cache warm, serve again."""
     node = member(cluster.nodes, name)
@@ -71,7 +71,7 @@ def recover_node(cluster, name: str, warm_cache: bool = True) -> Dict[int, Optio
         raise ClusterError(f"node {name} is already up")
     node.restart()
     catch_up(cluster, node)
-    return subscriptions.resubscribe(cluster, name, warm_cache)
+    return subscriptions.resubscribe(cluster, name)
 
 
 # -- elasticity (section 6.4) ---------------------------------------------------

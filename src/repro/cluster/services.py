@@ -121,13 +121,12 @@ class ServiceScheduler:
             self.run(service)
         return self.stats
 
-    def attach_autoscaler(self, autoscaler, interval: Optional[float] = None) -> None:
+    def attach_autoscaler(self, autoscaler) -> None:
         """Register an :class:`repro.autoscale.Autoscaler` as the sixth
-        service.  ``interval`` (seconds) enables its clock loop; omit it
-        to drive the scaler only via :meth:`tick` / ``run("autoscale")``."""
+        service.  ``ServiceIntervals.autoscale`` enables its clock loop;
+        without one the scaler runs only via :meth:`tick` /
+        ``run("autoscale")``."""
         self.autoscaler = autoscaler
-        if interval is not None:
-            self.intervals.autoscale = interval
 
     def run(self, service: str) -> None:
         """One run of ``service`` (a name in :data:`SERVICES`).

@@ -111,9 +111,7 @@ def activate(
     return report
 
 
-def resubscribe(
-    cluster, node_name: str, warm_cache: bool = True
-) -> Dict[int, Optional[WarmingReport]]:
+def resubscribe(cluster, node_name: str) -> Dict[int, Optional[WarmingReport]]:
     """Node recovery's forced re-subscription (section 6.1): each of the
     node's subscriptions goes back to PENDING and walks to ACTIVE; returns
     each one's warming report.  REMOVING -> PENDING is illegal: a removal
@@ -128,7 +126,7 @@ def resubscribe(
             _commit_sub_state(cluster, node_name, shard_id, ACTIVE)
         if state != PENDING.value:
             _commit_sub_state(cluster, node_name, shard_id, PENDING)
-        reports[shard_id] = activate(cluster, node_name, shard_id, warm_cache)
+        reports[shard_id] = activate(cluster, node_name, shard_id)
     return reports
 
 

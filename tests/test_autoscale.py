@@ -592,10 +592,11 @@ class TestAutoscalerService:
         scheduler = ServiceScheduler(
             cluster,
             ServiceIntervals(catalog_sync=None, cluster_info=None,
-                             mergeout=None, reaper=None, rebalance=None),
+                             mergeout=None, reaper=None, rebalance=None,
+                             autoscale=60.0),
         )
-        scheduler.attach_autoscaler(scaler, interval=60.0)
-        assert scheduler.intervals.autoscale == 60.0
+        scheduler.attach_autoscaler(scaler)
+        assert scheduler.autoscaler is scaler
         scheduler.tick()
         assert scheduler.stats.autoscale_ticks == 1
         assert scaler.ticks == 1
@@ -653,3 +654,6 @@ class TestTrafficGenerator:
         first = [chunked.clients_for_epoch(i) for i in range(48)]
         second = [chunked.clients_for_epoch(i) for i in range(48, 96)]
         assert first + second == whole
+
+    def test_a_day_is_as_many_epochs_as_the_profile_fits(self):
+        assert len(TrafficGenerator(TrafficProfile(epoch_seconds=3600.0)).day()) == 24

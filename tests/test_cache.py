@@ -1,10 +1,13 @@
 """File cache: LRU eviction, shaping policies, write-through, warming."""
 
+import random
+
 import pytest
 
 from repro.cache.disk_cache import CacheStats, FileCache, ObjectInfo, ShapingPolicy
 from repro.cache.lru import LruIndex
 from repro.cache.warming import warm_from_peer
+from repro.cluster.node import Node
 from repro.shared_storage.posix import MemoryFilesystem
 
 
@@ -81,9 +84,13 @@ class TestFileCache:
         assert not cache.contains("a")
 
     def test_bypass_put(self):
-        cache = make_cache()
-        assert not cache.put("x", b"1", use_cache=False)
-        assert not cache.contains("x")
+        """``use_cache=False`` writes and reads around the depot."""
+        node, shared = Node("n1", random.Random(0)), MemoryFilesystem()
+        node.write_storage("x", b"1", shared, use_cache=False)
+        assert not node.cache.contains("x")
+        assert node.fetch_storage("x", shared, use_cache=False)[:2] == (b"1", False)
+        assert not node.cache.contains("x")
+        assert node.cache.stats.insertions == 0
 
     def test_drop(self):
         cache = make_cache()

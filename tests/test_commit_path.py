@@ -61,6 +61,7 @@ from repro.catalog.objects import (
     User,
 )
 from repro.catalog.transaction_log import Checkpoint, LogRecord, LogStore
+from repro.cluster import subscriptions
 from repro.common.oid import SidFactory, StorageId
 from repro.common.types import SchemaColumn, TableSchema
 from repro.errors import CatalogError, ReproError
@@ -253,7 +254,11 @@ class CheckedCluster:
         elif kind == "kill" and not down:
             cluster.kill_node(NODES[salt % 4])
         elif kind == "recover" and down:
-            cluster.recover_node(down[0], warm_cache=False)
+            # Recovery without depot warming, as ``subscribe`` below: the
+            # schedule checks the reaper, not the depot.
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(subscriptions, "_warm_cache_from_peer", lambda *args: None)
+                cluster.recover_node(down[0])
         elif kind in ("unsubscribe", "subscribe"):
             node, shard = NODES[salt % 4], (salt // 4) % 4
             subscribed = (node, shard) in cluster.any_up_node().catalog.state.subscriptions

@@ -292,9 +292,8 @@ _SERVICES = "§3.5: a service's interval, the operator's ServiceIntervals"
 _S3 = "PAPER.md's substitution table: the simulated S3's latency and cost models"
 _SERIAL = "Node.fetch_storage as the SerialFetch reference arm calls it (tests/test_io_scheduler.py)"
 _ENTERPRISE = "the Enterprise baseline is built like EonCluster: execution slots (§4.2) and a clock"
-_STRATA = "mergeout's strata, as MergeoutCoordinatorService takes them (bench_ablation_mergeout)"
 _DDL = "a DDL clause the SQL front door has no syntax for: the Python call is how it is said"
-_LIFECYCLE = "an operator's choice in node recovery and growth (§6.1, §6.4)"
+_GROWTH = "§6.4: an operator adds a node to the shards they choose"
 _OPERAND = "an operand of the call, not a setting: each caller says what it asks for"
 
 #: What the census leaves, each with why it stays settable.  The paper's
@@ -307,7 +306,6 @@ SETTABLE = {
     ("bench/harness.py", "run_query_throughput", "seed"): _BENCH,
     ("bench/harness.py", "run_throughput_sim", "clock"): _BENCH,
     ("bench/reporting.py", "write_bench_json", "directory"): _BENCH,
-    ("cache/disk_cache.py", "FileCache.put", "use_cache"): "§5.2: a load may write around the depot",
     ("cache/warming.py", "warm_from_peer", "budget_bytes"): _WARMING,
     ("cache/warming.py", "warm_from_peer", "prefer_peer"): _WARMING,
     ("catalog/catalog.py", "Catalog.__init__", "checkpoint_every"):
@@ -318,14 +316,10 @@ SETTABLE = {
     ("cluster/ddl.py", "create_user", "is_superuser"): _DDL,
     ("cluster/enterprise.py", "EnterpriseCluster.__init__", "clock"): _ENTERPRISE,
     ("cluster/enterprise.py", "EnterpriseCluster.__init__", "execution_slots"): _ENTERPRISE,
-    ("cluster/enterprise.py", "EnterpriseCluster.mergeout", "base_bytes"): _STRATA,
-    ("cluster/enterprise.py", "EnterpriseCluster.mergeout", "strata_width"): _STRATA,
-    ("cluster/lifecycle.py", "add_node", "shards"): _LIFECYCLE,
-    ("cluster/lifecycle.py", "recover_node", "warm_cache"): _LIFECYCLE,
+    ("cluster/lifecycle.py", "add_node", "shards"): _GROWTH,
     ("cluster/node.py", "Node.fetch_storage", "info"): _SERIAL,
     ("cluster/node.py", "Node.fetch_storage", "use_cache"): _SERIAL,
     ("cluster/services.py", "ServiceScheduler.__init__", "intervals"): _SERVICES,
-    ("cluster/services.py", "ServiceScheduler.attach_autoscaler", "interval"): _SERVICES,
     ("cluster/services.py", "ServiceScheduler.start", "duration"): _OPERAND,
     ("common/clock.py", "Resource.acquire", "amount"): _OPERAND,
     ("engine/designer.py", "DatabaseDesigner.add_query", "weight"): _OPERAND,
@@ -340,7 +334,9 @@ SETTABLE = {
     ("shared_storage/s3.py", "SimulatedS3.__init__", "latency"): _S3,
     ("sim/oracle.py", "SqliteOracle.check", "ordered"): _OPERAND,
     ("storage/container.py", "RowSet.sort_by", "ascending"): _OPERAND,
-    ("storage/container.py", "write_container", "block_rows"): _OPERAND,
+    ("storage/container.py", "write_container", "block_rows"):
+        "the container format's block size, an argument of the pure encoder as"
+        " encode_block's encoding is: the codec's property tests draw it per example",
     ("storage/encoding.py", "encode_block", "encoding"): _OPERAND,
     ("wm/driver.py", "run_serial_reference", "result_key"): _OPERAND,
     ("workloads/dashboard.py", "load_dashboard_data", "n_devices"): _OPERAND,

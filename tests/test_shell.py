@@ -319,8 +319,11 @@ class TestStatsSelectTotals:
         cluster.load("t", [(i, i * 3) for i in range(200)])
         for node in cluster.nodes.values():
             node.cache.clear()
-        cluster.query("select sum(b) from t where a < 10", pushdown="on")
-        shell.run(["\\stats"])
+        # On the cleared depot the default ``auto`` pushes the scan down.
+        shell.run([
+            "select sum(b) from t where a < 10;",
+            "\\stats",
+        ])
         assert cluster.shared.op_stats["SELECT"].requests > 0
         assert "selects=" in text(output)
         assert "bytes_scanned=" in text(output)

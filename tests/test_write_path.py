@@ -20,6 +20,7 @@ import pytest
 
 from repro import ColumnType, EnterpriseCluster, EonCluster, Segmentation
 from repro.catalog.mvcc import container_to_json
+from repro.cluster import enterprise
 from repro.common.types import TableSchema
 from repro.errors import CatalogError, ClusterError
 from repro.storage.container import RowSet
@@ -41,6 +42,14 @@ def _sha(data: bytes) -> str:
 
 def _t_rows(batch: int, n: int):
     return [(batch * 1000 + i, f"g{(batch + i) % 5}", (i % 17) * 0.25) for i in range(n)]
+
+
+def _mergeout(cluster: EnterpriseCluster, name: str) -> int:
+    """One node's mergeout, in strata small enough for these few rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enterprise, "STRATA_WIDTH", 3)
+        patch.setattr(enterprise, "STRATA_BASE_BYTES", 256)
+        return cluster.mergeout(name)
 
 
 def snapshot(cluster: EnterpriseCluster) -> dict:
@@ -93,7 +102,7 @@ def enterprise_fingerprint() -> dict:
     returns["moveout"] = [cluster.moveout(name) for name in cluster.node_order]
     stages["moveout"] = snapshot(cluster)
     returns["mergeout"] = [
-        cluster.mergeout(name, strata_width=3, base_bytes=256) for name in cluster.node_order
+        _mergeout(cluster, name) for name in cluster.node_order
     ]
     stages["mergeout"] = snapshot(cluster)
     returns["add_node"] = cluster.add_node("e4")
@@ -240,7 +249,7 @@ class TestEnterpriseTopology:
         the same rows again."""
         cluster = self._loaded()
         for name in cluster.node_order:
-            cluster.mergeout(name, strata_width=3, base_bytes=256)
+            _mergeout(cluster, name)
         sql = "select g, count(*), sum(k) from t group by g order by g"
         expect = cluster.query(sql).rows.to_pylist()
         cluster.kill_node("e2")
@@ -310,7 +319,7 @@ class TestEnterprisePartitionedTopology:
     def test_mergeout_then_recover_keeps_every_nodes_rows(self):
         cluster = self._loaded()
         answers, held = self._answers(cluster), self._rows_held(cluster)
-        assert sum(cluster.mergeout(n, strata_width=3, base_bytes=256)
+        assert sum(_mergeout(cluster, n)
                    for n in cluster.node_order) > 0
         assert self._rows_held(cluster) == held
         cluster.kill_node("e3")
@@ -331,7 +340,7 @@ class TestEnterprisePartitionedTopology:
 def test_enterprise_mergeout_records_the_mergeout_job_span():
     cluster = TestEnterpriseTopology()._loaded()
     cluster.enable_observability()
-    jobs = cluster.mergeout("e1", strata_width=3, base_bytes=256)
+    jobs = _mergeout(cluster, "e1")
     spans = [s for s in cluster.obs.tracer.spans if s.name == "mergeout_job"]
     assert len(spans) == jobs > 0
     assert {s.attrs["node"] for s in spans} == {"e1"}
