@@ -1,13 +1,16 @@
 """repro.autoscale — closed-loop elastic autoscaler (ROADMAP item 1).
 
-From telemetry to topology: a policy service that watches the workload
-manager's queue telemetry plus depot hit rates and drives the cluster's
-elasticity paths live — scale out with peer depot warming, scale in by
-draining admission first, hibernate idle subclusters to shared storage,
-revive on demand.  Grounded in the Eon paper's subcluster elasticity
-(sections 4.3 and 6.4) and *Taurus Database*'s framing of compute
-elasticity as the frugality lever: hold the latency SLO at minimum
-node-seconds.
+From telemetry to topology: a policy loop that watches the workload
+manager's queue telemetry and drives the cluster's elasticity paths live
+— scale out with peer depot warming, scale in by draining admission
+first, hibernate idle subclusters to shared storage, revive on demand.
+Grounded in the Eon paper's subcluster elasticity (sections 4.3 and 6.4)
+and *Taurus Database*'s framing of compute elasticity as the frugality
+lever: hold the latency SLO at minimum node-seconds.  The paper gives the
+mechanisms and leaves the policy to the operator, so this package is a
+client of the cluster: no runtime module imports it except the
+``v_monitor.autoscale_events`` schema and the simulation's
+``autoscale_tick`` action, which drives it.
 """
 
 from repro.autoscale.actuator import (

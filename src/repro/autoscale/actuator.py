@@ -106,6 +106,59 @@ class TopologyActuator:
         )
         del self.events[:-MAX_EVENTS]
 
+    def audit(self) -> Optional[str]:
+        """The actuator never strands the cluster mid-transition; ``None``
+        when that holds, else what is wrong.
+
+        (a) No shard is left without an up ACTIVE subscriber (stronger
+        than the cluster-wide coverage invariant only in that it also runs
+        while a multi-tick transition is between steps); (b) slot
+        accounting drains to zero across transitions — a drained victim
+        holds no slots at rest; (c) the actuator's own books are
+        consistent: pending removals and managed members refer to real
+        nodes, a pool drains only while a removal or hibernate is in
+        flight, and a completed hibernate has zero members and a manifest
+        on shared storage (read out-of-band via ``peek``: no request, no
+        fault draw)."""
+        cluster = self.cluster
+        if not cluster.shut_down:
+            uncovered = cluster.uncovered_shards()
+            if uncovered:
+                return (
+                    f"autoscaler left shards {sorted(uncovered)} without an up "
+                    "ACTIVE subscriber"
+                )
+        admission = cluster.admission
+        ghosts = [n for n in self.members() if n not in cluster.nodes]
+        if ghosts:
+            return f"managed subcluster lists removed nodes: {ghosts}"
+        for name in self.pending_removals:
+            if name not in cluster.nodes:
+                return f"pending removal {name!r} refers to a removed node"
+        # At rest every pending victim must have drained to zero slots (the
+        # wm invariant guarantees the cluster-wide zero; this pins the
+        # per-victim view the remove gate relies on).
+        for name in self.pending_removals:
+            held = admission.slots_in_use(name)
+            if held:
+                return f"drained victim {name!r} still holds {held} slot(s) at rest"
+        in_flight = bool(self.pending_removals) or self.hibernating
+        for pool_name in sorted(admission.pools):
+            pool = admission.pools[pool_name]
+            if pool.draining and not (
+                pool_name == BURST_SUBCLUSTER and (in_flight or self.hibernated)
+            ):
+                return (
+                    f"pool {pool_name!r} is draining with no removal or "
+                    "hibernate in flight"
+                )
+        if self.hibernated:
+            if self.members():
+                return f"hibernated subcluster still has members: {self.members()}"
+            if not cluster.shared.peek(f"{HIBERNATE_PREFIX}{BURST_SUBCLUSTER}_"):
+                return "hibernated subcluster has no manifest on shared storage"
+        return None
+
     # -- scale out ---------------------------------------------------------------
 
     def scale_out(self, count: int) -> List[str]:

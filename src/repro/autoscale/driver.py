@@ -14,8 +14,9 @@ single digest.
 The scaler is ticked *between* epochs rather than as a free-running
 clock process because :func:`~repro.wm.driver.run_closed_loop` drains
 the event loop (a service loop on the same clock would spin forever).
-The :class:`~repro.cluster.services.ServiceScheduler` integration is the
-production path; this runner is the measurement path.
+Like every driver of the autoscaler, the runner calls
+:meth:`~repro.autoscale.Autoscaler.run` itself; the cluster's service
+scheduler knows nothing of it.
 """
 
 from __future__ import annotations
@@ -59,16 +60,9 @@ class TraceResult:
     #: (epoch, client, request) -> row digest for every ok request.
     digests: Dict[Tuple[int, int, int], object] = field(default_factory=dict)
 
-    def percentile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[index]
-
     @property
     def p99_seconds(self) -> float:
-        return self.percentile(0.99)
+        return _p99(self.latencies)
 
     def slo_attainment(self, slo_seconds: float) -> float:
         if not self.latencies:

@@ -35,8 +35,6 @@ SCALE_IN = "scale_in"
 HIBERNATE = "hibernate"
 REVIVE = "revive"
 
-ACTIONS = (HOLD, SCALE_OUT, SCALE_IN, HIBERNATE, REVIVE)
-
 
 @dataclass(frozen=True)
 class PolicyConfig:

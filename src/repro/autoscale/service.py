@@ -1,9 +1,13 @@
 """The autoscaler facade: telemetry → policy → actuation, one tick.
 
-This is the sixth background service (after catalog sync, cluster_info,
-mergeout, reaper, rebalance): attach it to a
-:class:`~repro.cluster.services.ServiceScheduler` and every tick closes
-the loop from the workload manager's queue telemetry to live topology.
+A client of the cluster, not one of its services: whoever drives it
+calls :meth:`Autoscaler.run` — the trace runner
+(:func:`~repro.autoscale.driver.run_trace`) between epochs, the
+simulation's ``autoscale_tick`` action between steps — and each call
+closes the loop from the workload manager's queue telemetry to live
+topology.  No cluster module knows about it; it registers itself as
+``cluster.autoscaler`` so ``v_monitor.autoscale_events`` and
+:func:`~repro.obs.metrics.cluster_metrics` can read its books.
 The tick order is deliberate — repair before deciding, so the policy
 always sees a cluster the previous tick's debris has been swept from:
 
@@ -16,7 +20,7 @@ always sees a cluster the previous tick's debris has been swept from:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.autoscale.actuator import BURST_SUBCLUSTER, TopologyActuator
 from repro.autoscale.policy import (
@@ -30,7 +34,7 @@ from repro.autoscale.policy import (
     ScalerStatus,
     ThresholdPolicy,
 )
-from repro.autoscale.telemetry import TelemetryCollector, TelemetrySample
+from repro.autoscale.telemetry import TelemetryCollector
 
 
 class Autoscaler:
@@ -40,7 +44,7 @@ class Autoscaler:
         self.cluster = cluster
         self.actuator = TopologyActuator(cluster)
         self.policy = ThresholdPolicy(config or PolicyConfig())
-        self.telemetry = TelemetryCollector(cluster, subcluster=BURST_SUBCLUSTER)
+        self.telemetry = TelemetryCollector(cluster)
         self.ticks = 0
         self.decisions = {
             SCALE_OUT: 0,
@@ -49,15 +53,26 @@ class Autoscaler:
             REVIVE: 0,
             HOLD: 0,
         }
-        self.last_sample: Optional[TelemetrySample] = None
-        self.last_decision: Optional[Decision] = None
         # Registered so v_monitor.autoscale_events and cluster_metrics can
-        # find the scaler without the cluster owning one.
+        # find the scaler without the cluster declaring one.
         cluster.autoscaler = self
 
     @property
     def events(self):
         return self.actuator.events
+
+    def metrics(self) -> Dict[str, object]:
+        """The ``autoscale`` section of
+        :func:`~repro.obs.metrics.cluster_metrics`."""
+        return {
+            "ticks": self.ticks,
+            "decisions": dict(self.decisions),
+            "managed_subcluster": BURST_SUBCLUSTER,
+            "managed_nodes": self.actuator.size(),
+            "pending_removals": len(self.actuator.pending_removals),
+            "hibernated": self.actuator.hibernated,
+            "events": len(self.events),
+        }
 
     def status(self) -> ScalerStatus:
         return ScalerStatus(
@@ -75,8 +90,6 @@ class Autoscaler:
         sample = self.telemetry.sample()
         decision = self.policy.decide(sample, self.status())
         self._act(decision)
-        self.last_sample = sample
-        self.last_decision = decision
         self.decisions[decision.action] = (
             self.decisions.get(decision.action, 0) + 1
         )

@@ -5,18 +5,17 @@ waits, sheds accumulate forever) and its slot gauges are *instantaneous*
 (between closed-loop runs everything drains to zero — that is the
 ``wm-slot-accounting`` invariant).  A policy cannot act on either alone:
 the monotone counters never come back down and the gauges are almost
-always zero when the service tick happens to run between queries.  So
+always zero when the control tick happens to run between queries.  So
 the collector keeps the last counter snapshot per pool and hands the
 policy *deltas since the previous tick* — admissions granted, queue
 waits accrued, overload rejections (timeouts + sheds + queue-full) —
-alongside the instantaneous queue depth and slot utilization and the
-managed subcluster's depot hit rate.  Deltas over a fixed control
+alongside the instantaneous queue depth.  Deltas over a fixed control
 interval are rates; the policy's thresholds are therefore per-tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -24,8 +23,8 @@ from typing import Dict
 class TelemetrySample:
     """Aggregate admission telemetry for one control-loop tick.
 
-    Counter fields are deltas since the previous sample; ``queue_depth``,
-    ``slots_in_use`` and ``slot_capacity`` are instantaneous.
+    Counter fields are deltas since the previous sample; ``queue_depth``
+    is instantaneous.
     """
 
     at: float = 0.0
@@ -35,19 +34,14 @@ class TelemetrySample:
     timeouts: int = 0
     sheds: int = 0
     queue_full: int = 0
-    busy: int = 0
     queue_depth: int = 0
-    slots_in_use: int = 0
-    slot_capacity: int = 0
-    #: Demand hit rate over the managed subcluster's depots (cluster-wide
-    #: when the subcluster is empty); cumulative, for events/metrics.
-    depot_hit_rate: float = 0.0
 
     @property
     def overload(self) -> int:
         """Rejections that mean 'capacity was not enough': queue timeouts,
-        shed arrivals, and queue overflows.  ``busy`` is excluded — it is
-        the synchronous path declining to wait, not saturation."""
+        shed arrivals, and queue overflows.  A synchronous admission
+        refused as busy is not counted — it declined to wait, it did not
+        saturate."""
         return self.timeouts + self.sheds + self.queue_full
 
     @property
@@ -63,12 +57,6 @@ class TelemetrySample:
         if self.admitted <= 0:
             return 0.0
         return self.queue_wait_seconds / self.admitted
-
-    @property
-    def utilization(self) -> float:
-        if self.slot_capacity <= 0:
-            return 0.0
-        return self.slots_in_use / self.slot_capacity
 
     @property
     def idle(self) -> bool:
@@ -89,23 +77,16 @@ _COUNTERS = (
     "timeouts",
     "sheds",
     "rejected_queue_full",
-    "rejected_busy",
 )
-
-
-@dataclass
-class _PoolSnapshot:
-    values: Dict[str, float] = field(default_factory=dict)
 
 
 class TelemetryCollector:
     """Delta-based sampler over the admission controller's pools."""
 
-    def __init__(self, cluster, subcluster: str = ""):
+    def __init__(self, cluster):
         self.cluster = cluster
-        #: The managed subcluster whose depot hit rate matters most.
-        self.subcluster = subcluster
-        self._last: Dict[str, _PoolSnapshot] = {}
+        #: Pool name -> counter name -> its value at the previous sample.
+        self._last: Dict[str, Dict[str, float]] = {}
 
     def sample(self) -> TelemetrySample:
         admission = self.cluster.admission
@@ -113,35 +94,16 @@ class TelemetryCollector:
         out = TelemetrySample(at=self.cluster.clock.now)
         for name in sorted(admission.pools):
             pool = admission.pools[name]
-            last = self._last.setdefault(name, _PoolSnapshot())
+            last = self._last.setdefault(name, {})
             for counter in _COUNTERS:
                 value = getattr(pool, counter)
-                delta = value - last.values.get(counter, 0)
-                last.values[counter] = value
+                delta = value - last.get(counter, 0)
+                last[counter] = value
                 if counter == "queue_wait_seconds":
                     out.queue_wait_seconds += delta
                 elif counter == "rejected_queue_full":
                     out.queue_full += int(delta)
-                elif counter == "rejected_busy":
-                    out.busy += int(delta)
                 else:
                     setattr(out, counter, getattr(out, counter) + int(delta))
             out.queue_depth += pool.queued
-            out.slots_in_use += admission.pool_in_use(pool)
-            out.slot_capacity += admission.pool_capacity(pool)
-        out.depot_hit_rate = self._depot_hit_rate()
         return out
-
-    def _depot_hit_rate(self) -> float:
-        members = self.cluster.subclusters.get(self.subcluster) or set(
-            self.cluster.nodes
-        )
-        hits = misses = 0
-        for name in members:
-            node = self.cluster.nodes.get(name)
-            if node is None:
-                continue
-            hits += node.cache.stats.hits
-            misses += node.cache.stats.misses
-        total = hits + misses
-        return hits / total if total else 0.0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,3 @@ class TrafficGenerator:
             clients = int(round(clients * profile.burst_multiplier))
             self.bursts += 1
         return clients
-
-    def day(self) -> List[int]:
-        """Convenience: a day's client counts at once, one per epoch."""
-        epochs = round(86400 / self.profile.epoch_seconds)
-        return [self.clients_for_epoch(i) for i in range(epochs)]

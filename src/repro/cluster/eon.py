@@ -127,9 +127,6 @@ class EonCluster:
         #: Set by ServiceScheduler.__init__ so v_monitor can reach service
         #: stats without the cluster owning a scheduler.
         self.service_scheduler = None
-        #: Set by repro.autoscale.Autoscaler when one is attached, so
-        #: v_monitor.autoscale_events and cluster_metrics can reach it.
-        self.autoscaler = None
         #: DesignerRun records appended by DatabaseDesigner.apply(), read
         #: back through v_monitor.designer_runs.
         self.designer_runs: List = []

@@ -46,10 +46,6 @@ class ServiceIntervals:
     mergeout: Optional[float] = 120.0
     reaper: Optional[float] = 300.0
     rebalance: Optional[float] = 60.0
-    #: The elastic autoscaler (repro.autoscale).  Disabled by default —
-    #: it only runs when an Autoscaler has been attached via
-    #: :meth:`ServiceScheduler.attach_autoscaler`.
-    autoscale: Optional[float] = None
 
 
 #: Every service, in tick order.
@@ -79,8 +75,6 @@ class ServiceStats(Ledger):
     rebalance_runs: int = 0
     rebalance_promotions: int = 0
     rebalance_subscriptions: int = 0
-    autoscale_ticks: int = 0
-    autoscale_actions: int = 0
 
     derived = ("errors", "skipped_outage")
 
@@ -106,8 +100,6 @@ class ServiceScheduler:
         self.cluster = cluster
         self.intervals = intervals or ServiceIntervals()
         self.mergeout_service = MergeoutCoordinatorService(cluster)
-        #: Attached via :meth:`attach_autoscaler`; None means disabled.
-        self.autoscaler = None
         self.stats = ServiceStats()
         self._running = False
         # Registered so v_monitor.services can find the ledgers.
@@ -121,13 +113,6 @@ class ServiceScheduler:
             self.run(service)
         return self.stats
 
-    def attach_autoscaler(self, autoscaler) -> None:
-        """Register an :class:`repro.autoscale.Autoscaler` as the sixth
-        service.  ``ServiceIntervals.autoscale`` enables its clock loop;
-        without one the scaler runs only via :meth:`tick` /
-        ``run("autoscale")``."""
-        self.autoscaler = autoscaler
-
     def run(self, service: str) -> None:
         """One run of ``service`` (a name in :data:`SERVICES`).
 
@@ -135,10 +120,7 @@ class ServiceScheduler:
         (its S3 requests would all be rejected anyway).  Otherwise the run is
         counted, then its work runs under a ``service.<name>`` span; a
         :class:`ReproError` it raises is counted against it and swallowed.
-        The autoscale service is a no-op until an autoscaler is attached.
         """
-        if service == "autoscale" and self.autoscaler is None:
-            return
         cluster = self.cluster
         ledger = self.stats.services.get(service)
         if ledger is None:
@@ -197,15 +179,6 @@ class ServiceScheduler:
         self.stats.rebalance_runs += 1
         self.stats.rebalance_promotions += promoted
         self.stats.rebalance_subscriptions += subscribed
-
-    def _autoscale(self, span) -> None:
-        """One autoscaler control-loop pass: repair interrupted
-        transitions, sample telemetry, decide, actuate."""
-        decision = self.autoscaler.run()
-        span.annotate(action=decision.action, reason=decision.reason)
-        self.stats.autoscale_ticks += 1
-        if decision.action != "hold":
-            self.stats.autoscale_actions += 1
 
     # -- clock-driven operation --------------------------------------------------
 

@@ -7,8 +7,8 @@ Figure 4 first (an illegal step raises :class:`CatalogError`); the metadata
 transfer and the trim are ``Catalog.reshard`` calls.  :func:`activate` is the
 one walk to ACTIVE (``subscribe``, node recovery, the rebalancer) and
 :func:`retire` the one walk to no subscription (``unsubscribe``,
-``remove_node``, the autoscale actuator, recovery of a node that died
-mid-removal).  The rebalance process (section 6.4) is
+``remove_node`` and so every caller that removes a node, recovery of a
+node that died mid-removal).  The rebalance process (section 6.4) is
 :func:`rebalance_subscriptions`.  ``EonCluster`` binds ``subscribe``,
 ``unsubscribe`` and ``rebalance_subscriptions`` from here.
 """

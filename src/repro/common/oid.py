@@ -88,12 +88,12 @@ class SidFactory:
     """Per-process-incarnation SID generator.
 
     A new :class:`SidFactory` models one start of the Vertica process on a
-    node: it draws a fresh 120-bit strongly-random instance id, then stamps
-    each storage object with the next local OID.
+    node: it draws a fresh 120-bit instance id from ``rng`` (the node's
+    seeded stream, so a seeded run names its storage the same way twice),
+    then stamps each storage object with the next local OID.
     """
 
-    def __init__(self, rng: random.Random | None = None):
-        rng = rng or random.Random()
+    def __init__(self, rng: random.Random):
         self.instance_id = rng.getrandbits(120)
         self._oids = OidGenerator()
 

@@ -394,20 +394,8 @@ def cluster_metrics(cluster) -> dict:
             "sheds": sum(pool.sheds for pool in pools),
         }
 
-    autoscale: Dict[str, object] = {}
     scaler = getattr(cluster, "autoscaler", None)
-    if scaler is not None:
-        from repro.autoscale.actuator import BURST_SUBCLUSTER
-
-        autoscale = {
-            "ticks": scaler.ticks,
-            "decisions": dict(scaler.decisions),
-            "managed_subcluster": BURST_SUBCLUSTER,
-            "managed_nodes": scaler.actuator.size(),
-            "pending_removals": len(scaler.actuator.pending_removals),
-            "hibernated": scaler.actuator.hibernated,
-            "events": len(scaler.events),
-        }
+    autoscale = scaler.metrics() if scaler is not None else {}
 
     engine_stats = getattr(cluster, "engine_stats", None)
     engine = engine_stats.as_dict() if engine_stats is not None else {}

@@ -725,9 +725,9 @@ class ReviveCluster:
             # revive failure means durable state is broken — a real bug.
             raise world.violation("revive", str(exc))
         world.cluster = new_cluster
-        # The autoscaler is a service of the cluster it was attached to;
-        # like every other service it does not outlive the incarnation.
-        # The next tick attaches a fresh one to the live cluster.
+        # The autoscaler is a client of the cluster it was built on and
+        # does not outlive that incarnation.  The next tick builds a fresh
+        # one on the live cluster.
         world.autoscaler = None
         world.cleanup_completed = False
         return "ok"
@@ -919,8 +919,8 @@ class AutoscaleTick:
         if cluster.shut_down:
             return "refused"
         if cluster.refresh_degraded():
-            # The real service pauses during outages (skipped_outage);
-            # mirror that here rather than burning actuator errors.
+            # Pause during outages, as the cluster's services do
+            # (skipped_outage), rather than burning actuator errors.
             return "paused_outage"
         scaler = world.autoscaler
         if scaler is None:

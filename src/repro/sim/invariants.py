@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.autoscale.actuator import BURST_SUBCLUSTER, HIBERNATE_PREFIX
 from repro.catalog.transaction_log import Listing
 from repro.cluster.revive import CLUSTER_INFO_PREFIX
 from repro.errors import ReproError
@@ -314,62 +313,12 @@ def designer_digest_parity(world) -> Optional[str]:
 def autoscale_safety(world) -> Optional[str]:
     """The actuator never strands the cluster mid-transition.
 
-    Checked whenever a campaign has attached an autoscaler: (a) no shard
-    is left without an up ACTIVE subscriber by a scale action (stronger
-    than :func:`shard_coverage` only in that it also runs while the
-    actuator is between steps of a multi-tick transition); (b) slot
-    accounting drains to zero across transitions — a drained victim
-    holds no slots and a removed node's slot resource is gone once idle;
-    (c) the actuator's own books are consistent: pending removals and
-    managed members refer to real nodes, a pool drains only while a
-    removal or hibernate is in flight, and a completed hibernate has
-    zero members and a manifest on shared storage (read out-of-band via
-    ``peek``, no request, no fault draw)."""
+    Checked whenever a campaign has attached an autoscaler; the checks are
+    the actuator's own :meth:`~repro.autoscale.TopologyActuator.audit`
+    (shard coverage between the steps of a transition, drained victims
+    holding no slots, its books and hibernate manifest consistent)."""
     scaler = world.autoscaler
-    if scaler is None:
-        return None
-    cluster = world.cluster
-    actuator = scaler.actuator
-    if not cluster.shut_down:
-        uncovered = cluster.uncovered_shards()
-        if uncovered:
-            return (
-                f"autoscaler left shards {sorted(uncovered)} without an up "
-                "ACTIVE subscriber"
-            )
-    admission = cluster.admission
-    ghosts = [n for n in actuator.members() if n not in cluster.nodes]
-    if ghosts:
-        return f"managed subcluster lists removed nodes: {ghosts}"
-    for name in actuator.pending_removals:
-        if name not in cluster.nodes:
-            return f"pending removal {name!r} refers to a removed node"
-    # At rest every pending victim must have drained to zero slots (the
-    # wm invariant guarantees the cluster-wide zero; this pins the
-    # per-victim view the actuator's remove gate relies on).
-    for name in actuator.pending_removals:
-        held = admission.slots_in_use(name)
-        if held:
-            return f"drained victim {name!r} still holds {held} slot(s) at rest"
-    in_flight = bool(actuator.pending_removals) or actuator.hibernating
-    for pool_name in sorted(admission.pools):
-        pool = admission.pools[pool_name]
-        if pool.draining and not (
-            pool_name == BURST_SUBCLUSTER and (in_flight or actuator.hibernated)
-        ):
-            return (
-                f"pool {pool_name!r} is draining with no removal or "
-                "hibernate in flight"
-            )
-    if actuator.hibernated:
-        if actuator.members():
-            return (
-                f"hibernated subcluster still has members: {actuator.members()}"
-            )
-        prefix = f"{HIBERNATE_PREFIX}{BURST_SUBCLUSTER}_"
-        if not cluster.shared.peek(prefix):
-            return "hibernated subcluster has no manifest on shared storage"
-    return None
+    return scaler.actuator.audit() if scaler is not None else None
 
 
 Invariant = Callable[[object], Optional[str]]

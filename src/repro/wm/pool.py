@@ -62,7 +62,8 @@ class PoolStats(Ledger):
     rejected_draining: int = 0
     #: While True the pool admits nothing new (sync or queued) but
     #: lets already-granted tickets run to completion — the graceful
-    #: drain primitive used by autoscale scale-in.
+    #: drain a caller sets (``AdmissionController.set_draining``) before
+    #: it removes the pool's nodes.
     draining: bool = False
     #: Total tickets issued (immediate grants and queued grants).
     admitted: int = 0

@@ -3,7 +3,7 @@ and drain primitives in the workload manager, telemetry sampling, the
 threshold policy's hysteresis, the topology actuator's safety rules
 (including depot warming from peers and hibernate/revive), and the
 observability surface (``autoscale.*`` metrics, ``v_monitor``
-system tables, the service-scheduler slot)."""
+system tables), and the simulation tick's pause under an outage."""
 
 from __future__ import annotations
 
@@ -23,12 +23,13 @@ from repro.autoscale import actuator as actuator_module
 from repro.autoscale.policy import HIBERNATE, HOLD, REVIVE, SCALE_IN, SCALE_OUT
 from repro.autoscale.telemetry import TelemetrySample
 from repro.cluster.eon import EonCluster
-from repro.cluster.services import ServiceIntervals, ServiceScheduler
 from repro.common.clock import SimClock
 from repro.errors import AdmissionRejected
 from repro.obs import Observability
 from repro.obs.metrics import cluster_metrics
 from repro.shared_storage.s3 import SimulatedS3
+from repro.sim import CampaignConfig, SimWorld
+from repro.sim import actions as act
 from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
 from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
@@ -253,24 +254,20 @@ class TestTelemetry:
         assert second.admitted == 0
         assert second.queued_admissions == 0
         assert second.queue_depth == 0
-        assert second.slots_in_use == 0
         assert second.idle
 
     def test_derived_properties(self):
         sample = TelemetrySample(
             at=0.0, admitted=10, queued_admissions=5, queue_wait_seconds=2.0,
-            timeouts=1, sheds=2, queue_full=0, busy=0, queue_depth=3,
-            slots_in_use=4, slot_capacity=8, depot_hit_rate=0.5,
+            timeouts=1, sheds=2, queue_full=0, queue_depth=3,
         )
         assert sample.overload == 3
         assert sample.pressure == pytest.approx(0.5)
         assert sample.avg_wait_seconds == pytest.approx(0.2)  # per grant
-        assert sample.utilization == pytest.approx(0.5)
         assert not sample.idle
         starved = TelemetrySample(
             at=0.0, admitted=0, queued_admissions=0, queue_wait_seconds=0.0,
-            timeouts=0, sheds=0, queue_full=0, busy=0, queue_depth=2,
-            slots_in_use=0, slot_capacity=8, depot_hit_rate=0.0,
+            timeouts=0, sheds=0, queue_full=0, queue_depth=2,
         )
         assert starved.pressure == 1.0
 
@@ -284,8 +281,7 @@ def _sample(now=0.0, admitted=0, wait=0.0, queued=0, depth=0, sheds=0):
     return TelemetrySample(
         at=now, admitted=admitted, queued_admissions=queued,
         queue_wait_seconds=wait, timeouts=0, sheds=sheds, queue_full=0,
-        busy=0, queue_depth=depth, slots_in_use=0, slot_capacity=8,
-        depot_hit_rate=1.0,
+        queue_depth=depth,
     )
 
 
@@ -386,6 +382,22 @@ class TestThresholdPolicy:
 
 
 class TestActuator:
+    def test_audit_names_what_is_inconsistent(self):
+        """The ``autoscale-safety`` invariant's checks, called directly."""
+        cluster = make_cluster()
+        actuator = TopologyActuator(cluster)
+        assert actuator.audit() is None
+        cluster.admission.set_draining(GENERAL_POOL, True)
+        assert actuator.audit() == (
+            f"pool {GENERAL_POOL!r} is draining with no removal or hibernate in flight"
+        )
+        cluster.admission.set_draining(GENERAL_POOL, False)
+        actuator.pending_removals.append("ghost")
+        assert actuator.audit() == "pending removal 'ghost' refers to a removed node"
+        actuator.pending_removals.clear()
+        actuator.hibernated = True
+        assert actuator.audit() == "hibernated subcluster has no manifest on shared storage"
+
     def test_scale_out_names_are_never_reused(self):
         cluster = make_cluster()
         actuator = TopologyActuator(cluster)
@@ -586,42 +598,21 @@ class TestAutoscalerService:
         assert any(pool == "burst" for pool, _, _ in queue_rows)
         assert all(draining == 0 for _, _, draining in queue_rows)
 
-    def test_scheduler_slot_runs_and_pauses(self):
-        cluster = make_cluster(obs=True)
-        scaler = Autoscaler(cluster, config=self.hair_trigger())
-        scheduler = ServiceScheduler(
-            cluster,
-            ServiceIntervals(catalog_sync=None, cluster_info=None,
-                             mergeout=None, reaper=None, rebalance=None,
-                             autoscale=60.0),
-        )
-        scheduler.attach_autoscaler(scaler)
-        assert scheduler.autoscaler is scaler
-        scheduler.tick()
-        assert scheduler.stats.autoscale_ticks == 1
-        assert scaler.ticks == 1
-        # Degraded cluster: the slot pauses instead of failing.
-        cluster.shared.faults.bind_clock(cluster.clock)
-        cluster.shared.faults.begin_outage(30.0)
-        cluster.refresh_degraded()
-        skipped_before = scheduler.stats.skipped_outage
-        scheduler.run("autoscale")
-        assert scheduler.stats.skipped_outage == skipped_before + 1
-        assert scaler.ticks == 1
-
-    def test_scheduler_loop_ticks_on_interval(self):
-        cluster = make_cluster()
-        scaler = Autoscaler(cluster, config=self.hair_trigger())
-        scheduler = ServiceScheduler(
-            cluster,
-            ServiceIntervals(catalog_sync=None, cluster_info=None,
-                             mergeout=None, reaper=None, rebalance=None,
-                             autoscale=15.0),
-        )
-        scheduler.autoscaler = scaler
-        scheduler.start(duration=100.0)
-        cluster.clock.run(until=100.0)
-        assert scaler.ticks >= 6
+    def test_a_declared_outage_pauses_the_sim_tick(self):
+        """Under a declared S3 outage the campaign's tick pauses, as the
+        cluster's services do: no control-loop pass, no topology change."""
+        world = SimWorld(1, CampaignConfig(base_failure_rate=0.0))
+        assert act.S3Outage(50.0).apply(world) == "ok"
+        assert act.AutoscaleTick().apply(world) == "paused_outage"
+        assert world.autoscaler is None  # paused before one was built
+        world = SimWorld(1, CampaignConfig(base_failure_rate=0.0))
+        assert act.AutoscaleTick().apply(world) == "ok"
+        scaler = world.autoscaler
+        ticks, nodes = scaler.ticks, set(world.cluster.nodes)
+        assert act.S3Outage(50.0).apply(world) == "ok"
+        assert act.AutoscaleTick().apply(world) == "paused_outage"
+        assert scaler.ticks == ticks
+        assert set(world.cluster.nodes) == nodes
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +631,8 @@ class TestTrafficGenerator:
     def test_deterministic_and_bursty(self):
         a = TrafficGenerator(TrafficProfile(seed=5, burst_probability=0.3))
         b = TrafficGenerator(TrafficProfile(seed=5, burst_probability=0.3))
-        day_a, day_b = a.day(), b.day()
+        day_a = [a.clients_for_epoch(i) for i in range(96)]
+        day_b = [b.clients_for_epoch(i) for i in range(96)]
         assert day_a == day_b
         assert a.bursts > 0
         peak = max(day_a)
@@ -649,11 +641,9 @@ class TestTrafficGenerator:
     def test_rng_stream_position_is_epoch_count(self):
         # One draw per epoch regardless of burst outcome: generating the
         # same epochs in two chunks equals one pass.
-        whole = TrafficGenerator(TrafficProfile(seed=9)).day()
+        one_pass = TrafficGenerator(TrafficProfile(seed=9))
+        whole = [one_pass.clients_for_epoch(i) for i in range(96)]
         chunked = TrafficGenerator(TrafficProfile(seed=9))
         first = [chunked.clients_for_epoch(i) for i in range(48)]
         second = [chunked.clients_for_epoch(i) for i in range(48, 96)]
         assert first + second == whole
-
-    def test_a_day_is_as_many_epochs_as_the_profile_fits(self):
-        assert len(TrafficGenerator(TrafficProfile(epoch_seconds=3600.0)).day()) == 24

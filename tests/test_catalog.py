@@ -1,5 +1,7 @@
 """Catalog: MVCC snapshots, redo log, checkpoints, truncation, sync."""
 
+import random
+
 import pytest
 
 from repro.catalog.catalog import Catalog
@@ -75,7 +77,7 @@ class TestCommitApplication:
         assert catalog.min_pinned_version() == 2
 
     def test_shard_filter_skips_foreign_storage(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(1))
         catalog = make_catalog(subscribed_shards={0})
         catalog.apply_commit(LogRecord(1, (
             table_op(),

@@ -338,6 +338,11 @@ class TestServiceErrorVisibility:
         assert by_service["catalog_sync"][1] == 1
         assert by_service["catalog_sync"][2] == 0
 
+    def test_the_services_are_the_five_the_paper_names(self):
+        """Catalog sync and cluster_info (§3.5), mergeout (§6.2), the reaper
+        (§6.5) and rebalance (§6.4), in tick order; nothing else has a slot."""
+        assert SERVICES == ("catalog_sync", "cluster_info", "mergeout", "reaper", "rebalance")
+
     def test_services_pause_during_outage(self):
         clock = SimClock()
         cluster = loaded_cluster(clock=clock)
@@ -362,7 +367,7 @@ class TestServiceErrorVisibility:
         rows = cluster.query(
             "select service, runs, errors, skipped_outage from v_monitor.services"
         ).rows.to_pylist()
-        paused = sorted(s for s in SERVICES if s != "autoscale")  # none attached
+        paused = sorted(SERVICES)
         assert rows == [(service, 0, 0, 2) for service in paused]
         logged = cluster.query(
             "select service from v_monitor.dc_service_runs"

@@ -146,7 +146,7 @@ class CheckedCluster:
 
     def __init__(self, seed: int = 3):
         self.cluster = cluster = EonCluster(NODES, shard_count=4, seed=seed)
-        self.sids = SidFactory()
+        self.sids = SidFactory(random.Random(4))
         self.commits_checked = 0
         self.drops_checked = 0
         self.pinned: List[Tuple[object, CatalogState, bytes]] = []
@@ -521,7 +521,7 @@ class TestCheckpointFragments:
 
     def test_text_is_encoded_once_per_object(self, monkeypatch):
         state = CatalogState()
-        sids = SidFactory()
+        sids = SidFactory(random.Random(5))
         for i in range(20):
             c = fake_container(sids.next_sid(), "p", i % 4, i)
             state.containers[str(c.sid)] = c
@@ -589,7 +589,7 @@ class TestSerialiseOnce:
 
 
 def rich_state() -> Tuple[CatalogState, SidFactory]:
-    sids = SidFactory()
+    sids = SidFactory(random.Random(6))
     state = CatalogState()
     schema = TableSchema.of(("a", ColumnType.INT), ("b", ColumnType.VARCHAR))
     for op in [
@@ -888,7 +888,7 @@ def cluster_with_live_containers(count: int) -> Tuple[EonCluster, MergeoutCoordi
     cluster = EonCluster(NODES, shard_count=4, seed=21)
     cluster.create_table("a", SCHEMA)
     cluster.create_table("zbulk", SCHEMA)
-    sids = SidFactory()
+    sids = SidFactory(random.Random(8))
     for chunk in range(4):
         txn = cluster.begin()
         for i in range(count // 4):
@@ -951,7 +951,7 @@ class TestCommitScaling:
         commit, and 70 us of it on a 100 us commit is too close to 2x to
         assert on by itself."""
         clusters = {n: cluster_with_live_containers(n)[0] for n in (200, 2000)}
-        sids = SidFactory()
+        sids = SidFactory(random.Random(9))
 
         def cycle(cluster) -> Dict[str, float]:
             added = [fake_container(sids.next_sid(), "a_super", s) for s in range(4)]

@@ -1,5 +1,6 @@
 """Tuple mover: strata selection, mergeout coordination, purging (§6.2)."""
 
+import random
 from bisect import bisect_left
 
 import pytest
@@ -32,7 +33,7 @@ class TestStrataSelection:
         assert strata == [0, 0, 1, 1, 2]
 
     def test_merges_only_within_stratum(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(1))
         small = [fake_container(sids, 50) for _ in range(4)]
         large = [fake_container(sids, 100_000) for _ in range(2)]
         jobs = select_mergeout_candidates(small + large, strata_width=4, base_bytes=100)
@@ -40,18 +41,18 @@ class TestStrataSelection:
         assert {str(c.sid) for c in jobs[0]} == {str(c.sid) for c in small}
 
     def test_no_job_below_width(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(2))
         containers = [fake_container(sids, 50) for _ in range(3)]
         assert select_mergeout_candidates(containers, strata_width=4) == []
 
     def test_multiple_jobs_in_full_stratum(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(3))
         containers = [fake_container(sids, 50) for _ in range(9)]
         jobs = select_mergeout_candidates(containers, strata_width=4, base_bytes=100)
         assert len(jobs) == 2  # 9 // 4
 
     def test_heavily_deleted_containers_prioritised(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(4))
         # Containers one stratum up, but with >=20% deleted rows they drop
         # a stratum and become mergeable with the small ones.
         deleted = [fake_container(sids, 150) for _ in range(2)]
@@ -64,7 +65,7 @@ class TestStrataSelection:
 
     def test_bounded_write_amplification(self):
         """Each tuple is merged only O(log) times under repeated mergeout."""
-        sids = SidFactory()
+        sids = SidFactory(random.Random(5))
         containers = [fake_container(sids, 100) for _ in range(64)]
         merges_per_tuple = 0
         width = 4

@@ -1,5 +1,7 @@
 """Catalog op application: every op type, error cases, shard filtering."""
 
+import random
+
 import pytest
 
 from repro.catalog.mvcc import (
@@ -39,7 +41,7 @@ SCHEMA = TableSchema.of(("a", ColumnType.INT), ("b", ColumnType.VARCHAR))
 
 @pytest.fixture
 def sids():
-    return SidFactory()
+    return SidFactory(random.Random(42))
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """OCC write sets and the Write Optimized Store."""
 
+import random
+
 import pytest
 
 from repro.catalog.mvcc import op_add_column, op_add_container, op_create_table
@@ -22,7 +24,7 @@ class TestKeysTouched:
         ]
 
     def test_container_op_touches_projection(self):
-        sids = SidFactory()
+        sids = SidFactory(random.Random(1))
         op = op_add_container(ROSContainer(
             sid=sids.next_sid(), projection="p", shard_id=0,
             row_count=1, size_bytes=1, min_values=(), max_values=(),

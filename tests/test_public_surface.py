@@ -7,7 +7,8 @@ container, the registry instruments written anywhere are listed by name, only
 ``catalog/`` writes catalog state, only the subscription modules read a
 subscription map, no module grows past ~600 lines, four callers apply a commit
 to a catalog, a node's catalog catches up in one place, no class in ``src/``
-keeps a reference-arm switch, and every option has a caller.
+keeps a reference-arm switch, every option has a caller, and the autoscaler
+is a leaf that two modules import.
 
 ``python tests/test_public_surface.py`` (``make knobs``) prints the option
 census: the defaulted parameters nothing outside the tests passes."""
@@ -471,6 +472,35 @@ class TestStructure:
                 if read or node.attr in steps:
                     found.append((where, node.lineno, ast.unparse(node)))
         assert found == []
+
+    def test_the_autoscaler_is_a_leaf(self):
+        """``repro.autoscale`` is a client of the cluster (the paper leaves
+        the scaling policy to the operator): outside the package only the
+        ``v_monitor.autoscale_events`` schema and the simulation action that
+        drives it import it, and no other module names its subcluster or
+        its manifest prefix."""
+        owned = {"BURST_SUBCLUSTER", "HIBERNATE_PREFIX"}
+        importers, named = {}, []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "autoscale":
+                continue
+            where = str(path.relative_to(SRC))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.autoscale"):
+                    importers.setdefault(where, set()).update(a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("repro.autoscale"):
+                            importers.setdefault(where, set()).add(alias.name)
+                # A Name's id, an Attribute's attr, an imported alias's name.
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name in owned:
+                    named.append((where, node.lineno, name))
+        assert importers == {
+            "obs/system_tables.py": {"AutoscaleEvent"},
+            "sim/actions.py": {"Autoscaler", "PolicyConfig"},
+        }
+        assert named == []
 
     def test_no_module_grows_past_600_lines(self):
         sizes = {str(p.relative_to(SRC)): len(p.read_text().splitlines()) for p in SRC.rglob("*.py")}
