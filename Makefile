@@ -34,9 +34,10 @@ loc:
 		$$1 > 600 { printf "  over 600: %5d %s\n", $$1, $$2 }'
 	@git ls-files -z '*.py' | xargs -0 cat | wc -l | awk '{ printf "tracked *.py total: %d lines\n", $$1 }'
 
-# The option census `tests/test_public_surface.py` pins: every defaulted
-# parameter of a `src/` function that no call in src/, benchmarks/ or
-# examples/ passes, one `file function parameter` per line.
+# The three censuses `tests/test_public_surface.py` pins, each ending with a
+# count line: the defaulted parameters of `src/` functions that no call in
+# src/, benchmarks/ or examples/ passes; the functions, classes and methods
+# nothing there names; the options-dataclass fields nothing there sets.
 knobs:
 	@$(PY) tests/test_public_surface.py
 
@@ -100,7 +101,7 @@ bench-pairs:
 # the warm-up (a cost that grows with the catalog shows late):
 # `make profile WORKLOAD=iot_ingest PASS=8 QUERY=service_tick`.
 profile:
-	python3 benchmarks/profile.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(PASS),--pass $(PASS)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
+	python3 benchmarks/cprofile_pass.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) $(if $(PASS),--pass $(PASS)) $(if $(TOP),--top $(TOP)) $(if $(QUERY),--query '$(QUERY)') $(if $(CALLERS),--callers '$(CALLERS)') $(if $(CALLEES),--callees '$(CALLEES)')
 
 # Deterministic work counts of one pass (ops, max-flow solves, blocks decoded,
 # join key encoders, Python calls) per op class of dash_short and tpch_warm

@@ -18,7 +18,6 @@ from repro import EonCluster
 from repro.bench.harness import ServiceModel, run_query_throughput, run_throughput_sim
 from repro.bench.reporting import format_table
 from repro.sharding.assignment import (
-    assignment_skew,
     naive_first_subscriber_assignment,
     select_participating_subscriptions,
 )

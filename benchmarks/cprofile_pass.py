@@ -1,9 +1,9 @@
 """cProfile over one measured pass of an end-to-end benchmark workload.
 
-    python3 benchmarks/profile.py --workload dash_short --top 30
-    python3 benchmarks/profile.py --workload tpch_cold --callees select_scan
-    python3 benchmarks/profile.py --query q18
-    python3 benchmarks/profile.py --workload iot_ingest --pass 8 --query service_tick
+    python3 benchmarks/cprofile_pass.py --workload dash_short --top 30
+    python3 benchmarks/cprofile_pass.py --workload tpch_cold --callees select_scan
+    python3 benchmarks/cprofile_pass.py --query q18
+    python3 benchmarks/cprofile_pass.py --workload iot_ingest --pass 8 --query service_tick
 
 "Attribute first": builds the workload exactly as ``benchmarks/e2e/run.py``
 does (its own ``build``, one warm-up pass, ``gc.freeze``), then runs one more
@@ -27,22 +27,17 @@ candidates, and ``make bench-pairs`` (profiling off) to measure them.
 
 from __future__ import annotations
 
+import argparse
+import cProfile
+import gc
+import json
+import pstats
+import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
-# ``cProfile`` imports the standard library's ``profile``; run as a script,
-# this file's directory leads ``sys.path`` and this file has that name.
-sys.path[:] = [p for p in sys.path if Path(p or ".").resolve() != ROOT / "benchmarks"]
-
-import argparse  # noqa: E402
-import cProfile  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import pstats  # noqa: E402
-import re  # noqa: E402
-from typing import Optional  # noqa: E402
-
 DEFAULT_SEED = 42
 
 

@@ -16,6 +16,14 @@ import random
 from dataclasses import dataclass
 
 
+#: Diurnal breakpoints (hours): trough end, plateau start, plateau end,
+#: trough start.
+RAMP_UP_START = 6.0
+PLATEAU_START = 10.0
+PLATEAU_END = 18.0
+RAMP_DOWN_END = 22.0
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """Shape of one day of offered load."""
@@ -32,27 +40,16 @@ class TrafficProfile:
     epoch_seconds: float = 900.0
     seed: int = 0
 
-    #: Diurnal breakpoints (hours): trough end, plateau start, plateau
-    #: end, trough start.
-    ramp_up_start: float = 6.0
-    plateau_start: float = 10.0
-    plateau_end: float = 18.0
-    ramp_down_end: float = 22.0
-
     def shape(self, hour: float) -> float:
         """Piecewise-linear diurnal intensity in [0, 1]."""
         h = hour % 24.0
-        if h < self.ramp_up_start or h >= self.ramp_down_end:
+        if h < RAMP_UP_START or h >= RAMP_DOWN_END:
             return 0.0
-        if h < self.plateau_start:
-            return (h - self.ramp_up_start) / (
-                self.plateau_start - self.ramp_up_start
-            )
-        if h < self.plateau_end:
+        if h < PLATEAU_START:
+            return (h - RAMP_UP_START) / (PLATEAU_START - RAMP_UP_START)
+        if h < PLATEAU_END:
             return 1.0
-        return (self.ramp_down_end - h) / (
-            self.ramp_down_end - self.plateau_end
-        )
+        return (RAMP_DOWN_END - h) / (RAMP_DOWN_END - PLATEAU_END)
 
 
 class TrafficGenerator:

@@ -164,7 +164,7 @@ def run_throughput_sim(
     """
     clock = clock or SimClock()
     slots = {
-        name: Resource(clock, capacity, name=name)
+        name: Resource(capacity, name=name)
         for name, capacity in node_slots.items()
     }
     result = ThroughputResult(

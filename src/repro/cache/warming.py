@@ -33,10 +33,6 @@ class WarmingReport:
     bytes_transferred: int = 0
     files: List[str] = field(default_factory=list)
 
-    @property
-    def transferred(self) -> int:
-        return self.copied_from_peer + self.fetched_from_shared
-
 
 def warm_from_peer(
     subscriber: FileCache,

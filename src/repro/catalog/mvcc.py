@@ -146,10 +146,6 @@ def op_add_delete_vector(dv: DeleteVector) -> Op:
     return {"op": "add_delete_vector", "shard": dv.shard_id, "dv": dv_to_json(dv)}
 
 
-def op_drop_delete_vector(sid: str, shard_id: Optional[int]) -> Op:
-    return {"op": "drop_delete_vector", "shard": shard_id, "sid": sid}
-
-
 def op_set_property(key: str, value: object) -> Op:
     return {"op": "set_property", "key": key, "value": value}
 
@@ -552,13 +548,6 @@ def _h_add_delete_vector(state: CatalogState, dv: DeleteVector) -> None:
     state.delete_vectors[key] = dv
 
 
-def _h_drop_delete_vector(state: CatalogState, op: Op) -> List[str]:
-    key = op["sid"]
-    if state.delete_vectors.pop(key, None) is None:
-        raise CatalogError(f"no delete vector {key}")
-    return [key]
-
-
 def _h_set_property(state: CatalogState, op: Op) -> None:
     state.properties[op["key"]] = op["value"]  # type: ignore[index]
 
@@ -597,7 +586,6 @@ _HANDLERS: Dict[str, Tuple[Callable[..., Optional[List[str]]], Tuple[str, ...]]]
     "add_container": (_h_add_container, ("containers",)),
     "drop_container": (_h_drop_container, ("containers", "delete_vectors")),
     "add_delete_vector": (_h_add_delete_vector, ("delete_vectors",)),
-    "drop_delete_vector": (_h_drop_delete_vector, ("delete_vectors",)),
     "set_property": (_h_set_property, ("properties",)),
     "set_subscription": (_h_set_subscription, ("subscriptions",)),
     "drop_subscription": (_h_drop_subscription, ("subscriptions",)),

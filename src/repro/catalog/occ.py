@@ -53,8 +53,6 @@ def keys_touched(op: Op) -> List[ObjectKey]:
         return [("projection", op["container"]["projection"])]  # type: ignore[index]
     if kind == "add_delete_vector":
         return [("projection", op["dv"]["projection"])]  # type: ignore[index]
-    if kind in ("drop_container", "drop_delete_vector"):
-        return []
     if kind == "set_property":
         return [("property", str(op["key"]))]
     if kind in ("set_subscription", "drop_subscription"):

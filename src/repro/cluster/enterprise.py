@@ -52,7 +52,7 @@ from repro.load.copy import (
     LocalDiskSink, checked_input, split, streams, write_partitions, write_stream,
 )
 from repro.obs import Observability
-from repro.recovery import FailoverPolicy, RecoveryStats
+from repro.recovery import RecoveryStats
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.storage.container import ROSContainer, RowSet, read_container
@@ -144,9 +144,6 @@ class EnterpriseCluster:
         self.engine_stats = EngineStats()
         self.plan_cache = query_path.PlanCache()
         self.obs = Observability(clock=self.clock, enabled=False)
-        #: Session-level query failover: a buddy takes over a region whose
-        #: node died after the session was laid out.
-        self.failover_policy = FailoverPolicy()
         self.recovery_stats = RecoveryStats()
 
     def enable_observability(self) -> Observability:

@@ -44,7 +44,7 @@ from repro.io.scheduler import IOScheduler
 from repro.load import flattened, partitions
 from repro.load.copy import copy_into
 from repro.obs import Observability
-from repro.recovery.failover import FailoverPolicy, RecoveryStats
+from repro.recovery.failover import RecoveryStats
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.sharding.subscription import SubscriptionState, holders
@@ -112,8 +112,6 @@ class EonCluster:
         #: database's shared storage (section 10).
         self.read_only = False
         self._source_incarnation: Optional[str] = None
-        #: Session-level query failover bounds (repro.recovery).
-        self.failover_policy = FailoverPolicy()
         #: Failovers and degraded-mode entries/exits (the pairing
         #: invariant's observables).
         self.recovery_stats = RecoveryStats()

@@ -11,8 +11,9 @@ what a *session* knows, and that is the whole seam: ``initiator``; ``state``
 Enterprise: one per region served, on every up node); ``release()``.  From
 the cluster the path takes ``create_session`` and ``uncovered_shards`` (the
 failover rule) and the state either flavor carries (``admission``, ``obs``,
-``cost_model``, ``engine_stats``, ``failover_policy``).  Nothing
-here asks which flavor it is serving; DESIGN.md, "One query path".
+``cost_model``, ``engine_stats``); the failover bounds are
+:mod:`repro.recovery.failover`'s.  Nothing here asks which flavor it is
+serving; DESIGN.md, "One query path".
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.engine.planner import PhysicalPlan, plan_query
 from repro.errors import CatalogError, ExecutionError, NodeDown, TransientStorageError
 from repro.obs import QueryProfile, RequestRecord
 from repro.obs.system_tables import bind_system_tables, system_tables_referenced
+from repro.recovery import failover as failover_bounds
 from repro.sql.ast import Select
 from repro.sql.binder import bind_select
 from repro.sql.parser import parse
@@ -156,7 +158,6 @@ def run(
             "and would be ignored beside an explicit session= (with "
             "failover=True they lay out the retry sessions)"
         )
-    policy = cluster.failover_policy
     attempt = 0
     penalty = 0.0
     current = session
@@ -173,7 +174,7 @@ def run(
             if (
                 not failover
                 or cluster.shut_down
-                or attempt >= policy.max_attempts
+                or attempt >= failover_bounds.MAX_ATTEMPTS
                 or (isinstance(exc, NodeDown) and cluster.uncovered_shards())
             ):
                 raise
@@ -181,7 +182,7 @@ def run(
             # their retries) but the survivors still cover every shard: lay
             # out a new session and re-execute.  The backoff is charged to
             # the query's cost-model latency, not to the sim clock.
-            penalty += policy.backoff_for(attempt)
+            penalty += failover_bounds.backoff_for(attempt)
             cluster.recovery_stats.failovers += 1
             obs = cluster.obs
             if obs.enabled:

@@ -2,7 +2,7 @@
 
 Files on shared storage are never modified, so the only hard problem is
 when to *delete* them.  A file whose catalog reference count reached zero
-(its ``drop_container``/``drop_delete_vector`` committed) may still be
+(the drop of its container, projection or table committed) may still be
 needed because
 
 1. a query on some node still reads a snapshot that references it — nodes
@@ -49,10 +49,6 @@ class FileReaper:
 
     def note_drop(self, sid: str, drop_version: int) -> None:
         self._pending.append((sid, drop_version))
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     def pending_sids(self) -> Set[str]:
         """Dropped-but-not-yet-deleted storage names (invariant accessor)."""

@@ -8,12 +8,11 @@ PR 4 adds the rebalance process (§6.4) as a fifth service: it detects
 uncovered and under-subscribed shards and promotes or subscribes spare
 nodes automatically.
 
-:class:`ServiceScheduler` drives them from the simulated clock, so long
-DES runs (like the Figure-12 timeline) execute maintenance at realistic
-cadence, and tests can single-step with :meth:`~ServiceScheduler.tick`.
-The services are named once, as the fields of :class:`ServiceIntervals`
-(:data:`SERVICES`), and every run of every service goes through
-:meth:`~ServiceScheduler.run`.
+:class:`ServiceScheduler` runs them when its driver says:
+:meth:`~ServiceScheduler.tick` runs each service once, and the driver
+(the simulation's service tick, the benchmark's ``service_tick`` op) owns
+the cadence.  The services are named once (:data:`SERVICES`), and every
+run of every service goes through :meth:`~ServiceScheduler.run`.
 
 Failure handling: a failing service must not kill its loop, but it must
 not be invisible either.  Every swallowed :class:`ReproError` is counted in
@@ -26,30 +25,17 @@ declared outage is a cluster state, not a service failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.common.clock import Timeout
 from repro.errors import ReproError
 from repro.obs.metrics import Ledger
 from repro.obs.tracing import NULL_TRACER
 from repro.tuple_mover import MergeoutCoordinatorService
 
 
-@dataclass
-class ServiceIntervals:
-    """Seconds between runs of each service (None disables it); the fields
-    are the services, in the order a tick runs them."""
-
-    catalog_sync: Optional[float] = 60.0
-    cluster_info: Optional[float] = 300.0
-    mergeout: Optional[float] = 120.0
-    reaper: Optional[float] = 300.0
-    rebalance: Optional[float] = 60.0
-
-
-#: Every service, in tick order.
-SERVICES = tuple(f.name for f in fields(ServiceIntervals))
+#: Every service, in tick order; ``ServiceScheduler._<name>`` is its work.
+SERVICES = ("catalog_sync", "cluster_info", "mergeout", "reaper", "rebalance")
 
 
 @dataclass
@@ -96,19 +82,15 @@ class ServiceStats(Ledger):
 class ServiceScheduler:
     """Periodic maintenance driver for an Eon cluster."""
 
-    def __init__(self, cluster, intervals: Optional[ServiceIntervals] = None):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.intervals = intervals or ServiceIntervals()
         self.mergeout_service = MergeoutCoordinatorService(cluster)
         self.stats = ServiceStats()
-        self._running = False
         # Registered so v_monitor.services can find the ledgers.
         cluster.service_scheduler = self
 
-    # -- single-step (tests and synchronous callers) -----------------------------
-
     def tick(self) -> ServiceStats:
-        """Run every enabled service once, immediately."""
+        """Run every service once, immediately."""
         for service in SERVICES:
             self.run(service)
         return self.stats
@@ -179,34 +161,3 @@ class ServiceScheduler:
         self.stats.rebalance_runs += 1
         self.stats.rebalance_promotions += promoted
         self.stats.rebalance_subscriptions += subscribed
-
-    # -- clock-driven operation --------------------------------------------------
-
-    def start(self, duration: Optional[float] = None) -> None:
-        """Spawn one clock process per enabled service.
-
-        Each service sleeps its interval then runs; a service that raises
-        counts an error and keeps going (a failed sync must not kill the
-        sync loop).  With ``duration``, services stop scheduling after
-        that point; the caller still owns ``clock.run()``.
-        """
-        clock = self.cluster.clock
-        self._running = True
-
-        def loop(interval: float, service: str) -> object:
-            while self._running:
-                yield Timeout(interval)
-                if duration is not None and clock.now > duration:
-                    return None
-                if not self._running:
-                    return None
-                self.run(service)
-            return None
-
-        for service in SERVICES:
-            interval = getattr(self.intervals, service)
-            if interval is not None:
-                clock.spawn(loop(interval, service))
-
-    def stop(self) -> None:
-        self._running = False

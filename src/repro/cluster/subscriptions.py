@@ -165,10 +165,6 @@ class RebalanceReport:
     #: True when the pass was skipped (cluster shut down or degraded).
     skipped: bool = False
 
-    @property
-    def changes(self) -> int:
-        return len(self.promoted) + len(self.subscribed)
-
 
 def rebalance_subscriptions(cluster) -> RebalanceReport:
     """One pass of the rebalance process (section 6.4), run on demand and

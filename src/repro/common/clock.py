@@ -11,10 +11,10 @@ simpy:
 
 * :class:`SimClock` — the event loop; schedules callbacks at absolute times.
 * processes — Python generators spawned with :meth:`SimClock.spawn` that
-  ``yield`` *effects*: :class:`Timeout`, an :meth:`Resource.acquire` request,
+  ``yield`` *effects*: :class:`Timeout`, an :class:`AcquireAll` request,
   or another :class:`Process` (join).
-* :class:`Resource` — a counted resource with a FIFO wait queue (used to
-  model per-node execution slots, disk/S3 service channels, ...).
+* :class:`Resource` — a counted resource that :class:`AcquireAll` requests
+  wait on in FIFO order (per-node execution slots).
 
 Everything is deterministic: ties in event time are broken by insertion
 order.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 
@@ -149,8 +149,6 @@ class Process:
     def _dispatch(self, effect: object) -> None:
         if isinstance(effect, Timeout):
             self._clock.schedule(effect.delay, lambda: self._step(None))
-        elif isinstance(effect, _AcquireRequest):
-            effect.resource._enqueue(effect, self)
         elif isinstance(effect, AcquireAll):
             effect._register(self)
         elif isinstance(effect, Process):
@@ -185,12 +183,6 @@ class Process:
             self._clock.schedule(0.0, waiter)
         if self.error is not None and not waiters:
             raise self.error
-
-
-class _AcquireRequest:
-    def __init__(self, resource: "Resource", amount: int):
-        self.resource = resource
-        self.amount = amount
 
 
 class AcquireAll:
@@ -246,62 +238,30 @@ class AcquireAll:
 class Resource:
     """Counted resource with FIFO waiting, e.g. per-node execution slots."""
 
-    def __init__(self, clock: SimClock, capacity: int, name: str = ""):
+    def __init__(self, capacity: int, name: str = ""):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        self._clock = clock
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._queue: List[tuple] = []  # (request, process)
         self._multi_waiters: List["AcquireAll"] = []
-
-    def acquire(self, amount: int = 1) -> _AcquireRequest:
-        """Yield the returned request from a process to take ``amount`` units."""
-        if amount < 1:
-            raise ValueError("amount must be >= 1")
-        return _AcquireRequest(self, amount)
 
     def release(self, amount: int = 1) -> None:
         if amount > self.in_use:
             raise ValueError("releasing more than is held")
         self.in_use -= amount
-        self._drain()
+        self._try_multi()
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the resource (elasticity); waiters are re-examined."""
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._drain()
+        self._try_multi()
 
     @property
     def available(self) -> int:
         return max(0, self.capacity - self.in_use)
-
-    def _enqueue(self, request: _AcquireRequest, process: Process) -> None:
-        self._queue.append((request, process))
-        self._drain()
-
-    def _drain(self) -> None:
-        # FIFO: only the head of the queue may proceed, preventing small
-        # requests from starving large ones.
-        while self._queue:
-            request, process = self._queue[0]
-            if self.capacity > 0 and request.amount > self.capacity:
-                # Can never be satisfied at this size; zero-capacity
-                # resources instead make requests wait (the resource may be
-                # resized later, e.g. a node coming back up).
-                raise ValueError(
-                    f"request of {request.amount} exceeds capacity "
-                    f"{self.capacity} of resource {self.name!r}"
-                )
-            if self.in_use + request.amount > self.capacity:
-                break
-            self._queue.pop(0)
-            self.in_use += request.amount
-            self._clock.schedule(0.0, lambda p=process: p._step(None))
-        self._try_multi()
 
     def _try_multi(self) -> None:
         """Grant waiting AcquireAll requests (globally FIFO by seq)."""

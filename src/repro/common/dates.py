@@ -13,18 +13,5 @@ def date_to_days(text: str) -> int:
     return (d - _EPOCH).days
 
 
-def days_to_date(days: int) -> str:
-    """Inverse of :func:`date_to_days`."""
-    return (_EPOCH + datetime.timedelta(days=int(days))).isoformat()
-
-
-def year_of_days(days: int) -> int:
-    return (_EPOCH + datetime.timedelta(days=int(days))).year
-
-
-def month_of_days(days: int) -> int:
-    return (_EPOCH + datetime.timedelta(days=int(days))).month
-
-
 def make_date(year: int, month: int, day: int) -> int:
     return (datetime.date(year, month, day) - _EPOCH).days

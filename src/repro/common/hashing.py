@@ -66,15 +66,6 @@ def hash_value(value: object) -> int:
     raise TypeError(f"unhashable segmentation value type: {type(value)!r}")
 
 
-def hash_row(values: Sequence[object]) -> int:
-    """Hash a multi-column segmentation key by mixing per-column hashes."""
-    h = _FNV_OFFSET
-    for value in values:
-        h ^= hash_value(value)
-        h = (h * _FNV_PRIME) & _MASK32
-    return h
-
-
 def hash_column(values: Iterable[object]) -> np.ndarray:
     """Vectorised helper: hash every element of a column.
 
@@ -104,7 +95,8 @@ def _hash_int_array(arr: np.ndarray) -> np.ndarray:
 def hash_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Hash a multi-column key for every row, vectorised.
 
-    Mirrors :func:`hash_row`: per-column hashes are mixed with FNV-1a.
+    Per-column hashes (:func:`hash_value` of each cell) are mixed with
+    FNV-1a.
     """
     if not columns:
         raise ValueError("hash_columns requires at least one column")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,6 @@ class ColumnType(enum.Enum):
     @property
     def dtype(self) -> np.dtype:
         return _DTYPES[self]
-
-    @property
-    def is_numeric(self) -> bool:
-        return self in (ColumnType.INT, ColumnType.FLOAT, ColumnType.DATE, ColumnType.BOOL)
 
     def coerce(self, values: Sequence[object]) -> np.ndarray:
         """Build a column array of this type from Python values."""
@@ -112,18 +108,6 @@ class TableSchema:
             if c.name == name:
                 return c
         raise KeyError(f"no column named {name!r}")
-
-    def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(f"no column named {name!r}")
-
-    def maybe_index_of(self, name: str) -> Optional[int]:
-        try:
-            return self.index_of(name)
-        except KeyError:
-            return None
 
     def subset(self, names: Sequence[str]) -> "TableSchema":
         return TableSchema([self.column(n) for n in names])

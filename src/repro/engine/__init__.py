@@ -20,7 +20,6 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
     col,
-    lit,
 )
 from repro.engine.operators import (
     AggregateSpec,
@@ -52,7 +51,6 @@ __all__ = [
     "IsNull",
     "CaseWhen",
     "col",
-    "lit",
     "AggregateSpec",
     "JoinBuild",
     "aggregate",

@@ -120,17 +120,8 @@ class Expr(abc.ABC):
     def __hash__(self):
         return hash(repr(self))
 
-    def between(self, lo, hi) -> "Expr":
-        return (self >= _wrap(lo)) & (self <= _wrap(hi))
-
     def isin(self, values: Sequence[object]) -> "Expr":
         return InList(self, tuple(values))
-
-    def like(self, pattern: str) -> "Expr":
-        return FuncCall("like", (self, Literal(pattern)))
-
-    def is_null(self) -> "Expr":
-        return IsNull(self)
 
 
 def _sole_coded_column(expr: Expr, rows: RowSet) -> Optional[Tuple[str, CodedStrings]]:
@@ -155,10 +146,6 @@ def _wrap(value) -> "Expr":
 
 def col(name: str) -> "ColumnRef":
     return ColumnRef(name)
-
-
-def lit(value) -> "Literal":
-    return Literal(value)
 
 
 class ColumnRef(Expr):

@@ -161,15 +161,6 @@ class DataCollector:
             ring = rings[node] = RingBuffer(CAPACITY)
         ring.append((next(self._seq), self._now()) + tuple(values))
 
-    def dropped(self, table: Optional[str] = None) -> int:
-        """Total evicted entries (optionally for one table)."""
-        tables = [table] if table is not None else list(self._rings)
-        return sum(
-            ring.dropped
-            for name in tables
-            for ring in self._rings[name].values()
-        )
-
     # -- reading ----------------------------------------------------------------
 
     def rows(
@@ -226,9 +217,6 @@ class NullDataCollector:
 
     def record(self, table: str, node: str, values: tuple) -> None:
         pass
-
-    def dropped(self, table: Optional[str] = None) -> int:
-        return 0
 
     def rows(self, table: str, bounds=None) -> List[tuple]:
         return []

@@ -146,10 +146,6 @@ class Gauge(_Instrument):
         self.value += amount
         self._stamp()
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-        self._stamp()
-
 
 class Histogram(_Instrument):
     """Cumulative-bucket histogram (Prometheus style)."""
@@ -287,9 +283,6 @@ class _NullInstrument:
     last_updated = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -8,29 +8,20 @@ from dataclasses import dataclass
 from repro.obs.metrics import Ledger
 
 
-@dataclass(frozen=True)
-class FailoverPolicy:
-    """How hard ``query_statement`` tries before surfacing a failure.
+#: How hard ``query_statement`` tries before surfacing a failure, counted in
+#: executions, not retries: the original run plus two failovers.
+MAX_ATTEMPTS = 3
+#: The first retry's backoff; each later one doubles it.
+BACKOFF_SECONDS = 0.1
 
-    ``max_attempts`` counts executions, not retries: the default of 3
-    allows the original run plus two failovers.  Each retry charges
-    exponential backoff to the query's cost-model latency (simulated
-    seconds, never wall-clock sleeps) so a failed-over query is visibly
-    slower than an undisturbed one — the Figure-12 dip, per query.
-    """
 
-    max_attempts: int = 3
-    backoff_seconds: float = 0.1
+def backoff_for(attempt: int) -> float:
+    """Simulated seconds charged before retry number ``attempt`` (1-based).
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be non-negative")
-
-    def backoff_for(self, attempt: int) -> float:
-        """Simulated seconds charged before retry number ``attempt`` (1-based)."""
-        return self.backoff_seconds * (2 ** (attempt - 1))
+    The backoff is charged to the query's cost-model latency, never slept,
+    so a failed-over query is visibly slower than an undisturbed one — the
+    Figure-12 dip, per query."""
+    return BACKOFF_SECONDS * (2 ** (attempt - 1))
 
 
 @dataclass

@@ -215,16 +215,6 @@ def _normalise_tiers(
     return tiers
 
 
-def assignment_skew(assignment: Mapping[int, str]) -> int:
-    """Max minus min shards-per-node over nodes used; 0 is perfectly even."""
-    if not assignment:
-        return 0
-    counts: Dict[str, int] = {}
-    for node in assignment.values():
-        counts[node] = counts.get(node, 0) + 1
-    return max(counts.values()) - min(counts.values())
-
-
 def naive_first_subscriber_assignment(
     shard_ids: Sequence[int], subscribers: Mapping[int, Iterable[str]]
 ) -> Dict[int, str]:

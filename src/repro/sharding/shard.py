@@ -13,11 +13,11 @@ subscribes to it holds all replicated-projection storage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.common.hashing import HASH_SPACE, hash_columns, hash_row
+from repro.common.hashing import HASH_SPACE, hash_columns
 from repro.storage.container import RowSet
 
 #: Shard id used for replicated-projection storage.
@@ -33,29 +33,6 @@ class ShardMap:
         self.count = count
         # Region boundaries: shard i owns [bounds[i], bounds[i+1]).
         self._bounds = [i * HASH_SPACE // count for i in range(count)] + [HASH_SPACE]
-
-    def region_of(self, shard_id: int) -> Tuple[int, int]:
-        """The [lo, hi) hash region a segment shard owns."""
-        if not 0 <= shard_id < self.count:
-            raise ValueError(f"no segment shard {shard_id}")
-        return self._bounds[shard_id], self._bounds[shard_id + 1]
-
-    def shard_of_hash(self, hash_value: int) -> int:
-        """Which segment shard owns ``hash_value``."""
-        if not 0 <= hash_value < HASH_SPACE:
-            raise ValueError(f"hash {hash_value} outside 32-bit space")
-        # Regions are near-equal size; a direct computation with boundary
-        # correction avoids a binary search.
-        shard = min(hash_value * self.count // HASH_SPACE, self.count - 1)
-        while hash_value < self._bounds[shard]:
-            shard -= 1
-        while hash_value >= self._bounds[shard + 1]:
-            shard += 1
-        return shard
-
-    def shard_of_row(self, seg_values: Sequence[object]) -> int:
-        """Shard owning the row whose segmentation-column values are given."""
-        return self.shard_of_hash(hash_row(seg_values))
 
     def shard_ids(self) -> List[int]:
         return list(range(self.count))
@@ -108,16 +85,6 @@ class ShardMap:
             shard_id: ordered.slice(start, stop)
             for shard_id, start, stop in zip(ids.tolist(), starts.tolist(), stops)
         }
-
-    def hash_region_mask(
-        self, rowset: RowSet, seg_columns: Sequence[str], shard_id: int
-    ) -> np.ndarray:
-        """Row mask selecting rows whose hash falls inside ``shard_id``.
-
-        Used by crunch scaling's hash-filter split (section 4.4), where a
-        further segmentation predicate is applied to rows as they are read.
-        """
-        return self.shards_of_rowset(rowset, seg_columns) == shard_id
 
     def __repr__(self) -> str:
         return f"ShardMap(count={self.count})"

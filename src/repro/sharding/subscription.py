@@ -36,11 +36,6 @@ class SubscriptionState(enum.Enum):
     REMOVING = "REMOVING"
 
     @property
-    def serves_queries(self) -> bool:
-        """ACTIVE serves queries; REMOVING keeps serving until dropped."""
-        return self in (SubscriptionState.ACTIVE, SubscriptionState.REMOVING)
-
-    @property
     def participates_in_commit(self) -> bool:
         """PASSIVE and above receive shard metadata at commit (section 3.2)."""
         return self in (

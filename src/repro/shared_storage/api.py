@@ -1,8 +1,10 @@
 """The user-defined filesystem (UDFS) API — section 5.3, Figure 9.
 
 All engine file access goes through :class:`Filesystem` so the same scan,
-load, and catalog code runs against POSIX, the simulated S3, or anything a
-user plugs in.  The interface deliberately omits ``exists``-via-HEAD: the
+load, and catalog code runs against a node's local disk, the simulated S3,
+or anything a user plugs in.  The operations are S3's: an object is written
+once and read, listed, sized or deleted whole — there is no rename and no
+append.  The interface deliberately omits ``exists``-via-HEAD: the
 paper notes that a HEAD probe downgrades S3's read-after-write consistency
 for new objects, so Vertica checks existence with the *list* API.  We bake
 that into the interface: existence checks are spelled ``fs.contains(name)``
@@ -199,14 +201,6 @@ class Filesystem(abc.ABC):
         """
         return {name: self.read(name) for name in names}
 
-    # -- optional POSIX features (section 5: S3 lacks these) -------------------
-
-    def rename(self, old: str, new: str) -> None:
-        raise StorageError(f"{type(self).__name__} does not support rename")
-
-    def append(self, name: str, data: bytes) -> None:
-        raise StorageError(f"{type(self).__name__} does not support append")
-
     # -- optional server-side compute (S3-Select-style pushdown) ---------------
 
     #: True when the backend can filter/project/partially-aggregate stored
@@ -288,12 +282,6 @@ class RetryingFilesystem(Filesystem):
     def size(self, name: str) -> int:
         return self._retry(lambda: self._base.size(name))
 
-    def rename(self, old: str, new: str) -> None:
-        self._retry(lambda: self._base.rename(old, new))
-
-    def append(self, name: str, data: bytes) -> None:
-        self._retry(lambda: self._base.append(name, data))
-
     @property
     def supports_coalesced_get(self) -> bool:
         return self._base.supports_coalesced_get
@@ -355,12 +343,6 @@ class PrefixView(Filesystem):
 
     def size(self, name: str) -> int:
         return self._base.size(self._full(name))
-
-    def rename(self, old: str, new: str) -> None:
-        self._base.rename(self._full(old), self._full(new))
-
-    def append(self, name: str, data: bytes) -> None:
-        self._base.append(self._full(name), data)
 
     @property
     def supports_coalesced_get(self) -> bool:

@@ -20,7 +20,6 @@ and failure surface* the Eon code must handle:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,9 +112,7 @@ class FaultInjector:
     Every probability draw goes through the injector's own seeded RNG —
     never the module-level ``random`` state — so two injectors built with
     the same seed and hit with the same request sequence make bit-identical
-    decisions.  :meth:`decision_digest` folds each decision into a running
-    SHA-256 so a test (or the simulation harness) can assert two runs were
-    byte-for-byte reproducible.
+    decisions.
 
     :meth:`begin_burst` models an S3 throttling burst or transient-fault
     storm: the failure rate jumps to ``rate`` for the next ``ops``
@@ -139,7 +136,6 @@ class FaultInjector:
         self._burst_ops_left = 0
         self.draws = 0
         self.injected = 0
-        self._digest = hashlib.sha256()
         self._clock = None
         self._outage_until: Optional[float] = None
         self.outages_begun = 0
@@ -229,20 +225,12 @@ class FaultInjector:
         if rate <= 0:
             return
         self.draws += 1
-        failed = self._rng.random() < rate
-        self._digest.update(
-            f"{operation}:{'F' if failed else 'ok'};".encode("ascii")
-        )
-        if failed:
+        if self._rng.random() < rate:
             self.injected += 1
             self._record("throttled" if throttling else "transient", operation)
             raise TransientStorageError(
                 f"S3 transient failure during {operation} (injected)"
             )
-
-    def decision_digest(self) -> str:
-        """SHA-256 over the sequence of (operation, decision) pairs so far."""
-        return self._digest.hexdigest()
 
 
 #: Wire framing charged per partial-aggregate value in a select response.

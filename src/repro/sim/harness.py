@@ -41,19 +41,23 @@ DATA_PREFIX = "data_"
 COLUMNS = (("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.INT))
 
 
+#: The chaos cluster every campaign runs: 4 nodes, 4 shards, 2 subscribers
+#: per shard, a 64 MiB depot each, and one table seeded with 60 rows.
+NODE_COUNT = 4
+SHARD_COUNT = 4
+SUBSCRIBERS_PER_SHARD = 2
+CACHE_BYTES = 64 << 20
+TABLE = "sim_t"
+INITIAL_ROWS = 60
+
+
 @dataclass
 class CampaignConfig:
-    """Knobs for one campaign.  Defaults give the standard 4-node,
-    4-shard, 2-subscriber chaos cluster with a 2% base S3 fault rate."""
+    """Knobs for one campaign: its length, the base S3 fault rate (2%), and
+    whether a violation halts it."""
 
     steps: int = 40
-    node_count: int = 4
-    shard_count: int = 4
-    subscribers_per_shard: int = 2
-    cache_bytes: int = 64 << 20
     base_failure_rate: float = 0.02
-    table: str = "sim_t"
-    initial_rows: int = 60
     halt: bool = True
 
 
@@ -76,16 +80,16 @@ class SimWorld:
         # digest is unchanged — and a violation can then carry the spans of
         # its failing step.
         self.cluster = EonCluster(
-            [f"n{i}" for i in range(self.config.node_count)],
-            shard_count=self.config.shard_count,
+            [f"n{i}" for i in range(NODE_COUNT)],
+            shard_count=SHARD_COUNT,
             shared_storage=shared,
-            subscribers_per_shard=self.config.subscribers_per_shard,
-            cache_bytes=self.config.cache_bytes,
+            subscribers_per_shard=SUBSCRIBERS_PER_SHARD,
+            cache_bytes=CACHE_BYTES,
             seed=seed,
             clock=self.clock,
             observability=Observability(clock=self.clock),
         )
-        self.table = self.config.table
+        self.table = TABLE
         self.pins = {}  # tag -> PinnedQuery
         #: Armed by a completed leaked-file sweep; disarmed by anything
         #: that changes which instance prefixes count as "live".
@@ -120,7 +124,7 @@ class SimWorld:
         """Create and fill the workload table; the oracle mirroring it."""
         declared = ", ".join(f"{name} {ctype.value}" for name, ctype in COLUMNS)
         self.cluster.execute(f"create table {self.table} ({declared})")
-        rows = [(k, f"g{k % 5}", (k * 7) % 101) for k in range(self.config.initial_rows)]
+        rows = [(k, f"g{k % 5}", (k * 7) % 101) for k in range(INITIAL_ROWS)]
         if rows:
             self.cluster.load(self.table, rows)
         return SqliteOracle(self.table, COLUMNS, rows)

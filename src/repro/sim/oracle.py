@@ -8,8 +8,8 @@ The property tests use the same mirror.  Only our parser (and so its
 defects) is shared; bind, plan, scan, the kernels and the write path are
 checked against an engine that shares no code with them.  :func:`to_sqlite`
 renders a SELECT over one table or ``t LEFT JOIN u ON ...`` (other joins,
-HAVING and DESC stay with ROADMAP item 1); :func:`normalise`/:func:`multiset`
-bring both engines' rows to one comparable form.
+HAVING and DESC stay with ROADMAP item 1); :func:`normalise` brings both
+engines' rows to one comparable form.
 
 The rendering makes this engine's documented deviations explicit instead of
 hiding them in the comparison:
@@ -177,10 +177,6 @@ def normalise(rows: Iterable[Sequence[object]]) -> List[tuple]:
         return int(value) if isinstance(value, bool) else value
 
     return [tuple(cell(v) for v in row) for row in rows]
-
-
-def multiset(rows: Iterable[Sequence[object]]) -> Counter:
-    return Counter(normalise(rows))
 
 
 class SqliteOracle:

@@ -25,11 +25,10 @@ from repro.sql.ast import (
     Update,
 )
 from repro.sql.binder import BoundQuery, bind_select
-from repro.sql.parser import parse, parse_expression
+from repro.sql.parser import parse
 
 __all__ = [
     "parse",
-    "parse_expression",
     "bind_select",
     "BoundQuery",
     "Statement",

@@ -457,16 +457,3 @@ def parse(text: str) -> List[Statement]:
     return statements
 
 
-def parse_one(text: str) -> Statement:
-    statements = parse(text)
-    if len(statements) != 1:
-        raise SqlError(f"expected one statement, got {len(statements)}")
-    return statements[0]
-
-
-def parse_expression(text: str) -> Expr:
-    """Parse a standalone expression (used by tests and shaping policies)."""
-    parser = _Parser(text)
-    expr = parser.expression()
-    parser.expect("end")
-    return expr

@@ -119,11 +119,6 @@ class RowSet:
         hand on to another batch."""
         return self._held[name]
 
-    def to_rows(self) -> List[tuple]:
-        if not self.schema.names:
-            return [()] * self.num_rows
-        return list(zip(*(self.column(n) for n in self.schema.names)))
-
     def to_pylist(self) -> List[tuple]:
         """Rows as plain-Python tuples (numpy scalars unwrapped), built
         column by column: a value array's ``tolist`` is its items."""
@@ -364,10 +359,6 @@ class ContainerReader:
         self.row_count = self.layout.row_count
         self.column_order = self.layout.column_order
         self._readers: Dict[str, ColumnReader] = {}
-
-    @property
-    def column_names(self) -> List[str]:
-        return list(self.column_order)
 
     def column_reader(self, name: str) -> ColumnReader:
         if name not in self._readers:

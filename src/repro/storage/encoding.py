@@ -10,8 +10,8 @@ implement four block encodings:
 * ``DICT`` — dictionary encoding; wins on low-cardinality strings.
 * ``DELTA`` — frame-of-reference + varint deltas; wins on sorted integers.
 
-:func:`choose_encoding` picks the cheapest encoding for a block the same way
-a real column store would: by estimating encoded size from block statistics.
+:func:`encode_block` picks the cheapest encoding for a block the same way a
+real column store would: by estimating encoded size from block statistics.
 
 Every block round-trips exactly: ``decode_block(encode_block(x)) == x``.
 NULLs are supported in string columns as ``None``.
@@ -574,13 +574,6 @@ def _choose(arr: np.ndarray, dt: int, runs) -> Encoding:
         if n > 1 and np.all(v[1:] >= v[:-1]):
             return Encoding.DELTA
     return Encoding.PLAIN
-
-
-def choose_encoding(arr: np.ndarray) -> Encoding:
-    """Pick the encoding expected to be smallest for this block."""
-    if len(arr) == 0:
-        return Encoding.PLAIN
-    return _choose(arr, _dtype_code(arr), _runs(arr))
 
 
 def encode_block(arr: np.ndarray, encoding: Optional[Encoding] = None) -> bytes:

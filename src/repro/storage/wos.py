@@ -49,10 +49,6 @@ class WOS:
         buf.batches.append(rows)
         buf.row_count += rows.num_rows
 
-    def rows_buffered(self, projection: str) -> int:
-        buf = self._buffers.get(projection)
-        return buf.row_count if buf else 0
-
     @property
     def total_rows(self) -> int:
         return sum(b.row_count for b in self._buffers.values())

@@ -186,7 +186,7 @@ class AdmissionController:
             resource = self.node_slots.get(node_name)
             if resource is None:
                 self.node_slots[node_name] = Resource(
-                    self.clock, node.execution_slots, name=f"slots:{node_name}"
+                    node.execution_slots, name=f"slots:{node_name}"
                 )
             elif resource.capacity != node.execution_slots:
                 resource.set_capacity(node.execution_slots)

@@ -116,17 +116,6 @@ class WorkloadResult:
             return 0.0
         return self.completed / self.duration_seconds * 60.0
 
-    @property
-    def total_queue_wait_seconds(self) -> float:
-        return sum(r.queue_wait_seconds for r in self.records)
-
-    def ok_digests(self) -> List[tuple]:
-        return sorted(
-            (r.client, r.request, r.digest)
-            for r in self.records
-            if r.outcome == "ok"
-        )
-
 
 def _hold_seconds(
     clock: SimClock,

@@ -5,10 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sharding.assignment import (
     AssignmentError,
-    assignment_skew,
     naive_first_subscriber_assignment,
     select_participating_subscriptions,
 )
+
+
+def assignment_skew(assignment) -> int:
+    """Max minus min shards-per-node over nodes used; 0 is perfectly even."""
+    if not assignment:
+        return 0
+    counts = {}
+    for node in assignment.values():
+        counts[node] = counts.get(node, 0) + 1
+    return max(counts.values()) - min(counts.values())
 
 
 def ring_subscribers(shards, nodes, k=2):

@@ -32,6 +32,7 @@ from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
 from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
 from repro.wm.pool import PoolConfig
+from tests.test_workload_manager import ok_digests
 
 SEEDS = (3, 7, 13, 23, 37)
 
@@ -157,7 +158,7 @@ class TestHibernateReviveRoundTrip:
         elastic_digests = {}
         run = run_closed_loop(elastic, workloads[0], result_key=rows_key)
         assert run.rejected == 0 and run.errors == 0
-        elastic_digests[0] = run.ok_digests()
+        elastic_digests[0] = ok_digests(run)
         assert scaler.run().action == "scale_out"
         # Two idle ticks: the burst subcluster hibernates to S3.
         scaler.run()
@@ -167,7 +168,7 @@ class TestHibernateReviveRoundTrip:
         # Demand returns: next tick revives, then the second storm runs.
         run = run_closed_loop(elastic, workloads[1], result_key=rows_key)
         assert run.rejected == 0 and run.errors == 0
-        elastic_digests[1] = run.ok_digests()
+        elastic_digests[1] = ok_digests(run)
         assert scaler.run().action == "revive"
         assert not scaler.actuator.hibernated
         assert len(scaler.actuator.members()) == 2
@@ -180,7 +181,7 @@ class TestHibernateReviveRoundTrip:
                 static, workloads[phase], result_key=rows_key
             )
             assert reference.errors == 0
-            assert elastic_digests[phase] == reference.ok_digests()
+            assert elastic_digests[phase] == ok_digests(reference)
 
     def test_round_trip_under_chaos_five_seeds(self):
         # Satellite 4's chaos half: campaigns whose schedules include

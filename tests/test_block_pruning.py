@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ColumnType, EonCluster
 from repro.common.types import TableSchema
-from repro.engine.expressions import col, extract_column_bounds, lit
-from repro.sql.parser import parse_expression
+from repro.engine.expressions import extract_column_bounds
 from repro.storage.container import RowSet, read_container, write_container
+from tests.test_sql import parse_expression
 
 
 class TestExtractColumnBounds:

@@ -159,7 +159,7 @@ class TestWarming:
         peer, shared = self._peer_with_files([("a", b"11"), ("b", b"22")])
         subscriber = FileCache(MemoryFilesystem(), 1000)
         report = warm_from_peer(subscriber, peer, shared)
-        assert report.transferred == 2
+        assert report.copied_from_peer + report.fetched_from_shared == 2
         assert subscriber.contains("a") and subscriber.contains("b")
         assert report.copied_from_peer == 2  # peer preferred over shared
 
@@ -175,7 +175,7 @@ class TestWarming:
         subscriber.put("a", b"11")  # lukewarm cache
         report = warm_from_peer(subscriber, peer, shared)
         assert report.already_present == 1
-        assert report.transferred == 1
+        assert report.copied_from_peer + report.fetched_from_shared == 1
 
     def test_warm_respects_budget(self):
         peer, shared = self._peer_with_files([("a", b"x" * 60), ("b", b"y" * 60)])

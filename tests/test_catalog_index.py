@@ -26,7 +26,6 @@ from repro.catalog.mvcc import (
     op_create_projection,
     op_create_table,
     op_drop_container,
-    op_drop_delete_vector,
     op_drop_projection,
     op_drop_table,
     op_set_property,
@@ -437,12 +436,6 @@ class GroupsEqualAWalk(RuleBasedStateMachine):
     def add_delete_vector(self, data):
         target = self.pick(data, self.held("containers"))
         self.commit(op_add_delete_vector(delete_vector(self.sids, target)))
-
-    @precondition(lambda self: self.held("delete_vectors"))
-    @rule(data=st.data())
-    def drop_delete_vector(self, data):
-        gone = self.pick(data, self.held("delete_vectors"))
-        self.commit(op_drop_delete_vector(str(gone.sid), gone.shard_id))
 
     @precondition(lambda self: self.held("containers"))
     @rule(data=st.data())

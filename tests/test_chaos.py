@@ -12,9 +12,9 @@ import pytest
 
 from repro import EonCluster, Observability, SimClock
 from repro.cluster import subscriptions
-from repro.cluster.services import SERVICES, ServiceIntervals, ServiceScheduler
+from repro.cluster.services import SERVICES, ServiceScheduler
 from repro.errors import NodeDown, ReproError, StorageUnavailable
-from repro.recovery import FailoverPolicy
+from repro.recovery import failover
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.sharding.subscription import SubscriptionState
 from repro.sim import CampaignConfig, ScenarioGenerator, run_campaign
@@ -111,7 +111,7 @@ class TestMidQueryFailover:
         with session:
             cluster.kill_node(killable_participant(cluster, session))
             result = cluster.query_statement(stmt, session=session, failover=True)
-        assert result.stats.dispatch_seconds >= cluster.failover_policy.backoff_for(1)
+        assert result.stats.dispatch_seconds >= failover.backoff_for(1)
         assert result.stats.latency_seconds >= result.stats.dispatch_seconds
 
     def test_failover_counter_and_span_recorded(self):
@@ -125,10 +125,8 @@ class TestMidQueryFailover:
         assert any(s.name == "query.failover" for s in cluster.obs.tracer.spans)
 
     def test_attempts_are_bounded(self):
-        policy = FailoverPolicy(max_attempts=3)
-        assert policy.backoff_for(2) == pytest.approx(policy.backoff_seconds * 2)
-        with pytest.raises(ValueError):
-            FailoverPolicy(max_attempts=0)
+        assert failover.MAX_ATTEMPTS == 3
+        assert failover.backoff_for(2) == pytest.approx(failover.BACKOFF_SECONDS * 2)
 
 
 class TestOutageWindows:
@@ -191,7 +189,7 @@ class TestRebalancer:
         ]
         assert under  # the kill actually left shards under-subscribed
         report = cluster.rebalance_subscriptions()
-        assert report.changes > 0 and not report.skipped
+        assert len(report.promoted) + len(report.subscribed) > 0 and not report.skipped
         for shard in cluster.shard_map.all_shard_ids():
             assert len(cluster.active_up_subscribers(shard)) >= 2
         # Data still correct after the re-subscriptions.
@@ -200,7 +198,7 @@ class TestRebalancer:
     def test_noop_on_healthy_cluster(self):
         cluster = loaded_cluster()
         report = cluster.rebalance_subscriptions()
-        assert report.changes == 0 and not report.skipped
+        assert len(report.promoted) + len(report.subscribed) == 0 and not report.skipped
 
     def test_skips_while_degraded(self):
         cluster = loaded_cluster()
@@ -209,17 +207,12 @@ class TestRebalancer:
         cluster.refresh_degraded()
         assert cluster.rebalance_subscriptions().skipped
 
-    def test_service_restores_coverage_within_one_interval(self):
+    def test_one_service_run_restores_coverage(self):
         cluster = loaded_cluster()
-        scheduler = ServiceScheduler(cluster, ServiceIntervals(
-            catalog_sync=None, cluster_info=None, mergeout=None, reaper=None,
-            rebalance=60.0,
-        ))
+        scheduler = ServiceScheduler(cluster)
         cluster.kill_node("n3")
-        scheduler.start(duration=70.0)
-        cluster.clock.run(until=70.0)
-        scheduler.stop()
-        assert scheduler.stats.rebalance_runs >= 1
+        scheduler.run("rebalance")
+        assert scheduler.stats.rebalance_runs == 1
         assert scheduler.stats.rebalance_promotions + \
             scheduler.stats.rebalance_subscriptions > 0
         for shard in cluster.shard_map.all_shard_ids():

@@ -167,13 +167,14 @@ class TestProcesses:
 class TestResource:
     def test_fifo_capacity(self):
         clock = SimClock()
-        resource = Resource(clock, 2)
+        resource = Resource(2)
         done = []
 
         def proc(i):
-            yield resource.acquire()
+            grant = AcquireAll([resource])
+            yield grant
             yield Timeout(1.0)
-            resource.release()
+            grant.release()
             done.append((i, clock.now))
 
         for i in range(4):
@@ -184,17 +185,17 @@ class TestResource:
 
     def test_release_more_than_held_rejected(self):
         clock = SimClock()
-        resource = Resource(clock, 1)
+        resource = Resource(1)
         with pytest.raises(ValueError):
             resource.release()
 
     def test_set_capacity_wakes_waiters(self):
         clock = SimClock()
-        resource = Resource(clock, 0)
+        resource = Resource(0)
         done = []
 
         def proc():
-            yield resource.acquire()
+            yield AcquireAll([resource])
             done.append(clock.now)
 
         clock.spawn(proc())
@@ -202,22 +203,11 @@ class TestResource:
         clock.run()
         assert done == [5.0]
 
-    def test_oversized_request_rejected(self):
-        clock = SimClock()
-        resource = Resource(clock, 1)
-
-        def proc():
-            yield resource.acquire(2)
-
-        clock.spawn(proc())
-        with pytest.raises(ValueError):
-            clock.run()
-
 
 class TestAcquireAll:
     def test_atomic_grant(self):
         clock = SimClock()
-        a, b = Resource(clock, 1), Resource(clock, 1)
+        a, b = Resource(1), Resource(1)
         order = []
 
         def holder():
@@ -251,7 +241,7 @@ class TestAcquireAll:
 
     def test_duplicate_resource_needs_two_units(self):
         clock = SimClock()
-        a = Resource(clock, 1)
+        a = Resource(1)
         granted = []
 
         def proc():
@@ -279,7 +269,7 @@ class TestAcquireAll:
 
     def test_throughput_matches_capacity(self):
         clock = SimClock()
-        resources = {n: Resource(clock, 2) for n in "abc"}
+        resources = {n: Resource(2) for n in "abc"}
         completed = []
 
         def client(i):

@@ -28,14 +28,20 @@ from repro.errors import CorruptBlock, ReproError, StorageError
 from repro.storage.column import ColumnFile, ColumnReader
 from repro.storage.container import RowSet, read_container, write_container
 from repro.storage.encoding import (
+    _HEADER,
     CodedStrings,
     Encoding,
-    choose_encoding,
     decode_block,
     encode_block,
     read_varints,
     write_varints,
 )
+
+
+
+def choose_encoding(arr: np.ndarray) -> Encoding:
+    """The encoding ``encode_block`` picks for ``arr``, read from its header."""
+    return Encoding(_HEADER.unpack_from(encode_block(arr))[0])
 
 # ---------------------------------------------------------------------------
 # the oracle: the old scalar codec, verbatim
@@ -887,7 +893,7 @@ def read_column_or_is_corrupt(image: bytes) -> Optional[np.ndarray]:
 def read_container_or_is_corrupt(image: bytes) -> Optional[RowSet]:
     try:
         reader = read_container(image)
-        names = reader.column_names
+        names = list(reader.column_order)
         rows = reader.read_rowset()
         reader.stored_bytes(names)
         blocks = reader.matching_blocks({"int": (0, 50), "str": ("a", "b")})

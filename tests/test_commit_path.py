@@ -44,7 +44,6 @@ from repro.catalog.mvcc import (
     op_create_table,
     op_create_user,
     op_drop_container,
-    op_drop_delete_vector,
     op_drop_projection,
     op_drop_subscription,
     op_drop_table,
@@ -218,9 +217,6 @@ class CheckedCluster:
         elif kind == "drop_container" and containers:
             for target in {containers[(salt + i) % len(containers)] for i in range(1 + salt % 2)}:
                 txn.add_op(op_drop_container(str(target.sid), target.shard_id))
-        elif kind == "drop_dv" and dvs:
-            target = dvs[salt % len(dvs)]
-            txn.add_op(op_drop_delete_vector(str(target.sid), target.shard_id))
         elif kind == "drop_table" and tables:
             txn.add_op(op_drop_table(tables[salt % len(tables)]))
         elif kind == "create_table" and len(tables) < len(TABLES):
@@ -234,10 +230,6 @@ class CheckedCluster:
             txn.add_op(op_drop_container(str(target.sid), target.shard_id))
             txn.add_op(op_add_container(
                 replace(target, projection=projections[salt % len(projections)])))
-        elif kind == "move_dv" and dvs:
-            target = dvs[salt % len(dvs)]
-            txn.add_op(op_drop_delete_vector(str(target.sid), target.shard_id))
-            txn.add_op(op_add_delete_vector(replace(target, deleted_count=salt % 9)))
         elif kind == "resurrect" and cluster.reaper._pending:
             # A later transaction references a dropped file again (a table
             # copy): the reaper must forget it, not delete it.
@@ -295,8 +287,8 @@ class CheckedCluster:
 
 
 KINDS = [
-    "add", "add", "add_dv", "add_dv", "drop_container", "drop_dv", "drop_table",
-    "create_table", "drop_projection", "move", "move_dv", "resurrect", "kill",
+    "add", "add", "add_dv", "add_dv", "drop_container", "drop_table",
+    "create_table", "drop_projection", "move", "resurrect", "kill",
     "recover", "unsubscribe", "subscribe", "pin", "unpin", "poll",
 ]
 actions = st.lists(
@@ -341,8 +333,8 @@ class TestReapByDelta:
         checked = CheckedCluster()
         schedule = [
             ("add", 5), ("add", 9), ("add", 14), ("add_dv", 0), ("add_dv", 1),
-            ("add_dv", 1), ("pin", 0), ("move", 1), ("move_dv", 1), ("drop_container", 1),
-            ("drop_dv", 0), ("resurrect", 0), ("resurrect", 1), ("poll", 0), ("kill", 2), ("add", 3), ("drop_container", 0),
+            ("add_dv", 1), ("pin", 0), ("move", 1), ("drop_container", 1),
+            ("resurrect", 0), ("resurrect", 1), ("poll", 0), ("kill", 2), ("add", 3), ("drop_container", 0),
             ("recover", 0), ("unsubscribe", 1), ("add", 6), ("add_dv", 2),
             ("subscribe", 1), ("pin", 1), ("drop_projection", 1), ("poll", 0),
             ("drop_table", 0), ("create_table", 0), ("add", 2), ("poll", 0),
@@ -614,8 +606,6 @@ def rich_state() -> Tuple[CatalogState, SidFactory]:
 
 def one_op_of_each_kind(state: CatalogState, sids: SidFactory) -> Dict[str, dict]:
     container = next(iter(state.containers.values()))
-    # Not the dropped container's own delete vector: that one cascades.
-    dv = next(d for d in state.delete_vectors.values() if d.target_sid != container.sid)
     schema = TableSchema.of(("x", ColumnType.INT))
     return {
         "create_table": op_create_table(Table("u", schema)),
@@ -632,7 +622,6 @@ def one_op_of_each_kind(state: CatalogState, sids: SidFactory) -> Dict[str, dict
         "add_delete_vector": op_add_delete_vector(DeleteVector(
             sid=sids.next_sid(), target_sid=container.sid, projection="t_p",
             shard_id=0, deleted_count=2, size_bytes=8)),
-        "drop_delete_vector": op_drop_delete_vector(str(dv.sid), 0),
         "set_property": op_set_property("k2", "é"),
         "set_subscription": op_set_subscription("n2", 1, "PENDING"),
         "drop_subscription": op_drop_subscription("n1", 0),
@@ -729,8 +718,6 @@ class TestRemovedNames:
         containers = {c.projection: sid for sid, c in state.containers.items()}
         dvs = {d.projection: sid for sid, d in state.delete_vectors.items()}
         s = state.copy()
-        assert s.apply(op_drop_delete_vector(dvs["t_p"], 0)) == [dvs["t_p"]]
-        s = state.copy()
         assert s.apply(op_drop_container(containers["t_p"], 0)) == [containers["t_p"], dvs["t_p"]]
         s = state.copy()
         assert sorted(s.apply(op_drop_projection("t_q"))) == sorted([containers["t_q"], dvs["t_q"]])
@@ -749,10 +736,10 @@ class TestRemovedNames:
         other = fake_container(sids.next_sid(), "t_p", 3)
         state.apply(op_add_container(other))
         mine = next(sid for sid, c in state.containers.items() if c.shard_id == 0)
+        its_dv = next(sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == mine)
         removed = state.copy().apply_all(
-            [op_drop_container(str(other.sid), 3), op_drop_delete_vector(
-                next(iter(state.delete_vectors)), 0)], shard_filter={0})
-        assert removed == [next(iter(state.delete_vectors))]
+            [op_drop_container(str(other.sid), 3), op_drop_container(mine, 0)], shard_filter={0})
+        assert removed == [mine, its_dv]
         assert mine in state.containers
 
     def test_re_add_is_reported_but_still_held(self):

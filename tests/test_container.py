@@ -103,7 +103,7 @@ class TestContainerCodec:
 
     def test_column_order_preserved(self):
         reader = read_container(write_container(make_rows(5))[0])
-        assert reader.column_names == ["k", "s", "v"]
+        assert list(reader.column_order) == ["k", "s", "v"]
 
     def test_row_count_in_footer(self):
         reader = read_container(write_container(make_rows(7))[0])

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.storage.encoding import (
     Encoding,
-    choose_encoding,
     decode_block,
     encode_block,
 )
+from tests.test_codec_kernel import choose_encoding
 
 
 def roundtrip(arr: np.ndarray, encoding=None) -> np.ndarray:

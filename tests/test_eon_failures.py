@@ -99,7 +99,7 @@ class TestRecovery:
         cluster.kill_node("n2")  # process death, disk survives
         reports = cluster.recover_node("n2")
         # The lukewarm cache already holds the files: nothing transferred.
-        transferred = sum(r.transferred for r in reports.values() if r)
+        transferred = sum(r.copied_from_peer + r.fetched_from_shared for r in reports.values() if r)
         already = sum(r.already_present for r in reports.values() if r)
         assert transferred == 0
         assert already > 0
@@ -108,7 +108,7 @@ class TestRecovery:
         cluster.query("select count(*) from t")
         cluster.kill_node("n2", lose_local_disk=True)
         reports = cluster.recover_node("n2")
-        transferred = sum(r.transferred for r in reports.values() if r)
+        transferred = sum(r.copied_from_peer + r.fetched_from_shared for r in reports.values() if r)
         assert transferred > 0  # cold cache had to be rebuilt
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(600,)]
 

@@ -53,7 +53,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.common.dates import make_date, month_of_days, year_of_days
+from repro.common.dates import make_date
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine import expressions, operators
 from repro.engine.expressions import (
@@ -84,6 +84,8 @@ from tests.test_join_kernel import (
     reference_hash_join,
     reference_match_mask,
 )
+from tests.test_expressions import like
+from tests.test_types_dates import month_of_days, year_of_days
 
 NAN = float("nan")
 
@@ -389,15 +391,15 @@ class TestStringKernels:
     @given(st.lists(st.one_of(st.none(), _TEXT), max_size=12), _TEXT)
     def test_like(self, values, pattern):
         rows = _rowset({"s": ("str", _column("str", values))})
-        got = col("s").like(pattern).evaluate(rows)
+        got = like(col("s"), pattern).evaluate(rows)
         assert got.dtype == np.bool_
         assert got.tolist() == reference_like(rows.column("s"), pattern).tolist()
 
     def test_percent_and_underscore_match_a_newline(self):
         rows = _rowset({"s": ("str", _column("str", ["a\nxb", "\n", "ab"]))})
-        assert col("s").like("%x%").evaluate(rows).tolist() == [True, False, False]
-        assert col("s").like("_").evaluate(rows).tolist() == [False, True, False]
-        assert col("s").like("a_xb").evaluate(rows).tolist() == [True, False, False]
+        assert like(col("s"), "%x%").evaluate(rows).tolist() == [True, False, False]
+        assert like(col("s"), "_").evaluate(rows).tolist() == [False, True, False]
+        assert like(col("s"), "a_xb").evaluate(rows).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("repeats", [1, 300])
     def test_string_functions_on_distinct_and_on_repeating_columns(self, repeats):
@@ -415,7 +417,7 @@ class TestStringKernels:
             (FuncCall("substr", (col("s"), Literal(2), Literal(2))),
              lambda v: v[1:3], None, object),
             (FuncCall("substr", (col("s"), Literal(1))), lambda v: v[0:], None, object),
-            (col("s").like("%b"), lambda v: v.endswith("b"), False, np.bool_),
+            (like(col("s"), "%b"), lambda v: v.endswith("b"), False, np.bool_),
         ]
         for expr, func, null, dtype in cases:
             got = expr.evaluate(rows)
@@ -425,7 +427,7 @@ class TestStringKernels:
     def test_empty_input(self):
         rows = _rowset({"s": ("str", _column("str", []))})
         assert FuncCall("lower", (col("s"),)).evaluate(rows).tolist() == []
-        assert col("s").like("%").evaluate(rows).dtype == np.bool_
+        assert like(col("s"), "%").evaluate(rows).dtype == np.bool_
 
 
 #: Every day ``datetime.date`` can name.
@@ -830,6 +832,11 @@ def cell_by_cell_bytes(rows: RowSet) -> int:
     return total
 
 
+def cells(rows: RowSet) -> List[tuple]:
+    """The rows as tuples of the column arrays' own scalars."""
+    return list(zip(*(rows.column(n) for n in rows.schema.names)))
+
+
 def assert_held_well(rows: RowSet) -> None:
     """Whatever an operator hands on as codes keeps the three invariants."""
     for name in rows.schema.names:
@@ -847,7 +854,7 @@ def _leaf(draw, column: str):
     if kind == 2:
         return InList(s, tuple(draw(st.lists(st.one_of(st.none(), text), max_size=3))))
     if kind == 3:
-        return s.like(draw(st.sampled_from(["%", "a%", "%b", "_", "a_", "%a%", ""])))
+        return like(s, draw(st.sampled_from(["%", "a%", "%b", "_", "a_", "%a%", ""])))
     if kind == 4:
         args = (s, Literal(draw(st.integers(1, 3)))) + draw(
             st.sampled_from([(), (Literal(1),), (Literal(2),)]))
@@ -924,7 +931,7 @@ class TestEncodedEqualsDecoded:
         expr = data.draw(st.sampled_from([
             BinaryOp("=", col("s"), col("t")),
             (col("s") == "a") & (col("v") > 0),
-            (col("s").like("a%")) | (col("t") == "b") | (col("f") > 0.0),
+            (like(col("s"), "a%")) | (col("t") == "b") | (col("f") > 0.0),
             CaseWhen([(col("v") > 0, col("s"))], col("t")),
         ]))
         got, want = expr.evaluate(rows), expr.evaluate(twin(rows))
@@ -1104,7 +1111,7 @@ class TestEncodedEqualsDecoded:
         ):
             assert_held_well(got)
             assert_same_rowset(got, want)
-            assert repr(got.to_rows()) == repr(want.to_rows())
+            assert repr(cells(got)) == repr(cells(want))
             exact = [name for name in got.schema.names if name != "f"]  # NaN != NaN
             assert got.select(exact) == want.select(exact)
         assert sorted(rows.columns) == sorted(plain.columns)

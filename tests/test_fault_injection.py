@@ -12,8 +12,27 @@ without data loss or wrong answers.
 import pytest
 
 from repro import EonCluster, SimClock
+from repro.errors import TransientStorageError
 from repro.shared_storage.s3 import FaultInjector, SimulatedS3
 from repro.tuple_mover import MergeoutCoordinatorService
+
+
+def decisions(injector) -> list:
+    """The ``(operation, failed)`` log of every decision ``injector`` makes
+    from now on."""
+    log = []
+    decide = injector.maybe_fail
+
+    def maybe_fail(operation):
+        try:
+            decide(operation)
+        except TransientStorageError:
+            log.append((operation, True))
+            raise
+        log.append((operation, False))
+
+    injector.maybe_fail = maybe_fail
+    return log
 
 
 def flaky_cluster(failure_rate=0.05, seed=30, clock=None):
@@ -82,8 +101,6 @@ class TestFlakyS3:
         assert out.rows.to_pylist() == [(300,)]
 
     def test_persistent_failure_eventually_surfaces(self):
-        from repro.errors import TransientStorageError
-
         cluster = flaky_cluster(failure_rate=1.0)  # S3 is down-down
         with pytest.raises(TransientStorageError):
             cluster.execute("create table t (a int)")
@@ -98,43 +115,46 @@ class TestInjectorDeterminism:
 
     def test_same_seed_same_decisions(self):
         def drive(injector):
+            log = decisions(injector)
             for i in range(500):
                 try:
                     injector.maybe_fail(f"read op{i % 7}")
                 except Exception:
                     pass
-            return injector.decision_digest()
+            return log
 
         a = FaultInjector(failure_rate=0.10, seed=99)
         b = FaultInjector(failure_rate=0.10, seed=99)
         assert drive(a) == drive(b)
         assert a.draws == b.draws and a.injected == b.injected
-        assert a.injected > 0  # the digest covered real failures
+        assert a.injected > 0  # the log covered real failures
 
     def test_different_seed_different_decisions(self):
         def drive(injector):
+            log = decisions(injector)
             for i in range(500):
                 try:
                     injector.maybe_fail("read")
                 except Exception:
                     pass
-            return injector.decision_digest()
+            return log
 
         assert drive(FaultInjector(failure_rate=0.10, seed=1)) != \
             drive(FaultInjector(failure_rate=0.10, seed=2))
 
     def test_workload_trace_reproducible_end_to_end(self):
         """Two whole cluster workloads on equal seeds touch S3 identically:
-        the injectors end with equal digests after equal draw counts."""
+        the injectors log equal decisions after equal draw counts."""
         def run(seed):
             cluster = flaky_cluster(failure_rate=0.08, seed=seed)
+            log = decisions(cluster.shared.faults)
             cluster.execute("create table t (a int, b varchar)")
             for batch in range(3):
                 cluster.load("t", [(batch * 50 + i, "x") for i in range(50)])
             cluster.execute("delete from t where a < 20")
             cluster.query("select count(*) from t", use_cache=False)
             faults = cluster.shared.faults
-            return faults.decision_digest(), faults.draws, faults.injected
+            return log, faults.draws, faults.injected
 
         assert run(seed=44) == run(seed=44)
 

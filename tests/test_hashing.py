@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common import hashing
 from repro.common.hashing import (
     HASH_SPACE,
     hash_bytes,
     hash_column,
     hash_columns,
     hash_int,
-    hash_row,
     hash_value,
 )
+
+
+def hash_row(values) -> int:
+    """The scalar form of ``hash_columns``: one row's multi-column key,
+    mixed per column."""
+    h = hashing._FNV_OFFSET
+    for value in values:
+        h ^= hash_value(value)
+        h = (h * hashing._FNV_PRIME) & hashing._MASK32
+    return h
 
 
 class TestScalarHashing:

@@ -14,7 +14,6 @@ from repro.catalog.mvcc import (
     op_create_table,
     op_create_user,
     op_drop_container,
-    op_drop_delete_vector,
     op_drop_projection,
     op_drop_subscription,
     op_drop_table,
@@ -129,10 +128,6 @@ class TestStorageOps:
     def test_drop_missing_container_rejected(self, state):
         with pytest.raises(CatalogError):
             state.apply(op_drop_container("nope", 0))
-
-    def test_drop_missing_dv_rejected(self, state):
-        with pytest.raises(CatalogError):
-            state.apply(op_drop_delete_vector("nope", 0))
 
     def test_containers_of_filters(self, state, sids):
         state.apply(op_add_container(container(sids, shard=0)))

@@ -42,11 +42,11 @@ class TestMetricsRegistry:
         assert snap.counters["reads{node=n1}"] == 1
         assert snap.counters["reads{node=n2}"] == 2
 
-    def test_gauge_set_inc_dec(self, clock):
+    def test_gauge_set_and_inc(self, clock):
         gauge = MetricsRegistry(clock).gauge("cache.bytes")
         gauge.set(100)
         gauge.inc(10)
-        gauge.dec(30)
+        gauge.inc(-30)
         assert gauge.value == 80
 
     def test_histogram_buckets(self, clock):

@@ -72,7 +72,7 @@ class TestWOS:
         wos.insert("p", rows(2, start=3))
         snapshot = wos.read("p")
         assert snapshot.num_rows == 5
-        assert wos.rows_buffered("p") == 5
+        assert wos._buffers["p"].row_count == 5
 
     def test_drain_removes(self):
         wos = WOS()

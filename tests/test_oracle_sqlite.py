@@ -16,13 +16,15 @@ SQLite; Hypothesis writes the queries.  Row multisets must be equal.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
-from repro.common.dates import date_to_days, days_to_date
-from repro.sim.oracle import SqliteOracle, multiset, to_sqlite
+from repro.common.dates import date_to_days
+from repro.sim.oracle import SqliteOracle, normalise, to_sqlite
+from tests.test_types_dates import days_to_date
 
 COLUMNS = [
     ("k", ColumnType.INT), ("g", ColumnType.INT), ("h", ColumnType.INT),
@@ -521,6 +523,9 @@ class TestTheOracleItself:
                 to_sqlite(unsupported)
 
     def test_multiset_normalises_null_and_rounding(self):
+        def multiset(rows):
+            return Counter(normalise(rows))
+
         nan = float("nan")
         assert multiset([(1, nan, True)]) == multiset([(1, None, 1)])
         assert multiset([(0.1 + 0.2,)]) == multiset([(0.3,)])

@@ -20,7 +20,7 @@ from repro.engine.plan import AggregateNode, JoinNode, ScanNode, walk
 from repro.engine.planner import plan_query
 from repro.errors import PlanningError
 from repro.sql.binder import bind_select
-from repro.sql.parser import parse_one
+from tests.test_sql import parse_one
 
 
 def catalog() -> CatalogState:

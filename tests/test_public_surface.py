@@ -7,15 +7,19 @@ container, the registry instruments written anywhere are listed by name, only
 ``catalog/`` writes catalog state, only the subscription modules read a
 subscription map, no module grows past ~600 lines, four callers apply a commit
 to a catalog, a node's catalog catches up in one place, no class in ``src/``
-keeps a reference-arm switch, every option has a caller, and the autoscaler
-is a leaf that two modules import.
+keeps a reference-arm switch, every option, function and options field has a
+caller, every catalog op kind has a producer, no benchmark module shadows the
+standard library, and the autoscaler is a leaf that two modules import.
 
-``python tests/test_public_surface.py`` (``make knobs``) prints the option
-census: the defaulted parameters nothing outside the tests passes."""
+``python tests/test_public_surface.py`` (``make knobs``) prints the three
+censuses: the defaulted parameters, the functions and the options-dataclass
+fields that nothing outside the tests passes, calls or sets."""
 
 import ast
+import functools
 import inspect
 import re
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -24,6 +28,8 @@ import pytest
 from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.cluster.enterprise import QUERY_OPTIONS as ENTERPRISE_OPTIONS
 from repro.cluster.eon import QUERY_OPTIONS as EON_OPTIONS
+from repro.catalog.mvcc import _HANDLERS
+from repro.cluster.services import SERVICES
 from repro.engine.executor import Executor, StorageProvider
 from repro.errors import ExecutionError, ReproError
 from repro.sql.parser import parse
@@ -156,8 +162,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: A module may shrink or leave this list; none may grow or join it.
 OVER_600 = {
     "engine/designer.py": 1107, "sim/actions.py": 1111, "engine/operators.py": 821,
-    "workloads/tpch.py": 647, "storage/encoding.py": 629, "cluster/enterprise.py": 619,
-    "catalog/mvcc.py": 619, "engine/expressions.py": 607,
+    "workloads/tpch.py": 647, "storage/encoding.py": 622, "cluster/enterprise.py": 616,
+    "catalog/mvcc.py": 607,
 }
 
 
@@ -180,8 +186,8 @@ def call_sites(names, paths) -> set:
     return sites
 
 
-#: Where a call that sets an option may stand: the program, its benchmarks
-#: and its examples.  A test's call does not count.
+#: Where a call that sets an option, or names a function, may stand: the
+#: program, its benchmarks and its examples.  A test's call does not count.
 CALLERS = ("src", "benchmarks", "examples")
 
 
@@ -201,95 +207,185 @@ def _functions(tree):
                     yield f"{node.name}.{method.name}", called, method
 
 
-def option_census() -> list:
-    """``(file, function, parameter)`` of every defaulted parameter of a
-    ``src/`` function that no call in ``CALLERS`` passes, by keyword or by
-    position.  Calls are resolved by name alone: ``x.f(...)`` and ``f(...)``
+class CallIndex:
+    """Every call and every name in ``CALLERS``, read once for the three
+    censuses.  Calls are resolved by name alone: ``x.f(...)`` and ``f(...)``
     count for every function called ``f``; ``C(...)``, and ``cls(...)``
     inside ``C``, call ``C.__init__`` (the first base's when ``C`` has
     none); ``super().__init__(...)`` calls the first base's.  A module
     function bound in a class body (``add_node = lifecycle.add_node``) takes
     the receiver of an ``x.f(...)`` call as its first argument.  A ``*`` or
-    ``**`` argument passes everything."""
-    root = SRC.parents[1]
-    trees = {
-        path: ast.parse(path.read_text())
-        for top in CALLERS for path in sorted((root / top).rglob("*.py"))
-    }
-    classes = {
-        node.name: node for tree in trees.values()
-        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-    }
+    ``**`` argument passes everything.
 
-    def first_base(name):
-        bases = classes[name].bases
+    ``named`` holds every identifier read as a value — ``f`` or ``x.f``,
+    called, passed or bound — plus the names spelled as strings: a
+    ``getattr(x, "name")``, the properties a ``Ledger`` lists in ``derived``
+    and the ``_<service>`` methods ``ServiceScheduler.run`` reaches by
+    ``getattr(self, "_" + service)``.  An import is
+    not a read, so an ``__init__.py`` re-export names nothing."""
+
+    def __init__(self):
+        root = SRC.parents[1]
+        self.trees = {
+            path: ast.parse(path.read_text())
+            for top in CALLERS for path in sorted((root / top).rglob("*.py"))
+        }
+        self.classes = {
+            node.name: node for tree in self.trees.values()
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        }
+        bound = {
+            target.id for cls in self.classes.values() for node in cls.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id == node.value.attr
+        }
+        self.keywords, self.positions, self.splat = defaultdict(set), defaultdict(int), set()
+        self.named = {"_" + service for service in SERVICES}
+        for tree in self.trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    self.named.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    self.named.add(node.attr)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr" and (
+                    len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                ):
+                    self.named.add(node.args[1].value)
+                elif isinstance(node, ast.Assign) and [
+                    ast.unparse(t) for t in node.targets
+                ] == ["derived"] and isinstance(node.value, ast.Tuple):
+                    self.named |= {e.value for e in node.value.elts}
+            scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+            for owner, scope in scopes:
+                for call in ast.walk(scope):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func, receiver = call.func, 0
+                    if isinstance(func, ast.Name):
+                        name = owner if func.id == "cls" and owner else func.id
+                    elif isinstance(func, ast.Attribute):
+                        name = func.attr
+                        if name == "__init__" and owner and ast.unparse(func.value) == "super()":
+                            name = self.first_base(owner)
+                        elif name in bound:
+                            receiver = 1
+                    else:
+                        continue
+                    name = self.init_owner(name)
+                    plain = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+                    self.positions[name] = max(self.positions[name], receiver + len(plain))
+                    if len(plain) < len(call.args) or any(k.arg is None for k in call.keywords):
+                        self.splat.add(name)
+                    self.keywords[name] |= {k.arg for k in call.keywords}
+
+    def first_base(self, name):
+        bases = self.classes[name].bases
         return getattr(bases[0], "id", getattr(bases[0], "attr", name)) if bases else name
 
-    def init_owner(name, seen=()):
-        if name not in classes or name in seen or any(
-            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body
+    def init_owner(self, name, seen=()):
+        if name not in self.classes or name in seen or any(
+            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in self.classes[name].body
         ):
             return name
-        return init_owner(first_base(name), seen + (name,))
+        return self.init_owner(self.first_base(name), seen + (name,))
 
-    bound = {
-        target.id for cls in classes.values() for node in cls.body
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
-        for target in node.targets
-        if isinstance(target, ast.Name) and target.id == node.value.attr
-    }
-    keywords, positions, splat = defaultdict(set), defaultdict(int), set()
-    for tree in trees.values():
-        scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
-        for owner, scope in scopes:
-            for call in ast.walk(scope):
-                if not isinstance(call, ast.Call):
-                    continue
-                func, receiver = call.func, 0
-                if isinstance(func, ast.Name):
-                    name = owner if func.id == "cls" and owner else func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                    if name == "__init__" and owner and ast.unparse(func.value) == "super()":
-                        name = first_base(owner)
-                    elif name in bound:
-                        receiver = 1
-                else:
-                    continue
-                name = init_owner(name)
-                plain = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
-                positions[name] = max(positions[name], receiver + len(plain))
-                if len(plain) < len(call.args) or any(k.arg is None for k in call.keywords):
-                    splat.add(name)
-                keywords[name] |= {k.arg for k in call.keywords}
+    def passed(self, name, param, index) -> bool:
+        """Whether a call of ``name`` passes ``param`` (at ``index`` when it
+        can stand by position)."""
+        return (
+            param in self.keywords[name] or name in self.splat
+            or (index is not None and index < self.positions[name])
+        )
+
+    def src_trees(self):
+        for path, tree in self.trees.items():
+            if SRC in path.parents:
+                yield str(path.relative_to(SRC)), tree
+
+
+@functools.lru_cache(maxsize=None)
+def call_index() -> CallIndex:
+    return CallIndex()
+
+
+def option_census() -> list:
+    """``(file, function, parameter)`` of every defaulted parameter of a
+    ``src/`` function that no call in ``CALLERS`` passes, by keyword or by
+    position (see :class:`CallIndex` for how a call is resolved)."""
+    index = call_index()
     found = []
-    for path, tree in trees.items():
-        if SRC not in path.parents:
-            continue
+    for where, tree in index.src_trees():
         for qualname, name, func in _functions(tree):
             args = func.args
             ordered = args.posonlyargs + args.args
             skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
             defaulted = [
-                (arg.arg, index - skip) for index, arg in enumerate(ordered)
-                if index >= len(ordered) - len(args.defaults)
+                (arg.arg, position - skip) for position, arg in enumerate(ordered)
+                if position >= len(ordered) - len(args.defaults)
             ] + [
                 (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                 if default is not None
             ]
-            for param, index in defaulted:
-                passed = (
-                    param in keywords[name] or name in splat
-                    or (index is not None and index < positions[name])
-                )
-                if not passed:
-                    found.append((str(path.relative_to(SRC)), qualname, param))
+            for param, position in defaulted:
+                if not index.passed(name, param, position):
+                    found.append((where, qualname, param))
+    return sorted(found)
+
+
+def callable_census() -> list:
+    """``(file, qualname, lines)`` of every module-level function, class and
+    non-dunder method of ``src/`` whose name nothing in ``CALLERS`` reads
+    (see :class:`CallIndex`): code only the tests reach, or nothing does."""
+    index = call_index()
+    found = []
+    for where, tree in index.src_trees():
+        for node in tree.body:
+            defs = [(node.name, node)] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{f.name}", f) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+                ]
+            for qualname, definition in defs:
+                if definition.name not in index.named:
+                    first = min([definition.lineno] + [d.lineno for d in definition.decorator_list])
+                    found.append((where, qualname, definition.end_lineno - first + 1))
+    return sorted(found)
+
+
+#: The suffixes of an options dataclass; a ``Ledger`` is a counter, not one.
+OPTION_CLASSES = re.compile(r"\w+(Config|Policy|Model|Intervals|Profile)$")
+
+
+def field_census() -> list:
+    """``(file, class, field)`` of every init field of a ``src/`` options
+    dataclass (a name matching ``OPTION_CLASSES``, not a ``Ledger``) that no
+    call in ``CALLERS`` sets, by keyword or by position."""
+    index = call_index()
+    found = []
+    for where, tree in index.src_trees():
+        for cls in tree.body:
+            if not (
+                isinstance(cls, ast.ClassDef) and OPTION_CLASSES.fullmatch(cls.name)
+                and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                and "Ledger" not in map(ast.unparse, cls.bases)
+            ):
+                continue
+            fields = [
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and "ClassVar" not in ast.unparse(node.annotation)
+                and "init=False" not in ast.unparse(node.value or ast.Constant(None))
+            ]
+            for position, name in enumerate(fields):
+                if not index.passed(cls.name, name, position):
+                    found.append((where, cls.name, name))
     return sorted(found)
 
 
 _BENCH = "src/repro/bench/ goes with the legacy benches (ROADMAP item 10)"
 _WARMING = "§5.2: depot warming's byte budget and its choice of peer or shared storage"
-_SERVICES = "§3.5: a service's interval, the operator's ServiceIntervals"
 _S3 = "PAPER.md's substitution table: the simulated S3's latency and cost models"
 _SERIAL = "Node.fetch_storage as the SerialFetch reference arm calls it (tests/test_io_scheduler.py)"
 _ENTERPRISE = "the Enterprise baseline is built like EonCluster: execution slots (§4.2) and a clock"
@@ -320,17 +416,10 @@ SETTABLE = {
     ("cluster/lifecycle.py", "add_node", "shards"): _GROWTH,
     ("cluster/node.py", "Node.fetch_storage", "info"): _SERIAL,
     ("cluster/node.py", "Node.fetch_storage", "use_cache"): _SERIAL,
-    ("cluster/services.py", "ServiceScheduler.__init__", "intervals"): _SERVICES,
-    ("cluster/services.py", "ServiceScheduler.start", "duration"): _OPERAND,
-    ("common/clock.py", "Resource.acquire", "amount"): _OPERAND,
     ("engine/designer.py", "DatabaseDesigner.add_query", "weight"): _OPERAND,
     ("engine/operators.py", "sort_limit", "limit"): _OPERAND,
-    ("obs/datacollector.py", "DataCollector.dropped", "table"): _OPERAND,
-    ("obs/datacollector.py", "NullDataCollector.dropped", "table"): _OPERAND,
-    ("obs/metrics.py", "Gauge.dec", "amount"): _OPERAND,
     ("obs/metrics.py", "MetricsRegistry.histogram", "buckets"): _OPERAND,
     ("obs/metrics.py", "NullRegistry.histogram", "buckets"): _OPERAND,
-    ("obs/metrics.py", "_NullInstrument.dec", "amount"): _OPERAND,
     ("shared_storage/s3.py", "SimulatedS3.__init__", "cost"): _S3,
     ("shared_storage/s3.py", "SimulatedS3.__init__", "latency"): _S3,
     ("sim/oracle.py", "SqliteOracle.check", "ordered"): _OPERAND,
@@ -341,6 +430,41 @@ SETTABLE = {
     ("storage/encoding.py", "encode_block", "encoding"): _OPERAND,
     ("wm/driver.py", "run_serial_reference", "result_key"): _OPERAND,
     ("workloads/dashboard.py", "load_dashboard_data", "n_devices"): _OPERAND,
+}
+
+#: What the callable census leaves: a mechanism of the paper that nothing
+#: in the program drives yet, each with its section.  Anything else that
+#: only the tests call moves into the tests.
+UNCALLED = {
+    ("cluster/enterprise.py", "EnterpriseCluster.mergeout"):
+        "§6.2: Enterprise mode's per-node mergeout, the baseline that Eon's"
+        " coordinated mergeout replaces; the Enterprise write fingerprint pins it",
+    ("cluster/revive.py", "form_cluster"):
+        "§3.5: cluster formation after a crash mid-commit, truncating every"
+        " node to the consensus version",
+}
+
+_COST = "ROADMAP item 1(c): the cost model's constants, to be fitted to a measured trajectory"
+
+#: What the field census leaves, each with why it stays settable.  An
+#: options dataclass field that nothing outside the tests sets is a module
+#: constant, unless it is a setting the paper (or a fit) gives the operator.
+FIELD_SETTABLE = {
+    ("cache/disk_cache.py", "ShapingPolicy", "pin"):
+        "§5.2: the operator's depot pinning policy, a predicate over a file's"
+        " table and partition",
+    **{("engine/cost.py", "CostModel", name): _COST for name in (
+        "cell_cpu_seconds", "dispatch_seconds", "network_bandwidth",
+        "network_latency", "row_cpu_seconds",
+    )},
+    **{("shared_storage/s3.py", "S3CostModel", name): _S3 for name in (
+        "get_per_1k", "list_per_1k", "put_per_1k", "return_per_gb",
+        "scan_per_gb", "select_per_1k", "storage_per_gb_month",
+    )},
+    **{("shared_storage/s3.py", "S3LatencyModel", name): _S3 for name in (
+        "list_seconds", "read_bandwidth", "request_seconds", "scan_bandwidth",
+        "select_request_seconds", "write_bandwidth",
+    )},
 }
 
 
@@ -577,7 +701,56 @@ class TestStructure:
         tests monkeypatch, or is listed in ``SETTABLE`` with its reason."""
         assert option_census() == sorted(SETTABLE)
 
+    def test_every_function_has_a_caller(self):
+        """A function, class or method that nothing outside the tests names
+        goes, or moves into the tests that use it, or is listed in
+        ``UNCALLED`` with its paper section."""
+        assert [row[:2] for row in callable_census()] == sorted(UNCALLED)
+
+    def test_every_option_field_has_a_setter(self):
+        """An options-dataclass field that nothing outside the tests sets is
+        a module constant, or is listed in ``FIELD_SETTABLE`` with its
+        reason."""
+        assert field_census() == sorted(FIELD_SETTABLE)
+
+    def test_every_catalog_op_kind_has_a_producer(self):
+        """Each kind ``CatalogState.apply`` handles is made by an ``op_*``
+        constructor that a ``src/`` call uses: a handler for an op nothing
+        emits is code no commit reaches."""
+        mvcc = SRC / "catalog" / "mvcc.py"
+        produces = {
+            func.name: value.value
+            for func in ast.parse(mvcc.read_text()).body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("op_")
+            for node in ast.walk(func) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "op"
+            and isinstance(value, ast.Constant)
+        }
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+        }
+        assert sorted(produces[f] for f in produces if f in called) == sorted(_HANDLERS)
+
+    def test_no_benchmark_module_shadows_the_standard_library(self):
+        """``benchmarks/`` goes on ``sys.path`` for its scripts and the
+        legacy benches; a module there named like a stdlib one (``profile``)
+        breaks every import of the real one (pytest-benchmark imports
+        ``cProfile``, which imports ``profile``)."""
+        stems = {path.stem for path in (SRC.parents[1] / "benchmarks").glob("*.py")}
+        assert sorted(stems & sys.stdlib_module_names) == []
+
+
+def _report(title, rows):
+    print(f"# {title}")
+    for row in rows:
+        print(*row)
+    print(f"{len(rows)} {title}")
+
 
 if __name__ == "__main__":
-    for row in option_census():
-        print(*row)
+    _report("options (file function parameter)", option_census())
+    _report("callables (file name lines)", callable_census())
+    _report("fields (file class field)", field_census())

@@ -30,9 +30,9 @@ from repro.engine.expressions import (
     BinaryOp,
     InList,
     IsNull,
+    Literal,
     col,
     extract_column_bounds,
-    lit,
 )
 from repro.errors import StorageError
 from repro.shared_storage.s3 import AGGREGATE_WIRE_BYTES, SimulatedS3
@@ -74,16 +74,16 @@ def predicates(draw):
     if kind == "none":
         return None
     if kind == "lt":
-        return BinaryOp("<", col("k"), lit(draw(st.integers(-60, 60))))
+        return BinaryOp("<", col("k"), Literal(draw(st.integers(-60, 60))))
     if kind == "ge":
-        return BinaryOp(">=", col("v"), lit(draw(st.integers(-110, 110))))
+        return BinaryOp(">=", col("v"), Literal(draw(st.integers(-110, 110))))
     if kind == "between":
         lo = draw(st.integers(-60, 60))
         hi = draw(st.integers(-60, 60))
         return BinaryOp(
             "and",
-            BinaryOp(">=", col("k"), lit(min(lo, hi))),
-            BinaryOp("<=", col("k"), lit(max(lo, hi))),
+            BinaryOp(">=", col("k"), Literal(min(lo, hi))),
+            BinaryOp("<=", col("k"), Literal(max(lo, hi))),
         )
     if kind == "inlist":
         values = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=5))
@@ -92,8 +92,8 @@ def predicates(draw):
         return IsNull(col("g"), negated=draw(st.booleans()))
     return BinaryOp(
         "and",
-        BinaryOp("<", col("k"), lit(draw(st.integers(-60, 60)))),
-        BinaryOp(">", col("v"), lit(draw(st.integers(-110, 110)))),
+        BinaryOp("<", col("k"), Literal(draw(st.integers(-60, 60)))),
+        BinaryOp(">", col("v"), Literal(draw(st.integers(-110, 110)))),
     )
 
 
@@ -242,7 +242,7 @@ class TestSelectScanProperties:
         s3 = SimulatedS3()
         s3.write("obj", data)
         select = s3.select_scan("obj")
-        assert select.rows.schema.names == read_container(data).column_names
+        assert select.rows.schema.names == list(read_container(data).column_order)
         assert select.bytes_scanned == read_container(data).stored_bytes(
             ["k", "g", "v"]
         )

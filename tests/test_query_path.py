@@ -25,6 +25,7 @@ from repro.sim.oracle import rows_key
 from repro.sql.parser import parse
 from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
 from repro.workloads.tpch import TPCH_QUERIES, setup_tpch_schema
+from tests.test_workload_manager import ok_digests
 
 NODES = ["n1", "n2", "n3", "n4", "n5"]
 ROWS = [(k, f"g{k % 5}", (k * 7) % 101) for k in range(400)]
@@ -272,7 +273,7 @@ class TestPlanCache:
                 statements=concurrent, clients=8, requests_per_client=3, seed=1,
             ), result_key=rows_key)
             assert loop.completed == 24 and loop.errors == loop.rejected == 0
-            return rows + loop.ok_digests()
+            return rows + ok_digests(loop)
 
         first = one_pass()
         # Once per statement text; once per statement per initiator's catalog
@@ -424,7 +425,7 @@ class TestBoundOnce:
             concurrent = run_closed_loop(make(), workload, result_key=rows_key)
             serial = run_serial_reference(make(), workload, result_key=rows_key)
             assert concurrent.errors == serial.errors == 0
-            assert concurrent.ok_digests() == serial.ok_digests()
+            assert ok_digests(concurrent) == ok_digests(serial)
 
     def test_a_monitor_read_in_the_loop_sees_the_moment_it_runs(self, cluster, binds):
         """It is bound when it executes — under its own one-slot ticket — and

@@ -26,7 +26,7 @@ def drop_some_containers(cluster):
 class TestDeferredDeletion:
     def test_files_retained_until_truncation_passes(self, cluster):
         drop_some_containers(cluster)
-        pending = cluster.reaper.pending_count
+        pending = len(cluster.reaper._pending)
         assert pending > 0
         stats = cluster.reaper.poll()
         # Metadata not yet uploaded: drop versions exceed truncation.
@@ -39,7 +39,7 @@ class TestDeferredDeletion:
         cluster.compute_truncation_version()
         stats = cluster.reaper.poll()
         assert stats.deleted > 0
-        assert cluster.reaper.pending_count == 0
+        assert len(cluster.reaper._pending) == 0
 
     def test_files_retained_while_query_snapshot_pinned(self, cluster):
         session = cluster.create_session(seed=1)  # pins current version

@@ -29,9 +29,9 @@ from repro.cluster.session import EonStorageProvider
 from repro.engine import operators
 from repro.errors import CorruptBlock
 from repro.sharding import assignment
-from repro.sql.parser import parse_expression
 from repro.storage import column as column_module
 from repro.storage.encoding import CodedStrings
+from tests.test_sql import parse_expression
 
 NODES = ["a", "b", "c", "d"]
 DIM = [("d_id", ColumnType.INT), ("d_name", ColumnType.VARCHAR), ("d_weight", ColumnType.FLOAT)]

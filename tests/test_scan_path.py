@@ -48,7 +48,6 @@ from repro.engine.pruning import prune_containers
 from repro.errors import CorruptBlock
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.shared_storage.s3 import SimulatedS3
-from repro.sql.parser import parse_expression
 from repro.storage import column as column_module
 from repro.storage.container import RowSet, read_container, write_container
 from repro.storage.delete_vector import (
@@ -59,12 +58,12 @@ from repro.storage.delete_vector import (
 from repro.storage.encoding import (
     CodedStrings,
     Encoding,
-    choose_encoding,
     decode_block,
     encode_block,
 )
 from repro.tuple_mover import MergeoutCoordinatorService
-from tests.test_codec_kernel import footer_start
+from tests.test_codec_kernel import choose_encoding, footer_start
+from tests.test_sql import parse_expression
 
 COLUMNS = [
     ("k", ColumnType.INT), ("g", ColumnType.INT), ("x", ColumnType.INT),

@@ -5,7 +5,7 @@ import pytest
 from repro import EonCluster, SimClock
 from repro.catalog.transaction_log import LogRecord
 from repro.cluster.revive import form_cluster, revive
-from repro.cluster.services import ServiceIntervals, ServiceScheduler
+from repro.cluster.services import ServiceScheduler
 from repro.errors import ReviveError
 
 
@@ -50,28 +50,14 @@ class TestServiceScheduler:
         scheduler.tick()   # second pass reaps them
         assert scheduler.stats.files_reaped > 0
 
-    def test_clock_driven_services(self, cluster):
-        scheduler = ServiceScheduler(
-            cluster,
-            ServiceIntervals(catalog_sync=10.0, cluster_info=30.0,
-                             mergeout=None, reaper=None),
-        )
-        scheduler.start()
-        cluster.clock.run(until=65.0)
-        scheduler.stop()
-        assert scheduler.stats.sync_runs == 6
-        assert scheduler.stats.cluster_info_writes == 2
-
     def test_services_survive_node_failure(self, cluster):
-        scheduler = ServiceScheduler(
-            cluster, ServiceIntervals(catalog_sync=10.0, cluster_info=None,
-                                      mergeout=None, reaper=None),
-        )
-        scheduler.start()
+        scheduler = ServiceScheduler(cluster)
+        for at in range(10, 61, 10):
+            cluster.clock.schedule(at, lambda: scheduler.run("catalog_sync"))
         cluster.clock.schedule(25.0, lambda: cluster.kill_node("n2"))
         cluster.clock.run(until=60.0)
-        scheduler.stop()
-        assert scheduler.stats.sync_runs >= 5
+        assert scheduler.stats.sync_runs == 6
+        assert scheduler.stats.errors == 0
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(300,)]
 
 

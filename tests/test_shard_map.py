@@ -1,16 +1,33 @@
-"""Shard map: hash-region ownership, rowset splitting, crunch masks."""
+"""Shard map: hash-region ownership, rowset splitting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.hashing import HASH_SPACE, hash_row
+from repro.common.hashing import HASH_SPACE
 from repro.common.types import ColumnType, TableSchema
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.storage.container import RowSet
 from repro.storage.encoding import CodedStrings
+from tests.test_hashing import hash_row
 
 SCHEMA = TableSchema.of(("k", ColumnType.INT), ("name", ColumnType.VARCHAR))
+
+
+def shard_of_hash(sm, hash_value):
+    """The scalar form of ``shards_of_rowset``: the shard owning one hash."""
+    assert 0 <= hash_value < HASH_SPACE
+    shard = min(hash_value * sm.count // HASH_SPACE, sm.count - 1)
+    while hash_value < sm._bounds[shard]:
+        shard -= 1
+    while hash_value >= sm._bounds[shard + 1]:
+        shard += 1
+    return shard
+
+
+def region_of(sm, shard_id):
+    """The [lo, hi) hash region a segment shard owns."""
+    return sm._bounds[shard_id], sm._bounds[shard_id + 1]
 
 
 def make_rows(n=500):
@@ -20,7 +37,7 @@ def make_rows(n=500):
 class TestRegions:
     def test_regions_cover_space_exactly(self):
         sm = ShardMap(4)
-        regions = [sm.region_of(s) for s in sm.shard_ids()]
+        regions = [region_of(sm, s) for s in sm.shard_ids()]
         assert regions[0][0] == 0
         assert regions[-1][1] == HASH_SPACE
         for (lo1, hi1), (lo2, _) in zip(regions, regions[1:]):
@@ -28,13 +45,13 @@ class TestRegions:
 
     def test_odd_shard_counts(self):
         sm = ShardMap(3)
-        total = sum(hi - lo for lo, hi in (sm.region_of(s) for s in range(3)))
+        total = sum(hi - lo for lo, hi in (region_of(sm, s) for s in range(3)))
         assert total == HASH_SPACE
 
     def test_single_shard(self):
         sm = ShardMap(1)
-        assert sm.shard_of_hash(0) == 0
-        assert sm.shard_of_hash(HASH_SPACE - 1) == 0
+        assert shard_of_hash(sm, 0) == 0
+        assert shard_of_hash(sm, HASH_SPACE - 1) == 0
 
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
@@ -43,21 +60,17 @@ class TestRegions:
     def test_boundary_values(self):
         sm = ShardMap(4)
         for s in range(4):
-            lo, hi = sm.region_of(s)
-            assert sm.shard_of_hash(lo) == s
-            assert sm.shard_of_hash(hi - 1) == s
-
-    def test_hash_out_of_space_rejected(self):
-        with pytest.raises(ValueError):
-            ShardMap(2).shard_of_hash(HASH_SPACE)
+            lo, hi = region_of(sm, s)
+            assert shard_of_hash(sm, lo) == s
+            assert shard_of_hash(sm, hi - 1) == s
 
     @given(st.integers(min_value=0, max_value=HASH_SPACE - 1),
            st.integers(min_value=1, max_value=64))
     @settings(max_examples=100)
     def test_every_hash_owned_by_its_region(self, h, count):
         sm = ShardMap(count)
-        shard = sm.shard_of_hash(h)
-        lo, hi = sm.region_of(shard)
+        shard = shard_of_hash(sm, h)
+        lo, hi = region_of(sm, shard)
         assert lo <= h < hi
 
 
@@ -73,14 +86,14 @@ class TestRowSplitting:
         rows = make_rows(200)
         shards = sm.shards_of_rowset(rows, ["k"])
         for i in range(0, 200, 17):
-            assert shards[i] == sm.shard_of_hash(hash_row([i]))
+            assert shards[i] == shard_of_hash(sm, hash_row([i]))
 
     def test_split_multi_column_key(self):
         sm = ShardMap(3)
         rows = make_rows(100)
         shards = sm.shards_of_rowset(rows, ["k", "name"])
         for i in (0, 50, 99):
-            assert shards[i] == sm.shard_of_row([i, f"u{i}"])
+            assert shards[i] == shard_of_hash(sm, hash_row([i, f"u{i}"]))
 
     def test_no_empty_shard_entries(self):
         sm = ShardMap(8)
@@ -91,14 +104,6 @@ class TestRowSplitting:
         sm = ShardMap(2)
         parts = sm.split_rowset(make_rows(100), ["name"])
         assert sum(p.num_rows for p in parts.values()) == 100
-
-    def test_hash_region_mask_matches_split(self):
-        sm = ShardMap(4)
-        rows = make_rows(300)
-        masks = [sm.hash_region_mask(rows, ["k"], s) for s in range(4)]
-        stacked = np.stack(masks)
-        # Every row selected by exactly one shard's mask.
-        assert (stacked.sum(axis=0) == 1).all()
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=400))
     @settings(max_examples=30)
@@ -116,8 +121,6 @@ class TestRowSplitting:
         sm = ShardMap(4)
         assert REPLICA_SHARD_ID not in sm.shard_ids()
         assert REPLICA_SHARD_ID in sm.all_shard_ids()
-        with pytest.raises(ValueError):
-            sm.region_of(REPLICA_SHARD_ID)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,54 @@
-"""UDFS backends: POSIX/memory semantics, simulated S3, retries, metrics."""
+"""UDFS backends: the S3-shaped operations, the in-memory local disk, the
+simulated S3, retries, metrics — and Eon running on a backend without
+coalesced GET or server-side select."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import EonCluster
 from repro.errors import ObjectNotFound, StorageError, TransientStorageError
 from repro.shared_storage import api
-from repro.shared_storage.api import PrefixView, retrying
-from repro.shared_storage.posix import LocalFilesystem, MemoryFilesystem
+from repro.shared_storage.api import Filesystem, PrefixView, RetryingFilesystem, retrying
+from repro.shared_storage.posix import MemoryFilesystem
 from repro.shared_storage.s3 import FaultInjector, S3CostModel, SimulatedS3
 
 
-@pytest.fixture(params=["memory", "local", "s3"])
-def fs(request, tmp_path):
+@pytest.fixture(params=["memory", "s3"])
+def fs(request):
     if request.param == "memory":
         return MemoryFilesystem()
-    if request.param == "local":
-        return LocalFilesystem(str(tmp_path / "fsroot"))
     return SimulatedS3()
+
+
+def public(cls) -> list:
+    return sorted(name for name in dir(cls) if not name.startswith("_"))
+
+
+class TestOperations:
+    def test_the_udfs_offers_what_s3_offers(self):
+        """Write once, read (alone or coalesced), list, size, delete, and
+        server-side select — no rename, no append (section 5.1): a new
+        operation on the interface or on a backend is a visible diff."""
+        assert public(Filesystem) == [
+            "contains", "delete", "estimate_read_seconds", "estimate_select_seconds",
+            "estimate_write_seconds", "list", "op_stats", "outage_active", "read",
+            "read_coalesced", "select_scan", "size", "supports_coalesced_get",
+            "supports_select", "write",
+        ]
+        beyond = {
+            backend.__name__: sorted(set(public(backend)) - set(public(Filesystem)))
+            for backend in (MemoryFilesystem, SimulatedS3, RetryingFilesystem, PrefixView)
+        }
+        assert beyond == {
+            "MemoryFilesystem": [
+                "object_count", "read_bandwidth", "seek_seconds", "total_bytes",
+                "write_bandwidth",
+            ],
+            "SimulatedS3": ["object_count", "peek", "peek_object", "total_bytes"],
+            "RetryingFilesystem": [],
+            "PrefixView": [],
+        }
 
 
 class TestCommonContract:
@@ -61,36 +92,7 @@ class TestCommonContract:
         assert fs.metrics.bytes_read == 3
 
 
-class TestPosixExtras:
-    def test_rename(self, tmp_path):
-        fs = LocalFilesystem(str(tmp_path / "r"))
-        fs.write("old", b"x")
-        fs.rename("old", "new")
-        assert fs.read("new") == b"x"
-        assert not fs.contains("old")
-
-    def test_append(self):
-        fs = MemoryFilesystem()
-        fs.write("a", b"x")
-        fs.append("a", b"y")
-        assert fs.read("a") == b"xy"
-
-    def test_invalid_names_rejected(self, tmp_path):
-        fs = LocalFilesystem(str(tmp_path / "v"))
-        for bad in ("", "a/b", ".hidden"):
-            with pytest.raises(StorageError):
-                fs.write(bad, b"x")
-
-
 class TestSimulatedS3:
-    def test_no_rename_or_append(self):
-        s3 = SimulatedS3()
-        s3.write("x", b"1")
-        with pytest.raises(StorageError):
-            s3.rename("x", "y")
-        with pytest.raises(StorageError):
-            s3.append("x", b"2")
-
     def test_immutable_objects(self):
         s3 = SimulatedS3()
         s3.write("x", b"1")
@@ -198,27 +200,19 @@ class TestPrefixListingFromTheNameIndex:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.sampled_from(["write", "delete", "rename", "append"]),
-                           NAMES, NAMES), max_size=30),
+        st.lists(st.tuples(st.booleans(), NAMES), max_size=30),
         st.lists(NAMES, min_size=1, max_size=6),
     )
     def test_memory_filesystem_matches_a_scan(self, steps, prefixes):
         fs = MemoryFilesystem()
         names = set()
-        for action, name, other in steps:
-            if action == "write":
+        for write, name in steps:
+            if write:
                 fs.write(name, b"x")
                 names.add(name)
-            elif action == "append":
-                fs.append(name, b"y")
-                names.add(name)
-            elif action == "delete":
+            else:
                 fs.delete(name)
                 names.discard(name)
-            elif name in names:
-                fs.rename(name, other)
-                names.discard(name)
-                names.add(other)
             for prefix in prefixes + [""]:
                 assert fs.list(prefix) == sorted(n for n in names if n.startswith(prefix))
         assert fs.object_count == len(names)
@@ -260,3 +254,41 @@ class TestPrefixListingFromTheNameIndex:
         with pytest.raises(TransientStorageError):
             s3.list("a")
         assert s3.op_stats["LIST"].transient_faults == 1
+
+
+class TestEonOnMemoryFilesystem:
+    """The whole Eon stack runs unchanged on a backend without coalesced
+    GET or server-side select: the UDFS abstraction, not S3's extras, is
+    what it needs."""
+
+    @pytest.fixture
+    def cluster(self):
+        c = EonCluster(
+            ["n1", "n2", "n3"], shard_count=3, seed=15,
+            shared_storage=MemoryFilesystem(),
+        )
+        c.execute("create table t (a int, b varchar)")
+        c.load("t", [(i, f"g{i % 3}") for i in range(300)])
+        return c
+
+    def test_load_and_query(self, cluster):
+        out = cluster.query("select b, count(*) n from t group by b order by b")
+        assert out.rows.to_pylist() == [("g0", 100), ("g1", 100), ("g2", 100)]
+
+    def test_failure_and_recovery(self, cluster):
+        cluster.kill_node("n2")
+        assert cluster.query("select count(*) from t").rows.to_pylist() == [(300,)]
+        cluster.recover_node("n2")
+        assert cluster.query("select count(*) from t").rows.to_pylist() == [(300,)]
+
+    def test_revive(self, cluster):
+        from repro.cluster.revive import revive
+
+        clock = cluster.clock
+        cluster.graceful_shutdown()
+        revived = revive(cluster.shared, clock=clock)
+        assert revived.query("select count(*) from t").rows.to_pylist() == [(300,)]
+
+    def test_dml(self, cluster):
+        cluster.execute("delete from t where a < 100")
+        assert cluster.query("select count(*) from t").rows.to_pylist() == [(200,)]

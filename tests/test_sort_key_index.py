@@ -29,9 +29,9 @@ from repro.catalog.objects import Projection, Segmentation, Table
 from repro.common.oid import SidFactory
 from repro.engine.expressions import extract_column_bounds
 from repro.engine.pruning import prune_containers, prune_group
-from repro.sql.parser import parse_expression
 from repro.storage.container import ROSContainer
 from tests.test_catalog_index import SCHEMA, GroupsEqualAWalk
+from tests.test_sql import parse_expression
 
 #: Bound values: ints and floats, close enough to repeat and overlap.
 VALUES = st.one_of(st.integers(-2, 8), st.sampled_from([-0.5, 0.0, 2.5, 7.5, 8.0]))

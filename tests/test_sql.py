@@ -12,7 +12,20 @@ from repro.errors import PlanningError, SqlError
 from repro.sql.ast import CreateProjection, CreateTable, Delete, Insert, Select, Update
 from repro.sql.binder import bind_select
 from repro.sql.lexer import tokenize
-from repro.sql.parser import parse, parse_expression, parse_one
+from repro.sql.parser import _Parser, parse
+
+
+def parse_one(text: str):
+    (statement,) = parse(text)
+    return statement
+
+
+def parse_expression(text: str):
+    """A standalone expression, as the parser reads one inside a statement."""
+    parser = _Parser(text)
+    expr = parser.expression()
+    parser.expect("end")
+    return expr
 
 
 class TestLexer:

@@ -16,8 +16,8 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
 )
-from repro.sql.parser import parse_expression
 from repro.storage.container import RowSet
+from tests.test_sql import parse_expression
 
 SCHEMA = TableSchema.of(
     ("x", ColumnType.INT), ("y", ColumnType.FLOAT), ("s", ColumnType.VARCHAR)

@@ -33,8 +33,8 @@ from repro.obs.metrics import cluster_metrics
 from repro.obs.profile import OperatorProfile, RequestRecord
 from repro.recovery.failover import RecoveryStats
 from repro.shared_storage.api import OP_CLASSES, Filesystem, OpStats
-from repro.shared_storage.hdfs import SimulatedHDFS
 from repro.shared_storage.posix import MemoryFilesystem
+from repro.shared_storage.s3 import SimulatedS3
 from repro.shell import Shell
 from repro.wm.pool import PoolStats
 
@@ -261,10 +261,10 @@ class TestCountedOnce:
 
     def test_charge_is_the_only_writer_of_the_request_ledger(self):
         """No backend method adds to ``metrics`` or a class's stats itself;
-        what is left is not a request: an HDFS rename's NameNode round trip
-        and the fault injector's per-class observations."""
+        what is left is not a request: the fault injector's per-class
+        observations."""
         writes = set()
-        for name in ("api.py", "s3.py", "posix.py", "hdfs.py"):
+        for name in ("api.py", "s3.py", "posix.py"):
             tree = ast.parse((SRC / "shared_storage" / name).read_text())
             for func in ast.walk(tree):
                 if not isinstance(func, ast.FunctionDef):
@@ -279,12 +279,11 @@ class TestCountedOnce:
             ("api.py", "_charge", "sim_seconds"), ("api.py", "_charge", "dollars"),
             ("api.py", "retrying", "transient_failures"),
             ("api.py", "retrying", "retry_backoff_seconds"),
-            ("hdfs.py", "rename", "sim_seconds"),
             ("s3.py", "_maybe_fail", "transient_faults"),
             ("s3.py", "_maybe_fail", "throttled"),
         }
 
-    @pytest.mark.parametrize("backend", [MemoryFilesystem, SimulatedHDFS])
+    @pytest.mark.parametrize("backend", [MemoryFilesystem, SimulatedS3])
     def test_every_backend_has_the_per_class_ledger(self, backend):
         fs = backend()
         fs.write("a", b"12345")

@@ -59,12 +59,6 @@ class TestTransitions:
 
 
 class TestStateSemantics:
-    def test_serving_states(self):
-        assert A.serves_queries
-        assert R.serves_queries  # keeps serving until dropped
-        assert not P.serves_queries
-        assert not PA.serves_queries
-
     def test_commit_participation(self):
         # PASSIVE "can participate in commits and could be promoted to
         # ACTIVE if all other subscribers fail".

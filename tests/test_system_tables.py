@@ -187,15 +187,15 @@ class TestSqlPathIntegration:
 
 class TestGenericBackendFallback:
     """``dc_storage_operations`` over a backend without per-op-class
-    accounting (HDFS) must report the same five op classes — SELECT
+    accounting (the in-memory local disk) must report the same five op classes — SELECT
     included — sourced from the aggregate ledger."""
 
     def test_all_op_classes_reported_from_aggregate_metrics(self):
-        from repro.shared_storage.hdfs import SimulatedHDFS
+        from repro.shared_storage.posix import MemoryFilesystem
 
         cluster = EonCluster(
             ["n1", "n2"], shard_count=2, seed=5,
-            shared_storage=SimulatedHDFS(),
+            shared_storage=MemoryFilesystem(),
         )
         cluster.execute("create table t (k int)")
         cluster.load("t", [(i,) for i in range(40)])
@@ -213,5 +213,5 @@ class TestGenericBackendFallback:
         assert by_op["GET"] == (m.get_requests, m.bytes_read)
         assert by_op["PUT"] == (m.put_requests, m.bytes_written)
         assert by_op["GET"][0] > 0
-        # No server-side compute on HDFS: present, and zero.
+        # No server-side compute on a local disk: present, and zero.
         assert by_op["SELECT"] == (0, 0)

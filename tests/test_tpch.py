@@ -10,8 +10,8 @@ strategies, pruning, HAVING, ORDER BY, and LIMIT.
 import numpy as np
 import pytest
 
-from repro.common.dates import days_to_date
 from repro.workloads.tpch import TPCH_QUERIES, TPCH_SCHEMAS, TpchData
+from tests.test_types_dates import days_to_date
 
 
 class TestGenerator:

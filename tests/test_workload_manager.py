@@ -24,6 +24,11 @@ from repro.wm.driver import (
 SQL = "select g, count(*) c, sum(v) s from t group by g"
 
 
+def ok_digests(result) -> list:
+    """``(client, request, digest)`` of a run's successful requests."""
+    return sorted((r.client, r.request, r.digest) for r in result.records if r.outcome == "ok")
+
+
 def make_eon(**kwargs) -> EonCluster:
     cluster = EonCluster(
         ["n1", "n2", "n3", "n4"], shard_count=4, seed=11, **kwargs
@@ -143,7 +148,7 @@ class TestQueuedPath:
         result = run_closed_loop(eon, workload)
         assert result.errors == 0 and result.rejected == 0
         assert result.completed == 36
-        assert result.total_queue_wait_seconds > 0
+        assert sum(r.queue_wait_seconds for r in result.records) > 0
         waited = [r for r in result.records if r.queue_wait_seconds > 0]
         assert waited, "12 clients on 16 slots must queue"
         for record in waited:
@@ -252,7 +257,7 @@ class TestQueuedPath:
         concurrent = run_closed_loop(make_eon(), workload, result_key=rows_key)
         serial = run_serial_reference(make_eon(), workload, result_key=rows_key)
         assert concurrent.errors == serial.errors == 0
-        assert concurrent.ok_digests() == serial.ok_digests()
+        assert ok_digests(concurrent) == ok_digests(serial)
 
 
 class TestExitPaths:
@@ -330,16 +335,16 @@ class TestMonitorTables:
                 "select node_name, execution_slots, slots_in_use "
                 "from v_monitor.resource_usage"
             )
-            by_node = {r[0]: r for r in result.rows.to_rows()}
+            by_node = {r[0]: r for r in result.rows.to_pylist()}
             assert by_node["n2"][2] == 2
-            for _name, slots, in_use in result.rows.to_rows():
+            for _name, slots, in_use in result.rows.to_pylist():
                 assert 0 <= in_use <= slots
         finally:
             eon.admission.release(ticket)
         result = eon.query(
             "select slots_in_use from v_monitor.resource_usage"
         )
-        assert all(row[0] == 0 for row in result.rows.to_rows())
+        assert all(row[0] == 0 for row in result.rows.to_pylist())
 
     def test_slots_in_use_never_exceeds_execution_slots(self, eon):
         """Even a deliberately over-subscribed demand clamps to capacity,
@@ -353,7 +358,7 @@ class TestMonitorTables:
                 "select execution_slots, slots_in_use "
                 "from v_monitor.resource_usage"
             )
-            rows = result.rows.to_rows()
+            rows = result.rows.to_pylist()
             assert rows
             for slots, in_use in rows:
                 assert in_use == slots  # full, but never over
@@ -372,7 +377,7 @@ class TestMonitorTables:
             "select pool_name, node_count, capacity, slots_in_use, "
             "admitted from v_monitor.resource_pools"
         )
-        row = next(r for r in pools.rows.to_rows() if r[0] == GENERAL_POOL)
+        row = next(r for r in pools.rows.to_pylist() if r[0] == GENERAL_POOL)
         assert row[1] == len(eon.nodes)
         assert row[2] == sum(n.execution_slots for n in eon.nodes.values())
         assert row[3] == 0
@@ -382,7 +387,7 @@ class TestMonitorTables:
             "queued_admissions, queue_wait_seconds "
             "from v_monitor.resource_queues"
         )
-        row = next(r for r in queues.rows.to_rows() if r[0] == GENERAL_POOL)
+        row = next(r for r in queues.rows.to_pylist() if r[0] == GENERAL_POOL)
         assert row[1] == 0
         assert row[2] >= 1
         assert row[3] >= 20
