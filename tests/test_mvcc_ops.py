@@ -129,6 +129,21 @@ class TestStorageOps:
         with pytest.raises(CatalogError):
             state.apply(op_drop_container("nope", 0))
 
+    def test_retired_op_kind_rejected(self, state, sids):
+        """A delete vector leaves only with its container (or projection or
+        table); a log record naming the retired ``drop_delete_vector`` kind is
+        refused, not skipped."""
+        c = container(sids)
+        state.apply(op_add_container(c))
+        dv = DeleteVector(
+            sid=sids.next_sid(), target_sid=c.sid, projection="t_p",
+            shard_id=0, deleted_count=1, size_bytes=10,
+        )
+        state.apply(op_add_delete_vector(dv))
+        with pytest.raises(CatalogError):
+            state.apply({"op": "drop_delete_vector", "shard": 0, "sid": str(dv.sid)})
+        assert len(state.delete_vectors) == 1
+
     def test_containers_of_filters(self, state, sids):
         state.apply(op_add_container(container(sids, shard=0)))
         state.apply(op_add_container(container(sids, shard=1)))

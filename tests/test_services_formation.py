@@ -50,6 +50,20 @@ class TestServiceScheduler:
         scheduler.tick()   # second pass reaps them
         assert scheduler.stats.files_reaped > 0
 
+    def test_clock_driven_services(self, cluster):
+        """The driver owns the cadence: each service run on its own interval
+        counts only its own runs."""
+        scheduler = ServiceScheduler(cluster)
+        for at in range(10, 61, 10):
+            cluster.clock.schedule(at, lambda: scheduler.run("catalog_sync"))
+        for at in (30, 60):
+            cluster.clock.schedule(at, lambda: scheduler.run("cluster_info"))
+        cluster.clock.run(until=65.0)
+        assert scheduler.stats.sync_runs == 6
+        assert scheduler.stats.cluster_info_writes == 2
+        assert sorted(scheduler.stats.services) == ["catalog_sync", "cluster_info"]
+        assert scheduler.stats.mergeout_jobs == scheduler.stats.files_reaped == 0
+
     def test_services_survive_node_failure(self, cluster):
         scheduler = ServiceScheduler(cluster)
         for at in range(10, 61, 10):

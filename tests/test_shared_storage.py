@@ -14,10 +14,16 @@ from repro.shared_storage.posix import MemoryFilesystem
 from repro.shared_storage.s3 import FaultInjector, S3CostModel, SimulatedS3
 
 
-@pytest.fixture(params=["memory", "s3"])
+@pytest.fixture(params=["memory", "s3", "retrying", "prefixed"])
 def fs(request):
+    """Every UDFS a cluster talks to: the two backends, and the two wrappers
+    a cluster puts over S3 (the retry loop, a node's prefixed area)."""
     if request.param == "memory":
         return MemoryFilesystem()
+    if request.param == "retrying":
+        return RetryingFilesystem(SimulatedS3())
+    if request.param == "prefixed":
+        return PrefixView(SimulatedS3(), "meta_n1_")
     return SimulatedS3()
 
 
@@ -93,6 +99,16 @@ class TestCommonContract:
 
 
 class TestSimulatedS3:
+    def test_no_rename_or_append(self):
+        """S3 offers neither (section 5.1): the names are absent from the
+        backend and from every wrapper over it, so no caller can reach one."""
+        s3 = SimulatedS3()
+        s3.write("x", b"1")
+        for backend in (s3, RetryingFilesystem(s3), PrefixView(s3, "p_")):
+            assert not hasattr(backend, "rename")
+            assert not hasattr(backend, "append")
+        assert s3.read("x") == b"1"
+
     def test_immutable_objects(self):
         s3 = SimulatedS3()
         s3.write("x", b"1")

@@ -32,7 +32,9 @@ from repro.obs import system_tables
 from repro.obs.metrics import cluster_metrics
 from repro.obs.profile import OperatorProfile, RequestRecord
 from repro.recovery.failover import RecoveryStats
-from repro.shared_storage.api import OP_CLASSES, Filesystem, OpStats
+from repro.shared_storage.api import (
+    OP_CLASSES, Filesystem, OpStats, PrefixView, RetryingFilesystem,
+)
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.shared_storage.s3 import SimulatedS3
 from repro.shell import Shell
@@ -283,8 +285,15 @@ class TestCountedOnce:
             ("s3.py", "_maybe_fail", "throttled"),
         }
 
-    @pytest.mark.parametrize("backend", [MemoryFilesystem, SimulatedS3])
+    @pytest.mark.parametrize("backend", [
+        MemoryFilesystem,
+        SimulatedS3,
+        pytest.param(lambda: RetryingFilesystem(SimulatedS3()), id="RetryingFilesystem"),
+        pytest.param(lambda: PrefixView(SimulatedS3(), "meta_n1_"), id="PrefixView"),
+    ])
     def test_every_backend_has_the_per_class_ledger(self, backend):
+        """A wrapper books nothing of its own: a request through it is
+        counted once, in the ledger of the store beneath."""
         fs = backend()
         fs.write("a", b"12345")
         fs.read("a")
