@@ -26,6 +26,9 @@ class it counts:
 * ``puts``, ``gets``, ``lists``, ``deletes`` — shared-storage requests
   (``SimulatedS3`` ``write``; ``read`` and ``read_coalesced``; ``list``;
   ``delete`` calls, a retry counting again);
+* ``depot_bytes`` — bytes the scans read from their depots (the
+  ``bytes_from_cache`` of each ``ScanResult`` ``EonStorageProvider.scan``
+  returns, read off the hook's ``return`` event);
 * ``py_calls`` — Python function calls, the program's and the workload's own.
 
 All but the last are the same on any machine; ``py_calls`` depends on the
@@ -70,7 +73,9 @@ WATCHED = {
 }
 #: Whose ``could_match`` calls are ``tested``.
 TESTER = ("repro.engine.pruning", "prune_containers")
-COUNTS = ("ops", *WATCHED, "tested", "py_calls")
+#: Whose returned ``ScanResult`` is summed into ``depot_bytes``.
+SCAN = ("repro.cluster.session", "EonStorageProvider.scan")
+COUNTS = ("ops", *WATCHED, "tested", "depot_bytes", "py_calls")
 
 
 def _pin_hash_seed() -> None:
@@ -122,7 +127,7 @@ def count_pass(tree: Path, name: str, quick: bool, number: int = 1) -> dict:
         _code(module, qualname): key
         for key, targets in WATCHED.items() for module, qualname in targets
     }
-    tester = _code(*TESTER)
+    tester, scan = _code(*TESTER), _code(*SCAN)
     watched.update(dict.fromkeys(_could_match_codes(), "tested"))
     run_op, closed_loop = Workload.run_op.__code__, driver.run_closed_loop.__code__
     # The speed meter samples when the clock says: a sample and what it
@@ -131,7 +136,7 @@ def count_pass(tree: Path, name: str, quick: bool, number: int = 1) -> dict:
     counts: Dict[str, Dict[str, int]] = {}
     classes = ["(pass)"]
 
-    def hook(frame, event, _arg) -> None:
+    def hook(frame, event, arg) -> None:
         code = frame.f_code
         if event == "call":
             if classes[-1] is None:
@@ -152,8 +157,11 @@ def count_pass(tree: Path, name: str, quick: bool, number: int = 1) -> dict:
             key = watched.get(code)
             if key is not None and (key != "tested" or frame.f_back.f_code is tester):
                 row[key] += 1
-        elif event == "return" and (code is run_op or code is closed_loop or code is sample):
-            classes.pop()
+        elif event == "return":
+            if code is run_op or code is closed_loop or code is sample:
+                classes.pop()
+            elif code is scan and arg is not None and classes[-1] is not None:
+                counts[classes[-1]]["depot_bytes"] += arg.bytes_from_cache
 
     measured = Pass()
     sys.setprofile(hook)

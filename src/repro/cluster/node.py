@@ -126,13 +126,15 @@ class Node:
 
         Returns ``(data, from_cache, io_seconds)``.  Misses fetch from
         shared storage (with the mandatory retry loop) and populate the
-        cache write-through.
+        cache write-through.  A hit costs no seconds here: what reads the
+        file charges the blocks it decodes (a scan charges one local-disk
+        request of them).
         """
         self.ensure_up()
         data = self.cache.get(name, use_cache=use_cache)
         if data is not None:
             self.cache_reads += 1
-            return data, True, self.local_fs.estimate_read_seconds(len(data))
+            return data, True, 0.0
         backoff_before = shared.metrics.retry_backoff_seconds
         data = retrying(lambda: shared.read(name), shared.metrics)
         self.shared_reads += 1

@@ -17,6 +17,7 @@ IOScheduler` as one batch, and the scan takes each file's bytes out of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,12 +37,9 @@ from repro.engine.pruning import prune_group
 from repro.errors import ExecutionError, QueryCancelled
 from repro.io.scheduler import FetchBatch, FetchRequest
 from repro.sharding.shard import REPLICA_SHARD_ID
+from repro.storage.column import ColumnReader
 from repro.storage.container import ROSContainer, RowSet, read_container, read_through
-from repro.storage.delete_vector import (
-    combine_positions,
-    mask_from_positions,
-    read_delete_vector,
-)
+from repro.storage.delete_vector import combine_positions, mask_from_positions
 from repro.storage.encoding import CodedStrings, join_blocks
 
 
@@ -140,9 +138,10 @@ class EonStorageProvider(StorageProvider):
         #: once per participant.
         self._bounds: Dict[int, dict] = {}
         #: (id(image), columns, block indices) -> (image, its decoded blocks
-        #: per column) for replica-shard containers: every node holds the
-        #: same image, and the first node to read it decodes it for all.
-        #: The image is kept so that its id stays its own for the query.
+        #: per column, the bytes they were decoded from) for replica-shard
+        #: containers: every node holds the same image, and the first node
+        #: to read it decodes it for all.  The image is kept so that its id
+        #: stays its own for the query.
         self._decoded: Dict[tuple, tuple] = {}
         #: node -> what its last replicated scan read (``replica_reads``).
         self._replica_reads: Dict[str, Optional[tuple]] = {}
@@ -420,9 +419,15 @@ class EonStorageProvider(StorageProvider):
         needs beside them); its bytes and its delete vectors' come out of
         ``batch``.  Returns the key of the decoded blocks a
         replica-shard container without delete vectors shares with the
-        query's other nodes, None for any other container."""
-        consume = self.cluster.io_scheduler.consume
-        data = consume(batch, node, container.location, result)
+        query's other nodes, None for any other container.
+
+        What the depot held is read from this node's local disk: one request
+        of the bytes handed to ``decode_block`` — the blocks of the columns
+        read that survive block pruning, and a delete vector's blocks — is
+        charged to ``result.io_seconds`` and counted in
+        ``result.bytes_from_cache``.  A file fetched for this batch is in
+        memory already (its fetch is the charge)."""
+        data = self.cluster.io_scheduler.consume(batch, node, container.location, result)
         # A session that reads through the depot parses no footer the depot
         # has a layout for: the writer's, or what the first reader parsed.
         if self.session.use_cache:
@@ -441,28 +446,50 @@ class EonStorageProvider(StorageProvider):
             if len(matching) < total_blocks:
                 result.blocks_pruned += total_blocks - len(matching)
                 block_indices = matching
-        if not dvs and share is None:
-            if container.shard_id == REPLICA_SHARD_ID:
-                return self._append_replica(reader, data, block_indices, out)
+        key, local = None, 0
+        if dvs or share is not None:
+            local = self._append_live(
+                node, container, reader, block_indices, dvs, columns, share, out, result, batch,
+            )
+        elif container.shard_id == REPLICA_SHARD_ID:
+            key = self._append_replica(reader, data, block_indices, out)
+        else:
             reader.append_blocks(out, block_indices)
-            return None
+        if container.location in batch.hits:
+            local += reader.decoded_bytes
+        if local:
+            result.io_seconds += node.local_fs.estimate_read_seconds(local)
+            result.bytes_from_cache += local
+        return key
 
-        # A container that drops rows filters its own slice before the
-        # scan's concatenate: every column indexed by a mask, so fresh arrays.
+    def _append_live(
+        self, node, container: ROSContainer, reader, block_indices: Optional[List[int]],
+        dvs: list, columns: Sequence[str], share: Optional[tuple],
+        out: Dict[str, List[np.ndarray]], result: ScanResult, batch: FetchBatch,
+    ) -> int:
+        """The rest of :meth:`_read_container` for a container that drops
+        rows — deleted ones, or those another node's hash-crunch share
+        keeps: it filters its own slice before the scan's concatenate,
+        every column indexed by a mask, so fresh arrays.  Returns the bytes
+        decoded from the delete vectors the depot held."""
         own: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
         reader.append_blocks(own, block_indices)
+        local = 0
         live = None
         if dvs:
             position_sets = []
             for dv in dvs:
-                position_sets.append(
-                    read_delete_vector(consume(batch, node, dv.location, result))
+                dv_reader = ColumnReader(
+                    self.cluster.io_scheduler.consume(batch, node, dv.location, result)
                 )
+                position_sets.append(dv_reader.read_all())
+                if dv.location in batch.hits:
+                    local += sum(map(_LENGTH, dv_reader.blocks))
             live = mask_from_positions(
                 combine_positions(position_sets), container.row_count
             )
         if not all(own.values()):
-            return None  # an empty container, or no block survived pruning
+            return local  # an empty container, or no block survived pruning
         # Joined as the scan joins them, so string blocks stay codes under
         # the masks; only a segmentation column that is hashed becomes text.
         arrays = {name: join_blocks(parts) for name, parts in own.items()}
@@ -479,7 +506,7 @@ class EonStorageProvider(StorageProvider):
         for name, parts in out.items():
             if len(arrays[name]):
                 parts.append(arrays[name])
-        return None
+        return local
 
     def _append_replica(
         self, reader, data: bytes, block_indices: Optional[List[int]],
@@ -491,16 +518,24 @@ class EonStorageProvider(StorageProvider):
         so a node reading the same object, columns and blocks takes what the
         first decoded.  A copy that is another object — a damaged one
         included — is decoded on its own.  What the scan takes is never the
-        kept block itself (:func:`_handed`)."""
+        kept block itself (:func:`_handed`).  Only the decoding is shared:
+        each node reads its own copy of the blocks' bytes, so ``reader``'s
+        ``decoded_bytes`` counts them whoever decoded them."""
         key = (id(data), tuple(out), None if block_indices is None else tuple(block_indices))
         kept = self._decoded.get(key)
         if kept is None:
             decoded: Dict[str, List[np.ndarray]] = {name: [] for name in out}
             reader.append_blocks(decoded, block_indices)
-            kept = self._decoded[key] = (data, decoded)
+            kept = self._decoded[key] = (data, decoded, reader.decoded_bytes)
+        else:
+            reader.decoded_bytes += kept[2]
         for name, parts in out.items():
             parts.extend(map(_handed, kept[1][name]))
         return key
+
+
+#: A block's stored length (:class:`~repro.storage.column.BlockInfo`).
+_LENGTH = attrgetter("length")
 
 
 def _handed(block):

@@ -135,6 +135,9 @@ class FetchBatch:
     """What :meth:`IOScheduler.fetch_batch` hands back to the scan."""
 
     data: Dict[str, bytes] = field(default_factory=dict)
+    #: Keys the depot held: the scan that decodes one pays a local read of
+    #: the blocks it decodes (nothing is charged for them here).
+    hits: Set[str] = field(default_factory=set)
     #: Keys cached ahead of need; consuming one books a prefetch hit.
     prefetched: Set[str] = field(default_factory=set)
 
@@ -240,7 +243,7 @@ class IOScheduler:
     ) -> FetchBatch:
         """Fetch a scan's file set; returns the bytes keyed by storage name.
 
-        ``result`` is the scan's :class:`ScanResult`; hit/miss/io/S3
+        ``result`` is the scan's :class:`ScanResult`; hit/miss/fetch/S3
         accounting lands there exactly once, at fetch time — consuming the
         batch later adds only prefetch bookkeeping.  ``cancelled`` (a
         nullary callable) is polled between fetch units: queries must stay
@@ -252,7 +255,14 @@ class IOScheduler:
         charged once per query at settlement, not here
         (``result.io_pooled_seconds`` keeps the batch's own figure) — a
         driver-issued prefetch that keeps lanes busy across scan
-        boundaries.  Hits and retry backoff stay in ``result.io_seconds``.
+        boundaries.  Retry backoff stays in ``result.io_seconds``.
+
+        A hit costs nothing here: the depot is a column store's local disk,
+        and a reader reads only the blocks it decodes — the columns it names
+        that survive block pruning — not the bundled container file.  So the
+        scan that decodes a hit's blocks charges one local-disk request of
+        their bytes (``result.io_seconds`` and ``bytes_from_cache``); the
+        key is listed in ``batch.hits`` for it.
 
         ``background_keys`` marks keys whose containers a pushdown scan
         will cover: the scan does not *wait* for them, so units made up
@@ -270,7 +280,6 @@ class IOScheduler:
         self.stats.requests += len(requests)
 
         batch = FetchBatch()
-        hit_seconds = 0.0
         # One ``cache.get`` per distinct file, as ``fetch_storage`` makes:
         # a hit is booked here; a miss (absent, a session that bypasses the
         # depot, a file the local disk lost) is what there is to fetch.
@@ -286,9 +295,8 @@ class IOScheduler:
                 missing.append(request)
                 continue
             node.cache_reads += 1
-            hit_seconds += node.local_fs.estimate_read_seconds(len(data))
-            result.bytes_from_cache += len(data)
             result.depot_hits += 1
+            batch.hits.add(request.key)
             batch.data[request.key] = data
 
         # A scan with nothing to fetch is done once its hits are booked: no
@@ -303,7 +311,7 @@ class IOScheduler:
          units, peer_units, background_units, background_makespan) = charged
         pool.add(node.name, durations)
         result.io_pooled_seconds += makespan
-        result.io_seconds += hit_seconds + backoff_seconds
+        result.io_seconds += backoff_seconds
         if obs.enabled:
             obs.metrics.gauge("io.lane_occupancy", node=node.name).set(
                 sum(lane_totals) / makespan if makespan > 0 else 0.0

@@ -9,7 +9,8 @@ fault injection, and depot eviction lands in a bounded, sim-clock-stamped
 ring buffer, and :mod:`repro.obs.system_tables` exposes the buffers as
 partitioned ``v_monitor.dc_*`` tables whose producers prune on ``time``
 and ``node`` predicates *before* materializing rows (vDBAHelper's
-predicate-pushdown shape).
+predicate-pushdown shape).  ``v_monitor.data_collector`` lists every ring
+with the records it keeps and the records it has dropped.
 
 Determinism contract: recording draws no RNG, charges no storage
 requests, and advances no clocks — a campaign digest is bit-identical
@@ -162,6 +163,16 @@ class DataCollector:
         ring.append((next(self._seq), self._now()) + tuple(values))
 
     # -- reading ----------------------------------------------------------------
+
+    def ring_counts(self) -> List[tuple]:
+        """``(table, node, records kept, records dropped)`` per ring, by table
+        then node: the ``v_monitor.data_collector`` rows, which show where a
+        ring's oldest records went."""
+        return [
+            (table, node, len(ring), ring.dropped)
+            for table, rings in sorted(self._rings.items())
+            for node, ring in sorted(rings.items())
+        ]
 
     def rows(
         self,

@@ -228,6 +228,11 @@ def _dc_event_producer(table: str):
     return produce
 
 
+def _data_collector(cluster) -> List[tuple]:
+    dc = cluster.obs.dc
+    return dc.ring_counts() if dc.enabled else []
+
+
 #: Column types for the dc_* event tables; anything unlisted is VARCHAR.
 _DC_COLUMN_TYPES: Dict[str, ColumnType] = {
     "time": _F, "value": _F, "wait_seconds": _F,
@@ -250,6 +255,13 @@ _DC_EVENT_DEFS: Tuple[SystemTableDef, ...] = tuple(
 SYSTEM_TABLES: Dict[str, SystemTableDef] = {
     d.name: d
     for d in _DC_EVENT_DEFS + (
+        SystemTableDef(
+            "data_collector",
+            _schema(
+                ("table_name", _S), ("node_name", _S), ("records", _I), ("dropped", _I),
+            ),
+            _data_collector,
+        ),
         SystemTableDef(
             "depot_activity",
             _ledger_schema(

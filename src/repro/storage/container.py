@@ -359,6 +359,11 @@ class ContainerReader:
         self.row_count = self.layout.row_count
         self.column_order = self.layout.column_order
         self._readers: Dict[str, ColumnReader] = {}
+        #: Bytes handed to ``decode_block`` by this reader's reads so far:
+        #: the blocks of the columns read that survived pruning — what a
+        #: local read of the image costs (a footer the depot keeps a layout
+        #: for, and a column nobody opens, are never read).
+        self.decoded_bytes = 0
 
     def column_reader(self, name: str) -> ColumnReader:
         if name not in self._readers:
@@ -438,14 +443,19 @@ class ContainerReader:
         PLAIN numeric blocks are appended as views of the image, so the
         lists are for :meth:`RowSet.from_blocks` (:func:`concat_blocks`
         owns what it returns), not for keeping; a block of no rows is decoded and appends nothing.
+        The blocks' stored lengths are added to :attr:`decoded_bytes`.
         """
+        nbytes = 0
         for name, parts in out.items():
             reader = self.column_reader(name)
-            indices = range(len(reader.blocks)) if block_indices is None else block_indices
+            blocks = reader.blocks
+            indices = range(len(blocks)) if block_indices is None else block_indices
             for index in indices:
                 values = reader.read_block(index, view=True)
+                nbytes += blocks[index].length
                 if len(values):
                     parts.append(values)
+        self.decoded_bytes += nbytes
 
     def read_rowset_blocks(
         self, names: Sequence[str], block_indices: Optional[Sequence[int]]

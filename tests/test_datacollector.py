@@ -173,11 +173,9 @@ class TestDataCollector:
         for i in range(5):
             dc.record("dc_service_runs", "", (f"s{i}", "run", ""))
         dc.record("dc_fault_injections", "", ("GET", "transient", ""))
-        def dropped(table):
-            return sum(ring.dropped for ring in dc._rings[table].values())
-
-        assert dropped("dc_service_runs") == 3
-        assert dropped("dc_fault_injections") == 0
+        assert dc.ring_counts() == [
+            ("dc_fault_injections", "", 1, 0), ("dc_service_runs", "", 2, 3),
+        ]
 
     def test_schema_constants_are_consistent(self):
         for table, columns in DC_TABLES.items():
@@ -255,6 +253,35 @@ class TestClusterIntegration:
         assert rows  # the second query's events qualify
         assert all(r[0] >= later for r in rows)
         assert examined == len(rows) < total
+
+    def test_ring_drops_read_back_through_sql(self, monkeypatch):
+        """``v_monitor.data_collector``: one row per ring, with what it keeps
+        and what it has dropped."""
+        monkeypatch.setattr(datacollector, "CAPACITY", 3)
+        cluster = self._cluster()
+        for i in range(7):
+            cluster.obs.dc.record("dc_service_runs", "", (f"s{i}", "run", ""))
+        for _ in range(4):
+            cluster.query("select count(*) from t")
+        rows = cluster.query(
+            "select table_name, node_name, records, dropped"
+            " from v_monitor.data_collector"
+        ).rows.to_pylist()
+        assert ("dc_service_runs", "", 3, 4) in rows
+        events = [r for r in rows if r[0] == "dc_query_events"]
+        assert all(r[2] <= 3 for r in events)
+        assert any(r[2] == 3 and r[3] > 0 for r in events)
+        assert [tuple(r[:2]) for r in rows] == sorted(tuple(r[:2]) for r in rows)
+        assert cluster.query(
+            "select sum(dropped) from v_monitor.data_collector"
+            " where table_name = 'dc_service_runs'"
+        ).rows.to_pylist() == [(4,)]
+
+    def test_data_collector_table_is_empty_with_observability_off(self):
+        cluster = EonCluster(["n1", "n2"], shard_count=2, seed=13)
+        assert cluster.query(
+            "select count(*) from v_monitor.data_collector"
+        ).rows.to_pylist() == [(0,)]
 
     def test_depot_evictions_land_in_dc_depot_events(self):
         # A depot holding only a few containers forces evictions as the

@@ -23,10 +23,12 @@ from repro.storage.container import RowSet
 class SerialFetch(IOScheduler):
     """Reference arm: one ``node.fetch_storage`` per requested file, in
     request order and without dedupe (a delete vector two containers share
-    is read twice), each file's seconds charged serially in the scan's
-    ``io_seconds``.  No lanes, no coalescing, no peers, no prefetch, and no
-    pushdown: the scan reads every container through the depot (and polls
-    cancellation between containers, as it always does)."""
+    is read twice), each fetched file's seconds charged serially in the
+    scan's ``io_seconds`` (a hit is listed in ``batch.hits``; the scan
+    charges the blocks it decodes, as with the scheduler).  No lanes, no
+    coalescing, no peers, no prefetch, and no pushdown: the scan reads every
+    container through the depot (and polls cancellation between containers,
+    as it always does)."""
 
     def fetch_batch(self, node, requests, use_cache, result, pool, **_) -> FetchBatch:
         cost = getattr(self.cluster.shared, "cost", None)
@@ -39,8 +41,8 @@ class SerialFetch(IOScheduler):
             )
             result.io_seconds += seconds
             if from_cache:
-                result.bytes_from_cache += len(data)
                 result.depot_hits += 1
+                batch.hits.add(request.key)
             else:
                 result.bytes_from_shared += len(data)
                 result.depot_misses += 1

@@ -1,0 +1,299 @@
+"""A local read costs the blocks the scan decodes, not the container file.
+
+Vertica is a column store: a scan reads the columns it names, and the
+position index lets it skip the blocks whose min/max cannot match.  So an Eon
+depot hit and an Enterprise local-disk read are charged one local-disk
+request of the bytes handed to ``decode_block`` — the blocks of the columns
+read that survive block pruning, and a delete vector's blocks — while a file
+fetched for the batch is charged its fetch and nothing more.  Walled here,
+against a meter of the test's own (``decode_block`` wrapped to note the
+length of every buffer it is handed, grouped by the file a scan took out of
+its batch last):
+
+* a warm scan's ``io_seconds`` is exactly one ``estimate_read_seconds`` of
+  each container's decoded bytes, and ``bytes_from_cache`` is their sum: a
+  full scan, a column subset, a block-pruned scan, containers with delete
+  vectors and a hash-crunch share;
+* every node of a replicated scan pays for its own copy, though one node
+  decodes for all of them;
+* Enterprise charges the blocks of the columns it reads, not the file;
+* over column subsets and predicate bounds: the charge is the meter's, and
+  never more than charging every file whole.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import ColumnType, EnterpriseCluster
+from repro.cluster.enterprise import EnterpriseStorageProvider
+from repro.cluster.session import EonStorageProvider
+from repro.io.scheduler import IOScheduler
+from repro.shared_storage.posix import MemoryFilesystem
+from repro.storage import column as column_module
+from repro.storage.container import read_container
+from tests.test_replica_once import build as build_replicated
+from tests.test_scan_path import NAMES, PROJECTION, SESSION_SEED, build
+from tests.test_sql import parse_expression
+
+
+class Meter:
+    """``(file, [lengths handed to decode_block while it was the file last
+    taken out of a batch])`` per file, in the order a scan took them."""
+
+    def __init__(self, patch):
+        self.files = []
+        decode, consume = column_module.decode_block, IOScheduler.consume
+
+        def metered_decode(data, view=False):
+            if self.files:  # not a DELETE's read, say
+                self.files[-1][1].append(memoryview(data).nbytes)
+            return decode(data, view)
+
+        def metered_consume(scheduler, batch, node, key, result):
+            data = consume(scheduler, batch, node, key, result)
+            self.files.append((key, [], len(data)))
+            return data
+
+        patch.setattr(column_module, "decode_block", metered_decode)
+        patch.setattr(IOScheduler, "consume", metered_consume)
+
+    def take(self) -> list:
+        files, self.files = self.files, []
+        return files
+
+
+@pytest.fixture
+def meter(monkeypatch) -> Meter:
+    return Meter(monkeypatch)
+
+
+def delete_vector_names(cluster) -> set:
+    state = cluster.any_up_node().catalog.state
+    return {dv.location for dv in state.delete_vectors.values()}
+
+
+def per_container(files, delete_vectors) -> list:
+    """Decoded bytes per container read: a delete vector's are its
+    container's, read in the same request."""
+    totals = []
+    for key, lengths, _ in files:
+        if key in delete_vectors:
+            totals[-1] += sum(lengths)
+        else:
+            totals.append(sum(lengths))
+    return totals
+
+
+def scan_each(cluster, meter, columns, where=None, **session_options) -> dict:
+    """``EonStorageProvider.scan`` on every participant of one query:
+    ``{node: (ScanResult, what the meter saw)}``."""
+    predicate = parse_expression(where) if where else None
+    seen = {}
+    with cluster.create_session(seed=SESSION_SEED, **session_options) as session:
+        provider = EonStorageProvider(session)
+        for node in session.participants():
+            meter.take()
+            result = provider.scan(node, PROJECTION, list(columns), predicate, False)
+            seen[node] = (result, meter.take())
+        provider.settle_io()
+    return seen
+
+
+def expected_seconds(local_fs, totals) -> float:
+    seconds = 0.0
+    for nbytes in totals:
+        if nbytes:
+            seconds += local_fs.estimate_read_seconds(nbytes)
+    return seconds
+
+
+def assert_charged_what_was_decoded(cluster, seen) -> int:
+    """No scan of ``seen`` missed the depot, and each paid one request per
+    container of what the meter saw; returns the bytes decoded."""
+    delete_vectors = delete_vector_names(cluster)
+    decoded = 0
+    for node, (result, files) in seen.items():
+        assert result.depot_misses == 0
+        totals = per_container(files, delete_vectors)
+        assert result.bytes_from_cache == sum(totals)
+        local_fs = cluster.nodes[node].local_fs
+        assert result.io_seconds == pytest.approx(expected_seconds(local_fs, totals), rel=1e-12)
+        decoded += sum(totals)
+    return decoded
+
+
+def whole_files(seen) -> int:
+    return sum(size for _, files in seen.values() for _, _, size in files)
+
+
+@pytest.fixture
+def warm():
+    """The scan-path table on four nodes, every depot holding every file
+    it serves (a first scan fetched what the load did not leave there)."""
+    cluster = build()
+    with cluster.create_session(seed=SESSION_SEED) as session:
+        provider = EonStorageProvider(session)
+        for node in session.participants():
+            provider.scan(node, PROJECTION, NAMES, None, False)
+    return cluster
+
+
+class TestAHitCostsItsDecodedBlocks:
+    def test_a_full_scan(self, warm, meter):
+        seen = scan_each(warm, meter, NAMES)
+        decoded = assert_charged_what_was_decoded(warm, seen)
+        # Every block of every column, and nothing else: the file's footers
+        # are not read again.
+        assert 0 < decoded < whole_files(seen)
+
+    def test_a_column_subset(self, warm, meter):
+        full = assert_charged_what_was_decoded(warm, scan_each(warm, meter, NAMES))
+        subset = assert_charged_what_was_decoded(warm, scan_each(warm, meter, ["k", "s"]))
+        assert 0 < subset < full / 2
+
+    def test_a_block_pruned_scan(self, warm, meter):
+        unpruned = assert_charged_what_was_decoded(warm, scan_each(warm, meter, ["k", "x"]))
+        seen = scan_each(warm, meter, ["k", "x"], "k between 1000 and 3000")
+        assert sum(result.blocks_pruned for result, _ in seen.values()) > 0
+        assert 0 < assert_charged_what_was_decoded(warm, seen) < unpruned
+
+    def test_containers_with_delete_vectors(self, warm, meter):
+        warm.execute("delete from t where k between 4100 and 4199")
+        warm.execute("delete from t where k >= 24000 and k < 24030")
+        scan_each(warm, meter, NAMES, "k < 30000")  # warm the delete vectors
+        seen = scan_each(warm, meter, ["k", "f"], "k < 30000")
+        dvs = delete_vector_names(warm)
+        assert any(key in dvs and lengths for _, files in seen.values()
+                   for key, lengths, _ in files)
+        assert assert_charged_what_was_decoded(warm, seen) > 0
+
+    def test_a_hash_crunch_share(self, warm, meter):
+        options = dict(crunch="hash", nodes_per_shard=2)
+        scan_each(warm, meter, NAMES, **options)  # each share's node warmed
+        seen = scan_each(warm, meter, ["s"], **options)
+        # Each share reads the segmentation column beside what it returns.
+        alone = scan_each(warm, meter, ["s"])
+        assert assert_charged_what_was_decoded(warm, seen) > (
+            assert_charged_what_was_decoded(warm, alone))
+
+    def test_a_file_fetched_for_the_batch_pays_its_fetch_only(self, meter):
+        cluster = build()
+        for node in cluster.nodes.values():
+            node.cache.clear()
+        seen = scan_each(cluster, meter, NAMES)
+        assert whole_files(seen) > 0
+        for result, _ in seen.values():
+            assert result.depot_hits == 0
+            assert result.bytes_from_cache == 0 == result.io_seconds
+
+
+class TestEveryReplicaReaderPays:
+    def test_each_node_pays_for_its_own_copy(self, meter):
+        cluster = build_replicated()
+        columns = ["d_id", "d_name"]
+        with cluster.create_session(seed=3) as session:
+            provider = EonStorageProvider(session)
+            results = {}
+            for node in sorted(cluster.nodes):
+                meter.take()
+                results[node] = (provider.scan(node, "dim_p", columns, None, True), meter.take())
+        decoded = {node: sum(sum(lengths) for _, lengths, _ in files)
+                   for node, (_, files) in results.items()}
+        first, *rest = sorted(cluster.nodes)
+        # One node decoded the blocks; every node read its copy of them.
+        assert decoded[first] > 0 and all(decoded[node] == 0 for node in rest)
+        state = cluster.any_up_node().catalog.state
+        images = [cluster.nodes[first].cache.peek(c.location)
+                  for c in sorted(state.containers_of("dim_p"), key=lambda c: c.location)]
+        per_image = [block_bytes(image, columns) for image in images]
+        assert sum(per_image) == decoded[first]
+        for node, (result, _) in results.items():
+            assert result.depot_hits == len(images)
+            assert result.bytes_from_cache == decoded[first]
+            assert result.io_seconds == pytest.approx(
+                expected_seconds(cluster.nodes[node].local_fs, per_image), rel=1e-12)
+
+
+def block_bytes(image: bytes, columns) -> int:
+    """The stored length of every block of ``columns`` in a container image,
+    from its footers."""
+    reader = read_container(image)
+    return sum(block.length for name in columns for block in reader.column_reader(name).blocks)
+
+
+class TestEnterpriseReadsItsColumns:
+    def test_a_scan_charges_the_blocks_of_the_columns_it_reads(self, monkeypatch):
+        cluster = EnterpriseCluster(["e1", "e2", "e3"], seed=3)
+        cluster.create_table("t", [
+            ("k", ColumnType.INT), ("s", ColumnType.VARCHAR), ("x", ColumnType.INT),
+            ("f", ColumnType.FLOAT),
+        ])
+        for lo in (0, 9_000):
+            cluster.load("t", [(i, f"s{i % 5}", i * 3, i / 7) for i in range(lo, lo + 9_000)],
+                         direct=True)
+        containers = {c.location for c in cluster.catalog.state.containers.values()}
+        images = []
+        real_read = MemoryFilesystem.read
+
+        def read(fs, name):
+            data = real_read(fs, name)
+            if name in containers:
+                images.append((fs, data))
+            return data
+
+        monkeypatch.setattr(MemoryFilesystem, "read", read)
+        columns = ["k", "s"]
+        provider = EnterpriseStorageProvider(cluster.create_session(seed=1))
+        for node in provider.participants():
+            del images[:]
+            result = provider.scan(node, "t_super", columns, None, False)
+            assert len(images) == result.containers_scanned > 0
+            per_image = [block_bytes(data, columns) for _, data in images]
+            local_fs = cluster.nodes[node].local_fs
+            assert result.bytes_from_cache == sum(per_image)
+            assert result.io_seconds == pytest.approx(
+                expected_seconds(local_fs, per_image), rel=1e-12)
+            # Half the columns' blocks: well under the files themselves.
+            assert sum(per_image) < sum(len(data) for _, data in images) * 0.75
+
+
+@functools.lru_cache(maxsize=1)
+def warm_once():
+    """One warm cluster for the property (examples only read it)."""
+    cluster = build()
+    cluster.execute("delete from t where k between 4100 and 4199")
+    for options in ({}, {"crunch": "hash", "nodes_per_shard": 2}):
+        with cluster.create_session(seed=SESSION_SEED, **options) as session:
+            provider = EonStorageProvider(session)
+            for node in session.participants():
+                provider.scan(node, PROJECTION, NAMES, None, False)
+    return cluster
+
+
+class TestTheChargeIsTheMeters:
+    @given(
+        columns=st.lists(st.sampled_from(NAMES), min_size=1, max_size=len(NAMES), unique=True),
+        low=st.one_of(st.none(), st.integers(-100, 25_000)),
+        span=st.integers(0, 26_000),
+        on_x=st.booleans(),
+        crunch=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_over_column_subsets_and_bounds(self, columns, low, span, on_x, crunch):
+        cluster = warm_once()
+        where = None
+        if low is not None:
+            where = f"k between {low} and {low + span}"
+            if on_x:
+                where += " and x < 0"
+        options = {"crunch": "hash", "nodes_per_shard": 2} if crunch else {}
+        with pytest.MonkeyPatch.context() as patch:
+            seen = scan_each(cluster, Meter(patch), columns, where, **options)
+        assert_charged_what_was_decoded(cluster, seen)
+        for node, (result, files) in seen.items():
+            whole = expected_seconds(
+                cluster.nodes[node].local_fs, [size for _, _, size in files])
+            assert result.io_seconds <= whole
+
