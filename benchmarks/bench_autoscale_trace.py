@@ -34,6 +34,7 @@ from repro.shared_storage.s3 import SimulatedS3
 from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
 from repro.wm.pool import PoolConfig
+from tests.test_autoscale_campaign import run_serial_trace
 
 from conftest import emit
 
@@ -120,9 +121,9 @@ def run_three_ways():
         result_key=rows_key,
     )
     serial_cluster = build_cluster(6)
-    serial = run_trace(
+    serial = run_serial_trace(
         serial_cluster, TrafficGenerator(profile()), STATEMENTS, EPOCHS,
-        serial=True, requests_per_client=2, service_scale=50.0, seed=9,
+        requests_per_client=2, service_scale=50.0, seed=9,
         result_key=rows_key,
     )
     return elastic, static, serial, scaler, elastic_cluster

@@ -7,9 +7,9 @@ path, real admission queueing).  Node-seconds are integrated piecewise —
 topology only changes at tick boundaries, so the integral is exact —
 and every completed request's row digest is recorded under its
 ``(epoch, client, request)`` coordinate, which is what makes the
-autoscaled run byte-comparable to a static-topology serial reference:
-row content is topology-independent, so elasticity must not change a
-single digest.
+autoscaled run byte-comparable to a static-topology serial reference (the
+tests' serial driver in place of ``run_closed_loop``): row content is
+topology-independent, so elasticity must not change a single digest.
 
 The scaler is ticked *between* epochs rather than as a free-running
 clock process because :func:`~repro.wm.driver.run_closed_loop` drains
@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.autoscale.service import Autoscaler
 from repro.autoscale.traffic import TrafficGenerator
-from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 
 #: On-demand price per node-hour (r4.4xlarge-class, the paper's EC2 era).
 NODE_DOLLARS_PER_HOUR = 1.064
@@ -88,7 +88,6 @@ def run_trace(
     statements: Tuple[str, ...],
     epochs: int,
     scaler: Optional[Autoscaler] = None,
-    serial: bool = False,
     requests_per_client: int = 1,
     service_scale: float = 1.0,
     seed: int = 0,
@@ -96,9 +95,7 @@ def run_trace(
 ) -> TraceResult:
     """Run ``epochs`` epochs of ``traffic`` against ``cluster``.
 
-    ``scaler=None`` is the static baseline (topology never changes);
-    ``serial=True`` replaces the closed loop with the one-at-a-time
-    serial reference (identical per-request seeds, so digests align).
+    ``scaler=None`` is the static baseline (topology never changes).
     """
     clock = cluster.clock
     epoch_seconds = traffic.profile.epoch_seconds
@@ -139,8 +136,7 @@ def run_trace(
                 seed=seed * 1_000_003 + index,
                 service_scale=service_scale,
             )
-            runner = run_serial_reference if serial else run_closed_loop
-            run = runner(cluster, workload, result_key=result_key)
+            run = run_closed_loop(cluster, workload, result_key=result_key)
             accrue()
             epoch.completed = run.completed
             epoch.rejected = run.rejected

@@ -83,6 +83,10 @@ class CacheStats(Ledger):
     #: depot?"), so track bytes served on hits, bytes inserted, bytes
     #: reclaimed by LRU eviction, and bytes fetched from shared storage
     #: after a miss (reported by the caller, which knows the fetch size).
+    #: ``bytes_read`` is the whole files the depot handed out on demand
+    #: hits — files are cached and handed out whole — not what a scan paid
+    #: for: that is ``NodeWork.bytes_from_cache``, the stored length of the
+    #: blocks the scan decoded from them, at most ``bytes_read``.
     bytes_read: int = 0
     bytes_written: int = 0
     bytes_evicted: int = 0

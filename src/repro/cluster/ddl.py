@@ -44,8 +44,8 @@ from repro.storage.container import RowSet
 
 
 def new_table(
-    name: str, columns: Sequence[Tuple[str, ColumnType]], partition_by: Optional[str] = None,
-    flattened: Sequence = (),
+    name: str, columns: Sequence[Tuple[str, ColumnType]], partition_by: Optional[str],
+    flattened: Sequence,
 ) -> Table:
     schema = TableSchema([SchemaColumn(n, t) for n, t in columns])
     return Table(name=name, schema=schema, partition_by=partition_by, flattened=tuple(flattened))

@@ -74,8 +74,9 @@ DIRECT_LOAD_ROWS = 10_000
 
 
 #: What ``query``/``query_statement`` accept per query: the session layout
-#: (``create_session``'s parameters) and the one engine option.
-QUERY_OPTIONS = ("seed", "pushdown")
+#: (``create_session``'s parameters).  Enterprise has no shared storage to
+#: push a scan down to, so it takes no engine option.
+QUERY_OPTIONS = ("seed",)
 
 
 @dataclass
@@ -216,7 +217,7 @@ class EnterpriseCluster:
         partition_by: Optional[str] = None,
         create_super: bool = True,
     ) -> int:
-        table = ddl.new_table(name, columns, partition_by)
+        table = ddl.new_table(name, columns, partition_by, ())
         ops = [op_create_table(table)]
         if create_super:
             super_proj = ddl.super_projection(table)
@@ -403,13 +404,12 @@ class EnterpriseCluster:
         session: Optional[EnterpriseSession] = None,
         request_text: Optional[str] = None,
         failover: Optional[bool] = None,
-        ticket=None,
         **options,
     ) -> QueryResult:
         """One SELECT through the shared query path (``query_path.run``)."""
         check_query_options(options, QUERY_OPTIONS)
         return query_path.run(
-            self, statement, session, request_text, failover, ticket, options
+            self, statement, session, request_text, failover, options=options
         )
 
     # -- elasticity: full redistribution (the paper's anti-pattern) -----------------

@@ -39,6 +39,7 @@ from repro.errors import (
     QuorumLost,
     ShardCoverageLost,
     StorageUnavailable,
+    UnsupportedSharedStorage,
 )
 from repro.io.scheduler import IOScheduler
 from repro.load import flattened, partitions
@@ -48,7 +49,7 @@ from repro.recovery.failover import RecoveryStats
 from repro.sharding.assignment import select_participating_subscriptions
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.sharding.subscription import SubscriptionState, holders
-from repro.shared_storage.api import Filesystem, PrefixView
+from repro.shared_storage.api import PrefixView
 from repro.shared_storage.s3 import SimulatedS3
 from repro.storage.container import RowSet
 from repro.wm.admission import AdmissionController
@@ -69,7 +70,7 @@ class EonCluster:
         self,
         node_names: Sequence[str],
         shard_count: int,
-        shared_storage: Optional[Filesystem] = None,
+        shared_storage: Optional[SimulatedS3] = None,
         subscribers_per_shard: int = 2,
         cache_bytes: int = 256 << 20,
         execution_slots: int = 4,
@@ -81,6 +82,10 @@ class EonCluster:
     ):
         if not node_names:
             raise ValueError("cluster needs at least one node")
+        if shared_storage is not None and not isinstance(shared_storage, SimulatedS3):
+            raise UnsupportedSharedStorage(
+                f"shared storage must be a SimulatedS3, not {type(shared_storage).__name__}"
+            )
         self.rng = random.Random(seed)
         self.clock = clock or SimClock()
         self.cost_model = CostModel()
@@ -129,12 +134,9 @@ class EonCluster:
         #: back through v_monitor.designer_runs.
         self.designer_runs: List = []
         # Outage windows are clock-driven; bind the cluster clock to the
-        # backend's fault injector when it has one.
-        faults = getattr(self.shared, "faults", None)
-        if faults is not None and hasattr(faults, "bind_clock"):
-            faults.bind_clock(self.clock)
-        if faults is not None and hasattr(faults, "bind_recorder"):
-            faults.bind_recorder(self._record_fault_event)
+        # store's fault injector.
+        self.shared.faults.bind_clock(self.clock)
+        self.shared.faults.bind_recorder(self._record_fault_event)
         if _bootstrap:
             self._bootstrap()
 
@@ -281,7 +283,7 @@ class EonCluster:
         commits and loads fail fast with :class:`StorageUnavailable`, and
         the maintenance services pause instead of burning error counters.
         """
-        outage = bool(getattr(self.shared, "outage_active", False))
+        outage = self.shared.outage_active
         if outage and not self.degraded:
             self.degraded = True
             self.recovery_stats.degraded_entries += 1
@@ -462,7 +464,6 @@ class EonCluster:
         session: Optional[EonSession] = None,
         request_text: Optional[str] = None,
         failover: Optional[bool] = None,
-        ticket=None,
         **session_options,
     ) -> QueryResult:
         """One SELECT through the shared query path (``query_path.run``)."""
@@ -472,7 +473,7 @@ class EonCluster:
                 statement, **session_options
             )
         return query_path.run(
-            self, statement, session, request_text, failover, ticket, session_options
+            self, statement, session, request_text, failover, options=session_options
         )
 
     def _choose_crunch_mode(self, statement, **session_options) -> str:

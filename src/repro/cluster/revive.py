@@ -34,6 +34,7 @@ from repro.common.clock import SimClock
 from repro.errors import ReviveError
 from repro.sharding.subscription import shards_of, uncovered
 from repro.shared_storage.api import Filesystem
+from repro.shared_storage.s3 import SimulatedS3
 
 CLUSTER_INFO_PREFIX = "cluster_info_"
 
@@ -48,7 +49,7 @@ def read_latest_cluster_info(shared: Filesystem) -> Optional[dict]:
 
 
 def revive(
-    shared_storage: Filesystem,
+    shared_storage: SimulatedS3,
     clock: Optional[SimClock] = None,
     force: bool = False,
     seed: int = 1,

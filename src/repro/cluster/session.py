@@ -219,7 +219,6 @@ class EonStorageProvider(StorageProvider):
             and self._scan_eligible
             and predicate is not None
             and session.use_cache
-            and bool(getattr(self.cluster.shared_data, "supports_select", False))
         )
         scan_units: List[tuple] = []
         fetch_requests: List[FetchRequest] = []
@@ -345,8 +344,8 @@ class EonStorageProvider(StorageProvider):
     ) -> str:
         """Pick depot or pushdown for one container of a scan that may push
         down (``may_push`` in :meth:`scan`: the mode is not off, the plan
-        marked the scan eligible, it has a predicate, the backend selects
-        and the session reads through the depot) — see
+        marked the scan eligible, it has a predicate and the session reads
+        through the depot) — see
         :func:`repro.engine.cost.choose_scan_strategy` for the table.
 
         Estimates are only computed on the ``auto`` break-even path:
@@ -386,7 +385,6 @@ class EonStorageProvider(StorageProvider):
             use_cache=True,
             has_delete_vectors=has_delete_vectors,
             eligible=not hash_crunch,
-            supports_select=True,
             fetch_seconds=fetch_seconds,
             pushdown_seconds=pushdown_seconds,
         )

@@ -11,8 +11,7 @@ simpy:
 
 * :class:`SimClock` — the event loop; schedules callbacks at absolute times.
 * processes — Python generators spawned with :meth:`SimClock.spawn` that
-  ``yield`` *effects*: :class:`Timeout`, an :class:`AcquireAll` request,
-  or another :class:`Process` (join).
+  ``yield`` *effects*: :class:`Timeout` or an :class:`AcquireAll` request.
 * :class:`Resource` — a counted resource that :class:`AcquireAll` requests
   wait on in FIFO order (per-node execution slots).
 
@@ -105,7 +104,7 @@ class SimClock:
     def spawn(self, generator: Generator) -> "Process":
         """Start a process; it begins executing at the current time."""
         process = Process(self, generator)
-        self.schedule(0.0, process._step_none)
+        self.schedule(0.0, process._step)
         return process
 
 
@@ -119,70 +118,24 @@ class Timeout:
 class Process:
     """A running simulation process wrapping a generator.
 
-    Other processes may ``yield`` a Process to wait for its completion; the
-    waiting process receives the finished process's return value.
-    """
+    An exception the generator raises propagates out of
+    :meth:`SimClock.run`."""
 
     def __init__(self, clock: SimClock, generator: Generator):
         self._clock = clock
         self._gen = generator
-        self.finished = False
-        self.value: object = None
-        self.error: Optional[BaseException] = None
-        self._waiters: List[Callable[[], None]] = []
 
-    def _step_none(self) -> None:
-        self._step(None)
-
-    def _step(self, send_value: object) -> None:
+    def _step(self) -> None:
         try:
-            effect = self._gen.send(send_value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+            effect = next(self._gen)
+        except StopIteration:
             return
-        except BaseException as exc:  # propagate to joiners
-            self.error = exc
-            self._finish(None)
-            return
-        self._dispatch(effect)
-
-    def _dispatch(self, effect: object) -> None:
         if isinstance(effect, Timeout):
-            self._clock.schedule(effect.delay, lambda: self._step(None))
+            self._clock.schedule(effect.delay, self._step)
         elif isinstance(effect, AcquireAll):
             effect._register(self)
-        elif isinstance(effect, Process):
-            if effect.finished:
-                self._clock.schedule(0.0, lambda: self._resume_join(effect))
-            else:
-                effect._waiters.append(lambda: self._resume_join(effect))
         else:
             raise TypeError(f"process yielded unsupported effect: {effect!r}")
-
-    def _resume_join(self, joined: "Process") -> None:
-        if joined.error is not None:
-            try:
-                self._gen.throw(joined.error)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            except BaseException as exc:
-                self.error = exc
-                self._finish(None)
-                return
-            # generator swallowed the error and yielded a new effect — we
-            # cannot recover the effect from throw() result here, so forbid.
-            raise RuntimeError("process must not yield from except block via throw")
-        self._step(joined.value)
-
-    def _finish(self, value: object) -> None:
-        self.finished = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            self._clock.schedule(0.0, waiter)
-        if self.error is not None and not waiters:
-            raise self.error
 
 
 class AcquireAll:
@@ -209,7 +162,7 @@ class AcquireAll:
         if self.resources:
             self.resources[0]._try_multi()
         else:
-            process._clock.schedule(0.0, lambda: process._step(None))
+            process._clock.schedule(0.0, process._step)
 
     def _ready(self) -> bool:
         # Count duplicates: acquiring the same resource twice needs 2 units.
@@ -228,7 +181,7 @@ class AcquireAll:
                 resource._multi_waiters.remove(self)
         process = self._process
         if process is not None:
-            process._clock.schedule(0.0, lambda: process._step(None))
+            process._clock.schedule(0.0, process._step)
 
     def release(self) -> None:
         for resource in self.resources:

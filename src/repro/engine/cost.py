@@ -37,7 +37,13 @@ class CostModel:
 @dataclass
 class NodeWork(Ledger):
     """Per-node accounting for one query: each of the node's scans'
-    ``ScanResult`` folded in by ``add``, plus the CPU the executor charges."""
+    ``ScanResult`` folded in by ``add``, plus the CPU the executor charges.
+
+    ``bytes_from_cache`` is what the node's scans paid the local disk for:
+    the stored length of the column blocks they decoded from files their
+    depot held.  The depot's own ``CacheStats.bytes_read`` books the whole
+    files it handed out, so a scan that reads a few of a file's columns
+    moves it by more."""
 
     io_seconds: float = 0.0
     cpu_seconds: float = 0.0
@@ -151,7 +157,6 @@ def choose_scan_strategy(
     use_cache: bool,
     has_delete_vectors: bool,
     eligible: bool,
-    supports_select: bool,
     fetch_seconds: float,
     pushdown_seconds: float,
 ) -> str:
@@ -162,8 +167,8 @@ def choose_scan_strategy(
 
     * no depot session (``use_cache=False``) — raw ``get``, never cached;
     * container already resident — ``depot`` (nothing beats a warm hit);
-    * ``mode=off``, backend without select support, delete vectors present,
-      or a scan the planner did not mark eligible — ``depot`` (cold fetch);
+    * ``mode=off``, delete vectors present, or a scan the planner did not
+      mark eligible — ``depot`` (cold fetch);
     * ``mode=on`` — ``pushdown`` (operator override);
     * ``mode=auto`` — ``pushdown`` only when the cost model estimates the
       select to be strictly faster than the cold-depot fetch.
@@ -172,7 +177,7 @@ def choose_scan_strategy(
         return "get"
     if resident:
         return "depot"
-    if mode == "off" or not supports_select or has_delete_vectors or not eligible:
+    if mode == "off" or has_delete_vectors or not eligible:
         return "depot"
     if mode == "on":
         return "pushdown"

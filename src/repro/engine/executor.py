@@ -57,7 +57,9 @@ from repro.storage.encoding import Held
 class ScanResult(Ledger):
     """What a storage provider returns for one fragment scan: the rows and
     the scan's ledger, which the executor folds (``add``) into the node's
-    ``NodeWork`` and the Scan's ``OperatorProfile`` by field name."""
+    ``NodeWork`` and the Scan's ``OperatorProfile`` by field name.
+    ``bytes_from_cache`` is the blocks the scan decoded and paid for, not
+    the whole files the depot handed out (``CacheStats.bytes_read``)."""
 
     rows: RowSet
     io_seconds: float = 0.0

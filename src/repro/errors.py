@@ -56,6 +56,15 @@ class TransientStorageError(StorageError):
     """
 
 
+class UnsupportedSharedStorage(StorageError):
+    """A cluster was handed shared storage that is not the simulated S3.
+
+    Eon's shared storage is S3 (section 5.1): the scan path's coalesced GETs
+    and server-side selects, the fault injector and the price list are S3's,
+    so any other backend is refused before the cluster builds anything.
+    """
+
+
 class StorageUnavailable(StorageError):
     """Shared storage is in a sustained outage window.
 

@@ -13,7 +13,7 @@ layer does:
 * **dedup** — a key requested twice in a batch (e.g. a delete vector
   shared by two containers) is fetched once;
 * **coalescing** — runs of small adjacent files are fetched as one larger
-  GET (:meth:`Filesystem.read_coalesced`), amortising the per-request
+  GET (:meth:`SimulatedS3.read_coalesced`), amortising the per-request
   latency and the per-request dollar cost — the paper's "larger request
   sizes than local disk" tuning made cost-model visible;
 * **peer depot fetch** — a file missing locally but resident in a peer
@@ -153,7 +153,6 @@ def plan_fetch(
     requests: Sequence[FetchRequest],
     resident: Set[str],
     bypass: Set[str],
-    supports_coalesced: bool = True,
 ) -> FetchPlan:
     """Pure fetch planning: dedup, split resident/fetch, coalesce.
 
@@ -186,12 +185,7 @@ def plan_fetch(
         if request.key in resident:
             plan.resident.append(request)
             continue
-        coalescable = (
-            supports_coalesced
-            and request.key not in bypass
-            and request.size <= COALESCE_FILE_LIMIT
-        )
-        if not coalescable:
+        if request.key in bypass or request.size > COALESCE_FILE_LIMIT:
             flush()
             plan.groups.append([request])
             continue
@@ -339,15 +333,11 @@ class IOScheduler:
         and the depot; returns what :data:`_NOTHING_FETCHED` lists."""
         clock = self.cluster.clock
         shared = self.cluster.shared_data
-        cost = getattr(self.cluster.shared, "cost", None)
-        get_dollars = cost.get_cost() if cost is not None else 0.0
+        get_dollars = self.cluster.shared.cost.get_cost()
         obs = self.cluster.obs
 
         bypass = self._bypass_keys(node, missing)
-        groups = plan_fetch(
-            missing, set(), bypass,
-            supports_coalesced=shared.supports_coalesced_get,
-        ).groups
+        groups = plan_fetch(missing, set(), bypass).groups
         first_fetch_index = min(r.container_index for r in missing)
 
         # Peel peer-resident files out of their groups into network units.

@@ -156,8 +156,8 @@ class Histogram(_Instrument):
         self,
         name: str,
         labels: LabelItems,
-        clock=None,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
+        clock,
+        buckets: Tuple[float, ...],
     ):
         super().__init__(name, labels, clock)
         self.bounds = tuple(buckets)

@@ -1,8 +1,8 @@
 """The user-defined filesystem (UDFS) API — section 5.3, Figure 9.
 
 All engine file access goes through :class:`Filesystem` so the same scan,
-load, and catalog code runs against a node's local disk, the simulated S3,
-or anything a user plugs in.  The operations are S3's: an object is written
+load, and catalog code runs against a node's local disk and the simulated
+S3, the one shared backend (section 5.1).  The operations are S3's: an object is written
 once and read, listed, sized or deleted whole — there is no rename and no
 append.  The interface deliberately omits ``exists``-via-HEAD: the
 paper notes that a HEAD probe downgrades S3's read-after-write consistency
@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple, TypeVar
 
-from repro.errors import StorageError, TransientStorageError
+from repro.errors import TransientStorageError
 from repro.obs.metrics import Ledger
 
 
@@ -178,38 +178,12 @@ class Filesystem(abc.ABC):
         """Existence check via the list API (never HEAD — see module doc)."""
         return name in self.list(prefix=name)
 
-    #: True when :meth:`read_coalesced` amortises the per-request cost over
-    #: its members (one request, one latency charge).  The base fallback
-    #: issues one request per member, so schedulers should only *plan*
-    #: coalesced groups against backends that advertise support.
-    supports_coalesced_get = False
-
     #: True while the backend is in a sustained outage window (every
     #: request raises :class:`~repro.errors.StorageUnavailable`).  Plain
     #: backends never are; fault-injecting backends override this, and
     #: decorators delegate it, so callers can probe reachability out of
     #: band without spending a request.
     outage_active = False
-
-    def read_coalesced(self, names: List[str]) -> Dict[str, bytes]:
-        """Fetch several objects as one logical request.
-
-        Backend-amortised where supported (the simulated S3 charges one
-        GET for the whole group — the paper's "larger request sizes"
-        tuning, section 5.3); the default is a plain per-object loop so
-        every backend accepts the same call.
-        """
-        return {name: self.read(name) for name in names}
-
-    # -- optional server-side compute (S3-Select-style pushdown) ---------------
-
-    #: True when the backend can filter/project/partially-aggregate stored
-    #: containers server-side via :meth:`select_scan`.  The scan layer only
-    #: *plans* pushdown against backends that advertise support.
-    supports_select = False
-
-    def select_scan(self, name: str, columns=None, predicate=None, aggregates=None):
-        raise StorageError(f"{type(self).__name__} does not support select_scan")
 
     # -- cost estimation (used by the engine's cost model) ---------------------
 
@@ -218,10 +192,6 @@ class Filesystem(abc.ABC):
 
     def estimate_write_seconds(self, nbytes: int) -> float:
         return 0.0
-
-    def estimate_select_seconds(self, scanned_bytes: int, returned_bytes: int) -> float:
-        # Backends without server-side compute make pushdown unpayable.
-        return float("inf")
 
 
 T = TypeVar("T")
@@ -283,24 +253,14 @@ class RetryingFilesystem(Filesystem):
         return self._retry(lambda: self._base.size(name))
 
     @property
-    def supports_coalesced_get(self) -> bool:
-        return self._base.supports_coalesced_get
-
-    @property
     def outage_active(self) -> bool:
         return self._base.outage_active
 
     def read_coalesced(self, names: List[str]) -> Dict[str, bytes]:
         return self._retry(lambda: self._base.read_coalesced(names))
 
-    @property
-    def supports_select(self) -> bool:
-        return self._base.supports_select
-
-    def select_scan(self, name: str, columns=None, predicate=None, aggregates=None):
-        return self._retry(
-            lambda: self._base.select_scan(name, columns, predicate, aggregates)
-        )
+    def select_scan(self, name: str, columns=None, predicate=None):
+        return self._retry(lambda: self._base.select_scan(name, columns, predicate))
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self._base.estimate_read_seconds(nbytes)
@@ -316,7 +276,9 @@ class PrefixView(Filesystem):
     """A namespaced view over another filesystem.
 
     Used to give each database (and each incarnation) its own region of the
-    shared-storage namespace without copying data.
+    shared-storage namespace without copying data.  Like
+    :class:`RetryingFilesystem` it wraps the shared store, so it passes S3's
+    coalesced GET and server-side select through as well.
     """
 
     def __init__(self, base: Filesystem, prefix: str):
@@ -345,10 +307,6 @@ class PrefixView(Filesystem):
         return self._base.size(self._full(name))
 
     @property
-    def supports_coalesced_get(self) -> bool:
-        return self._base.supports_coalesced_get
-
-    @property
     def outage_active(self) -> bool:
         return self._base.outage_active
 
@@ -357,12 +315,8 @@ class PrefixView(Filesystem):
         raw = self._base.read_coalesced([self._full(n) for n in names])
         return {full[plen:]: data for full, data in raw.items()}
 
-    @property
-    def supports_select(self) -> bool:
-        return self._base.supports_select
-
-    def select_scan(self, name: str, columns=None, predicate=None, aggregates=None):
-        return self._base.select_scan(self._full(name), columns, predicate, aggregates)
+    def select_scan(self, name: str, columns=None, predicate=None):
+        return self._base.select_scan(self._full(name), columns, predicate)
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self._base.estimate_read_seconds(nbytes)

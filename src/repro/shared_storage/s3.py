@@ -21,8 +21,8 @@ and failure surface* the Eon code must handle:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -233,16 +233,11 @@ class FaultInjector:
             )
 
 
-#: Wire framing charged per partial-aggregate value in a select response.
-AGGREGATE_WIRE_BYTES = 16
-
-
 @dataclass
 class SelectScanResult:
     """What one :meth:`SimulatedS3.select_scan` call produced and cost."""
 
     rows: object  # RowSet: filtered + projected rows, container order kept
-    aggregates: Dict[Tuple[str, Optional[str]], object] = field(default_factory=dict)
     bytes_scanned: int = 0
     bytes_returned: int = 0
     sim_seconds: float = 0.0
@@ -253,27 +248,6 @@ class SelectScanResult:
     #: ``rows_scanned`` / ``blocks_pruned`` stats.
     rows_examined: int = 0
     blocks_pruned: int = 0
-
-
-def _partial_aggregate(func: str, column: Optional[str], rows) -> object:
-    """One server-side partial aggregate over the post-filter rows.
-
-    Deterministic numpy semantics (NaN propagates through ``sum``); the
-    initiator combines partials exactly as it combines per-node partials,
-    so the property wall can recompute these client-side bit-for-bit.
-    """
-    if func == "count":
-        return int(rows.num_rows)
-    if column is None:
-        raise StorageError(f"aggregate {func!r} requires a column")
-    values = rows.column(column)
-    if func == "sum":
-        return values.sum().item() if len(values) else 0
-    if func == "min":
-        return values.min().item() if len(values) else None
-    if func == "max":
-        return values.max().item() if len(values) else None
-    raise StorageError(f"unsupported server-side aggregate {func!r}")
 
 
 class SimulatedS3(Filesystem):
@@ -339,13 +313,11 @@ class SimulatedS3(Filesystem):
         )
         return data
 
-    #: Coalesced GETs are backend-amortised here: the group pays one
-    #: request's worth of first-byte latency and one GET dollar — the S3
-    #: byte-range/multi-part trick behind the paper's "larger request
-    #: sizes" guidance.
-    supports_coalesced_get = True
-
     def read_coalesced(self, names: List[str]) -> Dict[str, bytes]:
+        """Fetch several objects as one request: the group pays one
+        request's worth of first-byte latency and one GET dollar — the S3
+        byte-range/multi-part trick behind the paper's "larger request
+        sizes" guidance (section 5.3)."""
         if not names:
             return {}
         self._maybe_fail("GET")
@@ -361,30 +333,23 @@ class SimulatedS3(Filesystem):
         )
         return out
 
-    #: Server-side compute (S3-Select-style filter/project/partial-aggregate)
-    #: is available on this backend; generic filesystems advertise False and
-    #: the scan layer falls back to whole-object GETs.
-    supports_select = True
-
     def select_scan(
         self,
         name: str,
         columns: Optional[Sequence[str]] = None,
         predicate=None,
-        aggregates: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
     ) -> SelectScanResult:
-        """Server-side scan of one stored container image.
+        """Server-side scan of one stored container image (S3-Select-style).
 
         Filters rows with ``predicate`` (an engine expression; evaluated
-        exactly as the client would evaluate it), projects ``columns``
-        (container order preserved), and computes optional partial
-        ``aggregates`` — ``(func, column)`` pairs over the post-filter rows.
+        exactly as the client would evaluate it) and projects ``columns``
+        (container order preserved).
 
         Accounting: the request is charged ``select_seconds``/``select_cost``
         into the aggregate metrics and the ``SELECT`` op class, where the
         byte count is *bytes scanned* — the stored size of every column file
-        the scan touched (projection ∪ predicate ∪ aggregate columns, and
-        the caller must list predicate columns in ``columns``).  GET
+        the scan touched (the projection, in which the caller must list the
+        predicate's columns).  GET
         counters (``get_requests``/``bytes_read``) are never touched, so a
         differential run can hold the GET ledger bit-identical while selects
         ride on top.  ``bytes_scanned`` always charges the full stored size
@@ -400,10 +365,7 @@ class SimulatedS3(Filesystem):
             raise ObjectNotFound(name) from None
         reader = read_container(data, self._layouts.get(name))
         projection = list(columns) if columns is not None else list(reader.column_order)
-        agg_specs = [(func, col) for func, col in (aggregates or [])]
-        touched = list(
-            dict.fromkeys(projection + [c for _, c in agg_specs if c is not None])
-        )
+        touched = list(dict.fromkeys(projection))
         missing = [c for c in touched if c not in reader.layout.extents]
         if missing:
             raise StorageError(
@@ -429,20 +391,15 @@ class SimulatedS3(Filesystem):
         if predicate is not None:
             mask = np.asarray(predicate.evaluate(rows), dtype=bool)
             rows = rows.filter(mask)
-        aggs = {
-            (func, col): _partial_aggregate(func, col, rows)
-            for func, col in agg_specs
-        }
         out_rows = rows.select(projection)
         # Kept only once every footer the scan touched has parsed cleanly.
         self._layouts[name] = reader.layout
-        returned = rowset_bytes(out_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
+        returned = rowset_bytes(out_rows)
         seconds = self.latency.select_seconds(scanned, returned)
         dollars = self.cost.select_cost(scanned, returned)
         self._charge("SELECT", scanned, seconds, dollars)
         return SelectScanResult(
             rows=out_rows,
-            aggregates=aggs,
             bytes_scanned=scanned,
             bytes_returned=returned,
             sim_seconds=seconds,

@@ -127,7 +127,7 @@ class ColumnFile:
     def write(
         values: np.ndarray,
         ctype: ColumnType,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
+        block_rows: int,
     ) -> Tuple[bytes, "ColumnLayout"]:
         """Serialise ``values`` into the block+footer format; returns the
         image and its :class:`ColumnLayout` — what parsing the image's

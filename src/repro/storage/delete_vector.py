@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.common.oid import StorageId
 from repro.common.types import ColumnType
-from repro.storage.column import ColumnFile, ColumnReader
+from repro.storage.column import DEFAULT_BLOCK_ROWS, ColumnFile, ColumnReader
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class DeleteVector:
 def write_delete_vector(positions: Sequence[int]) -> bytes:
     """Serialise deleted positions (sorted, deduplicated) as a column file."""
     arr = np.unique(np.asarray(list(positions), dtype=np.int64))
-    return ColumnFile.write(arr, ColumnType.INT)[0]
+    return ColumnFile.write(arr, ColumnType.INT, DEFAULT_BLOCK_ROWS)[0]
 
 
 def read_delete_vector(data: bytes) -> np.ndarray:

@@ -16,12 +16,10 @@ Determinism: client seeds follow the bench harness's per-request formula
 (``seed*1_000_003 + client*10_007 + request``), sessions are created
 with explicit seeds (no cluster-RNG draws), and all scheduling ties
 break by FIFO arrival — the same workload against the same cluster state
-produces bit-identical records.
-
-:func:`run_serial_reference` executes the identical (client, request,
-seed) grid one query at a time; the differential test asserts the
-concurrent run produces bit-identical row digests and depot demand
-stats (the PR 3 serial-parity discipline).
+produces bit-identical records.  The serial reference that runs the
+same (client, request, seed) grid one query at a time lives in the tests
+(``tests/test_workload_manager.py``): they hold the concurrent run to its
+row digests and depot demand stats.
 """
 
 from __future__ import annotations
@@ -257,70 +255,3 @@ def run_closed_loop(
     result.duration_seconds = max(end - start, _MIN_HOLD_SECONDS)
     return result
 
-
-def run_serial_reference(
-    cluster,
-    workload: ClosedLoopWorkload,
-    result_key: Optional[Callable[[object], object]] = None,
-) -> WorkloadResult:
-    """The same (client, request, seed) grid, one query at a time.
-
-    Sessions use the identical per-request seeds, so each request selects
-    the identical participating subscriptions — the basis for the
-    serial-vs-concurrent parity audit.
-    """
-    if workload.requests_per_client is None:
-        raise ValueError("serial reference needs requests_per_client")
-    parsed = [(sql.strip(), query_path.parse_select(cluster, sql)) for sql in workload.statements]
-    session_options = dict(workload.session_options)
-    clock: SimClock = cluster.clock
-    start = clock.now
-    result = WorkloadResult()
-    for cid in range(workload.clients):
-        for req in range(1, workload.requests_per_client + 1):
-            sql, statement = parsed[workload.statement_index(cid, req)]
-            seed = workload.request_seed(cid, req)
-            try:
-                session = cluster.create_session(seed=seed, **session_options)
-                try:
-                    query_result = cluster.query_statement(
-                        statement,
-                        session=session,
-                        request_text=sql,
-                        failover=workload.failover,
-                    )
-                finally:
-                    session.release()
-            except AdmissionRejected as exc:
-                result.rejected += 1
-                result.records.append(
-                    WorkloadRecord(
-                        cid, req, sql, f"rejected:{exc.reason}", None,
-                        0.0, 0.0, clock.now,
-                    )
-                )
-                continue
-            except ReproError as exc:
-                result.errors += 1
-                result.records.append(
-                    WorkloadRecord(
-                        cid, req, sql, f"error:{type(exc).__name__}", None,
-                        0.0, 0.0, clock.now,
-                    )
-                )
-                continue
-            result.completed += 1
-            result.records.append(
-                WorkloadRecord(
-                    cid,
-                    req,
-                    sql,
-                    "ok",
-                    result_key(query_result) if result_key else None,
-                    query_result.stats.latency_seconds,
-                    0.0,
-                    clock.now,
-                )
-            )
-    result.duration_seconds = max(clock.now - start, _MIN_HOLD_SECONDS)
-    return result

@@ -15,6 +15,8 @@ Three walls:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.autoscale import (
@@ -24,15 +26,16 @@ from repro.autoscale import (
     TrafficProfile,
     run_trace,
 )
+from repro.autoscale import driver as trace_driver
 from repro.cluster.eon import EonCluster
 from repro.common.clock import SimClock
 from repro.shared_storage.s3 import SimulatedS3
 from repro.sim import CampaignConfig, ScenarioGenerator, run_campaign
 from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
-from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 from repro.wm.pool import PoolConfig
-from tests.test_workload_manager import ok_digests
+from tests.test_workload_manager import ok_digests, run_serial_reference
 
 SEEDS = (3, 7, 13, 23, 37)
 
@@ -85,6 +88,13 @@ def trace_policy():
         max_nodes=4,
         scale_step=2,
     )
+
+
+def run_serial_trace(*args, **kwargs):
+    """``run_trace`` with each epoch's closed loop replaced by the serial
+    reference: the same offered load, one request at a time."""
+    with mock.patch.object(trace_driver, "run_closed_loop", run_serial_reference):
+        return run_trace(*args, **kwargs)
 
 
 @pytest.mark.campaign
@@ -225,9 +235,9 @@ class TestDiurnalTrace:
             seed=9, result_key=rows_key,
         )
         serial_cluster = build_cluster(6)
-        serial = run_trace(
+        serial = run_serial_trace(
             serial_cluster, TrafficGenerator(profile), STATEMENTS,
-            self.EPOCHS, serial=True, requests_per_client=2,
+            self.EPOCHS, requests_per_client=2,
             service_scale=50.0, seed=9, result_key=rows_key,
         )
         return auto, static, serial, scaler

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import AcquireAll, Process, Resource, SimClock, Timeout
+from repro.common.clock import AcquireAll, Resource, SimClock, Timeout
 
 
 class TestScheduling:
@@ -119,39 +119,20 @@ class TestProcesses:
         clock.run()
         assert times == [1.0, 3.0]
 
-    def test_join_returns_value(self):
+    def test_a_process_is_not_an_effect(self):
+        """Nothing joins a process: yielding one is refused like any other
+        unsupported effect."""
         clock = SimClock()
-        results = []
 
         def child():
             yield Timeout(1.0)
-            return 42
 
         def parent():
-            value = yield clock.spawn(child())
-            results.append((value, clock.now))
+            yield clock.spawn(child())
 
         clock.spawn(parent())
-        clock.run()
-        assert results == [(42, 1.0)]
-
-    def test_join_finished_process(self):
-        clock = SimClock()
-        results = []
-
-        def child():
-            return "done"
-            yield  # pragma: no cover
-
-        def parent(p):
-            value = yield p
-            results.append(value)
-
-        child_process = clock.spawn(child())
-        clock.run()
-        clock.spawn(parent(child_process))
-        clock.run()
-        assert results == ["done"]
+        with pytest.raises(TypeError, match="Process"):
+            clock.run()
 
     def test_unsupported_effect_raises(self):
         clock = SimClock()

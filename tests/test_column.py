@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.types import ColumnType
 from repro.errors import CorruptBlock
-from repro.storage.column import ColumnFile, ColumnReader
+from repro.storage.column import DEFAULT_BLOCK_ROWS, ColumnFile, ColumnReader
 
 
 def matching(mask) -> list:
@@ -69,7 +69,7 @@ class TestColumnFile:
 
     def test_string_column(self):
         values = np.array(["b", "a", None, "zz"], dtype=object)
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR)[0])
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR, DEFAULT_BLOCK_ROWS)[0])
         assert list(reader.read_all()) == list(values)
         # NULLs are excluded from min/max.
         assert reader.blocks[0].min_value == "a"
@@ -77,7 +77,7 @@ class TestColumnFile:
 
     def test_all_null_block_cannot_be_pruned(self):
         values = np.array([None, None], dtype=object)
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR)[0])
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.VARCHAR, DEFAULT_BLOCK_ROWS)[0])
         assert reader.block_mask("a", "b") == [True]
 
     def test_block_mask_lines_up_with_block_indices(self, int_reader):
@@ -94,7 +94,8 @@ class TestColumnFile:
         assert reader.read_block(3).tolist() == values[3_000:4_000].tolist()
 
     def test_empty_column(self):
-        reader = ColumnReader(ColumnFile.write(np.array([], dtype=np.int64), ColumnType.INT)[0])
+        empty = np.array([], dtype=np.int64)
+        reader = ColumnReader(ColumnFile.write(empty, ColumnType.INT, DEFAULT_BLOCK_ROWS)[0])
         assert reader.row_count == 0
         assert len(reader.read_all()) == 0
 
@@ -112,6 +113,6 @@ class TestColumnFile:
 
     def test_float_column_minmax_json_safe(self):
         values = np.array([1.5, -2.5, 0.0])
-        reader = ColumnReader(ColumnFile.write(values, ColumnType.FLOAT)[0])
+        reader = ColumnReader(ColumnFile.write(values, ColumnType.FLOAT, DEFAULT_BLOCK_ROWS)[0])
         assert reader.min_value == -2.5
         assert reader.max_value == 1.5

@@ -152,7 +152,6 @@ class TestChooseScanStrategy:
         use_cache=True,
         has_delete_vectors=False,
         eligible=True,
-        supports_select=True,
         fetch_seconds=1.0,
         pushdown_seconds=0.5,
     )
@@ -170,7 +169,6 @@ class TestChooseScanStrategy:
 
     def test_hard_disqualifiers_fall_back_to_depot(self):
         assert self._choose("off") == "depot"
-        assert self._choose("on", supports_select=False) == "depot"
         assert self._choose("on", has_delete_vectors=True) == "depot"
         assert self._choose("on", eligible=False) == "depot"
 

@@ -167,11 +167,6 @@ class TestPlanFetch:
         plan = plan_fetch(requests, set(), set())
         assert [[r.key for r in g] for g in plan.groups] == [["a", "b"], ["c"]]
 
-    def test_no_coalesced_backend_means_singletons(self):
-        requests = [FetchRequest(f"k{i}", 100, i) for i in range(3)]
-        plan = plan_fetch(requests, set(), set(), supports_coalesced=False)
-        assert all(len(g) == 1 for g in plan.groups)
-
 
 class TestBatchFetch:
     def test_cold_scan_coalesces_gets(self):

@@ -104,12 +104,6 @@ class TestPlanProperties:
         second = plan_fetch(requests, resident, bypass)
         assert first == second
 
-    @given(requests=_request_lists())
-    @settings(max_examples=60, deadline=None)
-    def test_serial_backend_never_coalesces(self, requests):
-        plan = plan_fetch(requests, set(), set(), supports_coalesced=False)
-        assert all(len(g) == 1 for g in plan.groups)
-
 
 class TestBatchSerialParity:
     """End-to-end: the batch fetch delivers bit-identical bytes to serial

@@ -94,14 +94,13 @@ class TestPerQueryOptions:
         assert list(EON_OPTIONS) == parameters(EonCluster.create_session) + ["pushdown"]
 
     def test_enterprise_options(self):
-        assert list(ENTERPRISE_OPTIONS) == (
-            parameters(EnterpriseCluster.create_session) + ["pushdown"]
-        )
+        """Enterprise has no shared storage to push a scan down to."""
+        assert list(ENTERPRISE_OPTIONS) == parameters(EnterpriseCluster.create_session)
 
     def test_both_flavors_take_a_statement_the_same_way(self):
         assert parameters(EonCluster.query_statement)[:-1] == parameters(
             EnterpriseCluster.query_statement
-        )[:-1] == ["statement", "session", "request_text", "failover", "ticket"]
+        )[:-1] == ["statement", "session", "request_text", "failover"]
 
     @pytest.fixture(scope="class")
     def clusters(self):
@@ -124,7 +123,7 @@ class TestPerQueryOptions:
             lambda: enterprise.query_statement(parse(sql)[0], **{option: True}),
         )
         for call in calls:
-            with pytest.raises(ExecutionError, match=f"{option}.*accepted.*pushdown") as err:
+            with pytest.raises(ExecutionError, match=f"{option}.*accepted.*seed") as err:
                 call()
             assert isinstance(err.value, ReproError)
 
@@ -132,24 +131,26 @@ class TestPerQueryOptions:
         eon, enterprise = clusters
         sql = "select count(*) from t"
         assert eon.query(sql, seed=3, use_cache=False, pushdown="off").rows.to_pylist() == [(2,)]
-        assert enterprise.query(sql, seed=3, pushdown="off").rows.to_pylist() == [(2,)]
+        assert enterprise.query(sql, seed=3).rows.to_pylist() == [(2,)]
+        with pytest.raises(ExecutionError, match="pushdown.*accepted: seed"):
+            enterprise.query(sql, pushdown="off")
 
     def test_a_layout_option_beside_a_session_fails_typed(self, clusters):
         """An option that lays out a session cannot apply to one that already
         exists; it used to be dropped without a word."""
         statement = parse("select count(*) from t")[0]
-        for cluster, options in zip(clusters, (
+        for cluster, options, engine in zip(clusters, (
             {"use_cache": False, "initiator": "zzz"}, {"seed": 3},
-        )):
+        ), ([{"pushdown": "off"}], [])):
             session = cluster.create_session()
             try:
                 with pytest.raises(ExecutionError, match=", ".join(sorted(options))) as err:
                     cluster.query_statement(statement, session=session, **options)
                 assert isinstance(err.value, ReproError)
                 assert cluster.admission.total_in_use() == 0
-                # The engine option is not a layout option, and with failover
-                # the layout options describe the retry sessions.
-                for accepted in ({"pushdown": "off"}, {"failover": True, "seed": 3}):
+                # Eon's engine option is not a layout option, and with
+                # failover the layout options describe the retry sessions.
+                for accepted in engine + [{"failover": True, "seed": 3}]:
                     rows = cluster.query_statement(statement, session=session, **accepted).rows
                     assert rows.to_pylist() == [(2,)]
             finally:
@@ -207,6 +208,51 @@ def _functions(tree):
                     yield f"{node.name}.{method.name}", called, method
 
 
+def _defaulted(func):
+    """``(parameter, position)`` of each defaulted parameter of ``func``;
+    the position leaves ``self``/``cls`` out and is None for keyword-only."""
+    args = func.args
+    ordered = args.posonlyargs + args.args
+    skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
+    return [
+        (arg.arg, position - skip) for position, arg in enumerate(ordered)
+        if position >= len(ordered) - len(args.defaults)
+    ] + [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _forwardable(func):
+    """What an argument inside ``func`` can forward: its defaulted
+    parameters (name -> position) and its ``**`` parameter, each only while
+    the body never rebinds it, writes into it or shadows it in an inner
+    scope; and the names of all its parameters."""
+    args = func.args
+    rebound = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            rebound.add(node.id)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            rebound.add(getattr(node.value, "id", None))
+        elif node is not func and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            inner = node.args
+            rebound |= {a.arg for a in inner.posonlyargs + inner.args + inner.kwonlyargs}
+    kwargs = args.kwarg.arg if args.kwarg and args.kwarg.arg not in rebound else None
+    params = {name: position for name, position in _defaulted(func) if name not in rebound}
+    named = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return params, kwargs, named
+
+
+def _forwarded(context, arg):
+    """``(function, parameter, position)`` of the parameter ``arg`` forwards
+    in ``context`` (``(function, *_forwardable(function))``), or None."""
+    called, params = context[:2]
+    if isinstance(arg, ast.Name) and arg.id in params:
+        return called, arg.id, params[arg.id]
+    return None
+
+
 class CallIndex:
     """Every call and every name in ``CALLERS``, read once for the three
     censuses.  Calls are resolved by name alone: ``x.f(...)`` and ``f(...)``
@@ -214,8 +260,15 @@ class CallIndex:
     inside ``C``, call ``C.__init__`` (the first base's when ``C`` has
     none); ``super().__init__(...)`` calls the first base's.  A module
     function bound in a class body (``add_node = lifecycle.add_node``) takes
-    the receiver of an ``x.f(...)`` call as its first argument.  A ``*`` or
-    ``**`` argument passes everything.
+    the receiver of an ``x.f(...)`` call as its first argument.  A ``*``
+    argument passes everything, and so does a ``**`` one, unless it is the
+    enclosing function's own ``**kwargs``.
+
+    Forwarding is seen through, to a fixpoint: an argument that is the bare
+    name of a defaulted parameter of the function the call stands in (a
+    module-level function or a method) passes only if that parameter is
+    itself passed, and a ``**kwargs`` handed on passes just the keywords
+    that calls of its function put into it.
 
     ``named`` holds every identifier read as a value — ``f`` or ``x.f``,
     called, passed or bound — plus the names spelled as strings: a
@@ -240,8 +293,11 @@ class CallIndex:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id == node.value.attr
         }
-        self.keywords, self.positions, self.splat = defaultdict(set), defaultdict(int), set()
+        self.keywords, self.positions, self.splat = defaultdict(set), defaultdict(set), set()
         self.named = {"_" + service for service in SERVICES}
+        # (forwarded parameter or None, ledger, entry); (function, its
+        # parameter names, callee) for each ``**kwargs`` handed on.
+        passes, spreads = [], []
         for tree in self.trees.values():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -256,6 +312,12 @@ class CallIndex:
                     ast.unparse(t) for t in node.targets
                 ] == ["derived"] and isinstance(node.value, ast.Tuple):
                     self.named |= {e.value for e in node.value.elts}
+            enclosing = {}
+            for _, called, func in _functions(tree):
+                context = (called, *_forwardable(func))
+                enclosing.update(
+                    (id(node), context) for node in ast.walk(func) if isinstance(node, ast.Call)
+                )
             scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
             for owner, scope in scopes:
                 for call in ast.walk(scope):
@@ -273,11 +335,39 @@ class CallIndex:
                     else:
                         continue
                     name = self.init_owner(name)
-                    plain = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
-                    self.positions[name] = max(self.positions[name], receiver + len(plain))
-                    if len(plain) < len(call.args) or any(k.arg is None for k in call.keywords):
-                        self.splat.add(name)
-                    self.keywords[name] |= {k.arg for k in call.keywords}
+                    context = enclosing.get(id(call), (None, {}, None, ()))
+                    called, _, kwargs, named = context
+                    if receiver:
+                        self.positions[name].add(0)
+                    for index, arg in enumerate(call.args):
+                        if isinstance(arg, ast.Starred):
+                            self.splat.add(name)
+                        else:
+                            forwarded = _forwarded(context, arg)
+                            passes.append((forwarded, self.positions[name], receiver + index))
+                    for keyword in call.keywords:
+                        if keyword.arg is not None:
+                            forwarded = _forwarded(context, keyword.value)
+                            passes.append((forwarded, self.keywords[name], keyword.arg))
+                        elif kwargs is not None and getattr(keyword.value, "id", None) == kwargs:
+                            spreads.append((called, named, name))
+                        else:
+                            self.splat.add(name)
+        changed = True
+        while changed:
+            changed = False
+            for forwarded, ledger, entry in passes:
+                if entry not in ledger and (forwarded is None or self.passed(*forwarded)):
+                    ledger.add(entry)
+                    changed = True
+            for source, named, callee in spreads:
+                if source in self.splat and callee not in self.splat:
+                    self.splat.add(callee)
+                    changed = True
+                reaching = self.keywords[source] - named - self.keywords[callee]
+                if reaching:
+                    self.keywords[callee] |= reaching
+                    changed = True
 
     def first_base(self, name):
         bases = self.classes[name].bases
@@ -295,7 +385,7 @@ class CallIndex:
         can stand by position)."""
         return (
             param in self.keywords[name] or name in self.splat
-            or (index is not None and index < self.positions[name])
+            or index in self.positions[name]
         )
 
     def src_trees(self):
@@ -317,17 +407,7 @@ def option_census() -> list:
     found = []
     for where, tree in index.src_trees():
         for qualname, name, func in _functions(tree):
-            args = func.args
-            ordered = args.posonlyargs + args.args
-            skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
-            defaulted = [
-                (arg.arg, position - skip) for position, arg in enumerate(ordered)
-                if position >= len(ordered) - len(args.defaults)
-            ] + [
-                (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                if default is not None
-            ]
-            for param, position in defaulted:
+            for param, position in _defaulted(func):
                 if not index.passed(name, param, position):
                     found.append((where, qualname, param))
     return sorted(found)
@@ -402,6 +482,7 @@ SETTABLE = {
     ("bench/harness.py", "run_copy_throughput", "seed"): _BENCH,
     ("bench/harness.py", "run_query_throughput", "seed"): _BENCH,
     ("bench/harness.py", "run_throughput_sim", "clock"): _BENCH,
+    ("bench/harness.py", "run_throughput_sim", "seed"): _BENCH,
     ("bench/reporting.py", "write_bench_json", "directory"): _BENCH,
     ("cache/warming.py", "warm_from_peer", "budget_bytes"): _WARMING,
     ("cache/warming.py", "warm_from_peer", "prefer_peer"): _WARMING,
@@ -428,7 +509,6 @@ SETTABLE = {
         "the container format's block size, an argument of the pure encoder as"
         " encode_block's encoding is: the codec's property tests draw it per example",
     ("storage/encoding.py", "encode_block", "encoding"): _OPERAND,
-    ("wm/driver.py", "run_serial_reference", "result_key"): _OPERAND,
     ("workloads/dashboard.py", "load_dashboard_data", "n_devices"): _OPERAND,
 }
 
@@ -633,8 +713,8 @@ class TestStructure:
 
     def test_the_class_level_switches_are_these(self):
         """A class-level ``bool`` constant is a switch every instance shares:
-        the observability on/off pairs and the shared backends' capability
-        flags.  A reference arm that a differential flips (a second read
+        the observability on/off pairs and a store's outage default (shared
+        storage is S3, so no store advertises what it can do).  A reference arm that a differential flips (a second read
         path, a charging mode) lives in the tests, installed through a seam
         such as ``cluster.io_scheduler``; one added here is a visible diff.
         Annotated dataclass field defaults are per-instance values, not
@@ -657,10 +737,6 @@ class TestStructure:
             ("obs/tracing.py", "NullTracer", "enabled"),
             ("obs/tracing.py", "Tracer", "enabled"),
             ("shared_storage/api.py", "Filesystem", "outage_active"),
-            ("shared_storage/api.py", "Filesystem", "supports_coalesced_get"),
-            ("shared_storage/api.py", "Filesystem", "supports_select"),
-            ("shared_storage/s3.py", "SimulatedS3", "supports_coalesced_get"),
-            ("shared_storage/s3.py", "SimulatedS3", "supports_select"),
         ]
 
     def test_four_callers_apply_a_commit_to_a_catalog(self):

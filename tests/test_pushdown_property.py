@@ -1,17 +1,15 @@
 """Property wall for ``SimulatedS3.select_scan`` (S3 compute pushdown).
 
 Hypothesis drives the server-side scan across random tables (with NULL
-runs in both varchar and float columns), random predicates, random
-projections, and random partial-aggregate sets.  The oracle is the
-*client*: read the raw container bytes back, evaluate the same predicate
-over the full rowset, filter, project — the select result must be
-exactly equal, its partial aggregates must match a client-side
-recomputation, and its accounting must be exact to the byte:
+runs in both varchar and float columns), random predicates and random
+projections.  The oracle is the *client*: read the raw container bytes
+back, evaluate the same predicate over the full rowset, filter, project —
+the select result must be exactly equal, and its accounting must be exact
+to the byte:
 
-* ``bytes_scanned`` == ``ContainerReader.stored_bytes`` over the touched
-  columns (projection ∪ aggregate inputs), never the full container;
-* ``bytes_returned`` == ``rowset_bytes(rows)`` plus the fixed per-aggregate
-  framing;
+* ``bytes_scanned`` == ``ContainerReader.stored_bytes`` over the
+  projected columns, never the full container;
+* ``bytes_returned`` == ``rowset_bytes(rows)``;
 * ``sim_seconds`` / ``dollars`` == the latency/cost model applied to
   exactly those two numbers;
 * ``rows_examined`` / ``blocks_pruned`` == what the client's own
@@ -19,11 +17,11 @@ recomputation, and its accounting must be exact to the byte:
   counters the depot differential relies on).
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import ColumnType, RowSet, TableSchema
 from repro.engine.expressions import (
@@ -35,7 +33,7 @@ from repro.engine.expressions import (
     extract_column_bounds,
 )
 from repro.errors import StorageError
-from repro.shared_storage.s3 import AGGREGATE_WIRE_BYTES, SimulatedS3
+from repro.shared_storage.s3 import SimulatedS3
 from repro.storage.container import read_container, rowset_bytes, write_container
 
 pytestmark = pytest.mark.differential
@@ -101,39 +99,17 @@ projections = st.sampled_from([
     ["k", "g", "v"], ["k"], ["v", "k"], ["g"], None,
 ])
 
-aggregate_sets = st.sampled_from([
-    [],
-    [("count", None)],
-    [("count", None), ("sum", "v")],
-    [("min", "k"), ("max", "v"), ("sum", "k")],
-])
-
 block_row_counts = st.sampled_from([4, 16, 4096])
 
 
-def client_oracle(data, projection, predicate, agg_specs):
+def client_oracle(data, projection, predicate):
     """What the client would compute from the raw container bytes."""
     reader = read_container(data)
     projection = projection if projection is not None else list(reader.column_order)
-    touched = list(dict.fromkeys(
-        projection + [c for _, c in agg_specs if c is not None]
-    ))
-    full = reader.read_rowset(touched)
+    full = reader.read_rowset(projection)
     if predicate is not None:
         full = full.filter(np.asarray(predicate.evaluate(full), dtype=bool))
-    aggs = {}
-    for func, column in agg_specs:
-        if func == "count":
-            aggs[(func, column)] = int(full.num_rows)
-        else:
-            values = full.column(column)
-            if func == "sum":
-                aggs[(func, column)] = values.sum().item() if len(values) else 0
-            elif func == "min":
-                aggs[(func, column)] = values.min().item() if len(values) else None
-            else:
-                aggs[(func, column)] = values.max().item() if len(values) else None
-    return full.select(projection), touched, aggs
+    return full.select(projection), projection
 
 
 def client_parity_counts(data, touched, predicate) -> Tuple[int, int]:
@@ -158,22 +134,15 @@ def canon_rows(rows: RowSet) -> List[tuple]:
     return out
 
 
-def canon_value(value):
-    return "nan" if isinstance(value, float) and np.isnan(value) else value
-
-
 class TestSelectScanProperties:
     @given(
         rows=tables(),
         predicate=predicates(),
         projection=projections,
-        agg_specs=aggregate_sets,
         block_rows=block_row_counts,
     )
     @settings(max_examples=120, deadline=None)
-    def test_select_equals_client_side_filter(
-        self, rows, predicate, projection, agg_specs, block_rows
-    ):
+    def test_select_equals_client_side_filter(self, rows, predicate, projection, block_rows):
         data = write_container(
             RowSet.from_rows(SCHEMA, rows), block_rows=block_rows
         )[0]
@@ -189,30 +158,17 @@ class TestSelectScanProperties:
             s3.metrics.get_requests, s3.metrics.bytes_read,
             s3.metrics.sim_seconds, s3.metrics.dollars,
         )
-        select = s3.select_scan(
-            "obj",
-            columns=projection,
-            predicate=predicate,
-            aggregates=agg_specs,
-        )
-        expected_rows, touched, expected_aggs = client_oracle(
-            data, projection, predicate, agg_specs
-        )
+        select = s3.select_scan("obj", columns=projection, predicate=predicate)
+        expected_rows, touched = client_oracle(data, projection, predicate)
 
         # Rows: exactly the client-side filter of the raw bytes.
         assert canon_rows(select.rows) == canon_rows(expected_rows)
         assert select.rows.schema.names == expected_rows.schema.names
-        # Partial aggregates: bit-for-bit recomputable client-side.
-        assert set(select.aggregates) == set(expected_aggs)
-        for key, value in expected_aggs.items():
-            assert canon_value(select.aggregates[key]) == canon_value(value)
 
         # Accounting: exact, from the reader's own directory.
         reader = read_container(data)
         assert select.bytes_scanned == reader.stored_bytes(touched)
-        assert select.bytes_returned == (
-            rowset_bytes(expected_rows) + AGGREGATE_WIRE_BYTES * len(agg_specs)
-        )
+        assert select.bytes_returned == rowset_bytes(expected_rows)
         assert select.sim_seconds == pytest.approx(
             s3.latency.select_seconds(select.bytes_scanned, select.bytes_returned)
         )
@@ -257,7 +213,3 @@ class TestSelectScanProperties:
             s3.select_scan("missing")
         with pytest.raises(StorageError):
             s3.select_scan("obj", columns=["nope"])
-        with pytest.raises(StorageError):
-            s3.select_scan("obj", aggregates=[("median", "k")])
-        with pytest.raises(StorageError):
-            s3.select_scan("obj", aggregates=[("sum", None)])

@@ -23,9 +23,9 @@ from repro.errors import (
 from repro.obs.system_tables import SYSTEM_TABLES
 from repro.sim.oracle import rows_key
 from repro.sql.parser import parse
-from repro.wm.driver import ClosedLoopWorkload, run_closed_loop, run_serial_reference
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 from repro.workloads.tpch import TPCH_QUERIES, setup_tpch_schema
-from tests.test_workload_manager import ok_digests
+from tests.test_workload_manager import ok_digests, run_serial_reference
 
 NODES = ["n1", "n2", "n3", "n4", "n5"]
 ROWS = [(k, f"g{k % 5}", (k * 7) % 101) for k in range(400)]

@@ -504,6 +504,39 @@ class TestNothingButTheClockCanTell:
         assert warm == cold
 
 
+class TestTwoDepotByteCounts:
+    """A depot's ``CacheStats.bytes_read`` books the whole files it hands out
+    on demand hits; a scan's ``bytes_from_cache`` books the stored blocks it
+    decoded from them and paid for (DESIGN.md, "One ledger")."""
+
+    def moved(self, cluster, sql) -> tuple:
+        """(``bytes_read`` moved, ``bytes_from_cache`` paid) by one warm query."""
+        def depot(field):
+            return sum(getattr(node.cache.stats, field) for node in cluster.nodes.values())
+
+        read, misses = depot("bytes_read"), depot("misses")
+        paid = cluster.query(sql, seed=SESSION_SEED).stats.total_bytes_from_cache
+        assert depot("misses") == misses
+        return depot("bytes_read") - read, paid
+
+    def test_a_one_column_sum_pays_for_less_than_its_files(self, cluster):
+        read, paid = self.moved(cluster, "select sum(x) from t")
+        assert 0 < paid < read
+
+    def test_a_full_scan_pays_for_every_block_of_its_files(self, cluster):
+        read, paid = self.moved(cluster, "select * from t")
+        files = [cluster.shared.peek_object("data_" + name) for name in locations(cluster)]
+        blocks = 0
+        for data in files:
+            reader = read_container(data)
+            blocks += sum(
+                block.length for name in reader.column_order
+                for block in reader.column_reader(name).blocks
+            )
+        assert read == sum(map(len, files))
+        assert paid == blocks < read
+
+
 # ---------------------------------------------------------------------------
 # (ii) a kept layout hides no damage
 
@@ -553,14 +586,14 @@ class TestTheStorageServerParsesOnce:
     def test_a_second_select_of_one_object_parses_no_footer(self, parses):
         s3 = self._store()
         predicate = parse_expression("k between 100 and 700")
-        request = dict(columns=["k", "s"], predicate=predicate, aggregates=[("count", None)])
+        request = dict(columns=["k", "s"], predicate=predicate)
         first = s3.select_scan("obj", **request)
         assert len(parses) == 3
         del parses[:]
         again = s3.select_scan("obj", **request)
         assert parses == []
         assert counters(again) == counters(first) and again.rows == first.rows
-        assert first.blocks_pruned == 1 and first.aggregates[("count", None)] == 601
+        assert first.blocks_pruned == 1 and first.rows.num_rows == 601
         s3.select_scan("obj", ["f"])  # a column the layout has not seen yet
         assert len(parses) == 1
 

@@ -1,13 +1,19 @@
 """UDFS backends: the S3-shaped operations, the in-memory local disk, the
-simulated S3, retries, metrics — and Eon running on a backend without
-coalesced GET or server-side select."""
+simulated S3, retries, metrics — and Eon over a store its caller built,
+which must be S3."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import EonCluster
-from repro.errors import ObjectNotFound, StorageError, TransientStorageError
+from repro.errors import (
+    ObjectNotFound,
+    ReproError,
+    StorageError,
+    TransientStorageError,
+    UnsupportedSharedStorage,
+)
 from repro.shared_storage import api
 from repro.shared_storage.api import Filesystem, PrefixView, RetryingFilesystem, retrying
 from repro.shared_storage.posix import MemoryFilesystem
@@ -31,16 +37,19 @@ def public(cls) -> list:
     return sorted(name for name in dir(cls) if not name.startswith("_"))
 
 
+#: What S3 offers beyond the UDFS operations.
+S3_EXTRAS = ["estimate_select_seconds", "read_coalesced", "select_scan"]
+
+
 class TestOperations:
     def test_the_udfs_offers_what_s3_offers(self):
-        """Write once, read (alone or coalesced), list, size, delete, and
-        server-side select — no rename, no append (section 5.1): a new
-        operation on the interface or on a backend is a visible diff."""
+        """Write once, read, list, size, delete — no rename, no append
+        (section 5.1).  S3 adds the coalesced read and the server-side
+        select, and its two wrappers pass them through: a new operation on
+        the interface or on a backend is a visible diff."""
         assert public(Filesystem) == [
-            "contains", "delete", "estimate_read_seconds", "estimate_select_seconds",
-            "estimate_write_seconds", "list", "op_stats", "outage_active", "read",
-            "read_coalesced", "select_scan", "size", "supports_coalesced_get",
-            "supports_select", "write",
+            "contains", "delete", "estimate_read_seconds", "estimate_write_seconds",
+            "list", "op_stats", "outage_active", "read", "size", "write",
         ]
         beyond = {
             backend.__name__: sorted(set(public(backend)) - set(public(Filesystem)))
@@ -51,9 +60,11 @@ class TestOperations:
                 "object_count", "read_bandwidth", "seek_seconds", "total_bytes",
                 "write_bandwidth",
             ],
-            "SimulatedS3": ["object_count", "peek", "peek_object", "total_bytes"],
-            "RetryingFilesystem": [],
-            "PrefixView": [],
+            "SimulatedS3": sorted(
+                S3_EXTRAS + ["object_count", "peek", "peek_object", "total_bytes"]
+            ),
+            "RetryingFilesystem": S3_EXTRAS,
+            "PrefixView": S3_EXTRAS,
         }
 
 
@@ -272,16 +283,16 @@ class TestPrefixListingFromTheNameIndex:
         assert s3.op_stats["LIST"].transient_faults == 1
 
 
-class TestEonOnMemoryFilesystem:
-    """The whole Eon stack runs unchanged on a backend without coalesced
-    GET or server-side select: the UDFS abstraction, not S3's extras, is
-    what it needs."""
+class TestEonOnAGivenStore:
+    """The whole Eon stack over a ``SimulatedS3`` its caller built; shared
+    storage is S3 (section 5.1), and any other store is refused, typed,
+    before the cluster builds anything."""
 
     @pytest.fixture
     def cluster(self):
         c = EonCluster(
             ["n1", "n2", "n3"], shard_count=3, seed=15,
-            shared_storage=MemoryFilesystem(),
+            shared_storage=SimulatedS3(),
         )
         c.execute("create table t (a int, b varchar)")
         c.load("t", [(i, f"g{i % 3}") for i in range(300)])
@@ -308,3 +319,26 @@ class TestEonOnMemoryFilesystem:
     def test_dml(self, cluster):
         cluster.execute("delete from t where a < 100")
         assert cluster.query("select count(*) from t").rows.to_pylist() == [(200,)]
+
+    @pytest.mark.parametrize("store", [
+        MemoryFilesystem, lambda: RetryingFilesystem(SimulatedS3()),
+        lambda: PrefixView(SimulatedS3(), "data_"),
+    ], ids=["memory", "retrying", "prefixed"])
+    def test_a_store_that_is_not_s3_is_refused(self, store):
+        store = store()
+        with pytest.raises(UnsupportedSharedStorage, match="SimulatedS3") as err:
+            EonCluster(["n1", "n2"], shard_count=2, shared_storage=store)
+        assert isinstance(err.value, ReproError)
+        assert store.list() == [] and store.metrics.put_requests == 0
+
+    def test_revive_refuses_a_copy_that_is_not_s3(self, cluster):
+        from repro.cluster.revive import revive
+
+        cluster.graceful_shutdown()
+        copy = MemoryFilesystem()
+        for name in cluster.shared.peek():
+            copy.write(name, cluster.shared.peek_object(name))
+        written = copy.object_count
+        with pytest.raises(UnsupportedSharedStorage):
+            revive(copy, clock=cluster.clock)
+        assert copy.object_count == written and copy.metrics.put_requests == written

@@ -185,17 +185,16 @@ class TestSqlPathIntegration:
         assert len(quiet.obs.requests) == 0
 
 
-class TestGenericBackendFallback:
-    """``dc_storage_operations`` over a backend without per-op-class
-    accounting (the in-memory local disk) must report the same five op classes — SELECT
-    included — sourced from the aggregate ledger."""
+class TestStorageOperationsTable:
+    """``dc_storage_operations`` over a store the caller built reports all
+    five op classes — SELECT included — read from the store's ledger."""
 
-    def test_all_op_classes_reported_from_aggregate_metrics(self):
-        from repro.shared_storage.posix import MemoryFilesystem
+    def test_all_op_classes_reported_from_the_store_ledger(self):
+        from repro.shared_storage.s3 import SimulatedS3
 
         cluster = EonCluster(
             ["n1", "n2"], shard_count=2, seed=5,
-            shared_storage=MemoryFilesystem(),
+            shared_storage=SimulatedS3(),
         )
         cluster.execute("create table t (k int)")
         cluster.load("t", [(i,) for i in range(40)])
@@ -213,5 +212,5 @@ class TestGenericBackendFallback:
         assert by_op["GET"] == (m.get_requests, m.bytes_read)
         assert by_op["PUT"] == (m.put_requests, m.bytes_written)
         assert by_op["GET"][0] > 0
-        # No server-side compute on a local disk: present, and zero.
+        # No scan here has a predicate to push down: present, and zero.
         assert by_op["SELECT"] == (0, 0)

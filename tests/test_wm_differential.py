@@ -21,13 +21,9 @@ import pytest
 
 from repro import EonCluster
 from repro.sim.oracle import rows_key
-from repro.wm.driver import (
-    ClosedLoopWorkload,
-    run_closed_loop,
-    run_serial_reference,
-)
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch, setup_tpch_schema
-from tests.test_workload_manager import ok_digests
+from tests.test_workload_manager import ok_digests, run_serial_reference
 
 TPCH_STATEMENTS = (
     TPCH_QUERIES[0].sql,  # Q1: lineitem aggregation

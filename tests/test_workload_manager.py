@@ -11,14 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
-from repro.errors import AdmissionRejected, QueryCancelled, StorageUnavailable
+from repro.cluster.query_path import parse_select
+from repro.errors import AdmissionRejected, QueryCancelled, ReproError, StorageUnavailable
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
 from repro.wm import AdmissionController, GENERAL_POOL, PoolConfig
 from repro.wm.driver import (
     ClosedLoopWorkload,
+    WorkloadRecord,
+    WorkloadResult,
     run_closed_loop,
-    run_serial_reference,
 )
 
 SQL = "select g, count(*) c, sum(v) s from t group by g"
@@ -27,6 +29,45 @@ SQL = "select g, count(*) c, sum(v) s from t group by g"
 def ok_digests(result) -> list:
     """``(client, request, digest)`` of a run's successful requests."""
     return sorted((r.client, r.request, r.digest) for r in result.records if r.outcome == "ok")
+
+
+def run_serial_reference(cluster, workload, result_key=None) -> WorkloadResult:
+    """The closed loop's (client, request, seed) grid, one query at a time:
+    the reference ``run_closed_loop`` is held to.  Sessions take the same
+    per-request seeds, so each request reads the same subscriptions."""
+    parsed = [(sql.strip(), parse_select(cluster, sql)) for sql in workload.statements]
+    clock = cluster.clock
+    start = clock.now
+    result = WorkloadResult()
+    for cid in range(workload.clients):
+        for req in range(1, workload.requests_per_client + 1):
+            sql, statement = parsed[workload.statement_index(cid, req)]
+            outcome, digest, latency = "ok", None, 0.0
+            try:
+                session = cluster.create_session(
+                    seed=workload.request_seed(cid, req), **dict(workload.session_options)
+                )
+                try:
+                    answer = cluster.query_statement(
+                        statement, session=session, request_text=sql,
+                        failover=workload.failover,
+                    )
+                finally:
+                    session.release()
+                result.completed += 1
+                digest = result_key(answer) if result_key else None
+                latency = answer.stats.latency_seconds
+            except AdmissionRejected as exc:
+                result.rejected += 1
+                outcome = f"rejected:{exc.reason}"
+            except ReproError as exc:
+                result.errors += 1
+                outcome = f"error:{type(exc).__name__}"
+            result.records.append(
+                WorkloadRecord(cid, req, sql, outcome, digest, latency, 0.0, clock.now)
+            )
+    result.duration_seconds = clock.now - start
+    return result
 
 
 def make_eon(**kwargs) -> EonCluster:
@@ -169,7 +210,7 @@ class TestQueuedPath:
             session = eon.create_session(seed=5)
             try:
                 statement = parse(SQL)[0]
-                from repro.cluster.query_path import prepare
+                from repro.cluster.query_path import prepare, run
 
                 pending = admission.enqueue(
                     prepare(statement, session).demand, session.initiator
@@ -177,9 +218,7 @@ class TestQueuedPath:
                 yield pending.effect
                 ticket = pending.granted()
                 try:
-                    holder["result"] = eon.query_statement(
-                        statement, session=session, ticket=ticket
-                    )
+                    holder["result"] = run(eon, statement, session, ticket=ticket)
                     holder["wait"] = ticket.queue_wait_seconds
                 finally:
                     admission.release(ticket)
