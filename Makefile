@@ -69,7 +69,7 @@ bench:
 	$(PY) -m pytest benchmarks -q
 
 # Quick benchmark confidence check: the Fig-10 TPC-H bench (including the
-# I/O scheduler on/off ablation) at its tiny default scale, BENCH JSON out.
+# I/O scheduler on/off ablation) at its tiny default scale; prints its tables.
 bench-smoke:
 	$(PY) -m pytest benchmarks/bench_fig10_tpch.py -q -s
 

@@ -14,17 +14,17 @@ from collections import Counter
 
 import pytest
 
-from repro import EonCluster
-from repro.bench.harness import ServiceModel, run_query_throughput, run_throughput_sim
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 from repro.sharding.assignment import (
     naive_first_subscriber_assignment,
     select_participating_subscriptions,
 )
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 
-from conftest import emit
+from conftest import DASH_QUERY, dash_eon, emit
 
-SERVICE = ServiceModel(work_seconds=0.1, coordination_base=0.003)
+#: The dash query's ~3 ms of modeled service time, stretched to ~0.2 s.
+SERVICE_SCALE = 65.0
 
 
 def _subscribers():
@@ -55,27 +55,29 @@ def test_ablation_assignment_balance(benchmark):
 
 
 def test_ablation_variation_raises_throughput(benchmark):
-    """Fixed (seed-0) layout vs per-session variation, same cluster."""
+    """Fixed (seed-0) layout vs per-session variation, same cluster: the
+    fixed arm runs every session on a subcluster of the three nodes the
+    seed-0 layout picks."""
     box = {}
 
-    def run():
-        cluster = EonCluster([f"n{i}" for i in range(6)], shard_count=3, seed=2)
-        node_slots = {n: 4 for n in cluster.nodes}
+    def per_minute(cluster, session_options=()) -> float:
+        result = run_closed_loop(cluster, ClosedLoopWorkload(
+            statements=(DASH_QUERY,), clients=50, duration_seconds=60.0,
+            service_scale=SERVICE_SCALE, session_options=session_options,
+        ))
+        assert result.errors == result.rejected == result.stalled == 0
+        return result.per_minute
 
+    def run():
+        cluster = dash_eon(6)
         fixed = select_participating_subscriptions(
             cluster.shard_map.shard_ids(),
             {s: cluster.active_up_subscribers(s) for s in cluster.shard_map.shard_ids()},
             seed=0,
         )
-        fixed_counts = dict(Counter(fixed.values()))
-        static = run_throughput_sim(
-            lambda seed: fixed_counts, SERVICE, 3, node_slots,
-            threads=50, duration_seconds=60.0,
-        )
-        varied = run_query_throughput(cluster, SERVICE, threads=50,
-                                      duration_seconds=60.0)
-        box["static"] = static.per_minute
-        box["varied"] = varied.per_minute
+        cluster.define_subcluster("fixed", sorted(set(fixed.values())))
+        box["static"] = per_minute(cluster, (("subcluster", "fixed"),))
+        box["varied"] = per_minute(cluster)
         return box
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnType, EonCluster
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 from repro.cache.disk_cache import ShapingPolicy
 
 from conftest import emit

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import EonCluster, Segmentation
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 from repro.sql.parser import parse
 
 from conftest import emit

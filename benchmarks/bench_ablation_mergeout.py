@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnType, EonCluster
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 from repro.tuple_mover import MergeoutCoordinatorService
 
 from conftest import emit

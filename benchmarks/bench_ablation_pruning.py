@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import ColumnType, EonCluster
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 
 from conftest import emit
 

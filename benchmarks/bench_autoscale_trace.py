@@ -26,10 +26,9 @@ from repro.autoscale import (
     TrafficProfile,
     run_trace,
 )
-from repro.bench.reporting import format_table, write_bench_json
+from repro.shell import format_table
 from repro.cluster.eon import EonCluster
 from repro.common.clock import SimClock
-from repro.obs.metrics import cluster_metrics
 from repro.shared_storage.s3 import SimulatedS3
 from repro.sim.oracle import rows_key
 from repro.wm.admission import AdmissionController
@@ -175,39 +174,4 @@ def test_autoscale_trace(benchmark):
         f"elastic saves {savings:.1%} node-seconds "
         f"(${static.node_dollars - elastic.node_dollars:.2f}/day) with "
         f"identical row digests; decisions: {dict(scaler.decisions)}"
-    )
-    write_bench_json(
-        "autoscale_trace",
-        {
-            "epochs": EPOCHS,
-            "epoch_seconds": EPOCH_SECONDS,
-            "slo_seconds": SLO_SECONDS,
-            "savings_node_seconds": savings,
-            "digest_parity": True,
-            "decisions": dict(scaler.decisions),
-            "runs": {
-                name: {
-                    "completed": result.completed,
-                    "p99_seconds": result.p99_seconds,
-                    "slo_attainment": result.slo_attainment(SLO_SECONDS),
-                    "node_seconds": result.node_seconds,
-                    "node_dollars": result.node_dollars,
-                }
-                for name, result in (
-                    ("elastic", elastic),
-                    ("static", static),
-                    ("serial", serial),
-                )
-            },
-            "epoch_series": [
-                {
-                    "epoch": e.index,
-                    "clients": e.clients,
-                    "nodes": e.nodes,
-                    "p99_seconds": e.p99_seconds,
-                }
-                for e in elastic.epochs
-            ],
-        },
-        metrics=cluster_metrics(elastic_cluster),
     )

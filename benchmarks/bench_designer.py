@@ -43,7 +43,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro import EonCluster
-from repro.bench.reporting import format_table, write_bench_json
+from repro.shell import format_table
 from repro.engine.cost import DesignCost, QueryShape, TableLayout, estimate_workload_cost
 from repro.engine.designer import (
     REPLICATION_ROW_THRESHOLD,
@@ -51,7 +51,6 @@ from repro.engine.designer import (
     _Candidate,
     _SearchResult,
 )
-from repro.obs.metrics import cluster_metrics
 from repro.workloads.tpch import TPCH_QUERIES, TpchData, load_tpch, setup_tpch_schema
 
 from conftest import emit
@@ -314,20 +313,6 @@ def test_e9_designed_vs_naive(benchmark):
         f"GETs {r['naive']['s3_gets']} -> {r['cost']['s3_gets']}; "
         f"vs v1 heuristic: {speedup_v1:.2f}x "
         f"({run.search_mode} search over {run.candidates_scored} candidates)"
-    )
-    write_bench_json(
-        "e9_designer",
-        {
-            "experiment": "E9",
-            "layouts": r,
-            "speedup_vs_naive": speedup_naive,
-            "speedup_vs_heuristic": speedup_v1,
-            "search_mode": run.search_mode,
-            "candidates_scored": run.candidates_scored,
-            "regret_bound": run.regret_bound,
-            "created": list(run.created),
-        },
-        metrics=cluster_metrics(cost),
     )
     # Digest identity across all three layouts, every query in the mix.
     naive_digests = _digests(naive, distinct)

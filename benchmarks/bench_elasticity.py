@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
-from repro.bench.reporting import format_table
+from repro.shell import format_table
 
 from conftest import emit
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.reporting import format_table, write_bench_json
+from repro.shell import format_table
 from repro.obs.metrics import cluster_metrics
 from repro.workloads.tpch import TPCH_QUERIES
 
@@ -47,18 +47,6 @@ def test_fig10_tpch_three_ways(benchmark, eon_tpch, enterprise_tpch):
         rows,
     ))
     emit(f"Eon-in-cache matches/beats Enterprise on {rows_box['wins']}/20 queries")
-    write_bench_json(
-        "fig10_tpch",
-        {
-            "figure": "fig10",
-            "queries": {
-                name: {"enterprise_ms": e, "eon_warm_ms": w, "eon_cold_ms": c}
-                for name, e, w, c in rows
-            },
-            "eon_wins": rows_box["wins"],
-        },
-        metrics=cluster_metrics(eon_tpch),
-    )
     # Acceptance: the paper's shape.
     assert rows_box["wins"] >= 16, "Eon in-cache should win on most queries"
     for name, ent_ms, warm_ms, cold_ms in rows:
@@ -120,25 +108,6 @@ def test_fig10_io_scheduler_ablation(benchmark, eon_tpch_pair):
         f"S3 GETs {totals['off_gets']} -> {totals['on_gets']}"
     )
     io_stats = cluster_metrics(on)["io"]
-    write_bench_json(
-        "fig10_io_scheduler",
-        {
-            "figure": "fig10-ablation",
-            "queries": {
-                name: {
-                    "serial_cold_ms": off_ms,
-                    "scheduler_cold_ms": on_ms,
-                    "serial_gets": off_gets,
-                    "scheduler_gets": on_gets,
-                }
-                for name, off_ms, on_ms, off_gets, on_gets in rows_box["rows"]
-            },
-            "wall_clock_reduction": reduction,
-            "total_gets": {"scheduler": totals["on_gets"],
-                           "serial": totals["off_gets"]},
-        },
-        metrics=cluster_metrics(on),
-    )
     # Acceptance: >= 25% simulated wall-clock reduction AND fewer GETs.
     assert reduction >= 0.25, f"only {reduction:.1%} faster"
     assert totals["on_gets"] < totals["off_gets"]

@@ -7,76 +7,29 @@ Enterprise 9-node curve that degrades as concurrency grows ("the
 additional compute resources are not worth the overhead of assembling
 them").
 
-Two runs per figure:
-
-* **measured** — the closed-loop driver (:mod:`repro.wm.driver`) pushes
-  every request through the real query path: session creation, planning,
-  per-node slot demand, the admission controller's queue, and actual
-  execution against loaded data.  Throughput is completions over
-  simulated time, with queue wait charged to dispatch.
-* **modeled** — the original slots side-model (:mod:`repro.bench.harness`),
-  kept as a shape oracle: both runs must agree on every acceptance
-  criterion, so a regression in the real path can't hide behind the
-  model (or vice versa).
+The closed-loop driver (:mod:`repro.wm.driver`) pushes every request
+through the real query path: session creation, planning, per-node slot
+demand, the admission controller's queue, and actual execution against
+loaded data.  Throughput is completions over simulated time, with queue
+wait charged to dispatch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import ColumnType, EnterpriseCluster, EonCluster
-from repro.bench.harness import ServiceModel, run_query_throughput
-from repro.bench.reporting import format_series
-from repro.wm import AdmissionController, PoolConfig
 from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 
-from conftest import emit
+from conftest import DASH_QUERY, dash_enterprise, dash_eon, emit, format_series
 
 THREADS = [10, 30, 50, 70]
 #: Fixed work per cell: throughput = completions / (last completion - start).
 REQUESTS_PER_CLIENT = 4
-ROWS = 240
-QUERY = "select g, count(*) c, sum(v) s from dash where k < 180 group by g"
-
-#: 70 clients against ~4-12 concurrent slots queues deeply; the bench pool
-#: must hold the whole backlog (rejections would undercount throughput).
-BENCH_POOL = PoolConfig(max_queue_depth=512, queue_timeout_seconds=3600.0)
-
-EON_SERVICE = ServiceModel(
-    work_seconds=0.100, coordination_base=0.003, coordination_per_node=0.0008
-)
-ENTERPRISE_SERVICE = ServiceModel(
-    work_seconds=0.100, coordination_base=0.003, coordination_per_node=0.002,
-    contention_per_inflight=0.0015,
-)
-
-
-def _rows():
-    return [(k, f"g{k % 7}", (k * 13) % 97) for k in range(ROWS)]
-
-
-def _eon(n: int) -> EonCluster:
-    cluster = EonCluster([f"n{i}" for i in range(n)], shard_count=3, seed=2)
-    cluster.admission = AdmissionController(cluster, BENCH_POOL)
-    cluster.execute("create table dash (k int, g varchar, v int)")
-    cluster.load("dash", _rows())
-    return cluster
-
-
-def _enterprise(n: int) -> EnterpriseCluster:
-    cluster = EnterpriseCluster([f"e{i}" for i in range(n)], seed=2)
-    cluster.admission = AdmissionController(cluster, BENCH_POOL)
-    cluster.create_table(
-        "dash", [("k", ColumnType.INT), ("g", ColumnType.VARCHAR),
-                 ("v", ColumnType.INT)]
-    )
-    cluster.load("dash", _rows())
-    return cluster
 
 
 def _measured(cluster, threads: int, contention_per_client: float = 0.0) -> float:
     workload = ClosedLoopWorkload(
-        statements=(QUERY,),
+        statements=(DASH_QUERY,),
         clients=threads,
         requests_per_client=REQUESTS_PER_CLIENT,
         seed=7,
@@ -93,9 +46,9 @@ def _measured(cluster, threads: int, contention_per_client: float = 0.0) -> floa
 def _measured_series():
     series = {}
     for n in (3, 6, 9):
-        cluster = _eon(n)
+        cluster = dash_eon(n)
         series[f"Eon {n}n/3s"] = [_measured(cluster, t) for t in THREADS]
-    enterprise = _enterprise(9)
+    enterprise = dash_enterprise(9)
     # Enterprise pays per-offered-session coordination: every node handles
     # every query's setup, admitted or not — the paper's "overhead of
     # assembling" additional compute.
@@ -105,31 +58,12 @@ def _measured_series():
     return series
 
 
-def _modeled_series():
-    series = {}
-    for n in (3, 6, 9):
-        cluster = EonCluster([f"n{i}" for i in range(n)], shard_count=3, seed=2)
-        series[f"Eon {n}n/3s"] = [
-            run_query_throughput(cluster, EON_SERVICE, t, 60.0).per_minute
-            for t in THREADS
-        ]
-    enterprise = EnterpriseCluster([f"e{i}" for i in range(9)], seed=2)
-    series["Enterprise 9n"] = [
-        run_query_throughput(
-            enterprise, ENTERPRISE_SERVICE, t, 60.0, mode="enterprise"
-        ).per_minute
-        for t in THREADS
-    ]
-    return series
-
-
 def _check_shapes(series) -> None:
-    """Acceptance criteria (shapes, not absolutes) — applied to both the
-    measured and the modeled run, which is the diff: they must agree."""
+    """Acceptance criteria: shapes, not absolutes."""
     at_70 = {name: values[-1] for name, values in series.items()}
-    # Near-linear Eon scale-out at high concurrency.
-    assert at_70["Eon 6n/3s"] > at_70["Eon 3n/3s"] * 1.5
-    assert at_70["Eon 9n/3s"] > at_70["Eon 3n/3s"] * 2.2
+    # Near-linear Eon scale-out at high concurrency: 3 shards on 3/6/9 nodes.
+    assert 1.5 < at_70["Eon 6n/3s"] / at_70["Eon 3n/3s"] < 2.6
+    assert 2.2 < at_70["Eon 9n/3s"] / at_70["Eon 3n/3s"] < 3.6
     # Enterprise 9n below Eon 9n everywhere.
     for i, _t in enumerate(THREADS):
         assert series["Enterprise 9n"][i] < series["Eon 9n/3s"][i]
@@ -155,32 +89,12 @@ def test_fig11a_elastic_throughput(benchmark):
     _check_shapes(measured)
 
 
-def test_fig11a_model_oracle_agrees():
-    """The retired side-model, kept as an oracle: it must reproduce every
-    shape the measured run is held to, so the two paths cross-check."""
-    modeled = _modeled_series()
-    emit(format_series(
-        "Figure 11a — short-query throughput, slots side-model "
-        "(queries/minute)",
-        "threads", THREADS, modeled,
-    ))
-    _check_shapes(modeled)
-    # And the headline scale-out ratios of the two runs agree coarsely:
-    # both land in the near-linear band for 3 shards on 3/6/9 nodes.
-    measured = _measured_series()
-    for series in (measured, modeled):
-        ratio_6 = series["Eon 6n/3s"][-1] / series["Eon 3n/3s"][-1]
-        ratio_9 = series["Eon 9n/3s"][-1] / series["Eon 3n/3s"][-1]
-        assert 1.5 < ratio_6 < 2.6
-        assert 2.2 < ratio_9 < 3.6
-
-
 def test_fig11a_eon_flat_across_threads_when_saturated(benchmark):
     """Past the slot limit, Eon throughput holds steady (no collapse) —
     measured through the real admission queue."""
 
     def run():
-        cluster = _eon(3)
+        cluster = dash_eon(3)
         return [_measured(cluster, t) for t in THREADS]
 
     values = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,43 +4,56 @@ Paper setup: a ~6-second TPC-H-ish query stream, throughput counted per
 4-minute window, one node killed mid-run.  The shape to reproduce: Eon's
 "non-cliff performance scale down" — a smooth, modest drop — versus
 Enterprise, whose buddy node must do double work (cliff).
+
+Every request runs through the closed-loop driver (:mod:`repro.wm.driver`)
+on the real query path; ``service_scale`` stretches the dash query's
+modeled service time to the paper's ~6 s, and the kill is an event on the
+cluster's clock, so requests queued or executing across it fail over as
+they would in the system.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import ColumnType, EnterpriseCluster, EonCluster
-from repro.bench.harness import ServiceModel, run_query_throughput
-from repro.bench.reporting import format_table
+from repro.shell import format_table
+from repro.wm.driver import ClosedLoopWorkload, run_closed_loop
 
-from conftest import emit
+from conftest import DASH_QUERY, dash_enterprise, dash_eon, emit
 
 WINDOW = 240.0
 DURATION = 4800.0
 KILL_AT = 2400.0
-MODEL = ServiceModel(work_seconds=6.0, coordination_base=0.01,
-                     coordination_per_node=0.001)
+CLIENTS = 16
+#: The dash query's ~3 ms of modeled service time, stretched to ~6 s.
+SERVICE_SCALE = 2000.0
 
 
-def _windows(cluster, mode):
-    result = run_query_throughput(
-        cluster, MODEL, threads=16, duration_seconds=DURATION,
-        window_seconds=WINDOW, mode=mode,
-        events=[(KILL_AT, lambda: cluster.kill_node(sorted(cluster.nodes)[1]))],
-    )
-    assert result.errors == 0
-    return result.window_counts
+def _windows(cluster, duration: float, events) -> list:
+    """Completions per ``WINDOW`` of a ``duration``-second closed loop, with
+    ``events`` (``(at, callback)``) scheduled on the cluster's clock."""
+    for at, callback in events:
+        cluster.clock.schedule(at, callback)
+    result = run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=(DASH_QUERY,), clients=CLIENTS, duration_seconds=duration,
+        service_scale=SERVICE_SCALE,
+    ))
+    assert result.errors == result.rejected == result.stalled == 0
+    return result.per_window(WINDOW, duration)
+
+
+def _kill_second(cluster) -> list:
+    return [(KILL_AT, lambda: cluster.kill_node(sorted(cluster.nodes)[1]))]
 
 
 def test_fig12_node_kill_throughput(benchmark):
     box = {}
 
     def run():
-        eon = EonCluster([f"n{i}" for i in range(4)], shard_count=3, seed=3)
-        ent = EnterpriseCluster([f"n{i}" for i in range(4)], seed=3)
-        box["eon"] = _windows(eon, "eon")
-        box["ent"] = _windows(ent, "enterprise")
+        eon = dash_eon(4, seed=3)
+        ent = dash_enterprise(4, seed=3)
+        box["eon"] = _windows(eon, DURATION, _kill_second(eon))
+        box["ent"] = _windows(ent, DURATION, _kill_second(ent))
         return box
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -75,20 +88,16 @@ def test_fig12_recovery_restores_throughput(benchmark):
     box = {}
 
     def run():
-        cluster = EonCluster([f"n{i}" for i in range(4)], shard_count=3, seed=3)
-        result = run_query_throughput(
-            cluster, MODEL, threads=16, duration_seconds=7200.0,
-            window_seconds=WINDOW,
-            events=[
-                (2400.0, lambda: cluster.kill_node("n1")),
-                (4800.0, lambda: cluster.recover_node("n1")),
-            ],
-        )
-        box["windows"] = result.window_counts
-        return result
+        cluster = dash_eon(4, seed=3)
+        box["windows"] = _windows(cluster, 7200.0, [
+            (2400.0, lambda: cluster.kill_node("n1")),
+            (4800.0, lambda: cluster.recover_node("n1")),
+        ])
+        return box
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     windows = box["windows"]
     start = sum(windows[:10]) / 10
     end = sum(windows[-8:]) / 8
+    emit(f"Figure 12 recovery: {start:.0f} queries per window at the start, {end:.0f} at the end")
     assert end >= start * 0.9

@@ -22,8 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro import EonCluster
-from repro.bench.reporting import format_table, write_bench_json
-from repro.obs.metrics import cluster_metrics
+from repro.shell import format_table
 from repro.workloads.tpch import TPCH_QUERIES, TpchData, setup_tpch_schema
 
 from conftest import ENTERPRISE_TABLES, emit
@@ -93,32 +92,6 @@ def test_pushdown_frontier(benchmark, frontier_cluster):
         f" ({totals['off_s'] / totals['auto_s']:.2f}x);"
         f" dollars {totals['off_d'] * 1e6:.1f} -> {totals['auto_d'] * 1e6:.1f}"
         " micro-$ (latency is bought with bytes-scanned fees)"
-    )
-    write_bench_json(
-        "pushdown_frontier",
-        {
-            "figure": "pushdown-frontier",
-            "scale": FRONTIER_SCALE,
-            "queries": {
-                name: {
-                    "depot_cold_ms": off_ms,
-                    "auto_cold_ms": auto_ms,
-                    "speedup": ratio,
-                    "pushdown_scans": selects,
-                    "depot_microdollars": off_ud,
-                    "auto_microdollars": auto_ud,
-                }
-                for name, off_ms, auto_ms, ratio, selects, off_ud, auto_ud
-                in rows
-            },
-            "suite": {
-                "depot_cold_s": totals["off_s"],
-                "auto_cold_s": totals["auto_s"],
-                "depot_dollars": totals["off_d"],
-                "auto_dollars": totals["auto_d"],
-            },
-        },
-        metrics=cluster_metrics(cluster),
     )
     # Acceptance: >= 1.5x cold wall-clock on >= 3 queries, and only where
     # the strategy actually pushed scans down.

@@ -1,17 +1,14 @@
 """Robustness trajectory: per-invariant check/violation counters from a
-multi-seed simulation campaign, recorded into ``BENCH_robustness_sim.json``
-next to the perf benchmarks.
+multi-seed simulation campaign, printed next to the perf benchmarks.
 
 The campaigns run with ``halt=False`` so every seed completes and the
 counters cover the whole run; a healthy build reports zero violations for
-every invariant.  Comparing this file across PRs answers "did this change
-trade correctness margin for speed?" the same way the perf JSONs answer
-the throughput question.
+every invariant.
 """
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_table, write_bench_json
+from repro.shell import format_table
 from repro.sim import CampaignConfig, InvariantRegistry, run_campaign
 
 from conftest import emit
@@ -23,16 +20,10 @@ STEPS = 40
 def test_robustness_trajectory(benchmark):
     registry = InvariantRegistry(halt=False)
     config = CampaignConfig(steps=STEPS, halt=False)
-    box = {}
 
     def run():
-        digests = {}
         for seed in range(SEEDS):
-            digests[seed] = run_campaign(
-                seed=seed, config=config, registry=registry
-            ).digest()
-        box["digests"] = digests
-        return digests
+            run_campaign(seed=seed, config=config, registry=registry)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -45,17 +36,6 @@ def test_robustness_trajectory(benchmark):
         ["invariant", "checks", "violations"],
         rows,
     ))
-    write_bench_json(
-        "robustness_sim",
-        {
-            "seeds": SEEDS,
-            "steps": STEPS,
-            "trace_digests": {
-                str(seed): digest for seed, digest in box["digests"].items()
-            },
-        },
-        invariant_counters=registry.counters,
-    )
 
     for name, slot in registry.counters.items():
         assert slot["violations"] == 0, f"{name}: {slot}"

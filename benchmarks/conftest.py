@@ -1,10 +1,15 @@
-"""Shared benchmark fixtures: clusters and datasets reused across benches."""
+"""Shared benchmark fixtures and helpers: clusters, datasets and the series
+printer reused across benches."""
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence
+
 import pytest
 
-from repro import EnterpriseCluster, EonCluster
+from repro import ColumnType, EnterpriseCluster, EonCluster
+from repro.shell import format_table
+from repro.wm import AdmissionController, PoolConfig
 from repro.workloads.tpch import TpchData, load_tpch, setup_tpch_schema
 from tests.test_io_scheduler import SerialFetch
 
@@ -68,6 +73,58 @@ def enterprise_tpch(tpch_data) -> EnterpriseCluster:
     return cluster
 
 
+#: The short dashboard query every throughput bench drives through the
+#: closed-loop driver (:mod:`repro.wm.driver`), over a 240-row table.
+DASH_QUERY = "select g, count(*) c, sum(v) s from dash where k < 180 group by g"
+DASH_ROWS = 240
+
+#: 70 clients against ~4-12 concurrent slots queue deeply; the bench pool
+#: must hold the whole backlog (rejections would undercount throughput).
+BENCH_POOL = PoolConfig(max_queue_depth=512, queue_timeout_seconds=3600.0)
+
+
+def _dash_rows():
+    return [(k, f"g{k % 7}", (k * 13) % 97) for k in range(DASH_ROWS)]
+
+
+def dash_eon(nodes: int, shards: int = 3, seed: int = 2, **options) -> EonCluster:
+    """An Eon cluster of ``nodes`` nodes holding the dash table, its
+    admission queue sized for a closed loop."""
+    cluster = EonCluster(
+        [f"n{i}" for i in range(nodes)], shard_count=shards, seed=seed, **options
+    )
+    cluster.admission = AdmissionController(cluster, BENCH_POOL)
+    cluster.execute("create table dash (k int, g varchar, v int)")
+    cluster.load("dash", _dash_rows())
+    return cluster
+
+
+def dash_enterprise(nodes: int, seed: int = 2) -> EnterpriseCluster:
+    """The Enterprise baseline of :func:`dash_eon`."""
+    cluster = EnterpriseCluster([f"e{i}" for i in range(nodes)], seed=seed)
+    cluster.admission = AdmissionController(cluster, BENCH_POOL)
+    cluster.create_table(
+        "dash", [("k", ColumnType.INT), ("g", ColumnType.VARCHAR),
+                 ("v", ColumnType.INT)]
+    )
+    cluster.load("dash", _dash_rows())
+    return cluster
+
+
 def emit(text: str) -> None:
     """Print a paper-style result block (visible with pytest -s)."""
     print("\n" + text)
+
+
+def format_series(
+    title: str,
+    x_label: str,
+    xs: Sequence[object],
+    series: Dict[str, Sequence[float]],
+) -> str:
+    """One column per series, one row per x — the shape of a paper figure."""
+    headers = [x_label] + list(series)
+    rows: List[List[object]] = []
+    for i, x in enumerate(xs):
+        rows.append([x] + [series[name][i] for name in series])
+    return format_table(title, headers, rows)

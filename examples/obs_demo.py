@@ -23,7 +23,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import EonCluster  # noqa: E402
-from repro.bench.reporting import format_table  # noqa: E402
+from repro.shell import format_table  # noqa: E402
 from repro.obs.metrics import cluster_metrics  # noqa: E402
 from repro.obs.tracing import render_span_tree  # noqa: E402
 from repro.workloads.tpch import TPCH_QUERIES, TpchData, load_tpch, setup_tpch_schema  # noqa: E402

@@ -5,9 +5,9 @@ events it counts (``CacheStats``, ``IOStats``, ``OpStats``, ``EngineStats``,
 ``PoolStats``, ``RequestRecord``, ...).  :class:`Ledger` is the one helper
 they share: its annotated fields are the only declaration of a counter, and
 ``as_dict()`` / ``columns()`` / ``row()`` / ``add()`` generate every view of
-it — the shell's ``\\stats``, :func:`cluster_metrics` (BENCH JSON) and the
-``v_monitor`` tables.  An event is booked in its ledger and nowhere else
-(DESIGN.md, "One ledger").
+it — the shell's ``\\stats``, :func:`cluster_metrics` (the benchmarks' and
+the campaigns' summary) and the ``v_monitor`` tables.  An event is booked in
+its ledger and nowhere else (DESIGN.md, "One ledger").
 
 The :class:`MetricsRegistry` (counters, gauges, histograms stamped by the sim
 clock, Prometheus-style names plus sorted labels) holds only distributions
@@ -325,8 +325,9 @@ def cluster_metrics(cluster) -> dict:
     Each section is its owner's ledger rendered by :meth:`Ledger.as_dict`
     (plus the live readings named here), so it works whether or not the
     observability subsystem is enabled and a new ledger field appears with
-    no edit to this function.  This is what BENCH JSON ``metrics`` sections
-    and the shell's ``\\stats`` report.
+    no edit to this function.  This is what the end-to-end benchmark's
+    per-layer metrics, the campaigns' final-state hash and the shell's
+    ``\\stats`` report.
     """
     from repro.cache.disk_cache import CacheStats  # it imports Ledger from here
 

@@ -35,11 +35,32 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro import EonCluster
-from repro.bench.reporting import format_table
 from repro.errors import ReproError
+
+
+def format_table(
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+) -> str:
+    """Fixed-width table with a title rule (floats to two places)."""
+    cells = [[str(h) for h in headers]] + [[_fmt(v) for v in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = [title, "=" * len(title)]
+    lines.append("  ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells[1:]:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:,.2f}"
+    return str(value)
 
 
 class Shell:

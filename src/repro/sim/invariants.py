@@ -3,7 +3,7 @@
 Each invariant is a function ``(world) -> Optional[str]``: ``None`` means
 the invariant holds, a string describes the violation.  The registry runs
 every invariant after every step, counts checks and violations per
-invariant (the robustness trajectory recorded into ``BENCH_*.json``), and
+invariant (the robustness trajectory ``bench_robustness_sim.py`` prints), and
 — in the default halting mode — raises :class:`InvariantViolation`
 carrying the ``(seed, step)`` pair that reproduces the schedule.
 

@@ -12,8 +12,8 @@ sim clock while executing), folded through
 busy seconds so a query's slot-holding time reflects its critical path
 across the lanes it was granted.
 
-Determinism: client seeds follow the bench harness's per-request formula
-(``seed*1_000_003 + client*10_007 + request``), sessions are created
+Determinism: each request's session seed is
+``seed*1_000_003 + client*10_007 + request``, sessions are created
 with explicit seeds (no cluster-RNG draws), and all scheduling ties
 break by FIFO arrival — the same workload against the same cluster state
 produces bit-identical records.  The serial reference that runs the
@@ -34,6 +34,11 @@ from repro.wm.admission import AdmissionTicket
 
 #: Floor on slot-holding time so a zero-cost query still advances time.
 _MIN_HOLD_SECONDS = 1e-6
+#: Every request fails over: a node lost under its session is retried on a
+#: fresh layout (:func:`repro.cluster.query_path.run`).
+FAILOVER = True
+#: A client's pause after a rejection or an error, before its next request.
+BACKOFF_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -46,13 +51,9 @@ class ClosedLoopWorkload:
     requests_per_client: Optional[int] = None
     duration_seconds: Optional[float] = None
     seed: int = 0
-    failover: bool = True
     #: Extra ``create_session`` options of the cluster's flavor, as sorted
     #: pairs so the workload stays hashable/frozen.
     session_options: Tuple[Tuple[str, object], ...] = ()
-    #: Adds ``k * (inflight - 1)`` seconds of slot-holding time per query
-    #: — contention among queries actually executing together.
-    contention_per_inflight: float = 0.0
     #: Adds ``k * (clients - 1)`` seconds of slot-holding time per query —
     #: the Enterprise-mode coordination overhead that grows with *offered*
     #: concurrency, whether or not those sessions were admitted yet
@@ -61,8 +62,6 @@ class ClosedLoopWorkload:
     #: Multiplies the modeled service time, letting a bench trade real
     #: executed queries for simulated seconds of slot occupancy.
     service_scale: float = 1.0
-    #: Client back-off after a rejection or error.
-    backoff_seconds: float = 0.05
 
     def __post_init__(self):
         if not self.statements:
@@ -107,6 +106,8 @@ class WorkloadResult:
     #: their pending admissions were withdrawn.
     stalled: int = 0
     duration_seconds: float = 0.0
+    #: The clock's ``now`` when the run began.
+    started_at: float = 0.0
 
     @property
     def per_minute(self) -> float:
@@ -114,13 +115,23 @@ class WorkloadResult:
             return 0.0
         return self.completed / self.duration_seconds * 60.0
 
+    def per_window(self, width: float, seconds: float) -> List[int]:
+        """Requests completed in each ``width``-second window of the run's
+        first ``seconds`` (Fig 12's timeline); a window cut short at the end
+        counts in the last whole one."""
+        counts = [0] * int(seconds // width)
+        for record in self.records:
+            at = record.completed_at - self.started_at
+            if record.outcome == "ok" and at <= seconds:
+                counts[min(int(at // width), len(counts) - 1)] += 1
+        return counts
+
 
 def _hold_seconds(
     clock: SimClock,
     result,
     ticket: AdmissionTicket,
     workload: ClosedLoopWorkload,
-    inflight: int,
 ) -> float:
     """Simulated seconds the query occupies its slots.
 
@@ -139,7 +150,6 @@ def _hold_seconds(
         + makespan
     )
     hold = max(service, _MIN_HOLD_SECONDS) * workload.service_scale
-    hold += workload.contention_per_inflight * max(0, inflight - 1)
     hold += workload.contention_per_client * max(0, workload.clients - 1)
     return hold
 
@@ -160,8 +170,7 @@ def run_closed_loop(
     parsed = [(sql.strip(), query_path.parse_select(cluster, sql)) for sql in workload.statements]
     session_options = dict(workload.session_options)
     start = clock.now
-    result = WorkloadResult()
-    inflight = [0]
+    result = WorkloadResult(started_at=start)
 
     def one_request(cid: int, req: int):
         sql, statement = parsed[workload.statement_index(cid, req)]
@@ -193,21 +202,15 @@ def run_closed_loop(
             yield pending.effect
             settled, pending = pending, None
             ticket = settled.granted()
-            inflight[0] += 1
-            try:
-                query_result = query_path.run(
-                    cluster,
-                    statement,
-                    request_text=sql,
-                    failover=workload.failover,
-                    ticket=ticket,
-                    prepared=prepared,
-                )
-                hold = _hold_seconds(
-                    clock, query_result, ticket, workload, inflight[0]
-                )
-            finally:
-                inflight[0] -= 1
+            query_result = query_path.run(
+                cluster,
+                statement,
+                request_text=sql,
+                failover=FAILOVER,
+                ticket=ticket,
+                prepared=prepared,
+            )
+            hold = _hold_seconds(clock, query_result, ticket, workload)
             # Hold the slots for the modeled service time: this is what
             # makes later arrivals queue, i.e. the whole experiment.
             yield Timeout(hold)
@@ -221,11 +224,11 @@ def run_closed_loop(
         except AdmissionRejected as exc:
             result.rejected += 1
             record(f"rejected:{exc.reason}")
-            yield Timeout(workload.backoff_seconds)
+            yield Timeout(BACKOFF_SECONDS)
         except ReproError as exc:
             result.errors += 1
             record(f"error:{type(exc).__name__}")
-            yield Timeout(workload.backoff_seconds)
+            yield Timeout(BACKOFF_SECONDS)
         finally:
             if pending is not None:
                 pending.cancel()

@@ -251,7 +251,7 @@ class TestClusterMetricsSummary:
             small_cluster.shared.metrics.get_requests
         assert summary["s3"]["totals"]["dollars"] == \
             pytest.approx(small_cluster.shared.metrics.dollars)
-        json.dumps(summary)  # BENCH JSON embeds this verbatim
+        json.dumps(summary)  # JSON-able as it stands
 
     def test_byte_hit_rate_tracks_cache_stats(self, small_cluster):
         small_cluster.query("select count(*) from t")  # warm: all hits

@@ -435,7 +435,7 @@ def callable_census() -> list:
 
 
 #: The suffixes of an options dataclass; a ``Ledger`` is a counter, not one.
-OPTION_CLASSES = re.compile(r"\w+(Config|Policy|Model|Intervals|Profile)$")
+OPTION_CLASSES = re.compile(r"\w+(Config|Policy|Model|Intervals|Profile|Workload)$")
 
 
 def field_census() -> list:
@@ -464,7 +464,6 @@ def field_census() -> list:
     return sorted(found)
 
 
-_BENCH = "src/repro/bench/ goes with the legacy benches (ROADMAP item 10)"
 _WARMING = "§5.2: depot warming's byte budget and its choice of peer or shared storage"
 _S3 = "PAPER.md's substitution table: the simulated S3's latency and cost models"
 _SERIAL = "Node.fetch_storage as the SerialFetch reference arm calls it (tests/test_io_scheduler.py)"
@@ -478,12 +477,6 @@ _OPERAND = "an operand of the call, not a setting: each caller says what it asks
 #: monkeypatches.  An option that only a test sets, or nothing does, is a
 #: visible diff here.
 SETTABLE = {
-    ("bench/harness.py", "run_copy_throughput", "batch_bytes"): _BENCH,
-    ("bench/harness.py", "run_copy_throughput", "seed"): _BENCH,
-    ("bench/harness.py", "run_query_throughput", "seed"): _BENCH,
-    ("bench/harness.py", "run_throughput_sim", "clock"): _BENCH,
-    ("bench/harness.py", "run_throughput_sim", "seed"): _BENCH,
-    ("bench/reporting.py", "write_bench_json", "directory"): _BENCH,
     ("cache/warming.py", "warm_from_peer", "budget_bytes"): _WARMING,
     ("cache/warming.py", "warm_from_peer", "prefer_peer"): _WARMING,
     ("catalog/catalog.py", "Catalog.__init__", "checkpoint_every"):
@@ -545,6 +538,15 @@ FIELD_SETTABLE = {
         "list_seconds", "read_bandwidth", "request_seconds", "scan_bandwidth",
         "select_request_seconds", "write_bandwidth",
     )},
+}
+
+
+#: The modules that spawn processes on a simulation clock, each with why.
+SPAWNERS = {
+    "src/repro/wm/driver.py": "the closed loop every query throughput figure runs",
+    "benchmarks/bench_fig11b_copy.py":
+        "Fig 11b's COPY loop: COPY takes no admission slots (section 4.5), so"
+        " the query driver has no request to make for it",
 }
 
 
@@ -770,6 +772,32 @@ class TestStructure:
         assert call_sites({"records_after", "_rebuild_from_peer"}, sorted(SRC.rglob("*.py"))) == {
             ("cluster/lifecycle.py", "catch_up"),
         }
+
+    def test_one_closed_loop_driver(self):
+        """Every throughput figure and example runs its requests through
+        ``run_closed_loop``: nothing imports a second model of section 4.2's
+        slots (the retired ``repro.bench``), and no module but those in
+        ``SPAWNERS`` starts processes on a clock."""
+        root = SRC.parents[1]
+        importers, spawners = [], set()
+        for top in CALLERS:
+            for path in sorted((root / top).rglob("*.py")):
+                where = str(path.relative_to(root))
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""] + [
+                            f"{node.module}.{alias.name}" for alias in node.names
+                        ]
+                    else:
+                        modules = []
+                    if any(m == "repro.bench" or m.startswith("repro.bench.") for m in modules):
+                        importers.append((where, node.lineno))
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "spawn":
+                        spawners.add(where)
+        assert importers == []
+        assert sorted(spawners) == sorted(SPAWNERS)
 
     def test_every_option_has_a_caller(self):
         """A defaulted parameter that nothing outside the tests passes is an

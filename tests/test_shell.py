@@ -3,7 +3,7 @@
 import pytest
 
 from repro import EonCluster
-from repro.shell import Shell
+from repro.shell import Shell, format_table
 
 
 @pytest.fixture
@@ -16,6 +16,14 @@ def shell_io():
 
 def text(output):
     return "\n".join(output)
+
+
+class TestFormatTable:
+    def test_format_table(self):
+        text = format_table("Title", ["a", "bb"], [[1, 2.5], ["x", 3.0]])
+        lines = text.splitlines()
+        assert lines[0] == "Title"
+        assert "2.50" in text and "x" in text
 
 
 class TestSql:

@@ -3,10 +3,13 @@
 The safety contract under test: every admission ticket is released on
 every exit path (success, error, cancel mid-query, mid-query failover,
 degraded rejection), queue wait is charged into query latency, and the
-``v_monitor`` workload tables report live slot state.
+``v_monitor`` workload tables report live slot state.  The closed loop's
+throughput keeps the shapes of section 4.2 and Figures 11a and 12.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +19,14 @@ from repro.errors import AdmissionRejected, QueryCancelled, ReproError, StorageU
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
 from repro.wm import AdmissionController, GENERAL_POOL, PoolConfig
+from repro.common.clock import SimClock
 from repro.wm.driver import (
+    BACKOFF_SECONDS,
+    FAILOVER,
     ClosedLoopWorkload,
     WorkloadRecord,
     WorkloadResult,
+    _hold_seconds,
     run_closed_loop,
 )
 
@@ -50,7 +57,7 @@ def run_serial_reference(cluster, workload, result_key=None) -> WorkloadResult:
                 try:
                     answer = cluster.query_statement(
                         statement, session=session, request_text=sql,
-                        failover=workload.failover,
+                        failover=FAILOVER,
                     )
                 finally:
                     session.release()
@@ -447,3 +454,184 @@ class TestMonitorTables:
         assert pool["queued"] == 0
         assert pool["peak_queue_depth"] >= 1
         assert pool["queue_wait_seconds"] > 0
+
+
+def throughput_cluster(cluster):
+    """``cluster`` with the ``t`` table of :func:`make_eon` and a queue deep
+    and patient enough that a closed loop is never rejected."""
+    cluster.admission = AdmissionController(
+        cluster, PoolConfig(max_queue_depth=512, queue_timeout_seconds=3600.0)
+    )
+    cluster.create_table(
+        "t", [("k", ColumnType.INT), ("g", ColumnType.VARCHAR), ("v", ColumnType.INT)]
+    )
+    cluster.load("t", [(k, f"g{k % 5}", (k * 7) % 101) for k in range(400)])
+    return cluster
+
+
+def eon_nodes(count: int) -> EonCluster:
+    return throughput_cluster(
+        EonCluster([f"n{i}" for i in range(count)], shard_count=3, seed=11)
+    )
+
+
+def per_minute(cluster, clients: int, **options) -> float:
+    """Throughput of ``clients`` clients, two requests each."""
+    result = run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=(SQL,), clients=clients, requests_per_client=2, **options
+    ))
+    assert result.completed == 2 * clients
+    return result.per_minute
+
+
+def windows(cluster, seconds: float, events) -> list:
+    """Completions per 30 s of an 8-client, ``seconds``-long loop of ~1 s
+    queries, with ``events`` (``(at, callback)``) on the cluster's clock."""
+    for at, callback in events:
+        cluster.clock.schedule(at, callback)
+    result = run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=(SQL,), clients=8, duration_seconds=seconds, service_scale=300.0,
+    ))
+    assert result.errors == result.rejected == result.stalled == 0
+    return result.per_window(30.0, seconds)
+
+
+class TestThroughputShapes:
+    """Section 4.2's slot rule as the real query path runs it: a query holds
+    S of the N x E slots, so throughput follows N at a fixed S and stops
+    growing once the slots are full."""
+
+    def test_eon_rises_from_three_to_six_to_nine_nodes(self):
+        rates = {n: per_minute(eon_nodes(n), 40) for n in (3, 6, 9)}
+        assert rates[6] > rates[3] * 1.4
+        assert rates[9] > rates[6] * 1.2
+
+    def test_throughput_flattens_past_the_slot_limit(self):
+        # 3 nodes x 4 slots / 3 shards: 4 queries at once, then a queue.
+        cluster = eon_nodes(3)
+        low, high = per_minute(cluster, 4), per_minute(cluster, 32)
+        assert low <= high <= low * 1.3
+
+    def test_enterprise_falls_as_offered_load_grows(self):
+        cluster = throughput_cluster(EnterpriseCluster([f"e{i}" for i in range(9)], seed=2))
+        t10 = per_minute(cluster, 10, contention_per_client=0.0015)
+        t70 = per_minute(cluster, 70, contention_per_client=0.0015)
+        assert t70 < t10
+
+    def test_a_kill_mid_run_degrades_without_a_cliff(self):
+        cluster = eon_nodes(4)
+        counts = windows(cluster, 300.0, [(150.0, lambda: cluster.kill_node("n1"))])
+        before = sum(counts[:5]) / 5
+        after = sum(counts[6:]) / 4
+        assert before * 0.5 < after < before
+
+    def test_a_recover_restores_throughput(self):
+        cluster = eon_nodes(4)
+        counts = windows(cluster, 450.0, [
+            (150.0, lambda: cluster.kill_node("n1")),
+            (300.0, lambda: cluster.recover_node("n1")),
+        ])
+        assert sum(counts[-4:]) / 4 >= sum(counts[:5]) / 5 * 0.9
+
+
+def one_client(cluster, requests: int = 3, **options) -> WorkloadResult:
+    return run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=(SQL,), clients=1, requests_per_client=requests, **options
+    ))
+
+
+class TestClosedLoopInputs:
+    """What each ``ClosedLoopWorkload`` input does to the loop's clock."""
+
+    def test_hold_runs_node_busy_seconds_over_the_granted_lanes(self):
+        # The busiest node's 3 s fragment bounds a query that has a lane
+        # per node; on one lane the four fragments run end to end.
+        per_node = {n: SimpleNamespace(busy_seconds=b) for n, b in zip("abcd", (3.0, 1.0, 1.0, 1.0))}
+        result = SimpleNamespace(stats=SimpleNamespace(per_node=per_node, latency_seconds=3.7))
+
+        def hold(lanes, **options):
+            ticket = SimpleNamespace(total_slots=lanes, queue_wait_seconds=0.2)
+            workload = ClosedLoopWorkload(statements=(SQL,), requests_per_client=1, **options)
+            return _hold_seconds(SimClock(), result, ticket, workload)
+
+        assert hold(4) == pytest.approx(0.5 + 3.0)
+        assert hold(1) == pytest.approx(0.5 + 6.0)
+        assert hold(4, service_scale=2.0) == pytest.approx(2 * 3.5)
+        assert hold(4, clients=5, contention_per_client=0.25) == pytest.approx(3.5 + 4 * 0.25)
+
+    def test_service_scale_stretches_every_hold(self):
+        base = one_client(make_eon())
+        stretched = one_client(make_eon(), service_scale=4.0)
+        assert stretched.duration_seconds == pytest.approx(4 * base.duration_seconds)
+        assert [r.latency_seconds for r in stretched.records] == [
+            r.latency_seconds for r in base.records
+        ]
+
+    def test_contention_charges_only_the_other_clients(self):
+        assert one_client(make_eon(), contention_per_client=0.5).records == one_client(make_eon()).records
+        calm = run_closed_loop(make_eon(), ClosedLoopWorkload(
+            statements=(SQL,), clients=8, requests_per_client=1,
+        ))
+        crowded = run_closed_loop(make_eon(), ClosedLoopWorkload(
+            statements=(SQL,), clients=8, requests_per_client=1, contention_per_client=0.5,
+        ))
+        assert crowded.duration_seconds >= calm.duration_seconds + 7 * 0.5
+
+    def test_duration_bounds_when_a_request_may_start(self):
+        result = run_closed_loop(make_eon(), ClosedLoopWorkload(
+            statements=(SQL,), clients=3, duration_seconds=2.0, service_scale=10.0,
+        ))
+        late = [r.client for r in result.records if r.completed_at - result.started_at > 2.0]
+        # Each client finishes the one request it started before the bound.
+        assert sorted(late) == [0, 1, 2]
+        assert result.completed > 3 * 10
+
+    def test_session_options_reach_every_session(self, monkeypatch):
+        cluster = make_eon()
+        cluster.define_subcluster("pair", ["n1", "n3"])
+        create = cluster.create_session
+        layouts = []
+
+        def spy(**options):
+            session = create(**options)
+            layouts.append({session.initiator, *session.participants()})
+            return session
+
+        monkeypatch.setattr(cluster, "create_session", spy)
+        result = run_closed_loop(cluster, ClosedLoopWorkload(
+            statements=(SQL,), clients=4, requests_per_client=2,
+            session_options=(("subcluster", "pair"),),
+        ))
+        assert result.completed == len(layouts) == 8
+        assert all(nodes <= {"n1", "n3"} for nodes in layouts)
+
+    def test_a_failed_request_backs_off_and_the_loop_goes_on(self):
+        cluster = make_eon()
+        with pytest.raises(ReproError):
+            for name in ("n1", "n2", "n3"):
+                cluster.kill_node(name)
+        result = one_client(cluster)
+        assert result.errors == 3 and result.completed == 0
+        assert [r.completed_at - result.started_at for r in result.records] == pytest.approx(
+            [0.0, BACKOFF_SECONDS, 2 * BACKOFF_SECONDS]
+        )
+
+    def test_workload_takes_exactly_one_bound(self):
+        with pytest.raises(ValueError):
+            ClosedLoopWorkload(statements=(SQL,))
+        with pytest.raises(ValueError):
+            ClosedLoopWorkload(statements=(SQL,), requests_per_client=1, duration_seconds=1.0)
+        with pytest.raises(ValueError):
+            ClosedLoopWorkload(statements=(), requests_per_client=1)
+        with pytest.raises(ValueError):
+            ClosedLoopWorkload(statements=(SQL,), clients=0, requests_per_client=1)
+
+    def test_per_window_counts_ok_completions(self):
+        def at(seconds, outcome="ok"):
+            return WorkloadRecord(0, 1, SQL, outcome, None, 0.0, 0.0, 100.0 + seconds)
+
+        result = WorkloadResult(started_at=100.0, records=[
+            at(1.0), at(29.0), at(31.0), at(44.0, "error:NodeDown"), at(65.0), at(95.0),
+        ])
+        # 0-30, 30-60, 60-90 (with 90-95 cut short); 95 s is past the end.
+        assert result.per_window(30.0, 92.0) == [2, 1, 1]
