@@ -119,7 +119,7 @@ class FrequencyDesigner(DatabaseDesigner):
             node_count,
         ) or DesignCost(seconds=math.inf)
         return _SearchResult(assignment, estimated, baseline, "frequency",
-                             math.inf, len(assignment))
+                             len(assignment))
 
 
 DASHBOARD = (

@@ -12,5 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
 )

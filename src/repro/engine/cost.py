@@ -193,8 +193,9 @@ def choose_scan_strategy(
 # build side is not co-segmented with the probe stream, and a two-phase
 # gather when group keys do not cover the stream's segmentation.  The result
 # is a *work-proportional* estimate of the critical path (total work divided
-# by scan parallelism), which is what makes per-table scan terms separable —
-# the property the designer's branch-and-bound lower bound relies on.
+# by scan parallelism).  Each term reads at most two layouts — a scan its
+# table's, a broadcast the first and the build table's — which is what lets
+# the designer search assignments as one integer program.
 
 #: Stored bytes per cell by column type, for sizing candidate containers.
 #: VARCHAR assumes short dictionary-friendly strings; the write path picks
@@ -328,8 +329,7 @@ def estimate_scan_cost(
 
     Returns ``None`` when the layout cannot serve the query (a scanned
     column is missing).  Separable by construction: depends only on this
-    table's layout, never on the other tables' — the branch-and-bound
-    lower bound sums per-table minima of exactly this function.
+    table's layout, never on the other tables'.
     """
     from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
 
@@ -398,6 +398,66 @@ _DESIGN_SHIP_ROW_BYTES = 16.0
 _DESIGN_MAX_GROUPS = 4096.0
 
 
+def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
+                                 row_counts: Mapping[str, float], node_count: int,
+                                 model: CostModel) -> float:
+    """The query's terms that read only the first table's layout (and each
+    table's row count): join CPU, then a two-phase gather for an aggregate
+    whose group keys do not cover the stream's alignment, or the result
+    ship for a plain select."""
+    # The qualified columns the probe stream is hash-distributed on; None
+    # for a single-node (replicated) stream.
+    alignment = None if first.is_replicated else {
+        (shape.tables[0], c) for c in first.segmentation_columns
+    }
+    probe_rows = first.row_count * _filtered_fraction(
+        shape.filters.get(shape.tables[0], {})
+    )
+    seconds = 0.0
+    for join in shape.joins:
+        build_rows = row_counts[join.table] * _filtered_fraction(
+            shape.filters.get(join.table, {})
+        )
+        seconds += (
+            (build_rows + probe_rows)
+            * model.row_cpu_seconds
+            / (1 if alignment is None else max(1, node_count))
+        )
+    if alignment is None:
+        return seconds
+    if not shape.is_aggregate:
+        return seconds + model.network_seconds(
+            int(probe_rows * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
+        )
+    if not alignment <= set(shape.group_columns):
+        partials = min(probe_rows, _DESIGN_MAX_GROUPS) * max(1, node_count)
+        seconds += model.network_seconds(
+            int(partials * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
+        )
+        seconds += partials * model.row_cpu_seconds
+    return seconds
+
+
+def estimate_broadcast_seconds(shape: QueryShape, join: DesignJoin, first: TableLayout,
+                               build: TableLayout, node_count: int,
+                               model: CostModel) -> float:
+    """Shipping one join's build side to every other participant: zero when
+    the build side is replicated, the probe stream is, or the two are
+    co-segmented on the join keys."""
+    paired = dict(zip(join.right_keys, join.left_keys))
+    aligned = {(shape.tables[0], c) for c in first.segmentation_columns}
+    if build.is_replicated or first.is_replicated or all(
+        paired.get(c) in aligned for c in build.segmentation_columns
+    ):
+        return 0.0
+    build_bytes = build.row_count * _filtered_fraction(
+        shape.filters.get(join.table, {})
+    ) * build.row_bytes(shape.columns.get(join.table, build.columns))
+    return model.network_seconds(
+        int(build_bytes * max(0, node_count - 1)), messages=max(1, node_count - 1)
+    )
+
+
 def estimate_query_cost(
     shape: QueryShape,
     layouts: Mapping[str, TableLayout],
@@ -405,68 +465,22 @@ def estimate_query_cost(
     model: Optional[CostModel] = None,
 ) -> Optional[DesignCost]:
     """Work-proportional cost of one query under a full layout assignment:
-    per-table scan terms (separable) plus join locality, aggregation
-    phases, and dispatch (the non-negative interaction terms)."""
+    dispatch, the per-table scan terms, the first table's terms and each
+    join's broadcast.  ``None`` when a layout cannot serve its scan."""
     model = model or CostModel()
     cost = DesignCost(seconds=model.dispatch_seconds)
     for table in shape.tables:
-        layout = layouts.get(table)
-        if layout is None:
-            return None
-        scan = estimate_scan_cost(shape, table, layout, node_count, model)
+        scan = estimate_scan_cost(shape, table, layouts[table], node_count, model)
         if scan is None:
             return None
         cost.add(scan)
     first = layouts[shape.tables[0]]
-    # The probe stream's hash alignment: qualified columns it is currently
-    # distributed on (None = single-node / replicated stream).
-    alignment = (
-        None
-        if first.is_replicated
-        else {(shape.tables[0], c) for c in first.segmentation_columns}
-    )
-    probe_rows = first.row_count * _filtered_fraction(
-        shape.filters.get(shape.tables[0], {})
+    cost.seconds += estimate_first_table_seconds(
+        shape, first, {t: layouts[t].row_count for t in shape.tables}, node_count, model
     )
     for join in shape.joins:
-        build = layouts[join.table]
-        build_rows = build.row_count * _filtered_fraction(
-            shape.filters.get(join.table, {})
-        )
-        build_bytes = build_rows * build.row_bytes(
-            shape.columns.get(join.table, build.columns)
-        )
-        paired = dict(zip(join.right_keys, join.left_keys))
-        co_segmented = (
-            not build.is_replicated
-            and alignment is not None
-            and all(c in paired for c in build.segmentation_columns)
-            and {paired[c] for c in build.segmentation_columns} <= alignment
-        )
-        local = build.is_replicated or alignment is None or co_segmented
-        if not local:
-            # Broadcast the build side to every other participant.
-            cost.seconds += model.network_seconds(
-                int(build_bytes * max(0, node_count - 1)),
-                messages=max(1, node_count - 1),
-            )
-        cost.seconds += (
-            (build_rows + probe_rows)
-            * model.row_cpu_seconds
-            / (1 if alignment is None else max(1, node_count))
-        )
-    if shape.is_aggregate:
-        group_set = set(shape.group_columns)
-        one_phase = alignment is not None and alignment <= group_set
-        if alignment is not None and not one_phase:
-            partials = min(probe_rows, _DESIGN_MAX_GROUPS) * max(1, node_count)
-            cost.seconds += model.network_seconds(
-                int(partials * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
-            )
-            cost.seconds += partials * model.row_cpu_seconds
-    elif alignment is not None:
-        cost.seconds += model.network_seconds(
-            int(probe_rows * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
+        cost.seconds += estimate_broadcast_seconds(
+            shape, join, first, layouts[join.table], node_count, model
         )
     return cost
 

@@ -29,13 +29,10 @@ columns first for container pruning, then group-by columns), segmentation
 and per-column encoding advice — and scores complete assignments
 workload-wide through the design-time estimator in
 :mod:`repro.engine.cost` (cold fetches, broadcast joins, aggregation
-phases, maintenance).  Small candidate spaces are searched exactly with
-branch-and-bound (per-table scan terms are separable, so summing
-per-table minima is a valid lower bound); large spaces fall back to
-greedy coordinate descent and report the gap to that same lower bound as
-a ``regret_bound``.  Framing layout selection as cost-based search
-follows "Vertical partitioning of relational OLTP databases using integer
-programming".
+phases, maintenance).  That score splits exactly into per-candidate
+terms and per-(first table, build table) broadcast terms, so the search
+is one exact integer program (solved by scipy's HiGHS), as in "Vertical
+partitioning of relational OLTP databases using integer programming".
 
 :meth:`apply` is idempotent: proposals carry versioned names
 (``<table>_dbd_v<n>``), re-running a design that matches an existing
@@ -64,6 +61,8 @@ from repro.engine.cost import (
     DesignJoin,
     QueryShape,
     TableLayout,
+    estimate_broadcast_seconds,
+    estimate_first_table_seconds,
     estimate_maintenance_cost,
     estimate_query_cost,
     estimate_scan_cost,
@@ -88,10 +87,6 @@ DESIGN_DEFAULT_ROW_ESTIMATE = 100_000
 
 #: Selectivity assumed for a filtered column with no container stats.
 DEFAULT_FILTER_SELECTIVITY = 0.25
-
-#: Candidate spaces up to this many complete assignments are searched
-#: exactly with branch-and-bound; larger ones go greedy.
-MAX_EXHAUSTIVE_CONFIGS = 4096
 
 #: Designer projection names: ``<table>_dbd`` (legacy v1) or
 #: ``<table>_dbd_v<n>``.
@@ -174,7 +169,6 @@ class DesignerRun(Ledger):
     queries_skipped: int
     candidates_scored: int
     search_mode: str
-    regret_bound: float
     estimated_seconds: float
     baseline_seconds: float
     estimated_s3_gets: float
@@ -224,8 +218,6 @@ class _Candidate:
 
     layout: TableLayout
     encodings: Tuple[Tuple[str, str], ...] = ()
-    #: Name of the existing projection this layout mirrors, if any.
-    source: Optional[str] = None
     #: Separable cost (weighted scans + maintenance), filled by search.
     sep_seconds: float = math.inf
     #: Weighted share of this table's scans the planner would route to a
@@ -239,7 +231,6 @@ class _SearchResult:
     estimated: DesignCost
     baseline: DesignCost
     mode: str
-    regret_bound: float
     candidates_scored: int
 
 
@@ -605,11 +596,9 @@ class DatabaseDesigner:
         seen: Dict[tuple, _Candidate] = {}
 
         def add(columns: Tuple[str, ...], sort: Tuple[str, ...],
-                seg: Tuple[str, ...], source: Optional[str] = None) -> None:
+                seg: Tuple[str, ...]) -> None:
             key = (columns, sort, seg)
             if key in seen:
-                if source is not None and seen[key].source is None:
-                    seen[key].source = source
                 return
             seen[key] = _Candidate(
                 layout=TableLayout(
@@ -618,7 +607,6 @@ class DatabaseDesigner:
                     bytes_per_cell=cells,
                 ),
                 encodings=self._encodings_for(table, columns, sort),
-                source=source,
             )
 
         for columns in column_sets:
@@ -666,8 +654,7 @@ class DatabaseDesigner:
                 continue
             if set(used) <= set(projection.columns):
                 layout = self._layout_of(table, projection)
-                add(layout.columns, layout.sort_order, layout.segmentation_columns,
-                    source=projection.name)
+                add(layout.columns, layout.sort_order, layout.segmentation_columns)
         return list(seen.values())
 
     # -- stage 2: search -------------------------------------------------------
@@ -808,102 +795,62 @@ class DatabaseDesigner:
             candidates[table] = kept
 
         candidates_scored = sum(len(candidates[t]) for t in tables)
-        lower = {
-            table: candidates[table][0].sep_seconds if candidates[table]
-            else math.inf
-            for table in tables
-        }
-        dispatch_const = sum(s.weight for s in shapes) * model.dispatch_seconds
-        lower_total = sum(lower.values()) + dispatch_const
-
-        def full_cost(assign: Dict[str, _Candidate]) -> DesignCost:
-            total = DesignCost()
-            for index, shape in enumerate(shapes):
-                layouts: Dict[str, TableLayout] = {}
-                for shape_table in shape.tables:
-                    chosen = assign.get(shape_table)
-                    layout = (
-                        effective(index, shape, shape_table, chosen.layout)
-                        if chosen is not None else None
-                    )
-                    if layout is None:
-                        return DesignCost(seconds=math.inf)
-                    layouts[shape_table] = layout
-                query = estimate_query_cost(shape, layouts, node_count, model)
-                if query is None:
-                    return DesignCost(seconds=math.inf)
-                total.add(query, weight=shape.weight)
-            for assigned_table in sorted(assign):
-                total.add(
-                    estimate_maintenance_cost(assign[assigned_table].layout)
-                )
-            return total
-
-        assignment = {
-            table: candidates[table][0] for table in tables if candidates[table]
-        }
-        if len(assignment) != len(tables):
+        if not all(candidates[table] for table in tables):
             # Some table has no feasible candidate (cannot happen while
             # generation includes the full schema, but stay safe).
             empty = DesignCost(seconds=math.inf)
-            return _SearchResult(assignment, empty, empty, "infeasible",
-                                 math.inf, candidates_scored)
-        best_cost = full_cost(assignment)
-        best_assign = dict(assignment)
+            return _SearchResult({}, empty, empty, "infeasible",
+                                 candidates_scored)
 
-        configs = 1
+        # The rest of the objective: a query's first-table terms join its
+        # first table's candidate cost, and each join's broadcast term is
+        # a cell of (first table's candidate, build table's candidate).
+        offset: Dict[str, int] = {}
+        pool: List[_Candidate] = []
         for table in tables:
-            configs *= max(1, len(candidates[table]))
+            offset[table] = len(pool)
+            pool += candidates[table]
+        unary = [candidate.sep_seconds for candidate in pool]
+        pairs: Dict[Tuple[int, int], float] = {}
+        row_counts = {table: self._estimate_rows(table) for table in tables}
+        for index, shape in enumerate(shapes):
+            head = shape.tables[0]
+            firsts = [
+                effective(index, shape, head, c.layout) for c in candidates[head]
+            ]
+            for i, layout in enumerate(firsts, offset[head]):
+                unary[i] += shape.weight * estimate_first_table_seconds(
+                    shape, layout, row_counts, node_count, model
+                )
+            for join in shape.joins:
+                builds = candidates[join.table]
+                for j, candidate in enumerate(builds, offset[join.table]):
+                    build = effective(index, shape, join.table, candidate.layout)
+                    for i, layout in enumerate(firsts, offset[head]):
+                        seconds = shape.weight * estimate_broadcast_seconds(
+                            shape, join, layout, build, node_count, model
+                        )
+                        if seconds:
+                            pairs[i, j] = pairs.get((i, j), 0.0) + seconds
+        assignment = {
+            pool[i].layout.table: pool[i]
+            for i in _min_cost_assignment(
+                [len(candidates[table]) for table in tables], unary, pairs
+            )
+        }
 
-        if configs <= MAX_EXHAUSTIVE_CONFIGS:
-            mode = "branch-and-bound"
-            suffix_lb = [0.0] * (len(tables) + 1)
-            for i in range(len(tables) - 1, -1, -1):
-                suffix_lb[i] = suffix_lb[i + 1] + lower[tables[i]]
-
-            partial: Dict[str, _Candidate] = {}
-
-            def descend(i: int, partial_sep: float) -> None:
-                nonlocal best_cost, best_assign
-                if i == len(tables):
-                    cost = full_cost(partial)
-                    # Strictly-better only: a cost tie keeps the earlier
-                    # assignment, and candidate order already prefers
-                    # concentrated traffic.
-                    if cost.seconds < best_cost.seconds - 1e-12:
-                        best_cost, best_assign = cost, dict(partial)
-                    return
-                table = tables[i]
-                for candidate in candidates[table]:
-                    bound = (
-                        partial_sep + candidate.sep_seconds
-                        + suffix_lb[i + 1] + dispatch_const
-                    )
-                    if bound >= best_cost.seconds:
-                        break  # candidates sorted by sep: rest only worse
-                    partial[table] = candidate
-                    descend(i + 1, partial_sep + candidate.sep_seconds)
-                partial.pop(table, None)
-
-            descend(0, 0.0)
-            regret = 0.0
-        else:
-            mode = "greedy"
-            for _pass in range(4):
-                changed = False
-                for table in tables:
-                    for candidate in candidates[table]:
-                        if candidate is best_assign[table]:
-                            continue
-                        trial = dict(best_assign)
-                        trial[table] = candidate
-                        cost = full_cost(trial)
-                        if cost.seconds < best_cost.seconds - 1e-12:
-                            best_cost, best_assign = cost, trial
-                            changed = True
-                if not changed:
-                    break
-            regret = max(0.0, best_cost.seconds - lower_total)
+        estimated = DesignCost()
+        for index, shape in enumerate(shapes):
+            layouts = {
+                table: effective(index, shape, table, assignment[table].layout)
+                for table in shape.tables
+            }
+            estimated.add(
+                estimate_query_cost(shape, layouts, node_count, model),
+                weight=shape.weight,
+            )
+        for table in tables:
+            estimated.add(estimate_maintenance_cost(assignment[table].layout))
 
         _shapes_tables = {t for s in shapes for t in s.tables}
         baseline = estimate_workload_cost(
@@ -911,7 +858,7 @@ class DatabaseDesigner:
             self._baseline_layouts(sorted(_shapes_tables), self._stats_cache),
             node_count, model,
         ) or DesignCost(seconds=math.inf)
-        return _SearchResult(best_assign, best_cost, baseline, mode, regret,
+        return _SearchResult(assignment, estimated, baseline, "milp",
                              candidates_scored)
 
     # -- proposals -------------------------------------------------------------
@@ -926,10 +873,6 @@ class DatabaseDesigner:
             table: self._candidates_for(table, stats[table])
             for table in sorted(stats)
         }
-        candidates = {t: c for t, c in candidates.items() if c}
-        if not candidates:
-            self._last_search = None
-            return []
         search = self._search(shapes, candidates)
         self._last_search = search
         proposals = []
@@ -1079,7 +1022,6 @@ class DatabaseDesigner:
             queries_skipped=len(report.skipped) if report else 0,
             candidates_scored=search.candidates_scored if search else 0,
             search_mode=search.mode if search else "empty",
-            regret_bound=search.regret_bound if search else 0.0,
             estimated_seconds=search.estimated.seconds if search else 0.0,
             baseline_seconds=search.baseline.seconds if search else 0.0,
             estimated_s3_gets=search.estimated.s3_gets if search else 0.0,
@@ -1090,6 +1032,48 @@ class DatabaseDesigner:
         )
         runs.append(run)
         return run
+
+
+def _min_cost_assignment(sizes: List[int], unary: List[float],
+                         pairs: Dict[Tuple[int, int], float]) -> List[int]:
+    """The indices of one candidate per group (``sizes`` consecutive ones
+    per table) minimizing their ``unary`` seconds plus each ``pairs[i, j]``
+    whose two candidates are both picked.
+
+    A binary ``x`` per candidate, one per group, and a continuous
+    ``y >= x_i + x_j - 1`` per pair: every cost is >= 0, so ``y`` settles
+    at the AND of the two.  The objective is in microseconds because HiGHS
+    stops within an absolute gap of 1e-6, which scipy does not expose.  A
+    second solve, capped at the optimum, takes the optimum of smallest
+    summed index: candidates arrive in rank order."""
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n, m, groups = len(unary), len(pairs), len(sizes)
+    cells = sorted(pairs)
+    first, second = np.array(cells, dtype=int).reshape(m, 2).T
+    row = groups + np.arange(m)
+    matrix = coo_array((
+        np.r_[np.ones(n + 2 * m), -np.ones(m)],
+        (np.r_[np.repeat(np.arange(groups), sizes), row, row, row],
+         np.r_[np.arange(n), first, second, n + np.arange(m)]),
+    ), shape=(groups + m, n + m))
+    rows = LinearConstraint(matrix, np.r_[np.ones(groups), np.full(m, -np.inf)], 1.0)
+    micros = 1e6 * np.r_[unary, [pairs[cell] for cell in cells]]
+
+    def solve(objective, *constraints):
+        result = milp(objective, constraints=constraints, bounds=(0, 1),
+                      integrality=np.r_[np.ones(n), np.zeros(m)],
+                      options={"mip_rel_gap": 0.0})
+        if not result.success:
+            raise PlanningError(f"designer search: {result.message}")
+        return result
+
+    best = solve(micros, rows)
+    tied = solve(np.r_[np.arange(n), np.zeros(m)], rows,
+                 LinearConstraint(micros, -np.inf, best.fun))
+    return [int(i) for i in np.flatnonzero(tied.x[:n] > 0.5)]
 
 
 def _cluster_states(cluster) -> List[CatalogState]:

@@ -268,7 +268,7 @@ class TestApply:
         assert len(rows) == 1
         run_id, mode, created = rows[0]
         assert run_id == 1
-        assert mode in ("branch-and-bound", "greedy")
+        assert mode == "milp"
         assert "fact_dbd_v1" in created
 
     def test_ingest_recorded_builds_workload(self, cluster):

@@ -16,15 +16,28 @@ group-bys, and joins.  Three walls:
   proposal's emitted SQL through the ordinary DDL path succeeds, and
   every workload query returns bit-identical rows before and after the
   redesign.
+* **Exactness**: on random candidate sets with joins, the search's
+  design costs exactly the minimum a brute-force enumeration of every
+  assignment finds, and among the optima it is the one whose candidates
+  rank earliest in total.
 """
 
+import functools
+import itertools
+import math
 from typing import List, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import ColumnType, EonCluster
-from repro.engine.designer import DatabaseDesigner, dbd_version
+from repro.engine.cost import (
+    DesignCost, DesignJoin, QueryShape, TableLayout, estimate_maintenance_cost,
+    estimate_query_cost,
+)
+from repro.engine.designer import (
+    DatabaseDesigner, _Candidate, _TableStats, dbd_version,
+)
 from repro.sql.ast import CreateProjection
 from repro.sql.parser import parse
 
@@ -182,3 +195,167 @@ def test_emitted_ddl_executes_and_preserves_answers(data):
         assert p.name in state.projections or p.already_applied
     for sql in usable:
         assert sorted(cluster.query(sql).rows.to_pylist()) == before[sql], sql
+
+
+# -- exactness: the search against brute-force enumeration -------------------
+
+EXACT_TABLES = ("t0", "t1", "t2", "t3")
+EXACT_COLUMNS = ("k", "a", "b", "c")
+
+
+@functools.lru_cache(maxsize=None)
+def exact_catalog():
+    cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=5)
+    for table in EXACT_TABLES:
+        cluster.execute(f"create table {table} (k int, a int, b varchar, c float)")
+    return cluster.any_up_node().catalog.state
+
+
+def candidate(table, rows, columns, sort, segmentation) -> _Candidate:
+    return _Candidate(layout=TableLayout(
+        table=table, columns=tuple(columns), sort_order=tuple(sort),
+        segmentation_columns=tuple(segmentation), row_count=rows,
+        bytes_per_cell={"k": 8.0, "a": 8.0, "b": 16.0, "c": 8.0},
+    ))
+
+
+@st.composite
+def candidate_sets(draw):
+    """<= 4 tables x <= 4 candidate layouts (the first covers every column,
+    later ones may be narrower and so infeasible for some query), and
+    <= 4 queries whose tables join on ``k``, so broadcast cells exist."""
+    tables = EXACT_TABLES[: draw(st.integers(1, 4))]
+    rows = {t: draw(st.sampled_from((1, 40, 3_000, 200_000, 5_000_000)))
+            for t in tables}
+    subsets = st.lists(st.sampled_from(EXACT_COLUMNS), unique=True)
+    candidates = {}
+    for table in tables:
+        candidates[table] = []
+        for index in range(draw(st.integers(1, 4))):
+            columns = (
+                EXACT_COLUMNS if index == 0
+                else tuple(c for c in EXACT_COLUMNS
+                           if c == "k" or c in draw(subsets))
+            )
+            sort = draw(st.permutations(columns))[: draw(st.integers(1, 3))]
+            seg = draw(st.sampled_from(((), ("k",), ("a",), ("k", "a"))))
+            candidates[table].append(candidate(
+                table, rows[table], columns, sort, [c for c in seg if c in columns]
+            ))
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(tables))[: draw(st.integers(1, len(tables)))]
+        joins = tuple(
+            DesignJoin(table=build,
+                       left_keys=((draw(st.sampled_from(order[:i])), "k"),),
+                       right_keys=("k",))
+            for i, build in enumerate(order) if i
+        )
+        shapes.append(QueryShape(
+            tables=tuple(order),
+            columns={t: tuple(draw(subsets)) for t in order},
+            filters={t: {c: draw(st.floats(0.001, 1.0)) for c in draw(subsets)}
+                     for t in order},
+            joins=joins,
+            group_columns=tuple(
+                (t, c) for t in order for c in draw(subsets)
+            ),
+            is_aggregate=draw(st.booleans()),
+            weight=draw(st.sampled_from((0.5, 1.0, 3.0))),
+            cold_fraction=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        ))
+    return rows, candidates, shapes
+
+
+#: One-row tables whose layouts differ by a few bytes: the designs are
+#: ~1e-7 s apart, which a solve stated in seconds cannot tell apart.
+TINY = (
+    {"t0": 1, "t1": 1},
+    {"t0": [candidate("t0", 1, EXACT_COLUMNS, "k", ""),
+            candidate("t0", 1, "k", "k", ""),
+            candidate("t0", 1, "ka", "k", "k"),
+            candidate("t0", 1, "k", "k", "k")],
+     "t1": [candidate("t1", 1, EXACT_COLUMNS, "k", ""),
+            candidate("t1", 1, "k", "k", ""),
+            candidate("t1", 1, "k", "k", ""),
+            candidate("t1", 1, "ka", "k", "")]},
+    [QueryShape(tables=("t0",), columns={"t0": ()}, filters={},
+                weight=0.5, cold_fraction=0.0)] * 2,
+)
+
+#: Three identical layouts: an exact tie the rank rule must settle on the
+#: first of them.
+TIED = (
+    {"t0": 1},
+    {"t0": [candidate("t0", 1, EXACT_COLUMNS, "k", "")]
+     + [candidate("t0", 1, "k", "k", "") for _ in range(3)]},
+    [QueryShape(tables=("t0",), columns={"t0": ()}, filters={},
+                weight=0.5, cold_fraction=0.0)],
+)
+
+#: t0 is segmented on ``a``, so a join on ``k`` broadcasts t1 unless t1 is
+#: replicated: replication scans slower but saves the broadcast, which only
+#: the pair term sees.
+BROADCAST = (
+    {"t0": 200_000, "t1": 200_000},
+    {"t0": [candidate("t0", 200_000, EXACT_COLUMNS, "k", "a")],
+     "t1": [candidate("t1", 200_000, EXACT_COLUMNS, "k", "k"),
+            candidate("t1", 200_000, EXACT_COLUMNS, "k", "")]},
+    [QueryShape(tables=("t0", "t1"), columns={"t0": ("k",), "t1": ("k", "b")},
+                filters={}, cold_fraction=0.0,
+                joins=(DesignJoin("t1", (("t0", "k"),), ("k",)),))],
+)
+
+
+def full_cost(shapes, assignment, node_count) -> float:
+    """The workload's cost under one complete assignment, query by query;
+    inf when a layout cannot serve a query's scan."""
+    total = DesignCost()
+    for shape in shapes:
+        layouts = {t: assignment[t].layout for t in shape.tables}
+        query = estimate_query_cost(shape, layouts, node_count)
+        if query is None:
+            return math.inf
+        total.add(query, weight=shape.weight)
+    for table in sorted(assignment):
+        total.add(estimate_maintenance_cost(assignment[table].layout))
+    return total.seconds
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=candidate_sets())
+@example(drawn=TINY)
+@example(drawn=TIED)
+@example(drawn=BROADCAST)
+def test_search_is_the_brute_force_optimum(drawn):
+    rows, candidates, shapes = drawn
+    designer = DatabaseDesigner(exact_catalog(), row_counts=rows)
+    # No projection competes with the candidates in the planner, so every
+    # query scans exactly the layout its table is assigned.
+    designer._rival_layouts = lambda table: []
+    designer._stats_cache = {table: _TableStats() for table in candidates}
+    node_count = designer._node_count()
+    tables = sorted(candidates)
+    everything = list(itertools.product(*(candidates[t] for t in tables)))
+    costs = [full_cost(shapes, dict(zip(tables, pick)), node_count)
+             for pick in everything]
+    result = designer._search(shapes, dict(candidates))
+    best = min(costs)
+    assert result.mode == "milp"
+    assert result.estimated.seconds == pytest.approx(best, rel=1e-9, abs=0)
+    # The tie rule: of the optima, the smallest summed rank, where rank is
+    # the search's own candidate order (cheapest separable cost first).
+    ranks = {
+        t: {id(c): i for i, c in enumerate(
+            sorted((c for c in candidates[t] if c.sep_seconds < math.inf),
+                   key=lambda c: (c.sep_seconds, c.fallback_weight)))}
+        for t in tables
+    }
+    optima = [
+        sum(ranks[t][id(c)] for t, c in zip(tables, pick))
+        for pick, cost in zip(everything, costs)
+        if cost <= best * (1 + 1e-9)
+    ]
+    chosen = sum(ranks[t][id(result.assignment[t])] for t in tables)
+    assert chosen == min(optima)

@@ -9,7 +9,8 @@ subscription map, no module grows past ~600 lines, four callers apply a commit
 to a catalog, a node's catalog catches up in one place, no class in ``src/``
 keeps a reference-arm switch, every option, function and options field has a
 caller, every catalog op kind has a producer, no benchmark module shadows the
-standard library, and the autoscaler is a leaf that two modules import.
+standard library, the autoscaler is a leaf that two modules import, and
+importing the package loads no scipy (only the designer's search does).
 
 ``python tests/test_public_surface.py`` (``make knobs``) prints the three
 censuses: the defaulted parameters, the functions and the options-dataclass
@@ -18,7 +19,9 @@ fields that nothing outside the tests passes, calls or sets."""
 import ast
 import functools
 import inspect
+import os
 import re
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -162,7 +165,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: The ``src/`` modules over the ~600-line rule, at their size when pinned.
 #: A module may shrink or leave this list; none may grow or join it.
 OVER_600 = {
-    "engine/designer.py": 1107, "sim/actions.py": 1111, "engine/operators.py": 821,
+    "engine/designer.py": 1091, "sim/actions.py": 1111, "engine/operators.py": 821,
     "workloads/tpch.py": 647, "storage/encoding.py": 622, "cluster/enterprise.py": 616,
     "catalog/mvcc.py": 607,
 }
@@ -845,6 +848,21 @@ class TestStructure:
         ``cProfile``, which imports ``profile``)."""
         stems = {path.stem for path in (SRC.parents[1] / "benchmarks").glob("*.py")}
         assert sorted(stems & sys.stdlib_module_names) == []
+
+    def test_importing_the_package_loads_no_scipy(self):
+        """scipy is the designer's solver and is imported inside its search
+        only: loaded at import it would add its memory and start-up time to
+        every process that never designs (the shell, the sim, every e2e
+        workload)."""
+        probe = (
+            "import sys, repro, repro.obs.system_tables, repro.shell, repro.sim.actions\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 def _report(title, rows):
