@@ -24,14 +24,18 @@ class CostModel:
     row_cpu_seconds: float = 2e-8
     #: Extra per-value decode cost applied per scanned cell.
     cell_cpu_seconds: float = 5e-9
-    #: Node-to-node network: bandwidth and per-message latency.
+    #: Node-to-node network: bandwidth of one node's link and the latency
+    #: of one round trip.
     network_bandwidth: float = 1.0e9
     network_latency: float = 0.0005
     #: Fixed per-query planning/dispatch overhead on the initiator.
     dispatch_seconds: float = 0.002
 
-    def network_seconds(self, nbytes: int, messages: int = 1) -> float:
-        return messages * self.network_latency + nbytes / self.network_bandwidth
+    def network_seconds(self, nbytes: int) -> float:
+        """One exchange: every message of it is in flight at once, so it
+        costs one round trip plus its bytes over the one link they all
+        cross (the initiator's for a gather, the sender's for a broadcast)."""
+        return self.network_latency + nbytes / self.network_bandwidth
 
 
 @dataclass
@@ -426,14 +430,10 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
     if alignment is None:
         return seconds
     if not shape.is_aggregate:
-        return seconds + model.network_seconds(
-            int(probe_rows * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
-        )
+        return seconds + model.network_seconds(int(probe_rows * _DESIGN_SHIP_ROW_BYTES))
     if not alignment <= set(shape.group_columns):
         partials = min(probe_rows, _DESIGN_MAX_GROUPS) * max(1, node_count)
-        seconds += model.network_seconds(
-            int(partials * _DESIGN_SHIP_ROW_BYTES), messages=max(1, node_count)
-        )
+        seconds += model.network_seconds(int(partials * _DESIGN_SHIP_ROW_BYTES))
         seconds += partials * model.row_cpu_seconds
     return seconds
 
@@ -453,9 +453,7 @@ def estimate_broadcast_seconds(shape: QueryShape, join: DesignJoin, first: Table
     build_bytes = build.row_count * _filtered_fraction(
         shape.filters.get(join.table, {})
     ) * build.row_bytes(shape.columns.get(join.table, build.columns))
-    return model.network_seconds(
-        int(build_bytes * max(0, node_count - 1)), messages=max(1, node_count - 1)
-    )
+    return model.network_seconds(int(build_bytes * max(0, node_count - 1)))
 
 
 def estimate_query_cost(

@@ -334,13 +334,16 @@ class Executor:
         return self._collect(fragments)
 
     def _collect(self, parts: List[RowSet]) -> RowSet:
-        """Concatenate per-node results, charging network for shipping."""
+        """Concatenate per-node results, charging one exchange for the
+        remote parts: they all arrive over the initiator's link at once."""
         initiator = self.provider.initiator()
+        shipped, nbytes = False, 0
         for participant, part in zip(self._participants, parts):
             if participant != initiator and part.num_rows:
-                nbytes = rowset_bytes(part)
-                self.stats.network_bytes += nbytes
-                self.stats.network_seconds += self.cost.network_seconds(nbytes)
+                shipped, nbytes = True, nbytes + rowset_bytes(part)
+        if shipped:
+            self.stats.network_bytes += nbytes
+            self.stats.network_seconds += self.cost.network_seconds(nbytes)
         return RowSet.concat(parts) if parts else RowSet.empty(TableSchema([]))
 
     def _charge_initiator(self, rows: int) -> None:
@@ -491,9 +494,7 @@ class Executor:
             nbytes = rowset_bytes(full)
             fanout = max(len(self._participants) - 1, 1)
             self.stats.network_bytes += nbytes * fanout
-            self.stats.network_seconds += self.cost.network_seconds(
-                nbytes * fanout, messages=fanout
-            )
+            self.stats.network_seconds += self.cost.network_seconds(nbytes * fanout)
             self._broadcast_cache[key] = JoinBuild(full, join.right_keys)
         return self._broadcast_cache[key]
 

@@ -4,9 +4,14 @@ import pytest
 
 from repro.engine.cost import (
     CostModel,
+    DesignJoin,
     NodeWork,
+    QueryShape,
     QueryStats,
+    TableLayout,
     choose_scan_strategy,
+    estimate_broadcast_seconds,
+    estimate_first_table_seconds,
     estimate_pushdown_bytes,
     estimate_selectivity,
 )
@@ -18,7 +23,65 @@ class TestCostModel:
         model = CostModel(network_bandwidth=1e9, network_latency=0.001)
         assert model.network_seconds(0) == pytest.approx(0.001)
         assert model.network_seconds(1e9) == pytest.approx(1.001)
-        assert model.network_seconds(1e9, messages=3) == pytest.approx(1.003)
+
+
+def _latency_share(estimate, node_count: int) -> float:
+    """What ``estimate(node_count, model)`` pays for latency: the
+    difference it makes to raise ``network_latency`` from 0 to 1 ms."""
+    slow = CostModel(network_latency=0.001)
+    free = CostModel(network_latency=0.0)
+    return estimate(node_count, slow) - estimate(node_count, free)
+
+
+class TestOneExchangeOneRoundTrip:
+    """The designer's network terms are the executor's charge: a gather or
+    a broadcast reaches every node at once, whatever the cluster's size."""
+
+    FACT = TableLayout(table="f", columns=("k", "g", "v"), sort_order=("k",),
+                       segmentation_columns=("k",), row_count=100_000,
+                       bytes_per_cell={"k": 8.0, "g": 8.0, "v": 8.0})
+    DIM = TableLayout(table="d", columns=("k", "name"), sort_order=("name",),
+                      segmentation_columns=("name",), row_count=5_000,
+                      bytes_per_cell={"k": 8.0, "name": 12.0})
+
+    @pytest.mark.parametrize("node_count", [2, 4, 9])
+    def test_gather_of_partial_aggregates_carries_one_latency(self, node_count):
+        # Grouped on a column the stream is not segmented on: two-phase.
+        shape = QueryShape(tables=("f",), columns={"f": ("g", "v")}, filters={},
+                           group_columns=(("f", "g"),), is_aggregate=True)
+
+        def estimate(nodes, model):
+            return estimate_first_table_seconds(shape, self.FACT, {"f": 100_000},
+                                                nodes, model)
+
+        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("node_count", [2, 4, 9])
+    def test_result_ship_carries_one_latency(self, node_count):
+        shape = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={})
+
+        def estimate(nodes, model):
+            return estimate_first_table_seconds(shape, self.FACT, {"f": 100_000},
+                                                nodes, model)
+
+        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("node_count", [2, 4, 9])
+    def test_broadcast_carries_one_latency(self, node_count):
+        join = DesignJoin("d", (("f", "k"),), ("k",))
+        shape = QueryShape(tables=("f", "d"), columns={"f": ("k",), "d": ("k", "name")},
+                           filters={}, joins=(join,))
+
+        def estimate(nodes, model):
+            return estimate_broadcast_seconds(shape, join, self.FACT, self.DIM,
+                                              nodes, model)
+
+        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
+        # The bytes still go once to each of the other nodes.
+        build_bytes = self.DIM.row_count * self.DIM.row_bytes(("k", "name"))
+        assert estimate(node_count, CostModel(network_latency=0.0)) == pytest.approx(
+            build_bytes * (node_count - 1) / CostModel().network_bandwidth
+        )
 
 
 class TestQueryStats:

@@ -142,6 +142,20 @@ class TestJoins:
         executor = Executor(provider)
         executor.execute(self._join_plan("broadcast"))
         assert executor.stats.network_bytes > 0
+        # One exchange, however many nodes the build side goes to: only the
+        # initiator probes, so the result gather ships nothing.
+        for remotes in (1, 2, 3):
+            names = [chr(ord("a") + i) for i in range(remotes + 1)]
+            data = {name: {"dim": dim_rows([(i, name)])} for i, name in enumerate(names)}
+            data["a"]["fact"] = fact_rows([(0, 1.0)])
+            executor = Executor(FakeProvider(data))
+            executor.execute(self._join_plan("broadcast"))
+            shipped = rowset_bytes(RowSet.concat([data[n]["dim"] for n in names])) * remotes
+            cost = executor.cost
+            assert executor.stats.network_bytes == shipped
+            assert executor.stats.network_seconds == pytest.approx(
+                cost.network_latency + shipped / cost.network_bandwidth
+            )
 
     def test_local_join_downgraded_when_split(self):
         # Matching rows on different nodes: local join would miss them.
@@ -183,6 +197,20 @@ class TestAccounting:
         assert executor.stats.network_bytes == rowset_bytes(
             DATA["b"]["fact"]
         )
+        # The remote parts arrive at once: one round trip, their summed
+        # bytes over the initiator's link.
+        for remotes in (1, 2, 3):
+            names = [chr(ord("a") + i) for i in range(remotes + 1)]
+            data = split_by_node({name: [(i, float(i))] * (i + 1)
+                                  for i, name in enumerate(names)})
+            executor = Executor(FakeProvider(data))
+            executor.execute(plan)
+            shipped = sum(rowset_bytes(data[n]["fact"]) for n in names[1:])
+            cost = executor.cost
+            assert executor.stats.network_bytes == shipped
+            assert executor.stats.network_seconds == pytest.approx(
+                cost.network_latency + shipped / cost.network_bandwidth
+            )
 
     def test_rowset_bytes_counts_strings(self):
         small = dim_rows([(1, "x")])

@@ -510,7 +510,9 @@ class TestThroughputShapes:
         # 3 nodes x 4 slots / 3 shards: 4 queries at once, then a queue.
         cluster = eon_nodes(3)
         low, high = per_minute(cluster, 4), per_minute(cluster, 32)
-        assert low <= high <= low * 1.3
+        # Equal in principle once the slots are full: the two sums may
+        # differ in their last bits from summation order, no more.
+        assert low * (1 - 1e-9) <= high <= low * 1.3
 
     def test_enterprise_falls_as_offered_load_grows(self):
         cluster = throughput_cluster(EnterpriseCluster([f"e{i}" for i in range(9)], seed=2))
