@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs profile work obs-demo
+.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -90,6 +90,13 @@ bench-e2e-smoke:
 # (no WORKLOAD = all four; TRACE=1 compares the per-layer metrics).
 bench-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --seed0 $(SEED0) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(TRACE),--trace $(TRACE))
+
+# This checkout's end-to-end run at seed 42, every workload, against the
+# `change` side of the newest committed BENCH_<pr>.json: every sim metric,
+# stored_bytes_per_user_byte, correct and failed must be equal to the last
+# digit (exit 1 and the differing values otherwise; about two minutes).
+bench-check:
+	python3 benchmarks/bench_check.py
 
 # Attribute before optimizing: cProfile over one measured pass of a benchmark
 # workload's own schedule, top functions by self and by cumulative time.

@@ -39,7 +39,7 @@ from repro.engine.executor import (
     StorageProvider,
     check_query_options,
 )
-from repro.engine.pipeline import EngineStats
+from repro.engine.pipeline import EngineStats, PipelineCharges
 from repro.engine.expressions import Expr
 from repro.engine.pruning import prune_containers
 from repro.errors import (
@@ -543,6 +543,8 @@ class EnterpriseStorageProvider(StorageProvider):
         self.session = session
         self.cluster = session.cluster
         self.state = session.state
+        #: Every scan's local-disk reads, lane units as an Eon scan's are.
+        self._pool = PipelineCharges(self.cluster.clock)
 
     def participants(self) -> List[str]:
         return sorted({n for n in self.session.region_server.values()})
@@ -565,14 +567,11 @@ class EnterpriseStorageProvider(StorageProvider):
         schema = self._schema(projection, columns)
         result = ScanResult(rows=RowSet.empty(schema))
         parts: List[RowSet] = []
+        units: List[float] = []
 
         if replicated:
-            containers = [
-                c
-                for c in state.containers_of(projection, REPLICA_SHARD_ID)
-                if cluster.container_owner.get(str(c.sid)) == node_name
-            ]
-            self._scan_containers(node, containers, columns, predicate, parts, result)
+            containers = state.containers_of(projection, REPLICA_SHARD_ID)
+            self._scan_containers(node, containers, columns, predicate, parts, units, result)
             wos_rows = node.wos.read(projection)
             if wos_rows is not None:
                 parts.append(wos_rows.select(list(columns)))
@@ -582,31 +581,32 @@ class EnterpriseStorageProvider(StorageProvider):
             for region in self.session.regions_of(node_name):
                 own_region = cluster.region_of_node(node_name) == region
                 use_projection = projection if own_region else buddy_name
-                containers = [
-                    c
-                    for c in state.containers_of(use_projection, region)
-                    if cluster.container_owner.get(str(c.sid)) == node_name
-                ]
-                self._scan_containers(node, containers, columns, predicate, parts, result)
+                containers = state.containers_of(use_projection, region)
+                self._scan_containers(node, containers, columns, predicate, parts, units, result)
                 wos_rows = node.wos.read(use_projection)
                 if wos_rows is not None:
                     seg_cols = list(proj_obj.segmentation.columns)
                     mask = cluster.shard_map.shards_of_rowset(wos_rows, seg_cols) == region
                     parts.append(wos_rows.filter(mask).select(list(columns)))
+        if units:  # one lane unit per container, as an Eon scan's are
+            self._pool.add(node_name, units)
+            result.io_pooled_seconds += sum(units)
         if parts:
             result.rows = RowSet.concat([p for p in parts if p.num_rows] or parts[:1])
         return result
 
-    def _scan_containers(self, node, containers, columns, predicate, parts, result):
-        kept, pruned = prune_containers(
-            sorted(containers, key=lambda c: str(c.sid)), predicate
-        )
+    def _scan_containers(self, node, containers, columns, predicate, parts, units, result):
+        """Read the ``containers`` this node owns that survive pruning: their
+        rows into ``parts``, and one local-disk read each into ``units``."""
+        owner = self.cluster.container_owner
+        mine = [c for c in containers if owner.get(str(c.sid)) == node.name]
+        kept, pruned = prune_containers(sorted(mine, key=lambda c: str(c.sid)), predicate)
         result.containers_pruned += pruned
         for container in kept:
             reader = read_container(node.local_fs.read(container.location))
             parts.append(reader.read_rowset(list(columns)))
             # Local disk, charged as an Eon depot hit: the blocks it decoded.
-            result.io_seconds += node.local_fs.estimate_read_seconds(reader.decoded_bytes)
+            units.append(node.local_fs.estimate_read_seconds(reader.decoded_bytes))
             result.bytes_from_cache += reader.decoded_bytes
             result.containers_scanned += 1
 

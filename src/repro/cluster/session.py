@@ -127,8 +127,9 @@ class EonStorageProvider(StorageProvider):
     def __init__(self, session: EonSession):
         self.session = session
         self.cluster = session.cluster
-        #: The query's deferred lane charges: every scan's fetch makespan,
-        #: pooled per node and charged once per query (``settle_io``).
+        #: The query's deferred lane charges: every scan's fetch units and
+        #: local reads, pooled per node and charged once per query
+        #: (``settle_io``).
         self._pool = PipelineCharges(self.cluster.clock)
         #: Pushdown mode (off | auto | on), set by the executor from the
         #: session option; and the planner's per-scan eligibility hint.
@@ -157,9 +158,6 @@ class EonStorageProvider(StorageProvider):
 
     def initiator(self) -> str:
         return self.session.initiator
-
-    def settle_io(self) -> Dict[str, float]:
-        return self._pool.settle()
 
     def replica_reads(self, node_name: str) -> Optional[tuple]:
         return self._replica_reads.get(node_name)
@@ -292,6 +290,7 @@ class EonStorageProvider(StorageProvider):
         # still consume their hydration bytes for prefetch-credit parity.
         # A replicated scan also notes what it read, for ``replica_reads``.
         reads: Optional[list] = [tuple(schema.columns)] if replicated else None
+        local_units: List[float] = []
         for unit, read_columns, share in scan_units:
             for container, dvs in unit:
                 if session.cancelled:
@@ -315,11 +314,14 @@ class EonStorageProvider(StorageProvider):
                 else:
                     read = self._read_container(
                         node, container, dvs, read_columns, share, out,
-                        result, predicate_bounds, batch,
+                        result, predicate_bounds, batch, local_units,
                     )
                     if reads is not None:
                         reads = None if read is None else reads + [read]
                 result.containers_scanned += 1
+        if local_units:
+            self._pool.add(node_name, local_units)
+            result.io_pooled_seconds += sum(local_units)
         if replicated:
             self._replica_reads[node_name] = None if reads is None else tuple(reads)
         result.rows = RowSet.from_blocks(schema, out)
@@ -411,6 +413,7 @@ class EonStorageProvider(StorageProvider):
         result: ScanResult,
         predicate_bounds: Optional[dict],
         batch: FetchBatch,
+        local_units: List[float],
     ) -> Optional[tuple]:
         """Append one container's live rows, column by column, to ``out``
         (the scan's columns; ``columns`` adds what a hash-crunch ``share``
@@ -422,9 +425,9 @@ class EonStorageProvider(StorageProvider):
         What the depot held is read from this node's local disk: one request
         of the bytes handed to ``decode_block`` — the blocks of the columns
         read that survive block pruning, and a delete vector's blocks — is
-        charged to ``result.io_seconds`` and counted in
-        ``result.bytes_from_cache``.  A file fetched for this batch is in
-        memory already (its fetch is the charge)."""
+        appended to ``local_units`` (the scan pools them with its fetches)
+        and counted in ``result.bytes_from_cache``.  A file fetched for this
+        batch is in memory already (its fetch is the charge)."""
         data = self.cluster.io_scheduler.consume(batch, node, container.location, result)
         # A session that reads through the depot parses no footer the depot
         # has a layout for: the writer's, or what the first reader parsed.
@@ -456,7 +459,7 @@ class EonStorageProvider(StorageProvider):
         if container.location in batch.hits:
             local += reader.decoded_bytes
         if local:
-            result.io_seconds += node.local_fs.estimate_read_seconds(local)
+            local_units.append(node.local_fs.estimate_read_seconds(local))
             result.bytes_from_cache += local
         return key
 

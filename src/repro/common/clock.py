@@ -72,12 +72,13 @@ class SimClock:
         """
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
-        if any(d < 0 for d in durations):
+        if durations and min(durations) < 0:
             raise ValueError("durations must be >= 0")
         lane_free = [0.0] * min(lanes, max(len(durations), 1))
         for duration in durations:
-            index = min(range(len(lane_free)), key=lambda i: (lane_free[i], i))
-            lane_free[index] += duration
+            # ``index`` finds the first lane holding the minimum: the lowest
+            # index on ties, without a Python call per lane.
+            lane_free[lane_free.index(min(lane_free))] += duration
         return (max(lane_free) if durations else 0.0), lane_free
 
     # -- event loop ----------------------------------------------------------

@@ -81,8 +81,9 @@ class QueryStats(Ledger):
     network_seconds: float = 0.0
     initiator_cpu_seconds: float = 0.0
     dispatch_seconds: float = 0.0
-    #: The query's deferred fetch makespans: what charging each scan on its
-    #: own would have cost, and what the settled pool charged.
+    #: The query's deferred reads: what charging each scan on its own would
+    #: have cost (``ScanResult.io_pooled_seconds``), and what the settled
+    #: pool charged.
     io_serial_seconds: float = 0.0
     io_pipelined_seconds: float = 0.0
 
@@ -408,7 +409,9 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
     """The query's terms that read only the first table's layout (and each
     table's row count): join CPU, then a two-phase gather for an aggregate
     whose group keys do not cover the stream's alignment, or the result
-    ship for a plain select."""
+    ship for a plain select.  A gather ships only the remote parts, as
+    ``Executor._collect`` does: ``(n - 1) / n`` of the result rows, and the
+    partials of ``n - 1`` nodes; on one node nothing crosses the network."""
     # The qualified columns the probe stream is hash-distributed on; None
     # for a single-node (replicated) stream.
     alignment = None if first.is_replicated else {
@@ -429,12 +432,18 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
         )
     if alignment is None:
         return seconds
+    remote = max(0, node_count - 1)
     if not shape.is_aggregate:
-        return seconds + model.network_seconds(int(probe_rows * _DESIGN_SHIP_ROW_BYTES))
+        if remote:
+            shipped = probe_rows * remote / node_count
+            seconds += model.network_seconds(int(shipped * _DESIGN_SHIP_ROW_BYTES))
+        return seconds
     if not alignment <= set(shape.group_columns):
-        partials = min(probe_rows, _DESIGN_MAX_GROUPS) * max(1, node_count)
-        seconds += model.network_seconds(int(partials * _DESIGN_SHIP_ROW_BYTES))
-        seconds += partials * model.row_cpu_seconds
+        groups = min(probe_rows, _DESIGN_MAX_GROUPS)
+        if remote:
+            seconds += model.network_seconds(int(groups * remote * _DESIGN_SHIP_ROW_BYTES))
+        # The initiator merges every node's partials, its own among them.
+        seconds += groups * max(1, node_count) * model.row_cpu_seconds
     return seconds
 
 

@@ -34,6 +34,7 @@ from repro.common.types import ColumnType, SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
 from repro.engine.expressions import Expr
 from repro.engine.operators import JoinBuild, aggregate, hash_join, sort_limit
+from repro.engine.pipeline import PipelineCharges
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -62,9 +63,13 @@ class ScanResult(Ledger):
     the whole files the depot handed out (``CacheStats.bytes_read``)."""
 
     rows: RowSet
+    #: What the scan charges at once, outside the pool — retry backoff, which
+    #: stalls a request's retry loop rather than a lane.
     io_seconds: float = 0.0
-    #: Lane makespan of this scan's fetches that the provider deferred into
-    #: its per-query pool: charged by ``settle_io``, not part of ``io_seconds``.
+    #: The reads this scan deferred into the provider's per-query pool, as
+    #: scan-by-scan charging would count them: its fetch batch's and its
+    #: selects' lane makespans, and its local-disk reads one after another.
+    #: Charged by ``settle_io``, not part of ``io_seconds``.
     io_pooled_seconds: float = 0.0
     bytes_from_cache: int = 0
     bytes_from_shared: int = 0
@@ -137,16 +142,18 @@ class StorageProvider(abc.ABC):
         """
         return None
 
-    def settle_io(self) -> Dict[str, float]:
-        """Seconds to add to each node's ``io_seconds`` for the fetch
-        makespans this query's scans deferred (``ScanResult.
-        io_pooled_seconds``), pooled per node and scheduled as one lane
-        stream.  Called once, when the query's last scan has run.
+    #: The query's deferred reads (a :class:`~repro.engine.pipeline.
+    #: PipelineCharges`): every fetch, select and local-disk read a scan
+    #: makes, pooled per node as lane units.  None for a provider that
+    #: charges every scan in its own ``io_seconds`` (a test fake, say).
+    _pool: Optional[PipelineCharges] = None
 
-        Default: nothing was deferred — providers without lane-scheduled I/O
-        charge every scan in its own ``io_seconds``.
-        """
-        return {}
+    def settle_io(self) -> Dict[str, float]:
+        """Seconds to add to each node's ``io_seconds`` for the reads this
+        query's scans deferred (``ScanResult.io_pooled_seconds``), pooled
+        per node and scheduled as one lane stream.  Called once, when the
+        query's last scan has run."""
+        return {} if self._pool is None else self._pool.settle()
 
 
 @dataclass

@@ -1,13 +1,16 @@
-"""Query-wide pooled fetch charging, and the engine's lifetime counters.
+"""Query-wide pooled read charging, and the engine's lifetime counters.
 
 Charged scan by scan, a fragment's scans would pay one lane makespan each: a
 fragment with six single-file scans would pay six request rounds although
-the scheduler has four lanes.  The Eon provider instead *pools* every scan's
-fetch-unit durations per node (:class:`PipelineCharges`) and the executor
-settles the pool once per query with :meth:`SimClock.charge_parallel` — a
-driver that issues the next scan's fetches while the current scan is still
-being decoded, so lanes never drain at scan boundaries and the six scans
-pay ``ceil(6 / LANES)`` rounds.
+the scheduler has four lanes.  A storage provider instead *pools* every read
+its scans make per node (:class:`PipelineCharges`) and the executor settles
+the pool once per query with :meth:`SimClock.charge_parallel` — a driver
+that issues the next scan's reads while the current scan is still being
+decoded, so lanes never drain at scan boundaries and the six scans pay
+``ceil(6 / LANES)`` rounds.  A read is one unit whatever it reads from: an
+Eon scan's GETs, peer copies and SELECTs, and its depot hits' local-disk
+reads (one per container, of the blocks it decodes); an Enterprise scan's
+local-disk reads the same way.
 
 Demand accounting is untouched by pooling: the scheduler performs exactly
 the same ``cache.get`` calls, misses, puts, coalesced groups, and S3
@@ -27,10 +30,11 @@ from repro.obs.metrics import Ledger
 
 
 class PipelineCharges:
-    """Per-node pooled fetch durations, settled once per query.
+    """Per-node pooled read durations, settled once per query.
 
     ``add`` is called by the I/O scheduler in place of charging a batch's
-    lane makespan; ``settle`` schedules every pooled duration onto the
+    lane makespan, and by a provider for a scan's local-disk reads;
+    ``settle`` schedules every pooled duration onto the
     scheduler's :data:`~repro.io.scheduler.LANES`, returns the per-node
     makespans the executor folds into :class:`NodeWork.io_seconds`, and
     leaves the pool empty.

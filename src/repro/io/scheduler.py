@@ -135,7 +135,7 @@ class FetchBatch:
     """What :meth:`IOScheduler.fetch_batch` hands back to the scan."""
 
     data: Dict[str, bytes] = field(default_factory=dict)
-    #: Keys the depot held: the scan that decodes one pays a local read of
+    #: Keys the depot held: the scan that decodes one pools a local read of
     #: the blocks it decodes (nothing is charged for them here).
     hits: Set[str] = field(default_factory=set)
     #: Keys cached ahead of need; consuming one books a prefetch hit.
@@ -254,9 +254,10 @@ class IOScheduler:
         A hit costs nothing here: the depot is a column store's local disk,
         and a reader reads only the blocks it decodes — the columns it names
         that survive block pruning — not the bundled container file.  So the
-        scan that decodes a hit's blocks charges one local-disk request of
-        their bytes (``result.io_seconds`` and ``bytes_from_cache``); the
-        key is listed in ``batch.hits`` for it.
+        scan that decodes a hit's blocks pays one local-disk request of
+        their bytes: a unit it adds to the same ``pool`` once it has
+        decoded them, counted in ``bytes_from_cache``; the key is listed in
+        ``batch.hits`` for it.
 
         ``background_keys`` marks keys whose containers a pushdown scan
         will cover: the scan does not *wait* for them, so units made up
@@ -303,8 +304,9 @@ class IOScheduler:
             )
         (durations, makespan, lane_totals, backoff_seconds, fetched, nbytes,
          units, peer_units, background_units, background_makespan) = charged
-        pool.add(node.name, durations)
-        result.io_pooled_seconds += makespan
+        if durations:
+            pool.add(node.name, durations)
+            result.io_pooled_seconds += makespan
         result.io_seconds += backoff_seconds
         if obs.enabled:
             obs.metrics.gauge("io.lane_occupancy", node=node.name).set(

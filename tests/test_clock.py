@@ -1,6 +1,7 @@
 """Discrete-event clock: processes, timeouts, resources, AcquireAll."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.clock import AcquireAll, Resource, SimClock, Timeout
 
@@ -102,6 +103,26 @@ class TestChargeParallel:
             clock.charge_parallel([1.0], lanes=0)
         with pytest.raises(ValueError):
             clock.charge_parallel([1.0, -0.5], lanes=2)
+
+    @given(
+        durations=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.001, 0.03, 0.5]),  # ties, and lots of them
+                st.floats(0.0, 10.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        lanes=st.integers(1, 9),
+    )
+    def test_bit_identical_to_the_keyed_scan(self, durations, lanes):
+        """Each duration goes where the old loop sent it: the first lane
+        holding the minimum, found by a keyed ``min`` over lane indices."""
+        lane_free = [0.0] * min(lanes, max(len(durations), 1))
+        for duration in durations:
+            index = min(range(len(lane_free)), key=lambda i: (lane_free[i], i))
+            lane_free[index] += duration
+        expected = ((max(lane_free) if durations else 0.0), lane_free)
+        assert SimClock().charge_parallel(durations, lanes) == expected
 
 
 class TestProcesses:

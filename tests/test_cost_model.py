@@ -66,6 +66,29 @@ class TestOneExchangeOneRoundTrip:
 
         assert _latency_share(estimate, node_count) == pytest.approx(0.001)
 
+    @pytest.mark.parametrize("node_count", [1, 2, 4, 9])
+    def test_a_gather_ships_only_the_remote_parts(self, node_count):
+        """As ``Executor._collect`` charges it: the initiator's own part, a
+        ``1 / n`` share of the result rows or one node's partials, stays
+        put, and on one node no exchange is made at all."""
+        free = CostModel(network_latency=0.0, row_cpu_seconds=0.0)
+        ship = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={})
+        partial = QueryShape(tables=("f",), columns={"f": ("g", "v")}, filters={},
+                             group_columns=(("f", "g"),), is_aggregate=True)
+        shipped = {}
+        for name, shape in (("rows", ship), ("partials", partial)):
+            shipped[name] = estimate_first_table_seconds(
+                shape, self.FACT, {"f": 100_000}, node_count, free
+            ) * free.network_bandwidth
+            assert _latency_share(
+                lambda nodes, model: estimate_first_table_seconds(
+                    shape, self.FACT, {"f": 100_000}, nodes, model),
+                node_count,
+            ) == pytest.approx(0.001 if node_count > 1 else 0.0)
+        remote = node_count - 1
+        assert shipped["rows"] == pytest.approx(int(100_000 * remote / node_count * 16))
+        assert shipped["partials"] == pytest.approx(4096 * remote * 16)
+
     @pytest.mark.parametrize("node_count", [2, 4, 9])
     def test_broadcast_carries_one_latency(self, node_count):
         join = DesignJoin("d", (("f", "k"),), ("k",))

@@ -1,9 +1,10 @@
 """Pooled-vs-per-scan fetch charging differential wall.
 
-The engine pools every scan's fetch makespan per node and settles the pool
-once per query.  Pooling may move only *when* a makespan is charged: the
-same query with every scan charged on its own (the ``PerScanCharging``
-reference arm, installed as the cluster's ``io_scheduler``) must return the same rows (digest) and demand exactly the same of the
+The engine pools every scan's reads per node — fetches, selects and local
+reads — and settles the pool once per query.  Pooling may move only *when* a
+makespan is charged: the same query with every scan's fetches and selects
+charged on its own (the ``PerScanCharging`` reference arm, installed as the
+cluster's ``io_scheduler``; local reads are pooled in both arms) must return the same rows (digest) and demand exactly the same of the
 storage hierarchy, cold and warm, across the full TPC-H suite and a
 dashboard/IoT workload mix — and must never report *more* I/O seconds on any
 node.  Cancellation and mid-query failover leave the contract intact.
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro import EonCluster
+from repro.engine.pipeline import PipelineCharges
 from repro.engine.plan import ScanNode, walk
 from repro.errors import QueryCancelled
+from repro.io.scheduler import LANES
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
 from repro.workloads.dashboard import (
@@ -314,10 +317,16 @@ class TestEngineObservability:
         assert engine["io_overlap_seconds"] == pytest.approx(
             engine["io_serial_seconds"] - engine["io_pipelined_seconds"]
         )
-        cluster.query("select sum(v) from t", seed=1)  # warm: nothing to pool
+        # Warm: nothing is fetched, and each scan's local reads are pooled.
+        warm = cluster.query("select sum(v) from t", seed=1).stats
+        assert warm.total_bytes_from_shared == 0 < warm.total_bytes_from_cache
         after = cluster_metrics(cluster)["engine"]
         assert after["queries"] == 2
-        assert after["io_serial_seconds"] == engine["io_serial_seconds"]
+        assert after["io_serial_seconds"] - engine["io_serial_seconds"] == pytest.approx(
+            warm.io_serial_seconds)
+        assert after["io_pipelined_seconds"] - engine["io_pipelined_seconds"] == (
+            pytest.approx(sum(w.io_seconds for w in warm.per_node.values())))
+        assert warm.io_pipelined_seconds > 0
 
     def test_pipeline_span_and_counters_recorded(self):
         """A Scan row keeps its own fetch seconds; the pooled saving shows
@@ -344,7 +353,34 @@ class TestEngineObservability:
             assert 0 < fragment.duration <= busy + 1e-12
         counters = cluster.obs.metrics.snapshot().counters
         assert not [n for n in counters if n.startswith(("engine.batches", "engine.sip"))]
-        # Warm, nothing was pooled: no pipeline span.
+
+    def test_a_warm_query_pools_its_local_reads(self, monkeypatch):
+        """Warm, every read is a local one, and the ``pipeline`` span still
+        carries what the scans deferred: each scan's local units one after
+        another (serial), then every node's units settled over its lanes."""
+        cluster = self._traced()
+        cluster.query("select sum(v), sum(w) from t join u on a = b", seed=1)  # warms
+        scans = []
+        add = PipelineCharges.add
+
+        def recording(pool, node, durations):
+            scans.append((node, list(durations)))
+            add(pool, node, durations)
+
+        monkeypatch.setattr(PipelineCharges, "add", recording)
         mark = cluster.obs.tracer.mark()
-        cluster.query("select sum(v) from t", seed=1)
-        assert not [s for s in cluster.obs.tracer.spans_since(mark) if s.name == "pipeline"]
+        result = cluster.query("select sum(v), sum(w) from t join u on a = b", seed=1)
+        spans = cluster.obs.tracer.spans_since(mark)
+        assert result.stats.total_bytes_from_shared == 0
+        assert all(s.duration == 0 for s in spans if s.name == "fetch_batch")
+        assert len(scans) == 4  # two tables on two nodes, one add each
+        [pipeline] = [s for s in spans if s.name == "pipeline"]
+        assert pipeline.attrs["io_serial_seconds"] == pytest.approx(
+            sum(sum(units) for _, units in scans))
+        per_node = {}
+        for node, units in scans:
+            per_node.setdefault(node, []).extend(units)
+        settled = {node: cluster.clock.charge_parallel(units, LANES)[0]
+                   for node, units in per_node.items()}
+        assert {node: result.stats.node(node).io_seconds for node in per_node} == settled
+        assert pipeline.duration == pytest.approx(sum(settled.values()))

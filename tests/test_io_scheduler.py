@@ -5,7 +5,8 @@ contract (prefetch consumption must never inflate demand hit counts).
 Its two reference arms live here, installed on a cluster through the
 ``cluster.io_scheduler`` seam: :class:`SerialFetch` (the file-by-file miss
 path the scheduler replaced) and :class:`PerScanCharging` (each scan pays
-its own lane makespan instead of the query's pooled settlement)."""
+its own fetch and select makespans instead of the query's pooled
+settlement; its local-disk reads are the provider's, pooled in both arms)."""
 
 from contextlib import contextmanager
 
@@ -25,10 +26,10 @@ class SerialFetch(IOScheduler):
     request order and without dedupe (a delete vector two containers share
     is read twice), each fetched file's seconds charged serially in the
     scan's ``io_seconds`` (a hit is listed in ``batch.hits``; the scan
-    charges the blocks it decodes, as with the scheduler).  No lanes, no
-    coalescing, no peers, no prefetch, and no pushdown: the scan reads every
-    container through the depot (and polls cancellation between containers,
-    as it always does)."""
+    pools a local read of the blocks it decodes, as with the scheduler).
+    No lanes, no coalescing, no peers, no prefetch, and no pushdown: the
+    scan reads every container through the depot (and polls cancellation
+    between containers, as it always does)."""
 
     def fetch_batch(self, node, requests, use_cache, result, pool, **_) -> FetchBatch:
         cost = getattr(self.cluster.shared, "cost", None)

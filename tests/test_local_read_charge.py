@@ -5,18 +5,22 @@ position index lets it skip the blocks whose min/max cannot match.  So an Eon
 depot hit and an Enterprise local-disk read are charged one local-disk
 request of the bytes handed to ``decode_block`` — the blocks of the columns
 read that survive block pruning, and a delete vector's blocks — while a file
-fetched for the batch is charged its fetch and nothing more.  Walled here,
-against a meter of the test's own (``decode_block`` wrapped to note the
-length of every buffer it is handed, grouped by the file a scan took out of
-its batch last):
+fetched for the batch is charged its fetch and nothing more.  That request is
+a unit in the node's per-query lane pool, as a GET is.  Walled here, against
+a meter of the test's own (``decode_block`` wrapped to note the length of
+every buffer it is handed, grouped by the file a scan took out of its batch
+last):
 
-* a warm scan's ``io_seconds`` is exactly one ``estimate_read_seconds`` of
-  each container's decoded bytes, and ``bytes_from_cache`` is their sum: a
-  full scan, a column subset, a block-pruned scan, containers with delete
-  vectors and a hash-crunch share;
+* a warm scan pools exactly one ``estimate_read_seconds`` of each
+  container's decoded bytes, in container order, and charges nothing in its
+  own ``io_seconds``; ``bytes_from_cache`` is their sum: a full scan, a
+  column subset, a block-pruned scan, containers with delete vectors and a
+  hash-crunch share;
 * every node of a replicated scan pays for its own copy, though one node
   decodes for all of them;
 * Enterprise charges the blocks of the columns it reads, not the file;
+* on both flavors, a warm scan of k > 1 containers on one node settles at
+  their lane makespan over ``LANES``, below their serial sum;
 * over column subsets and predicate bounds: the charge is the meter's, and
   never more than charging every file whole.
 """
@@ -27,9 +31,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ColumnType, EnterpriseCluster
+from repro.common.clock import SimClock
 from repro.cluster.enterprise import EnterpriseStorageProvider
 from repro.cluster.session import EonStorageProvider
-from repro.io.scheduler import IOScheduler
+from repro.io.scheduler import LANES, IOScheduler
 from repro.shared_storage.posix import MemoryFilesystem
 from repro.storage import column as column_module
 from repro.storage.container import read_container
@@ -88,7 +93,8 @@ def per_container(files, delete_vectors) -> list:
 
 def scan_each(cluster, meter, columns, where=None, **session_options) -> dict:
     """``EonStorageProvider.scan`` on every participant of one query:
-    ``{node: (ScanResult, what the meter saw)}``."""
+    ``{node: (ScanResult, what the meter saw, the units its scan pooled)}``
+    — a node scans once, so its pool holds that scan's units alone."""
     predicate = parse_expression(where) if where else None
     seen = {}
     with cluster.create_session(seed=SESSION_SEED, **session_options) as session:
@@ -97,35 +103,41 @@ def scan_each(cluster, meter, columns, where=None, **session_options) -> dict:
             meter.take()
             result = provider.scan(node, PROJECTION, list(columns), predicate, False)
             seen[node] = (result, meter.take())
+        pooled = provider._pool.per_node
+        seen = {node: (*scan, pooled.get(node, [])) for node, scan in seen.items()}
         provider.settle_io()
     return seen
 
 
-def expected_seconds(local_fs, totals) -> float:
-    seconds = 0.0
-    for nbytes in totals:
-        if nbytes:
-            seconds += local_fs.estimate_read_seconds(nbytes)
-    return seconds
+def expected_units(local_fs, totals) -> list:
+    """One local request per container that decoded something."""
+    return [local_fs.estimate_read_seconds(nbytes) for nbytes in totals if nbytes]
+
+
+def assert_pooled(result, units, expected) -> None:
+    """The scan pooled ``expected`` as it is and charged none of it at once;
+    its own figure, what scan-by-scan charging would count, is their sum."""
+    assert units == expected
+    assert result.io_seconds == 0
+    assert result.io_pooled_seconds == sum(units)
 
 
 def assert_charged_what_was_decoded(cluster, seen) -> int:
-    """No scan of ``seen`` missed the depot, and each paid one request per
+    """No scan of ``seen`` missed the depot, and each pooled one request per
     container of what the meter saw; returns the bytes decoded."""
     delete_vectors = delete_vector_names(cluster)
     decoded = 0
-    for node, (result, files) in seen.items():
+    for node, (result, files, units) in seen.items():
         assert result.depot_misses == 0
         totals = per_container(files, delete_vectors)
         assert result.bytes_from_cache == sum(totals)
-        local_fs = cluster.nodes[node].local_fs
-        assert result.io_seconds == pytest.approx(expected_seconds(local_fs, totals), rel=1e-12)
+        assert_pooled(result, units, expected_units(cluster.nodes[node].local_fs, totals))
         decoded += sum(totals)
     return decoded
 
 
 def whole_files(seen) -> int:
-    return sum(size for _, files in seen.values() for _, _, size in files)
+    return sum(size for _, files, _ in seen.values() for _, _, size in files)
 
 
 @pytest.fixture
@@ -156,7 +168,7 @@ class TestAHitCostsItsDecodedBlocks:
     def test_a_block_pruned_scan(self, warm, meter):
         unpruned = assert_charged_what_was_decoded(warm, scan_each(warm, meter, ["k", "x"]))
         seen = scan_each(warm, meter, ["k", "x"], "k between 1000 and 3000")
-        assert sum(result.blocks_pruned for result, _ in seen.values()) > 0
+        assert sum(result.blocks_pruned for result, _, _ in seen.values()) > 0
         assert 0 < assert_charged_what_was_decoded(warm, seen) < unpruned
 
     def test_containers_with_delete_vectors(self, warm, meter):
@@ -165,7 +177,7 @@ class TestAHitCostsItsDecodedBlocks:
         scan_each(warm, meter, NAMES, "k < 30000")  # warm the delete vectors
         seen = scan_each(warm, meter, ["k", "f"], "k < 30000")
         dvs = delete_vector_names(warm)
-        assert any(key in dvs and lengths for _, files in seen.values()
+        assert any(key in dvs and lengths for _, files, _ in seen.values()
                    for key, lengths, _ in files)
         assert assert_charged_what_was_decoded(warm, seen) > 0
 
@@ -184,9 +196,11 @@ class TestAHitCostsItsDecodedBlocks:
             node.cache.clear()
         seen = scan_each(cluster, meter, NAMES)
         assert whole_files(seen) > 0
-        for result, _ in seen.values():
+        for result, _, units in seen.values():
             assert result.depot_hits == 0
             assert result.bytes_from_cache == 0 == result.io_seconds
+            # What the node pooled is its fetch units, and no local read.
+            assert len(units) == result.s3_requests + result.peer_fetches
 
 
 class TestEveryReplicaReaderPays:
@@ -199,6 +213,7 @@ class TestEveryReplicaReaderPays:
             for node in sorted(cluster.nodes):
                 meter.take()
                 results[node] = (provider.scan(node, "dim_p", columns, None, True), meter.take())
+            pooled = dict(provider._pool.per_node)
         decoded = {node: sum(sum(lengths) for _, lengths, _ in files)
                    for node, (_, files) in results.items()}
         first, *rest = sorted(cluster.nodes)
@@ -212,8 +227,8 @@ class TestEveryReplicaReaderPays:
         for node, (result, _) in results.items():
             assert result.depot_hits == len(images)
             assert result.bytes_from_cache == decoded[first]
-            assert result.io_seconds == pytest.approx(
-                expected_seconds(cluster.nodes[node].local_fs, per_image), rel=1e-12)
+            assert_pooled(result, pooled[node],
+                          expected_units(cluster.nodes[node].local_fs, per_image))
 
 
 def block_bytes(image: bytes, columns) -> int:
@@ -223,27 +238,40 @@ def block_bytes(image: bytes, columns) -> int:
     return sum(block.length for name in columns for block in reader.column_reader(name).blocks)
 
 
+def enterprise_two_loads() -> EnterpriseCluster:
+    """Three Enterprise nodes, each holding two containers of its region."""
+    cluster = EnterpriseCluster(["e1", "e2", "e3"], seed=3)
+    cluster.create_table("t", [
+        ("k", ColumnType.INT), ("s", ColumnType.VARCHAR), ("x", ColumnType.INT),
+        ("f", ColumnType.FLOAT),
+    ])
+    for lo in (0, 9_000):
+        cluster.load("t", [(i, f"s{i % 5}", i * 3, i / 7) for i in range(lo, lo + 9_000)],
+                     direct=True)
+    return cluster
+
+
+def container_images(cluster, patch) -> list:
+    """``(filesystem, image)`` of every container file read from a local
+    disk from now on, in read order."""
+    containers = {c.location for c in cluster.catalog.state.containers.values()}
+    images = []
+    real_read = MemoryFilesystem.read
+
+    def read(fs, name):
+        data = real_read(fs, name)
+        if name in containers:
+            images.append((fs, data))
+        return data
+
+    patch.setattr(MemoryFilesystem, "read", read)
+    return images
+
+
 class TestEnterpriseReadsItsColumns:
     def test_a_scan_charges_the_blocks_of_the_columns_it_reads(self, monkeypatch):
-        cluster = EnterpriseCluster(["e1", "e2", "e3"], seed=3)
-        cluster.create_table("t", [
-            ("k", ColumnType.INT), ("s", ColumnType.VARCHAR), ("x", ColumnType.INT),
-            ("f", ColumnType.FLOAT),
-        ])
-        for lo in (0, 9_000):
-            cluster.load("t", [(i, f"s{i % 5}", i * 3, i / 7) for i in range(lo, lo + 9_000)],
-                         direct=True)
-        containers = {c.location for c in cluster.catalog.state.containers.values()}
-        images = []
-        real_read = MemoryFilesystem.read
-
-        def read(fs, name):
-            data = real_read(fs, name)
-            if name in containers:
-                images.append((fs, data))
-            return data
-
-        monkeypatch.setattr(MemoryFilesystem, "read", read)
+        cluster = enterprise_two_loads()
+        images = container_images(cluster, monkeypatch)
         columns = ["k", "s"]
         provider = EnterpriseStorageProvider(cluster.create_session(seed=1))
         for node in provider.participants():
@@ -251,12 +279,53 @@ class TestEnterpriseReadsItsColumns:
             result = provider.scan(node, "t_super", columns, None, False)
             assert len(images) == result.containers_scanned > 0
             per_image = [block_bytes(data, columns) for _, data in images]
-            local_fs = cluster.nodes[node].local_fs
             assert result.bytes_from_cache == sum(per_image)
-            assert result.io_seconds == pytest.approx(
-                expected_seconds(local_fs, per_image), rel=1e-12)
+            assert_pooled(result, provider._pool.per_node[node],
+                          expected_units(cluster.nodes[node].local_fs, per_image))
             # Half the columns' blocks: well under the files themselves.
             assert sum(per_image) < sum(len(data) for _, data in images) * 0.75
+
+
+class TestAWarmScanOverlapsItsLocalReads:
+    """A scan that reads k > 1 containers from one node's local disk settles
+    them as k lane units, as it would k GETs: their makespan over ``LANES``,
+    below their serial sum.  The units are the meter's, not the pool's."""
+
+    @staticmethod
+    def assert_overlapped(units: dict, settled: dict) -> None:
+        assert max(map(len, units.values())) > 1
+        for node, node_units in units.items():
+            assert settled.get(node, 0.0) == SimClock().charge_parallel(node_units, LANES)[0]
+            if len(node_units) > 1:
+                assert settled[node] < sum(node_units)
+
+    def test_eon(self, warm, meter):
+        delete_vectors = delete_vector_names(warm)
+        units = {}
+        with warm.create_session(seed=SESSION_SEED) as session:
+            provider = EonStorageProvider(session)
+            for node in session.participants():
+                meter.take()
+                result = provider.scan(node, PROJECTION, NAMES, None, False)
+                assert result.depot_misses == 0 == result.io_seconds
+                totals = per_container(meter.take(), delete_vectors)
+                units[node] = expected_units(warm.nodes[node].local_fs, totals)
+            self.assert_overlapped(units, provider.settle_io())
+
+    def test_enterprise(self, monkeypatch):
+        cluster = enterprise_two_loads()
+        images = container_images(cluster, monkeypatch)
+        columns = ["k", "f"]
+        provider = EnterpriseStorageProvider(cluster.create_session(seed=1))
+        units = {}
+        for node in provider.participants():
+            del images[:]
+            result = provider.scan(node, "t_super", columns, None, False)
+            assert result.containers_scanned > 1 and result.io_seconds == 0
+            local_fs = cluster.nodes[node].local_fs
+            units[node] = expected_units(
+                local_fs, [block_bytes(data, columns) for _, data in images])
+        self.assert_overlapped(units, provider.settle_io())
 
 
 @functools.lru_cache(maxsize=1)
@@ -292,8 +361,7 @@ class TestTheChargeIsTheMeters:
         with pytest.MonkeyPatch.context() as patch:
             seen = scan_each(cluster, Meter(patch), columns, where, **options)
         assert_charged_what_was_decoded(cluster, seen)
-        for node, (result, files) in seen.items():
-            whole = expected_seconds(
-                cluster.nodes[node].local_fs, [size for _, _, size in files])
-            assert result.io_seconds <= whole
+        for node, (_, files, units) in seen.items():
+            whole = expected_units(cluster.nodes[node].local_fs, [size for _, _, size in files])
+            assert sum(units) <= sum(whole)
 
