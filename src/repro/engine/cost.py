@@ -9,6 +9,7 @@ latency, network shipping — are realistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -33,8 +34,9 @@ class CostModel:
 
     def network_seconds(self, nbytes: int) -> float:
         """One exchange: every message of it is in flight at once, so it
-        costs one round trip plus its bytes over the one link they all
-        cross (the initiator's for a gather, the sender's for a broadcast)."""
+        costs one round trip plus the bytes of its busiest link (the
+        initiator's downlink for a gather; the most loaded uplink or
+        downlink for a broadcast)."""
         return self.network_latency + nbytes / self.network_bandwidth
 
 
@@ -335,7 +337,15 @@ def estimate_scan_cost(
     Returns ``None`` when the layout cannot serve the query (a scanned
     column is missing).  Separable by construction: depends only on this
     table's layout, never on the other tables'.
+
+    The reads are priced as the executor runs them, one unit per container
+    read (at least one) over the I/O scheduler's ``LANES``: the cold share
+    pays a GET's request latency once per round of ``LANES`` units plus the
+    fetched bytes; the warm share, as a depot hit's local read, the local
+    disk's seek once per round plus the decoded bytes.
     """
+    from repro.io.scheduler import LANES
+    from repro.shared_storage.posix import MemoryFilesystem
     from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
 
     model = model or CostModel()
@@ -367,10 +377,15 @@ def estimate_scan_cost(
         + (model.row_cpu_seconds if filters else 0.0)
     )
     fetched_bytes = container_bytes * pruned
-    gets = max(1.0, containers * pruned) * shape.cold_fraction
+    decoded_bytes = rows_scanned * layout.row_bytes(scan_columns)
+    reads = max(1.0, containers * pruned)
+    rounds = math.ceil(reads / LANES)
+    gets = reads * shape.cold_fraction
     io = shape.cold_fraction * (
-        max(1.0, containers * pruned) * s3_latency.request_seconds
-        + fetched_bytes / s3_latency.read_bandwidth
+        rounds * s3_latency.request_seconds + fetched_bytes / s3_latency.read_bandwidth
+    ) + (1.0 - shape.cold_fraction) * (
+        rounds * MemoryFilesystem.seek_seconds
+        + decoded_bytes / MemoryFilesystem.read_bandwidth
     )
     return DesignCost(
         seconds=(cpu + io) / parallelism,
@@ -450,19 +465,22 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
 def estimate_broadcast_seconds(shape: QueryShape, join: DesignJoin, first: TableLayout,
                                build: TableLayout, node_count: int,
                                model: CostModel) -> float:
-    """Shipping one join's build side to every other participant: zero when
-    the build side is replicated, the probe stream is, or the two are
-    co-segmented on the join keys."""
+    """Shipping one join's build side to every other participant: zero on
+    one node, and when the build side is replicated, the probe stream is,
+    or the two are co-segmented on the join keys.  As
+    ``Executor._broadcast`` charges it: one all-to-all exchange whose
+    busiest link, with the build side spread evenly over ``n`` nodes,
+    carries ``(n - 1) / n`` of its bytes."""
     paired = dict(zip(join.right_keys, join.left_keys))
     aligned = {(shape.tables[0], c) for c in first.segmentation_columns}
-    if build.is_replicated or first.is_replicated or all(
+    if node_count <= 1 or build.is_replicated or first.is_replicated or all(
         paired.get(c) in aligned for c in build.segmentation_columns
     ):
         return 0.0
     build_bytes = build.row_count * _filtered_fraction(
         shape.filters.get(join.table, {})
     ) * build.row_bytes(shape.columns.get(join.table, build.columns))
-    return model.network_seconds(int(build_bytes * max(0, node_count - 1)))
+    return model.network_seconds(int(build_bytes * (node_count - 1) / node_count))
 
 
 def estimate_query_cost(

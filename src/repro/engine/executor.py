@@ -493,16 +493,25 @@ class Executor:
         return build, locality
 
     def _broadcast(self, join: JoinNode) -> JoinBuild:
-        """Gather a build side once, ship it to every participant."""
+        """Gather a build side once, ship it to every participant.
+
+        One all-to-all exchange: each participant sends its own fragment to
+        every peer at once, so a node's uplink carries its fragment ``peers``
+        times and its downlink every other fragment once.  The exchange
+        costs one round trip plus the bytes of its busiest link; with no
+        peer, or no rows, nothing is shipped."""
         key = id(join.right)
         if key not in self._broadcast_cache:
             fragments = [self._eval_fragment(join.right, p) for p in self._participants]
-            full = RowSet.concat(fragments)
-            nbytes = rowset_bytes(full)
-            fanout = max(len(self._participants) - 1, 1)
-            self.stats.network_bytes += nbytes * fanout
-            self.stats.network_seconds += self.cost.network_seconds(nbytes * fanout)
-            self._broadcast_cache[key] = JoinBuild(full, join.right_keys)
+            peers = len(fragments) - 1
+            if peers and any(part.num_rows for part in fragments):
+                sizes = [rowset_bytes(part) for part in fragments]
+                total = sum(sizes)
+                self.stats.network_bytes += total * peers
+                self.stats.network_seconds += self.cost.network_seconds(
+                    max(max(sizes) * peers, total - min(sizes))
+                )
+            self._broadcast_cache[key] = JoinBuild(RowSet.concat(fragments), join.right_keys)
         return self._broadcast_cache[key]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.cost import (
+    DESIGN_CONTAINER_BYTES,
     CostModel,
     DesignJoin,
     NodeWork,
@@ -13,8 +14,11 @@ from repro.engine.cost import (
     estimate_broadcast_seconds,
     estimate_first_table_seconds,
     estimate_pushdown_bytes,
+    estimate_scan_cost,
     estimate_selectivity,
 )
+from repro.io.scheduler import LANES
+from repro.shared_storage.posix import MemoryFilesystem
 from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
 
 
@@ -89,8 +93,11 @@ class TestOneExchangeOneRoundTrip:
         assert shipped["rows"] == pytest.approx(int(100_000 * remote / node_count * 16))
         assert shipped["partials"] == pytest.approx(4096 * remote * 16)
 
-    @pytest.mark.parametrize("node_count", [2, 4, 9])
+    @pytest.mark.parametrize("node_count", [1, 2, 4, 9])
     def test_broadcast_carries_one_latency(self, node_count):
+        """As ``Executor._broadcast`` charges it: one all-to-all exchange
+        whose busiest link, the build side spread evenly over the nodes,
+        carries ``(n - 1) / n`` of its bytes; on one node, no exchange."""
         join = DesignJoin("d", (("f", "k"),), ("k",))
         shape = QueryShape(tables=("f", "d"), columns={"f": ("k",), "d": ("k", "name")},
                            filters={}, joins=(join,))
@@ -99,12 +106,60 @@ class TestOneExchangeOneRoundTrip:
             return estimate_broadcast_seconds(shape, join, self.FACT, self.DIM,
                                               nodes, model)
 
-        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
-        # The bytes still go once to each of the other nodes.
+        assert _latency_share(estimate, node_count) == pytest.approx(
+            0.001 if node_count > 1 else 0.0)
         build_bytes = self.DIM.row_count * self.DIM.row_bytes(("k", "name"))
         assert estimate(node_count, CostModel(network_latency=0.0)) == pytest.approx(
-            build_bytes * (node_count - 1) / CostModel().network_bandwidth
+            int(build_bytes * (node_count - 1) / node_count) / CostModel().network_bandwidth
         )
+
+
+class TestScanReadsOverLanes:
+    """The designer's scan term runs its reads as the executor does: one
+    unit per container over the I/O scheduler's lanes, a GET when cold and
+    a local-disk read of the decoded bytes when warm."""
+
+    #: CPU priced at zero, so the estimate is its read term alone.
+    NO_CPU = CostModel(row_cpu_seconds=0.0, cell_cpu_seconds=0.0)
+
+    @staticmethod
+    def layout(containers: int) -> TableLayout:
+        """A replicated (one-reader) layout of ``containers`` design-sized
+        containers, 16 bytes a row."""
+        return TableLayout(table="f", columns=("k", "v"), sort_order=(),
+                           segmentation_columns=(),
+                           row_count=containers * DESIGN_CONTAINER_BYTES // 16,
+                           bytes_per_cell={"k": 8.0, "v": 8.0})
+
+    def estimate(self, layout: TableLayout, cold_fraction: float) -> float:
+        shape = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={},
+                           cold_fraction=cold_fraction)
+        return estimate_scan_cost(shape, "f", layout, 3, self.NO_CPU).seconds
+
+    @pytest.mark.parametrize("containers", [1, 2, 4, 5, 9])
+    def test_cold_gets_pay_their_latency_in_rounds(self, containers):
+        layout, s3 = self.layout(containers), S3LatencyModel()
+        rounds = -(-containers // LANES)
+        assert self.estimate(layout, 1.0) == pytest.approx(
+            rounds * s3.request_seconds + layout.total_bytes() / s3.read_bandwidth)
+
+    @pytest.mark.parametrize("containers", [1, 2, 4, 5, 9])
+    def test_warm_reads_are_one_local_unit_per_container(self, containers):
+        layout = self.layout(containers)
+        rounds = -(-containers // LANES)
+        decoded = layout.row_count * layout.row_bytes(("v",))
+        assert self.estimate(layout, 0.0) == pytest.approx(
+            rounds * MemoryFilesystem.seek_seconds
+            + decoded / MemoryFilesystem.read_bandwidth)
+
+    def test_a_tiny_scan_pays_one_request(self):
+        tiny = TableLayout(table="f", columns=("k", "v"), sort_order=(),
+                           segmentation_columns=(), row_count=1,
+                           bytes_per_cell={"k": 8.0, "v": 8.0})
+        assert self.estimate(tiny, 1.0) == pytest.approx(
+            S3LatencyModel().request_seconds + 16 / S3LatencyModel().read_bandwidth)
+        assert self.estimate(tiny, 0.0) == pytest.approx(
+            MemoryFilesystem.seek_seconds + 8 / MemoryFilesystem.read_bandwidth)
 
 
 class TestQueryStats:

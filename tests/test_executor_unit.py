@@ -8,6 +8,7 @@ accounting, and single-node plans.
 from typing import Dict, List, Optional, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.types import ColumnType, TableSchema
 from repro.engine.executor import Executor, ScanResult, StorageProvider
@@ -133,6 +134,17 @@ class TestJoins:
         assert len(dim_scans) == 2
         assert sorted(result.rows.to_pylist()) == [("x", 1.0), ("y", 2.0)]
 
+    def _broadcast_run(self, dims):
+        """A broadcast join whose build side is ``dims`` (one list of dim
+        rows per participant, the first the initiator's); only the
+        initiator probes, so the result gather ships nothing."""
+        names = [chr(ord("a") + i) for i in range(len(dims))]
+        data = {name: {"dim": dim_rows(rows)} for name, rows in zip(names, dims)}
+        data["a"]["fact"] = fact_rows([(0, 1.0)])
+        executor = Executor(FakeProvider(data))
+        executor.execute(self._join_plan("broadcast"))
+        return executor, [rowset_bytes(data[name]["dim"]) for name in names]
+
     def test_broadcast_charges_network(self):
         data = {
             "a": {"fact": fact_rows([(1, 1.0)]), "dim": dim_rows([(1, "x")])},
@@ -142,20 +154,59 @@ class TestJoins:
         executor = Executor(provider)
         executor.execute(self._join_plan("broadcast"))
         assert executor.stats.network_bytes > 0
-        # One exchange, however many nodes the build side goes to: only the
-        # initiator probes, so the result gather ships nothing.
+        # One all-to-all exchange: every fragment goes to every peer, and
+        # the charge is one round trip plus the busiest link's bytes: a
+        # node's uplink (its fragment, once per peer) or its downlink
+        # (every other fragment).  Uneven fragments: node i holds i + 1
+        # rows, the last a long label.
         for remotes in (1, 2, 3):
-            names = [chr(ord("a") + i) for i in range(remotes + 1)]
-            data = {name: {"dim": dim_rows([(i, name)])} for i, name in enumerate(names)}
-            data["a"]["fact"] = fact_rows([(0, 1.0)])
-            executor = Executor(FakeProvider(data))
-            executor.execute(self._join_plan("broadcast"))
-            shipped = rowset_bytes(RowSet.concat([data[n]["dim"] for n in names])) * remotes
+            dims = [[(j, "n" * (1 + 40 * (i == remotes))) for j in range(i + 1)]
+                    for i in range(remotes + 1)]
+            executor, sizes = self._broadcast_run(dims)
+            total = sum(sizes)
+            busiest = max(max(size * remotes, total - size) for size in sizes)
             cost = executor.cost
-            assert executor.stats.network_bytes == shipped
+            assert executor.stats.network_bytes == total * remotes
             assert executor.stats.network_seconds == pytest.approx(
-                cost.network_latency + shipped / cost.network_bandwidth
+                cost.network_latency + busiest / cost.network_bandwidth
             )
+            # The last node's uplink is the busiest link, below one sender
+            # pushing the whole build side to every peer.
+            assert busiest == sizes[-1] * remotes
+            if remotes > 1:
+                assert busiest < total * remotes
+        # Even fragments: every downlink carries the other three.
+        executor, sizes = self._broadcast_run([[(i, "abc")] for i in range(4)])
+        assert len(set(sizes)) == 1
+        assert executor.stats.network_seconds == pytest.approx(
+            cost.network_latency + 3 * sizes[0] / cost.network_bandwidth
+        )
+
+    @pytest.mark.parametrize("dims", [[[(0, "x"), (1, "y")]], [[], [], []]],
+                             ids=["one participant", "empty build side"])
+    def test_broadcast_with_nothing_to_send_ships_nothing(self, dims):
+        executor, _ = self._broadcast_run(dims)
+        assert executor.stats.network_bytes == 0
+        assert executor.stats.network_seconds == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=6), min_size=1, max_size=9))
+    def test_broadcast_charge_is_the_busiest_link(self, label_lengths):
+        """Random fragments over 1-9 participants: the charge is the
+        formula, never above one sender shipping ``N × peers`` bytes, and
+        the bytes counted are that sender's."""
+        dims = [[(j, "s" * n) for j, n in enumerate(lengths)] for lengths in label_lengths]
+        executor, sizes = self._broadcast_run(dims)
+        peers, total = len(sizes) - 1, sum(sizes)
+        cost, stats = executor.cost, executor.stats
+        full = RowSet.concat([dim_rows(rows) for rows in dims])
+        if not peers or not full.num_rows:
+            assert (stats.network_bytes, stats.network_seconds) == (0, 0)
+            return
+        assert stats.network_bytes == rowset_bytes(full) * peers == total * peers
+        busiest = max(max(size * peers, total - size) for size in sizes)
+        assert stats.network_seconds == pytest.approx(cost.network_seconds(busiest))
+        assert stats.network_seconds <= cost.network_seconds(total * peers)
 
     def test_local_join_downgraded_when_split(self):
         # Matching rows on different nodes: local join would miss them.

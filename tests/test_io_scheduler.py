@@ -6,7 +6,9 @@ Its two reference arms live here, installed on a cluster through the
 ``cluster.io_scheduler`` seam: :class:`SerialFetch` (the file-by-file miss
 path the scheduler replaced) and :class:`PerScanCharging` (each scan pays
 its own fetch and select makespans instead of the query's pooled
-settlement; its local-disk reads are the provider's, pooled in both arms)."""
+settlement).  A scan's local-disk reads are its provider's, added to the
+provider's pool; :class:`PerScanPool`, patched in for the provider's
+``PipelineCharges``, settles them per scan as well."""
 
 from contextlib import contextmanager
 
@@ -76,6 +78,23 @@ class PerScanCharging(IOScheduler):
         yield own
         result.io_pooled_seconds = pooled
         result.io_seconds += own.settle().get(node.name, 0.0)
+
+
+class PerScanPool(PipelineCharges):
+    """Reference pool for the :class:`PerScanCharging` arm: each ``add``
+    is one scan's local-disk reads (the arm keeps fetches and selects out
+    of the provider's pool), settled as that scan's own lane makespan; a
+    node pays the sum of its scans' makespans.  Installed by patching
+    ``repro.cluster.session.PipelineCharges``."""
+
+    def add(self, node_name, durations):
+        if durations:
+            makespan = self.clock.charge_parallel(durations, io_scheduler.LANES)[0]
+            self.per_node.setdefault(node_name, []).append(makespan)
+
+    def settle(self):
+        pooled, self.per_node = self.per_node, {}
+        return {name: sum(pooled[name]) for name in sorted(pooled)}
 
 
 def make_cluster(**kwargs):
