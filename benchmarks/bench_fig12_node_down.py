@@ -79,6 +79,9 @@ def test_fig12_node_kill_throughput(benchmark):
 
     # Acceptance: Eon degrades smoothly, Enterprise falls off a cliff.
     assert 0.0 < eon_drop < 0.40
+    # No stall either: every Eon window after the kill keeps half the
+    # pre-kill rate (Enterprise's buddy is meant to fall off a cliff).
+    assert min(eon[kill_window:]) >= eon_before / 2
     assert ent_drop > 0.40
     assert ent_drop > eon_drop * 1.5
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -52,11 +53,18 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> Dict[str, floa
     return values
 
 
+def num(value: float) -> str:
+    """Four significant digits, or every integer digit of a larger value:
+    90880.3 prints as 90880, not 9.088e+04."""
+    digits = len(f"{abs(value):.0f}") if math.isfinite(value) else 0
+    return f"{value:.{max(4, digits)}g}"
+
+
 def quartiles(values: List[float]) -> str:
     if len(values) < 2:
-        return f"{values[0]:.4g}"
+        return num(values[0])
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    return f"{num(statistics.median(values))} [{num(q1)}, {num(q3)}]"
 
 
 def report(workload: str, declared: List[dict], pairs: List[tuple]) -> None:
@@ -88,7 +96,7 @@ def report(workload: str, declared: List[dict], pairs: List[tuple]) -> None:
     # Every run made, not only its summary: the metric a gain is claimed on.
     if EVERY_RUN in pairs[0][1]:
         print(f"{EVERY_RUN} by pair, parent/change: "
-              + " ".join(f"{p[EVERY_RUN]:.4g}/{c[EVERY_RUN]:.4g}" for _, p, c in pairs))
+              + " ".join(f"{num(p[EVERY_RUN])}/{num(c[EVERY_RUN])}" for _, p, c in pairs))
 
 
 def main() -> int:

@@ -159,7 +159,7 @@ def run(
             "failover=True they lay out the retry sessions)"
         )
     attempt = 0
-    penalty = 0.0
+    backoff = 0.0
     current = session
     while True:
         own_session = current is None
@@ -168,7 +168,7 @@ def run(
         try:
             if prepared is None:
                 prepared = prepare(statement, current)
-            return _attempt(cluster, prepared, request_text, pushdown, penalty, ticket)
+            return _attempt(cluster, prepared, request_text, pushdown, backoff, ticket)
         except (NodeDown, TransientStorageError) as exc:
             attempt += 1
             if (
@@ -182,7 +182,7 @@ def run(
             # their retries) but the survivors still cover every shard: lay
             # out a new session and re-execute.  The backoff is charged to
             # the query's cost-model latency, not to the sim clock.
-            penalty += failover_bounds.backoff_for(attempt)
+            backoff += failover_bounds.backoff_for(attempt)
             cluster.recovery_stats.failovers += 1
             obs = cluster.obs
             if obs.enabled:
@@ -202,9 +202,9 @@ def run(
 
 
 def _attempt(
-    cluster, prepared: Prepared, request_text, pushdown: str, penalty: float, ticket
+    cluster, prepared: Prepared, request_text, pushdown: str, backoff: float, ticket
 ) -> QueryResult:
-    """One execution attempt on the session ``prepared`` was made for."""
+    """One execution attempt on ``prepared``'s session; earlier ones slept ``backoff``."""
     session = prepared.session
     provider = session.provider()
     plan = prepared.plan
@@ -223,9 +223,6 @@ def _attempt(
     # saturated cluster (the moment you most need it).
     if ticket is None and not monitor:
         own_ticket = ticket = cluster.admission.admit(prepared.demand, session.initiator)
-    # Queue wait joins the failover backoff in dispatch time, so the
-    # recorded latency/profile/span covers the whole admission story.
-    queue_wait = ticket.queue_wait_seconds if ticket is not None else 0.0
     try:
         # Monitor queries are not themselves recorded: this query would
         # appear in the very tables it reads, mid-materialization.
@@ -233,17 +230,22 @@ def _attempt(
         executor = Executor(provider, cluster.cost_model, obs=obs, pushdown=pushdown)
         if obs is None:
             result = executor.execute(plan)
-            if penalty + queue_wait:
-                result.stats.dispatch_seconds += penalty + queue_wait
         else:
-            result = _execute_recorded(
-                cluster, prepared.statement, session.initiator, executor, plan,
-                request_text, penalty, queue_wait, ticket is not None,
-            )
+            request_id, start = obs.next_request_id(), cluster.clock.now
+            with obs.tracer.span("query", request_id=request_id,
+                                 initiator=session.initiator) as span:
+                result = executor.execute(plan)
+        # Latency the executor does not charge; set before the record reads it.
+        stats = result.stats
+        stats.queue_wait_seconds = ticket.queue_wait_seconds if ticket is not None else 0.0
+        stats.failover_backoff_seconds = backoff
+        if obs is not None:
+            _record(cluster, prepared, executor, result, request_text,
+                    request_id, start, span, ticket is not None)
         engine = cluster.engine_stats
         engine.queries += 1
-        engine.add(result.stats)
-        for work in result.stats.per_node.values():
+        engine.add(stats)
+        for work in stats.per_node.values():
             engine.add(work)
         return result
     finally:
@@ -251,43 +253,21 @@ def _attempt(
             cluster.admission.release(own_ticket)
 
 
-def _ledger(cluster) -> Tuple[int, float, float]:
-    """The shared backend's retry and clock counters a request is charged
-    the movement of: ``retries``, ``retry_backoff_seconds`` and
-    ``storage_io_seconds``.  Enterprise has no shared storage and reads zero
-    (``obs/system_tables.py``'s absent-is-empty)."""
-    metrics = getattr(getattr(cluster, "shared", None), "metrics", None)
-    if metrics is None:
-        return 0, 0.0, 0.0
-    return metrics.transient_failures, metrics.retry_backoff_seconds, metrics.sim_seconds
-
-
-def _execute_recorded(
-    cluster, statement, initiator: str, executor, plan, request_text,
-    penalty: float, queue_wait: float, had_ticket: bool,
-) -> QueryResult:
-    """Execute under a ``query`` span; log the request record, the operator
-    profile and the ``dc_query_events`` rows."""
-    obs = cluster.obs
+def _record(cluster, prepared: Prepared, executor, result: QueryResult, request_text,
+            request_id: int, start: float, span, had_ticket: bool) -> None:
+    """Log an executed request: its ``query`` span's duration, the request
+    record, the operator profile and the ``dc_query_events`` rows."""
+    obs, stats = cluster.obs, result.stats
+    statement, initiator = prepared.statement, prepared.session.initiator
+    latency, rows = stats.latency_seconds, result.rows.num_rows
+    # Queries don't advance the sim clock: the cost model's latency is the span's.
+    span.duration = latency
+    span.annotate(rows=rows)
     # The AST does not retain source text: a parsed tree that came without
     # it is named by its tables.
     text = request_text or "SELECT FROM " + ", ".join(
         ref.name for ref in statement.tables + [j.table for j in statement.joins]
     )
-    request_id = obs.next_request_id()
-    start = cluster.clock.now
-    before = _ledger(cluster)
-    with obs.tracer.span("query", request_id=request_id, initiator=initiator) as span:
-        result = executor.execute(plan)
-        if penalty + queue_wait:
-            result.stats.dispatch_seconds += penalty + queue_wait
-        # Queries don't advance the sim clock; the cost model's latency is
-        # the query's duration.
-        span.duration = result.stats.latency_seconds
-        span.annotate(rows=result.rows.num_rows)
-    latency = result.stats.latency_seconds
-    rows = result.rows.num_rows
-    after = _ledger(cluster)
     # The depot and S3 totals are the query's own operators' (a Scan's are
     # its ScanResult's), summed in plan order: the request's dollars are the
     # sum of its query_profiles rows.
@@ -299,14 +279,15 @@ def _execute_recorded(
         misses += op.depot_misses
         requests += op.s3_requests
         dollars += op.s3_dollars
+    queue_wait, backoff = stats.queue_wait_seconds, stats.failover_backoff_seconds
     obs.requests.append(
         RequestRecord(
             request_id, initiator, text, start, latency, rows_produced=rows,
             depot_hits=hits, depot_misses=misses, s3_requests=requests,
             s3_dollars=dollars, queue_wait_seconds=queue_wait,
-            failover_backoff_seconds=penalty, retries=after[0] - before[0],
-            retry_backoff_seconds=after[1] - before[1],
-            storage_io_seconds=after[2] - before[2],
+            failover_backoff_seconds=backoff, retries=stats.retries,
+            retry_backoff_seconds=stats.retry_backoff_seconds,
+            storage_io_seconds=stats.storage_io_seconds,
         )
     )
 
@@ -317,11 +298,10 @@ def _execute_recorded(
         event("admit", "", queue_wait)
     if queue_wait > 0:
         event("queue", "", queue_wait)
-    if penalty > 0:
-        event("failover", "backoff", penalty)
+    if backoff > 0:
+        event("failover", "backoff", backoff)
     event("execute", text[:80], latency)
     obs.profiles.append(
         QueryProfile(request_id, text, initiator, start, latency, operators)
     )
     obs.metrics.histogram("query.latency_seconds").observe(latency)
-    return result

@@ -83,6 +83,13 @@ class QueryStats(Ledger):
     network_seconds: float = 0.0
     initiator_cpu_seconds: float = 0.0
     dispatch_seconds: float = 0.0
+    #: Admission queue wait and failover backoff (``query_path._attempt``).
+    queue_wait_seconds: float = 0.0
+    failover_backoff_seconds: float = 0.0
+    #: The ``ScanResult`` sums: shared-store retries, backoff, request seconds.
+    retries: int = 0
+    retry_backoff_seconds: float = 0.0
+    storage_io_seconds: float = 0.0
     #: The query's deferred reads: what charging each scan on its own would
     #: have cost (``ScanResult.io_pooled_seconds``), and what the settled
     #: pool charged.
@@ -96,15 +103,17 @@ class QueryStats(Ledger):
 
     @property
     def latency_seconds(self) -> float:
-        """Estimated wall-clock: slowest node + exchange + initiator work.
+        """Estimated wall-clock: dispatch and waits, slowest node, exchange, initiator.
 
         Participating nodes execute their fragments in parallel, so the
         critical path is the busiest node, then network shipping, then the
         initiator's merge/sort work.
         """
         slowest = max((w.busy_seconds for w in self.per_node.values()), default=0.0)
+        # The waits join dispatch as one sum: regrouping moves the last digit.
         return (
             self.dispatch_seconds
+            + (self.queue_wait_seconds + self.failover_backoff_seconds)
             + slowest
             + self.network_seconds
             + self.initiator_cpu_seconds

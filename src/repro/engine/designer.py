@@ -794,13 +794,10 @@ class DatabaseDesigner:
             kept.sort(key=lambda c: (c.sep_seconds, c.fallback_weight))
             candidates[table] = kept
 
+        # A table with no feasible candidate (impossible: generation includes
+        # the full schema) leaves its pick-one row unsatisfiable, and the solve
+        # raises PlanningError (scipy's ValueError when no table has one).
         candidates_scored = sum(len(candidates[t]) for t in tables)
-        if not all(candidates[table] for table in tables):
-            # Some table has no feasible candidate (cannot happen while
-            # generation includes the full schema, but stay safe).
-            empty = DesignCost(seconds=math.inf)
-            return _SearchResult({}, empty, empty, "infeasible",
-                                 candidates_scored)
 
         # The rest of the objective: a query's first-table terms join its
         # first table's candidate cost, and each join's broadcast term is

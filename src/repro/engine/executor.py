@@ -82,6 +82,10 @@ class ScanResult(Ledger):
     depot_misses: int = 0
     s3_requests: int = 0
     s3_dollars: float = 0.0
+    #: Shared-store retries, their backoff (in ``io_seconds`` too), GET/select seconds.
+    retries: int = 0
+    retry_backoff_seconds: float = 0.0
+    storage_io_seconds: float = 0.0
     # Parallel I/O scheduler accounting (zero when the scheduler is off
     # or the provider has no depot).
     prefetch_hits: int = 0
@@ -410,6 +414,9 @@ class Executor:
             )
             work.add(result)
             self.stats.io_serial_seconds += result.io_pooled_seconds
+            self.stats.retries += result.retries
+            self.stats.retry_backoff_seconds += result.retry_backoff_seconds
+            self.stats.storage_io_seconds += result.storage_io_seconds
             work.rows_scanned += result.rows.num_rows + result.pushdown_rows_filtered
             decode_cpu = (
                 result.rows.num_rows * len(node.columns) * self.cost.cell_cpu_seconds

@@ -143,10 +143,19 @@ class FetchBatch:
 
 
 #: What :meth:`IOScheduler._fetch_missing` returns, for a batch with nothing
-#: to fetch: lane durations, their makespan, per-lane totals, retry backoff,
-#: then the ``fetch_batch`` span's counts — files fetched, their bytes, fetch
-#: units, peer units, background units and the background makespan.
-_NOTHING_FETCHED = ((), 0.0, (0.0,), 0.0, 0, 0, 0, 0, 0, 0.0)
+#: to fetch: lane durations, their makespan, per-lane totals, then the
+#: ``fetch_batch`` span's counts — files fetched, their bytes, fetch units,
+#: peer units, background units and the background makespan.
+_NOTHING_FETCHED = ((), 0.0, (0.0,), 0, 0, 0, 0, 0, 0.0)
+
+
+def _book_retries(result, metrics, before: Tuple[int, float]) -> None:
+    """Book on a scan's ``result`` the retries and backoff ``metrics`` gained since
+    ``before``; backoff stalls the retry loop, not a lane, so it is ``io_seconds`` too."""
+    backoff = metrics.retry_backoff_seconds - before[1]
+    result.retries += metrics.transient_failures - before[0]
+    result.retry_backoff_seconds += backoff
+    result.io_seconds += backoff
 
 
 def plan_fetch(
@@ -246,10 +255,10 @@ class IOScheduler:
 
         ``pool`` (the query's :class:`~repro.engine.pipeline.
         PipelineCharges`) takes this batch's lane durations: the makespan is
-        charged once per query at settlement, not here
-        (``result.io_pooled_seconds`` keeps the batch's own figure) — a
-        driver-issued prefetch that keeps lanes busy across scan
-        boundaries.  Retry backoff stays in ``result.io_seconds``.
+        charged once per query at settlement, not here (the batch's own
+        figure is ``result.io_pooled_seconds``) — a driver-issued prefetch
+        that keeps lanes busy across scan boundaries.  Retry backoff stays in
+        ``result.io_seconds``; ``result`` books the retries, backoff, GET seconds.
 
         A hit costs nothing here: the depot is a column store's local disk,
         and a reader reads only the blocks it decodes — the columns it names
@@ -302,12 +311,11 @@ class IOScheduler:
                 node, missing, use_cache, result, batch, cancelled,
                 background_keys or set(),
             )
-        (durations, makespan, lane_totals, backoff_seconds, fetched, nbytes,
+        (durations, makespan, lane_totals, fetched, nbytes,
          units, peer_units, background_units, background_makespan) = charged
         if durations:
             pool.add(node.name, durations)
             result.io_pooled_seconds += makespan
-        result.io_seconds += backoff_seconds
         if obs.enabled:
             obs.metrics.gauge("io.lane_occupancy", node=node.name).set(
                 sum(lane_totals) / makespan if makespan > 0 else 0.0
@@ -365,7 +373,7 @@ class IOScheduler:
         background_durations: List[float] = []
         fetched_keys: Set[str] = set()
         total_fetched_bytes = 0
-        backoff_before = shared.metrics.retry_backoff_seconds
+        before = (shared.metrics.transient_failures, shared.metrics.retry_backoff_seconds)
         for kind, peer, members in units:
             if cancelled is not None and cancelled():
                 raise QueryCancelled(
@@ -407,6 +415,7 @@ class IOScheduler:
                 self.stats.s3_gets += 1
                 result.s3_requests += 1
                 result.s3_dollars += get_dollars
+                result.storage_io_seconds += seconds
                 if len(names) > 1:
                     self.stats.coalesced_gets += 1
                     result.coalesced_gets += 1
@@ -456,16 +465,11 @@ class IOScheduler:
         background_makespan, _ = clock.charge_parallel(
             background_durations, LANES
         )
-        # Retry backoff accumulated by this batch's units is query time —
-        # fold it into the batch's I/O seconds (serially: backoff stalls
-        # the retry loop, not a lane) so throttled scans report higher
-        # latency, as ``fetch_storage`` does.
+        _book_retries(result, shared.metrics, before)
         self.stats.fetched_files += len(fetched_keys)
         self.stats.fetched_bytes += total_fetched_bytes
         return (
-            durations, makespan, lane_totals,
-            shared.metrics.retry_backoff_seconds - backoff_before,
-            len(fetched_keys), total_fetched_bytes, len(units),
+            durations, makespan, lane_totals, len(fetched_keys), total_fetched_bytes, len(units),
             sum(1 for k, _, _ in units if k == "peer"),
             len(background_durations), background_makespan,
         )
@@ -485,9 +489,9 @@ class IOScheduler:
         Accounting: each select's dollars fold into ``result.s3_dollars``
         (the per-query money ledger) but **not** ``result.s3_requests``,
         which stays a GET counter so differential runs can compare GET
-        ledgers bit-for-bit; scanned bytes land on
-        ``result.bytes_scanned`` and the scheduler's pushdown stats.  The
-        selects' lane durations go into ``pool``, as in :meth:`fetch_batch`.
+        ledgers bit-for-bit; scanned bytes land on ``result.bytes_scanned``
+        and the scheduler's pushdown stats, seconds on ``storage_io_seconds``.
+        The selects' lane durations go into ``pool``, as in :meth:`fetch_batch`.
         """
         clock = self.cluster.clock
         shared = self.cluster.shared_data
@@ -497,7 +501,7 @@ class IOScheduler:
             return selects
         self.stats.pushdown_batches += 1
         durations: List[float] = []
-        backoff_before = shared.metrics.retry_backoff_seconds
+        before = (shared.metrics.transient_failures, shared.metrics.retry_backoff_seconds)
         for key, columns, predicate in items:
             if cancelled is not None and cancelled():
                 raise QueryCancelled(
@@ -511,6 +515,7 @@ class IOScheduler:
             )
             selects[key] = select
             durations.append(select.sim_seconds)
+            result.storage_io_seconds += select.sim_seconds
             self.stats.pushdown_selects += 1
             self.stats.pushdown_bytes_scanned += select.bytes_scanned
             result.pushdown_scans += 1
@@ -529,7 +534,7 @@ class IOScheduler:
         makespan, _ = clock.charge_parallel(durations, LANES)
         pool.add(node.name, durations)
         result.io_pooled_seconds += makespan
-        result.io_seconds += shared.metrics.retry_backoff_seconds - backoff_before
+        _book_retries(result, shared.metrics, before)
         return selects
 
     def consume(self, batch: FetchBatch, node, key: str, result) -> bytes:

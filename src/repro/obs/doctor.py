@@ -3,8 +3,8 @@
 A recorded query's latency decomposes into the components the Data
 Collector and request records already track separately:
 
-* **queue wait** — admission queue time (``dispatch_seconds`` share from
-  the workload manager; the noisy-neighbor signature);
+* **queue wait** — admission queue time (``QueryStats.queue_wait_seconds``,
+  from the workload manager's ticket; the noisy-neighbor signature);
 * **failover backoff** — session-level retry penalties after a
   participant died mid-query (the slow-node-straggler signature);
 * **throttling** — retry backoff accrued inside the storage layer's
@@ -123,8 +123,8 @@ class Diagnosis:
 def _breakdown(record) -> Tuple[Tuple[str, float], ...]:
     """Latency components of one RequestRecord, in COMPONENTS order.
 
-    ``storage_io_seconds`` is the shared backend's sim-seconds consumed
-    during execution — time a fully warm depot would not have spent.
+    ``storage_io_seconds`` is the sim-seconds of the query's scans' served
+    shared-storage requests — time a fully warm depot would not have spent.
     ``execution`` is the floor-at-zero remainder, so the shares always
     sum to at most the recorded latency.
     """

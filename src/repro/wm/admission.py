@@ -20,8 +20,8 @@ Two admission paths exist because two kinds of caller exist:
   yield the pending admission's :class:`~repro.common.clock.AcquireAll`
   effect, resuming only when every demanded slot is granted atomically
   (no convoy: a query never holds slots on one node while queueing on
-  another).  The measured queue wait is charged to the query's
-  ``dispatch_seconds`` so it shows up in latency, profiles, and spans.
+  another).  The measured queue wait is the query's ``queue_wait_seconds``
+  (``QueryStats``), so it shows up in latency, profiles, and spans.
 
 Slot accounting is the subsystem's safety contract: every ticket is
 released exactly once on every exit path (success, error, cancel,
@@ -55,7 +55,7 @@ class AdmissionTicket:
         #: node -> slots held there (already clamped to capacity).
         self.demand = dict(demand)
         #: Simulated seconds spent queued before the grant (0 for
-        #: immediate grants); callers charge this to ``dispatch_seconds``.
+        #: immediate grants); the query's ``QueryStats.queue_wait_seconds``.
         self.queue_wait_seconds = queue_wait_seconds
         self.released = False
 

@@ -135,21 +135,23 @@ def _hold_seconds(
 ) -> float:
     """Simulated seconds the query occupies its slots.
 
-    Start from the cost model's latency (minus the queue wait already
-    charged into ``dispatch_seconds``), but re-derive the parallel
-    portion with :meth:`SimClock.charge_parallel`: the per-node busy
-    seconds run over exactly the lanes (slots) this ticket was granted.
+    Start from the cost model's latency less the queue wait and the failover
+    backoff, re-derive its parallel portion with :meth:`SimClock.charge_parallel`
+    (the per-node busy seconds over the lanes this ticket was granted) and
+    scale it; the backoff, a pause and not query work, is added unscaled.
     """
     stats = result.stats
     busy = sorted((w.busy_seconds for w in stats.per_node.values()), reverse=True)
     makespan, _ = clock.charge_parallel(busy, max(1, ticket.total_slots))
     service = (
         stats.latency_seconds
-        - ticket.queue_wait_seconds
+        - stats.queue_wait_seconds
+        - stats.failover_backoff_seconds
         - (busy[0] if busy else 0.0)
         + makespan
     )
     hold = max(service, _MIN_HOLD_SECONDS) * workload.service_scale
+    hold += stats.failover_backoff_seconds
     hold += workload.contention_per_client * max(0, workload.clients - 1)
     return hold
 

@@ -111,8 +111,10 @@ class TestMidQueryFailover:
         with session:
             cluster.kill_node(killable_participant(cluster, session))
             result = cluster.query_statement(stmt, session=session, failover=True)
-        assert result.stats.dispatch_seconds >= failover.backoff_for(1)
-        assert result.stats.latency_seconds >= result.stats.dispatch_seconds
+        stats = result.stats
+        assert stats.failover_backoff_seconds >= failover.backoff_for(1)
+        assert stats.dispatch_seconds == cluster.cost_model.dispatch_seconds
+        assert stats.latency_seconds >= stats.dispatch_seconds + stats.failover_backoff_seconds
 
     def test_failover_counter_and_span_recorded(self):
         cluster = loaded_cluster(obs=True)
@@ -278,13 +280,25 @@ class TestBackoffCharged:
         )
         cluster.execute("create table t (a int)")
         cluster.load("t", [(i,) for i in range(500)])
-        before = cluster.shared.metrics.retry_backoff_seconds
+        metrics = cluster.shared.metrics
+
+        def ledger():
+            return (metrics.transient_failures, metrics.retry_backoff_seconds,
+                    metrics.sim_seconds)
+
+        before = ledger()
         result = cluster.query("select count(*) from t", use_cache=False)
-        delta = cluster.shared.metrics.retry_backoff_seconds - before
-        assert delta > 0  # retries actually happened
-        assert result.stats.latency_seconds >= delta
+        retries, backoff, storage = (a - b for a, b in zip(ledger(), before))
+        assert backoff > 0  # retries actually happened
+        assert result.stats.latency_seconds >= backoff
         profile = cluster.obs.profiles[-1]
         assert profile.latency_seconds == result.stats.latency_seconds
+        # The scans book what the store's counters moved by.
+        record = cluster.obs.requests[-1]
+        assert record.retries == result.stats.retries == retries
+        assert record.retry_backoff_seconds == pytest.approx(backoff, rel=1e-12)
+        assert record.storage_io_seconds == pytest.approx(storage, rel=1e-12)
+        assert result.stats.dispatch_seconds == cluster.cost_model.dispatch_seconds
 
 
 class TestFreshCacheOnDiskLoss:

@@ -38,6 +38,7 @@ from repro.engine.cost import (
 from repro.engine.designer import (
     DatabaseDesigner, _Candidate, _TableStats, dbd_version,
 )
+from repro.errors import PlanningError
 from repro.sql.ast import CreateProjection
 from repro.sql.parser import parse
 
@@ -359,3 +360,17 @@ def test_search_is_the_brute_force_optimum(drawn):
     ]
     chosen = sum(ranks[t][id(result.assignment[t])] for t in tables)
     assert chosen == min(optima)
+
+
+def test_a_table_with_no_feasible_candidate_fails_the_solve():
+    # Every candidate of t1 is too narrow for the query's scan: scoring
+    # drops them all, t1's pick-one row cannot hold, and the solve fails.
+    designer = DatabaseDesigner(exact_catalog(), row_counts={"t0": 40, "t1": 40})
+    designer._rival_layouts = lambda table: []
+    designer._stats_cache = {"t0": _TableStats(), "t1": _TableStats()}
+    shapes = [QueryShape(tables=("t0", "t1"), columns={"t0": ("k",), "t1": ("k", "a")},
+                         filters={}, joins=(DesignJoin("t1", (("t0", "k"),), ("k",)),))]
+    candidates = {"t0": [candidate("t0", 40, EXACT_COLUMNS, "k", "k")],
+                  "t1": [candidate("t1", 40, "k", "k", "k")]}
+    with pytest.raises(PlanningError, match="designer search"):
+        designer._search(shapes, candidates)

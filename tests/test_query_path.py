@@ -479,7 +479,8 @@ class TestFailover:
         assert cluster.recovery_stats.failovers == 1
         record = cluster.obs.requests[-1]
         assert record.failover_backoff_seconds > 0
-        assert result.stats.dispatch_seconds >= record.failover_backoff_seconds
+        assert result.stats.failover_backoff_seconds == record.failover_backoff_seconds
+        assert result.stats.dispatch_seconds == cluster.cost_model.dispatch_seconds
         assert cluster.admission.total_in_use() == 0
 
     def test_enterprise_buddy_answers_for_a_dead_node(self):

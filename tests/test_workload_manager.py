@@ -203,7 +203,7 @@ class TestQueuedPath:
             assert record.latency_seconds >= record.queue_wait_seconds
         assert_drained(eon.admission)
 
-    def test_queue_wait_charged_to_dispatch_and_profile(self, eon):
+    def test_queue_wait_charged_to_latency(self, eon):
         """The wait shows up inside the engine's own accounting, not just
         the driver's records."""
         admission = eon.admission
@@ -237,8 +237,9 @@ class TestQueuedPath:
         eon.clock.run()
         assert holder["wait"] == pytest.approx(2.5)
         stats = holder["result"].stats
-        assert stats.dispatch_seconds >= 2.5
-        assert stats.latency_seconds >= 2.5
+        assert stats.queue_wait_seconds == holder["wait"]
+        assert stats.dispatch_seconds == eon.cost_model.dispatch_seconds
+        assert stats.latency_seconds >= stats.dispatch_seconds + 2.5
         assert_drained(admission)
 
     def test_queue_full_rejects(self, eon):
@@ -527,6 +528,21 @@ class TestThroughputShapes:
         after = sum(counts[6:]) / 4
         assert before * 0.5 < after < before
 
+    def test_a_kill_at_a_large_service_scale_stalls_no_window(self):
+        # Fig 12's scale: ~3 ms queries held ~6 s each.  The queries the
+        # kill catches fail over; their 0.1 s backoff is a pause, not query
+        # work, so it must not be stretched into a 200 s slot hold.
+        cluster = eon_nodes(4)
+        cluster.clock.schedule(1200.0, lambda: cluster.kill_node("n1"))
+        result = run_closed_loop(cluster, ClosedLoopWorkload(
+            statements=(SQL,), clients=16, duration_seconds=2400.0,
+            service_scale=2000.0,
+        ))
+        assert result.errors == result.rejected == result.stalled == 0
+        counts = result.per_window(240.0, 2400.0)
+        before = sum(counts[:5]) / 5
+        assert min(counts[5:]) >= before / 2, counts
+
     def test_a_recover_restores_throughput(self):
         cluster = eon_nodes(4)
         counts = windows(cluster, 450.0, [
@@ -549,17 +565,24 @@ class TestClosedLoopInputs:
         # The busiest node's 3 s fragment bounds a query that has a lane
         # per node; on one lane the four fragments run end to end.
         per_node = {n: SimpleNamespace(busy_seconds=b) for n, b in zip("abcd", (3.0, 1.0, 1.0, 1.0))}
-        result = SimpleNamespace(stats=SimpleNamespace(per_node=per_node, latency_seconds=3.7))
 
-        def hold(lanes, **options):
-            ticket = SimpleNamespace(total_slots=lanes, queue_wait_seconds=0.2)
+        def hold(lanes, backoff=0.0, **options):
+            # Latency: the 0.2 s wait, 3 s on the busiest node, 0.5 s besides.
+            stats = SimpleNamespace(
+                per_node=per_node, queue_wait_seconds=0.2,
+                failover_backoff_seconds=backoff, latency_seconds=3.7 + backoff,
+            )
+            ticket = SimpleNamespace(total_slots=lanes)
             workload = ClosedLoopWorkload(statements=(SQL,), requests_per_client=1, **options)
-            return _hold_seconds(SimClock(), result, ticket, workload)
+            return _hold_seconds(SimClock(), SimpleNamespace(stats=stats), ticket, workload)
 
         assert hold(4) == pytest.approx(0.5 + 3.0)
         assert hold(1) == pytest.approx(0.5 + 6.0)
         assert hold(4, service_scale=2.0) == pytest.approx(2 * 3.5)
         assert hold(4, clients=5, contention_per_client=0.25) == pytest.approx(3.5 + 4 * 0.25)
+        # A failover's backoff is a pause, not query work: added once, unscaled.
+        assert hold(4, backoff=0.1) == pytest.approx(3.5 + 0.1)
+        assert hold(4, backoff=0.1, service_scale=2000.0) == pytest.approx(2000 * 3.5 + 0.1)
 
     def test_service_scale_stretches_every_hold(self):
         base = one_client(make_eon())
