@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work obs-demo
+.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work design-picks obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -118,6 +118,13 @@ profile:
 # `make work TREE=../parent FULL=1`, `make work WORKLOAD=iot_ingest PASS=8`.
 work:
 	python3 benchmarks/work.py $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(FULL),--full) $(if $(TREE),--tree $(TREE)) $(if $(PASS),--pass $(PASS))
+
+# Every DatabaseDesigner._search assignment of the designer tests, the 300
+# campaigns and E9, in this tree and in TREE (a parent clone): prints the
+# searches whose design differs.  `make design-picks TREE=../parent`; a few
+# minutes, not tier-1.
+design-picks:
+	python3 benchmarks/design_picks.py $(if $(TREE),--tree $(TREE))
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -544,7 +544,7 @@ class EnterpriseStorageProvider(StorageProvider):
         self.cluster = session.cluster
         self.state = session.state
         #: Every scan's local-disk reads, lane units as an Eon scan's are.
-        self._pool = PipelineCharges(self.cluster.clock)
+        self._pool = PipelineCharges()
 
     def participants(self) -> List[str]:
         return sorted({n for n in self.session.region_server.values()})

@@ -130,7 +130,7 @@ class EonStorageProvider(StorageProvider):
         #: The query's deferred lane charges: every scan's fetch units and
         #: local reads, pooled per node and charged once per query
         #: (``settle_io``).
-        self._pool = PipelineCharges(self.cluster.clock)
+        self._pool = PipelineCharges()
         #: Pushdown mode (off | auto | on), set by the executor from the
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"

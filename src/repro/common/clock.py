@@ -12,6 +12,7 @@ simpy:
 * :class:`SimClock` — the event loop; schedules callbacks at absolute times.
 * processes — Python generators spawned with :meth:`SimClock.spawn` that
   ``yield`` *effects*: :class:`Timeout` or an :class:`AcquireAll` request.
+* :func:`charge_parallel` — the makespan of durations run over lanes.
 * :class:`Resource` — a counted resource that :class:`AcquireAll` requests
   wait on in FIFO order (per-node execution slots).
 
@@ -53,34 +54,6 @@ class SimClock:
         self.now += dt
         self.max_now = max(self.max_now, self.now)
 
-    def charge_parallel(
-        self, durations: Sequence[float], lanes: int
-    ) -> Tuple[float, List[float]]:
-        """Cost of running ``durations`` over ``lanes`` concurrent lanes.
-
-        Greedy in-order assignment: each duration goes to the lane that
-        frees up earliest (lowest index on ties), matching a fetch
-        scheduler that issues requests in plan order onto a bounded pool
-        of connections.  Returns ``(makespan, lane_totals)`` where
-        ``makespan`` is the max over lanes — the wall-clock the batch
-        occupies — and ``lane_totals`` the per-lane busy seconds (their
-        sum is what a serial execution would have charged).
-
-        Pure accounting: like query latency generally, this does not move
-        ``now`` — callers fold the makespan into cost-model latency.
-        Deterministic for a given input (no RNG, no tie ambiguity).
-        """
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1")
-        if durations and min(durations) < 0:
-            raise ValueError("durations must be >= 0")
-        lane_free = [0.0] * min(lanes, max(len(durations), 1))
-        for duration in durations:
-            # ``index`` finds the first lane holding the minimum: the lowest
-            # index on ties, without a Python call per lane.
-            lane_free[lane_free.index(min(lane_free))] += duration
-        return (max(lane_free) if durations else 0.0), lane_free
-
     # -- event loop ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
@@ -107,6 +80,34 @@ class SimClock:
         process = Process(self, generator)
         self.schedule(0.0, process._step)
         return process
+
+
+def charge_parallel(durations: Sequence[float], lanes: int) -> Tuple[float, List[float]]:
+    """Cost of running ``durations`` over ``lanes`` concurrent lanes.
+
+    Greedy in-order assignment: each duration goes to the lane that
+    frees up earliest (lowest index on ties), matching a fetch
+    scheduler that issues requests in plan order onto a bounded pool
+    of connections.  Returns ``(makespan, lane_totals)`` where
+    ``makespan`` is the max over lanes — the wall-clock the batch
+    occupies — and ``lane_totals`` the per-lane busy seconds (their
+    sum is what a serial execution would have charged).
+
+    Pure accounting, and the one lane rule: the I/O scheduler and the
+    query's read pool call it with measured durations, the designer with
+    estimated ones.  Like query latency generally, it moves no clock.
+    Deterministic for a given input (no RNG, no tie ambiguity).
+    """
+    if lanes < 1:
+        raise ValueError("lanes must be >= 1")
+    if durations and min(durations) < 0:
+        raise ValueError("durations must be >= 0")
+    lane_free = [0.0] * min(lanes, max(len(durations), 1))
+    for duration in durations:
+        # ``index`` finds the first lane holding the minimum: the lowest
+        # index on ties, without a Python call per lane.
+        lane_free[lane_free.index(min(lane_free))] += duration
+    return (max(lane_free) if durations else 0.0), lane_free
 
 
 @dataclass

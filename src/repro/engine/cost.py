@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.common.clock import charge_parallel
 from repro.obs.metrics import Ledger
 
 
@@ -32,12 +33,22 @@ class CostModel:
     #: Fixed per-query planning/dispatch overhead on the initiator.
     dispatch_seconds: float = 0.002
 
-    def network_seconds(self, nbytes: int) -> float:
+    def network_seconds(self, nbytes: float) -> float:
         """One exchange: every message of it is in flight at once, so it
-        costs one round trip plus the bytes of its busiest link (the
-        initiator's downlink for a gather; the most loaded uplink or
-        downlink for a broadcast)."""
+        costs one round trip plus the bytes of its busiest link."""
         return self.network_latency + nbytes / self.network_bandwidth
+
+    def gather_seconds(self, remote_parts: Sequence[float]) -> float:
+        """A gather of the remote parts (bytes each) onto the initiator:
+        they all arrive over its downlink at once."""
+        return self.network_seconds(sum(remote_parts))
+
+    def broadcast_seconds(self, fragments: Sequence[float]) -> float:
+        """An all-to-all broadcast of one fragment (bytes) per participant:
+        a node's uplink carries its fragment to every peer and its downlink
+        every other fragment, so the busiest link is the larger of the two."""
+        peers = len(fragments) - 1
+        return self.network_seconds(max(max(fragments) * peers, sum(fragments) - min(fragments)))
 
 
 @dataclass
@@ -203,15 +214,15 @@ def choose_scan_strategy(
 # ---------------------------------------------------------------------------
 # design-time estimation (Database Designer v2)
 #
-# The designer scores candidate physical layouts through the same per-unit
-# charges the executor applies at run time: per-row/per-cell CPU, cold
-# container fetches at S3 latency/bandwidth, broadcast shipping when a join's
-# build side is not co-segmented with the probe stream, and a two-phase
-# gather when group keys do not cover the stream's segmentation.  The result
-# is a *work-proportional* estimate of the critical path (total work divided
-# by scan parallelism).  Each term reads at most two layouts — a scan its
-# table's, a broadcast the first and the build table's — which is what lets
-# the designer search assignments as one integer program.
+# The designer scores candidate physical layouts by calling the executor's
+# own charge rules with estimated sizes: the lane rule (``charge_parallel``)
+# over equal container reads, ``CostModel.gather_seconds`` over equal remote
+# parts, ``CostModel.broadcast_seconds`` over equal fragments, plus the
+# per-row/per-cell CPU rates.  The result is a *work-proportional* estimate
+# of the critical path (scan work divided by scan parallelism).  Each term
+# reads at most two layouts — a scan its table's, a broadcast the first and
+# the build table's — which is what lets the designer search assignments as
+# one integer program.
 
 #: Stored bytes per cell by column type, for sizing candidate containers.
 #: VARCHAR assumes short dictionary-friendly strings; the write path picks
@@ -347,11 +358,10 @@ def estimate_scan_cost(
     column is missing).  Separable by construction: depends only on this
     table's layout, never on the other tables'.
 
-    The reads are priced as the executor runs them, one unit per container
-    read (at least one) over the I/O scheduler's ``LANES``: the cold share
-    pays a GET's request latency once per round of ``LANES`` units plus the
-    fetched bytes; the warm share, as a depot hit's local read, the local
-    disk's seek once per round plus the decoded bytes.
+    The reads are ``ceil(reads)`` equal units (one per container read, at
+    least one) run through the lane rule over the I/O scheduler's
+    ``LANES``: a GET of the fetched bytes each for the cold share, a local
+    read of the decoded bytes each for the warm share.
     """
     from repro.io.scheduler import LANES
     from repro.shared_storage.posix import MemoryFilesystem
@@ -385,17 +395,15 @@ def estimate_scan_cost(
         + len(scan_columns) * model.cell_cpu_seconds
         + (model.row_cpu_seconds if filters else 0.0)
     )
-    fetched_bytes = container_bytes * pruned
-    decoded_bytes = rows_scanned * layout.row_bytes(scan_columns)
     reads = max(1.0, containers * pruned)
-    rounds = math.ceil(reads / LANES)
-    gets = reads * shape.cold_fraction
-    io = shape.cold_fraction * (
-        rounds * s3_latency.request_seconds + fetched_bytes / s3_latency.read_bandwidth
-    ) + (1.0 - shape.cold_fraction) * (
-        rounds * MemoryFilesystem.seek_seconds
-        + decoded_bytes / MemoryFilesystem.read_bandwidth
+    units = math.ceil(reads)
+    cold = s3_latency.read_seconds(container_bytes * pruned / units)
+    warm = MemoryFilesystem().estimate_read_seconds(
+        rows_scanned * layout.row_bytes(scan_columns) / units
     )
+    io = (shape.cold_fraction * charge_parallel([cold] * units, LANES)[0]
+          + (1.0 - shape.cold_fraction) * charge_parallel([warm] * units, LANES)[0])
+    gets = reads * shape.cold_fraction
     return DesignCost(
         seconds=(cpu + io) / parallelism,
         s3_gets=gets,
@@ -431,11 +439,10 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
                                  row_counts: Mapping[str, float], node_count: int,
                                  model: CostModel) -> float:
     """The query's terms that read only the first table's layout (and each
-    table's row count): join CPU, then a two-phase gather for an aggregate
-    whose group keys do not cover the stream's alignment, or the result
-    ship for a plain select.  A gather ships only the remote parts, as
-    ``Executor._collect`` does: ``(n - 1) / n`` of the result rows, and the
-    partials of ``n - 1`` nodes; on one node nothing crosses the network."""
+    table's row count): join CPU, then a gather of ``n - 1`` equal remote
+    parts — each node's partials for an aggregate whose group keys do not
+    cover the stream's alignment, its ``1 / n`` of the result rows for a
+    plain select; on one node nothing is gathered."""
     # The qualified columns the probe stream is hash-distributed on; None
     # for a single-node (replicated) stream.
     alignment = None if first.is_replicated else {
@@ -459,13 +466,13 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
     remote = max(0, node_count - 1)
     if not shape.is_aggregate:
         if remote:
-            shipped = probe_rows * remote / node_count
-            seconds += model.network_seconds(int(shipped * _DESIGN_SHIP_ROW_BYTES))
+            part = probe_rows / node_count * _DESIGN_SHIP_ROW_BYTES
+            seconds += model.gather_seconds([part] * remote)
         return seconds
     if not alignment <= set(shape.group_columns):
         groups = min(probe_rows, _DESIGN_MAX_GROUPS)
         if remote:
-            seconds += model.network_seconds(int(groups * remote * _DESIGN_SHIP_ROW_BYTES))
+            seconds += model.gather_seconds([groups * _DESIGN_SHIP_ROW_BYTES] * remote)
         # The initiator merges every node's partials, its own among them.
         seconds += groups * max(1, node_count) * model.row_cpu_seconds
     return seconds
@@ -474,12 +481,10 @@ def estimate_first_table_seconds(shape: QueryShape, first: TableLayout,
 def estimate_broadcast_seconds(shape: QueryShape, join: DesignJoin, first: TableLayout,
                                build: TableLayout, node_count: int,
                                model: CostModel) -> float:
-    """Shipping one join's build side to every other participant: zero on
-    one node, and when the build side is replicated, the probe stream is,
-    or the two are co-segmented on the join keys.  As
-    ``Executor._broadcast`` charges it: one all-to-all exchange whose
-    busiest link, with the build side spread evenly over ``n`` nodes,
-    carries ``(n - 1) / n`` of its bytes."""
+    """Shipping one join's build side to every other participant: a
+    broadcast of ``n`` equal fragments; zero on one node, and when the
+    build side is replicated, the probe stream is, or the two are
+    co-segmented on the join keys."""
     paired = dict(zip(join.right_keys, join.left_keys))
     aligned = {(shape.tables[0], c) for c in first.segmentation_columns}
     if node_count <= 1 or build.is_replicated or first.is_replicated or all(
@@ -489,7 +494,7 @@ def estimate_broadcast_seconds(shape: QueryShape, join: DesignJoin, first: Table
     build_bytes = build.row_count * _filtered_fraction(
         shape.filters.get(join.table, {})
     ) * build.row_bytes(shape.columns.get(join.table, build.columns))
-    return model.network_seconds(int(build_bytes * (node_count - 1) / node_count))
+    return model.broadcast_seconds([build_bytes / node_count] * node_count)
 
 
 def estimate_query_cost(

@@ -794,9 +794,9 @@ class DatabaseDesigner:
             kept.sort(key=lambda c: (c.sep_seconds, c.fallback_weight))
             candidates[table] = kept
 
-        # A table with no feasible candidate (impossible: generation includes
-        # the full schema) leaves its pick-one row unsatisfiable, and the solve
-        # raises PlanningError (scipy's ValueError when no table has one).
+        # A table with no feasible candidate (impossible from ``propose``:
+        # generation includes the full schema) fails the search with
+        # PlanningError (``_min_cost_assignment``).
         candidates_scored = sum(len(candidates[t]) for t in tables)
 
         # The rest of the objective: a query's first-table terms join its
@@ -1047,6 +1047,8 @@ def _min_cost_assignment(sizes: List[int], unary: List[float],
     from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import coo_array
 
+    if 0 in sizes:
+        raise PlanningError("designer search: a table has no feasible candidate")
     n, m, groups = len(unary), len(pairs), len(sizes)
     cells = sorted(pairs)
     first, second = np.array(cells, dtype=int).reshape(m, 2).T

@@ -345,16 +345,17 @@ class Executor:
         return self._collect(fragments)
 
     def _collect(self, parts: List[RowSet]) -> RowSet:
-        """Concatenate per-node results, charging one exchange for the
-        remote parts: they all arrive over the initiator's link at once."""
+        """Concatenate per-node results, charging one gather of the remote
+        parts with rows (:meth:`CostModel.gather_seconds`)."""
         initiator = self.provider.initiator()
-        shipped, nbytes = False, 0
-        for participant, part in zip(self._participants, parts):
-            if participant != initiator and part.num_rows:
-                shipped, nbytes = True, nbytes + rowset_bytes(part)
-        if shipped:
-            self.stats.network_bytes += nbytes
-            self.stats.network_seconds += self.cost.network_seconds(nbytes)
+        remote = [
+            rowset_bytes(part)
+            for participant, part in zip(self._participants, parts)
+            if participant != initiator and part.num_rows
+        ]
+        if remote:
+            self.stats.network_bytes += sum(remote)
+            self.stats.network_seconds += self.cost.gather_seconds(remote)
         return RowSet.concat(parts) if parts else RowSet.empty(TableSchema([]))
 
     def _charge_initiator(self, rows: int) -> None:
@@ -500,24 +501,18 @@ class Executor:
         return build, locality
 
     def _broadcast(self, join: JoinNode) -> JoinBuild:
-        """Gather a build side once, ship it to every participant.
-
-        One all-to-all exchange: each participant sends its own fragment to
-        every peer at once, so a node's uplink carries its fragment ``peers``
-        times and its downlink every other fragment once.  The exchange
-        costs one round trip plus the bytes of its busiest link; with no
-        peer, or no rows, nothing is shipped."""
+        """Gather a build side once, ship it to every participant: one
+        all-to-all exchange of the fragments
+        (:meth:`CostModel.broadcast_seconds`); with no peer, or no rows,
+        nothing is shipped."""
         key = id(join.right)
         if key not in self._broadcast_cache:
             fragments = [self._eval_fragment(join.right, p) for p in self._participants]
             peers = len(fragments) - 1
             if peers and any(part.num_rows for part in fragments):
                 sizes = [rowset_bytes(part) for part in fragments]
-                total = sum(sizes)
-                self.stats.network_bytes += total * peers
-                self.stats.network_seconds += self.cost.network_seconds(
-                    max(max(sizes) * peers, total - min(sizes))
-                )
+                self.stats.network_bytes += sum(sizes) * peers
+                self.stats.network_seconds += self.cost.broadcast_seconds(sizes)
             self._broadcast_cache[key] = JoinBuild(RowSet.concat(fragments), join.right_keys)
         return self._broadcast_cache[key]
 

@@ -4,9 +4,9 @@ Charged scan by scan, a fragment's scans would pay one lane makespan each: a
 fragment with six single-file scans would pay six request rounds although
 the scheduler has four lanes.  A storage provider instead *pools* every read
 its scans make per node (:class:`PipelineCharges`) and the executor settles
-the pool once per query with :meth:`SimClock.charge_parallel` — a driver
-that issues the next scan's reads while the current scan is still being
-decoded, so lanes never drain at scan boundaries and the six scans pay
+the pool once per query with :func:`~repro.common.clock.charge_parallel` —
+a driver that issues the next scan's reads while the current scan is still
+being decoded, so lanes never drain at scan boundaries and the six scans pay
 ``ceil(6 / LANES)`` rounds.  A read is one unit whatever it reads from: an
 Eon scan's GETs, peer copies and SELECTs, and its depot hits' local-disk
 reads (one per container, of the blocks it decodes); an Enterprise scan's
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.common.clock import charge_parallel
 from repro.io.scheduler import LANES
 from repro.obs.metrics import Ledger
 
@@ -40,8 +41,7 @@ class PipelineCharges:
     leaves the pool empty.
     """
 
-    def __init__(self, clock):
-        self.clock = clock
+    def __init__(self):
         self.per_node: Dict[str, List[float]] = {}
 
     def add(self, node_name: str, durations: List[float]) -> None:
@@ -51,7 +51,7 @@ class PipelineCharges:
     def settle(self) -> Dict[str, float]:
         pooled, self.per_node = self.per_node, {}
         return {
-            name: self.clock.charge_parallel(pooled[name], LANES)[0]
+            name: charge_parallel(pooled[name], LANES)[0]
             for name in sorted(pooled)
         }
 

@@ -9,7 +9,7 @@ layer does:
 * **lanes** — a scan hands its whole post-pruning file set over at once;
   fetch units are issued in plan order onto :data:`LANES` concurrent
   connections and the batch costs max-over-lanes
-  (:meth:`SimClock.charge_parallel`), not the serial sum;
+  (:func:`~repro.common.clock.charge_parallel`), not the serial sum;
 * **dedup** — a key requested twice in a batch (e.g. a delete vector
   shared by two containers) is fetched once;
 * **coalescing** — runs of small adjacent files are fetched as one larger
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.cache.disk_cache import ObjectInfo
+from repro.common.clock import charge_parallel
 from repro.errors import QueryCancelled
 from repro.obs.metrics import Ledger
 from repro.shared_storage.api import retrying
@@ -341,7 +342,6 @@ class IOScheduler:
         """Plan and fetch the files the depot did not have — from a peer's
         depot where one holds them, else from shared storage — into ``batch``
         and the depot; returns what :data:`_NOTHING_FETCHED` lists."""
-        clock = self.cluster.clock
         shared = self.cluster.shared_data
         get_dollars = self.cluster.shared.cost.get_cost()
         obs = self.cluster.obs
@@ -457,14 +457,12 @@ class IOScheduler:
                     evictions=node.cache.stats.evictions - evictions_before,
                 )
 
-        makespan, lane_totals = clock.charge_parallel(durations, LANES)
+        makespan, lane_totals = charge_parallel(durations, LANES)
         # Background hydration occupies lanes "for free": its makespan is
         # computed for observability but never folded into the scan's
         # io_seconds or the pipeline pool — the pushdown scan it races
         # already carries the critical-path charge.
-        background_makespan, _ = clock.charge_parallel(
-            background_durations, LANES
-        )
+        background_makespan, _ = charge_parallel(background_durations, LANES)
         _book_retries(result, shared.metrics, before)
         self.stats.fetched_files += len(fetched_keys)
         self.stats.fetched_bytes += total_fetched_bytes
@@ -493,7 +491,6 @@ class IOScheduler:
         and the scheduler's pushdown stats, seconds on ``storage_io_seconds``.
         The selects' lane durations go into ``pool``, as in :meth:`fetch_batch`.
         """
-        clock = self.cluster.clock
         shared = self.cluster.shared_data
         obs = self.cluster.obs
         selects: Dict[str, object] = {}
@@ -531,7 +528,7 @@ class IOScheduler:
                     returned=select.bytes_returned,
                     rows=select.rows.num_rows,
                 )
-        makespan, _ = clock.charge_parallel(durations, LANES)
+        makespan, _ = charge_parallel(durations, LANES)
         pool.add(node.name, durations)
         result.io_pooled_seconds += makespan
         _book_retries(result, shared.metrics, before)

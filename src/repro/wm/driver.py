@@ -8,7 +8,7 @@ is the real query path — parse, bind, plan, admission, executor, depot,
 failover — not a service-time abstraction; only the *duration* a query
 occupies its slots comes from the cost model (queries do not advance the
 sim clock while executing), folded through
-:meth:`~repro.common.clock.SimClock.charge_parallel` over the per-node
+:func:`~repro.common.clock.charge_parallel` over the per-node
 busy seconds so a query's slot-holding time reflects its critical path
 across the lanes it was granted.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster import query_path
-from repro.common.clock import SimClock, Timeout
+from repro.common.clock import SimClock, Timeout, charge_parallel
 from repro.errors import AdmissionRejected, ReproError
 from repro.wm.admission import AdmissionTicket
 
@@ -128,7 +128,6 @@ class WorkloadResult:
 
 
 def _hold_seconds(
-    clock: SimClock,
     result,
     ticket: AdmissionTicket,
     workload: ClosedLoopWorkload,
@@ -136,13 +135,13 @@ def _hold_seconds(
     """Simulated seconds the query occupies its slots.
 
     Start from the cost model's latency less the queue wait and the failover
-    backoff, re-derive its parallel portion with :meth:`SimClock.charge_parallel`
+    backoff, re-derive its parallel portion with :func:`charge_parallel`
     (the per-node busy seconds over the lanes this ticket was granted) and
     scale it; the backoff, a pause and not query work, is added unscaled.
     """
     stats = result.stats
     busy = sorted((w.busy_seconds for w in stats.per_node.values()), reverse=True)
-    makespan, _ = clock.charge_parallel(busy, max(1, ticket.total_slots))
+    makespan, _ = charge_parallel(busy, max(1, ticket.total_slots))
     service = (
         stats.latency_seconds
         - stats.queue_wait_seconds
@@ -212,7 +211,7 @@ def run_closed_loop(
                 ticket=ticket,
                 prepared=prepared,
             )
-            hold = _hold_seconds(clock, query_result, ticket, workload)
+            hold = _hold_seconds(query_result, ticket, workload)
             # Hold the slots for the modeled service time: this is what
             # makes later arrivals queue, i.e. the whole experiment.
             yield Timeout(hold)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.clock import AcquireAll, Resource, SimClock, Timeout
+from repro.common.clock import AcquireAll, Resource, SimClock, Timeout, charge_parallel
 
 
 class TestScheduling:
@@ -47,62 +47,49 @@ class TestScheduling:
 
 class TestChargeParallel:
     def test_single_lane_is_serial(self):
-        clock = SimClock()
-        makespan, lanes = clock.charge_parallel([1.0, 2.0, 3.0], lanes=1)
+        makespan, lanes = charge_parallel([1.0, 2.0, 3.0], lanes=1)
         assert makespan == 6.0
         assert lanes == [6.0]
 
     def test_parallel_cost_is_max_over_lanes(self):
-        clock = SimClock()
-        makespan, lanes = clock.charge_parallel([1.0, 1.0, 1.0, 1.0], lanes=4)
+        makespan, lanes = charge_parallel([1.0, 1.0, 1.0, 1.0], lanes=4)
         assert makespan == 1.0
         assert lanes == [1.0, 1.0, 1.0, 1.0]
 
     def test_greedy_earliest_free_lane(self):
-        clock = SimClock()
         # Lane 0 takes 3.0; 1.0 and then 2.0 pack onto lane 1.
-        makespan, lanes = clock.charge_parallel([3.0, 1.0, 2.0], lanes=2)
+        makespan, lanes = charge_parallel([3.0, 1.0, 2.0], lanes=2)
         assert lanes == [3.0, 3.0]
         assert makespan == 3.0
 
     def test_lane_totals_sum_to_serial_cost(self):
-        clock = SimClock()
         durations = [0.5, 1.25, 0.25, 2.0, 0.75, 1.0]
-        makespan, lanes = clock.charge_parallel(durations, lanes=3)
+        makespan, lanes = charge_parallel(durations, lanes=3)
         assert sum(lanes) == pytest.approx(sum(durations))
         assert makespan <= sum(durations)
         assert makespan >= max(durations)
 
     def test_more_lanes_than_durations(self):
-        clock = SimClock()
-        makespan, lanes = clock.charge_parallel([2.0], lanes=8)
+        makespan, lanes = charge_parallel([2.0], lanes=8)
         assert makespan == 2.0
         assert lanes == [2.0]  # lanes are clamped to the work available
 
     def test_empty_batch_is_free(self):
-        clock = SimClock()
-        makespan, lanes = clock.charge_parallel([], lanes=4)
+        makespan, lanes = charge_parallel([], lanes=4)
         assert makespan == 0.0
         assert lanes == [0.0]
 
-    def test_does_not_move_the_clock(self):
-        clock = SimClock()
-        clock.advance(5.0)
-        clock.charge_parallel([10.0, 10.0], lanes=2)
-        assert clock.now == 5.0
-
     def test_deterministic(self):
         durations = [0.031, 0.047, 0.012, 0.9, 0.031, 0.2, 0.044]
-        first = SimClock().charge_parallel(durations, lanes=3)
-        second = SimClock().charge_parallel(durations, lanes=3)
+        first = charge_parallel(durations, lanes=3)
+        second = charge_parallel(durations, lanes=3)
         assert first == second
 
     def test_invalid_inputs_rejected(self):
-        clock = SimClock()
         with pytest.raises(ValueError):
-            clock.charge_parallel([1.0], lanes=0)
+            charge_parallel([1.0], lanes=0)
         with pytest.raises(ValueError):
-            clock.charge_parallel([1.0, -0.5], lanes=2)
+            charge_parallel([1.0, -0.5], lanes=2)
 
     @given(
         durations=st.lists(
@@ -122,7 +109,7 @@ class TestChargeParallel:
             index = min(range(len(lane_free)), key=lambda i: (lane_free[i], i))
             lane_free[index] += duration
         expected = ((max(lane_free) if durations else 0.0), lane_free)
-        assert SimClock().charge_parallel(durations, lanes) == expected
+        assert charge_parallel(durations, lanes) == expected
 
 
 class TestProcesses:

@@ -1,25 +1,37 @@
-"""Cost model and query-stats arithmetic."""
+"""Cost model and query-stats arithmetic, and the differential that holds
+the designer's terms to the executor's charge rules."""
+
+import math
+from dataclasses import replace
 
 import pytest
 
+from repro import EonCluster
+from repro.cluster.session import EonStorageProvider
+from repro.common.clock import charge_parallel
+from repro.engine import cost as cost_module, pipeline
 from repro.engine.cost import (
-    DESIGN_CONTAINER_BYTES,
     CostModel,
-    DesignJoin,
     NodeWork,
-    QueryShape,
     QueryStats,
-    TableLayout,
     choose_scan_strategy,
     estimate_broadcast_seconds,
     estimate_first_table_seconds,
     estimate_pushdown_bytes,
+    estimate_query_cost,
     estimate_scan_cost,
     estimate_selectivity,
 )
-from repro.io.scheduler import LANES
-from repro.shared_storage.posix import MemoryFilesystem
-from repro.shared_storage.s3 import S3CostModel, S3LatencyModel
+from repro.engine.designer import DatabaseDesigner
+from repro.engine.pipeline import PipelineCharges
+from repro.engine.plan import ScanNode, walk
+from repro.shared_storage.s3 import FaultInjector, S3CostModel, S3LatencyModel, SimulatedS3
+from repro.workloads.dashboard import (
+    dashboard_query,
+    load_dashboard_data,
+    setup_dashboard_schema,
+)
+from repro.workloads.tpch import TPCH_QUERIES, load_tpch, setup_tpch_schema
 
 
 class TestCostModel:
@@ -29,137 +41,234 @@ class TestCostModel:
         assert model.network_seconds(1e9) == pytest.approx(1.001)
 
 
-def _latency_share(estimate, node_count: int) -> float:
-    """What ``estimate(node_count, model)`` pays for latency: the
-    difference it makes to raise ``network_latency`` from 0 to 1 ms."""
-    slow = CostModel(network_latency=0.001)
-    free = CostModel(network_latency=0.0)
-    return estimate(node_count, slow) - estimate(node_count, free)
+class TestExchangeRules:
+    def test_a_gather_is_one_exchange_over_the_summed_parts(self):
+        model = CostModel(network_bandwidth=1e9, network_latency=0.001)
+        assert model.gather_seconds([3e8, 2e8]) == model.network_seconds(5e8)
+
+    def test_a_broadcast_is_bounded_by_its_busiest_link(self):
+        model = CostModel(network_bandwidth=1e9, network_latency=0.001)
+        # One big fragment: its sender's uplink carries it to both peers.
+        assert model.broadcast_seconds([6, 1, 1]) == model.network_seconds(12)
+        # Even fragments: a downlink's n - 1 fragments tie the uplink's.
+        assert model.broadcast_seconds([4, 4, 4, 4]) == model.network_seconds(12)
+        # One small fragment: its owner's downlink takes every other one.
+        assert model.broadcast_seconds([5, 5, 1]) == model.network_seconds(10)
 
 
-class TestOneExchangeOneRoundTrip:
-    """The designer's network terms are the executor's charge: a gather or
-    a broadcast reaches every node at once, whatever the cluster's size."""
+# -- one charge rule, two callers ----------------------------------------------
+#
+# The executor charges exchanges and reads through three rules
+# (``CostModel.gather_seconds``, ``CostModel.broadcast_seconds`` and the lane
+# rule ``charge_parallel``); the designer prices its terms by calling the same
+# rules with estimated sizes.  The executor half: wrapped from outside, the
+# rules' outputs add up to what ``QueryStats`` books, to the last bit.  The
+# designer half: a rule shifted by a sentinel moves every term that calls it
+# by exactly that much, so a term that restates the arithmetic instead fails.
 
-    FACT = TableLayout(table="f", columns=("k", "g", "v"), sort_order=("k",),
-                       segmentation_columns=("k",), row_count=100_000,
-                       bytes_per_cell={"k": 8.0, "g": 8.0, "v": 8.0})
-    DIM = TableLayout(table="d", columns=("k", "name"), sort_order=("name",),
-                      segmentation_columns=("name",), row_count=5_000,
-                      bytes_per_cell={"k": 8.0, "name": 12.0})
+#: The differential's workload, ``label -> (session seed, sql)``: the 20
+#: TPC-H queries and the dashboard query.
+RULE_QUERIES = {f"Q{q.number}": (q.number, q.sql) for q in TPCH_QUERIES}
+RULE_QUERIES["dash"] = (0, dashboard_query(recent_after=500))
+LABELS = list(RULE_QUERIES)
+TEMPERATURES = ("cold", "warm", "faulted")
 
-    @pytest.mark.parametrize("node_count", [2, 4, 9])
-    def test_gather_of_partial_aggregates_carries_one_latency(self, node_count):
-        # Grouped on a column the stream is not segmented on: two-phase.
-        shape = QueryShape(tables=("f",), columns={"f": ("g", "v")}, filters={},
-                           group_columns=(("f", "g"),), is_aggregate=True)
-
-        def estimate(nodes, model):
-            return estimate_first_table_seconds(shape, self.FACT, {"f": 100_000},
-                                                nodes, model)
-
-        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
-
-    @pytest.mark.parametrize("node_count", [2, 4, 9])
-    def test_result_ship_carries_one_latency(self, node_count):
-        shape = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={})
-
-        def estimate(nodes, model):
-            return estimate_first_table_seconds(shape, self.FACT, {"f": 100_000},
-                                                nodes, model)
-
-        assert _latency_share(estimate, node_count) == pytest.approx(0.001)
-
-    @pytest.mark.parametrize("node_count", [1, 2, 4, 9])
-    def test_a_gather_ships_only_the_remote_parts(self, node_count):
-        """As ``Executor._collect`` charges it: the initiator's own part, a
-        ``1 / n`` share of the result rows or one node's partials, stays
-        put, and on one node no exchange is made at all."""
-        free = CostModel(network_latency=0.0, row_cpu_seconds=0.0)
-        ship = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={})
-        partial = QueryShape(tables=("f",), columns={"f": ("g", "v")}, filters={},
-                             group_columns=(("f", "g"),), is_aggregate=True)
-        shipped = {}
-        for name, shape in (("rows", ship), ("partials", partial)):
-            shipped[name] = estimate_first_table_seconds(
-                shape, self.FACT, {"f": 100_000}, node_count, free
-            ) * free.network_bandwidth
-            assert _latency_share(
-                lambda nodes, model: estimate_first_table_seconds(
-                    shape, self.FACT, {"f": 100_000}, nodes, model),
-                node_count,
-            ) == pytest.approx(0.001 if node_count > 1 else 0.0)
-        remote = node_count - 1
-        assert shipped["rows"] == pytest.approx(int(100_000 * remote / node_count * 16))
-        assert shipped["partials"] == pytest.approx(4096 * remote * 16)
-
-    @pytest.mark.parametrize("node_count", [1, 2, 4, 9])
-    def test_broadcast_carries_one_latency(self, node_count):
-        """As ``Executor._broadcast`` charges it: one all-to-all exchange
-        whose busiest link, the build side spread evenly over the nodes,
-        carries ``(n - 1) / n`` of its bytes; on one node, no exchange."""
-        join = DesignJoin("d", (("f", "k"),), ("k",))
-        shape = QueryShape(tables=("f", "d"), columns={"f": ("k",), "d": ("k", "name")},
-                           filters={}, joins=(join,))
-
-        def estimate(nodes, model):
-            return estimate_broadcast_seconds(shape, join, self.FACT, self.DIM,
-                                              nodes, model)
-
-        assert _latency_share(estimate, node_count) == pytest.approx(
-            0.001 if node_count > 1 else 0.0)
-        build_bytes = self.DIM.row_count * self.DIM.row_bytes(("k", "name"))
-        assert estimate(node_count, CostModel(network_latency=0.0)) == pytest.approx(
-            int(build_bytes * (node_count - 1) / node_count) / CostModel().network_bandwidth
-        )
+#: Seconds a shifted rule adds: far above any real term.
+SENTINEL = 1000.0
 
 
-class TestScanReadsOverLanes:
-    """The designer's scan term runs its reads as the executor does: one
-    unit per container over the I/O scheduler's lanes, a GET when cold and
-    a local-disk read of the decoded bytes when warm."""
+class RuleTape:
+    """What the executor's charge rules returned during one query, and the
+    pool and scans that fed them."""
 
-    #: CPU priced at zero, so the estimate is its read term alone.
-    NO_CPU = CostModel(row_cpu_seconds=0.0, cell_cpu_seconds=0.0)
+    def __init__(self):
+        self.exchanges = []  # (rule name, seconds), in call order
+        self.settled = []  # (durations, makespan) of the pool's lane rule
+        self.pooled = {}  # node -> the durations list its pool settled
+        self.backoff = {}  # node -> each scan's unpooled io seconds, in order
 
-    @staticmethod
-    def layout(containers: int) -> TableLayout:
-        """A replicated (one-reader) layout of ``containers`` design-sized
-        containers, 16 bytes a row."""
-        return TableLayout(table="f", columns=("k", "v"), sort_order=(),
-                           segmentation_columns=(),
-                           row_count=containers * DESIGN_CONTAINER_BYTES // 16,
-                           bytes_per_cell={"k": 8.0, "v": 8.0})
 
-    def estimate(self, layout: TableLayout, cold_fraction: float) -> float:
-        shape = QueryShape(tables=("f",), columns={"f": ("v",)}, filters={},
-                           cold_fraction=cold_fraction)
-        return estimate_scan_cost(shape, "f", layout, 3, self.NO_CPU).seconds
+@pytest.fixture(scope="module")
+def rule_runs(tpch_data):
+    """Each workload query on a 4-node Eon cluster from cleared depots,
+    then warm, then from cleared depots again with shared storage failing
+    one request in twenty (so scans back off): the cluster, and
+    ``{(label, temperature): (result, tape)}``."""
+    faults = FaultInjector(seed=7)
+    cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=3,
+                         shared_storage=SimulatedS3(faults=faults))
+    setup_tpch_schema(cluster)
+    load_tpch(cluster, tpch_data)
+    setup_dashboard_schema(cluster)
+    load_dashboard_data(cluster, n_events=4000, n_devices=80, n_sites=6)
+    tapes = []
 
-    @pytest.mark.parametrize("containers", [1, 2, 4, 5, 9])
-    def test_cold_gets_pay_their_latency_in_rounds(self, containers):
-        layout, s3 = self.layout(containers), S3LatencyModel()
-        rounds = -(-containers // LANES)
-        assert self.estimate(layout, 1.0) == pytest.approx(
-            rounds * s3.request_seconds + layout.total_bytes() / s3.read_bandwidth)
+    def exchange(name):
+        rule = getattr(CostModel, name)
 
-    @pytest.mark.parametrize("containers", [1, 2, 4, 5, 9])
-    def test_warm_reads_are_one_local_unit_per_container(self, containers):
-        layout = self.layout(containers)
-        rounds = -(-containers // LANES)
-        decoded = layout.row_count * layout.row_bytes(("v",))
-        assert self.estimate(layout, 0.0) == pytest.approx(
-            rounds * MemoryFilesystem.seek_seconds
-            + decoded / MemoryFilesystem.read_bandwidth)
+        def wrapped(model, sizes):
+            seconds = rule(model, sizes)
+            tapes[-1].exchanges.append((name, seconds))
+            return seconds
+        return wrapped
 
-    def test_a_tiny_scan_pays_one_request(self):
-        tiny = TableLayout(table="f", columns=("k", "v"), sort_order=(),
-                           segmentation_columns=(), row_count=1,
-                           bytes_per_cell={"k": 8.0, "v": 8.0})
-        assert self.estimate(tiny, 1.0) == pytest.approx(
-            S3LatencyModel().request_seconds + 16 / S3LatencyModel().read_bandwidth)
-        assert self.estimate(tiny, 0.0) == pytest.approx(
-            MemoryFilesystem.seek_seconds + 8 / MemoryFilesystem.read_bandwidth)
+    def lanes(durations, count):
+        out = charge_parallel(durations, count)
+        tapes[-1].settled.append((durations, out[0]))
+        return out
+
+    def settle(pool, original=PipelineCharges.settle):
+        tapes[-1].pooled.update(pool.per_node)
+        return original(pool)
+
+    def scan(provider, node, *args, original=EonStorageProvider.scan):
+        result = original(provider, node, *args)
+        tapes[-1].backoff.setdefault(node, []).append(result.io_seconds)
+        return result
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CostModel, "gather_seconds", exchange("gather_seconds"))
+        patch.setattr(CostModel, "broadcast_seconds", exchange("broadcast_seconds"))
+        patch.setattr(pipeline, "charge_parallel", lanes)
+        patch.setattr(PipelineCharges, "settle", settle)
+        patch.setattr(EonStorageProvider, "scan", scan)
+        for label, (seed, sql) in RULE_QUERIES.items():
+            for temperature in TEMPERATURES:
+                if temperature != "warm":
+                    for node in cluster.nodes.values():
+                        node.cache.clear()
+                faults.failure_rate = 0.05 if temperature == "faulted" else 0.0
+                tapes.append(RuleTape())
+                runs[label, temperature] = cluster.query(sql, seed=seed), tapes[-1]
+    return cluster, runs
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_the_exchange_rules_add_up_to_network_seconds(rule_runs, label):
+    _, runs = rule_runs
+    for temperature in TEMPERATURES:
+        result, tape = runs[label, temperature]
+        charged = 0.0
+        for _, seconds in tape.exchanges:
+            charged += seconds
+        assert charged == result.stats.network_seconds, temperature
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_the_lane_rule_adds_up_to_each_nodes_io_seconds(rule_runs, label):
+    """A node's ``io_seconds`` is its scans' retry backoff, which no lane
+    holds, then the makespan of its pooled reads."""
+    _, runs = rule_runs
+    for temperature in TEMPERATURES:
+        result, tape = runs[label, temperature]
+        makespans = {}
+        for node, durations in tape.pooled.items():
+            [makespans[node]] = [m for d, m in tape.settled if d is durations]
+        assert set(makespans) <= set(result.stats.per_node), temperature
+        for node, work in result.stats.per_node.items():
+            charged = 0.0
+            for seconds in tape.backoff.get(node, ()):
+                charged += seconds
+            if node in makespans:
+                charged += makespans[node]
+            assert work.io_seconds == charged, (temperature, node)
+
+
+def designer_view(cluster, runs, label):
+    """The designer's shape of the query, its node count, and the layouts
+    of the projections the executor's plan scanned."""
+    designer = DatabaseDesigner.for_cluster(cluster)
+    designer.add_query(RULE_QUERIES[label][1])
+    [shape], _ = designer._build()
+    layouts = {
+        scan.table: designer._layout_of(scan.table, designer.catalog.projection(scan.projection))
+        for scan in walk(runs[label, "cold"][0].plan.root) if isinstance(scan, ScanNode)
+    }
+    return shape, designer._node_count(), layouts
+
+
+def exchange_terms(cluster, runs, label):
+    """The query's designer terms that may charge an exchange, each with
+    the rule it calls: ``(rule name, term(model) -> seconds)``."""
+    shape, nodes, layouts = designer_view(cluster, runs, label)
+    first = layouts[shape.tables[0]]
+    rows = {t: layouts[t].row_count for t in shape.tables}
+    yield "gather_seconds", lambda model: estimate_first_table_seconds(
+        shape, first, rows, nodes, model)
+    for join in shape.joins:
+        yield "broadcast_seconds", lambda model, join=join: estimate_broadcast_seconds(
+            shape, join, first, layouts[join.table], nodes, model)
+
+
+def moved(term, owner, name, shift):
+    """How far ``term()`` moves when ``owner.name`` returns ``shift(out)``."""
+    base = term()
+    with pytest.MonkeyPatch.context() as patch:
+        rule = getattr(owner, name)
+        patch.setattr(owner, name, lambda *args: shift(rule(*args)))
+        return term() - base
+
+
+def network_dependent(term) -> bool:
+    """Whether ``term(model)`` charges an exchange: it moves with latency."""
+    return term(CostModel(network_latency=1.0)) != term(CostModel(network_latency=0.0))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_every_designer_term_calls_the_executors_rule(rule_runs, label):
+    """A scan moves by the sentinel over its parallelism (a whole number of
+    nodes, one when replicated), cold and warm; a first-table or broadcast
+    term by the sentinel exactly when it charges an exchange, else not."""
+    cluster, runs = rule_runs
+    shape, nodes, layouts = designer_view(cluster, runs, label)
+    for cold in (0.0, 1.0):
+        scanned = replace(shape, cold_fraction=cold)
+        for table in shape.tables:
+            shift = moved(
+                lambda: estimate_scan_cost(scanned, table, layouts[table], nodes).seconds,
+                cost_module, "charge_parallel", lambda out: (out[0] + SENTINEL, out[1]),
+            )
+            assert shift > 0, (cold, table)
+            share = SENTINEL / shift
+            assert share == pytest.approx(round(share), rel=1e-6), (cold, table)
+            assert 1 <= round(share) <= (1 if layouts[table].is_replicated else nodes)
+    for rule, term in exchange_terms(cluster, runs, label):
+        shift = moved(lambda: term(CostModel()), CostModel, rule,
+                      lambda seconds: seconds + SENTINEL)
+        assert shift == pytest.approx(SENTINEL if network_dependent(term) else 0.0), rule
+
+
+def test_the_differential_reaches_every_rule(rule_runs):
+    """Not vacuous: the executor gathered and broadcast, some faulted scan
+    backed off, and some designer term of each kind charged an exchange."""
+    cluster, runs = rule_runs
+    assert {name for _, tape in runs.values() for name, _ in tape.exchanges} == {
+        "gather_seconds", "broadcast_seconds"}
+    assert any(sum(sum(b) for b in tape.backoff.values()) > 0 for _, tape in runs.values())
+    assert {
+        rule for label in LABELS for rule, term in exchange_terms(cluster, runs, label)
+        if network_dependent(term)
+    } == {"gather_seconds", "broadcast_seconds"}
+
+
+def test_the_designers_estimate_against_the_executor(rule_runs):
+    """Per TPC-H query, the designer's estimate from its own estimated
+    sizes against the executor's sim seconds, cold and warm (print with
+    ``-s``).  Both sides charge through the same rules, so what separates
+    them is the sizes the designer guesses and the work it leaves out."""
+    cluster, runs = rule_runs
+    print(f"\n{'query':<6}" + f"{'est ms':>9}{'sim ms':>9}{'ratio':>7}  " * 2 + "(cold, warm)")
+    for label in LABELS[:-1]:
+        shape, nodes, layouts = designer_view(cluster, runs, label)
+        line = f"{label:<6}"
+        for temperature, cold in (("cold", 1.0), ("warm", 0.0)):
+            estimate = estimate_query_cost(replace(shape, cold_fraction=cold), layouts,
+                                           nodes).seconds
+            sim = runs[label, temperature][0].stats.latency_seconds
+            assert 0 < estimate < math.inf and 0 < sim < math.inf, (label, temperature)
+            line += f"{estimate * 1e3:>9.3f}{sim * 1e3:>9.3f}{estimate / sim:>7.2f}  "
+        print(line)
 
 
 class TestQueryStats:

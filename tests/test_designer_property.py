@@ -362,15 +362,18 @@ def test_search_is_the_brute_force_optimum(drawn):
     assert chosen == min(optima)
 
 
-def test_a_table_with_no_feasible_candidate_fails_the_solve():
+@pytest.mark.parametrize("tables", [("t0", "t1"), ("t1",)], ids=["two_tables", "one_table"])
+def test_a_table_with_no_feasible_candidate_fails_the_solve(tables):
     # Every candidate of t1 is too narrow for the query's scan: scoring
-    # drops them all, t1's pick-one row cannot hold, and the solve fails.
+    # drops them all, t1's pick-one row cannot hold, and the solve fails;
+    # alone, t1 leaves the search no candidate at all.
     designer = DatabaseDesigner(exact_catalog(), row_counts={"t0": 40, "t1": 40})
     designer._rival_layouts = lambda table: []
-    designer._stats_cache = {"t0": _TableStats(), "t1": _TableStats()}
-    shapes = [QueryShape(tables=("t0", "t1"), columns={"t0": ("k",), "t1": ("k", "a")},
-                         filters={}, joins=(DesignJoin("t1", (("t0", "k"),), ("k",)),))]
+    designer._stats_cache = {t: _TableStats() for t in tables}
+    joins = (DesignJoin("t1", (("t0", "k"),), ("k",)),) if "t0" in tables else ()
+    shapes = [QueryShape(tables=tables, columns={"t0": ("k",), "t1": ("k", "a")},
+                         filters={}, joins=joins)]
     candidates = {"t0": [candidate("t0", 40, EXACT_COLUMNS, "k", "k")],
                   "t1": [candidate("t1", 40, "k", "k", "k")]}
     with pytest.raises(PlanningError, match="designer search"):
-        designer._search(shapes, candidates)
+        designer._search(shapes, {t: candidates[t] for t in tables})

@@ -25,6 +25,7 @@ import pytest
 
 from repro import EonCluster
 from repro.cluster import session
+from repro.common.clock import charge_parallel
 from repro.engine.pipeline import PipelineCharges
 from repro.engine.plan import ScanNode, walk
 from repro.errors import QueryCancelled
@@ -386,7 +387,7 @@ class TestEngineObservability:
         per_node = {}
         for node, units in scans:
             per_node.setdefault(node, []).extend(units)
-        settled = {node: cluster.clock.charge_parallel(units, LANES)[0]
+        settled = {node: charge_parallel(units, LANES)[0]
                    for node, units in per_node.items()}
         assert {node: result.stats.node(node).io_seconds for node in per_node} == settled
         assert pipeline.duration == pytest.approx(sum(settled.values()))

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import EonCluster
+from repro.common.clock import charge_parallel
 from repro.engine.executor import ScanResult
 from repro.engine.pipeline import PipelineCharges
 from repro.io import scheduler as io_scheduler
@@ -74,7 +75,7 @@ class PerScanCharging(IOScheduler):
 
     @contextmanager
     def _per_scan(self, node, result):
-        own, pooled = PipelineCharges(self.cluster.clock), result.io_pooled_seconds
+        own, pooled = PipelineCharges(), result.io_pooled_seconds
         yield own
         result.io_pooled_seconds = pooled
         result.io_seconds += own.settle().get(node.name, 0.0)
@@ -89,7 +90,7 @@ class PerScanPool(PipelineCharges):
 
     def add(self, node_name, durations):
         if durations:
-            makespan = self.clock.charge_parallel(durations, io_scheduler.LANES)[0]
+            makespan = charge_parallel(durations, io_scheduler.LANES)[0]
             self.per_node.setdefault(node_name, []).append(makespan)
 
     def settle(self):
@@ -227,7 +228,7 @@ class TestBatchFetch:
         result = scan_result()
         batch = cluster.io_scheduler.fetch_batch(
             node, requests, use_cache=True, result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         # subscribers_per_shard=2: every container n1 lacks is depot-resident
         # on some peer, so the whole batch moves at network latency.
@@ -252,7 +253,7 @@ class TestBatchFetch:
         result = scan_result()
         cluster.io_scheduler.fetch_batch(
             node, container_requests(cluster), use_cache=True, result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         assert result.peer_fetches == 0
         assert cluster.shared.metrics.get_requests > before
@@ -265,7 +266,7 @@ class TestBatchFetch:
         result = scan_result()
         batch = cluster.io_scheduler.fetch_batch(
             node, container_requests(cluster), use_cache=True, result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         # Everything past the first fetched container arrived early.
         assert batch.prefetched
@@ -297,7 +298,7 @@ class TestBatchFetch:
         result = scan_result()
         cluster.io_scheduler.fetch_batch(
             node, container_requests(cluster), use_cache=False, result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         assert node.cache.stats.insertions == insertions_before
         assert node.cache.file_count == 0
@@ -444,7 +445,7 @@ class TestObsCounters:
             container_requests(cluster),
             use_cache=True,
             result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         # Events are counted once, in their ledgers; the registry keeps the
         # lane-occupancy reading no ledger holds.

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ColumnType, EnterpriseCluster
-from repro.common.clock import SimClock
+from repro.common.clock import charge_parallel
 from repro.cluster.enterprise import EnterpriseStorageProvider
 from repro.cluster.session import EonStorageProvider
 from repro.io.scheduler import LANES, IOScheduler
@@ -295,7 +295,7 @@ class TestAWarmScanOverlapsItsLocalReads:
     def assert_overlapped(units: dict, settled: dict) -> None:
         assert max(map(len, units.values())) > 1
         for node, node_units in units.items():
-            assert settled.get(node, 0.0) == SimClock().charge_parallel(node_units, LANES)[0]
+            assert settled.get(node, 0.0) == charge_parallel(node_units, LANES)[0]
             if len(node_units) > 1:
                 assert settled[node] < sum(node_units)
 

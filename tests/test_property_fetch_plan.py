@@ -135,7 +135,7 @@ class TestBatchSerialParity:
         )
         batch = cluster.io_scheduler.fetch_batch(
             node, requests, use_cache=True, result=result,
-            pool=PipelineCharges(cluster.clock),
+            pool=PipelineCharges(),
         )
         assert batch.data == expected
         assert result.bytes_from_shared == sum(sizes)

@@ -19,7 +19,6 @@ from repro.errors import AdmissionRejected, QueryCancelled, ReproError, StorageU
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
 from repro.wm import AdmissionController, GENERAL_POOL, PoolConfig
-from repro.common.clock import SimClock
 from repro.wm.driver import (
     BACKOFF_SECONDS,
     FAILOVER,
@@ -574,7 +573,7 @@ class TestClosedLoopInputs:
             )
             ticket = SimpleNamespace(total_slots=lanes)
             workload = ClosedLoopWorkload(statements=(SQL,), requests_per_client=1, **options)
-            return _hold_seconds(SimClock(), SimpleNamespace(stats=stats), ticket, workload)
+            return _hold_seconds(SimpleNamespace(stats=stats), ticket, workload)
 
         assert hold(4) == pytest.approx(0.5 + 3.0)
         assert hold(1) == pytest.approx(0.5 + 6.0)
