@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc knobs sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work design-picks obs-demo
+.PHONY: default test test-fast lint loc knobs reach sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work design-picks obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -40,6 +40,14 @@ loc:
 # nothing there names; the options-dataclass fields nothing there sets.
 knobs:
 	@$(PY) tests/test_public_surface.py
+
+# The reach census: runs every program (the four e2e workloads traced and
+# untraced, the campaigns, the sim, the examples, the legacy benches) under a
+# profile hook and rewrites REACH.json, one entry per src/ function none of
+# them enters, each keeping its committed reason; exit 1 while one has none.
+# About ten minutes, not tier-1; takes no arguments.
+reach:
+	python3 benchmarks/reach.py
 
 # Campaign confidence check: every `run_campaign` wall (the `campaign`
 # marker) — the 25-seed base corpus plus the boosted generator profiles.

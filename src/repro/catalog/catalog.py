@@ -41,12 +41,6 @@ class CatalogSnapshot:
             self._released = True
             self._catalog._unpin(self.version)
 
-    def __enter__(self) -> "CatalogSnapshot":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
 
 class Catalog:
     """Node-local catalog instance."""

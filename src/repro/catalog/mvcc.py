@@ -341,9 +341,6 @@ class CatalogState:
 
     # -- application ------------------------------------------------------------
 
-    def apply(self, op: Op) -> List[str]:
-        return self.apply_all([op])
-
     def apply_all(
         self,
         ops: Sequence[Op],

@@ -80,9 +80,6 @@ class Projection:
                     f"segmentation columns {missing} not in projection columns"
                 )
 
-    def schema(self, table_schema: TableSchema) -> TableSchema:
-        return table_schema.subset(self.columns)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

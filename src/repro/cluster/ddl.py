@@ -175,10 +175,6 @@ def drop_projections(cluster, names: Sequence[str]) -> int:
     return cluster.commit(txn)
 
 
-def drop_projection(cluster, name: str) -> int:
-    return cluster.drop_projections([name])
-
-
 def create_live_aggregate(
     cluster,
     name: str,

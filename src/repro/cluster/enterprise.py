@@ -254,9 +254,6 @@ class EnterpriseCluster:
                     to_drop.append(buddy.name)
         return self._commit([op_drop_projection(n) for n in to_drop])
 
-    def drop_projection(self, name: str) -> int:
-        return self.drop_projections([name])
-
     # -- load: the shared write path, Enterprise's placement ------------------------
 
     def load(self, table_name: str, rows, direct: Optional[bool] = None):

@@ -35,6 +35,7 @@ from repro.engine.executor import QueryResult, check_query_options
 from repro.engine.pipeline import EngineStats
 from repro.errors import (
     ClusterError,
+    ExecutionError,
     NodeDown,
     QuorumLost,
     ShardCoverageLost,
@@ -353,7 +354,6 @@ class EonCluster:
     create_table = ddl.create_table
     create_projection = ddl.create_projection
     drop_projections = ddl.drop_projections
-    drop_projection = ddl.drop_projection
     create_live_aggregate = ddl.create_live_aggregate
     create_user = ddl.create_user
     add_column = ddl.add_column
@@ -390,6 +390,8 @@ class EonCluster:
         ``crunch`` ("hash" or "container") with ``nodes_per_shard`` > 1
         spreads each shard over several nodes (section 4.4).
         """
+        if crunch not in (None, "hash", "container"):
+            raise ExecutionError(f"crunch must be hash|container, got {crunch!r}")
         if self.shut_down:
             raise ClusterError("cluster is shut down")
         if seed is None:
@@ -468,41 +470,9 @@ class EonCluster:
     ) -> QueryResult:
         """One SELECT through the shared query path (``query_path.run``)."""
         check_query_options(session_options, QUERY_OPTIONS)
-        if session is None and session_options.get("crunch") == "auto":
-            session_options["crunch"] = self._choose_crunch_mode(
-                statement, **session_options
-            )
         return query_path.run(
             self, statement, session, request_text, failover, options=session_options
         )
-
-    def _choose_crunch_mode(self, statement, **session_options) -> str:
-        """Cost-based crunch mode choice (section 4.4: "a likely candidate
-        for using Vertica's cost-based optimizer").
-
-        Container split reads each byte once but destroys the segmentation
-        property; hash-filter split re-reads but preserves it.  So: if the
-        plan profits from co-location (a local join with a segmented build
-        side, or a one-phase aggregate), pick hash-filter; otherwise pick
-        container split for its lower I/O.
-        """
-        from repro.engine.plan import AggregateNode, JoinNode, ScanNode, walk
-
-        # The probe session is laid out without the options being decided.
-        for name in ("crunch", "nodes_per_shard", "pushdown"):
-            session_options.pop(name, None)
-        with self.create_session(**session_options) as probe:
-            plan = query_path.prepare(statement, probe).plan
-        if plan is None:
-            return "container"  # a monitor read: one node, nothing to split
-        for node in walk(plan.root):
-            if isinstance(node, JoinNode) and node.locality == "local":
-                if not (isinstance(node.right, ScanNode) and node.right.replicated):
-                    return "hash"
-            if isinstance(node, AggregateNode) and node.strategy == "one_phase":
-                if not plan.single_node:
-                    return "hash"
-        return "container"
 
     # -- writer selection for loads -------------------------------------------------------------
 

@@ -178,13 +178,6 @@ class Filesystem(abc.ABC):
         """Existence check via the list API (never HEAD — see module doc)."""
         return name in self.list(prefix=name)
 
-    #: True while the backend is in a sustained outage window (every
-    #: request raises :class:`~repro.errors.StorageUnavailable`).  Plain
-    #: backends never are; fault-injecting backends override this, and
-    #: decorators delegate it, so callers can probe reachability out of
-    #: band without spending a request.
-    outage_active = False
-
     # -- cost estimation (used by the engine's cost model) ---------------------
 
     def estimate_read_seconds(self, nbytes: int) -> float:
@@ -222,11 +215,12 @@ def retrying(operation: Callable[[], T], metrics: StorageMetrics | None = None) 
 
 
 class RetryingFilesystem(Filesystem):
-    """Decorator applying the retry loop to every operation of a backend.
+    """Decorator applying the retry loop to the UDFS operations of a backend.
 
     Catalog sync, cluster_info writes, and revive downloads run through
     this wrapper so transient S3 failures cannot break the durability
-    pipeline (section 5.3's "properly balanced retry loop").
+    pipeline (section 5.3's "properly balanced retry loop").  It wraps a
+    node's metadata area only, so it offers none of S3's data-path calls.
     """
 
     def __init__(self, base: Filesystem):
@@ -252,33 +246,14 @@ class RetryingFilesystem(Filesystem):
     def size(self, name: str) -> int:
         return self._retry(lambda: self._base.size(name))
 
-    @property
-    def outage_active(self) -> bool:
-        return self._base.outage_active
-
-    def read_coalesced(self, names: List[str]) -> Dict[str, bytes]:
-        return self._retry(lambda: self._base.read_coalesced(names))
-
-    def select_scan(self, name: str, columns=None, predicate=None):
-        return self._retry(lambda: self._base.select_scan(name, columns, predicate))
-
-    def estimate_read_seconds(self, nbytes: int) -> float:
-        return self._base.estimate_read_seconds(nbytes)
-
-    def estimate_write_seconds(self, nbytes: int) -> float:
-        return self._base.estimate_write_seconds(nbytes)
-
-    def estimate_select_seconds(self, scanned_bytes: int, returned_bytes: int) -> float:
-        return self._base.estimate_select_seconds(scanned_bytes, returned_bytes)
 
 
 class PrefixView(Filesystem):
     """A namespaced view over another filesystem.
 
     Used to give each database (and each incarnation) its own region of the
-    shared-storage namespace without copying data.  Like
-    :class:`RetryingFilesystem` it wraps the shared store, so it passes S3's
-    coalesced GET and server-side select through as well.
+    shared-storage namespace without copying data.  The data area is one,
+    so it passes S3's coalesced GET and server-side select through.
     """
 
     def __init__(self, base: Filesystem, prefix: str):
@@ -305,10 +280,6 @@ class PrefixView(Filesystem):
 
     def size(self, name: str) -> int:
         return self._base.size(self._full(name))
-
-    @property
-    def outage_active(self) -> bool:
-        return self._base.outage_active
 
     def read_coalesced(self, names: List[str]) -> Dict[str, bytes]:
         plen = len(self._prefix)

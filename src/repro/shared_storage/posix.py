@@ -60,11 +60,3 @@ class MemoryFilesystem(Filesystem):
 
     def estimate_write_seconds(self, nbytes: int) -> float:
         return self.seek_seconds + nbytes / self.write_bandwidth
-
-    @property
-    def object_count(self) -> int:
-        return len(self._objects)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(len(v) for v in self._objects.values())

@@ -456,6 +456,8 @@ class SimulatedS3(Filesystem):
 
     @property
     def outage_active(self) -> bool:
+        """True while an outage window is open (every request raises
+        StorageUnavailable): a probe that spends no request."""
         return self.faults.outage_active
 
     @property

@@ -225,18 +225,6 @@ class ColumnReader:
         self.layout = layout or ColumnLayout.parse(self._data)
         self.ctype, self.row_count, self.blocks = self.layout
 
-    # -- statistics ----------------------------------------------------------
-
-    @property
-    def min_value(self) -> object:
-        mins = [b.min_value for b in self.blocks if b.min_value is not None]
-        return min(mins) if mins else None
-
-    @property
-    def max_value(self) -> object:
-        maxs = [b.max_value for b in self.blocks if b.max_value is not None]
-        return max(maxs) if maxs else None
-
     # -- reads ---------------------------------------------------------------
 
     def read_block(self, index: int, view: bool = False) -> Held:

@@ -393,9 +393,6 @@ class ContainerReader:
         except TypeError as exc:
             raise CorruptBlock(f"damaged container footer: a length: {exc!r}") from None
 
-    def schema(self) -> TableSchema:
-        return self._schema_of(self.column_order)
-
     def _schema_of(self, names: Sequence[str]) -> TableSchema:
         """Schema of just the named columns: a read takes a few columns of
         a wide container."""

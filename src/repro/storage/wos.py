@@ -74,6 +74,3 @@ class WOS:
         if rows is not None:
             self._buffers.pop(projection, None)
         return rows
-
-    def clear(self) -> None:
-        self._buffers.clear()

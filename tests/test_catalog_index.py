@@ -180,9 +180,9 @@ class TestIndexLifetime:
         sids = SidFactory(random.Random(7))
         state = CatalogState()
         first, second = container(sids), container(sids)
-        state.apply(op_add_container(first))
+        state.apply_all([op_add_container(first)])
         assert state.containers_of("t_p", 0) == [first]
-        state.apply(op_add_container(second))
+        state.apply_all([op_add_container(second)])
         assert state.containers_of("t_p", 0) == [first, second]
         assert state.delete_vectors_for(str(first.sid)) == []
         state.apply_all([op_add_delete_vector(delete_vector(sids, first)),

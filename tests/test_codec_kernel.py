@@ -880,7 +880,6 @@ def read_column_or_is_corrupt(image: bytes) -> Optional[np.ndarray]:
     try:
         reader = ColumnReader(image)
         values = reader.read_all()
-        reader.min_value, reader.max_value
         lo = {"O": "b", "f": 0.5}.get(values.dtype.kind, 3)
         reader.block_mask(lo, lo)
         if reader.row_count:

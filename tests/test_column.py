@@ -33,8 +33,8 @@ class TestColumnFile:
     def test_block_min_max(self, int_reader):
         assert int_reader.blocks[3].min_value == 3_000
         assert int_reader.blocks[3].max_value == 3_999
-        assert int_reader.min_value == 0
-        assert int_reader.max_value == 9_999
+        assert int_reader.blocks[0].min_value == 0
+        assert int_reader.blocks[-1].max_value == 9_999
 
     def test_read_single_block(self, int_reader):
         assert list(int_reader.read_block(2)) == list(range(2_000, 3_000))
@@ -114,5 +114,5 @@ class TestColumnFile:
     def test_float_column_minmax_json_safe(self):
         values = np.array([1.5, -2.5, 0.0])
         reader = ColumnReader(ColumnFile.write(values, ColumnType.FLOAT, DEFAULT_BLOCK_ROWS)[0])
-        assert reader.min_value == -2.5
-        assert reader.max_value == 1.5
+        assert reader.blocks[0].min_value == -2.5
+        assert reader.blocks[0].max_value == 1.5

@@ -366,7 +366,7 @@ class TestReapByDelta:
         noted: List[str] = []
         original = cluster.reaper.note_drop
         cluster.reaper.note_drop = lambda sid, v: (noted.append(sid), original(sid, v))
-        cluster.drop_projection("t_p2")
+        cluster.drop_projections(["t_p2"])
         assert dvs <= set(noted)
         for node in cluster.up_nodes():
             assert not dvs & set(node.catalog.state.delete_vectors)
@@ -594,13 +594,13 @@ def rich_state() -> Tuple[CatalogState, SidFactory]:
         op_set_property("k", "v"),
         op_set_subscription("n1", 0, "ACTIVE"),
     ]:
-        state.apply(op)
+        state.apply_all([op])
     for projection in ("t_p", "t_q"):
         c = fake_container(sids.next_sid(), projection, 0)
-        state.apply(op_add_container(c))
-        state.apply(op_add_delete_vector(DeleteVector(
+        state.apply_all([op_add_container(c)])
+        state.apply_all([op_add_delete_vector(DeleteVector(
             sid=sids.next_sid(), target_sid=c.sid, projection=projection,
-            shard_id=0, deleted_count=1, size_bytes=8)))
+            shard_id=0, deleted_count=1, size_bytes=8))])
     return state, sids
 
 
@@ -639,7 +639,7 @@ class TestNarrowerCopy:
         op = one_op_of_each_kind(state, sids)[kind]
         before = reference_checkpoint_payload(state)
         successor = state.copy([op])
-        successor.apply(op)
+        successor.apply_all([op])
         assert reference_checkpoint_payload(state) == before
         assert reference_checkpoint_payload(successor) != before
         written = set(mvcc._HANDLERS[kind][1])
@@ -647,7 +647,7 @@ class TestNarrowerCopy:
             shared = getattr(successor, name) is getattr(state, name)
             assert shared == (name not in written), name
         full = state.copy()
-        full.apply(op)
+        full.apply_all([op])
         assert reference_checkpoint_payload(full) == reference_checkpoint_payload(successor)
 
     def test_a_copy_commit_copies_only_containers(self):
@@ -662,7 +662,7 @@ class TestNarrowerCopy:
         with pytest.raises(CatalogError):
             state.copy([{"op": "no_such_op"}])
         with pytest.raises(CatalogError):
-            state.apply({"op": "no_such_op"})
+            state.apply_all([{"op": "no_such_op"}])
 
     def test_pinned_snapshot_survives_commits_on_a_live_catalog(self):
         catalog = Catalog(MemoryFilesystem())
@@ -718,23 +718,23 @@ class TestRemovedNames:
         containers = {c.projection: sid for sid, c in state.containers.items()}
         dvs = {d.projection: sid for sid, d in state.delete_vectors.items()}
         s = state.copy()
-        assert s.apply(op_drop_container(containers["t_p"], 0)) == [containers["t_p"], dvs["t_p"]]
+        assert s.apply_all([op_drop_container(containers["t_p"], 0)]) == [containers["t_p"], dvs["t_p"]]
         s = state.copy()
-        assert sorted(s.apply(op_drop_projection("t_q"))) == sorted([containers["t_q"], dvs["t_q"]])
+        assert sorted(s.apply_all([op_drop_projection("t_q")])) == sorted([containers["t_q"], dvs["t_q"]])
         assert set(s.delete_vectors) == {dvs["t_p"]}
         s = state.copy()
-        assert sorted(s.apply(op_drop_table("t"))) == sorted(
+        assert sorted(s.apply_all([op_drop_table("t")])) == sorted(
             list(containers.values()) + list(dvs.values()))
         assert not s.containers and not s.delete_vectors and not s.live_aggs
         s = state.copy()
         for kind, op in one_op_of_each_kind(state, sids).items():
             if not kind.startswith("drop_") or kind == "drop_subscription":
-                assert s.apply(op) == [], kind
+                assert s.apply_all([op]) == [], kind
 
     def test_apply_all_skips_filtered_shards_and_reports_the_rest(self):
         state, sids = rich_state()
         other = fake_container(sids.next_sid(), "t_p", 3)
-        state.apply(op_add_container(other))
+        state.apply_all([op_add_container(other)])
         mine = next(sid for sid, c in state.containers.items() if c.shard_id == 0)
         its_dv = next(sid for sid, d in state.delete_vectors.items() if str(d.target_sid) == mine)
         removed = state.copy().apply_all(

@@ -111,8 +111,7 @@ class TestContainerCodec:
 
     def test_schema_reconstruction(self):
         reader = read_container(write_container(make_rows(2))[0])
-        schema = reader.schema()
-        assert schema.column("v").ctype is ColumnType.FLOAT
+        assert reader.read_rowset(["v"]).schema.column("v").ctype is ColumnType.FLOAT
 
     def test_projected_read_schema(self):
         reader = read_container(write_container(make_rows(5))[0])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import EonCluster, Segmentation
+from repro.errors import ExecutionError
 from repro.sql.parser import parse
 
 
@@ -106,3 +107,16 @@ class TestSegmentationProperty:
         session = cluster.create_session(seed=3)
         with session:
             assert all(len(nodes) == 1 for nodes in session.sharing.values())
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", ["auto", "bogus"])
+    def test_an_unknown_mode_is_refused_typed(self, cluster, mode):
+        """Only hash and container split a shard; any other mode would let
+        every sharing node read the whole shard and count each row twice."""
+        with pytest.raises(ExecutionError):
+            cluster.query("select count(*) from t", crunch=mode, nodes_per_shard=2)
+        with pytest.raises(ExecutionError):
+            cluster.create_session(crunch=mode, nodes_per_shard=2)
+        assert cluster.query("select count(*) from t", crunch="hash", nodes_per_shard=2) \
+            .rows.to_pylist() == [(2000,)]

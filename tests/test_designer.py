@@ -300,7 +300,7 @@ class TestDropProjections:
         )
         state = cluster.any_up_node().catalog.state
         assert "fact_extra" in state.projections
-        cluster.drop_projection("fact_extra")
+        cluster.drop_projections(["fact_extra"])
         state = cluster.any_up_node().catalog.state
         assert "fact_extra" not in state.projections
         assert not state.containers_of("fact_extra")

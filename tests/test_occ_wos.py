@@ -101,8 +101,9 @@ class TestWOS:
         wos.insert("p", rows(1))
         wos.insert("q", rows(1))
         assert sorted(wos.projections()) == ["p", "q"]
-        wos.clear()
-        assert wos.total_rows == 0
+        for projection in wos.projections():
+            wos.drain(projection)
+        assert wos.total_rows == 0 and wos.projections() == []
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -109,37 +109,3 @@ class TestMovePartition:
         cluster.reaper.poll()
         assert cluster.query("select count(*) from archive").rows.to_pylist() == [(100,)]
 
-
-class TestAutoCrunch:
-    def test_auto_prefers_hash_for_local_plans(self):
-        c = EonCluster([f"n{i}" for i in range(6)], shard_count=3, seed=4)
-        c.execute("create table t (k int, g int, v float)")
-        c.load("t", [(i, i % 5, float(i)) for i in range(1000)])
-        # group by the segmentation column -> one-phase -> hash chosen.
-        result = c.query(
-            "select k, sum(v) from t group by k order by k limit 3",
-            crunch="auto", nodes_per_shard=2,
-        )
-        assert result.rows.num_rows == 3
-
-    def test_auto_prefers_container_for_scan_heavy_plans(self):
-        c = EonCluster([f"n{i}" for i in range(6)], shard_count=3, seed=4)
-        c.execute("create table t (k int, g int, v float)")
-        c.load("t", [(i, i % 5, float(i)) for i in range(1000)])
-        mode = c._choose_crunch_mode(
-            __import__("repro.sql.parser", fromlist=["parse"]).parse(
-                "select g, sum(v) from t group by g"
-            )[0]
-        )
-        assert mode == "container"  # two-phase aggregate: no locality to keep
-
-    def test_auto_mode_correctness(self):
-        c = EonCluster([f"n{i}" for i in range(6)], shard_count=3, seed=4)
-        c.execute("create table t (k int, g int, v float)")
-        c.load("t", [(i, i % 5, float(i)) for i in range(1000)])
-        base = c.query("select g, sum(v) s from t group by g order by g")
-        auto = c.query(
-            "select g, sum(v) s from t group by g order by g",
-            crunch="auto", nodes_per_shard=2,
-        )
-        assert auto.rows.to_pylist() == base.rows.to_pylist()

@@ -31,19 +31,19 @@ def catalog() -> CatalogState:
         ("d_id", ColumnType.INT), ("label", ColumnType.VARCHAR)))
     small = Table("small", TableSchema.of(
         ("s_id", ColumnType.INT), ("s_name", ColumnType.VARCHAR)))
-    state.apply(op_create_table(fact))
-    state.apply(op_create_table(dim))
-    state.apply(op_create_table(small))
-    state.apply(op_create_projection(Projection(
+    state.apply_all([op_create_table(fact)])
+    state.apply_all([op_create_table(dim)])
+    state.apply_all([op_create_table(small)])
+    state.apply_all([op_create_projection(Projection(
         "fact_p", "fact", ("fk", "dim_id", "v"), ("fk",),
-        Segmentation.by_hash("dim_id"))))
-    state.apply(op_create_projection(Projection(
-        "fact_narrow", "fact", ("fk", "v"), ("fk",), Segmentation.by_hash("fk"))))
-    state.apply(op_create_projection(Projection(
-        "dim_p", "dim", ("d_id", "label"), ("d_id",), Segmentation.by_hash("d_id"))))
-    state.apply(op_create_projection(Projection(
+        Segmentation.by_hash("dim_id")))])
+    state.apply_all([op_create_projection(Projection(
+        "fact_narrow", "fact", ("fk", "v"), ("fk",), Segmentation.by_hash("fk")))])
+    state.apply_all([op_create_projection(Projection(
+        "dim_p", "dim", ("d_id", "label"), ("d_id",), Segmentation.by_hash("d_id")))])
+    state.apply_all([op_create_projection(Projection(
         "small_p", "small", ("s_id", "s_name"), ("s_id",),
-        Segmentation.replicated())))
+        Segmentation.replicated()))])
     return state
 
 
@@ -155,7 +155,7 @@ class TestAggregationStrategy:
 class TestLiveAggregateRewrite:
     def _state_with_lap(self):
         state = catalog()
-        state.apply(op_create_live_agg(LiveAggregateProjection(
+        state.apply_all([op_create_live_agg(LiveAggregateProjection(
             name="fact_lap",
             anchor_table="fact",
             group_by=("dim_id",),
@@ -164,7 +164,7 @@ class TestLiveAggregateRewrite:
                 LapAgg("count", None, "n"),
             ),
             segmentation=Segmentation.by_hash("dim_id"),
-        )))
+        ))])
         return state
 
     def test_matching_query_uses_lap(self):

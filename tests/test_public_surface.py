@@ -7,10 +7,13 @@ container, the registry instruments written anywhere are listed by name, only
 ``catalog/`` writes catalog state, only the subscription modules read a
 subscription map, no module grows past ~600 lines, four callers apply a commit
 to a catalog, a node's catalog catches up in one place, no class in ``src/``
-keeps a reference-arm switch, every option, function and options field has a
-caller, every catalog op kind has a producer, no benchmark module shadows the
-standard library, the autoscaler is a leaf that two modules import, and
-importing the package loads no scipy (only the designer's search does).
+keeps a reference-arm switch, every option and options field has a caller or
+a reason here, every function a caller or a reason in ``REACH.json`` (whose
+entries name functions that exist, each with a reason from a fixed set, and
+only fall in number), every catalog op kind has a producer, no benchmark
+module shadows the standard library, the autoscaler is a leaf that two
+modules import, and importing the package loads no scipy (only the
+designer's search does).
 
 ``python tests/test_public_surface.py`` (``make knobs``) prints the three
 censuses: the defaulted parameters, the functions and the options-dataclass
@@ -19,8 +22,10 @@ fields that nothing outside the tests passes, calls or sets."""
 import ast
 import functools
 import inspect
+import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -66,8 +71,8 @@ class TestConstructorArguments:
             "any_up_node", "begin", "check_viability", "commit",
             "compute_truncation_version", "create_live_aggregate",
             "create_projection", "create_session", "create_table", "create_user",
-            "define_subcluster", "drop_partition", "drop_projection",
-            "drop_projections", "enable_observability", "execute",
+            "define_subcluster", "drop_partition", "drop_projections",
+            "enable_observability", "execute",
             "graceful_shutdown", "kill_node", "load", "move_partition",
             "query", "query_statement", "rebalance_subscriptions",
             "recover_node", "references", "refresh_degraded", "refresh_flattened",
@@ -508,17 +513,20 @@ SETTABLE = {
     ("workloads/dashboard.py", "load_dashboard_data", "n_devices"): _OPERAND,
 }
 
-#: What the callable census leaves: a mechanism of the paper that nothing
-#: in the program drives yet, each with its section.  Anything else that
-#: only the tests call moves into the tests.
-UNCALLED = {
-    ("cluster/enterprise.py", "EnterpriseCluster.mergeout"):
-        "§6.2: Enterprise mode's per-node mergeout, the baseline that Eon's"
-        " coordinated mergeout replaces; the Enterprise write fingerprint pins it",
-    ("cluster/revive.py", "form_cluster"):
-        "§3.5: cluster formation after a crash mid-commit, truncating every"
-        " node to the consensus version",
-}
+#: ``REACH.json``'s entry count when ``make reach`` last wrote it.  A
+#: function no program enters leaves ``src/`` or keeps its entry and its
+#: reason, so the count may only fall.
+REACH_ENTRIES = 187
+
+
+@functools.lru_cache(maxsize=None)
+def reach():
+    """The names of ``benchmarks/reach.py`` and the committed census."""
+    root = SRC.parents[1]
+    return runpy.run_path(str(root / "benchmarks" / "reach.py")), json.loads(
+        (root / "REACH.json").read_text(encoding="utf-8")
+    )
+
 
 _COST = "ROADMAP item 1(c): the cost model's constants, to be fitted to a measured trajectory"
 
@@ -718,9 +726,10 @@ class TestStructure:
 
     def test_the_class_level_switches_are_these(self):
         """A class-level ``bool`` constant is a switch every instance shares:
-        the observability on/off pairs and a store's outage default (shared
-        storage is S3, so no store advertises what it can do).  A reference arm that a differential flips (a second read
-        path, a charging mode) lives in the tests, installed through a seam
+        the observability on/off pairs (shared storage is S3, so no store
+        advertises what it can do, and only S3 has an outage to report).  A
+        reference arm that a differential flips (a second read path, a
+        charging mode) lives in the tests, installed through a seam
         such as ``cluster.io_scheduler``; one added here is a visible diff.
         Annotated dataclass field defaults are per-instance values, not
         switches, and are not listed."""
@@ -741,7 +750,6 @@ class TestStructure:
             ("obs/metrics.py", "NullRegistry", "enabled"),
             ("obs/tracing.py", "NullTracer", "enabled"),
             ("obs/tracing.py", "Tracer", "enabled"),
-            ("shared_storage/api.py", "Filesystem", "outage_active"),
         ]
 
     def test_four_callers_apply_a_commit_to_a_catalog(self):
@@ -810,9 +818,30 @@ class TestStructure:
 
     def test_every_function_has_a_caller(self):
         """A function, class or method that nothing outside the tests names
-        goes, or moves into the tests that use it, or is listed in
-        ``UNCALLED`` with its paper section."""
-        assert [row[:2] for row in callable_census()] == sorted(UNCALLED)
+        goes, or moves into the tests that use it, or is a function no
+        program enters either, listed in ``REACH.json`` with its reason."""
+        reasons = {(e["file"], e["qualname"]): e["reason"] for e in reach()[1]}
+        assert [row[:2] for row in callable_census() if reasons.get(row[:2], "none") == "none"] == []
+
+    def test_every_reach_entry_names_a_function(self):
+        """Each never-entered function ``REACH.json`` lists resolves, by
+        ``ast``, to a function of its file under its qualname."""
+        names, entries = reach()
+        defined = {(where, qualname) for where, qualname, *_ in names["functions"]()}
+        assert [e for e in entries if (e["file"], e["qualname"]) not in defined] == []
+
+    def test_every_reach_entry_has_a_reason_from_the_set(self):
+        """A reason is one of ``reach.REASONS`` (``none`` is not), and a
+        ``paper_api`` entry, and only it, names its section."""
+        names, entries = reach()
+        assert sorted({e["reason"] for e in entries} - set(names["REASONS"])) == []
+        assert [
+            e for e in entries
+            if (e["reason"] == "paper_api") != bool(re.fullmatch(r"§\d+(\.\d+)*", e.get("section", "")))
+        ] == []
+
+    def test_the_reach_census_only_shrinks(self):
+        assert len(reach()[1]) <= REACH_ENTRIES
 
     def test_every_option_field_has_a_setter(self):
         """An options-dataclass field that nothing outside the tests sets is

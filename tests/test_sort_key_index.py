@@ -164,8 +164,8 @@ class TestTheIndexNarrows:
             ),
         ])
         for i in range(100):
-            state.apply(op_add_container(bounded_container(sids, "t_p", 0, (10 * i, 10 * i + 9))))
-        state.apply(op_add_container(bounded_container(sids, "t_p", 0, (None, None))))
+            state.apply_all([op_add_container(bounded_container(sids, "t_p", 0, (10 * i, 10 * i + 9)))])
+        state.apply_all([op_add_container(bounded_container(sids, "t_p", 0, (None, None)))])
         later = state.copy([op_add_container(bounded_container(sids, "t_p", 0, (0, 0)))])
         predicate = parse_expression("a >= 975")
         bounds = extract_column_bounds(predicate)
@@ -175,7 +175,7 @@ class TestTheIndexNarrows:
         # [970, 979], [980, 989], [990, 999] and the unbounded one.
         assert sorted(index.overlapping(975, None), key=attrgetter("location")) == kept
         # A commit after the index was built copies it with its group.
-        later.apply(op_add_container(bounded_container(sids, "t_p", 0, (995, 2_000))))
+        later.apply_all([op_add_container(bounded_container(sids, "t_p", 0, (995, 2_000)))])
         copied = later.sort_key_index("t_p", 0, "a")
         assert copied is not index and copied.group is not index.group
         assert len(copied.overlapping(975, None)) == 5

@@ -179,12 +179,12 @@ class TestBinder:
         state = CatalogState()
         t = Table("t", TableSchema.of(("a", ColumnType.INT), ("b", ColumnType.VARCHAR)))
         u = Table("u", TableSchema.of(("c", ColumnType.INT), ("d", ColumnType.FLOAT)))
-        state.apply(op_create_table(t))
-        state.apply(op_create_table(u))
-        state.apply(op_create_projection(Projection(
-            "t_p", "t", ("a", "b"), ("a",), Segmentation.by_hash("a"))))
-        state.apply(op_create_projection(Projection(
-            "u_p", "u", ("c", "d"), ("c",), Segmentation.by_hash("c"))))
+        state.apply_all([op_create_table(t)])
+        state.apply_all([op_create_table(u)])
+        state.apply_all([op_create_projection(Projection(
+            "t_p", "t", ("a", "b"), ("a",), Segmentation.by_hash("a")))])
+        state.apply_all([op_create_projection(Projection(
+            "u_p", "u", ("c", "d"), ("c",), Segmentation.by_hash("c")))])
         return state
 
     def test_pushes_single_table_filters(self):
@@ -277,7 +277,7 @@ class TestLiteralsOfTheColumnsType:
     def catalog(ctype: ColumnType) -> CatalogState:
         state = CatalogState()
         schema = TableSchema.of(("c", ctype), ("n", ColumnType.INT), ("s", ColumnType.VARCHAR))
-        state.apply(op_create_table(Table("t", schema)))
+        state.apply_all([op_create_table(Table("t", schema))])
         return state
 
     @staticmethod
