@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint loc knobs reach sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check profile work design-picks obs-demo
+.PHONY: default test test-fast lint loc knobs reach sim-smoke differential-smoke sim-campaign campaigns bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs bench-check figures profile work design-picks obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -102,9 +102,17 @@ bench-pairs:
 # This checkout's end-to-end run at seed 42, every workload, against the
 # `change` side of the newest committed BENCH_<pr>.json: every sim metric,
 # stored_bytes_per_user_byte, correct and failed must be equal to the last
-# digit (exit 1 and the differing values otherwise; about two minutes).
+# digit, and so must the figure card where the file records one (exit 1 and
+# the differing values otherwise; about three minutes).
 bench-check:
 	python3 benchmarks/bench_check.py
+
+# The paper's shapes as one card (benchmarks/figures.py, about 20 s): Figs
+# 10, 11a, 11b and 12 and E9, computed by the benches' own code paths and
+# printed beside the paper's readings.  BENCH_<pr>.json records it as
+# `figures` (`python3 benchmarks/figures.py --json`); bench-check compares it.
+figures:
+	python3 benchmarks/figures.py
 
 # Attribute before optimizing: cProfile over one measured pass of a benchmark
 # workload's own schedule, top functions by self and by cumulative time.

@@ -8,9 +8,11 @@ for every workload the BENCH file records and compares, value for value, what
 stays the same from run to run — every ``sim_`` metric,
 ``stored_bytes_per_user_byte``, ``correct`` and ``failed`` — against that
 file's ``change`` side: the numbers the last performance change committed for
-itself.  Real-clock metrics are not compared (they move between runs).  Prints
-one line per workload and every value that differs; exits 1 on any
-difference, 0 when all are equal.
+itself; where that side records the figure card (``figures``),
+this checkout's card (``benchmarks/figures.py --json``) too, value for value.
+Real-clock metrics are not compared (they move between runs).  Prints one
+line per workload (and one for the card) and every value that differs; exits
+1 on any difference, 0 when all are equal.
 
 "Newest" is the highest ``<pr>`` among the ``BENCH_*.json`` files git tracks
 at the root of the repository.
@@ -66,6 +68,26 @@ def differences(expected: Dict[str, object], got: Dict[str, object]) -> List[str
             for name in names if got.get(name) != expected[name]]
 
 
+def run_figures() -> Dict[str, object]:
+    """This checkout's figure card."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "figures.py"), "--json"],
+        capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        sys.exit(f"figures: figures.py exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def card_differences(expected: Dict[str, dict], got: Dict[str, dict]) -> List[str]:
+    """``figure.value: expected != got`` for every card value that is not equal."""
+    return [f"{figure}.{name}: {value!r} != {got.get(figure, {}).get(name)!r}"
+            for figure, values in sorted(expected.items())
+            for name, value in sorted(values.items())
+            if got.get(figure, {}).get(name) != value]
+
+
 def main() -> int:
     path = newest_bench()
     bench = json.loads(path.read_text())
@@ -75,6 +97,12 @@ def main() -> int:
     for workload, expected in bench["change"]["e2e"].items():
         found = differences(expected, run_workload(workload, seed))
         print(f"{workload:12s} {'equal' if not found else 'DIFFERS'}")
+        for line in found:
+            print(f"  {line}")
+        failed += bool(found)
+    if "figures" in bench["change"]:
+        found = card_differences(bench["change"]["figures"], run_figures())
+        print(f"{'figures':12s} {'equal' if not found else 'DIFFERS'}")
         for line in found:
             print(f"  {line}")
         failed += bool(found)

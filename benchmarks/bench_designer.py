@@ -258,11 +258,12 @@ def _run_suite(cluster, mix) -> Dict[str, float]:
     }
 
 
-def test_e9_designed_vs_naive(benchmark):
+def _e9_layouts() -> tuple:
+    """E9's three clusters, each on its layout — naive, the v1 heuristic's,
+    the cost-based designer's — the mix, and the designer's run."""
     data = TpchData.generate(scale=0.002, seed=42)
     devices, readings = _iot_rows()
     mix = _mixed_workload()
-    distinct = list(dict.fromkeys(mix))
 
     naive = _build_cluster(data, devices, readings)
     heuristic = _build_cluster(data, devices, readings)
@@ -282,13 +283,18 @@ def test_e9_designed_vs_naive(benchmark):
     assert report.used == len(mix), report.skipped
     run = v2.apply(cost)
     assert run.created
+    return {"naive": naive, "heuristic": heuristic, "cost": cost}, mix, run
 
+
+def test_e9_designed_vs_naive(benchmark):
+    clusters, mix, run = _e9_layouts()
+    naive, heuristic, cost = clusters["naive"], clusters["heuristic"], clusters["cost"]
+    distinct = list(dict.fromkeys(mix))
     results_box = {}
 
     def run_all():
-        results_box["naive"] = _run_suite(naive, mix)
-        results_box["heuristic"] = _run_suite(heuristic, mix)
-        results_box["cost"] = _run_suite(cost, mix)
+        for name, cluster in clusters.items():
+            results_box[name] = _run_suite(cluster, mix)
         return results_box["cost"]["seconds"]
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -83,16 +83,20 @@ def _copies_per_minute(cluster, threads: int) -> float:
     return completed[0] * 60.0 / DURATION_SECONDS
 
 
+def _series() -> dict:
+    series = {}
+    for n in (3, 6, 9):
+        cluster = _eon(n)
+        series[f"Eon {n}n/3s"] = [_copies_per_minute(cluster, t) for t in THREADS]
+    return series
+
+
 def test_fig11b_copy_throughput(benchmark):
     box = {}
 
     def run():
-        series = {}
-        for n in (3, 6, 9):
-            cluster = _eon(n)
-            series[f"Eon {n}n/3s"] = [_copies_per_minute(cluster, t) for t in THREADS]
-        box["series"] = series
-        return series
+        box["series"] = _series()
+        return box["series"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     series = box["series"]

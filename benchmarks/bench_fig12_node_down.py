@@ -46,14 +46,31 @@ def _kill_second(cluster) -> list:
     return [(KILL_AT, lambda: cluster.kill_node(sorted(cluster.nodes)[1]))]
 
 
+def _kill_runs() -> tuple:
+    """Each flavor's windows, a node killed at ``KILL_AT``: (Eon, Enterprise)."""
+    eon = dash_eon(4, seed=3)
+    ent = dash_enterprise(4, seed=3)
+    return _windows(eon, DURATION, _kill_second(eon)), _windows(ent, DURATION, _kill_second(ent))
+
+
+def _drops(eon: list, ent: list) -> tuple:
+    """(Eon drop, Enterprise drop, Eon's pre-kill mean): each flavor's mean
+    after the kill window against its mean before it."""
+    kill_window = int(KILL_AT // WINDOW)
+
+    def means(windows):
+        return (sum(windows[:kill_window]) / kill_window,
+                sum(windows[kill_window + 1:]) / (len(windows) - kill_window - 1))
+
+    (eon_before, eon_after), (ent_before, ent_after) = means(eon), means(ent)
+    return 1 - eon_after / eon_before, 1 - ent_after / ent_before, eon_before
+
+
 def test_fig12_node_kill_throughput(benchmark):
     box = {}
 
     def run():
-        eon = dash_eon(4, seed=3)
-        ent = dash_enterprise(4, seed=3)
-        box["eon"] = _windows(eon, DURATION, _kill_second(eon))
-        box["ent"] = _windows(ent, DURATION, _kill_second(ent))
+        box["eon"], box["ent"] = _kill_runs()
         return box
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -69,12 +86,7 @@ def test_fig12_node_kill_throughput(benchmark):
         rows,
     ))
 
-    eon_before = sum(eon[:kill_window]) / kill_window
-    eon_after = sum(eon[kill_window + 1:]) / (len(eon) - kill_window - 1)
-    ent_before = sum(ent[:kill_window]) / kill_window
-    ent_after = sum(ent[kill_window + 1:]) / (len(ent) - kill_window - 1)
-    eon_drop = 1 - eon_after / eon_before
-    ent_drop = 1 - ent_after / ent_before
+    eon_drop, ent_drop, eon_before = _drops(eon, ent)
     emit(f"Eon drop: {eon_drop:.0%}   Enterprise drop: {ent_drop:.0%}")
 
     # Acceptance: Eon degrades smoothly, Enterprise falls off a cliff.

@@ -20,17 +20,35 @@ ENTERPRISE_TABLES = (
 )
 
 
+def fig10_data() -> TpchData:
+    return TpchData.generate(scale=TPCH_SCALE, seed=42)
+
+
+def fig10_eon(data: TpchData) -> EonCluster:
+    """Figure 10's Eon cluster: 4 nodes, 4 shards, TPC-H loaded."""
+    cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
+    setup_tpch_schema(cluster)
+    load_tpch(cluster, data)
+    return cluster
+
+
+def fig10_enterprise(data: TpchData) -> EnterpriseCluster:
+    """Figure 10's Enterprise cluster: 4 nodes, TPC-H loaded direct to ROS."""
+    cluster = EnterpriseCluster(["n1", "n2", "n3", "n4"], seed=1)
+    setup_tpch_schema(cluster)
+    for name in ENTERPRISE_TABLES:
+        cluster.load(name, data.tables[name], direct=True)
+    return cluster
+
+
 @pytest.fixture(scope="session")
 def tpch_data() -> TpchData:
-    return TpchData.generate(scale=TPCH_SCALE, seed=42)
+    return fig10_data()
 
 
 @pytest.fixture(scope="session")
 def eon_tpch(tpch_data) -> EonCluster:
-    cluster = EonCluster(["n1", "n2", "n3", "n4"], shard_count=4, seed=1)
-    setup_tpch_schema(cluster)
-    load_tpch(cluster, tpch_data)
-    return cluster
+    return fig10_eon(tpch_data)
 
 
 def load_tpch_chunked(cluster, data: TpchData, slices: int = 4) -> None:
@@ -66,11 +84,7 @@ def eon_tpch_pair(tpch_data):
 
 @pytest.fixture(scope="session")
 def enterprise_tpch(tpch_data) -> EnterpriseCluster:
-    cluster = EnterpriseCluster(["n1", "n2", "n3", "n4"], seed=1)
-    setup_tpch_schema(cluster)
-    for name in ENTERPRISE_TABLES:
-        cluster.load(name, tpch_data.tables[name], direct=True)
-    return cluster
+    return fig10_enterprise(tpch_data)
 
 
 #: The short dashboard query every throughput bench drives through the

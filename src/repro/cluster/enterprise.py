@@ -40,7 +40,7 @@ from repro.engine.executor import (
     check_query_options,
 )
 from repro.engine.pipeline import EngineStats, PipelineCharges
-from repro.engine.expressions import Expr
+from repro.engine.expressions import Expr, extract_column_bounds
 from repro.engine.pruning import prune_containers
 from repro.errors import (
     CatalogError,
@@ -55,7 +55,7 @@ from repro.obs import Observability
 from repro.recovery import RecoveryStats
 from repro.sharding.shard import REPLICA_SHARD_ID, ShardMap
 from repro.shared_storage.posix import MemoryFilesystem
-from repro.storage.container import ROSContainer, RowSet, read_container
+from repro.storage.container import ROSContainer, RowSet, interval_key, read_container
 from repro.storage.wos import WOS
 from repro.tuple_mover.mergeout import STRATA_BASE_BYTES, STRATA_WIDTH, merge_job
 from repro.tuple_mover.mergeout import select_mergeout_candidates
@@ -549,14 +549,8 @@ class EnterpriseStorageProvider(StorageProvider):
     def initiator(self) -> str:
         return self.session.initiator
 
-    def scan(
-        self,
-        node_name: str,
-        projection: str,
-        columns: Sequence[str],
-        predicate: Optional[Expr],
-        replicated: bool,
-    ) -> ScanResult:
+    def scan(self, node_name: str, projection: str, columns: Sequence[str],
+             predicate: Optional[Expr], replicated: bool) -> ScanResult:
         cluster = self.cluster
         node = cluster.nodes[node_name]
         node.ensure_up()
@@ -565,21 +559,24 @@ class EnterpriseStorageProvider(StorageProvider):
         result = ScanResult(rows=RowSet.empty(schema))
         parts: List[RowSet] = []
         units: List[float] = []
+        # Worked out once per scan; a buddy is sorted as its projection is.
+        proj_obj, bounds = state.projections[projection], extract_column_bounds(predicate)
+        key = interval_key(proj_obj.sort_order, bounds, schema) if bounds else None
+        scan = (schema, predicate, bounds, key)
 
         if replicated:
             containers = state.containers_of(projection, REPLICA_SHARD_ID)
-            self._scan_containers(node, containers, columns, predicate, parts, units, result)
+            self._scan_containers(node, containers, scan, parts, units, result)
             wos_rows = node.wos.read(projection)
             if wos_rows is not None:
                 parts.append(wos_rows.select(list(columns)))
         else:
-            proj_obj = state.projections.get(projection)
             buddy_name = projection + "_b1"
             for region in self.session.regions_of(node_name):
                 own_region = cluster.region_of_node(node_name) == region
                 use_projection = projection if own_region else buddy_name
                 containers = state.containers_of(use_projection, region)
-                self._scan_containers(node, containers, columns, predicate, parts, units, result)
+                self._scan_containers(node, containers, scan, parts, units, result)
                 wos_rows = node.wos.read(use_projection)
                 if wos_rows is not None:
                     seg_cols = list(proj_obj.segmentation.columns)
@@ -592,20 +589,25 @@ class EnterpriseStorageProvider(StorageProvider):
             result.rows = RowSet.concat([p for p in parts if p.num_rows] or parts[:1])
         return result
 
-    def _scan_containers(self, node, containers, columns, predicate, parts, units, result):
-        """Read the ``containers`` this node owns that survive pruning: their
-        rows into ``parts``, and one local-disk read each into ``units``."""
+    def _scan_containers(self, node, containers, scan, parts, units, result):
+        """Read the ``containers`` this node owns that survive pruning by
+        the one rule an Eon scan reads by (``append_kept``): their kept rows
+        into ``parts``, and one local-disk read each into ``units``."""
+        schema, predicate, bounds, key = scan
         owner = self.cluster.container_owner
         mine = [c for c in containers if owner.get(str(c.sid)) == node.name]
         kept, pruned = prune_containers(sorted(mine, key=lambda c: str(c.sid)), predicate)
         result.containers_pruned += pruned
+        out: Dict[str, list] = {name: [] for name in schema.names}
         for container in kept:
             reader = read_container(node.local_fs.read(container.location))
-            parts.append(reader.read_rowset(list(columns)))
+            result.blocks_pruned += reader.append_kept(out, bounds, key)
+            result.rows_trimmed += reader.rows_trimmed
             # Local disk, charged as an Eon depot hit: the blocks it decoded.
             units.append(node.local_fs.estimate_read_seconds(reader.decoded_bytes))
             result.bytes_from_cache += reader.decoded_bytes
             result.containers_scanned += 1
+        parts.append(RowSet.from_blocks(schema, out))
 
     def _schema(self, projection_name: str, columns: Sequence[str]):
         projection = self.state.projections.get(projection_name)

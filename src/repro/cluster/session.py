@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,9 +38,21 @@ from repro.errors import ExecutionError, QueryCancelled
 from repro.io.scheduler import FetchBatch, FetchRequest
 from repro.sharding.shard import REPLICA_SHARD_ID
 from repro.storage.column import ColumnReader
-from repro.storage.container import ROSContainer, RowSet, read_container, read_through
+from repro.storage.container import (
+    ROSContainer, RowSet, interval_key, read_container, read_through,
+)
 from repro.storage.delete_vector import combine_positions, mask_from_positions
 from repro.storage.encoding import CodedStrings, join_blocks
+
+
+class ScanRule(NamedTuple):
+    """What every container of one scan is read by, worked out once: the
+    predicate's bounds, the row-interval key (:func:`interval_key`) and the
+    two as one hashable value, which keys a replica's shared decode."""
+
+    bounds: dict
+    key: Optional[tuple]
+    token: tuple
 
 
 @dataclass
@@ -135,14 +147,14 @@ class EonStorageProvider(StorageProvider):
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"
         self._scan_eligible = False
-        #: id(predicate) -> its column bounds: a plan's predicate is scanned
-        #: once per participant.
-        self._bounds: Dict[int, dict] = {}
-        #: (id(image), columns, block indices) -> (image, its decoded blocks
-        #: per column, the bytes they were decoded from) for replica-shard
-        #: containers: every node holds the same image, and the first node
-        #: to read it decodes it for all.  The image is kept so that its id
-        #: stays its own for the query.
+        #: id(predicate) -> its :class:`ScanRule`: a plan's predicate is
+        #: scanned once per participant.
+        self._rules: Dict[int, ScanRule] = {}
+        #: (id(image), columns, bounds and key) -> (image, its decoded rows
+        #: per column, the bytes they were decoded from, the rows trimmed,
+        #: the blocks pruned) for replica-shard containers: every node holds
+        #: the same image, and the first node to read it decodes it for all.
+        #: The image is kept so that its id stays its own for the query.
         self._decoded: Dict[tuple, tuple] = {}
         #: node -> what its last replicated scan read (``replica_reads``).
         self._replica_reads: Dict[str, Optional[tuple]] = {}
@@ -192,9 +204,14 @@ class EonStorageProvider(StorageProvider):
         # concatenate per column at the end makes ``result.rows``.
         out: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
         result = ScanResult(rows=None)
-        predicate_bounds = self._bounds.get(id(predicate))
-        if predicate_bounds is None:
-            predicate_bounds = self._bounds[id(predicate)] = extract_column_bounds(predicate)
+        rule = self._rules.get(id(predicate))
+        if rule is None:
+            bounds = extract_column_bounds(predicate)
+            owner = state.projections.get(projection) or state.live_aggs.get(projection)
+            key = interval_key(owner.sort_order, bounds, schema) if bounds else None
+            token = (tuple(bounds.items()), key)
+            rule = self._rules[id(predicate)] = ScanRule(bounds, key, token)
+        predicate_bounds = rule.bounds
 
         if replicated:
             assignments: List[Tuple[Optional[int], int, int]] = [(REPLICA_SHARD_ID, 0, 1)]
@@ -257,7 +274,7 @@ class EonStorageProvider(StorageProvider):
                     predicate_bounds, bool(dvs), hash_crunch,
                 ) == "pushdown":
                     pushdown_keys.add(location)
-                    pushdown_items.append((location, list(read_columns), predicate))
+                    pushdown_items.append((location, list(read_columns), predicate, rule.key))
                 fetch_requests.append(
                     FetchRequest(location, container.size_bytes, ordinal, info)
                 )
@@ -314,7 +331,7 @@ class EonStorageProvider(StorageProvider):
                 else:
                     read = self._read_container(
                         node, container, dvs, read_columns, share, out,
-                        result, predicate_bounds, batch, local_units,
+                        result, rule, batch, local_units,
                     )
                     if reads is not None:
                         reads = None if read is None else reads + [read]
@@ -411,16 +428,23 @@ class EonStorageProvider(StorageProvider):
         share: Optional[tuple],
         out: Dict[str, List[np.ndarray]],
         result: ScanResult,
-        predicate_bounds: Optional[dict],
+        rule: ScanRule,
         batch: FetchBatch,
         local_units: List[float],
     ) -> Optional[tuple]:
         """Append one container's live rows, column by column, to ``out``
         (the scan's columns; ``columns`` adds what a hash-crunch ``share``
         needs beside them); its bytes and its delete vectors' come out of
-        ``batch``.  Returns the key of the decoded blocks a
+        ``batch``.  Returns the key of the decoded rows a
         replica-shard container without delete vectors shares with the
         query's other nodes, None for any other container.
+
+        A container without delete vectors is read by the one rule,
+        :meth:`~repro.storage.container.ContainerReader.append_kept`: only
+        the blocks the scan's ``rule`` (its bounds, its row-interval key)
+        could match, and of those only the rows in the key's interval.
+        Delete-vector positions are container-absolute, so a container with
+        tombstones is read whole.
 
         What the depot held is read from this node's local disk: one request
         of the bytes handed to ``decode_block`` — the blocks of the columns
@@ -436,26 +460,16 @@ class EonStorageProvider(StorageProvider):
         else:
             reader = read_container(data)
 
-        # Block-level pruning: decode only blocks whose footer min/max
-        # could satisfy the predicate (section 2.3's position index).
-        # Delete-vector positions are container-absolute, so pruning is
-        # only applied to containers without tombstones.
-        block_indices = None
-        if predicate_bounds and not dvs:
-            matching = reader.matching_blocks(predicate_bounds)
-            total_blocks = reader.block_count()
-            if len(matching) < total_blocks:
-                result.blocks_pruned += total_blocks - len(matching)
-                block_indices = matching
         key, local = None, 0
         if dvs or share is not None:
             local = self._append_live(
-                node, container, reader, block_indices, dvs, columns, share, out, result, batch,
+                node, container, reader, rule, dvs, columns, share, out, result, batch,
             )
         elif container.shard_id == REPLICA_SHARD_ID:
-            key = self._append_replica(reader, data, block_indices, out)
+            key = self._append_replica(reader, data, rule, out, result)
         else:
-            reader.append_blocks(out, block_indices)
+            result.blocks_pruned += reader.append_kept(out, rule.bounds, rule.key)
+        result.rows_trimmed += reader.rows_trimmed
         if container.location in batch.hits:
             local += reader.decoded_bytes
         if local:
@@ -464,17 +478,21 @@ class EonStorageProvider(StorageProvider):
         return key
 
     def _append_live(
-        self, node, container: ROSContainer, reader, block_indices: Optional[List[int]],
+        self, node, container: ROSContainer, reader, rule: ScanRule,
         dvs: list, columns: Sequence[str], share: Optional[tuple],
         out: Dict[str, List[np.ndarray]], result: ScanResult, batch: FetchBatch,
     ) -> int:
         """The rest of :meth:`_read_container` for a container that drops
         rows — deleted ones, or those another node's hash-crunch share
         keeps: it filters its own slice before the scan's concatenate,
-        every column indexed by a mask, so fresh arrays.  Returns the bytes
+        every column indexed by a mask, so fresh arrays.  A share is cut to
+        the scan's interval before it is hashed.  Returns the bytes
         decoded from the delete vectors the depot held."""
         own: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
-        reader.append_blocks(own, block_indices)
+        if dvs:
+            reader.append_kept(own)
+        else:
+            result.blocks_pruned += reader.append_kept(own, rule.bounds, rule.key)
         local = 0
         live = None
         if dvs:
@@ -510,26 +528,31 @@ class EonStorageProvider(StorageProvider):
         return local
 
     def _append_replica(
-        self, reader, data: bytes, block_indices: Optional[List[int]],
-        out: Dict[str, List[np.ndarray]],
+        self, reader, data: bytes, rule: ScanRule,
+        out: Dict[str, List[np.ndarray]], result: ScanResult,
     ) -> tuple:
-        """``reader.append_blocks(out, block_indices)`` for a replica-shard
-        container, decoding once per query what every node holds: the depot
-        copies of one container written to every node are one bytes object,
-        so a node reading the same object, columns and blocks takes what the
-        first decoded.  A copy that is another object — a damaged one
-        included — is decoded on its own.  What the scan takes is never the
-        kept block itself (:func:`_handed`).  Only the decoding is shared:
-        each node reads its own copy of the blocks' bytes, so ``reader``'s
-        ``decoded_bytes`` counts them whoever decoded them."""
-        key = (id(data), tuple(out), None if block_indices is None else tuple(block_indices))
+        """``reader.append_kept(out, ...)`` for a replica-shard container,
+        decoding once per query what every node holds: the depot copies of
+        one container written to every node are one bytes object, so a
+        node reading the same object and columns under the same bounds and
+        key takes what the first decoded.  A copy that is another object —
+        a damaged one included — is decoded on its own.  What the scan
+        takes is never the kept block itself (:func:`_handed`).  Only the
+        decoding is shared: each node reads its own copy of the blocks'
+        bytes, so ``reader``'s ``decoded_bytes`` and ``rows_trimmed`` count
+        them whoever decoded them."""
+        key = (id(data), tuple(out), rule.token)
         kept = self._decoded.get(key)
         if kept is None:
             decoded: Dict[str, List[np.ndarray]] = {name: [] for name in out}
-            reader.append_blocks(decoded, block_indices)
-            kept = self._decoded[key] = (data, decoded, reader.decoded_bytes)
+            pruned = reader.append_kept(decoded, rule.bounds, rule.key)
+            kept = self._decoded[key] = (
+                data, decoded, reader.decoded_bytes, reader.rows_trimmed, pruned,
+            )
         else:
             reader.decoded_bytes += kept[2]
+            reader.rows_trimmed += kept[3]
+        result.blocks_pruned += kept[4]
         for name, parts in out.items():
             parts.extend(map(_handed, kept[1][name]))
         return key

@@ -9,7 +9,6 @@ latency, network shipping — are realistic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -358,10 +357,11 @@ def estimate_scan_cost(
     column is missing).  Separable by construction: depends only on this
     table's layout, never on the other tables'.
 
-    The reads are ``ceil(reads)`` equal units (one per container read, at
-    least one) run through the lane rule over the I/O scheduler's
-    ``LANES``: a GET of the fetched bytes each for the cold share, a local
-    read of the decoded bytes each for the warm share.
+    The reads (one per container read, at least one) run through the lane
+    rule over the I/O scheduler's ``LANES`` as the executor meets them:
+    ``floor(reads)`` whole-container units and one unit of the remainder,
+    a GET of the fetched bytes each for the cold share, a local read of the
+    decoded bytes each for the warm share.
     """
     from repro.io.scheduler import LANES
     from repro.shared_storage.posix import MemoryFilesystem
@@ -396,13 +396,18 @@ def estimate_scan_cost(
         + (model.row_cpu_seconds if filters else 0.0)
     )
     reads = max(1.0, containers * pruned)
-    units = math.ceil(reads)
-    cold = s3_latency.read_seconds(container_bytes * pruned / units)
-    warm = MemoryFilesystem().estimate_read_seconds(
-        rows_scanned * layout.row_bytes(scan_columns) / units
-    )
-    io = (shape.cold_fraction * charge_parallel([cold] * units, LANES)[0]
-          + (1.0 - shape.cold_fraction) * charge_parallel([warm] * units, LANES)[0])
+    whole, rest = divmod(reads, 1.0)
+    # Bytes of one whole unit; the remainder unit is ``rest`` of one.
+    fetched = container_bytes * pruned / reads
+    decoded = rows_scanned * layout.row_bytes(scan_columns) / reads
+    disk = MemoryFilesystem()
+    cold = [s3_latency.read_seconds(fetched)] * int(whole)
+    warm = [disk.estimate_read_seconds(decoded)] * int(whole)
+    if rest:
+        cold.append(s3_latency.read_seconds(fetched * rest))
+        warm.append(disk.estimate_read_seconds(decoded * rest))
+    io = (shape.cold_fraction * charge_parallel(cold, LANES)[0]
+          + (1.0 - shape.cold_fraction) * charge_parallel(warm, LANES)[0])
     gets = reads * shape.cold_fraction
     return DesignCost(
         seconds=(cpu + io) / parallelism,

@@ -100,6 +100,10 @@ class ScanResult(Ledger):
     #: Rows the server-side predicate removed before the wire; added back
     #: into ``rows_scanned`` so scan accounting is strategy-invariant.
     pushdown_rows_filtered: int = 0
+    #: Rows of decoded blocks outside the sort-key interval (their key
+    #: cells decoded to find it, nothing else handed on): in ``rows_scanned``
+    #: and charged one cell each.
+    rows_trimmed: int = 0
 
 
 class StorageProvider(abc.ABC):
@@ -418,10 +422,12 @@ class Executor:
             self.stats.retries += result.retries
             self.stats.retry_backoff_seconds += result.retry_backoff_seconds
             self.stats.storage_io_seconds += result.storage_io_seconds
-            work.rows_scanned += result.rows.num_rows + result.pushdown_rows_filtered
-            decode_cpu = (
-                result.rows.num_rows * len(node.columns) * self.cost.cell_cpu_seconds
+            work.rows_scanned += (
+                result.rows.num_rows + result.pushdown_rows_filtered + result.rows_trimmed
             )
+            decode_cpu = (
+                result.rows.num_rows * len(node.columns) + result.rows_trimmed
+            ) * self.cost.cell_cpu_seconds
             work.cpu_seconds += decode_cpu
             # The profile row keeps the scan's own fetch seconds, pooled or not.
             op_seconds = result.io_seconds + result.io_pooled_seconds + decode_cpu

@@ -477,8 +477,8 @@ class IOScheduler:
     ) -> Dict[str, object]:
         """Run server-side selects for a scan's pushdown containers.
 
-        ``items`` is ``[(key, columns, predicate), ...]`` in container
-        order.  Pushdown requests ride their own lane pool and are never
+        ``items`` is ``[(key, columns, predicate, interval key), ...]`` in
+        container order.  Pushdown requests ride their own lane pool and are never
         coalesced — a select is container-addressed compute, not a byte
         range — and they run *after* the batch fetch, so the GET request
         and fault-draw sequence of a run with pushdown is the off-run's
@@ -499,14 +499,14 @@ class IOScheduler:
         self.stats.pushdown_batches += 1
         durations: List[float] = []
         before = (shared.metrics.transient_failures, shared.metrics.retry_backoff_seconds)
-        for key, columns, predicate in items:
+        for key, columns, predicate, interval in items:
             if cancelled is not None and cancelled():
                 raise QueryCancelled(
                     "session cancelled between pushdown scan units"
                 )
             select = retrying(
-                lambda k=key, c=columns, p=predicate: shared.select_scan(
-                    k, c, p
+                lambda k=key, c=columns, p=predicate, i=interval: shared.select_scan(
+                    k, c, p, i
                 ),
                 shared.metrics,
             )

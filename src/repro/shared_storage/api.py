@@ -286,8 +286,8 @@ class PrefixView(Filesystem):
         raw = self._base.read_coalesced([self._full(n) for n in names])
         return {full[plen:]: data for full, data in raw.items()}
 
-    def select_scan(self, name: str, columns=None, predicate=None):
-        return self._base.select_scan(self._full(name), columns, predicate)
+    def select_scan(self, name: str, columns=None, predicate=None, key=None):
+        return self._base.select_scan(self._full(name), columns, predicate, key)
 
     def estimate_read_seconds(self, nbytes: int) -> float:
         return self._base.estimate_read_seconds(nbytes)

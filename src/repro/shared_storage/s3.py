@@ -33,7 +33,7 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.shared_storage.api import Filesystem, NameIndex
-from repro.storage.container import ContainerLayout, read_container, rowset_bytes
+from repro.storage.container import ContainerLayout, RowSet, read_container, rowset_bytes
 
 __all__ = [
     "FaultInjector",
@@ -338,6 +338,7 @@ class SimulatedS3(Filesystem):
         name: str,
         columns: Optional[Sequence[str]] = None,
         predicate=None,
+        key=None,
     ) -> SelectScanResult:
         """Server-side scan of one stored container image (S3-Select-style).
 
@@ -354,7 +355,10 @@ class SimulatedS3(Filesystem):
         differential run can hold the GET ledger bit-identical while selects
         ride on top.  ``bytes_scanned`` always charges the full stored size
         of the touched columns (the server streams whole column files);
-        block pruning below only shapes the parity counters.
+        block pruning below only shapes the parity counters.  ``key`` is
+        the client scan's row-interval key
+        (:func:`~repro.storage.container.interval_key`): the server knows
+        no projection, so the client names its leading sort column.
         """
         from repro.engine.expressions import extract_column_bounds
 
@@ -372,22 +376,13 @@ class SimulatedS3(Filesystem):
                 f"select_scan on {name!r}: no such columns {missing}"
             )
         scanned = reader.stored_bytes(touched)
-        # Decode through the same block-pruning path a depot scan takes
-        # (same bounds extraction, same footer match), so ``rows_examined``
+        # Decoded by the one rule a depot scan reads by (same bounds
+        # extraction, same kept blocks and interval), so ``rows_examined``
         # and ``blocks_pruned`` are bit-identical to the client's counts.
-        bounds = extract_column_bounds(predicate) if predicate is not None else {}
-        blocks_pruned = 0
-        if bounds:
-            block_indices = reader.matching_blocks(bounds)
-            total_blocks = reader.block_count()
-            if len(block_indices) < total_blocks:
-                blocks_pruned = total_blocks - len(block_indices)
-                rows = reader.read_rowset_blocks(touched, list(block_indices))
-            else:
-                rows = reader.read_rowset(touched)
-        else:
-            rows = reader.read_rowset(touched)
-        rows_examined = rows.num_rows
+        out = {name: [] for name in touched}
+        blocks_pruned = reader.append_kept(out, extract_column_bounds(predicate), key)
+        rows = RowSet.from_blocks(reader.schema_of(touched), out)
+        rows_examined = rows.num_rows + reader.rows_trimmed
         if predicate is not None:
             mask = np.asarray(predicate.evaluate(rows), dtype=bool)
             rows = rows.filter(mask)

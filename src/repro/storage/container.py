@@ -23,6 +23,7 @@ This module provides:
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -364,6 +365,9 @@ class ContainerReader:
         #: local read of the image costs (a footer the depot keeps a layout
         #: for, and a column nobody opens, are never read).
         self.decoded_bytes = 0
+        #: Key cells this reader's reads decoded outside the sort-key
+        #: interval (:meth:`append_kept`): rows of kept blocks not handed on.
+        self.rows_trimmed = 0
 
     def column_reader(self, name: str) -> ColumnReader:
         if name not in self._readers:
@@ -393,7 +397,7 @@ class ContainerReader:
         except TypeError as exc:
             raise CorruptBlock(f"damaged container footer: a length: {exc!r}") from None
 
-    def _schema_of(self, names: Sequence[str]) -> TableSchema:
+    def schema_of(self, names: Sequence[str]) -> TableSchema:
         """Schema of just the named columns: a read takes a few columns of
         a wide container."""
         try:
@@ -426,45 +430,144 @@ class ContainerReader:
         ]
         # Counted after the bounded columns' readers are open: a pruned scan
         # parses no footer of a column it does not read.
-        return [i for i in range(self.block_count()) if all(m[i] for m in masks)]
+        blocks = range(self.block_count())
+        return list(compress(blocks, map(all, zip(*masks))) if masks else blocks)
+
+    def append_kept(
+        self,
+        out: Dict[str, List[Held]],
+        bounds: Optional[dict] = None,
+        key: Optional[Tuple[str, object, object]] = None,
+    ) -> int:
+        """The one read rule of a scan: decode into ``out`` the blocks of
+        each column it names whose footer min/max could satisfy ``bounds``
+        (section 2.3's position index; every block without bounds), and
+        where ``key`` — ``(column, lo, hi)`` of :func:`interval_key` — bounds
+        the container's leading sort column, hand on only the rows of those
+        blocks whose key lies in [lo, hi].
+
+        The container is sorted on that column (NULLs last), so those rows
+        are one interval of the kept blocks: the search decodes nothing
+        twice, and the key cells outside it are added to
+        :attr:`rows_trimmed`.  Returns the number of blocks pruning dropped.
+        """
+        if not bounds:
+            self.append_blocks(out, None, key)
+            return 0
+        matching = self.matching_blocks(bounds)
+        pruned = self.block_count() - len(matching)
+        self.append_blocks(out, matching if pruned else None, key)
+        return pruned
 
     def append_blocks(
         self,
-        out: Dict[str, List[np.ndarray]],
+        out: Dict[str, List[Held]],
         block_indices: Optional[Sequence[int]] = None,
+        key: Optional[Tuple[str, object, object]] = None,
     ) -> None:
-        """The one read: decode every block (or only ``block_indices`` —
+        """The one decode: every block (or only ``block_indices`` —
         positions align across columns because block geometry is shared) of
-        each column ``out`` names and append it to that column's list.
+        each column ``out`` names, appended to that column's list; with a
+        ``key`` that ``out`` names, only the rows in its interval
+        (:meth:`append_kept`).
 
         PLAIN numeric blocks are appended as views of the image, so the
         lists are for :meth:`RowSet.from_blocks` (:func:`concat_blocks`
         owns what it returns), not for keeping; a block of no rows is decoded and appends nothing.
         The blocks' stored lengths are added to :attr:`decoded_bytes`.
         """
-        nbytes = 0
-        for name, parts in out.items():
+        names = list(out)
+        # Without a key every block is handed on whole.
+        first, last = -1, sys.maxsize
+        if key is not None and key[0] in out:
+            # The key column first: its edge blocks, decoded for the scan,
+            # are searched for the interval the other columns are cut to.
+            names.remove(key[0])
+            names.insert(0, key[0])
+            # Open already where bounds picked the blocks.
+            reader = self._readers.get(key[0]) or self.column_reader(key[0])
+            blocks = reader.blocks
+            indices = range(len(blocks)) if block_indices is None else block_indices
+            # Blocks past the last one holding a key value hold NULLs only
+            # (NULLs sort last), and none of their rows is in range.
+            last = -1
+            for index in reversed(indices):
+                if blocks[index].max_value is not None:
+                    last = index
+                    break
+            if len(indices):
+                first = indices[0]
+        start = stop = 0
+        nbytes = trimmed = 0
+        for name in names:
+            parts = out[name]
             reader = self.column_reader(name)
             blocks = reader.blocks
+            searched = name is names[0]
             indices = range(len(blocks)) if block_indices is None else block_indices
             for index in indices:
                 values = reader.read_block(index, view=True)
                 nbytes += blocks[index].length
+                if index > last:
+                    trimmed += len(values) if searched else 0
+                    continue
+                if index == first or index == last:
+                    size = len(values)
+                    if searched and index == first:
+                        start = int(values.searchsorted(key[1]))
+                    if searched and index == last:
+                        stop = max(start if index == first else 0,
+                                   int(values.searchsorted(key[2], "right")))
+                    low = start if index == first else 0
+                    high = stop if index == last else size
+                    trimmed += size - high + low if searched else 0
+                    values = values[low:high]
                 if len(values):
                     parts.append(values)
         self.decoded_bytes += nbytes
+        self.rows_trimmed += trimmed
 
     def read_rowset_blocks(
         self, names: Sequence[str], block_indices: Optional[Sequence[int]]
     ) -> RowSet:
         """Read only the given blocks (all for ``None``) of each column."""
-        schema = self._schema_of(names)
+        schema = self.schema_of(names)
         out: Dict[str, List[np.ndarray]] = {name: [] for name in schema.names}
         self.append_blocks(out, block_indices)
         return RowSet.from_blocks(schema, out)
 
     def read_rowset(self, names: Optional[Sequence[str]] = None) -> RowSet:
         return self.read_rowset_blocks(self.column_order if names is None else names, None)
+
+
+#: Column types a scan cuts to a row interval of their sorted values.
+_SEARCHED = (ColumnType.INT, ColumnType.FLOAT, ColumnType.DATE)
+#: What a bound may be for the search: a number, or open.
+_NUMBERS = (int, float, type(None))
+
+
+def interval_key(
+    order: Sequence[str], bounds: dict, schema: TableSchema
+) -> Optional[Tuple[str, object, object]]:
+    """What :meth:`ContainerReader.append_kept` cuts a scan's kept blocks
+    to, worked out once per scan: ``(column, lo, hi)`` where ``bounds``
+    (:func:`~repro.engine.expressions.extract_column_bounds`) bound the
+    leading column of the sort ``order`` every container of the projection
+    is written in, the scan reads that column (``schema``, the scan's
+    columns) and it is numeric or a date, and each bound is a number (an
+    open end is an infinity); None otherwise."""
+    name = order[0] if order else None
+    if name not in bounds:
+        return None
+    for column in schema.columns:
+        if column.name == name and column.ctype in _SEARCHED:
+            break
+    else:
+        return None
+    lo, hi = bounds[name]
+    if type(lo) not in _NUMBERS or type(hi) not in _NUMBERS:
+        return None
+    return name, -math.inf if lo is None else lo, math.inf if hi is None else hi
 
 
 def read_container(data: Buffer, layout: Optional[ContainerLayout] = None) -> ContainerReader:

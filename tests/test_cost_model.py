@@ -56,6 +56,29 @@ class TestExchangeRules:
         assert model.broadcast_seconds([5, 5, 1]) == model.network_seconds(10)
 
 
+class TestScanUnits:
+    """The designer's scan reads are the units the executor pays: whole
+    containers, and a remainder unit for what is left over."""
+
+    @pytest.mark.parametrize("containers", [1.1, 2.5, 3.0, 6.25])
+    def test_whole_containers_and_a_remainder(self, containers):
+        rows = int(containers * cost_module.DESIGN_CONTAINER_BYTES / 8)
+        layout = cost_module.TableLayout("t", ("v",), (), (), rows, {"v": 8.0})
+        shape = cost_module.QueryShape(("t",), {"t": ("v",)}, {})
+        got = estimate_scan_cost(shape, "t", layout, 4)
+        reads = layout.total_bytes() / cost_module.DESIGN_CONTAINER_BYTES
+        whole = int(reads)
+        unit = S3LatencyModel().read_seconds(layout.total_bytes() / reads)
+        units = [unit] * whole + ([S3LatencyModel().read_seconds(
+            layout.total_bytes() / reads * (reads - whole))] if reads > whole else [])
+        io = charge_parallel(units, 4)[0]
+        cpu = layout.row_count * (CostModel().row_cpu_seconds + CostModel().cell_cpu_seconds)
+        # Replicated: one participant scans it all.
+        assert got.seconds == pytest.approx(cpu + io, rel=1e-12)
+        # Just over one container costs at least one whole container's GET.
+        assert got.seconds > unit
+
+
 # -- one charge rule, two callers ----------------------------------------------
 #
 # The executor charges exchanges and reads through three rules

@@ -106,8 +106,8 @@ def without_memos(patch) -> None:
     """The scan and the join as they were: every node decodes its replica
     containers and factorizes its own build; every session solves its
     layout."""
-    def append_replica(self, reader, data, block_indices, out):
-        reader.append_blocks(out, block_indices)
+    def append_replica(self, reader, data, rule, out, result):
+        result.blocks_pruned += reader.append_kept(out, rule.bounds, rule.key)
         return None
 
     patch.setattr(EonStorageProvider, "_append_replica", append_replica)

@@ -21,9 +21,11 @@ Walled here:
   identical with and without kept layouts, evictions included;
 * a damaged image under a SID whose layout was kept is still found out;
 * what a scan returns is writable, owns its data and aliases no depot byte;
-* rows, row order and dtypes equal to the scan as it was before — one
-  ``read_rowset`` per container, filtered, then ``RowSet.concat`` — spelled
-  out below as :func:`reference_scan`;
+* rows, row order and dtypes equal to the scan's contract computed from a
+  full read of each container — the kept blocks' rows whose leading key
+  ``k`` lies in the predicate's bounds, delete vectors and the hash-crunch
+  share applied, then ``RowSet.concat`` —
+  :func:`tests.test_row_interval.reference_scan`;
 * DICT and RLE string blocks reach the scan's result as dictionary codes —
   no per-row Python object is built before an operator asks for the text —
   and a pass of the TPC-H queries makes text of a tenth of its string cells
@@ -63,6 +65,7 @@ from repro.storage.encoding import (
 )
 from repro.tuple_mover import MergeoutCoordinatorService
 from tests.test_codec_kernel import choose_encoding, footer_start
+from tests.test_row_interval import reference_scan
 from tests.test_sql import parse_expression
 
 COLUMNS = [
@@ -677,41 +680,6 @@ class TestScanResultsOwnTheirData:
 # (iv) same rows, same order, same dtypes as the scan that built RowSets
 
 
-def reference_scan(cluster, session, node_name, columns, predicate):
-    """The scan as it was: per container one ``read_rowset`` (or the blocks
-    that match), delete vectors and the hash-crunch share applied to that
-    RowSet, then one ``RowSet.concat`` — None when nothing contributes."""
-    state = session.snapshots[node_name].state
-    bounds = extract_column_bounds(predicate)
-    parts = []
-    for shard, sub_index, share_count in session.shards_of(node_name):
-        containers = sorted(state.containers_of(PROJECTION, shard), key=lambda c: str(c.sid))
-        kept, _ = prune_containers(containers, predicate)
-        if session.crunch == "container" and share_count > 1:
-            kept = [c for i, c in enumerate(kept) if i % share_count == sub_index]
-        hash_crunch = session.crunch == "hash" and share_count > 1
-        read = list(columns) + (["k"] if hash_crunch and "k" not in columns else [])
-        for container in kept:
-            reader = read_container(cluster.shared_data.read(container.location))
-            dvs = state.delete_vectors_for(str(container.sid))
-            if bounds and not dvs:
-                rows = reader.read_rowset_blocks(read, reader.matching_blocks(bounds))
-            else:
-                rows = reader.read_rowset(read)
-            if dvs:
-                positions = [read_delete_vector(cluster.shared_data.read(dv.location))
-                             for dv in dvs]
-                rows = rows.filter(
-                    mask_from_positions(combine_positions(positions), container.row_count))
-            if hash_crunch and rows.num_rows:
-                hashes = cluster.shard_map.hash_rowset(rows, ["k"])
-                rows = rows.filter(hashes % np.uint64(share_count) == np.uint64(sub_index))
-            rows = rows.select(list(columns))
-            if rows.num_rows:
-                parts.append(rows)
-    return RowSet.concat(parts) if parts else None
-
-
 def assert_same_column(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype
     if got.dtype.kind == "f":
@@ -727,7 +695,8 @@ def assert_scan_equals_reference(cluster, columns, where, **session_options) -> 
         provider = EonStorageProvider(session)
         for node in session.participants():
             got = provider.scan(node, PROJECTION, list(columns), predicate, False).rows
-            want = reference_scan(cluster, session, node, columns, predicate)
+            want = reference_scan(cluster, session, node, columns, predicate, PROJECTION,
+                                  "k", share_column="k")
             assert got.schema.names == list(columns)
             if want is None:
                 assert got.num_rows == 0
