@@ -4,12 +4,13 @@ Every COPY and DML the scenario applies to the simulated Eon cluster is also
 applied to :class:`SqliteOracle`.  A query's result on the chaos cluster must
 equal SQLite's for the same SQL — node kills, S3 storms, rebalances, and
 revives may change *where* data is read from, never *what* the answer is.
-The property tests use the same mirror.  Only our parser (and so its
-defects) is shared; bind, plan, scan, the kernels and the write path are
+The property tests, and the 20 TPC-H queries of Figure 10 and the dashboard
+query on both cluster flavors, use the same mirror.  Only our parser (and so
+its defects) is shared; bind, plan, scan, the kernels and the write path are
 checked against an engine that shares no code with them.  :func:`to_sqlite`
-renders a SELECT over one table or ``t LEFT JOIN u ON ...`` (other joins,
-HAVING and DESC stay with ROADMAP item 1); :func:`normalise` brings both
-engines' rows to one comparable form.
+renders every SELECT of our subset: comma ``FROM`` lists, inner and LEFT
+joins, GROUP BY, HAVING, and ORDER BY in either direction;
+:func:`normalise` brings both engines' rows to one comparable form.
 
 The rendering makes this engine's documented deviations explicit instead of
 hiding them in the comparison:
@@ -22,10 +23,14 @@ hiding them in the comparison:
   ``d * 86400`` seconds since the epoch.
 * **``/`` is float division**; ``length(NULL)`` is 0; ``sum`` over no
   non-NULL value is 0, not NULL.
+* **``min``/``max`` of an int, date or bool column over no rows is 0**, not
+  NULL (those columns have no NULL): rendered ``coalesce(min(x), 0)``.
 * LIKE is case-sensitive (``PRAGMA case_sensitive_like=ON``).
-* **ORDER BY puts NULL last** when ascending (SQLite puts it first):
-  ``ORDER BY g`` is rendered ``ORDER BY g IS NULL, g``.  Descending, our
-  placement depends on the column's type; that stays unrendered.
+* **ORDER BY puts NULL last**, except a string key descending, whose NULL
+  comes first (SQLite puts NULL first ascending, last descending):
+  ``ORDER BY g`` is rendered ``ORDER BY g IS NULL, g`` and a descending
+  string ``s`` ``ORDER BY s IS NOT NULL, s DESC``.  Ints, dates and bools
+  have no NULL.
 * **A LEFT join pads int, date and bool columns with 0** (they have no
   NULL): a SELECT item that is such a column of the joined table is rendered
   ``coalesce(col, 0)``.
@@ -38,7 +43,8 @@ from __future__ import annotations
 
 import sqlite3
 from collections import Counter
-from typing import Collection, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import isclose
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.types import ColumnType
 from repro.engine.expressions import (
@@ -59,6 +65,8 @@ _SQLITE_TYPES = {
     ColumnType.INT: "integer", ColumnType.DATE: "integer", ColumnType.BOOL: "integer",
     ColumnType.FLOAT: "real", ColumnType.VARCHAR: "text",
 }
+#: The types that hold no NULL here (DESIGN.md "What NULL is").
+_NO_NULL = (ColumnType.INT, ColumnType.DATE, ColumnType.BOOL)
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
@@ -77,40 +85,43 @@ def _literal(value: object) -> str:
     return repr(value)
 
 
-def render(expr: Expr) -> str:
-    """One expression of our subset as SQLite SQL."""
+def render(expr: Expr, types: Mapping[str, ColumnType]) -> str:
+    """One expression of our subset as SQLite SQL; ``types`` are the types
+    of the columns in scope."""
     if isinstance(expr, ColumnRef):
         return expr.name
     if isinstance(expr, Literal):
         return _literal(expr.value)
     if isinstance(expr, BinaryOp):
-        left, right = render(expr.left), render(expr.right)
+        left, right = render(expr.left, types), render(expr.right, types)
         if expr.op in _COMPARISONS:
             return f"coalesce(({left} {expr.op} {right}), 0)"
         if expr.op == "/":
             return f"({left} * 1.0 / {right})"
         return f"({left} {expr.op} {right})"
     if isinstance(expr, UnaryOp):
-        return f"({expr.op} {render(expr.operand)})"
+        return f"({expr.op} {render(expr.operand, types)})"
     if isinstance(expr, InList):
         listed = ", ".join(_literal(v) for v in expr.values)
-        return f"coalesce(({render(expr.operand)} in ({listed})), 0)"
+        return f"coalesce(({render(expr.operand, types)} in ({listed})), 0)"
     if isinstance(expr, IsNull):
-        return f"({render(expr.operand)} is {'not ' if expr.negated else ''}null)"
+        return f"({render(expr.operand, types)} is {'not ' if expr.negated else ''}null)"
     if isinstance(expr, CaseWhen):
         branches = " ".join(
-            f"when {render(cond)} then {render(value)}" for cond, value in expr.branches
+            f"when {render(cond, types)} then {render(value, types)}"
+            for cond, value in expr.branches
         )
-        return f"(case {branches} else {render(expr.default)} end)"
+        return f"(case {branches} else {render(expr.default, types)} end)"
     if isinstance(expr, AggregateCall):
         if expr.argument is None:
             return "count(*)"
-        inner = ("distinct " if expr.distinct else "") + render(expr.argument)
-        if expr.func == "sum":
-            return f"coalesce(sum({inner}), 0)"
+        inner = ("distinct " if expr.distinct else "") + render(expr.argument, types)
+        column = expr.argument.name if isinstance(expr.argument, ColumnRef) else None
+        if expr.func == "sum" or expr.func in ("min", "max") and types.get(column) in _NO_NULL:
+            return f"coalesce({expr.func}({inner}), 0)"
         return f"{expr.func}({inner})"
     if isinstance(expr, FuncCall):
-        args = [render(a) for a in expr.args]
+        args = [render(a, types) for a in expr.args]
         if expr.name == "like":
             return f"coalesce(({args[0]} like {args[1]}), 0)"
         if expr.name in ("year", "month"):
@@ -122,42 +133,54 @@ def render(expr: Expr) -> str:
     raise NotImplementedError(f"no SQLite rendering for {expr!r}")
 
 
-def to_sqlite(sql: str, int_columns: Optional[Mapping[str, Collection[str]]] = None) -> str:
-    """A single-table SELECT of our subset, or one over ``t LEFT JOIN u ON
-    ...``, as SQLite SQL.  ``int_columns`` names each table's columns that
-    have no NULL here, for the padding of a LEFT join."""
+def to_sqlite(
+    sql: str, column_types: Optional[Mapping[str, Mapping[str, ColumnType]]] = None,
+) -> str:
+    """A SELECT of our subset as SQLite SQL.  ``column_types`` maps each
+    table to its columns' types: the int, date and bool columns, which have
+    no NULL here, and the string keys, whose NULL sorts first descending."""
     (select,) = parse(sql)
-    if (
-        not isinstance(select, Select) or len(select.tables) != 1
-        or len(select.joins) > 1 or any(join.how != "left" for join in select.joins)
-    ):
-        raise NotImplementedError("the oracle renders one table, or one LEFT JOIN")
-    if select.having is not None:
-        raise NotImplementedError("HAVING stays with ROADMAP item 1")
+    if not isinstance(select, Select):
+        raise NotImplementedError("the oracle renders SELECT statements")
+    tables = column_types or {}
+    types = {
+        column: ctype
+        for ref in select.tables + [join.table for join in select.joins]
+        for column, ctype in tables.get(ref.name, {}).items()
+    }
     padded = {
-        c for join in select.joins for c in (int_columns or {}).get(join.table.name, ())
+        column for join in select.joins if join.how == "left"
+        for column, ctype in tables.get(join.table.name, {}).items() if ctype in _NO_NULL
     }
     items = [
         (f"coalesce({expr.name}, 0)" if isinstance(expr, ColumnRef) and expr.name in padded
-         else render(expr)) + (f" as {alias}" if alias else "")
+         else render(expr, types)) + (f" as {alias}" if alias else "")
         for expr, alias in select.items
     ]
     out = "select " + ("distinct " if select.distinct else "") + ", ".join(items)
-    out += f" from {select.tables[0].name}"
+    out += " from " + ", ".join(ref.name for ref in select.tables)
     for join in select.joins:
-        out += f" left join {join.table.name} on {render(join.condition)}"
+        how = "left join" if join.how == "left" else "join"
+        out += f" {how} {join.table.name} on {render(join.condition, types)}"
     if select.where is not None:
-        out += f" where {render(select.where)}"
+        out += f" where {render(select.where, types)}"
     if select.group_by:
-        out += " group by " + ", ".join(render(expr) for expr in select.group_by)
+        out += " group by " + ", ".join(render(expr, types) for expr in select.group_by)
+    if select.having is not None:
+        out += f" having {render(select.having, types)}"
+    aliased = {alias: expr for expr, alias in select.items if alias}
     keys = []
     for item in select.order_by:
-        if not item.ascending:
-            raise NotImplementedError("ORDER BY ... DESC stays with ROADMAP item 1")
         key = item.expr
         if isinstance(key, Literal) and isinstance(key.value, int):
             key = select.items[key.value - 1][0]  # a position names an output
-        keys.append(f"{render(key)} is null, {render(key)}")
+        text = render(key, types)
+        if item.ascending:
+            keys.append(f"{text} is null, {text}")
+            continue
+        named = aliased.get(key.name, key) if isinstance(key, ColumnRef) else key
+        string = isinstance(named, ColumnRef) and types.get(named.name) == ColumnType.VARCHAR
+        keys.append(f"{text} is {'not ' if string else ''}null, {text} desc")
     if keys:
         out += " order by " + ", ".join(keys)
     if select.limit is not None or select.offset:
@@ -166,17 +189,15 @@ def to_sqlite(sql: str, int_columns: Optional[Mapping[str, Collection[str]]] = N
     return out
 
 
-def normalise(rows: Iterable[Sequence[object]]) -> List[tuple]:
-    """Rows of either engine in one form, order kept: NaN (our float NULL) is
-    NULL, floats rounded to 9 places (sums add in another order), bools are
-    ints."""
-
-    def cell(value: object) -> object:
-        if isinstance(value, float):
-            return None if value != value else round(value, 9)
-        return int(value) if isinstance(value, bool) else value
-
-    return [tuple(cell(v) for v in row) for row in rows]
+def normalise(rows: Iterable[Sequence[object]], ordered: bool) -> List[tuple]:
+    """Rows of either engine in one form: NaN (our float NULL) is NULL and
+    bools are ints; in their order when ``ordered``, else sorted (NULL
+    last in each column)."""
+    out = [
+        tuple(None if v != v else int(v) if isinstance(v, bool) else v for v in row)
+        for row in rows
+    ]
+    return out if ordered else sorted(out, key=lambda row: [(v is None, v) for v in row])
 
 
 class SqliteOracle:
@@ -188,8 +209,8 @@ class SqliteOracle:
     ):
         self.db = sqlite3.connect(":memory:")
         self.db.execute("PRAGMA case_sensitive_like=ON")
-        #: table -> its columns that cannot hold NULL in our engine.
-        self.int_columns: dict = {}
+        #: table -> {column: its type}, for the renderings that need it.
+        self.column_types: dict = {}
         #: Queries checked so far; each takes the next session seed.
         self._asked = 0
         self.add_table(table, columns, rows)
@@ -198,9 +219,7 @@ class SqliteOracle:
         self, table: str, columns: Sequence[Tuple[str, ColumnType]],
         rows: Sequence[Sequence[object]],
     ) -> None:
-        self.int_columns[table] = {
-            name for name, ctype in columns if _SQLITE_TYPES[ctype] == "integer"
-        }
+        self.column_types[table] = dict(columns)
         declared = ", ".join(f"{name} {_SQLITE_TYPES[ctype]}" for name, ctype in columns)
         self.db.execute(f"create table {table} ({declared})")
         self.load(table, rows)
@@ -217,7 +236,7 @@ class SqliteOracle:
 
     def query(self, sql: str) -> List[tuple]:
         """Rows SQLite returns for ``sql``, which is in *our* dialect."""
-        return self.db.execute(to_sqlite(sql, self.int_columns)).fetchall()
+        return self.db.execute(to_sqlite(sql, self.column_types)).fetchall()
 
     def query_rows(self, sql: str) -> List[tuple]:
         """SQLite's answer to ``sql`` in :func:`rows_key` form."""
@@ -231,17 +250,26 @@ class SqliteOracle:
         # plan, the second finds it kept, and nothing else may differ.
         self._asked += 1
         first, again = (cluster.query(sql, seed=self._asked) for _ in range(2))
-        ours = normalise(first.rows.to_pylist())
-        if (normalise(again.rows.to_pylist()), again.stats.latency_seconds) != (
+        ours = normalise(first.rows.to_pylist(), ordered)
+        if (normalise(again.rows.to_pylist(), ordered), again.stats.latency_seconds) != (
             ours, first.stats.latency_seconds
         ):
             return f"{sql}\n  answered differently when its plan was reused"
-        theirs = normalise(self.query(sql))
-        if ours == theirs or (not ordered and Counter(ours) == Counter(theirs)):
+        # Floats agree to a relative 1e-9: sums add in another order, and
+        # near 7e7 a double's spacing is already 1.5e-8.
+        theirs = normalise(self.query(sql), ordered)
+        if len(ours) == len(theirs) and all(
+            len(mine) == len(other) and all(
+                x == y or isinstance(x, float) and isinstance(y, float)
+                and isclose(x, y, rel_tol=1e-9)
+                for x, y in zip(mine, other)
+            )
+            for mine, other in zip(ours, theirs)
+        ):
             return None
         only_ours, only_theirs = Counter(ours) - Counter(theirs), Counter(theirs) - Counter(ours)
         return (
-            f"{sql}\n  as SQLite: {to_sqlite(sql, self.int_columns)}\n"
+            f"{sql}\n  as SQLite: {to_sqlite(sql, self.column_types)}\n"
             f"  only ours:   {sorted(only_ours.items(), key=repr)[:5]}\n"
             f"  only SQLite: {sorted(only_theirs.items(), key=repr)[:5]}\n"
             f"  first rows, ours / SQLite: {ours[:3]} / {theirs[:3]}"

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ColumnType, EonCluster, EnterpriseCluster, RowSet, Segmentation, TableSchema
 from repro.workloads.tpch import TpchData, load_tpch, setup_tpch_schema
+from tests.helpers import load_in_slices
 
 
 @pytest.fixture
@@ -52,3 +53,10 @@ def tpch_enterprise(tpch_data: TpchData) -> EnterpriseCluster:
                  "partsupp", "orders", "lineitem"):
         cluster.load(name, tpch_data.tables[name], direct=True)
     return cluster
+
+
+@pytest.fixture(scope="module")
+def tpch_cluster(tpch_data: TpchData) -> EonCluster:
+    """One Eon TPC-H cluster per module, loaded in slices: several
+    containers per shard, the shape the charge differentials run on."""
+    return load_in_slices(EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11), tpch_data)

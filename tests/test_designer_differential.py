@@ -10,10 +10,6 @@ the engine differential uses, digested with the same canonicalisation.
 
 from __future__ import annotations
 
-import hashlib
-from typing import List
-
-import numpy as np
 import pytest
 
 from repro import EonCluster
@@ -24,30 +20,9 @@ from repro.workloads.tpch import (
     load_tpch,
     setup_tpch_schema,
 )
+from tests.helpers import row_digest
 
 pytestmark = pytest.mark.differential
-
-
-def canon(rows: List[tuple]) -> List[tuple]:
-    out = []
-    for row in rows:
-        out.append(tuple(
-            round(v, 6) if isinstance(v, float) and not np.isnan(v) else
-            ("nan" if isinstance(v, float) and np.isnan(v) else v)
-            for v in row
-        ))
-    return out
-
-
-def row_digest(rows: List[tuple]) -> str:
-    return hashlib.sha256(
-        repr(sorted(canon(rows), key=repr)).encode()
-    ).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def data() -> TpchData:
-    return TpchData.generate(scale=0.002, seed=42)
 
 
 def fresh_tpch(data: TpchData) -> EonCluster:
@@ -64,10 +39,10 @@ def digests(cluster, sqls) -> dict:
 
 
 class TestTpchApplyDifferential:
-    def test_digests_identical_before_and_after_apply(self, data):
-        cluster = fresh_tpch(data)
+    def test_digests_identical_before_and_after_apply(self, tpch_data):
+        cluster = fresh_tpch(tpch_data)
         designer = DatabaseDesigner.for_cluster(
-            cluster, row_counts=data.row_counts()
+            cluster, row_counts=tpch_data.row_counts()
         )
         workload = [q.sql for q in TPCH_QUERIES]
         report = designer.add_workload(workload)
@@ -83,11 +58,11 @@ class TestTpchApplyDifferential:
         )
         assert digests(cluster, usable) == before
 
-    def test_reapply_is_idempotent_and_shift_preserves_digests(self, data):
-        cluster = fresh_tpch(data)
+    def test_reapply_is_idempotent_and_shift_preserves_digests(self, tpch_data):
+        cluster = fresh_tpch(tpch_data)
         workload = [q.sql for q in TPCH_QUERIES]
         designer = DatabaseDesigner.for_cluster(
-            cluster, row_counts=data.row_counts()
+            cluster, row_counts=tpch_data.row_counts()
         )
         report = designer.add_workload(workload)
         skipped = {sql for sql, _ in report.skipped}
@@ -98,7 +73,7 @@ class TestTpchApplyDifferential:
 
         # Idempotent re-apply: same workload, nothing created or dropped.
         rerun = DatabaseDesigner.for_cluster(
-            cluster, row_counts=data.row_counts()
+            cluster, row_counts=tpch_data.row_counts()
         )
         rerun.add_workload(workload)
         second = rerun.apply(cluster)
@@ -110,7 +85,7 @@ class TestTpchApplyDifferential:
         # the TPC-H design for that table with a new version — digests of
         # the *original* workload must still be bit-identical.
         shifted = DatabaseDesigner.for_cluster(
-            cluster, row_counts=data.row_counts()
+            cluster, row_counts=tpch_data.row_counts()
         )
         shifted.add_workload([
             "select sum(l_quantity) from lineitem where l_partkey > 100",

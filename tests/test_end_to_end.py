@@ -10,11 +10,8 @@ import pytest
 from repro import ColumnType, EonCluster, Segmentation, SimClock
 from repro.cluster.revive import revive
 from repro.tuple_mover import MergeoutCoordinatorService
-from repro.workloads.dashboard import (
-    dashboard_query,
-    load_dashboard_data,
-    setup_dashboard_schema,
-)
+from repro.workloads.dashboard import dashboard_query, setup_dashboard_schema
+from tests.helpers import answered, dashboard_mirror
 
 
 def checksum(cluster, table="t"):
@@ -86,39 +83,34 @@ class TestFullLifecycle:
         assert checksum(revived)[0] == 751
 
     def test_query_answers_stable_across_every_disruption(self):
-        """The same query returns the same answer through failure,
+        """The same query returns SQLite's answer through failure,
         recovery, mergeout, crunch, and subcluster routing."""
         cluster = EonCluster([f"n{i}" for i in range(6)], shard_count=3, seed=77)
         setup_dashboard_schema(cluster)
-        load_dashboard_data(cluster, n_events=5_000)
+        tables, oracle = dashboard_mirror(n_events=5_000)
+        for table, rows in tables.items():
+            cluster.load(table, rows)
         sql = dashboard_query()
 
-        def canon(result):
-            # Summation order varies with data placement; floats compare
-            # at 9 decimal places.
-            return [
-                tuple(round(v, 9) if isinstance(v, float) else v for v in row)
-                for row in result.rows.to_pylist()
-            ]
+        def held(**options):
+            return oracle.check(answered(cluster.query(sql, **options)), sql, ordered=True)
 
-        expected = canon(cluster.query(sql))
+        assert oracle.check(cluster, sql, ordered=True) is None
 
         cluster.kill_node("n1")
-        assert canon(cluster.query(sql)) == expected
+        assert oracle.check(cluster, sql, ordered=True) is None
 
         cluster.recover_node("n1")
-        assert canon(cluster.query(sql)) == expected
+        assert oracle.check(cluster, sql, ordered=True) is None
 
         MergeoutCoordinatorService(cluster, strata_width=2, base_bytes=256).run_all()
-        assert canon(cluster.query(sql)) == expected
+        assert oracle.check(cluster, sql, ordered=True) is None
 
-        assert canon(cluster.query(sql, crunch="hash", nodes_per_shard=2)) == expected
-        assert canon(
-            cluster.query(sql, crunch="container", nodes_per_shard=2)
-        ) == expected
+        assert held(crunch="hash", nodes_per_shard=2) is None
+        assert held(crunch="container", nodes_per_shard=2) is None
 
         cluster.define_subcluster("iso", ["n4", "n5"])
-        assert canon(cluster.query(sql, subcluster="iso")) == expected
+        assert held(subcluster="iso") is None
 
     def test_cache_hit_rate_climbs_over_workload(self):
         cluster = EonCluster(["a", "b", "c"], shard_count=3, seed=55)

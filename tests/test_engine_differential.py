@@ -17,10 +17,6 @@ node's depot holds the data.  Pinning the seed makes both runs pick
 identical participants.
 """
 
-import hashlib
-from typing import List
-
-import numpy as np
 import pytest
 
 from repro import EonCluster
@@ -38,75 +34,9 @@ from repro.workloads.dashboard import (
     setup_dashboard_schema,
 )
 from repro.workloads.iot import iot_batch, setup_iot_schema
-from repro.workloads.tpch import TPCH_QUERIES, TpchData, load_tpch, setup_tpch_schema
+from repro.workloads.tpch import TPCH_QUERIES
+from tests.helpers import clear_depots, demand_sig, row_digest, s3_snapshot
 from tests.test_io_scheduler import PerScanCharging, PerScanPool
-
-
-def canon(rows: List[tuple]) -> List[tuple]:
-    out = []
-    for row in rows:
-        out.append(tuple(
-            round(v, 6) if isinstance(v, float) and not np.isnan(v) else
-            ("nan" if isinstance(v, float) and np.isnan(v) else v)
-            for v in row
-        ))
-    return out
-
-
-def row_digest(rows: List[tuple]) -> str:
-    return hashlib.sha256(
-        repr(sorted(canon(rows), key=repr)).encode()
-    ).hexdigest()
-
-
-def s3_snapshot(cluster) -> tuple:
-    m = cluster.shared.metrics
-    return (m.get_requests, m.bytes_read)
-
-
-def demand_sig(cluster, result, s3_before) -> tuple:
-    """Everything the query demanded of the storage hierarchy: per-node
-    scan/fetch accounting plus the *delta* of global S3 counters (the
-    absolute counters are cluster-cumulative)."""
-    per_node = tuple(
-        (
-            name,
-            w.bytes_from_shared,
-            w.bytes_from_cache,
-            w.rows_scanned,
-            w.containers_scanned,
-            w.containers_pruned,
-            w.blocks_pruned,
-            w.prefetch_hits,
-            w.peer_fetches,
-            w.coalesced_gets,
-        )
-        for name, w in sorted(result.stats.per_node.items())
-    )
-    delta = tuple(
-        now - before for now, before in zip(s3_snapshot(cluster), s3_before)
-    )
-    return per_node + (delta,)
-
-
-def clear_depots(cluster) -> None:
-    for node in cluster.nodes.values():
-        node.cache.clear()
-
-
-@pytest.fixture(scope="module")
-def tpch_cluster(tpch_data):
-    """One Eon TPC-H cluster, loaded in slices so each shard holds several
-    containers — the shape that exercises dedup/coalescing/prefetch."""
-    cluster = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=11)
-    setup_tpch_schema(cluster)
-    load_tpch(cluster, tpch_data)
-    rows = tpch_data.tables["lineitem"].to_pylist()
-    for slice_no in range(3):
-        chunk = rows[slice_no::7][:40]
-        if chunk:
-            cluster.load("lineitem", chunk)
-    return cluster
 
 
 def cold_and_warm(cluster, sql, seed):

@@ -22,6 +22,7 @@ from repro.io import scheduler as io_scheduler
 from repro.io.scheduler import FetchBatch, FetchRequest, IOScheduler, plan_fetch
 from repro.obs.metrics import cluster_metrics
 from repro.storage.container import RowSet
+from tests.helpers import clear_depots
 
 
 class SerialFetch(IOScheduler):
@@ -106,11 +107,6 @@ def make_cluster(**kwargs):
     for batch in range(4):
         cluster.load("t", [(batch * 100 + i, "pad") for i in range(100)])
     return cluster
-
-
-def clear_depots(cluster):
-    for node in cluster.nodes.values():
-        node.cache.clear()
 
 
 def scan_result() -> ScanResult:

@@ -1,29 +1,28 @@
-"""WHERE expressions and single-table GROUP BY against SQLite (DISTINCT and
-ORDER BY ... LIMIT/OFFSET windows: ``tests/test_engine_property.py``), and the
-scan path under them: a second, larger table whose containers hold several
-blocks and some delete vectors, asked range/point/IN questions that prune —
-and string questions, which that scan answers on dictionary codes: predicates
-on a DICT column and on an RLE column that follows the sort key, GROUP BY and
-ORDER BY on them.  Last, the one join shape the oracle renders: a LEFT join
-whose ON clause holds more than the key equality.
+"""WHERE expressions, single-table GROUP BY ... HAVING and ORDER BY in both
+directions against SQLite (DISTINCT and windows over NULL runs:
+``tests/test_engine_property.py``), and the scan path under them: a second,
+larger table whose containers hold several blocks and some delete vectors,
+asked range/point/IN questions that prune — and string questions, which that
+scan answers on dictionary codes: predicates on a DICT column and on an RLE
+column that follows the sort key, GROUP BY and ORDER BY on them.  Last, a
+LEFT join whose ON clause holds more than the key equality.
 
-The differential walls elsewhere compare this system with another
-configuration of itself; this one compares it with an engine that shares
-none of its code (``repro.sim.oracle``).  One generated table — NULLs in
-the string and float columns, dense and sparse integer keys, dates on both
-sides of the epoch — is loaded into an ``EonCluster`` and mirrored into
-SQLite; Hypothesis writes the queries.  Row multisets must be equal.
+This wall compares the system with an engine that shares none of its code
+past the parser (``repro.sim.oracle``), as ``tests/test_tpch.py`` does for
+the Figure-10 queries.  One generated table — NULLs in the string and float
+columns, dense and sparse integer keys, dates on both sides of the epoch —
+is loaded into an ``EonCluster`` and mirrored into SQLite; Hypothesis writes
+the queries.  Row multisets must be equal.
 """
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.common.dates import date_to_days
-from repro.sim.oracle import SqliteOracle, normalise, to_sqlite
+from repro.sim.oracle import SqliteOracle, to_sqlite
 from tests.test_types_dates import days_to_date
 
 COLUMNS = [
@@ -144,6 +143,17 @@ GLOBAL_AGGREGATES = st.lists(
     min_size=1, max_size=4, unique=True,
 )
 MAYBE_WHERE = st.one_of(st.just(""), predicates.map(lambda p: f" where {p}"))
+#: Over aggregates the SELECT list may or may not hold.
+MAYBE_HAVING = st.sampled_from([
+    "", " having count(*) > 8", " having sum(f) > 0", " having min(s) < 'b'",
+    " having max(f) is null or count(f) < 3", " having not (min(k) = max(k) - 1)",
+])
+#: Keys of a total order (``k`` is unique and last), descending on the float
+#: and string columns that hold NULLs, and on a date.
+ORDER_KEYS = st.sampled_from([
+    "f desc, k", "s desc, k", "s desc, f desc, k", "f desc, s, k", "f, s desc, k",
+    "d desc, s desc, k", "k desc",
+])
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -155,12 +165,20 @@ class TestAgainstSqlite:
         assert oracle.check(cluster, f"select k, s, f from t where {predicate}") is None
 
     @settings(max_examples=200, **_SETTINGS)
-    @given(GROUP_KEYS, AGGREGATES, MAYBE_WHERE)
-    def test_group_by(self, sides, keys, aggregates, where):
+    @given(GROUP_KEYS, AGGREGATES, MAYBE_WHERE, MAYBE_HAVING)
+    def test_group_by(self, sides, keys, aggregates, where, having):
         cluster, oracle = sides
         listed = ", ".join(keys)
-        sql = f"select {listed}, {', '.join(aggregates)} from t{where} group by {listed}"
+        sql = f"select {listed}, {', '.join(aggregates)} from t{where} group by {listed}{having}"
         assert oracle.check(cluster, sql) is None
+
+    @settings(max_examples=100, **_SETTINGS)
+    @given(ORDER_KEYS, MAYBE_WHERE, st.integers(1, 60), st.integers(0, 40))
+    def test_order_by_desc_then_limit(self, sides, keys, where, limit, offset):
+        """NULL last, except a string key descending, whose NULL comes first."""
+        cluster, oracle = sides
+        sql = f"select k, s, f, d from t{where} order by {keys} limit {limit} offset {offset}"
+        assert oracle.check(cluster, sql, ordered=True) is None
 
     @settings(max_examples=100, **_SETTINGS)
     @given(GLOBAL_AGGREGATES, MAYBE_WHERE)
@@ -374,14 +392,16 @@ class TestTheScanPathAgainstSqlite:
 
     @settings(max_examples=40, **_SETTINGS)
     @given(
-        st.sampled_from(["s, k", "r, s, k", "s, r, k", "r, k", "s, v, k"]),
+        st.sampled_from(["s, k", "r, s, k", "s, r, k", "r, k", "s, v, k", "s desc, k",
+                         "r desc, s desc, k", "f desc, k"]),
         st.integers(1, 50), st.integers(0, 30),
         st.one_of(string_predicates, big_predicates),
     )
     def test_order_by_strings_then_limit(self, big_sides, keys, limit, offset, predicate):
-        """NULL strings last; ``k`` is unique, so the order is total."""
+        """NULL strings last, first descending; ``k`` is unique, so the order
+        is total."""
         cluster, oracle = big_sides
-        sql = (f"select k, s, r, v from big where {predicate} "
+        sql = (f"select k, s, r, v, f from big where {predicate} "
                f"order by {keys} limit {limit} offset {offset}")
         assert oracle.check(cluster, sql, ordered=True) is None
         assert oracle.check(cluster, sql, ordered=True) is None
@@ -512,24 +532,41 @@ class TestTheOracleItself:
             "select g, count(*) as c from t group by g "
             "order by count(*) is null, count(*), g is null, g limit -1 offset 1")
         assert to_sqlite("select k, uk, us from t left join u on k = uk and x > y",
-                         {"u": {"uk", "y"}}) == (
+                         {"u": {"uk": ColumnType.INT, "y": ColumnType.INT}}) == (
             "select k, coalesce(uk, 0), us from t "
             "left join u on (coalesce((k = uk), 0) and coalesce((x > y), 0))")
-        for unsupported in ("select k from t join u on k = uk",
-                            "select k from t left join u on k = uk left join w on k = wk",
-                            "select k from t order by k desc",
-                            "select g from t group by g having count(*) > 1"):
-            with pytest.raises(NotImplementedError):
-                to_sqlite(unsupported)
+        types = {"t": dict(COLUMNS), "u": {"uk": ColumnType.INT, "us": ColumnType.VARCHAR}}
+        assert to_sqlite("select k, us from t, u join w on k = wk where k = uk "
+                         "order by f desc, s desc, k", types) == (
+            "select k, us from t, u join w on coalesce((k = wk), 0) "
+            "where coalesce((k = uk), 0) "
+            "order by f is null, f desc, s is not null, s desc, k is null, k")
+        assert to_sqlite("select s x, min(k), max(d), min(f) from t group by s "
+                         "having count(*) > 1 order by x desc", types) == (
+            "select s as x, coalesce(min(k), 0), coalesce(max(d), 0), min(f) from t "
+            "group by s having coalesce((count(*) > 1), 0) order by x is not null, x desc")
+        with pytest.raises(NotImplementedError):
+            to_sqlite("delete from t where k = 1")
 
-    def test_multiset_normalises_null_and_rounding(self):
-        def multiset(rows):
-            return Counter(normalise(rows))
-
-        nan = float("nan")
-        assert multiset([(1, nan, True)]) == multiset([(1, None, 1)])
-        assert multiset([(0.1 + 0.2,)]) == multiset([(0.3,)])
-        assert multiset([(1,), (1,)]) != multiset([(1,)])
+    @pytest.mark.parametrize("ours, theirs, same", [
+        ([(1, float("nan"), True)], [(1, None, 1)], True),
+        ([(0, 0.1 + 0.2, False)], [(0, 0.3, 0)], True),
+        ([(1, 1.0, True), (1, 1.0, True)], [(1, 1.0, 1)], False),
+        # q01's sum_base_price and sum_charge near 7e7, ours / SQLite's.
+        ([(1, 70_758_488.71500003, True), (2, 73_563_259.36085, True)],
+         [(1, 70_758_488.7149999, 1), (2, 73_563_259.36084984, 1)], True),
+        # q08's 1995 share: item 1(a)'s wrong answer, 4e-7 apart.
+        ([(1, 0.152600566, True)], [(1, 0.152600627, 1)], False),
+    ], ids=["nan-is-null", "summed-in-another-order", "multiplicity", "q01-near-7e7", "q08-share"])
+    def test_multiset_normalises_null_and_rounding(self, ours, theirs, same):
+        """NaN is NULL, a bool is an int, floats agree to a relative 1e-9
+        and no further, and a row's multiplicity counts."""
+        columns = [("k", ColumnType.INT), ("x", ColumnType.FLOAT), ("b", ColumnType.BOOL)]
+        cluster = EonCluster(["a"], shard_count=1, seed=1)
+        cluster.create_table("p", columns)
+        cluster.load("p", ours)
+        oracle = SqliteOracle("p", columns, theirs)
+        assert (oracle.check(cluster, "select k, x, b from p") is None) == same
 
     def test_a_wrong_answer_is_reported(self, sides):
         cluster, oracle = sides

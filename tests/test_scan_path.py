@@ -64,6 +64,7 @@ from repro.storage.encoding import (
     encode_block,
 )
 from repro.tuple_mover import MergeoutCoordinatorService
+from tests.helpers import clear_depots
 from tests.test_codec_kernel import choose_encoding, footer_start
 from tests.test_row_interval import reference_scan
 from tests.test_sql import parse_expression
@@ -162,14 +163,6 @@ def kept_layouts(cluster) -> int:
         node.cache.layout_of(name) is not None
         for node in cluster.nodes.values() for name in locations(cluster)
     )
-
-
-def clear_depots(cluster) -> EonCluster:
-    """Every depot emptied, writers' layouts with their files: the next
-    read of a file fetches it and parses its footers."""
-    for node in cluster.nodes.values():
-        node.cache.clear()
-    return cluster
 
 
 def refill_without_layouts(cluster) -> EonCluster:

@@ -1,16 +1,23 @@
 """TPC-H workload: generator invariants and full query cross-checks.
 
-Every one of the 20 Figure-10 queries runs on both the Eon cluster and the
-Enterprise baseline; results must agree exactly — the strongest end-to-end
-correctness check in the suite, exercising sharded scans, delete-vector-
-free reads, co-segmented and broadcast joins, all three aggregation
-strategies, pruning, HAVING, ORDER BY, and LIMIT.
+Every one of the 20 Figure-10 queries, and the Figure-11a dashboard query,
+runs on both the Eon cluster and the Enterprise baseline, and each answer
+must equal SQLite's (``repro.sim.oracle``: an engine that shares none of
+our code past the parser) — the strongest end-to-end correctness check in
+the suite, exercising sharded scans, delete-vector-free reads,
+co-segmented and broadcast joins, all three aggregation strategies,
+pruning, HAVING, ORDER BY in both directions, and LIMIT.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
+from repro import EnterpriseCluster, EonCluster
+from repro.workloads.dashboard import dashboard_query, setup_dashboard_schema
 from repro.workloads.tpch import TPCH_QUERIES, TPCH_SCHEMAS, TpchData
+from tests.helpers import dashboard_mirror, sqlite_mirror
 from tests.test_types_dates import days_to_date
 
 
@@ -73,50 +80,47 @@ class TestGenerator:
         assert (li.column("l_receiptdate") > li.column("l_shipdate")).all()
 
 
+#: q08 and q14 divide a CASE sum whose float THEN branch meets an int ELSE.
+_CASE_ELSE = pytest.mark.xfail(strict=True, reason="item 1(a): CaseWhen int ELSE truncates")
+
+
+@pytest.fixture(scope="module")
+def tpch_sqlite(tpch_data):
+    """SQLite's mirror of the TPC-H tables.  They never change, so each
+    answer is computed once and kept for the other flavor."""
+    oracle = sqlite_mirror(tpch_data.tables)
+    oracle.query = functools.lru_cache(maxsize=None)(oracle.query)
+    return oracle
+
+
+@pytest.fixture(scope="module", params=["eon", "enterprise"])
+def dashboard_sides(request):
+    """The dashboard star schema on one flavor, and SQLite's mirror."""
+    tables, oracle = dashboard_mirror(n_events=5_000)
+    if request.param == "eon":
+        cluster, options = EonCluster(["n1", "n2", "n3"], shard_count=3, seed=5), {}
+    else:
+        cluster, options = EnterpriseCluster(["e1", "e2", "e3"], seed=5), {"direct": True}
+    setup_dashboard_schema(cluster)
+    for table, rows in tables.items():
+        cluster.load(table, rows, **options)
+    return cluster, oracle
+
+
 class TestQueriesCrossCheck:
-    @pytest.mark.parametrize(
-        "query", TPCH_QUERIES, ids=[f"q{q.number:02d}" for q in TPCH_QUERIES]
-    )
-    def test_eon_matches_enterprise(self, query, tpch_eon, tpch_enterprise):
-        eon = tpch_eon.query(query.sql)
-        ent = tpch_enterprise.query(query.sql)
-        assert _canon(eon.rows) == _canon(ent.rows), f"Q{query.number} diverged"
+    @pytest.mark.parametrize("flavor", ["eon", "enterprise"])
+    @pytest.mark.parametrize("query", [
+        pytest.param(q, id=f"q{q.number:02d}", marks=[_CASE_ELSE] if q.number in (8, 14) else [])
+        for q in TPCH_QUERIES
+    ])
+    def test_answers_equal_sqlite(self, query, flavor, request, tpch_sqlite):
+        """Every Figure-10 query returns SQLite's rows, in SQLite's order."""
+        cluster = request.getfixturevalue(f"tpch_{flavor}")
+        assert tpch_sqlite.check(cluster, query.sql, ordered=True) is None
 
-    def test_q1_reference_answer(self, tpch_eon, tpch_data):
-        """Check Q1 against an independent numpy computation."""
-        result = tpch_eon.query(TPCH_QUERIES[0].sql)
-        li = tpch_data.tables["lineitem"]
-        from repro.common.dates import date_to_days
-
-        mask = li.column("l_shipdate") <= date_to_days("1998-09-01")
-        flags = li.column("l_returnflag")[mask]
-        status = li.column("l_linestatus")[mask]
-        qty = li.column("l_quantity")[mask]
-        expected = {}
-        for f, s in {(f, s) for f, s in zip(flags, status)}:
-            sel = np.array([a == f and b == s for a, b in zip(flags, status)])
-            expected[(f, s)] = (round(float(qty[sel].sum()), 4), int(sel.sum()))
-        for row in result.rows.to_pylist():
-            key = (row[0], row[1])
-            assert round(row[2], 4) == expected[key][0]
-            assert row[-1] == expected[key][1]
-
-    def test_q6_reference_answer(self, tpch_eon, tpch_data):
-        result = tpch_eon.query(TPCH_QUERIES[5].sql)
-        li = tpch_data.tables["lineitem"]
-        from repro.common.dates import date_to_days
-
-        mask = (
-            (li.column("l_shipdate") >= date_to_days("1994-01-01"))
-            & (li.column("l_shipdate") < date_to_days("1995-01-01"))
-            & (li.column("l_discount") >= 0.05)
-            & (li.column("l_discount") <= 0.07)
-            & (li.column("l_quantity") < 24)
-        )
-        expected = float(
-            (li.column("l_extendedprice")[mask] * li.column("l_discount")[mask]).sum()
-        )
-        assert result.rows.to_pylist()[0][0] == pytest.approx(expected)
+    def test_dashboard_answer_equals_sqlite(self, dashboard_sides):
+        cluster, oracle = dashboard_sides
+        assert oracle.check(cluster, dashboard_query(), ordered=True) is None
 
     def test_shipdate_predicate_prunes_containers(self, tpch_eon):
         """lineitem is sorted by shipdate; old-date queries prune."""
@@ -129,12 +133,3 @@ class TestQueriesCrossCheck:
         )
         assert pruned > 0
 
-
-def _canon(rows):
-    out = []
-    for row in rows.to_pylist():
-        canon_row = tuple(
-            round(v, 4) if isinstance(v, float) else v for v in row
-        )
-        out.append(canon_row)
-    return out
