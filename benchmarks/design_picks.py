@@ -16,8 +16,9 @@ runs of each tree's own code and files:
 ``_search`` is wrapped from outside; nothing in ``src/`` changes.  A search
 is named by its run, where it ran (the pytest test id, or the campaign's
 profile and seed) and its order there.  The report lists every search whose
-assignment differs between the trees, and the searches only one tree made.
-Each tree runs in its own interpreters, one per run (``make design-picks
+assignment differs between the trees, and the searches only one tree made;
+a change that moves a search names it in its CHANGES.md entry.  Each tree
+runs in its own interpreters, one per run (``make design-picks
 TREE=<checkout>``; a few minutes; not part of the tier-1 suite).
 """
 

@@ -1,6 +1,6 @@
 """The paper's shapes as one card: Figures 10, 11a, 11b and 12 and E9, each
 value computed by the code path its bench runs, printed beside the paper's
-reading as EXPERIMENTS.md states it.
+reading.  EXPERIMENTS.md quotes the card in each figure's section.
 
     python3 benchmarks/figures.py           # or: make figures (about 20 s)
     python3 benchmarks/figures.py --json    # the card as one JSON line

@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of the end-to-end benchmark, as a table.
 
-    python3 benchmarks/pairs.py --parent /root/scratch/parent \\
+    python3 benchmarks/pairs.py --parent ../parent \\
         --workload tpch_warm --pairs 10 --seed0 501
 
 Runs the *unmodified* ``benchmarks/e2e/run.py`` of two checkouts — the
@@ -10,8 +10,9 @@ alternating which side goes first.  Per metric it prints each side's median
 and quartiles, the ratio of the medians, the pairs the change won (ties count
 for neither) and, for the metrics that live on the simulated clock or count
 bytes, whether the two sides were equal to the last digit in every pair —
-the table EXPERIMENTS.md carries for every performance PR — and under it
-``real_ops_per_s`` of every single run.
+the table a performance change carries in its CHANGES.md entry, its ratios
+recorded in its ``BENCH_<pr>.json`` — and under it ``real_ops_per_s`` of
+every single run.
 
 Nothing here is imported by the benchmark, and nothing here edits it: a side
 is whatever its own ``run.py`` prints.
