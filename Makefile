@@ -73,8 +73,9 @@ sim-campaign:
 campaigns:
 	python3 benchmarks/campaigns.py
 
+# Every bench and its shape assertions, printing the tables they exist for.
 bench:
-	$(PY) -m pytest benchmarks -q
+	$(PY) -m pytest benchmarks -q -s
 
 # Quick benchmark confidence check: the Fig-10 TPC-H bench (including the
 # I/O scheduler on/off ablation) at its tiny default scale; prints its tables.
@@ -107,7 +108,7 @@ bench-pairs:
 bench-check:
 	python3 benchmarks/bench_check.py
 
-# The paper's shapes as one card (benchmarks/figures.py, about 20 s): Figs
+# The paper's shapes as one card (benchmarks/figures.py, about 25 s): Figs
 # 10, 11a, 11b and 12 and E9, computed by the benches' own code paths and
 # printed beside the paper's readings.  BENCH_<pr>.json records it as
 # `figures` (`python3 benchmarks/figures.py --json`); bench-check compares it.

@@ -1,135 +1,71 @@
-"""Figure 11b: throughput of concurrent 50MB COPY statements.
+"""Figure 11b: throughput of concurrent COPY statements.
 
 Paper setup: each COPY loads 50MB; 10-50 concurrent loaders; Eon at 3/6/9
 nodes with 3 shards.  The shape to reproduce: COPY throughput grows with
 node count (the writer role spreads over more subscribers), sublinearly
 (the paper's own 9-node point is < 3x its 3-node point).
 
-COPY takes no admission slots (section 4.5), so the closed-loop query
-driver (:mod:`repro.wm.driver`) does not run it.  The loop here is its own
-small model on the simulation clock: each loader opens a session (the real
-max-flow assignment against the live cluster picks the writers: loads "run
-according to the selected mapping of nodes to shards"), takes one execution
-slot on every writer, holds them for the busiest writer's share of the
-upload and parse plus a commit round, and repeats.
+Each loader is a client of the closed loop (:mod:`repro.wm.driver`) whose
+every request is a real COPY of a small IoT batch: the request's session
+picks the writers (loads "run according to the selected mapping of nodes
+to shards"), the COPY takes one execution slot per shard on each writer and
+holds them for the seconds the write path charged its busiest writer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-import pytest
-
 from repro import EonCluster
-from repro.common.clock import AcquireAll, Resource, SimClock, Timeout
-from repro.load.copy import copy_into
+from repro.wm import AdmissionController
+from repro.wm.driver import ClosedLoopWorkload, CopyBatch, WorkloadResult, run_closed_loop
 from repro.workloads.iot import iot_batch, setup_iot_schema
 
-from conftest import emit, format_series
+from conftest import BENCH_POOL, emit, format_series
 
 THREADS = [10, 30, 50]
-DURATION_SECONDS = 60.0
-BATCH_BYTES = 50 << 20
-#: Ingest parse/encode throughput, bytes per second.
-PARSE_BYTES_PER_SECOND = 200e6
-#: The commit round, and its messaging per participating writer.
-COMMIT_SECONDS = 0.004
-COMMIT_SECONDS_PER_WRITER = 0.001
+#: Every COPY really runs (about 2 ms of real time each), so a point lasts 2
+#: simulated seconds and a batch is 2 000 rows, not 50 MB: the nine points
+#: take about 13 s.
+DURATION_SECONDS = 2.0
+BATCH_ROWS = 2000
+STREAMS = 4
 
 
-def _eon(n: int) -> EonCluster:
-    return EonCluster([f"n{i}" for i in range(n)], shard_count=3, seed=2)
-
-
-def _copies_per_minute(cluster, threads: int) -> float:
-    """COPY statements completed per simulated minute by ``threads``
-    loaders, each batch split over the shard writers."""
-    shards = cluster.shard_map.count
-    upload = cluster.shared_data.estimate_write_seconds(int(BATCH_BYTES / shards))
-    parse_cpu = BATCH_BYTES / PARSE_BYTES_PER_SECOND
-    # Each shard's writer uploads its part and parses its slice; a writer
-    # serving two shards pays twice, and the busiest one bounds the COPY.
-    work_seconds = (upload + parse_cpu / shards) * shards
-    clock = SimClock()
-    slots = {
-        name: Resource(node.execution_slots, name=name)
-        for name, node in cluster.nodes.items()
-    }
-    completed = [0]
-
-    def loader(client: int):
-        request = 0
-        while clock.now < DURATION_SECONDS:
-            request += 1
-            session = cluster.create_session(seed=client * 10_007 + request)
-            try:
-                writers = Counter(session.assignment.values())
-            finally:
-                session.release()
-            grant = AcquireAll([slots[name] for name in sorted(writers)])
-            yield grant
-            yield Timeout(
-                work_seconds * max(writers.values()) / shards
-                + COMMIT_SECONDS
-                + COMMIT_SECONDS_PER_WRITER * len(writers)
-            )
-            grant.release()
-            if clock.now <= DURATION_SECONDS:
-                completed[0] += 1
-
-    for client in range(threads):
-        clock.spawn(loader(client))
-    clock.run(until=DURATION_SECONDS)
-    return completed[0] * 60.0 / DURATION_SECONDS
-
-
-def _series() -> dict:
-    series = {}
-    for n in (3, 6, 9):
-        cluster = _eon(n)
-        series[f"Eon {n}n/3s"] = [_copies_per_minute(cluster, t) for t in THREADS]
-    return series
+def _copies(n: int, threads: int) -> WorkloadResult:
+    """``threads`` loaders COPYing into the IoT streams of a fresh ``n``-node
+    cluster for :data:`DURATION_SECONDS` simulated seconds."""
+    cluster = EonCluster([f"n{i}" for i in range(n)], shard_count=3, seed=2)
+    cluster.admission = AdmissionController(cluster, BENCH_POOL)
+    setup_iot_schema(cluster, streams=STREAMS)
+    batches = tuple(CopyBatch(*iot_batch(s, 0, rows=BATCH_ROWS)) for s in range(STREAMS))
+    result = run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=batches, clients=threads, duration_seconds=DURATION_SECONDS,
+    ), result_key=lambda report: report)
+    assert result.errors == result.rejected == result.stalled == 0
+    reports = [r.digest for r in result.records]
+    counts = [
+        cluster.query(f"select count(*) from metrics_{s}").rows.to_pylist()[0][0]
+        for s in range(STREAMS)
+    ]
+    assert sum(counts) == sum(r.rows_loaded for r in reports) == result.completed * BATCH_ROWS
+    return result
 
 
 def test_fig11b_copy_throughput(benchmark):
-    box = {}
-
-    def run():
-        box["series"] = _series()
-        return box["series"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    series = box["series"]
+    runs = benchmark.pedantic(
+        lambda: {f"Eon {n}n/3s": [_copies(n, t) for t in THREADS] for n in (3, 6, 9)},
+        rounds=1, iterations=1,
+    )
+    series = {name: [r.per_minute for r in results] for name, results in runs.items()}
     emit(format_series(
-        "Figure 11b — 50MB COPY statements per minute",
+        "Figure 11b — COPY statements per simulated minute",
         "threads", THREADS, series,
     ))
-    at_50 = {name: values[-1] for name, values in series.items()}
-    assert at_50["Eon 6n/3s"] > at_50["Eon 3n/3s"] * 1.4
-    assert at_50["Eon 9n/3s"] > at_50["Eon 6n/3s"] * 1.1
-
-
-def test_fig11b_real_copy_path_iot(benchmark, capsys):
-    """Drive the *actual* COPY code with IoT batches (correctness +
-    measured write amplification of the Figure 8 workflow)."""
-    cluster = _eon(3)
-    setup_iot_schema(cluster, streams=4)
-
-    def run():
-        reports = []
-        for seq in range(3):
-            for stream in range(4):
-                table, rows = iot_batch(stream, seq, rows=800)
-                reports.append(copy_into(cluster, table, rows))
-        return reports
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
-    loaded = sum(r.rows_loaded for r in reports)
-    assert loaded == 3 * 4 * 800
-    total = cluster.query("select count(*) from metrics_0").rows.to_pylist()
-    assert total == [(2400,)]
+    reports = [rec.digest for results in runs.values() for r in results for rec in r.records]
     emit(
-        f"IoT COPY: {len(reports)} statements, {loaded} rows, "
+        f"IoT COPY: {len(reports)} statements, {sum(r.rows_loaded for r in reports)} rows, "
         f"{sum(r.containers_written for r in reports)} containers, "
         f"{sum(r.peer_pushes for r in reports)} peer cache pushes"
     )
+    at_50 = {name: values[-1] for name, values in series.items()}
+    assert at_50["Eon 6n/3s"] > at_50["Eon 3n/3s"] * 1.4
+    assert at_50["Eon 9n/3s"] > at_50["Eon 6n/3s"] * 1.1

@@ -48,9 +48,8 @@ def fig11a() -> Dict[str, object]:
 
 
 def fig11b() -> Dict[str, object]:
-    at_50 = {name: values[-1] for name, values in bench_fig11b_copy._series().items()}
-    three = at_50["Eon 3n/3s"]
-    return {"3:6:9": [1.0, at_50["Eon 6n/3s"] / three, at_50["Eon 9n/3s"] / three]}
+    at_50 = [bench_fig11b_copy._copies(n, 50).per_minute for n in (3, 6, 9)]
+    return {"3:6:9": [1.0, at_50[1] / at_50[0], at_50[2] / at_50[0]]}
 
 
 def fig12() -> Dict[str, object]:

@@ -185,10 +185,6 @@ class AcquireAll:
         if process is not None:
             process._clock.schedule(0.0, process._step)
 
-    def release(self) -> None:
-        for resource in self.resources:
-            resource.release()
-
 
 class Resource:
     """Counted resource with FIFO waiting, e.g. per-node execution slots."""

@@ -30,8 +30,8 @@ node's own disk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class CopyReport:
     io_seconds: float = 0.0
     version: int = 0
     peer_pushes: int = 0
+    #: The upload seconds charged on each writer; ``io_seconds`` is their sum.
+    writer_seconds: Dict[str, float] = field(default_factory=dict)
 
 
 class DepotSink:
@@ -88,10 +90,12 @@ class DepotSink:
         layout: Optional[ContainerLayout] = None,
     ) -> None:
         report = self.report
-        report.io_seconds += node.write_storage(
+        seconds = node.write_storage(
             name, data, self.cluster.shared_data, info=info, use_cache=self.use_cache,
             layout=layout,
         )
+        report.io_seconds += seconds
+        report.writer_seconds[node.name] = report.writer_seconds.get(node.name, 0.0) + seconds
         report.bytes_written += len(data)
         report.containers_written += 1
         if self.deferred is None:
@@ -158,14 +162,16 @@ def copy_into(
     table_name: str,
     rows: RowSet,
     use_cache: bool = True,
+    writers: Optional[Mapping[int, str]] = None,
 ) -> CopyReport:
-    """Load ``rows`` into every projection of ``table_name`` and commit."""
+    """Load ``rows`` into every projection of ``table_name`` and commit;
+    see :func:`write_rows` for ``writers``."""
     coordinator_node = cluster.any_up_node()
     table = coordinator_node.catalog.state.table(table_name)
     rows = checked_input(cluster, table, rows)
     txn = Transaction()
     txn.write_set.record(("table", table_name), coordinator_node.catalog.versions.version_of(("table", table_name)))
-    report = write_rows(cluster, table, rows, txn, use_cache)
+    report = write_rows(cluster, table, rows, txn, use_cache, writers=writers)
     report.rows_loaded = rows.num_rows
     report.version = cluster.commit(txn, epoch=0)
     return report
@@ -196,15 +202,18 @@ def write_rows(
     txn: Transaction,
     use_cache: bool = True,
     targets: Optional[Sequence] = None,
+    writers: Optional[Mapping[int, str]] = None,
 ) -> CopyReport:
-    """Eon's write of ``rows`` into ``table``: each shard stream by one of
-    the shard's writers, through a :class:`DepotSink`, into ``txn``."""
+    """Eon's write of ``rows`` into ``table``: each shard stream through a
+    :class:`DepotSink` into ``txn``, by its node in ``writers`` (a session's
+    assignment: loads run on "the selected mapping of nodes to shards",
+    Figure 8), else by one of the shard's writers in turn."""
     sink = DepotSink(cluster, use_cache)
     state = cluster.any_up_node().catalog.state
     for projection, shard_id, part in streams(cluster.shard_map, state, table, rows, targets):
         # "Replicated projections use just a single participating node as
         # the writer."
-        writer = cluster.writer_for_shard(shard_id)
+        writer = (writers or {}).get(shard_id) or cluster.writer_for_shard(shard_id)
         if shard_id != REPLICA_SHARD_ID:
             txn.expect_subscription(shard_id, writer)
         write_partitions(table, projection, shard_id, part, cluster.nodes[writer], sink, txn)

@@ -99,7 +99,8 @@ class PendingAdmission:
         self._settle()
         wait = controller.clock.now - self.enqueued_at
         if wait > pool.config.queue_timeout_seconds:
-            self.effect.release()
+            for resource in self.effect.resources:
+                resource.release()
             pool.timeouts += 1
             controller._dc_record(
                 self.initiator, pool, "reject", "timeout",

@@ -1,15 +1,16 @@
-"""Concurrent closed-loop query driver on the simulation clock.
+"""Concurrent closed-loop driver on the simulation clock.
 
 This is the measurement half of the workload manager: N client
 processes, each looping *issue → queue for slots → execute → hold slots
 for the modeled service time → repeat*, interleaved deterministically on
-the cluster's :class:`~repro.common.clock.SimClock`.  Execution itself
-is the real query path — parse, bind, plan, admission, executor, depot,
-failover — not a service-time abstraction; only the *duration* a query
-occupies its slots comes from the cost model (queries do not advance the
-sim clock while executing), folded through
+the cluster's :class:`~repro.common.clock.SimClock`.  A request is a SELECT
+or a COPY (:class:`CopyBatch`).  Execution itself is the real query path —
+parse, bind, plan, admission, executor, depot, failover — or the real write
+path of Figure 8, not a service-time abstraction; only the *duration* a
+request occupies its slots comes from the cost model (requests do not
+advance the sim clock while executing), folded through
 :func:`~repro.common.clock.charge_parallel` over the per-node
-busy seconds so a query's slot-holding time reflects its critical path
+busy seconds so a request's slot-holding time reflects its critical path
 across the lanes it was granted.
 
 Determinism: each request's session seed is
@@ -24,12 +25,15 @@ row digests and depot demand stats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.cluster import query_path
 from repro.common.clock import SimClock, Timeout, charge_parallel
 from repro.errors import AdmissionRejected, ReproError
+from repro.load.copy import copy_into
+from repro.storage.container import RowSet
 from repro.wm.admission import AdmissionTicket
 
 #: Floor on slot-holding time so a zero-cost query still advances time.
@@ -41,11 +45,21 @@ FAILOVER = True
 BACKOFF_SECONDS = 0.05
 
 
+@dataclass(frozen=True, eq=False)
+class CopyBatch:
+    """A COPY request (Eon): ``rows`` into ``table``, each shard written by
+    the node the request's session assigns it."""
+
+    table: str
+    rows: RowSet
+
+
 @dataclass(frozen=True)
 class ClosedLoopWorkload:
     """One closed-loop experiment: who asks what, how often, how long."""
 
-    statements: Tuple[str, ...]
+    #: SELECT texts and :class:`CopyBatch` requests.
+    statements: Tuple[Union[str, CopyBatch], ...]
     clients: int = 8
     #: Exactly one of these two bounds the run.
     requests_per_client: Optional[int] = None
@@ -127,30 +141,60 @@ class WorkloadResult:
         return counts
 
 
-def _hold_seconds(
-    result,
-    ticket: AdmissionTicket,
-    workload: ClosedLoopWorkload,
-) -> float:
-    """Simulated seconds the query occupies its slots.
+class Charge(NamedTuple):
+    """What a request's run charged, in simulated seconds: each node's busy
+    seconds, the service time beside the busiest node's, the failover
+    backoff (a pause, not work) and the latency, queue wait included."""
 
-    Start from the cost model's latency less the queue wait and the failover
-    backoff, re-derive its parallel portion with :func:`charge_parallel`
-    (the per-node busy seconds over the lanes this ticket was granted) and
-    scale it; the backoff, a pause and not query work, is added unscaled.
+    busy: List[float]
+    serial: float
+    backoff: float
+    latency: float
+
+
+def _start(cluster, sql: str, statement, session):
+    """The request's slot demand, and how it runs under the ticket that
+    demand is granted: ``run(ticket) -> (answer, Charge)``.  This is the one
+    place a SELECT and a COPY differ."""
+    if isinstance(statement, CopyBatch):
+        def run_copy(ticket):
+            report = copy_into(cluster, statement.table, statement.rows, writers=session.assignment)
+            busy = list(report.writer_seconds.values())
+            latency = ticket.queue_wait_seconds + max(busy, default=0.0)
+            return report, Charge(busy, 0.0, 0.0, latency)
+
+        # One slot per shard the session assigns each writer.
+        return dict(Counter(session.assignment.values())), run_copy
+
+    # Bound and planned once: the demand queues for slots, the plan runs
+    # under the ticket they grant.
+    prepared = query_path.prepare(statement, session)
+
+    def run_select(ticket):
+        answer = query_path.run(
+            cluster, statement, request_text=sql, failover=FAILOVER, ticket=ticket,
+            prepared=prepared,
+        )
+        stats = answer.stats
+        busy = [w.busy_seconds for w in stats.per_node.values()]
+        backoff, latency = stats.failover_backoff_seconds, stats.latency_seconds
+        serial = latency - stats.queue_wait_seconds - backoff - max(busy, default=0.0)
+        return answer, Charge(busy, serial, backoff, latency)
+
+    return prepared.demand, run_select
+
+
+def _hold_seconds(charge: Charge, ticket: AdmissionTicket, workload: ClosedLoopWorkload) -> float:
+    """Simulated seconds the request occupies its slots.
+
+    Re-derive the parallel portion with :func:`charge_parallel` (the per-node
+    busy seconds over the lanes this ticket was granted), add the serial
+    rest and scale it; the backoff, a pause and not work, is added unscaled.
     """
-    stats = result.stats
-    busy = sorted((w.busy_seconds for w in stats.per_node.values()), reverse=True)
+    busy = sorted(charge.busy, reverse=True)
     makespan, _ = charge_parallel(busy, max(1, ticket.total_slots))
-    service = (
-        stats.latency_seconds
-        - stats.queue_wait_seconds
-        - stats.failover_backoff_seconds
-        - (busy[0] if busy else 0.0)
-        + makespan
-    )
-    hold = max(service, _MIN_HOLD_SECONDS) * workload.service_scale
-    hold += stats.failover_backoff_seconds
+    hold = max(charge.serial + makespan, _MIN_HOLD_SECONDS) * workload.service_scale
+    hold += charge.backoff
     hold += workload.contention_per_client * max(0, workload.clients - 1)
     return hold
 
@@ -168,7 +212,11 @@ def run_closed_loop(
     """
     admission = cluster.admission
     clock: SimClock = cluster.clock
-    parsed = [(sql.strip(), query_path.parse_select(cluster, sql)) for sql in workload.statements]
+    parsed = [
+        (f"copy {sql.table}", sql) if isinstance(sql, CopyBatch)
+        else (sql.strip(), query_path.parse_select(cluster, sql))
+        for sql in workload.statements
+    ]
     session_options = dict(workload.session_options)
     start = clock.now
     result = WorkloadResult(started_at=start)
@@ -196,30 +244,20 @@ def run_closed_loop(
 
         try:
             session = cluster.create_session(seed=seed, **session_options)
-            # Bound and planned once: the demand queues for slots, the plan
-            # runs under the ticket they grant.
-            prepared = query_path.prepare(statement, session)
-            pending = admission.enqueue(prepared.demand, session.initiator)
+            demand, run = _start(cluster, sql, statement, session)
+            pending = admission.enqueue(demand, session.initiator)
             yield pending.effect
             settled, pending = pending, None
             ticket = settled.granted()
-            query_result = query_path.run(
-                cluster,
-                statement,
-                request_text=sql,
-                failover=FAILOVER,
-                ticket=ticket,
-                prepared=prepared,
-            )
-            hold = _hold_seconds(query_result, ticket, workload)
+            answer, charge = run(ticket)
             # Hold the slots for the modeled service time: this is what
             # makes later arrivals queue, i.e. the whole experiment.
-            yield Timeout(hold)
+            yield Timeout(_hold_seconds(charge, ticket, workload))
             result.completed += 1
             record(
                 "ok",
-                digest=result_key(query_result) if result_key else None,
-                latency=query_result.stats.latency_seconds,
+                digest=result_key(answer) if result_key else None,
+                latency=charge.latency,
                 wait=ticket.queue_wait_seconds,
             )
         except AdmissionRejected as exc:

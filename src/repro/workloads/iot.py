@@ -23,10 +23,6 @@ METRICS_SCHEMA = TableSchema.of(
     ("m_flags", ColumnType.INT),
 )
 
-#: Approximate bytes of one generated row on the wire (for sizing a
-#: "50 MB-equivalent" batch at simulation scale).
-ROW_BYTES = 28
-
 
 def setup_iot_schema(cluster, streams: int = 1) -> None:
     """One metrics table per stream (IoT loads hit many tables)."""

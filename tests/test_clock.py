@@ -160,10 +160,9 @@ class TestResource:
         done = []
 
         def proc(i):
-            grant = AcquireAll([resource])
-            yield grant
+            yield AcquireAll([resource])
             yield Timeout(1.0)
-            grant.release()
+            resource.release()
             done.append((i, clock.now))
 
         for i in range(4):
@@ -200,25 +199,23 @@ class TestAcquireAll:
         order = []
 
         def holder():
-            grant = AcquireAll([a])
-            yield grant
+            yield AcquireAll([a])
             yield Timeout(10.0)
-            grant.release()
+            a.release()
             order.append(("holder", clock.now))
 
         def wants_both():
-            grant = AcquireAll([a, b])
-            yield grant
+            yield AcquireAll([a, b])
             order.append(("both", clock.now))
-            grant.release()
+            a.release()
+            b.release()
 
         def wants_b():
             yield Timeout(1.0)
-            grant = AcquireAll([b])
-            yield grant
+            yield AcquireAll([b])
             order.append(("b", clock.now))
             yield Timeout(1.0)
-            grant.release()
+            b.release()
 
         clock.spawn(holder())
         clock.spawn(wants_both())
@@ -234,10 +231,9 @@ class TestAcquireAll:
         granted = []
 
         def proc():
-            grant = AcquireAll([a, a])
-            yield grant
+            yield AcquireAll([a, a])
             granted.append(clock.now)
-            grant.release()
+            a.release(2)
 
         clock.spawn(proc())
         clock.schedule(3.0, lambda: a.set_capacity(2))
@@ -263,10 +259,10 @@ class TestAcquireAll:
 
         def client(i):
             while clock.now < 10.0:
-                grant = AcquireAll(list(resources.values()))
-                yield grant
+                yield AcquireAll(list(resources.values()))
                 yield Timeout(1.0)
-                grant.release()
+                for resource in resources.values():
+                    resource.release()
                 completed.append(clock.now)
 
         for i in range(10):

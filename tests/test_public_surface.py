@@ -553,10 +553,7 @@ FIELD_SETTABLE = {
 
 #: The modules that spawn processes on a simulation clock, each with why.
 SPAWNERS = {
-    "src/repro/wm/driver.py": "the closed loop every query throughput figure runs",
-    "benchmarks/bench_fig11b_copy.py":
-        "Fig 11b's COPY loop: COPY takes no admission slots (section 4.5), so"
-        " the query driver has no request to make for it",
+    "src/repro/wm/driver.py": "the closed loop every query and COPY throughput figure runs",
 }
 
 

@@ -4,7 +4,8 @@ The safety contract under test: every admission ticket is released on
 every exit path (success, error, cancel mid-query, mid-query failover,
 degraded rejection), queue wait is charged into query latency, and the
 ``v_monitor`` workload tables report live slot state.  The closed loop's
-throughput keeps the shapes of section 4.2 and Figures 11a and 12.
+throughput keeps the shapes of section 4.2 and Figures 11a and 12, and its
+COPY requests write through the writers their sessions assign.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro import ColumnType, EnterpriseCluster, EonCluster
 from repro.cluster.query_path import parse_select
+from repro.common.oid import StorageId
 from repro.errors import AdmissionRejected, QueryCancelled, ReproError, StorageUnavailable
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
@@ -22,12 +24,15 @@ from repro.wm import AdmissionController, GENERAL_POOL, PoolConfig
 from repro.wm.driver import (
     BACKOFF_SECONDS,
     FAILOVER,
+    Charge,
     ClosedLoopWorkload,
+    CopyBatch,
     WorkloadRecord,
     WorkloadResult,
     _hold_seconds,
     run_closed_loop,
 )
+from repro.workloads.iot import iot_batch, setup_iot_schema
 
 SQL = "select g, count(*) c, sum(v) s from t group by g"
 
@@ -563,17 +568,12 @@ class TestClosedLoopInputs:
     def test_hold_runs_node_busy_seconds_over_the_granted_lanes(self):
         # The busiest node's 3 s fragment bounds a query that has a lane
         # per node; on one lane the four fragments run end to end.
-        per_node = {n: SimpleNamespace(busy_seconds=b) for n, b in zip("abcd", (3.0, 1.0, 1.0, 1.0))}
-
         def hold(lanes, backoff=0.0, **options):
-            # Latency: the 0.2 s wait, 3 s on the busiest node, 0.5 s besides.
-            stats = SimpleNamespace(
-                per_node=per_node, queue_wait_seconds=0.2,
-                failover_backoff_seconds=backoff, latency_seconds=3.7 + backoff,
-            )
+            # 3 s on the busiest node, 0.5 s besides.
+            charge = Charge([1.0, 3.0, 1.0, 1.0], 0.5, backoff, 3.7 + backoff)
             ticket = SimpleNamespace(total_slots=lanes)
             workload = ClosedLoopWorkload(statements=(SQL,), requests_per_client=1, **options)
-            return _hold_seconds(SimpleNamespace(stats=stats), ticket, workload)
+            return _hold_seconds(charge, ticket, workload)
 
         assert hold(4) == pytest.approx(0.5 + 3.0)
         assert hold(1) == pytest.approx(0.5 + 6.0)
@@ -659,3 +659,82 @@ class TestClosedLoopInputs:
         ])
         # 0-30, 30-60, 60-90 (with 90-95 cut short); 95 s is past the end.
         assert result.per_window(30.0, 92.0) == [2, 1, 1]
+
+
+def copies(cluster, clients: int = 8, requests: int = 4):
+    """A closed loop of 300-row COPYs into two IoT streams; each ``ok``
+    record's digest is its ``CopyReport``.  Returns the result and the rows
+    the two tables hold after it."""
+    batches = tuple(CopyBatch(*iot_batch(stream, 0, rows=300)) for stream in range(2))
+    result = run_closed_loop(cluster, ClosedLoopWorkload(
+        statements=batches, clients=clients, requests_per_client=requests,
+    ), result_key=lambda report: report)
+    stored = sum(
+        cluster.query(f"select count(*) from metrics_{stream}").rows.to_pylist()[0][0]
+        for stream in range(2)
+    )
+    return result, stored
+
+
+class TestCopyRequests:
+    """A COPY request queues for one slot per shard on each writer its
+    session assigns, holds them for its busiest writer's upload seconds and
+    gives them back on every exit path; what its ``ok`` records report
+    loaded is what the tables hold."""
+
+    @staticmethod
+    def iot_eon(nodes: int = 3, **pool) -> EonCluster:
+        cluster = EonCluster([f"n{i}" for i in range(nodes)], shard_count=3, seed=11)
+        if pool:
+            cluster.admission = AdmissionController(cluster, PoolConfig(**pool))
+        setup_iot_schema(cluster, streams=2)
+        return cluster
+
+    @pytest.mark.parametrize("fault, pool, outcome", [
+        (None, {}, "ok"),
+        # n0 writes shard 0 for some sessions; the commit finds it gone.
+        (lambda cluster: cluster.unsubscribe("n0", 0), {}, "error:TransactionAborted"),
+        (lambda cluster: cluster.kill_node("n1"), {}, "error:NodeDown"),
+        (None, {"queue_timeout_seconds": 0.01}, "rejected:timeout"),
+    ], ids=["commit", "unsubscribed", "killed", "queue-timeout"])
+    def test_every_exit_releases_and_ok_rows_are_stored(self, fault, pool, outcome):
+        cluster = self.iot_eon(**pool)
+        if fault:
+            cluster.clock.schedule(0.05, lambda: fault(cluster))
+        result, stored = copies(cluster)
+        assert {r.outcome for r in result.records} == {"ok", outcome}
+        assert_drained(cluster.admission)
+        ok = [r for r in result.records if r.outcome == "ok"]
+        assert sum(r.digest.rows_loaded for r in ok) == stored == result.completed * 300
+        # The busiest writer's upload bounds each COPY.
+        assert all(r.latency_seconds == r.queue_wait_seconds + max(r.digest.writer_seconds.values())
+                   for r in ok)
+
+    def test_each_shard_is_written_on_the_node_its_session_assigned(self, monkeypatch):
+        cluster = self.iot_eon(nodes=6)
+        create, commit = cluster.create_session, cluster.commit
+        assigned, committed = [], []
+
+        def session_spy(**options):
+            session = create(**options)
+            assigned.append(dict(session.assignment))
+            return session
+
+        def commit_spy(txn, **options):
+            committed.append([op for op in txn.ops if op["op"] == "add_container"])
+            return commit(txn, **options)
+
+        monkeypatch.setattr(cluster, "create_session", session_spy)
+        monkeypatch.setattr(cluster, "commit", commit_spy)
+        # One client: each session's COPY is the commit that follows it (the
+        # sessions after the sixth are the row counts').
+        result, _ = copies(cluster, clients=1, requests=6)
+        assert result.completed == len(committed) == 6
+        minted_by = {node.sid_factory.instance_id: name for name, node in cluster.nodes.items()}
+        for assignment, ops in zip(assigned, committed):
+            assert len(ops) == 3
+            for op in ops:
+                sid = StorageId.parse(op["container"]["sid"])
+                assert minted_by[sid.instance_id] == assignment[op["shard"]]
+        # The sessions spread the writers: the round robin is not what held.
+        assert len({tuple(sorted(a.items())) for a in assigned}) > 1

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import EonCluster
+from repro import EnterpriseCluster, EonCluster
+from repro.storage.container import RowSet
 from repro.workloads.dashboard import (
     dashboard_query,
     load_dashboard_data,
     setup_dashboard_schema,
 )
-from repro.workloads.iot import ROW_BYTES, iot_batch, setup_iot_schema
+from repro.workloads.iot import iot_batch, setup_iot_schema
+from tests.helpers import sqlite_mirror
 
 
 @pytest.fixture
@@ -73,18 +75,24 @@ class TestIot:
         for name in names:
             assert name in state.tables
 
-    def test_load_and_query_roundtrip(self, cluster):
+    @pytest.mark.parametrize("flavor", [
+        lambda: EonCluster(["n1", "n2", "n3"], shard_count=3, seed=20),
+        lambda: EnterpriseCluster(["e1", "e2", "e3"], seed=20),
+    ], ids=["eon", "enterprise"])
+    def test_recent_window_equals_sqlite(self, flavor):
+        """``iot_ingest``'s recent-window read returns SQLite's rows after
+        real COPYs, from a batch boundary and from inside a batch."""
+        cluster = flavor()
         setup_iot_schema(cluster, streams=2)
-        for seq in range(3):
-            for stream in range(2):
-                table, rows = iot_batch(stream, seq, rows=200)
-                cluster.load(table, rows)
-        out = cluster.query("select count(*) from metrics_1")
-        assert out.rows.to_pylist() == [(600,)]
-
-    def test_row_bytes_estimate_sane(self):
-        _, rows = iot_batch(0, 0, rows=1_000)
-        from repro.storage.container import rowset_bytes
-
-        actual = rowset_bytes(rows) / rows.num_rows
-        assert 0.5 * ROW_BYTES <= actual <= 2 * ROW_BYTES
+        batches = [iot_batch(stream, seq, rows=200) for seq in range(3) for stream in range(2)]
+        for table, rows in batches:
+            cluster.load(table, rows)
+        oracle = sqlite_mirror({
+            table: RowSet.concat([rows for name, rows in batches if name == table])
+            for table, _ in batches
+        })
+        for start in (200, 300):
+            assert oracle.check(cluster, (
+                "select m_flags, count(*) n, avg(m_value) mean from metrics_1 "
+                f"where m_ts >= {start} group by m_flags"
+            )) is None
